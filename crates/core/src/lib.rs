@@ -60,7 +60,7 @@ pub use flight::{FlightEvent, FlightLevel, FlightScan};
 pub use gc::{Trace, TraceFn, Tracer};
 pub use heap::{Ralloc, RallocConfig, ShrinkPolicy, SlowStats};
 pub use checker::{check_heap, CheckReport, Violation};
-pub use recovery::RecoveryStats;
+pub use recovery::{RecoveryPhases, RecoveryStats};
 pub use size_class::{MAX_SMALL, SB_SIZE};
 
 // Re-export the substrate types callers need to configure a heap.

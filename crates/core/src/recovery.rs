@@ -77,6 +77,8 @@ use crate::size_class::{class_block_size, class_max_count, NUM_CLASSES};
 /// value, the registry is the exportable view.
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryStats {
+    /// Where `duration` went, phase by phase.
+    pub phases: RecoveryPhases,
     /// Blocks reachable from the persistent roots (kept allocated).
     pub reachable_blocks: u64,
     /// Bytes those blocks occupy.
@@ -108,6 +110,43 @@ pub struct RecoveryStats {
     pub duration: Duration,
 }
 
+/// Wall time of each recovery phase, in the order they run. The phases
+/// are contiguous laps of one clock, so they sum to
+/// [`RecoveryStats::duration`]; published as `recovery_phase_*_ns` gauges
+/// (last recovery) beside the `recovery_duration_ns` histogram.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RecoveryPhases {
+    /// Cache quiesce, frontier reload and validation, list resets, root
+    /// gathering.
+    pub reconcile: Duration,
+    /// Step 5: trace from the roots (incl. the parallel mark-set merge).
+    pub mark: Duration,
+    /// Pass A: validate marked large heads, claim their spans, and
+    /// total the reachable bytes.
+    pub claim: Duration,
+    /// Pass B (steps 6-9): rebuild descriptors and lists.
+    pub sweep: Duration,
+    /// The end-of-recovery `shrink_quiesced` (zero when the policy skips
+    /// it).
+    pub shrink: Duration,
+    /// Step 10: flush the committed prefix and fence.
+    pub write_back: Duration,
+}
+
+impl RecoveryPhases {
+    /// `(gauge name, wall time)` per phase, in run order.
+    pub fn named(&self) -> [(&'static str, Duration); 6] {
+        [
+            ("recovery_phase_reconcile_ns", self.reconcile),
+            ("recovery_phase_mark_ns", self.mark),
+            ("recovery_phase_claim_ns", self.claim),
+            ("recovery_phase_sweep_ns", self.sweep),
+            ("recovery_phase_shrink_ns", self.shrink),
+            ("recovery_phase_write_back_ns", self.write_back),
+        ]
+    }
+}
+
 /// Run sequential offline recovery. Caller guarantees quiescence.
 pub(crate) fn recover(inner: &HeapInner) -> RecoveryStats {
     recover_with(inner, 1)
@@ -116,6 +155,16 @@ pub(crate) fn recover(inner: &HeapInner) -> RecoveryStats {
 /// Run offline recovery with `threads` workers.
 pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
     let t0 = Instant::now();
+    // Phase clock: each call returns the time since the previous one, so
+    // the phases tile `duration` with no gaps.
+    let mut last = t0;
+    let mut lap = move || {
+        let now = Instant::now();
+        let d = now - last;
+        last = now;
+        d
+    };
+    let mut phases = RecoveryPhases::default();
     let pool = inner.pool();
     let geo = inner.geo();
     let used = inner.used_sb();
@@ -188,6 +237,7 @@ pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
             }
         }
     }
+    phases.reconcile = lap();
 
     // Step 5: trace — sequentially, or across root subsets in parallel.
     let (marks, cons_words, cons_hits) = if threads == 1 || roots.len() <= 1 {
@@ -227,6 +277,7 @@ pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
         recount(&mut marks);
         (marks, w, h)
     };
+    phases.mark = lap();
 
     let mut stats = RecoveryStats {
         reachable_blocks: marks.total,
@@ -266,6 +317,7 @@ pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
             stats.reachable_bytes += marks.counts[i] as u64 * class_block_size(class) as u64;
         }
     }
+    phases.claim = lap();
 
     // Pass B (steps 6-9): rebuild descriptors and lists, in parallel over
     // disjoint superblock ranges when requested.
@@ -313,6 +365,7 @@ pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
         stats.partial_superblocks as u64,
         stats.free_superblocks as u64,
     );
+    phases.sweep = lap();
 
     // Quiescent-point shrink (the recovery half of the bidirectional
     // frontier): the sweep just rebuilt the lists, so the trailing run of
@@ -324,6 +377,7 @@ pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
     if inner.shrink_policy().at_recovery() {
         stats.shrunk_superblocks = inner.shrink_quiesced();
     }
+    phases.shrink = lap();
 
     // Step 10: write everything back so a crash immediately after
     // recovery restarts from this reconstructed state. Only the
@@ -333,7 +387,9 @@ pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
         pool.flush(0, pool.committed_len());
         pool.fence();
     }
+    phases.write_back = lap();
 
+    stats.phases = phases;
     stats.duration = t0.elapsed();
 
     // Publish the exportable view: last-recovery gauges plus one
@@ -346,6 +402,9 @@ pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
     reg.gauge("recovery_full_superblocks").set(stats.full_superblocks as i64);
     reg.gauge("recovery_threads").set(stats.threads as i64);
     reg.histogram("recovery_duration_ns").observe(stats.duration.as_nanos() as u64);
+    for (name, d) in phases.named() {
+        reg.gauge(name).set(d.as_nanos() as i64);
+    }
 
     stats
 }
@@ -705,6 +764,25 @@ mod tests {
         heap.crash_simulated();
         let stats = heap.recover();
         assert_eq!(stats.reachable_blocks, 0, "detached structure must be collected");
+    }
+
+    #[test]
+    #[cfg_attr(feature = "telemetry-off", ignore = "asserts telemetry gauges, which are compiled out")]
+    fn recovery_phases_tile_the_duration_and_are_published() {
+        let heap = tracked_heap();
+        build_list(&heap, 0, 2000);
+        for _ in 0..2000 {
+            let _ = heap.malloc(4096); // garbage: sweep and shrink get work
+        }
+        heap.crash_simulated();
+        let stats = heap.recover();
+        let sum: std::time::Duration = stats.phases.named().iter().map(|(_, d)| *d).sum();
+        let (sum, total) = (sum.as_nanos() as f64, stats.duration.as_nanos() as f64);
+        assert!(sum <= total && sum >= 0.95 * total, "phases {sum} ns vs duration {total} ns");
+        assert!(stats.shrunk_superblocks > 0 && !stats.phases.shrink.is_zero());
+        for (name, d) in stats.phases.named() {
+            assert_eq!(heap.telemetry().gauge(name).get(), d.as_nanos() as i64, "{name}");
+        }
     }
 
     #[test]
