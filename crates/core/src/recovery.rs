@@ -77,8 +77,6 @@ use crate::size_class::{class_block_size, class_max_count, NUM_CLASSES};
 /// value, the registry is the exportable view.
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryStats {
-    /// Where `duration` went, phase by phase.
-    pub phases: RecoveryPhases,
     /// Blocks reachable from the persistent roots (kept allocated).
     pub reachable_blocks: u64,
     /// Bytes those blocks occupy.
@@ -108,6 +106,8 @@ pub struct RecoveryStats {
     pub shrunk_superblocks: usize,
     /// Wall-clock recovery time (the quantity of paper Figure 6).
     pub duration: Duration,
+    /// Where `duration` went, phase by phase.
+    pub phases: RecoveryPhases,
 }
 
 /// Wall time of each recovery phase, in the order they run. The phases

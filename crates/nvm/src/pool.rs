@@ -1,9 +1,8 @@
 //! The simulated persistent-memory pool.
 
-use std::alloc::{alloc_zeroed, dealloc, Layout};
 use std::collections::HashMap;
 use std::fs;
-use std::io;
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -13,15 +12,8 @@ use parking_lot::Mutex;
 use crate::crash::CrashInjector;
 use crate::flush::FlushModel;
 use crate::stats::PmemStats;
-use crate::{line_down, line_up, sys, CACHE_LINE};
-
-/// OS page size assumed for file mappings (x86_64 Linux).
-const PAGE: usize = 4096;
-
-#[inline]
-const fn page_up(n: usize) -> usize {
-    (n + PAGE - 1) & !(PAGE - 1)
-}
+use crate::sys::{self, page_up, Reservation};
+use crate::{line_down, line_up, CACHE_LINE};
 
 /// How the pool simulates persistence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,10 +47,22 @@ pub enum CrashStyle {
 }
 
 struct TrackState {
-    /// The persistent image: what NVM would contain after power loss.
-    shadow: Box<[u8]>,
+    /// The persistent image: what NVM would contain after power loss. A
+    /// second reservation the size of the pool's, mapped whole at
+    /// creation (untouched pages cost nothing) and zeroed alongside
+    /// every range the pool releases.
+    shadow: Reservation,
     /// Lines flushed (content captured at flush time) but not yet fenced.
     pending: HashMap<usize, [u8; CACHE_LINE]>,
+}
+
+impl TrackState {
+    fn shadow(&mut self) -> &mut [u8] {
+        // SAFETY: the shadow is mapped read-write over its whole span when
+        // the pool is built and stays so; `&mut self` makes the borrow
+        // exclusive.
+        unsafe { std::slice::from_raw_parts_mut(self.shadow.base(), self.shadow.size()) }
+    }
 }
 
 /// A caller-defined sub-span of the pool for [`PmemPool::define_regions`]:
@@ -170,51 +174,58 @@ impl std::fmt::Debug for PoolGuard {
     }
 }
 
-/// What holds the pool's bytes.
-enum Backing {
-    /// Anonymous zeroed allocation — the simulated-NVM configuration.
-    /// Durability across process death is *modelled* (shadow images,
-    /// explicit `save`), not real.
-    Heap(Layout),
-    /// A `MAP_SHARED` mapping of a real file over a `PROT_NONE`
-    /// reservation. Stores land in the OS page cache, which survives the
-    /// death of the process — the property the SIGKILL harness tests
-    /// against. The invariant maintained throughout: **file length ==
-    /// committed frontier** (`commit_to` extends the file before
-    /// publishing, `decommit_to` truncates after unmapping), so a reopen
-    /// can equate the two exactly as the load path always has.
-    File {
-        file: fs::File,
-        /// Serializes file-length + mapping changes against each other
-        /// (the frontier word itself stays lock-free for readers).
-        remap: Mutex<()>,
-    },
-}
-
 /// A region of simulated NVM.
 ///
-/// The region is a single allocation, 4 KiB aligned, zero-initialized
-/// (matching fresh DAX pages). All offsets are relative to [`PmemPool::base`];
-/// persistent data structures must store *offsets* (or self-relative
-/// pointers), never absolute addresses, because a reload maps the image at
-/// a different base — exactly the position-independence discipline the
-/// paper's `pptr` enforces.
+/// The region is one [`Reservation`] of address space, page-aligned. All
+/// offsets are relative to [`PmemPool::base`]; persistent data structures
+/// must store *offsets* (or self-relative pointers), never absolute
+/// addresses, because a reload maps the image at a different base —
+/// exactly the position-independence discipline the paper's `pptr`
+/// enforces.
 ///
 /// ## Reserve/commit capacity model
 ///
 /// The pool distinguishes its **reserved** span ([`PmemPool::len`], the
-/// fixed virtual extent the allocation was created with — cheap, because
-/// zero pages are materialized lazily by the OS, exactly like a large
-/// `PROT_NONE`/`mmap` reservation over a DAX file) from its **committed**
-/// frontier ([`PmemPool::committed_len`], the prefix that is actually
-/// backed and usable). All access checks, flushes, crash semantics, and
-/// image save/load are confined to the committed prefix;
-/// [`PmemPool::commit_to`] grows the frontier monotonically, never past
-/// the reserved span. Pools built through the plain constructors are
-/// fully committed, which is the historical one-fixed-pool behavior.
+/// fixed virtual extent it was created with) from its **committed**
+/// frontier ([`PmemPool::committed_len`], the prefix that is usable).
+/// Only what was ever committed is mapped: creating, opening, shrinking
+/// and dropping a pool cost system calls and work in proportion to the
+/// bytes *used*, never to the bytes reserved — the reservation itself is
+/// address space and nothing else, inaccessible (`PROT_NONE`) until a
+/// commit first reaches it. All access checks, flushes, crash semantics,
+/// and image save/load are confined to the committed prefix;
+/// [`PmemPool::commit_to`] grows the frontier, never past the reserved
+/// span, with one `mmap` of the pages it has not mapped before, and
+/// [`PmemPool::decommit_to`] lowers it again. Pools built through the
+/// plain constructors are fully committed, which is the historical
+/// one-fixed-pool behavior.
+///
+/// ## What backs the committed prefix
+///
+/// * **Simulated NVM** ([`PmemPool::with_reserve`] and the image
+///   loaders): private anonymous zero pages, materialized by the OS on
+///   first touch. Durability across process death is *modelled* (shadow
+///   image, explicit [`PmemPool::save`]), not real. Pages, once mapped,
+///   stay with the pool until it is dropped: a decommit zeroes what was
+///   stored to in the released range and the next commit hands the same
+///   pages out again without a system call. (Giving touched pages back
+///   to the kernel instead is cheaper on average but costs 170–350 ns a
+///   page depending on which CPU first touched them, which made
+///   recovery time differ from run to run by more than the repo's
+///   benchmark accepts; see CHANGES.md, PR 13.)
+/// * **A real file** ([`PmemPool::map_file`]): the file, `MAP_SHARED`.
+///   Stores land in the OS page cache, which survives the death of the
+///   process — the property the SIGKILL harness tests against. The
+///   invariant maintained throughout: **file length == committed
+///   frontier** (commit extends the file before publishing, decommit
+///   truncates after unmapping), so a reopen can equate the two exactly
+///   as the load path always has.
+///
+/// Both are built by the same steps — reserve, then map page ranges as
+/// the frontier first reaches them — and differ in what `map` is handed
+/// and in what a released tail becomes.
 pub struct PmemPool {
-    base: *mut u8,
-    len: usize,
+    span: Reservation,
     /// *Physical* committed frontier in bytes (monotone online,
     /// `<= len`): the prefix that is backed (file length for mapped
     /// pools). With regions defined this is always the maximum committed
@@ -225,7 +236,14 @@ pub struct PmemPool {
     /// gate fine-grained access ([`PmemPool::check_range`]) and the
     /// region commit/decommit entry points replace the whole-pool ones.
     regions: std::sync::OnceLock<Box<[Region]>>,
-    backing: Backing,
+    /// The file mapped over the committed prefix; `None` for simulated
+    /// NVM (anonymous pages).
+    file: Option<fs::File>,
+    /// Page-aligned end of the mapped prefix (`>=` the physical
+    /// frontier; equal to its page for a file). The lock serializes
+    /// mapping and file-length changes against each other (the frontier
+    /// word itself stays lock-free for readers).
+    mapped: Mutex<usize>,
     /// Advisory lock on the pool file, held for the pool's lifetime when
     /// the pool was opened from a path (mapped or load/save style).
     guard: Mutex<Option<PoolGuard>>,
@@ -263,10 +281,14 @@ impl PmemPool {
     }
 
     /// Create a pool with a `reserved` virtual span of which only the
-    /// first `committed` bytes are initially usable. The reservation is
-    /// cheap: the zeroed allocation materializes pages lazily, so an
-    /// uncommitted tail costs address space, not memory. Grow the usable
-    /// prefix later with [`PmemPool::commit_to`].
+    /// first `committed` bytes are initially usable. The cost does not
+    /// depend on `reserved`: the span is reserved address space, the
+    /// committed prefix is mapped as anonymous zero pages, and no byte of
+    /// either is touched here — pages take memory when first stored to.
+    /// Grow the usable prefix later with [`PmemPool::commit_to`].
+    ///
+    /// # Panics
+    /// If the address space cannot be reserved.
     pub fn with_reserve(
         reserved: usize,
         committed: usize,
@@ -274,43 +296,14 @@ impl PmemPool {
         flush_model: FlushModel,
         injector: Option<Arc<CrashInjector>>,
     ) -> Self {
-        let len = line_up(reserved.max(CACHE_LINE));
-        let committed = line_up(committed.max(CACHE_LINE));
-        assert!(committed <= len, "committed {committed} exceeds reserved {len}");
-        let layout = Layout::from_size_align(len, 4096).expect("pool layout");
-        // SAFETY: layout has nonzero size.
-        let base = unsafe { alloc_zeroed(layout) };
-        assert!(!base.is_null(), "pmem pool allocation of {len} bytes failed");
-        let tracked = match mode {
-            Mode::Direct => None,
-            // The shadow spans the whole reservation (lazy zero pages, same
-            // trick as the volatile image); the committed frontier bounds
-            // what flush/crash ever touch of it.
-            Mode::Tracked => Some(Mutex::new(TrackState {
-                shadow: vec![0u8; len].into_boxed_slice(),
-                pending: HashMap::new(),
-            })),
-        };
-        PmemPool {
-            base,
-            len,
-            committed: AtomicUsize::new(committed),
-            regions: std::sync::OnceLock::new(),
-            backing: Backing::Heap(layout),
-            guard: Mutex::new(None),
-            mode,
-            flush_model,
-            stats: PmemStats::default(),
-            injector,
-            tracked,
-            crashes: AtomicU32::new(0),
-        }
+        Self::build(reserved, committed, None, mode, flush_model, injector)
+            .unwrap_or_else(|e| panic!("pmem pool reservation of {reserved} bytes failed: {e}"))
     }
 
-    /// Map a pool over a real file: a `PROT_NONE` reservation of
-    /// `reserved` bytes with the file `MAP_SHARED`-mapped over the first
-    /// `committed` bytes (the file is sized to `committed`; a fresh file
-    /// grows to it, an adopted file must already be it). Stores become
+    /// Map a pool over a real file: a reservation of `reserved` bytes
+    /// with the file `MAP_SHARED`-mapped over the first `committed` bytes
+    /// (the file is sized to `committed`; a fresh file grows to it, an
+    /// adopted file must already be it). Stores become
     /// durable-across-process-death immediately via page-cache coherence —
     /// this is the configuration the fork/SIGKILL crash harness runs on,
     /// and the closest thing to DAX this host can do.
@@ -329,60 +322,73 @@ impl PmemPool {
         flush_model: FlushModel,
         injector: Option<Arc<CrashInjector>>,
     ) -> io::Result<Self> {
+        let file = guard.file.try_clone()?;
+        let pool =
+            Self::build(reserved, committed, Some(file), Mode::Direct, flush_model, injector)?;
+        pool.hold_guard(guard);
+        Ok(pool)
+    }
+
+    /// Reserve the span and map its committed prefix — over `file`
+    /// (sized to `committed` first) or as anonymous pages.
+    fn build(
+        reserved: usize,
+        committed: usize,
+        file: Option<fs::File>,
+        mode: Mode,
+        flush_model: FlushModel,
+        injector: Option<Arc<CrashInjector>>,
+    ) -> io::Result<Self> {
         let len = line_up(reserved.max(CACHE_LINE));
         let committed = line_up(committed.max(CACHE_LINE));
         assert!(committed <= len, "committed {committed} exceeds reserved {len}");
-        // SAFETY: fresh anonymous PROT_NONE reservation; no aliasing.
-        let base = unsafe {
-            sys::mmap(
-                std::ptr::null_mut(),
-                len,
-                sys::PROT_NONE,
-                sys::MAP_PRIVATE | sys::MAP_ANONYMOUS | sys::MAP_NORESERVE,
-                -1,
-                0,
-            )?
-        };
-        guard.file.set_len(committed as u64)?;
-        // SAFETY: MAP_FIXED over the prefix of the reservation we own.
-        let mapped = unsafe {
-            sys::mmap(
-                base,
-                page_up(committed),
-                sys::PROT_READ | sys::PROT_WRITE,
-                sys::MAP_SHARED | sys::MAP_FIXED,
-                raw_fd(&guard.file),
-                0,
-            )
-        };
-        let file = match mapped {
-            Ok(_) => guard.file.try_clone()?,
-            Err(e) => {
-                // SAFETY: tearing down the reservation we just created.
-                unsafe { sys::munmap(base, len).ok() };
-                return Err(e);
+        let tracked = match mode {
+            Mode::Direct => None,
+            // The committed frontier bounds what flush/crash ever touch
+            // of the shadow.
+            Mode::Tracked => {
+                let shadow = Reservation::reserve(len)?;
+                // SAFETY: fresh reservation, nothing uses it yet.
+                unsafe { shadow.map(0, len, None)? };
+                Some(Mutex::new(TrackState { shadow, pending: HashMap::new() }))
             }
         };
-        Ok(PmemPool {
-            base,
-            len,
+        let pool = PmemPool {
+            span: Reservation::reserve(len)?,
             committed: AtomicUsize::new(committed),
             regions: std::sync::OnceLock::new(),
-            backing: Backing::File { file, remap: Mutex::new(()) },
-            guard: Mutex::new(Some(guard)),
-            mode: Mode::Direct,
+            file,
+            mapped: Mutex::new(0),
+            guard: Mutex::new(None),
+            mode,
             flush_model,
             stats: PmemStats::default(),
             injector,
-            tracked: None,
+            tracked,
             crashes: AtomicU32::new(0),
-        })
+        };
+        pool.map_to(&mut pool.mapped.lock(), committed)?;
+        Ok(pool)
+    }
+
+    /// Back the pool up to `hi`: extend the file first, so no store can
+    /// target a page past its end, then map the pages beyond `mapped`.
+    fn map_to(&self, mapped: &mut usize, hi: usize) -> io::Result<()> {
+        if let Some(file) = &self.file {
+            file.set_len(hi as u64)?;
+        }
+        if hi > *mapped {
+            // SAFETY: bare reservation, which nothing can be using yet.
+            unsafe { self.span.map(*mapped, hi, self.file.as_ref().map(raw_fd))? };
+            *mapped = page_up(hi);
+        }
+        Ok(())
     }
 
     /// True when the pool is a live `MAP_SHARED` file mapping (stores are
     /// durable across process death without an explicit save).
     pub fn is_mapped(&self) -> bool {
-        matches!(self.backing, Backing::File { .. })
+        self.file.is_some()
     }
 
     /// Hold an advisory lock for the pool's lifetime (the mapped
@@ -393,14 +399,14 @@ impl PmemPool {
     }
 
     /// Write a mapped pool's dirty pages back to its file (`msync`). A
-    /// no-op for heap-backed pools (their durability is the explicit
+    /// no-op for anonymous pools (their durability is the explicit
     /// [`PmemPool::save`]). Process-crash durability never needs this —
     /// the page cache already has the stores — but a clean close syncs so
     /// even an OS-level crash keeps the closed image.
     pub fn sync(&self) -> io::Result<()> {
         if self.is_mapped() {
             // SAFETY: committed prefix of a live mapping.
-            unsafe { sys::msync(self.base, page_up(self.committed_len()), sys::MS_SYNC)? };
+            unsafe { sys::msync(self.base(), page_up(self.committed_len()), sys::MS_SYNC)? };
         }
         Ok(())
     }
@@ -408,20 +414,20 @@ impl PmemPool {
     /// Base address of the mapping. Valid until the pool is dropped.
     #[inline]
     pub fn base(&self) -> *mut u8 {
-        self.base
+        self.span.base()
     }
 
     /// Size of the *reserved* region in bytes (the fixed virtual span;
     /// geometry is a pure function of this).
     #[inline]
     pub fn len(&self) -> usize {
-        self.len
+        self.span.size()
     }
 
     /// True if the pool has zero capacity (never true in practice).
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// The *physical* committed frontier: bytes `0..committed_len()` are
@@ -454,14 +460,14 @@ impl PmemPool {
         for s in specs {
             assert_eq!(s.start, prev_end, "regions must tile the span without gaps");
             assert!(s.end > s.start, "empty region {s:?}");
-            assert!(s.end <= self.len, "region {s:?} exceeds reserved span {}", self.len);
+            assert!(s.end <= self.len(), "region {s:?} exceeds reserved span {}", self.len());
             assert!(
                 s.committed >= s.start && s.committed <= s.end,
                 "region frontier out of bounds: {s:?}"
             );
             prev_end = s.end;
         }
-        assert_eq!(prev_end, self.len, "regions must cover the reserved span");
+        assert_eq!(prev_end, self.len(), "regions must cover the reserved span");
         let last = specs.last().unwrap();
         assert_eq!(
             line_up(last.committed.max(CACHE_LINE)),
@@ -520,59 +526,49 @@ impl PmemPool {
 
     /// Shrink region `idx`'s committed frontier to `new_len` (absolute
     /// bytes), releasing the region's tail. For the last region this is
-    /// a physical release (pages returned, file truncated) exactly like
-    /// [`PmemPool::decommit_to`]; for an interior region the bytes stay
-    /// physically backed (they are interior to the pool prefix) but the
-    /// released range is zeroed — volatile image, pending flushes, and
-    /// shadow — so a later re-commit observes fresh zero pages and no
-    /// stale data can resurrect through a crash. Growing requests are
-    /// no-ops. Quiescence contract as for [`PmemPool::decommit_to`].
+    /// a physical release exactly like [`PmemPool::decommit_to`]; for an
+    /// interior region the range stays under the pool prefix and only
+    /// its contents are dropped — volatile image, pending flushes, and
+    /// shadow. Either way a later re-commit observes zeros and no stale
+    /// data can resurrect through a crash. Growing requests are no-ops.
+    /// Quiescence contract as for [`PmemPool::decommit_to`].
     pub fn decommit_region_to(&self, idx: usize, new_len: usize) -> usize {
         let regions = self.regions.get().expect("no regions defined");
         let r = &regions[idx];
         let new_len = line_up(new_len.max(r.start).max(CACHE_LINE));
         if idx == regions.len() - 1 {
-            // CAS-min the accounting frontier, then release physically.
-            let mut cur = r.committed.load(Ordering::Acquire);
-            loop {
-                if new_len >= cur {
-                    return cur;
-                }
-                match r.committed.compare_exchange(
-                    cur,
-                    new_len,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                ) {
-                    Ok(_) => break,
-                    Err(c) => cur = c,
-                }
+            // Lower the accounting frontier, then release physically.
+            let cur = r.committed.fetch_min(new_len, Ordering::AcqRel);
+            if new_len >= cur {
+                return cur;
             }
             return self.physical_decommit_to(new_len);
         }
         if let Some(inj) = &self.injector {
             inj.on_event();
         }
-        let mut cur = r.committed.load(Ordering::Acquire);
-        loop {
-            if new_len >= cur {
-                return cur;
-            }
-            match r.committed.compare_exchange(cur, new_len, Ordering::AcqRel, Ordering::Acquire)
-            {
-                Ok(_) => break,
-                Err(c) => cur = c,
-            }
+        let cur = r.committed.fetch_min(new_len, Ordering::AcqRel);
+        if new_len >= cur {
+            return cur;
         }
-        // SAFETY: new_len..cur is interior to the physically backed
-        // prefix; quiescence is the caller's contract.
-        unsafe { std::ptr::write_bytes(self.base.add(new_len), 0, cur - new_len) };
+        self.release(new_len, cur);
+        new_len
+    }
+
+    /// Drop `[lo, hi)` from the volatile image, the pending flushes and
+    /// the shadow by zeroing it in place, so that it reads zero when
+    /// next committed; its pages stay mapped.
+    fn release(&self, lo: usize, hi: usize) {
+        // SAFETY: the range lies in the mapped prefix and the frontier
+        // was already lowered below it; quiescence is the caller's
+        // contract.
+        unsafe { self.span.zero(lo, hi) };
         if let Some(t) = &self.tracked {
             let mut st = t.lock();
-            st.pending.retain(|line, _| line + CACHE_LINE <= new_len || *line >= cur);
-            st.shadow[new_len..cur].fill(0);
+            st.pending.retain(|line, _| line + CACHE_LINE <= lo || *line >= hi);
+            // SAFETY: all of the shadow is mapped and ours under the lock.
+            unsafe { st.shadow.zero(lo, hi) };
         }
-        new_len
     }
 
     /// Grow the committed frontier to cover at least `new_len` bytes
@@ -598,56 +594,41 @@ impl PmemPool {
     fn physical_commit_to(&self, new_len: usize) -> usize {
         let new_len = line_up(new_len);
         assert!(
-            new_len <= self.len,
+            new_len <= self.len(),
             "commit_to({new_len}) exceeds reserved span {}",
-            self.len
+            self.len()
         );
-        if let Backing::File { file, remap } = &self.backing {
-            // Extend the file and the shared mapping *before* publishing
-            // the frontier, so no store can target pages that aren't
-            // file-backed yet. The remap lock serializes concurrent grows
-            // (and the shrink path); the file-length invariant means a
-            // kill anywhere in here leaves file_len >= every published
-            // frontier, which reopen heals from the durable word.
-            let _g = remap.lock();
-            let cur = self.committed.load(Ordering::Acquire);
-            if new_len > cur {
-                file.set_len(new_len as u64).expect("pool file grow failed");
-                let mapped = page_up(cur);
-                let target = page_up(new_len);
-                if target > mapped {
-                    // SAFETY: MAP_FIXED within our own reservation, page
-                    // offsets aligned; the extended range was PROT_NONE.
-                    unsafe {
-                        sys::mmap(
-                            self.base.add(mapped),
-                            target - mapped,
-                            sys::PROT_READ | sys::PROT_WRITE,
-                            sys::MAP_SHARED | sys::MAP_FIXED,
-                            raw_fd(file),
-                            mapped,
-                        )
-                        .expect("pool file map extension failed");
-                    }
-                }
-            }
+        // Map the new pages (extending a file first) *before* publishing
+        // the frontier, so no store can target pages that aren't backed
+        // yet. The lock serializes concurrent grows (and the shrink
+        // path) — a racing grow re-mapping pages another already
+        // published would wipe them; the file-length invariant means a
+        // kill anywhere in here leaves file_len >= every published
+        // frontier, which reopen heals from the durable word.
+        let mut mapped = self.mapped.lock();
+        if new_len > self.committed.load(Ordering::Acquire) {
+            self.map_to(&mut mapped, new_len).expect("pool commit failed");
         }
         self.committed.fetch_max(new_len, Ordering::AcqRel).max(new_len)
     }
 
     /// Shrink the committed frontier to `new_len` bytes (rounded up to a
-    /// cache line), releasing the tail back to the OS — the
-    /// `madvise(MADV_DONTNEED)` analogue for the reserve/commit model.
-    /// The reserved span and all geometry derived from it are untouched;
-    /// a later [`PmemPool::commit_to`] over the released range reads
-    /// fresh zero pages, exactly like never-committed reservation. A
-    /// growing request is a no-op (mirroring `commit_to`'s monotonicity
-    /// in the other direction). Returns the resulting frontier.
+    /// cache line), releasing the tail. The reserved span and all
+    /// geometry derived from it are untouched, and a later
+    /// [`PmemPool::commit_to`] over the released range reads zeros,
+    /// exactly like never-committed reservation: an anonymous tail is
+    /// zeroed by stores and keeps its pages for that commit (the cost is
+    /// a `memset` of the pages that were ever stored to; their memory
+    /// goes back to the OS when the pool is dropped), a file's tail is
+    /// unmapped into bare reservation — only the rest of the frontier's
+    /// own page is zeroed — and the file truncated. A growing request is
+    /// a no-op (mirroring `commit_to`'s monotonicity in the other
+    /// direction). Returns the resulting frontier.
     ///
     /// In [`Mode::Tracked`] the released tail is also dropped from the
     /// persistent image: pending (flushed-unfenced) lines beyond the new
-    /// frontier are discarded and the shadow is zeroed, so no stale data
-    /// can resurrect through a crash after a re-grow.
+    /// frontier are discarded and the shadow's range is zeroed too, so no
+    /// stale data can resurrect through a crash after a re-grow.
     ///
     /// The caller must be quiescent (no concurrent access to the released
     /// range): decommit is a close/recovery-time operation, never an
@@ -673,69 +654,25 @@ impl PmemPool {
         if let Some(inj) = &self.injector {
             inj.on_event();
         }
-        let mut cur = self.committed.load(Ordering::Acquire);
-        loop {
-            if new_len >= cur {
-                return cur; // monotone in the shrink direction: no-op
-            }
-            match self.committed.compare_exchange(
-                cur,
-                new_len,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => break,
-                Err(c) => cur = c,
-            }
+        let cur = self.committed.fetch_min(new_len, Ordering::AcqRel);
+        if new_len >= cur {
+            return cur; // monotone in the shrink direction: no-op
         }
-        match &self.backing {
-            Backing::Heap(_) => {
-                // Zero the released tail of the volatile image:
-                // recommitting must observe lazily-materialized zero
-                // pages, not stale content.
-                // SAFETY: new_len..cur is in the reserved allocation;
-                // quiescence is the caller's contract.
-                unsafe { std::ptr::write_bytes(self.base.add(new_len), 0, cur - new_len) };
-            }
-            Backing::File { file, remap } => {
-                // Return the tail pages to PROT_NONE reservation, then
-                // truncate the file to keep file length == frontier. A
-                // kill between the two leaves the file long with the
-                // durable frontier word already lowered — reopen heals
-                // the word up over (stale, unreferenced) committed space
-                // and the dirty rebuild reclaims it. Truncation zeroes
-                // the partial page's tail in the page cache, and a later
-                // re-extension reads zeros, matching the Heap backing's
-                // fresh-zero-pages contract.
-                let _g = remap.lock();
-                let lo = page_up(new_len);
-                let hi = page_up(cur);
-                if hi > lo {
-                    // SAFETY: MAP_FIXED re-reservation of our own range;
-                    // quiescence per the caller's contract.
-                    unsafe {
-                        sys::mmap(
-                            self.base.add(lo),
-                            hi - lo,
-                            sys::PROT_NONE,
-                            sys::MAP_PRIVATE
-                                | sys::MAP_ANONYMOUS
-                                | sys::MAP_NORESERVE
-                                | sys::MAP_FIXED,
-                            -1,
-                            0,
-                        )
-                        .expect("pool file unmap failed");
-                    }
-                }
-                file.set_len(new_len as u64).expect("pool file shrink failed");
-            }
-        }
-        if let Some(t) = &self.tracked {
-            let mut st = t.lock();
-            st.pending.retain(|line, _| line + CACHE_LINE <= new_len);
-            st.shadow[new_len..cur].fill(0);
-        }
+        let mut mapped = self.mapped.lock();
+        let Some(file) = &self.file else {
+            self.release(new_len, cur);
+            return new_len;
+        };
+        // Return a file's tail pages to bare reservation, then truncate
+        // it to keep file length == frontier. A kill between the two
+        // leaves the file long with the durable frontier word already
+        // lowered — reopen heals the word up over (stale, unreferenced)
+        // committed space and the dirty rebuild reclaims it.
+        // SAFETY: mapped pages above the lowered frontier; quiescence is
+        // the caller's contract. (Mapped pools have no tracked state.)
+        unsafe { self.span.release(new_len, *mapped) }.expect("pool page release failed");
+        *mapped = page_up(new_len);
+        file.set_len(new_len as u64).expect("pool file shrink failed");
         new_len
     }
 
@@ -793,7 +730,7 @@ impl PmemPool {
     pub unsafe fn at<T>(&self, off: usize) -> *mut T {
         debug_assert!(self.check_range(off, std::mem::size_of::<T>()));
         debug_assert_eq!(off % std::mem::align_of::<T>(), 0);
-        self.base.add(off) as *mut T
+        self.base().add(off) as *mut T
     }
 
     /// An atomic u64 view of the 8 bytes at offset `off`.
@@ -805,7 +742,7 @@ impl PmemPool {
     pub unsafe fn atomic_u64(&self, off: usize) -> &AtomicU64 {
         debug_assert!(self.check_range(off, 8));
         debug_assert_eq!(off % 8, 0);
-        &*(self.base.add(off) as *const AtomicU64)
+        &*(self.base().add(off) as *const AtomicU64)
     }
 
     /// Read a u64 at `off` with a plain (non-atomic) load.
@@ -858,7 +795,7 @@ impl PmemPool {
                     // asynchronous write-back has.
                     unsafe {
                         std::ptr::copy_nonoverlapping(
-                            self.base.add(line),
+                            self.base().add(line),
                             buf.as_mut_ptr(),
                             CACHE_LINE,
                         );
@@ -885,7 +822,7 @@ impl PmemPool {
                 let mut st = self.tracked.as_ref().unwrap().lock();
                 let pending = std::mem::take(&mut st.pending);
                 for (line, buf) in pending {
-                    st.shadow[line..line + CACHE_LINE].copy_from_slice(&buf);
+                    st.shadow()[line..line + CACHE_LINE].copy_from_slice(&buf);
                 }
                 self.flush_model.charge_fence()
             }
@@ -932,11 +869,11 @@ impl PmemPool {
             for line in (0..committed).step_by(CACHE_LINE) {
                 // SAFETY: in-bounds; quiescent per contract.
                 let volatile =
-                    unsafe { std::slice::from_raw_parts(self.base.add(line), CACHE_LINE) };
-                if volatile != &st.shadow[line..line + CACHE_LINE]
+                    unsafe { std::slice::from_raw_parts(self.base().add(line), CACHE_LINE) };
+                if volatile != &st.shadow()[line..line + CACHE_LINE]
                     && (xorshift() % 1000) < survive_permille as u64
                 {
-                    st.shadow[line..line + CACHE_LINE].copy_from_slice(volatile);
+                    st.shadow()[line..line + CACHE_LINE].copy_from_slice(volatile);
                 }
             }
         }
@@ -944,7 +881,7 @@ impl PmemPool {
         // it reverts every line that could have diverged from the shadow.
         // SAFETY: quiescent per contract; copies shadow over volatile.
         unsafe {
-            std::ptr::copy_nonoverlapping(st.shadow.as_ptr(), self.base, committed);
+            std::ptr::copy_nonoverlapping(st.shadow().as_ptr(), self.base(), committed);
         }
         self.crashes.fetch_add(1, Ordering::Relaxed);
     }
@@ -956,10 +893,10 @@ impl PmemPool {
     pub fn persistent_image(&self) -> Vec<u8> {
         let committed = self.committed_len();
         match &self.tracked {
-            Some(t) => t.lock().shadow[..committed].to_vec(),
+            Some(t) => t.lock().shadow()[..committed].to_vec(),
             // SAFETY: reading the committed prefix; caller tolerance for
             // racing bytes as with flush.
-            None => unsafe { std::slice::from_raw_parts(self.base, committed).to_vec() },
+            None => unsafe { std::slice::from_raw_parts(self.base(), committed).to_vec() },
         }
     }
 
@@ -978,7 +915,7 @@ impl PmemPool {
             }
         }
         // SAFETY: committed-prefix read, caller quiescent.
-        let data = unsafe { std::slice::from_raw_parts(self.base, self.committed_len()) };
+        let data = unsafe { std::slice::from_raw_parts(self.base(), self.committed_len()) };
         fs::write(path, data)
     }
 
@@ -1004,15 +941,16 @@ impl PmemPool {
         flush_model: FlushModel,
         injector: Option<Arc<CrashInjector>>,
     ) -> io::Result<Self> {
-        let data = fs::read(path)?;
-        Ok(Self::adopt_image(&data, data.len(), mode, flush_model, injector))
+        Self::load_reserving(path, 0, mode, flush_model, injector)
     }
 
     /// Load a file into a pool whose reserved span is `reserved` bytes
     /// (at least the file length). The file content becomes the committed
     /// prefix; the tail is uncommitted reservation, ready for
     /// [`PmemPool::commit_to`]. This is how a growable heap reopens an
-    /// image that was saved before it reached full size.
+    /// image that was saved before it reached full size. The file is
+    /// read straight into the freshly mapped prefix: one copy, and the
+    /// only pages touched are the ones the image fills.
     pub fn load_reserving(
         path: &Path,
         reserved: usize,
@@ -1020,8 +958,9 @@ impl PmemPool {
         flush_model: FlushModel,
         injector: Option<Arc<CrashInjector>>,
     ) -> io::Result<Self> {
-        let data = fs::read(path)?;
-        Ok(Self::adopt_image(&data, reserved, mode, flush_model, injector))
+        let mut file = fs::File::open(path)?;
+        let len = usize::try_from(file.metadata()?.len()).map_err(io::Error::other)?;
+        Self::adopt(len, reserved, mode, flush_model, injector, |image| file.read_exact(image))
     }
 
     /// Adopt an in-memory image (used to simulate a remap at a new base
@@ -1043,40 +982,42 @@ impl PmemPool {
         flush_model: FlushModel,
         injector: Option<Arc<CrashInjector>>,
     ) -> Self {
-        let reserved = reserved.max(data.len());
-        let pool = Self::with_reserve(reserved, data.len(), mode, flush_model, injector);
-        assert!(pool.committed_len() >= data.len());
-        // SAFETY: fresh pool, no other users yet.
-        unsafe {
-            std::ptr::copy_nonoverlapping(data.as_ptr(), pool.base, data.len());
-        }
-        // The on-file image *is* persistent: seed the shadow with it.
-        if let Some(t) = &pool.tracked {
-            let mut st = t.lock();
-            st.shadow[..data.len()].copy_from_slice(data);
-        }
-        pool
+        let copy = |image: &mut [u8]| {
+            image.copy_from_slice(data);
+            Ok(())
+        };
+        Self::adopt(data.len(), reserved, mode, flush_model, injector, copy)
+            .unwrap_or_else(|e| panic!("pmem pool reservation of {reserved} bytes failed: {e}"))
     }
-}
 
-impl Drop for PmemPool {
-    fn drop(&mut self) {
-        match &self.backing {
-            // SAFETY: allocated in `with_reserve` with this layout.
-            Backing::Heap(layout) => unsafe { dealloc(self.base, *layout) },
-            // SAFETY: the whole reservation (file prefix + PROT_NONE
-            // tail) came from `map_file`'s mmap calls.
-            Backing::File { .. } => unsafe {
-                sys::munmap(self.base, self.len).ok();
-            },
+    /// Build a pool committed to `len` bytes and let `fill` write the
+    /// adopted image into them.
+    fn adopt(
+        len: usize,
+        reserved: usize,
+        mode: Mode,
+        flush_model: FlushModel,
+        injector: Option<Arc<CrashInjector>>,
+        fill: impl FnOnce(&mut [u8]) -> io::Result<()>,
+    ) -> io::Result<Self> {
+        let pool = Self::build(reserved.max(len), len, None, mode, flush_model, injector)?;
+        assert!(pool.committed_len() >= len);
+        // SAFETY: the committed prefix of a fresh pool: mapped, and no
+        // other users yet.
+        let image = unsafe { std::slice::from_raw_parts_mut(pool.base(), len) };
+        fill(image)?;
+        // The adopted image *is* persistent: seed the shadow with it.
+        if let Some(t) = &pool.tracked {
+            t.lock().shadow()[..len].copy_from_slice(image);
         }
+        Ok(pool)
     }
 }
 
 impl std::fmt::Debug for PmemPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PmemPool")
-            .field("len", &self.len)
+            .field("len", &self.len())
             .field("committed", &self.committed_len())
             .field("mode", &self.mode)
             .field("crashes", &self.crash_count())
@@ -1353,12 +1294,90 @@ mod tests {
         assert_eq!(pool.persistent_image().len(), 4096, "image = shrunken prefix");
         // Growing requests through decommit_to are no-ops.
         assert_eq!(pool.decommit_to(1 << 20), 4096);
-        // Recommit: the released range reads as fresh zero pages, in both
-        // the volatile image and the persistent shadow.
+        // Recommit: the released range reads zero, in both the volatile
+        // image and the persistent shadow.
         pool.commit_to(16384);
         assert_eq!(read_byte(&pool, 8192), 0, "stale volatile data resurrected");
         pool.crash();
         assert_eq!(read_byte(&pool, 8192), 0, "stale shadow data resurrected");
+    }
+
+    /// The heap's shape in small: metadata | descriptors (interior) |
+    /// superblocks (last, carries the physical prefix).
+    const REGIONS: [(usize, usize); 3] = [(0, 8192), (8192, 128 << 10), (128 << 10, 1 << 20)];
+
+    /// Fill region `idx` up to the unaligned frontier `hi`, release it
+    /// down to the unaligned `lo`, re-commit, and check every byte: the
+    /// kept prefix intact, the released range zero — before and, in
+    /// tracked mode, after a crash (the shadow must not resurrect it).
+    fn release_and_regrow(pool: PmemPool, idx: usize, lo: usize, hi: usize) {
+        let start = REGIONS[idx].0;
+        assert!(!lo.is_multiple_of(4096) && !hi.is_multiple_of(4096));
+        assert!(lo.is_multiple_of(64) && hi.is_multiple_of(64));
+        let specs: Vec<RegionSpec> = REGIONS
+            .iter()
+            .map(|&(start, end)| RegionSpec { start, end, committed: start.max(4096) })
+            .collect();
+        pool.commit_to(REGIONS[2].0.max(4096));
+        pool.define_regions(&specs);
+        assert_eq!(pool.commit_region_to(idx, hi), hi);
+        write_bytes(&pool, start, &vec![0xAA; hi - start]);
+        pool.persist(start, hi - start);
+        let mapped = *pool.mapped.lock();
+        assert_eq!(pool.decommit_region_to(idx, lo), lo);
+        assert!(!pool.check_range(lo, 1), "released range must be out of range");
+        // Only a file's tail gives pages up; everything else is recycled.
+        let unmapped = pool.is_mapped() && idx == REGIONS.len() - 1;
+        assert_eq!(*pool.mapped.lock(), if unmapped { page_up(lo) } else { mapped });
+        let check = |what: &str| {
+            let bytes = unsafe { std::slice::from_raw_parts(pool.base().add(start), hi - start) };
+            let (kept, released) = bytes.split_at(lo - start);
+            assert!(kept.iter().all(|&b| b == 0xAA), "{what}: bytes below the frontier changed");
+            assert!(released.iter().all(|&b| b == 0), "{what}: released bytes resurrected");
+        };
+        assert_eq!(pool.commit_region_to(idx, hi), hi);
+        check("volatile image");
+        if pool.mode() == Mode::Tracked {
+            pool.crash();
+            check("persistent image");
+        }
+    }
+
+    fn reserve(mode: Mode) -> PmemPool {
+        PmemPool::with_reserve(1 << 20, 4096, mode, FlushModel::free(), None)
+    }
+
+    #[test]
+    fn unaligned_tail_release_regrows_zero_and_keeps_the_prefix() {
+        let (lo, hi) = ((128 << 10) + 4096 + 128, (128 << 10) + 9 * 4096 + 640);
+        release_and_regrow(reserve(Mode::Direct), 2, lo, hi);
+        release_and_regrow(reserve(Mode::Tracked), 2, lo, hi);
+        // Both edges inside one page.
+        release_and_regrow(reserve(Mode::Tracked), 2, lo, lo + 64);
+    }
+
+    #[test]
+    fn unaligned_interior_release_regrows_zero_and_keeps_the_prefix() {
+        let (lo, hi) = (8192 + 4096 + 192, 8192 + 5 * 4096 + 320);
+        release_and_regrow(reserve(Mode::Direct), 1, lo, hi);
+        release_and_regrow(reserve(Mode::Tracked), 1, lo, hi);
+        release_and_regrow(reserve(Mode::Tracked), 1, lo, lo + 64);
+    }
+
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+    #[test]
+    fn unaligned_releases_of_a_mapped_file_regrow_zero() {
+        let dir = std::env::temp_dir().join(format!("nvm-release-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mapped = |name: &str| {
+            let guard = PoolGuard::acquire(&dir.join(name)).unwrap();
+            PmemPool::map_file(guard, 1 << 20, 4096, FlushModel::free(), None).unwrap()
+        };
+        release_and_regrow(mapped("tail"), 2, (128 << 10) + 4096 + 128, (128 << 10) + 9 * 4096 + 640);
+        release_and_regrow(mapped("interior"), 1, 8192 + 4096 + 192, 8192 + 5 * 4096 + 320);
+        let len = |name: &str| std::fs::metadata(dir.join(name)).unwrap().len();
+        assert_eq!(len("tail"), (128 << 10) + 9 * 4096 + 640, "file length == frontier");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

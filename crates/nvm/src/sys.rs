@@ -1,15 +1,17 @@
-//! Minimal raw-syscall layer for the OS facilities the crash-testing
-//! substrate needs and `std` does not expose: shared file mappings
-//! (`mmap`/`munmap`/`msync`), advisory file locks (`flock`), and
-//! process control for the fork/SIGKILL harness (`fork`/`kill`/`wait4`).
+//! Minimal raw-syscall layer for the OS facilities the pool and the
+//! crash-testing substrate need and `std` does not expose: address-space
+//! reservations and file mappings (`mmap`/`munmap`/`msync`, wrapped as
+//! [`Reservation`]), advisory file locks (`flock`), and process control
+//! for the fork/SIGKILL harness (`fork`/`kill`/`wait4`).
 //!
 //! The workspace builds offline with no `libc` crate, so these are
 //! direct `syscall` instructions on x86_64 Linux. Every wrapper returns
 //! `io::Result`, translating the kernel's negative-errno convention into
 //! `io::Error::from_raw_os_error`. On any other target the module still
 //! compiles but every call returns [`io::ErrorKind::Unsupported`], so
-//! portable callers can degrade gracefully (the simulated in-memory pool
-//! never needs these).
+//! portable callers can degrade gracefully — except [`Reservation`],
+//! which falls back to a zeroed heap allocation there, so the simulated
+//! in-memory pool works everywhere (file mappings stay unsupported).
 
 use std::io;
 
@@ -131,6 +133,51 @@ mod imp {
         check(r).map(|_| ())
     }
 
+    /// Claim `len` bytes of address space and nothing else: inaccessible
+    /// (`PROT_NONE`), no memory, no swap accounting.
+    pub fn reserve(len: usize) -> io::Result<*mut u8> {
+        let flags = MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE;
+        // SAFETY: a fresh mapping at a kernel-chosen address aliases nothing.
+        unsafe { mmap(std::ptr::null_mut(), len, PROT_NONE, flags, -1, 0) }
+    }
+
+    /// Replace the pages of `addr..addr+len` with accessible ones: `fd`'s
+    /// pages from `offset` on (`MAP_SHARED`), or fresh anonymous zero
+    /// pages.
+    ///
+    /// # Safety
+    /// The page-aligned range must lie in a reservation the caller owns,
+    /// and nothing may still need what its old pages held.
+    pub unsafe fn map(addr: *mut u8, len: usize, fd: Option<i32>, offset: usize) -> io::Result<()> {
+        let (flags, fd) = match fd {
+            Some(fd) => (MAP_SHARED, fd),
+            None => (MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1),
+        };
+        // SAFETY: per fn contract.
+        unsafe { mmap(addr, len, PROT_READ | PROT_WRITE, flags | MAP_FIXED, fd, offset) }
+            .map(|_| ())
+    }
+
+    /// Return the pages of `addr..addr+len` to the reserved state: their
+    /// memory goes back to the OS and the range is inaccessible again.
+    ///
+    /// # Safety
+    /// As for [`map`].
+    pub unsafe fn release(addr: *mut u8, len: usize) -> io::Result<()> {
+        let flags = MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_FIXED;
+        // SAFETY: per fn contract.
+        unsafe { mmap(addr, len, PROT_NONE, flags, -1, 0) }.map(|_| ())
+    }
+
+    /// Give a whole [`reserve`]d span back.
+    ///
+    /// # Safety
+    /// `(addr, len)` must be exactly a live reservation nobody uses any more.
+    pub unsafe fn unreserve(addr: *mut u8, len: usize) {
+        // SAFETY: per fn contract. Nothing useful to do on failure.
+        unsafe { munmap(addr, len).ok() };
+    }
+
     /// `msync(addr, len, flags)` — write a shared mapping's dirty pages
     /// back to the file.
     ///
@@ -243,6 +290,48 @@ mod imp {
         unsupported()
     }
 
+    fn layout(len: usize) -> std::alloc::Layout {
+        std::alloc::Layout::from_size_align(page_up(len.max(1)), PAGE).expect("reservation layout")
+    }
+
+    /// Without `mmap` a reservation is one zeroed heap allocation: always
+    /// accessible and paid for in full, so `map` has nothing to do and
+    /// `release` only has to keep the "reads zero" contract, by storing
+    /// zeros.
+    pub fn reserve(len: usize) -> io::Result<*mut u8> {
+        // SAFETY: the layout has non-zero size.
+        let p = unsafe { std::alloc::alloc_zeroed(layout(len)) };
+        if p.is_null() {
+            return Err(io::ErrorKind::OutOfMemory.into());
+        }
+        Ok(p)
+    }
+
+    /// # Safety
+    /// See the x86_64 implementation; this stub never dereferences.
+    pub unsafe fn map(_addr: *mut u8, _len: usize, fd: Option<i32>, _off: usize) -> io::Result<()> {
+        match fd {
+            Some(_) => unsupported(),
+            None => Ok(()),
+        }
+    }
+
+    /// # Safety
+    /// The range must lie in a reservation the caller owns and nothing
+    /// may still need what it held.
+    pub unsafe fn release(addr: *mut u8, len: usize) -> io::Result<()> {
+        // SAFETY: per fn contract.
+        unsafe { std::ptr::write_bytes(addr, 0, len) };
+        Ok(())
+    }
+
+    /// # Safety
+    /// `(addr, len)` must be exactly a live reservation nobody uses any more.
+    pub unsafe fn unreserve(addr: *mut u8, len: usize) {
+        // SAFETY: allocated by `reserve` with this layout.
+        unsafe { std::alloc::dealloc(addr, layout(len)) };
+    }
+
     pub fn flock(_fd: i32, _op: usize) -> io::Result<()> {
         // Advisory locking degrades to a no-op rather than an error:
         // single-process use (the only kind possible without fork) is
@@ -274,6 +363,131 @@ mod imp {
 }
 
 pub use imp::{exit_group, flock, fork, getpid, kill, mmap, msync, munmap, wait4};
+
+/// OS page size assumed for mappings (x86_64 Linux).
+pub const PAGE: usize = 4096;
+
+/// Round `n` up to a page boundary.
+#[inline]
+pub const fn page_up(n: usize) -> usize {
+    (n + PAGE - 1) & !(PAGE - 1)
+}
+
+/// Round `n` down to a page boundary.
+#[inline]
+pub const fn page_down(n: usize) -> usize {
+    n & !(PAGE - 1)
+}
+
+/// An owned span of address space, the backing of every pool image.
+///
+/// [`Reservation::reserve`] claims addresses only — creating one costs a
+/// system call, whatever its size. [`Reservation::map`] makes a page
+/// range usable (file pages, or anonymous zero pages that take memory
+/// when first touched), [`Reservation::zero`] clears a mapped range by
+/// stores, leaving its pages in place, and [`Reservation::release`]
+/// takes a range's pages away again. Offsets are relative to
+/// [`Reservation::base`]; dropping the value unmaps the span.
+pub struct Reservation {
+    base: *mut u8,
+    len: usize,
+}
+
+impl Reservation {
+    /// Reserve `len` bytes of address space, none of it accessible yet.
+    pub fn reserve(len: usize) -> io::Result<Reservation> {
+        Ok(Reservation { base: imp::reserve(len)?, len })
+    }
+
+    /// First byte of the span (page-aligned).
+    #[inline]
+    pub fn base(&self) -> *mut u8 {
+        self.base
+    }
+
+    /// Bytes reserved.
+    #[inline]
+    pub fn size(&self) -> usize {
+        self.len
+    }
+
+    /// Make `[lo, hi)` (`lo` page-aligned, `hi` rounded up to a page)
+    /// readable and writable: backed by `fd` from file offset `lo` on
+    /// (shared, so stores reach the file's page cache), or by fresh
+    /// anonymous zero pages.
+    ///
+    /// # Safety
+    /// Whatever the range's pages held is replaced, so nothing may still
+    /// use it; a mapped `fd` must stay at least `hi` bytes long while the
+    /// range is accessed.
+    pub unsafe fn map(&self, lo: usize, hi: usize, fd: Option<i32>) -> io::Result<()> {
+        let hi = page_up(hi);
+        assert!(lo.is_multiple_of(PAGE), "map({lo}, {hi}) must start on a page");
+        assert!(hi <= page_up(self.len), "map({lo}, {hi}) outside the span");
+        if hi <= lo {
+            return Ok(());
+        }
+        // SAFETY: inside our own span; the rest is the caller's contract.
+        unsafe { imp::map(self.base.add(lo), hi - lo, fd, lo) }
+    }
+
+    /// Take the pages of `[lo, hi)` away: the whole pages inside go back
+    /// to bare reservation untouched (inaccessible until the next
+    /// [`Reservation::map`], which brings fresh ones), and the sub-page
+    /// edges, whose pages stay, are zeroed by stores — so every byte of
+    /// the range reads zero when next accessible.
+    ///
+    /// # Safety
+    /// `[lo, hi)` must be mapped and nothing may access it concurrently.
+    pub unsafe fn release(&self, lo: usize, hi: usize) -> io::Result<()> {
+        assert!(lo <= hi && hi <= page_up(self.len), "release({lo}, {hi}) outside the span");
+        let first = page_up(lo).min(hi);
+        let last = page_down(hi).max(first);
+        // SAFETY: both edges are inside the mapped range.
+        unsafe {
+            self.zero(lo, first);
+            self.zero(last, hi);
+        }
+        if last == first {
+            return Ok(());
+        }
+        // SAFETY: whole pages of our own span, unused per the contract.
+        unsafe { imp::release(self.base.add(first), last - first) }
+    }
+
+    /// Zero `[lo, hi)` by stores; the pages stay where they are. A page
+    /// that already reads zero is left alone, so one nobody ever stored
+    /// to keeps costing no memory (reading it maps the kernel's shared
+    /// zero page) and a clean file page is not dirtied; the pages in
+    /// between are cleared a whole run at a time.
+    ///
+    /// # Safety
+    /// `[lo, hi)` must be mapped and nothing may access it concurrently.
+    pub unsafe fn zero(&self, lo: usize, hi: usize) {
+        static ZEROS: [u8; PAGE] = [0; PAGE];
+        // `run..at` is the run of pages seen so far that need clearing.
+        let (mut run, mut at) = (lo, lo);
+        while at < hi {
+            let end = page_up(at + 1).min(hi);
+            // SAFETY: per fn contract, here and below.
+            let page = unsafe { std::slice::from_raw_parts(self.base.add(at), end - at) };
+            if *page == ZEROS[..page.len()] {
+                unsafe { std::ptr::write_bytes(self.base.add(run), 0, at - run) };
+                run = end;
+            }
+            at = end;
+        }
+        unsafe { std::ptr::write_bytes(self.base.add(run), 0, hi - run) };
+    }
+}
+
+impl Drop for Reservation {
+    fn drop(&mut self) {
+        // SAFETY: the span came from `imp::reserve(self.len)` and every
+        // mapping inside it was placed by `map`/`release`.
+        unsafe { imp::unreserve(self.base, self.len) };
+    }
+}
 
 /// True when the raw-syscall layer is the real thing (fork/mmap harness
 /// available), false on the stubbed fallback.
@@ -309,6 +523,26 @@ mod tests {
     #[test]
     fn getpid_matches_std() {
         assert_eq!(getpid() as u32, std::process::id());
+    }
+
+    #[test]
+    fn zero_clears_dirty_runs_between_clean_pages_and_nothing_outside() {
+        let span = Reservation::reserve(8 * PAGE).unwrap();
+        let (lo, hi) = (100, 8 * PAGE - 7);
+        // SAFETY: the span is ours and mapped before it is accessed.
+        unsafe {
+            span.map(0, 8 * PAGE, None).unwrap();
+            let bytes = std::slice::from_raw_parts_mut(span.base(), 8 * PAGE);
+            // Dirty: both edges, a two-page run, a lone byte late in a page.
+            bytes[..PAGE].fill(0xAA);
+            bytes[2 * PAGE..4 * PAGE].fill(0xBB);
+            bytes[5 * PAGE + 4000] = 0xCC;
+            bytes[7 * PAGE..].fill(0xDD);
+            span.zero(lo, hi);
+            assert!(bytes[..lo].iter().all(|&b| b == 0xAA), "bytes below the range changed");
+            assert!(bytes[lo..hi].iter().all(|&b| b == 0), "range not cleared");
+            assert!(bytes[hi..].iter().all(|&b| b == 0xDD), "bytes above the range changed");
+        }
     }
 
     #[cfg(all(target_os = "linux", target_arch = "x86_64"))]

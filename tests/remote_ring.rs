@@ -13,33 +13,42 @@ use std::sync::atomic::Ordering;
 
 use ralloc::{Ralloc, RallocConfig};
 
-/// Run a bounded-channel producer/consumer workload and report
-/// `(remote_anchor_cas, remote_free_blocks, rings_enabled)`. Counters
-/// are read before the heap closes, so teardown ring drains (which pay
-/// the direct CAS on purpose) don't pollute the steady-state measure.
+/// Producers allocate, the consumer frees; reports
+/// `(remote_anchor_cas, remote_free_blocks, rings_enabled)`.
+///
+/// The hand-over is whole batches, by thread exit: `join` returns once a
+/// producer's cache has drained, so the consumer frees on a heap nobody
+/// else touches. The groups it flushes — and with them the ring pushes
+/// and anchor CASes counted here — then follow from the order of the
+/// frees alone, not from how the threads were scheduled (a consumer
+/// racing live producers paid a handful of overflow and drain-overhang
+/// CASes on a loaded host, which is what made the 10× bar flaky).
+/// Counters are read before the heap closes, so teardown ring drains
+/// (which pay the direct CAS on purpose) don't pollute the measure.
 fn prodcon(cfg: RallocConfig, producers: usize, per_producer: usize) -> (u64, u64, bool) {
     let heap = Ralloc::create(64 << 20, cfg);
     let enabled = heap.remote_rings_enabled();
-    std::thread::scope(|s| {
-        let (tx, rx) = std::sync::mpsc::sync_channel::<usize>(256);
-        for _ in 0..producers {
-            let tx = tx.clone();
-            let heap = &heap;
-            s.spawn(move || {
-                for i in 0..per_producer {
-                    let p = heap.malloc(64);
-                    assert!(!p.is_null());
-                    // SAFETY: fresh 64-byte block.
-                    unsafe { std::ptr::write(p as *mut u64, i as u64) };
-                    tx.send(p as usize).unwrap();
-                }
-            });
-        }
-        drop(tx);
-        for p in rx {
-            heap.free(p as *mut u8);
-        }
+    let batches: Vec<Vec<usize>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..producers)
+            .map(|_| {
+                s.spawn(|| {
+                    (0..per_producer)
+                        .map(|i| {
+                            let p = heap.malloc(64);
+                            assert!(!p.is_null());
+                            // SAFETY: fresh 64-byte block.
+                            unsafe { std::ptr::write(p as *mut u64, i as u64) };
+                            p as usize
+                        })
+                        .collect::<Vec<usize>>()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("producer panicked")).collect()
     });
+    for p in batches.into_iter().flatten() {
+        heap.free(p as *mut u8);
+    }
     let stats = heap.slow_stats();
     (
         stats.remote_anchor_cas.load(Ordering::Relaxed),
