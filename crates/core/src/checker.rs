@@ -28,7 +28,7 @@ use crate::descriptor::{Desc, DescKind};
 use crate::heap::Ralloc;
 use crate::layout::MAX_SHARDS;
 use crate::lists::DescList;
-use crate::size_class::{class_max_count, NUM_CLASSES, SB_SIZE};
+use crate::size_class::{class_max_count, NUM_CLASSES};
 
 /// A violated invariant, with enough context to debug it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -73,18 +73,14 @@ impl CheckReport {
 /// allocator itself accounts for them.)
 pub fn check_heap(heap: &Ralloc) -> CheckReport {
     let inner = &heap.inner;
-    let pool = inner.pool();
-    let geo = inner.geo();
+    let pool = &inner.pool;
+    let geo = &inner.geo;
     let used = inner.used_sb();
     let mut report = CheckReport { superblocks: used, ..Default::default() };
 
-    // Rule 1: geometry, including the reserve/commit frontier: the
-    // persisted frontier word must lie between the descriptor region's
-    // end and the reserved span, never exceed what the pool actually has
-    // committed, and must cover every carved superblock (the grow
-    // protocol persists the frontier before any `used` bump into it).
+    // Rule 1: geometry, including the reserve/commit frontiers.
     // SAFETY: header words.
-    let committed_word = unsafe {
+    unsafe {
         if pool.read_u64(crate::layout::MAGIC_OFF) != crate::layout::MAGIC {
             report.violate("geometry", "bad magic".into());
         }
@@ -94,63 +90,17 @@ pub fn check_heap(heap: &Ralloc) -> CheckReport {
         if pool.read_u64(crate::layout::MAX_SB_OFF) != geo.max_sb as u64 {
             report.violate("geometry", "capacity mismatch".into());
         }
-        pool.read_u64(crate::layout::COMMITTED_LEN_OFF) as usize
-    };
+    }
     if used > geo.max_sb {
         report.violate("geometry", format!("used {used} exceeds capacity {}", geo.max_sb));
     }
-    if committed_word < geo.min_committed() || committed_word > pool.len() {
-        report.violate(
-            "geometry",
-            format!(
-                "committed frontier {committed_word} outside [{}, {}]",
-                geo.min_committed(),
-                pool.len()
-            ),
-        );
-    } else {
-        if committed_word > pool.committed_len() {
-            report.violate(
-                "geometry",
-                format!(
-                    "persisted frontier {committed_word} exceeds the pool's committed \
-                     prefix ({})",
-                    pool.committed_len()
-                ),
-            );
+    // Each persisted frontier word must lie inside its region, never
+    // exceed what the pool actually has committed, and cover every carved
+    // superblock (the grow protocol persists it before any `used` bump).
+    for f in &inner.frontiers {
+        if let Err(why) = f.check_word(pool, used) {
+            report.violate("geometry", why);
         }
-        if used > geo.committed_sb(committed_word) {
-            report.violate(
-                "geometry",
-                format!(
-                    "used {used} superblocks but the persisted frontier covers only {}",
-                    geo.committed_sb(committed_word)
-                ),
-            );
-        }
-    }
-    // The descriptor region's frontier word (v5) obeys the same protocol
-    // against its own region: within [desc_off, sb_off], and covering
-    // every carved superblock's descriptor.
-    // SAFETY: header word.
-    let desc_word = unsafe { pool.read_u64(crate::layout::DESC_COMMITTED_LEN_OFF) } as usize;
-    if desc_word < geo.min_desc_committed() || desc_word > geo.sb_off {
-        report.violate(
-            "geometry",
-            format!(
-                "descriptor frontier {desc_word} outside [{}, {}]",
-                geo.min_desc_committed(),
-                geo.sb_off
-            ),
-        );
-    } else if used > geo.desc_committed_sb(desc_word) {
-        report.violate(
-            "geometry",
-            format!(
-                "used {used} superblocks but the descriptor frontier covers only {}",
-                geo.desc_committed_sb(desc_word)
-            ),
-        );
     }
 
     // Collect list membership first.
@@ -340,16 +290,10 @@ pub fn check_heap(heap: &Ralloc) -> CheckReport {
     report
 }
 
-/// Total bytes of the superblock region still carveable (diagnostics).
-pub fn remaining_capacity(heap: &Ralloc) -> usize {
-    let inner = &heap.inner;
-    (inner.geo().max_sb - inner.used_sb()) * SB_SIZE
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::heap::RallocConfig;
+    use crate::RallocConfig;
 
     #[test]
     fn fresh_heap_is_consistent() {

@@ -1,0 +1,491 @@
+//! Cache fill: where a thread's empty bin gets its next batch of blocks.
+//!
+//! The one decision this module owns is the **source order** of a fill —
+//! parked bin → home remote ring → partial superblock (best-fit under the
+//! churn policy) → free list → scavenge → every ring → carve — and what a
+//! fill retains versus returns. `carve` is the only place `used` rises,
+//! growing whichever [`crate::frontier::Frontier`] is in the way first.
+//!
+//! `pub(crate)` surface on [`HeapInner`]: `fill_bin`, `carve`, `scavenge`,
+//! `park_bin`, `flush_parked`, `discard_parked`; plus [`prefetch_read`].
+
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use telemetry::EventKind;
+
+use crate::anchor::{Anchor, SbState};
+use crate::descriptor::Desc;
+use crate::heap::HeapInner;
+use crate::layout::USED_SB_OFF;
+use crate::lists::DescList;
+use crate::size_class::{
+    cache_capacity, class_block_size, class_max_count, is_small_class, NUM_CLASSES,
+};
+use crate::tcache::CacheBin;
+
+/// Best-effort read prefetch of the cache line at `addr`. The fill and
+/// flush slow paths walk/link free chains whose next element is a
+/// dependent load; issuing the prefetch as soon as an address is known
+/// hides most of that latency on large batches. No-op on architectures
+/// without a portable prefetch intrinsic.
+#[inline(always)]
+pub(crate) fn prefetch_read(addr: usize) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: prefetch is a hint; any address is permitted.
+    unsafe {
+        core::arch::x86_64::_mm_prefetch(addr as *const i8, core::arch::x86_64::_MM_HINT_T0)
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = addr;
+}
+
+/// Cache bins a heap retains across thread exits, per size class. An
+/// exiting thread *parks* its non-empty bins here (up to this bound)
+/// instead of flushing them block-by-batch back to superblocks; the next
+/// thread's first fill of the class adopts a parked bin wholesale — zero
+/// anchor CASes, zero carves. This is the churn-fixpoint "bound per-class
+/// cache retention" lever: thread-pool-style workloads that cycle worker
+/// threads stop paying a fresh superblock per (thread × class) per
+/// generation.
+///
+/// The bound is deliberately **one** bin per class: a parked bin is
+/// visible only to the single future fill that adopts it, while a
+/// *flushed* bin's blocks land on superblock free chains visible to every
+/// thread (partial lists + work stealing). Retaining more than one bin
+/// starves concurrent fills into carving fresh superblocks exactly when
+/// thread overlap deepens — the churn workload's quantized
+/// one-superblock-per-class demand spike. One parked bin keeps the
+/// warm-handoff win for the common exit→spawn cycle; everything beyond it
+/// goes back where every thread can see it.
+const MAX_PARKED_BINS: usize = 1;
+
+/// Extra partial-list candidates a fill inspects when the first one it
+/// pops is mostly empty (more than half its blocks free). Claiming a
+/// mostly-empty superblock hands one thread a huge chain while
+/// concurrent fills find the list empty and carve; preferring the
+/// *fullest* (smallest-free-count) candidate packs allocations into
+/// nearly-full superblocks and leaves the emptier ones visible — the
+/// churn-fixpoint "warm-start under memory pressure" lever.
+const FILL_BESTFIT_PROBES: usize = 2;
+
+/// Under the churn policy ([`crate::RallocConfig::flush_half`]), a fill retains
+/// at most `max_count / CHURN_FILL_RETAIN_DIV` blocks (min
+/// [`CHURN_FILL_RETAIN_MIN`]) and returns the rest of its claimed chain
+/// to the superblock, re-enlisted where every thread can see it. An
+/// unbounded fill moves a whole superblock population into one thread's
+/// private bin, so each additional *concurrently runnable* thread costs
+/// one fresh superblock per class — the churn test's quantized +19
+/// demand spike, and a footprint that depends on OS scheduling rather
+/// than on the live set. Bounded retention makes one circulating
+/// superblock feed `DIV` concurrent threads; the batch (≥ 128 blocks for
+/// the 64 B class) still amortizes the anchor CAS three orders of
+/// magnitude. Off by default: the paper's whole-superblock Fill maximizes
+/// amortization when footprint convergence is not a goal.
+const CHURN_FILL_RETAIN_DIV: u32 = 8;
+/// Floor for the churn-policy fill-retention bound, so tiny-`max_count`
+/// classes keep a useful batch.
+const CHURN_FILL_RETAIN_MIN: u32 = 8;
+
+impl HeapInner {
+    /// Blocks a single fill may retain in the bin for `class`. Unbounded
+    /// by default (the paper's whole-superblock Fill); bounded under the
+    /// churn policy so one circulating superblock can feed several
+    /// concurrently-active threads (see [`CHURN_FILL_RETAIN_DIV`]).
+    #[inline]
+    fn fill_retain(&self, mc: u32) -> u32 {
+        if self.flush_half {
+            (mc / CHURN_FILL_RETAIN_DIV).max(CHURN_FILL_RETAIN_MIN).min(mc)
+        } else {
+            mc
+        }
+    }
+
+    /// Park a non-empty bin for adoption by a future thread's fill.
+    /// Returns false (caller must flush) when the class's retention bound
+    /// is already met or the heap is closed/crashed past this bin's life.
+    pub(crate) fn park_bin(&self, class: u32, bin: &mut CacheBin) -> bool {
+        if bin.len() == 0 {
+            return true; // nothing to retain
+        }
+        // Retention across thread exits is a churn-policy lever; the
+        // default policy keeps the historical exit-time full flush.
+        if !self.flush_half {
+            return false;
+        }
+        if self.parked[class as usize].lock().len() >= MAX_PARKED_BINS {
+            return false;
+        }
+        // Under the churn policy, trim to the fill-retention bound before
+        // parking: the excess goes back to superblock chains where every
+        // thread can find it, instead of waiting for a same-class
+        // adopter. (Flush outside the parked lock — it can take CASes.)
+        let retain = self.fill_retain(class_max_count(class));
+        if bin.len() > retain {
+            let excess = bin.len() as usize - retain as usize;
+            self.flush_blocks(&mut bin.blocks_mut()[..excess]);
+            bin.drain_front(excess);
+        }
+        let mut parked = self.parked[class as usize].lock();
+        if parked.len() >= MAX_PARKED_BINS {
+            return false;
+        }
+        parked.push(std::mem::replace(bin, CacheBin::new()));
+        self.slow.bin_parks.fetch_add(1, Ordering::Relaxed);
+        true
+    }
+
+    /// Adopt a parked bin (most recently parked first), if any.
+    fn adopt_parked(&self, class: u32) -> Option<CacheBin> {
+        self.parked[class as usize].lock().pop()
+    }
+
+    /// Flush every parked bin back to the heap (clean close: a clean
+    /// shutdown leaves nothing cached anywhere).
+    pub(crate) fn flush_parked(&self) {
+        for class in 1..NUM_CLASSES {
+            let bins = std::mem::take(&mut *self.parked[class].lock());
+            for mut bin in bins {
+                self.flush_bin(&mut bin);
+            }
+        }
+    }
+
+    /// Drop every parked bin without flushing (crash/recovery: the blocks
+    /// now belong to the rebuilt free structures, like stale TLS bins).
+    pub(crate) fn discard_parked(&self) {
+        for class in 1..NUM_CLASSES {
+            self.parked[class].lock().clear();
+        }
+    }
+
+    /// Expand the used prefix of the superblock region by `n` superblocks
+    /// (paper §4.3): CAS `used` upward, then flush+fence it. A carve
+    /// needs both its superblocks *and* their descriptors under their
+    /// respective durable frontiers before `used` may cover them; when
+    /// one is in the way, grow it first (cold path). `None` only at the
+    /// reserved-capacity ceiling.
+    pub(crate) fn carve(&self, n: usize) -> Option<u32> {
+        // SAFETY: metadata offset, 8-aligned.
+        let used = unsafe { self.pool.atomic_u64(USED_SB_OFF) };
+        loop {
+            let u = used.load(Ordering::Acquire);
+            let need = u as usize + n;
+            if let Some(short) = self.frontiers.iter().find(|f| need > f.covered_sb()) {
+                if !short.grow(self, need) {
+                    return None; // out of reserved space
+                }
+                continue;
+            }
+            if used
+                .compare_exchange(u, u + n as u64, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok()
+            {
+                self.persist(USED_SB_OFF, 8);
+                self.slow.sb_carved.fetch_add(n as u64, Ordering::Relaxed);
+                self.emit(EventKind::Carve, u, n as u64);
+                return Some(u as u32);
+            }
+        }
+    }
+
+    /// Account one served fill of `n` blocks.
+    #[inline]
+    fn filled(&self, class: u32, n: u64) {
+        self.slow.cache_fills.fetch_add(1, Ordering::Relaxed);
+        self.slow.cache_fill_blocks.fetch_add(n, Ordering::Relaxed);
+        self.emit(EventKind::Fill, n, class as u64);
+    }
+
+    /// Refill a cache bin for `class` (paper §4.4, LRMalloc's Fill):
+    /// first from a partial superblock, else from a free/fresh superblock
+    /// whose entire block population goes to the bin. Either way the
+    /// whole batch is reserved with at most **one** anchor CAS — a
+    /// partial superblock's entire free chain is claimed by a single
+    /// Partial→Full transition, and a fresh superblock is owned outright
+    /// (plain anchor store) — so the slow path's synchronization is
+    /// amortized over every block of the batch.
+    pub(crate) fn fill_bin(&self, class: u32, bin: &mut CacheBin) -> bool {
+        debug_assert!(is_small_class(class));
+        debug_assert_eq!(bin.len(), 0, "fill into a non-empty bin");
+        // Warm start (churn policy): adopt a bin parked by an exited
+        // thread wholesale — the blocks never left DRAM-cache custody,
+        // so the fill costs no anchor CAS and, crucially under churn, no
+        // carve. Parking is flush_half-gated, so the pool is always
+        // empty under the default policy; the gate here just skips the
+        // lock.
+        if self.flush_half {
+            if let Some(warm) = self.adopt_parked(class) {
+                debug_assert!(warm.len() > 0);
+                self.slow.bin_adopts.fetch_add(1, Ordering::Relaxed);
+                self.filled(class, warm.len() as u64);
+                *bin = warm;
+                return true;
+            }
+        }
+        bin.ensure_capacity(cache_capacity(class) as usize);
+        let partial = self.partial(class);
+        let home = self.home_shard();
+        // Owner drain (remote-free rings): batches other threads freed
+        // into our home shard's ring move straight into the bin — zero
+        // anchor CAS per block, the consumer half of the wait-free
+        // remote-free protocol — before any shared-list CAS is attempted.
+        if self.rings.is_some() && self.drain_remote(class, home, bin, home) {
+            self.filled(class, bin.len() as u64);
+            return true;
+        }
+        let free = DescList::free_list(&self.geo);
+        let bsize = class_block_size(class) as usize;
+        let mc = class_max_count(class);
+        loop {
+            if let Some(pop) = partial.pop(&self.pool, &self.geo, home) {
+                let mut pop = pop;
+                // Best-fit lever: a mostly-empty first candidate means
+                // this fill is about to claim a huge chain while the list
+                // goes dry for concurrent fills (the churn demand spike).
+                // Probe a bounded number of further candidates and keep
+                // the *fullest* — smallest free count — re-enlisting the
+                // losers. Counts are read racily; the claim CAS below
+                // revalidates whatever we settle on.
+                let mut best = Desc::new(&self.pool, &self.geo, pop.idx).anchor(Ordering::Acquire);
+                if self.flush_half && best.state == SbState::Partial && best.count * 2 > mc {
+                    // Losers re-enlist only after the whole probe run:
+                    // pushing one back mid-loop would hand the next
+                    // (home-first, LIFO) pop the very descriptor just
+                    // pushed, so no second distinct candidate would ever
+                    // be seen.
+                    let mut losers = [0u32; FILL_BESTFIT_PROBES];
+                    let mut n_losers = 0;
+                    for _ in 0..FILL_BESTFIT_PROBES {
+                        let Some(cand) = partial.pop(&self.pool, &self.geo, home) else {
+                            break;
+                        };
+                        self.slow.fill_bestfit_probes.fetch_add(1, Ordering::Relaxed);
+                        let ca = Desc::new(&self.pool, &self.geo, cand.idx)
+                            .anchor(Ordering::Acquire);
+                        if ca.state == SbState::Empty {
+                            // Lazy retirement, same as the claim loop.
+                            free.push(&self.pool, &self.geo, cand.idx);
+                            continue;
+                        }
+                        if ca.count < best.count {
+                            losers[n_losers] = pop.idx;
+                            pop = cand;
+                            best = ca;
+                        } else {
+                            losers[n_losers] = cand.idx;
+                        }
+                        n_losers += 1;
+                        if best.count * 2 <= mc {
+                            break; // full enough
+                        }
+                    }
+                    for &idx in &losers[..n_losers] {
+                        partial.push(&self.pool, &self.geo, idx, home);
+                    }
+                }
+                let idx = pop.idx;
+                let d = Desc::new(&self.pool, &self.geo, idx);
+                let mut a = d.anchor(Ordering::Acquire);
+                let mut retired = false;
+                loop {
+                    if a.state == SbState::Empty {
+                        // Fully-free superblock found on a partial list:
+                        // retire it now (paper §4.4's lazy retirement).
+                        free.push(&self.pool, &self.geo, idx);
+                        retired = true;
+                        break;
+                    }
+                    debug_assert_eq!(a.state, SbState::Partial);
+                    // Reserve every free block with one CAS: count=0,
+                    // avail parked at max_count, state FULL.
+                    match d.cas_anchor(a, Anchor::full(mc)) {
+                        Ok(()) => break,
+                        Err(cur) => a = cur,
+                    }
+                }
+                if retired {
+                    // Lazily-retired EMPTY pop: no fill was served, so it
+                    // counts toward neither home pops nor steals.
+                    continue;
+                }
+                if pop.stolen {
+                    self.slow.partial_steals.fetch_add(1, Ordering::Relaxed);
+                    self.emit(EventKind::Steal, idx as u64, class as u64);
+                } else {
+                    self.slow.partial_pops_home.fetch_add(1, Ordering::Relaxed);
+                }
+                self.slow.fill_anchor_cas.fetch_add(1, Ordering::Relaxed);
+                // We own the a.count-block chain headed at a.avail; carve
+                // it into the bin locally, no further synchronization.
+                // The walk is clamped to the bin's capacity: `a.count`
+                // can only exceed it if a user double-free inflated the
+                // anchor, and the containment then must be a bounded leak,
+                // never a write past the bin's slot array.
+                let take = a.count.min(mc);
+                debug_assert_eq!(take, a.count, "anchor count exceeds superblock population");
+                // Bounded fill retention (churn policy): keep only the
+                // head of the claimed chain; the tail goes straight back
+                // to the superblock (one extra CAS), re-enlisting it for
+                // concurrent fills instead of privatizing everything.
+                let keep_n = take.min(self.fill_retain(mc));
+                let mut surplus: Vec<usize> =
+                    Vec::with_capacity((take - keep_n) as usize);
+                let sb_addr = self.addr_of(self.geo.sb(idx as usize));
+                let mut blk = a.avail;
+                for i in 0..take {
+                    debug_assert!(blk < mc);
+                    let addr = sb_addr + blk as usize * bsize;
+                    // Free-block link: the block's first word holds the
+                    // next free block's index (bounded walk: the final
+                    // link word is never dereferenced).
+                    // SAFETY: addr is a free block we exclusively own.
+                    blk = unsafe { (*(addr as *const AtomicU64)).load(Ordering::Relaxed) } as u32;
+                    // The walk is a dependent pointer chase; start pulling
+                    // the next link word in while this block is pushed.
+                    if blk < mc {
+                        prefetch_read(sb_addr + blk as usize * bsize);
+                    }
+                    if i < keep_n {
+                        bin.push(addr);
+                    } else {
+                        surplus.push(addr);
+                    }
+                }
+                if !surplus.is_empty() {
+                    self.push_batch(idx as usize, &surplus, home);
+                    self.slow
+                        .fill_bounded_returns
+                        .fetch_add(surplus.len() as u64, Ordering::Relaxed);
+                }
+                self.filled(class, keep_n as u64);
+                return true;
+            }
+            // No partial superblock: take a free one, scavenge an empty
+            // one stranded on another class's partial list, or carve.
+            let idx = match free.pop(&self.pool, &self.geo).or_else(|| self.scavenge()) {
+                Some(i) => i,
+                // A failed scavenge raced with every concurrent scan and
+                // flush: while scans hold popped descriptors they are
+                // invisible (the scavenge-invisibility window), and a
+                // flush may have retired a superblock to the free list
+                // after our first pop missed it. One re-check converts
+                // those races into reuse instead of a permanent carve.
+                None => match free.pop(&self.pool, &self.geo) {
+                    Some(i) => {
+                        self.slow.free_recheck_hits.fetch_add(1, Ordering::Relaxed);
+                        i
+                    }
+                    None => {
+                        // Last stop before carving fresh space:
+                        // steal-drain every shard's remote ring for this
+                        // class. In asymmetric workloads (prodcon: some
+                        // threads only allocate, others only free) the
+                        // owning shards may never fill again, so without
+                        // this sweep their ringed blocks would strand
+                        // while the frontier grew without bound.
+                        if self.rings.is_some() && self.steal_drain_rings(class, bin, home) {
+                            self.filled(class, bin.len() as u64);
+                            return true;
+                        }
+                        match self.carve(1) {
+                            Some(i) => i,
+                            None => return false, // out of persistent space
+                        }
+                    }
+                },
+            };
+            let d = Desc::new(&self.pool, &self.geo, idx);
+            // The one flush+fence of the allocation slow path: persist the
+            // superblock's size identity before any of its blocks can be
+            // handed out (paper §4, innovation 1). If a recycled
+            // superblock already carries the identical persisted identity
+            // (same class round-tripping through the free list), the
+            // flush is provably redundant and skipped.
+            let unchanged = d.size_class() == class && d.block_size() == bsize as u64;
+            d.set_size(class, bsize as u64, mc, self.transient || unchanged);
+            // Bounded fill retention (churn policy): by default the whole
+            // fresh population goes to the bin (LRMalloc's Fill, maximal
+            // amortization), but under `flush_half` the bin keeps only
+            // the retention bound and the rest stays on the superblock's
+            // free chain, enlisted PARTIAL. A fresh carve then feeds
+            // several concurrently-active threads instead of one, so
+            // per-(thread × class) retention stops forcing one new
+            // superblock per additional runnable thread — the churn
+            // footprint's quantized demand spike.
+            let keep = self.fill_retain(mc);
+            let sb_addr = self.addr_of(self.geo.sb(idx as usize));
+            if keep < mc {
+                // We own the fresh superblock outright: link the withheld
+                // tail (blocks keep..mc) in ascending order and publish
+                // the anchor before enlisting. The final block's link is
+                // never followed (walks are bounded by count).
+                for i in keep..mc - 1 {
+                    // SAFETY: free-block first word of a block we own.
+                    unsafe {
+                        std::ptr::write((sb_addr + i as usize * bsize) as *mut u64, i as u64 + 1)
+                    };
+                }
+                d.set_anchor(
+                    Anchor { avail: keep, count: mc - keep, state: SbState::Partial },
+                    Ordering::Release,
+                );
+                self.partial(class).push(&self.pool, &self.geo, idx, home);
+                self.slow.partial_shard_pushes.fetch_add(1, Ordering::Relaxed);
+            } else {
+                d.set_anchor(Anchor::full(mc), Ordering::Release);
+            }
+            for i in (0..keep).rev() {
+                bin.push(sb_addr + i as usize * bsize);
+            }
+            self.filled(class, keep as u64);
+            return true;
+        }
+    }
+
+    /// Reclaim one fully-empty superblock parked on some class's partial
+    /// list. Lazy retirement (paper §4.4) leaves PARTIAL→EMPTY
+    /// superblocks enlisted until their own class pops them again; under
+    /// shifting class mix that reservoir can strand megabytes while other
+    /// classes carve fresh space. This runs only when the free list is
+    /// exhausted, scans each class's partial list a bounded number of
+    /// pops, re-enlists everything still partial, and hands one empty
+    /// superblock to the caller (who re-types it with `set_size`, exactly
+    /// like a free-list pop — the same ownership rules apply: a popped
+    /// descriptor is off-list and EMPTY means no live blocks can be
+    /// concurrently freed into it).
+    ///
+    /// While a scan holds popped descriptors they are invisible to
+    /// concurrent fills of their class, which may carve instead; the
+    /// small per-class bound keeps that window to a few descriptors for
+    /// a few instructions, trading at worst one transient extra carve
+    /// for the (permanent) carve that skipping scavenging would cost.
+    pub(crate) fn scavenge(&self) -> Option<u32> {
+        const POPS_PER_SHARD: usize = 4;
+        for class in 1..NUM_CLASSES as u32 {
+            for s in 0..self.shards {
+                let list = DescList::partial_shard(&self.geo, class, s);
+                let mut repush: [u32; POPS_PER_SHARD] = [0; POPS_PER_SHARD];
+                let mut repush_n = 0;
+                let mut found = None;
+                while repush_n < POPS_PER_SHARD {
+                    let Some(idx) = list.pop(&self.pool, &self.geo) else { break };
+                    let d = Desc::new(&self.pool, &self.geo, idx);
+                    if d.anchor(Ordering::Acquire).state == SbState::Empty {
+                        found = Some(idx);
+                        break;
+                    }
+                    repush[repush_n] = idx;
+                    repush_n += 1;
+                }
+                for &idx in &repush[..repush_n] {
+                    list.push(&self.pool, &self.geo, idx);
+                }
+                if found.is_some() {
+                    self.slow.sb_scavenged.fetch_add(1, Ordering::Relaxed);
+                    return found;
+                }
+            }
+        }
+        None
+    }
+}

@@ -6,8 +6,8 @@
 //! one time the answer really matters is after a SIGKILL, when the
 //! journal died with the victim. The flight recorder closes that gap: a
 //! small ring of fixed-size records lives *inside the pool itself*
-//! (offsets [`FLIGHT_OFF`]`..`[`META_SIZE`], slack that every v3 image
-//! provably never wrote), so the victim's last protocol steps are
+//! (offsets [`FLIGHT_OFF`]`..`[`META_SIZE`]), so the victim's last
+//! protocol steps are
 //! readable from the heap file by whoever picks up the pieces — the
 //! recovering process, the crash-test harness, or the `rinspect` CLI.
 //!
@@ -124,8 +124,7 @@ pub fn thread_token() -> u16 {
 
 /// Initialize (or re-initialize) the ring region of a pool: zero every
 /// slot, then write the ring header. The caller persists the header
-/// (fresh heaps fold it into the metadata persist; the v3→v4 migration
-/// flushes and fences it before republishing the magic).
+/// (fresh heaps fold it into the metadata persist).
 pub fn init_ring(pool: &PmemPool) {
     // SAFETY: the flight region lies inside the metadata region, which
     // is always committed; the caller holds exclusive access (fresh
@@ -337,8 +336,7 @@ pub fn scan_pool(pool: &PmemPool) -> FlightScan {
 
 /// Scan the flight ring of a raw pool image (a heap file read from disk,
 /// a crash image). Images shorter than the metadata region — or whose
-/// ring header does not carry [`FLIGHT_MAGIC`], e.g. pre-v4 pools —
-/// yield an empty scan.
+/// ring header does not carry [`FLIGHT_MAGIC`] — yield an empty scan.
 pub fn scan_image(image: &[u8]) -> FlightScan {
     if image.len() < META_SIZE {
         return FlightScan::default();

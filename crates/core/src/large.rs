@@ -1,0 +1,65 @@
+//! Large allocations: blocks above the largest size class, served as
+//! runs of whole superblocks (paper §4.4).
+//!
+//! The one decision this module owns is the **span encoding**: the head
+//! descriptor carries class 0 and the byte size, every interior
+//! descriptor the continuation class, all persisted before the block is
+//! returned; a free splits the span back into single free superblocks.
+//!
+//! `pub(crate)` surface on [`HeapInner`]: `malloc_large`, `free_large`.
+
+use std::sync::atomic::Ordering;
+
+use crate::anchor::{Anchor, SbState};
+use crate::descriptor::Desc;
+use crate::heap::HeapInner;
+use crate::lists::DescList;
+use crate::size_class::{CLASS_CONTINUATION, SB_SIZE};
+
+impl HeapInner {
+    pub(crate) fn malloc_large(&self, size: usize) -> *mut u8 {
+        let span = size.div_ceil(SB_SIZE);
+        // The paper always expands `used` for large allocations (§4.4).
+        // When expansion fails we additionally try the free list for
+        // single-superblock requests — a documented liveness improvement
+        // for long-running processes with bounded pools.
+        let idx = match self.carve(span) {
+            Some(i) => Some(i),
+            None if span == 1 => DescList::free_list(&self.geo)
+                .pop(&self.pool, &self.geo)
+                .or_else(|| self.scavenge()),
+            None => None,
+        };
+        let Some(idx) = idx else {
+            return std::ptr::null_mut();
+        };
+        // Tag interior superblocks first, then the head: all persisted
+        // before the block is returned, so a post-crash conservative trace
+        // can never misinterpret stale interior metadata (see recovery).
+        for k in 1..span {
+            Desc::new(&self.pool, &self.geo, idx + k as u32).set_size(
+                CLASS_CONTINUATION,
+                0,
+                0,
+                self.transient,
+            );
+        }
+        let head = Desc::new(&self.pool, &self.geo, idx);
+        head.set_size(0, size as u64, 1, self.transient);
+        head.set_anchor(Anchor::full(1), Ordering::Release);
+        self.slow.large_allocs.fetch_add(1, Ordering::Relaxed);
+        self.addr_of(self.geo.sb(idx as usize)) as *mut u8
+    }
+
+    pub(crate) fn free_large(&self, off: usize, sb: usize) {
+        let d = Desc::new(&self.pool, &self.geo, sb as u32);
+        assert_eq!(off, self.geo.sb(sb), "free: not the start of a large block");
+        let span = (d.block_size() as usize).div_ceil(SB_SIZE);
+        // Split into constituent superblocks and retire each (paper §4.4).
+        for k in 0..span {
+            let dk = Desc::new(&self.pool, &self.geo, (sb + k) as u32);
+            dk.set_anchor(Anchor { avail: 0, count: 0, state: SbState::Empty }, Ordering::Release);
+            DescList::free_list(&self.geo).push(&self.pool, &self.geo, (sb + k) as u32);
+        }
+    }
+}

@@ -31,9 +31,9 @@ use crate::size_class::SB_SIZE;
 
 /// Magic number identifying a Ralloc heap image ("RALLOC\0" + format
 /// version). The low byte is the metadata-layout version and must be
-/// bumped whenever the metadata region's layout changes, so a clean
-/// image from an older build is re-initialized instead of silently
-/// misread. v1: single partial-list head per class. v2: `MAX_SHARDS`
+/// bumped whenever the metadata region's layout changes, so an image
+/// from another build is refused instead of silently misread (there is
+/// no in-place migration). v1: single partial-list head per class. v2: `MAX_SHARDS`
 /// head slots per class. v3: reserve/commit capacity model — the header
 /// records the *reserved* span in `POOL_LEN_OFF` and the persisted
 /// committed frontier in `COMMITTED_LEN_OFF`. v4: persistent flight
@@ -43,23 +43,6 @@ use crate::size_class::SB_SIZE;
 /// and superblock space grow and shrink independently instead of the
 /// descriptor region being implicitly committed wholesale (this build).
 pub const MAGIC: u64 = 0x52_41_4C_4C_4F_43_00_05;
-
-/// The immediately-prior layout version. v4 used the same metadata field
-/// offsets but had no descriptor frontier: the whole descriptor region
-/// was implicitly committed (`min_committed == sb_off`) and the word at
-/// `DESC_COMMITTED_LEN_OFF` was zeroed slack. A *clean* v4 image
-/// therefore migrates in place: write the descriptor frontier word with
-/// the v4 semantics (`sb_off`, everything committed), persist it, then
-/// rewrite the magic. Dirty v4 images refuse — their recovery invariants
-/// were established by a v4 build and must be replayed by one.
-pub const MAGIC_V4: u64 = 0x52_41_4C_4C_4F_43_00_04;
-
-/// Two versions back. v3's metadata fields are all at the same offsets
-/// and the flight-ring slack was unused (and zeroed at init), so a
-/// *clean* v3 image chain-migrates in place: initialize the ring header
-/// (v3→v4), then the descriptor frontier word (v4→v5), then rewrite the
-/// magic. Dirty v3 images still refuse.
-pub const MAGIC_V3: u64 = 0x52_41_4C_4C_4F_43_00_03;
 
 /// Descriptor stride in bytes (one cache line, paper §4.2).
 pub const DESC_SIZE: usize = 64;
@@ -102,8 +85,7 @@ pub const COMMITTED_LEN_OFF: usize = 48;
 /// descriptors is persisted, shrinks only at quiescent points *after*
 /// the lowered `used` is durable. Always within
 /// `[desc_off, sb_off]`. **Bold** (persisted online), once per
-/// descriptor-region growth. v4 images have zeroed slack here; the
-/// clean-reopen migration writes `sb_off` (the v4 implicit semantics).
+/// descriptor-region growth.
 pub const DESC_COMMITTED_LEN_OFF: usize = 56;
 /// Persistent roots: `NUM_ROOTS` u64 slots, each an offset+1 into the
 /// superblock region (0 = null). Persisted on `set_root`.
@@ -125,11 +107,8 @@ const _: () = assert!(PARTIAL_HEADS_OFF + 40 * MAX_SHARDS * 8 <= META_SIZE);
 // ---- persistent flight-recorder ring (v4) ----
 //
 // The partial-list heads end at byte 13376, leaving 3008 bytes of
-// metadata-region tail slack that every prior version zeroed and never
-// touched. v4 carves the flight ring out of that slack, so the region
-// geometry (and therefore every descriptor/superblock offset) is
-// *identical* to v3 — which is what makes the clean-image migration a
-// two-word rewrite instead of a region relocation.
+// metadata-region tail slack; the flight ring lives in that slack, so it
+// costs no region geometry.
 
 /// Byte offset of the flight-ring header (64-byte aligned).
 pub const FLIGHT_OFF: usize = PARTIAL_HEADS_OFF + 40 * MAX_SHARDS * 8;
@@ -366,21 +345,16 @@ mod tests {
         assert_eq!(FLIGHT_OFF, PARTIAL_HEADS_OFF + 40 * MAX_SHARDS * 8);
         assert_eq!(FLIGHT_OFF % 64, 0);
         assert_eq!(64 % FLIGHT_REC_SIZE, 0, "slots must tile cache lines");
-        // (Ring-fits-the-slack and v3-slack-unused are compile-time
-        // `const _` asserts next to the constants themselves.)
-        // Versions differ only in the low byte of the magic.
-        assert_eq!(MAGIC & !0xFF, MAGIC_V4 & !0xFF);
-        assert_eq!(MAGIC & !0xFF, MAGIC_V3 & !0xFF);
+        // (Ring-fits-the-slack is a compile-time `const _` assert next
+        // to the constants themselves.)
+        // The format version is the low byte of the magic.
         assert_eq!(MAGIC & 0xFF, 5);
-        assert_eq!(MAGIC_V4 & 0xFF, 4);
-        assert_eq!(MAGIC_V3 & 0xFF, 3);
     }
 
     #[test]
     fn desc_frontier_word_sits_in_the_header_gap() {
-        // The descriptor frontier claims the previously-zeroed slack word
-        // between the superblock frontier and the roots — which is what
-        // makes the v4→v5 migration a two-word rewrite.
+        // The descriptor frontier sits in the header gap between the
+        // superblock frontier and the roots.
         assert_eq!(DESC_COMMITTED_LEN_OFF, COMMITTED_LEN_OFF + 8);
         const { assert!(DESC_COMMITTED_LEN_OFF + 8 <= ROOTS_OFF) };
     }

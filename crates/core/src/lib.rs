@@ -38,27 +38,40 @@
 //! | [`lists`] | §4.2 | ABA-counted Treiber stacks of descriptors |
 //! | [`shard`] | beyond §4.2 | sharded partial lists + work stealing |
 //! | `tcache` | §4.2/§4.4 | transient thread-local caches |
-//! | [`heap`] | §4.1–§4.4 | malloc/free/roots/init/close |
+//! | [`heap`] | §4.1–§4.4 | shared state + the `Ralloc` handle: malloc/free/roots/close |
+//! | `open` | §4.1 | create / open / adopt an image |
+//! | `frontier` | §4.3 | the committed-frontier grow/shrink protocol |
+//! | `fill`, `flush`, `large` | §4.4 | the malloc/free slow paths |
+//! | `config`, `stats` | — | `RallocConfig`, `SlowStats` |
 //! | [`gc`] | §4.5.1 | filter functions & tracing |
 //! | [`recovery`] | §4.5 | offline GC + shard-aware reconstruction |
 
 pub mod anchor;
 pub mod checker;
+mod config;
 pub mod descriptor;
+mod fill;
 pub mod flight;
+mod flush;
+mod frontier;
 pub mod gc;
 pub mod heap;
+mod large;
 pub mod layout;
 pub mod lists;
+mod open;
 pub mod recovery;
 mod remote;
 pub mod shard;
 pub mod size_class;
+mod stats;
 mod tcache;
 
+pub use config::{RallocConfig, ShrinkPolicy};
 pub use flight::{FlightEvent, FlightLevel, FlightScan};
 pub use gc::{Trace, TraceFn, Tracer};
-pub use heap::{Ralloc, RallocConfig, ShrinkPolicy, SlowStats};
+pub use heap::Ralloc;
+pub use stats::SlowStats;
 pub use checker::{check_heap, CheckReport, Violation};
 pub use recovery::{RecoveryPhases, RecoveryStats};
 pub use size_class::{MAX_SMALL, SB_SIZE};
@@ -421,82 +434,48 @@ mod tests {
         let _ = Ralloc::from_image(&image, RallocConfig::default());
     }
 
+    /// v3 and v4 were real formats of this allocator; nothing migrates
+    /// them any more. Each must be refused by name — clean or dirty,
+    /// through the image path and the file path — and left untouched.
     #[test]
-    fn v3_clean_image_migrates_in_place_through_the_chain_to_v5() {
-        let heap = small_heap();
-        let p = heap.malloc(64);
-        unsafe { std::ptr::write(p as *mut u64, 0xFEED) };
-        heap.set_root::<u64>(0, p as *const u64);
-        heap.close().unwrap();
-        let mut image = heap.pool().persistent_image();
-        // Fabricate the v3 on-disk format: identical geometry, version
-        // byte 3, flight slack and descriptor-frontier word never written.
-        image[0] = 3;
-        image[layout::DESC_COMMITTED_LEN_OFF..layout::DESC_COMMITTED_LEN_OFF + 8].fill(0);
-        image[layout::FLIGHT_OFF..layout::META_SIZE].fill(0);
+    fn older_format_versions_are_refused_by_name_and_left_untouched() {
+        let dir = std::env::temp_dir().join(format!("ralloc-oldfmt-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let refusal = |r: std::thread::Result<()>| -> String {
+            let payload = r.expect_err("an older-format image must be refused");
+            payload.downcast_ref::<String>().cloned().unwrap_or_default()
+        };
+        for version in [3u8, 4] {
+            for clean in [true, false] {
+                let heap = small_heap();
+                let p = heap.malloc(64);
+                heap.set_root::<u64>(0, p as *const u64);
+                if clean {
+                    heap.close().unwrap();
+                }
+                let mut image = heap.pool().persistent_image();
+                // The older formats had the same geometry and header
+                // offsets; the descriptor-frontier word was zeroed slack.
+                image[0] = version;
+                image[layout::DESC_COMMITTED_LEN_OFF..layout::DESC_COMMITTED_LEN_OFF + 8].fill(0);
+                let what = format!("v{version} {}", if clean { "clean" } else { "dirty" });
+                let want = format!("metadata-format version {version} ");
 
-        let (heap2, dirty) = Ralloc::from_image(&image, RallocConfig::default());
-        assert!(!dirty, "clean v3 images migrate without recovery");
-        let q = heap2.get_root::<u64>(0);
-        assert_eq!(unsafe { *q }, 0xFEED, "migration must not disturb heap data");
-        // The migrated heap has a live flight ring and persists as v5
-        // (the v3→v4 and v4→v5 recipes chain in one open).
-        #[cfg(not(feature = "telemetry-off"))]
-        assert_eq!(heap2.flight_timeline().events.first().unwrap().kind_name(), "open");
-        assert_eq!(heap2.pool().persistent_image()[0], 5);
-    }
+                let msg = refusal(std::panic::catch_unwind(|| {
+                    let _ = Ralloc::from_image(&image, RallocConfig::default());
+                }));
+                assert!(msg.contains(&want), "{what} via from_image: {msg}");
 
-    #[test]
-    fn v4_clean_image_migrates_in_place_to_v5() {
-        let heap = small_heap();
-        let p = heap.malloc(64);
-        unsafe { std::ptr::write(p as *mut u64, 0xBEEF) };
-        heap.set_root::<u64>(0, p as *const u64);
-        heap.close().unwrap();
-        let mut image = heap.pool().persistent_image();
-        // Fabricate the v4 on-disk format: identical geometry and flight
-        // ring, version byte 4, descriptor-frontier header slack zeroed.
-        image[0] = 4;
-        image[layout::DESC_COMMITTED_LEN_OFF..layout::DESC_COMMITTED_LEN_OFF + 8].fill(0);
-
-        let (heap2, dirty) = Ralloc::from_image(&image, RallocConfig::default());
-        assert!(!dirty, "clean v4 images migrate without recovery");
-        let q = heap2.get_root::<u64>(0);
-        assert_eq!(unsafe { *q }, 0xBEEF, "migration must not disturb heap data");
-        assert_eq!(heap2.pool().persistent_image()[0], 5);
-        // The migrated descriptor frontier is the v4 semantics: the whole
-        // descriptor region committed.
-        let word = u64::from_ne_bytes(
-            heap2.pool().persistent_image()
-                [layout::DESC_COMMITTED_LEN_OFF..layout::DESC_COMMITTED_LEN_OFF + 8]
-                .try_into()
-                .unwrap(),
-        );
-        let geo = layout::Geometry::from_pool_len(heap2.pool().len());
-        assert_eq!(word as usize, geo.sb_off);
-    }
-
-    #[test]
-    #[should_panic(expected = "version 3 and is dirty")]
-    fn v3_dirty_image_is_refused_not_migrated() {
-        let heap = small_heap();
-        let _ = heap.malloc(64);
-        let mut image = heap.pool().persistent_image(); // no close(): dirty
-        image[0] = 3;
-        image[layout::DESC_COMMITTED_LEN_OFF..layout::DESC_COMMITTED_LEN_OFF + 8].fill(0);
-        image[layout::FLIGHT_OFF..layout::META_SIZE].fill(0);
-        let _ = Ralloc::from_image(&image, RallocConfig::default());
-    }
-
-    #[test]
-    #[should_panic(expected = "version 4 and is dirty")]
-    fn v4_dirty_image_is_refused_not_migrated() {
-        let heap = small_heap();
-        let _ = heap.malloc(64);
-        let mut image = heap.pool().persistent_image(); // no close(): dirty
-        image[0] = 4;
-        image[layout::DESC_COMMITTED_LEN_OFF..layout::DESC_COMMITTED_LEN_OFF + 8].fill(0);
-        let _ = Ralloc::from_image(&image, RallocConfig::default());
+                let path = dir.join(format!("v{version}-{clean}.pool"));
+                std::fs::write(&path, &image).unwrap();
+                let msg = refusal(std::panic::catch_unwind(|| {
+                    let _ = Ralloc::open_file(&path, 8 << 20, RallocConfig::default());
+                }));
+                assert!(msg.contains(&want), "{what} via open_file: {msg}");
+                assert!(std::fs::read(&path).unwrap() == image, "{what}: refused file was modified");
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -1,0 +1,406 @@
+//! Opening a heap: create it fresh, or adopt an image (file, mapped file,
+//! or in-memory bytes) and decide whether it needs recovery.
+//!
+//! The one decision this module owns is **what is accepted as a heap**:
+//! a current-format header consistent with the bytes actually present is
+//! adopted; a Ralloc image of another format version, truncated, or past
+//! its own reservation is refused with a message (never re-initialized,
+//! never migrated); anything else is not a heap and is initialized fresh.
+//! No `pub(crate)` surface: the public [`Ralloc`] constructors are it.
+
+use std::collections::HashMap;
+use std::io;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
+
+use parking_lot::Mutex;
+
+use nvm::{PmemPool, PoolGuard, RegionSpec};
+use telemetry::{EventKind, Journal, Registry};
+
+use crate::config::{RallocConfig, JOURNAL_CAP};
+use crate::flight::{self, FlightRecorder, FlightScan};
+use crate::frontier::Frontier;
+use crate::heap::{HeapInner, Ralloc};
+use crate::layout::{
+    Geometry, DIRTY_OFF, FLIGHT_HDR_SIZE, FLIGHT_OFF, MAGIC, MAGIC_OFF, MAX_SB_OFF, META_SIZE,
+    POOL_LEN_OFF, USED_SB_OFF,
+};
+use crate::lists::DescList;
+use crate::remote::RemoteRing;
+use crate::shard;
+use crate::size_class::{NUM_CLASSES, SB_SIZE};
+use crate::stats::SlowStats;
+
+static NEXT_HEAP_ID: AtomicU64 = AtomicU64::new(1);
+
+/// The reserved span recorded in the first bytes of an image, if they are
+/// a current-format Ralloc header.
+fn header_reserved_len(header: &[u8]) -> Option<usize> {
+    let word = |off: usize| {
+        header.get(off..off + 8).map(|b| u64::from_ne_bytes(b.try_into().expect("8 bytes")))
+    };
+    if word(MAGIC_OFF)? != MAGIC {
+        return None;
+    }
+    Some(word(POOL_LEN_OFF)? as usize)
+}
+
+/// Lock `path` (creating it if absent) and size up what it holds:
+/// `(guard, file length, reserved span its header records)`. Length 0 is
+/// a fresh pool — acquiring creates the file, so emptiness, not
+/// existence, distinguishes a fresh pool from one to adopt — and a
+/// reserved span of 0 means the bytes are not a current-format image.
+///
+/// The exclusive advisory lock comes first: two live processes on one
+/// pool file silently race each other's saves (and, mapped, each other's
+/// stores). The guard is held for the heap's lifetime and auto-released
+/// by the kernel if this process dies; a second opener gets a distinct
+/// "pool busy" (`WouldBlock`) error.
+///
+/// A header whose recorded reserved span is shorter than the file is
+/// corrupt (the file can never legally outgrow the reservation it was
+/// carved from) and is refused here with a real diagnostic.
+fn open_existing(path: &Path) -> io::Result<(PoolGuard, usize, usize)> {
+    use std::io::Read;
+    let guard = PoolGuard::acquire(path)?;
+    let file_len = guard.file().metadata()?.len() as usize;
+    let mut header = [0u8; 16];
+    let reserved = std::fs::File::open(path)
+        .and_then(|mut f| f.read_exact(&mut header))
+        .ok()
+        .and_then(|()| header_reserved_len(&header))
+        .unwrap_or(0);
+    assert!(
+        reserved == 0 || file_len <= reserved,
+        "heap file {} is {file_len} bytes but its header records a \
+         reserved span of only {reserved}: refusing a corrupt heap image",
+        path.display()
+    );
+    Ok((guard, file_len, reserved))
+}
+
+impl Ralloc {
+    /// Create a fresh in-memory heap whose superblock region can hold at
+    /// least `capacity` bytes.
+    ///
+    /// `capacity` (together with [`RallocConfig::max_capacity`] /
+    /// `RALLOC_MAX_CAP`, whichever is larger) fixes the heap's *reserved*
+    /// virtual span; [`RallocConfig::initial_capacity`] /
+    /// `RALLOC_INIT_CAP` choose how much of it is committed upfront
+    /// (default: all of it, the historical fixed-pool behavior). A heap
+    /// with a small initial commitment grows its frontier on demand and
+    /// only returns null once the *reserved* ceiling is exhausted.
+    pub fn create(capacity: usize, cfg: RallocConfig) -> Ralloc {
+        Self::create_inner(capacity, cfg, None)
+    }
+
+    /// Resolve a `create` capacity request (plus config and env
+    /// overrides) into `(reserved span, initial committed length)`.
+    fn capacity_plan(capacity: usize, cfg: &RallocConfig) -> (usize, usize) {
+        let cfg = cfg.with_env();
+        let max_cap = cfg.max_capacity.unwrap_or(capacity).max(capacity);
+        let init_cap = cfg.initial_capacity.unwrap_or(max_cap).min(max_cap);
+        let reserved = Geometry::pool_len_for_capacity(max_cap);
+        let geo = Geometry::from_pool_len(reserved);
+        let init_sb = init_cap.div_ceil(SB_SIZE).clamp(1, geo.max_sb);
+        (reserved, geo.committed_len_for_sb(init_sb))
+    }
+
+    fn create_inner(capacity: usize, cfg: RallocConfig, file: Option<PathBuf>) -> Ralloc {
+        let (reserved, committed) = Self::capacity_plan(capacity, &cfg);
+        let pool = PmemPool::with_reserve(
+            reserved,
+            committed,
+            cfg.mode,
+            cfg.flush_model,
+            cfg.injector.clone(),
+        );
+        Self::fresh(pool, &cfg, file)
+    }
+
+    /// The paper's `init(path, size)`: open the heap file if it exists
+    /// (returning whether a *dirty* restart — i.e. recovery — is needed),
+    /// or create it fresh. A fresh or clean start returns `false`.
+    ///
+    /// The file holds only the committed prefix; the heap's reserved span
+    /// is re-read from the image header, so a grown heap reopens with the
+    /// same geometry and the same room to keep growing. A second live
+    /// process on the same file gets a "pool busy" (`WouldBlock`) error.
+    pub fn open_file(
+        path: &Path,
+        capacity: usize,
+        cfg: RallocConfig,
+    ) -> io::Result<(Ralloc, bool)> {
+        let (guard, file_len, reserved) = open_existing(path)?;
+        if file_len > 0 {
+            let pool = PmemPool::load_reserving(
+                path,
+                reserved,
+                cfg.mode,
+                cfg.flush_model,
+                cfg.injector.clone(),
+            )?;
+            pool.hold_guard(guard);
+            Ok(Self::adopt(pool, &cfg, Some(path.to_path_buf())))
+        } else {
+            let heap = Self::create_inner(capacity, cfg, Some(path.to_path_buf()));
+            heap.inner.pool.hold_guard(guard);
+            Ok((heap, false))
+        }
+    }
+
+    /// Open (or create) a heap as a live `MAP_SHARED` mapping of `path` —
+    /// the real-file analogue of [`Ralloc::open_file`], and the substrate
+    /// the fork/SIGKILL crash harness (`crates/crashtest`) runs on. Every
+    /// store lands in the OS page cache, so the heap survives the death
+    /// of the process *at any instruction* with exactly the stores that
+    /// had executed — no save step, no cooperation. The same flock guard
+    /// applies ("pool busy" for a second live process), and the file
+    /// stays openable by the plain [`Ralloc::open_file`] path afterwards
+    /// (file length == committed frontier throughout).
+    ///
+    /// Mapped heaps are [`nvm::Mode::Direct`] only; `cfg.mode` is ignored.
+    /// Requires the raw mmap layer (x86_64 Linux); other hosts get
+    /// [`io::ErrorKind::Unsupported`].
+    pub fn open_file_mapped(
+        path: &Path,
+        capacity: usize,
+        cfg: RallocConfig,
+    ) -> io::Result<(Ralloc, bool)> {
+        let (guard, file_len, reserved) = open_existing(path)?;
+        let file = Some(path.to_path_buf());
+        let map = |reserved, committed| {
+            PmemPool::map_file(guard, reserved, committed, cfg.flush_model, cfg.injector.clone())
+        };
+        if file_len > 0 {
+            Ok(Self::adopt(map(reserved.max(file_len), file_len)?, &cfg, file))
+        } else {
+            let (reserved, committed) = Self::capacity_plan(capacity, &cfg);
+            Ok((Self::fresh(map(reserved, committed)?, &cfg, file), false))
+        }
+    }
+
+    /// Adopt a raw pool image (e.g. a crash image remapped at a new base
+    /// address). Returns the heap and whether it is dirty. The image may
+    /// be shorter than the heap's reserved span (only the committed
+    /// prefix is ever saved); the reservation is re-established from the
+    /// header.
+    ///
+    /// A recognizable header recording a reserved span *shorter* than the
+    /// image is refused: the committed prefix can never legally outgrow
+    /// the reservation, so such an image is corrupt (or had foreign bytes
+    /// appended), and clamping the reservation up would compute a
+    /// geometry the header's `max_sb` never described. The refusal
+    /// mirrors the one on the file path.
+    pub fn from_image(image: &[u8], cfg: RallocConfig) -> (Ralloc, bool) {
+        let reserved = header_reserved_len(image).unwrap_or(image.len());
+        assert!(
+            reserved >= image.len(),
+            "heap image is {} bytes but its header records a reserved span of \
+             only {reserved}: refusing a corrupt heap image",
+            image.len()
+        );
+        Self::adopt(PmemPool::from_image_reserving(image, reserved, cfg.mode), &cfg, None)
+    }
+
+    fn fresh(pool: PmemPool, cfg: &RallocConfig, file: Option<PathBuf>) -> Ralloc {
+        let geo = Geometry::from_pool_len(pool.len());
+        // A fresh physical prefix reaches the superblock array's base (the
+        // smallest legal superblock frontier): it is either planned by
+        // `capacity_plan` (>= one superblock) or a whole non-heap image.
+        assert!(pool.committed_len() >= geo.min_committed(), "fresh pool too short");
+        flight::init_ring(&pool);
+        // SAFETY: fresh pool, exclusive access, metadata offsets in bounds.
+        unsafe {
+            pool.write_u64(MAGIC_OFF, MAGIC);
+            pool.write_u64(POOL_LEN_OFF, pool.len() as u64);
+            pool.write_u64(MAX_SB_OFF, geo.max_sb as u64);
+            pool.write_u64(USED_SB_OFF, 0);
+            pool.write_u64(DIRTY_OFF, 1);
+        }
+        // The descriptor region starts committed in lockstep with the
+        // initially committed superblocks; from here on the two
+        // frontiers advance and retreat independently.
+        let frontiers = Frontier::pair(&geo);
+        let [sb, desc] = &frontiers;
+        sb.init(&pool, pool.committed_len());
+        desc.init(&pool, desc.len_for_sb(sb.covered_sb()));
+        let heap = Self::build(pool, geo, cfg, file, frontiers, FlightScan::default());
+        heap.inner.persist(0, 64);
+        heap.inner.persist(FLIGHT_OFF, FLIGHT_HDR_SIZE);
+        heap.inner.emit(EventKind::Open, 0, 0);
+        heap
+    }
+
+    fn adopt(pool: PmemPool, cfg: &RallocConfig, file: Option<PathBuf>) -> (Ralloc, bool) {
+        // SAFETY: header reads within bounds.
+        let magic = unsafe { pool.read_u64(MAGIC_OFF) };
+        if magic != MAGIC {
+            // A recognizable Ralloc image with a different format version
+            // must be refused, not silently re-initialized: erasing a
+            // user's durable heap because they upgraded is data loss.
+            // Anything else is "not a heap" and gets initialized fresh.
+            assert!(
+                magic & !0xFF != MAGIC & !0xFF,
+                "ralloc image has metadata-format version {} but this build \
+                 requires {}; re-create the pool (no in-place migration)",
+                magic & 0xFF,
+                MAGIC & 0xFF,
+            );
+            return (Self::fresh(pool, cfg, file), false);
+        }
+        let geo = Geometry::from_pool_len(pool.len());
+        // SAFETY: header reads.
+        let used = unsafe {
+            assert_eq!(pool.read_u64(POOL_LEN_OFF), pool.len() as u64, "pool length mismatch");
+            assert_eq!(pool.read_u64(MAX_SB_OFF), geo.max_sb as u64, "geometry mismatch");
+            pool.read_u64(USED_SB_OFF) as usize
+        };
+        // Superblocks first: once that word is known to lie inside the
+        // image, the whole descriptor region before it does too.
+        let frontiers = Frontier::pair(&geo);
+        for f in &frontiers {
+            f.adopt_word(&pool, used, cfg.transient);
+        }
+        // SAFETY: 8-aligned metadata word.
+        let dirty = unsafe { pool.atomic_u64(DIRTY_OFF) }.load(Ordering::Acquire) == 1;
+        // Scan the flight ring *before* this process records anything:
+        // what's in it now is the previous run's last steps — after a
+        // crash, the victim's pre-crash timeline.
+        let preopen = flight::scan_pool(&pool);
+        let heap = Self::build(pool, geo, cfg, file, frontiers, preopen);
+        // Mark dirty for the duration of this run (the paper's robust
+        // mutex acquire): any crash from here on requires recovery. This
+        // must precede the stale-shard fold below — the fold mutates
+        // durable list state, so a crash mid-fold has to trigger a full
+        // rebuild, never a second fold over a half-written image.
+        // SAFETY: 8-aligned metadata word.
+        unsafe { heap.inner.pool.atomic_u64(DIRTY_OFF) }.store(1, Ordering::Release);
+        heap.inner.persist(DIRTY_OFF, 8);
+        // A clean image skips recovery, so heads parked beyond this run's
+        // live shard count must be folded in here. A dirty image gets its
+        // lists rebuilt from scratch by `recover` — and must NOT be
+        // folded: its heads and link words are an inconsistent
+        // incidentally-persisted mixture that a pop loop could cycle on.
+        if !dirty {
+            heap.inner.fold_stale_shards();
+        }
+        heap.inner.emit(EventKind::Open, dirty as u64, 0);
+        (heap, dirty)
+    }
+
+    /// Wire a pool whose header is written (fresh) or validated (adopted)
+    /// and whose `frontiers` are published into a live heap.
+    fn build(
+        mut pool: PmemPool,
+        geo: Geometry,
+        cfg: &RallocConfig,
+        file: Option<PathBuf>,
+        frontiers: [Frontier; 2],
+        preopen_flight: FlightScan,
+    ) -> Ralloc {
+        let cfg = cfg.with_env();
+        // Everything under a published frontier is durable at build time
+        // (fresh: about to be persisted before first use; adopted: backed
+        // by the image), so carving may use all of it. The pool learns
+        // the three-region tiling here, so every later commit and
+        // decommit is region-scoped.
+        let [sb, desc] = &frontiers;
+        pool.define_regions(&[
+            RegionSpec { start: 0, end: META_SIZE, committed: META_SIZE },
+            RegionSpec { start: META_SIZE, end: geo.sb_off, committed: desc.published() },
+            RegionSpec { start: geo.sb_off, end: pool.len(), committed: sb.published() },
+        ]);
+        let telemetry = Registry::new();
+        let slow = SlowStats::registered(&telemetry);
+        // The torn count from the adoption scan becomes a counter so
+        // harnesses can assert on dropped records.
+        let flight = FlightRecorder::new(cfg.flight_level, preopen_flight.resume_ticket());
+        telemetry.describe(
+            "flight_torn_records",
+            "flight-ring records dropped at adoption because their checksum failed",
+        );
+        telemetry.counter("flight_torn_records").add(preopen_flight.torn);
+        let shards = cfg.partial_shards as u32;
+        // Remote-free rings (transient, like the caches they feed).
+        // A single-shard heap owns every superblock from every thread's
+        // perspective, so rings would never see a push — skip them.
+        let rings = (cfg.remote_ring && shards > 1).then(|| {
+            (0..NUM_CLASSES * shards as usize)
+                .map(|_| RemoteRing::new(cfg.remote_ring_cap))
+                .collect()
+        });
+        let heap = Ralloc {
+            inner: Arc::new(HeapInner {
+                pool,
+                geo,
+                id: NEXT_HEAP_ID.fetch_add(1, Ordering::Relaxed),
+                transient: cfg.transient,
+                shards,
+                flush_half: cfg.flush_half,
+                shrink_policy: cfg.shrink_policy,
+                parked: std::array::from_fn(|_| Mutex::new(Vec::new())),
+                rings,
+                ring_cursor: AtomicU64::new(0),
+                ring_gauges: Mutex::new(HashMap::new()),
+                frontiers,
+                generation: AtomicU64::new(0),
+                exit_drains: AtomicUsize::new(0),
+                closed: AtomicBool::new(false),
+                file,
+                root_fns: Mutex::new(HashMap::new()),
+                slow,
+                telemetry,
+                journal: Journal::with_capacity(JOURNAL_CAP),
+                flight,
+                preopen_flight,
+                sampler: Mutex::new(None),
+            }),
+        };
+        // RALLOC_TELEMETRY=<path> starts the background JSONL sampler on
+        // every heap this process opens (interval RALLOC_TELEMETRY_MS,
+        // default 200). Heap ids keep concurrent heaps' files distinct.
+        if let Ok(base) = std::env::var("RALLOC_TELEMETRY") {
+            if !base.is_empty() {
+                let interval = shard::env_size("RALLOC_TELEMETRY_MS").unwrap_or(200).max(1);
+                let id = heap.inner.id;
+                let path = if id > 1 { format!("{base}.{id}") } else { base };
+                let _ = heap.start_sampler(path, Duration::from_millis(interval as u64));
+            }
+        }
+        heap
+    }
+}
+
+impl HeapInner {
+    /// Fold descriptors parked on reserved-but-stale shard heads
+    /// (`live..MAX_SHARDS`) into the live shards. A *clean* reopen under
+    /// a smaller shard count inherits the previous run's heads verbatim,
+    /// and nothing online ever probes past the live count (pops and
+    /// scavenges stop there) — without this, those superblocks' free
+    /// blocks would be stranded until the next dirty restart's rebuild.
+    fn fold_stale_shards(&self) {
+        for class in 1..NUM_CLASSES as u32 {
+            for s in self.shards..shard::MAX_SHARDS as u32 {
+                let stale = DescList::partial_shard(&self.geo, class, s);
+                let mut popped = 0;
+                while let Some(idx) = stale.pop(&self.pool, &self.geo) {
+                    popped += 1;
+                    assert!(
+                        popped <= self.geo.max_sb,
+                        "stale shard head cycles: corrupt clean image"
+                    );
+                    self.partial(class).push(
+                        &self.pool,
+                        &self.geo,
+                        idx,
+                        shard::place_superblock(idx as usize, self.shards),
+                    );
+                }
+            }
+        }
+    }
+}

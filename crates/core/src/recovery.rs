@@ -100,7 +100,7 @@ pub struct RecoveryStats {
     pub shards: u32,
     /// Trailing fully-free superblocks released (frontier lowered and
     /// tail decommitted) by the end-of-recovery shrink. 0 when
-    /// [`crate::heap::ShrinkPolicy`] disables the recovery hook. These
+    /// [`crate::ShrinkPolicy`] disables the recovery hook. These
     /// were counted in `free_superblocks` by the sweep and are no longer
     /// on the free list.
     pub shrunk_superblocks: usize,
@@ -165,8 +165,8 @@ pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
         d
     };
     let mut phases = RecoveryPhases::default();
-    let pool = inner.pool();
-    let geo = inner.geo();
+    let pool = &inner.pool;
+    let geo = &inner.geo;
     let used = inner.used_sb();
     let threads = threads.max(1);
 
@@ -179,30 +179,19 @@ pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
     // lists this function is about to reset and rebuild.
     inner.quiesce_caches();
 
-    // Frontier reconciliation (reserve/commit model): the durable
+    // Frontier reconciliation (reserve/commit model): each durable
     // frontier word is the surviving truth after a crash; refresh the
-    // runtime safe-frontier from it, and validate that the used prefix —
-    // the only region recovery sweeps — lies inside committed space. The
-    // grow protocol persists the frontier word *before* any `used` bump
-    // that relies on it, so a violation here means a corrupt or
-    // hand-truncated image, not a crash timing.
-    inner.reload_frontier();
-    assert!(
-        used <= geo.committed_sb(pool.committed_len()),
-        "recovery: used superblocks ({used}) extend past the committed frontier \
-         ({} bytes) — corrupt image",
-        pool.committed_len()
-    );
-    // Same rule against the descriptor region's own frontier (v5): every
-    // used superblock's descriptor must sit under the durable descriptor
-    // frontier, because `grow_desc` fences its word before `used` may
-    // rise past it. `reload_frontier` above already refreshed the runtime
-    // safe-frontier from the surviving word.
-    assert!(
-        used <= inner.desc_committed_sb(),
-        "recovery: used superblocks ({used}) have descriptors past the \
-         descriptor frontier — corrupt image"
-    );
+    // published frontier from it, and validate that the used prefix —
+    // the only region recovery sweeps — and its descriptors lie inside
+    // committed space. The grow protocol persists a frontier word
+    // *before* any `used` bump that relies on it, so a violation here
+    // means a corrupt or hand-truncated image, not a crash timing.
+    for f in &inner.frontiers {
+        f.reload(pool);
+        if let Err(why) = f.check_word(pool, used) {
+            panic!("recovery: corrupt image: {why}");
+        }
+    }
 
     // Bins parked by pre-crash thread exits are DRAM state: their blocks
     // are about to be reclaimed (or kept) by the trace like any other
@@ -219,10 +208,9 @@ pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
     // run may have used a different shard count.
     DescList::free_list(geo).reset(pool);
     for class in 0..NUM_CLASSES as u32 {
-        ShardedPartial::new(class, inner.shards()).reset_all(pool, geo);
+        ShardedPartial::new(class, inner.shards).reset_all(pool, geo);
     }
-    inner.journal.record(EventKind::RecoveryReconcile, used as u64, threads as u64);
-    inner.flight_record(EventKind::RecoveryReconcile, used as u64, threads as u64);
+    inner.emit(EventKind::RecoveryReconcile, used as u64, threads as u64);
 
     // Gather the registered roots (step 4 already happened via get_root).
     let mut roots: Vec<(usize, Option<TraceFn>)> = Vec::new();
@@ -240,43 +228,23 @@ pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
     phases.reconcile = lap();
 
     // Step 5: trace — sequentially, or across root subsets in parallel.
-    let (marks, cons_words, cons_hits) = if threads == 1 || roots.len() <= 1 {
+    let workers = if threads == 1 { 1 } else { threads.min(roots.len()).max(1) };
+    let mut traced = fan_out(workers, "tracing worker", |w| {
         let mut tracer = Tracer::new(pool, geo, used);
-        for (addr, filter) in &roots {
+        for (addr, filter) in roots.iter().skip(w).step_by(workers) {
             tracer.visit_addr(*addr, *filter);
         }
         tracer.drain();
-        let (mut marks, w, h) = tracer.into_parts();
-        recount(&mut marks);
-        (marks, w, h)
-    } else {
-        let workers = threads.min(roots.len());
-        let results: Vec<(MarkSet, u64, u64)> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let roots = &roots;
-                    s.spawn(move || {
-                        let mut tracer = Tracer::new(pool, geo, used);
-                        for (addr, filter) in roots.iter().skip(w).step_by(workers) {
-                            tracer.visit_addr(*addr, *filter);
-                        }
-                        tracer.drain();
-                        tracer.into_parts()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("tracing worker")).collect()
-        });
-        let mut iter = results.into_iter();
-        let (mut marks, mut w, mut h) = iter.next().unwrap();
-        for (m, ws, hs) in iter {
-            marks.merge_from(&m);
-            w += ws;
-            h += hs;
-        }
-        recount(&mut marks);
-        (marks, w, h)
-    };
+        tracer.into_parts()
+    })
+    .into_iter();
+    let (mut marks, mut cons_words, mut cons_hits) = traced.next().expect("one worker");
+    for (m, words, hits) in traced {
+        marks.merge_from(&m);
+        cons_words += words;
+        cons_hits += hits;
+    }
+    recount(&mut marks);
     phases.mark = lap();
 
     let mut stats = RecoveryStats {
@@ -284,7 +252,7 @@ pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
         conservative_words_scanned: cons_words,
         conservative_candidates: cons_hits,
         threads,
-        shards: inner.shards(),
+        shards: inner.shards,
         ..Default::default()
     };
 
@@ -322,45 +290,22 @@ pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
     // Pass B (steps 6-9): rebuild descriptors and lists, in parallel over
     // disjoint superblock ranges when requested.
     let sweep_threads = if threads == 1 || used < 64 { 1 } else { threads };
-    if sweep_threads == 1 {
-        let (f, p, full) = sweep_range(inner, &marks, &claimed, 0, used);
-        stats.free_superblocks = f;
-        stats.partial_superblocks = p;
-        stats.full_superblocks = full;
-    } else {
-        let chunk = used.div_ceil(sweep_threads);
-        let totals: Vec<(usize, usize, usize)> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..sweep_threads)
-                .map(|w| {
-                    let marks = &marks;
-                    let claimed = &claimed;
-                    s.spawn(move || {
-                        let lo = w * chunk;
-                        let hi = ((w + 1) * chunk).min(used);
-                        if lo >= hi {
-                            (0, 0, 0)
-                        } else {
-                            sweep_range(inner, marks, claimed, lo, hi)
-                        }
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("sweep worker")).collect()
-        });
-        for (f, p, full) in totals {
-            stats.free_superblocks += f;
-            stats.partial_superblocks += p;
-            stats.full_superblocks += full;
+    let chunk = used.div_ceil(sweep_threads);
+    let swept = fan_out(sweep_threads, "sweep worker", |w| {
+        let (lo, hi) = (w * chunk, ((w + 1) * chunk).min(used));
+        if lo >= hi {
+            (0, 0, 0)
+        } else {
+            sweep_range(inner, &marks, &claimed, lo, hi)
         }
+    });
+    for (f, p, full) in swept {
+        stats.free_superblocks += f;
+        stats.partial_superblocks += p;
+        stats.full_superblocks += full;
     }
-    inner.journal.record(EventKind::RecoverySweep, stats.reachable_blocks, used as u64);
-    inner.flight_record(EventKind::RecoverySweep, stats.reachable_blocks, used as u64);
-    inner.journal.record(
-        EventKind::RecoverySplice,
-        stats.partial_superblocks as u64,
-        stats.free_superblocks as u64,
-    );
-    inner.flight_record(
+    inner.emit(EventKind::RecoverySweep, stats.reachable_blocks, used as u64);
+    inner.emit(
         EventKind::RecoverySplice,
         stats.partial_superblocks as u64,
         stats.free_superblocks as u64,
@@ -374,7 +319,7 @@ pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
     // crash-safe order documented on `shrink_quiesced`. A restart whose
     // live set collapsed thereby restarts at live-set footprint instead
     // of its high-water mark.
-    if inner.shrink_policy().at_recovery() {
+    if inner.shrink_policy.at_recovery() {
         stats.shrunk_superblocks = inner.shrink_quiesced();
     }
     phases.shrink = lap();
@@ -383,7 +328,7 @@ pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
     // recovery restarts from this reconstructed state. Only the
     // committed prefix exists to flush; the uncommitted reservation has
     // no content (and the pool would reject the range).
-    if !inner.is_transient() {
+    if !inner.transient {
         pool.flush(0, pool.committed_len());
         pool.fence();
     }
@@ -409,6 +354,19 @@ pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
     stats
 }
 
+/// Run `work(w)` for every worker `w` — inline for a single worker, on
+/// scoped threads otherwise — and return the results in worker order.
+fn fan_out<T: Send>(workers: usize, what: &str, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    if workers == 1 {
+        return vec![work(0)];
+    }
+    std::thread::scope(|s| {
+        let work = &work;
+        let handles: Vec<_> = (0..workers).map(|w| s.spawn(move || work(w))).collect();
+        handles.into_iter().map(|h| h.join().expect(what)).collect()
+    })
+}
+
 /// Recompute a mark set's per-superblock counts and total (after merges;
 /// also normalizes the single-tracer path so both report identically).
 fn recount(marks: &mut MarkSet) {
@@ -431,10 +389,10 @@ fn sweep_range(
     lo: usize,
     hi: usize,
 ) -> (usize, usize, usize) {
-    let pool = inner.pool();
-    let geo = inner.geo();
+    let pool = &inner.pool;
+    let geo = &inner.geo;
     let used = inner.used_sb();
-    let shards = inner.shards() as usize;
+    let shards = inner.shards as usize;
     let (mut frees, mut partials, mut fulls) = (0, 0, 0);
     let mut free_batch: Vec<u32> = Vec::new();
     let mut partial_batches: Vec<Vec<u32>> = vec![Vec::new(); NUM_CLASSES * shards];
@@ -521,7 +479,7 @@ fn sweep_range(
 }
 #[cfg(test)]
 mod tests {
-    use crate::heap::{Ralloc, RallocConfig};
+    use crate::{Ralloc, RallocConfig};
     use crate::gc::{Trace, Tracer};
     use pptr::Pptr;
 
@@ -800,7 +758,7 @@ mod tests {
 mod parallel_tests {
     use crate::checker::check_heap;
     use crate::gc::{Trace, Tracer};
-    use crate::heap::{Ralloc, RallocConfig};
+    use crate::{Ralloc, RallocConfig};
     use pptr::Pptr;
 
     #[repr(C)]
@@ -845,7 +803,7 @@ mod parallel_tests {
         let heap = Ralloc::create(
             32 << 20,
             RallocConfig {
-                shrink_policy: crate::heap::ShrinkPolicy::Off,
+                shrink_policy: crate::ShrinkPolicy::Off,
                 ..RallocConfig::tracked()
             },
         );

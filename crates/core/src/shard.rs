@@ -23,7 +23,7 @@
 //!   head loads when everything is empty.
 //!
 //! The shard count `S` is a *runtime* configuration
-//! ([`crate::heap::RallocConfig::partial_shards`], env-overridable via
+//! ([`crate::RallocConfig::partial_shards`], env-overridable via
 //! `RALLOC_SHARDS`), clamped to [`MAX_SHARDS`]; the metadata region
 //! reserves `MAX_SHARDS` head slots per class so the same pool image can
 //! be reopened under any shard count. The shards are transient like the

@@ -1,0 +1,167 @@
+//! Slow-path counters: the heap's named view of its metric registry.
+//!
+//! The one decision this module owns is the **metric names**: every
+//! [`SlowStats`] field is a [`telemetry::Counter`] registered under its
+//! field name, so exporters, the sampler and the ledger enumerate the
+//! same counters through the [`Registry`] without going through this
+//! struct. The fast path counts nothing.
+//!
+//! `pub(crate)` surface: [`SlowStats::registered`].
+
+use std::sync::atomic::Ordering;
+
+use telemetry::{Counter, Histogram, Registry};
+
+/// Declares [`SlowStats`]: one [`Counter`] per listed name, registered
+/// under exactly that name, so a field and its metric cannot drift apart.
+macro_rules! slow_stats {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// Slow-path event counters (diagnostics; the fast path counts nothing).
+        ///
+        /// The fill/flush pairs make the batching observable: `cache_fills` /
+        /// `cache_fill_blocks` say how many refills ran and how many blocks they
+        /// moved in bulk; `fill_anchor_cas` says how many anchor CASes that cost
+        /// (one per superblock reserved, *not* one per block). Symmetrically for
+        /// flushes. [`SlowStats::avg_fill_batch`] and
+        /// [`SlowStats::avg_flush_batch`] report the amortization factor.
+        ///
+        /// Every field is registered by its field name in the heap's metric
+        /// registry (see [`crate::Ralloc::telemetry`]). The `Counter` API mirrors
+        /// `AtomicU64` (`fetch_add`/`load`).
+        #[derive(Debug, Default)]
+        pub struct SlowStats {
+            $($(#[$doc])* pub $name: Counter,)*
+            /// Blocks-per-drain distribution of fill-side ring drains.
+            pub remote_drain_batch: Histogram,
+        }
+
+        impl SlowStats {
+            /// Build the stats with every counter registered in `reg`, so
+            /// the registry and this struct are two views of the same
+            /// sharded counters.
+            pub(crate) fn registered(reg: &Registry) -> SlowStats {
+                SlowStats {
+                    $($name: reg.counter(stringify!($name)),)*
+                    remote_drain_batch: reg.histogram("remote_drain_batch_blocks"),
+                }
+            }
+        }
+    };
+}
+
+slow_stats! {
+    /// Thread-cache refills from a partial or fresh superblock.
+    cache_fills,
+    /// Blocks moved into bins by those refills.
+    cache_fill_blocks,
+    /// Whole-bin flushes back to superblocks.
+    cache_flushes,
+    /// Blocks returned by those flushes.
+    cache_flushes_blocks,
+    /// Successful anchor CASes performed by fills (batch reservations).
+    fill_anchor_cas,
+    /// Successful anchor CASes performed by flushes (batch returns).
+    flush_anchor_cas,
+    /// Superblocks carved by expanding `used`.
+    sb_carved,
+    /// Committed-frontier growths (cold path: each one is a commit + one
+    /// persisted metadata word).
+    heap_grows,
+    /// Descriptor-region frontier growths (the same protocol run against
+    /// the descriptor region's own frontier word).
+    desc_grows,
+    /// Committed-frontier shrinks that released at least one superblock
+    /// (quiescent points only: clean close, end of recovery, explicit
+    /// [`crate::Ralloc::shrink`]).
+    heap_shrinks,
+    /// Superblocks released back to the OS by those shrinks.
+    sb_released,
+    /// Extra partial-list candidates popped by best-fit fills (each probe
+    /// also re-pushes its loser, so the CAS cost is 2× this).
+    fill_bestfit_probes,
+    /// Blocks a churn-policy fill claimed but immediately returned to
+    /// their superblock (bounded fill retention; 0 unless
+    /// [`crate::RallocConfig::flush_half`]).
+    fill_bounded_returns,
+    /// Cache bins parked whole at thread exit instead of being flushed.
+    bin_parks,
+    /// Fills served by adopting a parked bin (zero CASes, zero carves).
+    bin_adopts,
+    /// Fully-empty superblocks reclaimed from partial lists instead of
+    /// carving fresh space.
+    sb_scavenged,
+    /// Fills served by the free-list re-check that follows a failed
+    /// scavenge (a concurrent flush/scavenge replenished the list while
+    /// our scan was holding descriptors invisible).
+    free_recheck_hits,
+    /// Open-addressing probes performed by bulk-flush partitioning.
+    /// Small batches use the in-place linear scan and count nothing;
+    /// for table-partitioned batches this stays O(batch len) no matter
+    /// how many superblocks the bin spans.
+    flush_partition_probes,
+    /// Large allocations served.
+    large_allocs,
+    /// Fills served by popping the calling thread's *home* shard.
+    partial_pops_home,
+    /// Fills served by stealing from a neighbor shard (home was empty).
+    partial_steals,
+    /// FULL→PARTIAL transitions enlisting a superblock on the pusher's
+    /// home shard.
+    partial_shard_pushes,
+    /// Bin overflows resolved by the flush-half policy (0 unless
+    /// [`crate::RallocConfig::flush_half`] is set).
+    half_flushes,
+    /// Blocks a flush classified as *remote* (superblock owned by a shard
+    /// other than the freeing thread's home). Counted in both ring modes,
+    /// so `remote_anchor_cas / remote_free_blocks` is the comparable
+    /// remote-free CAS cost.
+    remote_free_blocks,
+    /// Anchor CASes spent returning remote groups: every remote group
+    /// with rings off; only ring-overflow displacements and teardown
+    /// drains with rings on.
+    remote_anchor_cas,
+    /// Batches pushed onto remote-free rings (wait-free producer side).
+    remote_ring_pushes,
+    /// Blocks carried by those pushes.
+    remote_ring_push_blocks,
+    /// Batches claimed by fill-side ring drains (owner + steal drains).
+    remote_ring_drain_batches,
+    /// Blocks those drains moved straight into cache bins (zero CAS).
+    remote_ring_drain_blocks,
+    /// Ring pushes that lapped an undrained slot, displacing its batch
+    /// back onto the direct grouped-CAS fallback (also flight-recorded,
+    /// so `rinspect timeline` shows a pool running degraded).
+    remote_ring_overflows,
+}
+
+impl SlowStats {
+    /// Average blocks obtained per cache fill (0.0 before the first fill).
+    pub fn avg_fill_batch(&self) -> f64 {
+        let fills = self.cache_fills.load(Ordering::Relaxed);
+        if fills == 0 {
+            return 0.0;
+        }
+        self.cache_fill_blocks.load(Ordering::Relaxed) as f64 / fills as f64
+    }
+
+    /// Average blocks returned per cache flush (0.0 before the first).
+    pub fn avg_flush_batch(&self) -> f64 {
+        let flushes = self.cache_flushes.load(Ordering::Relaxed);
+        if flushes == 0 {
+            return 0.0;
+        }
+        self.cache_flushes_blocks.load(Ordering::Relaxed) as f64 / flushes as f64
+    }
+
+    /// Fraction of partial-list pops that had to steal from a neighbor
+    /// shard (0.0 before the first pop). High values mean the shard
+    /// placement is imbalanced for this workload.
+    pub fn steal_rate(&self) -> f64 {
+        let home = self.partial_pops_home.load(Ordering::Relaxed);
+        let stolen = self.partial_steals.load(Ordering::Relaxed);
+        if home + stolen == 0 {
+            return 0.0;
+        }
+        stolen as f64 / (home + stolen) as f64
+    }
+}

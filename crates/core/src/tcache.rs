@@ -212,7 +212,7 @@ pub(crate) fn with_heap_tls<R>(
     f: impl FnOnce(&mut HeapTls) -> R,
 ) -> R {
     let (fast_id, fast_ptr) = FAST.get();
-    if fast_id == heap.id() {
+    if fast_id == heap.id {
         // SAFETY: the fast slot only ever holds a pointer to a live boxed
         // entry of this thread's store (invalidated before removal), so
         // the pointee is valid, and `f` has exclusive access: nothing in
@@ -240,7 +240,7 @@ fn with_heap_tls_miss<R>(
     let attempt = TLS.try_with(|tls| {
         let mut store = tls.borrow_mut();
         let gen = heap.generation();
-        let id = heap.id();
+        let id = heap.id;
         let pos = store.entries.iter().position(|e| e.heap_id == id);
         let entry: &mut Box<HeapTls> = match pos {
             Some(p) => {
@@ -278,7 +278,7 @@ fn with_heap_tls_miss<R>(
         // always accessible) but must never point at this transient box.
         Err(_) => {
             let mut entry =
-                Box::new(HeapTls::new(heap.id(), heap.generation(), make_weak.take().unwrap()()));
+                Box::new(HeapTls::new(heap.id, heap.generation(), make_weak.take().unwrap()()));
             let r = f.take().unwrap()(&mut entry);
             let (generation, closed) = heap.begin_exit_drain();
             if generation == entry.generation && !closed {
@@ -297,7 +297,7 @@ fn with_heap_tls_miss<R>(
 pub(crate) fn drain_current_thread(heap: &HeapInner) {
     let _ = TLS.try_with(|tls| {
         let mut store = tls.borrow_mut();
-        if let Some(p) = store.entries.iter().position(|e| e.heap_id == heap.id()) {
+        if let Some(p) = store.entries.iter().position(|e| e.heap_id == heap.id) {
             FAST.set((0, std::ptr::null_mut()));
             let mut entry = store.entries.swap_remove(p);
             if entry.generation == heap.generation() {
@@ -314,7 +314,7 @@ pub(crate) fn discard_current_thread(heap: &HeapInner) {
     let _ = TLS.try_with(|tls| {
         let mut store = tls.borrow_mut();
         FAST.set((0, std::ptr::null_mut()));
-        store.entries.retain(|e| e.heap_id != heap.id());
+        store.entries.retain(|e| e.heap_id != heap.id);
     });
 }
 

@@ -13,6 +13,7 @@
 use std::sync::Arc;
 
 use nvm::{CrashInjector, CrashPoint};
+use ralloc::layout::{COMMITTED_LEN_OFF, DESC_COMMITTED_LEN_OFF};
 use ralloc::{check_heap, Mode, Ralloc, RallocConfig};
 
 const SENTINEL_WORDS: usize = 8;
@@ -101,6 +102,31 @@ fn recover_and_account(image: &[u8], budget: u64) {
 
     let report = check_heap(&heap);
     assert!(report.is_consistent(), "budget {budget}: invariants violated: {report:?}");
+
+    // Recovery ends with its own shrink (default policy). Whichever step
+    // of the victim's shrink the crash interrupted — including the one
+    // between the two regions' decommits, which leaves the superblock
+    // frontier already on `used` and only the descriptor frontier above
+    // it — both durable frontiers must land exactly on the recovered
+    // `used`.
+    let (geo, used) = (heap.geometry(), heap.used_superblocks());
+    // SAFETY: header words of a quiescent heap.
+    let (sb_word, desc_word) = unsafe {
+        (
+            heap.pool().read_u64(COMMITTED_LEN_OFF) as usize,
+            heap.pool().read_u64(DESC_COMMITTED_LEN_OFF) as usize,
+        )
+    };
+    assert_eq!(
+        sb_word,
+        geo.committed_len_for_sb(used),
+        "budget {budget}: superblock frontier left above used ({used})"
+    );
+    assert_eq!(
+        desc_word,
+        geo.desc_committed_len_for_sb(used),
+        "budget {budget}: descriptor frontier left above used ({used})"
+    );
 
     // The recovered heap keeps working, including across a fresh grow.
     for _ in 0..4 {

@@ -24,7 +24,7 @@
 //!
 //! The volatile image can be saved to / loaded from a file, standing in for
 //! a DAX file system segment: a *clean* shutdown writes the full image,
-//! while [`PmemPool::save_crash_image`] writes the shadow image (what real
+//! while [`PmemPool::persistent_image`] is the shadow image (what real
 //! NVM would contain after a power failure).
 //!
 //! ## Memory model caveats (documented deviations)

@@ -78,11 +78,9 @@ pub struct RegionSpec {
 }
 
 /// A live region: a fixed sub-span with an independently movable
-/// committed frontier. The *physical* pool prefix (file length / backed
-/// pages) is the maximum committed end across regions; because regions
-/// are ordered, an interior region's frontier is pure accounting over
-/// already-backed bytes, while the last region's frontier drives the
-/// physical prefix.
+/// committed frontier. Regions are ordered, so the last one's frontier
+/// is the physical pool prefix and an interior one's is accounting over
+/// bytes that prefix already backs.
 struct Region {
     start: usize,
     end: usize,
@@ -122,17 +120,7 @@ impl PoolGuard {
             .create(true)
             .truncate(false)
             .open(path)?;
-        sys::flock(raw_fd(&file), sys::LOCK_EX | sys::LOCK_NB).map_err(|e| {
-            if e.kind() == io::ErrorKind::WouldBlock {
-                io::Error::new(
-                    io::ErrorKind::WouldBlock,
-                    format!("pool busy: {} is locked by another process", path.display()),
-                )
-            } else {
-                e
-            }
-        })?;
-        Ok(PoolGuard { file, path: path.to_path_buf() })
+        Self::lock(file, path, sys::LOCK_EX, "pool busy", "locked by another process")
     }
 
     /// Open `path` read-only under a *shared* advisory lock
@@ -144,15 +132,23 @@ impl PoolGuard {
     /// inspection stays dead.
     pub fn acquire_shared(path: &Path) -> io::Result<PoolGuard> {
         let file = fs::OpenOptions::new().read(true).open(path)?;
-        sys::flock(raw_fd(&file), sys::LOCK_SH | sys::LOCK_NB).map_err(|e| {
-            if e.kind() == io::ErrorKind::WouldBlock {
-                io::Error::new(
-                    io::ErrorKind::WouldBlock,
-                    format!("pool live: {} is exclusively locked by a writer", path.display()),
-                )
-            } else {
-                e
+        Self::lock(file, path, sys::LOCK_SH, "pool live", "exclusively locked by a writer")
+    }
+
+    /// Take the non-blocking `flock` `op` on `file`, naming the contended
+    /// case `"{state}: {path} is {held}"`.
+    fn lock(
+        file: fs::File,
+        path: &Path,
+        op: usize,
+        state: &str,
+        held: &str,
+    ) -> io::Result<PoolGuard> {
+        sys::flock(raw_fd(&file), op | sys::LOCK_NB).map_err(|e| match e.kind() {
+            io::ErrorKind::WouldBlock => {
+                io::Error::new(e.kind(), format!("{state}: {} is {held}", path.display()))
             }
+            _ => e,
         })?;
         Ok(PoolGuard { file, path: path.to_path_buf() })
     }
@@ -185,20 +181,25 @@ impl std::fmt::Debug for PoolGuard {
 ///
 /// ## Reserve/commit capacity model
 ///
-/// The pool distinguishes its **reserved** span ([`PmemPool::len`], the
-/// fixed virtual extent it was created with) from its **committed**
-/// frontier ([`PmemPool::committed_len`], the prefix that is usable).
-/// Only what was ever committed is mapped: creating, opening, shrinking
-/// and dropping a pool cost system calls and work in proportion to the
-/// bytes *used*, never to the bytes reserved — the reservation itself is
-/// address space and nothing else, inaccessible (`PROT_NONE`) until a
-/// commit first reaches it. All access checks, flushes, crash semantics,
-/// and image save/load are confined to the committed prefix;
-/// [`PmemPool::commit_to`] grows the frontier, never past the reserved
-/// span, with one `mmap` of the pages it has not mapped before, and
-/// [`PmemPool::decommit_to`] lowers it again. Pools built through the
-/// plain constructors are fully committed, which is the historical
-/// one-fixed-pool behavior.
+/// The pool's **reserved** span ([`PmemPool::len`]) is fixed at creation
+/// and is address space only: inaccessible (`PROT_NONE`) until a commit
+/// first reaches it, so creating, opening, shrinking and dropping a pool
+/// cost system calls and work in proportion to the bytes *used*, never to
+/// the bytes reserved.
+///
+/// The span is always partitioned into ordered, contiguous **regions**,
+/// each with its own committed frontier. A new pool is one region
+/// covering the whole span; [`PmemPool::define_regions`] splits it once.
+/// [`PmemPool::commit`] raises a region's frontier and
+/// [`PmemPool::decommit`] lowers it — the only two ways a frontier
+/// moves. The *last* region's frontier is the physical prefix
+/// ([`PmemPool::committed_len`]: the mapped pages, the file length, what
+/// flushes, crash images and save/load cover); raising it maps the pages
+/// it has not reached before with one `mmap`. Interior regions lie under
+/// that prefix, so their frontiers only gate access
+/// ([`PmemPool::check_range`]) and say which bytes a decommit must drop.
+/// Pools built through [`PmemPool::new`] / [`PmemPool::with_options`]
+/// are fully committed.
 ///
 /// ## What backs the committed prefix
 ///
@@ -226,16 +227,11 @@ impl std::fmt::Debug for PoolGuard {
 /// and in what a released tail becomes.
 pub struct PmemPool {
     span: Reservation,
-    /// *Physical* committed frontier in bytes (monotone online,
-    /// `<= len`): the prefix that is backed (file length for mapped
-    /// pools). With regions defined this is always the maximum committed
-    /// end across regions.
-    committed: AtomicUsize,
-    /// Optional multi-region partition of the span, set once by
-    /// [`PmemPool::define_regions`]. When present, per-region frontiers
-    /// gate fine-grained access ([`PmemPool::check_range`]) and the
-    /// region commit/decommit entry points replace the whole-pool ones.
-    regions: std::sync::OnceLock<Box<[Region]>>,
+    /// The partition of the span: ordered, contiguous, tiling it. One
+    /// region until [`PmemPool::define_regions`] splits it. The last
+    /// region's frontier is the *physical* committed frontier (the
+    /// backed prefix; the file length for mapped pools).
+    regions: Box<[Region]>,
     /// The file mapped over the committed prefix; `None` for simulated
     /// NVM (anonymous pages).
     file: Option<fs::File>,
@@ -285,7 +281,7 @@ impl PmemPool {
     /// depend on `reserved`: the span is reserved address space, the
     /// committed prefix is mapped as anonymous zero pages, and no byte of
     /// either is touched here — pages take memory when first stored to.
-    /// Grow the usable prefix later with [`PmemPool::commit_to`].
+    /// Grow the usable prefix later with [`PmemPool::commit`].
     ///
     /// # Panics
     /// If the address space cannot be reserved.
@@ -355,8 +351,7 @@ impl PmemPool {
         };
         let pool = PmemPool {
             span: Reservation::reserve(len)?,
-            committed: AtomicUsize::new(committed),
-            regions: std::sync::OnceLock::new(),
+            regions: [Region { start: 0, end: len, committed: AtomicUsize::new(committed) }].into(),
             file,
             mapped: Mutex::new(0),
             guard: Mutex::new(None),
@@ -430,31 +425,36 @@ impl PmemPool {
         self.len() == 0
     }
 
-    /// The *physical* committed frontier: bytes `0..committed_len()` are
-    /// backed; flushes, crash imaging, and save/load are confined to
-    /// them. With regions defined this is the maximum committed end
-    /// across regions; fine-grained usability is further gated by the
-    /// per-region frontiers (see [`PmemPool::check_range`]).
+    /// The *physical* committed frontier (the last region's): bytes
+    /// `0..committed_len()` are backed; flushes, crash imaging, and
+    /// save/load are confined to them. Fine-grained usability is further
+    /// gated by the per-region frontiers (see [`PmemPool::check_range`]).
     #[inline]
     pub fn committed_len(&self) -> usize {
-        self.committed.load(Ordering::Acquire)
+        self.tail().committed.load(Ordering::Acquire)
     }
 
-    // ---- multi-region partition ----
+    /// The last region: the one whose frontier is the physical prefix.
+    #[inline]
+    fn tail(&self) -> &Region {
+        &self.regions[self.regions.len() - 1]
+    }
 
-    /// Partition the reserved span into independently committed regions.
+    // ---- regions ----
+
+    /// Split the (so far single-region) span into independently
+    /// committed regions.
     ///
     /// Regions must be ordered, contiguous, and tile the whole span;
     /// each initial frontier must lie within its region, and the *last*
-    /// region's frontier must equal the current physical frontier (the
-    /// physical prefix is the maximum committed end and regions are
-    /// ordered, so the last region carries it; interior regions are
-    /// physically backed by virtue of lying under that prefix, and their
-    /// frontiers are access-gating accounting with the same grow/shrink
-    /// protocol obligations).
+    /// region's frontier must equal the current physical frontier (it
+    /// carries the physical prefix; interior regions are backed by
+    /// virtue of lying under it, and their frontiers are access-gating
+    /// accounting with the same grow/shrink protocol obligations).
     ///
-    /// Callable at most once, before concurrent use of the pool.
-    pub fn define_regions(&self, specs: &[RegionSpec]) {
+    /// Callable at most once.
+    pub fn define_regions(&mut self, specs: &[RegionSpec]) {
+        assert_eq!(self.regions.len(), 1, "pool regions already defined");
         assert!(!specs.is_empty(), "empty region partition");
         let mut prev_end = 0usize;
         for s in specs {
@@ -474,7 +474,7 @@ impl PmemPool {
             self.committed_len(),
             "last region's frontier must equal the physical prefix"
         );
-        let regions: Box<[Region]> = specs
+        self.regions = specs
             .iter()
             .map(|s| Region {
                 start: s.start,
@@ -482,76 +482,100 @@ impl PmemPool {
                 committed: AtomicUsize::new(line_up(s.committed).min(s.end)),
             })
             .collect();
-        assert!(self.regions.set(regions).is_ok(), "pool regions already defined");
-    }
-
-    /// Number of defined regions (0 when the pool is unpartitioned).
-    pub fn region_count(&self) -> usize {
-        self.regions.get().map_or(0, |r| r.len())
-    }
-
-    /// Region `idx`'s committed frontier (absolute bytes).
-    pub fn region_committed(&self, idx: usize) -> usize {
-        let regions = self.regions.get().expect("no regions defined");
-        regions[idx].committed.load(Ordering::Acquire)
-    }
-
-    /// Region `idx`'s fixed `[start, end)` bounds.
-    pub fn region_bounds(&self, idx: usize) -> (usize, usize) {
-        let regions = self.regions.get().expect("no regions defined");
-        (regions[idx].start, regions[idx].end)
     }
 
     /// Grow region `idx`'s committed frontier to at least `new_len`
-    /// (absolute bytes, rounded up to a cache line). Monotonic, never
-    /// past the region's end. The physical prefix is raised first when
-    /// the target outruns it (only possible for the last region), so the
-    /// accounting frontier never exposes unbacked bytes. Returns the
-    /// resulting frontier.
-    pub fn commit_region_to(&self, idx: usize, new_len: usize) -> usize {
-        let regions = self.regions.get().expect("no regions defined");
-        let r = &regions[idx];
+    /// (absolute bytes, rounded up to a cache line). Monotonic — a
+    /// smaller request is a no-op — and never past the region's end.
+    /// Returns the resulting frontier.
+    ///
+    /// Committing only makes memory *usable*; durability of any state
+    /// that records the frontier is the caller's business (the allocator
+    /// persists its frontier word before relying on the new space).
+    ///
+    /// # Panics
+    /// If `new_len` lies outside the region.
+    pub fn commit(&self, idx: usize, new_len: usize) -> usize {
+        let r = &self.regions[idx];
         let new_len = line_up(new_len);
         assert!(
             new_len >= r.start && new_len <= r.end,
-            "commit_region_to({idx}, {new_len}) outside region [{}, {})",
+            "commit({idx}, {new_len}) outside region [{}, {})",
             r.start,
             r.end
         );
-        if new_len > self.committed.load(Ordering::Acquire) {
-            self.physical_commit_to(new_len);
+        if idx == self.regions.len() - 1 && new_len > r.committed.load(Ordering::Acquire) {
+            // Only the last region's frontier can outrun the physical
+            // prefix. Map the new pages (extending a file first) *before*
+            // publishing the frontier, so no store can target pages that
+            // aren't backed yet. The lock serializes concurrent grows
+            // (and the shrink path) — a racing grow re-mapping pages
+            // another already published would wipe them — and the
+            // frontier is published under it, so a later, smaller
+            // request sees it before it would size the file. The
+            // file-length invariant means a kill anywhere in here leaves
+            // file_len >= every published frontier, which reopen heals
+            // from the durable word.
+            let mut mapped = self.mapped.lock();
+            if new_len > r.committed.load(Ordering::Acquire) {
+                self.map_to(&mut mapped, new_len).expect("pool commit failed");
+            }
+            return r.committed.fetch_max(new_len, Ordering::AcqRel).max(new_len);
         }
         r.committed.fetch_max(new_len, Ordering::AcqRel).max(new_len)
     }
 
     /// Shrink region `idx`'s committed frontier to `new_len` (absolute
-    /// bytes), releasing the region's tail. For the last region this is
-    /// a physical release exactly like [`PmemPool::decommit_to`]; for an
-    /// interior region the range stays under the pool prefix and only
-    /// its contents are dropped — volatile image, pending flushes, and
-    /// shadow. Either way a later re-commit observes zeros and no stale
-    /// data can resurrect through a crash. Growing requests are no-ops.
-    /// Quiescence contract as for [`PmemPool::decommit_to`].
-    pub fn decommit_region_to(&self, idx: usize, new_len: usize) -> usize {
-        let regions = self.regions.get().expect("no regions defined");
-        let r = &regions[idx];
+    /// bytes, rounded up to a cache line and to the region's start),
+    /// releasing the region's tail. A growing request is a no-op
+    /// (mirroring [`PmemPool::commit`]'s monotonicity in the other
+    /// direction). Returns the resulting frontier.
+    ///
+    /// A later commit over the released range reads zeros, exactly like
+    /// never-committed reservation. Anonymous pages (and every interior
+    /// region: its range stays under the pool prefix) are zeroed by
+    /// stores and keep their pages for that commit — the cost is a
+    /// `memset` of the pages that were ever stored to; their memory goes
+    /// back to the OS when the pool is dropped. A file's tail (last
+    /// region) is unmapped into bare reservation — only the rest of the
+    /// frontier's own page is zeroed — and the file truncated.
+    ///
+    /// In [`Mode::Tracked`] the released range is also dropped from the
+    /// persistent image: pending (flushed-unfenced) lines in it are
+    /// discarded and the shadow's range is zeroed too, so no stale data
+    /// can resurrect through a crash after a re-grow.
+    ///
+    /// The caller must be quiescent (no concurrent access to the released
+    /// range): decommit is a close/recovery-time operation, never an
+    /// online one. Durability of whatever records the new frontier is the
+    /// caller's business — the allocator persists its frontier word
+    /// *before* decommitting, so a crash at any point leaves a frontier
+    /// at least as large as every persisted use of the space.
+    pub fn decommit(&self, idx: usize, new_len: usize) -> usize {
+        let r = &self.regions[idx];
         let new_len = line_up(new_len.max(r.start).max(CACHE_LINE));
-        if idx == regions.len() - 1 {
-            // Lower the accounting frontier, then release physically.
-            let cur = r.committed.fetch_min(new_len, Ordering::AcqRel);
-            if new_len >= cur {
-                return cur;
-            }
-            return self.physical_decommit_to(new_len);
-        }
         if let Some(inj) = &self.injector {
             inj.on_event();
         }
         let cur = r.committed.fetch_min(new_len, Ordering::AcqRel);
         if new_len >= cur {
-            return cur;
+            return cur; // monotone in the shrink direction: no-op
         }
-        self.release(new_len, cur);
+        let (true, Some(file)) = (idx == self.regions.len() - 1, &self.file) else {
+            self.release(new_len, cur);
+            return new_len;
+        };
+        // Return a file's tail pages to bare reservation, then truncate
+        // it to keep file length == frontier. A kill between the two
+        // leaves the file long with the durable frontier word already
+        // lowered — reopen heals the word up over (stale, unreferenced)
+        // committed space and the dirty rebuild reclaims it.
+        let mut mapped = self.mapped.lock();
+        // SAFETY: mapped pages above the lowered frontier; quiescence is
+        // the caller's contract. (Mapped pools have no tracked state.)
+        unsafe { self.span.release(new_len, *mapped) }.expect("pool page release failed");
+        *mapped = page_up(new_len);
+        file.set_len(new_len as u64).expect("pool file shrink failed");
         new_len
     }
 
@@ -569,111 +593,6 @@ impl PmemPool {
             // SAFETY: all of the shadow is mapped and ours under the lock.
             unsafe { st.shadow.zero(lo, hi) };
         }
-    }
-
-    /// Grow the committed frontier to cover at least `new_len` bytes
-    /// (rounded up to a cache line). Monotonic — a smaller request is a
-    /// no-op — and never shrinks. Returns the resulting frontier.
-    ///
-    /// Committing only makes memory *usable*; durability of any state
-    /// that records the frontier is the caller's business (the allocator
-    /// persists its frontier word before relying on the new space).
-    ///
-    /// # Panics
-    /// If `new_len` exceeds the reserved span, or if the pool has been
-    /// partitioned with [`PmemPool::define_regions`] (use
-    /// [`PmemPool::commit_region_to`] then).
-    pub fn commit_to(&self, new_len: usize) -> usize {
-        assert!(
-            self.regions.get().is_none(),
-            "pool has regions defined: use commit_region_to"
-        );
-        self.physical_commit_to(new_len)
-    }
-
-    fn physical_commit_to(&self, new_len: usize) -> usize {
-        let new_len = line_up(new_len);
-        assert!(
-            new_len <= self.len(),
-            "commit_to({new_len}) exceeds reserved span {}",
-            self.len()
-        );
-        // Map the new pages (extending a file first) *before* publishing
-        // the frontier, so no store can target pages that aren't backed
-        // yet. The lock serializes concurrent grows (and the shrink
-        // path) — a racing grow re-mapping pages another already
-        // published would wipe them; the file-length invariant means a
-        // kill anywhere in here leaves file_len >= every published
-        // frontier, which reopen heals from the durable word.
-        let mut mapped = self.mapped.lock();
-        if new_len > self.committed.load(Ordering::Acquire) {
-            self.map_to(&mut mapped, new_len).expect("pool commit failed");
-        }
-        self.committed.fetch_max(new_len, Ordering::AcqRel).max(new_len)
-    }
-
-    /// Shrink the committed frontier to `new_len` bytes (rounded up to a
-    /// cache line), releasing the tail. The reserved span and all
-    /// geometry derived from it are untouched, and a later
-    /// [`PmemPool::commit_to`] over the released range reads zeros,
-    /// exactly like never-committed reservation: an anonymous tail is
-    /// zeroed by stores and keeps its pages for that commit (the cost is
-    /// a `memset` of the pages that were ever stored to; their memory
-    /// goes back to the OS when the pool is dropped), a file's tail is
-    /// unmapped into bare reservation — only the rest of the frontier's
-    /// own page is zeroed — and the file truncated. A growing request is
-    /// a no-op (mirroring `commit_to`'s monotonicity in the other
-    /// direction). Returns the resulting frontier.
-    ///
-    /// In [`Mode::Tracked`] the released tail is also dropped from the
-    /// persistent image: pending (flushed-unfenced) lines beyond the new
-    /// frontier are discarded and the shadow's range is zeroed too, so no
-    /// stale data can resurrect through a crash after a re-grow.
-    ///
-    /// The caller must be quiescent (no concurrent access to the released
-    /// range): decommit is a close/recovery-time operation, never an
-    /// online one. Durability of whatever records the new frontier is the
-    /// caller's business — the allocator persists its frontier word
-    /// *before* decommitting, so a crash at any point leaves a frontier
-    /// at least as large as every persisted use of the space.
-    ///
-    /// # Panics
-    /// If the pool has been partitioned with
-    /// [`PmemPool::define_regions`] (use
-    /// [`PmemPool::decommit_region_to`] then).
-    pub fn decommit_to(&self, new_len: usize) -> usize {
-        assert!(
-            self.regions.get().is_none(),
-            "pool has regions defined: use decommit_region_to"
-        );
-        self.physical_decommit_to(new_len)
-    }
-
-    fn physical_decommit_to(&self, new_len: usize) -> usize {
-        let new_len = line_up(new_len.max(CACHE_LINE));
-        if let Some(inj) = &self.injector {
-            inj.on_event();
-        }
-        let cur = self.committed.fetch_min(new_len, Ordering::AcqRel);
-        if new_len >= cur {
-            return cur; // monotone in the shrink direction: no-op
-        }
-        let mut mapped = self.mapped.lock();
-        let Some(file) = &self.file else {
-            self.release(new_len, cur);
-            return new_len;
-        };
-        // Return a file's tail pages to bare reservation, then truncate
-        // it to keep file length == frontier. A kill between the two
-        // leaves the file long with the durable frontier word already
-        // lowered — reopen heals the word up over (stale, unreferenced)
-        // committed space and the dirty rebuild reclaims it.
-        // SAFETY: mapped pages above the lowered frontier; quiescence is
-        // the caller's contract. (Mapped pools have no tracked state.)
-        unsafe { self.span.release(new_len, *mapped) }.expect("pool page release failed");
-        *mapped = page_up(new_len);
-        file.set_len(new_len as u64).expect("pool file shrink failed");
-        new_len
     }
 
     /// The persistence mode.
@@ -694,29 +613,22 @@ impl PmemPool {
     }
 
     /// True if `off..off+len` lies within *committed* space. Always
-    /// bounded by the physical prefix; with regions defined, a range
-    /// falling inside a single region is further gated by that region's
-    /// own frontier (uncommitted region tail is out of range even though
-    /// it may be physically backed under the prefix), while a range
-    /// spanning regions is a bulk operation — wholesale write-back,
-    /// image save — gated by the physical prefix alone.
+    /// bounded by the physical prefix; a range falling inside a single
+    /// region is further gated by that region's own frontier
+    /// (uncommitted region tail is out of range even though it may be
+    /// physically backed under the prefix), while a range spanning
+    /// regions is a bulk operation — wholesale write-back, image save —
+    /// gated by the physical prefix alone.
     #[inline]
     pub fn check_range(&self, off: usize, len: usize) -> bool {
-        let committed = self.committed.load(Ordering::Acquire);
+        let committed = self.committed_len();
         if off > committed || len > committed - off {
             return false;
         }
-        if let Some(regions) = self.regions.get() {
-            for r in regions.iter() {
-                if off >= r.start && off < r.end {
-                    if off + len <= r.end {
-                        return off + len <= r.committed.load(Ordering::Acquire);
-                    }
-                    break;
-                }
-            }
+        match self.regions.iter().find(|r| off >= r.start && off < r.end) {
+            Some(r) if off + len <= r.end => off + len <= r.committed.load(Ordering::Acquire),
+            _ => true,
         }
-        true
     }
 
     /// Raw pointer to offset `off`.
@@ -776,17 +688,12 @@ impl PmemPool {
         if let Some(inj) = &self.injector {
             inj.on_event();
         }
-        // One flush call covers one contiguous line run; adjacent CLWBs
-        // pipeline, so the model charges once per run, not per line.
-        let charged = match self.mode {
-            Mode::Direct => {
-                // The data already lives in (cache-coherent) DRAM; charge
-                // the modelled latency and compile-time order the stores.
-                std::sync::atomic::compiler_fence(Ordering::SeqCst);
-                self.flush_model.charge_flush_run(lines)
-            }
-            Mode::Tracked => {
-                let mut st = self.tracked.as_ref().unwrap().lock();
+        match &self.tracked {
+            // The data already lives in (cache-coherent) DRAM; only
+            // compile-time order the stores.
+            None => std::sync::atomic::compiler_fence(Ordering::SeqCst),
+            Some(tracked) => {
+                let mut st = tracked.lock();
                 for line in (first..last).step_by(CACHE_LINE) {
                     let mut buf = [0u8; CACHE_LINE];
                     // SAFETY: line..line+64 is in bounds; racing reads of
@@ -802,9 +709,11 @@ impl PmemPool {
                     }
                     st.pending.insert(line, buf);
                 }
-                self.flush_model.charge_flush_run(lines)
             }
-        };
+        }
+        // One flush call covers one contiguous line run; adjacent CLWBs
+        // pipeline, so the model charges once per run, not per line.
+        let charged = self.flush_model.charge_flush_run(lines);
         self.stats.record_flush(lines, charged);
     }
 
@@ -813,20 +722,17 @@ impl PmemPool {
         if let Some(inj) = &self.injector {
             inj.on_event();
         }
-        let charged = match self.mode {
-            Mode::Direct => {
-                std::sync::atomic::fence(Ordering::SeqCst);
-                self.flush_model.charge_fence()
-            }
-            Mode::Tracked => {
-                let mut st = self.tracked.as_ref().unwrap().lock();
+        match &self.tracked {
+            None => std::sync::atomic::fence(Ordering::SeqCst),
+            Some(tracked) => {
+                let mut st = tracked.lock();
                 let pending = std::mem::take(&mut st.pending);
                 for (line, buf) in pending {
                     st.shadow()[line..line + CACHE_LINE].copy_from_slice(&buf);
                 }
-                self.flush_model.charge_fence()
             }
-        };
+        }
+        let charged = self.flush_model.charge_fence();
         self.stats.record_fence(charged);
     }
 
@@ -919,35 +825,10 @@ impl PmemPool {
         fs::write(path, data)
     }
 
-    /// Write the *persistent* image to a file — what NVM would contain if
-    /// the machine lost power now.
-    pub fn save_crash_image(&self, path: &Path) -> io::Result<()> {
-        fs::write(path, self.persistent_image())
-    }
-
-    /// Recreate a pool from a file produced by [`PmemPool::save`] or
-    /// [`PmemPool::save_crash_image`]. The new pool's base address will,
-    /// in general, differ from the original — position-independent data
-    /// must still be readable, which the tests verify.
-    pub fn load(path: &Path, mode: Mode) -> io::Result<Self> {
-        Self::load_with(path, mode, FlushModel::default(), None)
-    }
-
-    /// [`PmemPool::load`] with explicit model/injector. The pool's
-    /// reserved span equals the file length (fully committed).
-    pub fn load_with(
-        path: &Path,
-        mode: Mode,
-        flush_model: FlushModel,
-        injector: Option<Arc<CrashInjector>>,
-    ) -> io::Result<Self> {
-        Self::load_reserving(path, 0, mode, flush_model, injector)
-    }
-
     /// Load a file into a pool whose reserved span is `reserved` bytes
     /// (at least the file length). The file content becomes the committed
     /// prefix; the tail is uncommitted reservation, ready for
-    /// [`PmemPool::commit_to`]. This is how a growable heap reopens an
+    /// [`PmemPool::commit`]. This is how a growable heap reopens an
     /// image that was saved before it reached full size. The file is
     /// read straight into the freshly mapped prefix: one copy, and the
     /// only pages touched are the ones the image fills.
@@ -964,29 +845,15 @@ impl PmemPool {
     }
 
     /// Adopt an in-memory image (used to simulate a remap at a new base
-    /// address without touching the filesystem). Fully committed.
-    pub fn from_image(image: &[u8], mode: Mode) -> Self {
-        Self::adopt_image(image, image.len(), mode, FlushModel::default(), None)
-    }
-
-    /// [`PmemPool::from_image`] with a larger reserved span (the image
-    /// becomes the committed prefix).
+    /// address without touching the filesystem): the image becomes the
+    /// committed prefix of a pool reserving `reserved` bytes (at least
+    /// the image's length).
     pub fn from_image_reserving(image: &[u8], reserved: usize, mode: Mode) -> Self {
-        Self::adopt_image(image, reserved, mode, FlushModel::default(), None)
-    }
-
-    fn adopt_image(
-        data: &[u8],
-        reserved: usize,
-        mode: Mode,
-        flush_model: FlushModel,
-        injector: Option<Arc<CrashInjector>>,
-    ) -> Self {
-        let copy = |image: &mut [u8]| {
-            image.copy_from_slice(data);
+        let copy = |prefix: &mut [u8]| {
+            prefix.copy_from_slice(image);
             Ok(())
         };
-        Self::adopt(data.len(), reserved, mode, flush_model, injector, copy)
+        Self::adopt(image.len(), reserved, mode, FlushModel::default(), None, copy)
             .unwrap_or_else(|e| panic!("pmem pool reservation of {reserved} bytes failed: {e}"))
     }
 
@@ -1136,7 +1003,8 @@ mod tests {
             write_bytes(&pool, 100, b"hello");
             pool.save(&file).unwrap();
         }
-        let pool = PmemPool::load(&file, Mode::Tracked).unwrap();
+        let pool = PmemPool::load_reserving(&file, 0, Mode::Tracked, FlushModel::default(), None)
+            .unwrap();
         assert_eq!(read_byte(&pool, 100), b'h');
         // Loaded image counts as persistent.
         pool.crash();
@@ -1155,7 +1023,7 @@ mod tests {
         pool.persist(0, 8);
         write_bytes(&pool, 512, &[2; 8]); // unflushed
         pool.save(&clean).unwrap();
-        pool.save_crash_image(&crashy).unwrap();
+        std::fs::write(&crashy, pool.persistent_image()).unwrap();
         let c = std::fs::read(&clean).unwrap();
         let k = std::fs::read(&crashy).unwrap();
         assert_eq!(c[512], 2);
@@ -1169,7 +1037,7 @@ mod tests {
         let pool = PmemPool::new(4096, Mode::Direct);
         write_bytes(&pool, 8, &[0xAB; 8]);
         let img = pool.persistent_image();
-        let pool2 = PmemPool::from_image(&img, Mode::Direct);
+        let pool2 = PmemPool::from_image_reserving(&img, img.len(), Mode::Direct);
         assert_eq!(read_byte(&pool2, 8), 0xAB);
     }
 
@@ -1213,20 +1081,20 @@ mod tests {
         assert_eq!(pool.committed_len(), 4096);
         assert!(pool.check_range(0, 4096));
         assert!(!pool.check_range(4096, 1), "uncommitted tail must be out of range");
-        assert_eq!(pool.commit_to(8192), 8192);
+        assert_eq!(pool.commit(0, 8192), 8192);
         assert!(pool.check_range(4096, 4096));
         // Shrinking requests are no-ops (frontier is monotone).
-        assert_eq!(pool.commit_to(4096), 8192);
+        assert_eq!(pool.commit(0, 4096), 8192);
         assert_eq!(pool.committed_len(), 8192);
         // Committed space is zeroed like the rest of the pool.
         assert_eq!(read_byte(&pool, 8191), 0);
     }
 
     #[test]
-    #[should_panic(expected = "exceeds reserved span")]
+    #[should_panic(expected = "outside region")]
     fn commit_beyond_reserved_panics() {
         let pool = PmemPool::with_reserve(1 << 16, 4096, Mode::Direct, FlushModel::free(), None);
-        pool.commit_to((1 << 16) + 64);
+        pool.commit(0, (1 << 16) + 64);
     }
 
     #[test]
@@ -1242,7 +1110,7 @@ mod tests {
         write_bytes(&pool, 128, &[7; 8]);
         pool.persist(128, 8);
         assert_eq!(pool.persistent_image().len(), 4096, "image = committed prefix");
-        pool.commit_to(8192);
+        pool.commit(0, 8192);
         write_bytes(&pool, 4096, &[9; 8]); // committed but never flushed
         pool.crash();
         assert_eq!(read_byte(&pool, 128), 7, "persisted line survives");
@@ -1261,7 +1129,7 @@ mod tests {
         {
             let pool =
                 PmemPool::with_reserve(1 << 20, 4096, Mode::Direct, FlushModel::free(), None);
-            pool.commit_to(12288);
+            pool.commit(0, 12288);
             write_bytes(&pool, 8192, b"tail");
             pool.save(&file).unwrap();
         }
@@ -1275,7 +1143,7 @@ mod tests {
         // Loaded content counts as persistent; the tail stays growable.
         pool.crash();
         assert_eq!(read_byte(&pool, 8192), b't');
-        pool.commit_to(1 << 20);
+        pool.commit(0, 1 << 20);
         assert!(pool.check_range(0, 1 << 20));
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1283,20 +1151,20 @@ mod tests {
     #[test]
     fn decommit_releases_tail_and_regrow_reads_zero_pages() {
         let pool = PmemPool::with_reserve(1 << 20, 4096, Mode::Tracked, FlushModel::free(), None);
-        pool.commit_to(16384);
+        pool.commit(0, 16384);
         write_bytes(&pool, 8192, &[0xAA; 64]);
         pool.persist(8192, 64);
         assert_eq!(pool.committed_len(), 16384);
         // Shrink back below the persisted data.
-        assert_eq!(pool.decommit_to(4096), 4096);
+        assert_eq!(pool.decommit(0, 4096), 4096);
         assert_eq!(pool.committed_len(), 4096);
         assert!(!pool.check_range(4096, 1), "released tail must be out of range");
         assert_eq!(pool.persistent_image().len(), 4096, "image = shrunken prefix");
-        // Growing requests through decommit_to are no-ops.
-        assert_eq!(pool.decommit_to(1 << 20), 4096);
+        // Growing requests through decommit are no-ops.
+        assert_eq!(pool.decommit(0, 1 << 20), 4096);
         // Recommit: the released range reads zero, in both the volatile
         // image and the persistent shadow.
-        pool.commit_to(16384);
+        pool.commit(0, 16384);
         assert_eq!(read_byte(&pool, 8192), 0, "stale volatile data resurrected");
         pool.crash();
         assert_eq!(read_byte(&pool, 8192), 0, "stale shadow data resurrected");
@@ -1310,7 +1178,7 @@ mod tests {
     /// down to the unaligned `lo`, re-commit, and check every byte: the
     /// kept prefix intact, the released range zero — before and, in
     /// tracked mode, after a crash (the shadow must not resurrect it).
-    fn release_and_regrow(pool: PmemPool, idx: usize, lo: usize, hi: usize) {
+    fn release_and_regrow(mut pool: PmemPool, idx: usize, lo: usize, hi: usize) {
         let start = REGIONS[idx].0;
         assert!(!lo.is_multiple_of(4096) && !hi.is_multiple_of(4096));
         assert!(lo.is_multiple_of(64) && hi.is_multiple_of(64));
@@ -1318,13 +1186,13 @@ mod tests {
             .iter()
             .map(|&(start, end)| RegionSpec { start, end, committed: start.max(4096) })
             .collect();
-        pool.commit_to(REGIONS[2].0.max(4096));
+        pool.commit(0, REGIONS[2].0.max(4096));
         pool.define_regions(&specs);
-        assert_eq!(pool.commit_region_to(idx, hi), hi);
+        assert_eq!(pool.commit(idx, hi), hi);
         write_bytes(&pool, start, &vec![0xAA; hi - start]);
         pool.persist(start, hi - start);
         let mapped = *pool.mapped.lock();
-        assert_eq!(pool.decommit_region_to(idx, lo), lo);
+        assert_eq!(pool.decommit(idx, lo), lo);
         assert!(!pool.check_range(lo, 1), "released range must be out of range");
         // Only a file's tail gives pages up; everything else is recycled.
         let unmapped = pool.is_mapped() && idx == REGIONS.len() - 1;
@@ -1335,7 +1203,7 @@ mod tests {
             assert!(kept.iter().all(|&b| b == 0xAA), "{what}: bytes below the frontier changed");
             assert!(released.iter().all(|&b| b == 0), "{what}: released bytes resurrected");
         };
-        assert_eq!(pool.commit_region_to(idx, hi), hi);
+        assert_eq!(pool.commit(idx, hi), hi);
         check("volatile image");
         if pool.mode() == Mode::Tracked {
             pool.crash();
@@ -1385,8 +1253,8 @@ mod tests {
         let pool = PmemPool::with_reserve(1 << 16, 8192, Mode::Tracked, FlushModel::free(), None);
         write_bytes(&pool, 4096, &[7; 8]);
         pool.flush(4096, 8); // flushed but NOT fenced
-        pool.decommit_to(4096);
-        pool.commit_to(8192);
+        pool.decommit(0, 4096);
+        pool.commit(0, 8192);
         pool.fence(); // must not resurrect the dropped pending line
         pool.crash();
         assert_eq!(read_byte(&pool, 4096), 0);

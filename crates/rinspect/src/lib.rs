@@ -31,7 +31,7 @@ use ralloc::descriptor::{Desc, DescKind};
 use ralloc::flight;
 use ralloc::layout::{
     Geometry, COMMITTED_LEN_OFF, DESC_COMMITTED_LEN_OFF, DIRTY_OFF, FLIGHT_CAP, FLIGHT_MAGIC,
-    FLIGHT_OFF, MAGIC, MAGIC_OFF, MAGIC_V3, MAGIC_V4, MAX_SB_OFF, META_SIZE, NUM_ROOTS,
+    FLIGHT_OFF, MAGIC, MAGIC_OFF, MAX_SB_OFF, META_SIZE, NUM_ROOTS,
     POOL_LEN_OFF, USED_SB_OFF,
 };
 use ralloc::{FlightScan, Ralloc, RallocConfig};
@@ -79,13 +79,14 @@ pub fn dump(image: &[u8]) -> String {
         return s;
     };
     let version = match magic {
-        MAGIC => "v5 (current)",
-        MAGIC_V4 => "v4 (migratable: descriptor frontier not yet framed)",
-        MAGIC_V3 => "v3 (migratable: flight ring not yet carved)",
-        _ => "not a Ralloc image",
+        MAGIC => "v5 (current)".to_string(),
+        m if m & !0xFF == MAGIC & !0xFF => {
+            format!("v{} (another format version: this build refuses it)", m & 0xFF)
+        }
+        _ => "not a Ralloc image".to_string(),
     };
     s.push_str(&format!("magic:            {magic:#018x}  {version}\n"));
-    if magic != MAGIC && magic != MAGIC_V4 && magic != MAGIC_V3 {
+    if magic != MAGIC {
         return s;
     }
     let pool_len = word(image, POOL_LEN_OFF).unwrap_or(0);
@@ -120,17 +121,10 @@ pub fn dump(image: &[u8]) -> String {
             ""
         }
     ));
-    // The descriptor-frontier word exists only from v5 on; a v4/v3 image
-    // keeps that header slack zeroed and commits its whole descriptor
-    // region implicitly.
-    if magic == MAGIC {
-        s.push_str(&format!(
-            "desc frontier:    {}\n",
-            word(image, DESC_COMMITTED_LEN_OFF).map_or("<unreadable>".into(), |v| v.to_string()),
-        ));
-    } else {
-        s.push_str("desc frontier:    implicit (pre-v5: whole descriptor region committed)\n");
-    }
+    s.push_str(&format!(
+        "desc frontier:    {}\n",
+        word(image, DESC_COMMITTED_LEN_OFF).map_or("<unreadable>".into(), |v| v.to_string()),
+    ));
     if pool_len >= Geometry::pool_len_for_capacity(1) as u64 {
         let geo = Geometry::from_pool_len(pool_len as usize);
         s.push_str(&format!(
@@ -140,16 +134,14 @@ pub fn dump(image: &[u8]) -> String {
             geo.sb(0),
             geo.sb(0),
         ));
-        if magic == MAGIC {
-            let dw = word(image, DESC_COMMITTED_LEN_OFF).unwrap_or(0) as usize;
-            let ok = dw >= geo.desc(0) && dw <= geo.sb(0);
-            s.push_str(&format!(
-                "desc committed:   {} of {} descriptors{}\n",
-                geo.desc_committed_sb(dw),
-                geo.max_sb,
-                if ok { "" } else { "  (frontier OUTSIDE the descriptor region)" },
-            ));
-        }
+        let dw = word(image, DESC_COMMITTED_LEN_OFF).unwrap_or(0) as usize;
+        let ok = dw >= geo.desc(0) && dw <= geo.sb(0);
+        s.push_str(&format!(
+            "desc committed:   {} of {} descriptors{}\n",
+            geo.desc_committed_sb(dw),
+            geo.max_sb,
+            if ok { "" } else { "  (frontier OUTSIDE the descriptor region)" },
+        ));
     }
     let roots_set = (0..NUM_ROOTS)
         .filter(|&i| {
@@ -172,7 +164,7 @@ pub fn dump(image: &[u8]) -> String {
                 FLIGHT_CAP
             ));
         }
-        _ => s.push_str("flight ring:      absent (pre-v4 image or unwritten)\n"),
+        _ => s.push_str("flight ring:      absent (unwritten)\n"),
     }
     s
 }

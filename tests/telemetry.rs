@@ -97,41 +97,58 @@ fn prometheus_dump_is_well_formed() {
     }
 }
 
-/// Grow protocol ordering: every `grow_publish` in the journal is
-/// preceded by a `grow_commit` of at least the published length — the
+/// Grow protocol ordering, per frontier: every `*_publish` in the journal
+/// is preceded by a `*_commit` of at least the published length — the
 /// crash-safety invariant (persist the frontier word before exposing the
-/// space) replayed from the event trace.
+/// space) replayed from the event trace — and every `carve` is preceded
+/// by a publish of *both* frontiers covering the carved superblocks (or
+/// lies under the frontiers the heap was created with).
 #[test]
 fn journal_orders_grow_commit_before_publish() {
+    use telemetry::EventKind::{
+        Carve, GrowCommit, GrowDescCommit, GrowDescPublish, GrowPublish,
+    };
     let heap = Ralloc::create(
         64 << 20,
         RallocConfig { initial_capacity: Some(4 << 20), ..Default::default() },
     );
-    // Outgrow the initial commit so the frontier must move.
+    // Fresh heaps commit descriptors in lockstep with superblocks.
+    let init_sb = heap.committed_superblocks();
+    let geo = heap.geometry();
+    // Outgrow the initial commit so the frontiers must move.
     let ptrs: Vec<*mut u8> = (0..3000).map(|_| heap.malloc(4096)).collect();
     for p in ptrs {
         heap.free(p);
     }
     let events = heap.journal().snapshot();
-    let grows: Vec<_> = events
-        .iter()
-        .filter(|e| {
-            matches!(e.kind, telemetry::EventKind::GrowCommit | telemetry::EventKind::GrowPublish)
-        })
-        .collect();
-    assert!(
-        grows.iter().any(|e| e.kind == telemetry::EventKind::GrowPublish),
-        "workload must have grown the heap"
-    );
-    for (i, e) in grows.iter().enumerate() {
-        if e.kind == telemetry::EventKind::GrowPublish {
-            assert!(
-                grows[..i]
-                    .iter()
-                    .any(|c| c.kind == telemetry::EventKind::GrowCommit && c.a >= e.a),
-                "publish of {} has no earlier commit covering it",
-                e.a
-            );
+    // (commit kind, publish kind, frontier bytes that cover `n` superblocks)
+    type Cover = fn(&ralloc::layout::Geometry, usize) -> usize;
+    let frontiers: [(_, _, Cover); 2] = [
+        (GrowCommit, GrowPublish, |g, n| g.committed_len_for_sb(n)),
+        (GrowDescCommit, GrowDescPublish, |g, n| g.desc_committed_len_for_sb(n)),
+    ];
+    for (commit, publish, cover) in frontiers {
+        assert!(
+            events.iter().any(|e| e.kind == publish),
+            "workload must have grown the {publish:?} frontier"
+        );
+        for (i, e) in events.iter().enumerate() {
+            if e.kind == publish {
+                assert!(
+                    events[..i].iter().any(|c| c.kind == commit && c.a >= e.a),
+                    "{publish:?} of {} has no earlier {commit:?} covering it",
+                    e.a
+                );
+            }
+            if e.kind == Carve && (e.a + e.b) as usize > init_sb {
+                let need = cover(&geo, (e.a + e.b) as usize) as u64;
+                assert!(
+                    events[..i].iter().any(|p| p.kind == publish && p.a >= need),
+                    "carve of {}+{} has no earlier {publish:?} covering {need} bytes",
+                    e.a,
+                    e.b
+                );
+            }
         }
     }
     // Timestamps are monotone in seq order (shared clock origin).
