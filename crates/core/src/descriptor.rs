@@ -9,7 +9,8 @@
 //! +24  block_size    u64         (PERSISTED at superblock (re)use)
 //! +32  size_class    u32  \  one (PERSISTED at superblock (re)use)
 //! +36  max_count     u32  /  u64 (transient cache of SB_SIZE/block_size)
-//! +40  ..64          padding
+//! +40  owner         AtomicU64   (transient: home shard of the last filler)
+//! +48  ..64          padding
 //! ```
 //!
 //! `size_class`/`block_size` are the only fields flushed online; they make
@@ -30,6 +31,7 @@ const NEXT_FREE_OFF: usize = 8;
 const NEXT_PARTIAL_OFF: usize = 16;
 const BLOCK_SIZE_OFF: usize = 24;
 const CLASS_WORD_OFF: usize = 32;
+const OWNER_OFF: usize = 40;
 
 /// A borrowed view of descriptor `idx` within a heap pool.
 #[derive(Clone, Copy)]
@@ -89,6 +91,26 @@ impl<'a> Desc<'a> {
     pub fn next_partial(&self) -> &'a AtomicU64 {
         // SAFETY: in-bounds, 8-aligned.
         unsafe { self.pool.atomic_u64(self.off + NEXT_PARTIAL_OFF) }
+    }
+
+    /// The shard a flush routes this superblock's blocks to, of `shards`
+    /// live ones: the home shard of the thread whose fill last claimed it
+    /// (a rebuild stamps its placement). A routing *hint*, read racily and
+    /// possibly stale or garbage — hence the reduction; every value is a
+    /// correct route (see [`crate::flush`]).
+    #[inline]
+    pub fn owner(&self, shards: u32) -> u32 {
+        // SAFETY: in-bounds, 8-aligned.
+        let raw = unsafe { self.pool.atomic_u64(self.off + OWNER_OFF) }.load(Ordering::Relaxed) as u32;
+        // In range unless stale: the division is off the common path.
+        if raw < shards { raw } else { raw % shards }
+    }
+
+    /// Record `shard` as this superblock's owner.
+    #[inline]
+    pub fn set_owner(&self, shard: u32) {
+        // SAFETY: in-bounds, 8-aligned.
+        unsafe { self.pool.atomic_u64(self.off + OWNER_OFF) }.store(shard as u64, Ordering::Relaxed)
     }
 
     /// Block size currently persisted for this superblock. For class 0

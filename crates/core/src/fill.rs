@@ -1,10 +1,16 @@
 //! Cache fill: where a thread's empty bin gets its next batch of blocks.
 //!
 //! The one decision this module owns is the **source order** of a fill —
-//! parked bin → home remote ring → partial superblock (best-fit under the
-//! churn policy) → free list → scavenge → every ring → carve — and what a
-//! fill retains versus returns. `carve` is the only place `used` rises,
-//! growing whichever [`crate::frontier::Frontier`] is in the way first.
+//! parked bin → home remote ring → home shard's partial superblock
+//! (best-fit under the churn policy) → free list → steal a neighbor
+//! shard's partial → scavenge → every ring → carve — and what a fill
+//! retains versus returns. An already-carved empty superblock comes
+//! before a neighbor's partial one: it costs no `used` (stealing still
+//! precedes carving) and keeps threads from trading superblocks. The
+//! fill stamps whatever it claims with its home shard
+//! ([`Desc::set_owner`]), the word flushes route by. `carve` is the only
+//! place `used` rises, growing whichever [`crate::frontier::Frontier`] is
+//! in the way first.
 //!
 //! `pub(crate)` surface on [`HeapInner`]: `fill_bin`, `carve`, `scavenge`,
 //! `park_bin`, `flush_parked`, `discard_parked`; plus [`prefetch_read`].
@@ -92,7 +98,7 @@ impl HeapInner {
     /// churn policy so one circulating superblock can feed several
     /// concurrently-active threads (see [`CHURN_FILL_RETAIN_DIV`]).
     #[inline]
-    fn fill_retain(&self, mc: u32) -> u32 {
+    pub(crate) fn fill_retain(&self, mc: u32) -> u32 {
         if self.flush_half {
             (mc / CHURN_FILL_RETAIN_DIV).max(CHURN_FILL_RETAIN_MIN).min(mc)
         } else {
@@ -237,8 +243,13 @@ impl HeapInner {
         let bsize = class_block_size(class) as usize;
         let mc = class_max_count(class);
         loop {
-            if let Some(pop) = partial.pop(&self.pool, &self.geo, home) {
-                let mut pop = pop;
+            let mut claim = partial.pop(&self.pool, &self.geo, home);
+            let fresh = if claim.is_none() { free.pop(&self.pool, &self.geo) } else { None };
+            let stolen = claim.is_none() && fresh.is_none();
+            if stolen {
+                claim = partial.steal(&self.pool, &self.geo, home);
+            }
+            if let Some(mut idx) = claim {
                 // Best-fit lever: a mostly-empty first candidate means
                 // this fill is about to claim a huge chain while the list
                 // goes dry for concurrent fills (the churn demand spike).
@@ -246,33 +257,34 @@ impl HeapInner {
                 // the *fullest* — smallest free count — re-enlisting the
                 // losers. Counts are read racily; the claim CAS below
                 // revalidates whatever we settle on.
-                let mut best = Desc::new(&self.pool, &self.geo, pop.idx).anchor(Ordering::Acquire);
+                let mut best = Desc::new(&self.pool, &self.geo, idx).anchor(Ordering::Acquire);
                 if self.flush_half && best.state == SbState::Partial && best.count * 2 > mc {
                     // Losers re-enlist only after the whole probe run:
                     // pushing one back mid-loop would hand the next
-                    // (home-first, LIFO) pop the very descriptor just
-                    // pushed, so no second distinct candidate would ever
-                    // be seen.
+                    // (LIFO) pop the very descriptor just pushed, so no
+                    // second distinct candidate would ever be seen.
                     let mut losers = [0u32; FILL_BESTFIT_PROBES];
                     let mut n_losers = 0;
                     for _ in 0..FILL_BESTFIT_PROBES {
-                        let Some(cand) = partial.pop(&self.pool, &self.geo, home) else {
-                            break;
+                        // Probe where the first candidate came from.
+                        let cand = if stolen {
+                            partial.steal(&self.pool, &self.geo, home)
+                        } else {
+                            partial.pop(&self.pool, &self.geo, home)
                         };
+                        let Some(cand) = cand else { break };
                         self.slow.fill_bestfit_probes.fetch_add(1, Ordering::Relaxed);
-                        let ca = Desc::new(&self.pool, &self.geo, cand.idx)
-                            .anchor(Ordering::Acquire);
+                        let ca = Desc::new(&self.pool, &self.geo, cand).anchor(Ordering::Acquire);
                         if ca.state == SbState::Empty {
                             // Lazy retirement, same as the claim loop.
-                            free.push(&self.pool, &self.geo, cand.idx);
+                            free.push(&self.pool, &self.geo, cand);
                             continue;
                         }
                         if ca.count < best.count {
-                            losers[n_losers] = pop.idx;
-                            pop = cand;
-                            best = ca;
+                            losers[n_losers] = idx;
+                            (idx, best) = (cand, ca);
                         } else {
-                            losers[n_losers] = cand.idx;
+                            losers[n_losers] = cand;
                         }
                         n_losers += 1;
                         if best.count * 2 <= mc {
@@ -283,7 +295,6 @@ impl HeapInner {
                         partial.push(&self.pool, &self.geo, idx, home);
                     }
                 }
-                let idx = pop.idx;
                 let d = Desc::new(&self.pool, &self.geo, idx);
                 let mut a = d.anchor(Ordering::Acquire);
                 let mut retired = false;
@@ -308,7 +319,8 @@ impl HeapInner {
                     // counts toward neither home pops nor steals.
                     continue;
                 }
-                if pop.stolen {
+                d.set_owner(home);
+                if stolen {
                     self.slow.partial_steals.fetch_add(1, Ordering::Relaxed);
                     self.emit(EventKind::Steal, idx as u64, class as u64);
                 } else {
@@ -360,9 +372,9 @@ impl HeapInner {
                 self.filled(class, keep_n as u64);
                 return true;
             }
-            // No partial superblock: take a free one, scavenge an empty
-            // one stranded on another class's partial list, or carve.
-            let idx = match free.pop(&self.pool, &self.geo).or_else(|| self.scavenge()) {
+            // No partial superblock anywhere: take the free one, scavenge an
+            // empty one stranded on another class's partial list, or carve.
+            let idx = match fresh.or_else(|| self.scavenge()) {
                 Some(i) => i,
                 // A failed scavenge raced with every concurrent scan and
                 // flush: while scans hold popped descriptors they are
@@ -378,11 +390,10 @@ impl HeapInner {
                     None => {
                         // Last stop before carving fresh space:
                         // steal-drain every shard's remote ring for this
-                        // class. In asymmetric workloads (prodcon: some
-                        // threads only allocate, others only free) the
-                        // owning shards may never fill again, so without
-                        // this sweep their ringed blocks would strand
-                        // while the frontier grew without bound.
+                        // class. A ring's owning threads may have exited
+                        // and never fill again; without this sweep their
+                        // ringed blocks would strand while the frontier
+                        // grew without bound.
                         if self.rings.is_some() && self.steal_drain_rings(class, bin, home) {
                             self.filled(class, bin.len() as u64);
                             return true;
@@ -395,6 +406,7 @@ impl HeapInner {
                 },
             };
             let d = Desc::new(&self.pool, &self.geo, idx);
+            d.set_owner(home);
             // The one flush+fence of the allocation slow path: persist the
             // superblock's size identity before any of its blocks can be
             // handed out (paper §4, innovation 1). If a recycled

@@ -88,13 +88,16 @@ impl FlightLevel {
     }
 }
 
-/// Is `kind` a protocol step (recorded at [`FlightLevel::Proto`]) rather
-/// than a traffic sample (recorded only at [`FlightLevel::All`])?
+/// Is `kind` a per-fill/per-flush traffic sample? Those reach the ring
+/// *and* the volatile journal only at [`FlightLevel::All`].
+pub(crate) fn is_sample(kind: EventKind) -> bool {
+    matches!(kind, EventKind::Fill | EventKind::Flush | EventKind::Steal)
+}
+
+/// Is `kind` a protocol step (recorded at [`FlightLevel::Proto`])? Not
+/// the samples, and not carves (always journaled, ringed only at `All`).
 fn is_proto(kind: EventKind) -> bool {
-    !matches!(
-        kind,
-        EventKind::Fill | EventKind::Flush | EventKind::Steal | EventKind::Carve
-    )
+    !is_sample(kind) && kind != EventKind::Carve
 }
 
 /// FNV-1a over the record's sequence number and payload words, folded to

@@ -5,7 +5,19 @@
 //! group: blocks are partitioned by superblock, and each group either
 //! pays one anchor CAS (`push_batch`) or — when another shard owns its
 //! superblock and the remote-free rings are on — rides that shard's
-//! wait-free ring until the owner's next fill drains it.
+//! wait-free ring until the owner's next fill drains it. The owner is
+//! the home shard of the thread whose fill last claimed the superblock
+//! ([`Desc::owner`]): a thread freeing what it allocated never leaves
+//! its shard, and a consumer's frees return to the producer.
+//!
+//! The owner word is read racily and may be stale or meaningless
+//! (another run's shard count, a crash image). Any value is a correct
+//! route: reduced `% shards` it names a live ring or the caller's own
+//! shard, a direct push is the classic anchor CAS, and a ringed block
+//! stays counted as *allocated* in its anchor — its superblock cannot
+//! empty, retire or be re-typed — until a drain (that ring's owner, a
+//! pre-carve sweep, close, shrink) returns it through the same CAS. A
+//! wrong owner costs locality, never a block.
 //! `pub(crate)` surface on [`HeapInner`]: `flush_blocks`, `flush_bin`,
 //! `free_overflow`, `drain_tls`, `push_batch` and the ring drains.
 
@@ -19,8 +31,7 @@ use crate::fill::prefetch_read;
 use crate::heap::HeapInner;
 use crate::lists::DescList;
 use crate::remote::{RemoteBatch, RemoteRing};
-use crate::shard;
-use crate::size_class::{cache_capacity, is_small_class};
+use crate::size_class::{cache_capacity, class_max_count, is_small_class};
 use crate::tcache::{CacheBin, HeapTls};
 
 impl HeapInner {
@@ -120,22 +131,28 @@ impl HeapInner {
     }
 
     /// Consumer side: drain the `(class, shard)` ring into `bin` (zero
-    /// anchor CAS per block), stopping the sweep once the bin is full —
-    /// unclaimed batches stay parked for the next fill, so a small bin
-    /// never forces a claimed batch back through the anchor. Only a
-    /// claimed batch that *straddles* the bin's remaining room pays the
-    /// one-CAS direct return for its overhang. Returns true when the bin
-    /// received at least one block.
+    /// anchor CAS per block), stopping the sweep once the bin holds what
+    /// a fill may keep: its capacity, or the churn policy's retention
+    /// bound (every other thread's free of a shared superblock lands on
+    /// its one owner's ring; an unbounded drain would privatize them all
+    /// while the superblock sits FULL and its class carves). Unclaimed
+    /// batches stay parked for the next fill; only a claimed batch that
+    /// *straddles* the remaining room pays the one-CAS direct return for
+    /// its overhang. Returns true when the bin received a block.
     pub(crate) fn drain_remote(&self, class: u32, shard: u32, bin: &mut CacheBin, home: u32) -> bool {
         let ring = self.ring(class, shard);
         if !ring.maybe_pending() {
+            return false;
+        }
+        let cap = bin.capacity().min(self.fill_retain(class_max_count(class)) as usize);
+        if bin.len() as usize >= cap {
             return false;
         }
         let mut taken = 0u64;
         let mut batches = 0u64;
         ring.drain(|batch| {
             batches += 1;
-            let room = bin.capacity() - bin.len() as usize;
+            let room = cap - bin.len() as usize;
             let take = batch.blocks.len().min(room);
             for &addr in &batch.blocks[..take] {
                 bin.push(addr);
@@ -145,7 +162,7 @@ impl HeapInner {
                 self.slow.remote_anchor_cas.fetch_add(1, Ordering::Relaxed);
                 self.push_batch(batch.sb as usize, &batch.blocks[take..], home);
             }
-            (bin.len() as usize) < bin.capacity()
+            (bin.len() as usize) < cap
         });
         if batches > 0 {
             self.slow.remote_ring_drain_batches.fetch_add(batches, Ordering::Relaxed);
@@ -201,14 +218,14 @@ impl HeapInner {
     }
 
     /// Return one superblock-coherent group, routed by the superblock's
-    /// owning shard (`sb % S` — the shard recovery enlists it on): a
+    /// owning shard (its last filler's home; see the module docs): a
     /// **local** group (owner == `home`, or rings disabled) pays the
     /// classic one anchor CAS via [`HeapInner::push_batch`]; a **remote**
     /// group rides the owning shard's MPSC ring instead — a wait-free
     /// zero-CAS push, reclaimed in bulk by the owner's next fill. Returns
     /// true when the group took the direct anchor-CAS path.
     fn return_group(&self, sb: usize, blocks: &[usize], home: u32) -> bool {
-        let owner = shard::place_superblock(sb, self.shards);
+        let owner = Desc::new(&self.pool, &self.geo, sb as u32).owner(self.shards);
         if owner != home {
             self.slow.remote_free_blocks.fetch_add(blocks.len() as u64, Ordering::Relaxed);
             if self.rings.is_some() {

@@ -105,7 +105,7 @@ pub struct HeapInner {
     /// and any histograms callers hang off it); `heap` scope in exports.
     pub(crate) telemetry: Registry,
     /// Ring buffer of persistence-protocol events (grow/shrink phases,
-    /// recovery phases, fill/flush/steal/carve).
+    /// recovery phases, carves; fill/flush/steal at `FlightLevel::All`).
     pub(crate) journal: Journal,
     /// Crash-surviving protocol-event ring living inside the pool's
     /// metadata region (see [`crate::flight`]). The volatile journal's
@@ -184,13 +184,18 @@ impl HeapInner {
         }
     }
 
-    /// Record a protocol event: the volatile journal and the pool's
-    /// crash-surviving flight ring (level-gated; see [`crate::flight`])
-    /// share one schema and this one way in.
+    /// Record an event: the volatile journal and the pool's
+    /// crash-surviving flight ring share one schema and this one way in.
+    /// Fill/flush/steal samples reach either only at [`FlightLevel::All`]
+    /// (a journal record is a `fetch_add` on one shared head, hundreds of
+    /// times per thousand operations); carves and protocol steps are
+    /// always journaled, and the ring gates itself ([`crate::flight`]).
     #[inline]
     pub(crate) fn emit(&self, kind: EventKind, a: u64, b: u64) {
-        self.journal.record(kind, a, b);
-        self.flight.record(&self.pool, kind, a, b);
+        if !flight::is_sample(kind) || self.flight.level() == FlightLevel::All {
+            self.journal.record(kind, a, b);
+            self.flight.record(&self.pool, kind, a, b);
+        }
     }
 
     /// Number of superblocks carved so far (the paper's `used`).
@@ -578,15 +583,17 @@ impl Ralloc {
         self.inner.home_shard()
     }
 
-    /// The owning shard of the superblock containing `ptr` (`sb % S`) —
-    /// the shard whose ring a remote free of `ptr` would ride.
+    /// The recorded owner of the superblock containing `ptr`: the home
+    /// shard of the thread whose fill last claimed it (after a rebuild,
+    /// `sb % S`), reduced to this run's shard count — the shard whose
+    /// ring a free of `ptr` from any other shard would ride right now.
     pub fn owner_shard_of(&self, ptr: *const u8) -> u32 {
         let inner = &*self.inner;
         let off = (ptr as usize)
             .checked_sub(inner.pool.base() as usize)
             .expect("owner_shard_of: pointer below heap");
         let sb = inner.geo.sb_index_of(off).expect("owner_shard_of: pointer outside superblocks");
-        shard::place_superblock(sb, inner.shards)
+        Desc::new(&inner.pool, &inner.geo, sb as u32).owner(inner.shards)
     }
 
     /// Slow-path event counters.
@@ -604,8 +611,8 @@ impl Ralloc {
     }
 
     /// The persistence-protocol event journal (grow/shrink phases,
-    /// recovery phases, fill/flush/steal/carve; see
-    /// [`telemetry::EventKind`]).
+    /// recovery phases, carves — and fill/flush/steal samples when the
+    /// flight level is `All`; see [`telemetry::EventKind`]).
     pub fn journal(&self) -> &Journal {
         &self.inner.journal
     }
@@ -775,10 +782,9 @@ mod batch_tests {
     use crate::RallocConfig;
 
     /// Ring-off config: these tests pin down the *direct* anchor-CAS
-    /// protocol (now the ring-off/fallback path). With rings on, whether
-    /// a flushed group takes a CAS or a ring push depends on the test
-    /// thread's token hash vs. the superblock's owner — nondeterministic
-    /// across runs. The ring path has its own tests below.
+    /// protocol (the local and ring-off/fallback path). One thread
+    /// flushing what it filled is local with rings on too; ring-off says
+    /// so in the config. The ring path has its own tests below.
     fn direct() -> RallocConfig {
         RallocConfig { remote_ring: false, ..Default::default() }
     }
@@ -1190,7 +1196,10 @@ mod remote_ring_tests {
     //! belongs to another shard rides that shard's MPSC ring for zero
     //! producer-side anchor CASes, the owner reclaims it in bulk during
     //! fill, overflow degrades to the direct grouped-CAS protocol, and
-    //! teardown paths drain the rings so nothing is stranded.
+    //! teardown paths drain the rings so nothing is stranded. A
+    //! superblock belongs to the shard of the thread that filled from it,
+    //! so the guaranteed-remote frees here are blocks another thread
+    //! allocated.
 
     use super::*;
     use crate::anchor::SbState;
@@ -1208,6 +1217,23 @@ mod remote_ring_tests {
         ptrs.chunks(mc).map(|c| c.to_vec()).collect()
     }
 
+    /// [`alloc_superblocks`] run to completion on a spawned thread whose
+    /// home shard is not the caller's: every returned superblock is owned
+    /// by that other shard, so the caller flushing its blocks is remote.
+    fn alloc_superblocks_elsewhere(heap: &Ralloc, n: usize) -> Vec<Vec<usize>> {
+        let home = heap.current_home_shard();
+        for _ in 0..64 {
+            let heap = heap.clone();
+            let worker = std::thread::spawn(move || {
+                (heap.current_home_shard() != home).then(|| alloc_superblocks(&heap, n))
+            });
+            if let Some(sbs) = worker.join().unwrap() {
+                return sbs;
+            }
+        }
+        panic!("S > 1, yet no spawned thread landed on a foreign shard");
+    }
+
     fn owner_of(heap: &Ralloc, chunk: &[usize]) -> u32 {
         heap.owner_shard_of(chunk[0] as *const u8)
     }
@@ -1221,11 +1247,11 @@ mod remote_ring_tests {
             return;
         }
         let home = heap.current_home_shard();
-        let sbs = alloc_superblocks(&heap, heap.partial_shards() as usize + 1);
+        let sbs = alloc_superblocks_elsewhere(&heap, 2);
         let remote = sbs
             .iter()
             .find(|c| owner_of(&heap, c) != home)
-            .expect("S > 1 guarantees a foreign-owned superblock");
+            .expect("another shard's thread filled these superblocks");
         let s = heap.slow_stats();
         let flush_cas0 = s.flush_anchor_cas.load(Ordering::Relaxed);
         let mut batch: Vec<usize> = remote[..10].to_vec();
@@ -1251,11 +1277,11 @@ mod remote_ring_tests {
             return;
         }
         let home = heap.current_home_shard();
-        let sbs = alloc_superblocks(&heap, heap.partial_shards() as usize + 1);
+        let sbs = alloc_superblocks_elsewhere(&heap, 2);
         let remote = sbs
             .iter()
             .find(|c| owner_of(&heap, c) != home)
-            .expect("S > 1 guarantees a foreign-owned superblock");
+            .expect("another shard's thread filled these superblocks");
         let owner = owner_of(&heap, remote);
         // Three disjoint groups onto the owner's ring, 16 blocks each.
         for g in 0..3 {
@@ -1298,12 +1324,11 @@ mod remote_ring_tests {
         }
         let mc = class_max_count(8) as usize;
         let home = heap.current_home_shard();
-        let shards = heap.partial_shards() as usize;
-        // Owners repeat every S superblocks, so 3S chunks give at least
-        // three populations per foreign owner.
-        let sbs = alloc_superblocks(&heap, 3 * shards);
-        let target = owner_of(&heap, &sbs[0]).wrapping_add(1) % heap.partial_shards();
-        let target = if target == home { (target + 1) % heap.partial_shards() } else { target };
+        // One foreign thread filled all three, so one foreign shard owns
+        // three whole populations.
+        let sbs = alloc_superblocks_elsewhere(&heap, 3);
+        let target = owner_of(&heap, &sbs[0]);
+        assert_ne!(target, home);
         let victims: Vec<&Vec<usize>> =
             sbs.iter().filter(|c| owner_of(&heap, c) == target).collect();
         assert!(victims.len() >= 3, "expected ≥3 chunks for shard {target}");
@@ -1346,13 +1371,13 @@ mod remote_ring_tests {
             eprintln!("skipping: remote rings disabled (RALLOC_REMOTE_RING/RALLOC_SHARDS?)");
             return;
         }
-        if heap.partial_shards() < 4 {
-            eprintln!("skipping: needs ≥4 shards so local groups stay under the escalation bound");
-            return;
-        }
         let home = heap.current_home_shard();
-        let sbs = alloc_superblocks(&heap, 24);
+        // Four superblocks of our own (under the escalation bound of 8)
+        // among twenty another shard's thread filled.
+        let mut sbs = alloc_superblocks(&heap, 4);
+        sbs.extend(alloc_superblocks_elsewhere(&heap, 20));
         let locals = sbs.iter().filter(|c| owner_of(&heap, c) == home).count() as u64;
+        assert_eq!(locals, 4);
         // Two blocks from each of 24 superblocks, interleaved: 24 groups —
         // triple the pre-ring escalation bound — but only the handful of
         // local ones count toward it now.
@@ -1381,8 +1406,8 @@ mod remote_ring_tests {
             eprintln!("skipping: remote rings disabled (RALLOC_REMOTE_RING/RALLOC_SHARDS?)");
             return;
         }
-        let n = heap.partial_shards() as usize + 1;
-        let sbs = alloc_superblocks(&heap, n);
+        let mut sbs = alloc_superblocks(&heap, 1);
+        sbs.extend(alloc_superblocks_elsewhere(&heap, heap.partial_shards() as usize));
         // Whole populations: local groups retire their superblock outright,
         // remote groups park on rings until shrink drains them.
         for chunk in &sbs {

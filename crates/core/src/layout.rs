@@ -41,8 +41,10 @@ use crate::size_class::SB_SIZE;
 /// multi-region frontiers — the descriptor region gains its own
 /// persisted committed frontier (`DESC_COMMITTED_LEN_OFF`) so descriptor
 /// and superblock space grow and shrink independently instead of the
-/// descriptor region being implicitly committed wholesale (this build).
-pub const MAGIC: u64 = 0x52_41_4C_4C_4F_43_00_05;
+/// descriptor region being implicitly committed wholesale. v6: the
+/// partial-list heads are stored shard-major, so no two shards' heads
+/// share a cache line (see [`Geometry::partial_head`]; this build).
+pub const MAGIC: u64 = 0x52_41_4C_4C_4F_43_00_06;
 
 /// Descriptor stride in bytes (one cache line, paper §4.2).
 pub const DESC_SIZE: usize = 64;
@@ -94,15 +96,17 @@ pub const ROOTS_OFF: usize = 64;
 /// region reserves head slots for this many; the *live* shard count is a
 /// runtime config (`RallocConfig::partial_shards`) clamped to it.
 pub const MAX_SHARDS: usize = 16;
-/// Per-class, per-shard partial-list heads (`Counted`),
-/// `40 * MAX_SHARDS` slots. Transient: reset and rebuilt by recovery, so
-/// the live shard count may change between runs.
+/// Per-shard, per-class partial-list heads (`Counted`),
+/// `MAX_SHARDS * 40` slots, shard-major. Transient: reset and rebuilt by
+/// recovery, so the live shard count may change between runs.
 pub const PARTIAL_HEADS_OFF: usize = ROOTS_OFF + NUM_ROOTS * 8;
 
 /// Total metadata-region size (fixed, independent of heap size).
 pub const META_SIZE: usize = 16 * 1024;
 
 const _: () = assert!(PARTIAL_HEADS_OFF + 40 * MAX_SHARDS * 8 <= META_SIZE);
+// One shard's 40 heads are exactly five cache lines of their own.
+const _: () = assert!(PARTIAL_HEADS_OFF.is_multiple_of(64) && (40 * 8usize).is_multiple_of(64));
 
 // ---- persistent flight-recorder ring (v4) ----
 //
@@ -260,11 +264,13 @@ impl Geometry {
     }
 
     /// Byte offset of the partial-list head for shard `shard` of `class`.
+    /// Shard-major (v6): a thread's pushes and pops CAS only its home
+    /// shard's five lines, never the line another shard's heads live on.
     #[inline]
     pub fn partial_head(&self, class: u32, shard: u32) -> usize {
         debug_assert!(class < 40);
         debug_assert!((shard as usize) < MAX_SHARDS);
-        PARTIAL_HEADS_OFF + (class as usize * MAX_SHARDS + shard as usize) * 8
+        PARTIAL_HEADS_OFF + (shard as usize * 40 + class as usize) * 8
     }
 }
 
@@ -348,7 +354,7 @@ mod tests {
         // (Ring-fits-the-slack is a compile-time `const _` assert next
         // to the constants themselves.)
         // The format version is the low byte of the magic.
-        assert_eq!(MAGIC & 0xFF, 5);
+        assert_eq!(MAGIC & 0xFF, 6);
     }
 
     #[test]
@@ -393,5 +399,19 @@ mod tests {
                 assert!(seen.insert(off), "head slot reused: class {class} shard {shard}");
             }
         }
+    }
+
+    #[test]
+    fn different_shards_heads_never_share_a_cache_line() {
+        let g = Geometry::from_pool_len(8 << 20);
+        let line = |class, shard| g.partial_head(class, shard) / 64;
+        for (ca, cb) in (0..40u32).flat_map(|a| (0..40u32).map(move |b| (a, b))) {
+            for (sa, sb) in (0..MAX_SHARDS as u32).flat_map(|a| (0..a).map(move |b| (a, b))) {
+                assert_ne!(line(ca, sa), line(cb, sb), "class {ca}/shard {sa} vs class {cb}/shard {sb}");
+            }
+        }
+        // ... nor a line with the words on either side of the region.
+        assert!((ROOTS_OFF + NUM_ROOTS * 8 - 8) / 64 < line(0, 0));
+        assert!(line(39, MAX_SHARDS as u32 - 1) < FLIGHT_OFF / 64);
     }
 }

@@ -434,7 +434,7 @@ mod tests {
         let _ = Ralloc::from_image(&image, RallocConfig::default());
     }
 
-    /// v3 and v4 were real formats of this allocator; nothing migrates
+    /// v3, v4 and v5 were real formats of this allocator; nothing migrates
     /// them any more. Each must be refused by name — clean or dirty,
     /// through the image path and the file path — and left untouched.
     #[test]
@@ -445,7 +445,7 @@ mod tests {
             let payload = r.expect_err("an older-format image must be refused");
             payload.downcast_ref::<String>().cloned().unwrap_or_default()
         };
-        for version in [3u8, 4] {
+        for version in [3u8, 4, 5] {
             for clean in [true, false] {
                 let heap = small_heap();
                 let p = heap.malloc(64);
@@ -455,9 +455,13 @@ mod tests {
                 }
                 let mut image = heap.pool().persistent_image();
                 // The older formats had the same geometry and header
-                // offsets; the descriptor-frontier word was zeroed slack.
+                // offsets. Before v5 the descriptor-frontier word was
+                // zeroed slack; v5 differs from this build only in where
+                // the (transient) partial-list heads sit.
                 image[0] = version;
-                image[layout::DESC_COMMITTED_LEN_OFF..layout::DESC_COMMITTED_LEN_OFF + 8].fill(0);
+                if version < 5 {
+                    image[layout::DESC_COMMITTED_LEN_OFF..layout::DESC_COMMITTED_LEN_OFF + 8].fill(0);
+                }
                 let what = format!("v{version} {}", if clean { "clean" } else { "dirty" });
                 let want = format!("metadata-format version {version} ");
 

@@ -21,6 +21,7 @@ use nvm::{PmemPool, PoolGuard, RegionSpec};
 use telemetry::{EventKind, Journal, Registry};
 
 use crate::config::{RallocConfig, JOURNAL_CAP};
+use crate::descriptor::Desc;
 use crate::flight::{self, FlightRecorder, FlightScan};
 use crate::frontier::Frontier;
 use crate::heap::{HeapInner, Ralloc};
@@ -393,12 +394,9 @@ impl HeapInner {
                         popped <= self.geo.max_sb,
                         "stale shard head cycles: corrupt clean image"
                     );
-                    self.partial(class).push(
-                        &self.pool,
-                        &self.geo,
-                        idx,
-                        shard::place_superblock(idx as usize, self.shards),
-                    );
+                    let to = shard::place_superblock(idx as usize, self.shards);
+                    Desc::new(&self.pool, &self.geo, idx).set_owner(to);
+                    self.partial(class).push(&self.pool, &self.geo, idx, to);
                 }
             }
         }

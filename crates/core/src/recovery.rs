@@ -32,7 +32,9 @@
 //! every partial superblock goes to shard
 //! [`place_superblock`](crate::shard::place_superblock)`(sb, S)`, a pure
 //! function of the superblock index, so the rebuilt state is *born
-//! sharded* and identical for any worker count. Each sweep worker
+//! sharded* and identical for any worker count; the same shard is
+//! stamped as the superblock's owner ([`Desc::set_owner`]), replacing
+//! whatever the dead run's fills left there. Each sweep worker
 //! accumulates its range's descriptors into local per-(class, shard)
 //! batches and publishes each batch with a **single** CAS
 //! ([`DescList::splice_slice`]); the publication cost is O(workers ×
@@ -448,8 +450,9 @@ fn sweep_range(
                         frees += 1;
                     }
                     SbState::Partial => {
-                        let s = place_superblock(i, shards as u32) as usize;
-                        partial_batches[class as usize * shards + s].push(i as u32);
+                        let s = place_superblock(i, shards as u32);
+                        d.set_owner(s);
+                        partial_batches[class as usize * shards + s as usize].push(i as u32);
                         partials += 1;
                     }
                     SbState::Full => fulls += 1,

@@ -3,12 +3,15 @@
 //! sharded heap).
 //!
 //! A thread freeing blocks whose superblock it does not *own* (the
-//! superblock's partial-list shard, `sb % S`, is not the freeing
-//! thread's home shard) used to pay one anchor CAS per touched
+//! superblock's recorded owner — the home shard of the thread whose fill
+//! last claimed it, [`crate::descriptor::Desc::owner`] — is not the
+//! freeing thread's home shard) used to pay one anchor CAS per touched
 //! superblock group at flush time — the producer/consumer bleeding cost
 //! the `flush_blocks_grouped` escalation machinery exists for. With the
 //! rings, the freeing thread instead parks the group (one
-//! superblock-coherent [`RemoteBatch`]) on the owning shard's ring:
+//! superblock-coherent [`RemoteBatch`]) on the owning shard's ring, so
+//! the blocks travel back to the thread that will allocate them again;
+//! a thread freeing its own blocks never comes here at all:
 //!
 //! * **Producer (any thread, wait-free, zero CAS)**: one relaxed
 //!   `fetch_add` claims a slot ticket, one `swap` publishes the batch
@@ -58,7 +61,10 @@ pub(crate) struct RemoteBatch {
 /// One shard's bounded MPSC ring of [`RemoteBatch`] pointers. Slots hold
 /// `Box::into_raw` pointers (0 = empty); every non-zero word is owned by
 /// exactly one party — the slot until a `swap` claims it, the claimant
-/// after.
+/// after. Cache-line aligned: rings sit back to back in one slice, and
+/// one shard's `tail`/`pushed`/`drained` traffic must not land on its
+/// neighbor's line.
+#[repr(align(64))]
 pub(crate) struct RemoteRing {
     slots: Box<[AtomicUsize]>,
     mask: usize,
@@ -240,6 +246,12 @@ mod tests {
         // count bump and the displacing swap).
         assert!(ring.high_water() <= ring.capacity() as u64 + 1);
         assert_eq!(ring.occupancy(), 2);
+    }
+
+    #[test]
+    fn adjacent_rings_share_no_cache_line() {
+        assert_eq!(std::mem::align_of::<RemoteRing>(), 64);
+        assert_eq!(std::mem::size_of::<RemoteRing>() % 64, 0);
     }
 
     #[test]

@@ -13,14 +13,20 @@
 //!   power of two). Pushes always go to the pusher's home shard, which
 //!   keeps a thread's recently-flushed superblocks on the shard it will
 //!   pop next — the same locality argument as the thread cache, one
-//!   level down.
-//! * **Work-stealing pops**: a Fill pops its home shard first; if that
-//!   shard is empty it probes the remaining shards in ring order before
-//!   giving up and letting the caller fall back to the superblock free
-//!   list or a fresh carve. A steal is a plain pop of a neighbor shard —
-//!   descriptor ownership transfers exactly as on the home path, so no
-//!   new synchronization is needed; the cost is bounded by `S - 1` extra
-//!   head loads when everything is empty.
+//!   level down. A shard's heads occupy cache lines of their own
+//!   ([`Geometry::partial_head`]), so home traffic shares no line with
+//!   another shard's.
+//! * **Ownership**: the fill that claims a superblock stamps its home
+//!   shard into the descriptor ([`crate::descriptor::Desc::owner`]);
+//!   flushes route by that word, so a thread's frees of blocks it
+//!   filled itself are always local (see [`crate::flush`]).
+//! * **Work-stealing**: a Fill pops its home shard ([`ShardedPartial::pop`]);
+//!   only when that *and* the superblock free list are empty does it
+//!   probe the remaining shards in ring order ([`ShardedPartial::steal`]).
+//!   A steal is a plain pop of a neighbor shard — descriptor ownership
+//!   transfers exactly as on the home path, so no new synchronization is
+//!   needed; the cost is bounded by `S - 1` extra head loads when
+//!   everything is empty.
 //!
 //! The shard count `S` is a *runtime* configuration
 //! ([`crate::RallocConfig::partial_shards`], env-overridable via
@@ -28,9 +34,10 @@
 //! reserves `MAX_SHARDS` head slots per class so the same pool image can
 //! be reopened under any shard count. The shards are transient like the
 //! global list they replace: recovery resets every head and rebuilds the
-//! lists *born sharded* — each superblock is placed on shard
-//! `sb_index % S` ([`place_superblock`]), a pure function of the index so
-//! 1-worker and N-worker rebuilds agree on per-shard membership.
+//! lists *born sharded* — each superblock is placed on (and owned by)
+//! shard `sb_index % S` ([`place_superblock`]), a pure function of the
+//! index so 1-worker and N-worker rebuilds agree on per-shard membership.
+//! That is the only use of `sb % S`: online, ownership follows fills.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -62,9 +69,10 @@ pub fn home_shard(token: u64, shards: u32) -> u32 {
     (h >> 32) as u32 % shards
 }
 
-/// Recovery-time placement: the shard that superblock `sb` is rebuilt
-/// onto. A pure function of the index so parallel sweep workers (and
-/// reruns with different worker counts) agree on per-shard membership.
+/// Rebuild-time placement (recovery, clean-reopen fold): the shard that
+/// superblock `sb` is rebuilt onto. A pure function of the index so
+/// parallel sweep workers (and reruns with different worker counts) agree
+/// on per-shard membership. Never consulted online.
 #[inline]
 pub fn place_superblock(sb: usize, shards: u32) -> u32 {
     (sb % shards as usize) as u32
@@ -115,15 +123,6 @@ fn parse_size(raw: &str) -> Option<usize> {
     digits.trim().parse::<usize>().ok().map(|n| n << shift)
 }
 
-/// Outcome of a sharded pop, so callers can account steals.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardPop {
-    /// The popped descriptor index.
-    pub idx: u32,
-    /// True when the descriptor came from a neighbor shard, not home.
-    pub stolen: bool,
-}
-
 /// The `S` partial-list shards of one size class.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardedPartial {
@@ -153,17 +152,16 @@ impl ShardedPartial {
         DescList::partial_shard(geo, self.class, home).push(pool, geo, idx);
     }
 
-    /// Pop from shard `home`, stealing from neighbors in ring order when
-    /// home is empty. `None` only when every shard is empty.
-    pub fn pop(&self, pool: &PmemPool, geo: &Geometry, home: u32) -> Option<ShardPop> {
+    /// Pop from shard `home` only.
+    #[inline]
+    pub fn pop(&self, pool: &PmemPool, geo: &Geometry, home: u32) -> Option<u32> {
         debug_assert!(home < self.shards);
-        for probe in 0..self.shards {
-            let s = (home + probe) % self.shards;
-            if let Some(idx) = DescList::partial_shard(geo, self.class, s).pop(pool, geo) {
-                return Some(ShardPop { idx, stolen: probe != 0 });
-            }
-        }
-        None
+        DescList::partial_shard(geo, self.class, home).pop(pool, geo)
+    }
+
+    /// Pop from the first non-empty neighbor of `home`, in ring order.
+    pub fn steal(&self, pool: &PmemPool, geo: &Geometry, home: u32) -> Option<u32> {
+        (1..self.shards).find_map(|probe| self.pop(pool, geo, (home + probe) % self.shards))
     }
 
     /// Reset every reserved head slot — not just the live shards, since a
@@ -245,11 +243,15 @@ mod tests {
         let sp = ShardedPartial::new(8, 4);
         sp.push(&pool, &geo, 10, 1);
         sp.push(&pool, &geo, 11, 3);
-        // Home hit: no steal flag.
-        assert_eq!(sp.pop(&pool, &geo, 1), Some(ShardPop { idx: 10, stolen: false }));
-        // Home (1) now empty: ring probe finds shard 3's element.
-        assert_eq!(sp.pop(&pool, &geo, 1), Some(ShardPop { idx: 11, stolen: true }));
+        // A steal never takes from home; a pop takes nothing else.
+        assert_eq!(sp.steal(&pool, &geo, 3), Some(10));
+        sp.push(&pool, &geo, 10, 1);
+        assert_eq!(sp.pop(&pool, &geo, 1), Some(10));
+        // Home (1) now empty: the pop misses, the ring probe finds shard
+        // 3's element.
         assert_eq!(sp.pop(&pool, &geo, 1), None);
+        assert_eq!(sp.steal(&pool, &geo, 1), Some(11));
+        assert_eq!(sp.steal(&pool, &geo, 1), None);
     }
 
     #[test]
@@ -259,7 +261,8 @@ mod tests {
         let b = ShardedPartial::new(6, 4);
         a.push(&pool, &geo, 7, 2);
         assert_eq!(b.pop(&pool, &geo, 2), None);
-        assert_eq!(a.pop(&pool, &geo, 2), Some(ShardPop { idx: 7, stolen: false }));
+        assert_eq!(b.steal(&pool, &geo, 0), None);
+        assert_eq!(a.pop(&pool, &geo, 2), Some(7));
     }
 
     #[test]
@@ -272,6 +275,7 @@ mod tests {
         let narrow = ShardedPartial::new(9, 2);
         narrow.reset_all(&pool, &geo);
         assert_eq!(wide.pop(&pool, &geo, 13), None);
+        assert_eq!(wide.steal(&pool, &geo, 13), None);
     }
 
     #[test]
@@ -317,8 +321,10 @@ mod tests {
                     s.spawn(move || {
                         let home = home_shard(t as u64, sp.shards());
                         let mut got = Vec::new();
-                        while let Some(p) = sp.pop(pool, geo, home) {
-                            got.push(p.idx);
+                        while let Some(idx) =
+                            sp.pop(pool, geo, home).or_else(|| sp.steal(pool, geo, home))
+                        {
+                            got.push(idx);
                         }
                         got
                     })

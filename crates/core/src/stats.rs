@@ -26,8 +26,8 @@ macro_rules! slow_stats {
         /// [`SlowStats::avg_flush_batch`] report the amortization factor.
         ///
         /// Every field is registered by its field name in the heap's metric
-        /// registry (see [`crate::Ralloc::telemetry`]). The `Counter` API mirrors
-        /// `AtomicU64` (`fetch_add`/`load`).
+        /// registry (see [`crate::Ralloc::telemetry`]). The `Counter` API keeps
+        /// `AtomicU64`'s call shape (`fetch_add`/`load`); bumps return nothing.
         #[derive(Debug, Default)]
         pub struct SlowStats {
             $($(#[$doc])* pub $name: Counter,)*
@@ -111,9 +111,9 @@ slow_stats! {
     /// Bin overflows resolved by the flush-half policy (0 unless
     /// [`crate::RallocConfig::flush_half`] is set).
     half_flushes,
-    /// Blocks a flush classified as *remote* (superblock owned by a shard
-    /// other than the freeing thread's home). Counted in both ring modes,
-    /// so `remote_anchor_cas / remote_free_blocks` is the comparable
+    /// Blocks a flush classified as *remote* (superblock last filled by a
+    /// thread of another shard than the freeing thread's). Counted in both ring
+    /// modes, so `remote_anchor_cas / remote_free_blocks` is the comparable
     /// remote-free CAS cost.
     remote_free_blocks,
     /// Anchor CASes spent returning remote groups: every remote group

@@ -79,7 +79,7 @@ pub fn dump(image: &[u8]) -> String {
         return s;
     };
     let version = match magic {
-        MAGIC => "v5 (current)".to_string(),
+        MAGIC => format!("v{} (current)", MAGIC & 0xFF),
         m if m & !0xFF == MAGIC & !0xFF => {
             format!("v{} (another format version: this build refuses it)", m & 0xFF)
         }

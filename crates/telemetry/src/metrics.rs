@@ -1,10 +1,11 @@
 //! Metric primitives: sharded counters, gauges, log2 histograms.
 //!
-//! [`Counter`] deliberately mirrors the `AtomicU64` method surface
-//! (`fetch_add`, `load`) so stats structs migrated onto the registry keep
-//! their field-access API: existing callers of
-//! `stats.cache_fills.load(Ordering::Relaxed)` compile unchanged against
-//! a sharded counter.
+//! [`Counter`] keeps the `AtomicU64` *call shape* (`fetch_add`, `load`) so
+//! stats structs migrated onto the registry keep their field-access API:
+//! `stats.cache_fills.load(Ordering::Relaxed)` compiles unchanged against
+//! a sharded counter. The write half returns nothing — a running total
+//! would have to read every shard, which is exactly the cross-thread
+//! traffic sharding exists to avoid.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -39,9 +40,12 @@ struct CounterInner {
 }
 
 /// A monotonic counter, sharded across cache-line-padded relaxed atomics.
-/// Writes are one relaxed `fetch_add` on the calling thread's shard — no
-/// CAS, no cross-thread cache-line traffic. Reads sum the shards (exact,
-/// since shards only ever grow). Cheaply cloneable; clones share state.
+/// A write is one relaxed `fetch_add` on the calling thread's shard and
+/// touches no other line: no CAS, and no cross-thread cache-line traffic
+/// unless two live threads drew the same shard (tokens are round-robin
+/// `% 8`) or a reader is summing. Reads load all shards (exact, since
+/// shards only ever grow) and so pull every writer's line — keep them off
+/// hot paths. Cheaply cloneable; clones share state.
 #[derive(Clone, Default)]
 pub struct Counter(Arc<CounterInner>);
 
@@ -71,15 +75,14 @@ impl Counter {
         self.0.shards.iter().map(|s| s.0.load(Ordering::Relaxed)).sum()
     }
 
-    /// `AtomicU64`-compatible write. The ordering argument is accepted
-    /// for source compatibility; counter writes are always relaxed
-    /// (they are statistics, not synchronization). Returns the running
-    /// total *before* the add, like `AtomicU64::fetch_add`.
+    /// `AtomicU64`-shaped write: [`Counter::add`] with an ordering
+    /// argument accepted for source compatibility (counter writes are
+    /// always relaxed — statistics, not synchronization). Unit-typed on
+    /// purpose: returning the previous total would load every shard on
+    /// every bump.
     #[inline]
-    pub fn fetch_add(&self, n: u64, _order: Ordering) -> u64 {
-        let before = self.get();
+    pub fn fetch_add(&self, n: u64, _order: Ordering) {
         self.add(n);
-        before
     }
 
     /// `AtomicU64`-compatible read (sum over shards; ordering accepted
@@ -415,8 +418,9 @@ mod tests {
     #[test]
     fn counter_atomicu64_surface() {
         let c = Counter::new();
-        assert_eq!(c.fetch_add(5, Ordering::Relaxed), 0);
-        assert_eq!(c.fetch_add(2, Ordering::Relaxed), 5);
+        // The write half is bump-only: it must not hand back a total.
+        let () = c.fetch_add(5, Ordering::Relaxed);
+        let () = c.fetch_add(2, Ordering::Relaxed);
         assert_eq!(c.load(Ordering::Relaxed), 7);
     }
 

@@ -581,18 +581,18 @@ fn crashed_remote_rings_leak_nothing() {
         eprintln!("skipping: remote rings disabled (RALLOC_REMOTE_RING/RALLOC_SHARDS?)");
         return;
     }
-    // A producer thread drains five whole 64 B superblock populations
-    // through its cache and exits with an empty bin, so its thread-exit
-    // drain returns nothing: every block is owned by the test body.
+    // A producer thread on another shard drains five whole 64 B
+    // superblock populations through its cache and exits with an empty
+    // bin, so its thread-exit drain returns nothing: every block is held
+    // by the test body, in superblocks the producer's shard owns.
     let per_sb = ralloc::SB_SIZE / 64;
-    let ptrs: Vec<usize> = std::thread::scope(|s| {
-        s.spawn(|| (0..5 * per_sb).map(|_| heap.malloc(64) as usize).collect())
-            .join()
-            .unwrap()
-    });
+    let ptrs: Vec<usize> = suite::on_another_shard(&heap, heap.current_home_shard(), || {
+        (0..5 * per_sb).map(|_| heap.malloc(64) as usize).collect()
+    })
+    .expect("no producer landed on another shard");
     assert!(ptrs.iter().all(|&p| p != 0));
     // The consumer (this thread) frees all of them: each whole-bin flush
-    // routes its foreign-owned groups onto the owners' remote rings.
+    // routes its foreign-owned groups onto the owner's remote ring.
     for &p in &ptrs {
         heap.free(p as *mut u8);
     }

@@ -1,6 +1,7 @@
 //! Remote-free rings under a producer/consumer split (the shape the
 //! rings exist for): producers allocate, a consumer thread frees, so
-//! every freed group belongs to a superblock the consumer does not own.
+//! every freed group belongs to a superblock the consumer does not own —
+//! its owner is the shard of the producer whose fill claimed it.
 //!
 //! Ring-off, each such group costs the consumer one anchor CAS on a
 //! cache line the owner is concurrently filling from. Ring-on, the
@@ -12,6 +13,7 @@
 use std::sync::atomic::Ordering;
 
 use ralloc::{Ralloc, RallocConfig};
+use suite::on_another_shard;
 
 /// Producers allocate, the consumer frees; reports
 /// `(remote_anchor_cas, remote_free_blocks, rings_enabled)`.
@@ -28,24 +30,20 @@ use ralloc::{Ralloc, RallocConfig};
 fn prodcon(cfg: RallocConfig, producers: usize, per_producer: usize) -> (u64, u64, bool) {
     let heap = Ralloc::create(64 << 20, cfg);
     let enabled = heap.remote_rings_enabled();
-    let batches: Vec<Vec<usize>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..producers)
-            .map(|_| {
-                s.spawn(|| {
-                    (0..per_producer)
-                        .map(|i| {
-                            let p = heap.malloc(64);
-                            assert!(!p.is_null());
-                            // SAFETY: fresh 64-byte block.
-                            unsafe { std::ptr::write(p as *mut u64, i as u64) };
-                            p as usize
-                        })
-                        .collect::<Vec<usize>>()
+    let mut batches: Vec<Vec<usize>> = Vec::new();
+    while batches.len() < producers {
+        batches.extend(on_another_shard(&heap, heap.current_home_shard(), || {
+            (0..per_producer)
+                .map(|i| {
+                    let p = heap.malloc(64);
+                    assert!(!p.is_null());
+                    // SAFETY: fresh 64-byte block.
+                    unsafe { std::ptr::write(p as *mut u64, i as u64) };
+                    p as usize
                 })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("producer panicked")).collect()
-    });
+                .collect::<Vec<usize>>()
+        }));
+    }
     for p in batches.into_iter().flatten() {
         heap.free(p as *mut u8);
     }
@@ -109,5 +107,62 @@ fn prodcon_rings_leave_a_consistent_reusable_heap() {
     });
     heap.shrink();
     let report = ralloc::check_heap(&heap);
+    assert!(report.is_consistent(), "{:?}", report.violations);
+}
+
+#[test]
+#[cfg_attr(feature = "telemetry-off", ignore = "asserts telemetry counters, which are compiled out")]
+fn consumer_frees_ride_the_producers_ring_and_come_back_without_cas() {
+    // One producer, one consumer, on different shards. The producer's
+    // fills own the superblocks, so every group the consumer flushes is
+    // remote and parks on the *producer's* ring; the producer's next
+    // fills drain them straight back into its bin.
+    let heap = &Ralloc::create(64 << 20, RallocConfig::default());
+    if !heap.remote_rings_enabled() {
+        eprintln!("skipping: remote rings disabled (RALLOC_REMOTE_RING/RALLOC_SHARDS?)");
+        return;
+    }
+    const N: usize = 2 * (ralloc::SB_SIZE / 64); // two whole superblocks
+    let alloc_all = || (0..N).map(|_| heap.malloc(64) as usize).collect::<Vec<usize>>();
+    let stats = heap.slow_stats();
+    let (blocks_tx, blocks_rx) = std::sync::mpsc::channel();
+    let (freed_tx, freed_rx) = std::sync::mpsc::channel::<()>();
+    std::thread::scope(|s| {
+        let producer = s.spawn(move || {
+            blocks_tx.send((heap.current_home_shard(), alloc_all())).unwrap();
+            freed_rx.recv().unwrap();
+            // Same thread, same home shard: the owner drain.
+            (stats.fill_anchor_cas.load(Ordering::Relaxed), alloc_all())
+        });
+        let (producer_home, mut blocks) = blocks_rx.recv().unwrap();
+        assert!(blocks.iter().all(|&p| p != 0));
+        for &p in &blocks {
+            assert_eq!(heap.owner_shard_of(p as *const u8), producer_home);
+        }
+        // The consumer exits, so its bin flushes to the last block.
+        on_another_shard(heap, producer_home, || {
+            for &p in &blocks {
+                heap.free(p as *mut u8);
+            }
+        })
+        .expect("no thread landed off the producer's shard");
+        let remote = stats.remote_free_blocks.load(Ordering::Relaxed);
+        assert_eq!(remote, N as u64, "every consumer free is remote");
+        assert_eq!(stats.remote_ring_push_blocks.load(Ordering::Relaxed), remote);
+        assert_eq!(stats.remote_ring_overflows.load(Ordering::Relaxed), 0);
+        assert_eq!(stats.flush_anchor_cas.load(Ordering::Relaxed), 0, "a ringed group touched its anchor");
+
+        let fill_cas0 = stats.fill_anchor_cas.load(Ordering::Relaxed);
+        freed_tx.send(()).unwrap();
+        let (fill_cas, mut again) = producer.join().unwrap();
+        assert_eq!(fill_cas, fill_cas0, "the owner drain refills with zero anchor CAS");
+        assert_eq!(stats.remote_ring_drain_blocks.load(Ordering::Relaxed), remote);
+        assert_eq!(stats.remote_anchor_cas.load(Ordering::Relaxed), 0);
+        assert_eq!(heap.used_superblocks(), 2, "drained blocks were bypassed for a carve");
+        blocks.sort_unstable();
+        again.sort_unstable();
+        assert_eq!(again, blocks, "the producer got its own blocks back");
+    });
+    let report = ralloc::check_heap(heap);
     assert!(report.is_consistent(), "{:?}", report.violations);
 }

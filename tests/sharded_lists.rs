@@ -431,3 +431,160 @@ fn shard_count_change_across_restart_recovers() {
         assert!(!p.is_null());
     }
 }
+
+#[test]
+#[cfg_attr(feature = "telemetry-off", ignore = "asserts telemetry counters, which are compiled out")]
+fn private_churn_never_leaves_the_threads_own_shard() {
+    // Two threads, no block ever crosses: each pins one block of every
+    // superblock it filled (so none can empty and change hands through
+    // the free list) and cycles the other three. Ownership follows the
+    // filler, so every flush is local and every fill finds its thread's
+    // own partial superblocks on its home shard — whatever the schedule,
+    // and even if both tokens hash to one shard.
+    const SBS: usize = 12;
+    const ROUNDS: usize = 40;
+    let heap = Ralloc::create(32 << 20, sharded_cfg(4));
+    let populated = std::sync::Barrier::new(2);
+    let homes = std::thread::scope(|s| {
+        let worker = || {
+            s.spawn(|| {
+                // Populate by carving: nothing has been freed anywhere.
+                let mut held: Vec<*mut u8> = (0..SBS * 4).map(|_| heap.malloc(BLOCK)).collect();
+                assert!(held.iter().all(|p| !p.is_null()));
+                populated.wait();
+                for _ in 0..ROUNDS {
+                    // Blocks 4k are the pins; fills hand a fresh
+                    // superblock out whole, so 4k..4k+4 share one.
+                    for (i, p) in held.iter_mut().enumerate().filter(|(i, _)| i % 4 != 0) {
+                        heap.free(*p);
+                        *p = if i % 2 == 0 { heap.malloc(BLOCK) } else { std::ptr::null_mut() };
+                    }
+                    for p in held.iter_mut().filter(|p| p.is_null()) {
+                        *p = heap.malloc(BLOCK);
+                        assert!(!p.is_null());
+                    }
+                }
+                for p in held {
+                    heap.free(p);
+                }
+                heap.current_home_shard()
+            })
+        };
+        // Explicit joins return after the threads' exit-time cache drains.
+        [worker(), worker()].map(|w| w.join().unwrap())
+    });
+    let s = heap.slow_stats();
+    assert_eq!(s.remote_free_blocks.load(Ordering::Relaxed), 0, "a thread's own free went remote");
+    assert_eq!(s.remote_ring_pushes.load(Ordering::Relaxed), 0);
+    assert_eq!(s.partial_steals.load(Ordering::Relaxed), 0, "threads traded superblocks");
+    assert!(s.partial_pops_home.load(Ordering::Relaxed) >= (2 * ROUNDS) as u64);
+    // (Two threads on one shard can each find it empty for the instant
+    // the other holds a popped superblock unclaimed, and carve.)
+    if homes[0] != homes[1] {
+        assert_eq!(heap.used_superblocks(), 2 * SBS, "the cycling phase carved");
+    }
+    heap.shrink();
+    assert_eq!(heap.used_superblocks(), 0);
+    let report = check_heap(&heap);
+    assert!(report.is_consistent(), "{:?}", report.violations);
+}
+
+/// A list of `n` 14336 B nodes (whole superblocks, every block
+/// reachable), persisted and rooted at slot 0.
+fn rooted_block_list(heap: &Ralloc, n: u64) {
+    let mut head: *mut Node = std::ptr::null_mut();
+    for i in 0..n {
+        let p = heap.malloc(BLOCK) as *mut Node;
+        assert!(!p.is_null());
+        // SAFETY: fresh block, larger than a Node.
+        unsafe {
+            (*p).value = i;
+            (*p).next.set(head);
+        }
+        heap.pool().persist(p as usize - heap.pool().base() as usize, std::mem::size_of::<Node>());
+        head = p;
+    }
+    heap.set_root::<Node>(0, head);
+}
+
+/// Free the list rooted at slot 0 from one fresh thread (its exit
+/// flushes its bins), then check that every block made it home whichever
+/// ring or anchor its superblock's owner word sent it to.
+fn free_rooted_list_and_expect_an_empty_heap(heap: &Ralloc, n: u64) {
+    let head = heap.get_root::<Node>(0) as usize;
+    heap.set_root::<Node>(0, std::ptr::null());
+    let freed = std::thread::scope(|s| {
+        s.spawn(|| {
+            let (mut p, mut freed) = (head as *mut Node, 0);
+            while !p.is_null() {
+                // SAFETY: a live node of the list `rooted_block_list` built.
+                let next = unsafe { (*p).next.as_ptr() };
+                heap.free(p as *mut u8);
+                freed += 1;
+                p = next;
+            }
+            freed
+        })
+        .join()
+        .unwrap()
+    });
+    assert_eq!(freed, n);
+    heap.shrink(); // drains every ring first
+    assert_eq!(heap.used_superblocks(), 0, "a block was lost on the way home");
+    let report = check_heap(heap);
+    assert!(report.is_consistent(), "{:?}", report.violations);
+}
+
+#[test]
+fn owner_words_from_a_wider_run_route_safely_after_a_clean_reopen() {
+    // Filled under 16 shards, so the recorded owners run up to 15; closed
+    // cleanly, so no recovery re-stamps them; reopened under 2 shards.
+    let heap = Ralloc::create(32 << 20, sharded_cfg(16));
+    // (Under a RALLOC_SHARDS override of ≤ 2 any filler will do.)
+    let wide = heap.partial_shards() > 2;
+    let built = (0..64).any(|_| {
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let past_the_reopen = !wide || heap.current_home_shard() >= 2;
+                if past_the_reopen {
+                    rooted_block_list(&heap, 8);
+                }
+                past_the_reopen
+            })
+            .join()
+            .unwrap()
+        })
+    });
+    assert!(built, "no thread's home shard was past 1");
+    heap.close().unwrap();
+    let image = heap.pool().persistent_image();
+    drop(heap);
+
+    let (h2, dirty) = Ralloc::from_image(&image, sharded_cfg(2));
+    assert!(!dirty);
+    free_rooted_list_and_expect_an_empty_heap(&h2, 8);
+}
+
+#[test]
+fn garbage_owner_words_in_a_crash_image_route_safely() {
+    let heap = Ralloc::create(32 << 20, sharded_cfg(4));
+    rooted_block_list(&heap, 8);
+    heap.crash_simulated();
+    let image = heap.pool().persistent_image();
+    drop(heap);
+
+    let (h2, dirty) = Ralloc::from_image(&image, sharded_cfg(4));
+    assert!(dirty);
+    // Whatever a torn or foreign image left in the transient owner words:
+    // far out of range, all ones, and a value that is in range.
+    let geo = h2.geometry();
+    for sb in 0..h2.used_superblocks() as u32 {
+        let garbage = [0xDEAD_BEEF, u32::MAX, h2.partial_shards(), 1][sb as usize % 4];
+        ralloc::descriptor::Desc::new(h2.pool(), &geo, sb).set_owner(garbage);
+    }
+    let _ = h2.get_root::<Node>(0); // re-register the filter
+    // Both superblocks are FULL, and recovery stamps only the partial
+    // ones it enlists: the garbage is what the frees below route by.
+    assert_eq!(h2.recover().reachable_blocks, 8);
+    free_rooted_list_and_expect_an_empty_heap(&h2, 8);
+}
