@@ -15,12 +15,10 @@
 //! A second shape, `prodcon`, splits allocation from deallocation:
 //! producer threads malloc and hand blocks over a bounded channel,
 //! consumer threads free them — every free is **remote** (the freeing
-//! thread never owns the block's superblock), the shape the remote-free
-//! rings (`ralloc::remote`) exist for. It runs ring-on and ring-off on
-//! otherwise identical heaps and reports anchor CASes per remote free
-//! from the allocator's own counters; on a single-CPU host wall-clock
-//! barely moves, so the CAS collapse is the measured effect and the
-//! bench hard-asserts the ≥10× reduction.
+//! thread never owns the block's superblock), so each flushed group is
+//! one anchor CAS on a superblock its producer is filling from. It
+//! reports anchor CASes per remote free from the allocator's own
+//! counters next to the throughput.
 //!
 //! Emits `BENCH_contend.json` at the workspace root:
 //! `{shape, threads, shards, mops, ...}` per point. Set
@@ -196,50 +194,30 @@ fn main() {
             ));
         }
     }
-    // Producer/consumer split: 100 % remote frees. The acceptance metric
-    // is anchor CASes per remote free, ring-off vs ring-on — counters,
-    // not wall-clock, because a single-CPU host serializes the threads
-    // and hides the cache-line transfer the rings eliminate.
+    // Producer/consumer split: 100 % remote frees.
     for &pairs in &[1usize, 4] {
-        let mut cas_per_free = [0.0f64; 2]; // [ring-off, ring-on]
-        for ring in [false, true] {
-            let heap =
-                Ralloc::create(512 << 20, RallocConfig { remote_ring: ring, ..Default::default() });
-            assert_eq!(heap.remote_rings_enabled(), ring, "RALLOC_REMOTE_RING override set?");
-            let _ = prodcon_throughput(&heap, pairs, window / 4); // warmup
-            let stats = heap.slow_stats();
-            let blocks0 = stats.remote_free_blocks.load(Ordering::Relaxed);
-            let cas0 = stats.remote_anchor_cas.load(Ordering::Relaxed);
-            let mops = prodcon_throughput(&heap, pairs, window);
-            let blocks = stats.remote_free_blocks.load(Ordering::Relaxed) - blocks0;
-            let cas = stats.remote_anchor_cas.load(Ordering::Relaxed) - cas0;
-            assert!(blocks > 0, "prodcon produced no remote frees");
-            let ratio = cas as f64 / blocks as f64;
-            cas_per_free[ring as usize] = ratio;
-            println!(
-                "prodcon x{pairs} pairs ring={}: {mops:.3} Mops/s \
-                 ({cas} anchor CASes / {blocks} remote frees = {ratio:.5})",
-                if ring { "on" } else { "off" }
-            );
-            entries.push(format!(
-                "    {{\"shape\": \"prodcon\", \"pairs\": {pairs}, \"threads\": {}, \
-                 \"shards\": {}, \"ring\": {ring}, \"mops\": {mops:.3}, \
-                 \"remote_free_blocks\": {blocks}, \"remote_anchor_cas\": {cas}, \
-                 \"remote_cas_per_free\": {ratio:.6}}}",
-                2 * pairs,
-                heap.partial_shards()
-            ));
-        }
-        let [off, on] = cas_per_free;
-        assert!(
-            on * 10.0 <= off,
-            "remote rings must cut anchor CASes per remote free >=10x at {pairs} pairs: \
-             off {off:.6} vs on {on:.6}"
-        );
+        let heap = Ralloc::create(512 << 20, RallocConfig::default());
+        let _ = prodcon_throughput(&heap, pairs, window / 4); // warmup
+        let stats = heap.slow_stats();
+        let blocks0 = stats.remote_free_blocks.load(Ordering::Relaxed);
+        let cas0 = stats.remote_anchor_cas.load(Ordering::Relaxed);
+        let mops = prodcon_throughput(&heap, pairs, window);
+        let blocks = stats.remote_free_blocks.load(Ordering::Relaxed) - blocks0;
+        let cas = stats.remote_anchor_cas.load(Ordering::Relaxed) - cas0;
+        assert!(blocks > 0, "prodcon produced no remote frees");
+        let ratio = cas as f64 / blocks as f64;
         println!(
-            "prodcon x{pairs} pairs: ring-off/ring-on CAS ratio = {:.1}x",
-            if on == 0.0 { f64::INFINITY } else { off / on }
+            "prodcon x{pairs} pairs: {mops:.3} Mops/s \
+             ({cas} anchor CASes / {blocks} remote frees = {ratio:.5})"
         );
+        entries.push(format!(
+            "    {{\"shape\": \"prodcon\", \"pairs\": {pairs}, \"threads\": {}, \
+             \"shards\": {}, \"mops\": {mops:.3}, \
+             \"remote_free_blocks\": {blocks}, \"remote_anchor_cas\": {cas}, \
+             \"remote_cas_per_free\": {ratio:.6}}}",
+            2 * pairs,
+            heap.partial_shards()
+        ));
     }
     let json = format!(
         "{{\n  \"bench\": \"micro_contend\",\n  \"unit\": \"Mops/s malloc+free pairs, 14336 B (slow-path-heavy churn)\",\n  \"meta\": {},\n  \"results\": [\n{}\n  ]\n}}\n",

@@ -8,13 +8,26 @@
 //! 1. **Geometry**: header magic/length/capacity are self-consistent.
 //! 2. **Descriptor sanity**: every carved descriptor classifies as a
 //!    valid small class, large head, continuation, or free superblock.
-//! 3. **Anchor consistency**: `count` free blocks are actually chained
-//!    from `avail`, all indices in range, no cycles, no duplicates.
+//! 3. **Anchor consistency**: a PARTIAL superblock's `count` free blocks
+//!    are actually chained from `avail`, all indices in range, no cycles,
+//!    no duplicates; an EMPTY one has `count == max_count` (see below).
 //! 4. **List membership**: every EMPTY superblock reachable from the free
 //!    list, every PARTIAL one from exactly one partial list of its own
 //!    class, no descriptor on two lists, counters monotone.
 //! 5. **Span integrity**: live large blocks own contiguous
 //!    `CONTINUATION`-tagged spans that never overlap other spans.
+//!
+//! An EMPTY superblock's chain is not an invariant, so it is not walked.
+//! A flush that returns a whole population takes the superblock
+//! FULL→EMPTY without linking a single block
+//! ([`crate::heap::HeapInner`]'s `push_batch`), leaving whatever words
+//! the blocks last held. That is sound because nothing ever walks an
+//! EMPTY chain: a fill or scavenge that takes the superblock (off the
+//! free list, or lazily retired off a partial list) re-types it and
+//! hands out or relinks all `max_count` blocks by index, recovery
+//! relinks every unmarked block from the mark bits, and shrink reads
+//! only the anchor's state. All `count == max_count` says is "every
+//! block is free", and for that the count alone is the whole truth.
 //!
 //! The checker is used by the crash-recovery test suite after every
 //! simulated crash + recovery, turning "recovery completed" into
@@ -223,8 +236,8 @@ pub fn check_heap(heap: &Ralloc) -> CheckReport {
                         }
                     }
                     SbState::Empty => {
-                        // A freshly reserved-then-spilled superblock may be
-                        // EMPTY pending lazy retirement; count must be mc.
+                        // Enlisted or pending lazy retirement, every
+                        // block is free: count must be mc.
                         if a.count != mc {
                             report.violate(
                                 "anchor",
@@ -241,7 +254,12 @@ pub fn check_heap(heap: &Ralloc) -> CheckReport {
                         }
                     }
                 }
-                // Rule 3: walk the chain.
+                // Rule 3: walk a PARTIAL chain; EMPTY is its count (see
+                // the module docs).
+                if a.state == SbState::Empty {
+                    report.free_blocks += a.count as u64;
+                    continue;
+                }
                 let sb_addr = pool.base() as usize + geo.sb(i as usize);
                 let bsize = d.block_size() as usize;
                 let mut seen = HashSet::new();
@@ -293,6 +311,7 @@ pub fn check_heap(heap: &Ralloc) -> CheckReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::size_class::size_class_of;
     use crate::RallocConfig;
 
     #[test]
@@ -376,5 +395,88 @@ mod tests {
         // 512 blocks live in the thread cache or on chains; the checker
         // cannot see caches, so free_blocks <= 512.
         assert!(r.free_blocks <= 512);
+    }
+
+    /// One 64 B superblock (class 8) with `keep` blocks still allocated
+    /// and the rest returned in one flush; the bin is left empty.
+    fn one_superblock_with(heap: &Ralloc, keep: usize) -> (u32, Vec<usize>) {
+        let mc = class_max_count(8) as usize;
+        let mut ptrs: Vec<usize> = (0..mc).map(|_| heap.malloc(64) as usize).collect();
+        let off = ptrs[0] - heap.pool().base() as usize;
+        let sb = heap.geometry().sb_index_of(off).unwrap() as u32;
+        // Stale words where links would be: a walk from any block of a
+        // never-linked chain runs out of range at once.
+        for &p in &ptrs {
+            // SAFETY: an allocated 64-byte block.
+            unsafe { std::ptr::write(p as *mut u64, u64::MAX) };
+        }
+        heap.inner.flush_blocks(&mut ptrs[keep..]);
+        (sb, ptrs)
+    }
+
+    #[test]
+    fn unlinked_full_to_empty_superblock_is_consistent_reusable_and_recoverable() {
+        let heap = Ralloc::create(8 << 20, RallocConfig::tracked());
+        let mc = class_max_count(8);
+        let (sb, mut ptrs) = one_superblock_with(&heap, 0);
+        let d = Desc::new(heap.pool(), &heap.geometry(), sb);
+        let a = d.anchor(Ordering::Acquire);
+        assert_eq!((a.state, a.count), (SbState::Empty, mc));
+        // SAFETY: reading a free block's first word on a quiescent heap.
+        let link = unsafe { std::ptr::read(ptrs[a.avail as usize] as *const u64) };
+        assert_eq!(link, u64::MAX, "a whole-population flush links nothing");
+        let r = check_heap(&heap);
+        assert!(r.is_consistent(), "{:?}", r.violations);
+        assert_eq!(r.free_blocks, mc as u64);
+        // Reuse off the free list, as another class: every block comes
+        // out once, in bounds, and nothing is carved.
+        let mc128 = class_max_count(size_class_of(128).unwrap()) as usize;
+        let mut again: Vec<usize> = (0..mc128).map(|_| heap.malloc(128) as usize).collect();
+        assert_eq!(heap.used_superblocks(), 1, "the EMPTY superblock was bypassed");
+        again.sort_unstable();
+        again.dedup();
+        assert_eq!(again.len(), mc128);
+        ptrs.sort_unstable();
+        assert!(again[0] >= ptrs[0] && again[mc128 - 1] < ptrs[0] + crate::SB_SIZE);
+        // Back to EMPTY unlinked, then a crash: recovery rebuilds the
+        // chain from the marks and never reads the stale one.
+        for &p in &again {
+            // SAFETY: an allocated 128-byte block.
+            unsafe { std::ptr::write(p as *mut u64, u64::MAX) };
+        }
+        heap.inner.flush_blocks(&mut again);
+        assert_eq!(d.anchor(Ordering::Acquire).state, SbState::Empty);
+        heap.crash_simulated();
+        heap.recover();
+        let r = check_heap(&heap);
+        assert!(r.is_consistent(), "{:?}", r.violations);
+        assert!(!heap.malloc(64).is_null());
+        assert!(check_heap(&heap).is_consistent());
+    }
+
+    #[test]
+    fn empty_anchor_short_of_max_count_is_rejected() {
+        let heap = Ralloc::create(8 << 20, RallocConfig::default());
+        let (sb, _ptrs) = one_superblock_with(&heap, 0);
+        let d = Desc::new(heap.pool(), &heap.geometry(), sb);
+        let a = d.anchor(Ordering::Acquire);
+        d.set_anchor(crate::anchor::Anchor { count: a.count - 1, ..a }, Ordering::Release);
+        let r = check_heap(&heap);
+        assert!(r.violations.iter().any(|v| v.rule == "anchor"), "{:?}", r.violations);
+    }
+
+    #[test]
+    fn partial_anchor_with_a_broken_chain_is_rejected() {
+        let heap = Ralloc::create(8 << 20, RallocConfig::default());
+        let (sb, ptrs) = one_superblock_with(&heap, 1);
+        let d = Desc::new(heap.pool(), &heap.geometry(), sb);
+        let a = d.anchor(Ordering::Acquire);
+        assert_eq!(a.state, SbState::Partial);
+        assert!(check_heap(&heap).is_consistent(), "a partial flush links its chain");
+        // Break the chain's first link behind the allocator's back.
+        // SAFETY: test-only sabotage of a free block's link word.
+        unsafe { std::ptr::write(ptrs[a.avail as usize] as *mut u64, u64::MAX) };
+        let r = check_heap(&heap);
+        assert!(r.violations.iter().any(|v| v.rule == "free-chain"), "{:?}", r.violations);
     }
 }

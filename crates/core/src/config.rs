@@ -103,21 +103,6 @@ pub struct RallocConfig {
     /// [`FlightLevel::Off`] on transient heaps (nothing persists there
     /// by definition). Env override: `RALLOC_FLIGHT=off|proto|all`.
     pub flight_level: FlightLevel,
-    /// Per-(class, shard) bounded MPSC remote-free rings (see
-    /// [`crate::remote`]): a flush routes superblock groups the freeing
-    /// thread does not own onto the owning shard's ring with a wait-free
-    /// zero-CAS push; the owner drains them into its cache bins during
-    /// fills. Rings are volatile — a crash loses only in-flight remote
-    /// frees, which recovery's reachability sweep reclaims. Inert when
-    /// the heap runs a single shard (every free is then local). Env
-    /// override: `RALLOC_REMOTE_RING=on|off`.
-    pub remote_ring: bool,
-    /// Slots per remote-free ring (one superblock-coherent batch each;
-    /// rounded up to a power of two and clamped to `2..=4096`). A full
-    /// ring displaces its oldest batch back onto the direct grouped-CAS
-    /// path, so capacity trades producer-side CAS savings against DRAM.
-    /// Env override: `RALLOC_REMOTE_RING_CAP`.
-    pub remote_ring_cap: usize,
 }
 
 impl Default for RallocConfig {
@@ -133,17 +118,9 @@ impl Default for RallocConfig {
             max_capacity: None,
             shrink_policy: ShrinkPolicy::Both,
             flight_level: FlightLevel::Proto,
-            remote_ring: true,
-            remote_ring_cap: DEFAULT_REMOTE_RING_CAP,
         }
     }
 }
-
-/// Default remote-free ring capacity (slots per (class, shard) ring;
-/// each slot parks one superblock-coherent batch). 64 batches absorb a
-/// deep producer/consumer bleed burst while keeping the slot array at
-/// 512 bytes per ring.
-pub const DEFAULT_REMOTE_RING_CAP: usize = 64;
 
 /// Default shard count: enough to spread the slow paths of a typical
 /// thread pool without bloating the probe ring for single-thread runs.
@@ -183,10 +160,6 @@ impl RallocConfig {
                     .and_then(|v| FlightLevel::parse(&v))
                     .unwrap_or(self.flight_level)
             },
-            remote_ring: shard::env_flag("RALLOC_REMOTE_RING").unwrap_or(self.remote_ring),
-            remote_ring_cap: shard::env_size("RALLOC_REMOTE_RING_CAP")
-                .unwrap_or(self.remote_ring_cap)
-                .clamp(2, 4096),
             ..self.clone()
         }
     }

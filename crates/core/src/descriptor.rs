@@ -93,11 +93,12 @@ impl<'a> Desc<'a> {
         unsafe { self.pool.atomic_u64(self.off + NEXT_PARTIAL_OFF) }
     }
 
-    /// The shard a flush routes this superblock's blocks to, of `shards`
-    /// live ones: the home shard of the thread whose fill last claimed it
-    /// (a rebuild stamps its placement). A routing *hint*, read racily and
-    /// possibly stale or garbage — hence the reduction; every value is a
-    /// correct route (see [`crate::flush`]).
+    /// This superblock's owning shard, of `shards` live ones: the home
+    /// shard of the thread whose fill last claimed it (a rebuild stamps
+    /// its placement). A statistic only — a flush from another shard
+    /// counts its group as remote (see [`crate::flush`]) and nothing is
+    /// routed by it — read racily and possibly stale or garbage, hence
+    /// the reduction.
     #[inline]
     pub fn owner(&self, shards: u32) -> u32 {
         // SAFETY: in-bounds, 8-aligned.

@@ -1,16 +1,15 @@
 //! Cache fill: where a thread's empty bin gets its next batch of blocks.
 //!
 //! The one decision this module owns is the **source order** of a fill —
-//! parked bin → home remote ring → home shard's partial superblock
-//! (best-fit under the churn policy) → free list → steal a neighbor
-//! shard's partial → scavenge → every ring → carve — and what a fill
-//! retains versus returns. An already-carved empty superblock comes
-//! before a neighbor's partial one: it costs no `used` (stealing still
-//! precedes carving) and keeps threads from trading superblocks. The
-//! fill stamps whatever it claims with its home shard
-//! ([`Desc::set_owner`]), the word flushes route by. `carve` is the only
-//! place `used` rises, growing whichever [`crate::frontier::Frontier`] is
-//! in the way first.
+//! parked bin → home shard's partial superblock → free list → steal a
+//! neighbor shard's partial → scavenge → carve — and what a fill retains
+//! versus returns. An already-carved empty superblock comes before a
+//! neighbor's partial one: it costs no `used` (stealing still precedes
+//! carving) and keeps threads from trading superblocks. The fill stamps
+//! whatever it claims with its home shard ([`Desc::set_owner`]), the word
+//! a flush tells a remote free by. `carve` is the only place `used`
+//! rises, growing whichever [`crate::frontier::Frontier`] is in the way
+//! first.
 //!
 //! `pub(crate)` surface on [`HeapInner`]: `fill_bin`, `carve`, `scavenge`,
 //! `park_bin`, `flush_parked`, `discard_parked`; plus [`prefetch_read`].
@@ -64,15 +63,6 @@ pub(crate) fn prefetch_read(addr: usize) {
 /// warm-handoff win for the common exit→spawn cycle; everything beyond it
 /// goes back where every thread can see it.
 const MAX_PARKED_BINS: usize = 1;
-
-/// Extra partial-list candidates a fill inspects when the first one it
-/// pops is mostly empty (more than half its blocks free). Claiming a
-/// mostly-empty superblock hands one thread a huge chain while
-/// concurrent fills find the list empty and carve; preferring the
-/// *fullest* (smallest-free-count) candidate packs allocations into
-/// nearly-full superblocks and leaves the emptier ones visible — the
-/// churn-fixpoint "warm-start under memory pressure" lever.
-const FILL_BESTFIT_PROBES: usize = 2;
 
 /// Under the churn policy ([`crate::RallocConfig::flush_half`]), a fill retains
 /// at most `max_count / CHURN_FILL_RETAIN_DIV` blocks (min
@@ -231,14 +221,6 @@ impl HeapInner {
         bin.ensure_capacity(cache_capacity(class) as usize);
         let partial = self.partial(class);
         let home = self.home_shard();
-        // Owner drain (remote-free rings): batches other threads freed
-        // into our home shard's ring move straight into the bin — zero
-        // anchor CAS per block, the consumer half of the wait-free
-        // remote-free protocol — before any shared-list CAS is attempted.
-        if self.rings.is_some() && self.drain_remote(class, home, bin, home) {
-            self.filled(class, bin.len() as u64);
-            return true;
-        }
         let free = DescList::free_list(&self.geo);
         let bsize = class_block_size(class) as usize;
         let mc = class_max_count(class);
@@ -249,52 +231,7 @@ impl HeapInner {
             if stolen {
                 claim = partial.steal(&self.pool, &self.geo, home);
             }
-            if let Some(mut idx) = claim {
-                // Best-fit lever: a mostly-empty first candidate means
-                // this fill is about to claim a huge chain while the list
-                // goes dry for concurrent fills (the churn demand spike).
-                // Probe a bounded number of further candidates and keep
-                // the *fullest* — smallest free count — re-enlisting the
-                // losers. Counts are read racily; the claim CAS below
-                // revalidates whatever we settle on.
-                let mut best = Desc::new(&self.pool, &self.geo, idx).anchor(Ordering::Acquire);
-                if self.flush_half && best.state == SbState::Partial && best.count * 2 > mc {
-                    // Losers re-enlist only after the whole probe run:
-                    // pushing one back mid-loop would hand the next
-                    // (LIFO) pop the very descriptor just pushed, so no
-                    // second distinct candidate would ever be seen.
-                    let mut losers = [0u32; FILL_BESTFIT_PROBES];
-                    let mut n_losers = 0;
-                    for _ in 0..FILL_BESTFIT_PROBES {
-                        // Probe where the first candidate came from.
-                        let cand = if stolen {
-                            partial.steal(&self.pool, &self.geo, home)
-                        } else {
-                            partial.pop(&self.pool, &self.geo, home)
-                        };
-                        let Some(cand) = cand else { break };
-                        self.slow.fill_bestfit_probes.fetch_add(1, Ordering::Relaxed);
-                        let ca = Desc::new(&self.pool, &self.geo, cand).anchor(Ordering::Acquire);
-                        if ca.state == SbState::Empty {
-                            // Lazy retirement, same as the claim loop.
-                            free.push(&self.pool, &self.geo, cand);
-                            continue;
-                        }
-                        if ca.count < best.count {
-                            losers[n_losers] = idx;
-                            (idx, best) = (cand, ca);
-                        } else {
-                            losers[n_losers] = cand;
-                        }
-                        n_losers += 1;
-                        if best.count * 2 <= mc {
-                            break; // full enough
-                        }
-                    }
-                    for &idx in &losers[..n_losers] {
-                        partial.push(&self.pool, &self.geo, idx, home);
-                    }
-                }
+            if let Some(idx) = claim {
                 let d = Desc::new(&self.pool, &self.geo, idx);
                 let mut a = d.anchor(Ordering::Acquire);
                 let mut retired = false;
@@ -387,22 +324,10 @@ impl HeapInner {
                         self.slow.free_recheck_hits.fetch_add(1, Ordering::Relaxed);
                         i
                     }
-                    None => {
-                        // Last stop before carving fresh space:
-                        // steal-drain every shard's remote ring for this
-                        // class. A ring's owning threads may have exited
-                        // and never fill again; without this sweep their
-                        // ringed blocks would strand while the frontier
-                        // grew without bound.
-                        if self.rings.is_some() && self.steal_drain_rings(class, bin, home) {
-                            self.filled(class, bin.len() as u64);
-                            return true;
-                        }
-                        match self.carve(1) {
-                            Some(i) => i,
-                            None => return false, // out of persistent space
-                        }
-                    }
+                    None => match self.carve(1) {
+                        Some(i) => i,
+                        None => return false, // out of persistent space
+                    },
                 },
             };
             let d = Desc::new(&self.pool, &self.geo, idx);

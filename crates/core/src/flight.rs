@@ -468,18 +468,19 @@ mod tests {
     #[cfg(not(feature = "telemetry-off"))]
     #[test]
     fn ring_overflow_is_a_proto_event() {
-        // A remote-ring overflow means the producer side degraded from
-        // wait-free pushes to anchor CASes — a protocol-level state change
-        // that must survive into the post-mortem timeline even at the
-        // default `proto` recording level.
+        // Kind 15 is retired (nothing records a ring overflow any more),
+        // but a pool written before that can hold one: it was a protocol
+        // step, so it sits in a default-level ring, and a scan must keep
+        // reading it back under its name rather than as "unknown".
         let p = pool();
         let rec = FlightRecorder::new(FlightLevel::Proto, 0);
         rec.record(&p, EventKind::Fill, 64, 8); // traffic: dropped at proto
-        rec.record(&p, EventKind::RemoteRingOverflow, 3, 1024);
+        rec.record(&p, EventKind::Retired15, 3, 1024);
         let scan = scan_pool(&p);
         assert_eq!(scan.events.len(), 1);
         let e = &scan.events[0];
-        assert_eq!(e.kind_name(), "remote_ring_overflow");
+        assert_eq!(e.kind_name(), EventKind::Retired15.name());
+        assert_ne!(e.kind_name(), "unknown");
         assert_eq!((e.a, e.b), (3, 1024));
     }
 

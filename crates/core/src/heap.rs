@@ -30,7 +30,7 @@ use std::time::Duration;
 use parking_lot::Mutex;
 
 use nvm::PmemPool;
-use telemetry::{EventKind, Gauge, Journal, Registry, SamplerHandle};
+use telemetry::{EventKind, Journal, Registry, SamplerHandle};
 
 use crate::config::ShrinkPolicy;
 use crate::descriptor::Desc;
@@ -38,7 +38,6 @@ use crate::flight::{self, FlightLevel, FlightRecorder, FlightScan};
 use crate::frontier::Frontier;
 use crate::gc::{trace_thunk, Trace, TraceFn};
 use crate::layout::{Geometry, DIRTY_OFF, NUM_ROOTS, USED_SB_OFF};
-use crate::remote::RemoteRing;
 use crate::shard::{self, ShardedPartial};
 use crate::size_class::{class_block_size, is_small_class, size_class_of, NUM_CLASSES, SB_SIZE};
 use crate::stats::SlowStats;
@@ -62,24 +61,6 @@ pub struct HeapInner {
     /// Transient like the thread caches they came from: discarded on
     /// crash, flushed on clean close.
     pub(crate) parked: [Mutex<Vec<CacheBin>>; NUM_CLASSES],
-    /// Bounded MPSC remote-free rings, indexed `[class][shard]` (flat,
-    /// `class * shards + shard`). `None` when disabled by config/env or
-    /// when the heap runs a single shard (every free is local then).
-    /// Volatile by design — see [`crate::remote`]: drained to the heap at
-    /// clean close and explicit shrink, discarded by crash simulation
-    /// and recovery (the reachability sweep reclaims their blocks).
-    pub(crate) rings: Option<Box<[RemoteRing]>>,
-    /// Rotating start shard for the pre-carve ring steal-drain. Without
-    /// rotation a fixed scan order starves the highest-indexed rings —
-    /// early-stopping drains keep skimming the first pending ring and
-    /// the rest sit full, displacing every subsequent push.
-    pub(crate) ring_cursor: AtomicU64,
-    /// Per-ring (occupancy, high-water) gauge handles, keyed by flat ring
-    /// index. A ring enters the registry only once it has seen traffic —
-    /// idle rings would otherwise flood exports with `classes x shards`
-    /// zero entries — and its `'static` names are leaked exactly once
-    /// here, not per export.
-    pub(crate) ring_gauges: Mutex<HashMap<usize, (Gauge, Gauge)>>,
     /// The committed frontiers, `[superblocks, descriptors]`: each owns
     /// its persisted word, its published bound and the grow/shrink
     /// protocol over them (see [`crate::frontier`]).
@@ -223,18 +204,13 @@ impl HeapInner {
     pub(crate) fn sample_line(&self) -> String {
         let s = &self.slow;
         let pm = self.pool.stats().snapshot();
-        self.refresh_ring_gauges();
-        let ring_occ = self.rings.as_ref().map_or(0, |r| r.iter().map(RemoteRing::occupancy).sum());
-        let ring_hw =
-            self.rings.as_ref().map_or(0, |r| r.iter().map(RemoteRing::high_water).max().unwrap_or(0));
         format!(
             "{{\"t_ms\": {}, \"heap_id\": {}, \"committed_len\": {}, \"committed_sb\": {}, \
              \"used_sb\": {}, \"fills\": {}, \"fill_blocks\": {}, \"flushes\": {}, \
              \"flush_blocks\": {}, \"steals\": {}, \"home_pops\": {}, \"steal_rate\": {:.4}, \
              \"carved\": {}, \"grows\": {}, \"shrinks\": {}, \"sb_released\": {}, \
              \"large_allocs\": {}, \"pmem_flush_lines\": {}, \"pmem_flush_calls\": {}, \
-             \"pmem_fences\": {}, \"journal_events\": {}, \"remote_ring_occupancy\": {ring_occ}, \
-             \"remote_ring_high_water\": {ring_hw}}}",
+             \"pmem_fences\": {}, \"journal_events\": {}}}",
             telemetry::now_ms(),
             self.id,
             self.sb_frontier().published(),
@@ -257,51 +233,6 @@ impl HeapInner {
             pm.fences,
             self.journal.recorded(),
         )
-    }
-
-    /// Refresh the remote-ring occupancy/high-water gauges from the live
-    /// rings. Called on every telemetry export — the rings themselves
-    /// stay untouched on the hot path; this is a point-in-time read of
-    /// their producer/consumer counters. Per-ring gauges ground capacity
-    /// tuning (`RALLOC_REMOTE_RING_CAP`): a high-water at the slot count
-    /// means that ring displaces batches back onto the anchor-CAS path.
-    pub(crate) fn refresh_ring_gauges(&self) {
-        let Some(rings) = &self.rings else { return };
-        self.telemetry.describe(
-            "remote_ring_occupancy",
-            "remote-free batches currently in flight across every ring",
-        );
-        self.telemetry.describe(
-            "remote_ring_high_water",
-            "highest in-flight batch count any single ring has seen",
-        );
-        let shards = self.shards as usize;
-        let mut gauges = self.ring_gauges.lock();
-        let (mut occ_total, mut hw_max) = (0u64, 0u64);
-        for (i, ring) in rings.iter().enumerate() {
-            let (occ, hw) = (ring.occupancy(), ring.high_water());
-            occ_total += occ;
-            hw_max = hw_max.max(hw);
-            if hw == 0 && !gauges.contains_key(&i) {
-                continue; // never-touched ring: keep it out of the registry
-            }
-            let (occ_g, hw_g) = gauges.entry(i).or_insert_with(|| {
-                let (class, shard) = (i / shards, i % shards);
-                // Leaked exactly once per active ring (bounded by
-                // classes x shards), because registry names are 'static.
-                let occ_name: &'static str = Box::leak(
-                    format!("remote_ring_c{class}_s{shard}_occupancy").into_boxed_str(),
-                );
-                let hw_name: &'static str = Box::leak(
-                    format!("remote_ring_c{class}_s{shard}_high_water").into_boxed_str(),
-                );
-                (self.telemetry.gauge(occ_name), self.telemetry.gauge(hw_name))
-            });
-            occ_g.set(occ as i64);
-            hw_g.set(hw as i64);
-        }
-        self.telemetry.gauge("remote_ring_occupancy").set(occ_total as i64);
-        self.telemetry.gauge("remote_ring_high_water").set(hw_max as i64);
     }
 }
 
@@ -471,9 +402,6 @@ impl Ralloc {
         // write-back rather than during.
         inner.await_exit_drains();
         inner.flush_parked();
-        // Remote-free rings are DRAM too: every in-flight batch lands on
-        // its superblock before the scan and write-back.
-        inner.drain_rings_to_heap();
         // Quiescent point: release the trailing fully-free run while the
         // heap is still marked dirty, so a crash mid-shrink triggers a
         // full rebuild rather than trusting half-shrunk lists.
@@ -515,9 +443,6 @@ impl Ralloc {
     pub fn shrink(&self) -> usize {
         self.inner.await_exit_drains();
         self.inner.flush_parked();
-        // Ring-parked batches keep their superblocks non-EMPTY; return
-        // them first so the trailing free run is as long as it can be.
-        self.inner.drain_rings_to_heap();
         self.inner.shrink_quiesced()
     }
 
@@ -531,10 +456,9 @@ impl Ralloc {
         inner.generation.fetch_add(1, Ordering::AcqRel);
         inner.closed.store(false, Ordering::Release);
         tcache::discard_current_thread(inner);
-        // Parked bins and remote-free rings are DRAM state, forgotten
-        // like the TLS caches; the recovery sweep reclaims their blocks.
+        // Parked bins are DRAM state, forgotten like the TLS caches; the
+        // recovery sweep reclaims their blocks.
         inner.discard_parked();
-        inner.discard_rings();
     }
 
     /// Was the heap dirty at open time / is recovery pending? (The dirty
@@ -570,13 +494,6 @@ impl Ralloc {
         &self.inner.pool
     }
 
-    /// Whether the remote-free rings are active (config/env on **and**
-    /// more than one shard; a single-shard heap owns everything, so
-    /// every free is local and rings are skipped).
-    pub fn remote_rings_enabled(&self) -> bool {
-        self.inner.rings.is_some()
-    }
-
     /// The calling thread's home shard (tests and benches use it to
     /// construct guaranteed-remote frees).
     pub fn current_home_shard(&self) -> u32 {
@@ -585,8 +502,8 @@ impl Ralloc {
 
     /// The recorded owner of the superblock containing `ptr`: the home
     /// shard of the thread whose fill last claimed it (after a rebuild,
-    /// `sb % S`), reduced to this run's shard count — the shard whose
-    /// ring a free of `ptr` from any other shard would ride right now.
+    /// `sb % S`), reduced to this run's shard count — a free of `ptr`
+    /// flushed from any other shard counts as remote.
     pub fn owner_shard_of(&self, ptr: *const u8) -> u32 {
         let inner = &*self.inner;
         let off = (ptr as usize)
@@ -641,7 +558,6 @@ impl Ralloc {
     /// the resident journal events.
     pub fn telemetry_snapshot(&self) -> String {
         let inner = &*self.inner;
-        inner.refresh_ring_gauges();
         format!(
             "{{\"t_ms\": {}, \"heap_id\": {}, \"used_sb\": {}, \"committed_sb\": {}, \
              \"committed_len\": {}, \"registries\": {}, \"journal\": {}}}",
@@ -661,7 +577,6 @@ impl Ralloc {
     /// The same state in Prometheus text exposition format (scrape
     /// endpoint material; the journal has no Prometheus form).
     pub fn telemetry_prometheus(&self) -> String {
-        self.inner.refresh_ring_gauges();
         telemetry::export::to_prometheus(&[
             ("heap", &self.inner.telemetry),
             ("pmem", self.inner.pool.stats().registry()),
@@ -781,14 +696,6 @@ mod batch_tests {
     use crate::size_class::{cache_capacity, class_max_count};
     use crate::RallocConfig;
 
-    /// Ring-off config: these tests pin down the *direct* anchor-CAS
-    /// protocol (the local and ring-off/fallback path). One thread
-    /// flushing what it filled is local with rings on too; ring-off says
-    /// so in the config. The ring path has its own tests below.
-    fn direct() -> RallocConfig {
-        RallocConfig { remote_ring: false, ..Default::default() }
-    }
-
     fn stats_of(heap: &Ralloc) -> (u64, u64, u64, u64, u64, u64) {
         let s = heap.slow_stats();
         (
@@ -824,7 +731,7 @@ mod batch_tests {
     #[test]
     #[cfg_attr(feature = "telemetry-off", ignore = "asserts telemetry counters, which are compiled out")]
     fn partial_fill_batches_with_exactly_one_cas_zero_flushes() {
-        let heap = Ralloc::create(8 << 20, direct());
+        let heap = Ralloc::create(8 << 20, RallocConfig::default());
         let mc = class_max_count(8) as usize;
         // Drain one whole superblock through the bin, keeping ownership.
         let ptrs: Vec<usize> = (0..mc).map(|_| heap.malloc(64) as usize).collect();
@@ -857,7 +764,7 @@ mod batch_tests {
     #[test]
     #[cfg_attr(feature = "telemetry-off", ignore = "asserts telemetry counters, which are compiled out")]
     fn bin_overflow_flushes_whole_bin_one_cas_per_superblock() {
-        let heap = Ralloc::create(8 << 20, direct());
+        let heap = Ralloc::create(8 << 20, RallocConfig::default());
         let mc = class_max_count(8) as usize;
         let cap = cache_capacity(8) as usize;
         let ptrs: Vec<usize> = (0..2 * mc).map(|_| heap.malloc(64) as usize).collect();
@@ -889,7 +796,7 @@ mod batch_tests {
     #[test]
     #[cfg_attr(feature = "telemetry-off", ignore = "asserts telemetry counters, which are compiled out")]
     fn mixed_superblock_flush_one_cas_per_group() {
-        let heap = Ralloc::create(8 << 20, direct());
+        let heap = Ralloc::create(8 << 20, RallocConfig::default());
         let mc = class_max_count(8) as usize;
         // Two superblocks' worth so the bin can hold a mixture.
         let ptrs: Vec<usize> = (0..mc + 4).map(|_| heap.malloc(64) as usize).collect();
@@ -912,7 +819,7 @@ mod batch_tests {
     #[test]
     #[cfg_attr(feature = "telemetry-off", ignore = "asserts telemetry counters, which are compiled out")]
     fn scavenge_reuses_empty_superblock_stranded_on_partial_list() {
-        let heap = Ralloc::create(8 << 20, direct());
+        let heap = Ralloc::create(8 << 20, RallocConfig::default());
         let mc = class_max_count(8) as usize;
         let ptrs: Vec<usize> = (0..mc).map(|_| heap.malloc(64) as usize).collect();
         // Park the superblock EMPTY on the 64 B class's partial list:
@@ -968,7 +875,7 @@ mod batch_tests {
     #[cfg_attr(feature = "telemetry-off", ignore = "asserts telemetry counters, which are compiled out")]
     fn sharded_fill_counters_account_home_and_steals() {
         // Single-threaded: every partial pop is a home hit, never a steal.
-        let heap = Ralloc::create(8 << 20, direct());
+        let heap = Ralloc::create(8 << 20, RallocConfig::default());
         let mc = class_max_count(8) as usize;
         let ptrs: Vec<usize> = (0..mc).map(|_| heap.malloc(64) as usize).collect();
         let mut batch: Vec<usize> = ptrs[..10].to_vec();
@@ -1072,7 +979,7 @@ mod batch_tests {
     #[test]
     #[cfg_attr(feature = "telemetry-off", ignore = "asserts telemetry counters, which are compiled out")]
     fn grouped_flush_partition_is_linear_in_batch_size() {
-        let heap = Ralloc::create(32 << 20, direct());
+        let heap = Ralloc::create(32 << 20, RallocConfig::default());
         let mc = class_max_count(8) as usize;
         // Blocks from many superblocks: allocate `sbs` whole superblocks
         // worth and take a couple of blocks from each, interleaved — the
@@ -1168,7 +1075,7 @@ mod batch_tests {
     #[test]
     #[cfg_attr(feature = "telemetry-off", ignore = "asserts telemetry counters, which are compiled out")]
     fn batched_return_transitions_full_to_empty_and_retires() {
-        let heap = Ralloc::create(8 << 20, direct());
+        let heap = Ralloc::create(8 << 20, RallocConfig::default());
         let mc = class_max_count(8) as usize;
         let ptrs: Vec<usize> = (0..mc).map(|_| heap.malloc(64) as usize).collect();
         let off = ptrs[0] - heap.pool().base() as usize;
@@ -1191,19 +1098,17 @@ mod batch_tests {
 }
 
 #[cfg(test)]
-mod remote_ring_tests {
-    //! The remote-free ring contract: a flushed group whose superblock
-    //! belongs to another shard rides that shard's MPSC ring for zero
-    //! producer-side anchor CASes, the owner reclaims it in bulk during
-    //! fill, overflow degrades to the direct grouped-CAS protocol, and
-    //! teardown paths drain the rings so nothing is stranded. A
-    //! superblock belongs to the shard of the thread that filled from it,
-    //! so the guaranteed-remote frees here are blocks another thread
-    //! allocated.
+mod remote_free_tests {
+    //! The remote-free contract: a flushed group whose superblock another
+    //! shard's thread filled goes back exactly like a local one — one
+    //! anchor CAS for the whole group, visible to every fill and to
+    //! shrink at once — and is counted as remote. A superblock belongs to
+    //! the shard of the thread that filled from it, so the
+    //! guaranteed-remote frees here are blocks another thread allocated.
 
     use super::*;
     use crate::anchor::SbState;
-    use crate::size_class::{cache_capacity, class_max_count};
+    use crate::size_class::class_max_count;
     use crate::RallocConfig;
 
     /// Pop `n` whole superblock populations of the 64 B class (class 8)
@@ -1220,7 +1125,12 @@ mod remote_ring_tests {
     /// [`alloc_superblocks`] run to completion on a spawned thread whose
     /// home shard is not the caller's: every returned superblock is owned
     /// by that other shard, so the caller flushing its blocks is remote.
-    fn alloc_superblocks_elsewhere(heap: &Ralloc, n: usize) -> Vec<Vec<usize>> {
+    /// `None` on a single-shard heap, where no free is remote.
+    fn alloc_superblocks_elsewhere(heap: &Ralloc, n: usize) -> Option<Vec<Vec<usize>>> {
+        if heap.partial_shards() == 1 {
+            eprintln!("skipping: one shard (RALLOC_SHARDS=1?), so no free is remote");
+            return None;
+        }
         let home = heap.current_home_shard();
         for _ in 0..64 {
             let heap = heap.clone();
@@ -1228,200 +1138,57 @@ mod remote_ring_tests {
                 (heap.current_home_shard() != home).then(|| alloc_superblocks(&heap, n))
             });
             if let Some(sbs) = worker.join().unwrap() {
-                return sbs;
+                return Some(sbs);
             }
         }
         panic!("S > 1, yet no spawned thread landed on a foreign shard");
     }
 
-    fn owner_of(heap: &Ralloc, chunk: &[usize]) -> u32 {
-        heap.owner_shard_of(chunk[0] as *const u8)
-    }
-
     #[test]
     #[cfg_attr(feature = "telemetry-off", ignore = "asserts telemetry counters, which are compiled out")]
-    fn remote_group_flush_takes_zero_anchor_cas() {
+    fn remote_group_flush_takes_one_anchor_cas() {
         let heap = Ralloc::create(16 << 20, RallocConfig::default());
-        if !heap.remote_rings_enabled() {
-            eprintln!("skipping: remote rings disabled (RALLOC_REMOTE_RING/RALLOC_SHARDS?)");
-            return;
-        }
-        let home = heap.current_home_shard();
-        let sbs = alloc_superblocks_elsewhere(&heap, 2);
-        let remote = sbs
-            .iter()
-            .find(|c| owner_of(&heap, c) != home)
-            .expect("another shard's thread filled these superblocks");
+        let Some(sbs) = alloc_superblocks_elsewhere(&heap, 2) else { return };
+        let remote = &sbs[0];
+        assert_ne!(heap.owner_shard_of(remote[0] as *const u8), heap.current_home_shard());
         let s = heap.slow_stats();
-        let flush_cas0 = s.flush_anchor_cas.load(Ordering::Relaxed);
         let mut batch: Vec<usize> = remote[..10].to_vec();
         heap.inner.flush_blocks(&mut batch);
-        assert_eq!(
-            s.flush_anchor_cas.load(Ordering::Relaxed),
-            flush_cas0,
-            "a remote group must not touch its anchor on the producer side"
-        );
-        assert_eq!(s.remote_anchor_cas.load(Ordering::Relaxed), 0);
-        assert_eq!(s.remote_ring_pushes.load(Ordering::Relaxed), 1, "one group, one ring push");
-        assert_eq!(s.remote_ring_push_blocks.load(Ordering::Relaxed), 10);
+        assert_eq!(s.flush_anchor_cas.load(Ordering::Relaxed), 1, "one group, one anchor CAS");
+        assert_eq!(s.remote_anchor_cas.load(Ordering::Relaxed), 1);
         assert_eq!(s.remote_free_blocks.load(Ordering::Relaxed), 10);
-        assert_eq!(s.remote_ring_overflows.load(Ordering::Relaxed), 0);
+        // The blocks are on the superblock's chain at once, enlisted on
+        // the freeing thread's shard: its next fill takes exactly them.
+        let off = remote[0] - heap.pool().base() as usize;
+        let sb = heap.geometry().sb_index_of(off).unwrap() as u32;
+        let a = Desc::new(heap.pool(), &heap.geometry(), sb).anchor(Ordering::Acquire);
+        assert_eq!((a.state, a.count), (SbState::Partial, 10));
+        let mut got: Vec<usize> = (0..10).map(|_| heap.malloc(64) as usize).collect();
+        got.sort_unstable();
+        batch.sort_unstable();
+        assert_eq!(got, batch);
+        assert_eq!(s.sb_carved.load(Ordering::Relaxed), 2, "the refill carved");
     }
 
     #[test]
-    #[cfg_attr(feature = "telemetry-off", ignore = "asserts telemetry counters, which are compiled out")]
-    fn owner_drain_reclaims_ring_batches_without_cas() {
+    fn shrink_releases_remotely_freed_superblocks() {
         let heap = Ralloc::create(16 << 20, RallocConfig::default());
-        if !heap.remote_rings_enabled() {
-            eprintln!("skipping: remote rings disabled (RALLOC_REMOTE_RING/RALLOC_SHARDS?)");
-            return;
-        }
-        let home = heap.current_home_shard();
-        let sbs = alloc_superblocks_elsewhere(&heap, 2);
-        let remote = sbs
-            .iter()
-            .find(|c| owner_of(&heap, c) != home)
-            .expect("another shard's thread filled these superblocks");
-        let owner = owner_of(&heap, remote);
-        // Three disjoint groups onto the owner's ring, 16 blocks each.
-        for g in 0..3 {
-            let mut batch: Vec<usize> = remote[16 * g..16 * (g + 1)].to_vec();
-            heap.inner.flush_blocks(&mut batch);
-        }
-        let s = heap.slow_stats();
-        let fill_cas0 = s.fill_anchor_cas.load(Ordering::Relaxed);
-        let flush_cas0 = s.flush_anchor_cas.load(Ordering::Relaxed);
-        let mut bin = CacheBin::new();
-        bin.ensure_capacity(cache_capacity(8) as usize);
-        assert!(heap.inner.drain_remote(8, owner, &mut bin, home));
-        assert_eq!(bin.len(), 48, "the drain must take every ring-parked block");
-        assert_eq!(
-            s.fill_anchor_cas.load(Ordering::Relaxed),
-            fill_cas0,
-            "a ring drain refills the bin with zero anchor CASes"
-        );
-        assert_eq!(s.flush_anchor_cas.load(Ordering::Relaxed), flush_cas0);
-        assert_eq!(s.remote_ring_drain_batches.load(Ordering::Relaxed), 3);
-        assert_eq!(s.remote_ring_drain_blocks.load(Ordering::Relaxed), 48);
-        let h = s.remote_drain_batch.snapshot();
-        assert_eq!(h.count, 1, "one drain call, one batch-size sample");
-        assert_eq!(h.sum, 48);
-        // Hand the blocks back so the heap stays consistent.
-        heap.inner.flush_blocks(bin.blocks_mut());
-        bin.clear();
-    }
-
-    #[test]
-    #[cfg_attr(feature = "telemetry-off", ignore = "asserts telemetry counters, which are compiled out")]
-    fn ring_overflow_degrades_to_direct_cas_and_loses_nothing() {
-        let heap = Ralloc::create(
-            64 << 20,
-            RallocConfig { remote_ring_cap: 2, ..Default::default() },
-        );
-        if !heap.remote_rings_enabled() {
-            eprintln!("skipping: remote rings disabled (RALLOC_REMOTE_RING/RALLOC_SHARDS?)");
-            return;
-        }
-        let mc = class_max_count(8) as usize;
-        let home = heap.current_home_shard();
-        // One foreign thread filled all three, so one foreign shard owns
-        // three whole populations.
-        let sbs = alloc_superblocks_elsewhere(&heap, 3);
-        let target = owner_of(&heap, &sbs[0]);
-        assert_ne!(target, home);
-        let victims: Vec<&Vec<usize>> =
-            sbs.iter().filter(|c| owner_of(&heap, c) == target).collect();
-        assert!(victims.len() >= 3, "expected ≥3 chunks for shard {target}");
-        let s = heap.slow_stats();
-        // Three whole-population pushes onto a capacity-2 ring: the third
-        // laps the first, which must fall back to the direct CAS path.
-        for chunk in &victims[..3] {
-            let mut batch: Vec<usize> = (*chunk).clone();
-            heap.inner.flush_blocks(&mut batch);
-        }
-        assert_eq!(s.remote_ring_overflows.load(Ordering::Relaxed), 1);
-        assert!(s.remote_anchor_cas.load(Ordering::Relaxed) >= 1);
-        assert!(
-            heap.journal()
-                .snapshot()
-                .iter()
-                .any(|e| e.kind == EventKind::RemoteRingOverflow && e.b == mc as u64),
-            "the displacement must be journaled with its block count"
-        );
-        // The overflow victim went straight to EMPTY; the two still-parked
-        // batches land when teardown drains the rings. Either way every
-        // block must be accounted for.
-        heap.inner.drain_rings_to_heap();
-        for chunk in &victims[..3] {
-            let off = chunk[0] - heap.pool().base() as usize;
-            let sb = heap.geometry().sb_index_of(off).unwrap();
-            let a = Desc::new(heap.pool(), &heap.geometry(), sb as u32).anchor(Ordering::Acquire);
-            assert_eq!(a.state, SbState::Empty, "superblock {sb} lost blocks");
-            assert_eq!(a.count as usize, mc);
-        }
-        let report = crate::checker::check_heap(&heap);
-        assert!(report.is_consistent(), "{:?}", report.violations);
-    }
-
-    #[test]
-    #[cfg_attr(feature = "telemetry-off", ignore = "asserts telemetry counters, which are compiled out")]
-    fn remote_heavy_flush_never_enters_partition_table() {
-        let heap = Ralloc::create(64 << 20, RallocConfig::default());
-        if !heap.remote_rings_enabled() {
-            eprintln!("skipping: remote rings disabled (RALLOC_REMOTE_RING/RALLOC_SHARDS?)");
-            return;
-        }
-        let home = heap.current_home_shard();
-        // Four superblocks of our own (under the escalation bound of 8)
-        // among twenty another shard's thread filled.
-        let mut sbs = alloc_superblocks(&heap, 4);
-        sbs.extend(alloc_superblocks_elsewhere(&heap, 20));
-        let locals = sbs.iter().filter(|c| owner_of(&heap, c) == home).count() as u64;
-        assert_eq!(locals, 4);
-        // Two blocks from each of 24 superblocks, interleaved: 24 groups —
-        // triple the pre-ring escalation bound — but only the handful of
-        // local ones count toward it now.
-        let mut batch = Vec::with_capacity(48);
-        for i in 0..2 {
-            for chunk in &sbs {
-                batch.push(chunk[i]);
-            }
-        }
-        let s = heap.slow_stats();
-        let probes0 = s.flush_partition_probes.load(Ordering::Relaxed);
-        let pushes0 = s.remote_ring_pushes.load(Ordering::Relaxed);
-        heap.inner.flush_blocks(&mut batch);
-        assert_eq!(
-            s.flush_partition_probes.load(Ordering::Relaxed),
-            probes0,
-            "remote groups must not count toward grouped-flush escalation"
-        );
-        assert_eq!(s.remote_ring_pushes.load(Ordering::Relaxed) - pushes0, 24 - locals);
-    }
-
-    #[test]
-    fn shrink_drains_rings_before_releasing() {
-        let heap = Ralloc::create(16 << 20, RallocConfig::default());
-        if !heap.remote_rings_enabled() {
-            eprintln!("skipping: remote rings disabled (RALLOC_REMOTE_RING/RALLOC_SHARDS?)");
-            return;
-        }
         let mut sbs = alloc_superblocks(&heap, 1);
-        sbs.extend(alloc_superblocks_elsewhere(&heap, heap.partial_shards() as usize));
-        // Whole populations: local groups retire their superblock outright,
-        // remote groups park on rings until shrink drains them.
+        let Some(elsewhere) = alloc_superblocks_elsewhere(&heap, 4) else { return };
+        sbs.extend(elsewhere);
+        // Whole populations, local and remote alike: each group retires
+        // its superblock outright, so shrink finds nothing held back.
         for chunk in &sbs {
             let mut batch = chunk.clone();
             heap.inner.flush_blocks(&mut batch);
         }
         #[cfg(not(feature = "telemetry-off"))]
-        assert!(heap.slow_stats().remote_ring_pushes.load(Ordering::Relaxed) > 0);
-        heap.shrink();
         assert_eq!(
-            heap.used_superblocks(),
-            0,
-            "shrink must drain ring-parked blocks so every superblock empties"
+            heap.slow_stats().remote_free_blocks.load(Ordering::Relaxed),
+            4 * class_max_count(8) as u64
         );
+        heap.shrink();
+        assert_eq!(heap.used_superblocks(), 0, "a remotely freed superblock stayed pinned");
         let report = crate::checker::check_heap(&heap);
         assert!(report.is_consistent(), "{:?}", report.violations);
     }

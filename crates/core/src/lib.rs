@@ -61,7 +61,6 @@ pub mod layout;
 pub mod lists;
 mod open;
 pub mod recovery;
-mod remote;
 pub mod shard;
 pub mod size_class;
 mod stats;
@@ -497,43 +496,6 @@ mod tests {
         let image = heap.pool().persistent_image();
         let (_heap2, dirty) = Ralloc::from_image(&image, RallocConfig::default());
         assert!(dirty, "missing close() must flag a dirty restart");
-    }
-
-    #[test]
-    #[cfg(not(feature = "telemetry-off"))]
-    fn remote_ring_gauges_reach_every_export_surface() {
-        let cfg = RallocConfig { partial_shards: 4, ..RallocConfig::default() };
-        let heap = Ralloc::create(8 << 20, cfg);
-        // Producer/consumer shape: every free is remote, so consumer-side
-        // cache flushes push batches onto the rings.
-        let (tx, rx) = std::sync::mpsc::channel::<usize>();
-        std::thread::scope(|s| {
-            {
-                let heap = heap.clone();
-                s.spawn(move || {
-                    for p in rx {
-                        heap.free(p as *mut u8);
-                    }
-                });
-            }
-            for _ in 0..4000 {
-                let p = heap.malloc(64);
-                assert!(!p.is_null());
-                tx.send(p as usize).unwrap();
-            }
-            drop(tx);
-        });
-        let snapshot = heap.telemetry_snapshot();
-        assert!(snapshot.contains("\"remote_ring_occupancy\""), "snapshot: {snapshot}");
-        assert!(snapshot.contains("\"remote_ring_high_water\""), "snapshot: {snapshot}");
-        let prom = heap.telemetry_prometheus();
-        assert!(prom.contains("heap_remote_ring_occupancy"), "prometheus: {prom}");
-        assert!(prom.contains("heap_remote_ring_high_water"), "prometheus: {prom}");
-        // When the workload actually pushed batches, the high-water mark
-        // must have registered them (per-ring gauges appear too).
-        if heap.telemetry().counter_value("remote_ring_pushes").unwrap_or(0) > 0 {
-            assert!(prom.contains("_s"), "per-ring gauge expected: {prom}");
-        }
     }
 
     #[test]

@@ -30,7 +30,6 @@ use crate::layout::{
     POOL_LEN_OFF, USED_SB_OFF,
 };
 use crate::lists::DescList;
-use crate::remote::RemoteRing;
 use crate::shard;
 use crate::size_class::{NUM_CLASSES, SB_SIZE};
 use crate::stats::SlowStats;
@@ -326,14 +325,6 @@ impl Ralloc {
         );
         telemetry.counter("flight_torn_records").add(preopen_flight.torn);
         let shards = cfg.partial_shards as u32;
-        // Remote-free rings (transient, like the caches they feed).
-        // A single-shard heap owns every superblock from every thread's
-        // perspective, so rings would never see a push — skip them.
-        let rings = (cfg.remote_ring && shards > 1).then(|| {
-            (0..NUM_CLASSES * shards as usize)
-                .map(|_| RemoteRing::new(cfg.remote_ring_cap))
-                .collect()
-        });
         let heap = Ralloc {
             inner: Arc::new(HeapInner {
                 pool,
@@ -344,9 +335,6 @@ impl Ralloc {
                 flush_half: cfg.flush_half,
                 shrink_policy: cfg.shrink_policy,
                 parked: std::array::from_fn(|_| Mutex::new(Vec::new())),
-                rings,
-                ring_cursor: AtomicU64::new(0),
-                ring_gauges: Mutex::new(HashMap::new()),
                 frontiers,
                 generation: AtomicU64::new(0),
                 exit_drains: AtomicUsize::new(0),

@@ -197,12 +197,8 @@ pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
 
     // Bins parked by pre-crash thread exits are DRAM state: their blocks
     // are about to be reclaimed (or kept) by the trace like any other
-    // cached block, so the parked copies must be forgotten. Likewise the
-    // remote-free rings: in-flight remote frees died with DRAM, and the
-    // sweep reclaims their blocks by reachability (the rings' whole
-    // crash-consistency argument — see `crate::remote`).
+    // cached block, so the parked copies must be forgotten.
     inner.discard_parked();
-    inner.discard_rings();
 
     // Steps 2-3: empty transient lists (thread caches were invalidated by
     // the crash's generation bump; on a dirty open none exist yet). Every

@@ -18,8 +18,9 @@
 //!   another shard's.
 //! * **Ownership**: the fill that claims a superblock stamps its home
 //!   shard into the descriptor ([`crate::descriptor::Desc::owner`]);
-//!   flushes route by that word, so a thread's frees of blocks it
-//!   filled itself are always local (see [`crate::flush`]).
+//!   a flush from any other shard counts its group as a remote free
+//!   (see [`crate::flush`]), so a thread's frees of blocks it filled
+//!   itself are always local.
 //! * **Work-stealing**: a Fill pops its home shard ([`ShardedPartial::pop`]);
 //!   only when that *and* the superblock free list are empty does it
 //!   probe the remaining shards in ring order ([`ShardedPartial::steal`]).
@@ -87,17 +88,6 @@ pub fn effective_shards(requested: usize) -> u32 {
         .and_then(|v| v.parse::<usize>().ok())
         .unwrap_or(requested);
     req.clamp(1, MAX_SHARDS) as u32
-}
-
-/// Read a boolean env knob: `Some(true)` for `1`/`true`/`yes`/`on`,
-/// `Some(false)` for `0`/`false`/`no`/`off`, `None` when unset or
-/// unparsable.
-pub(crate) fn env_flag(name: &str) -> Option<bool> {
-    match std::env::var(name).ok()?.to_ascii_lowercase().as_str() {
-        "1" | "true" | "yes" | "on" => Some(true),
-        "0" | "false" | "no" | "off" => Some(false),
-        _ => None,
-    }
 }
 
 /// Read a byte-size env knob: a plain integer, optionally suffixed with

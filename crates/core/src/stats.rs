@@ -10,7 +10,7 @@
 
 use std::sync::atomic::Ordering;
 
-use telemetry::{Counter, Histogram, Registry};
+use telemetry::{Counter, Registry};
 
 /// Declares [`SlowStats`]: one [`Counter`] per listed name, registered
 /// under exactly that name, so a field and its metric cannot drift apart.
@@ -31,8 +31,6 @@ macro_rules! slow_stats {
         #[derive(Debug, Default)]
         pub struct SlowStats {
             $($(#[$doc])* pub $name: Counter,)*
-            /// Blocks-per-drain distribution of fill-side ring drains.
-            pub remote_drain_batch: Histogram,
         }
 
         impl SlowStats {
@@ -42,7 +40,6 @@ macro_rules! slow_stats {
             pub(crate) fn registered(reg: &Registry) -> SlowStats {
                 SlowStats {
                     $($name: reg.counter(stringify!($name)),)*
-                    remote_drain_batch: reg.histogram("remote_drain_batch_blocks"),
                 }
             }
         }
@@ -76,9 +73,6 @@ slow_stats! {
     heap_shrinks,
     /// Superblocks released back to the OS by those shrinks.
     sb_released,
-    /// Extra partial-list candidates popped by best-fit fills (each probe
-    /// also re-pushes its loser, so the CAS cost is 2× this).
-    fill_bestfit_probes,
     /// Blocks a churn-policy fill claimed but immediately returned to
     /// their superblock (bounded fill retention; 0 unless
     /// [`crate::RallocConfig::flush_half`]).
@@ -112,26 +106,12 @@ slow_stats! {
     /// [`crate::RallocConfig::flush_half`] is set).
     half_flushes,
     /// Blocks a flush classified as *remote* (superblock last filled by a
-    /// thread of another shard than the freeing thread's). Counted in both ring
-    /// modes, so `remote_anchor_cas / remote_free_blocks` is the comparable
-    /// remote-free CAS cost.
+    /// thread of another shard than the freeing thread's).
     remote_free_blocks,
-    /// Anchor CASes spent returning remote groups: every remote group
-    /// with rings off; only ring-overflow displacements and teardown
-    /// drains with rings on.
+    /// Anchor CASes spent returning remote groups, one per group, so
+    /// `remote_anchor_cas / remote_free_blocks` is the remote-free CAS
+    /// cost per block.
     remote_anchor_cas,
-    /// Batches pushed onto remote-free rings (wait-free producer side).
-    remote_ring_pushes,
-    /// Blocks carried by those pushes.
-    remote_ring_push_blocks,
-    /// Batches claimed by fill-side ring drains (owner + steal drains).
-    remote_ring_drain_batches,
-    /// Blocks those drains moved straight into cache bins (zero CAS).
-    remote_ring_drain_blocks,
-    /// Ring pushes that lapped an undrained slot, displacing its batch
-    /// back onto the direct grouped-CAS fallback (also flight-recorded,
-    /// so `rinspect timeline` shows a pool running degraded).
-    remote_ring_overflows,
 }
 
 impl SlowStats {

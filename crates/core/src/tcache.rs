@@ -18,12 +18,9 @@
 //!   Makalu's return-half policy, §6.3). Blocks are grouped by
 //!   superblock, pre-linked into a local chain, and each group is spliced
 //!   into its anchor's free list with a single CAS — one CAS per
-//!   superblock touched, not one per block. A superblock is owned by
-//!   the shard of the thread whose Fill last claimed it, so blocks a
-//!   thread allocated itself always take that local CAS; groups owned by
-//!   *another* shard don't even pay it: the flush parks them on the
-//!   owner's remote-free ring ([`crate::remote`]) with a wait-free push,
-//!   and the owner reclaims them in bulk during its next Fill.
+//!   superblock touched, not one per block — whether this thread's own
+//!   Fill claimed the superblock or another shard's did (a *remote*
+//!   free: counted, routed no differently).
 //!
 //! In between, `malloc` is an array pop and `free` an array push.
 //!

@@ -35,9 +35,9 @@ pub enum Structure {
     /// frontier growth, threaded through a [`PQueue`] for the oracle.
     Churn,
     /// Producer/consumer split: producers malloc and hand blocks over a
-    /// channel, consumers free them — 100 % remote frees, so the
-    /// remote-free rings carry in-flight batches at the moment of the
-    /// kill. Threaded through a [`PQueue`] for the oracle.
+    /// channel, consumers free them — 100 % remote frees, cached or
+    /// mid-flush at the moment of the kill. Threaded through a
+    /// [`PQueue`] for the oracle.
     ProdCon,
 }
 
@@ -138,9 +138,9 @@ pub fn run(heap: &Ralloc, s: Structure, dir: *mut OpLogDir, threads: usize, seed
 /// The producer/consumer storm: thread pairs (2i, 2i+1) share a bounded
 /// channel; the even thread allocates and hands blocks over, the odd
 /// thread frees them. Every handed-over block is freed by a thread that
-/// does not own its superblock, so the allocator's remote-free rings run
-/// loaded for the whole window — a SIGKILL lands with in-flight batches
-/// on them, which recovery must reclaim by reachability. An odd leftover
+/// does not own its superblock, so remote frees run for the whole window
+/// — a SIGKILL lands with them in consumers' bins or mid-flush, and
+/// recovery must reclaim them by reachability. An odd leftover
 /// thread churns locally so every log sees traffic.
 fn run_prodcon(heap: &Ralloc, dir: *mut OpLogDir, threads: usize, seed: u64, ops: usize) {
     let q = PQueue::attach(heap, STRUCT_ROOT).unwrap();

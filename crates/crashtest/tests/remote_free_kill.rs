@@ -1,8 +1,9 @@
-//! Kill-based proof that the remote-free rings are safely volatile: the
-//! `prodcon` workload (producers malloc, consumers free across threads —
-//! 100 % remote frees) keeps batches of in-flight frees parked on the
-//! rings, a SIGKILL drops them with DRAM, and recovery's reachability
-//! sweep must reclaim every one — visibility oracles green, no leak.
+//! Kill-based proof that remote frees are crash-safe: the `prodcon`
+//! workload (producers malloc, consumers free across threads — 100 %
+//! remote frees) keeps consumers flushing groups into superblocks the
+//! producers are filling from, a SIGKILL lands mid-flush or with the
+//! frees still cached, and recovery's reachability sweep must reclaim
+//! every block — visibility oracles green, no leak.
 //!
 //! Spawns the `crashtest` binary because `run_once` forks, and forking
 //! is only safe from a single-threaded process.
@@ -13,7 +14,7 @@ fn harness_available() -> bool {
     nvm::sys::available()
 }
 
-fn sweep(rounds: usize, seed: &str, env: &[(&str, &str)]) {
+fn sweep(rounds: usize, seed: &str) {
     if !harness_available() {
         eprintln!("skipping: raw syscall layer unavailable on this host");
         return;
@@ -31,9 +32,6 @@ fn sweep(rounds: usize, seed: &str, env: &[(&str, &str)]) {
         "--dir",
         dir.to_str().unwrap(),
     ]);
-    for (k, v) in env {
-        cmd.env(k, v);
-    }
     let out = cmd.output().expect("failed to spawn crashtest binary");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
@@ -46,20 +44,6 @@ fn sweep(rounds: usize, seed: &str, env: &[(&str, &str)]) {
 }
 
 #[test]
-fn prodcon_survives_kill_sweep_with_loaded_rings() {
-    sweep(25, "0xC001", &[("RALLOC_REMOTE_RING", "on")]);
-}
-
-#[test]
-fn prodcon_survives_kill_sweep_with_tiny_rings() {
-    // A 2-slot ring overflows constantly, so kills land mid-fallback as
-    // often as mid-push: both halves of the degradation path must be
-    // crash-safe.
-    sweep(25, "0xC002", &[("RALLOC_REMOTE_RING", "on"), ("RALLOC_REMOTE_RING_CAP", "2")]);
-}
-
-#[test]
-fn prodcon_survives_kill_sweep_with_rings_off() {
-    // Control: the same workload over the direct grouped-CAS path.
-    sweep(25, "0xC003", &[("RALLOC_REMOTE_RING", "off")]);
+fn prodcon_survives_kill_sweep() {
+    sweep(25, "0xC003");
 }

@@ -59,11 +59,12 @@ pub enum EventKind {
     Open = 13,
     /// Clean close: dirty flag cleared and the pool synced.
     Close = 14,
-    /// A remote-free ring push lapped an undrained slot, displacing its
-    /// batch onto the direct grouped-CAS fallback (a = displaced batch's
-    /// superblock, b = its block count). The heap keeps working, but the
-    /// producer side is degraded from wait-free pushes to anchor CASes.
-    RemoteRingOverflow = 15,
+    /// Retired, never reused: until the remote-free rings were deleted
+    /// this was a ring push displacing an undrained batch (a = its
+    /// superblock, b = its block count). Nothing records it any more; it
+    /// still decodes, under its old name, because a v6 image written
+    /// before then can hold such records in its flight ring.
+    Retired15 = 15,
     /// Descriptor-region frontier grow: new descriptor span committed and
     /// its frontier word fenced (a = new descriptor frontier in bytes).
     GrowDescCommit = 16,
@@ -95,7 +96,7 @@ impl EventKind {
             12 => EventKind::RootPublish,
             13 => EventKind::Open,
             14 => EventKind::Close,
-            15 => EventKind::RemoteRingOverflow,
+            15 => EventKind::Retired15,
             16 => EventKind::GrowDescCommit,
             17 => EventKind::GrowDescPublish,
             18 => EventKind::ShrinkDescDecommit,
@@ -120,7 +121,7 @@ impl EventKind {
             EventKind::RootPublish => "root_publish",
             EventKind::Open => "open",
             EventKind::Close => "close",
-            EventKind::RemoteRingOverflow => "remote_ring_overflow",
+            EventKind::Retired15 => "remote_ring_overflow",
             EventKind::GrowDescCommit => "grow_desc_commit",
             EventKind::GrowDescPublish => "grow_desc_publish",
             EventKind::ShrinkDescDecommit => "shrink_desc_decommit",

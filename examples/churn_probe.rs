@@ -3,7 +3,7 @@
 //! Replays `ralloc_leakage_freedom_under_churn`'s stress rounds while the
 //! telemetry sampler records the footprint trajectory — committed length,
 //! used superblocks, fill/flush/steal counters — as JSONL, so regressions
-//! in the demand-spike levers (parked-bin warm starts, best-fit fills)
+//! in the demand-spike levers (parked-bin warm starts, bounded retention)
 //! show up as numbers instead of a flaky red test. Used to record the
 //! probe matrix in ROADMAP; run several times — the interesting signal is
 //! the step *distribution* across runs.

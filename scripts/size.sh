@@ -7,7 +7,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BUDGET=7843
+BUDGET=7305
 
 total=0
 for f in crates/core/src/*.rs crates/nvm/src/*.rs; do

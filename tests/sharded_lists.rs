@@ -31,16 +31,6 @@ fn sharded_cfg(shards: usize) -> RallocConfig {
     RallocConfig { partial_shards: shards, ..RallocConfig::tracked() }
 }
 
-/// Like [`sharded_cfg`] but with the remote-free rings pinned off: the
-/// steal-path tests drive blocks onto *partial lists* via cross-shard
-/// frees, which with rings on would ride the owner's ring instead (by
-/// design — `tests/remote_ring.rs` covers that path). The
-/// `RALLOC_REMOTE_RING` env knob still overrides this pin, so those
-/// tests also skip when the heap reports rings active.
-fn direct_sharded_cfg(shards: usize) -> RallocConfig {
-    RallocConfig { remote_ring: false, ..sharded_cfg(shards) }
-}
-
 /// Drive some superblocks of `heap`'s 14336 B class onto the calling
 /// thread's home shard: allocate `sbs` superblocks' worth, then free one
 /// block per superblock *plus* enough to overflow the 4-slot bin, so the
@@ -66,13 +56,9 @@ fn make_partials(heap: &Ralloc, sbs: usize) -> Vec<*mut u8> {
 
 #[test]
 fn fills_prefer_home_shard_and_steal_when_starved() {
-    let heap = Ralloc::create(32 << 20, direct_sharded_cfg(4));
+    let heap = Ralloc::create(32 << 20, sharded_cfg(4));
     if heap.partial_shards() < 2 {
         eprintln!("skipping: stealing needs >=2 shards (RALLOC_SHARDS override?)");
-        return;
-    }
-    if heap.remote_rings_enabled() {
-        eprintln!("skipping: steal path needs direct flushes (RALLOC_REMOTE_RING override?)");
         return;
     }
     let my_home = home_shard(thread_token(), heap.partial_shards());
@@ -121,13 +107,9 @@ fn fills_prefer_home_shard_and_steal_when_starved() {
 
 #[test]
 fn crash_mid_steal_loses_nothing() {
-    let heap = Ralloc::create(32 << 20, direct_sharded_cfg(4));
+    let heap = Ralloc::create(32 << 20, sharded_cfg(4));
     if heap.partial_shards() < 2 {
         eprintln!("skipping: stealing needs >=2 shards (RALLOC_SHARDS override?)");
-        return;
-    }
-    if heap.remote_rings_enabled() {
-        eprintln!("skipping: steal path needs direct flushes (RALLOC_REMOTE_RING override?)");
         return;
     }
     let my_home = home_shard(thread_token(), heap.partial_shards());
@@ -475,7 +457,6 @@ fn private_churn_never_leaves_the_threads_own_shard() {
     });
     let s = heap.slow_stats();
     assert_eq!(s.remote_free_blocks.load(Ordering::Relaxed), 0, "a thread's own free went remote");
-    assert_eq!(s.remote_ring_pushes.load(Ordering::Relaxed), 0);
     assert_eq!(s.partial_steals.load(Ordering::Relaxed), 0, "threads traded superblocks");
     assert!(s.partial_pops_home.load(Ordering::Relaxed) >= (2 * ROUNDS) as u64);
     // (Two threads on one shard can each find it empty for the instant
@@ -508,8 +489,8 @@ fn rooted_block_list(heap: &Ralloc, n: u64) {
 }
 
 /// Free the list rooted at slot 0 from one fresh thread (its exit
-/// flushes its bins), then check that every block made it home whichever
-/// ring or anchor its superblock's owner word sent it to.
+/// flushes its bins), then check that every block made it home whatever
+/// its superblock's owner word held.
 fn free_rooted_list_and_expect_an_empty_heap(heap: &Ralloc, n: u64) {
     let head = heap.get_root::<Node>(0) as usize;
     heap.set_root::<Node>(0, std::ptr::null());
@@ -529,7 +510,7 @@ fn free_rooted_list_and_expect_an_empty_heap(heap: &Ralloc, n: u64) {
         .unwrap()
     });
     assert_eq!(freed, n);
-    heap.shrink(); // drains every ring first
+    heap.shrink();
     assert_eq!(heap.used_superblocks(), 0, "a block was lost on the way home");
     let report = check_heap(heap);
     assert!(report.is_consistent(), "{:?}", report.violations);
@@ -584,7 +565,7 @@ fn garbage_owner_words_in_a_crash_image_route_safely() {
     }
     let _ = h2.get_root::<Node>(0); // re-register the filter
     // Both superblocks are FULL, and recovery stamps only the partial
-    // ones it enlists: the garbage is what the frees below route by.
+    // ones it enlists: the garbage is what the frees below read.
     assert_eq!(h2.recover().reachable_blocks, 8);
     free_rooted_list_and_expect_an_empty_heap(&h2, 8);
 }
