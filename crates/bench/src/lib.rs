@@ -26,61 +26,3 @@ pub fn bench_threads() -> Vec<usize> {
         vec![1, 2]
     }
 }
-
-/// The shared `"meta"` object every `BENCH_*.json` artifact embeds:
-/// host core count, unix timestamp, and the git revision the numbers
-/// were measured at, so artifacts from different checkouts stay
-/// comparable. Formerly each bench binary pasted its own `host_cores`
-/// line; this is the one copy.
-pub fn meta() -> String {
-    meta_with(&[])
-}
-
-/// [`meta`] plus bench-specific config knobs, each rendered as an extra
-/// `"key": value` field (values are embedded verbatim — pass pre-quoted
-/// strings for non-numeric values).
-pub fn meta_with(knobs: &[(&str, String)]) -> String {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let timestamp = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    let mut s = format!(
-        "{{\"host_cores\": {cores}, \"timestamp_unix\": {timestamp}, \"git_rev\": \"{}\"",
-        git_rev()
-    );
-    for (k, v) in knobs {
-        s.push_str(&format!(", \"{k}\": {v}"));
-    }
-    s.push('}');
-    s
-}
-
-/// Short git revision of the working tree, `"unknown"` outside a git
-/// checkout (e.g. an exported source tarball).
-pub fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .current_dir(env!("CARGO_MANIFEST_DIR"))
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty() && s.chars().all(|c| c.is_ascii_hexdigit()))
-        .unwrap_or_else(|| "unknown".into())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn meta_is_valid_json_with_mandatory_fields() {
-        let m = meta_with(&[("window_ms", "300".into())]);
-        let v = telemetry::json::parse(&m).expect("meta must be valid JSON");
-        assert!(v.get("host_cores").and_then(|x| x.as_u64()).unwrap() >= 1);
-        assert!(v.get("timestamp_unix").and_then(|x| x.as_u64()).unwrap() > 0);
-        assert!(v.get("git_rev").and_then(|x| x.as_str()).is_some());
-        assert_eq!(v.get("window_ms").and_then(|x| x.as_u64()), Some(300));
-    }
-}

@@ -39,8 +39,8 @@ use std::sync::atomic::Ordering;
 use crate::anchor::SbState;
 use crate::descriptor::{Desc, DescKind};
 use crate::heap::Ralloc;
-use crate::layout::MAX_SHARDS;
 use crate::lists::DescList;
+use crate::shard::SHARDS;
 use crate::size_class::{class_max_count, NUM_CLASSES};
 
 /// A violated invariant, with enough context to debug it.
@@ -130,11 +130,8 @@ pub fn check_heap(heap: &Ralloc) -> CheckReport {
     }
     let mut on_partial: HashSet<u32> = HashSet::new();
     let mut partial_class: Vec<(u32, u32)> = Vec::new();
-    // Walk every *reserved* shard head, not just the live shard count:
-    // a descriptor stranded on a stale high shard is a bug the checker
-    // must see, and live shards are a prefix of the reserved ones.
     for class in 1..NUM_CLASSES as u32 {
-        for shard in 0..MAX_SHARDS as u32 {
+        for shard in 0..SHARDS {
             for idx in DescList::partial_shard(geo, class, shard).collect(pool, geo) {
                 if !on_partial.insert(idx) {
                     report.violate(

@@ -1,19 +1,23 @@
 //! Heap configuration: what a caller may choose, and which value wins.
 //!
-//! The one decision this module owns is **precedence**: every `RALLOC_*`
-//! override the core reads is applied in [`RallocConfig::with_env`] (the
+//! The one decision this module owns is **precedence**: this file is the
+//! only place the core reads the environment. Every `RALLOC_*` override
+//! of a config field is applied in [`RallocConfig::with_env`] (the
 //! environment beats the field, the field beats the default), so the rest
-//! of the crate reads plain fields of an already-resolved config.
+//! of the crate reads plain fields of an already-resolved config; a value
+//! that does not parse is reported once on stderr and the field is used.
+//! The sampler's two variables have no field and are read by
+//! [`sampler_from_env`].
 //!
-//! `pub(crate)` surface: [`RallocConfig::with_env`], [`ShrinkPolicy::parse`],
-//! `at_close`/`at_recovery`, [`JOURNAL_CAP`].
+//! `pub(crate)` surface: [`RallocConfig::with_env`], [`sampler_from_env`],
+//! [`ShrinkPolicy::parse`], `at_close`/`at_recovery`, [`JOURNAL_CAP`].
 
+use std::fmt::Debug;
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use nvm::{CrashInjector, FlushModel, Mode};
-
-use crate::flight::FlightLevel;
-use crate::shard;
 
 /// When the heap releases its fully-free committed tail back to the OS
 /// (the shrink half of the reserve/commit model). Shrink is only legal at
@@ -71,12 +75,6 @@ pub struct RallocConfig {
     /// paper produced its LRMalloc baseline ("Ralloc without flush and
     /// fence", §6.1). A transient heap cannot be recovered.
     pub transient: bool,
-    /// Partial-list shards per size class (see [`crate::shard`]). Clamped
-    /// to `1..=MAX_SHARDS` at heap construction; the `RALLOC_SHARDS`
-    /// environment variable overrides it (benchmarks sweep shard counts
-    /// through one binary that way). Shards are transient metadata, so the
-    /// same pool image can be reopened under any shard count.
-    pub partial_shards: usize,
     /// Makalu-style churn policy (paper §6.3): when a full cache bin
     /// overflows, return only the *older* half to the heap instead of the
     /// whole bin. Halves the flush batch size but keeps recently-freed
@@ -98,11 +96,6 @@ pub struct RallocConfig {
     /// fully-free superblock run at quiescent points). Env override:
     /// `RALLOC_SHRINK=off|close|recovery|both`.
     pub shrink_policy: ShrinkPolicy,
-    /// What the persistent flight recorder writes into the pool's
-    /// crash-surviving event ring (see [`crate::flight`]). Forced to
-    /// [`FlightLevel::Off`] on transient heaps (nothing persists there
-    /// by definition). Env override: `RALLOC_FLIGHT=off|proto|all`.
-    pub flight_level: FlightLevel,
 }
 
 impl Default for RallocConfig {
@@ -112,19 +105,13 @@ impl Default for RallocConfig {
             flush_model: FlushModel::default(),
             injector: None,
             transient: false,
-            partial_shards: DEFAULT_SHARDS,
             flush_half: false,
             initial_capacity: None,
             max_capacity: None,
             shrink_policy: ShrinkPolicy::Both,
-            flight_level: FlightLevel::Proto,
         }
     }
 }
-
-/// Default shard count: enough to spread the slow paths of a typical
-/// thread pool without bloating the probe ring for single-thread runs.
-pub const DEFAULT_SHARDS: usize = 4;
 
 /// Event-journal capacity (events). 4096 covers minutes of slow-path
 /// traffic — the journal records protocol phases, not per-malloc events.
@@ -144,23 +131,76 @@ impl RallocConfig {
     /// This config with every environment override applied — the values
     /// the heap actually runs under. Idempotent.
     pub(crate) fn with_env(&self) -> RallocConfig {
-        let var = |name: &str| std::env::var(name).ok();
+        let cap = |v: &str| parse_size(v).map(Some);
         RallocConfig {
-            partial_shards: shard::effective_shards(self.partial_shards) as usize,
-            initial_capacity: shard::env_size("RALLOC_INIT_CAP").or(self.initial_capacity),
-            max_capacity: shard::env_size("RALLOC_MAX_CAP").or(self.max_capacity),
-            shrink_policy: var("RALLOC_SHRINK")
-                .and_then(|v| ShrinkPolicy::parse(&v))
-                .unwrap_or(self.shrink_policy),
-            // Transient heaps persist nothing, so their recorder is off.
-            flight_level: if self.transient {
-                FlightLevel::Off
-            } else {
-                var("RALLOC_FLIGHT")
-                    .and_then(|v| FlightLevel::parse(&v))
-                    .unwrap_or(self.flight_level)
-            },
+            initial_capacity: env_or("RALLOC_INIT_CAP", 1, self.initial_capacity, cap),
+            max_capacity: env_or("RALLOC_MAX_CAP", 2, self.max_capacity, cap),
+            shrink_policy: env_or("RALLOC_SHRINK", 4, self.shrink_policy, ShrinkPolicy::parse),
             ..self.clone()
         }
+    }
+}
+
+/// `name`'s parsed value when it is set and parses, else `field`. An
+/// unparsable value is named on stderr the first time it is met (`bit`
+/// is the variable's flag in the said-so set): a typo in a capacity knob
+/// otherwise runs the wrong experiment without a trace.
+fn env_or<T: Debug>(name: &str, bit: u8, field: T, parse: impl Fn(&str) -> Option<T>) -> T {
+    static SAID: AtomicU8 = AtomicU8::new(0);
+    let Ok(raw) = std::env::var(name) else { return field };
+    parse(&raw).unwrap_or_else(|| {
+        if SAID.fetch_or(bit, Ordering::Relaxed) & bit == 0 {
+            eprintln!("ralloc: ignoring {name}={raw:?} (does not parse); using {field:?} from the config");
+        }
+        field
+    })
+}
+
+/// A byte size: a plain integer, optionally suffixed with `K`/`M`/`G`
+/// (case-insensitive, powers of 1024). Pure, so unit tests need not
+/// mutate the process environment (concurrent `setenv` and `getenv`
+/// across test threads is UB on glibc).
+fn parse_size(raw: &str) -> Option<usize> {
+    let s = raw.trim().to_ascii_uppercase();
+    let (digits, shift) = match s.strip_suffix(['K', 'M', 'G']) {
+        Some(d) => (d, match s.as_bytes()[s.len() - 1] {
+            b'K' => 10,
+            b'M' => 20,
+            _ => 30,
+        }),
+        None => (s.as_str(), 0),
+    };
+    digits.trim().parse::<usize>().ok().map(|n| n << shift)
+}
+
+/// `RALLOC_TELEMETRY=<path>` starts the background JSONL sampler on every
+/// heap this process opens: the path and the interval
+/// (`RALLOC_TELEMETRY_MS`, default 200, at least 1).
+pub(crate) fn sampler_from_env() -> Option<(String, Duration)> {
+    let path = std::env::var("RALLOC_TELEMETRY").ok().filter(|p| !p.is_empty())?;
+    let ms = std::env::var("RALLOC_TELEMETRY_MS").ok().and_then(|v| parse_size(&v));
+    Some((path, Duration::from_millis(ms.unwrap_or(200).max(1) as u64)))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn size_knob_parses_suffixes() {
+        // The env plumbing itself is covered by tests/growable_env.rs,
+        // which owns its process.
+        for (raw, want) in [
+            ("4194304", Some(4194304usize)),
+            ("4m", Some(4 << 20)),
+            ("64K", Some(64 << 10)),
+            ("2G", Some(2 << 30)),
+            (" 8M ", Some(8 << 20)),
+            ("garbage", None),
+            ("", None),
+        ] {
+            assert_eq!(parse_size(raw), want, "{raw:?}");
+        }
+        assert_eq!(env_or("RALLOC_ENV_SIZE_TEST_UNSET", 0, 7usize, parse_size), 7);
     }
 }

@@ -24,6 +24,7 @@ use nvm::PmemPool;
 
 use crate::anchor::Anchor;
 use crate::layout::Geometry;
+use crate::shard::SHARDS;
 use crate::size_class::{is_small_class, CLASS_CONTINUATION, SB_SIZE};
 
 const ANCHOR_OFF: usize = 0;
@@ -93,18 +94,16 @@ impl<'a> Desc<'a> {
         unsafe { self.pool.atomic_u64(self.off + NEXT_PARTIAL_OFF) }
     }
 
-    /// This superblock's owning shard, of `shards` live ones: the home
-    /// shard of the thread whose fill last claimed it (a rebuild stamps
-    /// its placement). A statistic only — a flush from another shard
-    /// counts its group as remote (see [`crate::flush`]) and nothing is
-    /// routed by it — read racily and possibly stale or garbage, hence
-    /// the reduction.
+    /// This superblock's owning shard: the home shard of the thread whose
+    /// fill last claimed it (a rebuild stamps its placement). A statistic
+    /// only — a flush from another shard counts its group as remote (see
+    /// [`crate::flush`]) and nothing is routed by it — read racily and,
+    /// in a crash image, possibly garbage, hence the reduction.
     #[inline]
-    pub fn owner(&self, shards: u32) -> u32 {
+    pub fn owner(&self) -> u32 {
         // SAFETY: in-bounds, 8-aligned.
         let raw = unsafe { self.pool.atomic_u64(self.off + OWNER_OFF) }.load(Ordering::Relaxed) as u32;
-        // In range unless stale: the division is off the common path.
-        if raw < shards { raw } else { raw % shards }
+        raw % SHARDS
     }
 
     /// Record `shard` as this superblock's owner.

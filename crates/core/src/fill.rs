@@ -23,6 +23,7 @@ use crate::descriptor::Desc;
 use crate::heap::HeapInner;
 use crate::layout::USED_SB_OFF;
 use crate::lists::DescList;
+use crate::shard::{current_home_shard, ShardedPartial, SHARDS};
 use crate::size_class::{
     cache_capacity, class_block_size, class_max_count, is_small_class, NUM_CLASSES,
 };
@@ -31,17 +32,13 @@ use crate::tcache::CacheBin;
 /// Best-effort read prefetch of the cache line at `addr`. The fill and
 /// flush slow paths walk/link free chains whose next element is a
 /// dependent load; issuing the prefetch as soon as an address is known
-/// hides most of that latency on large batches. No-op on architectures
-/// without a portable prefetch intrinsic.
+/// hides most of that latency on large batches.
 #[inline(always)]
 pub(crate) fn prefetch_read(addr: usize) {
-    #[cfg(target_arch = "x86_64")]
     // SAFETY: prefetch is a hint; any address is permitted.
     unsafe {
         core::arch::x86_64::_mm_prefetch(addr as *const i8, core::arch::x86_64::_MM_HINT_T0)
     };
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = addr;
 }
 
 /// Cache bins a heap retains across thread exits, per size class. An
@@ -186,10 +183,9 @@ impl HeapInner {
 
     /// Account one served fill of `n` blocks.
     #[inline]
-    fn filled(&self, class: u32, n: u64) {
+    fn filled(&self, n: u64) {
         self.slow.cache_fills.fetch_add(1, Ordering::Relaxed);
         self.slow.cache_fill_blocks.fetch_add(n, Ordering::Relaxed);
-        self.emit(EventKind::Fill, n, class as u64);
     }
 
     /// Refill a cache bin for `class` (paper §4.4, LRMalloc's Fill):
@@ -213,14 +209,14 @@ impl HeapInner {
             if let Some(warm) = self.adopt_parked(class) {
                 debug_assert!(warm.len() > 0);
                 self.slow.bin_adopts.fetch_add(1, Ordering::Relaxed);
-                self.filled(class, warm.len() as u64);
+                self.filled(warm.len() as u64);
                 *bin = warm;
                 return true;
             }
         }
         bin.ensure_capacity(cache_capacity(class) as usize);
-        let partial = self.partial(class);
-        let home = self.home_shard();
+        let partial = ShardedPartial::new(class);
+        let home = current_home_shard();
         let free = DescList::free_list(&self.geo);
         let bsize = class_block_size(class) as usize;
         let mc = class_max_count(class);
@@ -259,7 +255,6 @@ impl HeapInner {
                 d.set_owner(home);
                 if stolen {
                     self.slow.partial_steals.fetch_add(1, Ordering::Relaxed);
-                    self.emit(EventKind::Steal, idx as u64, class as u64);
                 } else {
                     self.slow.partial_pops_home.fetch_add(1, Ordering::Relaxed);
                 }
@@ -306,7 +301,7 @@ impl HeapInner {
                         .fill_bounded_returns
                         .fetch_add(surplus.len() as u64, Ordering::Relaxed);
                 }
-                self.filled(class, keep_n as u64);
+                self.filled(keep_n as u64);
                 return true;
             }
             // No partial superblock anywhere: take the free one, scavenge an
@@ -366,7 +361,7 @@ impl HeapInner {
                     Anchor { avail: keep, count: mc - keep, state: SbState::Partial },
                     Ordering::Release,
                 );
-                self.partial(class).push(&self.pool, &self.geo, idx, home);
+                partial.push(&self.pool, &self.geo, idx, home);
                 self.slow.partial_shard_pushes.fetch_add(1, Ordering::Relaxed);
             } else {
                 d.set_anchor(Anchor::full(mc), Ordering::Release);
@@ -374,7 +369,7 @@ impl HeapInner {
             for i in (0..keep).rev() {
                 bin.push(sb_addr + i as usize * bsize);
             }
-            self.filled(class, keep as u64);
+            self.filled(keep as u64);
             return true;
         }
     }
@@ -399,7 +394,7 @@ impl HeapInner {
     pub(crate) fn scavenge(&self) -> Option<u32> {
         const POPS_PER_SHARD: usize = 4;
         for class in 1..NUM_CLASSES as u32 {
-            for s in 0..self.shards {
+            for s in 0..SHARDS {
                 let list = DescList::partial_shard(&self.geo, class, s);
                 let mut repush: [u32; POPS_PER_SHARD] = [0; POPS_PER_SHARD];
                 let mut repush_n = 0;

@@ -35,14 +35,14 @@
 //!
 //! # Persistence ordering
 //!
-//! Protocol events (grow/shrink/recovery phases, root publishes,
-//! open/close) flush their cache line immediately but do **not** fence:
-//! every such site sits next to an existing flush+fence of the protocol
-//! itself, so the record rides the same fence and costs no extra
-//! ordering. Traffic samples (fill/flush/steal/carve, recorded only at
-//! [`FlightLevel::All`]) batch instead: a line is flushed when its
-//! second slot fills, halving flush traffic at the price of possibly
-//! losing the last sample — samples are best-effort by contract.
+//! A record is a protocol step (grow/shrink/recovery phases, root
+//! publishes, open/close): its cache line is flushed immediately but
+//! **not** fenced — every such site sits next to an existing flush+fence
+//! of the protocol itself, so the record rides the same fence and costs
+//! no extra ordering. Nothing on the malloc/free paths records here
+//! (a carve is journaled, not ringed; fills, flushes and steals are
+//! counters), and a transient heap, which persists nothing, has no
+//! recorder at all.
 //!
 //! Slot claims use one relaxed `fetch_add` on a volatile counter — no
 //! CAS anywhere, mirroring the journal's design. The counter resumes
@@ -53,52 +53,6 @@ use crate::layout::{FLIGHT_CAP, FLIGHT_HDR_SIZE, FLIGHT_MAGIC, FLIGHT_OFF, FLIGH
 use nvm::PmemPool;
 use std::sync::atomic::{AtomicU64, Ordering};
 use telemetry::EventKind;
-
-/// How much the flight recorder writes. Env knob: `RALLOC_FLIGHT`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FlightLevel {
-    /// Record nothing (the ring is still initialized and scannable).
-    Off,
-    /// Protocol events only: grow/shrink/recovery phases, root
-    /// publishes, open/close. Off the malloc/free paths entirely.
-    #[default]
-    Proto,
-    /// Protocol events plus slow-path traffic samples
-    /// (fill/flush/steal/carve).
-    All,
-}
-
-impl FlightLevel {
-    /// Parse an env-style level name (`RALLOC_FLIGHT=off|proto|all`).
-    pub fn parse(s: &str) -> Option<FlightLevel> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "off" | "none" | "0" => Some(FlightLevel::Off),
-            "proto" | "protocol" | "1" => Some(FlightLevel::Proto),
-            "all" | "2" => Some(FlightLevel::All),
-            _ => None,
-        }
-    }
-
-    pub fn name(self) -> &'static str {
-        match self {
-            FlightLevel::Off => "off",
-            FlightLevel::Proto => "proto",
-            FlightLevel::All => "all",
-        }
-    }
-}
-
-/// Is `kind` a per-fill/per-flush traffic sample? Those reach the ring
-/// *and* the volatile journal only at [`FlightLevel::All`].
-pub(crate) fn is_sample(kind: EventKind) -> bool {
-    matches!(kind, EventKind::Fill | EventKind::Flush | EventKind::Steal)
-}
-
-/// Is `kind` a protocol step (recorded at [`FlightLevel::Proto`])? Not
-/// the samples, and not carves (always journaled, ringed only at `All`).
-fn is_proto(kind: EventKind) -> bool {
-    !is_sample(kind) && kind != EventKind::Carve
-}
 
 /// FNV-1a over the record's sequence number and payload words, folded to
 /// 32 bits. Not cryptographic — it only needs to distinguish "this slot
@@ -144,7 +98,6 @@ pub fn init_ring(pool: &PmemPool) {
 /// The crash-surviving event recorder. One per heap; writes land
 /// directly in the pool's flight ring.
 pub struct FlightRecorder {
-    level: FlightLevel,
     /// Next ticket (volatile; durable order lives in the slots' seq
     /// words). Resumed from the adoption scan so sequence numbers stay
     /// monotonic across reopens.
@@ -152,12 +105,8 @@ pub struct FlightRecorder {
 }
 
 impl FlightRecorder {
-    pub fn new(level: FlightLevel, resume_ticket: u64) -> FlightRecorder {
-        FlightRecorder { level, head: AtomicU64::new(resume_ticket) }
-    }
-
-    pub fn level(&self) -> FlightLevel {
-        self.level
+    pub fn new(resume_ticket: u64) -> FlightRecorder {
+        FlightRecorder { head: AtomicU64::new(resume_ticket) }
     }
 
     /// Record one event into the pool's ring. Zero CAS: one relaxed
@@ -168,12 +117,6 @@ impl FlightRecorder {
     pub fn record(&self, pool: &PmemPool, kind: EventKind, a: u64, b: u64) {
         #[cfg(not(feature = "telemetry-off"))]
         {
-            let proto = is_proto(kind);
-            match self.level {
-                FlightLevel::Off => return,
-                FlightLevel::Proto if !proto => return,
-                _ => {}
-            }
             let ticket = self.head.fetch_add(1, Ordering::Relaxed);
             let idx = (ticket % FLIGHT_CAP as u64) as usize;
             let off = FLIGHT_RECORDS_OFF + idx * FLIGHT_REC_SIZE;
@@ -191,12 +134,8 @@ impl FlightRecorder {
                 pool.atomic_u64(off + 24).store(b, Ordering::Relaxed);
                 pool.atomic_u64(off).store(seq as u64 | (crc as u64) << 32, Ordering::Release);
             }
-            // Protocol events flush now and ride the protocol's own
-            // fence; samples flush when the second slot completes the
-            // line (see module docs).
-            if proto || idx & 1 == 1 {
-                pool.flush(FLIGHT_RECORDS_OFF + (idx & !1) * FLIGHT_REC_SIZE, 64);
-            }
+            // Flushed now, fenced by the protocol step it records.
+            pool.flush(FLIGHT_RECORDS_OFF + (idx & !1) * FLIGHT_REC_SIZE, 64);
         }
         #[cfg(feature = "telemetry-off")]
         let _ = (pool, kind, a, b);
@@ -373,7 +312,7 @@ mod tests {
     #[test]
     fn records_survive_an_image_round_trip() {
         let p = pool();
-        let rec = FlightRecorder::new(FlightLevel::Proto, 0);
+        let rec = FlightRecorder::new(0);
         rec.record(&p, EventKind::GrowCommit, 4096, 0);
         rec.record(&p, EventKind::GrowPublish, 4096, 0);
         rec.record(&p, EventKind::RootPublish, 3, 17);
@@ -389,28 +328,9 @@ mod tests {
 
     #[cfg(not(feature = "telemetry-off"))]
     #[test]
-    fn proto_level_skips_traffic_samples() {
-        let p = pool();
-        let rec = FlightRecorder::new(FlightLevel::Proto, 0);
-        rec.record(&p, EventKind::Fill, 64, 3);
-        rec.record(&p, EventKind::Steal, 1, 3);
-        rec.record(&p, EventKind::GrowCommit, 4096, 0);
-        let scan = scan_pool(&p);
-        assert_eq!(scan.events.len(), 1);
-        assert_eq!(scan.events[0].kind_name(), "grow_commit");
-        let all = FlightRecorder::new(FlightLevel::All, scan.resume_ticket());
-        all.record(&p, EventKind::Fill, 64, 3);
-        assert_eq!(scan_pool(&p).events.len(), 2);
-        let off = FlightRecorder::new(FlightLevel::Off, 0);
-        off.record(&p, EventKind::GrowCommit, 1, 0);
-        assert_eq!(scan_pool(&p).events.len(), 2, "Off records nothing");
-    }
-
-    #[cfg(not(feature = "telemetry-off"))]
-    #[test]
     fn wraparound_keeps_newest_cap_records() {
         let p = pool();
-        let rec = FlightRecorder::new(FlightLevel::Proto, 0);
+        let rec = FlightRecorder::new(0);
         let total = FLIGHT_CAP as u64 + 25;
         for i in 0..total {
             rec.record(&p, EventKind::GrowCommit, i, 0);
@@ -428,7 +348,7 @@ mod tests {
     #[test]
     fn corrupted_payload_is_torn_not_history() {
         let p = pool();
-        let rec = FlightRecorder::new(FlightLevel::Proto, 0);
+        let rec = FlightRecorder::new(0);
         rec.record(&p, EventKind::GrowCommit, 100, 0);
         rec.record(&p, EventKind::GrowPublish, 100, 0);
         let mut image = p.persistent_image();
@@ -444,37 +364,26 @@ mod tests {
     #[test]
     fn resume_extends_the_timeline_monotonically() {
         let p = pool();
-        let rec = FlightRecorder::new(FlightLevel::Proto, 0);
+        let rec = FlightRecorder::new(0);
         for _ in 0..5 {
             rec.record(&p, EventKind::GrowCommit, 0, 0);
         }
         let first = scan_pool(&p);
-        let rec2 = FlightRecorder::new(FlightLevel::Proto, first.resume_ticket());
+        let rec2 = FlightRecorder::new(first.resume_ticket());
         rec2.record(&p, EventKind::Open, 1, 0);
         let scan = scan_pool(&p);
         assert_eq!(scan.events.last().unwrap().seq, 6);
         assert_eq!(scan.events.last().unwrap().kind_name(), "open");
     }
 
-    #[test]
-    fn level_parsing_matches_env_grammar() {
-        assert_eq!(FlightLevel::parse("off"), Some(FlightLevel::Off));
-        assert_eq!(FlightLevel::parse("Proto"), Some(FlightLevel::Proto));
-        assert_eq!(FlightLevel::parse(" all "), Some(FlightLevel::All));
-        assert_eq!(FlightLevel::parse("0"), Some(FlightLevel::Off));
-        assert_eq!(FlightLevel::parse("bogus"), None);
-    }
-
     #[cfg(not(feature = "telemetry-off"))]
     #[test]
     fn ring_overflow_is_a_proto_event() {
         // Kind 15 is retired (nothing records a ring overflow any more),
-        // but a pool written before that can hold one: it was a protocol
-        // step, so it sits in a default-level ring, and a scan must keep
-        // reading it back under its name rather than as "unknown".
+        // but a ring written before that can hold one, and a scan must
+        // keep reading it back under its name rather than as "unknown".
         let p = pool();
-        let rec = FlightRecorder::new(FlightLevel::Proto, 0);
-        rec.record(&p, EventKind::Fill, 64, 8); // traffic: dropped at proto
+        let rec = FlightRecorder::new(0);
         rec.record(&p, EventKind::Retired15, 3, 1024);
         let scan = scan_pool(&p);
         assert_eq!(scan.events.len(), 1);
@@ -488,7 +397,7 @@ mod tests {
     #[test]
     fn json_and_text_formats_carry_the_events() {
         let p = pool();
-        let rec = FlightRecorder::new(FlightLevel::Proto, 0);
+        let rec = FlightRecorder::new(0);
         rec.record(&p, EventKind::Close, 0, 0);
         let scan = scan_pool(&p);
         let json = scan.to_json();

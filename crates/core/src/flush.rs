@@ -11,7 +11,7 @@
 //! the thread whose fill last claimed it ([`Desc::owner`]) — is not the
 //! freeing thread's. That is a statistic (`remote_free_blocks`,
 //! `remote_anchor_cas`), not a route: the owner word is read racily, may
-//! be stale or meaningless (another run's shard count, a crash image),
+//! be stale or meaningless (a crash image),
 //! and decides nothing. The FULL→PARTIAL transition enlists the
 //! superblock on the *freeing* thread's home shard.
 //!
@@ -20,13 +20,12 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use telemetry::EventKind;
-
 use crate::anchor::{Anchor, SbState};
 use crate::descriptor::Desc;
 use crate::fill::prefetch_read;
 use crate::heap::HeapInner;
 use crate::lists::DescList;
+use crate::shard::{current_home_shard, ShardedPartial};
 use crate::size_class::cache_capacity;
 use crate::tcache::{CacheBin, HeapTls};
 
@@ -100,7 +99,7 @@ impl HeapInner {
                     if new.state == SbState::Empty {
                         DescList::free_list(&self.geo).push(&self.pool, &self.geo, sb as u32);
                     } else {
-                        self.partial(d.size_class()).push(&self.pool, &self.geo, sb as u32, home);
+                        ShardedPartial::new(d.size_class()).push(&self.pool, &self.geo, sb as u32, home);
                         self.slow.partial_shard_pushes.fetch_add(1, Ordering::Relaxed);
                     }
                 }
@@ -115,7 +114,7 @@ impl HeapInner {
     /// [`HeapInner::push_batch`], counted as remote when another shard's
     /// thread last filled the superblock (see the module docs).
     fn return_group(&self, sb: usize, blocks: &[usize], home: u32) {
-        if Desc::new(&self.pool, &self.geo, sb as u32).owner(self.shards) != home {
+        if Desc::new(&self.pool, &self.geo, sb as u32).owner() != home {
             self.slow.remote_free_blocks.fetch_add(blocks.len() as u64, Ordering::Relaxed);
             self.slow.remote_anchor_cas.fetch_add(1, Ordering::Relaxed);
         }
@@ -141,7 +140,7 @@ impl HeapInner {
         const MAX_LINEAR_GROUPS: usize = 8;
         let base = self.pool.base() as usize;
         // One TLS lookup + hash for the whole batch, not per superblock.
-        let home = self.home_shard();
+        let home = current_home_shard();
         let mut i = 0;
         let mut groups = 0;
         while i < blocks.len() {
@@ -233,7 +232,6 @@ impl HeapInner {
         }
         self.slow.cache_flushes.fetch_add(1, Ordering::Relaxed);
         self.slow.cache_flushes_blocks.fetch_add(n as u64, Ordering::Relaxed);
-        self.emit(EventKind::Flush, n as u64, 0);
         self.flush_blocks(&mut bin.blocks_mut()[..n]);
     }
 

@@ -20,7 +20,7 @@ use crate::layout::{
     Geometry, COMMITTED_LEN_OFF, DESC_COMMITTED_LEN_OFF, DESC_SIZE, USED_SB_OFF,
 };
 use crate::lists::DescList;
-use crate::shard;
+use crate::shard::SHARDS;
 use crate::size_class::{NUM_CLASSES, SB_SIZE};
 use crate::stats::SlowStats;
 
@@ -319,9 +319,7 @@ impl HeapInner {
         }
         // Step 1: unlink every released descriptor. They sit on the free
         // list or (lazily retired) on a partial shard; filtering each
-        // list and re-splicing the survivors preserves order. All
-        // reserved shard heads are walked, not just the live ones — a
-        // clean image may carry stale-shard state from a wider run.
+        // list and re-splicing the survivors preserves order.
         if new_used < used {
             let keep = |idx: &u32| (*idx as usize) < new_used;
             let free = DescList::free_list(geo);
@@ -329,7 +327,7 @@ impl HeapInner {
             free.reset(pool);
             free.splice_slice(pool, geo, &kept);
             for class in 1..NUM_CLASSES as u32 {
-                for s in 0..shard::MAX_SHARDS as u32 {
+                for s in 0..SHARDS {
                     let list = DescList::partial_shard(geo, class, s);
                     let all = list.collect(pool, geo);
                     if all.iter().any(|idx| !keep(idx)) {

@@ -34,11 +34,11 @@ use telemetry::{EventKind, Journal, Registry, SamplerHandle};
 
 use crate::config::ShrinkPolicy;
 use crate::descriptor::Desc;
-use crate::flight::{self, FlightLevel, FlightRecorder, FlightScan};
+use crate::flight::{self, FlightRecorder, FlightScan};
 use crate::frontier::Frontier;
 use crate::gc::{trace_thunk, Trace, TraceFn};
 use crate::layout::{Geometry, DIRTY_OFF, NUM_ROOTS, USED_SB_OFF};
-use crate::shard::{self, ShardedPartial};
+use crate::shard;
 use crate::size_class::{class_block_size, is_small_class, size_class_of, NUM_CLASSES, SB_SIZE};
 use crate::stats::SlowStats;
 use crate::tcache::{self, CacheBin};
@@ -50,8 +50,6 @@ pub struct HeapInner {
     pub(crate) geo: Geometry,
     pub(crate) id: u64,
     pub(crate) transient: bool,
-    /// Live partial-list shard count (transient config; see `shard`).
-    pub(crate) shards: u32,
     /// Return only half of an overflowing cache bin (Makalu-style).
     pub(crate) flush_half: bool,
     /// When the frontier shrinks back (close/recovery hooks).
@@ -86,12 +84,13 @@ pub struct HeapInner {
     /// and any histograms callers hang off it); `heap` scope in exports.
     pub(crate) telemetry: Registry,
     /// Ring buffer of persistence-protocol events (grow/shrink phases,
-    /// recovery phases, carves; fill/flush/steal at `FlightLevel::All`).
+    /// recovery phases, carves).
     pub(crate) journal: Journal,
     /// Crash-surviving protocol-event ring living inside the pool's
     /// metadata region (see [`crate::flight`]). The volatile journal's
-    /// durable sibling: same event schema, survives SIGKILL.
-    pub(crate) flight: FlightRecorder,
+    /// durable sibling: same event schema, survives SIGKILL. `None` on a
+    /// transient heap, which persists nothing by definition.
+    pub(crate) flight: Option<FlightRecorder>,
     /// The pool's flight timeline as found at adoption, *before* this
     /// process wrote anything — the previous run's last recorded steps
     /// (the victim's, after a crash). Empty for fresh heaps.
@@ -139,18 +138,6 @@ impl HeapInner {
         }
     }
 
-    /// The sharded partial list of `class` under this heap's shard count.
-    #[inline]
-    pub(crate) fn partial(&self, class: u32) -> ShardedPartial {
-        ShardedPartial::new(class, self.shards)
-    }
-
-    /// The calling thread's home shard on this heap.
-    #[inline]
-    pub(crate) fn home_shard(&self) -> u32 {
-        shard::home_shard(shard::thread_token(), self.shards)
-    }
-
     /// Absolute address of pool offset `off`.
     #[inline]
     pub(crate) fn addr_of(&self, off: usize) -> usize {
@@ -167,15 +154,15 @@ impl HeapInner {
 
     /// Record an event: the volatile journal and the pool's
     /// crash-surviving flight ring share one schema and this one way in.
-    /// Fill/flush/steal samples reach either only at [`FlightLevel::All`]
-    /// (a journal record is a `fetch_add` on one shared head, hundreds of
-    /// times per thousand operations); carves and protocol steps are
-    /// always journaled, and the ring gates itself ([`crate::flight`]).
+    /// Protocol steps reach both; a carve is journaled only (a ring
+    /// record is a line flush, and carves come once per superblock).
     #[inline]
     pub(crate) fn emit(&self, kind: EventKind, a: u64, b: u64) {
-        if !flight::is_sample(kind) || self.flight.level() == FlightLevel::All {
-            self.journal.record(kind, a, b);
-            self.flight.record(&self.pool, kind, a, b);
+        self.journal.record(kind, a, b);
+        if kind != EventKind::Carve {
+            if let Some(flight) = &self.flight {
+                flight.record(&self.pool, kind, a, b);
+            }
         }
     }
 
@@ -497,20 +484,20 @@ impl Ralloc {
     /// The calling thread's home shard (tests and benches use it to
     /// construct guaranteed-remote frees).
     pub fn current_home_shard(&self) -> u32 {
-        self.inner.home_shard()
+        shard::current_home_shard()
     }
 
     /// The recorded owner of the superblock containing `ptr`: the home
     /// shard of the thread whose fill last claimed it (after a rebuild,
-    /// `sb % S`), reduced to this run's shard count — a free of `ptr`
-    /// flushed from any other shard counts as remote.
+    /// `sb % SHARDS`) — a free of `ptr` flushed from any other shard
+    /// counts as remote.
     pub fn owner_shard_of(&self, ptr: *const u8) -> u32 {
         let inner = &*self.inner;
         let off = (ptr as usize)
             .checked_sub(inner.pool.base() as usize)
             .expect("owner_shard_of: pointer below heap");
         let sb = inner.geo.sb_index_of(off).expect("owner_shard_of: pointer outside superblocks");
-        Desc::new(&inner.pool, &inner.geo, sb as u32).owner(inner.shards)
+        Desc::new(&inner.pool, &inner.geo, sb as u32).owner()
     }
 
     /// Slow-path event counters.
@@ -528,15 +515,9 @@ impl Ralloc {
     }
 
     /// The persistence-protocol event journal (grow/shrink phases,
-    /// recovery phases, carves — and fill/flush/steal samples when the
-    /// flight level is `All`; see [`telemetry::EventKind`]).
+    /// recovery phases, carves; see [`telemetry::EventKind`]).
     pub fn journal(&self) -> &Journal {
         &self.inner.journal
-    }
-
-    /// The level the persistent flight recorder is running at.
-    pub fn flight_level(&self) -> FlightLevel {
-        self.inner.flight.level()
     }
 
     /// The pool's flight timeline as it was at adoption, before this
@@ -631,11 +612,6 @@ impl Ralloc {
     /// this (malloc returns null once it is exhausted).
     pub fn max_superblocks(&self) -> usize {
         self.inner.geo.max_sb
-    }
-
-    /// Live partial-list shard count per size class (see [`crate::shard`]).
-    pub fn partial_shards(&self) -> u32 {
-        self.inner.shards
     }
 
     /// True when the heap runs in LRMalloc (no flush/fence) mode.
@@ -1125,12 +1101,7 @@ mod remote_free_tests {
     /// [`alloc_superblocks`] run to completion on a spawned thread whose
     /// home shard is not the caller's: every returned superblock is owned
     /// by that other shard, so the caller flushing its blocks is remote.
-    /// `None` on a single-shard heap, where no free is remote.
-    fn alloc_superblocks_elsewhere(heap: &Ralloc, n: usize) -> Option<Vec<Vec<usize>>> {
-        if heap.partial_shards() == 1 {
-            eprintln!("skipping: one shard (RALLOC_SHARDS=1?), so no free is remote");
-            return None;
-        }
+    fn alloc_superblocks_elsewhere(heap: &Ralloc, n: usize) -> Vec<Vec<usize>> {
         let home = heap.current_home_shard();
         for _ in 0..64 {
             let heap = heap.clone();
@@ -1138,17 +1109,17 @@ mod remote_free_tests {
                 (heap.current_home_shard() != home).then(|| alloc_superblocks(&heap, n))
             });
             if let Some(sbs) = worker.join().unwrap() {
-                return Some(sbs);
+                return sbs;
             }
         }
-        panic!("S > 1, yet no spawned thread landed on a foreign shard");
+        panic!("no spawned thread landed on a foreign shard");
     }
 
     #[test]
     #[cfg_attr(feature = "telemetry-off", ignore = "asserts telemetry counters, which are compiled out")]
     fn remote_group_flush_takes_one_anchor_cas() {
         let heap = Ralloc::create(16 << 20, RallocConfig::default());
-        let Some(sbs) = alloc_superblocks_elsewhere(&heap, 2) else { return };
+        let sbs = alloc_superblocks_elsewhere(&heap, 2);
         let remote = &sbs[0];
         assert_ne!(heap.owner_shard_of(remote[0] as *const u8), heap.current_home_shard());
         let s = heap.slow_stats();
@@ -1174,7 +1145,7 @@ mod remote_free_tests {
     fn shrink_releases_remotely_freed_superblocks() {
         let heap = Ralloc::create(16 << 20, RallocConfig::default());
         let mut sbs = alloc_superblocks(&heap, 1);
-        let Some(elsewhere) = alloc_superblocks_elsewhere(&heap, 4) else { return };
+        let elsewhere = alloc_superblocks_elsewhere(&heap, 4);
         sbs.extend(elsewhere);
         // Whole populations, local and remote alike: each group retires
         // its superblock outright, so shrink finds nothing held back.

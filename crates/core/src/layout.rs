@@ -27,13 +27,14 @@
 //! descriptor region being committed wholesale as a side effect of the
 //! superblock frontier.
 
+use crate::shard::SHARDS;
 use crate::size_class::SB_SIZE;
 
 /// Magic number identifying a Ralloc heap image ("RALLOC\0" + format
 /// version). The low byte is the metadata-layout version and must be
 /// bumped whenever the metadata region's layout changes, so an image
 /// from another build is refused instead of silently misread (there is
-/// no in-place migration). v1: single partial-list head per class. v2: `MAX_SHARDS`
+/// no in-place migration). v1: single partial-list head per class. v2: 16
 /// head slots per class. v3: reserve/commit capacity model — the header
 /// records the *reserved* span in `POOL_LEN_OFF` and the persisted
 /// committed frontier in `COMMITTED_LEN_OFF`. v4: persistent flight
@@ -43,8 +44,11 @@ use crate::size_class::SB_SIZE;
 /// and superblock space grow and shrink independently instead of the
 /// descriptor region being implicitly committed wholesale. v6: the
 /// partial-list heads are stored shard-major, so no two shards' heads
-/// share a cache line (see [`Geometry::partial_head`]; this build).
-pub const MAGIC: u64 = 0x52_41_4C_4C_4F_43_00_06;
+/// share a cache line (see [`Geometry::partial_head`]). v7: only the
+/// first [`SHARDS`] head slots of a class are lists; a clean v6 image
+/// written under a wider count could hold superblocks on the others, so
+/// it is refused like any other version (this build).
+pub const MAGIC: u64 = 0x52_41_4C_4C_4F_43_00_07;
 
 /// Descriptor stride in bytes (one cache line, paper §4.2).
 pub const DESC_SIZE: usize = 64;
@@ -92,19 +96,19 @@ pub const DESC_COMMITTED_LEN_OFF: usize = 56;
 /// Persistent roots: `NUM_ROOTS` u64 slots, each an offset+1 into the
 /// superblock region (0 = null). Persisted on `set_root`.
 pub const ROOTS_OFF: usize = 64;
-/// Hard ceiling on partial-list shards per size class. The metadata
-/// region reserves head slots for this many; the *live* shard count is a
-/// runtime config (`RallocConfig::partial_shards`) clamped to it.
-pub const MAX_SHARDS: usize = 16;
-/// Per-shard, per-class partial-list heads (`Counted`),
-/// `MAX_SHARDS * 40` slots, shard-major. Transient: reset and rebuilt by
-/// recovery, so the live shard count may change between runs.
+/// Head slots the metadata region holds per size class. The first
+/// [`SHARDS`] are the partial lists; the rest is padding from when the
+/// shard count was an option, kept so that no later offset moves.
+const HEAD_SLOTS: usize = 16;
+/// Per-shard, per-class partial-list heads (`Counted`), `HEAD_SLOTS * 40`
+/// slots, shard-major. Transient: reset and rebuilt by recovery.
 pub const PARTIAL_HEADS_OFF: usize = ROOTS_OFF + NUM_ROOTS * 8;
 
 /// Total metadata-region size (fixed, independent of heap size).
 pub const META_SIZE: usize = 16 * 1024;
 
-const _: () = assert!(PARTIAL_HEADS_OFF + 40 * MAX_SHARDS * 8 <= META_SIZE);
+const _: () = assert!(SHARDS as usize <= HEAD_SLOTS);
+const _: () = assert!(PARTIAL_HEADS_OFF + 40 * HEAD_SLOTS * 8 <= META_SIZE);
 // One shard's 40 heads are exactly five cache lines of their own.
 const _: () = assert!(PARTIAL_HEADS_OFF.is_multiple_of(64) && (40 * 8usize).is_multiple_of(64));
 
@@ -115,7 +119,7 @@ const _: () = assert!(PARTIAL_HEADS_OFF.is_multiple_of(64) && (40 * 8usize).is_m
 // costs no region geometry.
 
 /// Byte offset of the flight-ring header (64-byte aligned).
-pub const FLIGHT_OFF: usize = PARTIAL_HEADS_OFF + 40 * MAX_SHARDS * 8;
+pub const FLIGHT_OFF: usize = PARTIAL_HEADS_OFF + 40 * HEAD_SLOTS * 8;
 /// Ring header size: magic + capacity + reserved words, one cache line.
 pub const FLIGHT_HDR_SIZE: usize = 64;
 /// Byte offset of flight record slot 0.
@@ -269,7 +273,7 @@ impl Geometry {
     #[inline]
     pub fn partial_head(&self, class: u32, shard: u32) -> usize {
         debug_assert!(class < 40);
-        debug_assert!((shard as usize) < MAX_SHARDS);
+        debug_assert!(shard < SHARDS);
         PARTIAL_HEADS_OFF + (shard as usize * 40 + class as usize) * 8
     }
 }
@@ -348,13 +352,25 @@ mod tests {
     fn flight_ring_fits_the_metadata_slack() {
         // The ring must start exactly where the partial heads end, stay
         // inside the metadata region, and keep slots cache-line interior.
-        assert_eq!(FLIGHT_OFF, PARTIAL_HEADS_OFF + 40 * MAX_SHARDS * 8);
+        assert_eq!(FLIGHT_OFF, PARTIAL_HEADS_OFF + 40 * HEAD_SLOTS * 8);
         assert_eq!(FLIGHT_OFF % 64, 0);
         assert_eq!(64 % FLIGHT_REC_SIZE, 0, "slots must tile cache lines");
         // (Ring-fits-the-slack is a compile-time `const _` assert next
         // to the constants themselves.)
         // The format version is the low byte of the magic.
-        assert_eq!(MAGIC & 0xFF, 6);
+        assert_eq!(MAGIC & 0xFF, 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "metadata-format version 6")]
+    fn a_v6_image_is_refused_by_name() {
+        // A clean v6 image may keep superblocks on head slots this build
+        // never walks (it could run 16 shards), so it is not adopted.
+        let heap = crate::Ralloc::create(1 << 20, crate::RallocConfig::default());
+        heap.close().unwrap();
+        let mut image = heap.pool().persistent_image();
+        image[MAGIC_OFF] = 6; // little-endian low byte of MAGIC
+        let _ = crate::Ralloc::from_image(&image, crate::RallocConfig::default());
     }
 
     #[test]
@@ -392,7 +408,7 @@ mod tests {
         let g = Geometry::from_pool_len(8 << 20);
         let mut seen = std::collections::HashSet::new();
         for class in 0..40u32 {
-            for shard in 0..MAX_SHARDS as u32 {
+            for shard in 0..SHARDS {
                 let off = g.partial_head(class, shard);
                 assert!(off >= PARTIAL_HEADS_OFF && off + 8 <= META_SIZE);
                 assert_eq!(off % 8, 0);
@@ -406,12 +422,12 @@ mod tests {
         let g = Geometry::from_pool_len(8 << 20);
         let line = |class, shard| g.partial_head(class, shard) / 64;
         for (ca, cb) in (0..40u32).flat_map(|a| (0..40u32).map(move |b| (a, b))) {
-            for (sa, sb) in (0..MAX_SHARDS as u32).flat_map(|a| (0..a).map(move |b| (a, b))) {
+            for (sa, sb) in (0..SHARDS).flat_map(|a| (0..a).map(move |b| (a, b))) {
                 assert_ne!(line(ca, sa), line(cb, sb), "class {ca}/shard {sa} vs class {cb}/shard {sb}");
             }
         }
         // ... nor a line with the words on either side of the region.
         assert!((ROOTS_OFF + NUM_ROOTS * 8 - 8) / 64 < line(0, 0));
-        assert!(line(39, MAX_SHARDS as u32 - 1) < FLIGHT_OFF / 64);
+        assert!(line(39, SHARDS - 1) < FLIGHT_OFF / 64);
     }
 }

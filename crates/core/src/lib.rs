@@ -67,7 +67,7 @@ mod stats;
 mod tcache;
 
 pub use config::{RallocConfig, ShrinkPolicy};
-pub use flight::{FlightEvent, FlightLevel, FlightScan};
+pub use flight::{FlightEvent, FlightScan};
 pub use gc::{Trace, TraceFn, Tracer};
 pub use heap::Ralloc;
 pub use stats::SlowStats;
@@ -433,7 +433,7 @@ mod tests {
         let _ = Ralloc::from_image(&image, RallocConfig::default());
     }
 
-    /// v3, v4 and v5 were real formats of this allocator; nothing migrates
+    /// v3 to v6 were real formats of this allocator; nothing migrates
     /// them any more. Each must be refused by name — clean or dirty,
     /// through the image path and the file path — and left untouched.
     #[test]
@@ -444,7 +444,7 @@ mod tests {
             let payload = r.expect_err("an older-format image must be refused");
             payload.downcast_ref::<String>().cloned().unwrap_or_default()
         };
-        for version in [3u8, 4, 5] {
+        for version in [3u8, 4, 5, 6] {
             for clean in [true, false] {
                 let heap = small_heap();
                 let p = heap.malloc(64);

@@ -13,15 +13,13 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use parking_lot::Mutex;
 
 use nvm::{PmemPool, PoolGuard, RegionSpec};
 use telemetry::{EventKind, Journal, Registry};
 
-use crate::config::{RallocConfig, JOURNAL_CAP};
-use crate::descriptor::Desc;
+use crate::config::{self, RallocConfig, JOURNAL_CAP};
 use crate::flight::{self, FlightRecorder, FlightScan};
 use crate::frontier::Frontier;
 use crate::heap::{HeapInner, Ralloc};
@@ -29,9 +27,7 @@ use crate::layout::{
     Geometry, DIRTY_OFF, FLIGHT_HDR_SIZE, FLIGHT_OFF, MAGIC, MAGIC_OFF, MAX_SB_OFF, META_SIZE,
     POOL_LEN_OFF, USED_SB_OFF,
 };
-use crate::lists::DescList;
-use crate::shard;
-use crate::size_class::{NUM_CLASSES, SB_SIZE};
+use crate::size_class::SB_SIZE;
 use crate::stats::SlowStats;
 
 static NEXT_HEAP_ID: AtomicU64 = AtomicU64::new(1);
@@ -163,8 +159,6 @@ impl Ralloc {
     /// (file length == committed frontier throughout).
     ///
     /// Mapped heaps are [`nvm::Mode::Direct`] only; `cfg.mode` is ignored.
-    /// Requires the raw mmap layer (x86_64 Linux); other hosts get
-    /// [`io::ErrorKind::Unsupported`].
     pub fn open_file_mapped(
         path: &Path,
         capacity: usize,
@@ -273,21 +267,10 @@ impl Ralloc {
         let preopen = flight::scan_pool(&pool);
         let heap = Self::build(pool, geo, cfg, file, frontiers, preopen);
         // Mark dirty for the duration of this run (the paper's robust
-        // mutex acquire): any crash from here on requires recovery. This
-        // must precede the stale-shard fold below — the fold mutates
-        // durable list state, so a crash mid-fold has to trigger a full
-        // rebuild, never a second fold over a half-written image.
+        // mutex acquire): any crash from here on requires recovery.
         // SAFETY: 8-aligned metadata word.
         unsafe { heap.inner.pool.atomic_u64(DIRTY_OFF) }.store(1, Ordering::Release);
         heap.inner.persist(DIRTY_OFF, 8);
-        // A clean image skips recovery, so heads parked beyond this run's
-        // live shard count must be folded in here. A dirty image gets its
-        // lists rebuilt from scratch by `recover` — and must NOT be
-        // folded: its heads and link words are an inconsistent
-        // incidentally-persisted mixture that a pop loop could cycle on.
-        if !dirty {
-            heap.inner.fold_stale_shards();
-        }
         heap.inner.emit(EventKind::Open, dirty as u64, 0);
         (heap, dirty)
     }
@@ -316,22 +299,21 @@ impl Ralloc {
         ]);
         let telemetry = Registry::new();
         let slow = SlowStats::registered(&telemetry);
+        let flight =
+            (!cfg.transient).then(|| FlightRecorder::new(preopen_flight.resume_ticket()));
         // The torn count from the adoption scan becomes a counter so
         // harnesses can assert on dropped records.
-        let flight = FlightRecorder::new(cfg.flight_level, preopen_flight.resume_ticket());
         telemetry.describe(
             "flight_torn_records",
             "flight-ring records dropped at adoption because their checksum failed",
         );
         telemetry.counter("flight_torn_records").add(preopen_flight.torn);
-        let shards = cfg.partial_shards as u32;
         let heap = Ralloc {
             inner: Arc::new(HeapInner {
                 pool,
                 geo,
                 id: NEXT_HEAP_ID.fetch_add(1, Ordering::Relaxed),
                 transient: cfg.transient,
-                shards,
                 flush_half: cfg.flush_half,
                 shrink_policy: cfg.shrink_policy,
                 parked: std::array::from_fn(|_| Mutex::new(Vec::new())),
@@ -349,44 +331,12 @@ impl Ralloc {
                 sampler: Mutex::new(None),
             }),
         };
-        // RALLOC_TELEMETRY=<path> starts the background JSONL sampler on
-        // every heap this process opens (interval RALLOC_TELEMETRY_MS,
-        // default 200). Heap ids keep concurrent heaps' files distinct.
-        if let Ok(base) = std::env::var("RALLOC_TELEMETRY") {
-            if !base.is_empty() {
-                let interval = shard::env_size("RALLOC_TELEMETRY_MS").unwrap_or(200).max(1);
-                let id = heap.inner.id;
-                let path = if id > 1 { format!("{base}.{id}") } else { base };
-                let _ = heap.start_sampler(path, Duration::from_millis(interval as u64));
-            }
+        // Heap ids keep concurrent heaps' sampler files distinct.
+        if let Some((base, interval)) = config::sampler_from_env() {
+            let id = heap.inner.id;
+            let path = if id > 1 { format!("{base}.{id}") } else { base };
+            let _ = heap.start_sampler(path, interval);
         }
         heap
-    }
-}
-
-impl HeapInner {
-    /// Fold descriptors parked on reserved-but-stale shard heads
-    /// (`live..MAX_SHARDS`) into the live shards. A *clean* reopen under
-    /// a smaller shard count inherits the previous run's heads verbatim,
-    /// and nothing online ever probes past the live count (pops and
-    /// scavenges stop there) — without this, those superblocks' free
-    /// blocks would be stranded until the next dirty restart's rebuild.
-    fn fold_stale_shards(&self) {
-        for class in 1..NUM_CLASSES as u32 {
-            for s in self.shards..shard::MAX_SHARDS as u32 {
-                let stale = DescList::partial_shard(&self.geo, class, s);
-                let mut popped = 0;
-                while let Some(idx) = stale.pop(&self.pool, &self.geo) {
-                    popped += 1;
-                    assert!(
-                        popped <= self.geo.max_sb,
-                        "stale shard head cycles: corrupt clean image"
-                    );
-                    let to = shard::place_superblock(idx as usize, self.shards);
-                    Desc::new(&self.pool, &self.geo, idx).set_owner(to);
-                    self.partial(class).push(&self.pool, &self.geo, idx, to);
-                }
-            }
-        }
     }
 }

@@ -30,7 +30,7 @@
 //!
 //! The partial lists being rebuilt are *sharded* ([`crate::shard`]):
 //! every partial superblock goes to shard
-//! [`place_superblock`](crate::shard::place_superblock)`(sb, S)`, a pure
+//! [`place_superblock`](crate::shard::place_superblock)`(sb)`, a pure
 //! function of the superblock index, so the rebuilt state is *born
 //! sharded* and identical for any worker count; the same shard is
 //! stamped as the superblock's owner ([`Desc::set_owner`]), replacing
@@ -66,7 +66,7 @@ use crate::gc::{MarkSet, TraceFn, Tracer};
 use crate::heap::HeapInner;
 use crate::layout::NUM_ROOTS;
 use crate::lists::DescList;
-use crate::shard::{place_superblock, ShardedPartial};
+use crate::shard::{place_superblock, ShardedPartial, SHARDS};
 use crate::size_class::{class_block_size, class_max_count, NUM_CLASSES};
 
 /// What recovery found and rebuilt.
@@ -98,8 +98,6 @@ pub struct RecoveryStats {
     pub conservative_candidates: u64,
     /// Worker threads used (1 = the paper's sequential recovery).
     pub threads: usize,
-    /// Partial-list shards the rebuilt lists were partitioned into.
-    pub shards: u32,
     /// Trailing fully-free superblocks released (frontier lowered and
     /// tail decommitted) by the end-of-recovery shrink. 0 when
     /// [`crate::ShrinkPolicy`] disables the recovery hook. These
@@ -201,12 +199,10 @@ pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
     inner.discard_parked();
 
     // Steps 2-3: empty transient lists (thread caches were invalidated by
-    // the crash's generation bump; on a dirty open none exist yet). Every
-    // reserved shard head is reset, not just the live ones — the previous
-    // run may have used a different shard count.
+    // the crash's generation bump; on a dirty open none exist yet).
     DescList::free_list(geo).reset(pool);
     for class in 0..NUM_CLASSES as u32 {
-        ShardedPartial::new(class, inner.shards).reset_all(pool, geo);
+        ShardedPartial::new(class).reset_all(pool, geo);
     }
     inner.emit(EventKind::RecoveryReconcile, used as u64, threads as u64);
 
@@ -250,7 +246,6 @@ pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
         conservative_words_scanned: cons_words,
         conservative_candidates: cons_hits,
         threads,
-        shards: inner.shards,
         ..Default::default()
     };
 
@@ -377,7 +372,7 @@ fn recount(marks: &mut MarkSet) {
 /// publications into local batches and splices every batch with one CAS
 /// on the (lock-free) shared heads, so workers contend O(1) times per
 /// list rather than once per descriptor. Partial superblocks are placed
-/// on shard `place_superblock(i, S)`, a pure function of the index, so
+/// on shard `place_superblock(i)`, a pure function of the index, so
 /// any worker count rebuilds the identical sharded partition.
 #[allow(clippy::needless_range_loop)] // `i` is a superblock index, not just a slice cursor
 fn sweep_range(
@@ -390,7 +385,7 @@ fn sweep_range(
     let pool = &inner.pool;
     let geo = &inner.geo;
     let used = inner.used_sb();
-    let shards = inner.shards as usize;
+    let shards = SHARDS as usize;
     let (mut frees, mut partials, mut fulls) = (0, 0, 0);
     let mut free_batch: Vec<u32> = Vec::new();
     let mut partial_batches: Vec<Vec<u32>> = vec![Vec::new(); NUM_CLASSES * shards];
@@ -446,7 +441,7 @@ fn sweep_range(
                         frees += 1;
                     }
                     SbState::Partial => {
-                        let s = place_superblock(i, shards as u32);
+                        let s = place_superblock(i);
                         d.set_owner(s);
                         partial_batches[class as usize * shards + s as usize].push(i as u32);
                         partials += 1;

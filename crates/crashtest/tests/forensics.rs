@@ -10,10 +10,6 @@ use std::process::Command;
 use crashtest::{verify, KillSpec, RunConfig, Structure, STRUCT_ROOT};
 use ralloc::{Ralloc, RallocConfig};
 
-fn harness_available() -> bool {
-    nvm::sys::available()
-}
-
 /// Spawn the crashtest binary in `victim` mode: the child runs the
 /// workload against `pool` and (with `Events`) SIGKILLs itself, leaving
 /// the dirty pool on disk. Returns the kill signal, if any.
@@ -46,10 +42,6 @@ fn spawn_victim(structure: Structure, pool: &Path, seed: u64, kill: KillSpec) ->
 /// recover-and-verify pass.
 #[test]
 fn killed_pool_yields_timeline_and_check_agrees_with_harness() {
-    if !harness_available() {
-        eprintln!("skipping: raw syscall layer unavailable on this host");
-        return;
-    }
     let pool = std::env::temp_dir().join("ct_forensics_killed.pool");
     let seed = 0xF0_0001;
     let sig = spawn_victim(Structure::Queue, &pool, seed, KillSpec::Events(2000));
@@ -98,10 +90,6 @@ fn killed_pool_yields_timeline_and_check_agrees_with_harness() {
 /// victim's flight timeline as parseable JSON.
 #[test]
 fn failure_report_carries_victim_flight_timeline() {
-    if !harness_available() {
-        eprintln!("skipping: raw syscall layer unavailable on this host");
-        return;
-    }
     let pool = std::env::temp_dir().join("ct_forensics_forced.pool");
     let seed = 0xF0_0002;
     let sig = spawn_victim(Structure::Queue, &pool, seed, KillSpec::None);

@@ -48,10 +48,6 @@ fn field<'a>(line: &'a str, key: &str) -> &'a str {
 
 #[test]
 fn same_seed_reproduces_identical_kill_point() {
-    if !nvm::sys::available() {
-        eprintln!("skipping: raw syscall layer unavailable on this host");
-        return;
-    }
     let tmp = std::env::temp_dir();
     let a = run_line(Some("0x5EED"), None, tmp.join("ct_replay_a.pool").to_str().unwrap());
     let b = run_line(Some("0x5EED"), None, tmp.join("ct_replay_b.pool").to_str().unwrap());

@@ -72,8 +72,7 @@ pub fn arena_contains(ptr: *const u8) -> bool {
 }
 
 /// Map `len` bytes of fresh anonymous memory (page-granular), bypassing
-/// libc entirely. Null on failure or on hosts without the raw mmap
-/// layer (non-x86_64: [`nvm::sys`] returns `Unsupported`).
+/// libc entirely. Null on failure.
 pub fn map_pages(len: usize) -> *mut u8 {
     // SAFETY: fresh private anonymous mapping, no address hint.
     unsafe {
@@ -120,7 +119,6 @@ mod tests {
         assert!(arena_used() >= 200);
     }
 
-    #[cfg(target_arch = "x86_64")]
     #[test]
     fn map_pages_roundtrip() {
         let p = map_pages(8192);

@@ -93,9 +93,7 @@ impl CrashInjector {
     }
 
     /// Arm the injector to `SIGKILL` the whole process at the event
-    /// instead of panicking. See [`CrashAction::Kill`]; requires the raw
-    /// syscall layer ([`crate::sys::available`]) to actually die — on
-    /// unsupported hosts the event falls back to the panic action.
+    /// instead of panicking. See [`CrashAction::Kill`].
     pub fn arm_kill(&self, n: u64) {
         self.action.store(1, Ordering::SeqCst);
         self.budget.store(n as i64, Ordering::SeqCst);
@@ -129,8 +127,8 @@ impl CrashInjector {
             if self.action.load(Ordering::SeqCst) == 1 {
                 // Fail-stop for real: SIGKILL cannot be caught, so nothing
                 // past this persistence event runs in any thread. If the
-                // kill somehow fails (unsupported host), fall through to
-                // the panic so the event never passes silently.
+                // kill somehow fails, fall through to the panic so the
+                // event never passes silently.
                 let _ = crate::sys::kill(crate::sys::getpid(), crate::sys::SIGKILL);
                 std::thread::sleep(std::time::Duration::from_secs(10));
             }

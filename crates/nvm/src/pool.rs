@@ -87,15 +87,9 @@ struct Region {
     committed: AtomicUsize,
 }
 
-#[cfg(unix)]
 fn raw_fd(f: &fs::File) -> i32 {
     use std::os::fd::AsRawFd;
     f.as_raw_fd()
-}
-
-#[cfg(not(unix))]
-fn raw_fd(_f: &fs::File) -> i32 {
-    -1
 }
 
 /// Advisory exclusive lock on a pool file (`flock(LOCK_EX)`), preventing
@@ -1232,7 +1226,6 @@ mod tests {
         release_and_regrow(reserve(Mode::Tracked), 1, lo, lo + 64);
     }
 
-    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
     #[test]
     fn unaligned_releases_of_a_mapped_file_regrow_zero() {
         let dir = std::env::temp_dir().join(format!("nvm-release-{}", std::process::id()));
@@ -1260,7 +1253,6 @@ mod tests {
         assert_eq!(read_byte(&pool, 4096), 0);
     }
 
-    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
     #[test]
     fn shared_guard_coexists_with_readers_but_not_writers() {
         let dir = std::env::temp_dir().join(format!("nvm-shguard-{}", std::process::id()));

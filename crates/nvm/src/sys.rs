@@ -7,13 +7,14 @@
 //! The workspace builds offline with no `libc` crate, so these are
 //! direct `syscall` instructions on x86_64 Linux. Every wrapper returns
 //! `io::Result`, translating the kernel's negative-errno convention into
-//! `io::Error::from_raw_os_error`. On any other target the module still
-//! compiles but every call returns [`io::ErrorKind::Unsupported`], so
-//! portable callers can degrade gracefully — except [`Reservation`],
-//! which falls back to a zeroed heap allocation there, so the simulated
-//! in-memory pool works everywhere (file mappings stay unsupported).
+//! `io::Error::from_raw_os_error`. No other target is supported: no CI
+//! job or installed toolchain ever built the stub that used to stand in
+//! there, and file mappings, locks and fork never worked on it.
 
 use std::io;
+
+#[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
+compile_error!("nvm::sys issues raw x86_64 Linux syscalls; the only supported target is x86_64-unknown-linux-gnu");
 
 // ------------------------------------------------------------ constants
 
@@ -40,7 +41,6 @@ pub const SIGKILL: i32 = 9;
 /// `wait4` option: return immediately when no child has exited yet.
 pub const WNOHANG: usize = 1;
 
-#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 mod imp {
     use super::*;
 
@@ -133,51 +133,6 @@ mod imp {
         check(r).map(|_| ())
     }
 
-    /// Claim `len` bytes of address space and nothing else: inaccessible
-    /// (`PROT_NONE`), no memory, no swap accounting.
-    pub fn reserve(len: usize) -> io::Result<*mut u8> {
-        let flags = MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE;
-        // SAFETY: a fresh mapping at a kernel-chosen address aliases nothing.
-        unsafe { mmap(std::ptr::null_mut(), len, PROT_NONE, flags, -1, 0) }
-    }
-
-    /// Replace the pages of `addr..addr+len` with accessible ones: `fd`'s
-    /// pages from `offset` on (`MAP_SHARED`), or fresh anonymous zero
-    /// pages.
-    ///
-    /// # Safety
-    /// The page-aligned range must lie in a reservation the caller owns,
-    /// and nothing may still need what its old pages held.
-    pub unsafe fn map(addr: *mut u8, len: usize, fd: Option<i32>, offset: usize) -> io::Result<()> {
-        let (flags, fd) = match fd {
-            Some(fd) => (MAP_SHARED, fd),
-            None => (MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1),
-        };
-        // SAFETY: per fn contract.
-        unsafe { mmap(addr, len, PROT_READ | PROT_WRITE, flags | MAP_FIXED, fd, offset) }
-            .map(|_| ())
-    }
-
-    /// Return the pages of `addr..addr+len` to the reserved state: their
-    /// memory goes back to the OS and the range is inaccessible again.
-    ///
-    /// # Safety
-    /// As for [`map`].
-    pub unsafe fn release(addr: *mut u8, len: usize) -> io::Result<()> {
-        let flags = MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_FIXED;
-        // SAFETY: per fn contract.
-        unsafe { mmap(addr, len, PROT_NONE, flags, -1, 0) }.map(|_| ())
-    }
-
-    /// Give a whole [`reserve`]d span back.
-    ///
-    /// # Safety
-    /// `(addr, len)` must be exactly a live reservation nobody uses any more.
-    pub unsafe fn unreserve(addr: *mut u8, len: usize) {
-        // SAFETY: per fn contract. Nothing useful to do on failure.
-        unsafe { munmap(addr, len).ok() };
-    }
-
     /// `msync(addr, len, flags)` — write a shared mapping's dirty pages
     /// back to the file.
     ///
@@ -254,114 +209,6 @@ mod imp {
     }
 }
 
-#[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-mod imp {
-    use super::*;
-
-    fn unsupported<T>() -> io::Result<T> {
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "nvm::sys requires x86_64 Linux",
-        ))
-    }
-
-    /// # Safety
-    /// See the x86_64 implementation; this stub never dereferences.
-    pub unsafe fn mmap(
-        _addr: *mut u8,
-        _len: usize,
-        _prot: usize,
-        _flags: usize,
-        _fd: i32,
-        _offset: usize,
-    ) -> io::Result<*mut u8> {
-        unsupported()
-    }
-
-    /// # Safety
-    /// See the x86_64 implementation; this stub never dereferences.
-    pub unsafe fn munmap(_addr: *mut u8, _len: usize) -> io::Result<()> {
-        unsupported()
-    }
-
-    /// # Safety
-    /// See the x86_64 implementation; this stub never dereferences.
-    pub unsafe fn msync(_addr: *mut u8, _len: usize, _flags: usize) -> io::Result<()> {
-        unsupported()
-    }
-
-    fn layout(len: usize) -> std::alloc::Layout {
-        std::alloc::Layout::from_size_align(page_up(len.max(1)), PAGE).expect("reservation layout")
-    }
-
-    /// Without `mmap` a reservation is one zeroed heap allocation: always
-    /// accessible and paid for in full, so `map` has nothing to do and
-    /// `release` only has to keep the "reads zero" contract, by storing
-    /// zeros.
-    pub fn reserve(len: usize) -> io::Result<*mut u8> {
-        // SAFETY: the layout has non-zero size.
-        let p = unsafe { std::alloc::alloc_zeroed(layout(len)) };
-        if p.is_null() {
-            return Err(io::ErrorKind::OutOfMemory.into());
-        }
-        Ok(p)
-    }
-
-    /// # Safety
-    /// See the x86_64 implementation; this stub never dereferences.
-    pub unsafe fn map(_addr: *mut u8, _len: usize, fd: Option<i32>, _off: usize) -> io::Result<()> {
-        match fd {
-            Some(_) => unsupported(),
-            None => Ok(()),
-        }
-    }
-
-    /// # Safety
-    /// The range must lie in a reservation the caller owns and nothing
-    /// may still need what it held.
-    pub unsafe fn release(addr: *mut u8, len: usize) -> io::Result<()> {
-        // SAFETY: per fn contract.
-        unsafe { std::ptr::write_bytes(addr, 0, len) };
-        Ok(())
-    }
-
-    /// # Safety
-    /// `(addr, len)` must be exactly a live reservation nobody uses any more.
-    pub unsafe fn unreserve(addr: *mut u8, len: usize) {
-        // SAFETY: allocated by `reserve` with this layout.
-        unsafe { std::alloc::dealloc(addr, layout(len)) };
-    }
-
-    pub fn flock(_fd: i32, _op: usize) -> io::Result<()> {
-        // Advisory locking degrades to a no-op rather than an error:
-        // single-process use (the only kind possible without fork) is
-        // still correct, and open paths stay usable on other hosts.
-        Ok(())
-    }
-
-    /// # Safety
-    /// See the x86_64 implementation; this stub never forks.
-    pub unsafe fn fork() -> io::Result<i32> {
-        unsupported()
-    }
-
-    pub fn kill(_pid: i32, _sig: i32) -> io::Result<()> {
-        unsupported()
-    }
-
-    pub fn getpid() -> i32 {
-        std::process::id() as i32
-    }
-
-    pub fn wait4(_pid: i32, _options: usize) -> io::Result<(i32, i32)> {
-        unsupported()
-    }
-
-    pub fn exit_group(code: i32) -> ! {
-        std::process::exit(code)
-    }
-}
-
 pub use imp::{exit_group, flock, fork, getpid, kill, mmap, msync, munmap, wait4};
 
 /// OS page size assumed for mappings (x86_64 Linux).
@@ -394,9 +241,13 @@ pub struct Reservation {
 }
 
 impl Reservation {
-    /// Reserve `len` bytes of address space, none of it accessible yet.
+    /// Reserve `len` bytes of address space and nothing else: inaccessible
+    /// (`PROT_NONE`), no memory, no swap accounting.
     pub fn reserve(len: usize) -> io::Result<Reservation> {
-        Ok(Reservation { base: imp::reserve(len)?, len })
+        let flags = MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE;
+        // SAFETY: a fresh mapping at a kernel-chosen address aliases nothing.
+        let base = unsafe { mmap(std::ptr::null_mut(), len, PROT_NONE, flags, -1, 0) }?;
+        Ok(Reservation { base, len })
     }
 
     /// First byte of the span (page-aligned).
@@ -427,8 +278,13 @@ impl Reservation {
         if hi <= lo {
             return Ok(());
         }
+        let (flags, fd) = match fd {
+            Some(fd) => (MAP_SHARED, fd),
+            None => (MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1),
+        };
         // SAFETY: inside our own span; the rest is the caller's contract.
-        unsafe { imp::map(self.base.add(lo), hi - lo, fd, lo) }
+        unsafe { mmap(self.base.add(lo), hi - lo, PROT_READ | PROT_WRITE, flags | MAP_FIXED, fd, lo) }
+            .map(|_| ())
     }
 
     /// Take the pages of `[lo, hi)` away: the whole pages inside go back
@@ -451,8 +307,9 @@ impl Reservation {
         if last == first {
             return Ok(());
         }
+        let flags = MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_FIXED;
         // SAFETY: whole pages of our own span, unused per the contract.
-        unsafe { imp::release(self.base.add(first), last - first) }
+        unsafe { mmap(self.base.add(first), last - first, PROT_NONE, flags, -1, 0) }.map(|_| ())
     }
 
     /// Zero `[lo, hi)` by stores; the pages stay where they are. A page
@@ -483,16 +340,11 @@ impl Reservation {
 
 impl Drop for Reservation {
     fn drop(&mut self) {
-        // SAFETY: the span came from `imp::reserve(self.len)` and every
-        // mapping inside it was placed by `map`/`release`.
-        unsafe { imp::unreserve(self.base, self.len) };
+        // SAFETY: the span came from `reserve(self.len)` and every mapping
+        // inside it was placed by `map`/`release`. Nothing useful to do
+        // on failure.
+        unsafe { munmap(self.base, self.len).ok() };
     }
-}
-
-/// True when the raw-syscall layer is the real thing (fork/mmap harness
-/// available), false on the stubbed fallback.
-pub const fn available() -> bool {
-    cfg!(all(target_os = "linux", target_arch = "x86_64"))
 }
 
 /// Decode a `wait4` status word: `Some(sig)` if the child was terminated
@@ -545,7 +397,6 @@ mod tests {
         }
     }
 
-    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
     #[test]
     fn anonymous_map_round_trip() {
         // SAFETY: fresh anonymous mapping, unmapped at the end.
@@ -566,7 +417,6 @@ mod tests {
         }
     }
 
-    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
     #[test]
     fn flock_excludes_second_descriptor() {
         use std::os::fd::AsRawFd;
@@ -583,7 +433,6 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
     #[test]
     fn wait_status_decoders() {
         // 0x0900 = exited with code 9; 0x0009 = killed by SIGKILL.

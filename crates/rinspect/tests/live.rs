@@ -10,10 +10,6 @@ use ralloc::{Ralloc, RallocConfig};
 
 #[test]
 fn live_pool_snapshots_racily_then_checks_clean_after_close() {
-    if !nvm::sys::available() {
-        eprintln!("skipping: raw syscall layer unavailable on this host");
-        return;
-    }
     let path = std::env::temp_dir().join("rinspect_live.pool");
     let _ = std::fs::remove_file(&path);
     let (heap, _dirty) =

@@ -16,8 +16,7 @@ pub use workloads;
 /// a fresh thread whose home shard on `heap` is not `avoid` — a block such
 /// a thread fills is remote to every thread of shard `avoid`, and vice
 /// versa. Threads that land on `avoid` are discarded (each fresh one draws
-/// a new token); `None` if 64 in a row did. With a single shard there is
-/// no other shard, and the first thread runs `f`.
+/// a new token); `None` if 64 in a row did.
 pub fn on_another_shard<T: Send>(
     heap: &ralloc::Ralloc,
     avoid: u32,
@@ -25,7 +24,7 @@ pub fn on_another_shard<T: Send>(
 ) -> Option<T> {
     (0..64).find_map(|_| {
         std::thread::scope(|s| {
-            s.spawn(|| (heap.partial_shards() == 1 || heap.current_home_shard() != avoid).then(&f))
+            s.spawn(|| (heap.current_home_shard() != avoid).then(&f))
                 .join()
                 .expect("worker panicked")
         })

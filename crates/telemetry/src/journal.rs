@@ -19,8 +19,10 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// What happened. Covers every persistence-protocol phase plus the
-/// cache-traffic events (fill/flush/steal) that dominate latency traces.
+/// What happened: every persistence-protocol phase, plus carves. A
+/// retired kind is never reused and still decodes under its old name,
+/// because an image written while it was live can hold such records in
+/// its flight ring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum EventKind {
@@ -41,14 +43,15 @@ pub enum EventKind {
     /// Recovery: rebuilt lists spliced into shards (a = partial
     /// superblocks, b = free superblocks).
     RecoverySplice = 7,
-    /// Thread cache fill (a = blocks, b = size class).
-    Fill = 8,
-    /// Thread cache flush (a = blocks, b = size class, 0 when the bin's
-    /// class is not known at the flush site).
-    Flush = 9,
-    /// Partial-list steal from a foreign shard (a = stolen superblock
-    /// index, b = size class).
-    Steal = 10,
+    /// Retired: a thread cache fill (a = blocks, b = size class), sampled
+    /// only at the flight level `all`, which is gone. Fills, flushes and
+    /// steals are counters now.
+    Retired8 = 8,
+    /// Retired: a thread cache flush (a = blocks), as kind 8.
+    Retired9 = 9,
+    /// Retired: a partial-list steal from a foreign shard (a = stolen
+    /// superblock index, b = size class), as kind 8.
+    Retired10 = 10,
     /// Superblocks carved from the frontier (a = first carved index,
     /// b = count).
     Carve = 11,
@@ -59,11 +62,9 @@ pub enum EventKind {
     Open = 13,
     /// Clean close: dirty flag cleared and the pool synced.
     Close = 14,
-    /// Retired, never reused: until the remote-free rings were deleted
-    /// this was a ring push displacing an undrained batch (a = its
-    /// superblock, b = its block count). Nothing records it any more; it
-    /// still decodes, under its old name, because a v6 image written
-    /// before then can hold such records in its flight ring.
+    /// Retired: until the remote-free rings were deleted this was a ring
+    /// push displacing an undrained batch (a = its superblock, b = its
+    /// block count).
     Retired15 = 15,
     /// Descriptor-region frontier grow: new descriptor span committed and
     /// its frontier word fenced (a = new descriptor frontier in bytes).
@@ -89,9 +90,9 @@ impl EventKind {
             5 => EventKind::RecoveryReconcile,
             6 => EventKind::RecoverySweep,
             7 => EventKind::RecoverySplice,
-            8 => EventKind::Fill,
-            9 => EventKind::Flush,
-            10 => EventKind::Steal,
+            8 => EventKind::Retired8,
+            9 => EventKind::Retired9,
+            10 => EventKind::Retired10,
             11 => EventKind::Carve,
             12 => EventKind::RootPublish,
             13 => EventKind::Open,
@@ -114,9 +115,9 @@ impl EventKind {
             EventKind::RecoveryReconcile => "recovery_reconcile",
             EventKind::RecoverySweep => "recovery_sweep",
             EventKind::RecoverySplice => "recovery_splice",
-            EventKind::Fill => "fill",
-            EventKind::Flush => "flush",
-            EventKind::Steal => "steal",
+            EventKind::Retired8 => "fill",
+            EventKind::Retired9 => "flush",
+            EventKind::Retired10 => "steal",
             EventKind::Carve => "carve",
             EventKind::RootPublish => "root_publish",
             EventKind::Open => "open",
@@ -275,12 +276,12 @@ mod tests {
         let j = Journal::with_capacity(64);
         j.record(EventKind::GrowCommit, 10, 0);
         j.record(EventKind::GrowPublish, 10, 0);
-        j.record(EventKind::Fill, 64, 3);
+        j.record(EventKind::Carve, 64, 3);
         let evs = j.snapshot();
         assert_eq!(evs.len(), 3);
         assert_eq!(evs[0].kind, EventKind::GrowCommit);
         assert_eq!(evs[1].kind, EventKind::GrowPublish);
-        assert_eq!(evs[2].kind, EventKind::Fill);
+        assert_eq!(evs[2].kind, EventKind::Carve);
         assert_eq!(evs[2].a, 64);
         assert!(evs.windows(2).all(|w| w[0].seq < w[1].seq));
         assert!(evs.windows(2).all(|w| w[0].t_ns <= w[1].t_ns));
@@ -291,7 +292,7 @@ mod tests {
         let j = Journal::with_capacity(8);
         assert_eq!(j.capacity(), 8);
         for i in 0..100u64 {
-            j.record(EventKind::Flush, i, 0);
+            j.record(EventKind::Carve, i, 0);
         }
         assert_eq!(j.recorded(), 100);
         let evs = j.snapshot();
@@ -317,7 +318,7 @@ mod tests {
                 // torn slot (fields from two writers) is detectable.
                 s.spawn(move || {
                     for i in 0..20_000u64 {
-                        j.record(EventKind::Steal, t * 1_000_000 + i, t);
+                        j.record(EventKind::Carve, t * 1_000_000 + i, t);
                     }
                 });
             }

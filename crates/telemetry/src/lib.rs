@@ -120,7 +120,7 @@ mod tests {
                     for i in 0..10_000u64 {
                         c.add(1);
                         h.observe(i + t);
-                        j.record(EventKind::Fill, i, t);
+                        j.record(EventKind::Carve, i, t);
                     }
                 });
             }

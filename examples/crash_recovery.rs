@@ -18,10 +18,6 @@
 use crashtest::{run_once, seed_from_env, KillSpec, RunConfig, Structure, XorShift};
 
 fn main() {
-    if !nvm::sys::available() {
-        eprintln!("kill-based crash testing needs the raw syscall layer (x86_64 Linux); skipping");
-        return;
-    }
     let pool = std::env::temp_dir().join("crash_recovery_example.pool");
     let seed = seed_from_env();
     println!("seed = {seed:#x}  (replay with RALLOC_CRASH_SEED={seed:#x})");

@@ -1,18 +1,54 @@
 //! `RALLOC_INIT_CAP`/`RALLOC_MAX_CAP` drive the reserve/commit machinery
 //! from the environment, so any fixed-capacity workload binary becomes
-//! growable without a code change.
+//! growable without a code change. A value that does not parse is said
+//! so once on stderr and the config's value stands.
 //!
 //! This is deliberately a single test in its own binary: env vars are
 //! process-global, and mutating them while another thread reads them
 //! (every heap creation does) is UB on glibc. One test = one thread =
 //! no concurrent getenv. Do not add further `#[test]`s to this file.
 
+use std::process::Command;
 use std::sync::atomic::Ordering;
 
 use ralloc::{check_heap, Ralloc, RallocConfig, SB_SIZE};
 
+/// Values no knob parses. The test re-runs itself under them (stderr can
+/// only be read from outside the process); finding them set on entry is
+/// how the child knows its part.
+const UNPARSABLE: [(&str, &str); 3] =
+    [("RALLOC_INIT_CAP", "lots"), ("RALLOC_MAX_CAP", "12Q"), ("RALLOC_SHRINK", "sometimes")];
+
+/// Two heaps under [`UNPARSABLE`]: each runs on its config as if the
+/// variables were unset (fixed pool, shrink on close).
+fn run_on_the_config_under_unparsable_values() {
+    for _ in 0..2 {
+        let heap = Ralloc::create(4 << 20, RallocConfig::default());
+        assert_eq!(heap.committed_superblocks(), heap.max_superblocks());
+        assert!(heap.max_superblocks() * SB_SIZE < 8 << 20);
+        heap.close().unwrap();
+        assert_eq!(heap.committed_superblocks(), 0, "the default policy shrinks on close");
+    }
+}
+
 #[test]
 fn env_knobs_configure_growth() {
+    if std::env::var("RALLOC_INIT_CAP").as_deref() == Ok(UNPARSABLE[0].1) {
+        return run_on_the_config_under_unparsable_values();
+    }
+    let child = Command::new(std::env::current_exe().unwrap())
+        .args(["--exact", "env_knobs_configure_growth", "--nocapture"])
+        .envs(UNPARSABLE)
+        .output()
+        .expect("re-running the test binary");
+    let stderr = String::from_utf8_lossy(&child.stderr);
+    assert!(child.status.success(), "under unparsable values: {stderr}");
+    for (var, value) in UNPARSABLE {
+        let said: Vec<&str> = stderr.lines().filter(|l| l.contains(var)).collect();
+        assert_eq!(said.len(), 1, "{var} must be reported once, not per heap: {stderr}");
+        assert!(said[0].contains(value) && said[0].contains("using"), "{}", said[0]);
+    }
+
     std::env::set_var("RALLOC_INIT_CAP", "2M");
     std::env::set_var("RALLOC_MAX_CAP", "24M");
     let heap = Ralloc::create(8 << 20, RallocConfig::default());

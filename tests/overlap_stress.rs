@@ -50,11 +50,11 @@ fn ralloc_leakage_freedom_under_churn() {
     // sizes — which is what separates the two.
     //
     // Post-warm-up growth measured over 1 400 runs of this tree (shipped
-    // churn policy; release and dev, default shards and RALLOC_SHARDS=16;
-    // 2-CPU host):
+    // churn policy; release and dev, 4 shards and — while the count was
+    // still an option — 16; 2-CPU host):
     //   growth  +0  +1  +2  +3  +4  +5  +6  +7  +8  +9
     //   runs   329 356 258 196 118  69  38  23   8   5
-    // (200 more at RALLOC_SHARDS=1: one +10.) With the policy off
+    // (200 more at one shard: one +10.) With the policy off
     // (whole-superblock fills, no parked bins) 38 of 60 runs step +19 or
     // more — every class at once: exactly +19 in 19 of them, exactly +38
     // in 10 — so the bound still needs bounded retention to pass. A bound

@@ -594,13 +594,11 @@ fn crashed_remote_frees_leak_nothing() {
         heap.free(p as *mut u8);
     }
     #[cfg(not(feature = "telemetry-off"))]
-    if heap.partial_shards() > 1 {
-        assert_eq!(
-            heap.slow_stats().remote_free_blocks.load(Ordering::Relaxed),
-            4 * per_sb as u64,
-            "setup never flushed a remote group"
-        );
-    }
+    assert_eq!(
+        heap.slow_stats().remote_free_blocks.load(Ordering::Relaxed),
+        4 * per_sb as u64,
+        "setup never flushed a remote group"
+    );
     let used_before = heap.used_superblocks();
     heap.crash_simulated();
     let stats = heap.recover();

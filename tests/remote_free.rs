@@ -15,23 +15,12 @@ use std::sync::atomic::Ordering;
 use ralloc::{Ralloc, RallocConfig};
 use suite::on_another_shard;
 
-fn one_shard(heap: &Ralloc) -> bool {
-    let one = heap.partial_shards() == 1;
-    if one {
-        eprintln!("skipping: one shard (RALLOC_SHARDS=1?), so no free is remote");
-    }
-    one
-}
-
 #[test]
 #[cfg_attr(feature = "telemetry-off", ignore = "asserts telemetry counters, which are compiled out")]
 fn prodcon_remote_frees_cost_one_cas_per_superblock_group() {
     const PRODUCERS: usize = 2;
     const PER_PRODUCER: usize = 32 * 1024;
     let heap = Ralloc::create(64 << 20, RallocConfig::default());
-    if one_shard(&heap) {
-        return;
-    }
     // The hand-over is whole batches, by thread exit: `join` returns once
     // a producer's cache has drained, so the consumer frees on a heap
     // nobody else touches. The groups it flushes then follow from the
@@ -136,9 +125,6 @@ fn consumer_frees_come_back_to_the_producer_without_a_carve() {
     // fills own the superblocks, so every group the consumer flushes is
     // remote; the producer's next fills must find those blocks again.
     let heap = &Ralloc::create(64 << 20, RallocConfig::default());
-    if one_shard(heap) {
-        return;
-    }
     const N: usize = 2 * (ralloc::SB_SIZE / 64); // two whole superblocks
     let alloc_all = || (0..N).map(|_| heap.malloc(64) as usize).collect::<Vec<usize>>();
     let stats = heap.slow_stats();

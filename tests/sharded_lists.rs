@@ -20,16 +20,12 @@ use std::sync::{mpsc, Arc};
 use nvm::{CrashInjector, CrashPoint};
 use ralloc::layout::Geometry;
 use ralloc::lists::DescList;
-use ralloc::shard::{home_shard, place_superblock, thread_token, ShardedPartial};
+use ralloc::shard::{home_shard, place_superblock, thread_token, ShardedPartial, SHARDS};
 use ralloc::{check_heap, Pptr, Ralloc, RallocConfig, Trace, Tracer};
 
 /// 14336 B: the largest small class — 4 blocks per superblock and a
 /// 4-slot cache bin, so a handful of frees reaches the shared lists.
 const BLOCK: usize = 14336;
-
-fn sharded_cfg(shards: usize) -> RallocConfig {
-    RallocConfig { partial_shards: shards, ..RallocConfig::tracked() }
-}
 
 /// Drive some superblocks of `heap`'s 14336 B class onto the calling
 /// thread's home shard: allocate `sbs` superblocks' worth, then free one
@@ -56,12 +52,8 @@ fn make_partials(heap: &Ralloc, sbs: usize) -> Vec<*mut u8> {
 
 #[test]
 fn fills_prefer_home_shard_and_steal_when_starved() {
-    let heap = Ralloc::create(32 << 20, sharded_cfg(4));
-    if heap.partial_shards() < 2 {
-        eprintln!("skipping: stealing needs >=2 shards (RALLOC_SHARDS override?)");
-        return;
-    }
-    let my_home = home_shard(thread_token(), heap.partial_shards());
+    let heap = Ralloc::create(32 << 20, RallocConfig::tracked());
+    let my_home = home_shard(thread_token());
     let _held = make_partials(&heap, 6);
     let stats = heap.slow_stats();
     let home0 = stats.partial_pops_home.load(Ordering::Relaxed);
@@ -82,7 +74,7 @@ fn fills_prefer_home_shard_and_steal_when_starved() {
         let heap = heap.clone();
         let tx = tx.clone();
         let handle = std::thread::spawn(move || {
-            let home = home_shard(thread_token(), heap.partial_shards());
+            let home = home_shard(thread_token());
             if home == my_home {
                 return false; // token landed on our shard; try another
             }
@@ -107,12 +99,8 @@ fn fills_prefer_home_shard_and_steal_when_starved() {
 
 #[test]
 fn crash_mid_steal_loses_nothing() {
-    let heap = Ralloc::create(32 << 20, sharded_cfg(4));
-    if heap.partial_shards() < 2 {
-        eprintln!("skipping: stealing needs >=2 shards (RALLOC_SHARDS override?)");
-        return;
-    }
-    let my_home = home_shard(thread_token(), heap.partial_shards());
+    let heap = Ralloc::create(32 << 20, RallocConfig::tracked());
+    let my_home = home_shard(thread_token());
 
     // One durable block the recovery must keep.
     let rooted = heap.malloc(8) as *mut u64;
@@ -138,7 +126,7 @@ fn crash_mid_steal_loses_nothing() {
         let stole_tx = stole_tx.clone();
         let resume_rx = resume_rx.clone();
         let handle = std::thread::spawn(move || {
-            let home = home_shard(thread_token(), heap.partial_shards());
+            let home = home_shard(thread_token());
             if home == my_home {
                 stole_tx.send(false).unwrap();
                 return;
@@ -186,7 +174,7 @@ fn crash_mid_steal_loses_nothing() {
 #[test]
 fn crash_during_parallel_recovery_is_recoverable() {
     let inj = CrashInjector::new();
-    let cfg = RallocConfig { injector: Some(inj.clone()), ..sharded_cfg(4) };
+    let cfg = RallocConfig { injector: Some(inj.clone()), ..RallocConfig::tracked() };
     let heap = Ralloc::create(32 << 20, cfg);
     let rooted = heap.malloc(8) as *mut u64;
     // SAFETY: fresh block.
@@ -235,8 +223,7 @@ fn list_snapshot(heap: &Ralloc) -> (Vec<Vec<Vec<u32>>>, Vec<u32>) {
     let pool = heap.pool();
     let mut partials = Vec::new();
     for class in 1..40u32 {
-        let mut shards =
-            ShardedPartial::new(class, heap.partial_shards()).collect_all(pool, &geo);
+        let mut shards = ShardedPartial::new(class).collect_all(pool, &geo);
         for s in shards.iter_mut() {
             s.sort_unstable();
         }
@@ -251,7 +238,7 @@ fn list_snapshot(heap: &Ralloc) -> (Vec<Vec<Vec<u32>>>, Vec<u32>) {
 fn one_and_n_worker_recovery_agree_and_partition_the_shards() {
     // Build a crash image with real structure: rooted lists in several
     // classes, partial superblocks, leaked garbage, a large span.
-    let heap = Ralloc::create(64 << 20, sharded_cfg(4));
+    let heap = Ralloc::create(64 << 20, RallocConfig::tracked());
     for r in 0..6 {
         let mut head: *mut Node = std::ptr::null_mut();
         for i in 0..200u64 {
@@ -283,7 +270,7 @@ fn one_and_n_worker_recovery_agree_and_partition_the_shards() {
     let recovered: Vec<_> = [1usize, 4]
         .iter()
         .map(|&workers| {
-            let (h, dirty) = Ralloc::from_image(&image, sharded_cfg(4));
+            let (h, dirty) = Ralloc::from_image(&image, RallocConfig::tracked());
             assert!(dirty);
             for r in 0..6 {
                 let _ = h.get_root::<Node>(r); // re-register filters
@@ -303,7 +290,6 @@ fn one_and_n_worker_recovery_agree_and_partition_the_shards() {
     assert_eq!(s1.partial_superblocks, sn.partial_superblocks);
     assert_eq!(s1.full_superblocks, sn.full_superblocks);
     assert_eq!(sn.threads, 4);
-    assert_eq!(s1.shards, h1.partial_shards());
 
     // Identical per-shard membership, not just identical totals.
     let (p1, f1) = list_snapshot(h1);
@@ -314,13 +300,12 @@ fn one_and_n_worker_recovery_agree_and_partition_the_shards() {
     // The shard contents are a *partition* placed by place_superblock:
     // disjoint across shards (checker verified) and each member on the
     // shard the pure placement function names.
-    let shards = h1.partial_shards();
     let mut total_listed = 0usize;
     for class_shards in &p1 {
         for (s, members) in class_shards.iter().enumerate() {
             for &sb in members {
                 assert_eq!(
-                    place_superblock(sb as usize, shards),
+                    place_superblock(sb as usize),
                     s as u32,
                     "superblock {sb} rebuilt on wrong shard"
                 );
@@ -329,89 +314,6 @@ fn one_and_n_worker_recovery_agree_and_partition_the_shards() {
         }
     }
     assert_eq!(total_listed, s1.partial_superblocks, "partition does not cover all partials");
-}
-
-#[test]
-fn clean_reopen_with_fewer_shards_strands_nothing() {
-    // A *clean* close skips recovery on reopen, so partial superblocks
-    // parked on shards beyond the new run's live count would be invisible
-    // to pops and scavenges forever; `adopt` must fold them in.
-    let heap = Ralloc::create(64 << 20, sharded_cfg(16));
-    // Park partials on several different home shards.
-    std::thread::scope(|s| {
-        for _ in 0..4 {
-            let heap = heap.clone();
-            s.spawn(move || {
-                let _held = make_partials(&heap, 6);
-            });
-        }
-    });
-    heap.close().unwrap();
-    let image = heap.pool().persistent_image();
-    let used = heap.used_superblocks();
-    drop(heap);
-
-    let (h2, dirty) = Ralloc::from_image(&image, sharded_cfg(2));
-    assert!(!dirty, "clean close must not require recovery");
-    let live = h2.partial_shards();
-    // Nothing may remain on the reserved-but-stale heads.
-    let geo = h2.geometry();
-    for class in 1..40u32 {
-        let all = ShardedPartial::new(class, 16).collect_all(h2.pool(), &geo);
-        for (s, members) in all.iter().enumerate() {
-            if s as u32 >= live {
-                assert!(
-                    members.is_empty(),
-                    "class {class}: {} descriptors stranded on stale shard {s}",
-                    members.len()
-                );
-            }
-        }
-    }
-    let report = check_heap(&h2);
-    assert!(report.is_consistent(), "{:?}", report.violations);
-    // The folded partial superblocks are actually reachable: these
-    // allocations must be served from them, not from fresh carves.
-    for _ in 0..4 {
-        assert!(!h2.malloc(BLOCK).is_null());
-    }
-    let s = h2.slow_stats();
-    assert!(
-        s.partial_pops_home.load(Ordering::Relaxed) + s.partial_steals.load(Ordering::Relaxed)
-            > 0,
-        "fills did not find the folded partial superblocks"
-    );
-    assert_eq!(h2.used_superblocks(), used, "carved fresh space despite folded partials");
-}
-
-#[test]
-fn shard_count_change_across_restart_recovers() {
-    // A pool written under 8 shards reopened under 2 (and vice versa):
-    // shards are transient, so recovery must rebuild cleanly either way.
-    let heap = Ralloc::create(32 << 20, sharded_cfg(8));
-    let _held = make_partials(&heap, 5);
-    let rooted = heap.malloc(8) as *mut u64;
-    // SAFETY: fresh block.
-    unsafe { *rooted = 5 };
-    let off = rooted as usize - heap.pool().base() as usize;
-    heap.pool().persist(off, 8);
-    heap.set_root::<u64>(0, rooted);
-    heap.crash_simulated();
-    let image = heap.pool().persistent_image();
-
-    for shards in [2usize, 8, 16] {
-        let (h, dirty) = Ralloc::from_image(&image, sharded_cfg(shards));
-        assert!(dirty);
-        let stats = h.recover();
-        assert_eq!(stats.reachable_blocks, 1, "shards={shards}");
-        // Under a RALLOC_SHARDS override the live count differs from the
-        // requested one; recovery must report the live count either way.
-        assert_eq!(stats.shards, h.partial_shards());
-        let report = check_heap(&h);
-        assert!(report.is_consistent(), "shards={shards}: {:?}", report.violations);
-        let p = h.malloc(BLOCK);
-        assert!(!p.is_null());
-    }
 }
 
 #[test]
@@ -425,7 +327,7 @@ fn private_churn_never_leaves_the_threads_own_shard() {
     // and even if both tokens hash to one shard.
     const SBS: usize = 12;
     const ROUNDS: usize = 40;
-    let heap = Ralloc::create(32 << 20, sharded_cfg(4));
+    let heap = Ralloc::create(32 << 20, RallocConfig::tracked());
     let populated = std::sync::Barrier::new(2);
     let homes = std::thread::scope(|s| {
         let worker = || {
@@ -517,50 +419,20 @@ fn free_rooted_list_and_expect_an_empty_heap(heap: &Ralloc, n: u64) {
 }
 
 #[test]
-fn owner_words_from_a_wider_run_route_safely_after_a_clean_reopen() {
-    // Filled under 16 shards, so the recorded owners run up to 15; closed
-    // cleanly, so no recovery re-stamps them; reopened under 2 shards.
-    let heap = Ralloc::create(32 << 20, sharded_cfg(16));
-    // (Under a RALLOC_SHARDS override of ≤ 2 any filler will do.)
-    let wide = heap.partial_shards() > 2;
-    let built = (0..64).any(|_| {
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                let past_the_reopen = !wide || heap.current_home_shard() >= 2;
-                if past_the_reopen {
-                    rooted_block_list(&heap, 8);
-                }
-                past_the_reopen
-            })
-            .join()
-            .unwrap()
-        })
-    });
-    assert!(built, "no thread's home shard was past 1");
-    heap.close().unwrap();
-    let image = heap.pool().persistent_image();
-    drop(heap);
-
-    let (h2, dirty) = Ralloc::from_image(&image, sharded_cfg(2));
-    assert!(!dirty);
-    free_rooted_list_and_expect_an_empty_heap(&h2, 8);
-}
-
-#[test]
 fn garbage_owner_words_in_a_crash_image_route_safely() {
-    let heap = Ralloc::create(32 << 20, sharded_cfg(4));
+    let heap = Ralloc::create(32 << 20, RallocConfig::tracked());
     rooted_block_list(&heap, 8);
     heap.crash_simulated();
     let image = heap.pool().persistent_image();
     drop(heap);
 
-    let (h2, dirty) = Ralloc::from_image(&image, sharded_cfg(4));
+    let (h2, dirty) = Ralloc::from_image(&image, RallocConfig::tracked());
     assert!(dirty);
     // Whatever a torn or foreign image left in the transient owner words:
     // far out of range, all ones, and a value that is in range.
     let geo = h2.geometry();
     for sb in 0..h2.used_superblocks() as u32 {
-        let garbage = [0xDEAD_BEEF, u32::MAX, h2.partial_shards(), 1][sb as usize % 4];
+        let garbage = [0xDEAD_BEEF, u32::MAX, SHARDS, 1][sb as usize % 4];
         ralloc::descriptor::Desc::new(h2.pool(), &geo, sb).set_owner(garbage);
     }
     let _ = h2.get_root::<Node>(0); // re-register the filter
