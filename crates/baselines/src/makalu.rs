@@ -63,12 +63,8 @@ pub struct MakaluSim {
 impl MakaluSim {
     /// Create a heap with at least `capacity` bytes of chunk area.
     pub fn create(capacity: usize, mode: Mode, flush_model: FlushModel) -> MakaluSim {
-        let pool = PmemPool::with_options(
-            ChunkGeo::pool_len_for_capacity(capacity),
-            mode,
-            flush_model,
-            None,
-        );
+        let len = ChunkGeo::pool_len_for_capacity(capacity);
+        let pool = PmemPool::with_reserve(len, len, mode, flush_model, None);
         let geo = ChunkGeo::new(pool.len());
         MakaluSim {
             inner: Arc::new(MakaluInner {

@@ -72,12 +72,8 @@ impl PmdkSim {
         flush_model: FlushModel,
         injector: Option<Arc<CrashInjector>>,
     ) -> PmdkSim {
-        let pool = PmemPool::with_options(
-            ChunkGeo::pool_len_for_capacity(capacity),
-            mode,
-            flush_model,
-            injector,
-        );
+        let len = ChunkGeo::pool_len_for_capacity(capacity);
+        let pool = PmemPool::with_reserve(len, len, mode, flush_model, injector);
         let geo = ChunkGeo::new(pool.len());
         PmdkSim {
             inner: Arc::new(PmdkInner {

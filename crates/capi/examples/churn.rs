@@ -6,6 +6,10 @@
 //! interposed C ABI — mixed sizes, cross-thread frees, over-aligned
 //! blocks, `realloc` growth through `Vec`, and allocation inside a TLS
 //! destructor. Exits 0 if every invariant holds.
+//!
+//! `churn [rounds]`: rounds per worker (default 2000, ≈ 20 ms in all); the
+//! smoke test's kill step asks for millions so that a SIGKILL after a
+//! second is certain to land mid-run.
 
 use std::cell::RefCell;
 
@@ -43,14 +47,14 @@ thread_local! {
     static LATE: RefCell<Option<AllocOnDrop>> = const { RefCell::new(None) };
 }
 
-fn worker(seed: u64) -> u64 {
+fn worker(seed: u64, rounds: u64) -> u64 {
     PARTING.with(|p| p.borrow_mut().push(format!("thread {seed} was here")));
     LATE.with(|l| *l.borrow_mut() = Some(AllocOnDrop));
 
     let mut rng = Rng(seed | 1);
     let mut live: Vec<Vec<u8>> = Vec::new();
     let mut checksum = 0u64;
-    for round in 0..2_000u64 {
+    for round in 0..rounds {
         let size = (rng.next() % 2048 + 1) as usize;
         let fill = (round & 0xFF) as u8;
         let v = vec![fill; size];
@@ -80,16 +84,17 @@ fn worker(seed: u64) -> u64 {
 }
 
 fn main() {
+    let rounds = std::env::args().nth(1).map_or(2_000, |n| n.parse().expect("churn [rounds]"));
     let threads: Vec<_> = (0..4)
         .map(|t| {
             std::thread::spawn(move || {
                 // Cross-thread traffic: blocks allocated here are freed
                 // by whichever thread pops them — including `main`.
-                worker(0x9E3779B97F4A7C15 ^ t)
+                worker(0x9E3779B97F4A7C15 ^ t, rounds)
             })
         })
         .collect();
-    let local = worker(42);
+    let local = worker(42, rounds);
     let mut total = local;
     for t in threads {
         total = total.wrapping_add(t.join().expect("worker panicked"));

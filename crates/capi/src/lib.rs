@@ -11,6 +11,10 @@
 //!   `posix_memalign` / `aligned_alloc` / `malloc_usable_size`, so
 //!   `LD_PRELOAD=librp.so GALLOC_POOL=/path/heap.pool some-binary`
 //!   transparently runs an unmodified program on persistent memory.
+//!   The pool is its file ([`ralloc::Ralloc::open_file`]): a killed
+//!   program leaves it dirty, and the next preloaded run recovers it at
+//!   its first allocation. A program that `fork()`s without `exec`
+//!   shares the mapping with its child; that is not supported.
 //!
 //! ## Self-describing pointers
 //!
@@ -202,8 +206,9 @@ fn c_realloc(p: *mut u8, size: usize) -> *mut u8 {
 // ------------------------------------------------------- explicit C API
 
 /// Open (or create) the process pool. `path == NULL` gives a transient
-/// DRAM pool; otherwise the heap file is created/reopened (recovering a
-/// dirty image first) and closed cleanly at exit. `cap == 0` keeps the
+/// DRAM pool; otherwise the heap file is created or mapped (recovering a
+/// dirty image — a previous process died without closing — first) and
+/// closed cleanly at exit. `cap == 0` keeps the
 /// `GALLOC_CAP`/default capacity. Returns 0 on success, -1 on failure.
 /// Idempotent once the pool exists; tolerates `malloc` re-entry during
 /// construction.

@@ -22,7 +22,7 @@
 
 use std::collections::HashMap;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -75,7 +75,6 @@ pub struct HeapInner {
     /// wait it out (`await_exit_drains`).
     pub(crate) exit_drains: AtomicUsize,
     pub(crate) closed: AtomicBool,
-    pub(crate) file: Option<PathBuf>,
     /// Transient per-root filter functions (paper's `rootsFunc`),
     /// re-registered each run by `get_root<T>`.
     pub(crate) root_fns: Mutex<HashMap<usize, TraceFn>>,
@@ -373,7 +372,8 @@ impl Ralloc {
     // -------------------------------------------------------- lifecycle
 
     /// The paper's `close()`: drain this thread's caches, clear the dirty
-    /// indicator, and write the whole heap back for a fast clean restart.
+    /// indicator, and write the whole heap back (a file heap's pages are
+    /// synced to its file) for a fast clean restart.
     /// Worker threads must have exited (their caches drain at thread
     /// exit).
     pub fn close(&self) -> io::Result<()> {
@@ -405,10 +405,7 @@ impl Ralloc {
             inner.pool.flush(0, inner.pool.committed_len());
             inner.pool.fence();
         }
-        if let Some(path) = &inner.file {
-            inner.pool.save(path)?;
-        }
-        Ok(())
+        inner.pool.sync()
     }
 
     /// Quiescent-point shrink: release the trailing run of fully-free

@@ -436,6 +436,7 @@ mod tests {
     /// v3 to v6 were real formats of this allocator; nothing migrates
     /// them any more. Each must be refused by name — clean or dirty,
     /// through the image path and the file path — and left untouched.
+    /// So must a file that was never a heap: opening writes through.
     #[test]
     fn older_format_versions_are_refused_by_name_and_left_untouched() {
         let dir = std::env::temp_dir().join(format!("ralloc-oldfmt-{}", std::process::id()));
@@ -477,6 +478,20 @@ mod tests {
                 assert!(msg.contains(&want), "{what} via open_file: {msg}");
                 assert!(std::fs::read(&path).unwrap() == image, "{what}: refused file was modified");
             }
+        }
+        // A wrong path, a file too short to hold a header, and a heap
+        // cut off mid-line.
+        let whole = small_heap().pool().persistent_image();
+        let cut = &whole[..whole.len() - 10];
+        let notes = b"dear diary, ".repeat(400);
+        for (name, bytes) in [("notes.txt", &notes[..]), ("short", &[7u8; 10]), ("cut", cut)] {
+            let path = dir.join(name);
+            std::fs::write(&path, bytes).unwrap();
+            let err = Ralloc::open_file(&path, 8 << 20, RallocConfig::default())
+                .expect_err("a file that is not a heap must be refused");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{name}: {err}");
+            assert!(err.to_string().contains(name), "{name}: the refusal must name the path: {err}");
+            assert!(std::fs::read(&path).unwrap() == bytes, "{name}: refused file was modified");
         }
         std::fs::remove_dir_all(&dir).ok();
     }

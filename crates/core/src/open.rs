@@ -1,22 +1,24 @@
-//! Opening a heap: create it fresh, or adopt an image (file, mapped file,
-//! or in-memory bytes) and decide whether it needs recovery.
+//! Opening a heap: create it fresh in anonymous pages, map its file, or
+//! adopt in-memory bytes, and decide whether it needs recovery.
 //!
 //! The one decision this module owns is **what is accepted as a heap**:
 //! a current-format header consistent with the bytes actually present is
 //! adopted; a Ralloc image of another format version, truncated, or past
 //! its own reservation is refused with a message (never re-initialized,
-//! never migrated); anything else is not a heap and is initialized fresh.
+//! never migrated). Anything else is not a heap: in memory
+//! ([`Ralloc::from_image`]) it is initialized fresh, but a non-empty
+//! *file* is somebody's data and is refused before it is mapped.
 //! No `pub(crate)` surface: the public [`Ralloc`] constructors are it.
 
 use std::collections::HashMap;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use nvm::{PmemPool, PoolGuard, RegionSpec};
+use nvm::{PmemPool, PoolGuard, RegionSpec, CACHE_LINE};
 use telemetry::{EventKind, Journal, Registry};
 
 use crate::config::{self, RallocConfig, JOURNAL_CAP};
@@ -33,44 +35,64 @@ use crate::stats::SlowStats;
 static NEXT_HEAP_ID: AtomicU64 = AtomicU64::new(1);
 
 /// The reserved span recorded in the first bytes of an image, if they are
-/// a current-format Ralloc header.
+/// a current-format Ralloc header; `None` if they are no heap at all.
+///
+/// # Panics
+/// A recognizable Ralloc image with a different format version must be
+/// refused, not silently re-initialized: erasing a user's durable heap
+/// because they upgraded is data loss. Both open paths decide here,
+/// before a pool exists.
 fn header_reserved_len(header: &[u8]) -> Option<usize> {
     let word = |off: usize| {
         header.get(off..off + 8).map(|b| u64::from_ne_bytes(b.try_into().expect("8 bytes")))
     };
-    if word(MAGIC_OFF)? != MAGIC {
-        return None;
-    }
-    Some(word(POOL_LEN_OFF)? as usize)
+    let magic = word(MAGIC_OFF)?;
+    assert!(
+        magic == MAGIC || magic & !0xFF != MAGIC & !0xFF,
+        "ralloc image has metadata-format version {} but this build \
+         requires {}; re-create the pool (no in-place migration)",
+        magic & 0xFF,
+        MAGIC & 0xFF,
+    );
+    (magic == MAGIC).then_some(word(POOL_LEN_OFF)? as usize)
 }
 
 /// Lock `path` (creating it if absent) and size up what it holds:
 /// `(guard, file length, reserved span its header records)`. Length 0 is
 /// a fresh pool — acquiring creates the file, so emptiness, not
-/// existence, distinguishes a fresh pool from one to adopt — and a
-/// reserved span of 0 means the bytes are not a current-format image.
+/// existence, distinguishes a fresh pool from one to adopt.
 ///
 /// The exclusive advisory lock comes first: two live processes on one
-/// pool file silently race each other's saves (and, mapped, each other's
-/// stores). The guard is held for the heap's lifetime and auto-released
-/// by the kernel if this process dies; a second opener gets a distinct
-/// "pool busy" (`WouldBlock`) error.
+/// pool file silently race each other's stores. The guard is held for
+/// the heap's lifetime and auto-released by the kernel if this process
+/// dies; a second opener gets a distinct "pool busy" (`WouldBlock`)
+/// error.
 ///
-/// A header whose recorded reserved span is shorter than the file is
-/// corrupt (the file can never legally outgrow the reservation it was
-/// carved from) and is refused here with a real diagnostic.
+/// Opening writes through, so everything that can be refused from the
+/// length and the first 16 bytes is refused here, before the file is
+/// mapped, extended or initialized: bytes that are no Ralloc header (a
+/// wrong path, a file shorter than a header) or not a whole number of
+/// cache lines (every frontier is one; mapping would pad the file) are
+/// `InvalidData`; another format version, or a header whose recorded
+/// reserved span is shorter than the file (it can never legally outgrow
+/// the reservation it was carved from), is a corrupt image with a
+/// diagnostic of its own.
 fn open_existing(path: &Path) -> io::Result<(PoolGuard, usize, usize)> {
-    use std::io::Read;
+    use std::os::unix::fs::FileExt;
     let guard = PoolGuard::acquire(path)?;
     let file_len = guard.file().metadata()?.len() as usize;
+    if file_len == 0 {
+        return Ok((guard, 0, 0));
+    }
     let mut header = [0u8; 16];
-    let reserved = std::fs::File::open(path)
-        .and_then(|mut f| f.read_exact(&mut header))
-        .ok()
-        .and_then(|()| header_reserved_len(&header))
-        .unwrap_or(0);
+    let whole = file_len.is_multiple_of(CACHE_LINE)
+        && guard.file().read_exact_at(&mut header, 0).is_ok();
+    let reserved = whole.then(|| header_reserved_len(&header)).flatten().ok_or_else(|| {
+        let why = format!("{} is not empty and not a ralloc heap: refusing it", path.display());
+        io::Error::new(io::ErrorKind::InvalidData, why)
+    })?;
     assert!(
-        reserved == 0 || file_len <= reserved,
+        file_len <= reserved,
         "heap file {} is {file_len} bytes but its header records a \
          reserved span of only {reserved}: refusing a corrupt heap image",
         path.display()
@@ -90,7 +112,15 @@ impl Ralloc {
     /// with a small initial commitment grows its frontier on demand and
     /// only returns null once the *reserved* ceiling is exhausted.
     pub fn create(capacity: usize, cfg: RallocConfig) -> Ralloc {
-        Self::create_inner(capacity, cfg, None)
+        let (reserved, committed) = Self::capacity_plan(capacity, &cfg);
+        let pool = PmemPool::with_reserve(
+            reserved,
+            committed,
+            cfg.mode,
+            cfg.flush_model,
+            cfg.injector.clone(),
+        );
+        Self::fresh(pool, &cfg)
     }
 
     /// Resolve a `create` capacity request (plus config and env
@@ -105,83 +135,57 @@ impl Ralloc {
         (reserved, geo.committed_len_for_sb(init_sb))
     }
 
-    fn create_inner(capacity: usize, cfg: RallocConfig, file: Option<PathBuf>) -> Ralloc {
-        let (reserved, committed) = Self::capacity_plan(capacity, &cfg);
-        let pool = PmemPool::with_reserve(
-            reserved,
-            committed,
-            cfg.mode,
-            cfg.flush_model,
-            cfg.injector.clone(),
-        );
-        Self::fresh(pool, &cfg, file)
-    }
-
-    /// The paper's `init(path, size)`: open the heap file if it exists
+    /// The paper's `init(path, size)`: map the heap file if it exists
     /// (returning whether a *dirty* restart — i.e. recovery — is needed),
     /// or create it fresh. A fresh or clean start returns `false`.
     ///
-    /// The file holds only the committed prefix; the heap's reserved span
-    /// is re-read from the image header, so a grown heap reopens with the
-    /// same geometry and the same room to keep growing. A second live
-    /// process on the same file gets a "pool busy" (`WouldBlock`) error.
+    /// The heap *is* its file, `MAP_SHARED`: every store lands in the OS
+    /// page cache, so the heap survives the death of the process *at any
+    /// instruction* with exactly the stores that had executed — no save
+    /// step, no cooperation — and reopens dirty unless [`Ralloc::close`]
+    /// ran. This is also the substrate the fork/SIGKILL crash harness
+    /// (`crates/crashtest`) runs on.
+    ///
+    /// The file holds only the committed prefix (file length == committed
+    /// frontier throughout); the heap's reserved span is re-read from the
+    /// image header, so a grown heap reopens with the same geometry and
+    /// the same room to keep growing. A second live process on the same
+    /// file gets a "pool busy" (`WouldBlock`) error; a non-empty file
+    /// that is not a heap is refused with `InvalidData` and left as it
+    /// was.
+    ///
+    /// A file's persistence is the page cache, not a model of one:
+    /// [`nvm::Mode::Tracked`] (simulated power failure) belongs to
+    /// [`Ralloc::create`] / [`Ralloc::from_image`] and is refused here
+    /// with `InvalidInput`.
     pub fn open_file(
         path: &Path,
         capacity: usize,
         cfg: RallocConfig,
     ) -> io::Result<(Ralloc, bool)> {
-        let (guard, file_len, reserved) = open_existing(path)?;
-        if file_len > 0 {
-            let pool = PmemPool::load_reserving(
-                path,
-                reserved,
-                cfg.mode,
-                cfg.flush_model,
-                cfg.injector.clone(),
-            )?;
-            pool.hold_guard(guard);
-            Ok(Self::adopt(pool, &cfg, Some(path.to_path_buf())))
-        } else {
-            let heap = Self::create_inner(capacity, cfg, Some(path.to_path_buf()));
-            heap.inner.pool.hold_guard(guard);
-            Ok((heap, false))
+        if cfg.mode != nvm::Mode::Direct {
+            let why = "a file heap is Mode::Direct; Mode::Tracked simulates NVM in anonymous pages";
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, why));
         }
-    }
-
-    /// Open (or create) a heap as a live `MAP_SHARED` mapping of `path` —
-    /// the real-file analogue of [`Ralloc::open_file`], and the substrate
-    /// the fork/SIGKILL crash harness (`crates/crashtest`) runs on. Every
-    /// store lands in the OS page cache, so the heap survives the death
-    /// of the process *at any instruction* with exactly the stores that
-    /// had executed — no save step, no cooperation. The same flock guard
-    /// applies ("pool busy" for a second live process), and the file
-    /// stays openable by the plain [`Ralloc::open_file`] path afterwards
-    /// (file length == committed frontier throughout).
-    ///
-    /// Mapped heaps are [`nvm::Mode::Direct`] only; `cfg.mode` is ignored.
-    pub fn open_file_mapped(
-        path: &Path,
-        capacity: usize,
-        cfg: RallocConfig,
-    ) -> io::Result<(Ralloc, bool)> {
         let (guard, file_len, reserved) = open_existing(path)?;
-        let file = Some(path.to_path_buf());
         let map = |reserved, committed| {
             PmemPool::map_file(guard, reserved, committed, cfg.flush_model, cfg.injector.clone())
         };
         if file_len > 0 {
-            Ok(Self::adopt(map(reserved.max(file_len), file_len)?, &cfg, file))
+            Ok(Self::adopt(map(reserved, file_len)?, &cfg))
         } else {
             let (reserved, committed) = Self::capacity_plan(capacity, &cfg);
-            Ok((Self::fresh(map(reserved, committed)?, &cfg, file), false))
+            Ok((Self::fresh(map(reserved, committed)?, &cfg), false))
         }
     }
 
     /// Adopt a raw pool image (e.g. a crash image remapped at a new base
     /// address). Returns the heap and whether it is dirty. The image may
     /// be shorter than the heap's reserved span (only the committed
-    /// prefix is ever saved); the reservation is re-established from the
-    /// header.
+    /// prefix is ever part of an image); the reservation is
+    /// re-established from the header. Bytes that are not a heap are
+    /// initialized as a fresh one: unlike a file, bytes in memory cannot
+    /// be destroyed.
     ///
     /// A recognizable header recording a reserved span *shorter* than the
     /// image is refused: the committed prefix can never legally outgrow
@@ -190,17 +194,20 @@ impl Ralloc {
     /// geometry the header's `max_sb` never described. The refusal
     /// mirrors the one on the file path.
     pub fn from_image(image: &[u8], cfg: RallocConfig) -> (Ralloc, bool) {
-        let reserved = header_reserved_len(image).unwrap_or(image.len());
+        let Some(reserved) = header_reserved_len(image) else {
+            let pool = PmemPool::from_image_reserving(image, image.len(), cfg.mode);
+            return (Self::fresh(pool, &cfg), false);
+        };
         assert!(
             reserved >= image.len(),
             "heap image is {} bytes but its header records a reserved span of \
              only {reserved}: refusing a corrupt heap image",
             image.len()
         );
-        Self::adopt(PmemPool::from_image_reserving(image, reserved, cfg.mode), &cfg, None)
+        Self::adopt(PmemPool::from_image_reserving(image, reserved, cfg.mode), &cfg)
     }
 
-    fn fresh(pool: PmemPool, cfg: &RallocConfig, file: Option<PathBuf>) -> Ralloc {
+    fn fresh(pool: PmemPool, cfg: &RallocConfig) -> Ralloc {
         let geo = Geometry::from_pool_len(pool.len());
         // A fresh physical prefix reaches the superblock array's base (the
         // smallest legal superblock frontier): it is either planned by
@@ -222,30 +229,15 @@ impl Ralloc {
         let [sb, desc] = &frontiers;
         sb.init(&pool, pool.committed_len());
         desc.init(&pool, desc.len_for_sb(sb.covered_sb()));
-        let heap = Self::build(pool, geo, cfg, file, frontiers, FlightScan::default());
+        let heap = Self::build(pool, geo, cfg, frontiers, FlightScan::default());
         heap.inner.persist(0, 64);
         heap.inner.persist(FLIGHT_OFF, FLIGHT_HDR_SIZE);
         heap.inner.emit(EventKind::Open, 0, 0);
         heap
     }
 
-    fn adopt(pool: PmemPool, cfg: &RallocConfig, file: Option<PathBuf>) -> (Ralloc, bool) {
-        // SAFETY: header reads within bounds.
-        let magic = unsafe { pool.read_u64(MAGIC_OFF) };
-        if magic != MAGIC {
-            // A recognizable Ralloc image with a different format version
-            // must be refused, not silently re-initialized: erasing a
-            // user's durable heap because they upgraded is data loss.
-            // Anything else is "not a heap" and gets initialized fresh.
-            assert!(
-                magic & !0xFF != MAGIC & !0xFF,
-                "ralloc image has metadata-format version {} but this build \
-                 requires {}; re-create the pool (no in-place migration)",
-                magic & 0xFF,
-                MAGIC & 0xFF,
-            );
-            return (Self::fresh(pool, cfg, file), false);
-        }
+    /// Adopt a pool whose first bytes `header_reserved_len` accepted.
+    fn adopt(pool: PmemPool, cfg: &RallocConfig) -> (Ralloc, bool) {
         let geo = Geometry::from_pool_len(pool.len());
         // SAFETY: header reads.
         let used = unsafe {
@@ -265,7 +257,7 @@ impl Ralloc {
         // what's in it now is the previous run's last steps — after a
         // crash, the victim's pre-crash timeline.
         let preopen = flight::scan_pool(&pool);
-        let heap = Self::build(pool, geo, cfg, file, frontiers, preopen);
+        let heap = Self::build(pool, geo, cfg, frontiers, preopen);
         // Mark dirty for the duration of this run (the paper's robust
         // mutex acquire): any crash from here on requires recovery.
         // SAFETY: 8-aligned metadata word.
@@ -281,7 +273,6 @@ impl Ralloc {
         mut pool: PmemPool,
         geo: Geometry,
         cfg: &RallocConfig,
-        file: Option<PathBuf>,
         frontiers: [Frontier; 2],
         preopen_flight: FlightScan,
     ) -> Ralloc {
@@ -321,7 +312,6 @@ impl Ralloc {
                 generation: AtomicU64::new(0),
                 exit_drains: AtomicUsize::new(0),
                 closed: AtomicBool::new(false),
-                file,
                 root_fns: Mutex::new(HashMap::new()),
                 slow,
                 telemetry,

@@ -7,9 +7,10 @@
 //! unwind, destructors run, and only `Mode::Tracked` pools participate.
 //!
 //! This crate kills for real. The victim is a **forked child** running a
-//! multi-threaded workload over a live file-backed pool
-//! ([`ralloc::Ralloc::open_file_mapped`], `MAP_SHARED`); the parent
-//! SIGKILLs it at a randomized moment — either wall-clock
+//! multi-threaded workload over a file heap ([`ralloc::Ralloc::open_file`]:
+//! the pool is its file, `MAP_SHARED`, so every executed store outlives
+//! the process — the same path `GALLOC_POOL` and `librp.so` run on); the
+//! parent SIGKILLs it at a randomized moment — either wall-clock
 //! ([`KillSpec::TimeMicros`]) or an exact persistence-event count
 //! ([`KillSpec::Events`], replayable) — then reopens the pool, runs
 //! recovery, and checks **visibility oracles** against a per-thread
@@ -131,10 +132,10 @@ fn victim_config(injector: Option<std::sync::Arc<nvm::CrashInjector>>) -> Ralloc
 pub fn child_exec(cfg: &RunConfig) -> ! {
     let inj = nvm::CrashInjector::new();
     let (heap, _dirty) =
-        match Ralloc::open_file_mapped(&cfg.pool, POOL_CAP, victim_config(Some(inj.clone()))) {
+        match Ralloc::open_file(&cfg.pool, POOL_CAP, victim_config(Some(inj.clone()))) {
             Ok(v) => v,
             Err(e) => {
-                eprintln!("crashtest child: open_file_mapped failed: {e}");
+                eprintln!("crashtest child: open_file failed: {e}");
                 sys::exit_group(2)
             }
         };
@@ -197,7 +198,7 @@ pub fn verify(cfg: &RunConfig, killed: bool) -> Result<RunReport, String> {
             inflight: 0,
         });
     }
-    let (heap, dirty) = Ralloc::open_file_mapped(&cfg.pool, POOL_CAP, victim_config(None))
+    let (heap, dirty) = Ralloc::open_file(&cfg.pool, POOL_CAP, victim_config(None))
         .map_err(|e| format!("reopen failed: {e}"))?;
     workload::register_filters(&heap, cfg.structure);
     if dirty {

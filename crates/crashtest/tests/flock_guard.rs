@@ -2,12 +2,12 @@
 //! process holds a heap open on a pool file, a second process opening the
 //! same file gets a distinct "pool busy" error; once the holder exits
 //! (or is killed — the kernel releases `flock` on process death), the
-//! pool opens normally.
+//! pool opens: dirty, since nobody closed it, and recoverable.
 
 use std::io::{BufRead, BufReader, ErrorKind};
 use std::process::{Command, Stdio};
 
-use ralloc::{Ralloc, RallocConfig};
+use ralloc::{check_heap, Ralloc, RallocConfig};
 
 #[test]
 fn second_process_gets_pool_busy_until_holder_dies() {
@@ -27,20 +27,21 @@ fn second_process_gets_pool_busy_until_holder_dies() {
         .expect("holder produced no output");
     assert_eq!(line.trim(), "HOLDING");
 
-    // Second process (us): both open paths must refuse with WouldBlock.
+    // Second process (us): the open must refuse with WouldBlock.
     let err = Ralloc::open_file(&pool, 32 << 20, RallocConfig::default())
         .expect_err("open_file must fail while another process holds the pool");
     assert_eq!(err.kind(), ErrorKind::WouldBlock, "unexpected error: {err}");
     assert!(err.to_string().contains("pool busy"), "got: {err}");
-    let err = Ralloc::open_file_mapped(&pool, 32 << 20, RallocConfig::default())
-        .expect_err("open_file_mapped must fail while the pool is held");
-    assert_eq!(err.kind(), ErrorKind::WouldBlock, "unexpected error: {err}");
 
-    // Kill the holder: flock releases with the process, no cooperation.
+    // Kill the holder: flock releases with the process, no cooperation,
+    // and what it left is its file as of its last store — a dirty heap.
     holder.kill().expect("kill holder");
     holder.wait().expect("reap holder");
-    let (heap, _dirty) = Ralloc::open_file(&pool, 32 << 20, RallocConfig::default())
+    let (heap, dirty) = Ralloc::open_file(&pool, 32 << 20, RallocConfig::default())
         .expect("pool must open once the holder died");
+    assert!(dirty, "a holder killed without close() must reopen dirty");
+    heap.recover();
+    assert!(check_heap(&heap).is_consistent(), "recovered heap must be consistent");
     drop(heap);
     let _ = std::fs::remove_file(&pool);
 }

@@ -99,7 +99,7 @@ fn failure_report_carries_victim_flight_timeline() {
     // Verification must now fail — the fixture for "every failing round
     // attaches the victim's timeline".
     {
-        let (heap, dirty) = Ralloc::open_file_mapped(&pool, crashtest::POOL_CAP, RallocConfig::default())
+        let (heap, dirty) = Ralloc::open_file(&pool, crashtest::POOL_CAP, RallocConfig::default())
             .expect("reopen for sabotage");
         crashtest::workload::register_filters(&heap, Structure::Queue);
         if dirty {

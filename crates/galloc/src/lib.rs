@@ -11,9 +11,14 @@
 //! then served from one process-wide Ralloc pool. The pool is created
 //! lazily on the first allocation:
 //!
-//! * `GALLOC_POOL=<path>` opens (or creates) a durable heap file via
+//! * `GALLOC_POOL=<path>` maps (or creates) a durable heap file via
 //!   [`Ralloc::open_file`], recovering it first if it is dirty, and
-//!   registers an `atexit` handler that closes it cleanly.
+//!   registers an `atexit` handler that closes it cleanly. The heap is
+//!   its file from the first store on: a process that is killed leaves
+//!   the image dirty with every store it executed, and the next process
+//!   recovers it here (no roots are registered, so recovery keeps what
+//!   the persistent roots reach and reclaims the rest). Not safe across
+//!   `fork()`: parent and child would write one mapping.
 //! * Otherwise the pool is anonymous and transient (the paper's LRMalloc
 //!   mode: no flushes, nothing to recover) — a plain fast DRAM allocator.
 //! * `GALLOC_CAP=<bytes>` (with `K`/`M`/`G` suffixes) sets the reserved

@@ -179,3 +179,45 @@ fn cross_thread_churn_stays_coherent() {
     drop(tx);
     assert_eq!(consumer.join().unwrap(), sent);
 }
+
+/// File name of the pool the test below hands its child; finding
+/// `GALLOC_POOL` naming it is how the child knows its part.
+const KILLED_POOL: &str = "galloc_killed_session.pool";
+
+/// A `GALLOC_POOL` process that dies without `close()` leaves its file
+/// as of its last store: dirty, recoverable, and clean after a close.
+/// The test re-runs itself as that process.
+#[test]
+fn a_killed_galloc_pool_session_reopens_dirty_and_recovers() {
+    use std::os::unix::process::ExitStatusExt;
+    use ralloc::{check_heap, Ralloc, RallocConfig};
+
+    let pool = std::env::temp_dir().join(format!("{}-{KILLED_POOL}", std::process::id()));
+    if std::env::var_os("GALLOC_POOL").is_some_and(|p| p.to_string_lossy().ends_with(KILLED_POOL)) {
+        let boxes: Vec<Box<u64>> = (0..10_000).map(Box::new).collect();
+        println!("BUILT {}", boxes.iter().map(|b| **b).sum::<u64>());
+        std::process::abort();
+    }
+    let _ = std::fs::remove_file(&pool);
+    let child = std::process::Command::new(std::env::current_exe().unwrap())
+        .args(["--exact", "a_killed_galloc_pool_session_reopens_dirty_and_recovers", "--nocapture"])
+        .env("GALLOC_POOL", &pool)
+        .output()
+        .expect("re-running the test binary");
+    let stdout = String::from_utf8_lossy(&child.stdout);
+    assert!(stdout.contains("BUILT 49995000"), "the child never built its boxes: {stdout}");
+    assert_eq!(child.status.signal(), Some(6), "the child must die by abort(): {:?}", child.status);
+
+    let open = || Ralloc::open_file(&pool, galloc::DEFAULT_CAP, RallocConfig::default()).unwrap();
+    let (heap, dirty) = open();
+    assert!(dirty, "a session that never closed must reopen dirty");
+    assert!(heap.used_superblocks() > 0, "the session's carves must be in the file");
+    heap.recover();
+    assert!(check_heap(&heap).is_consistent(), "recovered heap must be consistent");
+    heap.close().unwrap();
+    drop(heap);
+    let (heap, dirty) = open();
+    assert!(!dirty, "a closed heap must reopen clean");
+    drop(heap);
+    let _ = std::fs::remove_file(&pool);
+}

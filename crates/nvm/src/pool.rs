@@ -2,8 +2,8 @@
 
 use std::collections::HashMap;
 use std::fs;
-use std::io::{self, Read};
-use std::path::{Path, PathBuf};
+use std::io;
+use std::path::Path;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -93,14 +93,14 @@ fn raw_fd(f: &fs::File) -> i32 {
 }
 
 /// Advisory exclusive lock on a pool file (`flock(LOCK_EX)`), preventing
-/// two live processes from mapping (or load/saving) the same pool — a
-/// silent-corruption hazard the fork-based crash harness would otherwise
-/// trip constantly. The kernel releases the lock automatically when the
-/// holder dies (including by `SIGKILL`), which is exactly what lets the
-/// harness's parent reopen a pool right after killing the child.
+/// two live processes from mapping the same pool — a silent-corruption
+/// hazard the fork-based crash harness would otherwise trip constantly.
+/// The kernel releases the lock automatically when the holder dies
+/// (including by `SIGKILL`), which is exactly what lets the harness's
+/// parent reopen a pool right after killing the child.
+#[derive(Debug)]
 pub struct PoolGuard {
     file: fs::File,
-    path: PathBuf,
 }
 
 impl PoolGuard {
@@ -144,23 +144,12 @@ impl PoolGuard {
             }
             _ => e,
         })?;
-        Ok(PoolGuard { file, path: path.to_path_buf() })
+        Ok(PoolGuard { file })
     }
 
     /// The locked file.
     pub fn file(&self) -> &fs::File {
         &self.file
-    }
-
-    /// The locked path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-}
-
-impl std::fmt::Debug for PoolGuard {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PoolGuard").field("path", &self.path).finish()
     }
 }
 
@@ -188,19 +177,19 @@ impl std::fmt::Debug for PoolGuard {
 /// [`PmemPool::decommit`] lowers it — the only two ways a frontier
 /// moves. The *last* region's frontier is the physical prefix
 /// ([`PmemPool::committed_len`]: the mapped pages, the file length, what
-/// flushes, crash images and save/load cover); raising it maps the pages
-/// it has not reached before with one `mmap`. Interior regions lie under
-/// that prefix, so their frontiers only gate access
+/// flushes and crash images cover); raising it maps the pages it has not
+/// reached before with one `mmap`. Interior regions lie under that
+/// prefix, so their frontiers only gate access
 /// ([`PmemPool::check_range`]) and say which bytes a decommit must drop.
-/// Pools built through [`PmemPool::new`] / [`PmemPool::with_options`]
-/// are fully committed.
+/// Pools built through [`PmemPool::new`] are fully committed.
 ///
 /// ## What backs the committed prefix
 ///
-/// * **Simulated NVM** ([`PmemPool::with_reserve`] and the image
-///   loaders): private anonymous zero pages, materialized by the OS on
-///   first touch. Durability across process death is *modelled* (shadow
-///   image, explicit [`PmemPool::save`]), not real. Pages, once mapped,
+/// * **Simulated NVM** ([`PmemPool::with_reserve`],
+///   [`PmemPool::from_image_reserving`]): private anonymous zero pages,
+///   materialized by the OS on first touch. Durability across process
+///   death is *modelled* (shadow image; [`PmemPool::persistent_image`]
+///   is the way out), not real. Pages, once mapped,
 ///   stay with the pool until it is dropped: a decommit zeroes what was
 ///   stored to in the released range and the next commit hands the same
 ///   pages out again without a system call. (Giving touched pages back
@@ -213,8 +202,7 @@ impl std::fmt::Debug for PoolGuard {
 ///   process — the property the SIGKILL harness tests against. The
 ///   invariant maintained throughout: **file length == committed
 ///   frontier** (commit extends the file before publishing, decommit
-///   truncates after unmapping), so a reopen can equate the two exactly
-///   as the load path always has.
+///   truncates after unmapping), so a reopen can equate the two.
 ///
 /// Both are built by the same steps — reserve, then map page ranges as
 /// the frontier first reaches them — and differ in what `map` is handed
@@ -226,17 +214,14 @@ pub struct PmemPool {
     /// region's frontier is the *physical* committed frontier (the
     /// backed prefix; the file length for mapped pools).
     regions: Box<[Region]>,
-    /// The file mapped over the committed prefix; `None` for simulated
-    /// NVM (anonymous pages).
-    file: Option<fs::File>,
+    /// The locked file mapped over the committed prefix, held for the
+    /// pool's lifetime; `None` for simulated NVM (anonymous pages).
+    file: Option<PoolGuard>,
     /// Page-aligned end of the mapped prefix (`>=` the physical
     /// frontier; equal to its page for a file). The lock serializes
     /// mapping and file-length changes against each other (the frontier
     /// word itself stays lock-free for readers).
     mapped: Mutex<usize>,
-    /// Advisory lock on the pool file, held for the pool's lifetime when
-    /// the pool was opened from a path (mapped or load/save style).
-    guard: Mutex<Option<PoolGuard>>,
     mode: Mode,
     flush_model: FlushModel,
     stats: PmemStats,
@@ -248,26 +233,16 @@ pub struct PmemPool {
 
 // SAFETY: the pool hands out raw pointers and the collaborating allocator
 // performs all concurrent access through atomics; the pool's own mutable
-// state is behind a Mutex. `crash` and `load` require external quiescence,
-// which the allocator layer guarantees (recovery is offline, paper §3).
+// state is behind a Mutex. `crash` and `decommit` require external
+// quiescence, which the allocator layer guarantees (recovery is offline,
+// paper §3).
 unsafe impl Send for PmemPool {}
 unsafe impl Sync for PmemPool {}
 
 impl PmemPool {
     /// Create a zeroed pool of `len` bytes (rounded up to a cache line).
     pub fn new(len: usize, mode: Mode) -> Self {
-        Self::with_options(len, mode, FlushModel::default(), None)
-    }
-
-    /// Create a pool with an explicit flush-latency model and optional
-    /// crash injector. Fully committed.
-    pub fn with_options(
-        len: usize,
-        mode: Mode,
-        flush_model: FlushModel,
-        injector: Option<Arc<CrashInjector>>,
-    ) -> Self {
-        Self::with_reserve(len, len, mode, flush_model, injector)
+        Self::with_reserve(len, len, mode, FlushModel::default(), None)
     }
 
     /// Create a pool with a `reserved` virtual span of which only the
@@ -312,11 +287,7 @@ impl PmemPool {
         flush_model: FlushModel,
         injector: Option<Arc<CrashInjector>>,
     ) -> io::Result<Self> {
-        let file = guard.file.try_clone()?;
-        let pool =
-            Self::build(reserved, committed, Some(file), Mode::Direct, flush_model, injector)?;
-        pool.hold_guard(guard);
-        Ok(pool)
+        Self::build(reserved, committed, Some(guard), Mode::Direct, flush_model, injector)
     }
 
     /// Reserve the span and map its committed prefix — over `file`
@@ -324,7 +295,7 @@ impl PmemPool {
     fn build(
         reserved: usize,
         committed: usize,
-        file: Option<fs::File>,
+        file: Option<PoolGuard>,
         mode: Mode,
         flush_model: FlushModel,
         injector: Option<Arc<CrashInjector>>,
@@ -348,7 +319,6 @@ impl PmemPool {
             regions: [Region { start: 0, end: len, committed: AtomicUsize::new(committed) }].into(),
             file,
             mapped: Mutex::new(0),
-            guard: Mutex::new(None),
             mode,
             flush_model,
             stats: PmemStats::default(),
@@ -363,37 +333,25 @@ impl PmemPool {
     /// Back the pool up to `hi`: extend the file first, so no store can
     /// target a page past its end, then map the pages beyond `mapped`.
     fn map_to(&self, mapped: &mut usize, hi: usize) -> io::Result<()> {
-        if let Some(file) = &self.file {
+        let file = self.file.as_ref().map(PoolGuard::file);
+        if let Some(file) = file {
             file.set_len(hi as u64)?;
         }
         if hi > *mapped {
             // SAFETY: bare reservation, which nothing can be using yet.
-            unsafe { self.span.map(*mapped, hi, self.file.as_ref().map(raw_fd))? };
+            unsafe { self.span.map(*mapped, hi, file.map(raw_fd))? };
             *mapped = page_up(hi);
         }
         Ok(())
     }
 
-    /// True when the pool is a live `MAP_SHARED` file mapping (stores are
-    /// durable across process death without an explicit save).
-    pub fn is_mapped(&self) -> bool {
-        self.file.is_some()
-    }
-
-    /// Hold an advisory lock for the pool's lifetime (the mapped
-    /// constructor does this implicitly; the load/save open path attaches
-    /// its guard here).
-    pub fn hold_guard(&self, guard: PoolGuard) {
-        *self.guard.lock() = Some(guard);
-    }
-
     /// Write a mapped pool's dirty pages back to its file (`msync`). A
-    /// no-op for anonymous pools (their durability is the explicit
-    /// [`PmemPool::save`]). Process-crash durability never needs this —
-    /// the page cache already has the stores — but a clean close syncs so
-    /// even an OS-level crash keeps the closed image.
+    /// no-op for anonymous pools (their durability is modelled).
+    /// Process-crash durability never needs this — the page cache already
+    /// has the stores — but a clean close syncs so even an OS-level crash
+    /// keeps the closed image.
     pub fn sync(&self) -> io::Result<()> {
-        if self.is_mapped() {
+        if self.file.is_some() {
             // SAFETY: committed prefix of a live mapping.
             unsafe { sys::msync(self.base(), page_up(self.committed_len()), sys::MS_SYNC)? };
         }
@@ -420,9 +378,9 @@ impl PmemPool {
     }
 
     /// The *physical* committed frontier (the last region's): bytes
-    /// `0..committed_len()` are backed; flushes, crash imaging, and
-    /// save/load are confined to them. Fine-grained usability is further
-    /// gated by the per-region frontiers (see [`PmemPool::check_range`]).
+    /// `0..committed_len()` are backed; flushes and crash imaging are
+    /// confined to them. Fine-grained usability is further gated by the
+    /// per-region frontiers (see [`PmemPool::check_range`]).
     #[inline]
     pub fn committed_len(&self) -> usize {
         self.tail().committed.load(Ordering::Acquire)
@@ -555,7 +513,7 @@ impl PmemPool {
         if new_len >= cur {
             return cur; // monotone in the shrink direction: no-op
         }
-        let (true, Some(file)) = (idx == self.regions.len() - 1, &self.file) else {
+        let (true, Some(guard)) = (idx == self.regions.len() - 1, &self.file) else {
             self.release(new_len, cur);
             return new_len;
         };
@@ -569,7 +527,7 @@ impl PmemPool {
         // the caller's contract. (Mapped pools have no tracked state.)
         unsafe { self.span.release(new_len, *mapped) }.expect("pool page release failed");
         *mapped = page_up(new_len);
-        file.set_len(new_len as u64).expect("pool file shrink failed");
+        guard.file().set_len(new_len as u64).expect("pool file shrink failed");
         new_len
     }
 
@@ -611,8 +569,8 @@ impl PmemPool {
     /// region is further gated by that region's own frontier
     /// (uncommitted region tail is out of range even though it may be
     /// physically backed under the prefix), while a range spanning
-    /// regions is a bulk operation — wholesale write-back, image save —
-    /// gated by the physical prefix alone.
+    /// regions is a bulk operation — wholesale write-back — gated by the
+    /// physical prefix alone.
     #[inline]
     pub fn check_range(&self, off: usize, len: usize) -> bool {
         let committed = self.committed_len();
@@ -800,78 +758,21 @@ impl PmemPool {
         }
     }
 
-    /// Write the current volatile image (committed prefix) to a file —
-    /// what a clean shutdown (full write-back) leaves in the DAX segment.
-    /// The file length *is* the committed frontier; the reserved span is
-    /// re-derived from pool metadata on reopen.
-    pub fn save(&self, path: &Path) -> io::Result<()> {
-        if self.is_mapped() {
-            // A mapped pool *is* its file: saving to its own path is a
-            // sync (never rewrite a live mapping's file under itself);
-            // any other path gets a plain copy of the committed prefix.
-            self.sync()?;
-            if self.guard.lock().as_ref().is_some_and(|g| g.path() == path) {
-                return Ok(());
-            }
-        }
-        // SAFETY: committed-prefix read, caller quiescent.
-        let data = unsafe { std::slice::from_raw_parts(self.base(), self.committed_len()) };
-        fs::write(path, data)
-    }
-
-    /// Load a file into a pool whose reserved span is `reserved` bytes
-    /// (at least the file length). The file content becomes the committed
-    /// prefix; the tail is uncommitted reservation, ready for
-    /// [`PmemPool::commit`]. This is how a growable heap reopens an
-    /// image that was saved before it reached full size. The file is
-    /// read straight into the freshly mapped prefix: one copy, and the
-    /// only pages touched are the ones the image fills.
-    pub fn load_reserving(
-        path: &Path,
-        reserved: usize,
-        mode: Mode,
-        flush_model: FlushModel,
-        injector: Option<Arc<CrashInjector>>,
-    ) -> io::Result<Self> {
-        let mut file = fs::File::open(path)?;
-        let len = usize::try_from(file.metadata()?.len()).map_err(io::Error::other)?;
-        Self::adopt(len, reserved, mode, flush_model, injector, |image| file.read_exact(image))
-    }
-
     /// Adopt an in-memory image (used to simulate a remap at a new base
     /// address without touching the filesystem): the image becomes the
     /// committed prefix of a pool reserving `reserved` bytes (at least
-    /// the image's length).
+    /// the image's length), and — being what survived — its persistent
+    /// image too.
     pub fn from_image_reserving(image: &[u8], reserved: usize, mode: Mode) -> Self {
-        let copy = |prefix: &mut [u8]| {
-            prefix.copy_from_slice(image);
-            Ok(())
-        };
-        Self::adopt(image.len(), reserved, mode, FlushModel::default(), None, copy)
-            .unwrap_or_else(|e| panic!("pmem pool reservation of {reserved} bytes failed: {e}"))
-    }
-
-    /// Build a pool committed to `len` bytes and let `fill` write the
-    /// adopted image into them.
-    fn adopt(
-        len: usize,
-        reserved: usize,
-        mode: Mode,
-        flush_model: FlushModel,
-        injector: Option<Arc<CrashInjector>>,
-        fill: impl FnOnce(&mut [u8]) -> io::Result<()>,
-    ) -> io::Result<Self> {
-        let pool = Self::build(reserved.max(len), len, None, mode, flush_model, injector)?;
-        assert!(pool.committed_len() >= len);
-        // SAFETY: the committed prefix of a fresh pool: mapped, and no
-        // other users yet.
-        let image = unsafe { std::slice::from_raw_parts_mut(pool.base(), len) };
-        fill(image)?;
-        // The adopted image *is* persistent: seed the shadow with it.
+        let len = image.len();
+        let pool = Self::with_reserve(reserved.max(len), len, mode, FlushModel::default(), None);
+        // SAFETY: the committed prefix of a fresh pool: mapped, at least
+        // `len` bytes, and no other users yet.
+        unsafe { std::ptr::copy_nonoverlapping(image.as_ptr(), pool.base(), len) };
         if let Some(t) = &pool.tracked {
             t.lock().shadow()[..len].copy_from_slice(image);
         }
-        Ok(pool)
+        pool
     }
 }
 
@@ -987,43 +888,35 @@ mod tests {
         assert_eq!(read_byte(&pool2, 0), 0, "p=0 behaves like strict");
     }
 
+    /// Map `file` (locking it) with `reserved` bytes of span and its
+    /// first `committed` bytes backed.
+    fn map(file: &Path, reserved: usize, committed: usize) -> PmemPool {
+        let guard = PoolGuard::acquire(file).unwrap();
+        PmemPool::map_file(guard, reserved, committed, FlushModel::free(), None).unwrap()
+    }
+
     #[test]
     fn save_and_load_round_trip() {
         let dir = std::env::temp_dir().join(format!("nvm-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let file = dir.join("pool.img");
-        {
-            let pool = PmemPool::new(4096, Mode::Direct);
-            write_bytes(&pool, 100, b"hello");
-            pool.save(&file).unwrap();
-        }
-        let pool = PmemPool::load_reserving(&file, 0, Mode::Tracked, FlushModel::default(), None)
-            .unwrap();
-        assert_eq!(read_byte(&pool, 100), b'h');
-        // Loaded image counts as persistent.
-        pool.crash();
+        // The file is the pool: no save step, dropping is enough.
+        write_bytes(&map(&file, 4096, 4096), 100, b"hello");
+        let pool = map(&file, 4096, 4096);
         assert_eq!(read_byte(&pool, 100), b'h');
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn crash_image_differs_from_clean_image() {
-        let dir = std::env::temp_dir().join(format!("nvm-test2-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let clean = dir.join("clean.img");
-        let crashy = dir.join("crash.img");
         let pool = PmemPool::new(4096, Mode::Tracked);
         write_bytes(&pool, 0, &[1; 8]);
         pool.persist(0, 8);
         write_bytes(&pool, 512, &[2; 8]); // unflushed
-        pool.save(&clean).unwrap();
-        std::fs::write(&crashy, pool.persistent_image()).unwrap();
-        let c = std::fs::read(&clean).unwrap();
-        let k = std::fs::read(&crashy).unwrap();
-        assert_eq!(c[512], 2);
+        let k = pool.persistent_image();
+        assert_eq!(read_byte(&pool, 512), 2);
         assert_eq!(k[512], 0);
         assert_eq!(k[0], 1);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1038,7 +931,8 @@ mod tests {
     #[test]
     fn injector_fires_through_pool() {
         let inj = CrashInjector::new();
-        let pool = PmemPool::with_options(4096, Mode::Tracked, FlushModel::free(), Some(inj.clone()));
+        let pool =
+            PmemPool::with_reserve(4096, 4096, Mode::Tracked, FlushModel::free(), Some(inj.clone()));
         inj.arm(1);
         pool.flush(0, 8); // event 1: budget 1 -> 0
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pool.fence()));
@@ -1121,22 +1015,16 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let file = dir.join("grown.img");
         {
-            let pool =
-                PmemPool::with_reserve(1 << 20, 4096, Mode::Direct, FlushModel::free(), None);
+            let pool = map(&file, 1 << 20, 4096);
             pool.commit(0, 12288);
             write_bytes(&pool, 8192, b"tail");
-            pool.save(&file).unwrap();
         }
         assert_eq!(std::fs::metadata(&file).unwrap().len(), 12288, "file = frontier");
-        let pool =
-            PmemPool::load_reserving(&file, 1 << 20, Mode::Tracked, FlushModel::free(), None)
-                .unwrap();
+        let pool = map(&file, 1 << 20, 12288);
         assert_eq!(pool.len(), 1 << 20, "reservation re-established");
         assert_eq!(pool.committed_len(), 12288, "frontier = file length");
         assert_eq!(read_byte(&pool, 8192), b't');
-        // Loaded content counts as persistent; the tail stays growable.
-        pool.crash();
-        assert_eq!(read_byte(&pool, 8192), b't');
+        // The tail stays growable.
         pool.commit(0, 1 << 20);
         assert!(pool.check_range(0, 1 << 20));
         std::fs::remove_dir_all(&dir).ok();
@@ -1189,7 +1077,7 @@ mod tests {
         assert_eq!(pool.decommit(idx, lo), lo);
         assert!(!pool.check_range(lo, 1), "released range must be out of range");
         // Only a file's tail gives pages up; everything else is recycled.
-        let unmapped = pool.is_mapped() && idx == REGIONS.len() - 1;
+        let unmapped = pool.file.is_some() && idx == REGIONS.len() - 1;
         assert_eq!(*pool.mapped.lock(), if unmapped { page_up(lo) } else { mapped });
         let check = |what: &str| {
             let bytes = unsafe { std::slice::from_raw_parts(pool.base().add(start), hi - start) };
@@ -1230,10 +1118,7 @@ mod tests {
     fn unaligned_releases_of_a_mapped_file_regrow_zero() {
         let dir = std::env::temp_dir().join(format!("nvm-release-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let mapped = |name: &str| {
-            let guard = PoolGuard::acquire(&dir.join(name)).unwrap();
-            PmemPool::map_file(guard, 1 << 20, 4096, FlushModel::free(), None).unwrap()
-        };
+        let mapped = |name: &str| map(&dir.join(name), 1 << 20, 4096);
         release_and_regrow(mapped("tail"), 2, (128 << 10) + 4096 + 128, (128 << 10) + 9 * 4096 + 640);
         release_and_regrow(mapped("interior"), 1, 8192 + 4096 + 192, 8192 + 5 * 4096 + 320);
         let len = |name: &str| std::fs::metadata(dir.join(name)).unwrap().len();
@@ -1281,7 +1166,7 @@ mod tests {
         // ONE full flush plus 3 cheap pipelined followers + one fence —
         // not 4 independent full flushes.
         let m = FlushModel::optane();
-        let pool = PmemPool::with_options(4096, Mode::Direct, m, None);
+        let pool = PmemPool::with_reserve(4096, 4096, Mode::Direct, m, None);
         let before = pool.stats().snapshot();
         pool.persist(0, 4 * CACHE_LINE);
         let d = pool.stats().snapshot().since(&before);

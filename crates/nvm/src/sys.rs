@@ -41,175 +41,169 @@ pub const SIGKILL: i32 = 9;
 /// `wait4` option: return immediately when no child has exited yet.
 pub const WNOHANG: usize = 1;
 
-mod imp {
-    use super::*;
+mod nr {
+    pub const MMAP: usize = 9;
+    pub const MUNMAP: usize = 11;
+    pub const MSYNC: usize = 26;
+    pub const GETPID: usize = 39;
+    pub const FORK: usize = 57;
+    pub const EXIT_GROUP: usize = 231;
+    pub const WAIT4: usize = 61;
+    pub const KILL: usize = 62;
+    pub const FLOCK: usize = 73;
+}
 
-    mod nr {
-        pub const MMAP: usize = 9;
-        pub const MUNMAP: usize = 11;
-        pub const MSYNC: usize = 26;
-        pub const GETPID: usize = 39;
-        pub const FORK: usize = 57;
-        pub const EXIT_GROUP: usize = 231;
-        pub const WAIT4: usize = 61;
-        pub const KILL: usize = 62;
-        pub const FLOCK: usize = 73;
+/// Raw 6-argument syscall. Returns the kernel's raw result (negative
+/// errno on failure).
+///
+/// # Safety
+/// The caller is responsible for the semantics of the specific
+/// syscall: pointer arguments must be valid for the kernel's access,
+/// and calls with process-global effects (`fork`, `exit_group`) have
+/// the usual caveats.
+unsafe fn syscall6(
+    n: usize,
+    a1: usize,
+    a2: usize,
+    a3: usize,
+    a4: usize,
+    a5: usize,
+    a6: usize,
+) -> isize {
+    let ret: isize;
+    // SAFETY: the `syscall` instruction clobbers rcx/r11; all
+    // argument registers follow the x86_64 Linux ABI.
+    unsafe {
+        std::arch::asm!(
+            "syscall",
+            inlateout("rax") n as isize => ret,
+            in("rdi") a1,
+            in("rsi") a2,
+            in("rdx") a3,
+            in("r10") a4,
+            in("r8") a5,
+            in("r9") a6,
+            lateout("rcx") _,
+            lateout("r11") _,
+            options(nostack),
+        );
     }
+    ret
+}
 
-    /// Raw 6-argument syscall. Returns the kernel's raw result (negative
-    /// errno on failure).
-    ///
-    /// # Safety
-    /// The caller is responsible for the semantics of the specific
-    /// syscall: pointer arguments must be valid for the kernel's access,
-    /// and calls with process-global effects (`fork`, `exit_group`) have
-    /// the usual caveats.
-    unsafe fn syscall6(
-        n: usize,
-        a1: usize,
-        a2: usize,
-        a3: usize,
-        a4: usize,
-        a5: usize,
-        a6: usize,
-    ) -> isize {
-        let ret: isize;
-        // SAFETY: the `syscall` instruction clobbers rcx/r11; all
-        // argument registers follow the x86_64 Linux ABI.
-        unsafe {
-            std::arch::asm!(
-                "syscall",
-                inlateout("rax") n as isize => ret,
-                in("rdi") a1,
-                in("rsi") a2,
-                in("rdx") a3,
-                in("r10") a4,
-                in("r8") a5,
-                in("r9") a6,
-                lateout("rcx") _,
-                lateout("r11") _,
-                options(nostack),
-            );
-        }
-        ret
-    }
-
-    fn check(ret: isize) -> io::Result<usize> {
-        if ret < 0 {
-            Err(io::Error::from_raw_os_error(-ret as i32))
-        } else {
-            Ok(ret as usize)
-        }
-    }
-
-    /// `mmap(addr, len, prot, flags, fd, offset)`.
-    ///
-    /// # Safety
-    /// With `MAP_FIXED` the caller must own the target address range;
-    /// the returned mapping aliases the file (or fresh anonymous pages)
-    /// and all access must respect the usual aliasing discipline.
-    pub unsafe fn mmap(
-        addr: *mut u8,
-        len: usize,
-        prot: usize,
-        flags: usize,
-        fd: i32,
-        offset: usize,
-    ) -> io::Result<*mut u8> {
-        // SAFETY: forwarded to the kernel; contract per fn docs.
-        let r = unsafe {
-            syscall6(nr::MMAP, addr as usize, len, prot, flags, fd as isize as usize, offset)
-        };
-        check(r).map(|p| p as *mut u8)
-    }
-
-    /// `munmap(addr, len)`.
-    ///
-    /// # Safety
-    /// The range must be a mapping this process owns and no longer uses.
-    pub unsafe fn munmap(addr: *mut u8, len: usize) -> io::Result<()> {
-        // SAFETY: per fn contract.
-        let r = unsafe { syscall6(nr::MUNMAP, addr as usize, len, 0, 0, 0, 0) };
-        check(r).map(|_| ())
-    }
-
-    /// `msync(addr, len, flags)` — write a shared mapping's dirty pages
-    /// back to the file.
-    ///
-    /// # Safety
-    /// The range must lie within a live mapping.
-    pub unsafe fn msync(addr: *mut u8, len: usize, flags: usize) -> io::Result<()> {
-        // SAFETY: per fn contract.
-        let r = unsafe { syscall6(nr::MSYNC, addr as usize, len, flags, 0, 0, 0) };
-        check(r).map(|_| ())
-    }
-
-    /// `flock(fd, op)` — advisory whole-file lock. With `LOCK_NB` a held
-    /// lock surfaces as `EWOULDBLOCK`.
-    pub fn flock(fd: i32, op: usize) -> io::Result<()> {
-        // SAFETY: no memory arguments.
-        let r = unsafe { syscall6(nr::FLOCK, fd as usize, op, 0, 0, 0, 0) };
-        check(r).map(|_| ())
-    }
-
-    /// `fork()` — returns the child pid in the parent, 0 in the child.
-    ///
-    /// # Safety
-    /// Must only be called while the process is single-threaded (a
-    /// forked child inherits only the calling thread, so locks held by
-    /// other threads stay locked forever in the child).
-    pub unsafe fn fork() -> io::Result<i32> {
-        // SAFETY: per fn contract.
-        let r = unsafe { syscall6(nr::FORK, 0, 0, 0, 0, 0, 0) };
-        check(r).map(|pid| pid as i32)
-    }
-
-    /// `kill(pid, sig)`.
-    pub fn kill(pid: i32, sig: i32) -> io::Result<()> {
-        // SAFETY: no memory arguments.
-        let r = unsafe { syscall6(nr::KILL, pid as usize, sig as usize, 0, 0, 0, 0) };
-        check(r).map(|_| ())
-    }
-
-    /// `getpid()`.
-    pub fn getpid() -> i32 {
-        // SAFETY: no arguments, cannot fail.
-        unsafe { syscall6(nr::GETPID, 0, 0, 0, 0, 0, 0) as i32 }
-    }
-
-    /// `wait4(pid, &status, options, NULL)` — returns `(pid, status)`;
-    /// pid 0 when `WNOHANG` was set and the child is still running.
-    pub fn wait4(pid: i32, options: usize) -> io::Result<(i32, i32)> {
-        let mut status: i32 = 0;
-        // SAFETY: status points at a live i32.
-        let r = unsafe {
-            syscall6(
-                nr::WAIT4,
-                pid as isize as usize,
-                &mut status as *mut i32 as usize,
-                options,
-                0,
-                0,
-                0,
-            )
-        };
-        check(r).map(|p| (p as i32, status))
-    }
-
-    /// `exit_group(code)` — terminate the whole process immediately,
-    /// without running libc atexit handlers or Rust destructors. The
-    /// fork harness's child exits through this so it never flushes
-    /// stdio buffers inherited (duplicated) from the parent.
-    pub fn exit_group(code: i32) -> ! {
-        // SAFETY: terminates the process; no return.
-        unsafe {
-            syscall6(nr::EXIT_GROUP, code as usize, 0, 0, 0, 0, 0);
-        }
-        unreachable!("exit_group returned");
+fn check(ret: isize) -> io::Result<usize> {
+    if ret < 0 {
+        Err(io::Error::from_raw_os_error(-ret as i32))
+    } else {
+        Ok(ret as usize)
     }
 }
 
-pub use imp::{exit_group, flock, fork, getpid, kill, mmap, msync, munmap, wait4};
+/// `mmap(addr, len, prot, flags, fd, offset)`.
+///
+/// # Safety
+/// With `MAP_FIXED` the caller must own the target address range;
+/// the returned mapping aliases the file (or fresh anonymous pages)
+/// and all access must respect the usual aliasing discipline.
+pub unsafe fn mmap(
+    addr: *mut u8,
+    len: usize,
+    prot: usize,
+    flags: usize,
+    fd: i32,
+    offset: usize,
+) -> io::Result<*mut u8> {
+    // SAFETY: forwarded to the kernel; contract per fn docs.
+    let r = unsafe {
+        syscall6(nr::MMAP, addr as usize, len, prot, flags, fd as isize as usize, offset)
+    };
+    check(r).map(|p| p as *mut u8)
+}
+
+/// `munmap(addr, len)`.
+///
+/// # Safety
+/// The range must be a mapping this process owns and no longer uses.
+pub unsafe fn munmap(addr: *mut u8, len: usize) -> io::Result<()> {
+    // SAFETY: per fn contract.
+    let r = unsafe { syscall6(nr::MUNMAP, addr as usize, len, 0, 0, 0, 0) };
+    check(r).map(|_| ())
+}
+
+/// `msync(addr, len, flags)` — write a shared mapping's dirty pages
+/// back to the file.
+///
+/// # Safety
+/// The range must lie within a live mapping.
+pub unsafe fn msync(addr: *mut u8, len: usize, flags: usize) -> io::Result<()> {
+    // SAFETY: per fn contract.
+    let r = unsafe { syscall6(nr::MSYNC, addr as usize, len, flags, 0, 0, 0) };
+    check(r).map(|_| ())
+}
+
+/// `flock(fd, op)` — advisory whole-file lock. With `LOCK_NB` a held
+/// lock surfaces as `EWOULDBLOCK`.
+pub fn flock(fd: i32, op: usize) -> io::Result<()> {
+    // SAFETY: no memory arguments.
+    let r = unsafe { syscall6(nr::FLOCK, fd as usize, op, 0, 0, 0, 0) };
+    check(r).map(|_| ())
+}
+
+/// `fork()` — returns the child pid in the parent, 0 in the child.
+///
+/// # Safety
+/// Must only be called while the process is single-threaded (a
+/// forked child inherits only the calling thread, so locks held by
+/// other threads stay locked forever in the child).
+pub unsafe fn fork() -> io::Result<i32> {
+    // SAFETY: per fn contract.
+    let r = unsafe { syscall6(nr::FORK, 0, 0, 0, 0, 0, 0) };
+    check(r).map(|pid| pid as i32)
+}
+
+/// `kill(pid, sig)`.
+pub fn kill(pid: i32, sig: i32) -> io::Result<()> {
+    // SAFETY: no memory arguments.
+    let r = unsafe { syscall6(nr::KILL, pid as usize, sig as usize, 0, 0, 0, 0) };
+    check(r).map(|_| ())
+}
+
+/// `getpid()`.
+pub fn getpid() -> i32 {
+    // SAFETY: no arguments, cannot fail.
+    unsafe { syscall6(nr::GETPID, 0, 0, 0, 0, 0, 0) as i32 }
+}
+
+/// `wait4(pid, &status, options, NULL)` — returns `(pid, status)`;
+/// pid 0 when `WNOHANG` was set and the child is still running.
+pub fn wait4(pid: i32, options: usize) -> io::Result<(i32, i32)> {
+    let mut status: i32 = 0;
+    // SAFETY: status points at a live i32.
+    let r = unsafe {
+        syscall6(
+            nr::WAIT4,
+            pid as isize as usize,
+            &mut status as *mut i32 as usize,
+            options,
+            0,
+            0,
+            0,
+        )
+    };
+    check(r).map(|p| (p as i32, status))
+}
+
+/// `exit_group(code)` — terminate the whole process immediately,
+/// without running libc atexit handlers or Rust destructors. The
+/// fork harness's child exits through this so it never flushes
+/// stdio buffers inherited (duplicated) from the parent.
+pub fn exit_group(code: i32) -> ! {
+    // SAFETY: terminates the process; no return.
+    unsafe {
+        syscall6(nr::EXIT_GROUP, code as usize, 0, 0, 0, 0, 0);
+    }
+    unreachable!("exit_group returned");
+}
 
 /// OS page size assumed for mappings (x86_64 Linux).
 pub const PAGE: usize = 4096;

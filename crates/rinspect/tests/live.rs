@@ -13,7 +13,7 @@ fn live_pool_snapshots_racily_then_checks_clean_after_close() {
     let path = std::env::temp_dir().join("rinspect_live.pool");
     let _ = std::fs::remove_file(&path);
     let (heap, _dirty) =
-        Ralloc::open_file_mapped(&path, 64 << 20, RallocConfig::default()).expect("create pool");
+        Ralloc::open_file(&path, 64 << 20, RallocConfig::default()).expect("create pool");
 
     let stop = Arc::new(AtomicBool::new(false));
     let churn = {

@@ -12,7 +12,7 @@
 
 use std::sync::atomic::Ordering;
 
-use nvm::{CrashInjector, CrashPoint};
+use nvm::{CrashInjector, CrashPoint, Mode};
 use ralloc::{check_heap, Pptr, Ralloc, RallocConfig, ShrinkPolicy, Trace, Tracer, SB_SIZE};
 
 #[repr(C)]
@@ -259,7 +259,7 @@ fn clean_reopen_of_grown_image_sees_grown_frontier() {
     let cfg = || RallocConfig {
         initial_capacity: Some(1 << 20),
         max_capacity: Some(32 << 20),
-        ..RallocConfig::tracked()
+        ..RallocConfig::default()
     };
     let (grown_sb, max_sb, nodes) = {
         let (heap, dirty) = Ralloc::open_file(&file, 1 << 20, cfg()).unwrap();
@@ -377,10 +377,15 @@ fn oversized_image_beyond_header_reserve_is_refused() {
     let file = dir.join("oversized.heap");
     std::fs::write(&file, &image).unwrap();
     let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        Ralloc::open_file(&file, 1 << 20, RallocConfig::tracked())
+        Ralloc::open_file(&file, 1 << 20, RallocConfig::default())
     }));
     let msg = *r.expect_err("oversized file must be refused").downcast::<String>().unwrap();
     assert!(msg.contains("refusing a corrupt heap image"), "wrong refusal: {msg}");
+    // A file is never simulated NVM, whatever it holds.
+    let err = Ralloc::open_file(&file, 1 << 20, RallocConfig::tracked())
+        .expect_err("a tracked config must be refused on the file path");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+    assert!(std::fs::read(&file).unwrap() == image, "a refused file must be left untouched");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -585,7 +590,7 @@ fn shrunken_image_clean_and_dirty_reopen() {
     let cfg = || RallocConfig {
         initial_capacity: Some(1 << 20),
         max_capacity: Some(32 << 20),
-        ..RallocConfig::tracked()
+        ..RallocConfig::default()
     };
     let nodes = 2000usize;
     let (high_water, closed_sb, max_sb) = {
@@ -627,6 +632,7 @@ fn shrunken_image_clean_and_dirty_reopen() {
     assert!(check_heap(&heap).is_consistent());
 
     // Dirty path: explicit shrink, then a crash image at a new base.
+    let cfg = || RallocConfig { mode: Mode::Tracked, ..cfg() };
     let heap2 = Ralloc::create(1 << 20, cfg());
     build_list(&heap2, 0, nodes);
     let spike: Vec<_> = (0..64).map(|_| heap2.malloc(SB_SIZE / 2 + 1)).collect();

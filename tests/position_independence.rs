@@ -137,8 +137,7 @@ fn file_round_trip_preserves_heap() {
         assert!(!p.is_null());
         // SAFETY: recovered root target.
         unsafe { assert_eq!(*p, 0xFEED_FACE) };
-        // Exit WITHOUT close: next open must report dirty.
-        heap.pool().save(&path).unwrap();
+        drop(heap); // WITHOUT close: the next open must report dirty.
     }
     {
         let (heap, dirty) = Ralloc::open_file(&path, 8 << 20, RallocConfig::default()).unwrap();
