@@ -11,6 +11,11 @@
 //! rises, growing whichever [`crate::frontier::Frontier`] is in the way
 //! first.
 //!
+//! A fill holds the thread's cache set, so everything it counts goes to
+//! that set's [`ThreadStats`]. `carve` and `scavenge` also serve large
+//! allocations, which hold none: they count nothing themselves and each
+//! caller counts what it got, its own way.
+//!
 //! `pub(crate)` surface on [`HeapInner`]: `fill_bin`, `carve`, `scavenge`,
 //! `park_bin`, `flush_parked`, `discard_parked`; plus [`prefetch_read`].
 
@@ -27,6 +32,7 @@ use crate::shard::{current_home_shard, ShardedPartial, SHARDS};
 use crate::size_class::{
     cache_capacity, class_block_size, class_max_count, is_small_class, NUM_CLASSES,
 };
+use crate::stats::{Slot, ThreadStats};
 use crate::tcache::CacheBin;
 
 /// Best-effort read prefetch of the cache line at `addr`. The fill and
@@ -96,7 +102,7 @@ impl HeapInner {
     /// Park a non-empty bin for adoption by a future thread's fill.
     /// Returns false (caller must flush) when the class's retention bound
     /// is already met or the heap is closed/crashed past this bin's life.
-    pub(crate) fn park_bin(&self, class: u32, bin: &mut CacheBin) -> bool {
+    pub(crate) fn park_bin(&self, class: u32, bin: &mut CacheBin, stats: &mut ThreadStats) -> bool {
         if bin.len() == 0 {
             return true; // nothing to retain
         }
@@ -115,7 +121,7 @@ impl HeapInner {
         let retain = self.fill_retain(class_max_count(class));
         if bin.len() > retain {
             let excess = bin.len() as usize - retain as usize;
-            self.flush_blocks(&mut bin.blocks_mut()[..excess]);
+            self.return_blocks(&mut bin.blocks_mut()[..excess], stats);
             bin.drain_front(excess);
         }
         let mut parked = self.parked[class as usize].lock();
@@ -123,7 +129,7 @@ impl HeapInner {
             return false;
         }
         parked.push(std::mem::replace(bin, CacheBin::new()));
-        self.slow.bin_parks.fetch_add(1, Ordering::Relaxed);
+        stats.add(Slot::bin_parks, 1);
         true
     }
 
@@ -133,12 +139,14 @@ impl HeapInner {
     }
 
     /// Flush every parked bin back to the heap (clean close: a clean
-    /// shutdown leaves nothing cached anywhere).
+    /// shutdown leaves nothing cached anywhere). The caller may hold no
+    /// cache set, so the flushes count into a block made for the call.
     pub(crate) fn flush_parked(&self) {
+        let mut stats = ThreadStats::new(&self.telemetry);
         for class in 1..NUM_CLASSES {
             let bins = std::mem::take(&mut *self.parked[class].lock());
             for mut bin in bins {
-                self.flush_bin(&mut bin);
+                self.flush_bin(&mut bin, &mut stats);
             }
         }
     }
@@ -156,7 +164,7 @@ impl HeapInner {
     /// needs both its superblocks *and* their descriptors under their
     /// respective durable frontiers before `used` may cover them; when
     /// one is in the way, grow it first (cold path). `None` only at the
-    /// reserved-capacity ceiling.
+    /// reserved-capacity ceiling. The caller counts `sb_carved`.
     pub(crate) fn carve(&self, n: usize) -> Option<u32> {
         // SAFETY: metadata offset, 8-aligned.
         let used = unsafe { self.pool.atomic_u64(USED_SB_OFF) };
@@ -174,7 +182,6 @@ impl HeapInner {
                 .is_ok()
             {
                 self.persist(USED_SB_OFF, 8);
-                self.slow.sb_carved.fetch_add(n as u64, Ordering::Relaxed);
                 self.emit(EventKind::Carve, u, n as u64);
                 return Some(u as u32);
             }
@@ -183,9 +190,9 @@ impl HeapInner {
 
     /// Account one served fill of `n` blocks.
     #[inline]
-    fn filled(&self, n: u64) {
-        self.slow.cache_fills.fetch_add(1, Ordering::Relaxed);
-        self.slow.cache_fill_blocks.fetch_add(n, Ordering::Relaxed);
+    fn filled(stats: &mut ThreadStats, n: u64) {
+        stats.add(Slot::cache_fills, 1);
+        stats.add(Slot::cache_fill_blocks, n);
     }
 
     /// Refill a cache bin for `class` (paper §4.4, LRMalloc's Fill):
@@ -196,7 +203,7 @@ impl HeapInner {
     /// Partial→Full transition, and a fresh superblock is owned outright
     /// (plain anchor store) — so the slow path's synchronization is
     /// amortized over every block of the batch.
-    pub(crate) fn fill_bin(&self, class: u32, bin: &mut CacheBin) -> bool {
+    pub(crate) fn fill_bin(&self, class: u32, bin: &mut CacheBin, stats: &mut ThreadStats) -> bool {
         debug_assert!(is_small_class(class));
         debug_assert_eq!(bin.len(), 0, "fill into a non-empty bin");
         // Warm start (churn policy): adopt a bin parked by an exited
@@ -208,8 +215,8 @@ impl HeapInner {
         if self.flush_half {
             if let Some(warm) = self.adopt_parked(class) {
                 debug_assert!(warm.len() > 0);
-                self.slow.bin_adopts.fetch_add(1, Ordering::Relaxed);
-                self.filled(warm.len() as u64);
+                stats.add(Slot::bin_adopts, 1);
+                Self::filled(stats, warm.len() as u64);
                 *bin = warm;
                 return true;
             }
@@ -253,12 +260,8 @@ impl HeapInner {
                     continue;
                 }
                 d.set_owner(home);
-                if stolen {
-                    self.slow.partial_steals.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    self.slow.partial_pops_home.fetch_add(1, Ordering::Relaxed);
-                }
-                self.slow.fill_anchor_cas.fetch_add(1, Ordering::Relaxed);
+                stats.add(if stolen { Slot::partial_steals } else { Slot::partial_pops_home }, 1);
+                stats.add(Slot::fill_anchor_cas, 1);
                 // We own the a.count-block chain headed at a.avail; carve
                 // it into the bin locally, no further synchronization.
                 // The walk is clamped to the bin's capacity: `a.count`
@@ -296,17 +299,16 @@ impl HeapInner {
                     }
                 }
                 if !surplus.is_empty() {
-                    self.push_batch(idx as usize, &surplus, home);
-                    self.slow
-                        .fill_bounded_returns
-                        .fetch_add(surplus.len() as u64, Ordering::Relaxed);
+                    self.push_batch(idx as usize, &surplus, home, stats);
+                    stats.add(Slot::fill_bounded_returns, surplus.len() as u64);
                 }
-                self.filled(keep_n as u64);
+                Self::filled(stats, keep_n as u64);
                 return true;
             }
             // No partial superblock anywhere: take the free one, scavenge an
             // empty one stranded on another class's partial list, or carve.
-            let idx = match fresh.or_else(|| self.scavenge()) {
+            let scavenged = || self.scavenge().inspect(|_| stats.add(Slot::sb_scavenged, 1));
+            let idx = match fresh.or_else(scavenged) {
                 Some(i) => i,
                 // A failed scavenge raced with every concurrent scan and
                 // flush: while scans hold popped descriptors they are
@@ -316,11 +318,14 @@ impl HeapInner {
                 // those races into reuse instead of a permanent carve.
                 None => match free.pop(&self.pool, &self.geo) {
                     Some(i) => {
-                        self.slow.free_recheck_hits.fetch_add(1, Ordering::Relaxed);
+                        stats.add(Slot::free_recheck_hits, 1);
                         i
                     }
                     None => match self.carve(1) {
-                        Some(i) => i,
+                        Some(i) => {
+                            stats.add(Slot::sb_carved, 1);
+                            i
+                        }
                         None => return false, // out of persistent space
                     },
                 },
@@ -362,14 +367,14 @@ impl HeapInner {
                     Ordering::Release,
                 );
                 partial.push(&self.pool, &self.geo, idx, home);
-                self.slow.partial_shard_pushes.fetch_add(1, Ordering::Relaxed);
+                stats.add(Slot::partial_shard_pushes, 1);
             } else {
                 d.set_anchor(Anchor::full(mc), Ordering::Release);
             }
             for i in (0..keep).rev() {
                 bin.push(sb_addr + i as usize * bsize);
             }
-            self.filled(keep as u64);
+            Self::filled(stats, keep as u64);
             return true;
         }
     }
@@ -384,7 +389,7 @@ impl HeapInner {
     /// superblock to the caller (who re-types it with `set_size`, exactly
     /// like a free-list pop — the same ownership rules apply: a popped
     /// descriptor is off-list and EMPTY means no live blocks can be
-    /// concurrently freed into it).
+    /// concurrently freed into it). The caller counts `sb_scavenged`.
     ///
     /// While a scan holds popped descriptors they are invisible to
     /// concurrent fills of their class, which may carve instead; the
@@ -413,7 +418,6 @@ impl HeapInner {
                     list.push(&self.pool, &self.geo, idx);
                 }
                 if found.is_some() {
-                    self.slow.sb_scavenged.fetch_add(1, Ordering::Relaxed);
                     return found;
                 }
             }

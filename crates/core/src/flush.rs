@@ -15,7 +15,11 @@
 //! and decides nothing. The FULL→PARTIAL transition enlists the
 //! superblock on the *freeing* thread's home shard.
 //!
-//! `pub(crate)` surface on [`HeapInner`]: `flush_blocks`, `flush_bin`,
+//! Every function here counts into the [`ThreadStats`] its caller hands
+//! it — the freeing thread's cache set's, or, for `close` and `shrink`
+//! returning parked bins, one made for the call ([`crate::stats`]).
+//!
+//! `pub(crate)` surface on [`HeapInner`]: `return_blocks`, `flush_bin`,
 //! `free_overflow`, `drain_tls`, `push_batch`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -27,6 +31,7 @@ use crate::heap::HeapInner;
 use crate::lists::DescList;
 use crate::shard::{current_home_shard, ShardedPartial};
 use crate::size_class::cache_capacity;
+use crate::stats::{Slot, ThreadStats};
 use crate::tcache::{CacheBin, HeapTls};
 
 impl HeapInner {
@@ -42,7 +47,13 @@ impl HeapInner {
     /// the free list (fill, scavenge, recovery) rebuilds it, shrink only
     /// reads the anchor, and [`crate::checker`] holds EMPTY to
     /// `count == max_count` alone.
-    pub(crate) fn push_batch(&self, sb: usize, blocks: &[usize], home: u32) {
+    pub(crate) fn push_batch(
+        &self,
+        sb: usize,
+        blocks: &[usize],
+        home: u32,
+        stats: &mut ThreadStats,
+    ) {
         debug_assert!(!blocks.is_empty());
         let d = Desc::new(&self.pool, &self.geo, sb as u32);
         let mc = d.max_count();
@@ -90,7 +101,7 @@ impl HeapInner {
                 state: if count == mc { SbState::Empty } else { SbState::Partial },
             };
             if d.cas_anchor(a, new).is_ok() {
-                self.slow.flush_anchor_cas.fetch_add(1, Ordering::Relaxed);
+                stats.add(Slot::flush_anchor_cas, 1);
                 if a.state == SbState::Full {
                     // FULL superblocks are on no list; the thread that
                     // makes the transition enlists the descriptor — onto
@@ -100,7 +111,7 @@ impl HeapInner {
                         DescList::free_list(&self.geo).push(&self.pool, &self.geo, sb as u32);
                     } else {
                         ShardedPartial::new(d.size_class()).push(&self.pool, &self.geo, sb as u32, home);
-                        self.slow.partial_shard_pushes.fetch_add(1, Ordering::Relaxed);
+                        stats.add(Slot::partial_shard_pushes, 1);
                     }
                 }
                 // PARTIAL→EMPTY keeps the descriptor on its partial list;
@@ -113,12 +124,12 @@ impl HeapInner {
     /// Return one superblock-coherent group: one anchor CAS via
     /// [`HeapInner::push_batch`], counted as remote when another shard's
     /// thread last filled the superblock (see the module docs).
-    fn return_group(&self, sb: usize, blocks: &[usize], home: u32) {
+    fn return_group(&self, sb: usize, blocks: &[usize], home: u32, stats: &mut ThreadStats) {
         if Desc::new(&self.pool, &self.geo, sb as u32).owner() != home {
-            self.slow.remote_free_blocks.fetch_add(blocks.len() as u64, Ordering::Relaxed);
-            self.slow.remote_anchor_cas.fetch_add(1, Ordering::Relaxed);
+            stats.add(Slot::remote_free_blocks, blocks.len() as u64);
+            stats.add(Slot::remote_anchor_cas, 1);
         }
-        self.push_batch(sb, blocks, home);
+        self.push_batch(sb, blocks, home, stats);
     }
 
     /// Return an arbitrary batch of blocks, grouping them by superblock
@@ -133,7 +144,7 @@ impl HeapInner {
     /// to a small open-addressing group table, bounding the whole
     /// partition at O(n) ([`crate::SlowStats::flush_partition_probes`]
     /// observes the table's work).
-    pub(crate) fn flush_blocks(&self, blocks: &mut [usize]) {
+    pub(crate) fn return_blocks(&self, blocks: &mut [usize], stats: &mut ThreadStats) {
         /// Distinct superblocks the linear scan handles before the rest
         /// of the batch escalates to the table: the scan's worst case is
         /// then `MAX_LINEAR_GROUPS`·n, and typical bins never escalate.
@@ -145,7 +156,7 @@ impl HeapInner {
         let mut groups = 0;
         while i < blocks.len() {
             if groups == MAX_LINEAR_GROUPS {
-                return self.flush_blocks_grouped(&blocks[i..], home);
+                return self.return_blocks_grouped(&blocks[i..], home, stats);
             }
             let sb = self
                 .geo
@@ -160,7 +171,7 @@ impl HeapInner {
                     end += 1;
                 }
             }
-            self.return_group(sb, &blocks[i..end], home);
+            self.return_group(sb, &blocks[i..end], home, stats);
             groups += 1;
             i = end;
         }
@@ -171,7 +182,7 @@ impl HeapInner {
     /// group table, one pass to hand each chain to
     /// [`HeapInner::push_batch`]. O(n) expected — the table is sized at
     /// 2× the batch so probe runs stay short.
-    fn flush_blocks_grouped(&self, blocks: &[usize], home: u32) {
+    fn return_blocks_grouped(&self, blocks: &[usize], home: u32, stats: &mut ThreadStats) {
         const EMPTY: u32 = u32::MAX;
         let base = self.pool.base() as usize;
         let n = blocks.len();
@@ -206,7 +217,7 @@ impl HeapInner {
                 }
             }
         }
-        self.slow.flush_partition_probes.fetch_add(probes, Ordering::Relaxed);
+        stats.add(Slot::flush_partition_probes, probes);
         let mut scratch: Vec<usize> = Vec::with_capacity(n);
         for &(sb, head) in &groups {
             scratch.clear();
@@ -218,7 +229,7 @@ impl HeapInner {
             // Chains are built newest-first; restore batch order so the
             // pre-linked free chain matches the linear partition's.
             scratch.reverse();
-            self.return_group(sb, &scratch, home);
+            self.return_group(sb, &scratch, home, stats);
         }
     }
 
@@ -226,19 +237,19 @@ impl HeapInner {
     /// then drops them from the bin). The older blocks sit at the bottom
     /// of the LIFO array, so a partial flush returns the slice most
     /// likely to complete superblocks.
-    fn flush_oldest(&self, bin: &mut CacheBin, n: usize) {
+    fn flush_oldest(&self, bin: &mut CacheBin, n: usize, stats: &mut ThreadStats) {
         if n == 0 {
             return;
         }
-        self.slow.cache_flushes.fetch_add(1, Ordering::Relaxed);
-        self.slow.cache_flushes_blocks.fetch_add(n as u64, Ordering::Relaxed);
-        self.flush_blocks(&mut bin.blocks_mut()[..n]);
+        stats.add(Slot::cache_flushes, 1);
+        stats.add(Slot::cache_flushes_blocks, n as u64);
+        self.return_blocks(&mut bin.blocks_mut()[..n], stats);
     }
 
     /// Flush an entire cache bin back to the heap (paper §4.4: "all of
     /// the blocks in the cache are pushed back").
-    pub(crate) fn flush_bin(&self, bin: &mut CacheBin) {
-        self.flush_oldest(bin, bin.len() as usize);
+    pub(crate) fn flush_bin(&self, bin: &mut CacheBin, stats: &mut ThreadStats) {
+        self.flush_oldest(bin, bin.len() as usize, stats);
         bin.clear();
     }
 
@@ -247,16 +258,16 @@ impl HeapInner {
     /// the *older* half (Makalu's return-half policy, §6.3), keeping the
     /// recently-freed half cached.
     #[cold]
-    pub(crate) fn free_overflow(&self, class: u32, bin: &mut CacheBin) {
+    pub(crate) fn free_overflow(&self, class: u32, bin: &mut CacheBin, stats: &mut ThreadStats) {
         if bin.capacity() == 0 {
             bin.ensure_capacity(cache_capacity(class) as usize);
         } else if self.flush_half {
             let half = (bin.len() as usize).div_ceil(2);
-            self.slow.half_flushes.fetch_add(1, Ordering::Relaxed);
-            self.flush_oldest(bin, half);
+            stats.add(Slot::half_flushes, 1);
+            self.flush_oldest(bin, half, stats);
             bin.drain_front(half);
         } else {
-            self.flush_bin(bin);
+            self.flush_bin(bin, stats);
         }
     }
 
@@ -265,11 +276,19 @@ impl HeapInner {
     /// the per-class retention bound; at close, and past the bound,
     /// they flush back to their superblocks.
     pub(crate) fn drain_tls(&self, entry: &mut HeapTls, park: bool) {
-        for (class, bin) in entry.bins.iter_mut().enumerate() {
-            if park && class != 0 && self.park_bin(class as u32, bin) {
+        let HeapTls { bins, stats, .. } = entry;
+        for (class, bin) in bins.iter_mut().enumerate() {
+            if park && class != 0 && self.park_bin(class as u32, bin, stats) {
                 continue;
             }
-            self.flush_bin(bin);
+            self.flush_bin(bin, stats);
         }
+    }
+
+    /// [`HeapInner::return_blocks`] for a test that hands blocks back by
+    /// hand, counted through a block of its own.
+    #[cfg(test)]
+    pub(crate) fn flush_blocks(&self, blocks: &mut [usize]) {
+        self.return_blocks(blocks, &mut ThreadStats::new(&self.telemetry));
     }
 }

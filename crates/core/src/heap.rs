@@ -247,7 +247,7 @@ impl Ralloc {
                 if let Some(addr) = bin.pop() {
                     return addr as *mut u8;
                 }
-                if inner.fill_bin(class, bin) {
+                if inner.fill_bin(class, bin, &mut tls.stats) {
                     bin.pop().expect("fill_bin returned empty") as *mut u8
                 } else {
                     std::ptr::null_mut()
@@ -289,7 +289,7 @@ impl Ralloc {
             // tight malloc/free pair oscillates inside the bin instead of
             // alternating a full flush with a full refill.
             if bin.is_full() {
-                inner.free_overflow(class, bin);
+                inner.free_overflow(class, bin, &mut tls.stats);
             }
             bin.push(ptr as usize);
         })

@@ -472,10 +472,13 @@ mod tests {
 
                 let path = dir.join(format!("v{version}-{clean}.pool"));
                 std::fs::write(&path, &image).unwrap();
-                let msg = refusal(std::panic::catch_unwind(|| {
-                    let _ = Ralloc::open_file(&path, 8 << 20, RallocConfig::default());
-                }));
+                let err = Ralloc::open_file(&path, 8 << 20, RallocConfig::default())
+                    .expect_err("an older-format file must be refused");
+                assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}: {err}");
+                let msg = err.to_string();
                 assert!(msg.contains(&want), "{what} via open_file: {msg}");
+                let file = format!("v{version}-{clean}.pool");
+                assert!(msg.contains(&file), "{what}: no path in {msg}");
                 assert!(std::fs::read(&path).unwrap() == image, "{what}: refused file was modified");
             }
         }

@@ -37,24 +37,25 @@ static NEXT_HEAP_ID: AtomicU64 = AtomicU64::new(1);
 /// The reserved span recorded in the first bytes of an image, if they are
 /// a current-format Ralloc header; `None` if they are no heap at all.
 ///
-/// # Panics
-/// A recognizable Ralloc image with a different format version must be
-/// refused, not silently re-initialized: erasing a user's durable heap
-/// because they upgraded is data loss. Both open paths decide here,
-/// before a pool exists.
-fn header_reserved_len(header: &[u8]) -> Option<usize> {
+/// `Err` carries the reason a recognizable Ralloc image with a different
+/// format version is refused rather than silently re-initialized: erasing
+/// a user's durable heap because they upgraded is data loss. Both open
+/// paths decide here, before a pool exists; the file path returns the
+/// reason, the image path (which returns no `Result`) panics with it.
+fn header_reserved_len(header: &[u8]) -> Result<Option<usize>, String> {
     let word = |off: usize| {
         header.get(off..off + 8).map(|b| u64::from_ne_bytes(b.try_into().expect("8 bytes")))
     };
-    let magic = word(MAGIC_OFF)?;
-    assert!(
-        magic == MAGIC || magic & !0xFF != MAGIC & !0xFF,
-        "ralloc image has metadata-format version {} but this build \
-         requires {}; re-create the pool (no in-place migration)",
-        magic & 0xFF,
-        MAGIC & 0xFF,
-    );
-    (magic == MAGIC).then_some(word(POOL_LEN_OFF)? as usize)
+    match word(MAGIC_OFF) {
+        Some(MAGIC) => Ok(word(POOL_LEN_OFF).map(|len| len as usize)),
+        Some(magic) if magic & !0xFF == MAGIC & !0xFF => Err(format!(
+            "ralloc image has metadata-format version {} but this build \
+             requires {}; re-create the pool (no in-place migration)",
+            magic & 0xFF,
+            MAGIC & 0xFF,
+        )),
+        _ => Ok(None),
+    }
 }
 
 /// Lock `path` (creating it if absent) and size up what it holds:
@@ -73,10 +74,10 @@ fn header_reserved_len(header: &[u8]) -> Option<usize> {
 /// mapped, extended or initialized: bytes that are no Ralloc header (a
 /// wrong path, a file shorter than a header) or not a whole number of
 /// cache lines (every frontier is one; mapping would pad the file) are
-/// `InvalidData`; another format version, or a header whose recorded
-/// reserved span is shorter than the file (it can never legally outgrow
-/// the reservation it was carved from), is a corrupt image with a
-/// diagnostic of its own.
+/// `InvalidData`, and so — each with a reason of its own — are another
+/// format version and a header whose recorded reserved span is shorter
+/// than the file (it can never legally outgrow the reservation it was
+/// carved from). Every refusal names the path.
 fn open_existing(path: &Path) -> io::Result<(PoolGuard, usize, usize)> {
     use std::os::unix::fs::FileExt;
     let guard = PoolGuard::acquire(path)?;
@@ -87,16 +88,18 @@ fn open_existing(path: &Path) -> io::Result<(PoolGuard, usize, usize)> {
     let mut header = [0u8; 16];
     let whole = file_len.is_multiple_of(CACHE_LINE)
         && guard.file().read_exact_at(&mut header, 0).is_ok();
-    let reserved = whole.then(|| header_reserved_len(&header)).flatten().ok_or_else(|| {
-        let why = format!("{} is not empty and not a ralloc heap: refusing it", path.display());
-        io::Error::new(io::ErrorKind::InvalidData, why)
-    })?;
-    assert!(
-        file_len <= reserved,
-        "heap file {} is {file_len} bytes but its header records a \
-         reserved span of only {reserved}: refusing a corrupt heap image",
-        path.display()
-    );
+    let refuse = |why: String| {
+        io::Error::new(io::ErrorKind::InvalidData, format!("{}: {why}", path.display()))
+    };
+    let reserved = if whole { header_reserved_len(&header).map_err(refuse)? } else { None };
+    let reserved = reserved
+        .ok_or_else(|| refuse("not empty and not a ralloc heap: refusing it".to_string()))?;
+    if file_len > reserved {
+        return Err(refuse(format!(
+            "{file_len} bytes but its header records a reserved span of only \
+             {reserved}: refusing a corrupt heap image"
+        )));
+    }
     Ok((guard, file_len, reserved))
 }
 
@@ -151,8 +154,9 @@ impl Ralloc {
     /// image header, so a grown heap reopens with the same geometry and
     /// the same room to keep growing. A second live process on the same
     /// file gets a "pool busy" (`WouldBlock`) error; a non-empty file
-    /// that is not a heap is refused with `InvalidData` and left as it
-    /// was.
+    /// that is not a heap, is a heap of another format version, or is
+    /// longer than the span its header reserves is refused with
+    /// `InvalidData` and left as it was.
     ///
     /// A file's persistence is the page cache, not a model of one:
     /// [`nvm::Mode::Tracked`] (simulated power failure) belongs to
@@ -193,8 +197,13 @@ impl Ralloc {
     /// appended), and clamping the reservation up would compute a
     /// geometry the header's `max_sb` never described. The refusal
     /// mirrors the one on the file path.
+    ///
+    /// # Panics
+    /// On that corrupt image, and on an image of another format version
+    /// (this function has no `Result` to carry the refusal).
     pub fn from_image(image: &[u8], cfg: RallocConfig) -> (Ralloc, bool) {
-        let Some(reserved) = header_reserved_len(image) else {
+        let Some(reserved) = header_reserved_len(image).unwrap_or_else(|why| panic!("{why}"))
+        else {
             let pool = PmemPool::from_image_reserving(image, image.len(), cfg.mode);
             return (Self::fresh(pool, &cfg), false);
         };

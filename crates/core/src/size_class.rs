@@ -80,10 +80,23 @@ pub fn class_block_size(class: u32) -> u32 {
     CLASS_SIZES[class as usize]
 }
 
+/// Blocks per superblock for each class (0 for the large class), built at
+/// compile time: a fill asks twice and should not divide to find out.
+static CLASS_MAX_COUNT: [u32; NUM_CLASSES] = {
+    let mut counts = [0u32; NUM_CLASSES];
+    let mut class = 1;
+    while class < NUM_CLASSES {
+        counts[class] = SB_SIZE as u32 / CLASS_SIZES[class];
+        class += 1;
+    }
+    counts
+};
+
 /// Blocks per superblock for a small class.
 #[inline]
 pub fn class_max_count(class: u32) -> u32 {
-    (SB_SIZE as u32) / class_block_size(class)
+    debug_assert!(is_small_class(class));
+    CLASS_MAX_COUNT[class as usize]
 }
 
 /// True if `class` names a valid *small* class.
@@ -111,6 +124,14 @@ mod tests {
         assert_eq!(CLASS_SIZES.len(), 40);
         assert_eq!(CLASS_SIZES[1], 8);
         assert_eq!(CLASS_SIZES[39], MAX_SMALL as u32);
+    }
+
+    #[test]
+    fn max_count_table_is_the_quotient() {
+        for class in 1..NUM_CLASSES as u32 {
+            assert_eq!(class_max_count(class), SB_SIZE as u32 / class_block_size(class));
+            assert_eq!(cache_capacity(class), class_max_count(class));
+        }
     }
 
     #[test]

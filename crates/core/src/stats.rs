@@ -6,14 +6,29 @@
 //! same counters through the [`Registry`] without going through this
 //! struct. The fast path counts nothing.
 //!
-//! `pub(crate)` surface: [`SlowStats::registered`].
+//! Who writes where is decided by what the site holds. A fill or a flush
+//! runs with the thread's cache set in hand and counts into the
+//! [`ThreadStats`] block that lives in it: one [`Slot`] per field name, a
+//! relaxed load and store on a line only that thread writes (a fill's
+//! four bumps as `lock`-prefixed adds on four of the heap's lines cost
+//! more than the list pop and anchor CAS they counted). `close` and
+//! `shrink`, returning parked bins with no cache set, make a block for
+//! the call. An event with no flush in it and no cache set in hand
+//! (large allocations, frontier growth and shrink) bumps the shared
+//! [`Counter`]: cold, and not seen next to a persist. A read sums both
+//! kinds and is exact at any moment, from any thread
+//! ([`telemetry::LocalBlock`]).
+//!
+//! `pub(crate)` surface: [`SlowStats::registered`], [`ThreadStats`],
+//! [`Slot`].
 
 use std::sync::atomic::Ordering;
 
-use telemetry::{Counter, Registry};
+use telemetry::{Counter, LocalBlock, Registry};
 
-/// Declares [`SlowStats`]: one [`Counter`] per listed name, registered
-/// under exactly that name, so a field and its metric cannot drift apart.
+/// Declares [`SlowStats`] and [`Slot`]: one [`Counter`] per listed name,
+/// registered under exactly that name, and one block slot of that name —
+/// a field, its metric and its slot cannot drift apart.
 macro_rules! slow_stats {
     ($($(#[$doc:meta])* $name:ident,)*) => {
         /// Slow-path event counters (diagnostics; the fast path counts nothing).
@@ -33,17 +48,49 @@ macro_rules! slow_stats {
             $($(#[$doc])* pub $name: Counter,)*
         }
 
+        /// A counter's place in every [`ThreadStats`] block, named as its
+        /// [`SlowStats`] field.
+        #[allow(non_camel_case_types)]
+        #[derive(Clone, Copy)]
+        pub(crate) enum Slot {
+            $($name,)*
+        }
+
         impl SlowStats {
             /// Build the stats with every counter registered in `reg`, so
             /// the registry and this struct are two views of the same
-            /// sharded counters.
+            /// counters, each owning the block slot of its name.
             pub(crate) fn registered(reg: &Registry) -> SlowStats {
-                SlowStats {
-                    $($name: reg.counter(stringify!($name)),)*
-                }
+                let stats = SlowStats {
+                    $($name: reg.slotted_counter(stringify!($name)),)*
+                };
+                $(assert_eq!(
+                    stats.$name.slot(),
+                    Some(Slot::$name as usize),
+                    "slots go out in field order on a registry of the heap's own",
+                );)*
+                stats
             }
         }
     };
+}
+
+/// One thread's block of slow-path counts for one heap; it lives in the
+/// thread's cache set ([`crate::tcache::HeapTls`]) and folds itself into
+/// the heap's totals when that is dropped, however it is dropped.
+pub(crate) struct ThreadStats(LocalBlock);
+
+impl ThreadStats {
+    pub(crate) fn new(reg: &Registry) -> ThreadStats {
+        ThreadStats(reg.local_block())
+    }
+
+    /// Count `n` events of `slot`'s kind: a relaxed load and store on
+    /// this thread's own line.
+    #[inline]
+    pub(crate) fn add(&mut self, slot: Slot, n: u64) {
+        self.0.add(slot as usize, n);
+    }
 }
 
 slow_stats! {

@@ -48,12 +48,26 @@
 //! generation compare sits on the fast path so a crash invalidates the
 //! fast slot, too. On clean thread exit the bins are flushed back to the
 //! heap, so a clean shutdown leaves nothing cached.
+//!
+//! ## Counts
+//!
+//! A cache set also carries the thread's [`ThreadStats`]: every counted
+//! event of the fill and flush paths holds `&mut HeapTls`, so it counts
+//! there — the thread's own line, no `lock` prefix — rather than on the
+//! heap's shared counters (see [`crate::stats`]). The block is *not*
+//! transient the way the bins are: counts of work done before a crash, a
+//! close or a thread's exit stay counted. Every way a cache set ends —
+//! the generation rebuild below, `drain_current_thread`,
+//! `discard_current_thread`, the store's destructor, the teardown
+//! one-shot set — drops the `HeapTls`, and dropping the block is what
+//! folds it into the heap's totals, so no path can forget to.
 
 use std::cell::{Cell, RefCell};
 use std::sync::Weak;
 
 use crate::heap::HeapInner;
 use crate::size_class::NUM_CLASSES;
+use crate::stats::ThreadStats;
 
 /// A fixed-capacity, array-backed bin of cached block addresses for one
 /// size class (LRMalloc's CacheBin). Storage is allocated lazily on first
@@ -145,11 +159,19 @@ pub(crate) struct HeapTls {
     /// One bin per size class (index 0 unused: large allocations bypass
     /// the cache).
     pub bins: [CacheBin; NUM_CLASSES],
+    /// This thread's slow-path counts for this heap.
+    pub stats: ThreadStats,
 }
 
 impl HeapTls {
-    fn new(heap_id: u64, generation: u64, weak: Weak<HeapInner>) -> HeapTls {
-        HeapTls { heap_id, generation, weak, bins: std::array::from_fn(|_| CacheBin::new()) }
+    fn new(heap: &HeapInner, generation: u64, weak: Weak<HeapInner>) -> HeapTls {
+        HeapTls {
+            heap_id: heap.id,
+            generation,
+            weak,
+            bins: std::array::from_fn(|_| CacheBin::new()),
+            stats: ThreadStats::new(&heap.telemetry),
+        }
     }
 }
 
@@ -248,15 +270,14 @@ fn with_heap_tls_miss<R>(
                     // they are now owned by the recovered free lists (or
                     // the GC), so the cache must be discarded, not reused.
                     // Overwrite in place: the box (and any fast-slot
-                    // pointer to it) stays valid.
-                    **e = HeapTls::new(id, gen, make_weak.take().unwrap()());
+                    // pointer to it) stays valid. The old set's counts
+                    // fold as it drops; only its blocks are forgotten.
+                    **e = HeapTls::new(heap, gen, make_weak.take().unwrap()());
                 }
                 e
             }
             None => {
-                store
-                    .entries
-                    .push(Box::new(HeapTls::new(id, gen, make_weak.take().unwrap()())));
+                store.entries.push(Box::new(HeapTls::new(heap, gen, make_weak.take().unwrap()())));
                 store.entries.last_mut().unwrap()
             }
         };
@@ -276,7 +297,7 @@ fn with_heap_tls_miss<R>(
         // always accessible) but must never point at this transient box.
         Err(_) => {
             let mut entry =
-                Box::new(HeapTls::new(heap.id, heap.generation(), make_weak.take().unwrap()()));
+                Box::new(HeapTls::new(heap, heap.generation(), make_weak.take().unwrap()()));
             let r = f.take().unwrap()(&mut entry);
             let (generation, closed) = heap.begin_exit_drain();
             if generation == entry.generation && !closed {

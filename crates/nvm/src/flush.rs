@@ -7,7 +7,25 @@
 //! cost of persistence would otherwise be invisible and allocators that
 //! flush eagerly (Makalu, PMDK) would not pay their real-world price. The
 //! [`FlushModel`] injects that cost as a calibrated busy-wait.
+//!
+//! ## What a modeled nanosecond costs
+//!
+//! One, to within a clock read. [`FlushModel::spin`] waits on the time
+//! stamp counter, with the tick rate and the cost of one counter read
+//! measured once per process against [`Instant`] ([`Clock`]) and that
+//! read cost taken off the target, so a wait of `T` takes between `T`
+//! and `T` plus one read. Checked on a 2-core 2.1 GHz Xeon KVM guest
+//! (10 000 calls each, release build): `spin(20)` takes 29–34 ns and
+//! `spin(80)` 84–85 ns, call included, so the 100 ns Optane persist
+//! costs ≈ 115 ns. The loop this replaced read `Instant` (≈ 38 ns a
+//! read there) and executed `pause` (≈ 67 ns) between reads: 80 and
+//! 147 ns for the same two targets, a persist charged 2.3 × what the
+//! model says — which flatters exactly the allocator that persists
+//! least (the ledger's traced `restart` reads `nvm.persist_line_ns −
+//! nvm.persist_line_free_ns` 214–222 → 117–132 ns). The release-build test
+//! `spin_charges_what_it_says` holds the mean of `spin(80)` to [80, 125] ns.
 
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Latency charged for flush and fence events, in nanoseconds.
@@ -29,6 +47,54 @@ pub struct FlushModel {
     pub fence_ns: u64,
 }
 
+/// The spin loop's clock: the time stamp counter, calibrated once.
+struct Clock {
+    /// Counter ticks per nanosecond, as a 16.16 fixed-point multiplier.
+    ticks_per_ns_q16: u64,
+    /// Ticks one counter read takes: the loop's last read lands that
+    /// long after the deadline was really met, so it comes off the target.
+    read_ticks: u64,
+}
+
+#[inline]
+fn ticks() -> u64 {
+    // SAFETY: `rdtsc` has no preconditions on x86-64.
+    unsafe { core::arch::x86_64::_rdtsc() }
+}
+
+impl Clock {
+    /// Measure the counter against [`Instant`]: the median of five
+    /// ≈ 20 µs windows (an `Instant` read is tens of nanoseconds, so each
+    /// rate is good to a few parts in a thousand, and a window this
+    /// thread was preempted in — which would stretch every later charge
+    /// of the process — is outvoted). `None` — spin on `Instant` itself —
+    /// when the rate is not that of a plausible CPU (0.5–10 GHz): a
+    /// counter that is emulated, stopped or rescaled under this process.
+    fn calibrate() -> Option<Clock> {
+        const READS: u64 = 200;
+        let mut rates = [0u64; 5];
+        for rate in &mut rates {
+            let (t0, c0) = (Instant::now(), ticks());
+            while t0.elapsed() < Duration::from_micros(20) {}
+            let (ns, dc) = (t0.elapsed().as_nanos() as u64, ticks().wrapping_sub(c0));
+            *rate = (dc << 16) / ns;
+        }
+        rates.sort_unstable();
+        let ticks_per_ns_q16 = rates[rates.len() / 2];
+        // A preempted batch of reads only ever looks slower: keep the best.
+        let read_batch = |_| {
+            let r0 = ticks();
+            for _ in 0..READS {
+                std::hint::black_box(ticks());
+            }
+            ticks().wrapping_sub(r0) / (READS + 1)
+        };
+        let read_ticks = (0..5).map(read_batch).min()?;
+        let plausible = (1 << 15..=10 << 16).contains(&ticks_per_ns_q16);
+        plausible.then_some(Clock { ticks_per_ns_q16, read_ticks })
+    }
+}
+
 impl FlushModel {
     /// A model with zero cost; persistence bookkeeping only.
     pub const fn free() -> Self {
@@ -48,17 +114,28 @@ impl FlushModel {
         FlushModel { flush_ns: 20, pipelined_line_ns: 2, fence_ns: 80 }
     }
 
-    /// Busy-wait for `ns` nanoseconds. Precise enough for tens of
-    /// nanoseconds and monotone in `ns`, which is all the benchmarks need.
+    /// Busy-wait for `ns` nanoseconds (see the module docs for how close
+    /// it comes). No `pause` in the loop: on the CPUs this runs on one
+    /// `pause` outlasts the shorter charges. A thread moved between cores
+    /// whose counters disagree ends its wait early, never late:
+    /// the elapsed count wraps to a huge value.
     #[inline]
     pub(crate) fn spin(ns: u64) {
+        static CLOCK: OnceLock<Option<Clock>> = OnceLock::new();
         if ns == 0 {
             return;
         }
-        let target = Duration::from_nanos(ns);
-        let start = Instant::now();
-        while start.elapsed() < target {
-            std::hint::spin_loop();
+        match CLOCK.get_or_init(Clock::calibrate) {
+            Some(clock) => {
+                let wait = ((ns * clock.ticks_per_ns_q16) >> 16).saturating_sub(clock.read_ticks);
+                let start = ticks();
+                while ticks().wrapping_sub(start) < wait {}
+            }
+            None => {
+                let target = Duration::from_nanos(ns);
+                let start = Instant::now();
+                while start.elapsed() < target {}
+            }
         }
     }
 
@@ -114,6 +191,32 @@ mod tests {
         let some = t1.elapsed();
         assert!(some >= Duration::from_micros(150), "spin too short: {some:?}");
         assert!(zero < Duration::from_micros(150));
+    }
+
+    /// The model's whole point is that a charged nanosecond is a
+    /// nanosecond; only an optimized build's loop is the one benchmarks
+    /// run, so the bound is checked there.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "timing bound holds for the release build's loop")]
+    fn spin_charges_what_it_says() {
+        const N: u32 = 10_000;
+        FlushModel::spin(1); // calibrate outside the timed loops
+        let mean_ns = |ns: u64| {
+            // The best of a few batches: another process on the core
+            // only ever adds time.
+            (0..5)
+                .map(|_| {
+                    let t0 = Instant::now();
+                    for _ in 0..N {
+                        FlushModel::spin(std::hint::black_box(ns));
+                    }
+                    t0.elapsed().as_nanos() as f64 / N as f64
+                })
+                .fold(f64::INFINITY, f64::min)
+        };
+        let (free, eighty) = (mean_ns(0), mean_ns(80));
+        assert!(free < 5.0, "spin(0) must cost nothing: {free:.1} ns");
+        assert!((80.0..=125.0).contains(&eighty), "spin(80) takes {eighty:.1} ns");
     }
 
     #[test]

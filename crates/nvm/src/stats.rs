@@ -11,7 +11,10 @@
 //! (`flush_lines`, `flush_calls`, `fences`, `modeled_ns`) alongside the
 //! heap's metrics. [`PmemStats`] is a thin typed view over that registry:
 //! its snapshot API is unchanged, and writes go to sharded lock-free
-//! counters (see [`telemetry::Counter`]).
+//! counters (see [`telemetry::Counter`]). They stay on the shared write:
+//! a flush or fence has no thread-owned structure in hand to hold a
+//! [`telemetry::LocalBlock`], and next to a modeled charge of 20 ns or
+//! more a `lock`-prefixed add does not show.
 
 use telemetry::{Counter, Registry};
 

@@ -8,7 +8,9 @@
 //!
 //! * [`Counter`] / [`Gauge`] / [`Histogram`] — lock-free metric
 //!   primitives. Counters are sharded over cache-line-padded relaxed
-//!   atomics (no CAS, no contention between threads on different shards);
+//!   atomics (no CAS, no contention between threads on different shards),
+//!   and a site that holds something thread-owned counts into that
+//!   thread's [`LocalBlock`] instead (a plain add on its own line);
 //!   histograms are log2-bucketed with p50/p99/p999 readout. All writes
 //!   compile to no-ops under the `telemetry-off` feature.
 //! * [`Registry`] — metrics registered by static name, so exporters can
@@ -30,10 +32,13 @@
 //! ## Synchronization contract
 //!
 //! No metric write path performs a compare-and-swap: counters and
-//! histograms use relaxed `fetch_add` on a per-thread shard, gauges use
-//! plain stores, and the journal claims slots with one relaxed
-//! `fetch_add`. The only locks live in registration (once per metric) and
-//! the sampler's file writer (off every allocator path). [`cas_ops`]
+//! histograms use relaxed `fetch_add` on a per-thread shard, a
+//! [`LocalBlock`] bump is a relaxed load and store by the block's one
+//! writer, gauges use plain stores, and the journal claims slots with one
+//! relaxed `fetch_add`. The only locks live in registration (once per
+//! metric, once per thread block made or retired), in reads of a slotted
+//! counter, and in the sampler's file writer — the allocator meets one
+//! only when a thread's cache set is made or ends. [`cas_ops`]
 //! audits that claim: any future code that adds a CAS to this crate must
 //! route it through [`note_cas`], and the fast-path test pins the count
 //! at zero.
@@ -47,7 +52,7 @@ pub mod export;
 pub mod json;
 
 pub use journal::{Event, EventKind, Journal};
-pub use metrics::{Counter, Gauge, HistSnapshot, Histogram};
+pub use metrics::{Counter, Gauge, HistSnapshot, Histogram, LocalBlock};
 pub use registry::{Metric, Registry};
 pub use sampler::SamplerHandle;
 

@@ -1,4 +1,4 @@
-//! Metric primitives: sharded counters, gauges, log2 histograms.
+//! Metric primitives: counters, gauges, log2 histograms.
 //!
 //! [`Counter`] keeps the `AtomicU64` *call shape* (`fetch_add`, `load`) so
 //! stats structs migrated onto the registry keep their field-access API:
@@ -6,9 +6,28 @@
 //! a sharded counter. The write half returns nothing — a running total
 //! would have to read every shard, which is exactly the cross-thread
 //! traffic sharding exists to avoid.
+//!
+//! A counter can be written two ways, and a site picks by what it holds:
+//!
+//! * **Per thread** — a site that runs with a thread-owned structure in
+//!   hand (the allocator's cache fill and flush, which hold the thread's
+//!   cache set) counts into that thread's [`LocalBlock`]: one slot per
+//!   counter on lines no other thread writes, bumped with a relaxed load
+//!   and a relaxed store. The owner is the only writer, so the count is
+//!   exact without a read-modify-write instruction.
+//! * **Shared** — a site with nothing thread-owned in hand (recovery,
+//!   shrink, large allocations, frontier growth) calls [`Counter::add`]:
+//!   a `lock`-prefixed add on one of 8 padded shards. Those sites are
+//!   cold; ≈ 9 ns next to a persist or a page commit is not seen.
+//!
+//! A read ([`Counter::get`]) is the shards plus, for a counter that has
+//! a slot, what retired blocks left behind and every live block's slot,
+//! taken under the registry's block lock so a block folding itself away
+//! is never seen twice or not at all. Anyone may read at any time; reads
+//! take a lock and touch every writer's line, so keep them off hot paths.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Shards per counter/histogram-total. Increments on different shards
@@ -34,24 +53,130 @@ fn my_shard() -> usize {
     SHARD.with(|s| *s)
 }
 
+/// Counter slots in a [`LocalBlock`]: four cache lines, enough for every
+/// counter one registry hands a slot to (the heap has 24).
+const LOCAL_SLOTS: usize = 32;
+
+/// One thread's counts, read by anyone, written by its owner alone.
+#[repr(align(64))]
+struct Slots([AtomicU64; LOCAL_SLOTS]);
+
+/// What a registry, its slotted counters and its blocks share: the live
+/// blocks and the totals of the retired ones, under one lock so a read
+/// sees every block exactly once, live or folded.
+#[derive(Default)]
+pub(crate) struct LocalSet(Mutex<LocalSetInner>);
+
+#[derive(Default)]
+struct LocalSetInner {
+    live: Vec<Arc<Slots>>,
+    folded: [u64; LOCAL_SLOTS],
+}
+
+impl LocalSet {
+    fn lock(&self) -> std::sync::MutexGuard<'_, LocalSetInner> {
+        // Nothing done under this lock can panic part-way, so a poisoned
+        // guard (a reader's caller unwinding) still holds valid totals —
+        // and `LocalBlock::drop` must not panic.
+        self.0.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Everything ever counted into `slot`: retired blocks plus live ones.
+    fn total(&self, slot: usize) -> u64 {
+        let set = self.lock();
+        set.live
+            .iter()
+            .fold(set.folded[slot], |sum, b| sum.wrapping_add(b.0[slot].load(Ordering::Relaxed)))
+    }
+
+    /// A fresh zeroed block, enlisted. Cold: once per (thread, registry).
+    pub(crate) fn block(self: &Arc<LocalSet>) -> LocalBlock {
+        #[cfg(not(feature = "telemetry-off"))]
+        {
+            let slots = Arc::new(Slots(std::array::from_fn(|_| AtomicU64::new(0))));
+            self.lock().live.push(slots.clone());
+            LocalBlock { slots, set: self.clone() }
+        }
+        #[cfg(feature = "telemetry-off")]
+        LocalBlock {}
+    }
+}
+
+/// One thread's private block of counter slots, handed out by
+/// [`crate::Registry::local_block`]: slot `i` belongs to the counter
+/// [`crate::Registry::slotted_counter`] gave slot `i`. A bump
+/// ([`LocalBlock::add`]) takes `&mut self` — the single writer is the
+/// type's contract, not a convention — and is a relaxed load and store
+/// on the block's own line. Dropping the block folds its counts into the
+/// registry's retired totals and delists it, in one step under the lock
+/// readers take, so no exit path of the owner can lose or double a
+/// count. Zero-sized, and every method empty, under `telemetry-off`.
+pub struct LocalBlock {
+    #[cfg(not(feature = "telemetry-off"))]
+    slots: Arc<Slots>,
+    #[cfg(not(feature = "telemetry-off"))]
+    set: Arc<LocalSet>,
+}
+
+impl LocalBlock {
+    /// Add `n` to `slot`. Compiled out under `telemetry-off`.
+    #[inline]
+    pub fn add(&mut self, slot: usize, n: u64) {
+        #[cfg(not(feature = "telemetry-off"))]
+        {
+            let cell = &self.slots.0[slot];
+            cell.store(cell.load(Ordering::Relaxed).wrapping_add(n), Ordering::Relaxed);
+        }
+        #[cfg(feature = "telemetry-off")]
+        let _ = (slot, n);
+    }
+}
+
+#[cfg(not(feature = "telemetry-off"))]
+impl Drop for LocalBlock {
+    fn drop(&mut self) {
+        let mut set = self.set.lock();
+        for (total, cell) in set.folded.iter_mut().zip(&self.slots.0) {
+            *total = total.wrapping_add(cell.load(Ordering::Relaxed));
+        }
+        set.live.retain(|b| !Arc::ptr_eq(b, &self.slots));
+    }
+}
+
 #[derive(Default)]
 struct CounterInner {
     shards: [PadCell; SHARDS],
+    /// The slot this counter owns in every [`LocalBlock`] of its
+    /// registry, if it was registered with one.
+    local: Option<(usize, Arc<LocalSet>)>,
 }
 
-/// A monotonic counter, sharded across cache-line-padded relaxed atomics.
-/// A write is one relaxed `fetch_add` on the calling thread's shard and
-/// touches no other line: no CAS, and no cross-thread cache-line traffic
-/// unless two live threads drew the same shard (tokens are round-robin
-/// `% 8`) or a reader is summing. Reads load all shards (exact, since
-/// shards only ever grow) and so pull every writer's line — keep them off
-/// hot paths. Cheaply cloneable; clones share state.
+/// A monotonic counter. [`Counter::add`] is the shared write: one relaxed
+/// `fetch_add` on the calling thread's cache-line-padded shard — no CAS,
+/// and no cross-thread cache-line traffic unless two live threads drew
+/// the same shard (tokens are round-robin `% 8`) or a reader is summing.
+/// A counter registered with a slot is also written through each
+/// thread's [`LocalBlock`] (see the module docs for which site uses
+/// which). Reads are exact — every part only ever grows — and pull every
+/// writer's line: keep them off hot paths. Cheaply cloneable; clones
+/// share state.
 #[derive(Clone, Default)]
 pub struct Counter(Arc<CounterInner>);
 
 impl Counter {
     pub fn new() -> Counter {
         Counter::default()
+    }
+
+    /// A counter that owns `slot` in every block of `set`.
+    pub(crate) fn with_slot(slot: usize, set: Arc<LocalSet>) -> Counter {
+        assert!(slot < LOCAL_SLOTS, "a registry hands out at most {LOCAL_SLOTS} counter slots");
+        Counter(Arc::new(CounterInner { shards: Default::default(), local: Some((slot, set)) }))
+    }
+
+    /// This counter's [`LocalBlock`] slot, if it has one.
+    pub fn slot(&self) -> Option<usize> {
+        self.0.local.as_ref().map(|(slot, _)| *slot)
     }
 
     /// Add `n`. Compiled out under `telemetry-off`.
@@ -69,10 +194,14 @@ impl Counter {
         self.add(1);
     }
 
-    /// Current total (sum over shards).
-    #[inline]
+    /// Current total: the shards, plus this counter's slot in every
+    /// thread block, live or retired.
     pub fn get(&self) -> u64 {
-        self.0.shards.iter().map(|s| s.0.load(Ordering::Relaxed)).sum()
+        let shared: u64 = self.0.shards.iter().map(|s| s.0.load(Ordering::Relaxed)).sum();
+        match &self.0.local {
+            Some((slot, set)) => shared + set.total(*slot),
+            None => shared,
+        }
     }
 
     /// `AtomicU64`-shaped write: [`Counter::add`] with an ordering
@@ -85,7 +214,7 @@ impl Counter {
         self.add(n);
     }
 
-    /// `AtomicU64`-compatible read (sum over shards; ordering accepted
+    /// `AtomicU64`-compatible read ([`Counter::get`]; ordering accepted
     /// for source compatibility).
     #[inline]
     pub fn load(&self, _order: Ordering) -> u64 {

@@ -5,9 +5,10 @@
 //! independent instances never share counters, and a registry dies with
 //! its owner. Registration takes a lock once per metric name; after
 //! that, callers hold a cloned handle and never touch the registry on
-//! the hot path.
+//! the hot path. A registry also owns the set of per-thread
+//! [`LocalBlock`]s its slotted counters are summed over.
 
-use crate::metrics::{Counter, Gauge, Histogram};
+use crate::metrics::{Counter, Gauge, Histogram, LocalBlock, LocalSet};
 use std::sync::{Arc, Mutex};
 
 /// A registered metric, as enumerated by [`Registry::entries`].
@@ -28,6 +29,8 @@ struct Inner {
     // lines. Kept separate so registration stays a single-argument call
     // at the dozens of existing sites.
     helps: Mutex<Vec<(&'static str, &'static str)>>,
+    // The thread blocks of this registry's slotted counters.
+    locals: Arc<LocalSet>,
 }
 
 /// A named collection of metrics. Cheaply cloneable; clones share state.
@@ -39,12 +42,18 @@ impl Registry {
         Registry::default()
     }
 
-    fn get_or_insert(&self, name: &'static str, make: impl FnOnce() -> Metric) -> Metric {
+    /// The metric under `name`, made from what is already registered if
+    /// there is none yet.
+    fn get_or_insert(
+        &self,
+        name: &'static str,
+        make: impl FnOnce(&[(&'static str, Metric)]) -> Metric,
+    ) -> Metric {
         let mut entries = self.0.entries.lock().unwrap();
         if let Some((_, m)) = entries.iter().find(|(n, _)| *n == name) {
             return m.clone();
         }
-        let m = make();
+        let m = make(&entries);
         entries.push((name, m.clone()));
         m
     }
@@ -54,15 +63,43 @@ impl Registry {
     /// # Panics
     /// If `name` is already registered as a different metric kind.
     pub fn counter(&self, name: &'static str) -> Counter {
-        match self.get_or_insert(name, || Metric::Counter(Counter::new())) {
+        match self.get_or_insert(name, |_| Metric::Counter(Counter::new())) {
             Metric::Counter(c) => c,
             _ => panic!("metric {name:?} already registered with a different kind"),
         }
     }
 
+    /// The counter registered under `name`, creating it on first use
+    /// with the next free slot of this registry's [`LocalBlock`]s — slots
+    /// go out in registration order, so the `n`-th distinct name gets
+    /// slot `n` ([`Counter::slot`]).
+    ///
+    /// # Panics
+    /// If `name` is already registered as a different metric kind, or
+    /// every slot is taken.
+    pub fn slotted_counter(&self, name: &'static str) -> Counter {
+        let make = |entries: &[(&'static str, Metric)]| {
+            let taken = entries
+                .iter()
+                .filter(|(_, m)| matches!(m, Metric::Counter(c) if c.slot().is_some()))
+                .count();
+            Metric::Counter(Counter::with_slot(taken, self.0.locals.clone()))
+        };
+        match self.get_or_insert(name, make) {
+            Metric::Counter(c) => c,
+            _ => panic!("metric {name:?} already registered with a different kind"),
+        }
+    }
+
+    /// A fresh block of this registry's counter slots for one thread to
+    /// count into; it folds itself back when dropped.
+    pub fn local_block(&self) -> LocalBlock {
+        self.0.locals.block()
+    }
+
     /// The gauge registered under `name`, creating it on first use.
     pub fn gauge(&self, name: &'static str) -> Gauge {
-        match self.get_or_insert(name, || Metric::Gauge(Gauge::new())) {
+        match self.get_or_insert(name, |_| Metric::Gauge(Gauge::new())) {
             Metric::Gauge(g) => g,
             _ => panic!("metric {name:?} already registered with a different kind"),
         }
@@ -70,7 +107,7 @@ impl Registry {
 
     /// The histogram registered under `name`, creating it on first use.
     pub fn histogram(&self, name: &'static str) -> Histogram {
-        match self.get_or_insert(name, || Metric::Histogram(Histogram::new())) {
+        match self.get_or_insert(name, |_| Metric::Histogram(Histogram::new())) {
             Metric::Histogram(h) => h,
             _ => panic!("metric {name:?} already registered with a different kind"),
         }

@@ -98,8 +98,11 @@ impl SamplerHandle {
             std::thread::Builder::new().name("telemetry-sampler".into()).spawn(move || {
                 let mut stopped = shared.stop.lock().unwrap();
                 loop {
+                    // `_while`: the flag is looked at before sleeping, so
+                    // a stop that lands before this thread first runs, or
+                    // while it is sampling, is not slept through.
                     let (guard, _timeout) =
-                        shared.wake.wait_timeout(stopped, interval).unwrap();
+                        shared.wake.wait_timeout_while(stopped, interval, |stop| !*stop).unwrap();
                     stopped = guard;
                     if *stopped {
                         return;

@@ -376,11 +376,12 @@ fn oversized_image_beyond_header_reserve_is_refused() {
     std::fs::create_dir_all(&dir).unwrap();
     let file = dir.join("oversized.heap");
     std::fs::write(&file, &image).unwrap();
-    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        Ralloc::open_file(&file, 1 << 20, RallocConfig::default())
-    }));
-    let msg = *r.expect_err("oversized file must be refused").downcast::<String>().unwrap();
+    let err = Ralloc::open_file(&file, 1 << 20, RallocConfig::default())
+        .expect_err("oversized file must be refused");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    let msg = err.to_string();
     assert!(msg.contains("refusing a corrupt heap image"), "wrong refusal: {msg}");
+    assert!(msg.contains("oversized.heap"), "the refusal must name the path: {msg}");
     // A file is never simulated NVM, whatever it holds.
     let err = Ralloc::open_file(&file, 1 << 20, RallocConfig::tracked())
         .expect_err("a tracked config must be refused on the file path");
