@@ -197,7 +197,8 @@ impl HeapInner {
 
     /// Refill a cache bin for `class` (paper §4.4, LRMalloc's Fill):
     /// first from a partial superblock, else from a free/fresh superblock
-    /// whose entire block population goes to the bin. Either way the
+    /// whose entire block population goes to the bin (which holds at
+    /// least that many: [`cache_capacity`]). Either way the
     /// whole batch is reserved with at most **one** anchor CAS — a
     /// partial superblock's entire free chain is claimed by a single
     /// Partial→Full transition, and a fresh superblock is owned outright
@@ -264,8 +265,9 @@ impl HeapInner {
                 stats.add(Slot::fill_anchor_cas, 1);
                 // We own the a.count-block chain headed at a.avail; carve
                 // it into the bin locally, no further synchronization.
-                // The walk is clamped to the bin's capacity: `a.count`
-                // can only exceed it if a user double-free inflated the
+                // The walk is clamped to the superblock's population,
+                // which the bin's capacity is at least: `a.count` can
+                // only exceed it if a user double-free inflated the
                 // anchor, and the containment then must be a bounded leak,
                 // never a write past the bin's slot array.
                 let take = a.count.min(mc);

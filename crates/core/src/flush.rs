@@ -133,103 +133,47 @@ impl HeapInner {
     }
 
     /// Return an arbitrary batch of blocks, grouping them by superblock
-    /// (LRMalloc's Flush). Reorders `blocks` in place while partitioning.
+    /// (LRMalloc's Flush). Reorders `blocks` in place while partitioning
+    /// and allocates nothing: a flush runs inside `free`, and a
+    /// `#[global_allocator]` built on this heap must not re-enter itself.
     ///
     /// Each group goes back through [`HeapInner::return_group`].
     ///
-    /// The partition starts with the in-place, allocation-free linear
-    /// scan — bins overwhelmingly hold blocks of one or two superblocks,
-    /// so it normally finishes in a pass or two. Only when the batch
-    /// turns out to span *many* superblocks does the remainder escalate
-    /// to a small open-addressing group table, bounding the whole
-    /// partition at O(n) ([`crate::SlowStats::flush_partition_probes`]
-    /// observes the table's work).
+    /// Most bins hold blocks of one or two superblocks, so the partition
+    /// starts with a linear scan that moves one superblock's blocks to the
+    /// front per pass. A batch that spans more superblocks than that scan
+    /// takes on — a 16-slot bin of 4-block superblocks usually does —
+    /// sorts the rest by address: a superblock is a contiguous address
+    /// range, so sorted blocks arrive grouped, one run per superblock.
     pub(crate) fn return_blocks(&self, blocks: &mut [usize], stats: &mut ThreadStats) {
-        /// Distinct superblocks the linear scan handles before the rest
-        /// of the batch escalates to the table: the scan's worst case is
-        /// then `MAX_LINEAR_GROUPS`·n, and typical bins never escalate.
+        /// Superblocks the linear scan takes before the rest is sorted:
+        /// its worst case is then `MAX_LINEAR_GROUPS`·n comparisons.
         const MAX_LINEAR_GROUPS: usize = 8;
         let base = self.pool.base() as usize;
+        let sb_of =
+            |addr: usize| self.geo.sb_index_of(addr - base).expect("flush_blocks: foreign address");
         // One TLS lookup + hash for the whole batch, not per superblock.
         let home = current_home_shard();
-        let mut i = 0;
-        let mut groups = 0;
-        while i < blocks.len() {
-            if groups == MAX_LINEAR_GROUPS {
-                return self.return_blocks_grouped(&blocks[i..], home, stats);
-            }
-            let sb = self
-                .geo
-                .sb_index_of(blocks[i] - base)
-                .expect("flush_blocks: foreign address");
+        let mut rest = blocks;
+        for _ in 0..MAX_LINEAR_GROUPS {
+            let Some(&first) = rest.first() else { return };
+            let sb = sb_of(first);
             // Partition: move every block of this superblock into
-            // blocks[i..end].
-            let mut end = i + 1;
-            for j in i + 1..blocks.len() {
-                if self.geo.sb_index_of(blocks[j] - base) == Some(sb) {
-                    blocks.swap(end, j);
+            // rest[..end].
+            let mut end = 1;
+            for j in 1..rest.len() {
+                if sb_of(rest[j]) == sb {
+                    rest.swap(end, j);
                     end += 1;
                 }
             }
-            self.return_group(sb, &blocks[i..end], home, stats);
-            groups += 1;
-            i = end;
+            let (group, tail) = rest.split_at_mut(end);
+            self.return_group(sb, group, home, stats);
+            rest = tail;
         }
-    }
-
-    /// Table-based batch partition (the linear scan's escalation path):
-    /// one pass to chain blocks per superblock through an open-addressing
-    /// group table, one pass to hand each chain to
-    /// [`HeapInner::push_batch`]. O(n) expected — the table is sized at
-    /// 2× the batch so probe runs stay short.
-    fn return_blocks_grouped(&self, blocks: &[usize], home: u32, stats: &mut ThreadStats) {
-        const EMPTY: u32 = u32::MAX;
-        let base = self.pool.base() as usize;
-        let n = blocks.len();
-        let cap = (2 * n).next_power_of_two();
-        let mask = cap - 1;
-        // slot -> group index; group = (superblock, chain head into `next`).
-        let mut slots: Vec<u32> = vec![EMPTY; cap];
-        let mut groups: Vec<(usize, u32)> = Vec::new();
-        let mut next: Vec<u32> = vec![EMPTY; n];
-        let mut probes = 0u64;
-        for (i, &addr) in blocks.iter().enumerate() {
-            let sb = self
-                .geo
-                .sb_index_of(addr - base)
-                .expect("flush_blocks: foreign address");
-            let mut h =
-                ((sb as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & mask;
-            loop {
-                probes += 1;
-                match slots[h] {
-                    EMPTY => {
-                        slots[h] = groups.len() as u32;
-                        groups.push((sb, i as u32));
-                        break;
-                    }
-                    g if groups[g as usize].0 == sb => {
-                        next[i] = groups[g as usize].1;
-                        groups[g as usize].1 = i as u32;
-                        break;
-                    }
-                    _ => h = (h + 1) & mask,
-                }
-            }
-        }
-        stats.add(Slot::flush_partition_probes, probes);
-        let mut scratch: Vec<usize> = Vec::with_capacity(n);
-        for &(sb, head) in &groups {
-            scratch.clear();
-            let mut i = head;
-            while i != EMPTY {
-                scratch.push(blocks[i as usize]);
-                i = next[i as usize];
-            }
-            // Chains are built newest-first; restore batch order so the
-            // pre-linked free chain matches the linear partition's.
-            scratch.reverse();
-            self.return_group(sb, &scratch, home, stats);
+        rest.sort_unstable();
+        for group in rest.chunk_by(|&a, &b| sb_of(a) == sb_of(b)) {
+            self.return_group(sb_of(group[0]), group, home, stats);
         }
     }
 

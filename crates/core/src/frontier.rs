@@ -53,7 +53,7 @@ pub(crate) struct Frontier {
     /// Pool region this frontier commits and decommits.
     region: usize,
     /// Header offset of the persisted frontier word (bytes, absolute).
-    word_off: usize,
+    pub(crate) word_off: usize,
     /// Byte offset of the region's unit 0, bytes per superblock covered,
     /// and the largest legal frontier (the region's end).
     base: usize,
@@ -154,8 +154,10 @@ impl Frontier {
         self.safe.store(len as u64, Ordering::Release);
     }
 
-    /// Check the persisted word against the bytes actually present;
-    /// `Ok` carries what the image backs of this region.
+    /// Check a persisted frontier `word` against the `len` bytes an image
+    /// actually has and its `used` superblock count; `Ok` carries what
+    /// the image backs of this region. Plain values, so an open can
+    /// decide from header words read before anything is mapped.
     ///
     /// The word must lie inside its region and inside the image itself: a
     /// frontier past the end of the file means the file was truncated (or
@@ -166,12 +168,12 @@ impl Frontier {
     /// shrink lowers `used` first). The tail region's image may
     /// legitimately extend *past* the word: a crash image captures the
     /// volatile frontier, the word records the last *fenced* one.
-    pub(crate) fn check_word(&self, pool: &PmemPool, used: usize) -> Result<usize, String> {
-        let (name, word) = (self.name, self.word(pool).load(Ordering::Acquire) as usize);
+    pub(crate) fn check(&self, word: usize, len: usize, used: usize) -> Result<usize, String> {
+        let name = self.name;
         if word < self.base || word > self.end {
             return Err(format!("{name} frontier {word} outside [{}, {}]", self.base, self.end));
         }
-        let backed = if self.tail { pool.committed_len() } else { word };
+        let backed = if self.tail { len } else { word };
         if word > backed {
             return Err(format!(
                 "{name} frontier {word} exceeds the image ({backed} bytes): truncated"
@@ -186,10 +188,18 @@ impl Frontier {
         Ok(backed)
     }
 
+    /// [`Frontier::check`] of the word in `pool` against its committed
+    /// prefix.
+    pub(crate) fn check_word(&self, pool: &PmemPool, used: usize) -> Result<usize, String> {
+        self.check(self.word(pool).load(Ordering::Acquire) as usize, pool.committed_len(), used)
+    }
+
     /// Adopted image: refuse it unless [`Frontier::check_word`] passes —
     /// rather than silently lose data — then publish what the image
     /// backs, healing the word upward (and persisting it) when the image
-    /// extends past it: file content is durable by definition.
+    /// extends past it: file content is durable by definition. Both open
+    /// paths have run the same check on the header before the pool
+    /// existed, so this one fails only on a caller that skipped it.
     pub(crate) fn adopt_word(&self, pool: &PmemPool, used: usize, transient: bool) {
         let backed = self
             .check_word(pool, used)

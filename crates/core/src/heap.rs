@@ -284,10 +284,12 @@ impl Ralloc {
         tcache::with_heap_tls(inner, || Arc::downgrade(&self.inner), |tls| {
             let bin = &mut tls.bins[class as usize];
             // Flush *before* pushing when the bin is at capacity, so the
-            // just-freed block stays cached. A freshly refilled bin holds
-            // max_count blocks and a malloc leaves it one short, so a
-            // tight malloc/free pair oscillates inside the bin instead of
-            // alternating a full flush with a full refill.
+            // just-freed block stays cached and a tight malloc/free pair
+            // oscillates inside the bin instead of alternating a full
+            // flush with a full refill. A bin holds at least 16 blocks
+            // (`cache_capacity`): where a superblock has only 4, a bin of
+            // one population kept a random malloc/free mix a step or two
+            // from a fill or a flush at all times; 16 give it room.
             if bin.is_full() {
                 inner.free_overflow(class, bin, &mut tls.stats);
             }
@@ -756,11 +758,6 @@ mod batch_tests {
             "flushing {cap} same-superblock blocks must cost exactly one anchor CAS"
         );
         assert_eq!(s.avg_flush_batch(), cap as f64);
-        assert_eq!(
-            s.flush_partition_probes.load(Ordering::Relaxed),
-            0,
-            "a whole-bin flush of one superblock must stay on the linear path"
-        );
         for &p in &ptrs[cap + 1..] {
             heap.free(p as *mut u8);
         }
@@ -956,7 +953,8 @@ mod batch_tests {
         let mc = class_max_count(8) as usize;
         // Blocks from many superblocks: allocate `sbs` whole superblocks
         // worth and take a couple of blocks from each, interleaved — the
-        // adversarial shape for the old O(n·sb) linear partition.
+        // adversarial shape for the linear partition, past the number of
+        // groups it takes before sorting the rest.
         let sbs = 24usize;
         let ptrs: Vec<usize> = (0..sbs * mc).map(|_| heap.malloc(64) as usize).collect();
         assert!(ptrs.iter().all(|&p| p != 0));
@@ -966,22 +964,31 @@ mod batch_tests {
                 batch.push(ptrs[sb * mc + blk]);
             }
         }
-        let probes0 = heap.slow_stats().flush_partition_probes.load(Ordering::Relaxed);
         let cas0 = heap.slow_stats().flush_anchor_cas.load(Ordering::Relaxed);
         heap.inner.flush_blocks(&mut batch);
-        let probes = heap.slow_stats().flush_partition_probes.load(Ordering::Relaxed) - probes0;
         let cas = heap.slow_stats().flush_anchor_cas.load(Ordering::Relaxed) - cas0;
         assert_eq!(cas, sbs as u64, "one anchor CAS per superblock group");
-        assert!(
-            probes > 0,
-            "a {}-block batch over {sbs} superblocks must escalate to the table",
-            batch.len()
-        );
-        assert!(
-            probes <= 4 * batch.len() as u64,
-            "partition must stay O(n): {probes} probes for {} blocks across {sbs} sbs",
-            batch.len()
-        );
+        // Every block is back on its own superblock's chain, and nothing
+        // else is: walk each chain from its anchor.
+        let geo = heap.geometry();
+        let base = heap.pool().base() as usize;
+        for sb in 0..sbs {
+            let first = ptrs[sb * mc];
+            let idx = geo.sb_index_of(first - base).unwrap();
+            let a = Desc::new(heap.pool(), &geo, idx as u32).anchor(Ordering::Acquire);
+            assert_eq!((a.state, a.count), (SbState::Partial, 2), "superblock {idx}");
+            let sb_addr = base + geo.sb(idx);
+            let mut chain = Vec::new();
+            let mut blk = a.avail as usize;
+            for _ in 0..a.count {
+                let addr = sb_addr + blk * 64;
+                chain.push(addr);
+                // SAFETY: a free block's first word is its chain link.
+                blk = unsafe { *(addr as *const u64) } as usize;
+            }
+            chain.sort_unstable();
+            assert_eq!(chain, [first, ptrs[sb * mc + 1]], "superblock {idx}'s chain");
+        }
         // Returned blocks are genuinely free again: drain them back out.
         for &p in &ptrs {
             if !batch.contains(&p) {

@@ -27,35 +27,77 @@ use crate::frontier::Frontier;
 use crate::heap::{HeapInner, Ralloc};
 use crate::layout::{
     Geometry, DIRTY_OFF, FLIGHT_HDR_SIZE, FLIGHT_OFF, MAGIC, MAGIC_OFF, MAX_SB_OFF, META_SIZE,
-    POOL_LEN_OFF, USED_SB_OFF,
+    POOL_LEN_OFF, ROOTS_OFF, USED_SB_OFF,
 };
 use crate::size_class::SB_SIZE;
 use crate::stats::SlowStats;
 
 static NEXT_HEAP_ID: AtomicU64 = AtomicU64::new(1);
 
-/// The reserved span recorded in the first bytes of an image, if they are
-/// a current-format Ralloc header; `None` if they are no heap at all.
+/// The header bytes [`probe_header`] reads: every word before the roots.
+const HEADER_LEN: usize = ROOTS_OFF;
+
+/// What the first bytes of an image of `len` bytes say, decided from
+/// plain values before any pool exists: `Ok(Some(reserved span))` for a
+/// current-format heap those bytes can back, `Ok(None)` for bytes that
+/// are no heap at all, and `Err(reason)` for a Ralloc image that is
+/// refused rather than silently re-initialized or adopted:
 ///
-/// `Err` carries the reason a recognizable Ralloc image with a different
-/// format version is refused rather than silently re-initialized: erasing
-/// a user's durable heap because they upgraded is data loss. Both open
-/// paths decide here, before a pool exists; the file path returns the
-/// reason, the image path (which returns no `Result`) panics with it.
-fn header_reserved_len(header: &[u8]) -> Result<Option<usize>, String> {
+/// * another format version — erasing a user's durable heap because they
+///   upgraded is data loss;
+/// * a reserved span that is no heap's (`pool length mismatch`), shorter
+///   than the image (it can never legally outgrow the reservation it was
+///   carved from), or holding another superblock count than the header
+///   records (`geometry mismatch`);
+/// * a frontier word the image cannot back, or one that leaves a `used`
+///   superblock outside it ([`Frontier::check`]).
+///
+/// Both open paths decide here; the file path returns the reason, the
+/// image path (which returns no `Result`) panics with it. A word past the
+/// end of a short image reads as 0, as it would from the pool.
+fn probe_header(header: &[u8], len: usize) -> Result<Option<usize>, String> {
     let word = |off: usize| {
-        header.get(off..off + 8).map(|b| u64::from_ne_bytes(b.try_into().expect("8 bytes")))
+        header.get(off..off + 8).map_or(0, |b| u64::from_ne_bytes(b.try_into().expect("8 bytes")))
     };
     match word(MAGIC_OFF) {
-        Some(MAGIC) => Ok(word(POOL_LEN_OFF).map(|len| len as usize)),
-        Some(magic) if magic & !0xFF == MAGIC & !0xFF => Err(format!(
-            "ralloc image has metadata-format version {} but this build \
-             requires {}; re-create the pool (no in-place migration)",
-            magic & 0xFF,
-            MAGIC & 0xFF,
-        )),
-        _ => Ok(None),
+        MAGIC => {}
+        magic if magic & !0xFF == MAGIC & !0xFF => {
+            return Err(format!(
+                "ralloc image has metadata-format version {} but this build \
+                 requires {}; re-create the pool (no in-place migration)",
+                magic & 0xFF,
+                MAGIC & 0xFF,
+            ))
+        }
+        _ => return Ok(None),
     }
+    let reserved = word(POOL_LEN_OFF) as usize;
+    if !reserved.is_multiple_of(CACHE_LINE) || reserved < META_SIZE + 2 * SB_SIZE {
+        return Err(format!(
+            "pool length mismatch: a reserved span of {reserved} bytes is no heap's"
+        ));
+    }
+    if len > reserved {
+        return Err(format!(
+            "{len} bytes but its header records a reserved span of only \
+             {reserved}: refusing a corrupt heap image"
+        ));
+    }
+    let geo = Geometry::from_pool_len(reserved);
+    let max_sb = word(MAX_SB_OFF);
+    if max_sb != geo.max_sb as u64 {
+        return Err(format!(
+            "geometry mismatch: the header records {max_sb} superblocks but its \
+             {reserved}-byte span holds {}",
+            geo.max_sb
+        ));
+    }
+    let used = word(USED_SB_OFF) as usize;
+    for f in &Frontier::pair(&geo) {
+        f.check(word(f.word_off) as usize, len, used)
+            .map_err(|why| format!("refusing a corrupt or truncated heap image: {why}"))?;
+    }
+    Ok(Some(reserved))
 }
 
 /// Lock `path` (creating it if absent) and size up what it holds:
@@ -70,14 +112,12 @@ fn header_reserved_len(header: &[u8]) -> Result<Option<usize>, String> {
 /// error.
 ///
 /// Opening writes through, so everything that can be refused from the
-/// length and the first 16 bytes is refused here, before the file is
-/// mapped, extended or initialized: bytes that are no Ralloc header (a
-/// wrong path, a file shorter than a header) or not a whole number of
-/// cache lines (every frontier is one; mapping would pad the file) are
-/// `InvalidData`, and so — each with a reason of its own — are another
-/// format version and a header whose recorded reserved span is shorter
-/// than the file (it can never legally outgrow the reservation it was
-/// carved from). Every refusal names the path.
+/// length and the header is refused here, before the file is mapped,
+/// extended or initialized: bytes that are no Ralloc header (a wrong
+/// path, a file shorter than a header) or not a whole number of cache
+/// lines (every frontier is one; mapping would pad the file) are
+/// `InvalidData`, and so is every header [`probe_header`] refuses, each
+/// with its reason. Every refusal names the path.
 fn open_existing(path: &Path) -> io::Result<(PoolGuard, usize, usize)> {
     use std::os::unix::fs::FileExt;
     let guard = PoolGuard::acquire(path)?;
@@ -85,21 +125,15 @@ fn open_existing(path: &Path) -> io::Result<(PoolGuard, usize, usize)> {
     if file_len == 0 {
         return Ok((guard, 0, 0));
     }
-    let mut header = [0u8; 16];
+    let mut header = [0u8; HEADER_LEN];
     let whole = file_len.is_multiple_of(CACHE_LINE)
         && guard.file().read_exact_at(&mut header, 0).is_ok();
     let refuse = |why: String| {
         io::Error::new(io::ErrorKind::InvalidData, format!("{}: {why}", path.display()))
     };
-    let reserved = if whole { header_reserved_len(&header).map_err(refuse)? } else { None };
+    let reserved = if whole { probe_header(&header, file_len).map_err(refuse)? } else { None };
     let reserved = reserved
         .ok_or_else(|| refuse("not empty and not a ralloc heap: refusing it".to_string()))?;
-    if file_len > reserved {
-        return Err(refuse(format!(
-            "{file_len} bytes but its header records a reserved span of only \
-             {reserved}: refusing a corrupt heap image"
-        )));
-    }
     Ok((guard, file_len, reserved))
 }
 
@@ -154,9 +188,11 @@ impl Ralloc {
     /// image header, so a grown heap reopens with the same geometry and
     /// the same room to keep growing. A second live process on the same
     /// file gets a "pool busy" (`WouldBlock`) error; a non-empty file
-    /// that is not a heap, is a heap of another format version, or is
-    /// longer than the span its header reserves is refused with
-    /// `InvalidData` and left as it was.
+    /// that is not a heap, is a heap of another format version, is
+    /// longer than the span its header reserves, or whose header's
+    /// geometry or frontiers the file cannot back (a truncated image) is
+    /// refused with `InvalidData`, before it is mapped, and left as it
+    /// was.
     ///
     /// A file's persistence is the page cache, not a model of one:
     /// [`nvm::Mode::Tracked`] (simulated power failure) belongs to
@@ -191,28 +227,22 @@ impl Ralloc {
     /// initialized as a fresh one: unlike a file, bytes in memory cannot
     /// be destroyed.
     ///
-    /// A recognizable header recording a reserved span *shorter* than the
-    /// image is refused: the committed prefix can never legally outgrow
-    /// the reservation, so such an image is corrupt (or had foreign bytes
-    /// appended), and clamping the reservation up would compute a
-    /// geometry the header's `max_sb` never described. The refusal
-    /// mirrors the one on the file path.
+    /// A recognizable header is checked exactly as on the file path: a
+    /// reserved span *shorter* than the image (the committed prefix can
+    /// never legally outgrow the reservation, so foreign bytes were
+    /// appended or the header is corrupt), a geometry the header's
+    /// `max_sb` does not describe, or a frontier the image cannot back (a
+    /// truncated image) is refused.
     ///
     /// # Panics
-    /// On that corrupt image, and on an image of another format version
+    /// On such a corrupt image, and on an image of another format version
     /// (this function has no `Result` to carry the refusal).
     pub fn from_image(image: &[u8], cfg: RallocConfig) -> (Ralloc, bool) {
-        let Some(reserved) = header_reserved_len(image).unwrap_or_else(|why| panic!("{why}"))
-        else {
+        let probed = probe_header(image, image.len());
+        let Some(reserved) = probed.unwrap_or_else(|why| panic!("heap image: {why}")) else {
             let pool = PmemPool::from_image_reserving(image, image.len(), cfg.mode);
             return (Self::fresh(pool, &cfg), false);
         };
-        assert!(
-            reserved >= image.len(),
-            "heap image is {} bytes but its header records a reserved span of \
-             only {reserved}: refusing a corrupt heap image",
-            image.len()
-        );
         Self::adopt(PmemPool::from_image_reserving(image, reserved, cfg.mode), &cfg)
     }
 
@@ -245,15 +275,11 @@ impl Ralloc {
         heap
     }
 
-    /// Adopt a pool whose first bytes `header_reserved_len` accepted.
+    /// Adopt a pool whose header [`probe_header`] accepted.
     fn adopt(pool: PmemPool, cfg: &RallocConfig) -> (Ralloc, bool) {
         let geo = Geometry::from_pool_len(pool.len());
-        // SAFETY: header reads.
-        let used = unsafe {
-            assert_eq!(pool.read_u64(POOL_LEN_OFF), pool.len() as u64, "pool length mismatch");
-            assert_eq!(pool.read_u64(MAX_SB_OFF), geo.max_sb as u64, "geometry mismatch");
-            pool.read_u64(USED_SB_OFF) as usize
-        };
+        // SAFETY: header read.
+        let used = unsafe { pool.read_u64(USED_SB_OFF) } as usize;
         // Superblocks first: once that word is known to lie inside the
         // image, the whole descriptor region before it does too.
         let frontiers = Frontier::pair(&geo);

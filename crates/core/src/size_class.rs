@@ -6,6 +6,9 @@
 //! superblock holds blocks of exactly one class, which is what lets the
 //! recovery GC infer the size of any block from one persisted per-
 //! superblock field — the key to a flush-free `malloc` fast path.
+//!
+//! A class also sizes its thread-cache bin ([`cache_capacity`]): one
+//! superblock's population, but never fewer than [`MIN_BIN_BLOCKS`] slots.
 
 /// Superblock size: 64 KiB, as in the paper.
 pub const SB_SIZE: usize = 64 * 1024;
@@ -105,14 +108,27 @@ pub fn is_small_class(class: u32) -> bool {
     (1..NUM_CLASSES as u32).contains(&class)
 }
 
-/// Thread-cache bin capacity for a small class, in blocks: exactly one
-/// superblock's population, LRMalloc's CacheBin sizing. A fill that takes
-/// every block of a superblock always fits, a full bin flushed back can
-/// empty a superblock, and a tight malloc/free pair oscillates inside the
-/// bin without ever touching a superblock anchor.
+/// The fewest slots a thread-cache bin has, whatever its class.
+///
+/// A bin of one superblock's population is emptied again one free after
+/// the flush that left it nearly empty; for the seven classes of
+/// 5 120–14 336 B (12 down to 4 blocks per superblock) that made every
+/// ~5th malloc a fill. 16 slots cost at most 3.5 superblocks per bin
+/// (≈ 0.97 MiB per thread across the seven) and cut `churn`'s fills per
+/// 1 000 pairs from ≈ 210 to ≈ 36; 32 would spend most of the ledger's
+/// `space_amp` bound on one workload. jemalloc floors its small bins the
+/// same way (`tcache_nslots_small_min`).
+pub const MIN_BIN_BLOCKS: u32 = 16;
+
+/// Thread-cache bin capacity for a small class, in blocks: at least one
+/// superblock's population (LRMalloc's CacheBin sizing, which every class
+/// of ≤ 4 096 B keeps exactly) and at least [`MIN_BIN_BLOCKS`]. A fill
+/// that takes every block of a superblock always fits, a full bin flushed
+/// back can empty whole superblocks, and a tight malloc/free pair
+/// oscillates inside the bin without ever touching a superblock anchor.
 #[inline]
 pub fn cache_capacity(class: u32) -> u32 {
-    class_max_count(class)
+    class_max_count(class).max(MIN_BIN_BLOCKS)
 }
 
 #[cfg(test)]
@@ -130,7 +146,6 @@ mod tests {
     fn max_count_table_is_the_quotient() {
         for class in 1..NUM_CLASSES as u32 {
             assert_eq!(class_max_count(class), SB_SIZE as u32 / class_block_size(class));
-            assert_eq!(cache_capacity(class), class_max_count(class));
         }
     }
 
@@ -196,11 +211,22 @@ mod tests {
 
     #[test]
     fn cache_capacity_holds_one_superblock() {
+        // ... and at least MIN_BIN_BLOCKS slots, where that is more.
         for c in 1..NUM_CLASSES as u32 {
-            assert_eq!(cache_capacity(c), class_max_count(c));
-            // A bin never exceeds one superblock's worth of memory.
-            assert!(cache_capacity(c) as usize * class_block_size(c) as usize <= SB_SIZE);
+            let (cap, mc) = (cache_capacity(c), class_max_count(c));
+            assert!(cap >= mc, "class {c}: a whole-superblock fill must fit");
+            assert!(cap >= MIN_BIN_BLOCKS, "class {c}: {cap} slots");
+            if mc >= MIN_BIN_BLOCKS {
+                assert_eq!(cap, mc, "class {c}: LRMalloc's sizing where it already has 16");
+            }
+            // A bin never holds more than four superblocks' worth.
+            assert!(cap as usize * class_block_size(c) as usize <= 4 * SB_SIZE);
         }
+        // The classes the floor changes are exactly the seven above 4 KiB.
+        let floored: Vec<u32> =
+            (1..NUM_CLASSES as u32).filter(|&c| cache_capacity(c) != class_max_count(c)).collect();
+        assert_eq!(floored, (33..=39).collect::<Vec<_>>());
+        assert_eq!(class_block_size(32), 4096);
     }
 
     #[test]

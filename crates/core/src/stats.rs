@@ -135,11 +135,6 @@ slow_stats! {
     /// scavenge (a concurrent flush/scavenge replenished the list while
     /// our scan was holding descriptors invisible).
     free_recheck_hits,
-    /// Open-addressing probes performed by bulk-flush partitioning.
-    /// Small batches use the in-place linear scan and count nothing;
-    /// for table-partitioned batches this stays O(batch len) no matter
-    /// how many superblocks the bin spans.
-    flush_partition_probes,
     /// Large allocations served.
     large_allocs,
     /// Fills served by popping the calling thread's *home* shard.

@@ -4,19 +4,23 @@
 //! per-size-class **cache bins** of free blocks with no synchronization
 //! at all — the LRMalloc fast path that Ralloc inherits. A bin is a
 //! fixed-capacity array of block addresses plus a length; its capacity is
-//! one superblock's block population for the class
-//! ([`crate::size_class::cache_capacity`]), so the bin's lifecycle follows
-//! LRMalloc's Fill/Flush discipline:
+//! at least one superblock's block population for the class, and never
+//! below 16 slots ([`crate::size_class::cache_capacity`]: the classes
+//! above 4 KiB, with 4–12 blocks per superblock, get 16), so the bin's
+//! lifecycle follows LRMalloc's Fill/Flush discipline:
 //!
 //! * **Fill** (bin empty on `malloc`): reserve a whole batch of blocks —
 //!   every free block of a partial superblock, or all of a fresh one —
 //!   with a *single* anchor CAS, then carve the batch into the bin
 //!   locally. The slow path's cost (one CAS, and for fresh superblocks
 //!   one flush+fence of the size identity) is amortized over the batch.
+//!   A fill claims one superblock, so in a bin larger than the
+//!   population it leaves room to spare.
 //! * **Flush** (bin full on `free`): return the *entire* bin (paper
 //!   §4.4: "all of the blocks in the cache are pushed back"; contrast
 //!   Makalu's return-half policy, §6.3). Blocks are grouped by
-//!   superblock, pre-linked into a local chain, and each group is spliced
+//!   superblock (in place, no allocation: [`crate::flush`]),
+//!   pre-linked into a local chain, and each group is spliced
 //!   into its anchor's free list with a single CAS — one CAS per
 //!   superblock touched, not one per block — whether this thread's own
 //!   Fill claimed the superblock or another shard's did (a *remote*

@@ -9,7 +9,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BUDGET=7067
+BUDGET=7066
 MAX_FIELDS=8
 MAX_VARS=8
 

@@ -222,6 +222,49 @@ fn remote_free_round_trip_through_bins() {
     }
 }
 
+/// The ledger's `churn` shape on one thread: 64 slots of 14 336 B (4
+/// blocks per superblock), a seeded random slot toggled between empty and
+/// full. With one superblock's population as the bin, ≈ 209 of every
+/// 1 000 pairs filled and ≈ 79 flushed; a bin of at least 16 slots lets
+/// the random walk wander. One thread, so the counts are exact per seed.
+#[test]
+#[cfg_attr(feature = "telemetry-off", ignore = "asserts telemetry counters, which are compiled out")]
+fn churn_on_fourteen_kib_blocks_rarely_fills_or_flushes() {
+    const SIZE: usize = 14336;
+    const PAIRS: u64 = 200_000;
+    let heap = Ralloc::create(8 << 20, RallocConfig::default());
+    let mut slots = [std::ptr::null_mut::<u8>(); 64];
+    let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+    let mut pairs = 0;
+    while pairs < PAIRS {
+        // xorshift64
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        let slot = &mut slots[rng as usize % slots.len()];
+        if slot.is_null() {
+            *slot = heap.malloc(SIZE);
+            assert!(!slot.is_null());
+        } else {
+            heap.free(*slot);
+            *slot = std::ptr::null_mut();
+            pairs += 1;
+        }
+    }
+    let s = heap.slow_stats();
+    let per_kpair = |n: u64| n as f64 * 1000.0 / PAIRS as f64;
+    let fills = per_kpair(s.cache_fills.load(Ordering::Relaxed));
+    let flushes = per_kpair(s.cache_flushes.load(Ordering::Relaxed));
+    assert!(fills <= 60.0, "{fills:.1} fills per 1 000 pairs");
+    assert!(flushes <= 10.0, "{flushes:.1} flushes per 1 000 pairs");
+    assert!(heap.used_superblocks() <= 20, "{} superblocks", heap.used_superblocks());
+    for p in slots.into_iter().filter(|p| !p.is_null()) {
+        heap.free(p);
+    }
+    let report = check_heap(&heap);
+    assert!(report.is_consistent(), "{:?}", report.violations);
+}
+
 #[test]
 fn generation_bump_invalidates_fast_slot_and_bins() {
     // The TLS fast slot memoizes (heap id -> cache set); a simulated

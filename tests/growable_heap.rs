@@ -325,9 +325,15 @@ fn dirty_reopen_of_grown_image_recovers() {
 }
 
 /// An image whose persisted frontier claims more than the file contains
-/// is a truncated (data-losing) image and must be refused, not opened.
+/// is a truncated (data-losing) image and must be refused, not opened —
+/// and so must one whose `used` lies past its superblock frontier, or
+/// whose `max_sb` disagrees with its reserved span. `from_image` panics
+/// (it has no `Result`); `open_file` returns `InvalidData` naming the
+/// path and the reason, decided before the file is mapped, so the file is
+/// left byte for byte as it was.
 #[test]
 fn truncated_image_with_frontier_beyond_file_is_refused() {
+    use ralloc::layout::{COMMITTED_LEN_OFF, MAX_SB_OFF, USED_SB_OFF};
     let heap = Ralloc::create(
         1 << 20,
         RallocConfig {
@@ -336,7 +342,7 @@ fn truncated_image_with_frontier_beyond_file_is_refused() {
             ..RallocConfig::tracked()
         },
     );
-    // Grow well past the initial commitment, then lop off the tail.
+    // Grow well past the initial commitment.
     let mut held = Vec::new();
     for _ in 0..64 {
         let p = heap.malloc(SB_SIZE / 2 + 1);
@@ -344,12 +350,41 @@ fn truncated_image_with_frontier_beyond_file_is_refused() {
         held.push(p);
     }
     let image = heap.pool().persistent_image();
-    let truncated = &image[..2 << 20];
-    let cfg = RallocConfig::tracked();
-    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        Ralloc::from_image(truncated, cfg)
-    }));
-    assert!(r.is_err(), "truncated image must be refused");
+    let word = |off: usize| u64::from_ne_bytes(image[off..off + 8].try_into().unwrap());
+    let with_word = |off: usize, value: u64| {
+        let mut bytes = image.clone();
+        bytes[off..off + 8].copy_from_slice(&value.to_ne_bytes());
+        bytes
+    };
+    let covered = (word(COMMITTED_LEN_OFF) as usize - heap.geometry().sb_off) / SB_SIZE;
+    let rows: [(&str, Vec<u8>, &str); 3] = [
+        // Lop off the tail: the frontier word now lies past the end.
+        ("truncated", image[..2 << 20].to_vec(), "exceeds the image"),
+        ("used-past-frontier", with_word(USED_SB_OFF, covered as u64 + 1), "covers only"),
+        ("max-sb", with_word(MAX_SB_OFF, word(MAX_SB_OFF) + 1), "geometry mismatch"),
+    ];
+    let dir = std::env::temp_dir().join(format!("ralloc-truncated-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (name, bytes, why) in rows {
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            Ralloc::from_image(&bytes, RallocConfig::tracked())
+        }));
+        let msg = *r.expect_err("a corrupt image must be refused").downcast::<String>().unwrap();
+        assert!(msg.contains(why), "{name} via from_image: {msg}");
+
+        let file = dir.join(format!("{name}.heap"));
+        std::fs::write(&file, &bytes).unwrap();
+        let err = Ralloc::open_file(&file, 1 << 20, RallocConfig::default())
+            .expect_err("a corrupt file must be refused");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{name}: {err}");
+        let msg = err.to_string();
+        assert!(msg.contains(why), "{name} via open_file: {msg}");
+        assert!(msg.contains(&format!("{name}.heap")), "{name}: no path in {msg}");
+        let after = std::fs::read(&file).unwrap();
+        assert_eq!(after.len(), bytes.len(), "{name}: a refused file changed length");
+        assert!(after == bytes, "{name}: a refused file was modified");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The mirror-image corruption: an image *longer* than the reserved span

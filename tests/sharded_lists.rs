@@ -21,28 +21,38 @@ use nvm::{CrashInjector, CrashPoint};
 use ralloc::layout::Geometry;
 use ralloc::lists::DescList;
 use ralloc::shard::{home_shard, place_superblock, thread_token, ShardedPartial, SHARDS};
+use ralloc::size_class::{cache_capacity, class_max_count, size_class_of};
 use ralloc::{check_heap, Pptr, Ralloc, RallocConfig, Trace, Tracer};
 
-/// 14336 B: the largest small class — 4 blocks per superblock and a
-/// 4-slot cache bin, so a handful of frees reaches the shared lists.
+/// 14336 B: the largest small class — 4 blocks per superblock, so a
+/// handful of frees per superblock reaches the shared lists.
 const BLOCK: usize = 14336;
 
-/// Drive some superblocks of `heap`'s 14336 B class onto the calling
-/// thread's home shard: allocate `sbs` superblocks' worth, then free one
-/// block per superblock *plus* enough to overflow the 4-slot bin, so the
-/// flush enlists each superblock as PARTIAL.
-fn make_partials(heap: &Ralloc, sbs: usize) -> Vec<*mut u8> {
-    assert!(sbs > 4, "need enough superblocks to overflow the 4-slot bin");
+/// `(blocks per superblock, cache-bin slots)` of the 14336 B class.
+fn class_shape() -> (usize, usize) {
+    let class = size_class_of(BLOCK).unwrap();
+    (class_max_count(class) as usize, cache_capacity(class) as usize)
+}
+
+/// Drive `extra` more superblocks of `heap`'s 14336 B class than its bin
+/// has slots onto the calling thread's home shard: allocate that many
+/// superblocks' worth, then free one block per superblock, so the free
+/// that overflows the bin flushes it and enlists each of the first `cap`
+/// superblocks as PARTIAL. The bin ends holding `extra` blocks.
+fn make_partials(heap: &Ralloc, extra: usize) -> Vec<*mut u8> {
+    let (per_sb, cap) = class_shape();
+    assert!(extra > 0, "need enough superblocks to overflow the {cap}-slot bin");
+    let sbs = cap + extra;
     let mut held = Vec::new();
-    for _ in 0..sbs * 4 {
+    for _ in 0..sbs * per_sb {
         let p = heap.malloc(BLOCK);
         assert!(!p.is_null());
         held.push(p);
     }
-    // Free one block of each superblock (indices 0, 4, 8, ... of the
-    // allocation order): the 5th free overflows the 4-slot bin and the
-    // flush enlists the first four superblocks as PARTIAL on our shard.
-    for i in (0..sbs * 4).step_by(4) {
+    // Free one block of each superblock (indices 0, per_sb, 2·per_sb, ...
+    // of the allocation order): free cap+1 overflows the bin and the
+    // flush enlists the first `cap` superblocks as PARTIAL on our shard.
+    for i in (0..sbs * per_sb).step_by(per_sb) {
         heap.free(held[i]);
         held[i] = std::ptr::null_mut();
     }
@@ -54,13 +64,14 @@ fn make_partials(heap: &Ralloc, sbs: usize) -> Vec<*mut u8> {
 fn fills_prefer_home_shard_and_steal_when_starved() {
     let heap = Ralloc::create(32 << 20, RallocConfig::tracked());
     let my_home = home_shard(thread_token());
-    let _held = make_partials(&heap, 6);
+    let _held = make_partials(&heap, 2);
     let stats = heap.slow_stats();
     let home0 = stats.partial_pops_home.load(Ordering::Relaxed);
     let steal0 = stats.partial_steals.load(Ordering::Relaxed);
 
     // Draining our own bin refills from OUR shard: home pops, no steals.
-    // (Only four mallocs, so partial superblocks remain for the thief.)
+    // (Only four mallocs — the bin's two, then two fills of one block
+    // each — so partial superblocks remain for the thief.)
     let mut mine = Vec::new();
     for _ in 0..4 {
         mine.push(heap.malloc(BLOCK));
@@ -110,7 +121,7 @@ fn crash_mid_steal_loses_nothing() {
     heap.pool().persist(off, 8);
     heap.set_root::<u64>(0, rooted);
 
-    let _held = make_partials(&heap, 6);
+    let _held = make_partials(&heap, 2);
     let stats = heap.slow_stats();
     let steal0 = stats.partial_steals.load(Ordering::Relaxed);
 
@@ -182,7 +193,7 @@ fn crash_during_parallel_recovery_is_recoverable() {
     let off = rooted as usize - heap.pool().base() as usize;
     heap.pool().persist(off, 8);
     heap.set_root::<u64>(0, rooted);
-    let _held = make_partials(&heap, 8);
+    let _held = make_partials(&heap, 4);
     for _ in 0..500 {
         let _ = heap.malloc(64); // leaked: sweep work
     }

@@ -9,28 +9,42 @@
 //! rebuild, the TLS-teardown one-shot set — keeps its counts.
 //!
 //! Every workload here moves 14 336 B blocks (class 39: 4 per superblock,
-//! bin capacity 4) in a pattern whose counts do not depend on how threads
-//! interleave: a thread only ever flushes a bin holding one superblock's
-//! whole population, so every flush retires a superblock outright, no
-//! superblock is ever partial, and every fill takes a whole one.
+//! a bin of [`bin`] slots, a whole number of superblocks) in a pattern
+//! whose counts do not depend on how threads interleave: a thread only
+//! ever flushes a full bin holding whole superblock populations, so every
+//! flush retires its superblocks outright, no superblock is ever partial,
+//! and every fill takes a whole one.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::time::Duration;
 
+use ralloc::size_class::{cache_capacity, class_max_count, size_class_of};
 use ralloc::{Ralloc, RallocConfig};
 use telemetry::json;
 
 const BLOCK: usize = 14336;
-const PER_SB: u64 = 4;
 
-/// One round on a thread holding nothing: allocate two superblocks' worth
-/// and free them oldest first. The first round of a cache set fills twice
-/// and flushes once; every later round fills once (the bin still holds
-/// the last four frees) and flushes once. The bin ends holding four.
+/// Blocks per superblock of the class.
+fn per_sb() -> u64 {
+    class_max_count(size_class_of(BLOCK).unwrap()) as u64
+}
+
+/// Slots in the class's cache bin.
+fn bin() -> u64 {
+    let cap = cache_capacity(size_class_of(BLOCK).unwrap()) as u64;
+    assert_eq!(cap % per_sb(), 0, "a bin of whole superblocks");
+    cap
+}
+
+/// One round on a thread holding nothing: allocate two bins' worth and
+/// free them oldest first. The first round of a cache set fills two
+/// bins' worth and flushes once; every later round fills one bin's worth
+/// (the bin still holds the last `bin()` frees) and flushes once. The bin
+/// ends full.
 fn round(heap: &Ralloc) {
-    let held: Vec<*mut u8> = (0..2 * PER_SB).map(|_| heap.malloc(BLOCK)).collect();
+    let held: Vec<*mut u8> = (0..2 * bin()).map(|_| heap.malloc(BLOCK)).collect();
     assert!(held.iter().all(|p| !p.is_null()));
     for p in held {
         heap.free(p);
@@ -46,10 +60,12 @@ fn counts(heap: &Ralloc) -> [u64; 4] {
 
 /// What `sets` cache sets that ran `rounds` rounds in all (each at least
 /// one) have counted, `drained` of them having since ended by a path
-/// that flushes the bin (thread exit, `close`).
+/// that flushes the bin (thread exit, `close`). A fill takes one
+/// superblock; a flush returns one full bin.
 fn expected(sets: u64, rounds: u64, drained: u64) -> [u64; 4] {
-    let (fills, flushes) = (rounds + sets, rounds + drained);
-    [fills, fills * PER_SB, flushes, flushes * PER_SB]
+    let (bins_filled, flushes) = (rounds + sets, rounds + drained);
+    let fill_blocks = bins_filled * bin();
+    [fill_blocks / per_sb(), fill_blocks, flushes, flushes * bin()]
 }
 
 /// More threads than the shared counters have shards (8), exiting at
@@ -101,7 +117,11 @@ fn sixteen_threads_count_exactly_and_a_reader_never_sees_a_step_back() {
     });
     assert_eq!(counts(&heap), want, "16 threads, {total_rounds} rounds");
     let s = heap.slow_stats();
-    assert_eq!(s.flush_anchor_cas.load(Ordering::Relaxed), want[2], "one CAS per flushed bin");
+    assert_eq!(
+        s.flush_anchor_cas.load(Ordering::Relaxed),
+        want[3] / per_sb(),
+        "one CAS per superblock a flushed bin held"
+    );
     assert_eq!(s.fill_anchor_cas.load(Ordering::Relaxed), 0, "no superblock was ever partial");
     assert_eq!(telemetry::cas_ops(), cas0, "counting must add no CAS to the telemetry crate");
 }
@@ -247,7 +267,7 @@ fn the_tls_teardown_one_shot_cache_set_is_counted() {
 
 /// The heap's counter names, as every exporter has carried them since
 /// they were registered by `SlowStats` field name.
-const NAMES: [&str; 24] = [
+const NAMES: [&str; 23] = [
     "cache_fills",
     "cache_fill_blocks",
     "cache_flushes",
@@ -264,7 +284,6 @@ const NAMES: [&str; 24] = [
     "bin_adopts",
     "sb_scavenged",
     "free_recheck_hits",
-    "flush_partition_probes",
     "large_allocs",
     "partial_pops_home",
     "partial_steals",
@@ -294,7 +313,7 @@ fn exporters_carry_the_same_names_and_the_summed_totals() {
     heap.free(big);
     heap.stop_sampler(); // takes the final sample
     let [fills, fill_blocks, flushes, flush_blocks] = counts(&heap);
-    assert_eq!([fills, flushes], [6, 5]);
+    assert_eq!([fills, flushes], [6 * bin() / per_sb(), 5]);
 
     let registered: Vec<&str> = heap
         .telemetry()
