@@ -76,10 +76,10 @@ pub struct RallocConfig {
     /// fence", §6.1). A transient heap cannot be recovered.
     pub transient: bool,
     /// Makalu-style churn policy (paper §6.3): when a full cache bin
-    /// overflows, return only the *older* half to the heap instead of the
-    /// whole bin. Halves the flush batch size but keeps recently-freed
-    /// blocks cached, damping the refill/flush oscillation that inflates
-    /// the footprint under churn.
+    /// overflows, return its *older* half instead of one superblock's
+    /// worth (all of it up to 4 KiB). Keeps recently-freed blocks cached,
+    /// damping the refill/flush oscillation that inflates the footprint
+    /// under churn.
     pub flush_half: bool,
     /// Superblock-region bytes committed at creation. `None` (default)
     /// commits the full reserved capacity upfront — the historical

@@ -140,13 +140,15 @@ impl HeapInner {
 
     /// Flush every parked bin back to the heap (clean close: a clean
     /// shutdown leaves nothing cached anywhere). The caller may hold no
-    /// cache set, so the flushes count into a block made for the call.
+    /// cache set, so the flushes count into a block made for the call
+    /// once there is one (nothing parked, nothing allocated).
     pub(crate) fn flush_parked(&self) {
-        let mut stats = ThreadStats::new(&self.telemetry);
+        let mut stats = None;
         for class in 1..NUM_CLASSES {
             let bins = std::mem::take(&mut *self.parked[class].lock());
             for mut bin in bins {
-                self.flush_bin(&mut bin, &mut stats);
+                let stats = stats.get_or_insert_with(|| ThreadStats::new(&self.telemetry));
+                self.flush_bin(&mut bin, stats);
             }
         }
     }

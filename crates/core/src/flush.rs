@@ -5,7 +5,9 @@
 //! by superblock and each group goes back with **one** anchor CAS
 //! (`push_batch`) — 1/N of a CAS per block for a group of N, whichever
 //! thread filled the superblock. A returned block is visible to every
-//! fill the moment that CAS lands.
+//! fill the moment that CAS lands. An overflowing bin returns its oldest
+//! superblock population and keeps the rest ([`HeapInner::free_overflow`]);
+//! exit and `close` drain whole bins.
 //!
 //! A group is *remote* when its superblock's owner — the home shard of
 //! the thread whose fill last claimed it ([`Desc::owner`]) — is not the
@@ -30,7 +32,7 @@ use crate::fill::prefetch_read;
 use crate::heap::HeapInner;
 use crate::lists::DescList;
 use crate::shard::{current_home_shard, ShardedPartial};
-use crate::size_class::cache_capacity;
+use crate::size_class::{cache_capacity, class_max_count};
 use crate::stats::{Slot, ThreadStats};
 use crate::tcache::{CacheBin, HeapTls};
 
@@ -177,10 +179,10 @@ impl HeapInner {
         }
     }
 
-    /// Hand the oldest `n` blocks of a bin back to the heap (the caller
-    /// then drops them from the bin). The older blocks sit at the bottom
-    /// of the LIFO array, so a partial flush returns the slice most
-    /// likely to complete superblocks.
+    /// Hand the oldest `n` blocks of a bin back to the heap and drop them
+    /// from the bin. The older blocks sit at the bottom of the LIFO array,
+    /// so a partial flush returns the slice most likely to complete
+    /// superblocks and keeps the newest cached.
     fn flush_oldest(&self, bin: &mut CacheBin, n: usize, stats: &mut ThreadStats) {
         if n == 0 {
             return;
@@ -188,31 +190,32 @@ impl HeapInner {
         stats.add(Slot::cache_flushes, 1);
         stats.add(Slot::cache_flushes_blocks, n as u64);
         self.return_blocks(&mut bin.blocks_mut()[..n], stats);
+        bin.drain_front(n);
     }
 
     /// Flush an entire cache bin back to the heap (paper §4.4: "all of
     /// the blocks in the cache are pushed back").
     pub(crate) fn flush_bin(&self, bin: &mut CacheBin, stats: &mut ThreadStats) {
         self.flush_oldest(bin, bin.len() as usize, stats);
-        bin.clear();
     }
 
-    /// Free-path overflow: size a never-used bin, or flush a full one —
-    /// whole by default; under [`crate::RallocConfig::flush_half`] only
-    /// the *older* half (Makalu's return-half policy, §6.3), keeping the
-    /// recently-freed half cached.
+    /// Free-path overflow: size a never-used bin, or flush a full one's
+    /// oldest superblock population — the whole bin for every class of
+    /// ≤ 4 096 B, the oldest 4–12 of a bigger class's 16, as tcmalloc
+    /// releases one transfer batch. Under [`crate::RallocConfig::flush_half`]
+    /// the older half goes instead (Makalu's return-half policy, §6.3).
     #[cold]
     pub(crate) fn free_overflow(&self, class: u32, bin: &mut CacheBin, stats: &mut ThreadStats) {
         if bin.capacity() == 0 {
-            bin.ensure_capacity(cache_capacity(class) as usize);
-        } else if self.flush_half {
-            let half = (bin.len() as usize).div_ceil(2);
-            stats.add(Slot::half_flushes, 1);
-            self.flush_oldest(bin, half, stats);
-            bin.drain_front(half);
-        } else {
-            self.flush_bin(bin, stats);
+            return bin.ensure_capacity(cache_capacity(class) as usize);
         }
+        let n = if self.flush_half {
+            stats.add(Slot::half_flushes, 1);
+            (bin.len() as usize).div_ceil(2)
+        } else {
+            class_max_count(class) as usize
+        };
+        self.flush_oldest(bin, n, stats);
     }
 
     /// Drain every class bin of a TLS entry. At thread exit (`park`)

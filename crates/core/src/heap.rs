@@ -287,9 +287,9 @@ impl Ralloc {
             // just-freed block stays cached and a tight malloc/free pair
             // oscillates inside the bin instead of alternating a full
             // flush with a full refill. A bin holds at least 16 blocks
-            // (`cache_capacity`): where a superblock has only 4, a bin of
-            // one population kept a random malloc/free mix a step or two
-            // from a fill or a flush at all times; 16 give it room.
+            // (`cache_capacity`) and an overflow returns one superblock's
+            // worth: at 4 per superblock the newest 12 stay, so a random
+            // malloc/free mix is not a step or two from a fill or a flush.
             if bin.is_full() {
                 inner.free_overflow(class, bin, &mut tls.stats);
             }
@@ -760,6 +760,42 @@ mod batch_tests {
         assert_eq!(s.avg_flush_batch(), cap as f64);
         for &p in &ptrs[cap + 1..] {
             heap.free(p as *mut u8);
+        }
+    }
+
+    #[test]
+    #[cfg_attr(feature = "telemetry-off", ignore = "asserts telemetry counters, which are compiled out")]
+    fn overflow_returns_the_oldest_superblock_population_and_keeps_the_rest() {
+        // 4 096 B: bin == population, so the overflow returns all 16.
+        // 14 336 B: a 16-slot bin of 4-block superblocks returns 4, keeps 12.
+        for size in [4096, 14336] {
+            let class = size_class_of(size).unwrap();
+            let (per_sb, cap) = (class_max_count(class) as usize, cache_capacity(class) as usize);
+            let heap = Ralloc::create(8 << 20, RallocConfig::default());
+            let held: Vec<usize> =
+                (0..cap / 2 * per_sb).map(|_| heap.malloc(size) as usize).collect();
+            assert!(held.iter().all(|&p| p != 0));
+            // Two blocks of each of cap/2 superblocks, oldest first: the
+            // bin is full, and any `per_sb` oldest span per_sb/2 of them.
+            let freed: Vec<usize> =
+                (0..cap / 2).flat_map(|sb| [held[sb * per_sb], held[sb * per_sb + 1]]).collect();
+            for &p in &freed {
+                heap.free(p as *mut u8);
+            }
+            let (fills0, _, flushes0, flush_blocks0, _, cas0) = stats_of(&heap);
+            let overflowing = held[2];
+            heap.free(overflowing as *mut u8);
+            let (_, _, flushes, flush_blocks, _, cas) = stats_of(&heap);
+            assert_eq!(flushes - flushes0, 1, "{size} B: one overflow, one flush");
+            assert_eq!(flush_blocks - flush_blocks0, per_sb as u64, "{size} B: one population");
+            assert_eq!(cas - cas0, (per_sb / 2) as u64, "{size} B: one CAS per superblock spanned");
+            // The overflowing block and the newest cap - per_sb frees are
+            // still cached, newest first, and serving them fills nothing.
+            let kept: Vec<usize> =
+                std::iter::once(overflowing).chain(freed[per_sb..].iter().rev().copied()).collect();
+            let served: Vec<usize> = kept.iter().map(|_| heap.malloc(size) as usize).collect();
+            assert_eq!(served, kept, "{size} B: the bin kept its newest blocks, in LIFO order");
+            assert_eq!(stats_of(&heap).0, fills0, "{size} B: served from the bin, no fill");
         }
     }
 

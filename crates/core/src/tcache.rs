@@ -16,9 +16,10 @@
 //!   one flush+fence of the size identity) is amortized over the batch.
 //!   A fill claims one superblock, so in a bin larger than the
 //!   population it leaves room to spare.
-//! * **Flush** (bin full on `free`): return the *entire* bin (paper
-//!   §4.4: "all of the blocks in the cache are pushed back"; contrast
-//!   Makalu's return-half policy, §6.3). Blocks are grouped by
+//! * **Flush** (bin full on `free`): return the oldest superblock
+//!   population — the *entire* bin for every class of ≤ 4 096 B (paper
+//!   §4.4: "all of the blocks in the cache are pushed back"), the oldest
+//!   4–12 of a bigger class's 16. Blocks are grouped by
 //!   superblock (in place, no allocation: [`crate::flush`]),
 //!   pre-linked into a local chain, and each group is spliced
 //!   into its anchor's free list with a single CAS — one CAS per
@@ -133,21 +134,15 @@ impl CacheBin {
         debug_assert_eq!(self.slots.len(), cap, "cache bin capacity changed");
     }
 
-    /// The cached blocks, for a bulk flush. Call [`CacheBin::clear`]
-    /// after the flush consumes them.
+    /// The cached blocks, oldest first, for a bulk flush. Call
+    /// [`CacheBin::drain_front`] after the flush consumes them.
     #[inline]
     pub fn blocks_mut(&mut self) -> &mut [usize] {
         &mut self.slots[..self.len as usize]
     }
 
-    /// Forget all cached blocks (after a bulk flush took ownership).
-    #[inline]
-    pub fn clear(&mut self) {
-        self.len = 0;
-    }
-
-    /// Drop the oldest `n` entries (after a partial flush took ownership
-    /// of `slots[..n]`), sliding the kept LIFO tail down.
+    /// Drop the oldest `n` entries (after a flush took ownership of
+    /// `slots[..n]`), sliding the kept LIFO tail down.
     pub fn drain_front(&mut self, n: usize) {
         debug_assert!(n <= self.len as usize);
         self.slots.copy_within(n..self.len as usize, 0);
@@ -381,7 +376,7 @@ mod tests {
         assert!(bin.is_full());
         let blocks: Vec<usize> = bin.blocks_mut().to_vec();
         assert_eq!(blocks, vec![0, 8, 16, 24]);
-        bin.clear();
+        bin.drain_front(4);
         assert_eq!(bin.len(), 0);
         assert!(!bin.is_full());
     }

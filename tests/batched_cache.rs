@@ -59,6 +59,7 @@ fn list_len(heap: &Ralloc, root: usize) -> usize {
 }
 
 #[test]
+#[cfg_attr(feature = "telemetry-off", ignore = "asserts telemetry counters, which are compiled out")]
 fn crash_during_batched_fill_reclaims_partially_consumed_batch() {
     let heap = Ralloc::create(8 << 20, RallocConfig::tracked());
     build_list(&heap, 0, 25);
@@ -102,6 +103,7 @@ fn crash_during_batched_fill_reclaims_partially_consumed_batch() {
 }
 
 #[test]
+#[cfg_attr(feature = "telemetry-off", ignore = "asserts telemetry counters, which are compiled out")]
 fn crash_with_no_roots_reclaims_everything_including_bins() {
     let heap = Ralloc::create(8 << 20, RallocConfig::tracked());
     // A partially consumed batch AND a partially flushed bin: allocate
@@ -147,6 +149,7 @@ fn recovery_is_idempotent_after_crash_during_fill() {
 }
 
 #[test]
+#[cfg_attr(feature = "telemetry-off", ignore = "asserts telemetry counters, which are compiled out")]
 fn remote_free_round_trip_through_bins() {
     let heap = Ralloc::create(32 << 20, RallocConfig::default());
     let n = 5000usize;
@@ -225,8 +228,10 @@ fn remote_free_round_trip_through_bins() {
 /// The ledger's `churn` shape on one thread: 64 slots of 14 336 B (4
 /// blocks per superblock), a seeded random slot toggled between empty and
 /// full. With one superblock's population as the bin, ≈ 209 of every
-/// 1 000 pairs filled and ≈ 79 flushed; a bin of at least 16 slots lets
-/// the random walk wander. One thread, so the counts are exact per seed.
+/// 1 000 pairs filled and ≈ 79 flushed. A 16-slot bin that flushed whole
+/// cut that to ≈ 36 fills, 4.1 flushes and 72 anchor CASes; returning
+/// only the oldest 4 on overflow keeps 12 cached and gives ≈ 14, 4.8 and
+/// 31. One thread, so the counts are exact per seed.
 #[test]
 #[cfg_attr(feature = "telemetry-off", ignore = "asserts telemetry counters, which are compiled out")]
 fn churn_on_fourteen_kib_blocks_rarely_fills_or_flushes() {
@@ -255,8 +260,12 @@ fn churn_on_fourteen_kib_blocks_rarely_fills_or_flushes() {
     let per_kpair = |n: u64| n as f64 * 1000.0 / PAIRS as f64;
     let fills = per_kpair(s.cache_fills.load(Ordering::Relaxed));
     let flushes = per_kpair(s.cache_flushes.load(Ordering::Relaxed));
-    assert!(fills <= 60.0, "{fills:.1} fills per 1 000 pairs");
-    assert!(flushes <= 10.0, "{flushes:.1} flushes per 1 000 pairs");
+    let cas = per_kpair(
+        s.fill_anchor_cas.load(Ordering::Relaxed) + s.flush_anchor_cas.load(Ordering::Relaxed),
+    );
+    assert!(fills <= 20.0, "{fills:.1} fills per 1 000 pairs");
+    assert!(flushes <= 8.0, "{flushes:.1} flushes per 1 000 pairs");
+    assert!(cas <= 40.0, "{cas:.1} anchor CASes per 1 000 pairs");
     assert!(heap.used_superblocks() <= 20, "{} superblocks", heap.used_superblocks());
     for p in slots.into_iter().filter(|p| !p.is_null()) {
         heap.free(p);

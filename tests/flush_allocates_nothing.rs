@@ -4,16 +4,20 @@
 //! from a heap, so an allocation made by the heap's own slow path is a
 //! nested call back into the allocator (routed to `System` only because
 //! the shims guard against re-entry). This binary counts, through its own
-//! `#[global_allocator]`, what the calling thread allocates while one
-//! `free` flushes a full bin whose blocks come from as many superblocks
-//! as the bin has slots — the most groups a flush can be asked to sort.
+//! `#[global_allocator]`, what the calling thread allocates while a flush
+//! sorts more superblocks than its linear scan takes (8): a full bin whose
+//! blocks come from as many superblocks as it has slots. An overflowing
+//! `free` returns one superblock's population, so the 4 096 B bin (16
+//! blocks per superblock) sorts there; the 14 336 B bin (4 per
+//! superblock) returns only 4 on overflow, and sorts its other 13 blocks
+//! in the whole-bin drain of `close`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use ralloc::size_class::{cache_capacity, class_max_count, size_class_of};
-use ralloc::{check_heap, Ralloc, RallocConfig};
+use ralloc::{check_heap, Ralloc, RallocConfig, ShrinkPolicy};
 
 struct Counting;
 
@@ -53,6 +57,12 @@ fn allocations_during(f: impl FnOnce()) -> usize {
     ALLOCS.load(Ordering::Relaxed) - before
 }
 
+/// `(cache_flushes, flush_anchor_cas)`.
+fn flush_counts(heap: &Ralloc) -> (u64, u64) {
+    let s = heap.slow_stats();
+    (s.cache_flushes.load(Ordering::Relaxed), s.flush_anchor_cas.load(Ordering::Relaxed))
+}
+
 #[test]
 fn a_flush_over_as_many_superblocks_as_slots_allocates_nothing() {
     // 4 096 B: 16 blocks per superblock, a 16-slot bin at any bin sizing.
@@ -60,7 +70,9 @@ fn a_flush_over_as_many_superblocks_as_slots_allocates_nothing() {
     for size in [4096, 14336] {
         let class = size_class_of(size).unwrap();
         let (cap, per_sb) = (cache_capacity(class) as usize, class_max_count(class) as usize);
-        let heap = Ralloc::create(32 << 20, RallocConfig::default());
+        // No shrink at close: its scan allocates, and it is not a flush.
+        let cfg = RallocConfig { shrink_policy: ShrinkPolicy::Off, ..Default::default() };
+        let heap = Ralloc::create(32 << 20, cfg);
         // `cap` whole superblocks, in carve order, and an empty bin.
         let held: Vec<*mut u8> = (0..cap * per_sb).map(|_| heap.malloc(size)).collect();
         assert!(held.iter().all(|p| !p.is_null()));
@@ -68,27 +80,28 @@ fn a_flush_over_as_many_superblocks_as_slots_allocates_nothing() {
         for sb in 0..cap {
             heap.free(held[sb * per_sb]);
         }
-        let flushes0 = heap.slow_stats().cache_flushes.load(Ordering::Relaxed);
-        let cas0 = heap.slow_stats().flush_anchor_cas.load(Ordering::Relaxed);
+        // The overflow returns the oldest `per_sb`: one each of as many
+        // superblocks.
+        let (flushes0, cas0) = flush_counts(&heap);
         let n = allocations_during(|| heap.free(held[1]));
-        assert_eq!(n, 0, "{size} B: a flush of {cap} blocks over {cap} superblocks allocated");
+        assert_eq!(n, 0, "{size} B: an overflow over {per_sb} superblocks allocated");
         if cfg!(not(feature = "telemetry-off")) {
-            let s = heap.slow_stats();
-            assert_eq!(s.cache_flushes.load(Ordering::Relaxed) - flushes0, 1, "{size} B");
-            assert_eq!(
-                s.flush_anchor_cas.load(Ordering::Relaxed) - cas0,
-                cap as u64,
-                "{size} B: one anchor CAS per superblock"
-            );
-        }
-        for sb in 0..cap {
-            for &p in &held[sb * per_sb + 1..(sb + 1) * per_sb] {
-                if p != held[1] {
-                    heap.free(p);
-                }
-            }
+            let (flushes, cas) = flush_counts(&heap);
+            assert_eq!(flushes - flushes0, 1, "{size} B");
+            assert_eq!(cas - cas0, per_sb as u64, "{size} B: one anchor CAS per superblock");
         }
         let report = check_heap(&heap);
         assert!(report.is_consistent(), "{size} B: {:?}", report.violations);
+        // The bin keeps the newest `cap - per_sb` and `held[1]`, each of
+        // its own superblock; `close` drains them whole.
+        let kept = cap - per_sb + 1;
+        let (flushes0, cas0) = flush_counts(&heap);
+        let n = allocations_during(|| heap.close().unwrap());
+        assert_eq!(n, 0, "{size} B: a drain over {kept} superblocks allocated");
+        if cfg!(not(feature = "telemetry-off")) {
+            let (flushes, cas) = flush_counts(&heap);
+            assert_eq!(flushes - flushes0, 1, "{size} B");
+            assert_eq!(cas - cas0, kept as u64, "{size} B: one anchor CAS per superblock");
+        }
     }
 }

@@ -32,6 +32,7 @@ fn run_on_the_config_under_unparsable_values() {
 }
 
 #[test]
+#[cfg_attr(feature = "telemetry-off", ignore = "asserts telemetry counters, which are compiled out")]
 fn env_knobs_configure_growth() {
     if std::env::var("RALLOC_INIT_CAP").as_deref() == Ok(UNPARSABLE[0].1) {
         return run_on_the_config_under_unparsable_values();

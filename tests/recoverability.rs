@@ -489,6 +489,7 @@ mod flight_ring {
     use ralloc::layout::{FLIGHT_CAP, FLIGHT_RECORDS_OFF, FLIGHT_REC_SIZE};
 
     #[test]
+    #[cfg_attr(feature = "telemetry-off", ignore = "the flight recorder is compiled out")]
     fn torn_tail_record_is_dropped_and_counted_on_reopen() {
         let heap = Ralloc::create(8 << 20, RallocConfig::default());
         let p = heap.malloc(64);
@@ -521,6 +522,7 @@ mod flight_ring {
     }
 
     #[test]
+    #[cfg_attr(feature = "telemetry-off", ignore = "the flight recorder is compiled out")]
     fn wraparound_keeps_the_newest_window_across_reopen() {
         let heap = Ralloc::create(8 << 20, RallocConfig::default());
         let p = heap.malloc(64);
@@ -548,6 +550,7 @@ mod flight_ring {
     }
 
     #[test]
+    #[cfg_attr(feature = "telemetry-off", ignore = "the flight recorder is compiled out")]
     fn cooperative_crash_leaves_the_ring_scannable() {
         let (heap, inj) = tracked_with_injector();
         let stack = PStack::create(&heap, 0);

@@ -34,14 +34,16 @@ fn class_shape() -> (usize, usize) {
     (class_max_count(class) as usize, cache_capacity(class) as usize)
 }
 
-/// Drive `extra` more superblocks of `heap`'s 14336 B class than its bin
-/// has slots onto the calling thread's home shard: allocate that many
-/// superblocks' worth, then free one block per superblock, so the free
-/// that overflows the bin flushes it and enlists each of the first `cap`
-/// superblocks as PARTIAL. The bin ends holding `extra` blocks.
+/// Enlist `per_sb` superblocks of `heap`'s 14336 B class as PARTIAL on
+/// the calling thread's home shard: allocate `extra` more superblocks'
+/// worth than its bin has slots, then free one block per superblock, so
+/// the free that overflows the bin flushes its `per_sb` oldest blocks —
+/// one from each of the first `per_sb` superblocks. The bin ends holding
+/// `cap - per_sb + extra` blocks.
 fn make_partials(heap: &Ralloc, extra: usize) -> Vec<*mut u8> {
     let (per_sb, cap) = class_shape();
     assert!(extra > 0, "need enough superblocks to overflow the {cap}-slot bin");
+    assert!(extra <= per_sb, "a second overflow would enlist more than {per_sb}");
     let sbs = cap + extra;
     let mut held = Vec::new();
     for _ in 0..sbs * per_sb {
@@ -51,7 +53,7 @@ fn make_partials(heap: &Ralloc, extra: usize) -> Vec<*mut u8> {
     }
     // Free one block of each superblock (indices 0, per_sb, 2·per_sb, ...
     // of the allocation order): free cap+1 overflows the bin and the
-    // flush enlists the first `cap` superblocks as PARTIAL on our shard.
+    // flush enlists the first `per_sb` superblocks as PARTIAL on our shard.
     for i in (0..sbs * per_sb).step_by(per_sb) {
         heap.free(held[i]);
         held[i] = std::ptr::null_mut();
@@ -61,22 +63,25 @@ fn make_partials(heap: &Ralloc, extra: usize) -> Vec<*mut u8> {
 }
 
 #[test]
+#[cfg_attr(feature = "telemetry-off", ignore = "asserts telemetry counters, which are compiled out")]
 fn fills_prefer_home_shard_and_steal_when_starved() {
     let heap = Ralloc::create(32 << 20, RallocConfig::tracked());
     let my_home = home_shard(thread_token());
+    let (per_sb, cap) = class_shape();
     let _held = make_partials(&heap, 2);
     let stats = heap.slow_stats();
     let home0 = stats.partial_pops_home.load(Ordering::Relaxed);
     let steal0 = stats.partial_steals.load(Ordering::Relaxed);
 
     // Draining our own bin refills from OUR shard: home pops, no steals.
-    // (Only four mallocs — the bin's two, then two fills of one block
-    // each — so partial superblocks remain for the thief.)
+    // (Only the bin's blocks, then two fills of one block each — so
+    // per_sb - 2 partial superblocks remain for the thief.)
+    let cached = cap - per_sb + 2;
     let mut mine = Vec::new();
-    for _ in 0..4 {
+    for _ in 0..cached + 2 {
         mine.push(heap.malloc(BLOCK));
     }
-    assert!(stats.partial_pops_home.load(Ordering::Relaxed) > home0);
+    assert_eq!(stats.partial_pops_home.load(Ordering::Relaxed), home0 + 2);
     assert_eq!(stats.partial_steals.load(Ordering::Relaxed), steal0);
 
     // A thread whose home shard is different (and empty) must steal.
@@ -109,6 +114,7 @@ fn fills_prefer_home_shard_and_steal_when_starved() {
 }
 
 #[test]
+#[cfg_attr(feature = "telemetry-off", ignore = "asserts telemetry counters, which are compiled out")]
 fn crash_mid_steal_loses_nothing() {
     let heap = Ralloc::create(32 << 20, RallocConfig::tracked());
     let my_home = home_shard(thread_token());

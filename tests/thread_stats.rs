@@ -11,9 +11,11 @@
 //! Every workload here moves 14 336 B blocks (class 39: 4 per superblock,
 //! a bin of [`bin`] slots, a whole number of superblocks) in a pattern
 //! whose counts do not depend on how threads interleave: a thread only
-//! ever flushes a full bin holding whole superblock populations, so every
-//! flush retires its superblocks outright, no superblock is ever partial,
-//! and every fill takes a whole one.
+//! ever flushes whole superblock populations — an overflow returns the
+//! bin's oldest `per_sb` blocks, which one superblock gave it, and a drain
+//! returns a full bin of whole ones — so every flush retires its
+//! superblocks outright, no superblock is ever partial, and every fill
+//! takes a whole one.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -40,9 +42,10 @@ fn bin() -> u64 {
 
 /// One round on a thread holding nothing: allocate two bins' worth and
 /// free them oldest first. The first round of a cache set fills two
-/// bins' worth and flushes once; every later round fills one bin's worth
-/// (the bin still holds the last `bin()` frees) and flushes once. The bin
-/// ends full.
+/// bins' worth; every later round fills one bin's worth (the bin still
+/// holds the last `bin()` frees). Either way the second `bin()` frees
+/// overflow the bin once every `per_sb()`, so a round flushes
+/// `bin() / per_sb()` times, one superblock each. The bin ends full.
 fn round(heap: &Ralloc) {
     let held: Vec<*mut u8> = (0..2 * bin()).map(|_| heap.malloc(BLOCK)).collect();
     assert!(held.iter().all(|p| !p.is_null()));
@@ -61,11 +64,12 @@ fn counts(heap: &Ralloc) -> [u64; 4] {
 /// What `sets` cache sets that ran `rounds` rounds in all (each at least
 /// one) have counted, `drained` of them having since ended by a path
 /// that flushes the bin (thread exit, `close`). A fill takes one
-/// superblock; a flush returns one full bin.
+/// superblock; an overflow returns one superblock and a drain one full
+/// bin, so either way a round or a drain returns one bin's worth.
 fn expected(sets: u64, rounds: u64, drained: u64) -> [u64; 4] {
-    let (bins_filled, flushes) = (rounds + sets, rounds + drained);
-    let fill_blocks = bins_filled * bin();
-    [fill_blocks / per_sb(), fill_blocks, flushes, flushes * bin()]
+    let fill_blocks = (rounds + sets) * bin();
+    let flushes = rounds * bin() / per_sb() + drained;
+    [fill_blocks / per_sb(), fill_blocks, flushes, (rounds + drained) * bin()]
 }
 
 /// More threads than the shared counters have shards (8), exiting at
@@ -120,7 +124,7 @@ fn sixteen_threads_count_exactly_and_a_reader_never_sees_a_step_back() {
     assert_eq!(
         s.flush_anchor_cas.load(Ordering::Relaxed),
         want[3] / per_sb(),
-        "one CAS per superblock a flushed bin held"
+        "one CAS per superblock flushed"
     );
     assert_eq!(s.fill_anchor_cas.load(Ordering::Relaxed), 0, "no superblock was ever partial");
     assert_eq!(telemetry::cas_ops(), cas0, "counting must add no CAS to the telemetry crate");
@@ -313,7 +317,7 @@ fn exporters_carry_the_same_names_and_the_summed_totals() {
     heap.free(big);
     heap.stop_sampler(); // takes the final sample
     let [fills, fill_blocks, flushes, flush_blocks] = counts(&heap);
-    assert_eq!([fills, flushes], [6 * bin() / per_sb(), 5]);
+    assert_eq!([fills, flushes], [6 * bin() / per_sb(), 5 * bin() / per_sb()]);
 
     let registered: Vec<&str> = heap
         .telemetry()
