@@ -75,12 +75,6 @@ pub struct RallocConfig {
     /// paper produced its LRMalloc baseline ("Ralloc without flush and
     /// fence", §6.1). A transient heap cannot be recovered.
     pub transient: bool,
-    /// Makalu-style churn policy (paper §6.3): when a full cache bin
-    /// overflows, return its *older* half instead of one superblock's
-    /// worth (all of it up to 4 KiB). Keeps recently-freed blocks cached,
-    /// damping the refill/flush oscillation that inflates the footprint
-    /// under churn.
-    pub flush_half: bool,
     /// Superblock-region bytes committed at creation. `None` (default)
     /// commits the full reserved capacity upfront — the historical
     /// one-fixed-pool behavior. A smaller value makes the heap start
@@ -105,7 +99,6 @@ impl Default for RallocConfig {
             flush_model: FlushModel::default(),
             injector: None,
             transient: false,
-            flush_half: false,
             initial_capacity: None,
             max_capacity: None,
             shrink_policy: ShrinkPolicy::Both,

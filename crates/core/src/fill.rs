@@ -1,23 +1,24 @@
 //! Cache fill: where a thread's empty bin gets its next batch of blocks.
 //!
 //! The one decision this module owns is the **source order** of a fill —
-//! parked bin → home shard's partial superblock → free list → steal a
-//! neighbor shard's partial → scavenge → carve — and what a fill retains
-//! versus returns. An already-carved empty superblock comes before a
-//! neighbor's partial one: it costs no `used` (stealing still precedes
-//! carving) and keeps threads from trading superblocks. The fill stamps
-//! whatever it claims with its home shard ([`Desc::set_owner`]), the word
-//! a flush tells a remote free by. `carve` is the only place `used`
-//! rises, growing whichever [`crate::frontier::Frontier`] is in the way
-//! first.
+//! home shard's partial superblock → free list → steal a neighbor shard's
+//! partial → scavenge → carve. Whatever the fill claims goes to the bin
+//! whole: a partial superblock's entire free chain, or a fresh
+//! superblock's entire population (the paper's Fill, §4.4). An
+//! already-carved empty superblock comes before a neighbor's partial
+//! one: it costs no `used` (stealing still precedes carving) and keeps
+//! threads from trading superblocks. The fill stamps whatever it claims
+//! with its home shard ([`Desc::set_owner`]), the word a flush tells a
+//! remote free by. `carve` is the only place `used` rises, growing
+//! whichever [`crate::frontier::Frontier`] is in the way first.
 //!
 //! A fill holds the thread's cache set, so everything it counts goes to
 //! that set's [`ThreadStats`]. `carve` and `scavenge` also serve large
 //! allocations, which hold none: they count nothing themselves and each
 //! caller counts what it got, its own way.
 //!
-//! `pub(crate)` surface on [`HeapInner`]: `fill_bin`, `carve`, `scavenge`,
-//! `park_bin`, `flush_parked`, `discard_parked`; plus [`prefetch_read`].
+//! `pub(crate)` surface on [`HeapInner`]: `fill_bin`, `carve`, `scavenge`;
+//! plus [`prefetch_read`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -47,120 +48,7 @@ pub(crate) fn prefetch_read(addr: usize) {
     };
 }
 
-/// Cache bins a heap retains across thread exits, per size class. An
-/// exiting thread *parks* its non-empty bins here (up to this bound)
-/// instead of flushing them block-by-batch back to superblocks; the next
-/// thread's first fill of the class adopts a parked bin wholesale — zero
-/// anchor CASes, zero carves. This is the churn-fixpoint "bound per-class
-/// cache retention" lever: thread-pool-style workloads that cycle worker
-/// threads stop paying a fresh superblock per (thread × class) per
-/// generation.
-///
-/// The bound is deliberately **one** bin per class: a parked bin is
-/// visible only to the single future fill that adopts it, while a
-/// *flushed* bin's blocks land on superblock free chains visible to every
-/// thread (partial lists + work stealing). Retaining more than one bin
-/// starves concurrent fills into carving fresh superblocks exactly when
-/// thread overlap deepens — the churn workload's quantized
-/// one-superblock-per-class demand spike. One parked bin keeps the
-/// warm-handoff win for the common exit→spawn cycle; everything beyond it
-/// goes back where every thread can see it.
-const MAX_PARKED_BINS: usize = 1;
-
-/// Under the churn policy ([`crate::RallocConfig::flush_half`]), a fill retains
-/// at most `max_count / CHURN_FILL_RETAIN_DIV` blocks (min
-/// [`CHURN_FILL_RETAIN_MIN`]) and returns the rest of its claimed chain
-/// to the superblock, re-enlisted where every thread can see it. An
-/// unbounded fill moves a whole superblock population into one thread's
-/// private bin, so each additional *concurrently runnable* thread costs
-/// one fresh superblock per class — the churn test's quantized +19
-/// demand spike, and a footprint that depends on OS scheduling rather
-/// than on the live set. Bounded retention makes one circulating
-/// superblock feed `DIV` concurrent threads; the batch (≥ 128 blocks for
-/// the 64 B class) still amortizes the anchor CAS three orders of
-/// magnitude. Off by default: the paper's whole-superblock Fill maximizes
-/// amortization when footprint convergence is not a goal.
-const CHURN_FILL_RETAIN_DIV: u32 = 8;
-/// Floor for the churn-policy fill-retention bound, so tiny-`max_count`
-/// classes keep a useful batch.
-const CHURN_FILL_RETAIN_MIN: u32 = 8;
-
 impl HeapInner {
-    /// Blocks a single fill may retain in the bin for `class`. Unbounded
-    /// by default (the paper's whole-superblock Fill); bounded under the
-    /// churn policy so one circulating superblock can feed several
-    /// concurrently-active threads (see [`CHURN_FILL_RETAIN_DIV`]).
-    #[inline]
-    pub(crate) fn fill_retain(&self, mc: u32) -> u32 {
-        if self.flush_half {
-            (mc / CHURN_FILL_RETAIN_DIV).max(CHURN_FILL_RETAIN_MIN).min(mc)
-        } else {
-            mc
-        }
-    }
-
-    /// Park a non-empty bin for adoption by a future thread's fill.
-    /// Returns false (caller must flush) when the class's retention bound
-    /// is already met or the heap is closed/crashed past this bin's life.
-    pub(crate) fn park_bin(&self, class: u32, bin: &mut CacheBin, stats: &mut ThreadStats) -> bool {
-        if bin.len() == 0 {
-            return true; // nothing to retain
-        }
-        // Retention across thread exits is a churn-policy lever; the
-        // default policy keeps the historical exit-time full flush.
-        if !self.flush_half {
-            return false;
-        }
-        if self.parked[class as usize].lock().len() >= MAX_PARKED_BINS {
-            return false;
-        }
-        // Under the churn policy, trim to the fill-retention bound before
-        // parking: the excess goes back to superblock chains where every
-        // thread can find it, instead of waiting for a same-class
-        // adopter. (Flush outside the parked lock — it can take CASes.)
-        let retain = self.fill_retain(class_max_count(class));
-        if bin.len() > retain {
-            let excess = bin.len() as usize - retain as usize;
-            self.return_blocks(&mut bin.blocks_mut()[..excess], stats);
-            bin.drain_front(excess);
-        }
-        let mut parked = self.parked[class as usize].lock();
-        if parked.len() >= MAX_PARKED_BINS {
-            return false;
-        }
-        parked.push(std::mem::replace(bin, CacheBin::new()));
-        stats.add(Slot::bin_parks, 1);
-        true
-    }
-
-    /// Adopt a parked bin (most recently parked first), if any.
-    fn adopt_parked(&self, class: u32) -> Option<CacheBin> {
-        self.parked[class as usize].lock().pop()
-    }
-
-    /// Flush every parked bin back to the heap (clean close: a clean
-    /// shutdown leaves nothing cached anywhere). The caller may hold no
-    /// cache set, so the flushes count into a block made for the call
-    /// once there is one (nothing parked, nothing allocated).
-    pub(crate) fn flush_parked(&self) {
-        let mut stats = None;
-        for class in 1..NUM_CLASSES {
-            let bins = std::mem::take(&mut *self.parked[class].lock());
-            for mut bin in bins {
-                let stats = stats.get_or_insert_with(|| ThreadStats::new(&self.telemetry));
-                self.flush_bin(&mut bin, stats);
-            }
-        }
-    }
-
-    /// Drop every parked bin without flushing (crash/recovery: the blocks
-    /// now belong to the rebuilt free structures, like stale TLS bins).
-    pub(crate) fn discard_parked(&self) {
-        for class in 1..NUM_CLASSES {
-            self.parked[class].lock().clear();
-        }
-    }
-
     /// Expand the used prefix of the superblock region by `n` superblocks
     /// (paper §4.3): CAS `used` upward, then flush+fence it. A carve
     /// needs both its superblocks *and* their descriptors under their
@@ -209,21 +97,6 @@ impl HeapInner {
     pub(crate) fn fill_bin(&self, class: u32, bin: &mut CacheBin, stats: &mut ThreadStats) -> bool {
         debug_assert!(is_small_class(class));
         debug_assert_eq!(bin.len(), 0, "fill into a non-empty bin");
-        // Warm start (churn policy): adopt a bin parked by an exited
-        // thread wholesale — the blocks never left DRAM-cache custody,
-        // so the fill costs no anchor CAS and, crucially under churn, no
-        // carve. Parking is flush_half-gated, so the pool is always
-        // empty under the default policy; the gate here just skips the
-        // lock.
-        if self.flush_half {
-            if let Some(warm) = self.adopt_parked(class) {
-                debug_assert!(warm.len() > 0);
-                stats.add(Slot::bin_adopts, 1);
-                Self::filled(stats, warm.len() as u64);
-                *bin = warm;
-                return true;
-            }
-        }
         bin.ensure_capacity(cache_capacity(class) as usize);
         let partial = ShardedPartial::new(class);
         let home = current_home_shard();
@@ -274,16 +147,9 @@ impl HeapInner {
                 // never a write past the bin's slot array.
                 let take = a.count.min(mc);
                 debug_assert_eq!(take, a.count, "anchor count exceeds superblock population");
-                // Bounded fill retention (churn policy): keep only the
-                // head of the claimed chain; the tail goes straight back
-                // to the superblock (one extra CAS), re-enlisting it for
-                // concurrent fills instead of privatizing everything.
-                let keep_n = take.min(self.fill_retain(mc));
-                let mut surplus: Vec<usize> =
-                    Vec::with_capacity((take - keep_n) as usize);
                 let sb_addr = self.addr_of(self.geo.sb(idx as usize));
                 let mut blk = a.avail;
-                for i in 0..take {
+                for _ in 0..take {
                     debug_assert!(blk < mc);
                     let addr = sb_addr + blk as usize * bsize;
                     // Free-block link: the block's first word holds the
@@ -296,17 +162,9 @@ impl HeapInner {
                     if blk < mc {
                         prefetch_read(sb_addr + blk as usize * bsize);
                     }
-                    if i < keep_n {
-                        bin.push(addr);
-                    } else {
-                        surplus.push(addr);
-                    }
+                    bin.push(addr);
                 }
-                if !surplus.is_empty() {
-                    self.push_batch(idx as usize, &surplus, home, stats);
-                    stats.add(Slot::fill_bounded_returns, surplus.len() as u64);
-                }
-                Self::filled(stats, keep_n as u64);
+                Self::filled(stats, take as u64);
                 return true;
             }
             // No partial superblock anywhere: take the free one, scavenge an
@@ -344,41 +202,15 @@ impl HeapInner {
             // flush is provably redundant and skipped.
             let unchanged = d.size_class() == class && d.block_size() == bsize as u64;
             d.set_size(class, bsize as u64, mc, self.transient || unchanged);
-            // Bounded fill retention (churn policy): by default the whole
-            // fresh population goes to the bin (LRMalloc's Fill, maximal
-            // amortization), but under `flush_half` the bin keeps only
-            // the retention bound and the rest stays on the superblock's
-            // free chain, enlisted PARTIAL. A fresh carve then feeds
-            // several concurrently-active threads instead of one, so
-            // per-(thread × class) retention stops forcing one new
-            // superblock per additional runnable thread — the churn
-            // footprint's quantized demand spike.
-            let keep = self.fill_retain(mc);
+            // The whole fresh population goes to the bin (LRMalloc's
+            // Fill): we own the superblock outright, so a plain anchor
+            // store publishes it FULL.
+            d.set_anchor(Anchor::full(mc), Ordering::Release);
             let sb_addr = self.addr_of(self.geo.sb(idx as usize));
-            if keep < mc {
-                // We own the fresh superblock outright: link the withheld
-                // tail (blocks keep..mc) in ascending order and publish
-                // the anchor before enlisting. The final block's link is
-                // never followed (walks are bounded by count).
-                for i in keep..mc - 1 {
-                    // SAFETY: free-block first word of a block we own.
-                    unsafe {
-                        std::ptr::write((sb_addr + i as usize * bsize) as *mut u64, i as u64 + 1)
-                    };
-                }
-                d.set_anchor(
-                    Anchor { avail: keep, count: mc - keep, state: SbState::Partial },
-                    Ordering::Release,
-                );
-                partial.push(&self.pool, &self.geo, idx, home);
-                stats.add(Slot::partial_shard_pushes, 1);
-            } else {
-                d.set_anchor(Anchor::full(mc), Ordering::Release);
-            }
-            for i in (0..keep).rev() {
+            for i in (0..mc).rev() {
                 bin.push(sb_addr + i as usize * bsize);
             }
-            Self::filled(stats, keep as u64);
+            Self::filled(stats, mc as u64);
             return true;
         }
     }

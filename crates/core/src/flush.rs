@@ -17,9 +17,8 @@
 //! and decides nothing. The FULL→PARTIAL transition enlists the
 //! superblock on the *freeing* thread's home shard.
 //!
-//! Every function here counts into the [`ThreadStats`] its caller hands
-//! it — the freeing thread's cache set's, or, for `close` and `shrink`
-//! returning parked bins, one made for the call ([`crate::stats`]).
+//! Every function here counts into the [`ThreadStats`] of the cache set
+//! it works for ([`crate::stats`]).
 //!
 //! `pub(crate)` surface on [`HeapInner`]: `return_blocks`, `flush_bin`,
 //! `free_overflow`, `drain_tls`, `push_batch`.
@@ -202,32 +201,20 @@ impl HeapInner {
     /// Free-path overflow: size a never-used bin, or flush a full one's
     /// oldest superblock population — the whole bin for every class of
     /// ≤ 4 096 B, the oldest 4–12 of a bigger class's 16, as tcmalloc
-    /// releases one transfer batch. Under [`crate::RallocConfig::flush_half`]
-    /// the older half goes instead (Makalu's return-half policy, §6.3).
+    /// releases one transfer batch.
     #[cold]
     pub(crate) fn free_overflow(&self, class: u32, bin: &mut CacheBin, stats: &mut ThreadStats) {
         if bin.capacity() == 0 {
             return bin.ensure_capacity(cache_capacity(class) as usize);
         }
-        let n = if self.flush_half {
-            stats.add(Slot::half_flushes, 1);
-            (bin.len() as usize).div_ceil(2)
-        } else {
-            class_max_count(class) as usize
-        };
-        self.flush_oldest(bin, n, stats);
+        self.flush_oldest(bin, class_max_count(class) as usize, stats);
     }
 
-    /// Drain every class bin of a TLS entry. At thread exit (`park`)
-    /// non-empty bins are parked for adoption by future threads, up to
-    /// the per-class retention bound; at close, and past the bound,
-    /// they flush back to their superblocks.
-    pub(crate) fn drain_tls(&self, entry: &mut HeapTls, park: bool) {
+    /// Drain every class bin of a TLS entry back to its superblocks
+    /// (thread exit and `close`).
+    pub(crate) fn drain_tls(&self, entry: &mut HeapTls) {
         let HeapTls { bins, stats, .. } = entry;
-        for (class, bin) in bins.iter_mut().enumerate() {
-            if park && class != 0 && self.park_bin(class as u32, bin, stats) {
-                continue;
-            }
+        for bin in bins.iter_mut() {
             self.flush_bin(bin, stats);
         }
     }

@@ -39,9 +39,9 @@ use crate::frontier::Frontier;
 use crate::gc::{trace_thunk, Trace, TraceFn};
 use crate::layout::{Geometry, DIRTY_OFF, NUM_ROOTS, USED_SB_OFF};
 use crate::shard;
-use crate::size_class::{class_block_size, is_small_class, size_class_of, NUM_CLASSES, SB_SIZE};
+use crate::size_class::{class_block_size, is_small_class, size_class_of, SB_SIZE};
 use crate::stats::SlowStats;
-use crate::tcache::{self, CacheBin};
+use crate::tcache;
 
 /// Shared heap state. Public API lives on [`Ralloc`]; the fields are
 /// crate-visible because the slow-path modules implement on this type.
@@ -50,15 +50,8 @@ pub struct HeapInner {
     pub(crate) geo: Geometry,
     pub(crate) id: u64,
     pub(crate) transient: bool,
-    /// Return only half of an overflowing cache bin (Makalu-style).
-    pub(crate) flush_half: bool,
     /// When the frontier shrinks back (close/recovery hooks).
     pub(crate) shrink_policy: ShrinkPolicy,
-    /// Bins parked by exited threads, adopted whole by future fills
-    /// (bounded retention: at most `MAX_PARKED_BINS` per class).
-    /// Transient like the thread caches they came from: discarded on
-    /// crash, flushed on clean close.
-    pub(crate) parked: [Mutex<Vec<CacheBin>>; NUM_CLASSES],
     /// The committed frontiers, `[superblocks, descriptors]`: each owns
     /// its persisted word, its published bound and the grow/shrink
     /// protocol over them (see [`crate::frontier`]).
@@ -384,13 +377,10 @@ impl Ralloc {
         // the post-drain state instead of dangling mid-run.
         self.stop_sampler();
         tcache::drain_current_thread(inner);
-        // Nothing cached survives a clean shutdown: bins parked by exited
-        // threads flush back too (maximizing the shrink below). Exit
-        // drains still in flight (TLS destructors outlive `scope` joins)
-        // finish first, so their flushes land before the scan and
+        // Exit drains still in flight (TLS destructors outlive `scope`
+        // joins) finish first, so their flushes land before the scan and
         // write-back rather than during.
         inner.await_exit_drains();
-        inner.flush_parked();
         // Quiescent point: release the trailing fully-free run while the
         // heap is still marked dirty, so a crash mid-shrink triggers a
         // full rebuild rather than trusting half-shrunk lists.
@@ -423,12 +413,9 @@ impl Ralloc {
     ///
     /// Blocks held in live threads' caches keep their superblocks
     /// non-free, so an explicit shrink releases the most after worker
-    /// threads exit. Bins parked by those exits are flushed here first
-    /// (as at [`Ralloc::close`]) so their blocks don't pin superblocks
-    /// through the scan.
+    /// threads exit.
     pub fn shrink(&self) -> usize {
         self.inner.await_exit_drains();
-        self.inner.flush_parked();
         self.inner.shrink_quiesced()
     }
 
@@ -442,9 +429,6 @@ impl Ralloc {
         inner.generation.fetch_add(1, Ordering::AcqRel);
         inner.closed.store(false, Ordering::Release);
         tcache::discard_current_thread(inner);
-        // Parked bins are DRAM state, forgotten like the TLS caches; the
-        // recovery sweep reclaims their blocks.
-        inner.discard_parked();
     }
 
     /// Was the heap dirty at open time / is recovery pending? (The dirty
@@ -847,34 +831,6 @@ mod batch_tests {
         );
         assert_eq!(heap.slow_stats().sb_scavenged.load(Ordering::Relaxed), 1);
         heap.free(q);
-    }
-
-    #[test]
-    #[cfg_attr(feature = "telemetry-off", ignore = "asserts telemetry counters, which are compiled out")]
-    fn flush_half_policy_returns_older_half_and_keeps_the_rest() {
-        let heap =
-            Ralloc::create(8 << 20, RallocConfig { flush_half: true, ..Default::default() });
-        let cap = cache_capacity(8) as usize;
-        // cap+1 blocks: the last malloc triggers a second fill that
-        // leaves the bin nearly full, so the free phase overflows twice.
-        let ptrs: Vec<usize> = (0..cap + 1).map(|_| heap.malloc(64) as usize).collect();
-        assert!(ptrs.iter().all(|&p| p != 0));
-        for &p in &ptrs {
-            heap.free(p as *mut u8);
-        }
-        let s = heap.slow_stats();
-        let flushes = s.cache_flushes.load(Ordering::Relaxed);
-        assert!(flushes > 0);
-        assert_eq!(
-            s.half_flushes.load(Ordering::Relaxed),
-            flushes,
-            "every overflow must use the half policy"
-        );
-        assert_eq!(
-            s.avg_flush_batch(),
-            (cap / 2) as f64,
-            "each flush must return exactly half the bin, not all of it"
-        );
     }
 
     #[test]

@@ -340,9 +340,7 @@ impl Ralloc {
                 geo,
                 id: NEXT_HEAP_ID.fetch_add(1, Ordering::Relaxed),
                 transient: cfg.transient,
-                flush_half: cfg.flush_half,
                 shrink_policy: cfg.shrink_policy,
-                parked: std::array::from_fn(|_| Mutex::new(Vec::new())),
                 frontiers,
                 generation: AtomicU64::new(0),
                 exit_drains: AtomicUsize::new(0),

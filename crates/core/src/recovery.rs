@@ -193,11 +193,6 @@ pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
         }
     }
 
-    // Bins parked by pre-crash thread exits are DRAM state: their blocks
-    // are about to be reclaimed (or kept) by the trace like any other
-    // cached block, so the parked copies must be forgotten.
-    inner.discard_parked();
-
     // Steps 2-3: empty transient lists (thread caches were invalidated by
     // the crash's generation bump; on a dirty open none exist yet).
     DescList::free_list(geo).reset(pool);

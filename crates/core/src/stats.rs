@@ -11,13 +11,11 @@
 //! [`ThreadStats`] block that lives in it: one [`Slot`] per field name, a
 //! relaxed load and store on a line only that thread writes (a fill's
 //! four bumps as `lock`-prefixed adds on four of the heap's lines cost
-//! more than the list pop and anchor CAS they counted). `close` and
-//! `shrink`, returning parked bins with no cache set, make a block for
-//! the call. An event with no flush in it and no cache set in hand
-//! (large allocations, frontier growth and shrink) bumps the shared
-//! [`Counter`]: cold, and not seen next to a persist. A read sums both
-//! kinds and is exact at any moment, from any thread
-//! ([`telemetry::LocalBlock`]).
+//! more than the list pop and anchor CAS they counted). An event with
+//! no flush in it and no cache set in hand (large allocations, frontier
+//! growth and shrink) bumps the shared [`Counter`]: cold, and not seen
+//! next to a persist. A read sums both kinds and is exact at any moment,
+//! from any thread ([`telemetry::LocalBlock`]).
 //!
 //! `pub(crate)` surface: [`SlowStats::registered`], [`ThreadStats`],
 //! [`Slot`].
@@ -98,7 +96,9 @@ slow_stats! {
     cache_fills,
     /// Blocks moved into bins by those refills.
     cache_fill_blocks,
-    /// Whole-bin flushes back to superblocks.
+    /// Cache flushes back to superblocks: an overflow's oldest
+    /// superblock population, or a whole bin drained at thread exit or
+    /// `close`.
     cache_flushes,
     /// Blocks returned by those flushes.
     cache_flushes_blocks,
@@ -120,14 +120,6 @@ slow_stats! {
     heap_shrinks,
     /// Superblocks released back to the OS by those shrinks.
     sb_released,
-    /// Blocks a churn-policy fill claimed but immediately returned to
-    /// their superblock (bounded fill retention; 0 unless
-    /// [`crate::RallocConfig::flush_half`]).
-    fill_bounded_returns,
-    /// Cache bins parked whole at thread exit instead of being flushed.
-    bin_parks,
-    /// Fills served by adopting a parked bin (zero CASes, zero carves).
-    bin_adopts,
     /// Fully-empty superblocks reclaimed from partial lists instead of
     /// carving fresh space.
     sb_scavenged,
@@ -144,9 +136,6 @@ slow_stats! {
     /// FULL→PARTIAL transitions enlisting a superblock on the pusher's
     /// home shard.
     partial_shard_pushes,
-    /// Bin overflows resolved by the flush-half policy (0 unless
-    /// [`crate::RallocConfig::flush_half`] is set).
-    half_flushes,
     /// Blocks a flush classified as *remote* (superblock last filled by a
     /// thread of another shard than the freeing thread's).
     remote_free_blocks,

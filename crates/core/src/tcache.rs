@@ -190,8 +190,7 @@ impl Drop for TlsStore {
         for entry in &mut self.entries {
             if let Some(heap) = entry.weak.upgrade() {
                 // Return blocks only if the heap has not crashed, recovered,
-                // or closed since they were cached. Thread exit parks the
-                // bins for adoption by future threads (bounded retention).
+                // or closed since they were cached.
                 //
                 // TLS destructors run during OS thread teardown — *after*
                 // the thread looks finished to joiners (`thread::scope`
@@ -203,7 +202,7 @@ impl Drop for TlsStore {
                 // lists or never starts.
                 let (generation, closed) = heap.begin_exit_drain();
                 if generation == entry.generation && !closed {
-                    heap.drain_tls(entry, true);
+                    heap.drain_tls(entry);
                 }
                 heap.end_exit_drain();
             }
@@ -300,7 +299,7 @@ fn with_heap_tls_miss<R>(
             let r = f.take().unwrap()(&mut entry);
             let (generation, closed) = heap.begin_exit_drain();
             if generation == entry.generation && !closed {
-                heap.drain_tls(&mut entry, false);
+                heap.drain_tls(&mut entry);
             }
             heap.end_exit_drain();
             r
@@ -319,9 +318,7 @@ pub(crate) fn drain_current_thread(heap: &HeapInner) {
             FAST.set((0, std::ptr::null_mut()));
             let mut entry = store.entries.swap_remove(p);
             if entry.generation == heap.generation() {
-                // Close-time drain: flush outright, never park — a clean
-                // shutdown leaves nothing cached.
-                heap.drain_tls(&mut entry, false);
+                heap.drain_tls(&mut entry);
             }
         }
     });

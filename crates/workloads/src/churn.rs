@@ -37,17 +37,23 @@ pub unsafe fn check_signature(ptr: *mut u8, size: usize) {
 /// One churn round: `threads` fresh workers each run `per_thread_ops`
 /// random alloc/free steps (sizes 8..408 B, live cap 400 blocks,
 /// 1-in-3 free bias once anything is held), verify every signature, and
-/// free everything on the way out. Thread exit drains/parks the workers'
+/// free everything on the way out. Thread exit drains the workers'
 /// caches — the thread-turnover half of the churn pattern.
+///
+/// The round ends when every worker has *exited*: each one is joined,
+/// which waits for its thread-local destructors (the cache drains) too.
+/// `thread::scope` alone returns when the closures do, so a round's
+/// drains would land during the next one.
 ///
 /// The signature writes are part of the workload on purpose: their
 /// per-op cost is what produces real preemption (and therefore real
 /// thread overlap) on a single-core host.
 pub fn stress(alloc: &DynAlloc, threads: usize, per_thread_ops: usize) {
     std::thread::scope(|s| {
+        let mut workers = Vec::with_capacity(threads);
         for t in 0..threads {
             let alloc = alloc.clone();
-            s.spawn(move || {
+            workers.push(s.spawn(move || {
                 let mut held: Vec<(usize, usize)> = Vec::new();
                 let mut x = 0x9E3779B9u64.wrapping_mul(t as u64 + 1) | 1;
                 let mut rand = move || {
@@ -77,7 +83,10 @@ pub fn stress(alloc: &DynAlloc, threads: usize, per_thread_ops: usize) {
                     unsafe { check_signature(p as *mut u8, sz) };
                     alloc.free(p as *mut u8);
                 }
-            });
+            }));
+        }
+        for w in workers {
+            w.join().expect("churn worker panicked");
         }
     });
 }

@@ -1,12 +1,13 @@
 //! Footprint probe for the churn-fixpoint workload (Theorem 5.2).
 //!
-//! Replays `ralloc_leakage_freedom_under_churn`'s stress rounds while the
-//! telemetry sampler records the footprint trajectory — committed length,
-//! used superblocks, fill/flush/steal counters — as JSONL, so regressions
-//! in the demand-spike levers (parked-bin warm starts, bounded retention)
-//! show up as numbers instead of a flaky red test. Used to record the
-//! probe matrix in ROADMAP; run several times — the interesting signal is
-//! the step *distribution* across runs.
+//! Replays `ralloc_leakage_freedom_under_churn`'s stress rounds on the
+//! default heap while the telemetry sampler records the footprint
+//! trajectory — committed length, used superblocks, fill/flush/steal
+//! counters — as JSONL, then shrinks the heap and prints what is left
+//! (0 superblocks unless a block leaked). The footprint depends on how the
+//! scheduler overlaps the workers, so run it several times: the signal is
+//! the high-water *distribution* across runs, against the test's bound of
+//! `(threads + 1) × active classes`.
 //!
 //! Usage: `cargo run --release -p suite --example churn_probe [rounds] [out.jsonl]`
 //!
@@ -28,8 +29,7 @@ fn main() {
     let rounds: usize =
         std::env::args().nth(1).and_then(|v| v.parse().ok()).unwrap_or(7);
     let out = std::env::args().nth(2).unwrap_or_else(|| "churn_probe.jsonl".into());
-    let heap =
-        Ralloc::create(64 << 20, RallocConfig { flush_half: true, ..Default::default() });
+    let heap = Ralloc::create(64 << 20, RallocConfig::default());
     let alloc: DynAlloc = std::sync::Arc::new(heap.clone());
     heap.start_sampler(&out, Duration::from_millis(25)).expect("start sampler");
     let mut prev = heap.used_superblocks();
@@ -41,6 +41,8 @@ fn main() {
         prev = used;
     }
     heap.stop_sampler();
+    heap.shrink();
+    println!("after shrink: {} used", heap.used_superblocks());
     // Round-trip the trajectory so a broken sampler fails loudly here
     // instead of silently producing an empty artifact.
     let body = std::fs::read_to_string(&out).expect("read trajectory");

@@ -9,8 +9,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BUDGET=7066
-MAX_FIELDS=8
+BUDGET=6841
+MAX_FIELDS=7
 MAX_VARS=8
 
 total=0

@@ -710,7 +710,6 @@ fn churn_workload_close_reopen_commits_near_live_set() {
     let cfg = || RallocConfig {
         initial_capacity: Some(2 << 20),
         max_capacity: Some(64 << 20),
-        flush_half: true, // churn policy: bounded retention levers on
         ..Default::default()
     };
     let nodes = 1000usize;
@@ -719,11 +718,15 @@ fn churn_workload_close_reopen_commits_near_live_set() {
         assert!(!dirty);
         build_list(&heap, 0, nodes); // live set first: packs low
         // Churn: worker threads allocate and free far more than the live
-        // set, across many classes, then exit (caches park/flush).
+        // set, across many classes, then exit. Each is joined, so its
+        // exit drain has flushed before `close` (a drain that starts after
+        // `close` skips its flush; `scope` alone waits for the closures,
+        // not for the thread-local destructors that drain).
         std::thread::scope(|s| {
+            let mut workers = Vec::new();
             for t in 0..4 {
                 let heap = heap.clone();
-                s.spawn(move || {
+                workers.push(s.spawn(move || {
                     let mut held: Vec<*mut u8> = Vec::new();
                     let mut x = 0x9E3779B9u64.wrapping_mul(t + 1) | 1;
                     for _ in 0..30_000 {
@@ -742,7 +745,10 @@ fn churn_workload_close_reopen_commits_near_live_set() {
                     for p in held {
                         heap.free(p);
                     }
-                });
+                }));
+            }
+            for w in workers {
+                w.join().unwrap();
             }
         });
         let high_water = heap.committed_superblocks();

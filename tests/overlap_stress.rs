@@ -36,57 +36,52 @@ fn pmdk_concurrent_signatures_hold() {
 
 #[test]
 fn ralloc_leakage_freedom_under_churn() {
-    // The heap footprint must reach a fixed point when the live set is
-    // bounded (Theorem 5.2: freed blocks become available for reuse).
+    // Theorem 5.2 on the default heap: freed blocks become available for
+    // reuse, so a bounded live set churned by short-lived threads reaches
+    // a bounded footprint, and nothing is lost on the way.
     //
-    // The footprint's quantum is one superblock *per size class*: while
-    // one fill holds a class's circulating partial superblock off its
-    // list (pop → claim → walk → return the surplus), a concurrent fill
-    // of that class finds nothing and carves, after which the class has
-    // one more in circulation and the next such collision is less
-    // likely. A leak grows every round; these late demand steps thin
-    // out. So the bound is **fewer than one superblock per active
-    // class** after warm-up — 19 classes for the stress's 8..=400 B
-    // sizes — which is what separates the two.
+    // The bound. `used` rises only when a fill carves, and a fill of a
+    // class carves only when no superblock of that class is on a partial
+    // list or the free list: every one of them is held — by a thread's
+    // bin, which takes one superblock's population at most (a class of
+    // ≤ 4 096 B, like all of this stress's 8..=400 B sizes, has a bin of
+    // exactly that), or by the live set. Per class that is at most
+    // `threads` bins plus a live share far below one population (the
+    // whole live set is ≈ 5 superblocks of bytes over 19 classes), so the
+    // carve that follows makes at most `threads + 1` superblocks of that
+    // class. The paper's whole-superblock Fill is allowed exactly that
+    // retention, and a footprint that grows by whole quanta of one
+    // superblock per class per thread is it, not a leak.
     //
-    // Post-warm-up growth measured over 1 400 runs of this tree (shipped
-    // churn policy; release and dev, 4 shards and — while the count was
-    // still an option — 16; 2-CPU host):
-    //   growth  +0  +1  +2  +3  +4  +5  +6  +7  +8  +9
-    //   runs   329 356 258 196 118  69  38  23   8   5
-    // (200 more at one shard: one +10.) With the policy off
-    // (whole-superblock fills, no parked bins) 38 of 60 runs step +19 or
-    // more — every class at once: exactly +19 in 19 of them, exactly +38
-    // in 10 — so the bound still needs bounded retention to pass. A bound
-    // of +8 has no margin: 5 of these 1 400 runs exceed it, 8 sit on it.
-    let heap = ralloc::Ralloc::create(
-        64 << 20,
-        ralloc::RallocConfig { flush_half: true, ..Default::default() },
-    );
+    // The leak check. After the last round every worker has exited and
+    // drained its bins (`stress` joins them), and the main thread holds
+    // nothing: every superblock must be free, so `shrink` releases all
+    // of them. One block lost in any round pins its superblock.
+    let heap = ralloc::Ralloc::create(64 << 20, ralloc::RallocConfig::default());
     let a: DynAlloc = std::sync::Arc::new(heap.clone());
+    let threads = 4;
     // `stress` draws sizes 8 + 8k, k < 50.
     let active_classes = (0..50)
         .map(|k| ralloc::size_class::size_class_of(8 + 8 * k))
         .collect::<std::collections::HashSet<_>>()
         .len();
     assert_eq!(active_classes, 19);
-    // Warm up: grows the heap to its steady footprint (live set + one
-    // superblock of thread-cache retention per class per thread).
-    for _ in 0..2 {
-        stress(&a, 4, 10_000);
+    let bound = (threads + 1) * active_classes;
+    let mut footprint = Vec::new();
+    for round in 0..7 {
+        stress(&a, threads, 10_000);
+        footprint.push(heap.used_superblocks());
+        assert!(
+            heap.used_superblocks() <= bound,
+            "round {round}: {} superblocks used, past the retention bound {bound} ({footprint:?})",
+            heap.used_superblocks()
+        );
     }
-    let used_after_warmup = heap.used_superblocks();
-    for _ in 0..5 {
-        stress(&a, 4, 10_000);
-    }
-    // (`--nocapture` prints the growth, for soak distributions.)
-    println!("churn growth: {used_after_warmup} -> {}", heap.used_superblocks());
-    assert!(
-        heap.used_superblocks() < used_after_warmup + active_classes,
-        "heap keeps growing under bounded live set: {} -> {}",
-        used_after_warmup,
-        heap.used_superblocks()
-    );
+    // (`--nocapture` prints the trajectory, for soak distributions.)
+    println!("churn footprint: {footprint:?}");
+    heap.shrink();
+    assert_eq!(heap.used_superblocks(), 0, "a superblock stays pinned after every block was freed");
+    assert!(ralloc::check_heap(&heap).is_consistent());
 }
 
 proptest! {

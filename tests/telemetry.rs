@@ -198,8 +198,7 @@ fn sampler_soak_produces_parseable_monotone_jsonl() {
             .to_string_lossy()
             .into_owned()
     });
-    let heap =
-        Ralloc::create(64 << 20, RallocConfig { flush_half: true, ..Default::default() });
+    let heap = Ralloc::create(64 << 20, RallocConfig::default());
     heap.start_sampler(&out, Duration::from_millis(5)).expect("start sampler");
     let alloc: DynAlloc = Arc::new(heap.clone());
     for _ in 0..3 {

@@ -271,7 +271,7 @@ fn the_tls_teardown_one_shot_cache_set_is_counted() {
 
 /// The heap's counter names, as every exporter has carried them since
 /// they were registered by `SlowStats` field name.
-const NAMES: [&str; 23] = [
+const NAMES: [&str; 19] = [
     "cache_fills",
     "cache_fill_blocks",
     "cache_flushes",
@@ -283,16 +283,12 @@ const NAMES: [&str; 23] = [
     "desc_grows",
     "heap_shrinks",
     "sb_released",
-    "fill_bounded_returns",
-    "bin_parks",
-    "bin_adopts",
     "sb_scavenged",
     "free_recheck_hits",
     "large_allocs",
     "partial_pops_home",
     "partial_steals",
     "partial_shard_pushes",
-    "half_flushes",
     "remote_free_blocks",
     "remote_anchor_cas",
 ];
