@@ -37,6 +37,8 @@
 //!   crash can persist *more* than what was flushed. [`CrashStyle::RandomEviction`]
 //!   models this for adversarial testing.
 
+#![deny(unsafe_op_in_unsafe_fn)]
+
 mod crash;
 mod flush;
 mod pool;

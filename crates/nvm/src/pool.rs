@@ -345,6 +345,27 @@ impl PmemPool {
         Ok(())
     }
 
+    /// Back `[off, off + len)` with memory now — one
+    /// `madvise(MADV_POPULATE_WRITE)` — instead of taking one page fault
+    /// per page at the first store into each. `off` must be page-aligned.
+    /// Contents do not change: every byte reads what it did, and in
+    /// [`Mode::Tracked`] the shadow and the pending flushes are untouched.
+    ///
+    /// A hint. A file-mapped pool ignores it: there a populate dirties
+    /// page-cache pages [`PmemPool::sync`] must write back, and its fault
+    /// reads ahead far past the range (one 64 KiB call brought 8 MiB of
+    /// the file into the page cache on ext4). Any refusal by the kernel
+    /// (`EINVAL` before Linux 5.14, an unaligned `off`) is dropped,
+    /// leaving demand faulting as it was.
+    pub fn prefault(&self, off: usize, len: usize) {
+        debug_assert!(self.check_range(off, len));
+        if self.file.is_none() {
+            // SAFETY: committed anonymous pages of our own span; populating
+            // them changes no byte.
+            unsafe { sys::madvise(self.base().add(off), len, sys::MADV_POPULATE_WRITE).ok() };
+        }
+    }
+
     /// Write a mapped pool's dirty pages back to its file (`msync`). A
     /// no-op for anonymous pools (their durability is modelled).
     /// Process-crash durability never needs this — the page cache already
@@ -441,9 +462,11 @@ impl PmemPool {
     /// smaller request is a no-op — and never past the region's end.
     /// Returns the resulting frontier.
     ///
-    /// Committing only makes memory *usable*; durability of any state
-    /// that records the frontier is the caller's business (the allocator
-    /// persists its frontier word before relying on the new space).
+    /// Committing only makes memory *usable*: an anonymous page takes
+    /// memory at its first store, or earlier through
+    /// [`PmemPool::prefault`]. Durability of any state that records the
+    /// frontier is the caller's business (the allocator persists its
+    /// frontier word before relying on the new space).
     ///
     /// # Panics
     /// If `new_len` lies outside the region.
@@ -487,8 +510,9 @@ impl PmemPool {
     /// never-committed reservation. Anonymous pages (and every interior
     /// region: its range stays under the pool prefix) are zeroed by
     /// stores and keep their pages for that commit — the cost is a
-    /// `memset` of the pages that were ever stored to; their memory goes
-    /// back to the OS when the pool is dropped. A file's tail (last
+    /// `memset` of the pages that were ever stored to; their memory, and
+    /// that of every page [`PmemPool::prefault`] backed, goes back to the
+    /// OS when the pool is dropped. A file's tail (last
     /// region) is unmapped into bare reservation — only the rest of the
     /// frontier's own page is zeroed — and the file truncated.
     ///
@@ -594,7 +618,9 @@ impl PmemPool {
     pub unsafe fn at<T>(&self, off: usize) -> *mut T {
         debug_assert!(self.check_range(off, std::mem::size_of::<T>()));
         debug_assert_eq!(off % std::mem::align_of::<T>(), 0);
-        self.base().add(off) as *mut T
+        // SAFETY: `off` is in bounds per the fn contract, so the sum stays
+        // inside the reservation.
+        unsafe { self.base().add(off) as *mut T }
     }
 
     /// An atomic u64 view of the 8 bytes at offset `off`.
@@ -606,7 +632,9 @@ impl PmemPool {
     pub unsafe fn atomic_u64(&self, off: usize) -> &AtomicU64 {
         debug_assert!(self.check_range(off, 8));
         debug_assert_eq!(off % 8, 0);
-        &*(self.base().add(off) as *const AtomicU64)
+        // SAFETY: in bounds and 8-aligned per the fn contract; the pool
+        // outlives the borrow, and shared access is atomic-only.
+        unsafe { &*(self.base().add(off) as *const AtomicU64) }
     }
 
     /// Read a u64 at `off` with a plain (non-atomic) load.
@@ -615,7 +643,9 @@ impl PmemPool {
     /// `off` must be 8-aligned, in bounds, and not concurrently written.
     #[inline]
     pub unsafe fn read_u64(&self, off: usize) -> u64 {
-        std::ptr::read(self.at::<u64>(off))
+        // SAFETY: aligned, in bounds and not concurrently written per the
+        // fn contract.
+        unsafe { std::ptr::read(self.at::<u64>(off)) }
     }
 
     /// Write a u64 at `off` with a plain (non-atomic) store.
@@ -624,7 +654,8 @@ impl PmemPool {
     /// As for [`PmemPool::read_u64`], plus exclusivity of the write.
     #[inline]
     pub unsafe fn write_u64(&self, off: usize, v: u64) {
-        std::ptr::write(self.at::<u64>(off), v)
+        // SAFETY: aligned, in bounds and exclusive per the fn contract.
+        unsafe { std::ptr::write(self.at::<u64>(off), v) }
     }
 
     /// `clwb`-equivalent: request write-back of every cache line covering
@@ -1136,6 +1167,73 @@ mod tests {
         pool.fence(); // must not resurrect the dropped pending line
         pool.crash();
         assert_eq!(read_byte(&pool, 4096), 0);
+    }
+
+    /// Residency of each page of `[off, off + len)`.
+    fn resident(pool: &PmemPool, off: usize, len: usize) -> Vec<bool> {
+        sys::mincore(pool.base().wrapping_add(off), len).unwrap()
+    }
+
+    const SB: usize = 64 << 10;
+
+    #[test]
+    fn prefault_backs_every_page_and_changes_no_byte() {
+        let pool = reserve(Mode::Direct);
+        pool.commit(0, 4 * SB);
+        assert!(resident(&pool, SB, 3 * SB).iter().all(|&r| !r), "fresh pages are resident");
+        pool.prefault(SB, SB);
+        assert!(resident(&pool, SB, SB).iter().all(|&r| r), "a prefaulted page is not resident");
+        assert!(resident(&pool, 2 * SB, 2 * SB).iter().all(|&r| !r), "prefault spilled over");
+        let bytes = unsafe { std::slice::from_raw_parts(pool.base().add(SB), SB) };
+        assert!(bytes.iter().all(|&b| b == 0), "prefault changed a byte");
+    }
+
+    #[test]
+    fn prefault_leaves_the_persistent_image_and_pending_flushes_alone() {
+        let pool = reserve(Mode::Tracked);
+        pool.commit(0, 2 * SB);
+        write_bytes(&pool, 0, &[7; 8]);
+        pool.persist(0, 8);
+        write_bytes(&pool, SB + 64, &[9; 8]);
+        pool.flush(SB + 64, 8); // pending, not fenced
+        let pending = |p: &PmemPool| p.tracked.as_ref().unwrap().lock().pending.clone();
+        let (image, flushed) = (pool.persistent_image(), pending(&pool));
+        pool.prefault(SB, SB);
+        assert!(resident(&pool, SB, SB).iter().all(|&r| r));
+        assert!(pool.persistent_image() == image, "prefault changed the shadow");
+        assert_eq!(pending(&pool), flushed, "prefault changed the pending set");
+        pool.crash();
+        assert_eq!(read_byte(&pool, 0), 7);
+        let bytes = unsafe { std::slice::from_raw_parts(pool.base().add(SB), SB) };
+        assert!(bytes.iter().all(|&b| b == 0), "a prefaulted page did not crash to zero");
+    }
+
+    #[test]
+    fn prefault_of_a_mapped_file_does_nothing() {
+        let dir = std::env::temp_dir().join(format!("nvm-prefault-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("pool");
+        let pool = map(&file, 1 << 20, 2 * SB);
+        pool.prefault(SB, SB);
+        assert_eq!(std::fs::metadata(&file).unwrap().len(), 2 * SB as u64, "file length moved");
+        assert!(resident(&pool, SB, SB).iter().all(|&r| !r), "a file page was populated");
+        drop(pool);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn prefault_swallows_a_refusal() {
+        let pool = reserve(Mode::Direct);
+        pool.commit(0, 2 * SB);
+        // The kernel refuses an unaligned start with EINVAL, as a kernel
+        // without MADV_POPULATE_WRITE refuses the advice.
+        let refused =
+            unsafe { sys::madvise(pool.base().add(SB + 64), SB - 64, sys::MADV_POPULATE_WRITE) };
+        assert_eq!(refused.unwrap_err().raw_os_error(), Some(22));
+        pool.prefault(SB + 64, SB - 64);
+        assert!(resident(&pool, SB, SB).iter().all(|&r| !r), "a refused prefault backed pages");
+        write_bytes(&pool, SB + 64, &[5; 8]); // demand faulting still works
+        assert_eq!(read_byte(&pool, SB + 64), 5);
     }
 
     #[test]

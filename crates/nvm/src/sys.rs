@@ -1,8 +1,9 @@
 //! Minimal raw-syscall layer for the OS facilities the pool and the
 //! crash-testing substrate need and `std` does not expose: address-space
 //! reservations and file mappings (`mmap`/`munmap`/`msync`, wrapped as
-//! [`Reservation`]), advisory file locks (`flock`), and process control
-//! for the fork/SIGKILL harness (`fork`/`kill`/`wait4`).
+//! [`Reservation`]), page backing and residency (`madvise`/`mincore`),
+//! advisory file locks (`flock`), and process control for the
+//! fork/SIGKILL harness (`fork`/`kill`/`wait4`).
 //!
 //! The workspace builds offline with no `libc` crate, so these are
 //! direct `syscall` instructions on x86_64 Linux. Every wrapper returns
@@ -31,6 +32,10 @@ pub const MAP_NORESERVE: usize = 0x4000;
 
 pub const MS_SYNC: usize = 4;
 
+/// `madvise` advice: fault the range in writable now, as stores would
+/// one page at a time (Linux 5.14+; older kernels answer `EINVAL`).
+pub const MADV_POPULATE_WRITE: usize = 23;
+
 pub const LOCK_SH: usize = 1;
 pub const LOCK_EX: usize = 2;
 pub const LOCK_NB: usize = 4;
@@ -45,6 +50,8 @@ mod nr {
     pub const MMAP: usize = 9;
     pub const MUNMAP: usize = 11;
     pub const MSYNC: usize = 26;
+    pub const MINCORE: usize = 27;
+    pub const MADVISE: usize = 28;
     pub const GETPID: usize = 39;
     pub const FORK: usize = 57;
     pub const EXIT_GROUP: usize = 231;
@@ -139,6 +146,30 @@ pub unsafe fn msync(addr: *mut u8, len: usize, flags: usize) -> io::Result<()> {
     // SAFETY: per fn contract.
     let r = unsafe { syscall6(nr::MSYNC, addr as usize, len, flags, 0, 0, 0) };
     check(r).map(|_| ())
+}
+
+/// `madvise(addr, len, advice)`. `addr` must be page-aligned.
+///
+/// # Safety
+/// The range must lie within a mapping this process owns, and an advice
+/// that changes contents (such as `MADV_DONTNEED`) may only be given
+/// for memory nothing uses.
+pub unsafe fn madvise(addr: *mut u8, len: usize, advice: usize) -> io::Result<()> {
+    // SAFETY: per fn contract.
+    let r = unsafe { syscall6(nr::MADVISE, addr as usize, len, advice, 0, 0, 0) };
+    check(r).map(|_| ())
+}
+
+/// `mincore(addr, len)`: whether each page of `[addr, addr + len)` is
+/// resident (`addr` page-aligned). An anonymous page is once anything
+/// maps it, a read of the shared zero page included; a file page is
+/// while the page cache holds it.
+pub fn mincore(addr: *const u8, len: usize) -> io::Result<Vec<bool>> {
+    let mut vec = vec![0u8; page_up(len) / PAGE];
+    // SAFETY: the kernel only writes `vec`, one byte per page of the range,
+    // and reads no memory of ours.
+    let r = unsafe { syscall6(nr::MINCORE, addr as usize, len, vec.as_mut_ptr() as usize, 0, 0, 0) };
+    check(r).map(|_| vec.iter().map(|&b| b & 1 != 0).collect())
 }
 
 /// `flock(fd, op)` — advisory whole-file lock. With `LOCK_NB` a held
@@ -307,10 +338,12 @@ impl Reservation {
     }
 
     /// Zero `[lo, hi)` by stores; the pages stay where they are. A page
-    /// that already reads zero is left alone, so one nobody ever stored
-    /// to keeps costing no memory (reading it maps the kernel's shared
-    /// zero page) and a clean file page is not dirtied; the pages in
-    /// between are cleared a whole run at a time.
+    /// that already reads zero is left alone, so a clean file page is not
+    /// dirtied and one nobody ever backed keeps costing no memory (reading
+    /// it maps the kernel's shared zero page); the pages in between are
+    /// cleared a whole run at a time. A page someone backed without a
+    /// store (`madvise(MADV_POPULATE_WRITE)`, as the heap does for every
+    /// small-class superblock it carves) stays resident.
     ///
     /// # Safety
     /// `[lo, hi)` must be mapped and nothing may access it concurrently.
@@ -388,6 +421,21 @@ mod tests {
             assert!(bytes[..lo].iter().all(|&b| b == 0xAA), "bytes below the range changed");
             assert!(bytes[lo..hi].iter().all(|&b| b == 0), "range not cleared");
             assert!(bytes[hi..].iter().all(|&b| b == 0xDD), "bytes above the range changed");
+        }
+    }
+
+    #[test]
+    fn populate_write_backs_a_range_and_bad_advice_is_refused() {
+        let span = Reservation::reserve(8 * PAGE).unwrap();
+        // SAFETY: the span is ours and mapped before it is advised.
+        unsafe {
+            span.map(0, 8 * PAGE, None).unwrap();
+            assert_eq!(mincore(span.base(), 8 * PAGE).unwrap(), [false; 8]);
+            madvise(span.base().add(2 * PAGE), 4 * PAGE, MADV_POPULATE_WRITE).unwrap();
+            let resident = [false, false, true, true, true, true, false, false];
+            assert_eq!(mincore(span.base(), 8 * PAGE).unwrap(), resident);
+            let err = madvise(span.base(), PAGE, 12345).expect_err("unknown advice must fail");
+            assert_eq!(err.raw_os_error(), Some(22), "EINVAL");
         }
     }
 

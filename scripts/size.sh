@@ -9,7 +9,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BUDGET=6841
+BUDGET=6915
 MAX_FIELDS=7
 MAX_VARS=8
 

@@ -2,13 +2,16 @@
 //! space and maps the committed prefix, and touches neither — so its time
 //! and the memory it takes follow the bytes used, not the bytes reserved.
 //!
+//! A small-class superblock is the exception: the fill that carves it
+//! backs its pages at once, since its whole population goes to a bin.
+//!
 //! The time limits sit two orders of magnitude above what a create takes
 //! (≈ 0.5 ms here) and far below what zeroing the same span took
 //! (≈ 0.25 s per 512 MiB): they separate the two designs, not two runs.
 
 use std::time::{Duration, Instant};
 
-use ralloc::{Ralloc, RallocConfig};
+use ralloc::{Ralloc, RallocConfig, SB_SIZE};
 
 const MIB: usize = 1 << 20;
 
@@ -72,4 +75,33 @@ fn four_large_heaps_alive_at_once_create_quickly() {
         assert!(!p.is_null());
         heap.free(p);
     }
+}
+
+/// Residency of each page of `[p, p + len)`. Not an RSS delta: the tests
+/// of this binary run in parallel and share the process's resident set.
+fn resident(p: *const u8, len: usize) -> Vec<bool> {
+    nvm::sys::mincore(p, len).expect("mincore")
+}
+
+#[test]
+fn a_carved_small_superblock_is_backed_and_a_large_block_waits_for_stores() {
+    let heap = Ralloc::create(4 * MIB, growable(4 * MIB, 512 * MIB));
+    let (geo, base) = (heap.geometry(), heap.pool().base());
+    let p = heap.malloc(4096);
+    assert!(!p.is_null());
+    assert_eq!(heap.used_superblocks(), 1, "the first malloc carves");
+    let sb = geo.sb_index_of(p as usize - base as usize).expect("a block in the superblock region");
+    let pages = resident(base.wrapping_add(geo.sb(sb)), SB_SIZE);
+    assert_eq!(pages.len(), 16);
+    assert!(pages.iter().all(|&r| r), "pages of a carved superblock not resident: {pages:?}");
+
+    let span = 4 * SB_SIZE;
+    let big = heap.malloc(span);
+    assert!(!big.is_null());
+    assert!(resident(big, span).iter().all(|&r| !r), "a large block was backed before a store");
+    // SAFETY: the block is ours and `span` bytes long.
+    unsafe { big.add(SB_SIZE).write(1) };
+    assert!(resident(big.wrapping_add(SB_SIZE), 1)[0], "the stored-to page is not resident");
+    heap.free(big);
+    heap.free(p);
 }
