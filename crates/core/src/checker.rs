@@ -173,7 +173,7 @@ pub fn check_heap(heap: &Ralloc) -> CheckReport {
     let mut claimed = vec![false; used];
     for i in 0..used {
         let d = Desc::new(pool, geo, i as u32);
-        if let DescKind::LargeHead { span } = d.classify(geo, used) {
+        if let DescKind::LargeHead { span } = d.classify(used) {
             if d.anchor(Ordering::Relaxed).state == SbState::Full && !on_free.contains(&(i as u32))
             {
                 for k in 0..span {
@@ -187,13 +187,13 @@ pub fn check_heap(heap: &Ralloc) -> CheckReport {
                 }
                 for k in 1..span {
                     let dk = Desc::new(pool, geo, (i + k) as u32);
-                    if dk.classify(geo, used) != DescKind::Continuation {
+                    if dk.classify(used) != DescKind::Continuation {
                         report.violate(
                             "span-integrity",
                             format!(
                                 "live large head {i} spans {span} but desc {} is {:?}",
                                 i + k,
-                                dk.classify(geo, used)
+                                dk.classify(used)
                             ),
                         );
                     }
@@ -209,7 +209,7 @@ pub fn check_heap(heap: &Ralloc) -> CheckReport {
         }
         let d = Desc::new(pool, geo, i);
         let listed_free = on_free.contains(&i);
-        match d.classify(geo, used) {
+        match d.classify(used) {
             DescKind::Small { class } => {
                 let mc = class_max_count(class);
                 let a = d.anchor(Ordering::Relaxed);

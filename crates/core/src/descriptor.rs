@@ -165,10 +165,7 @@ impl<'a> Desc<'a> {
     /// Validate the persisted size identity, as recovery must: a crash may
     /// leave garbage classes in descriptors that were carved but never
     /// initialized. Returns the interpretation recovery should use.
-    pub fn classify(&self, geo: &Geometry, used_sb: usize) -> DescKind {
-        // `geo` is carried for future validations (e.g. per-heap class
-        // tables).
-        let _ = geo;
+    pub fn classify(&self, used_sb: usize) -> DescKind {
         let class = self.size_class();
         let bs = self.block_size();
         if class == CLASS_CONTINUATION {
@@ -265,25 +262,25 @@ mod tests {
         // Valid small.
         let d = Desc::new(&pool, &geo, 0);
         d.set_size(1, 8, 8192, true);
-        assert_eq!(d.classify(&geo, used), DescKind::Small { class: 1 });
+        assert_eq!(d.classify(used), DescKind::Small { class: 1 });
         // Small class with wrong size -> invalid.
         let d = Desc::new(&pool, &geo, 1);
         d.set_size(1, 16, 4096, true);
-        assert_eq!(d.classify(&geo, used), DescKind::Invalid);
+        assert_eq!(d.classify(used), DescKind::Invalid);
         // Zeroed descriptor -> class 0 with size 0 -> invalid.
         let d = Desc::new(&pool, &geo, 2);
-        assert_eq!(d.classify(&geo, used), DescKind::Invalid);
+        assert_eq!(d.classify(used), DescKind::Invalid);
         // Large head spanning 2 superblocks.
         let d = Desc::new(&pool, &geo, 3);
         d.set_size(0, (SB_SIZE + 10) as u64, 0, true);
-        assert_eq!(d.classify(&geo, used), DescKind::LargeHead { span: 2 });
+        assert_eq!(d.classify(used), DescKind::LargeHead { span: 2 });
         // Large head overflowing the used region -> invalid.
         let d = Desc::new(&pool, &geo, 9);
         d.set_size(0, (SB_SIZE * 4) as u64, 0, true);
-        assert_eq!(d.classify(&geo, used), DescKind::Invalid);
+        assert_eq!(d.classify(used), DescKind::Invalid);
         // Continuation sentinel.
         let d = Desc::new(&pool, &geo, 4);
         d.set_size(CLASS_CONTINUATION, 0, 0, true);
-        assert_eq!(d.classify(&geo, used), DescKind::Continuation);
+        assert_eq!(d.classify(used), DescKind::Continuation);
     }
 }

@@ -20,7 +20,7 @@
 //! +0   seq   u32  (ticket + 1; 0 = slot never written)
 //! +4   crc   u32  (FNV-1a over seq and the three payload words)
 //! +8   kind  u16  (telemetry::EventKind discriminant)
-//! +10  tid   u16  (per-process thread token)
+//! +10  tid   u16  (`shard::thread_token`, low 16 bits)
 //! +12  t_ms  u32  (milliseconds since the process's clock origin)
 //! +16  a     u64  (per-kind payload, as in the journal)
 //! +24  b     u64
@@ -67,18 +67,6 @@ fn record_crc(seq: u32, w1: u64, a: u64, b: u64) -> u32 {
     ((h >> 32) ^ h) as u32
 }
 
-/// A small per-thread token for record attribution. Distinct per live
-/// thread within a process; reuses wrap after 65535 threads (diagnostic
-/// labels, not identity).
-pub fn thread_token() -> u16 {
-    use std::sync::atomic::AtomicU16;
-    static NEXT: AtomicU16 = AtomicU16::new(1);
-    thread_local! {
-        static TOKEN: u16 = NEXT.fetch_add(1, Ordering::Relaxed);
-    }
-    TOKEN.with(|t| *t)
-}
-
 /// Initialize (or re-initialize) the ring region of a pool: zero every
 /// slot, then write the ring header. The caller persists the header
 /// (fresh heaps fold it into the metadata persist).
@@ -123,7 +111,7 @@ impl FlightRecorder {
             let seq = (ticket as u32).wrapping_add(1);
             let t_ms = (telemetry::now_ns() / 1_000_000) as u32;
             let w1 = kind as u8 as u64
-                | (thread_token() as u64) << 16
+                | (crate::shard::thread_token() as u16 as u64) << 16
                 | (t_ms as u64) << 32;
             let crc = record_crc(seq, w1, a, b);
             // SAFETY: slot offsets lie inside the always-committed

@@ -5,8 +5,11 @@
 //! The one decision this module owns is the **persist order** of a
 //! frontier move. A [`Frontier`] is a value; the heap holds two
 //! (superblocks, descriptors) running the same code independently, and
-//! nothing else commits or decommits a region or writes a frontier word.
-//! `pub(crate)` surface: [`Frontier`] and [`HeapInner::shrink_quiesced`].
+//! nothing else commits, decommits or releases pool space or writes a
+//! frontier word. Public surface: [`Frontier::pair`] and what an
+//! inspector or a test needs to read a frontier ([`Frontier::len_for_sb`],
+//! [`Frontier::sb_of`], [`Frontier::check`]); the protocol itself and
+//! [`HeapInner::shrink_quiesced`] are `pub(crate)`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -24,17 +27,16 @@ use crate::shard::SHARDS;
 use crate::size_class::{NUM_CLASSES, SB_SIZE};
 use crate::stats::SlowStats;
 
-/// Pool region indices of the heap's partition, in
-/// [`PmemPool::define_regions`] order: metadata, descriptors,
-/// superblocks.
-pub(crate) const REGION_DESC: usize = 1;
-pub(crate) const REGION_SB: usize = 2;
-
 /// One growable region's committed frontier.
 ///
-/// **Grow** (online, cold path), per step: commit the pool region (pure
-/// mapping state, no durable effect) → `fetch_max` the persisted word →
-/// flush + fence it → publish `safe`, releasing carvers into the space.
+/// The superblock frontier ends the pool, so it moves the pool's
+/// committed prefix; the descriptor frontier is accounting over bytes
+/// that prefix always backs (it never drops below the superblock array).
+///
+/// **Grow** (online, cold path), per step: commit the pool prefix if this
+/// frontier is its tail (pure mapping state, no durable effect) →
+/// `fetch_max` the persisted word → flush + fence it → publish `safe`,
+/// releasing carvers into the space.
 /// A crash after the commit loses nothing; after the fence, recovery sees
 /// a larger frontier with `used` still behind it (extra committed space,
 /// never dangling state); only after the publish can a `used` bump
@@ -42,28 +44,27 @@ pub(crate) const REGION_SB: usize = 2;
 /// frontier.
 ///
 /// **Shrink** (quiescent points only) is the mirror image: unpublish →
-/// `fetch_min` the word → flush + fence → decommit, and runs only after
+/// `fetch_min` the word → flush + fence → decommit the pool's tail (or
+/// zero the released descriptors in place), and runs only after
 /// the lowered `used` is itself durable (see
 /// [`HeapInner::shrink_quiesced`]). A crash between the fence and the
 /// decommit leaves the durable word below still-mapped space, which
 /// reopen heals upward from the image.
-pub(crate) struct Frontier {
-    /// What the frontier bounds, for refusal messages.
-    name: &'static str,
-    /// Pool region this frontier commits and decommits.
-    region: usize,
+pub struct Frontier {
+    /// What the frontier bounds, for messages.
+    pub name: &'static str,
     /// Header offset of the persisted frontier word (bytes, absolute).
-    pub(crate) word_off: usize,
+    pub word_off: usize,
     /// Byte offset of the region's unit 0, bytes per superblock covered,
     /// and the largest legal frontier (the region's end).
     base: usize,
     unit: usize,
     end: usize,
     max_sb: usize,
-    /// True for the region that ends the pool: what an image backs of it
-    /// is the image's own length, so its word heals upward on adoption.
-    /// An interior region lies wholly under that prefix and is backed to
-    /// exactly its word.
+    /// True for the region that ends the pool: its steps move the pool's
+    /// committed prefix, and what an image backs of it is the image's own
+    /// length, so its word heals upward on adoption. An interior region
+    /// lies wholly under that prefix and is backed to exactly its word.
     tail: bool,
     /// Event kinds of the commit, publish and decommit steps.
     on_commit: EventKind,
@@ -81,10 +82,9 @@ pub(crate) struct Frontier {
 impl Frontier {
     /// The heap's two frontiers, `[superblocks, descriptors]`, unpublished.
     /// Carve consults them in this order.
-    pub(crate) fn pair(geo: &Geometry) -> [Frontier; 2] {
+    pub fn pair(geo: &Geometry) -> [Frontier; 2] {
         let sb = Frontier {
             name: "superblock",
-            region: REGION_SB,
             word_off: COMMITTED_LEN_OFF,
             base: geo.sb_off,
             unit: SB_SIZE,
@@ -99,7 +99,6 @@ impl Frontier {
         };
         let desc = Frontier {
             name: "descriptor",
-            region: REGION_DESC,
             word_off: DESC_COMMITTED_LEN_OFF,
             base: geo.desc_off,
             unit: DESC_SIZE,
@@ -124,7 +123,7 @@ impl Frontier {
     /// Superblocks fully covered by a frontier of `len` bytes (clamped to
     /// capacity; a partially covered unit does not count).
     #[inline]
-    fn sb_of(&self, len: usize) -> usize {
+    pub fn sb_of(&self, len: usize) -> usize {
         (len.saturating_sub(self.base) / self.unit).min(self.max_sb)
     }
 
@@ -136,7 +135,7 @@ impl Frontier {
 
     /// The frontier (bytes) that covers the first `sbs` superblocks.
     #[inline]
-    pub(crate) fn len_for_sb(&self, sbs: usize) -> usize {
+    pub fn len_for_sb(&self, sbs: usize) -> usize {
         debug_assert!(sbs <= self.max_sb);
         self.base + sbs * self.unit
     }
@@ -168,7 +167,7 @@ impl Frontier {
     /// shrink lowers `used` first). The tail region's image may
     /// legitimately extend *past* the word: a crash image captures the
     /// volatile frontier, the word records the last *fenced* one.
-    pub(crate) fn check(&self, word: usize, len: usize, used: usize) -> Result<usize, String> {
+    pub fn check(&self, word: usize, len: usize, used: usize) -> Result<usize, String> {
         let name = self.name;
         if word < self.base || word > self.end {
             return Err(format!("{name} frontier {word} outside [{}, {}]", self.base, self.end));
@@ -235,7 +234,9 @@ impl Frontier {
                 return true;
             }
             let target = self.len_for_sb((cur_sb * 2).max(need_sb).min(self.max_sb));
-            heap.pool.commit(self.region, target);
+            if self.tail {
+                heap.pool.commit(target);
+            }
             let target = target as u64;
             self.word(&heap.pool).fetch_max(target, Ordering::AcqRel);
             heap.persist(self.word_off, 8);
@@ -247,9 +248,10 @@ impl Frontier {
     }
 
     /// Lower the frontier to cover exactly `sbs` superblocks and release
-    /// the region's tail; a frontier already there has nothing to
-    /// release. Returns the bytes released. Quiescent callers only, and
-    /// only once a `used <= sbs` is durable.
+    /// what it covered beyond them: the pool's tail, or descriptors zeroed
+    /// in place. A frontier already there has nothing to release. Returns
+    /// the bytes released. Quiescent callers only, and only once a
+    /// `used <= sbs` is durable.
     fn shrink_to(&self, heap: &HeapInner, sbs: usize) -> usize {
         let (target, before) = (self.len_for_sb(sbs), self.published());
         if target >= before {
@@ -260,7 +262,11 @@ impl Frontier {
         self.safe.store(target as u64, Ordering::Release);
         self.word(&heap.pool).fetch_min(target as u64, Ordering::AcqRel);
         heap.persist(self.word_off, 8);
-        heap.pool.decommit(self.region, target);
+        if self.tail {
+            heap.pool.decommit(target);
+        } else {
+            heap.pool.release(target, before);
+        }
         heap.emit(self.on_decommit, (before - target) as u64, target as u64);
         before - target
     }
@@ -283,7 +289,8 @@ impl HeapInner {
     ///    durable before any frontier word may drop, so no crash can
     ///    observe a frontier below a persisted `used` superblock;
     /// 3. per frontier, [`Frontier::shrink_to`]: unpublish → `fetch_min`
-    ///    word → flush + fence → decommit.
+    ///    word → flush + fence → decommit (superblocks) or release
+    ///    (descriptors).
     ///
     /// A crash after 2 leaves used' < frontier (extra committed space,
     /// never dangling state); a crash inside 3 leaves one frontier on
@@ -301,7 +308,7 @@ impl HeapInner {
         let mut claimed = vec![false; used];
         for i in 0..used {
             let d = Desc::new(pool, geo, i as u32);
-            if let DescKind::LargeHead { span } = d.classify(geo, used) {
+            if let DescKind::LargeHead { span } = d.classify(used) {
                 if d.anchor(Ordering::Acquire).state == SbState::Full {
                     for k in 0..span {
                         claimed[i + k] = true;

@@ -27,6 +27,8 @@ pub type TraceFn = unsafe fn(addr: usize, tracer: &mut Tracer<'_>);
 /// # Safety
 /// `addr` must be the start of a live block containing a valid `T`.
 pub unsafe fn trace_thunk<T: Trace>(addr: usize, tracer: &mut Tracer<'_>) {
+    // SAFETY: the caller guarantees `addr` starts a live block holding a
+    // valid `T`, so the shared borrow reads an initialized value.
     unsafe { (*(addr as *const T)).trace(tracer) }
 }
 
@@ -197,7 +199,7 @@ impl<'h> Tracer<'h> {
             return None;
         }
         let desc = Desc::new(self.pool, self.geo, sb as u32);
-        match desc.classify(self.geo, self.used_sb) {
+        match desc.classify(self.used_sb) {
             DescKind::Small { class } => {
                 let bsize = class_block_size(class) as usize;
                 let inner = off - self.geo.sb(sb);

@@ -922,7 +922,6 @@ mod batch_tests {
         assert!(heap.slow_stats().heap_grows.load(Ordering::Relaxed) >= 1);
         heap.crash_simulated();
         // Whatever survived: used within frontier, invariants hold.
-        let geo = heap.geometry();
         // SAFETY: metadata words on a quiescent pool.
         let (frontier, used) = unsafe {
             (
@@ -931,7 +930,7 @@ mod batch_tests {
             )
         };
         assert!(
-            used <= geo.committed_sb(frontier),
+            used <= heap.inner.sb_frontier().sb_of(frontier),
             "persisted used {used} outran persisted frontier {frontier}"
         );
         heap.recover();

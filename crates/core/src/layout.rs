@@ -25,7 +25,9 @@
 //! (`DESC_COMMITTED_LEN_OFF` / `COMMITTED_LEN_OFF`) and grow/shrink
 //! through their own instances of the frontier protocol, rather than the
 //! descriptor region being committed wholesale as a side effect of the
-//! superblock frontier.
+//! superblock frontier. [`Geometry`] is a pure function of the reserved
+//! span; what a frontier word covers is [`crate::frontier::Frontier`]'s
+//! arithmetic, not this module's.
 
 use crate::shard::SHARDS;
 use crate::size_class::SB_SIZE;
@@ -177,65 +179,6 @@ impl Geometry {
         sb_off + sbs * SB_SIZE
     }
 
-    // ---- reserve/commit views ----
-    //
-    // Geometry is a pure function of the *reserved* span, so the
-    // desc↔sb shift/mask correspondence never changes as the heap grows;
-    // the committed frontiers only bound how much of the descriptor and
-    // superblock regions is currently backed. Since v5 the two regions
-    // carry *independent* persisted frontiers: the superblock frontier
-    // (`COMMITTED_LEN_OFF`) lives in `[sb_off, pool_len]` and the
-    // descriptor frontier (`DESC_COMMITTED_LEN_OFF`) in
-    // `[desc_off, sb_off]`, so neither is derived from the other through
-    // the region ratio.
-
-    /// The smallest legal *superblock-region* committed frontier: the
-    /// superblock array's base offset (zero superblocks committed). Also
-    /// the smallest physical pool prefix a heap image can have, since
-    /// the metadata and descriptor regions precede the superblock array.
-    #[inline]
-    pub fn min_committed(&self) -> usize {
-        self.sb_off
-    }
-
-    /// The smallest legal *descriptor-region* committed frontier: the
-    /// descriptor array's base offset (zero descriptors committed).
-    #[inline]
-    pub fn min_desc_committed(&self) -> usize {
-        self.desc_off
-    }
-
-    /// Number of descriptors fully covered by a descriptor-region
-    /// frontier of `desc_frontier` bytes (clamped to capacity).
-    #[inline]
-    pub fn desc_committed_sb(&self, desc_frontier: usize) -> usize {
-        (desc_frontier.saturating_sub(self.desc_off) / DESC_SIZE).min(self.max_sb)
-    }
-
-    /// The descriptor-region frontier (bytes) needed to back the first
-    /// `sbs` descriptors. Always `<= sb_off` (the descriptor region's
-    /// alignment slack before the superblock array is never needed).
-    #[inline]
-    pub fn desc_committed_len_for_sb(&self, sbs: usize) -> usize {
-        debug_assert!(sbs <= self.max_sb);
-        self.desc_off + sbs * DESC_SIZE
-    }
-
-    /// Number of superblocks fully covered by a committed frontier of
-    /// `committed_len` bytes (clamped to capacity).
-    #[inline]
-    pub fn committed_sb(&self, committed_len: usize) -> usize {
-        (committed_len.saturating_sub(self.sb_off) / SB_SIZE).min(self.max_sb)
-    }
-
-    /// The committed frontier (bytes) needed to back the first `sbs`
-    /// superblocks.
-    #[inline]
-    pub fn committed_len_for_sb(&self, sbs: usize) -> usize {
-        debug_assert!(sbs <= self.max_sb);
-        self.sb_off + sbs * SB_SIZE
-    }
-
     /// Byte offset of descriptor `i`.
     #[inline]
     pub fn desc(&self, i: usize) -> usize {
@@ -281,6 +224,7 @@ impl Geometry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frontier::Frontier;
 
     #[test]
     fn regions_are_disjoint_and_ordered() {
@@ -331,21 +275,25 @@ mod tests {
         Geometry::from_pool_len(1024);
     }
 
+    /// The superblock frontier's arithmetic over a geometry: what
+    /// [`Frontier::sb_of`] and [`Frontier::len_for_sb`] answer for the
+    /// region that ends the pool.
     #[test]
     fn committed_views_round_trip_and_clamp() {
         let g = Geometry::from_pool_len(64 << 20);
-        assert_eq!(g.committed_sb(g.min_committed()), 0);
-        assert_eq!(g.committed_sb(0), 0, "frontier below sb_off covers nothing");
+        let [sb, _] = Frontier::pair(&g);
+        assert_eq!(sb.len_for_sb(0), g.sb_off, "zero superblocks: the array's base");
+        assert_eq!(sb.sb_of(0), 0, "frontier below sb_off covers nothing");
         for sbs in [0usize, 1, 7, g.max_sb] {
-            let len = g.committed_len_for_sb(sbs);
-            assert_eq!(g.committed_sb(len), sbs);
+            let len = sb.len_for_sb(sbs);
+            assert_eq!(sb.sb_of(len), sbs);
             // A partially-covered superblock does not count.
             if sbs < g.max_sb {
-                assert_eq!(g.committed_sb(len + SB_SIZE - 1), sbs);
+                assert_eq!(sb.sb_of(len + SB_SIZE - 1), sbs);
             }
         }
-        assert_eq!(g.committed_sb(usize::MAX), g.max_sb, "clamped to capacity");
-        assert!(g.committed_len_for_sb(g.max_sb) <= g.pool_len, "full commit fits the pool");
+        assert_eq!(sb.sb_of(usize::MAX), g.max_sb, "clamped to capacity");
+        assert!(sb.len_for_sb(g.max_sb) <= g.pool_len, "full commit fits the pool");
     }
 
     #[test]
@@ -384,23 +332,24 @@ mod tests {
     #[test]
     fn desc_committed_views_round_trip_and_clamp() {
         let g = Geometry::from_pool_len(64 << 20);
-        assert_eq!(g.desc_committed_sb(g.min_desc_committed()), 0);
-        assert_eq!(g.desc_committed_sb(0), 0, "frontier below desc_off covers nothing");
+        let [sb, desc] = Frontier::pair(&g);
+        assert_eq!(desc.len_for_sb(0), g.desc_off, "zero descriptors: the array's base");
+        assert_eq!(desc.sb_of(0), 0, "frontier below desc_off covers nothing");
         for sbs in [0usize, 1, 7, g.max_sb] {
-            let len = g.desc_committed_len_for_sb(sbs);
-            assert_eq!(g.desc_committed_sb(len), sbs);
+            let len = desc.len_for_sb(sbs);
+            assert_eq!(desc.sb_of(len), sbs);
             if sbs < g.max_sb {
                 // A partially-covered descriptor does not count.
-                assert_eq!(g.desc_committed_sb(len + DESC_SIZE - 1), sbs);
+                assert_eq!(desc.sb_of(len + DESC_SIZE - 1), sbs);
             }
         }
-        assert_eq!(g.desc_committed_sb(usize::MAX), g.max_sb, "clamped to capacity");
+        assert_eq!(desc.sb_of(usize::MAX), g.max_sb, "clamped to capacity");
         assert!(
-            g.desc_committed_len_for_sb(g.max_sb) <= g.sb_off,
+            desc.len_for_sb(g.max_sb) <= g.sb_off,
             "full descriptor commit fits before the superblock array"
         );
         // The two regions' frontier domains only meet at sb_off.
-        assert!(g.min_desc_committed() < g.min_committed());
+        assert!(desc.len_for_sb(0) < sb.len_for_sb(0));
     }
 
     #[test]

@@ -40,11 +40,13 @@
 //! | `tcache` | §4.2/§4.4 | transient thread-local caches |
 //! | [`heap`] | §4.1–§4.4 | shared state + the `Ralloc` handle: malloc/free/roots/close |
 //! | `open` | §4.1 | create / open / adopt an image |
-//! | `frontier` | §4.3 | the committed-frontier grow/shrink protocol |
+//! | [`frontier`] | §4.3 | the committed-frontier grow/shrink protocol |
 //! | `fill`, `flush`, `large` | §4.4 | the malloc/free slow paths |
 //! | `config`, `stats` | — | `RallocConfig`, `SlowStats` |
 //! | [`gc`] | §4.5.1 | filter functions & tracing |
 //! | [`recovery`] | §4.5 | offline GC + shard-aware reconstruction |
+
+#![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod anchor;
 pub mod checker;
@@ -53,7 +55,7 @@ pub mod descriptor;
 mod fill;
 pub mod flight;
 mod flush;
-mod frontier;
+pub mod frontier;
 pub mod gc;
 pub mod heap;
 mod large;

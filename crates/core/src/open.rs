@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use nvm::{PmemPool, PoolGuard, RegionSpec, CACHE_LINE};
+use nvm::{PmemPool, PoolGuard, CACHE_LINE};
 use telemetry::{EventKind, Journal, Registry};
 
 use crate::config::{self, RallocConfig, JOURNAL_CAP};
@@ -169,7 +169,8 @@ impl Ralloc {
         let reserved = Geometry::pool_len_for_capacity(max_cap);
         let geo = Geometry::from_pool_len(reserved);
         let init_sb = init_cap.div_ceil(SB_SIZE).clamp(1, geo.max_sb);
-        (reserved, geo.committed_len_for_sb(init_sb))
+        let [sb, _] = Frontier::pair(&geo);
+        (reserved, sb.len_for_sb(init_sb))
     }
 
     /// The paper's `init(path, size)`: map the heap file if it exists
@@ -248,10 +249,12 @@ impl Ralloc {
 
     fn fresh(pool: PmemPool, cfg: &RallocConfig) -> Ralloc {
         let geo = Geometry::from_pool_len(pool.len());
-        // A fresh physical prefix reaches the superblock array's base (the
+        let frontiers = Frontier::pair(&geo);
+        let [sb, desc] = &frontiers;
+        // A fresh pool prefix reaches the superblock array's base (the
         // smallest legal superblock frontier): it is either planned by
         // `capacity_plan` (>= one superblock) or a whole non-heap image.
-        assert!(pool.committed_len() >= geo.min_committed(), "fresh pool too short");
+        assert!(pool.committed_len() >= sb.len_for_sb(0), "fresh pool too short");
         flight::init_ring(&pool);
         // SAFETY: fresh pool, exclusive access, metadata offsets in bounds.
         unsafe {
@@ -264,8 +267,6 @@ impl Ralloc {
         // The descriptor region starts committed in lockstep with the
         // initially committed superblocks; from here on the two
         // frontiers advance and retreat independently.
-        let frontiers = Frontier::pair(&geo);
-        let [sb, desc] = &frontiers;
         sb.init(&pool, pool.committed_len());
         desc.init(&pool, desc.len_for_sb(sb.covered_sb()));
         let heap = Self::build(pool, geo, cfg, frontiers, FlightScan::default());
@@ -305,24 +306,13 @@ impl Ralloc {
     /// Wire a pool whose header is written (fresh) or validated (adopted)
     /// and whose `frontiers` are published into a live heap.
     fn build(
-        mut pool: PmemPool,
+        pool: PmemPool,
         geo: Geometry,
         cfg: &RallocConfig,
         frontiers: [Frontier; 2],
         preopen_flight: FlightScan,
     ) -> Ralloc {
         let cfg = cfg.with_env();
-        // Everything under a published frontier is durable at build time
-        // (fresh: about to be persisted before first use; adopted: backed
-        // by the image), so carving may use all of it. The pool learns
-        // the three-region tiling here, so every later commit and
-        // decommit is region-scoped.
-        let [sb, desc] = &frontiers;
-        pool.define_regions(&[
-            RegionSpec { start: 0, end: META_SIZE, committed: META_SIZE },
-            RegionSpec { start: META_SIZE, end: geo.sb_off, committed: desc.published() },
-            RegionSpec { start: geo.sb_off, end: pool.len(), committed: sb.published() },
-        ]);
         let telemetry = Registry::new();
         let slow = SlowStats::registered(&telemetry);
         let flight =

@@ -248,13 +248,13 @@ pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
     let mut claimed = vec![false; used];
     for i in 0..used {
         let d = Desc::new(pool, geo, i as u32);
-        if let DescKind::LargeHead { span } = d.classify(geo, used) {
+        if let DescKind::LargeHead { span } = d.classify(used) {
             if !marks.is_marked(i, 0) {
                 continue;
             }
             let conflict = (1..span).any(|k| {
                 let dk = Desc::new(pool, geo, (i + k) as u32);
-                dk.classify(geo, used) != DescKind::Continuation || marks.counts[i + k] != 0
+                dk.classify(used) != DescKind::Continuation || marks.counts[i + k] != 0
             });
             if conflict {
                 stats.rejected_large_phantoms += 1;
@@ -269,7 +269,7 @@ pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
     // Small-block bytes, recomputed from the merged mark counts.
     for i in 0..used {
         let d = Desc::new(pool, geo, i as u32);
-        if let DescKind::Small { class } = d.classify(geo, used) {
+        if let DescKind::Small { class } = d.classify(used) {
             stats.reachable_bytes += marks.counts[i] as u64 * class_block_size(class) as u64;
         }
     }
@@ -392,7 +392,7 @@ fn sweep_range(
             fulls += 1;
             continue;
         }
-        match d.classify(geo, used) {
+        match d.classify(used) {
             DescKind::Small { class } => {
                 let mc = class_max_count(class);
                 let bsize = class_block_size(class) as usize;

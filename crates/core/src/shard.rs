@@ -29,9 +29,9 @@
 //!   needed; the cost is bounded by `SHARDS - 1` extra head loads when
 //!   everything is empty.
 //!
-//! The shard count is a constant ([`SHARDS`]): below 4 the ledger's
-//! `churn` loses 2.3–2.8×, 16 buys nothing over 4 and costs 20 % of
-//! `fastpath`'s setup (README, verdict table). The metadata region keeps
+//! The shard count is a constant ([`SHARDS`]): at 1 the ledger's `churn`
+//! loses 15 %, 2 reads like 4 on a 2-core host, and 16 buys nothing over
+//! 4 and costs 20 % of `fastpath`'s setup (README, verdict table). The metadata region keeps
 //! 16 head slots per class, the first [`SHARDS`] of which are the lists;
 //! the rest is padding that keeps every later offset where it was. The
 //! shards are transient like the global list they replace: recovery
@@ -59,7 +59,8 @@ thread_local! {
     static THREAD_TOKEN: u64 = NEXT_THREAD_TOKEN.fetch_add(1, Ordering::Relaxed);
 }
 
-/// This thread's shard-placement token (stable for the thread's life).
+/// This thread's token (stable for the thread's life): its shard
+/// placement, and the `tid` of its flight records (low 16 bits).
 #[inline]
 pub fn thread_token() -> u64 {
     THREAD_TOKEN.with(|t| *t)

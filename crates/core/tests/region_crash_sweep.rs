@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use nvm::{CrashInjector, CrashPoint};
-use ralloc::layout::{COMMITTED_LEN_OFF, DESC_COMMITTED_LEN_OFF};
+use ralloc::frontier::Frontier;
 use ralloc::{check_heap, Mode, Ralloc, RallocConfig};
 
 const SENTINEL_WORDS: usize = 8;
@@ -109,22 +109,20 @@ fn recover_and_account(image: &[u8], budget: u64) {
     // frontier already on `used` and only the descriptor frontier above
     // it — both durable frontiers must land exactly on the recovered
     // `used`.
-    let (geo, used) = (heap.geometry(), heap.used_superblocks());
+    let used = heap.used_superblocks();
+    let [sb, desc] = Frontier::pair(&heap.geometry());
     // SAFETY: header words of a quiescent heap.
     let (sb_word, desc_word) = unsafe {
-        (
-            heap.pool().read_u64(COMMITTED_LEN_OFF) as usize,
-            heap.pool().read_u64(DESC_COMMITTED_LEN_OFF) as usize,
-        )
+        (heap.pool().read_u64(sb.word_off) as usize, heap.pool().read_u64(desc.word_off) as usize)
     };
     assert_eq!(
         sb_word,
-        geo.committed_len_for_sb(used),
+        sb.len_for_sb(used),
         "budget {budget}: superblock frontier left above used ({used})"
     );
     assert_eq!(
         desc_word,
-        geo.desc_committed_len_for_sb(used),
+        desc.len_for_sb(used),
         "budget {budget}: descriptor frontier left above used ({used})"
     );
 

@@ -22,10 +22,11 @@
 //!   number of flush/fence events so tests can explore mid-operation crash
 //!   points exhaustively or randomly.
 //!
-//! The volatile image can be saved to / loaded from a file, standing in for
-//! a DAX file system segment: a *clean* shutdown writes the full image,
-//! while [`PmemPool::persistent_image`] is the shadow image (what real
-//! NVM would contain after a power failure).
+//! [`PmemPool::map_file`] stands in for a DAX file system segment: the
+//! pool *is* a `MAP_SHARED` file, so every store reaches the page cache
+//! and survives the death of the process with no save step. A simulated
+//! pool's way out is [`PmemPool::persistent_image`], the shadow image
+//! (what real NVM would contain after a power failure).
 //!
 //! ## Memory model caveats (documented deviations)
 //!
@@ -47,7 +48,7 @@ pub mod sys;
 
 pub use crash::{CrashAction, CrashInjector, CrashPoint, CRASH_POINT_MSG};
 pub use flush::FlushModel;
-pub use pool::{CrashStyle, Mode, PmemPool, PoolGuard, RegionSpec};
+pub use pool::{CrashStyle, Mode, PmemPool, PoolGuard};
 pub use stats::PmemStats;
 
 /// Cache line size assumed throughout: flush granularity, descriptor

@@ -65,28 +65,6 @@ impl TrackState {
     }
 }
 
-/// A caller-defined sub-span of the pool for [`PmemPool::define_regions`]:
-/// `[start, end)` with its own initial committed frontier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RegionSpec {
-    /// First byte of the region (inclusive).
-    pub start: usize,
-    /// One past the last byte of the region (exclusive).
-    pub end: usize,
-    /// Initial committed frontier, `start <= committed <= end`.
-    pub committed: usize,
-}
-
-/// A live region: a fixed sub-span with an independently movable
-/// committed frontier. Regions are ordered, so the last one's frontier
-/// is the physical pool prefix and an interior one's is accounting over
-/// bytes that prefix already backs.
-struct Region {
-    start: usize,
-    end: usize,
-    committed: AtomicUsize,
-}
-
 fn raw_fd(f: &fs::File) -> i32 {
     use std::os::fd::AsRawFd;
     f.as_raw_fd()
@@ -170,18 +148,15 @@ impl PoolGuard {
 /// cost system calls and work in proportion to the bytes *used*, never to
 /// the bytes reserved.
 ///
-/// The span is always partitioned into ordered, contiguous **regions**,
-/// each with its own committed frontier. A new pool is one region
-/// covering the whole span; [`PmemPool::define_regions`] splits it once.
-/// [`PmemPool::commit`] raises a region's frontier and
-/// [`PmemPool::decommit`] lowers it — the only two ways a frontier
-/// moves. The *last* region's frontier is the physical prefix
+/// The pool knows one frontier: its **committed prefix**
 /// ([`PmemPool::committed_len`]: the mapped pages, the file length, what
-/// flushes and crash images cover); raising it maps the pages it has not
-/// reached before with one `mmap`. Interior regions lie under that
-/// prefix, so their frontiers only gate access
-/// ([`PmemPool::check_range`]) and say which bytes a decommit must drop.
-/// Pools built through [`PmemPool::new`] are fully committed.
+/// accesses, flushes and crash images may cover). [`PmemPool::commit`]
+/// raises it, mapping the pages it has not reached before with one
+/// `mmap`, and [`PmemPool::decommit`] lowers it — the only two ways it
+/// moves. A caller that keeps a frontier of its own over bytes under the
+/// prefix (the heap's descriptor array) gives a range back with
+/// [`PmemPool::release`], which zeroes it in place. Pools built through
+/// [`PmemPool::new`] are fully committed.
 ///
 /// ## What backs the committed prefix
 ///
@@ -209,15 +184,13 @@ impl PoolGuard {
 /// and in what a released tail becomes.
 pub struct PmemPool {
     span: Reservation,
-    /// The partition of the span: ordered, contiguous, tiling it. One
-    /// region until [`PmemPool::define_regions`] splits it. The last
-    /// region's frontier is the *physical* committed frontier (the
-    /// backed prefix; the file length for mapped pools).
-    regions: Box<[Region]>,
+    /// The committed frontier: the backed prefix (the file length for
+    /// mapped pools).
+    committed: AtomicUsize,
     /// The locked file mapped over the committed prefix, held for the
     /// pool's lifetime; `None` for simulated NVM (anonymous pages).
     file: Option<PoolGuard>,
-    /// Page-aligned end of the mapped prefix (`>=` the physical
+    /// Page-aligned end of the mapped prefix (`>=` the committed
     /// frontier; equal to its page for a file). The lock serializes
     /// mapping and file-length changes against each other (the frontier
     /// word itself stays lock-free for readers).
@@ -233,9 +206,9 @@ pub struct PmemPool {
 
 // SAFETY: the pool hands out raw pointers and the collaborating allocator
 // performs all concurrent access through atomics; the pool's own mutable
-// state is behind a Mutex. `crash` and `decommit` require external
-// quiescence, which the allocator layer guarantees (recovery is offline,
-// paper §3).
+// state is behind a Mutex. `crash`, `decommit` and `release` require
+// external quiescence, which the allocator layer guarantees (recovery is
+// offline, paper §3).
 unsafe impl Send for PmemPool {}
 unsafe impl Sync for PmemPool {}
 
@@ -316,7 +289,7 @@ impl PmemPool {
         };
         let pool = PmemPool {
             span: Reservation::reserve(len)?,
-            regions: [Region { start: 0, end: len, committed: AtomicUsize::new(committed) }].into(),
+            committed: AtomicUsize::new(committed),
             file,
             mapped: Mutex::new(0),
             mode,
@@ -398,68 +371,15 @@ impl PmemPool {
         self.len() == 0
     }
 
-    /// The *physical* committed frontier (the last region's): bytes
-    /// `0..committed_len()` are backed; flushes and crash imaging are
-    /// confined to them. Fine-grained usability is further gated by the
-    /// per-region frontiers (see [`PmemPool::check_range`]).
+    /// The committed frontier: bytes `0..committed_len()` are backed, and
+    /// accesses, flushes and crash images are confined to them.
     #[inline]
     pub fn committed_len(&self) -> usize {
-        self.tail().committed.load(Ordering::Acquire)
+        self.committed.load(Ordering::Acquire)
     }
 
-    /// The last region: the one whose frontier is the physical prefix.
-    #[inline]
-    fn tail(&self) -> &Region {
-        &self.regions[self.regions.len() - 1]
-    }
-
-    // ---- regions ----
-
-    /// Split the (so far single-region) span into independently
-    /// committed regions.
-    ///
-    /// Regions must be ordered, contiguous, and tile the whole span;
-    /// each initial frontier must lie within its region, and the *last*
-    /// region's frontier must equal the current physical frontier (it
-    /// carries the physical prefix; interior regions are backed by
-    /// virtue of lying under it, and their frontiers are access-gating
-    /// accounting with the same grow/shrink protocol obligations).
-    ///
-    /// Callable at most once.
-    pub fn define_regions(&mut self, specs: &[RegionSpec]) {
-        assert_eq!(self.regions.len(), 1, "pool regions already defined");
-        assert!(!specs.is_empty(), "empty region partition");
-        let mut prev_end = 0usize;
-        for s in specs {
-            assert_eq!(s.start, prev_end, "regions must tile the span without gaps");
-            assert!(s.end > s.start, "empty region {s:?}");
-            assert!(s.end <= self.len(), "region {s:?} exceeds reserved span {}", self.len());
-            assert!(
-                s.committed >= s.start && s.committed <= s.end,
-                "region frontier out of bounds: {s:?}"
-            );
-            prev_end = s.end;
-        }
-        assert_eq!(prev_end, self.len(), "regions must cover the reserved span");
-        let last = specs.last().unwrap();
-        assert_eq!(
-            line_up(last.committed.max(CACHE_LINE)),
-            self.committed_len(),
-            "last region's frontier must equal the physical prefix"
-        );
-        self.regions = specs
-            .iter()
-            .map(|s| Region {
-                start: s.start,
-                end: s.end,
-                committed: AtomicUsize::new(line_up(s.committed).min(s.end)),
-            })
-            .collect();
-    }
-
-    /// Grow region `idx`'s committed frontier to at least `new_len`
-    /// (absolute bytes, rounded up to a cache line). Monotonic — a
-    /// smaller request is a no-op — and never past the region's end.
+    /// Grow the committed prefix to at least `new_len` bytes (rounded up
+    /// to a cache line). Monotonic — a smaller request is a no-op.
     /// Returns the resulting frontier.
     ///
     /// Committing only makes memory *usable*: an anonymous page takes
@@ -469,52 +389,44 @@ impl PmemPool {
     /// frontier word before relying on the new space).
     ///
     /// # Panics
-    /// If `new_len` lies outside the region.
-    pub fn commit(&self, idx: usize, new_len: usize) -> usize {
-        let r = &self.regions[idx];
+    /// If `new_len` exceeds the reserved span.
+    pub fn commit(&self, new_len: usize) -> usize {
         let new_len = line_up(new_len);
-        assert!(
-            new_len >= r.start && new_len <= r.end,
-            "commit({idx}, {new_len}) outside region [{}, {})",
-            r.start,
-            r.end
-        );
-        if idx == self.regions.len() - 1 && new_len > r.committed.load(Ordering::Acquire) {
-            // Only the last region's frontier can outrun the physical
-            // prefix. Map the new pages (extending a file first) *before*
-            // publishing the frontier, so no store can target pages that
-            // aren't backed yet. The lock serializes concurrent grows
-            // (and the shrink path) — a racing grow re-mapping pages
-            // another already published would wipe them — and the
-            // frontier is published under it, so a later, smaller
-            // request sees it before it would size the file. The
-            // file-length invariant means a kill anywhere in here leaves
-            // file_len >= every published frontier, which reopen heals
-            // from the durable word.
-            let mut mapped = self.mapped.lock();
-            if new_len > r.committed.load(Ordering::Acquire) {
-                self.map_to(&mut mapped, new_len).expect("pool commit failed");
-            }
-            return r.committed.fetch_max(new_len, Ordering::AcqRel).max(new_len);
+        assert!(new_len <= self.len(), "commit({new_len}) beyond the reserved span {}", self.len());
+        let cur = self.committed_len();
+        if new_len <= cur {
+            return cur;
         }
-        r.committed.fetch_max(new_len, Ordering::AcqRel).max(new_len)
+        // Map the new pages (extending a file first) *before* publishing
+        // the frontier, so no store can target pages that aren't backed
+        // yet. The lock serializes concurrent grows (and the shrink path)
+        // — a racing grow re-mapping pages another already published
+        // would wipe them — and the frontier is published under it, so a
+        // later, smaller request sees it before it would size the file.
+        // The file-length invariant means a kill anywhere in here leaves
+        // file_len >= every published frontier, which reopen heals from
+        // the durable word.
+        let mut mapped = self.mapped.lock();
+        if new_len > self.committed_len() {
+            self.map_to(&mut mapped, new_len).expect("pool commit failed");
+        }
+        self.committed.fetch_max(new_len, Ordering::AcqRel).max(new_len)
     }
 
-    /// Shrink region `idx`'s committed frontier to `new_len` (absolute
-    /// bytes, rounded up to a cache line and to the region's start),
-    /// releasing the region's tail. A growing request is a no-op
+    /// Shrink the committed prefix to `new_len` bytes (rounded up to a
+    /// cache line), releasing the tail. A growing request is a no-op
     /// (mirroring [`PmemPool::commit`]'s monotonicity in the other
-    /// direction). Returns the resulting frontier.
+    /// direction). Returns the resulting frontier. Like
+    /// [`PmemPool::release`], one [`CrashInjector`] event.
     ///
     /// A later commit over the released range reads zeros, exactly like
-    /// never-committed reservation. Anonymous pages (and every interior
-    /// region: its range stays under the pool prefix) are zeroed by
-    /// stores and keep their pages for that commit — the cost is a
-    /// `memset` of the pages that were ever stored to; their memory, and
-    /// that of every page [`PmemPool::prefault`] backed, goes back to the
-    /// OS when the pool is dropped. A file's tail (last
-    /// region) is unmapped into bare reservation — only the rest of the
-    /// frontier's own page is zeroed — and the file truncated.
+    /// never-committed reservation. Anonymous pages are zeroed by stores
+    /// and keep their pages for that commit — the cost is a `memset` of
+    /// the pages that were ever stored to; their memory, and that of
+    /// every page [`PmemPool::prefault`] backed, goes back to the OS when
+    /// the pool is dropped. A file's tail is unmapped into bare
+    /// reservation — only the rest of the frontier's own page is zeroed —
+    /// and the file truncated.
     ///
     /// In [`Mode::Tracked`] the released range is also dropped from the
     /// persistent image: pending (flushed-unfenced) lines in it are
@@ -527,18 +439,15 @@ impl PmemPool {
     /// caller's business — the allocator persists its frontier word
     /// *before* decommitting, so a crash at any point leaves a frontier
     /// at least as large as every persisted use of the space.
-    pub fn decommit(&self, idx: usize, new_len: usize) -> usize {
-        let r = &self.regions[idx];
-        let new_len = line_up(new_len.max(r.start).max(CACHE_LINE));
-        if let Some(inj) = &self.injector {
-            inj.on_event();
-        }
-        let cur = r.committed.fetch_min(new_len, Ordering::AcqRel);
+    pub fn decommit(&self, new_len: usize) -> usize {
+        let new_len = line_up(new_len.max(CACHE_LINE));
+        self.crash_point();
+        let cur = self.committed.fetch_min(new_len, Ordering::AcqRel);
         if new_len >= cur {
             return cur; // monotone in the shrink direction: no-op
         }
-        let (true, Some(guard)) = (idx == self.regions.len() - 1, &self.file) else {
-            self.release(new_len, cur);
+        let Some(guard) = &self.file else {
+            self.zero(new_len, cur);
             return new_len;
         };
         // Return a file's tail pages to bare reservation, then truncate
@@ -555,19 +464,38 @@ impl PmemPool {
         new_len
     }
 
-    /// Drop `[lo, hi)` from the volatile image, the pending flushes and
-    /// the shadow by zeroing it in place, so that it reads zero when
-    /// next committed; its pages stay mapped.
-    fn release(&self, lo: usize, hi: usize) {
-        // SAFETY: the range lies in the mapped prefix and the frontier
-        // was already lowered below it; quiescence is the caller's
-        // contract.
+    /// Give back `[lo, hi)`, cache-line aligned and under the committed
+    /// prefix, without moving the frontier: it is zeroed in place — in
+    /// the volatile image and, in [`Mode::Tracked`], in the pending
+    /// flushes and the shadow — so it reads zero from then on, through a
+    /// crash too; its pages stay mapped. Like [`PmemPool::decommit`], one
+    /// [`CrashInjector`] event, and the caller must be quiescent.
+    pub fn release(&self, lo: usize, hi: usize) {
+        debug_assert!(lo.is_multiple_of(CACHE_LINE) && hi.is_multiple_of(CACHE_LINE));
+        debug_assert!(lo <= hi && self.check_range(lo, hi - lo));
+        self.crash_point();
+        self.zero(lo, hi);
+    }
+
+    /// Zero `[lo, hi)` in the volatile image, the pending flushes and the
+    /// shadow.
+    fn zero(&self, lo: usize, hi: usize) {
+        // SAFETY: the range lies in the mapped prefix and no frontier
+        // covers it any more; quiescence is the caller's contract.
         unsafe { self.span.zero(lo, hi) };
         if let Some(t) = &self.tracked {
             let mut st = t.lock();
             st.pending.retain(|line, _| line + CACHE_LINE <= lo || *line >= hi);
             // SAFETY: all of the shadow is mapped and ours under the lock.
             unsafe { st.shadow.zero(lo, hi) };
+        }
+    }
+
+    /// One persistence event for the crash injector, if any.
+    #[inline]
+    fn crash_point(&self) {
+        if let Some(inj) = &self.injector {
+            inj.on_event();
         }
     }
 
@@ -588,23 +516,11 @@ impl PmemPool {
         self.crashes.load(Ordering::Relaxed)
     }
 
-    /// True if `off..off+len` lies within *committed* space. Always
-    /// bounded by the physical prefix; a range falling inside a single
-    /// region is further gated by that region's own frontier
-    /// (uncommitted region tail is out of range even though it may be
-    /// physically backed under the prefix), while a range spanning
-    /// regions is a bulk operation — wholesale write-back — gated by the
-    /// physical prefix alone.
+    /// True if `off..off+len` lies within the committed prefix.
     #[inline]
     pub fn check_range(&self, off: usize, len: usize) -> bool {
         let committed = self.committed_len();
-        if off > committed || len > committed - off {
-            return false;
-        }
-        match self.regions.iter().find(|r| off >= r.start && off < r.end) {
-            Some(r) if off + len <= r.end => off + len <= r.committed.load(Ordering::Acquire),
-            _ => true,
-        }
+        off <= committed && len <= committed - off
     }
 
     /// Raw pointer to offset `off`.
@@ -668,9 +584,7 @@ impl PmemPool {
         let first = line_down(off);
         let last = line_up(off + len);
         let lines = (last - first) / CACHE_LINE;
-        if let Some(inj) = &self.injector {
-            inj.on_event();
-        }
+        self.crash_point();
         match &self.tracked {
             // The data already lives in (cache-coherent) DRAM; only
             // compile-time order the stores.
@@ -702,9 +616,7 @@ impl PmemPool {
 
     /// `sfence`-equivalent: all previously flushed lines become persistent.
     pub fn fence(&self) {
-        if let Some(inj) = &self.injector {
-            inj.on_event();
-        }
+        self.crash_point();
         match &self.tracked {
             None => std::sync::atomic::fence(Ordering::SeqCst),
             Some(tracked) => {
@@ -884,6 +796,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(feature = "telemetry-off", ignore = "asserts PmemStats counters, which are compiled out")]
     fn flush_spans_multiple_lines() {
         let pool = PmemPool::new(4096, Mode::Tracked);
         write_bytes(&pool, 60, &[5; 8]); // straddles line 0 and line 64
@@ -982,6 +895,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(feature = "telemetry-off", ignore = "asserts PmemStats counters, which are compiled out")]
     fn stats_count_flushes_and_fences() {
         let pool = PmemPool::new(4096, Mode::Direct);
         pool.flush(0, 1);
@@ -1000,20 +914,20 @@ mod tests {
         assert_eq!(pool.committed_len(), 4096);
         assert!(pool.check_range(0, 4096));
         assert!(!pool.check_range(4096, 1), "uncommitted tail must be out of range");
-        assert_eq!(pool.commit(0, 8192), 8192);
+        assert_eq!(pool.commit(8192), 8192);
         assert!(pool.check_range(4096, 4096));
         // Shrinking requests are no-ops (frontier is monotone).
-        assert_eq!(pool.commit(0, 4096), 8192);
+        assert_eq!(pool.commit(4096), 8192);
         assert_eq!(pool.committed_len(), 8192);
         // Committed space is zeroed like the rest of the pool.
         assert_eq!(read_byte(&pool, 8191), 0);
     }
 
     #[test]
-    #[should_panic(expected = "outside region")]
+    #[should_panic(expected = "beyond the reserved span")]
     fn commit_beyond_reserved_panics() {
         let pool = PmemPool::with_reserve(1 << 16, 4096, Mode::Direct, FlushModel::free(), None);
-        pool.commit(0, (1 << 16) + 64);
+        pool.commit((1 << 16) + 64);
     }
 
     #[test]
@@ -1029,7 +943,7 @@ mod tests {
         write_bytes(&pool, 128, &[7; 8]);
         pool.persist(128, 8);
         assert_eq!(pool.persistent_image().len(), 4096, "image = committed prefix");
-        pool.commit(0, 8192);
+        pool.commit(8192);
         write_bytes(&pool, 4096, &[9; 8]); // committed but never flushed
         pool.crash();
         assert_eq!(read_byte(&pool, 128), 7, "persisted line survives");
@@ -1047,7 +961,7 @@ mod tests {
         let file = dir.join("grown.img");
         {
             let pool = map(&file, 1 << 20, 4096);
-            pool.commit(0, 12288);
+            pool.commit(12288);
             write_bytes(&pool, 8192, b"tail");
         }
         assert_eq!(std::fs::metadata(&file).unwrap().len(), 12288, "file = frontier");
@@ -1056,7 +970,7 @@ mod tests {
         assert_eq!(pool.committed_len(), 12288, "frontier = file length");
         assert_eq!(read_byte(&pool, 8192), b't');
         // The tail stays growable.
-        pool.commit(0, 1 << 20);
+        pool.commit(1 << 20);
         assert!(pool.check_range(0, 1 << 20));
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1064,59 +978,65 @@ mod tests {
     #[test]
     fn decommit_releases_tail_and_regrow_reads_zero_pages() {
         let pool = PmemPool::with_reserve(1 << 20, 4096, Mode::Tracked, FlushModel::free(), None);
-        pool.commit(0, 16384);
+        pool.commit(16384);
         write_bytes(&pool, 8192, &[0xAA; 64]);
         pool.persist(8192, 64);
         assert_eq!(pool.committed_len(), 16384);
         // Shrink back below the persisted data.
-        assert_eq!(pool.decommit(0, 4096), 4096);
+        assert_eq!(pool.decommit(4096), 4096);
         assert_eq!(pool.committed_len(), 4096);
         assert!(!pool.check_range(4096, 1), "released tail must be out of range");
         assert_eq!(pool.persistent_image().len(), 4096, "image = shrunken prefix");
         // Growing requests through decommit are no-ops.
-        assert_eq!(pool.decommit(0, 1 << 20), 4096);
+        assert_eq!(pool.decommit(1 << 20), 4096);
         // Recommit: the released range reads zero, in both the volatile
         // image and the persistent shadow.
-        pool.commit(0, 16384);
+        pool.commit(16384);
         assert_eq!(read_byte(&pool, 8192), 0, "stale volatile data resurrected");
         pool.crash();
         assert_eq!(read_byte(&pool, 8192), 0, "stale shadow data resurrected");
     }
 
-    /// The heap's shape in small: metadata | descriptors (interior) |
-    /// superblocks (last, carries the physical prefix).
-    const REGIONS: [(usize, usize); 3] = [(0, 8192), (8192, 128 << 10), (128 << 10, 1 << 20)];
+    /// The heap's shape in small: an interior range (the descriptor
+    /// array) from `INTERIOR` lies under the committed prefix, whose tail
+    /// (the superblocks) starts at `TAIL`.
+    const INTERIOR: usize = 8192;
+    const TAIL: usize = 128 << 10;
 
-    /// Fill region `idx` up to the unaligned frontier `hi`, release it
-    /// down to the unaligned `lo`, re-commit, and check every byte: the
-    /// kept prefix intact, the released range zero — before and, in
+    /// Fill the pool from `INTERIOR` or `TAIL` up to its frontier, give
+    /// back the unaligned `[lo, hi)` — a tail through `decommit` and a
+    /// re-commit, an interior range through `release` — and check every
+    /// byte: the kept prefix (and, for an interior range, everything
+    /// above it) intact, the released range zero — before and, in
     /// tracked mode, after a crash (the shadow must not resurrect it).
-    fn release_and_regrow(mut pool: PmemPool, idx: usize, lo: usize, hi: usize) {
-        let start = REGIONS[idx].0;
+    fn release_and_regrow(pool: PmemPool, tail: bool, lo: usize, hi: usize) {
         assert!(!lo.is_multiple_of(4096) && !hi.is_multiple_of(4096));
         assert!(lo.is_multiple_of(64) && hi.is_multiple_of(64));
-        let specs: Vec<RegionSpec> = REGIONS
-            .iter()
-            .map(|&(start, end)| RegionSpec { start, end, committed: start.max(4096) })
-            .collect();
-        pool.commit(0, REGIONS[2].0.max(4096));
-        pool.define_regions(&specs);
-        assert_eq!(pool.commit(idx, hi), hi);
-        write_bytes(&pool, start, &vec![0xAA; hi - start]);
-        pool.persist(start, hi - start);
+        let start = if tail { TAIL } else { INTERIOR };
+        let end = if tail { hi } else { TAIL };
+        assert_eq!(pool.commit(end), end);
+        write_bytes(&pool, start, &vec![0xAA; end - start]);
+        pool.persist(start, end - start);
         let mapped = *pool.mapped.lock();
-        assert_eq!(pool.decommit(idx, lo), lo);
-        assert!(!pool.check_range(lo, 1), "released range must be out of range");
+        if tail {
+            assert_eq!(pool.decommit(lo), lo);
+            assert!(!pool.check_range(lo, 1), "released tail must be out of range");
+        } else {
+            pool.release(lo, hi);
+            assert_eq!(pool.committed_len(), end, "an interior release moved the frontier");
+        }
         // Only a file's tail gives pages up; everything else is recycled.
-        let unmapped = pool.file.is_some() && idx == REGIONS.len() - 1;
+        let unmapped = pool.file.is_some() && tail;
         assert_eq!(*pool.mapped.lock(), if unmapped { page_up(lo) } else { mapped });
         let check = |what: &str| {
-            let bytes = unsafe { std::slice::from_raw_parts(pool.base().add(start), hi - start) };
-            let (kept, released) = bytes.split_at(lo - start);
-            assert!(kept.iter().all(|&b| b == 0xAA), "{what}: bytes below the frontier changed");
+            let bytes = unsafe { std::slice::from_raw_parts(pool.base().add(start), end - start) };
+            let (kept, rest) = bytes.split_at(lo - start);
+            let (released, above) = rest.split_at(hi - lo);
+            assert!(kept.iter().all(|&b| b == 0xAA), "{what}: bytes below the release changed");
             assert!(released.iter().all(|&b| b == 0), "{what}: released bytes resurrected");
+            assert!(above.iter().all(|&b| b == 0xAA), "{what}: bytes above the release changed");
         };
-        assert_eq!(pool.commit(idx, hi), hi);
+        assert_eq!(pool.commit(end), end);
         check("volatile image");
         if pool.mode() == Mode::Tracked {
             pool.crash();
@@ -1130,19 +1050,19 @@ mod tests {
 
     #[test]
     fn unaligned_tail_release_regrows_zero_and_keeps_the_prefix() {
-        let (lo, hi) = ((128 << 10) + 4096 + 128, (128 << 10) + 9 * 4096 + 640);
-        release_and_regrow(reserve(Mode::Direct), 2, lo, hi);
-        release_and_regrow(reserve(Mode::Tracked), 2, lo, hi);
+        let (lo, hi) = (TAIL + 4096 + 128, TAIL + 9 * 4096 + 640);
+        release_and_regrow(reserve(Mode::Direct), true, lo, hi);
+        release_and_regrow(reserve(Mode::Tracked), true, lo, hi);
         // Both edges inside one page.
-        release_and_regrow(reserve(Mode::Tracked), 2, lo, lo + 64);
+        release_and_regrow(reserve(Mode::Tracked), true, lo, lo + 64);
     }
 
     #[test]
     fn unaligned_interior_release_regrows_zero_and_keeps_the_prefix() {
-        let (lo, hi) = (8192 + 4096 + 192, 8192 + 5 * 4096 + 320);
-        release_and_regrow(reserve(Mode::Direct), 1, lo, hi);
-        release_and_regrow(reserve(Mode::Tracked), 1, lo, hi);
-        release_and_regrow(reserve(Mode::Tracked), 1, lo, lo + 64);
+        let (lo, hi) = (INTERIOR + 4096 + 192, INTERIOR + 5 * 4096 + 320);
+        release_and_regrow(reserve(Mode::Direct), false, lo, hi);
+        release_and_regrow(reserve(Mode::Tracked), false, lo, hi);
+        release_and_regrow(reserve(Mode::Tracked), false, lo, lo + 64);
     }
 
     #[test]
@@ -1150,10 +1070,11 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("nvm-release-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let mapped = |name: &str| map(&dir.join(name), 1 << 20, 4096);
-        release_and_regrow(mapped("tail"), 2, (128 << 10) + 4096 + 128, (128 << 10) + 9 * 4096 + 640);
-        release_and_regrow(mapped("interior"), 1, 8192 + 4096 + 192, 8192 + 5 * 4096 + 320);
+        release_and_regrow(mapped("tail"), true, TAIL + 4096 + 128, TAIL + 9 * 4096 + 640);
+        release_and_regrow(mapped("interior"), false, INTERIOR + 4096 + 192, INTERIOR + 5 * 4096 + 320);
         let len = |name: &str| std::fs::metadata(dir.join(name)).unwrap().len();
-        assert_eq!(len("tail"), (128 << 10) + 9 * 4096 + 640, "file length == frontier");
+        assert_eq!(len("tail"), (TAIL + 9 * 4096 + 640) as u64, "file length == frontier");
+        assert_eq!(len("interior"), TAIL as u64, "an interior release truncated the file");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1162,11 +1083,27 @@ mod tests {
         let pool = PmemPool::with_reserve(1 << 16, 8192, Mode::Tracked, FlushModel::free(), None);
         write_bytes(&pool, 4096, &[7; 8]);
         pool.flush(4096, 8); // flushed but NOT fenced
-        pool.decommit(0, 4096);
-        pool.commit(0, 8192);
+        pool.decommit(4096);
+        pool.commit(8192);
         pool.fence(); // must not resurrect the dropped pending line
         pool.crash();
         assert_eq!(read_byte(&pool, 4096), 0);
+    }
+
+    #[test]
+    fn release_discards_pending_flushes_and_is_one_crash_point() {
+        let inj = CrashInjector::new();
+        let pool =
+            PmemPool::with_reserve(1 << 16, 8192, Mode::Tracked, FlushModel::free(), Some(inj.clone()));
+        write_bytes(&pool, 4096, &[7; 8]);
+        pool.flush(4096, 8); // flushed but NOT fenced
+        let before = inj.observed();
+        pool.release(4096, 4096 + 64);
+        assert_eq!(inj.observed(), before + 1, "a release is one injector event");
+        pool.fence(); // must not resurrect the dropped pending line
+        pool.crash();
+        assert_eq!(read_byte(&pool, 4096), 0);
+        assert_eq!(pool.committed_len(), 8192, "a release moves no frontier");
     }
 
     /// Residency of each page of `[off, off + len)`.
@@ -1179,7 +1116,7 @@ mod tests {
     #[test]
     fn prefault_backs_every_page_and_changes_no_byte() {
         let pool = reserve(Mode::Direct);
-        pool.commit(0, 4 * SB);
+        pool.commit(4 * SB);
         assert!(resident(&pool, SB, 3 * SB).iter().all(|&r| !r), "fresh pages are resident");
         pool.prefault(SB, SB);
         assert!(resident(&pool, SB, SB).iter().all(|&r| r), "a prefaulted page is not resident");
@@ -1191,7 +1128,7 @@ mod tests {
     #[test]
     fn prefault_leaves_the_persistent_image_and_pending_flushes_alone() {
         let pool = reserve(Mode::Tracked);
-        pool.commit(0, 2 * SB);
+        pool.commit(2 * SB);
         write_bytes(&pool, 0, &[7; 8]);
         pool.persist(0, 8);
         write_bytes(&pool, SB + 64, &[9; 8]);
@@ -1224,7 +1161,7 @@ mod tests {
     #[test]
     fn prefault_swallows_a_refusal() {
         let pool = reserve(Mode::Direct);
-        pool.commit(0, 2 * SB);
+        pool.commit(2 * SB);
         // The kernel refuses an unaligned start with EINVAL, as a kernel
         // without MADV_POPULATE_WRITE refuses the advice.
         let refused =
@@ -1259,6 +1196,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(feature = "telemetry-off", ignore = "asserts PmemStats counters, which are compiled out")]
     fn adjacent_lines_in_one_persist_charged_once_per_run() {
         // CLWB pipelining: one persist of 4 adjacent lines is charged as
         // ONE full flush plus 3 cheap pipelined followers + one fence —

@@ -29,10 +29,10 @@ use std::path::Path;
 use ralloc::anchor::SbState;
 use ralloc::descriptor::{Desc, DescKind};
 use ralloc::flight;
+use ralloc::frontier::Frontier;
 use ralloc::layout::{
-    Geometry, COMMITTED_LEN_OFF, DESC_COMMITTED_LEN_OFF, DIRTY_OFF, FLIGHT_CAP, FLIGHT_MAGIC,
-    FLIGHT_OFF, MAGIC, MAGIC_OFF, MAX_SB_OFF, META_SIZE, NUM_ROOTS,
-    POOL_LEN_OFF, USED_SB_OFF,
+    Geometry, DIRTY_OFF, FLIGHT_CAP, FLIGHT_MAGIC, FLIGHT_OFF, MAGIC, MAGIC_OFF, MAX_SB_OFF,
+    META_SIZE, NUM_ROOTS, POOL_LEN_OFF, USED_SB_OFF,
 };
 use ralloc::{FlightScan, Ralloc, RallocConfig};
 use std::sync::atomic::Ordering;
@@ -93,7 +93,6 @@ pub fn dump(image: &[u8]) -> String {
     let dirty = word(image, DIRTY_OFF);
     let max_sb = word(image, MAX_SB_OFF);
     let used_sb = word(image, USED_SB_OFF);
-    let committed = word(image, COMMITTED_LEN_OFF);
     s.push_str(&format!("reserved span:    {pool_len} bytes\n"));
     s.push_str(&format!(
         "dirty:            {}\n",
@@ -112,19 +111,6 @@ pub fn dump(image: &[u8]) -> String {
         "used superblocks: {}\n",
         used_sb.map_or("<unreadable>".into(), |v| v.to_string())
     ));
-    s.push_str(&format!(
-        "sb frontier:      {}{}\n",
-        committed.map_or("<unreadable>".into(), |v| v.to_string()),
-        if committed.is_some_and(|c| c as usize > image.len()) {
-            "  (EXCEEDS the file: truncated image)"
-        } else {
-            ""
-        }
-    ));
-    s.push_str(&format!(
-        "desc frontier:    {}\n",
-        word(image, DESC_COMMITTED_LEN_OFF).map_or("<unreadable>".into(), |v| v.to_string()),
-    ));
     if pool_len >= Geometry::pool_len_for_capacity(1) as u64 {
         let geo = Geometry::from_pool_len(pool_len as usize);
         s.push_str(&format!(
@@ -134,14 +120,20 @@ pub fn dump(image: &[u8]) -> String {
             geo.sb(0),
             geo.sb(0),
         ));
-        let dw = word(image, DESC_COMMITTED_LEN_OFF).unwrap_or(0) as usize;
-        let ok = dw >= geo.desc(0) && dw <= geo.sb(0);
-        s.push_str(&format!(
-            "desc committed:   {} of {} descriptors{}\n",
-            geo.desc_committed_sb(dw),
-            geo.max_sb,
-            if ok { "" } else { "  (frontier OUTSIDE the descriptor region)" },
-        ));
+        // Each frontier word, judged as an open would judge it.
+        let used = used_sb.unwrap_or(0) as usize;
+        for f in Frontier::pair(&geo) {
+            let verdict = match word(image, f.word_off).map(|w| w as usize) {
+                None => "<unreadable>".to_string(),
+                Some(w) => match f.check(w, image.len(), used) {
+                    Ok(_) => format!("{w}  ok: covers {} of {} superblocks", f.sb_of(w), geo.max_sb),
+                    Err(why) => format!("{w}  REFUSED: {why}"),
+                },
+            };
+            s.push_str(&format!("{} frontier: {verdict}\n", f.name));
+        }
+    } else {
+        s.push_str("geometry:         none (the reserved span is no heap's)\n");
     }
     let roots_set = (0..NUM_ROOTS)
         .filter(|&i| {
@@ -291,7 +283,7 @@ pub fn stats(image: &[u8]) -> Result<HeapStats, String> {
     let mut out = HeapStats {
         dirty,
         used_sb: used,
-        committed_sb: geo.committed_sb(pool.committed_len()),
+        committed_sb: heap.committed_superblocks(),
         classes: vec![ClassStats::default(); ralloc::size_class::NUM_CLASSES],
         ..Default::default()
     };
@@ -302,7 +294,7 @@ pub fn stats(image: &[u8]) -> Result<HeapStats, String> {
             continue;
         }
         let d = Desc::new(pool, &geo, idx as u32);
-        match d.classify(&geo, used) {
+        match d.classify(used) {
             DescKind::Small { class } => {
                 let a = d.anchor(Ordering::Acquire);
                 if a.state == SbState::Empty {

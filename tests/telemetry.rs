@@ -8,6 +8,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use ralloc::frontier::Frontier;
 use ralloc::{Ralloc, RallocConfig};
 use telemetry::json;
 use workloads::churn::stress;
@@ -124,13 +125,10 @@ fn journal_orders_grow_commit_before_publish() {
         heap.free(p);
     }
     let events = heap.journal().snapshot();
-    // (commit kind, publish kind, frontier bytes that cover `n` superblocks)
-    type Cover = fn(&ralloc::layout::Geometry, usize) -> usize;
-    let frontiers: [(_, _, Cover); 2] = [
-        (GrowCommit, GrowPublish, |g, n| g.committed_len_for_sb(n)),
-        (GrowDescCommit, GrowDescPublish, |g, n| g.desc_committed_len_for_sb(n)),
-    ];
-    for (commit, publish, cover) in frontiers {
+    // (commit kind, publish kind, the frontier's arithmetic)
+    let [sb, desc] = Frontier::pair(&geo);
+    let frontiers = [(GrowCommit, GrowPublish, sb), (GrowDescCommit, GrowDescPublish, desc)];
+    for (commit, publish, frontier) in frontiers {
         assert!(
             events.iter().any(|e| e.kind == publish),
             "workload must have grown the {publish:?} frontier"
@@ -144,7 +142,7 @@ fn journal_orders_grow_commit_before_publish() {
                 );
             }
             if e.kind == Carve && (e.a + e.b) as usize > init_sb {
-                let need = cover(&geo, (e.a + e.b) as usize) as u64;
+                let need = frontier.len_for_sb((e.a + e.b) as usize) as u64;
                 assert!(
                     events[..i].iter().any(|p| p.kind == publish && p.a >= need),
                     "carve of {}+{} has no earlier {publish:?} covering {need} bytes",
