@@ -12,12 +12,10 @@
 //! remote free by. `carve` is the only place `used` rises, growing
 //! whichever [`crate::frontier::Frontier`] is in the way first.
 //!
-//! A superblock a fill carves is backed when it is carved
-//! ([`nvm::PmemPool::prefault`], one system call for its 16 pages, after
-//! the CAS on `used`): its whole population goes to the bin at once, so
-//! its pages would otherwise fault in one at a time inside the next
-//! mallocs. Recycled superblocks are already resident, and a large
-//! block's pages are left to fault as the application touches them.
+//! A fill stores into no block it claims: a fresh superblock's addresses
+//! are computed, and its memory is backed by the first store into its
+//! 2 MiB chunk, which 32 superblocks share (the pool maps simulated NVM
+//! with huge pages, [`nvm::sys::Reservation::map`]).
 //!
 //! A fill holds the thread's cache set, so everything it counts goes to
 //! that set's [`ThreadStats`]. `carve` and `scavenge` also serve large
@@ -38,7 +36,7 @@ use crate::layout::USED_SB_OFF;
 use crate::lists::DescList;
 use crate::shard::{current_home_shard, ShardedPartial, SHARDS};
 use crate::size_class::{
-    cache_capacity, class_block_size, class_max_count, is_small_class, NUM_CLASSES, SB_SIZE,
+    cache_capacity, class_block_size, class_max_count, is_small_class, NUM_CLASSES,
 };
 use crate::stats::{Slot, ThreadStats};
 use crate::tcache::CacheBin;
@@ -193,7 +191,6 @@ impl HeapInner {
                     None => match self.carve(1) {
                         Some(i) => {
                             stats.add(Slot::sb_carved, 1);
-                            self.pool.prefault(self.geo.sb(i as usize), SB_SIZE);
                             i
                         }
                         None => return false, // out of persistent space

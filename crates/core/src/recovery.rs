@@ -400,34 +400,34 @@ fn sweep_range(
                 // (the persisted class/size bits are rewritten unchanged).
                 d.set_size(class, bsize as u64, mc, true);
                 let marked = marks.counts[i];
-                let free_count = mc - marked;
-                let sb_addr = pool.base() as usize + geo.sb(i);
-                // Chain the unmarked blocks in ascending order (step 6:
-                // "keep only traced blocks").
-                let mut first: Option<u32> = None;
-                let mut prev: Option<u32> = None;
-                for blk in 0..mc {
-                    if marks.is_marked(i, blk) {
-                        continue;
-                    }
-                    if let Some(p) = prev {
-                        // SAFETY: free block first-words; ranges disjoint.
-                        unsafe {
-                            std::ptr::write((sb_addr + p as usize * bsize) as *mut u64, blk as u64)
-                        };
-                    } else {
-                        first = Some(blk);
-                    }
-                    prev = Some(blk);
-                }
-                let anchor = if free_count == 0 {
+                let anchor = if marked == mc {
                     Anchor::full(mc)
+                } else if marked == 0 {
+                    // Nobody walks an EMPTY chain (`flush.rs::push_batch`),
+                    // so a superblock with no marked block goes EMPTY
+                    // unlinked and its blocks stay untouched.
+                    Anchor { avail: 0, count: mc, state: SbState::Empty }
                 } else {
-                    Anchor {
-                        avail: first.unwrap(),
-                        count: free_count,
-                        state: if free_count == mc { SbState::Empty } else { SbState::Partial },
+                    // Chain the unmarked blocks in ascending order (step 6:
+                    // "keep only traced blocks").
+                    let sb_addr = pool.base() as usize + geo.sb(i);
+                    let mut first: Option<u32> = None;
+                    let mut prev: Option<u32> = None;
+                    for blk in 0..mc {
+                        if marks.is_marked(i, blk) {
+                            continue;
+                        }
+                        if let Some(p) = prev {
+                            // SAFETY: free block first-words; ranges disjoint.
+                            unsafe {
+                                std::ptr::write((sb_addr + p as usize * bsize) as *mut u64, blk as u64)
+                            };
+                        } else {
+                            first = Some(blk);
+                        }
+                        prev = Some(blk);
                     }
+                    Anchor { avail: first.unwrap(), count: mc - marked, state: SbState::Partial }
                 };
                 d.set_anchor(anchor, Ordering::Relaxed);
                 match anchor.state {
@@ -730,6 +730,42 @@ mod tests {
         for (name, d) in stats.phases.named() {
             assert_eq!(heap.telemetry().gauge(name).get(), d.as_nanos() as i64, "{name}");
         }
+    }
+
+    #[test]
+    fn recovery_stores_nothing_into_a_superblock_it_empties() {
+        use crate::checker::check_heap;
+        use crate::size_class::{class_max_count, size_class_of};
+        // Shrink off: the emptied superblocks are the heap's tail, which
+        // an end-of-recovery shrink would zero.
+        let config = RallocConfig { shrink_policy: crate::ShrinkPolicy::Off, ..RallocConfig::tracked() };
+        let heap = Ralloc::create(8 << 20, config);
+        let size = 256;
+        let n = 3 * class_max_count(size_class_of(size).unwrap()) as usize;
+        let mut blocks: Vec<usize> = (0..n).map(|_| heap.malloc(size) as usize).collect();
+        for &p in &blocks {
+            // SAFETY: an allocated block of `size` bytes.
+            unsafe { std::ptr::write_bytes(p as *mut u8, 0xA5, size) };
+            heap.pool().persist(p - heap.pool().base() as usize, size);
+        }
+        blocks.iter().for_each(|&p| heap.free(p as *mut u8));
+        let used = heap.used_superblocks();
+        heap.crash_simulated();
+        let stats = heap.recover();
+        assert_eq!((stats.reachable_blocks, stats.free_superblocks), (0, used));
+        for &p in &blocks {
+            // SAFETY: a free block under `used`, on a quiescent heap.
+            let bytes = unsafe { std::slice::from_raw_parts(p as *const u8, size) };
+            assert!(bytes.iter().all(|&b| b == 0xA5), "recovery stored into block {p:#x}");
+        }
+        let report = check_heap(&heap);
+        assert!(report.is_consistent(), "{:?}", report.violations);
+        // A full re-allocation hands out every block once, and carves none.
+        let mut again: Vec<usize> = (0..n).map(|_| heap.malloc(size) as usize).collect();
+        again.sort_unstable();
+        blocks.sort_unstable();
+        assert_eq!(again, blocks);
+        assert_eq!(heap.used_superblocks(), used);
     }
 
     #[test]

@@ -133,7 +133,7 @@ impl PoolGuard {
 
 /// A region of simulated NVM.
 ///
-/// The region is one [`Reservation`] of address space, page-aligned. All
+/// The region is one [`Reservation`] of address space, 2 MiB-aligned. All
 /// offsets are relative to [`PmemPool::base`]; persistent data structures
 /// must store *offsets* (or self-relative pointers), never absolute
 /// addresses, because a reload maps the image at a different base —
@@ -161,8 +161,11 @@ impl PoolGuard {
 /// ## What backs the committed prefix
 ///
 /// * **Simulated NVM** ([`PmemPool::with_reserve`],
-///   [`PmemPool::from_image_reserving`]): private anonymous zero pages,
-///   materialized by the OS on first touch. Durability across process
+///   [`PmemPool::from_image_reserving`]): private anonymous zero pages
+///   advised `MADV_HUGEPAGE` ([`Reservation::map`]), materialized by the
+///   OS on first touch a 2 MiB chunk at a time, as the paper's DAX
+///   mappings of Optane are (4 KiB pages where the host's THP mode is
+///   `never`). Durability across process
 ///   death is *modelled* (shadow image; [`PmemPool::persistent_image`]
 ///   is the way out), not real. Pages, once mapped,
 ///   stay with the pool until it is dropped: a decommit zeroes what was
@@ -172,8 +175,8 @@ impl PoolGuard {
 ///   page depending on which CPU first touched them, which made
 ///   recovery time differ from run to run by more than the repo's
 ///   benchmark accepts; see CHANGES.md, PR 13.)
-/// * **A real file** ([`PmemPool::map_file`]): the file, `MAP_SHARED`.
-///   Stores land in the OS page cache, which survives the death of the
+/// * **A real file** ([`PmemPool::map_file`]): the file, `MAP_SHARED`,
+///   unadvised. Stores land in the OS page cache, which survives the death of the
 ///   process — the property the SIGKILL harness tests against. The
 ///   invariant maintained throughout: **file length == committed
 ///   frontier** (commit extends the file before publishing, decommit
@@ -318,27 +321,6 @@ impl PmemPool {
         Ok(())
     }
 
-    /// Back `[off, off + len)` with memory now — one
-    /// `madvise(MADV_POPULATE_WRITE)` — instead of taking one page fault
-    /// per page at the first store into each. `off` must be page-aligned.
-    /// Contents do not change: every byte reads what it did, and in
-    /// [`Mode::Tracked`] the shadow and the pending flushes are untouched.
-    ///
-    /// A hint. A file-mapped pool ignores it: there a populate dirties
-    /// page-cache pages [`PmemPool::sync`] must write back, and its fault
-    /// reads ahead far past the range (one 64 KiB call brought 8 MiB of
-    /// the file into the page cache on ext4). Any refusal by the kernel
-    /// (`EINVAL` before Linux 5.14, an unaligned `off`) is dropped,
-    /// leaving demand faulting as it was.
-    pub fn prefault(&self, off: usize, len: usize) {
-        debug_assert!(self.check_range(off, len));
-        if self.file.is_none() {
-            // SAFETY: committed anonymous pages of our own span; populating
-            // them changes no byte.
-            unsafe { sys::madvise(self.base().add(off), len, sys::MADV_POPULATE_WRITE).ok() };
-        }
-    }
-
     /// Write a mapped pool's dirty pages back to its file (`msync`). A
     /// no-op for anonymous pools (their durability is modelled).
     /// Process-crash durability never needs this — the page cache already
@@ -382,9 +364,9 @@ impl PmemPool {
     /// to a cache line). Monotonic — a smaller request is a no-op.
     /// Returns the resulting frontier.
     ///
-    /// Committing only makes memory *usable*: an anonymous page takes
-    /// memory at its first store, or earlier through
-    /// [`PmemPool::prefault`]. Durability of any state that records the
+    /// Committing only makes memory *usable*: an anonymous chunk takes
+    /// memory at its first store, a whole huge page of it where the host
+    /// allows. Durability of any state that records the
     /// frontier is the caller's business (the allocator persists its
     /// frontier word before relying on the new space).
     ///
@@ -422,9 +404,9 @@ impl PmemPool {
     /// A later commit over the released range reads zeros, exactly like
     /// never-committed reservation. Anonymous pages are zeroed by stores
     /// and keep their pages for that commit — the cost is a `memset` of
-    /// the pages that were ever stored to; their memory, and that of
-    /// every page [`PmemPool::prefault`] backed, goes back to the OS when
-    /// the pool is dropped. A file's tail is unmapped into bare
+    /// the pages that read nonzero; their memory, every huge page a store
+    /// backed included, goes back to the OS when the pool is dropped. A
+    /// file's tail is unmapped into bare
     /// reservation — only the rest of the frontier's own page is zeroed —
     /// and the file truncated.
     ///
@@ -1106,71 +1088,61 @@ mod tests {
         assert_eq!(pool.committed_len(), 8192, "a release moves no frontier");
     }
 
-    /// Residency of each page of `[off, off + len)`.
-    fn resident(pool: &PmemPool, off: usize, len: usize) -> Vec<bool> {
-        sys::mincore(pool.base().wrapping_add(off), len).unwrap()
+    const HUGE: usize = sys::HUGE_PAGE;
+
+    /// A fully committed pool of `chunks` huge-page chunks.
+    fn chunks(chunks: usize, mode: Mode) -> PmemPool {
+        PmemPool::with_reserve(chunks * HUGE, chunks * HUGE, mode, FlushModel::free(), None)
     }
 
-    const SB: usize = 64 << 10;
-
-    #[test]
-    fn prefault_backs_every_page_and_changes_no_byte() {
-        let pool = reserve(Mode::Direct);
-        pool.commit(4 * SB);
-        assert!(resident(&pool, SB, 3 * SB).iter().all(|&r| !r), "fresh pages are resident");
-        pool.prefault(SB, SB);
-        assert!(resident(&pool, SB, SB).iter().all(|&r| r), "a prefaulted page is not resident");
-        assert!(resident(&pool, 2 * SB, 2 * SB).iter().all(|&r| !r), "prefault spilled over");
-        let bytes = unsafe { std::slice::from_raw_parts(pool.base().add(SB), SB) };
-        assert!(bytes.iter().all(|&b| b == 0), "prefault changed a byte");
+    /// `AnonHugePages` of the mapping that holds `off`.
+    fn huge_kb(pool: &PmemPool, off: usize) -> usize {
+        sys::tests::smaps_kb(&sys::tests::smaps_entry(pool.base().wrapping_add(off)), "AnonHugePages")
     }
 
     #[test]
-    fn prefault_leaves_the_persistent_image_and_pending_flushes_alone() {
-        let pool = reserve(Mode::Tracked);
-        pool.commit(2 * SB);
-        write_bytes(&pool, 0, &[7; 8]);
-        pool.persist(0, 8);
-        write_bytes(&pool, SB + 64, &[9; 8]);
-        pool.flush(SB + 64, 8); // pending, not fenced
-        let pending = |p: &PmemPool| p.tracked.as_ref().unwrap().lock().pending.clone();
-        let (image, flushed) = (pool.persistent_image(), pending(&pool));
-        pool.prefault(SB, SB);
-        assert!(resident(&pool, SB, SB).iter().all(|&r| r));
-        assert!(pool.persistent_image() == image, "prefault changed the shadow");
-        assert_eq!(pending(&pool), flushed, "prefault changed the pending set");
-        pool.crash();
-        assert_eq!(read_byte(&pool, 0), 7);
-        let bytes = unsafe { std::slice::from_raw_parts(pool.base().add(SB), SB) };
-        assert!(bytes.iter().all(|&b| b == 0), "a prefaulted page did not crash to zero");
+    fn a_store_into_a_simulated_pool_backs_its_chunk_with_a_huge_page() {
+        let pool = chunks(4, Mode::Direct);
+        let at = HUGE + 4096 + 8;
+        write_bytes(&pool, at, &[0x5A; 8]);
+        assert_eq!(read_byte(&pool, at + 7), 0x5A);
+        assert_eq!(read_byte(&pool, at + 8), 0);
+        if !sys::tests::huge_pages_on() {
+            eprintln!("transparent huge pages are off here: checked the values only");
+            return;
+        }
+        assert!(huge_kb(&pool, at) >= 2048, "no huge page behind a stored-to chunk");
     }
 
     #[test]
-    fn prefault_of_a_mapped_file_does_nothing() {
-        let dir = std::env::temp_dir().join(format!("nvm-prefault-{}", std::process::id()));
+    fn a_file_pool_gets_no_huge_page_advice() {
+        let dir = std::env::temp_dir().join(format!("nvm-hg-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let file = dir.join("pool");
-        let pool = map(&file, 1 << 20, 2 * SB);
-        pool.prefault(SB, SB);
-        assert_eq!(std::fs::metadata(&file).unwrap().len(), 2 * SB as u64, "file length moved");
-        assert!(resident(&pool, SB, SB).iter().all(|&r| !r), "a file page was populated");
-        drop(pool);
+        let file = map(&dir.join("pool"), 4 * HUGE, HUGE);
+        let anon = chunks(1, Mode::Direct);
+        let flags = |p: &PmemPool| sys::tests::vm_flags(&sys::tests::smaps_entry(p.base())).contains(&"hg");
+        assert!(!flags(&file), "a file mapping was advised MADV_HUGEPAGE");
+        if sys::tests::thp_mode().is_some() {
+            assert!(flags(&anon), "an anonymous mapping was not advised MADV_HUGEPAGE");
+        }
+        drop(file);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn prefault_swallows_a_refusal() {
-        let pool = reserve(Mode::Direct);
-        pool.commit(2 * SB);
-        // The kernel refuses an unaligned start with EINVAL, as a kernel
-        // without MADV_POPULATE_WRITE refuses the advice.
-        let refused =
-            unsafe { sys::madvise(pool.base().add(SB + 64), SB - 64, sys::MADV_POPULATE_WRITE) };
-        assert_eq!(refused.unwrap_err().raw_os_error(), Some(22));
-        pool.prefault(SB + 64, SB - 64);
-        assert!(resident(&pool, SB, SB).iter().all(|&r| !r), "a refused prefault backed pages");
-        write_bytes(&pool, SB + 64, &[5; 8]); // demand faulting still works
-        assert_eq!(read_byte(&pool, SB + 64), 5);
+    fn tracked_crash_drops_unflushed_lines_of_a_huge_page() {
+        let pool = chunks(2, Mode::Tracked);
+        write_bytes(&pool, HUGE, &vec![0xAA; HUGE]);
+        let kept = HUGE + 4096..HUGE + 4096 + CACHE_LINE;
+        pool.persist(kept.start, CACHE_LINE);
+        if sys::tests::huge_pages_on() {
+            assert!(huge_kb(&pool, HUGE) >= 2048, "the stored-to chunk is not a huge page");
+        }
+        pool.crash();
+        for off in HUGE..2 * HUGE {
+            let want = if kept.contains(&off) { 0xAA } else { 0 };
+            assert_eq!(read_byte(&pool, off), want, "byte {off} after the crash");
+        }
     }
 
     #[test]

@@ -32,9 +32,8 @@ pub const MAP_NORESERVE: usize = 0x4000;
 
 pub const MS_SYNC: usize = 4;
 
-/// `madvise` advice: fault the range in writable now, as stores would
-/// one page at a time (Linux 5.14+; older kernels answer `EINVAL`).
-pub const MADV_POPULATE_WRITE: usize = 23;
+/// `madvise` advice: back the range with transparent huge pages.
+pub const MADV_HUGEPAGE: usize = 14;
 
 pub const LOCK_SH: usize = 1;
 pub const LOCK_EX: usize = 2;
@@ -239,6 +238,9 @@ pub fn exit_group(code: i32) -> ! {
 /// OS page size assumed for mappings (x86_64 Linux).
 pub const PAGE: usize = 4096;
 
+/// A transparent huge page (x86_64), every [`Reservation`]'s alignment.
+pub const HUGE_PAGE: usize = 2 << 20;
+
 /// Round `n` up to a page boundary.
 #[inline]
 pub const fn page_up(n: usize) -> usize {
@@ -253,13 +255,13 @@ pub const fn page_down(n: usize) -> usize {
 
 /// An owned span of address space, the backing of every pool image.
 ///
-/// [`Reservation::reserve`] claims addresses only — creating one costs a
-/// system call, whatever its size. [`Reservation::map`] makes a page
-/// range usable (file pages, or anonymous zero pages that take memory
-/// when first touched), [`Reservation::zero`] clears a mapped range by
-/// stores, leaving its pages in place, and [`Reservation::release`]
-/// takes a range's pages away again. Offsets are relative to
-/// [`Reservation::base`]; dropping the value unmaps the span.
+/// [`Reservation::reserve`] claims addresses only — creating one costs
+/// three system calls, whatever its size. [`Reservation::map`] makes a
+/// page range usable (file pages, or anonymous zero pages that take
+/// memory when first touched), [`Reservation::zero`] clears a mapped
+/// range by stores, leaving its pages in place, and
+/// [`Reservation::release`] takes a range's pages away again. Offsets are
+/// relative to [`Reservation::base`]; dropping the value unmaps the span.
 pub struct Reservation {
     base: *mut u8,
     len: usize,
@@ -267,15 +269,25 @@ pub struct Reservation {
 
 impl Reservation {
     /// Reserve `len` bytes of address space and nothing else: inaccessible
-    /// (`PROT_NONE`), no memory, no swap accounting.
+    /// (`PROT_NONE`), no memory, no swap accounting. The base is
+    /// [`HUGE_PAGE`]-aligned: one huge page more is reserved and the slack
+    /// around the span unmapped again.
     pub fn reserve(len: usize) -> io::Result<Reservation> {
-        let flags = MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE;
+        let (flags, span) = (MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, page_up(len));
         // SAFETY: a fresh mapping at a kernel-chosen address aliases nothing.
-        let base = unsafe { mmap(std::ptr::null_mut(), len, PROT_NONE, flags, -1, 0) }?;
-        Ok(Reservation { base, len })
+        let raw = unsafe { mmap(std::ptr::null_mut(), span + HUGE_PAGE, PROT_NONE, flags, -1, 0) }?;
+        let head = (raw as usize).next_multiple_of(HUGE_PAGE) - raw as usize;
+        // SAFETY: the slack on either side of the span, inside the fresh
+        // mapping. Errors are dropped: an empty head is refused, and a
+        // failed trim only leaves address space reserved.
+        unsafe {
+            munmap(raw, head).ok();
+            munmap(raw.add(head + span), HUGE_PAGE - head).ok();
+        }
+        Ok(Reservation { base: raw.wrapping_add(head), len })
     }
 
-    /// First byte of the span (page-aligned).
+    /// First byte of the span ([`HUGE_PAGE`]-aligned).
     #[inline]
     pub fn base(&self) -> *mut u8 {
         self.base
@@ -290,7 +302,9 @@ impl Reservation {
     /// Make `[lo, hi)` (`lo` page-aligned, `hi` rounded up to a page)
     /// readable and writable: backed by `fd` from file offset `lo` on
     /// (shared, so stores reach the file's page cache), or by fresh
-    /// anonymous zero pages.
+    /// anonymous zero pages advised `MADV_HUGEPAGE`: where the host's THP
+    /// mode allows, the first store into a [`HUGE_PAGE`] the mapping
+    /// covers whole backs all of it.
     ///
     /// # Safety
     /// Whatever the range's pages held is replaced, so nothing may still
@@ -308,8 +322,14 @@ impl Reservation {
             None => (MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1),
         };
         // SAFETY: inside our own span; the rest is the caller's contract.
-        unsafe { mmap(self.base.add(lo), hi - lo, PROT_READ | PROT_WRITE, flags | MAP_FIXED, fd, lo) }
-            .map(|_| ())
+        // The advice changes no byte, and a refusal leaves 4 KiB pages.
+        unsafe {
+            mmap(self.base.add(lo), hi - lo, PROT_READ | PROT_WRITE, flags | MAP_FIXED, fd, lo)?;
+            if fd < 0 {
+                madvise(self.base.add(lo), hi - lo, MADV_HUGEPAGE).ok();
+            }
+        }
+        Ok(())
     }
 
     /// Take the pages of `[lo, hi)` away: the whole pages inside go back
@@ -340,10 +360,10 @@ impl Reservation {
     /// Zero `[lo, hi)` by stores; the pages stay where they are. A page
     /// that already reads zero is left alone, so a clean file page is not
     /// dirtied and one nobody ever backed keeps costing no memory (reading
-    /// it maps the kernel's shared zero page); the pages in between are
-    /// cleared a whole run at a time. A page someone backed without a
-    /// store (`madvise(MADV_POPULATE_WRITE)`, as the heap does for every
-    /// small-class superblock it carves) stays resident.
+    /// it maps the kernel's shared zero page, or its huge zero page in an
+    /// advised chunk when `transparent_hugepage/use_zero_page` is 1); the
+    /// pages in between are cleared a whole run at a time. A huge page one
+    /// store backed stays resident, all of it.
     ///
     /// # Safety
     /// `[lo, hi)` must be mapped and nothing may access it concurrently.
@@ -396,8 +416,57 @@ pub fn exit_code(status: i32) -> Option<i32> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The host's transparent-huge-page mode line, if the kernel has them.
+    pub(crate) fn thp_mode() -> Option<String> {
+        std::fs::read_to_string("/sys/kernel/mm/transparent_hugepage/enabled").ok()
+    }
+
+    /// Whether advised anonymous memory gets huge pages on this host.
+    pub(crate) fn huge_pages_on() -> bool {
+        thp_mode().is_some_and(|mode| !mode.contains("[never]"))
+    }
+
+    /// The `/proc/self/smaps` entry of the mapping that holds `addr`: its
+    /// header line and its fields.
+    pub(crate) fn smaps_entry(addr: *const u8) -> String {
+        let smaps = std::fs::read_to_string("/proc/self/smaps").expect("read /proc/self/smaps");
+        let range = |line: &str| {
+            let (lo, hi) = line.split(' ').next()?.split_once('-')?;
+            Some(usize::from_str_radix(lo, 16).ok()?..usize::from_str_radix(hi, 16).ok()?)
+        };
+        let (mut entry, mut inside) = (String::new(), false);
+        for line in smaps.lines() {
+            if let Some(r) = range(line) {
+                if inside {
+                    break;
+                }
+                inside = r.contains(&(addr as usize));
+            }
+            if inside {
+                entry.push_str(line);
+                entry.push('\n');
+            }
+        }
+        assert!(!entry.is_empty(), "no mapping holds {addr:?}");
+        entry
+    }
+
+    /// A `kB` field of an smaps entry.
+    pub(crate) fn smaps_kb(entry: &str, field: &str) -> usize {
+        entry
+            .lines()
+            .find_map(|l| l.strip_prefix(field)?.strip_prefix(':')?.trim().strip_suffix(" kB")?.parse().ok())
+            .unwrap_or_else(|| panic!("no {field} in\n{entry}"))
+    }
+
+    /// The `VmFlags` of an smaps entry.
+    pub(crate) fn vm_flags(entry: &str) -> Vec<&str> {
+        let flags = entry.lines().find_map(|l| l.strip_prefix("VmFlags:"));
+        flags.expect("VmFlags").split_whitespace().collect()
+    }
 
     #[test]
     fn getpid_matches_std() {
@@ -425,15 +494,42 @@ mod tests {
     }
 
     #[test]
-    fn populate_write_backs_a_range_and_bad_advice_is_refused() {
-        let span = Reservation::reserve(8 * PAGE).unwrap();
-        // SAFETY: the span is ours and mapped before it is advised.
+    fn reserve_is_huge_page_aligned_and_its_trimmed_slack_is_unmapped() {
+        // A test running alongside may map into the slack between the trim
+        // and the probe, so one clean probe out of a few is the claim.
+        let trimmed = (0..4).any(|_| {
+            let span = Reservation::reserve(5 * PAGE).unwrap();
+            assert_eq!(span.base() as usize % HUGE_PAGE, 0, "base {:?}", span.base());
+            assert!(mincore(span.base(), 5 * PAGE).is_ok(), "the span itself is not mapped");
+            let past = mincore(span.base().wrapping_add(5 * PAGE), PAGE);
+            past.is_err_and(|e| e.raw_os_error() == Some(12)) // ENOMEM: nothing mapped
+        });
+        assert!(trimmed, "the slack past the span is still mapped");
+    }
+
+    #[test]
+    fn huge_page_advice_backs_a_whole_chunk_at_one_store_and_bad_advice_is_refused() {
+        const CHUNKS: usize = 3;
+        let (len, pages) = (CHUNKS * HUGE_PAGE, HUGE_PAGE / PAGE);
+        let span = Reservation::reserve(len).unwrap();
+        // SAFETY: the span is ours and mapped before it is accessed.
         unsafe {
-            span.map(0, 8 * PAGE, None).unwrap();
-            assert_eq!(mincore(span.base(), 8 * PAGE).unwrap(), [false; 8]);
-            madvise(span.base().add(2 * PAGE), 4 * PAGE, MADV_POPULATE_WRITE).unwrap();
-            let resident = [false, false, true, true, true, true, false, false];
-            assert_eq!(mincore(span.base(), 8 * PAGE).unwrap(), resident);
+            span.map(0, len, None).unwrap();
+            assert!(mincore(span.base(), len).unwrap().iter().all(|&r| !r), "fresh pages are resident");
+            let at = span.base().add(HUGE_PAGE + 5 * PAGE + 7);
+            at.write(0x5A);
+            assert_eq!(at.read(), 0x5A);
+            let resident = mincore(span.base(), len).unwrap();
+            let (before, rest) = resident.split_at(pages);
+            let (chunk, after) = rest.split_at(pages);
+            assert!(before.iter().chain(after).all(|&r| !r), "a store backed another chunk");
+            if huge_pages_on() {
+                assert!(chunk.iter().all(|&r| r), "one store did not back its whole chunk");
+            } else {
+                eprintln!("transparent huge pages are off here: one store backs one page");
+                let backed: Vec<_> = (0..pages).filter(|&p| chunk[p]).collect();
+                assert_eq!(backed, [5]);
+            }
             let err = madvise(span.base(), PAGE, 12345).expect_err("unknown advice must fail");
             assert_eq!(err.raw_os_error(), Some(22), "EINVAL");
         }

@@ -9,7 +9,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BUDGET=6758
+BUDGET=6757
 MAX_FIELDS=7
 MAX_VARS=8
 

@@ -2,8 +2,11 @@
 //! space and maps the committed prefix, and touches neither — so its time
 //! and the memory it takes follow the bytes used, not the bytes reserved.
 //!
-//! A small-class superblock is the exception: the fill that carves it
-//! backs its pages at once, since its whole population goes to a bin.
+//! A simulated pool is backed a 2 MiB chunk at a time where the host has
+//! transparent huge pages: the first store into a chunk backs all of it,
+//! and a chunk no store reached costs nothing (the RSS tests also need
+//! `transparent_hugepage/use_zero_page` = 1, so that reading such a chunk
+//! maps the huge zero page).
 //!
 //! The time limits sit two orders of magnitude above what a create takes
 //! (≈ 0.5 ms here) and far below what zeroing the same span took
@@ -11,7 +14,7 @@
 
 use std::time::{Duration, Instant};
 
-use ralloc::{Ralloc, RallocConfig, SB_SIZE};
+use ralloc::{Ralloc, RallocConfig};
 
 const MIB: usize = 1 << 20;
 
@@ -21,6 +24,14 @@ fn growable(initial: usize, max: usize) -> RallocConfig {
         max_capacity: Some(max),
         ..RallocConfig::default()
     }
+}
+
+/// Held by every test here: the first store into a heap backs a 2 MiB
+/// page, so a test running alongside would show in an RSS delta.
+static ONE_AT_A_TIME: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn one_at_a_time() -> std::sync::MutexGuard<'static, ()> {
+    ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Resident set size of this process, from `/proc/self/statm`.
@@ -34,6 +45,7 @@ fn resident_bytes() -> usize {
 #[cfg(target_os = "linux")]
 #[test]
 fn create_costs_what_is_committed_not_what_is_reserved() {
+    let _serial = one_at_a_time();
     let rss_before = resident_bytes();
     let t0 = Instant::now();
     let heap = Ralloc::create(4 * MIB, growable(4 * MIB, 4096 * MIB));
@@ -52,6 +64,7 @@ fn create_costs_what_is_committed_not_what_is_reserved() {
 #[cfg(target_os = "linux")]
 #[test]
 fn shrink_takes_no_memory_for_blocks_nobody_stored_to() {
+    let _serial = one_at_a_time();
     let heap = Ralloc::create(4 * MIB, growable(4 * MIB, 512 * MIB));
     // One block per superblock, 32 MiB in all, handed out and never written.
     let blocks: Vec<_> = (0..512).map(|_| heap.malloc(ralloc::SB_SIZE / 2 + 1)).collect();
@@ -65,6 +78,7 @@ fn shrink_takes_no_memory_for_blocks_nobody_stored_to() {
 
 #[test]
 fn four_large_heaps_alive_at_once_create_quickly() {
+    let _serial = one_at_a_time();
     let t0 = Instant::now();
     let heaps: Vec<Ralloc> =
         (0..4).map(|_| Ralloc::create(4 * MIB, growable(4 * MIB, 512 * MIB))).collect();
@@ -83,25 +97,39 @@ fn resident(p: *const u8, len: usize) -> Vec<bool> {
     nvm::sys::mincore(p, len).expect("mincore")
 }
 
-#[test]
-fn a_carved_small_superblock_is_backed_and_a_large_block_waits_for_stores() {
-    let heap = Ralloc::create(4 * MIB, growable(4 * MIB, 512 * MIB));
-    let (geo, base) = (heap.geometry(), heap.pool().base());
-    let p = heap.malloc(4096);
-    assert!(!p.is_null());
-    assert_eq!(heap.used_superblocks(), 1, "the first malloc carves");
-    let sb = geo.sb_index_of(p as usize - base as usize).expect("a block in the superblock region");
-    let pages = resident(base.wrapping_add(geo.sb(sb)), SB_SIZE);
-    assert_eq!(pages.len(), 16);
-    assert!(pages.iter().all(|&r| r), "pages of a carved superblock not resident: {pages:?}");
+/// Whether advised anonymous memory gets huge pages on this host.
+fn huge_pages_on() -> bool {
+    std::fs::read_to_string("/sys/kernel/mm/transparent_hugepage/enabled")
+        .is_ok_and(|mode| !mode.contains("[never]"))
+}
 
-    let span = 4 * SB_SIZE;
-    let big = heap.malloc(span);
+#[test]
+fn a_large_block_waits_for_stores_and_one_store_backs_its_chunk() {
+    const CHUNK: usize = nvm::sys::HUGE_PAGE;
+    let _serial = one_at_a_time();
+    let heap = Ralloc::create(4 * MIB, growable(4 * MIB, 512 * MIB));
+    let small = heap.malloc(4096);
+    assert!(!small.is_null());
+    // Eight MiB cover three whole chunks whatever the block's offset, and
+    // no store (the header's, the small block's) reaches one of them.
+    let big = heap.malloc(8 * MIB);
     assert!(!big.is_null());
-    assert!(resident(big, span).iter().all(|&r| !r), "a large block was backed before a store");
-    // SAFETY: the block is ours and `span` bytes long.
-    unsafe { big.add(SB_SIZE).write(1) };
-    assert!(resident(big.wrapping_add(SB_SIZE), 1)[0], "the stored-to page is not resident");
+    let lo = (big as usize).next_multiple_of(CHUNK) as *mut u8;
+    assert!(resident(lo, 3 * CHUNK).iter().all(|&r| !r), "a large block was backed before a store");
+
+    let pages = CHUNK / nvm::sys::PAGE;
+    // SAFETY: the block is ours and covers the three chunks from `lo`.
+    unsafe { lo.add(CHUNK + 5 * nvm::sys::PAGE + 7).write(1) };
+    let pages_of = resident(lo, 3 * CHUNK);
+    let (before, rest) = pages_of.split_at(pages);
+    let (chunk, after) = rest.split_at(pages);
+    assert!(before.iter().chain(after).all(|&r| !r), "a store backed a chunk beside its own");
+    if huge_pages_on() {
+        assert!(chunk.iter().all(|&r| r), "one store did not back its whole chunk");
+    } else {
+        let backed: Vec<_> = (0..pages).filter(|&p| chunk[p]).collect();
+        assert_eq!(backed, [5], "transparent huge pages are off: one store backs its page");
+    }
     heap.free(big);
-    heap.free(p);
+    heap.free(small);
 }
