@@ -10,7 +10,7 @@
 //! [`sampler_from_env`].
 //!
 //! `pub(crate)` surface: [`RallocConfig::with_env`], [`sampler_from_env`],
-//! [`ShrinkPolicy::parse`], `at_close`/`at_recovery`, [`JOURNAL_CAP`].
+//! [`ShrinkPolicy::parse`], `at_close`/`at_recovery`.
 
 use std::fmt::Debug;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -105,10 +105,6 @@ impl Default for RallocConfig {
         }
     }
 }
-
-/// Event-journal capacity (events). 4096 covers minutes of slow-path
-/// traffic — the journal records protocol phases, not per-malloc events.
-pub(crate) const JOURNAL_CAP: usize = 4096;
 
 impl RallocConfig {
     /// Config for crash-semantics testing: tracked pool, free flushes.

@@ -27,8 +27,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use telemetry::EventKind;
-
 use crate::anchor::{Anchor, SbState};
 use crate::descriptor::Desc;
 use crate::heap::HeapInner;
@@ -59,7 +57,8 @@ impl HeapInner {
     /// needs both its superblocks *and* their descriptors under their
     /// respective durable frontiers before `used` may cover them; when
     /// one is in the way, grow it first (cold path). `None` only at the
-    /// reserved-capacity ceiling. The caller counts `sb_carved`.
+    /// reserved-capacity ceiling. The caller counts `sb_carved`, a
+    /// carve's only record (it emits no event).
     pub(crate) fn carve(&self, n: usize) -> Option<u32> {
         // SAFETY: metadata offset, 8-aligned.
         let used = unsafe { self.pool.atomic_u64(USED_SB_OFF) };
@@ -77,7 +76,6 @@ impl HeapInner {
                 .is_ok()
             {
                 self.persist(USED_SB_OFF, 8);
-                self.emit(EventKind::Carve, u, n as u64);
                 return Some(u as u32);
             }
         }

@@ -1,14 +1,12 @@
 //! Persistent flight recorder: a crash-surviving event ring carved from
-//! the metadata region's tail slack.
+//! the metadata region's tail slack, and the heap's one event stream.
 //!
-//! The volatile [`telemetry::Journal`] answers "what order did the
-//! protocol steps happen in?" — but only while the process is alive. The
-//! one time the answer really matters is after a SIGKILL, when the
-//! journal died with the victim. The flight recorder closes that gap: a
-//! small ring of fixed-size records lives *inside the pool itself*
-//! (offsets [`FLIGHT_OFF`]`..`[`META_SIZE`]), so the victim's last
-//! protocol steps are
-//! readable from the heap file by whoever picks up the pieces — the
+//! It answers "what order did the protocol steps happen in?" — live
+//! ([`crate::Ralloc::flight_timeline`], `telemetry_snapshot()`), and above
+//! all after a SIGKILL, when nothing volatile survived the victim. A small
+//! ring of fixed-size records lives *inside the pool itself* (offsets
+//! [`FLIGHT_OFF`]`..`[`META_SIZE`]), so the victim's last protocol steps
+//! are readable from the heap file by whoever picks up the pieces — the
 //! recovering process, the crash-test harness, or the `rinspect` CLI.
 //!
 //! # Record framing
@@ -22,7 +20,7 @@
 //! +8   kind  u16  (telemetry::EventKind discriminant)
 //! +10  tid   u16  (`shard::thread_token`, low 16 bits)
 //! +12  t_ms  u32  (milliseconds since the process's clock origin)
-//! +16  a     u64  (per-kind payload, as in the journal)
+//! +16  a     u64  (per-kind payload, see telemetry::EventKind)
 //! +24  b     u64
 //! ```
 //!
@@ -40,14 +38,14 @@
 //! **not** fenced — every such site sits next to an existing flush+fence
 //! of the protocol itself, so the record rides the same fence and costs
 //! no extra ordering. Nothing on the malloc/free paths records here
-//! (a carve is journaled, not ringed; fills, flushes and steals are
-//! counters), and a transient heap, which persists nothing, has no
-//! recorder at all.
+//! (carves, fills, flushes and steals are counters), and a transient
+//! heap, which persists nothing, has no recorder at all.
 //!
 //! Slot claims use one relaxed `fetch_add` on a volatile counter — no
-//! CAS anywhere, mirroring the journal's design. The counter resumes
-//! from the highest sequence found at adoption, so a pool's timeline
-//! keeps a single monotonic order across crashes and reopens.
+//! CAS anywhere. The counter resumes from the highest sequence found at
+//! adoption, so a pool's timeline keeps a single monotonic order across
+//! crashes and reopens. An adoption that finds the ring header lost
+//! re-initializes the ring, so it does not stay dead for the pool's life.
 
 use crate::layout::{FLIGHT_CAP, FLIGHT_HDR_SIZE, FLIGHT_MAGIC, FLIGHT_OFF, FLIGHT_RECORDS_OFF, FLIGHT_REC_SIZE, META_SIZE};
 use nvm::PmemPool;
@@ -68,8 +66,9 @@ fn record_crc(seq: u32, w1: u64, a: u64, b: u64) -> u32 {
 }
 
 /// Initialize (or re-initialize) the ring region of a pool: zero every
-/// slot, then write the ring header. The caller persists the header
-/// (fresh heaps fold it into the metadata persist).
+/// slot, then write the ring header. The caller persists: a fresh heap
+/// its header line, an adoption that found the header lost the whole
+/// ring.
 pub fn init_ring(pool: &PmemPool) {
     // SAFETY: the flight region lies inside the metadata region, which
     // is always committed; the caller holds exclusive access (fresh
@@ -237,8 +236,21 @@ fn decode_slot(words: [u64; 4]) -> SlotState {
     })
 }
 
+/// Whether the ring header holds this build's ring: [`FLIGHT_MAGIC`] and
+/// [`FLIGHT_CAP`]. A ring without it scans empty.
+fn header_ok(read: &impl Fn(usize) -> u64) -> bool {
+    read(FLIGHT_OFF) == FLIGHT_MAGIC && read(FLIGHT_OFF + 8) == FLIGHT_CAP as u64
+}
+
+/// Whether a live pool's ring header is intact (see [`init_ring`] for
+/// what adoption does when it is not).
+pub(crate) fn ring_intact(pool: &PmemPool) -> bool {
+    // SAFETY: metadata region offsets, 8-aligned, always committed.
+    header_ok(&|off| unsafe { pool.read_u64(off) })
+}
+
 fn scan_words(read: impl Fn(usize) -> u64) -> FlightScan {
-    if read(FLIGHT_OFF) != FLIGHT_MAGIC {
+    if !header_ok(&read) {
         return FlightScan::default();
     }
     let mut scan = FlightScan::default();
@@ -266,7 +278,8 @@ pub fn scan_pool(pool: &PmemPool) -> FlightScan {
 
 /// Scan the flight ring of a raw pool image (a heap file read from disk,
 /// a crash image). Images shorter than the metadata region — or whose
-/// ring header does not carry [`FLIGHT_MAGIC`] — yield an empty scan.
+/// ring header is not [`FLIGHT_MAGIC`] and [`FLIGHT_CAP`] — yield an
+/// empty scan.
 pub fn scan_image(image: &[u8]) -> FlightScan {
     if image.len() < META_SIZE {
         return FlightScan::default();
@@ -330,6 +343,55 @@ mod tests {
         let expect: Vec<u64> = (26..=total).collect();
         assert_eq!(seqs, expect, "scan keeps the newest FLIGHT_CAP seqs, contiguous");
         assert_eq!(scan.resume_ticket(), total);
+    }
+
+    #[cfg(not(feature = "telemetry-off"))]
+    #[test]
+    fn concurrent_writers_never_produce_torn_events() {
+        // Four writers lap the ring hundreds of times while a fifth thread
+        // scans it. Each tags its records a = t * 1_000_000 + i, b = t, so
+        // a slot holding fields of two writers is detectable: the scan
+        // must count it torn, never decode it.
+        let p = pool();
+        let rec = FlightRecorder::new(0);
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let start = std::sync::Barrier::new(5);
+        let check = |scan: &FlightScan| {
+            for e in &scan.events {
+                assert_eq!(e.a / 1_000_000, e.b, "slot mixed fields from two writers: {e:?}");
+            }
+        };
+        std::thread::scope(|s| {
+            let writers: Vec<_> = (0..4u64)
+                .map(|t| {
+                    let (p, rec, start) = (&p, &rec, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        for i in 0..20_000u64 {
+                            rec.record(p, EventKind::GrowCommit, t * 1_000_000 + i, t);
+                        }
+                    })
+                })
+                .collect();
+            let scanner = s.spawn(|| {
+                start.wait();
+                while !done.load(Ordering::Acquire) {
+                    check(&scan_pool(&p));
+                }
+            });
+            for w in writers {
+                w.join().unwrap();
+            }
+            done.store(true, Ordering::Release);
+            scanner.join().unwrap();
+        });
+        let scan = scan_pool(&p);
+        check(&scan);
+        assert_eq!(
+            scan.events.len() + scan.torn as usize,
+            FLIGHT_CAP,
+            "every slot was written: each decodes or counts torn"
+        );
     }
 
     #[cfg(not(feature = "telemetry-off"))]

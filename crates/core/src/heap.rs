@@ -30,7 +30,7 @@ use std::time::Duration;
 use parking_lot::Mutex;
 
 use nvm::PmemPool;
-use telemetry::{EventKind, Journal, Registry, SamplerHandle};
+use telemetry::{EventKind, Registry, SamplerHandle};
 
 use crate::config::ShrinkPolicy;
 use crate::descriptor::Desc;
@@ -75,13 +75,10 @@ pub struct HeapInner {
     /// The heap's metric registry ([`SlowStats`] plus recovery gauges
     /// and any histograms callers hang off it); `heap` scope in exports.
     pub(crate) telemetry: Registry,
-    /// Ring buffer of persistence-protocol events (grow/shrink phases,
-    /// recovery phases, carves).
-    pub(crate) journal: Journal,
-    /// Crash-surviving protocol-event ring living inside the pool's
-    /// metadata region (see [`crate::flight`]). The volatile journal's
-    /// durable sibling: same event schema, survives SIGKILL. `None` on a
-    /// transient heap, which persists nothing by definition.
+    /// The heap's one event recorder: the crash-surviving protocol-event
+    /// ring inside the pool's metadata region (see [`crate::flight`]).
+    /// `None` on a transient heap, which persists nothing and so records
+    /// no events.
     pub(crate) flight: Option<FlightRecorder>,
     /// The pool's flight timeline as found at adoption, *before* this
     /// process wrote anything — the previous run's last recorded steps
@@ -144,17 +141,13 @@ impl HeapInner {
         }
     }
 
-    /// Record an event: the volatile journal and the pool's
-    /// crash-surviving flight ring share one schema and this one way in.
-    /// Protocol steps reach both; a carve is journaled only (a ring
-    /// record is a line flush, and carves come once per superblock).
+    /// Record a protocol step into the pool's flight ring, the one event
+    /// stream (a line flush, fenced by the step it records). A transient
+    /// heap records nothing.
     #[inline]
     pub(crate) fn emit(&self, kind: EventKind, a: u64, b: u64) {
-        self.journal.record(kind, a, b);
-        if kind != EventKind::Carve {
-            if let Some(flight) = &self.flight {
-                flight.record(&self.pool, kind, a, b);
-            }
+        if let Some(flight) = &self.flight {
+            flight.record(&self.pool, kind, a, b);
         }
     }
 
@@ -189,7 +182,7 @@ impl HeapInner {
              \"flush_blocks\": {}, \"steals\": {}, \"home_pops\": {}, \"steal_rate\": {:.4}, \
              \"carved\": {}, \"grows\": {}, \"shrinks\": {}, \"sb_released\": {}, \
              \"large_allocs\": {}, \"pmem_flush_lines\": {}, \"pmem_flush_calls\": {}, \
-             \"pmem_fences\": {}, \"journal_events\": {}}}",
+             \"pmem_fences\": {}}}",
             telemetry::now_ms(),
             self.id,
             self.sb_frontier().published(),
@@ -210,7 +203,6 @@ impl HeapInner {
             pm.flush_lines,
             pm.flush_calls,
             pm.fences,
-            self.journal.recorded(),
         )
     }
 }
@@ -497,12 +489,6 @@ impl Ralloc {
         &self.inner.telemetry
     }
 
-    /// The persistence-protocol event journal (grow/shrink phases,
-    /// recovery phases, carves; see [`telemetry::EventKind`]).
-    pub fn journal(&self) -> &Journal {
-        &self.inner.journal
-    }
-
     /// The pool's flight timeline as it was at adoption, before this
     /// process recorded anything — after a crash, the victim's last
     /// protocol steps. Empty for freshly created heaps.
@@ -511,20 +497,23 @@ impl Ralloc {
     }
 
     /// Scan the pool's flight ring right now (this run's records plus
-    /// whatever of the previous run's the ring still holds). Safe under
-    /// concurrency: a racing writer costs at worst a torn slot.
+    /// whatever of the previous run's the ring still holds): the heap's
+    /// event stream (grow/shrink and recovery phases, root publishes,
+    /// open/close; see [`telemetry::EventKind`]). Safe under concurrency:
+    /// a racing writer costs at worst a torn slot.
     pub fn flight_timeline(&self) -> FlightScan {
         flight::scan_pool(&self.inner.pool)
     }
 
     /// One JSON object capturing the full telemetry state: the heap and
     /// pmem registries (scopes `heap` / `pmem`), frontier gauges, and
-    /// the resident journal events.
+    /// the flight ring as [`FlightScan::to_json`] writes it — the same
+    /// bytes `rinspect timeline --json` prints for the same ring.
     pub fn telemetry_snapshot(&self) -> String {
         let inner = &*self.inner;
         format!(
             "{{\"t_ms\": {}, \"heap_id\": {}, \"used_sb\": {}, \"committed_sb\": {}, \
-             \"committed_len\": {}, \"registries\": {}, \"journal\": {}}}",
+             \"committed_len\": {}, \"registries\": {}, \"flight\": {}}}",
             telemetry::now_ms(),
             inner.id,
             inner.used_sb(),
@@ -534,17 +523,8 @@ impl Ralloc {
                 ("heap", &inner.telemetry),
                 ("pmem", inner.pool.stats().registry()),
             ]),
-            inner.journal.to_json(),
+            self.flight_timeline().to_json(),
         )
-    }
-
-    /// The same state in Prometheus text exposition format (scrape
-    /// endpoint material; the journal has no Prometheus form).
-    pub fn telemetry_prometheus(&self) -> String {
-        telemetry::export::to_prometheus(&[
-            ("heap", &self.inner.telemetry),
-            ("pmem", self.inner.pool.stats().registry()),
-        ])
     }
 
     /// Start a background sampler appending one time-series line to

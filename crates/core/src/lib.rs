@@ -81,7 +81,7 @@ pub use size_class::{MAX_SMALL, SB_SIZE};
 pub use nvm::{CrashInjector, CrashStyle, FlushModel, Mode};
 pub use pptr::{AtomicPptr, Pptr};
 // Re-export the whole observability layer: callers register their own
-// metrics on `Ralloc::telemetry()` and read the journal/exporters
+// metrics on `Ralloc::telemetry()` and read the exporters and event kinds
 // without a separate dependency.
 pub use telemetry;
 

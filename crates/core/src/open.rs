@@ -19,9 +19,9 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use nvm::{PmemPool, PoolGuard, CACHE_LINE};
-use telemetry::{EventKind, Journal, Registry};
+use telemetry::{EventKind, Registry};
 
-use crate::config::{self, RallocConfig, JOURNAL_CAP};
+use crate::config::{self, RallocConfig};
 use crate::flight::{self, FlightRecorder, FlightScan};
 use crate::frontier::Frontier;
 use crate::heap::{HeapInner, Ralloc};
@@ -299,6 +299,14 @@ impl Ralloc {
         // SAFETY: 8-aligned metadata word.
         unsafe { heap.inner.pool.atomic_u64(DIRTY_OFF) }.store(1, Ordering::Release);
         heap.inner.persist(DIRTY_OFF, 8);
+        // A ring whose header is lost (a crash between `fresh`'s header
+        // and ring persists, a flipped byte) scans empty, so it would stay
+        // empty for the pool's whole life while every record still paid
+        // its flush. Start it over before this run's first record.
+        if !flight::ring_intact(&heap.inner.pool) {
+            flight::init_ring(&heap.inner.pool);
+            heap.inner.persist(FLIGHT_OFF, META_SIZE - FLIGHT_OFF);
+        }
         heap.inner.emit(EventKind::Open, dirty as u64, 0);
         (heap, dirty)
     }
@@ -319,10 +327,6 @@ impl Ralloc {
             (!cfg.transient).then(|| FlightRecorder::new(preopen_flight.resume_ticket()));
         // The torn count from the adoption scan becomes a counter so
         // harnesses can assert on dropped records.
-        telemetry.describe(
-            "flight_torn_records",
-            "flight-ring records dropped at adoption because their checksum failed",
-        );
         telemetry.counter("flight_torn_records").add(preopen_flight.torn);
         let heap = Ralloc {
             inner: Arc::new(HeapInner {
@@ -338,7 +342,6 @@ impl Ralloc {
                 root_fns: Mutex::new(HashMap::new()),
                 slow,
                 telemetry,
-                journal: Journal::with_capacity(JOURNAL_CAP),
                 flight,
                 preopen_flight,
                 sampler: Mutex::new(None),

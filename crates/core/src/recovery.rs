@@ -74,7 +74,7 @@ use crate::size_class::{class_block_size, class_max_count, NUM_CLASSES};
 /// Also published to the heap's metric [`telemetry::Registry`] (see
 /// [`crate::Ralloc::telemetry`]) as `recovery_*` gauges plus a
 /// `recovery_duration_ns` histogram (one sample per recovery), and to
-/// the event journal as a `recovery_reconcile` → `recovery_sweep` →
+/// the flight ring as a `recovery_reconcile` → `recovery_sweep` →
 /// `recovery_splice` phase trace — this struct is the per-call return
 /// value, the registry is the exportable view.
 #[derive(Debug, Clone, Default)]
@@ -326,8 +326,8 @@ pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
     stats.duration = t0.elapsed();
 
     // Publish the exportable view: last-recovery gauges plus one
-    // duration sample, so snapshots and the Prometheus dump carry
-    // recovery results without holding this struct.
+    // duration sample, so a telemetry snapshot carries recovery results
+    // without holding this struct.
     let reg = &inner.telemetry;
     reg.gauge("recovery_reachable_blocks").set(stats.reachable_blocks as i64);
     reg.gauge("recovery_free_superblocks").set(stats.free_superblocks as i64);

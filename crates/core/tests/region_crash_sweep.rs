@@ -147,7 +147,7 @@ fn crash_sweep_covers_both_region_frontier_protocols() {
     #[cfg(not(feature = "telemetry-off"))]
     {
         let seen: std::collections::HashSet<&'static str> =
-            heap.journal().snapshot().iter().map(|e| e.kind.name()).collect();
+            heap.flight_timeline().events.iter().map(|e| e.kind_name()).collect();
         for kind in [
             "grow_commit",
             "grow_publish",

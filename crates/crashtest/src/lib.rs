@@ -206,8 +206,8 @@ pub fn verify(cfg: &RunConfig, killed: bool) -> Result<RunReport, String> {
     }
     // Failure reports attach the *victim's* last protocol steps — the
     // persistent flight timeline scanned from the pool at reopen, before
-    // this process recorded anything. (The volatile journal here belongs
-    // to the recovering process and says nothing about the crash.)
+    // this process recorded anything. (A scan now would mix in this
+    // process's own open and recovery records.)
     let fail = |msg: String| -> String {
         format!(
             "{msg}\nstructure={} seed={:#x} kill={}\n--- victim flight timeline \

@@ -1,7 +1,8 @@
 //! Post-mortem forensics: a SIGKILLed victim leaves a pool that
 //! `rinspect` can dump, check, and timeline without the harness — and
 //! the harness's own failure reports carry the victim's persistent
-//! flight timeline, not the recovering process's volatile journal.
+//! flight timeline as the pool held it at reopen, not the recovering
+//! process's own records.
 
 use std::os::unix::process::ExitStatusExt;
 use std::path::Path;

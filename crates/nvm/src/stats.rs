@@ -7,7 +7,7 @@
 //! allocator) instead of inferring it from wall-clock time alone.
 //!
 //! The counters live in a [`telemetry::Registry`] (one per pool), so the
-//! JSON/Prometheus exporters and the soak sampler enumerate them by name
+//! JSON snapshot and the soak sampler read them by name
 //! (`flush_lines`, `flush_calls`, `fences`, `modeled_ns`) alongside the
 //! heap's metrics. [`PmemStats`] is a thin typed view over that registry:
 //! its snapshot API is unchanged, and writes go to sharded lock-free

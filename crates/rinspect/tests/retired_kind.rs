@@ -1,6 +1,7 @@
 //! Retired event kinds are never reused: a pool written while the
-//! allocator still had remote-free rings (kind 15) or the flight level
-//! `all` (kinds 8 / 9 / 10) can hold such records in its flight ring, and
+//! allocator still had remote-free rings (kind 15), the flight level
+//! `all` (kinds 8 / 9 / 10) or carve events (kind 11) can hold such
+//! records in its flight ring, and
 //! every reader must keep printing them — by name, not as "unknown", and
 //! without dropping or tripping on them.
 
@@ -10,8 +11,8 @@ use ralloc::flight::{self, FlightRecorder};
 use ralloc::telemetry::EventKind;
 use ralloc::{Ralloc, RallocConfig};
 
-const RETIRED: [(u8, &str); 4] =
-    [(8, "fill"), (9, "flush"), (10, "steal"), (15, "remote_ring_overflow")];
+const RETIRED: [(u8, &str); 5] =
+    [(8, "fill"), (9, "flush"), (10, "steal"), (11, "carve"), (15, "remote_ring_overflow")];
 
 #[test]
 #[cfg_attr(feature = "telemetry-off", ignore = "the flight recorder is compiled out")]

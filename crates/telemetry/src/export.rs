@@ -1,8 +1,8 @@
-//! Exporters: JSON snapshot and Prometheus text format.
+//! Exporter: a JSON snapshot of any set of registries.
 //!
-//! Both take a list of `(scope, registry)` pairs so one dump can combine
+//! It takes a list of `(scope, registry)` pairs so one dump can combine
 //! the heap's registry with its pmem pool's; the scope becomes the JSON
-//! object key / the Prometheus name prefix.
+//! object key.
 
 use crate::registry::{Metric, Registry};
 
@@ -61,57 +61,6 @@ pub fn to_json(scopes: &[(&str, &Registry)]) -> String {
     s
 }
 
-fn prom_name(scope: &str, name: &str) -> String {
-    let mut out = String::with_capacity(scope.len() + name.len() + 1);
-    for c in scope.chars().chain(std::iter::once('_')).chain(name.chars()) {
-        out.push(if c.is_ascii_alphanumeric() || c == '_' { c } else { '_' });
-    }
-    out
-}
-
-/// Help text as exposed: registered via [`Registry::describe`], with a
-/// generated `<scope> <name>` fallback so every series carries a line.
-fn prom_help(scope: &str, name: &str, reg: &Registry) -> String {
-    match reg.help_for(name) {
-        Some(h) => h.replace('\\', "\\\\").replace('\n', "\\n"),
-        None => format!("{scope} {}", name.replace('_', " ")),
-    }
-}
-
-/// Prometheus text exposition format (`# HELP`/`# TYPE` lines,
-/// `_bucket{le=...}` / `_sum` / `_count` series for histograms with
-/// cumulative `le` edges).
-pub fn to_prometheus(scopes: &[(&str, &Registry)]) -> String {
-    let mut s = String::new();
-    for (scope, reg) in scopes {
-        for (name, metric) in reg.entries() {
-            let full = prom_name(scope, name);
-            s.push_str(&format!("# HELP {full} {}\n", prom_help(scope, name, reg)));
-            match metric {
-                Metric::Counter(c) => {
-                    s.push_str(&format!("# TYPE {full} counter\n{full} {}\n", c.get()));
-                }
-                Metric::Gauge(g) => {
-                    s.push_str(&format!("# TYPE {full} gauge\n{full} {}\n", g.get()));
-                }
-                Metric::Histogram(h) => {
-                    let snap = h.snapshot();
-                    s.push_str(&format!("# TYPE {full} histogram\n"));
-                    let mut cum = 0u64;
-                    for (upper, n) in snap.nonzero_buckets() {
-                        cum += n;
-                        s.push_str(&format!("{full}_bucket{{le=\"{upper}\"}} {cum}\n"));
-                    }
-                    s.push_str(&format!("{full}_bucket{{le=\"+Inf\"}} {}\n", snap.count));
-                    s.push_str(&format!("{full}_sum {}\n", snap.sum));
-                    s.push_str(&format!("{full}_count {}\n", snap.count));
-                }
-            }
-        }
-    }
-    s
-}
-
 #[cfg(test)]
 #[cfg(not(feature = "telemetry-off"))]
 mod tests {
@@ -156,47 +105,5 @@ mod tests {
             v.get("pmem").and_then(|p| p.get("fences")).and_then(|v| v.as_u64()),
             Some(7)
         );
-    }
-
-    #[test]
-    fn prometheus_format_lines() {
-        let reg = sample_registry();
-        let dump = to_prometheus(&[("heap", &reg)]);
-        assert!(dump.contains("# TYPE heap_fills counter\nheap_fills 42\n"));
-        // Every series gets a HELP line, with a generated fallback text.
-        assert!(dump.contains("# HELP heap_fills heap fills\n"));
-        assert!(dump.contains("# HELP heap_malloc_ns heap malloc ns\n"));
-        assert!(dump.contains("# TYPE heap_committed_len gauge\nheap_committed_len 1048576\n"));
-        assert!(dump.contains("# TYPE heap_malloc_ns histogram\n"));
-        assert!(dump.contains("heap_malloc_ns_bucket{le=\"+Inf\"} 5\n"));
-        assert!(dump.contains("heap_malloc_ns_sum 6060\n"));
-        assert!(dump.contains("heap_malloc_ns_count 5\n"));
-        // Bucket counts are cumulative and non-decreasing.
-        let counts: Vec<u64> = dump
-            .lines()
-            .filter(|l| l.starts_with("heap_malloc_ns_bucket{le=\"") && !l.contains("+Inf"))
-            .map(|l| l.rsplit(' ').next().unwrap().parse().unwrap())
-            .collect();
-        assert!(!counts.is_empty());
-        assert!(counts.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(*counts.last().unwrap(), 5);
-    }
-
-    #[test]
-    fn prometheus_sanitizes_names() {
-        assert_eq!(prom_name("heap-0", "fill.rate"), "heap_0_fill_rate");
-    }
-
-    #[test]
-    fn prometheus_uses_registered_help_text() {
-        let reg = Registry::new();
-        reg.counter("fills").add(1);
-        reg.describe("fills", "cache bin fills since heap open");
-        let dump = to_prometheus(&[("heap", &reg)]);
-        assert!(dump.contains("# HELP heap_fills cache bin fills since heap open\n"));
-        // HELP precedes TYPE precedes the sample, per exposition format.
-        let help = dump.find("# HELP heap_fills").unwrap();
-        let ty = dump.find("# TYPE heap_fills").unwrap();
-        assert!(help < ty);
     }
 }

@@ -17,12 +17,11 @@
 //!   enumerate them without the owning struct's cooperation. One registry
 //!   per heap (plus one per pmem pool): independent heaps never share
 //!   counters.
-//! * [`Journal`] — a bounded lock-free ring buffer of persistence-protocol
-//!   events (grow commit/publish, shrink unpublish/decommit, recovery
-//!   phases, fill/flush/steal) with monotonic timestamps, so a failed
-//!   crash sweep or a latency spike can be replayed as an ordered trace.
-//! * [`export`] — JSON snapshot and Prometheus text-format dumps over any
-//!   set of registries.
+//! * [`EventKind`] — the persistence-protocol event schema (grow
+//!   commit/publish, shrink unpublish/decommit, recovery phases, root
+//!   publish, open/close). Its one recorder is the pool's crash-surviving
+//!   flight ring in the allocator core.
+//! * [`export`] — a JSON snapshot over any set of registries.
 //! * [`SamplerHandle`] — a background thread appending periodic snapshots
 //!   to a JSONL file: the footprint / steal-rate / fill-flush time series
 //!   a soak run produces as its proof artifact.
@@ -34,16 +33,15 @@
 //! No metric write path performs a compare-and-swap: counters and
 //! histograms use relaxed `fetch_add` on a per-thread shard, a
 //! [`LocalBlock`] bump is a relaxed load and store by the block's one
-//! writer, gauges use plain stores, and the journal claims slots with one
-//! relaxed `fetch_add`. The only locks live in registration (once per
-//! metric, once per thread block made or retired), in reads of a slotted
-//! counter, and in the sampler's file writer — the allocator meets one
-//! only when a thread's cache set is made or ends. [`cas_ops`]
-//! audits that claim: any future code that adds a CAS to this crate must
+//! writer, and gauges use plain stores. The only locks live in
+//! registration (once per metric, once per thread block made or retired),
+//! in reads of a slotted counter, and in the sampler's file writer — the
+//! allocator meets one only when a thread's cache set is made or ends.
+//! [`cas_ops`] audits that claim: any future code that adds a CAS to this crate must
 //! route it through [`note_cas`], and the fast-path test pins the count
 //! at zero.
 
-mod journal;
+mod event;
 mod metrics;
 mod registry;
 mod sampler;
@@ -51,7 +49,7 @@ mod sampler;
 pub mod export;
 pub mod json;
 
-pub use journal::{Event, EventKind, Journal};
+pub use event::EventKind;
 pub use metrics::{Counter, Gauge, HistSnapshot, Histogram, LocalBlock};
 pub use registry::{Metric, Registry};
 pub use sampler::SamplerHandle;
@@ -63,8 +61,7 @@ use std::time::Instant;
 /// Global audit counter of compare-and-swap operations performed *by this
 /// crate*. The metric fast paths are CAS-free by design; every CAS a
 /// future change introduces must call [`note_cas`], and the unit tests
-/// assert the count stays at zero across counter/histogram/journal
-/// storms.
+/// assert the count stays at zero across counter/histogram storms.
 static CAS_OPS: AtomicU64 = AtomicU64::new(0);
 
 /// Record one compare-and-swap performed inside the telemetry crate.
@@ -82,9 +79,9 @@ pub fn cas_ops() -> u64 {
 }
 
 /// Monotonic nanoseconds since the process's telemetry clock origin (the
-/// first call to this function). All journal timestamps and sampler
-/// `t_ms` fields share this origin, so traces from different subsystems
-/// of one process order correctly against each other.
+/// first call to this function). Flight-record and sampler `t_ms` fields
+/// share this origin, so traces from different subsystems of one process
+/// order correctly against each other.
 pub fn now_ns() -> u64 {
     static ORIGIN: OnceLock<Instant> = OnceLock::new();
     ORIGIN.get_or_init(Instant::now).elapsed().as_nanos() as u64
@@ -111,21 +108,19 @@ mod tests {
     #[test]
     fn metric_and_journal_writes_perform_zero_cas() {
         // The headline synchronization contract: a storm of concurrent
-        // counter increments, histogram observations, and journal records
-        // must not execute a single compare-and-swap inside this crate.
+        // counter increments and histogram observations must not execute
+        // a single compare-and-swap inside this crate.
         let cas0 = cas_ops();
         let reg = Registry::new();
         let c = reg.counter("storm_counter");
         let h = reg.histogram("storm_hist");
-        let j = Journal::with_capacity(256);
         std::thread::scope(|s| {
             for t in 0..4 {
-                let (c, h, j) = (c.clone(), h.clone(), &j);
+                let (c, h) = (c.clone(), h.clone());
                 s.spawn(move || {
                     for i in 0..10_000u64 {
                         c.add(1);
                         h.observe(i + t);
-                        j.record(EventKind::Carve, i, t);
                     }
                 });
             }

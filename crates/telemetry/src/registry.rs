@@ -25,10 +25,6 @@ struct Inner {
     // only at registration and export time; insertion order is the
     // export order, which keeps dumps stable and diffable.
     entries: Mutex<Vec<(&'static str, Metric)>>,
-    // Optional help text per metric name, emitted as Prometheus `# HELP`
-    // lines. Kept separate so registration stays a single-argument call
-    // at the dozens of existing sites.
-    helps: Mutex<Vec<(&'static str, &'static str)>>,
     // The thread blocks of this registry's slotted counters.
     locals: Arc<LocalSet>,
 }
@@ -111,28 +107,6 @@ impl Registry {
             Metric::Histogram(h) => h,
             _ => panic!("metric {name:?} already registered with a different kind"),
         }
-    }
-
-    /// Attach help text to a metric name, shown as the Prometheus
-    /// `# HELP` line. Last call per name wins; the metric need not be
-    /// registered yet.
-    pub fn describe(&self, name: &'static str, help: &'static str) {
-        let mut helps = self.0.helps.lock().unwrap();
-        if let Some(slot) = helps.iter_mut().find(|(n, _)| *n == name) {
-            slot.1 = help;
-        } else {
-            helps.push((name, help));
-        }
-    }
-
-    /// The help text registered for `name`, if any.
-    pub fn help_for(&self, name: &str) -> Option<&'static str> {
-        self.0
-            .helps
-            .lock()
-            .unwrap()
-            .iter()
-            .find_map(|(n, h)| (*n == name).then_some(*h))
     }
 
     /// All registered metrics in registration order.

@@ -521,6 +521,48 @@ mod flight_ring {
         );
     }
 
+    /// A pool whose ring header is lost — the line zeroed, as a crash
+    /// between a fresh heap's header persist and its ring persist leaves
+    /// it, or one byte of the magic flipped — reopens with a ring that
+    /// records again: adoption re-initializes it, durably, before its
+    /// `open` record.
+    #[test]
+    #[cfg_attr(feature = "telemetry-off", ignore = "the flight recorder is compiled out")]
+    fn a_lost_ring_header_is_reinitialized_at_adoption() {
+        use ralloc::layout::{FLIGHT_HDR_SIZE, FLIGHT_OFF};
+        type Damage = fn(&mut [u8]);
+        let rows: [(&str, Damage); 2] = [
+            ("header line zeroed", |img| img[FLIGHT_OFF..FLIGHT_OFF + FLIGHT_HDR_SIZE].fill(0)),
+            ("one magic byte flipped", |img| img[FLIGHT_OFF] ^= 0x01),
+        ];
+        for (row, damage) in rows {
+            let heap = Ralloc::create(8 << 20, RallocConfig::tracked());
+            let p = heap.malloc(64);
+            heap.set_root::<u64>(0, p as *const u64);
+            heap.crash_simulated();
+            let mut image = heap.pool().persistent_image();
+            drop(heap);
+            damage(&mut image);
+            assert!(ralloc::flight::scan_image(&image).events.is_empty(), "{row}: damage missed");
+
+            let (heap2, dirty) = Ralloc::from_image(&image, RallocConfig::tracked());
+            assert!(dirty, "{row}");
+            assert!(heap2.preopen_flight().events.is_empty(), "{row}: nothing to read before");
+            heap2.recover();
+            heap2.set_root::<u64>(0, std::ptr::null());
+            let kinds: Vec<_> =
+                heap2.flight_timeline().events.iter().map(|e| e.kind_name()).collect();
+            assert_eq!(kinds.first(), Some(&"open"), "{row}: {kinds:?}");
+            assert_eq!(kinds.last(), Some(&"root_publish"), "{row}: {kinds:?}");
+            // What a power failure now would keep: the new header and the
+            // records fenced since.
+            heap2.crash_simulated();
+            let after = ralloc::flight::scan_image(&heap2.pool().persistent_image());
+            assert_eq!(after.torn, 0, "{row}");
+            assert_eq!(after.events.first().map(|e| e.kind_name()), Some("open"), "{row}");
+        }
+    }
+
     #[test]
     #[cfg_attr(feature = "telemetry-off", ignore = "the flight recorder is compiled out")]
     fn wraparound_keeps_the_newest_window_across_reopen() {

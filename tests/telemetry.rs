@@ -1,8 +1,8 @@
 //! Integration tests for the unified telemetry subsystem: the heap-level
 //! contracts that the unit tests inside `crates/telemetry` cannot see —
 //! zero telemetry CAS on the real malloc/free fast path, protocol
-//! ordering in the event journal, exporter round-trips through the
-//! `Ralloc` API, and the sampler soak that CI uploads as its smoke
+//! ordering in the flight ring (the heap's one event stream), exporter
+//! round-trips through the `Ralloc` API, and the sampler soak that CI uploads as its smoke
 //! artifact (`TELEMETRY_SMOKE_OUT` redirects the JSONL).
 
 use std::sync::Arc;
@@ -44,13 +44,16 @@ fn fast_path_performs_zero_telemetry_cas() {
 }
 
 /// `Ralloc::telemetry_snapshot` parses as JSON and carries the heap and
-/// pmem registries plus the journal — the exporter round-trip at the API
-/// surface users actually call.
+/// pmem registries plus the flight ring — the exporter round-trip at the
+/// API surface users actually call. The ring is written by the one JSON
+/// writer there is: on a quiescent heap its bytes equal
+/// `flight_timeline()`'s and `rinspect timeline --json`'s for the image.
 #[test]
 #[cfg_attr(feature = "telemetry-off", ignore = "asserts telemetry counters, which are compiled out")]
 fn telemetry_snapshot_round_trips_through_parser() {
     let heap = small_heap();
     let ptrs: Vec<*mut u8> = (0..500).map(|_| heap.malloc(64)).collect();
+    heap.set_root_raw(0, ptrs[0]);
     for p in ptrs {
         heap.free(p);
     }
@@ -65,113 +68,83 @@ fn telemetry_snapshot_round_trips_through_parser() {
     );
     let pmem = v.get("registries").and_then(|r| r.get("pmem")).expect("pmem scope");
     assert!(pmem.get("flush_lines").and_then(|c| c.as_u64()).is_some());
-    let journal = v.get("journal").and_then(|j| j.as_array()).expect("journal array");
-    assert!(!journal.is_empty(), "carve/fill events must be resident");
-    for ev in journal {
-        assert!(ev.get("seq").and_then(|s| s.as_u64()).is_some());
-        assert!(ev.get("kind").and_then(|k| k.as_str()).is_some());
-    }
+    let flight = v.get("flight").expect("flight object");
+    assert_eq!(flight.get("torn").and_then(|t| t.as_u64()), Some(0));
+    let events = flight.get("events").and_then(|e| e.as_array()).expect("events array");
+    let kinds: Vec<_> = events.iter().map(|e| e.get("kind").and_then(|k| k.as_str())).collect();
+    assert_eq!(kinds, [Some("open"), Some("root_publish")]);
+
+    let (_, ring) = snap.rsplit_once("\"flight\": ").unwrap();
+    let ring = ring.strip_suffix('}').expect("the ring is the snapshot's last value");
+    assert_eq!(ring, heap.flight_timeline().to_json());
+    assert_eq!(ring, rinspect::timeline(&heap.pool().persistent_image()).to_json());
 }
 
-/// The Prometheus dump exposes every registered counter under the scope
-/// prefix with well-formed `# TYPE` headers and histogram series.
+/// Grow protocol ordering, per frontier, read off the flight ring: every
+/// `*_publish` is preceded by a `*_commit` of at least the published
+/// length — the crash-safety invariant (persist the frontier word before
+/// exposing the space) replayed from the event trace — and the last
+/// publish of *both* frontiers covers every superblock carved. (Carves
+/// are the `sb_carved` counter, not events; that `used` never outruns a
+/// durable frontier word is checked at every crash point by
+/// `region_crash_sweep`, whose recovery refuses such an image.)
 #[test]
-#[cfg_attr(feature = "telemetry-off", ignore = "asserts telemetry histograms, which are compiled out")]
-fn prometheus_dump_is_well_formed() {
-    let heap = small_heap();
-    let p = heap.malloc(128);
-    heap.free(p);
-    heap.recover(); // populates the recovery_duration_ns histogram
-    let dump = heap.telemetry_prometheus();
-    assert!(dump.contains("# TYPE heap_cache_fills counter\n"));
-    assert!(dump.contains("# TYPE pmem_flush_lines counter\n"));
-    assert!(dump.contains("# TYPE heap_recovery_duration_ns histogram\n"));
-    assert!(dump.contains("heap_recovery_duration_ns_bucket{le=\"+Inf\"} 1\n"));
-    assert!(dump.contains("heap_recovery_duration_ns_count 1\n"));
-    // Every non-comment line is `name[{labels}] value`.
-    for line in dump.lines().filter(|l| !l.starts_with('#') && !l.is_empty()) {
-        let mut parts = line.rsplitn(2, ' ');
-        let value = parts.next().unwrap();
-        assert!(
-            value.parse::<f64>().is_ok(),
-            "prometheus line must end in a number: {line:?}"
-        );
-        assert!(parts.next().is_some());
-    }
-}
-
-/// Grow protocol ordering, per frontier: every `*_publish` in the journal
-/// is preceded by a `*_commit` of at least the published length — the
-/// crash-safety invariant (persist the frontier word before exposing the
-/// space) replayed from the event trace — and every `carve` is preceded
-/// by a publish of *both* frontiers covering the carved superblocks (or
-/// lies under the frontiers the heap was created with).
-#[test]
-#[cfg_attr(feature = "telemetry-off", ignore = "reads the event journal, which is compiled out")]
+#[cfg_attr(feature = "telemetry-off", ignore = "reads the flight ring, which is compiled out")]
 fn journal_orders_grow_commit_before_publish() {
-    use telemetry::EventKind::{
-        Carve, GrowCommit, GrowDescCommit, GrowDescPublish, GrowPublish,
-    };
+    use telemetry::EventKind::{GrowCommit, GrowDescCommit, GrowDescPublish, GrowPublish};
     let heap = Ralloc::create(
         64 << 20,
         RallocConfig { initial_capacity: Some(4 << 20), ..Default::default() },
     );
-    // Fresh heaps commit descriptors in lockstep with superblocks.
-    let init_sb = heap.committed_superblocks();
     let geo = heap.geometry();
     // Outgrow the initial commit so the frontiers must move.
     let ptrs: Vec<*mut u8> = (0..3000).map(|_| heap.malloc(4096)).collect();
     for p in ptrs {
         heap.free(p);
     }
-    let events = heap.journal().snapshot();
+    let events = heap.flight_timeline().events;
+    assert_eq!(events[0].kind_name(), "open", "the ring must still hold the whole run");
+    let used = heap.used_superblocks();
     // (commit kind, publish kind, the frontier's arithmetic)
     let [sb, desc] = Frontier::pair(&geo);
     let frontiers = [(GrowCommit, GrowPublish, sb), (GrowDescCommit, GrowDescPublish, desc)];
     for (commit, publish, frontier) in frontiers {
-        assert!(
-            events.iter().any(|e| e.kind == publish),
-            "workload must have grown the {publish:?} frontier"
-        );
-        for (i, e) in events.iter().enumerate() {
-            if e.kind == publish {
-                assert!(
-                    events[..i].iter().any(|c| c.kind == commit && c.a >= e.a),
-                    "{publish:?} of {} has no earlier {commit:?} covering it",
-                    e.a
-                );
-            }
-            if e.kind == Carve && (e.a + e.b) as usize > init_sb {
-                let need = frontier.len_for_sb((e.a + e.b) as usize) as u64;
-                assert!(
-                    events[..i].iter().any(|p| p.kind == publish && p.a >= need),
-                    "carve of {}+{} has no earlier {publish:?} covering {need} bytes",
-                    e.a,
-                    e.b
-                );
-            }
+        let is = |e: &ralloc::FlightEvent, k| e.kind() == Some(k);
+        for (i, e) in events.iter().enumerate().filter(|(_, e)| is(e, publish)) {
+            assert!(
+                events[..i].iter().any(|c| is(c, commit) && c.a >= e.a),
+                "{publish:?} of {} has no earlier {commit:?} covering it",
+                e.a
+            );
         }
+        let last = events.iter().rev().find(|e| is(e, publish));
+        let need = frontier.len_for_sb(used) as u64;
+        assert!(
+            last.is_some_and(|e| e.a >= need),
+            "the last {publish:?} ({last:?}) does not cover the {used} superblocks carved"
+        );
     }
-    // Timestamps are monotone in seq order (shared clock origin).
-    assert!(events.windows(2).all(|w| w[0].t_ns <= w[1].t_ns));
+    // Timestamps are monotone in seq order (one process's clock).
+    assert!(events.windows(2).all(|w| w[0].t_ms <= w[1].t_ms));
 }
 
-/// Recovery journals its reconcile → sweep → splice phases in order and
-/// publishes the last-recovery gauges onto the heap registry.
+/// Recovery records its reconcile → sweep → splice phases in order on the
+/// flight ring and publishes the last-recovery gauges onto the heap
+/// registry.
 #[test]
-#[cfg_attr(feature = "telemetry-off", ignore = "reads the event journal, which is compiled out")]
+#[cfg_attr(feature = "telemetry-off", ignore = "reads the flight ring, which is compiled out")]
 fn recovery_phases_are_journaled_and_gauged() {
     let heap = small_heap();
     let keep = heap.malloc(64);
     assert!(!keep.is_null());
     let stats = heap.recover();
     use telemetry::EventKind::{RecoveryReconcile, RecoverySplice, RecoverySweep};
-    let events = heap.journal().snapshot();
-    let seq_of = |k| events.iter().find(|e| e.kind == k).map(|e| e.seq);
+    let events = heap.flight_timeline().events;
+    let seq_of = |k| events.iter().find(|e| e.kind() == Some(k)).map(|e| e.seq);
     let (rec, sweep, splice) = (
-        seq_of(RecoveryReconcile).expect("reconcile journaled"),
-        seq_of(RecoverySweep).expect("sweep journaled"),
-        seq_of(RecoverySplice).expect("splice journaled"),
+        seq_of(RecoveryReconcile).expect("reconcile recorded"),
+        seq_of(RecoverySweep).expect("sweep recorded"),
+        seq_of(RecoverySplice).expect("splice recorded"),
     );
     assert!(rec < sweep && sweep < splice, "phases out of order: {rec} {sweep} {splice}");
     let reg = heap.telemetry();
