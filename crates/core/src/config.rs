@@ -9,8 +9,7 @@
 //! The sampler's two variables have no field and are read by
 //! [`sampler_from_env`].
 //!
-//! `pub(crate)` surface: [`RallocConfig::with_env`], [`sampler_from_env`],
-//! [`ShrinkPolicy::parse`], `at_close`/`at_recovery`.
+//! `pub(crate)` surface: [`RallocConfig::with_env`], [`sampler_from_env`].
 
 use std::fmt::Debug;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -18,48 +17,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use nvm::{CrashInjector, FlushModel, Mode};
-
-/// When the heap releases its fully-free committed tail back to the OS
-/// (the shrink half of the reserve/commit model). Shrink is only legal at
-/// quiescent points — `used` never decreases online — so the two hooks
-/// are clean [`crate::Ralloc::close`] and the end of recovery. Env override:
-/// `RALLOC_SHRINK=off|close|recovery|both`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShrinkPolicy {
-    /// Never shrink automatically (PR-4 monotone-frontier behavior).
-    /// [`crate::Ralloc::shrink`] still works when called explicitly.
-    Off,
-    /// Shrink on clean close only.
-    Close,
-    /// Shrink at the end of recovery only.
-    Recovery,
-    /// Shrink at both quiescent points (the default).
-    Both,
-}
-
-impl ShrinkPolicy {
-    #[inline]
-    pub(crate) fn at_close(self) -> bool {
-        matches!(self, ShrinkPolicy::Close | ShrinkPolicy::Both)
-    }
-
-    #[inline]
-    pub(crate) fn at_recovery(self) -> bool {
-        matches!(self, ShrinkPolicy::Recovery | ShrinkPolicy::Both)
-    }
-
-    /// Parse an `RALLOC_SHRINK` value (pure, separately testable — unit
-    /// tests must not mutate the process environment).
-    pub(crate) fn parse(raw: &str) -> Option<ShrinkPolicy> {
-        match raw.trim().to_ascii_lowercase().as_str() {
-            "off" | "none" | "0" => Some(ShrinkPolicy::Off),
-            "close" => Some(ShrinkPolicy::Close),
-            "recovery" => Some(ShrinkPolicy::Recovery),
-            "both" | "on" | "1" => Some(ShrinkPolicy::Both),
-            _ => None,
-        }
-    }
-}
 
 /// Configuration for creating or opening a heap.
 #[derive(Clone)]
@@ -86,10 +43,6 @@ pub struct RallocConfig {
     /// once). `None` reserves exactly the `create` capacity argument.
     /// Env override: `RALLOC_MAX_CAP`.
     pub max_capacity: Option<usize>,
-    /// When the committed frontier shrinks back (release of the trailing
-    /// fully-free superblock run at quiescent points). Env override:
-    /// `RALLOC_SHRINK=off|close|recovery|both`.
-    pub shrink_policy: ShrinkPolicy,
 }
 
 impl Default for RallocConfig {
@@ -101,7 +54,6 @@ impl Default for RallocConfig {
             transient: false,
             initial_capacity: None,
             max_capacity: None,
-            shrink_policy: ShrinkPolicy::Both,
         }
     }
 }
@@ -124,7 +76,6 @@ impl RallocConfig {
         RallocConfig {
             initial_capacity: env_or("RALLOC_INIT_CAP", 1, self.initial_capacity, cap),
             max_capacity: env_or("RALLOC_MAX_CAP", 2, self.max_capacity, cap),
-            shrink_policy: env_or("RALLOC_SHRINK", 4, self.shrink_policy, ShrinkPolicy::parse),
             ..self.clone()
         }
     }

@@ -32,7 +32,6 @@ use parking_lot::Mutex;
 use nvm::PmemPool;
 use telemetry::{EventKind, Registry, SamplerHandle};
 
-use crate::config::ShrinkPolicy;
 use crate::descriptor::Desc;
 use crate::flight::{self, FlightRecorder, FlightScan};
 use crate::frontier::Frontier;
@@ -50,8 +49,6 @@ pub struct HeapInner {
     pub(crate) geo: Geometry,
     pub(crate) id: u64,
     pub(crate) transient: bool,
-    /// When the frontier shrinks back (close/recovery hooks).
-    pub(crate) shrink_policy: ShrinkPolicy,
     /// The committed frontiers, `[superblocks, descriptors]`: each owns
     /// its persisted word, its published bound and the grow/shrink
     /// protocol over them (see [`crate::frontier`]).
@@ -376,9 +373,7 @@ impl Ralloc {
         // Quiescent point: release the trailing fully-free run while the
         // heap is still marked dirty, so a crash mid-shrink triggers a
         // full rebuild rather than trusting half-shrunk lists.
-        if inner.shrink_policy.at_close() {
-            inner.shrink_quiesced();
-        }
+        inner.shrink_quiesced();
         inner.closed.store(true, Ordering::Release);
         // The Close record lands before the dirty-clear so the final
         // full-pool flush below carries both.
@@ -399,9 +394,8 @@ impl Ralloc {
     /// superblocks released.
     ///
     /// The caller must guarantee quiescence (no concurrent heap
-    /// operation), exactly as for [`Ralloc::recover`]. This runs
-    /// regardless of [`crate::RallocConfig::shrink_policy`], which only gates
-    /// the automatic hooks at [`Ralloc::close`] and recovery.
+    /// operation), exactly as for [`Ralloc::recover`]. [`Ralloc::close`]
+    /// and recovery run the same shrink themselves.
     ///
     /// Blocks held in live threads' caches keep their superblocks
     /// non-free, so an explicit shrink releases the most after worker
@@ -967,25 +961,6 @@ mod batch_tests {
             }
         }
         assert!(crate::checker::check_heap(&heap).is_consistent());
-    }
-
-    #[test]
-    fn shrink_policy_parses_and_gates() {
-        for (raw, want) in [
-            ("off", Some(ShrinkPolicy::Off)),
-            ("  CLOSE ", Some(ShrinkPolicy::Close)),
-            ("recovery", Some(ShrinkPolicy::Recovery)),
-            ("both", Some(ShrinkPolicy::Both)),
-            ("1", Some(ShrinkPolicy::Both)),
-            ("0", Some(ShrinkPolicy::Off)),
-            ("garbage", None),
-        ] {
-            assert_eq!(ShrinkPolicy::parse(raw), want, "{raw:?}");
-        }
-        assert!(ShrinkPolicy::Both.at_close() && ShrinkPolicy::Both.at_recovery());
-        assert!(ShrinkPolicy::Close.at_close() && !ShrinkPolicy::Close.at_recovery());
-        assert!(!ShrinkPolicy::Recovery.at_close() && ShrinkPolicy::Recovery.at_recovery());
-        assert!(!ShrinkPolicy::Off.at_close() && !ShrinkPolicy::Off.at_recovery());
     }
 
     #[test]

@@ -68,7 +68,7 @@ pub mod size_class;
 mod stats;
 mod tcache;
 
-pub use config::{RallocConfig, ShrinkPolicy};
+pub use config::RallocConfig;
 pub use flight::{FlightEvent, FlightScan};
 pub use gc::{Trace, TraceFn, Tracer};
 pub use heap::Ralloc;

@@ -334,7 +334,6 @@ impl Ralloc {
                 geo,
                 id: NEXT_HEAP_ID.fetch_add(1, Ordering::Relaxed),
                 transient: cfg.transient,
-                shrink_policy: cfg.shrink_policy,
                 frontiers,
                 generation: AtomicU64::new(0),
                 exit_drains: AtomicUsize::new(0),

@@ -99,10 +99,9 @@ pub struct RecoveryStats {
     /// Worker threads used (1 = the paper's sequential recovery).
     pub threads: usize,
     /// Trailing fully-free superblocks released (frontier lowered and
-    /// tail decommitted) by the end-of-recovery shrink. 0 when
-    /// [`crate::ShrinkPolicy`] disables the recovery hook. These
-    /// were counted in `free_superblocks` by the sweep and are no longer
-    /// on the free list.
+    /// tail decommitted) by the end-of-recovery shrink. These were
+    /// counted in `free_superblocks` by the sweep and are no longer on
+    /// the free list.
     pub shrunk_superblocks: usize,
     /// Wall-clock recovery time (the quantity of paper Figure 6).
     pub duration: Duration,
@@ -126,8 +125,7 @@ pub struct RecoveryPhases {
     pub claim: Duration,
     /// Pass B (steps 6-9): rebuild descriptors and lists.
     pub sweep: Duration,
-    /// The end-of-recovery `shrink_quiesced` (zero when the policy skips
-    /// it).
+    /// The end-of-recovery `shrink_quiesced`.
     pub shrink: Duration,
     /// Step 10: flush the committed prefix and fence.
     pub write_back: Duration,
@@ -307,9 +305,7 @@ pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
     // crash-safe order documented on `shrink_quiesced`. A restart whose
     // live set collapsed thereby restarts at live-set footprint instead
     // of its high-water mark.
-    if inner.shrink_policy.at_recovery() {
-        stats.shrunk_superblocks = inner.shrink_quiesced();
-    }
+    stats.shrunk_superblocks = inner.shrink_quiesced();
     phases.shrink = lap();
 
     // Step 10: write everything back so a crash immediately after
@@ -736,10 +732,7 @@ mod tests {
     fn recovery_stores_nothing_into_a_superblock_it_empties() {
         use crate::checker::check_heap;
         use crate::size_class::{class_max_count, size_class_of};
-        // Shrink off: the emptied superblocks are the heap's tail, which
-        // an end-of-recovery shrink would zero.
-        let config = RallocConfig { shrink_policy: crate::ShrinkPolicy::Off, ..RallocConfig::tracked() };
-        let heap = Ralloc::create(8 << 20, config);
+        let heap = Ralloc::create(8 << 20, RallocConfig::tracked());
         let size = 256;
         let n = 3 * class_max_count(size_class_of(size).unwrap()) as usize;
         let mut blocks: Vec<usize> = (0..n).map(|_| heap.malloc(size) as usize).collect();
@@ -749,10 +742,13 @@ mod tests {
             heap.pool().persist(p - heap.pool().base() as usize, size);
         }
         blocks.iter().for_each(|&p| heap.free(p as *mut u8));
+        // A rooted block in the last superblock: the emptied ones are not
+        // the heap's tail, which the end-of-recovery shrink would release.
+        heap.set_root_raw(0, heap.malloc(crate::SB_SIZE / 2 + 1));
         let used = heap.used_superblocks();
         heap.crash_simulated();
         let stats = heap.recover();
-        assert_eq!((stats.reachable_blocks, stats.free_superblocks), (0, used));
+        assert_eq!((stats.reachable_blocks, stats.free_superblocks), (1, used - 1));
         for &p in &blocks {
             // SAFETY: a free block under `used`, on a quiescent heap.
             let bytes = unsafe { std::slice::from_raw_parts(p as *const u8, size) };
@@ -821,22 +817,16 @@ mod parallel_tests {
 
     #[test]
     fn parallel_recovery_matches_sequential() {
-        // Shrink off: this test recovers the SAME heap twice and compares
-        // sweep statistics, and an end-of-recovery shrink would (by
-        // design) lower `used` between the two runs. The shrink hook has
-        // its own crash-sweep coverage in tests/growable_heap.rs.
-        let heap = Ralloc::create(
-            32 << 20,
-            RallocConfig {
-                shrink_policy: crate::ShrinkPolicy::Off,
-                ..RallocConfig::tracked()
-            },
-        );
+        // This test recovers the SAME heap twice and compares sweep
+        // statistics, so a rooted block in the last superblock keeps the
+        // first recovery's shrink from lowering `used` between the two.
+        let heap = Ralloc::create(32 << 20, RallocConfig::tracked());
         build_many_lists(&heap, 16, 200);
         // Leak garbage so the sweep has work too.
         for _ in 0..2000 {
             let _ = heap.malloc(48);
         }
+        heap.set_root_raw(16, heap.malloc(crate::SB_SIZE / 2 + 1));
         heap.crash_simulated();
         let seq = heap.recover();
         let par = heap.recover_parallel(4);

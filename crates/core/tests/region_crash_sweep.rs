@@ -103,12 +103,11 @@ fn recover_and_account(image: &[u8], budget: u64) {
     let report = check_heap(&heap);
     assert!(report.is_consistent(), "budget {budget}: invariants violated: {report:?}");
 
-    // Recovery ends with its own shrink (default policy). Whichever step
-    // of the victim's shrink the crash interrupted — including the one
-    // between the two regions' decommits, which leaves the superblock
-    // frontier already on `used` and only the descriptor frontier above
-    // it — both durable frontiers must land exactly on the recovered
-    // `used`.
+    // Recovery ends with its own shrink. Whichever step of the victim's
+    // shrink the crash interrupted — including the one between the two
+    // regions' decommits, which leaves the superblock frontier already on
+    // `used` and only the descriptor frontier above it — both durable
+    // frontiers must land exactly on the recovered `used`.
     let used = heap.used_superblocks();
     let [sb, desc] = Frontier::pair(&heap.geometry());
     // SAFETY: header words of a quiescent heap.

@@ -167,14 +167,15 @@ impl PoolGuard {
 ///   mappings of Optane are (4 KiB pages where the host's THP mode is
 ///   `never`). Durability across process
 ///   death is *modelled* (shadow image; [`PmemPool::persistent_image`]
-///   is the way out), not real. Pages, once mapped,
-///   stay with the pool until it is dropped: a decommit zeroes what was
-///   stored to in the released range and the next commit hands the same
-///   pages out again without a system call. (Giving touched pages back
-///   to the kernel instead is cheaper on average but costs 170–350 ns a
-///   page depending on which CPU first touched them, which made
-///   recovery time differ from run to run by more than the repo's
-///   benchmark accepts; see CHANGES.md, PR 13.)
+///   is the way out), not real. A range, once mapped, stays mapped until
+///   the pool is dropped, but a decommit or release gives the memory of
+///   its whole pages back to the kernel ([`Reservation::discard`]) and
+///   the next commit over it needs no system call. On 2 MiB pages that
+///   release costs the same whichever CPU first touched the pages: a
+///   shrink of ≈ 510 MiB takes 2.7–3.5 ms (median) on either CPU of a
+///   2-vCPU guest, each median inside the other CPU's range (CHANGES.md
+///   has the table). On 4 KiB pages it cost 170–350 ns a page, and which
+///   CPU decided where in that range.
 /// * **A real file** ([`PmemPool::map_file`]): the file, `MAP_SHARED`,
 ///   unadvised. Stores land in the OS page cache, which survives the death of the
 ///   process — the property the SIGKILL harness tests against. The
@@ -402,13 +403,12 @@ impl PmemPool {
     /// [`PmemPool::release`], one [`CrashInjector`] event.
     ///
     /// A later commit over the released range reads zeros, exactly like
-    /// never-committed reservation. Anonymous pages are zeroed by stores
-    /// and keep their pages for that commit — the cost is a `memset` of
-    /// the pages that read nonzero; their memory, every huge page a store
-    /// backed included, goes back to the OS when the pool is dropped. A
-    /// file's tail is unmapped into bare
-    /// reservation — only the rest of the frontier's own page is zeroed —
-    /// and the file truncated.
+    /// never-committed reservation. An anonymous tail stays mapped and
+    /// its whole pages go back to the kernel ([`Reservation::discard`]),
+    /// so its memory leaves at the decommit and that commit needs no
+    /// system call. A file's tail is unmapped into bare reservation —
+    /// only the rest of the frontier's own page is zeroed — and the file
+    /// truncated.
     ///
     /// In [`Mode::Tracked`] the released range is also dropped from the
     /// persistent image: pending (flushed-unfenced) lines in it are
@@ -450,8 +450,9 @@ impl PmemPool {
     /// prefix, without moving the frontier: it is zeroed in place — in
     /// the volatile image and, in [`Mode::Tracked`], in the pending
     /// flushes and the shadow — so it reads zero from then on, through a
-    /// crash too; its pages stay mapped. Like [`PmemPool::decommit`], one
-    /// [`CrashInjector`] event, and the caller must be quiescent.
+    /// crash too. Its pages stay mapped; anonymous ones give their memory
+    /// back, a file's are zeroed by stores. Like [`PmemPool::decommit`],
+    /// one [`CrashInjector`] event, and the caller must be quiescent.
     pub fn release(&self, lo: usize, hi: usize) {
         debug_assert!(lo.is_multiple_of(CACHE_LINE) && hi.is_multiple_of(CACHE_LINE));
         debug_assert!(lo <= hi && self.check_range(lo, hi - lo));
@@ -460,16 +461,26 @@ impl PmemPool {
     }
 
     /// Zero `[lo, hi)` in the volatile image, the pending flushes and the
-    /// shadow.
+    /// shadow. Anonymous memory gives its whole pages back to the kernel
+    /// ([`Reservation::discard`]); a file's pages are zeroed by stores,
+    /// since a dropped `MAP_SHARED` page would re-read the file.
     fn zero(&self, lo: usize, hi: usize) {
-        // SAFETY: the range lies in the mapped prefix and no frontier
-        // covers it any more; quiescence is the caller's contract.
-        unsafe { self.span.zero(lo, hi) };
+        // SAFETY: the range lies in the mapped prefix (anonymous unless
+        // there is a file) and no frontier covers it any more; quiescence
+        // is the caller's contract.
+        unsafe {
+            if self.file.is_some() {
+                self.span.zero(lo, hi);
+            } else {
+                self.span.discard(lo, hi);
+            }
+        }
         if let Some(t) = &self.tracked {
             let mut st = t.lock();
             st.pending.retain(|line, _| line + CACHE_LINE <= lo || *line >= hi);
-            // SAFETY: all of the shadow is mapped and ours under the lock.
-            unsafe { st.shadow.zero(lo, hi) };
+            // SAFETY: all of the shadow is mapped anonymous and ours under
+            // the lock.
+            unsafe { st.shadow.discard(lo, hi) };
         }
     }
 
@@ -1054,6 +1065,11 @@ mod tests {
         let mapped = |name: &str| map(&dir.join(name), 1 << 20, 4096);
         release_and_regrow(mapped("tail"), true, TAIL + 4096 + 128, TAIL + 9 * 4096 + 640);
         release_and_regrow(mapped("interior"), false, INTERIOR + 4096 + 192, INTERIOR + 5 * 4096 + 320);
+        // The interior release zeroed the file's own bytes.
+        let (lo, hi) = (INTERIOR + 4096 + 192, INTERIOR + 5 * 4096 + 320);
+        let file = std::fs::read(dir.join("interior")).unwrap();
+        assert!(file[INTERIOR..lo].iter().chain(&file[hi..]).all(|&b| b == 0xAA), "the file's kept bytes");
+        assert!(file[lo..hi].iter().all(|&b| b == 0), "the file's released bytes");
         let len = |name: &str| std::fs::metadata(dir.join(name)).unwrap().len();
         assert_eq!(len("tail"), (TAIL + 9 * 4096 + 640) as u64, "file length == frontier");
         assert_eq!(len("interior"), TAIL as u64, "an interior release truncated the file");
@@ -1112,6 +1128,44 @@ mod tests {
             return;
         }
         assert!(huge_kb(&pool, at) >= 2048, "no huge page behind a stored-to chunk");
+    }
+
+    /// An anonymous decommit gives the memory of the whole pages it
+    /// releases back at once, in the volatile image and in a tracked
+    /// pool's shadow, and the released bytes read zero when re-committed,
+    /// through a crash too.
+    #[test]
+    fn an_anonymous_decommit_frees_its_pages_and_reads_zero_after_a_commit() {
+        let (lo, end) = (HUGE - 4096 + 64, 3 * HUGE);
+        for mode in [Mode::Direct, Mode::Tracked] {
+            let pool = chunks(3, mode);
+            write_bytes(&pool, 0, &vec![0xAA; end]);
+            pool.persist(0, end);
+            let shadow = pool.tracked.as_ref().map(|t| t.lock().shadow.base() as *const u8);
+            let images = [Some(pool.base() as *const u8), shadow];
+            let whole_chunks = |base: *const u8| sys::mincore(base.wrapping_add(HUGE), 2 * HUGE).unwrap();
+            for base in images.into_iter().flatten() {
+                assert!(whole_chunks(base).iter().all(|&r| r), "{mode:?}: stored-to pages are not resident");
+            }
+            assert_eq!(pool.decommit(lo), lo);
+            if mode == Mode::Tracked {
+                pool.crash();
+            }
+            for base in images.into_iter().flatten() {
+                assert!(whole_chunks(base).iter().all(|&r| !r), "{mode:?}: released pages are resident");
+            }
+            assert_eq!(pool.commit(end), end);
+            let check = |what: &str| {
+                let bytes = unsafe { std::slice::from_raw_parts(pool.base(), end) };
+                assert!(bytes[..lo].iter().all(|&b| b == 0xAA), "{mode:?} {what}: kept bytes changed");
+                assert!(bytes[lo..].iter().all(|&b| b == 0), "{mode:?} {what}: released bytes resurrected");
+            };
+            check("volatile image");
+            if mode == Mode::Tracked {
+                pool.crash();
+                check("persistent image");
+            }
+        }
     }
 
     #[test]

@@ -32,6 +32,9 @@ pub const MAP_NORESERVE: usize = 0x4000;
 
 pub const MS_SYNC: usize = 4;
 
+/// `madvise` advice: free the range's pages. A private anonymous page
+/// reads zero when next touched; a shared file page re-reads the file.
+pub const MADV_DONTNEED: usize = 4;
 /// `madvise` advice: back the range with transparent huge pages.
 pub const MADV_HUGEPAGE: usize = 14;
 
@@ -259,9 +262,11 @@ pub const fn page_down(n: usize) -> usize {
 /// three system calls, whatever its size. [`Reservation::map`] makes a
 /// page range usable (file pages, or anonymous zero pages that take
 /// memory when first touched), [`Reservation::zero`] clears a mapped
-/// range by stores, leaving its pages in place, and
-/// [`Reservation::release`] takes a range's pages away again. Offsets are
-/// relative to [`Reservation::base`]; dropping the value unmaps the span.
+/// range by stores, leaving its pages in place,
+/// [`Reservation::discard`] clears an anonymous range by giving its pages
+/// to the kernel, leaving it mapped, and [`Reservation::release`] takes a
+/// range's pages away again. Offsets are relative to
+/// [`Reservation::base`]; dropping the value unmaps the span.
 pub struct Reservation {
     base: *mut u8,
     len: usize,
@@ -342,13 +347,8 @@ impl Reservation {
     /// `[lo, hi)` must be mapped and nothing may access it concurrently.
     pub unsafe fn release(&self, lo: usize, hi: usize) -> io::Result<()> {
         assert!(lo <= hi && hi <= page_up(self.len), "release({lo}, {hi}) outside the span");
-        let first = page_up(lo).min(hi);
-        let last = page_down(hi).max(first);
-        // SAFETY: both edges are inside the mapped range.
-        unsafe {
-            self.zero(lo, first);
-            self.zero(last, hi);
-        }
+        // SAFETY: per fn contract.
+        let (first, last) = unsafe { self.zero_edges(lo, hi) };
         if last == first {
             return Ok(());
         }
@@ -357,13 +357,50 @@ impl Reservation {
         unsafe { mmap(self.base.add(first), last - first, PROT_NONE, flags, -1, 0) }.map(|_| ())
     }
 
+    /// Zero `[lo, hi)` of an anonymous mapping and free its memory: the
+    /// whole pages inside go back to the kernel with one
+    /// `madvise(MADV_DONTNEED)` and the sub-page edges are zeroed by
+    /// stores. The range stays mapped, so it needs no [`Reservation::map`]
+    /// before its next use, and a page of it read later is a fresh zero
+    /// page (a fresh huge page in an advised chunk). Where the kernel
+    /// refuses the advice the whole pages are zeroed by stores instead:
+    /// the range reads zero either way.
+    ///
+    /// # Safety
+    /// `[lo, hi)` must be mapped private and anonymous (a shared file page
+    /// would re-read the file, not zero), and nothing may access it
+    /// concurrently.
+    pub unsafe fn discard(&self, lo: usize, hi: usize) {
+        assert!(lo <= hi && hi <= page_up(self.len), "discard({lo}, {hi}) outside the span");
+        // SAFETY: per fn contract, here and below.
+        let (first, last) = unsafe { self.zero_edges(lo, hi) };
+        if last > first && unsafe { madvise(self.base.add(first), last - first, MADV_DONTNEED) }.is_err() {
+            unsafe { self.zero(first, last) };
+        }
+    }
+
+    /// Zero the sub-page edges of `[lo, hi)` by stores and return the run
+    /// of whole pages between them (empty when the range lies in one page).
+    ///
+    /// # Safety
+    /// As for [`Reservation::zero`].
+    unsafe fn zero_edges(&self, lo: usize, hi: usize) -> (usize, usize) {
+        let first = page_up(lo).min(hi);
+        let last = page_down(hi).max(first);
+        // SAFETY: both edges are inside the range, per fn contract.
+        unsafe {
+            self.zero(lo, first);
+            self.zero(last, hi);
+        }
+        (first, last)
+    }
+
     /// Zero `[lo, hi)` by stores; the pages stay where they are. A page
     /// that already reads zero is left alone, so a clean file page is not
-    /// dirtied and one nobody ever backed keeps costing no memory (reading
-    /// it maps the kernel's shared zero page, or its huge zero page in an
-    /// advised chunk when `transparent_hugepage/use_zero_page` is 1); the
-    /// pages in between are cleared a whole run at a time. A huge page one
-    /// store backed stays resident, all of it.
+    /// dirtied and a file page nobody wrote is not allocated (a file pool's
+    /// `release` of descriptors the frontier covered but no carve reached
+    /// takes no write fault and no write-back); the pages in between are
+    /// cleared a whole run at a time.
     ///
     /// # Safety
     /// `[lo, hi)` must be mapped and nothing may access it concurrently.

@@ -14,10 +14,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BUDGET=6747
+BUDGET=6735
 REST_BUDGET=10146
-MAX_FIELDS=7
-MAX_VARS=8
+MAX_FIELDS=6
+MAX_VARS=7
 
 # Non-test lines of the .rs files under the given paths (find arguments).
 nontest() {

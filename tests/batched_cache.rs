@@ -130,15 +130,13 @@ fn crash_with_no_roots_reclaims_everything_including_bins() {
 
 #[test]
 fn recovery_is_idempotent_after_crash_during_fill() {
-    // Shrink off: the test recovers twice and compares sweep statistics;
-    // the first recovery's end-of-recovery shrink would release the
-    // fully-freed trailing superblock and lower `used` between runs.
-    let heap = Ralloc::create(
-        8 << 20,
-        RallocConfig { shrink_policy: ralloc::ShrinkPolicy::Off, ..RallocConfig::tracked() },
-    );
+    let heap = Ralloc::create(8 << 20, RallocConfig::tracked());
     build_list(&heap, 3, 40);
     let _ = heap.malloc(64); // partially consumed batch in the bin
+    // The test recovers twice and compares sweep statistics: a rooted
+    // block in the last superblock keeps the first recovery's shrink from
+    // releasing the batch's superblock and lowering `used` between runs.
+    heap.set_root_raw(4, heap.malloc(ralloc::SB_SIZE / 2 + 1));
     heap.crash_simulated();
     let s1 = heap.recover();
     let s2 = heap.recover();

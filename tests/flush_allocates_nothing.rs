@@ -10,14 +10,14 @@
 //! `free` returns one superblock's population, so the 4 096 B bin (16
 //! blocks per superblock) sorts there; the 14 336 B bin (4 per
 //! superblock) returns only 4 on overflow, and sorts its other 13 blocks
-//! in the whole-bin drain of `close`.
+//! in the whole-bin drain at its thread's exit.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use ralloc::size_class::{cache_capacity, class_max_count, size_class_of};
-use ralloc::{check_heap, Ralloc, RallocConfig, ShrinkPolicy};
+use ralloc::{check_heap, Ralloc, RallocConfig};
 
 struct Counting;
 
@@ -70,33 +70,40 @@ fn a_flush_over_as_many_superblocks_as_slots_allocates_nothing() {
     for size in [4096, 14336] {
         let class = size_class_of(size).unwrap();
         let (cap, per_sb) = (cache_capacity(class) as usize, class_max_count(class) as usize);
-        // No shrink at close: its scan allocates, and it is not a flush.
-        let cfg = RallocConfig { shrink_policy: ShrinkPolicy::Off, ..Default::default() };
-        let heap = Ralloc::create(32 << 20, cfg);
-        // `cap` whole superblocks, in carve order, and an empty bin.
-        let held: Vec<*mut u8> = (0..cap * per_sb).map(|_| heap.malloc(size)).collect();
-        assert!(held.iter().all(|p| !p.is_null()));
-        // One block of each superblock fills the bin: `cap` groups.
-        for sb in 0..cap {
-            heap.free(held[sb * per_sb]);
-        }
-        // The overflow returns the oldest `per_sb`: one each of as many
-        // superblocks.
-        let (flushes0, cas0) = flush_counts(&heap);
-        let n = allocations_during(|| heap.free(held[1]));
-        assert_eq!(n, 0, "{size} B: an overflow over {per_sb} superblocks allocated");
-        if cfg!(not(feature = "telemetry-off")) {
-            let (flushes, cas) = flush_counts(&heap);
-            assert_eq!(flushes - flushes0, 1, "{size} B");
-            assert_eq!(cas - cas0, per_sb as u64, "{size} B: one anchor CAS per superblock");
-        }
-        let report = check_heap(&heap);
-        assert!(report.is_consistent(), "{size} B: {:?}", report.violations);
-        // The bin keeps the newest `cap - per_sb` and `held[1]`, each of
-        // its own superblock; `close` drains them whole.
+        let heap = Ralloc::create(32 << 20, RallocConfig::default());
+        // The bin's last flush is the whole-bin drain at its thread's exit,
+        // so a worker holds the blocks, and its counting stays armed from
+        // its last statement through that drain.
+        let worker = || {
+            // `cap` whole superblocks, in carve order, and an empty bin.
+            let held: Vec<*mut u8> = (0..cap * per_sb).map(|_| heap.malloc(size)).collect();
+            assert!(held.iter().all(|p| !p.is_null()));
+            // One block of each superblock fills the bin: `cap` groups.
+            for sb in 0..cap {
+                heap.free(held[sb * per_sb]);
+            }
+            // The overflow returns the oldest `per_sb`: one each of as many
+            // superblocks.
+            let (flushes0, cas0) = flush_counts(&heap);
+            let n = allocations_during(|| heap.free(held[1]));
+            assert_eq!(n, 0, "{size} B: an overflow over {per_sb} superblocks allocated");
+            if cfg!(not(feature = "telemetry-off")) {
+                let (flushes, cas) = flush_counts(&heap);
+                assert_eq!(flushes - flushes0, 1, "{size} B");
+                assert_eq!(cas - cas0, per_sb as u64, "{size} B: one anchor CAS per superblock");
+            }
+            let report = check_heap(&heap);
+            assert!(report.is_consistent(), "{size} B: {:?}", report.violations);
+            let before = (flush_counts(&heap), ALLOCS.load(Ordering::Relaxed));
+            ARMED.set(true);
+            before
+        };
+        let ((flushes0, cas0), allocs0) =
+            std::thread::scope(|s| s.spawn(worker).join().expect("worker"));
+        // The bin kept the newest `cap - per_sb` and `held[1]`, each of its
+        // own superblock; the exit drained them whole.
         let kept = cap - per_sb + 1;
-        let (flushes0, cas0) = flush_counts(&heap);
-        let n = allocations_during(|| heap.close().unwrap());
+        let n = ALLOCS.load(Ordering::Relaxed) - allocs0;
         assert_eq!(n, 0, "{size} B: a drain over {kept} superblocks allocated");
         if cfg!(not(feature = "telemetry-off")) {
             let (flushes, cas) = flush_counts(&heap);

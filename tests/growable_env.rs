@@ -16,8 +16,7 @@ use ralloc::{check_heap, Ralloc, RallocConfig, SB_SIZE};
 /// Values no knob parses. The test re-runs itself under them (stderr can
 /// only be read from outside the process); finding them set on entry is
 /// how the child knows its part.
-const UNPARSABLE: [(&str, &str); 3] =
-    [("RALLOC_INIT_CAP", "lots"), ("RALLOC_MAX_CAP", "12Q"), ("RALLOC_SHRINK", "sometimes")];
+const UNPARSABLE: [(&str, &str); 2] = [("RALLOC_INIT_CAP", "lots"), ("RALLOC_MAX_CAP", "12Q")];
 
 /// Two heaps under [`UNPARSABLE`]: each runs on its config as if the
 /// variables were unset (fixed pool, shrink on close).
@@ -27,7 +26,7 @@ fn run_on_the_config_under_unparsable_values() {
         assert_eq!(heap.committed_superblocks(), heap.max_superblocks());
         assert!(heap.max_superblocks() * SB_SIZE < 8 << 20);
         heap.close().unwrap();
-        assert_eq!(heap.committed_superblocks(), 0, "the default policy shrinks on close");
+        assert_eq!(heap.committed_superblocks(), 0, "close shrinks");
     }
 }
 
@@ -80,24 +79,7 @@ fn env_knobs_configure_growth() {
     fixed.free(p);
     assert_eq!(fixed.slow_stats().heap_grows.load(Ordering::Relaxed), 0);
 
-    // RALLOC_SHRINK=off pins the frontier: a clean close releases
-    // nothing even though the whole heap is free.
-    std::env::set_var("RALLOC_SHRINK", "off");
-    let pinned = Ralloc::create(4 << 20, RallocConfig::default());
-    let q = pinned.malloc(SB_SIZE / 2 + 1);
-    assert!(!q.is_null());
-    pinned.free(q);
-    let committed = pinned.committed_superblocks();
-    pinned.close().unwrap();
-    assert_eq!(
-        pinned.committed_superblocks(),
-        committed,
-        "RALLOC_SHRINK=off must keep the frontier monotone"
-    );
-    assert_eq!(pinned.slow_stats().heap_shrinks.load(Ordering::Relaxed), 0);
-    std::env::remove_var("RALLOC_SHRINK");
-
-    // Default policy (`both`): the same close releases the free tail.
+    // A clean close releases the free tail.
     let shrinking = Ralloc::create(4 << 20, RallocConfig::default());
     let q = shrinking.malloc(SB_SIZE / 2 + 1);
     assert!(!q.is_null());
@@ -106,7 +88,7 @@ fn env_knobs_configure_growth() {
     assert_eq!(
         shrinking.committed_superblocks(),
         0,
-        "default shrink-on-close must release the fully-free frontier"
+        "close must release the fully-free frontier"
     );
     assert!(shrinking.slow_stats().sb_released.load(Ordering::Relaxed) > 0);
 }

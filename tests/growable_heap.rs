@@ -13,7 +13,7 @@
 use std::sync::atomic::Ordering;
 
 use nvm::{CrashInjector, CrashPoint, Mode};
-use ralloc::{check_heap, Pptr, Ralloc, RallocConfig, ShrinkPolicy, Trace, Tracer, SB_SIZE};
+use ralloc::{check_heap, Pptr, Ralloc, RallocConfig, Trace, Tracer, SB_SIZE};
 
 #[repr(C)]
 struct Node {
@@ -535,7 +535,6 @@ fn crash_sweep_through_shrink_protocol_recovers() {
     let cfg = || RallocConfig {
         initial_capacity: Some(1 << 20),
         max_capacity: Some(8 << 20),
-        shrink_policy: ShrinkPolicy::Both,
         ..RallocConfig::tracked()
     };
     let rounds = 48usize;

@@ -4,9 +4,8 @@
 //!
 //! A simulated pool is backed a 2 MiB chunk at a time where the host has
 //! transparent huge pages: the first store into a chunk backs all of it,
-//! and a chunk no store reached costs nothing (the RSS tests also need
-//! `transparent_hugepage/use_zero_page` = 1, so that reading such a chunk
-//! maps the huge zero page).
+//! a chunk no store reached costs nothing, and a shrink gives the memory
+//! of the chunks it releases back at once.
 //!
 //! The time limits sit two orders of magnitude above what a create takes
 //! (≈ 0.5 ms here) and far below what zeroing the same span took
@@ -74,6 +73,36 @@ fn shrink_takes_no_memory_for_blocks_nobody_stored_to() {
     assert!(heap.shrink() >= 500, "the freed superblocks must be released");
     let grew = resident_bytes().saturating_sub(rss_before);
     assert!(grew < 4 * MIB, "releasing untouched pages grew the resident set by {grew} bytes");
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn memory_a_shrink_releases_leaves_at_the_shrink() {
+    const CHUNK: usize = nvm::sys::HUGE_PAGE;
+    let _serial = one_at_a_time();
+    let heap = Ralloc::create(4 * MIB, growable(4 * MIB, 512 * MIB));
+    // 64 MiB of 4 KiB blocks, every page stored to, all freed again by a
+    // worker whose exit drains its cache, so every superblock is free.
+    std::thread::scope(|s| {
+        let worker = s.spawn(|| {
+            let blocks: Vec<_> = (0..64 * MIB / 4096).map(|_| heap.malloc(4096)).collect();
+            assert!(blocks.iter().all(|p| !p.is_null()));
+            // SAFETY: each block is ours and 4 KiB long.
+            blocks.iter().for_each(|&p| unsafe { p.write_bytes(0xA5, 4096) });
+            blocks.into_iter().for_each(|p| heap.free(p));
+        });
+        worker.join().expect("worker");
+    });
+    let (base, committed) = (heap.pool().base(), heap.pool().committed_len());
+    let rss_before = resident_bytes();
+    assert!(heap.shrink() * ralloc::SB_SIZE >= 64 * MIB, "the freed superblocks must be released");
+    let fell = rss_before.saturating_sub(resident_bytes());
+    let lo = heap.pool().committed_len().next_multiple_of(CHUNK);
+    let hi = committed / CHUNK * CHUNK;
+    assert!(hi - lo >= 56 * MIB, "released [{lo:#x}, {hi:#x})");
+    let pages = resident(base.wrapping_add(lo), hi - lo);
+    assert!(pages.iter().all(|&r| !r), "a released chunk is still resident");
+    assert!(fell >= 56 * MIB, "the shrink lowered the resident set by {fell} bytes");
 }
 
 #[test]
