@@ -45,6 +45,8 @@
 //! [`galloc::boot`]: a static bump arena, then raw anonymous `mmap`
 //! (direct syscalls, no libc anywhere on the path).
 
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
+
 use std::os::raw::{c_char, c_int, c_void};
 
 use galloc::boot;

@@ -219,8 +219,25 @@ impl Ralloc {
     // ------------------------------------------------------- allocation
 
     /// Allocate `size` bytes; null on exhaustion (the paper's `malloc`).
-    /// Lock-free; the fast path is a fast-slot read and a bin pop.
+    /// Lock-free. Inlined into the caller is the hit only: a small class,
+    /// the fast-slot check and a bin pop; the rest is `malloc_slow`.
+    #[inline]
     pub fn malloc(&self, size: usize) -> *mut u8 {
+        let inner = &*self.inner;
+        debug_assert!(!inner.closed.load(Ordering::Acquire), "malloc on closed heap");
+        if let Some(class) = size_class_of(size) {
+            if let Some(Some(addr)) = tcache::with_fast_tls(inner, |tls| tls.bins[class as usize].pop()) {
+                return addr as *mut u8;
+            }
+        }
+        self.malloc_slow(size)
+    }
+
+    /// Everything but the hit, out of line so a hit saves no registers:
+    /// large blocks, the fast-slot miss and the fill of an empty bin.
+    #[cold]
+    #[inline(never)]
+    fn malloc_slow(&self, size: usize) -> *mut u8 {
         let inner = &*self.inner;
         debug_assert!(!inner.closed.load(Ordering::Acquire), "malloc on closed heap");
         match size_class_of(size) {
@@ -240,8 +257,38 @@ impl Ralloc {
     }
 
     /// Deallocate a block previously returned by [`Ralloc::malloc`]
-    /// (the paper's `free`). Lock-free; fast path is a cache push.
+    /// (the paper's `free`). Lock-free. Inlined into the caller is the hit
+    /// only: a small block's class word, the fast-slot check and a push
+    /// into a bin with room; the rest, bad pointers first, is `free_slow`.
+    #[inline]
     pub fn free(&self, ptr: *mut u8) {
+        let inner = &*self.inner;
+        let off = (ptr as usize).wrapping_sub(inner.pool.base() as usize);
+        if let Some(sb) = inner.geo.sb_index_of(off) {
+            let class = Desc::new(&inner.pool, &inner.geo, sb as u32).size_class();
+            if is_small_class(class) {
+                debug_assert_eq!(
+                    (off - inner.geo.sb(sb)) % class_block_size(class) as usize,
+                    0,
+                    "free: misaligned block pointer"
+                );
+                let pushed = tcache::with_fast_tls(inner, |tls| {
+                    let bin = &mut tls.bins[class as usize];
+                    (!bin.is_full()).then(|| bin.push(ptr as usize))
+                });
+                if let Some(Some(())) = pushed {
+                    return;
+                }
+            }
+        }
+        self.free_slow(ptr)
+    }
+
+    /// Everything but the hit, out of line: every pointer check and its
+    /// panic, large blocks, the fast-slot miss and the flush of a full bin.
+    #[cold]
+    #[inline(never)]
+    fn free_slow(&self, ptr: *mut u8) {
         assert!(!ptr.is_null(), "free(null)");
         let inner = &*self.inner;
         let off = (ptr as usize)
@@ -1112,5 +1159,118 @@ mod remote_free_tests {
         assert_eq!(heap.used_superblocks(), 0, "a remotely freed superblock stayed pinned");
         let report = crate::checker::check_heap(&heap);
         assert!(report.is_consistent(), "{:?}", report.violations);
+    }
+}
+
+#[cfg(test)]
+mod hit_path_tests {
+    //! The split `malloc` / `free`: the inlined hit path serves only a
+    //! small block through a current fast slot and hands everything else
+    //! to `malloc_slow` / `free_slow`, which check and panic as before.
+
+    use std::collections::HashSet;
+
+    use super::*;
+    use crate::gc::{Trace, Tracer};
+    use crate::layout::ROOTS_OFF;
+    use crate::RallocConfig;
+    use pptr::Pptr;
+
+    /// Blocks in this thread's bins for `heap`, read through the fast
+    /// slot (which the caller has warmed).
+    fn cached(heap: &Ralloc) -> u32 {
+        tcache::with_fast_tls(&heap.inner, |tls| tls.bins.iter().map(|b| b.len()).sum())
+            .expect("the fast slot holds this heap's cache set")
+    }
+
+    #[test]
+    fn a_misused_free_panics_in_free_slow_and_caches_nothing() {
+        let heap = Ralloc::create(8 << 20, RallocConfig::default());
+        let warm = heap.malloc(64);
+        heap.free(warm);
+        let large = heap.malloc(3 * SB_SIZE);
+        assert!(!large.is_null());
+        let base = heap.pool().base() as usize;
+        let misuses = [
+            (0, "free(null)"),
+            (base - 4096, "free: pointer below heap"),
+            (base + ROOTS_OFF, "free: pointer outside superblock region"),
+            (large as usize + SB_SIZE, "free: address inside a large allocation"),
+        ];
+        for (ptr, expected) in misuses {
+            let before = cached(&heap);
+            let caught =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| heap.free(ptr as *mut u8)));
+            let payload = caught.expect_err("a misused free returned");
+            let msg = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or_default();
+            assert!(msg.starts_with(expected), "free({ptr:#x}) panicked with {msg:?}");
+            assert_eq!(cached(&heap), before, "free({ptr:#x}) put a block in a bin");
+        }
+        heap.free(large);
+        assert_eq!(heap.malloc(64), warm, "the hit path pops the block cached before");
+    }
+
+    /// A 64 B list node: it shares the 64 B bin with the blocks around it.
+    #[repr(C)]
+    struct Node {
+        next: Pptr<Node>,
+        _pad: [u64; 7],
+    }
+
+    // SAFETY: `trace` visits the node's one pointer field.
+    unsafe impl Trace for Node {
+        fn trace(&self, t: &mut Tracer<'_>) {
+            t.visit_pptr(&self.next);
+        }
+    }
+
+    #[test]
+    fn after_a_crash_the_hit_path_pops_no_block_cached_before_it() {
+        // The nodes are freed into this thread's 64 B bin, but their
+        // unlink never reached media: the image still roots them, so
+        // recovery keeps them allocated, and a hit that popped the old
+        // bin would hand a live block out. With the crash and recovery on
+        // this thread, `crash_simulated` drops the cache set; on another
+        // thread, only the generation compare of the fast-slot check
+        // stands between the stale bin and the hit.
+        for elsewhere in [false, true] {
+            let heap = Ralloc::create(8 << 20, RallocConfig::tracked());
+            let mut head: *mut Node = std::ptr::null_mut();
+            let mut nodes = HashSet::new();
+            for _ in 0..100 {
+                let p = heap.malloc(std::mem::size_of::<Node>()) as *mut Node;
+                assert!(!p.is_null());
+                // SAFETY: a fresh 64 B block.
+                unsafe { (*p).next.set(head) };
+                heap.pool().persist(p as usize - heap.pool().base() as usize, 8);
+                head = p;
+                nodes.insert(p as usize);
+            }
+            heap.set_root::<Node>(0, head);
+            for &p in &nodes {
+                heap.free(p as *mut u8);
+            }
+            let crash_and_recover = || {
+                heap.crash_simulated();
+                heap.get_root::<Node>(0);
+                heap.recover().reachable_blocks
+            };
+            let reachable = if elsewhere {
+                std::thread::scope(|s| s.spawn(crash_and_recover).join().unwrap())
+            } else {
+                crash_and_recover()
+            };
+            assert_eq!(reachable, 100, "crash elsewhere: {elsewhere}");
+            let used = heap.used_superblocks();
+            while heap.used_superblocks() == used {
+                let p = heap.malloc(64) as usize;
+                assert_ne!(p, 0, "crash elsewhere: {elsewhere}");
+                assert!(!nodes.contains(&p), "crash elsewhere: {elsewhere}: live node {p:#x} reissued");
+            }
+        }
     }
 }

@@ -36,11 +36,15 @@
 //! overwhelmingly common case is one heap, so a separate thread-local
 //! **fast slot** memoizes `(heap id, pointer to that heap's cache set)`.
 //! The malloc/free fast path is then: one fast-slot read, one id compare,
-//! one generation compare, one bin pop/push. The linear scan over cache
-//! sets only runs on a fast-slot miss (first touch, heap switch, or after
-//! a crash). Entries are boxed so the memoized pointer stays valid when
-//! the vector reallocates; every path that removes or replaces an entry
-//! invalidates the slot first.
+//! one generation compare, one bin pop/push ([`with_fast_tls`]). That
+//! much is all `Ralloc::malloc` / `free` inline into their callers, so a
+//! hit is a leaf: no call, no register saved, no spill. Whatever fails a
+//! test runs out of line in `malloc_slow` / `free_slow` — large blocks,
+//! pointer checks, fills, flushes, and the fast-slot miss through
+//! [`with_heap_tls`], whose linear scan over cache sets (first touch, heap
+//! switch, or after a crash) is `#[cold]`. Entries are boxed so the
+//! memoized pointer stays valid when the vector reallocates; every path
+//! that removes or replaces an entry invalidates the slot first.
 //!
 //! ## Crash semantics
 //!
@@ -220,6 +224,22 @@ thread_local! {
     static TLS: RefCell<TlsStore> = const { RefCell::new(TlsStore { entries: Vec::new() }) };
 }
 
+/// Run `f` with this thread's cache set for `heap` if the fast slot holds
+/// it and its generation is current; `None`, with `f` not run, otherwise.
+/// This is the one fast-slot check: the malloc/free hit paths call it
+/// directly, and [`with_heap_tls`] adds the miss.
+#[inline(always)]
+pub(crate) fn with_fast_tls<R>(heap: &HeapInner, f: impl FnOnce(&mut HeapTls) -> R) -> Option<R> {
+    let (fast_id, fast_ptr) = FAST.get();
+    // SAFETY: heap ids start at 1, so a matching id means the slot holds a
+    // boxed entry of this thread's store, and every path that drops or
+    // replaces an entry clears the slot first: the pointee is live. `f`
+    // has it exclusively: only this thread reaches it, and nothing in the
+    // allocator re-enters the TLS machinery while `f` runs.
+    let entry = (fast_id == heap.id).then(|| unsafe { &mut *fast_ptr })?;
+    (entry.generation == heap.generation()).then(|| f(entry))
+}
+
 /// Run `f` with this thread's cache set for `heap`, creating or resetting
 /// it as needed. `make_weak` is only invoked when a fresh cache set is
 /// created, keeping `Arc` weak-count traffic off the malloc fast path.
@@ -229,18 +249,11 @@ pub(crate) fn with_heap_tls<R>(
     make_weak: impl FnOnce() -> Weak<HeapInner>,
     f: impl FnOnce(&mut HeapTls) -> R,
 ) -> R {
-    let (fast_id, fast_ptr) = FAST.get();
-    if fast_id == heap.id {
-        // SAFETY: the fast slot only ever holds a pointer to a live boxed
-        // entry of this thread's store (invalidated before removal), so
-        // the pointee is valid, and `f` has exclusive access: nothing in
-        // the allocator re-enters the TLS machinery while `f` runs.
-        let entry = unsafe { &mut *fast_ptr };
-        if entry.generation == heap.generation() {
-            return f(entry);
-        }
+    let mut f = Some(f);
+    if let Some(r) = with_fast_tls(heap, |tls| f.take().unwrap()(tls)) {
+        return r;
     }
-    with_heap_tls_miss(heap, make_weak, f)
+    with_heap_tls_miss(heap, make_weak, f.unwrap())
 }
 
 /// Fast-slot miss: scan (or extend) the store, refresh the slot.

@@ -29,16 +29,21 @@ fn main() {
             std::hint::black_box(p);
             heap.free(p);
         });
+        // SAFETY: `layout` is valid, and each block goes back at it.
         time("global/global", || unsafe {
             let p = global.alloc(layout);
             std::hint::black_box(p);
             global.dealloc(p, layout);
         });
+        // SAFETY: `layout` is valid; a 64 B, 8-aligned request is a pool
+        // block, which `Ralloc::free` takes back.
         time("global-alloc/handle-free", || unsafe {
             let p = global.alloc(layout);
             std::hint::black_box(p);
             heap.free(p);
         });
+        // SAFETY: a 64 B pool block; `dealloc` routes a pool-range pointer
+        // to the pool, and 64 B at align 8 is its natural-alignment scheme.
         time("handle-malloc/global-free", || unsafe {
             let p = heap.malloc(64);
             std::hint::black_box(p);
@@ -55,6 +60,7 @@ fn main() {
 #[no_mangle]
 #[inline(never)]
 pub fn probe_global_pair(g: &galloc::RallocGlobal, layout: Layout) {
+    // SAFETY: the caller's `layout` is valid, and the block goes back at it.
     unsafe {
         let p = g.alloc(layout);
         std::hint::black_box(p);

@@ -64,6 +64,8 @@
 //!   up past an 8-byte slot, and stash the raw block address in the slot
 //!   just below the payload for `dealloc`/`realloc` to recover.
 
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::{Cell, UnsafeCell};
 use std::io;

@@ -14,8 +14,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BUDGET=6735
-REST_BUDGET=10146
+BUDGET=6795
+REST_BUDGET=10156
 MAX_FIELDS=6
 MAX_VARS=7
 

@@ -7,11 +7,12 @@
 //! leave the heap in a state where all and only the root-reachable blocks
 //! are allocated, and the heap must keep functioning.
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use nvm::{CrashInjector, CrashPoint, CrashStyle};
 use pds::{NmTree, PStack};
-use ralloc::{Ralloc, RallocConfig};
+use ralloc::{Pptr, Ralloc, RallocConfig, Trace, Tracer};
 
 fn tracked_with_injector() -> (Ralloc, Arc<CrashInjector>) {
     let inj = CrashInjector::new();
@@ -256,6 +257,97 @@ fn a_second_recovery_changes_nothing() {
         let descriptors = first_difference(&once.descriptors, &twice.descriptors);
         assert_eq!(descriptors, None, "{workers} workers: first differing descriptor byte");
         assert_eq!(stack.snapshot(), (1..=80).rev().collect::<Vec<u64>>());
+    }
+}
+
+/// A 1 KiB list node: 64 to a superblock, so a few thousand of them span
+/// more superblocks than the parallel sweep's threshold of 64.
+#[repr(C)]
+struct KiNode {
+    value: u64,
+    next: Pptr<KiNode>,
+    _pad: [u8; 1008],
+}
+
+// SAFETY: `trace` visits the node's one pointer field.
+unsafe impl Trace for KiNode {
+    fn trace(&self, t: &mut Tracer<'_>) {
+        t.visit_pptr(&self.next);
+    }
+}
+
+/// R4/R5: recovery keeps exactly the blocks the roots reach, whatever the
+/// worker count. Three rooted lists, unrooted garbage and freed blocks,
+/// all of one size class, are interleaved through every used superblock.
+/// After each crash `reachable_blocks` is the rooted count, and
+/// allocating until the next carve never hands out a rooted block and
+/// hands back every unrooted one.
+#[test]
+fn recovery_keeps_exactly_the_rooted_blocks_for_any_worker_count() {
+    const LISTS: usize = 3;
+    const PER_LIST: usize = 800;
+    const SIZE: usize = std::mem::size_of::<KiNode>();
+    let heap = Ralloc::create(16 << 20, RallocConfig::tracked());
+    let (mut rooted, mut unrooted) = (HashSet::new(), HashSet::new());
+    let mut heads = [std::ptr::null_mut::<KiNode>(); LISTS];
+    let mut doomed = Vec::new();
+    for i in 0..PER_LIST {
+        for (l, head) in heads.iter_mut().enumerate() {
+            let node = heap.malloc(SIZE) as *mut KiNode;
+            let (garbage, freed) = (heap.malloc(SIZE), heap.malloc(SIZE));
+            assert!(!node.is_null() && !garbage.is_null() && !freed.is_null());
+            // SAFETY: a fresh block of SIZE bytes, written before the
+            // root that publishes it.
+            unsafe {
+                (*node).value = (l * PER_LIST + i) as u64;
+                (*node).next.set(*head);
+            }
+            heap.pool().persist(node as usize - heap.pool().base() as usize, 16);
+            *head = node;
+            rooted.insert(node as usize);
+            unrooted.extend([garbage as usize, freed as usize]);
+            doomed.push(freed);
+        }
+    }
+    for (l, &head) in heads.iter().enumerate() {
+        heap.set_root::<KiNode>(l, head);
+    }
+    // Most go back to their superblocks through bin flushes; the last
+    // bin's worth is still cached when the crash comes.
+    for p in doomed {
+        heap.free(p);
+    }
+    assert!(heap.used_superblocks() > 64, "{} superblocks used", heap.used_superblocks());
+    for workers in [1, 2] {
+        heap.crash_simulated();
+        for l in 0..LISTS {
+            heap.get_root::<KiNode>(l);
+        }
+        let stats = heap.recover_parallel(workers);
+        assert_eq!(stats.reachable_blocks as usize, rooted.len(), "{workers} workers");
+        let used = heap.used_superblocks();
+        let mut back = HashSet::new();
+        while heap.used_superblocks() == used {
+            let p = heap.malloc(SIZE) as usize;
+            assert_ne!(p, 0, "{workers} workers: allocation failed before a carve");
+            assert!(!rooted.contains(&p), "{workers} workers: rooted block {p:#x} handed out");
+            back.insert(p);
+        }
+        let lost = unrooted.difference(&back).count();
+        assert_eq!(lost, 0, "{workers} workers: {lost} unrooted blocks never came back");
+        for l in 0..LISTS {
+            let mut n = 0;
+            let mut cur = heap.get_root::<KiNode>(l);
+            while !cur.is_null() {
+                // SAFETY: a node of a recovered list, never handed out
+                // again (checked above).
+                let node = unsafe { &*cur };
+                assert_eq!(node.value as usize, l * PER_LIST + PER_LIST - 1 - n, "{workers} workers");
+                cur = node.next.as_ptr();
+                n += 1;
+            }
+            assert_eq!(n, PER_LIST, "{workers} workers: list {l}");
+        }
     }
 }
 
