@@ -38,7 +38,7 @@ use crate::frontier::Frontier;
 use crate::gc::{trace_thunk, Trace, TraceFn};
 use crate::layout::{Geometry, DIRTY_OFF, NUM_ROOTS, USED_SB_OFF};
 use crate::shard;
-use crate::size_class::{class_block_size, is_small_class, size_class_of, SB_SIZE};
+use crate::size_class::{class_block_size, is_small_class, size_class_of};
 use crate::stats::SlowStats;
 use crate::tcache;
 
@@ -623,18 +623,6 @@ impl Ralloc {
         self.inner.transient
     }
 
-    /// Register this heap's superblock region in the process-wide RIV
-    /// region table under `id`, enabling cross-heap [`pptr::RivPtr`]
-    /// references (the paper's §4.6 near-term plan). Re-register after
-    /// every (re)open: ids are persistent, addresses are not.
-    pub fn register_riv_region(&self, id: u8) {
-        pptr::REGIONS.register(
-            id,
-            self.region_base(),
-            self.inner.geo.max_sb * SB_SIZE,
-        );
-    }
-
     /// Absolute address of the superblock region's first byte; the base
     /// against which region-relative offsets (roots, packed counted
     /// pointers) are expressed.
@@ -673,7 +661,7 @@ mod batch_tests {
     use super::*;
     use crate::anchor::SbState;
     use crate::lists::DescList;
-    use crate::size_class::{cache_capacity, class_max_count};
+    use crate::size_class::{cache_capacity, class_max_count, SB_SIZE};
     use crate::RallocConfig;
 
     fn stats_of(heap: &Ralloc) -> (u64, u64, u64, u64, u64, u64) {
@@ -1173,6 +1161,7 @@ mod hit_path_tests {
     use super::*;
     use crate::gc::{Trace, Tracer};
     use crate::layout::ROOTS_OFF;
+    use crate::size_class::SB_SIZE;
     use crate::RallocConfig;
     use pptr::Pptr;
 

@@ -13,11 +13,11 @@
 //!   wide-CAS for atomic updates).
 //! * [`AtomicPptr<T>`] — the same representation behind an `AtomicU64`,
 //!   CAS-able with a single-word compare-and-swap.
-//! * [`RIdx`] — a region-based index/offset used *inside allocator
-//!   metadata only* (persistent roots, descriptor links), where the paper
-//!   likewise uses based pointers with a region-index template parameter.
 //! * [`Counted`] — a packed {index, counter} word for ABA-safe Treiber
 //!   stack heads (34-bit counter + 30-bit index, paper §4.2).
+//!
+//! Every pointer targets its own heap: a cross-heap pointer (§4.6's RIV
+//! plan) waits for a GC that traces it, or a crash would drop its target.
 //!
 //! ## The tag pattern
 //!
@@ -30,15 +30,13 @@
 //! that integer data is mistaken for a pointer (paper §4.6). The all-zero
 //! word is the null pointer, so zero-initialized memory reads as null.
 
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
+
 mod counted;
 mod pptr_impl;
-mod ridx;
-mod riv;
 
 pub use counted::Counted;
 pub use pptr_impl::{AtomicPptr, Pptr, PPTR_LOW_MASK, PPTR_TAG, PPTR_TAG_SHIFT};
-pub use ridx::RIdx;
-pub use riv::{is_riv_pattern, AtomicRivPtr, RegionTable, RivPtr, MAX_REGIONS, REGIONS, RIV_TAG};
 
 /// True if `word` carries the off-holder tag, i.e. could be a non-null
 /// `Pptr` bit pattern. Used by the conservative GC filter.

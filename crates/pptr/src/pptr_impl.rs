@@ -110,7 +110,8 @@ impl<T> Pptr<T> {
     #[inline]
     pub unsafe fn as_ref(&self) -> &T {
         debug_assert!(!self.is_null());
-        &*self.as_ptr()
+        // SAFETY: the caller guarantees a live, initialized `T` at the target.
+        unsafe { &*self.as_ptr() }
     }
 }
 
@@ -153,13 +154,6 @@ impl<T> AtomicPptr<T> {
             Some(a) => a as *mut T,
             None => std::ptr::null_mut(),
         }
-    }
-
-    /// Load the raw encoding (useful for CAS loops that must preserve the
-    /// exact expected bits).
-    #[inline]
-    pub fn load_raw(&self, order: Ordering) -> u64 {
-        self.raw.load(order)
     }
 
     /// Store a new target.
@@ -235,6 +229,7 @@ mod tests {
         p.set(&target);
         assert!(!p.is_null());
         assert_eq!(p.as_ptr(), &target as *const u64 as *mut u64);
+        // SAFETY: `p` targets `target`, a live local.
         unsafe { assert_eq!(*p.as_ref(), 99) };
         p.set(std::ptr::null());
         assert!(p.is_null());

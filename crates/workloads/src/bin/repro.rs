@@ -1,7 +1,7 @@
 //! `repro` — regenerate every figure of the paper's evaluation.
 //!
 //! ```text
-//! repro <fig5a|fig5b|fig5c|fig5d|fig5e|fig5f|fig6a|fig6b|all>
+//! repro <fig5a|fig5b|fig5c|fig5d|fig5e|fig5f|fig6a|fig6b|all>...
 //!       [--quick] [--scale F] [--threads 1,2,4,...] [--flush optane|free]
 //! ```
 //!
@@ -15,8 +15,8 @@
 //! ```
 //!
 //! `--quick` shrinks the workloads to a smoke-test scale; the default
-//! scale is sized for a laptop rather than the paper's 40-core testbed
-//! (see EXPERIMENTS.md for the mapping).
+//! scale is sized for a laptop rather than the paper's 40-core testbed.
+//! An unknown figure or option prints the usage and exits 2, printing nothing.
 
 use nvm::FlushModel;
 use workloads::gcbench::{self, Structure};
@@ -24,6 +24,18 @@ use workloads::{
     default_threads, larson, make_allocator, prodcon, shbench, threadtest, vacation, ycsb,
     AllocKind,
 };
+
+const FIGURES: [&str; 8] = [
+    "fig5a", "fig5b", "fig5c", "fig5d", "fig5e", "fig5f", "fig6a", "fig6b",
+];
+
+fn usage(code: i32) -> ! {
+    eprintln!(
+        "usage: repro <fig5a..fig6b|all>... [--quick] [--scale F] \
+         [--threads 1,2,4] [--flush optane|free]"
+    );
+    std::process::exit(code)
+}
 
 struct Opts {
     figures: Vec<String>,
@@ -57,24 +69,19 @@ fn parse_args() -> Opts {
                 flush = match args.next().expect("--flush kind").as_str() {
                     "optane" => FlushModel::optane(),
                     "free" => FlushModel::free(),
-                    other => panic!("unknown flush model {other}"),
+                    _ => usage(2),
                 }
             }
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: repro <fig5a..fig6b|all> [--quick] [--scale F] \
-                     [--threads 1,2,4] [--flush optane|free]"
-                );
-                std::process::exit(0);
+            "--help" | "-h" => usage(0),
+            fig if fig == "all" || FIGURES.contains(&fig) => figures.push(fig.to_string()),
+            other => {
+                eprintln!("repro: unknown figure or option: {other}");
+                usage(2)
             }
-            fig => figures.push(fig.to_string()),
         }
     }
     if figures.is_empty() || figures.iter().any(|f| f == "all") {
-        figures = ["fig5a", "fig5b", "fig5c", "fig5d", "fig5e", "fig5f", "fig6a", "fig6b"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
+        figures = FIGURES.map(String::from).to_vec();
     }
     Opts { figures, scale, threads, flush, capacity: 512 << 20 }
 }
@@ -170,7 +177,7 @@ fn main() {
                     );
                 }
             }
-            other => eprintln!("unknown figure: {other} (expected fig5a..fig6b or all)"),
+            _ => unreachable!("parse_args admits only FIGURES"),
         }
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! One module per experiment of §6, each parameterized by allocator,
 //! thread count, and a scale factor so the same code serves quick smoke
-//! runs, criterion benches, and full figure regeneration:
+//! runs and full figure regeneration:
 //!
 //! | module | figure | workload |
 //! |---|---|---|
@@ -16,7 +16,7 @@
 //!
 //! [`alloc_select`] builds any of the five §6.1 allocators behind the
 //! shared `PersistentAllocator` trait; [`zipf`] provides the YCSB key
-//! distribution. The `repro` binary prints one CSV row per figure point.
+//! distribution. `repro`, the one figure regenerator, prints a CSV row per point.
 
 pub mod alloc_select;
 pub mod churn;

@@ -5,8 +5,9 @@
 # crate's is that of its .rs files outside `tests/` directories (sources,
 # benches, examples). Two budgets: BUDGET for the two crates that *are* the
 # allocator (core + nvm, listed per file), REST_BUDGET for every other
-# crate except the benchmark (crates/bench/src/bin/ledger) and the offline
-# dependency stand-ins (crates/shims), which are listed but not budgeted.
+# crate except the benchmark (crates/bench/src/bin/ledger, all that
+# crates/bench holds) and the offline dependency stand-ins (crates/shims),
+# which are listed but not budgeted.
 # CI runs this and fails past either budget, or when the config has more
 # than MAX_FIELDS fields, or the crates read more than MAX_VARS variables;
 # lower a bound when a PR shrinks what it counts, raise one only on
@@ -14,8 +15,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BUDGET=6795
-REST_BUDGET=10156
+BUDGET=6783
+REST_BUDGET=9420
 MAX_FIELDS=6
 MAX_VARS=7
 

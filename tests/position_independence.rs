@@ -148,58 +148,3 @@ fn file_round_trip_preserves_heap() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
-
-#[test]
-fn riv_pointers_link_two_heaps() {
-    // The paper's §4.6 near-term plan: cross-heap references via
-    // Region-ID-in-Value pointers, 64 bits, resolved through a per-run
-    // region table. Two heaps, a node in each, linked both ways.
-    use pptr::RivPtr;
-
-    let heap_a = Ralloc::create(4 << 20, RallocConfig::default());
-    let heap_b = Ralloc::create(4 << 20, RallocConfig::default());
-    heap_a.register_riv_region(100);
-    heap_b.register_riv_region(101);
-
-    #[repr(C)]
-    struct XNode {
-        value: u64,
-        peer_raw: u64, // RivPtr<XNode> raw bits, stored persistently
-    }
-
-    let a = heap_a.malloc(std::mem::size_of::<XNode>()) as *mut XNode;
-    let b = heap_b.malloc(std::mem::size_of::<XNode>()) as *mut XNode;
-    // SAFETY: fresh blocks.
-    unsafe {
-        (*a).value = 1;
-        (*a).peer_raw = RivPtr::<XNode>::from_addr(b as usize).raw();
-        (*b).value = 2;
-        (*b).peer_raw = RivPtr::<XNode>::from_addr(a as usize).raw();
-    }
-
-    // Follow a -> b -> a across the heap boundary.
-    // SAFETY: both nodes live.
-    unsafe {
-        let pb = RivPtr::<XNode>::from_raw((*a).peer_raw).as_ptr().unwrap();
-        assert_eq!((*pb).value, 2);
-        let pa = RivPtr::<XNode>::from_raw((*pb).peer_raw).as_ptr().unwrap();
-        assert_eq!(pa, a);
-    }
-
-    // Remap heap B at a new base: the *same raw bits* must resolve to the
-    // new mapping once the region is re-registered.
-    heap_b.close().unwrap();
-    let image = heap_b.pool().persistent_image();
-    let b_off = b as usize - heap_b.region_base();
-    drop(heap_b);
-    let (heap_b2, _) = Ralloc::from_image(&image, RallocConfig::default());
-    heap_b2.register_riv_region(101);
-    // SAFETY: node a still live; region table now points at the new base.
-    unsafe {
-        let pb = RivPtr::<XNode>::from_raw((*a).peer_raw).as_ptr().unwrap();
-        assert_eq!(pb as usize, heap_b2.region_base() + b_off);
-        assert_eq!((*pb).value, 2);
-    }
-    pptr::REGIONS.unregister(100);
-    pptr::REGIONS.unregister(101);
-}
