@@ -10,6 +10,7 @@
 //! [`sampler_from_env`].
 //!
 //! `pub(crate)` surface: [`RallocConfig::with_env`], [`sampler_from_env`].
+//! [`parse_size`] is public: galloc parses its size knob with it.
 
 use std::fmt::Debug;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -97,20 +98,19 @@ fn env_or<T: Debug>(name: &str, bit: u8, field: T, parse: impl Fn(&str) -> Optio
 }
 
 /// A byte size: a plain integer, optionally suffixed with `K`/`M`/`G`
-/// (case-insensitive, powers of 1024). Pure, so unit tests need not
-/// mutate the process environment (concurrent `setenv` and `getenv`
-/// across test threads is UB on glibc).
-fn parse_size(raw: &str) -> Option<usize> {
-    let s = raw.trim().to_ascii_uppercase();
-    let (digits, shift) = match s.strip_suffix(['K', 'M', 'G']) {
-        Some(d) => (d, match s.as_bytes()[s.len() - 1] {
-            b'K' => 10,
-            b'M' => 20,
-            _ => 30,
-        }),
-        None => (s.as_str(), 0),
+/// (case-insensitive, powers of 1024); `None` when it does not parse or
+/// does not fit a `usize`. The one parser of every size knob, galloc's
+/// too. Pure, so unit tests need not mutate the process environment
+/// (concurrent `setenv` and `getenv` across test threads is UB on glibc).
+pub fn parse_size(raw: &str) -> Option<usize> {
+    let s = raw.trim();
+    let (digits, unit) = match s.as_bytes().last()? {
+        b'k' | b'K' => (&s[..s.len() - 1], 1usize << 10),
+        b'm' | b'M' => (&s[..s.len() - 1], 1 << 20),
+        b'g' | b'G' => (&s[..s.len() - 1], 1 << 30),
+        _ => (s, 1),
     };
-    digits.trim().parse::<usize>().ok().map(|n| n << shift)
+    digits.trim().parse::<usize>().ok()?.checked_mul(unit)
 }
 
 /// `RALLOC_TELEMETRY=<path>` starts the background JSONL sampler on every
@@ -132,12 +132,21 @@ mod tests {
         // which owns its process.
         for (raw, want) in [
             ("4194304", Some(4194304usize)),
+            ("4096", Some(4096)),
             ("4m", Some(4 << 20)),
             ("64K", Some(64 << 10)),
             ("2G", Some(2 << 30)),
             (" 8M ", Some(8 << 20)),
+            ("8m", Some(8 << 20)),
+            (" 1 G ", Some(1 << 30)),
             ("garbage", None),
+            ("nope", None),
             ("", None),
+            // Past `usize`: refused, not wrapped (2^34 + 1 GiB would wrap
+            // to 1 GiB, 2^34 GiB to 0).
+            ("17179869185G", None),
+            ("17179869184G", None),
+            ("18446744073709551615", Some(usize::MAX)),
         ] {
             assert_eq!(parse_size(raw), want, "{raw:?}");
         }

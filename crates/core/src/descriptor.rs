@@ -234,7 +234,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(feature = "telemetry-off", ignore = "asserts telemetry counters, which are compiled out")]
     fn set_size_persists_and_reads_back() {
         let (pool, geo) = test_pool();
         let d = Desc::new(&pool, &geo, 5);

@@ -98,34 +98,28 @@ impl FlightRecorder {
 
     /// Record one event into the pool's ring. Zero CAS: one relaxed
     /// `fetch_add` claims a slot, plain stores fill it, a release store
-    /// of the seq+crc word publishes it. Compiled out under
-    /// `telemetry-off`.
+    /// of the seq+crc word publishes it.
     #[inline]
     pub fn record(&self, pool: &PmemPool, kind: EventKind, a: u64, b: u64) {
-        #[cfg(not(feature = "telemetry-off"))]
-        {
-            let ticket = self.head.fetch_add(1, Ordering::Relaxed);
-            let idx = (ticket % FLIGHT_CAP as u64) as usize;
-            let off = FLIGHT_RECORDS_OFF + idx * FLIGHT_REC_SIZE;
-            let seq = (ticket as u32).wrapping_add(1);
-            let t_ms = (telemetry::now_ns() / 1_000_000) as u32;
-            let w1 = kind as u8 as u64
-                | (crate::shard::thread_token() as u16 as u64) << 16
-                | (t_ms as u64) << 32;
-            let crc = record_crc(seq, w1, a, b);
-            // SAFETY: slot offsets lie inside the always-committed
-            // metadata region and are 8-aligned by construction.
-            unsafe {
-                pool.atomic_u64(off + 8).store(w1, Ordering::Relaxed);
-                pool.atomic_u64(off + 16).store(a, Ordering::Relaxed);
-                pool.atomic_u64(off + 24).store(b, Ordering::Relaxed);
-                pool.atomic_u64(off).store(seq as u64 | (crc as u64) << 32, Ordering::Release);
-            }
-            // Flushed now, fenced by the protocol step it records.
-            pool.flush(FLIGHT_RECORDS_OFF + (idx & !1) * FLIGHT_REC_SIZE, 64);
+        let ticket = self.head.fetch_add(1, Ordering::Relaxed);
+        let idx = (ticket % FLIGHT_CAP as u64) as usize;
+        let off = FLIGHT_RECORDS_OFF + idx * FLIGHT_REC_SIZE;
+        let seq = (ticket as u32).wrapping_add(1);
+        let t_ms = (telemetry::now_ns() / 1_000_000) as u32;
+        let w1 = kind as u8 as u64
+            | (crate::shard::thread_token() as u16 as u64) << 16
+            | (t_ms as u64) << 32;
+        let crc = record_crc(seq, w1, a, b);
+        // SAFETY: slot offsets lie inside the always-committed
+        // metadata region and are 8-aligned by construction.
+        unsafe {
+            pool.atomic_u64(off + 8).store(w1, Ordering::Relaxed);
+            pool.atomic_u64(off + 16).store(a, Ordering::Relaxed);
+            pool.atomic_u64(off + 24).store(b, Ordering::Relaxed);
+            pool.atomic_u64(off).store(seq as u64 | (crc as u64) << 32, Ordering::Release);
         }
-        #[cfg(feature = "telemetry-off")]
-        let _ = (pool, kind, a, b);
+        // Flushed now, fenced by the protocol step it records.
+        pool.flush(FLIGHT_RECORDS_OFF + (idx & !1) * FLIGHT_REC_SIZE, 64);
     }
 }
 
@@ -309,7 +303,6 @@ mod tests {
         assert_eq!(scan.resume_ticket(), 0);
     }
 
-    #[cfg(not(feature = "telemetry-off"))]
     #[test]
     fn records_survive_an_image_round_trip() {
         let p = pool();
@@ -327,7 +320,6 @@ mod tests {
         assert!(scan.events.windows(2).all(|w| w[0].seq < w[1].seq));
     }
 
-    #[cfg(not(feature = "telemetry-off"))]
     #[test]
     fn wraparound_keeps_newest_cap_records() {
         let p = pool();
@@ -345,7 +337,6 @@ mod tests {
         assert_eq!(scan.resume_ticket(), total);
     }
 
-    #[cfg(not(feature = "telemetry-off"))]
     #[test]
     fn concurrent_writers_never_produce_torn_events() {
         // Four writers lap the ring hundreds of times while a fifth thread
@@ -394,7 +385,6 @@ mod tests {
         );
     }
 
-    #[cfg(not(feature = "telemetry-off"))]
     #[test]
     fn corrupted_payload_is_torn_not_history() {
         let p = pool();
@@ -410,7 +400,6 @@ mod tests {
         assert_eq!(scan.events[0].kind_name(), "grow_commit");
     }
 
-    #[cfg(not(feature = "telemetry-off"))]
     #[test]
     fn resume_extends_the_timeline_monotonically() {
         let p = pool();
@@ -426,7 +415,6 @@ mod tests {
         assert_eq!(scan.events.last().unwrap().kind_name(), "open");
     }
 
-    #[cfg(not(feature = "telemetry-off"))]
     #[test]
     fn ring_overflow_is_a_proto_event() {
         // Kind 15 is retired (nothing records a ring overflow any more),
@@ -443,7 +431,6 @@ mod tests {
         assert_eq!((e.a, e.b), (3, 1024));
     }
 
-    #[cfg(not(feature = "telemetry-off"))]
     #[test]
     fn json_and_text_formats_carry_the_events() {
         let p = pool();

@@ -243,7 +243,7 @@ impl Frontier {
             heap.emit(self.on_commit, target, 0);
             self.safe.fetch_max(target, Ordering::AcqRel);
             heap.emit(self.on_publish, target, 0);
-            (self.grows)(&heap.slow).fetch_add(1, Ordering::Relaxed);
+            (self.grows)(&heap.slow).add(1);
         }
     }
 
@@ -365,8 +365,8 @@ impl HeapInner {
         // mirroring the independent grow.
         let [sb_bytes, _] = self.frontiers.each_ref().map(|f| f.shrink_to(self, new_used));
         let released = sb_bytes / SB_SIZE;
-        self.slow.heap_shrinks.fetch_add(1, Ordering::Relaxed);
-        self.slow.sb_released.fetch_add(released as u64, Ordering::Relaxed);
+        self.slow.heap_shrinks.add(1);
+        self.slow.sb_released.add(released as u64);
         released
     }
 }

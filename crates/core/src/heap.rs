@@ -165,43 +165,6 @@ impl HeapInner {
     pub(crate) fn committed_sb(&self) -> usize {
         self.sb_frontier().covered_sb()
     }
-
-    /// One flat JSON time-series line for the sampler (JSONL schema; see
-    /// the README's Observability section). Key names are stable — CI
-    /// asserts `committed_len`, `fills`, `flushes`, `steals` exist and
-    /// behave (present every line, monotone where monotone).
-    pub(crate) fn sample_line(&self) -> String {
-        let s = &self.slow;
-        let pm = self.pool.stats().snapshot();
-        format!(
-            "{{\"t_ms\": {}, \"heap_id\": {}, \"committed_len\": {}, \"committed_sb\": {}, \
-             \"used_sb\": {}, \"fills\": {}, \"fill_blocks\": {}, \"flushes\": {}, \
-             \"flush_blocks\": {}, \"steals\": {}, \"home_pops\": {}, \"steal_rate\": {:.4}, \
-             \"carved\": {}, \"grows\": {}, \"shrinks\": {}, \"sb_released\": {}, \
-             \"large_allocs\": {}, \"pmem_flush_lines\": {}, \"pmem_flush_calls\": {}, \
-             \"pmem_fences\": {}}}",
-            telemetry::now_ms(),
-            self.id,
-            self.sb_frontier().published(),
-            self.committed_sb(),
-            self.used_sb(),
-            s.cache_fills.get(),
-            s.cache_fill_blocks.get(),
-            s.cache_flushes.get(),
-            s.cache_flushes_blocks.get(),
-            s.partial_steals.get(),
-            s.partial_pops_home.get(),
-            s.steal_rate(),
-            s.sb_carved.get(),
-            s.heap_grows.get(),
-            s.heap_shrinks.get(),
-            s.sb_released.get(),
-            s.large_allocs.get(),
-            pm.flush_lines,
-            pm.flush_calls,
-            pm.fences,
-        )
-    }
 }
 
 /// A Ralloc persistent heap handle (cheaply cloneable).
@@ -568,9 +531,9 @@ impl Ralloc {
         )
     }
 
-    /// Start a background sampler appending one time-series line to
-    /// `path` every `interval` (JSONL; see [`HeapInner::sample_line`]'s
-    /// schema in the README's Observability section). Also reachable via
+    /// Start a background sampler appending one line to `path` every
+    /// `interval` (JSONL): each line is a [`Ralloc::telemetry_snapshot`]
+    /// object, so a line and a snapshot share one schema. Also reachable via
     /// `RALLOC_TELEMETRY=<path>` / `RALLOC_TELEMETRY_MS=<ms>` at open.
     /// Replaces any sampler already running on this heap. The sampler
     /// holds only a weak reference: it retires when the heap drops, and
@@ -582,7 +545,7 @@ impl Ralloc {
     ) -> io::Result<()> {
         let weak = Arc::downgrade(&self.inner);
         let handle = SamplerHandle::start(path, interval, move || {
-            weak.upgrade().map(|inner| inner.sample_line())
+            weak.upgrade().map(|inner| Ralloc { inner }.telemetry_snapshot())
         })?;
         *self.inner.sampler.lock() = Some(handle);
         Ok(())
@@ -667,17 +630,16 @@ mod batch_tests {
     fn stats_of(heap: &Ralloc) -> (u64, u64, u64, u64, u64, u64) {
         let s = heap.slow_stats();
         (
-            s.cache_fills.load(Ordering::Relaxed),
-            s.cache_fill_blocks.load(Ordering::Relaxed),
-            s.cache_flushes.load(Ordering::Relaxed),
-            s.cache_flushes_blocks.load(Ordering::Relaxed),
-            s.fill_anchor_cas.load(Ordering::Relaxed),
-            s.flush_anchor_cas.load(Ordering::Relaxed),
+            s.cache_fills.get(),
+            s.cache_fill_blocks.get(),
+            s.cache_flushes.get(),
+            s.cache_flushes_blocks.get(),
+            s.fill_anchor_cas.get(),
+            s.flush_anchor_cas.get(),
         )
     }
 
     #[test]
-    #[cfg_attr(feature = "telemetry-off", ignore = "asserts telemetry counters, which are compiled out")]
     fn fresh_fill_batches_whole_superblock_no_cas_one_flush() {
         let heap = Ralloc::create(8 << 20, RallocConfig::default());
         let mc = class_max_count(8) as u64; // 64 B class: 1024 blocks
@@ -697,7 +659,6 @@ mod batch_tests {
     }
 
     #[test]
-    #[cfg_attr(feature = "telemetry-off", ignore = "asserts telemetry counters, which are compiled out")]
     fn partial_fill_batches_with_exactly_one_cas_zero_flushes() {
         let heap = Ralloc::create(8 << 20, RallocConfig::default());
         let mc = class_max_count(8) as usize;
@@ -730,7 +691,6 @@ mod batch_tests {
     }
 
     #[test]
-    #[cfg_attr(feature = "telemetry-off", ignore = "asserts telemetry counters, which are compiled out")]
     fn bin_overflow_flushes_whole_bin_one_cas_per_superblock() {
         let heap = Ralloc::create(8 << 20, RallocConfig::default());
         let mc = class_max_count(8) as usize;
@@ -743,10 +703,10 @@ mod batch_tests {
             heap.free(p as *mut u8);
         }
         let s = heap.slow_stats();
-        assert_eq!(s.cache_flushes.load(Ordering::Relaxed), 1);
-        assert_eq!(s.cache_flushes_blocks.load(Ordering::Relaxed), cap as u64);
+        assert_eq!(s.cache_flushes.get(), 1);
+        assert_eq!(s.cache_flushes_blocks.get(), cap as u64);
         assert_eq!(
-            s.flush_anchor_cas.load(Ordering::Relaxed),
+            s.flush_anchor_cas.get(),
             1,
             "flushing {cap} same-superblock blocks must cost exactly one anchor CAS"
         );
@@ -757,7 +717,6 @@ mod batch_tests {
     }
 
     #[test]
-    #[cfg_attr(feature = "telemetry-off", ignore = "asserts telemetry counters, which are compiled out")]
     fn overflow_returns_the_oldest_superblock_population_and_keeps_the_rest() {
         // 4 096 B: bin == population, so the overflow returns all 16.
         // 14 336 B: a 16-slot bin of 4-block superblocks returns 4, keeps 12.
@@ -793,7 +752,6 @@ mod batch_tests {
     }
 
     #[test]
-    #[cfg_attr(feature = "telemetry-off", ignore = "asserts telemetry counters, which are compiled out")]
     fn mixed_superblock_flush_one_cas_per_group() {
         let heap = Ralloc::create(8 << 20, RallocConfig::default());
         let mc = class_max_count(8) as usize;
@@ -805,7 +763,7 @@ mod batch_tests {
         heap.inner.flush_blocks(&mut batch);
         let s = heap.slow_stats();
         assert_eq!(
-            s.flush_anchor_cas.load(Ordering::Relaxed),
+            s.flush_anchor_cas.get(),
             2,
             "two superblocks in the batch: exactly two anchor CASes"
         );
@@ -816,7 +774,6 @@ mod batch_tests {
     }
 
     #[test]
-    #[cfg_attr(feature = "telemetry-off", ignore = "asserts telemetry counters, which are compiled out")]
     fn scavenge_reuses_empty_superblock_stranded_on_partial_list() {
         let heap = Ralloc::create(8 << 20, RallocConfig::default());
         let mc = class_max_count(8) as usize;
@@ -838,12 +795,11 @@ mod batch_tests {
             1,
             "empty superblock on a partial list must be reused, not bypassed"
         );
-        assert_eq!(heap.slow_stats().sb_scavenged.load(Ordering::Relaxed), 1);
+        assert_eq!(heap.slow_stats().sb_scavenged.get(), 1);
         heap.free(q);
     }
 
     #[test]
-    #[cfg_attr(feature = "telemetry-off", ignore = "asserts telemetry counters, which are compiled out")]
     fn sharded_fill_counters_account_home_and_steals() {
         // Single-threaded: every partial pop is a home hit, never a steal.
         let heap = Ralloc::create(8 << 20, RallocConfig::default());
@@ -854,14 +810,12 @@ mod batch_tests {
         let q = heap.malloc(64); // refills from the partial superblock
         assert!(!q.is_null());
         let s = heap.slow_stats();
-        assert_eq!(s.partial_pops_home.load(Ordering::Relaxed), 1);
-        assert_eq!(s.partial_steals.load(Ordering::Relaxed), 0);
-        assert_eq!(s.partial_shard_pushes.load(Ordering::Relaxed), 1);
-        assert_eq!(s.steal_rate(), 0.0);
+        assert_eq!(s.partial_pops_home.get(), 1);
+        assert_eq!(s.partial_steals.get(), 0);
+        assert_eq!(s.partial_shard_pushes.get(), 1);
     }
 
     #[test]
-    #[cfg_attr(feature = "telemetry-off", ignore = "asserts telemetry counters, which are compiled out")]
     fn small_initial_commit_grows_on_demand_and_stops_at_reserve() {
         let heap = Ralloc::create(
             4 << 20,
@@ -883,7 +837,7 @@ mod batch_tests {
             assert!(!p.is_null(), "malloc must grow, not fail, below the reserve ceiling");
             held.push(p);
         }
-        let grows = heap.slow_stats().heap_grows.load(Ordering::Relaxed);
+        let grows = heap.slow_stats().heap_grows.get();
         assert!(grows >= 2, "doubling from {committed0} sbs must take several grows: {grows}");
         assert_eq!(heap.committed_superblocks(), heap.max_superblocks());
         // The reserve ceiling is a hard OOM…
@@ -904,12 +858,11 @@ mod batch_tests {
         assert_eq!(heap.committed_superblocks(), heap.max_superblocks());
         let p = heap.malloc(64);
         assert!(!p.is_null());
-        assert_eq!(heap.slow_stats().heap_grows.load(Ordering::Relaxed), 0);
+        assert_eq!(heap.slow_stats().heap_grows.get(), 0);
         heap.free(p);
     }
 
     #[test]
-    #[cfg_attr(feature = "telemetry-off", ignore = "asserts telemetry counters, which are compiled out")]
     fn grow_persists_frontier_before_used() {
         // In Tracked mode, after any quiescent moment the persisted
         // frontier word must cover the persisted `used` — the ordering
@@ -928,7 +881,7 @@ mod batch_tests {
             assert!(!p.is_null());
             held.push(p);
         }
-        assert!(heap.slow_stats().heap_grows.load(Ordering::Relaxed) >= 1);
+        assert!(heap.slow_stats().heap_grows.get() >= 1);
         heap.crash_simulated();
         // Whatever survived: used within frontier, invariants hold.
         // SAFETY: metadata words on a quiescent pool.
@@ -947,7 +900,6 @@ mod batch_tests {
     }
 
     #[test]
-    #[cfg_attr(feature = "telemetry-off", ignore = "asserts telemetry counters, which are compiled out")]
     fn grouped_flush_partition_is_linear_in_batch_size() {
         let heap = Ralloc::create(32 << 20, RallocConfig::default());
         let mc = class_max_count(8) as usize;
@@ -964,9 +916,9 @@ mod batch_tests {
                 batch.push(ptrs[sb * mc + blk]);
             }
         }
-        let cas0 = heap.slow_stats().flush_anchor_cas.load(Ordering::Relaxed);
+        let cas0 = heap.slow_stats().flush_anchor_cas.get();
         heap.inner.flush_blocks(&mut batch);
-        let cas = heap.slow_stats().flush_anchor_cas.load(Ordering::Relaxed) - cas0;
+        let cas = heap.slow_stats().flush_anchor_cas.get() - cas0;
         assert_eq!(cas, sbs as u64, "one anchor CAS per superblock group");
         // Every block is back on its own superblock's chain, and nothing
         // else is: walk each chain from its anchor.
@@ -1034,7 +986,6 @@ mod batch_tests {
     }
 
     #[test]
-    #[cfg_attr(feature = "telemetry-off", ignore = "asserts telemetry counters, which are compiled out")]
     fn batched_return_transitions_full_to_empty_and_retires() {
         let heap = Ralloc::create(8 << 20, RallocConfig::default());
         let mc = class_max_count(8) as usize;
@@ -1049,7 +1000,7 @@ mod batch_tests {
         let a = d.anchor(Ordering::Acquire);
         assert_eq!(a.state, SbState::Empty);
         assert_eq!(a.count as usize, mc);
-        assert_eq!(heap.slow_stats().flush_anchor_cas.load(Ordering::Relaxed), 1);
+        assert_eq!(heap.slow_stats().flush_anchor_cas.get(), 1);
         assert_eq!(
             DescList::free_list(&heap.geometry()).collect(heap.pool(), &heap.geometry()),
             vec![sb as u32],
@@ -1101,7 +1052,6 @@ mod remote_free_tests {
     }
 
     #[test]
-    #[cfg_attr(feature = "telemetry-off", ignore = "asserts telemetry counters, which are compiled out")]
     fn remote_group_flush_takes_one_anchor_cas() {
         let heap = Ralloc::create(16 << 20, RallocConfig::default());
         let sbs = alloc_superblocks_elsewhere(&heap, 2);
@@ -1110,9 +1060,9 @@ mod remote_free_tests {
         let s = heap.slow_stats();
         let mut batch: Vec<usize> = remote[..10].to_vec();
         heap.inner.flush_blocks(&mut batch);
-        assert_eq!(s.flush_anchor_cas.load(Ordering::Relaxed), 1, "one group, one anchor CAS");
-        assert_eq!(s.remote_anchor_cas.load(Ordering::Relaxed), 1);
-        assert_eq!(s.remote_free_blocks.load(Ordering::Relaxed), 10);
+        assert_eq!(s.flush_anchor_cas.get(), 1, "one group, one anchor CAS");
+        assert_eq!(s.remote_anchor_cas.get(), 1);
+        assert_eq!(s.remote_free_blocks.get(), 10);
         // The blocks are on the superblock's chain at once, enlisted on
         // the freeing thread's shard: its next fill takes exactly them.
         let off = remote[0] - heap.pool().base() as usize;
@@ -1123,7 +1073,7 @@ mod remote_free_tests {
         got.sort_unstable();
         batch.sort_unstable();
         assert_eq!(got, batch);
-        assert_eq!(s.sb_carved.load(Ordering::Relaxed), 2, "the refill carved");
+        assert_eq!(s.sb_carved.get(), 2, "the refill carved");
     }
 
     #[test]
@@ -1138,9 +1088,8 @@ mod remote_free_tests {
             let mut batch = chunk.clone();
             heap.inner.flush_blocks(&mut batch);
         }
-        #[cfg(not(feature = "telemetry-off"))]
         assert_eq!(
-            heap.slow_stats().remote_free_blocks.load(Ordering::Relaxed),
+            heap.slow_stats().remote_free_blocks.get(),
             4 * class_max_count(8) as u64
         );
         heap.shrink();

@@ -29,13 +29,13 @@ impl HeapInner {
         // for long-running processes with bounded pools.
         let idx = match self.carve(span) {
             Some(i) => {
-                self.slow.sb_carved.fetch_add(span as u64, Ordering::Relaxed);
+                self.slow.sb_carved.add(span as u64);
                 Some(i)
             }
             None if span == 1 => {
                 DescList::free_list(&self.geo).pop(&self.pool, &self.geo).or_else(|| {
                     self.scavenge()
-                        .inspect(|_| self.slow.sb_scavenged.fetch_add(1, Ordering::Relaxed))
+                        .inspect(|_| self.slow.sb_scavenged.add(1))
                 })
             }
             None => None,
@@ -57,7 +57,7 @@ impl HeapInner {
         let head = Desc::new(&self.pool, &self.geo, idx);
         head.set_size(0, size as u64, 1, self.transient);
         head.set_anchor(Anchor::full(1), Ordering::Release);
-        self.slow.large_allocs.fetch_add(1, Ordering::Relaxed);
+        self.slow.large_allocs.add(1);
         self.addr_of(self.geo.sb(idx as usize)) as *mut u8
     }
 

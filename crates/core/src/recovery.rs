@@ -710,7 +710,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(feature = "telemetry-off", ignore = "asserts telemetry gauges, which are compiled out")]
     fn recovery_phases_tile_the_duration_and_are_published() {
         let heap = tracked_heap();
         build_list(&heap, 0, 2000);

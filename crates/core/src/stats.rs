@@ -20,8 +20,6 @@
 //! `pub(crate)` surface: [`SlowStats::registered`], [`ThreadStats`],
 //! [`Slot`].
 
-use std::sync::atomic::Ordering;
-
 use telemetry::{Counter, LocalBlock, Registry};
 
 /// Declares [`SlowStats`] and [`Slot`]: one [`Counter`] per listed name,
@@ -39,8 +37,8 @@ macro_rules! slow_stats {
         /// [`SlowStats::avg_flush_batch`] report the amortization factor.
         ///
         /// Every field is registered by its field name in the heap's metric
-        /// registry (see [`crate::Ralloc::telemetry`]). The `Counter` API keeps
-        /// `AtomicU64`'s call shape (`fetch_add`/`load`); bumps return nothing.
+        /// registry (see [`crate::Ralloc::telemetry`]). A field is bumped with
+        /// `add` (which returns nothing) and read with `get`.
         #[derive(Debug, Default)]
         pub struct SlowStats {
             $($(#[$doc])* pub $name: Counter,)*
@@ -148,31 +146,19 @@ slow_stats! {
 impl SlowStats {
     /// Average blocks obtained per cache fill (0.0 before the first fill).
     pub fn avg_fill_batch(&self) -> f64 {
-        let fills = self.cache_fills.load(Ordering::Relaxed);
+        let fills = self.cache_fills.get();
         if fills == 0 {
             return 0.0;
         }
-        self.cache_fill_blocks.load(Ordering::Relaxed) as f64 / fills as f64
+        self.cache_fill_blocks.get() as f64 / fills as f64
     }
 
     /// Average blocks returned per cache flush (0.0 before the first).
     pub fn avg_flush_batch(&self) -> f64 {
-        let flushes = self.cache_flushes.load(Ordering::Relaxed);
+        let flushes = self.cache_flushes.get();
         if flushes == 0 {
             return 0.0;
         }
-        self.cache_flushes_blocks.load(Ordering::Relaxed) as f64 / flushes as f64
-    }
-
-    /// Fraction of partial-list pops that had to steal from a neighbor
-    /// shard (0.0 before the first pop). High values mean the shard
-    /// placement is imbalanced for this workload.
-    pub fn steal_rate(&self) -> f64 {
-        let home = self.partial_pops_home.load(Ordering::Relaxed);
-        let stolen = self.partial_steals.load(Ordering::Relaxed);
-        if home + stolen == 0 {
-            return 0.0;
-        }
-        stolen as f64 / (home + stolen) as f64
+        self.cache_flushes_blocks.get() as f64 / flushes as f64
     }
 }

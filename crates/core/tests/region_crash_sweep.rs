@@ -143,20 +143,17 @@ fn crash_sweep_covers_both_region_frontier_protocols() {
     let events = inj.observed() - e0;
     assert!(events > 0, "window produced no persistence events");
 
-    #[cfg(not(feature = "telemetry-off"))]
-    {
-        let seen: std::collections::HashSet<&'static str> =
-            heap.flight_timeline().events.iter().map(|e| e.kind_name()).collect();
-        for kind in [
-            "grow_commit",
-            "grow_publish",
-            "grow_desc_commit",
-            "grow_desc_publish",
-            "shrink_decommit",
-            "shrink_desc_decommit",
-        ] {
-            assert!(seen.contains(kind), "window never crossed {kind}: {seen:?}");
-        }
+    let seen: std::collections::HashSet<&'static str> =
+        heap.flight_timeline().events.iter().map(|e| e.kind_name()).collect();
+    for kind in [
+        "grow_commit",
+        "grow_publish",
+        "grow_desc_commit",
+        "grow_desc_publish",
+        "shrink_decommit",
+        "shrink_desc_decommit",
+    ] {
+        assert!(seen.contains(kind), "window never crossed {kind}: {seen:?}");
     }
     drop(heap);
 

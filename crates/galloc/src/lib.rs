@@ -329,7 +329,7 @@ fn in_pool_range(ptr: *const u8) -> bool {
 fn build_heap() -> io::Result<Ralloc> {
     let cap = std::env::var("GALLOC_CAP")
         .ok()
-        .and_then(|s| parse_bytes(&s))
+        .and_then(|s| ralloc::parse_size(&s))
         .unwrap_or(DEFAULT_CAP);
     let cfg = RallocConfig {
         initial_capacity: Some(INITIAL_COMMIT.min(cap)),
@@ -347,18 +347,6 @@ fn build_heap() -> io::Result<Ralloc> {
         }
         None => Ok(Ralloc::create(cap, RallocConfig { transient: true, ..cfg })),
     }
-}
-
-/// `"64M"` / `"1G"` / `"4096"` → bytes.
-fn parse_bytes(s: &str) -> Option<usize> {
-    let s = s.trim();
-    let (digits, mult) = match s.as_bytes().last()? {
-        b'k' | b'K' => (&s[..s.len() - 1], 1usize << 10),
-        b'm' | b'M' => (&s[..s.len() - 1], 1 << 20),
-        b'g' | b'G' => (&s[..s.len() - 1], 1 << 30),
-        _ => (s, 1),
-    };
-    digits.trim().parse::<usize>().ok()?.checked_mul(mult)
 }
 
 extern "C" fn close_at_exit() {
@@ -624,17 +612,6 @@ unsafe fn pool_realloc(heap: &Ralloc, ptr: *mut u8, layout: Layout, new_size: us
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parse_bytes_understands_suffixes() {
-        assert_eq!(parse_bytes("4096"), Some(4096));
-        assert_eq!(parse_bytes("64K"), Some(64 << 10));
-        assert_eq!(parse_bytes("8m"), Some(8 << 20));
-        assert_eq!(parse_bytes("2G"), Some(2 << 30));
-        assert_eq!(parse_bytes(" 1 G "), Some(1 << 30));
-        assert_eq!(parse_bytes("nope"), None);
-        assert_eq!(parse_bytes(""), None);
-    }
 
     #[test]
     fn natural_alignment_proof_holds_for_every_class() {

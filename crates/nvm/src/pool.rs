@@ -789,7 +789,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(feature = "telemetry-off", ignore = "asserts PmemStats counters, which are compiled out")]
     fn flush_spans_multiple_lines() {
         let pool = PmemPool::new(4096, Mode::Tracked);
         write_bytes(&pool, 60, &[5; 8]); // straddles line 0 and line 64
@@ -888,7 +887,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(feature = "telemetry-off", ignore = "asserts PmemStats counters, which are compiled out")]
     fn stats_count_flushes_and_fences() {
         let pool = PmemPool::new(4096, Mode::Direct);
         pool.flush(0, 1);
@@ -1222,7 +1220,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(feature = "telemetry-off", ignore = "asserts PmemStats counters, which are compiled out")]
     fn adjacent_lines_in_one_persist_charged_once_per_run() {
         // CLWB pipelining: one persist of 4 adjacent lines is charged as
         // ONE full flush plus 3 cheap pipelined followers + one fence —

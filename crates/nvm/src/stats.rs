@@ -120,7 +120,6 @@ impl PmemStatsSnapshot {
 }
 
 #[cfg(test)]
-#[cfg(not(feature = "telemetry-off"))]
 mod tests {
     use super::*;
 

@@ -15,7 +15,6 @@ const RETIRED: [(u8, &str); 5] =
     [(8, "fill"), (9, "flush"), (10, "steal"), (11, "carve"), (15, "remote_ring_overflow")];
 
 #[test]
-#[cfg_attr(feature = "telemetry-off", ignore = "the flight recorder is compiled out")]
 fn planted_retired_kind_records_read_back_through_scan_and_rinspect() {
     // Frame the records exactly as an older writer did (seq + crc), after
     // whatever this heap's own open recorded.

@@ -62,7 +62,6 @@ pub fn to_json(scopes: &[(&str, &Registry)]) -> String {
 }
 
 #[cfg(test)]
-#[cfg(not(feature = "telemetry-off"))]
 mod tests {
     use super::*;
     use crate::json;

@@ -1,11 +1,9 @@
 //! Metric primitives: counters, gauges, log2 histograms.
 //!
-//! [`Counter`] keeps the `AtomicU64` *call shape* (`fetch_add`, `load`) so
-//! stats structs migrated onto the registry keep their field-access API:
-//! `stats.cache_fills.load(Ordering::Relaxed)` compiles unchanged against
-//! a sharded counter. The write half returns nothing — a running total
-//! would have to read every shard, which is exactly the cross-thread
-//! traffic sharding exists to avoid.
+//! A [`Counter`] has one write, [`Counter::add`], and one read,
+//! [`Counter::get`]. The write returns nothing — a running total would
+//! have to read every shard, which is exactly the cross-thread traffic
+//! sharding exists to avoid.
 //!
 //! A counter can be written two ways, and a site picks by what it holds:
 //!
@@ -43,7 +41,6 @@ struct PadCell(AtomicU64);
 /// The calling thread's stable shard index. Tokens are handed out by a
 /// process-wide counter on first use, so thread pools spread across
 /// shards round-robin.
-#[cfg_attr(feature = "telemetry-off", allow(dead_code))]
 #[inline]
 fn my_shard() -> usize {
     static NEXT: AtomicUsize = AtomicUsize::new(0);
@@ -91,14 +88,9 @@ impl LocalSet {
 
     /// A fresh zeroed block, enlisted. Cold: once per (thread, registry).
     pub(crate) fn block(self: &Arc<LocalSet>) -> LocalBlock {
-        #[cfg(not(feature = "telemetry-off"))]
-        {
-            let slots = Arc::new(Slots(std::array::from_fn(|_| AtomicU64::new(0))));
-            self.lock().live.push(slots.clone());
-            LocalBlock { slots, set: self.clone() }
-        }
-        #[cfg(feature = "telemetry-off")]
-        LocalBlock {}
+        let slots = Arc::new(Slots(std::array::from_fn(|_| AtomicU64::new(0))));
+        self.lock().live.push(slots.clone());
+        LocalBlock { slots, set: self.clone() }
     }
 }
 
@@ -110,29 +102,21 @@ impl LocalSet {
 /// on the block's own line. Dropping the block folds its counts into the
 /// registry's retired totals and delists it, in one step under the lock
 /// readers take, so no exit path of the owner can lose or double a
-/// count. Zero-sized, and every method empty, under `telemetry-off`.
+/// count.
 pub struct LocalBlock {
-    #[cfg(not(feature = "telemetry-off"))]
     slots: Arc<Slots>,
-    #[cfg(not(feature = "telemetry-off"))]
     set: Arc<LocalSet>,
 }
 
 impl LocalBlock {
-    /// Add `n` to `slot`. Compiled out under `telemetry-off`.
+    /// Add `n` to `slot`.
     #[inline]
     pub fn add(&mut self, slot: usize, n: u64) {
-        #[cfg(not(feature = "telemetry-off"))]
-        {
-            let cell = &self.slots.0[slot];
-            cell.store(cell.load(Ordering::Relaxed).wrapping_add(n), Ordering::Relaxed);
-        }
-        #[cfg(feature = "telemetry-off")]
-        let _ = (slot, n);
+        let cell = &self.slots.0[slot];
+        cell.store(cell.load(Ordering::Relaxed).wrapping_add(n), Ordering::Relaxed);
     }
 }
 
-#[cfg(not(feature = "telemetry-off"))]
 impl Drop for LocalBlock {
     fn drop(&mut self) {
         let mut set = self.set.lock();
@@ -179,13 +163,10 @@ impl Counter {
         self.0.local.as_ref().map(|(slot, _)| *slot)
     }
 
-    /// Add `n`. Compiled out under `telemetry-off`.
+    /// Add `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        #[cfg(not(feature = "telemetry-off"))]
         self.0.shards[my_shard()].0.fetch_add(n, Ordering::Relaxed);
-        #[cfg(feature = "telemetry-off")]
-        let _ = n;
     }
 
     /// Add one.
@@ -202,23 +183,6 @@ impl Counter {
             Some((slot, set)) => shared + set.total(*slot),
             None => shared,
         }
-    }
-
-    /// `AtomicU64`-shaped write: [`Counter::add`] with an ordering
-    /// argument accepted for source compatibility (counter writes are
-    /// always relaxed — statistics, not synchronization). Unit-typed on
-    /// purpose: returning the previous total would load every shard on
-    /// every bump.
-    #[inline]
-    pub fn fetch_add(&self, n: u64, _order: Ordering) {
-        self.add(n);
-    }
-
-    /// `AtomicU64`-compatible read ([`Counter::get`]; ordering accepted
-    /// for source compatibility).
-    #[inline]
-    pub fn load(&self, _order: Ordering) -> u64 {
-        self.get()
     }
 }
 
@@ -238,13 +202,10 @@ impl Gauge {
         Gauge::default()
     }
 
-    /// Set the value. Compiled out under `telemetry-off`.
+    /// Set the value.
     #[inline]
     pub fn set(&self, v: i64) {
-        #[cfg(not(feature = "telemetry-off"))]
         self.0.store(v, Ordering::Relaxed);
-        #[cfg(feature = "telemetry-off")]
-        let _ = v;
     }
 
     #[inline]
@@ -265,7 +226,6 @@ const BUCKETS: usize = 65;
 
 /// The bucket holding `v`: 0 for 0, else `floor(log2 v) + 1`, so bucket
 /// `b ≥ 1` covers `[2^(b-1), 2^b)`.
-#[cfg_attr(feature = "telemetry-off", allow(dead_code))]
 #[inline]
 fn bucket_of(v: u64) -> usize {
     if v == 0 {
@@ -316,16 +276,11 @@ impl Histogram {
         Histogram::default()
     }
 
-    /// Record one sample. Compiled out under `telemetry-off`.
+    /// Record one sample.
     #[inline]
     pub fn observe(&self, v: u64) {
-        #[cfg(not(feature = "telemetry-off"))]
-        {
-            self.0.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-            self.0.sum[my_shard()].0.fetch_add(v, Ordering::Relaxed);
-        }
-        #[cfg(feature = "telemetry-off")]
-        let _ = v;
+        self.0.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
+        self.0.sum[my_shard()].0.fetch_add(v, Ordering::Relaxed);
     }
 
     /// Record the nanoseconds elapsed since `t0`.
@@ -443,24 +398,6 @@ impl HistSnapshot {
 mod tests {
     use super::*;
 
-    // Value-asserting tests only run on the instrumented build; under
-    // `telemetry-off` every write is a no-op by design, and the one
-    // off-build test below pins exactly that.
-    #[cfg(feature = "telemetry-off")]
-    #[test]
-    fn telemetry_off_compiles_writes_to_no_ops() {
-        let c = Counter::new();
-        c.add(5);
-        c.inc();
-        assert_eq!(c.get(), 0);
-        let g = Gauge::new();
-        g.set(9);
-        assert_eq!(g.get(), 0);
-        let h = Histogram::new();
-        h.observe(123);
-        assert_eq!(h.snapshot().count, 0);
-    }
-
     #[test]
     fn bucket_edges() {
         assert_eq!(bucket_of(0), 0);
@@ -485,7 +422,6 @@ mod tests {
         }
     }
 
-    #[cfg(not(feature = "telemetry-off"))]
     #[test]
     fn histogram_percentiles_uniform_distribution() {
         let h = Histogram::new();
@@ -508,7 +444,6 @@ mod tests {
         assert!((s.mean() - 500.5).abs() < 1e-9);
     }
 
-    #[cfg(not(feature = "telemetry-off"))]
     #[test]
     fn histogram_percentiles_point_mass_and_zero() {
         let h = Histogram::new();
@@ -523,7 +458,6 @@ mod tests {
         assert_eq!(s.nonzero_buckets().len(), 2);
     }
 
-    #[cfg(not(feature = "telemetry-off"))]
     #[test]
     fn concurrent_counter_is_exact() {
         let c = Counter::new();
@@ -540,20 +474,18 @@ mod tests {
             }
         });
         assert_eq!(c.get(), THREADS * PER, "sharded counter must lose no increments");
-        assert_eq!(c.load(Ordering::Relaxed), THREADS * PER);
     }
 
-    #[cfg(not(feature = "telemetry-off"))]
     #[test]
     fn counter_atomicu64_surface() {
         let c = Counter::new();
-        // The write half is bump-only: it must not hand back a total.
-        let () = c.fetch_add(5, Ordering::Relaxed);
-        let () = c.fetch_add(2, Ordering::Relaxed);
-        assert_eq!(c.load(Ordering::Relaxed), 7);
+        // The write half is bump-only: unlike `AtomicU64::fetch_add` it
+        // must not hand back a total.
+        let () = c.add(5);
+        let () = c.add(2);
+        assert_eq!(c.get(), 7);
     }
 
-    #[cfg(not(feature = "telemetry-off"))]
     #[test]
     fn gauge_sets_and_reads() {
         let g = Gauge::new();
@@ -564,7 +496,6 @@ mod tests {
         assert_eq!(g.get(), -7);
     }
 
-    #[cfg(not(feature = "telemetry-off"))]
     #[test]
     fn concurrent_histogram_counts_are_exact() {
         let h = Histogram::new();

@@ -1,11 +1,10 @@
 //! Background JSONL sampler: the soak-run time series.
 //!
-//! A sampler owns an output file and a closure producing one JSON object
-//! per tick. In background mode a thread fires the closure every
-//! interval; in manual mode the owner calls [`SamplerHandle::sample_now`]
-//! at its own cadence (per churn round, per benchmark phase). Both
-//! append one line per sample — the JSONL format CI and plotting scripts
-//! consume.
+//! A sampler owns an output file, a closure producing one JSON object per
+//! tick, and a thread that fires the closure every interval and appends
+//! the object as one line — the JSONL format CI and plotting scripts
+//! consume. The heap's closure is its `telemetry_snapshot()`, so every
+//! line carries the snapshot's schema.
 //!
 //! The closure returning `None` ends sampling: samplers hold a `Weak`
 //! reference to their subject so a heap that closes underneath its
@@ -14,7 +13,7 @@
 
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -66,23 +65,10 @@ impl Shared {
 /// for a joined, flushed shutdown.
 pub struct SamplerHandle {
     shared: Arc<Shared>,
-    path: PathBuf,
     thread: Option<JoinHandle<()>>,
 }
 
 impl SamplerHandle {
-    fn open(path: &Path, f: SampleFn) -> io::Result<(Arc<Shared>, PathBuf)> {
-        let file = File::create(path)?;
-        Ok((
-            Arc::new(Shared {
-                state: Mutex::new(State { writer: BufWriter::new(file), f, retired: false }),
-                stop: Mutex::new(false),
-                wake: Condvar::new(),
-            }),
-            path.to_path_buf(),
-        ))
-    }
-
     /// Start a background sampler appending to `path` every `interval`.
     /// The file is truncated; one sample is taken immediately so even a
     /// short-lived process leaves a first data point.
@@ -91,7 +77,12 @@ impl SamplerHandle {
         interval: Duration,
         f: impl FnMut() -> Option<String> + Send + 'static,
     ) -> io::Result<SamplerHandle> {
-        let (shared, path) = Self::open(path.as_ref(), Box::new(f))?;
+        let writer = BufWriter::new(File::create(path)?);
+        let shared = Arc::new(Shared {
+            state: Mutex::new(State { writer, f: Box::new(f), retired: false }),
+            stop: Mutex::new(false),
+            wake: Condvar::new(),
+        });
         shared.tick();
         let thread = {
             let shared = Arc::clone(&shared);
@@ -115,32 +106,11 @@ impl SamplerHandle {
                 }
             })?
         };
-        Ok(SamplerHandle { shared, path, thread: Some(thread) })
+        Ok(SamplerHandle { shared, thread: Some(thread) })
     }
 
-    /// A manual sampler: no background thread, samples only on
-    /// [`SamplerHandle::sample_now`]. The file is truncated.
-    pub fn manual(
-        path: impl AsRef<Path>,
-        f: impl FnMut() -> Option<String> + Send + 'static,
-    ) -> io::Result<SamplerHandle> {
-        let (shared, path) = Self::open(path.as_ref(), Box::new(f))?;
-        Ok(SamplerHandle { shared, path, thread: None })
-    }
-
-    /// Take one sample immediately (from the calling thread). Returns
-    /// `false` once the producer has retired.
-    pub fn sample_now(&self) -> bool {
-        self.shared.tick()
-    }
-
-    /// The JSONL file this sampler appends to.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Take a final sample, stop the background thread (if any), and
-    /// join it. Idempotent.
+    /// Take a final sample, stop the background thread, and join it.
+    /// Idempotent.
     pub fn stop(&mut self) {
         if let Some(thread) = self.thread.take() {
             self.shared.tick();
@@ -157,15 +127,13 @@ impl Drop for SamplerHandle {
         // dropped on the sampler thread itself.
         *self.shared.stop.lock().unwrap() = true;
         self.shared.wake.notify_all();
-        if let Some(thread) = self.thread.take() {
-            drop(thread); // detach
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn temp_path(tag: &str) -> PathBuf {
@@ -176,27 +144,6 @@ mod tests {
             std::process::id(),
             SEQ.fetch_add(1, Ordering::Relaxed)
         ))
-    }
-
-    #[test]
-    fn manual_sampler_appends_one_line_per_call() {
-        let path = temp_path("manual");
-        let mut n = 0u64;
-        let sampler = SamplerHandle::manual(&path, move || {
-            n += 1;
-            Some(format!("{{\"tick\": {n}}}"))
-        })
-        .unwrap();
-        for _ in 0..3 {
-            assert!(sampler.sample_now());
-        }
-        let text = std::fs::read_to_string(sampler.path()).unwrap();
-        let lines: Vec<_> = text.lines().collect();
-        assert_eq!(lines, ["{\"tick\": 1}", "{\"tick\": 2}", "{\"tick\": 3}"]);
-        for line in lines {
-            crate::json::parse(line).expect("every sampler line must be valid JSON");
-        }
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -212,27 +159,38 @@ mod tests {
         sampler.stop();
         sampler.stop(); // idempotent
         let text = std::fs::read_to_string(&path).unwrap();
-        let count = text.lines().count();
+        let lines: Vec<_> = text.lines().collect();
+        let count = lines.len();
         assert!(count >= 3, "expected >= 3 samples in 60ms at 5ms cadence, got {count}");
+        // One line per tick, in tick order, each valid JSON.
+        for (i, line) in lines.iter().enumerate() {
+            let v = crate::json::parse(line).expect("every sampler line must be valid JSON");
+            assert_eq!(v.get("tick").and_then(|t| t.as_u64()), Some(i as u64 + 1), "{text}");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), text, "a stopped sampler wrote on");
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn retired_producer_ends_sampling() {
         let path = temp_path("retire");
-        let mut left = 2u64;
-        let sampler = SamplerHandle::manual(&path, move || {
-            if left == 0 {
-                return None;
-            }
-            left -= 1;
-            Some("{}".into())
+        let calls = Arc::new(AtomicU64::new(0));
+        let mut sampler = SamplerHandle::start(&path, Duration::from_millis(1), {
+            let calls = calls.clone();
+            // Two samples, then retire.
+            move || (calls.fetch_add(1, Ordering::Relaxed) < 2).then(|| "{}".to_string())
         })
         .unwrap();
-        assert!(sampler.sample_now());
-        assert!(sampler.sample_now());
-        assert!(!sampler.sample_now());
-        assert!(!sampler.sample_now(), "a retired producer stays retired");
+        let t0 = std::time::Instant::now();
+        while calls.load(Ordering::Relaxed) < 3 {
+            assert!(t0.elapsed() < Duration::from_secs(10), "the producer never retired");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // Many intervals later, and through the final sample `stop` takes.
+        std::thread::sleep(Duration::from_millis(20));
+        sampler.stop();
+        assert_eq!(calls.load(Ordering::Relaxed), 3, "a retired producer is never called again");
         assert_eq!(std::fs::read_to_string(&path).unwrap().lines().count(), 2);
         std::fs::remove_file(&path).ok();
     }

@@ -13,8 +13,8 @@
 //!
 //! The console shows one line per round (footprint and its step); the
 //! full counter trajectory lands in the JSONL file (default
-//! `churn_probe.jsonl`), one snapshot per sampler tick — the same schema
-//! the `RALLOC_TELEMETRY` env knob produces.
+//! `churn_probe.jsonl`), one `telemetry_snapshot()` object per sampler
+//! tick — what the `RALLOC_TELEMETRY` env knob produces too.
 
 use std::time::Duration;
 
@@ -52,10 +52,14 @@ fn main() {
         parsed = Some(telemetry::json::parse(l).expect("sampler line parses as JSON"));
     }
     let parsed = parsed.expect("at least one sample");
+    let counter = |name| {
+        let heap = parsed.get("registries").and_then(|r| r.get("heap"));
+        heap.and_then(|h| h.get(name)).and_then(|v| v.as_u64()).unwrap_or(0)
+    };
     println!(
-        "{lines} samples; final committed_len={} fills={} steals={}",
+        "{lines} samples; final committed_len={} cache_fills={} partial_steals={}",
         parsed.get("committed_len").and_then(|v| v.as_u64()).unwrap_or(0),
-        parsed.get("fills").and_then(|v| v.as_u64()).unwrap_or(0),
-        parsed.get("steals").and_then(|v| v.as_u64()).unwrap_or(0),
+        counter("cache_fills"),
+        counter("partial_steals"),
     );
 }

@@ -15,8 +15,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BUDGET=6783
-REST_BUDGET=9420
+BUDGET=6726
+REST_BUDGET=9312
 MAX_FIELDS=6
 MAX_VARS=7
 

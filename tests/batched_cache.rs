@@ -14,7 +14,6 @@
 //!    lost or double-issued across that round trip.
 
 use ralloc::{check_heap, Pptr, Ralloc, RallocConfig, Trace, Tracer};
-use std::sync::atomic::Ordering;
 
 #[repr(C)]
 struct Node {
@@ -59,7 +58,6 @@ fn list_len(heap: &Ralloc, root: usize) -> usize {
 }
 
 #[test]
-#[cfg_attr(feature = "telemetry-off", ignore = "asserts telemetry counters, which are compiled out")]
 fn crash_during_batched_fill_reclaims_partially_consumed_batch() {
     let heap = Ralloc::create(8 << 20, RallocConfig::tracked());
     build_list(&heap, 0, 25);
@@ -103,7 +101,6 @@ fn crash_during_batched_fill_reclaims_partially_consumed_batch() {
 }
 
 #[test]
-#[cfg_attr(feature = "telemetry-off", ignore = "asserts telemetry counters, which are compiled out")]
 fn crash_with_no_roots_reclaims_everything_including_bins() {
     let heap = Ralloc::create(8 << 20, RallocConfig::tracked());
     // A partially consumed batch AND a partially flushed bin: allocate
@@ -114,7 +111,7 @@ fn crash_with_no_roots_reclaims_everything_including_bins() {
     for &p in &ptrs[..1100] {
         heap.free(p); // fills the bin past capacity: one bulk flush
     }
-    assert!(heap.slow_stats().cache_flushes.load(Ordering::Relaxed) >= 1);
+    assert!(heap.slow_stats().cache_flushes.get() >= 1);
     let used = heap.used_superblocks();
 
     heap.crash_simulated();
@@ -147,7 +144,6 @@ fn recovery_is_idempotent_after_crash_during_fill() {
 }
 
 #[test]
-#[cfg_attr(feature = "telemetry-off", ignore = "asserts telemetry counters, which are compiled out")]
 fn remote_free_round_trip_through_bins() {
     let heap = Ralloc::create(32 << 20, RallocConfig::default());
     let n = 5000usize;
@@ -185,14 +181,14 @@ fn remote_free_round_trip_through_bins() {
     // remote frees must have been batched, not returned one CAS at a
     // time.
     let s = heap.slow_stats();
-    assert!(s.cache_flushes.load(Ordering::Relaxed) >= 1, "no bulk flush happened");
+    assert!(s.cache_flushes.get() >= 1, "no bulk flush happened");
     assert!(
         s.avg_flush_batch() > 8.0,
         "remote frees were not amortized: avg batch {}",
         s.avg_flush_batch()
     );
     assert!(
-        s.flush_anchor_cas.load(Ordering::Relaxed) < s.cache_flushes_blocks.load(Ordering::Relaxed),
+        s.flush_anchor_cas.get() < s.cache_flushes_blocks.get(),
         "one CAS per block means batching is broken"
     );
     let report = check_heap(&heap);
@@ -231,7 +227,6 @@ fn remote_free_round_trip_through_bins() {
 /// only the oldest 4 on overflow keeps 12 cached and gives ≈ 14, 4.8 and
 /// 31. One thread, so the counts are exact per seed.
 #[test]
-#[cfg_attr(feature = "telemetry-off", ignore = "asserts telemetry counters, which are compiled out")]
 fn churn_on_fourteen_kib_blocks_rarely_fills_or_flushes() {
     const SIZE: usize = 14336;
     const PAIRS: u64 = 200_000;
@@ -256,10 +251,10 @@ fn churn_on_fourteen_kib_blocks_rarely_fills_or_flushes() {
     }
     let s = heap.slow_stats();
     let per_kpair = |n: u64| n as f64 * 1000.0 / PAIRS as f64;
-    let fills = per_kpair(s.cache_fills.load(Ordering::Relaxed));
-    let flushes = per_kpair(s.cache_flushes.load(Ordering::Relaxed));
+    let fills = per_kpair(s.cache_fills.get());
+    let flushes = per_kpair(s.cache_flushes.get());
     let cas = per_kpair(
-        s.fill_anchor_cas.load(Ordering::Relaxed) + s.flush_anchor_cas.load(Ordering::Relaxed),
+        s.fill_anchor_cas.get() + s.flush_anchor_cas.get(),
     );
     assert!(fills <= 20.0, "{fills:.1} fills per 1 000 pairs");
     assert!(flushes <= 8.0, "{flushes:.1} flushes per 1 000 pairs");

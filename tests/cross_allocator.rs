@@ -61,7 +61,6 @@ fn kvstore_on_every_allocator() {
 }
 
 #[test]
-#[cfg_attr(feature = "telemetry-off", ignore = "asserts pool fence counters, which are compiled out")]
 fn flush_accounting_separates_the_allocators() {
     // The quantitative heart of the paper: flushes per malloc/free pair.
     // Ralloc ~0 (amortized), Makalu >= 2 (alloc byte on both ops),

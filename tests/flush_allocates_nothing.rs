@@ -60,7 +60,7 @@ fn allocations_during(f: impl FnOnce()) -> usize {
 /// `(cache_flushes, flush_anchor_cas)`.
 fn flush_counts(heap: &Ralloc) -> (u64, u64) {
     let s = heap.slow_stats();
-    (s.cache_flushes.load(Ordering::Relaxed), s.flush_anchor_cas.load(Ordering::Relaxed))
+    (s.cache_flushes.get(), s.flush_anchor_cas.get())
 }
 
 #[test]
@@ -87,11 +87,9 @@ fn a_flush_over_as_many_superblocks_as_slots_allocates_nothing() {
             let (flushes0, cas0) = flush_counts(&heap);
             let n = allocations_during(|| heap.free(held[1]));
             assert_eq!(n, 0, "{size} B: an overflow over {per_sb} superblocks allocated");
-            if cfg!(not(feature = "telemetry-off")) {
-                let (flushes, cas) = flush_counts(&heap);
-                assert_eq!(flushes - flushes0, 1, "{size} B");
-                assert_eq!(cas - cas0, per_sb as u64, "{size} B: one anchor CAS per superblock");
-            }
+            let (flushes, cas) = flush_counts(&heap);
+            assert_eq!(flushes - flushes0, 1, "{size} B");
+            assert_eq!(cas - cas0, per_sb as u64, "{size} B: one anchor CAS per superblock");
             let report = check_heap(&heap);
             assert!(report.is_consistent(), "{size} B: {:?}", report.violations);
             let before = (flush_counts(&heap), ALLOCS.load(Ordering::Relaxed));
@@ -105,10 +103,8 @@ fn a_flush_over_as_many_superblocks_as_slots_allocates_nothing() {
         let kept = cap - per_sb + 1;
         let n = ALLOCS.load(Ordering::Relaxed) - allocs0;
         assert_eq!(n, 0, "{size} B: a drain over {kept} superblocks allocated");
-        if cfg!(not(feature = "telemetry-off")) {
-            let (flushes, cas) = flush_counts(&heap);
-            assert_eq!(flushes - flushes0, 1, "{size} B");
-            assert_eq!(cas - cas0, kept as u64, "{size} B: one anchor CAS per superblock");
-        }
+        let (flushes, cas) = flush_counts(&heap);
+        assert_eq!(flushes - flushes0, 1, "{size} B");
+        assert_eq!(cas - cas0, kept as u64, "{size} B: one anchor CAS per superblock");
     }
 }

@@ -9,7 +9,6 @@
 //! no concurrent getenv. Do not add further `#[test]`s to this file.
 
 use std::process::Command;
-use std::sync::atomic::Ordering;
 
 use ralloc::{check_heap, Ralloc, RallocConfig, SB_SIZE};
 
@@ -31,7 +30,6 @@ fn run_on_the_config_under_unparsable_values() {
 }
 
 #[test]
-#[cfg_attr(feature = "telemetry-off", ignore = "asserts telemetry counters, which are compiled out")]
 fn env_knobs_configure_growth() {
     if std::env::var("RALLOC_INIT_CAP").as_deref() == Ok(UNPARSABLE[0].1) {
         return run_on_the_config_under_unparsable_values();
@@ -63,7 +61,7 @@ fn env_knobs_configure_growth() {
         assert!(!p.is_null());
         held.push(p);
     }
-    assert!(heap.slow_stats().heap_grows.load(Ordering::Relaxed) >= 1);
+    assert!(heap.slow_stats().heap_grows.get() >= 1);
     for p in held {
         heap.free(p);
     }
@@ -77,7 +75,7 @@ fn env_knobs_configure_growth() {
     let p = fixed.malloc(64);
     assert!(!p.is_null());
     fixed.free(p);
-    assert_eq!(fixed.slow_stats().heap_grows.load(Ordering::Relaxed), 0);
+    assert_eq!(fixed.slow_stats().heap_grows.get(), 0);
 
     // A clean close releases the free tail.
     let shrinking = Ralloc::create(4 << 20, RallocConfig::default());
@@ -90,5 +88,5 @@ fn env_knobs_configure_growth() {
         0,
         "close must release the fully-free frontier"
     );
-    assert!(shrinking.slow_stats().sb_released.load(Ordering::Relaxed) > 0);
+    assert!(shrinking.slow_stats().sb_released.get() > 0);
 }

@@ -10,8 +10,6 @@
 //! oscillation, and round-trips shrunken images through clean and dirty
 //! reopens.
 
-use std::sync::atomic::Ordering;
-
 use nvm::{CrashInjector, CrashPoint, Mode};
 use ralloc::{check_heap, Pptr, Ralloc, RallocConfig, Trace, Tracer, SB_SIZE};
 
@@ -60,7 +58,6 @@ fn list_len(heap: &Ralloc, root: usize) -> usize {
 /// The PR's acceptance workload: a heap committed at 4 MiB serves 64 MiB
 /// of live allocations with zero null returns, growing as it goes.
 #[test]
-#[cfg_attr(feature = "telemetry-off", ignore = "asserts telemetry counters, which are compiled out")]
 fn heap_committed_at_4mib_serves_64mib_live() {
     let heap = Ralloc::create(
         4 << 20,
@@ -85,7 +82,7 @@ fn heap_committed_at_4mib_serves_64mib_live() {
         unsafe { std::ptr::write(p as *mut u64, i as u64) };
         held.push(p);
     }
-    let grows = heap.slow_stats().heap_grows.load(Ordering::Relaxed);
+    let grows = heap.slow_stats().heap_grows.get();
     assert!(grows >= 4, "4 MiB -> 64+ MiB under doubling needs >= 4 grows, saw {grows}");
     for (i, &p) in held.iter().enumerate() {
         // SAFETY: live block.
@@ -120,7 +117,7 @@ fn growth_is_logarithmic_and_cold_path() {
         assert!(!p.is_null());
         held.push(p);
     }
-    let grows = heap.slow_stats().heap_grows.load(Ordering::Relaxed);
+    let grows = heap.slow_stats().heap_grows.get();
     let final_sb = heap.committed_superblocks() as f64;
     let bound = (final_sb / initial_sb).log2().ceil() as u64 + 2;
     assert!(
@@ -139,7 +136,6 @@ fn growth_is_logarithmic_and_cold_path() {
 /// protocol — between the frontier commit, its flush, its fence, and the
 /// `used` bump — because each is a counted event.
 #[test]
-#[cfg_attr(feature = "telemetry-off", ignore = "asserts telemetry counters, which are compiled out")]
 fn crash_sweep_through_grow_protocol_recovers() {
     let cfg = || RallocConfig {
         initial_capacity: Some(1 << 20),
@@ -169,7 +165,7 @@ fn crash_sweep_through_grow_protocol_recovers() {
         let before = inj.observed();
         workload(&heap, rounds);
         assert!(
-            heap.slow_stats().heap_grows.load(Ordering::Relaxed) >= 2,
+            heap.slow_stats().heap_grows.get() >= 2,
             "workload must actually grow the heap"
         );
         (rounds, inj.observed() - before)
@@ -253,7 +249,6 @@ fn oom_at_reserved_ceiling_is_clean() {
 /// the full span, and the reopened heap neither regrows what it has nor
 /// loses the room it had left.
 #[test]
-#[cfg_attr(feature = "telemetry-off", ignore = "asserts telemetry counters, which are compiled out")]
 fn clean_reopen_of_grown_image_sees_grown_frontier() {
     let dir = std::env::temp_dir().join(format!("ralloc-grow-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -272,7 +267,7 @@ fn clean_reopen_of_grown_image_sees_grown_frontier() {
         let nodes =
             (heap.committed_superblocks() + 16) * (SB_SIZE / std::mem::size_of::<Node>());
         build_list(&heap, 3, nodes);
-        assert!(heap.slow_stats().heap_grows.load(Ordering::Relaxed) >= 1);
+        assert!(heap.slow_stats().heap_grows.get() >= 1);
         heap.close().unwrap();
         (heap.committed_superblocks(), heap.max_superblocks(), nodes)
     };
@@ -302,7 +297,6 @@ fn clean_reopen_of_grown_image_sees_grown_frontier() {
 /// A *dirty* grown image (crash image remapped at a new base) recovers
 /// with the grown frontier and all rooted data.
 #[test]
-#[cfg_attr(feature = "telemetry-off", ignore = "asserts telemetry counters, which are compiled out")]
 fn dirty_reopen_of_grown_image_recovers() {
     let cfg = RallocConfig {
         initial_capacity: Some(1 << 20),
@@ -312,7 +306,7 @@ fn dirty_reopen_of_grown_image_recovers() {
     let heap = Ralloc::create(1 << 20, cfg.clone());
     let nodes = (heap.committed_superblocks() + 16) * (SB_SIZE / std::mem::size_of::<Node>());
     build_list(&heap, 0, nodes);
-    assert!(heap.slow_stats().heap_grows.load(Ordering::Relaxed) >= 1);
+    assert!(heap.slow_stats().heap_grows.get() >= 1);
     let used = heap.used_superblocks();
     let max_sb = heap.max_superblocks();
     let image = heap.pool().persistent_image();
@@ -435,7 +429,6 @@ fn oversized_image_beyond_header_reserve_is_refused() {
 /// set down at quiescent points and climb back transparently, cycle after
 /// cycle, with the full invariant holding at every stage.
 #[test]
-#[cfg_attr(feature = "telemetry-off", ignore = "asserts telemetry counters, which are compiled out")]
 fn grow_shrink_grow_oscillation() {
     let heap = Ralloc::create(
         1 << 20,
@@ -479,8 +472,8 @@ fn grow_shrink_grow_oscillation() {
         heap.shrink();
     }
     let s = heap.slow_stats();
-    assert!(s.heap_shrinks.load(Ordering::Relaxed) >= 3);
-    assert!(s.sb_released.load(Ordering::Relaxed) as usize >= 3 * 96);
+    assert!(s.heap_shrinks.get() >= 3);
+    assert!(s.sb_released.get() as usize >= 3 * 96);
 }
 
 /// Shrink must never release superblocks pinned by a *live* large block —
@@ -530,7 +523,6 @@ fn shrink_stops_at_live_large_span() {
 /// full invariant, with the persisted frontier covering the persisted
 /// `used` at every budget.
 #[test]
-#[cfg_attr(feature = "telemetry-off", ignore = "asserts telemetry counters, which are compiled out")]
 fn crash_sweep_through_shrink_protocol_recovers() {
     let cfg = || RallocConfig {
         initial_capacity: Some(1 << 20),
@@ -563,7 +555,7 @@ fn crash_sweep_through_shrink_protocol_recovers() {
         let before = inj.observed();
         teardown(&heap);
         assert!(
-            heap.slow_stats().heap_shrinks.load(Ordering::Relaxed) >= 1,
+            heap.slow_stats().heap_shrinks.get() >= 1,
             "the teardown must actually shrink"
         );
         assert_eq!(heap.committed_superblocks(), heap.used_superblocks());

@@ -649,7 +649,6 @@ mod flight_ring {
     use ralloc::layout::{FLIGHT_CAP, FLIGHT_RECORDS_OFF, FLIGHT_REC_SIZE};
 
     #[test]
-    #[cfg_attr(feature = "telemetry-off", ignore = "the flight recorder is compiled out")]
     fn torn_tail_record_is_dropped_and_counted_on_reopen() {
         let heap = Ralloc::create(8 << 20, RallocConfig::default());
         let p = heap.malloc(64);
@@ -687,7 +686,6 @@ mod flight_ring {
     /// records again: adoption re-initializes it, durably, before its
     /// `open` record.
     #[test]
-    #[cfg_attr(feature = "telemetry-off", ignore = "the flight recorder is compiled out")]
     fn a_lost_ring_header_is_reinitialized_at_adoption() {
         use ralloc::layout::{FLIGHT_HDR_SIZE, FLIGHT_OFF};
         type Damage = fn(&mut [u8]);
@@ -724,7 +722,6 @@ mod flight_ring {
     }
 
     #[test]
-    #[cfg_attr(feature = "telemetry-off", ignore = "the flight recorder is compiled out")]
     fn wraparound_keeps_the_newest_window_across_reopen() {
         let heap = Ralloc::create(8 << 20, RallocConfig::default());
         let p = heap.malloc(64);
@@ -752,7 +749,6 @@ mod flight_ring {
     }
 
     #[test]
-    #[cfg_attr(feature = "telemetry-off", ignore = "the flight recorder is compiled out")]
     fn cooperative_crash_leaves_the_ring_scannable() {
         let (heap, inj) = tracked_with_injector();
         let stack = PStack::create(&heap, 0);
@@ -780,8 +776,6 @@ fn crashed_remote_frees_leak_nothing() {
     // the consumer's cache bin. Both die with DRAM, and recovery's
     // reachability sweep must reclaim every block — no leak, no double
     // accounting.
-    use std::sync::atomic::Ordering;
-
     let (heap, _inj) = tracked_with_injector();
     // A producer thread on another shard drains five whole 64 B
     // superblock populations through its cache and exits with an empty
@@ -798,9 +792,8 @@ fn crashed_remote_frees_leak_nothing() {
     for &p in &ptrs {
         heap.free(p as *mut u8);
     }
-    #[cfg(not(feature = "telemetry-off"))]
     assert_eq!(
-        heap.slow_stats().remote_free_blocks.load(Ordering::Relaxed),
+        heap.slow_stats().remote_free_blocks.get(),
         4 * per_sb as u64,
         "setup never flushed a remote group"
     );

@@ -10,13 +10,10 @@
 //! its two promises — the CAS is per group, not per block, and no block
 //! is lost or duplicated on the way — with counters, not wall-clock.
 
-use std::sync::atomic::Ordering;
-
 use ralloc::{Ralloc, RallocConfig};
 use suite::on_another_shard;
 
 #[test]
-#[cfg_attr(feature = "telemetry-off", ignore = "asserts telemetry counters, which are compiled out")]
 fn prodcon_remote_frees_cost_one_cas_per_superblock_group() {
     const PRODUCERS: usize = 2;
     const PER_PRODUCER: usize = 32 * 1024;
@@ -41,21 +38,21 @@ fn prodcon_remote_frees_cost_one_cas_per_superblock_group() {
     }
     let stats = heap.slow_stats();
     let (flushed0, cas0) = (
-        stats.cache_flushes_blocks.load(Ordering::Relaxed),
-        stats.flush_anchor_cas.load(Ordering::Relaxed),
+        stats.cache_flushes_blocks.get(),
+        stats.flush_anchor_cas.get(),
     );
     for p in batches.into_iter().flatten() {
         heap.free(p as *mut u8);
     }
-    let remote = stats.remote_free_blocks.load(Ordering::Relaxed);
-    let cas = stats.remote_anchor_cas.load(Ordering::Relaxed);
+    let remote = stats.remote_free_blocks.get();
+    let cas = stats.remote_anchor_cas.get();
     assert!(remote as usize >= PRODUCERS * PER_PRODUCER - ralloc::SB_SIZE / 64);
     assert_eq!(
         remote,
-        stats.cache_flushes_blocks.load(Ordering::Relaxed) - flushed0,
+        stats.cache_flushes_blocks.get() - flushed0,
         "the consumer filled nothing, so every block it flushes is remote"
     );
-    assert_eq!(cas, stats.flush_anchor_cas.load(Ordering::Relaxed) - cas0);
+    assert_eq!(cas, stats.flush_anchor_cas.get() - cas0);
     // A bin of consecutively allocated blocks spans at most two
     // superblocks of 1024: at most one CAS per 512 remote blocks.
     assert!(cas >= 1 && cas * 512 <= remote, "{cas} anchor CASes for {remote} remote blocks");
@@ -119,7 +116,6 @@ fn prodcon_remote_frees_leave_a_consistent_reusable_heap() {
 }
 
 #[test]
-#[cfg_attr(feature = "telemetry-off", ignore = "asserts telemetry counters, which are compiled out")]
 fn consumer_frees_come_back_to_the_producer_without_a_carve() {
     // One producer, one consumer, on different shards. The producer's
     // fills own the superblocks, so every group the consumer flushes is
@@ -148,9 +144,9 @@ fn consumer_frees_come_back_to_the_producer_without_a_carve() {
             }
         })
         .expect("no thread landed off the producer's shard");
-        assert_eq!(stats.remote_free_blocks.load(Ordering::Relaxed), N as u64);
+        assert_eq!(stats.remote_free_blocks.get(), N as u64);
         assert_eq!(
-            stats.remote_anchor_cas.load(Ordering::Relaxed),
+            stats.remote_anchor_cas.get(),
             2,
             "two whole populations, freed in allocation order: two groups"
         );

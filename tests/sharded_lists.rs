@@ -14,7 +14,6 @@
 //!    membership, which must be a disjoint partition placed by
 //!    `shard::place_superblock`.
 
-use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
 
 use nvm::{CrashInjector, CrashPoint};
@@ -63,15 +62,14 @@ fn make_partials(heap: &Ralloc, extra: usize) -> Vec<*mut u8> {
 }
 
 #[test]
-#[cfg_attr(feature = "telemetry-off", ignore = "asserts telemetry counters, which are compiled out")]
 fn fills_prefer_home_shard_and_steal_when_starved() {
     let heap = Ralloc::create(32 << 20, RallocConfig::tracked());
     let my_home = home_shard(thread_token());
     let (per_sb, cap) = class_shape();
     let _held = make_partials(&heap, 2);
     let stats = heap.slow_stats();
-    let home0 = stats.partial_pops_home.load(Ordering::Relaxed);
-    let steal0 = stats.partial_steals.load(Ordering::Relaxed);
+    let home0 = stats.partial_pops_home.get();
+    let steal0 = stats.partial_steals.get();
 
     // Draining our own bin refills from OUR shard: home pops, no steals.
     // (Only the bin's blocks, then two fills of one block each — so
@@ -81,8 +79,8 @@ fn fills_prefer_home_shard_and_steal_when_starved() {
     for _ in 0..cached + 2 {
         mine.push(heap.malloc(BLOCK));
     }
-    assert_eq!(stats.partial_pops_home.load(Ordering::Relaxed), home0 + 2);
-    assert_eq!(stats.partial_steals.load(Ordering::Relaxed), steal0);
+    assert_eq!(stats.partial_pops_home.get(), home0 + 2);
+    assert_eq!(stats.partial_steals.get(), steal0);
 
     // A thread whose home shard is different (and empty) must steal.
     let (tx, rx) = mpsc::channel();
@@ -105,7 +103,7 @@ fn fills_prefer_home_shard_and_steal_when_starved() {
     }
     let stolen_block = rx.recv().expect("no thread landed on a foreign shard") as *mut u8;
     assert!(
-        stats.partial_steals.load(Ordering::Relaxed) > steal0,
+        stats.partial_steals.get() > steal0,
         "foreign-shard fill did not steal"
     );
     heap.free(stolen_block);
@@ -114,7 +112,6 @@ fn fills_prefer_home_shard_and_steal_when_starved() {
 }
 
 #[test]
-#[cfg_attr(feature = "telemetry-off", ignore = "asserts telemetry counters, which are compiled out")]
 fn crash_mid_steal_loses_nothing() {
     let heap = Ralloc::create(32 << 20, RallocConfig::tracked());
     let my_home = home_shard(thread_token());
@@ -129,7 +126,7 @@ fn crash_mid_steal_loses_nothing() {
 
     let _held = make_partials(&heap, 2);
     let stats = heap.slow_stats();
-    let steal0 = stats.partial_steals.load(Ordering::Relaxed);
+    let steal0 = stats.partial_steals.get();
 
     // Park a foreign-home thread *mid-steal*: it has popped a descriptor
     // from our shard (the descriptor is now on no list) and holds the
@@ -161,7 +158,7 @@ fn crash_mid_steal_loses_nothing() {
         handle.join().unwrap();
     }
     let thief = thief.expect("no thread landed on a foreign shard");
-    assert!(stats.partial_steals.load(Ordering::Relaxed) > steal0, "setup did not steal");
+    assert!(stats.partial_steals.get() > steal0, "setup did not steal");
 
     // Crash while the stolen descriptor is in the thief's hands.
     heap.crash_simulated();
@@ -334,7 +331,6 @@ fn one_and_n_worker_recovery_agree_and_partition_the_shards() {
 }
 
 #[test]
-#[cfg_attr(feature = "telemetry-off", ignore = "asserts telemetry counters, which are compiled out")]
 fn private_churn_never_leaves_the_threads_own_shard() {
     // Two threads, no block ever crosses: each pins one block of every
     // superblock it filled (so none can empty and change hands through
@@ -375,9 +371,9 @@ fn private_churn_never_leaves_the_threads_own_shard() {
         [worker(), worker()].map(|w| w.join().unwrap())
     });
     let s = heap.slow_stats();
-    assert_eq!(s.remote_free_blocks.load(Ordering::Relaxed), 0, "a thread's own free went remote");
-    assert_eq!(s.partial_steals.load(Ordering::Relaxed), 0, "threads traded superblocks");
-    assert!(s.partial_pops_home.load(Ordering::Relaxed) >= (2 * ROUNDS) as u64);
+    assert_eq!(s.remote_free_blocks.get(), 0, "a thread's own free went remote");
+    assert_eq!(s.partial_steals.get(), 0, "threads traded superblocks");
+    assert!(s.partial_pops_home.get() >= (2 * ROUNDS) as u64);
     // (Two threads on one shard can each find it empty for the instant
     // the other holds a popped superblock unclaimed, and carve.)
     if homes[0] != homes[1] {

@@ -1,9 +1,9 @@
 //! Integration tests for the unified telemetry subsystem: the heap-level
 //! contracts that the unit tests inside `crates/telemetry` cannot see —
-//! zero telemetry CAS on the real malloc/free fast path, protocol
-//! ordering in the flight ring (the heap's one event stream), exporter
-//! round-trips through the `Ralloc` API, and the sampler soak that CI uploads as its smoke
-//! artifact (`TELEMETRY_SMOKE_OUT` redirects the JSONL).
+//! protocol ordering in the flight ring (the heap's one event stream),
+//! exporter round-trips through the `Ralloc` API, the sampler writing
+//! the snapshot's schema, and the sampler soak that CI uploads as its
+//! smoke artifact (`TELEMETRY_SMOKE_OUT` redirects the JSONL).
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -18,38 +18,12 @@ fn small_heap() -> Ralloc {
     Ralloc::create(32 << 20, RallocConfig::default())
 }
 
-/// The headline fast-path contract: a malloc/free storm on a warmed-up
-/// heap performs zero compare-and-swap operations *inside the telemetry
-/// crate*. (The allocator itself still CASes on anchors — the claim is
-/// that observability adds none.)
-#[test]
-fn fast_path_performs_zero_telemetry_cas() {
-    let heap = small_heap();
-    // Warm the thread cache so the loop below stays on the fast path.
-    let warm: Vec<*mut u8> = (0..64).map(|_| heap.malloc(64)).collect();
-    for p in warm {
-        heap.free(p);
-    }
-    let cas0 = telemetry::cas_ops();
-    for _ in 0..10_000 {
-        let p = heap.malloc(64);
-        assert!(!p.is_null());
-        heap.free(p);
-    }
-    assert_eq!(
-        telemetry::cas_ops() - cas0,
-        0,
-        "telemetry must not add CAS to the malloc/free fast path"
-    );
-}
-
 /// `Ralloc::telemetry_snapshot` parses as JSON and carries the heap and
 /// pmem registries plus the flight ring — the exporter round-trip at the
 /// API surface users actually call. The ring is written by the one JSON
 /// writer there is: on a quiescent heap its bytes equal
 /// `flight_timeline()`'s and `rinspect timeline --json`'s for the image.
 #[test]
-#[cfg_attr(feature = "telemetry-off", ignore = "asserts telemetry counters, which are compiled out")]
 fn telemetry_snapshot_round_trips_through_parser() {
     let heap = small_heap();
     let ptrs: Vec<*mut u8> = (0..500).map(|_| heap.malloc(64)).collect();
@@ -80,6 +54,35 @@ fn telemetry_snapshot_round_trips_through_parser() {
     assert_eq!(ring, rinspect::timeline(&heap.pool().persistent_image()).to_json());
 }
 
+/// The sampler writes `telemetry_snapshot()`'s object: a line and a
+/// snapshot taken with nothing in between have the same top-level keys
+/// and the same heap and pmem registry names.
+#[test]
+fn sampler_lines_are_telemetry_snapshots() {
+    let out = std::env::temp_dir()
+        .join(format!("ralloc_sampler_schema_{}.jsonl", std::process::id()));
+    let heap = small_heap();
+    heap.start_sampler(&out, Duration::from_secs(3600)).expect("start sampler");
+    let ptrs: Vec<*mut u8> = (0..500).map(|_| heap.malloc(64)).collect();
+    for p in ptrs {
+        heap.free(p);
+    }
+    heap.stop_sampler(); // takes the final sample
+    let body = std::fs::read_to_string(&out).expect("sampler wrote a line");
+    let _ = std::fs::remove_file(&out);
+    let line = json::parse(body.lines().last().unwrap()).expect("the line is JSON");
+    let snap = json::parse(&heap.telemetry_snapshot()).unwrap();
+    assert_eq!(line.keys(), snap.keys(), "top-level keys");
+    for scope in ["heap", "pmem"] {
+        let names = |v: &json::Value| {
+            let scope = v.get("registries").and_then(|r| r.get(scope));
+            scope.and_then(|s| s.keys()).map(|names| names.join(" "))
+        };
+        assert!(names(&line).is_some_and(|n| !n.is_empty()), "registries.{scope} missing");
+        assert_eq!(names(&line), names(&snap), "registries.{scope} names");
+    }
+}
+
 /// Grow protocol ordering, per frontier, read off the flight ring: every
 /// `*_publish` is preceded by a `*_commit` of at least the published
 /// length — the crash-safety invariant (persist the frontier word before
@@ -89,7 +92,6 @@ fn telemetry_snapshot_round_trips_through_parser() {
 /// durable frontier word is checked at every crash point by
 /// `region_crash_sweep`, whose recovery refuses such an image.)
 #[test]
-#[cfg_attr(feature = "telemetry-off", ignore = "reads the flight ring, which is compiled out")]
 fn journal_orders_grow_commit_before_publish() {
     use telemetry::EventKind::{GrowCommit, GrowDescCommit, GrowDescPublish, GrowPublish};
     let heap = Ralloc::create(
@@ -132,7 +134,6 @@ fn journal_orders_grow_commit_before_publish() {
 /// flight ring and publishes the last-recovery gauges onto the heap
 /// registry.
 #[test]
-#[cfg_attr(feature = "telemetry-off", ignore = "reads the flight ring, which is compiled out")]
 fn recovery_phases_are_journaled_and_gauged() {
     let heap = small_heap();
     let keep = heap.malloc(64);
@@ -158,10 +159,10 @@ fn recovery_phases_are_journaled_and_gauged() {
 
 /// The CI smoke: run the churn workload with the sampler on, then assert
 /// the JSONL trajectory parses, carries the mandatory series, and the
-/// cumulative counters are monotone. `TELEMETRY_SMOKE_OUT` names the
-/// output file (CI uploads it as an artifact); defaults to a temp path.
+/// cumulative counters (under `registries.heap`) are monotone.
+/// `TELEMETRY_SMOKE_OUT` names the output file (CI uploads it as an
+/// artifact); defaults to a temp path.
 #[test]
-#[cfg_attr(feature = "telemetry-off", ignore = "asserts telemetry counters, which are compiled out")]
 fn sampler_soak_produces_parseable_monotone_jsonl() {
     let out = std::env::var("TELEMETRY_SMOKE_OUT").unwrap_or_else(|_| {
         std::env::temp_dir()
@@ -180,9 +181,23 @@ fn sampler_soak_produces_parseable_monotone_jsonl() {
     let body = std::fs::read_to_string(&out).expect("sampler wrote the trajectory");
     let lines: Vec<&str> = body.lines().collect();
     assert!(lines.len() >= 2, "expected multiple samples, got {}", lines.len());
-    const MANDATORY: &[&str] =
-        &["t_ms", "heap_id", "committed_len", "used_sb", "fills", "flushes", "steals"];
-    const MONOTONE: &[&str] = &["t_ms", "fills", "fill_blocks", "flushes", "steals", "carved"];
+    const MANDATORY: &[&str] = &["t_ms", "heap_id", "committed_len", "used_sb"];
+    const MONOTONE: &[&str] = &[
+        "t_ms",
+        "cache_fills",
+        "cache_fill_blocks",
+        "cache_flushes",
+        "partial_steals",
+        "sb_carved",
+    ];
+    // `t_ms` is a top-level key; the rest are heap registry counters.
+    let series = |v: &json::Value, key: &str| {
+        match key {
+            "t_ms" => v.get(key),
+            _ => v.get("registries").and_then(|r| r.get("heap")).and_then(|h| h.get(key)),
+        }
+        .and_then(|x| x.as_u64())
+    };
     let mut last = vec![0u64; MONOTONE.len()];
     for line in &lines {
         let v = json::parse(line).expect("every sampler line is one JSON object");
@@ -193,17 +208,16 @@ fn sampler_soak_produces_parseable_monotone_jsonl() {
             );
         }
         for (i, key) in MONOTONE.iter().enumerate() {
-            let x = v.get(key).and_then(|x| x.as_u64()).unwrap();
+            let x = series(&v, key).unwrap_or_else(|| panic!("series {key:?} missing in {line:?}"));
             assert!(x >= last[i], "{key} went backwards: {} -> {x}", last[i]);
             last[i] = x;
         }
         assert!(v.get("committed_len").and_then(|x| x.as_u64()).unwrap() > 0);
-        assert!(v.get("steal_rate").and_then(|x| x.as_f64()).is_some());
     }
     // The churn workload must actually have moved the counters.
     let final_line = json::parse(lines.last().unwrap()).unwrap();
-    assert!(final_line.get("fills").and_then(|x| x.as_u64()).unwrap() > 0);
-    assert!(final_line.get("flushes").and_then(|x| x.as_u64()).unwrap() > 0);
+    assert!(series(&final_line, "cache_fills").unwrap() > 0);
+    assert!(series(&final_line, "cache_flushes").unwrap() > 0);
     if std::env::var("TELEMETRY_SMOKE_OUT").is_err() {
         let _ = std::fs::remove_file(&out);
     }
