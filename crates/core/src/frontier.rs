@@ -11,6 +11,7 @@
 //! [`Frontier::sb_of`], [`Frontier::check`]); the protocol itself and
 //! [`HeapInner::shrink_quiesced`] are `pub(crate)`.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use nvm::PmemPool;
@@ -250,25 +251,28 @@ impl Frontier {
     /// Lower the frontier to cover exactly `sbs` superblocks and release
     /// what it covered beyond them: the pool's tail, or descriptors zeroed
     /// in place. A frontier already there has nothing to release. Returns
-    /// the bytes released. Quiescent callers only, and only once a
-    /// `used <= sbs` is durable.
-    fn shrink_to(&self, heap: &HeapInner, sbs: usize) -> usize {
+    /// the bytes released and the pool range whose pages are still to be
+    /// discarded ([`PmemPool::decommit_deferred`]; empty unless this is the
+    /// tail). Quiescent callers only, and only once a `used <= sbs` is
+    /// durable.
+    fn shrink_to(&self, heap: &HeapInner, sbs: usize) -> (usize, Range<usize>) {
         let (target, before) = (self.len_for_sb(sbs), self.published());
         if target >= before {
-            return 0;
+            return (0, 0..0);
         }
         // Unpublish first (vacuous under quiescence, but keeps the
         // published frontier and the durable word in lockstep).
         self.safe.store(target as u64, Ordering::Release);
         self.word(&heap.pool).fetch_min(target as u64, Ordering::AcqRel);
         heap.persist(self.word_off, 8);
-        if self.tail {
-            heap.pool.decommit(target);
+        let pages = if self.tail {
+            heap.pool.decommit_deferred(target)
         } else {
             heap.pool.release(target, before);
-        }
+            0..0
+        };
         heap.emit(self.on_decommit, (before - target) as u64, target as u64);
-        before - target
+        (before - target, pages)
     }
 }
 
@@ -278,9 +282,11 @@ impl HeapInner {
     /// decommit the tails. Returns the number of superblocks released.
     ///
     /// **Quiescent-point only** — the caller guarantees no concurrent
-    /// heap operation (clean close, end of recovery, or an explicit
-    /// [`crate::Ralloc::shrink`] under the same contract): `used` never
-    /// decreases online, and the list surgery below is not lock-free.
+    /// heap operation (clean close or an explicit [`crate::Ralloc::shrink`]
+    /// under the same contract): `used` never decreases online, and the
+    /// list surgery below is not lock-free. Recovery decides its live
+    /// prefix from the marks instead and shares steps 2–3
+    /// ([`HeapInner::lower_to`]).
     ///
     /// Crash-recoverable ordering:
     /// 1. unlink the released descriptors from the free/partial lists
@@ -324,49 +330,53 @@ impl HeapInner {
             }
             new_used -= 1;
         }
-        // The release covers the freed trailing run *and* the
-        // committed-but-never-carved overshoot of the doubling policy, so
-        // each shrunken frontier lands exactly on the surviving `used`.
-        // "Nothing to release" is decided per frontier: a crash between
-        // the two decommits leaves one of them already there.
-        if new_used == used
-            && self.frontiers.iter().all(|f| f.published() <= f.len_for_sb(new_used))
-        {
-            return 0;
-        }
         // Step 1: unlink every released descriptor. They sit on the free
-        // list or (lazily retired) on a partial shard; filtering each
-        // list and re-splicing the survivors preserves order.
+        // list or (lazily retired) on a partial shard; filtering a list
+        // and republishing the survivors preserves their order.
         if new_used < used {
             let keep = |idx: &u32| (*idx as usize) < new_used;
-            let free = DescList::free_list(geo);
-            let kept: Vec<u32> = free.collect(pool, geo).into_iter().filter(keep).collect();
-            free.reset(pool);
-            free.splice_slice(pool, geo, &kept);
-            for class in 1..NUM_CLASSES as u32 {
-                for s in 0..SHARDS {
-                    let list = DescList::partial_shard(geo, class, s);
-                    let all = list.collect(pool, geo);
-                    if all.iter().any(|idx| !keep(idx)) {
-                        let kept: Vec<u32> = all.into_iter().filter(keep).collect();
-                        list.reset(pool);
-                        list.splice_slice(pool, geo, &kept);
-                    }
+            let partials = (1..NUM_CLASSES as u32)
+                .flat_map(|class| (0..SHARDS).map(move |s| DescList::partial_shard(geo, class, s)));
+            for list in std::iter::once(DescList::free_list(geo)).chain(partials) {
+                let all = list.collect(pool, geo);
+                if !all.iter().all(keep) {
+                    let kept: Vec<u32> = all.into_iter().filter(keep).collect();
+                    list.thread(pool, geo, &kept);
+                    list.publish(pool, geo, [kept.as_slice()]);
                 }
             }
         }
+        let (released, pages) = self.lower_to(new_used);
+        pool.discard(pages);
+        released
+    }
+
+    /// Steps 2–3 of [`HeapInner::shrink_quiesced`], shared with recovery:
+    /// make `keep` the durable `used`, then bring each frontier down onto
+    /// it. The release covers the freed trailing run *and* the
+    /// committed-but-never-carved overshoot of the doubling policy, so
+    /// each frontier lands exactly on `keep`; "nothing to release" is
+    /// decided per frontier, since a crash between the two leaves one of
+    /// them already there. Returns the superblocks the superblock frontier
+    /// released and the pool tail whose pages the caller still discards
+    /// ([`nvm::PmemPool::discard`]). The caller guarantees that every
+    /// superblock from `keep` on is free, and leaves none of them listed.
+    pub(crate) fn lower_to(&self, keep: usize) -> (usize, Range<usize>) {
+        if keep == self.used_sb() && self.frontiers.iter().all(|f| f.published() <= f.len_for_sb(keep)) {
+            return (0, 0..0);
+        }
         // Step 2: the lowered `used` becomes durable first.
         // SAFETY: metadata word, quiescent.
-        unsafe { pool.atomic_u64(USED_SB_OFF) }.store(new_used as u64, Ordering::Release);
+        unsafe { self.pool.atomic_u64(USED_SB_OFF) }.store(keep as u64, Ordering::Release);
         self.persist(USED_SB_OFF, 8);
-        let target = self.sb_frontier().len_for_sb(new_used);
-        self.emit(EventKind::ShrinkUnpublish, target as u64, new_used as u64);
+        let target = self.sb_frontier().len_for_sb(keep);
+        self.emit(EventKind::ShrinkUnpublish, target as u64, keep as u64);
         // Step 3: each frontier comes down as its own protocol instance,
         // mirroring the independent grow.
-        let [sb_bytes, _] = self.frontiers.each_ref().map(|f| f.shrink_to(self, new_used));
+        let [(sb_bytes, pages), _] = self.frontiers.each_ref().map(|f| f.shrink_to(self, keep));
         let released = sb_bytes / SB_SIZE;
         self.slow.heap_shrinks.add(1);
         self.slow.sb_released.add(released as u64);
-        released
+        (released, pages)
     }
 }

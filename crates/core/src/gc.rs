@@ -15,7 +15,7 @@ use pptr::{AtomicPptr, Pptr};
 
 use crate::descriptor::{Desc, DescKind};
 use crate::layout::Geometry;
-use crate::size_class::{class_block_size, class_max_count};
+use crate::size_class::{class_block_size, class_max_count, SB_SIZE};
 use nvm::PmemPool;
 
 /// A type-erased filter function: given the absolute address of a block
@@ -90,83 +90,121 @@ unsafe impl<T: Trace> Trace for AtomicPptr<T> {
     }
 }
 
-/// Per-superblock mark bitmaps (block granularity).
+/// One superblock as recovery's [`Census`] records it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Slot {
+    /// Holds no block recovery may keep: never initialized, torn, or a
+    /// large head whose span passes `used`.
+    Empty,
+    /// Interior of a (possibly stale) large block.
+    Continuation,
+    /// Head of a large block of `bytes` bytes over `span` superblocks;
+    /// its mark is bit `bit`.
+    Large { bit: usize, span: u32, bytes: u64 },
+    /// `blocks` blocks of `size` bytes (small `class`), marked at bits
+    /// `bit..bit + blocks`; `recip` is ⌈2³² / size⌉.
+    Small { class: u8, bit: usize, blocks: u32, size: u32, recip: u32 },
+}
+
+/// Recovery's one pass over descriptors `0..used`: every superblock's
+/// [`Slot`], with a bit range per superblock that can hold a block in
+/// one flat mark bitmap of [`Census::bits`] bits. The tracer, the claim
+/// pass and the sweep all read it, so no descriptor is classified twice.
+pub(crate) struct Census {
+    pub slots: Vec<Slot>,
+    bits: usize,
+    /// Absolute address of superblock 0.
+    sb_base: usize,
+}
+
+impl Census {
+    pub fn take(pool: &PmemPool, geo: &Geometry, used: usize) -> Census {
+        let mut bits = 0;
+        let slots = (0..used as u32)
+            .map(|i| {
+                let d = Desc::new(pool, geo, i);
+                let (slot, n) = match d.classify(used) {
+                    DescKind::Small { class } => {
+                        let (size, blocks) = (class_block_size(class), class_max_count(class));
+                        let recip = (1u64 << 32).div_ceil(size as u64) as u32;
+                        (Slot::Small { class: class as u8, bit: bits, blocks, size, recip }, blocks)
+                    }
+                    DescKind::LargeHead { span } => {
+                        (Slot::Large { bit: bits, span: span as u32, bytes: d.block_size() }, 1)
+                    }
+                    DescKind::Continuation => (Slot::Continuation, 0),
+                    DescKind::Invalid => (Slot::Empty, 0),
+                };
+                bits += n as usize;
+                slot
+            })
+            .collect();
+        Census { slots, bits, sb_base: pool.base() as usize + geo.sb(0) }
+    }
+}
+
+/// Marks over a [`Census`]'s flat bitmap (block granularity).
 pub(crate) struct MarkSet {
-    /// One lazily allocated bitmap per carved superblock.
-    bitmaps: Vec<Option<Box<[u64]>>>,
-    /// Marked blocks per superblock.
-    pub counts: Vec<u32>,
-    /// Total marked blocks.
+    words: Vec<u64>,
+    /// Marked blocks.
     pub total: u64,
-    /// Total marked bytes.
+    /// Bytes of the marked blocks.
     pub bytes: u64,
 }
 
 impl MarkSet {
-    pub fn new(used_sb: usize) -> MarkSet {
-        MarkSet {
-            bitmaps: (0..used_sb).map(|_| None).collect(),
-            counts: vec![0; used_sb],
-            total: 0,
-            bytes: 0,
-        }
+    pub fn new(bits: usize) -> MarkSet {
+        MarkSet { words: vec![0; bits.div_ceil(64)], total: 0, bytes: 0 }
     }
 
-    /// Mark block `blk` of superblock `sb`; true if newly marked.
-    pub fn mark(&mut self, sb: usize, blk: u32, max_count: u32, bytes: u64) -> bool {
-        let bm = self.bitmaps[sb]
-            .get_or_insert_with(|| vec![0u64; (max_count as usize).div_ceil(64)].into_boxed_slice());
-        let (w, b) = ((blk / 64) as usize, blk % 64);
-        if bm[w] & (1 << b) != 0 {
+    /// Mark `bit`, a block of `bytes` bytes; true if newly marked.
+    #[inline]
+    pub fn mark(&mut self, bit: usize, bytes: u64) -> bool {
+        let (word, mask) = (&mut self.words[bit / 64], 1u64 << (bit % 64));
+        if *word & mask != 0 {
             return false;
         }
-        bm[w] |= 1 << b;
-        self.counts[sb] += 1;
+        *word |= mask;
         self.total += 1;
         self.bytes += bytes;
         true
     }
 
-    /// Is block `blk` of superblock `sb` marked?
-    pub fn is_marked(&self, sb: usize, blk: u32) -> bool {
-        match &self.bitmaps[sb] {
-            None => false,
-            Some(bm) => bm[(blk / 64) as usize] & (1 << (blk % 64)) != 0,
+    /// Is `bit` marked?
+    #[inline]
+    pub fn is_marked(&self, bit: usize) -> bool {
+        self.words[bit / 64] & (1 << (bit % 64)) != 0
+    }
+
+    /// Marked bits among `bit..bit + n`.
+    pub fn count(&self, bit: usize, n: u32) -> u32 {
+        let (mut at, end, mut marked) = (bit, bit + n as usize, 0);
+        while at < end {
+            let take = (64 - at % 64).min(end - at);
+            let mask = (u64::MAX >> (64 - take)) << (at % 64);
+            marked += (self.words[at / 64] & mask).count_ones();
+            at += take;
         }
+        marked
     }
 
     /// Union another mark set into this one (parallel recovery merges the
     /// per-thread mark sets produced by tracing disjoint root subsets;
     /// overlap is possible when roots share substructure and is handled
-    /// by the idempotent OR). `counts`/`total` are recomputed; `bytes`
-    /// is left to the caller, which re-derives it from descriptors.
+    /// by the idempotent OR). `total` is recounted; `bytes` is left to the
+    /// caller, which re-derives it from the census.
     pub fn merge_from(&mut self, other: &MarkSet) {
-        assert_eq!(self.bitmaps.len(), other.bitmaps.len());
-        self.total = 0;
-        for sb in 0..self.bitmaps.len() {
-            match (&mut self.bitmaps[sb], &other.bitmaps[sb]) {
-                (_, None) => {}
-                (slot @ None, Some(b)) => *slot = Some(b.clone()),
-                (Some(a), Some(b)) => {
-                    for (aw, bw) in a.iter_mut().zip(b.iter()) {
-                        *aw |= *bw;
-                    }
-                }
-            }
-            self.counts[sb] = self.bitmaps[sb]
-                .as_ref()
-                .map_or(0, |bm| bm.iter().map(|w| w.count_ones()).sum());
-            self.total += self.counts[sb] as u64;
+        for (a, b) in self.words.iter_mut().zip(&other.words) {
+            *a |= b;
         }
+        self.total = self.words.iter().map(|w| w.count_ones() as u64).sum();
     }
 }
 
 /// The tracing context handed to filter functions (the paper's `GC`
 /// class: visited set + pending stacks of blocks and their functions).
 pub struct Tracer<'h> {
-    pool: &'h PmemPool,
-    geo: &'h Geometry,
-    used_sb: usize,
+    census: &'h Census,
     pub(crate) marks: MarkSet,
     /// Pending blocks: (block address, filter fn or None = conservative).
     pending: Vec<(usize, Option<TraceFn>)>,
@@ -177,58 +215,41 @@ pub struct Tracer<'h> {
 }
 
 impl<'h> Tracer<'h> {
-    pub(crate) fn new(pool: &'h PmemPool, geo: &'h Geometry, used_sb: usize) -> Tracer<'h> {
+    pub(crate) fn new(census: &'h Census) -> Tracer<'h> {
         Tracer {
-            pool,
-            geo,
-            used_sb,
-            marks: MarkSet::new(used_sb),
+            census,
+            marks: MarkSet::new(census.bits),
             pending: Vec::new(),
             cons_words_scanned: 0,
             cons_hits: 0,
         }
     }
 
-    /// Classify an absolute address as a block start; returns
-    /// (superblock, block index, block bytes) if valid.
-    fn classify_target(&self, addr: usize) -> Option<(usize, u32, u64, u32)> {
-        let base = self.pool.base() as usize;
-        let off = addr.checked_sub(base)?;
-        let sb = self.geo.sb_index_of(off)?;
-        if sb >= self.used_sb {
-            return None;
-        }
-        let desc = Desc::new(self.pool, self.geo, sb as u32);
-        match desc.classify(self.used_sb) {
-            DescKind::Small { class } => {
-                let bsize = class_block_size(class) as usize;
-                let inner = off - self.geo.sb(sb);
-                // Pointers to block interiors are not supported (§4.5).
-                if !inner.is_multiple_of(bsize) {
-                    return None;
-                }
-                let blk = (inner / bsize) as u32;
-                if blk >= class_max_count(class) {
-                    return None; // in the tail waste of the superblock
-                }
-                Some((sb, blk, bsize as u64, class_max_count(class)))
+    /// Classify an absolute address as a block start: its mark bit and
+    /// byte size, if a block recovery may keep starts there. One census
+    /// load and one multiply; pointers to block interiors, into a small
+    /// class's tail waste or anywhere but a large head's first byte are
+    /// refused (§4.5).
+    #[inline]
+    fn classify_target(&self, addr: usize) -> Option<(usize, u64)> {
+        let off = addr.wrapping_sub(self.census.sb_base);
+        let inner = (off % SB_SIZE) as u32;
+        match *self.census.slots.get(off / SB_SIZE)? {
+            Slot::Small { bit, blocks, size, recip, .. } => {
+                // Exact for every offset below SB_SIZE: offset × size < 2³².
+                let blk = ((inner as u64 * recip as u64) >> 32) as u32;
+                (blk * size == inner && blk < blocks).then_some((bit + blk as usize, size as u64))
             }
-            DescKind::LargeHead { .. } => {
-                if off == self.geo.sb(sb) {
-                    Some((sb, 0, desc.block_size(), 1))
-                } else {
-                    None
-                }
-            }
-            DescKind::Continuation | DescKind::Invalid => None,
+            Slot::Large { bit, bytes, .. } => (inner == 0).then_some((bit, bytes)),
+            Slot::Continuation | Slot::Empty => None,
         }
     }
 
     /// Visit a candidate target address with an optional filter function.
     /// Marks the block and queues it for scanning if newly reached.
     pub fn visit_addr(&mut self, addr: usize, filter: Option<TraceFn>) {
-        if let Some((sb, blk, bytes, mc)) = self.classify_target(addr) {
-            if self.marks.mark(sb, blk, mc, bytes) {
+        if let Some((bit, bytes)) = self.classify_target(addr) {
+            if self.marks.mark(bit, bytes) {
                 self.pending.push((addr, filter));
             }
         }
@@ -265,7 +286,7 @@ impl<'h> Tracer<'h> {
     /// cannot carry the self-relative tag) use this in their filters.
     #[inline]
     pub fn region_base(&self) -> usize {
-        self.pool.base() as usize + self.geo.sb(0)
+        self.census.sb_base
     }
 
     /// Visit a typed target given as a superblock-region offset (for
@@ -281,8 +302,8 @@ impl<'h> Tracer<'h> {
     /// hold no pointers, e.g. string payloads).
     #[inline]
     pub fn visit_leaf(&mut self, addr: usize) {
-        if let Some((sb, blk, bytes, mc)) = self.classify_target(addr) {
-            self.marks.mark(sb, blk, mc, bytes);
+        if let Some((bit, bytes)) = self.classify_target(addr) {
+            self.marks.mark(bit, bytes);
         }
     }
 
@@ -290,9 +311,8 @@ impl<'h> Tracer<'h> {
     /// default): scan every 64-bit-aligned word of the block; words
     /// carrying the off-holder tag are candidate references.
     fn conservative_scan(&mut self, addr: usize) {
-        let (bytes, _) = match self.classify_target(addr) {
-            Some((_, _, b, _)) => (b, ()),
-            None => return,
+        let Some((_, bytes)) = self.classify_target(addr) else {
+            return;
         };
         let words = (bytes / 8) as usize;
         for i in 0..words {
@@ -331,7 +351,7 @@ impl<'h> Tracer<'h> {
 mod tests {
     use super::*;
     use crate::anchor::{Anchor, SbState};
-    use crate::size_class::SB_SIZE;
+    use crate::size_class::CLASS_CONTINUATION;
     use nvm::Mode;
     use std::sync::atomic::Ordering;
 
@@ -349,32 +369,58 @@ mod tests {
         d.set_anchor(Anchor { avail: 0, count: 0, state: SbState::Full }, Ordering::Release);
     }
 
+    /// Is the block at `addr` marked?
+    fn marked(t: &Tracer<'_>, addr: usize) -> bool {
+        t.marks.is_marked(t.classify_target(addr).expect("a block start").0)
+    }
+
     #[test]
     fn classify_rejects_interior_and_foreign() {
         let (pool, geo) = setup();
         make_small(&pool, &geo, 0, 8); // 64 B blocks
-        let t = Tracer::new(&pool, &geo, 1);
+        make_small(&pool, &geo, 1, 6); // 48 B: 1 365 blocks, 16 B of tail waste
+        Desc::new(&pool, &geo, 2).set_size(CLASS_CONTINUATION, 0, 0, true);
+        // A stale large head whose two superblocks would pass `used` = 4.
+        Desc::new(&pool, &geo, 3).set_size(0, 2 * SB_SIZE as u64, 0, true);
+        make_small(&pool, &geo, 4, 8); // valid, but at `used`
+        let census = Census::take(&pool, &geo, 4);
+        let t = Tracer::new(&census);
         let base = pool.base() as usize;
-        let sb0 = base + geo.sb(0);
-        assert!(t.classify_target(sb0).is_some());
-        assert!(t.classify_target(sb0 + 64).is_some());
-        assert!(t.classify_target(sb0 + 32).is_none(), "interior pointer");
+        let sb = |i: usize| base + geo.sb(i);
+        assert!(t.classify_target(sb(0)).is_some());
+        assert!(t.classify_target(sb(0) + 64).is_some());
+        assert!(t.classify_target(sb(0) + 32).is_none(), "interior pointer");
         assert!(t.classify_target(base).is_none(), "metadata region");
         assert!(t.classify_target(0x1000).is_none(), "outside pool");
-        // Superblock 1 is beyond used_sb = 1.
-        assert!(t.classify_target(sb0 + SB_SIZE).is_none());
+        assert!(t.classify_target(sb(1) + 1364 * 48).is_some(), "last block of a class");
+        assert!(t.classify_target(sb(1) + 1365 * 48).is_none(), "a class's tail waste");
+        assert!(t.classify_target(sb(2)).is_none(), "continuation superblock");
+        assert!(t.classify_target(sb(3)).is_none(), "stale large head whose span passes used");
+        assert!(t.classify_target(sb(4)).is_none(), "superblock at used");
+    }
+
+    #[test]
+    fn census_reciprocals_divide_every_offset_exactly() {
+        for class in 1..crate::size_class::NUM_CLASSES as u32 {
+            let size = class_block_size(class);
+            let recip = (1u64 << 32).div_ceil(size as u64);
+            for inner in 0..SB_SIZE as u64 {
+                assert_eq!((inner * recip) >> 32, inner / size as u64, "class {class}, offset {inner}");
+            }
+        }
     }
 
     #[test]
     fn mark_set_dedupes() {
-        let mut m = MarkSet::new(2);
-        assert!(m.mark(0, 5, 1024, 64));
-        assert!(!m.mark(0, 5, 1024, 64));
-        assert!(m.mark(1, 5, 1024, 64));
+        let mut m = MarkSet::new(2 * 1024);
+        assert!(m.mark(5, 64));
+        assert!(!m.mark(5, 64));
+        assert!(m.mark(1024 + 5, 64));
         assert_eq!(m.total, 2);
         assert_eq!(m.bytes, 128);
-        assert!(m.is_marked(0, 5));
-        assert!(!m.is_marked(0, 6));
+        assert!(m.is_marked(5));
+        assert!(!m.is_marked(6));
+        assert_eq!((m.count(0, 1024), m.count(1000, 30), m.count(6, 1024)), (1, 1, 1));
     }
 
     #[test]
@@ -391,11 +437,12 @@ mod tests {
             std::ptr::write((b0 + 8) as *mut u64, 12345); // not a pointer
             std::ptr::write((b0 + 16) as *mut u64, b3 as u64); // untagged abs addr: ignored
         }
-        let mut t = Tracer::new(&pool, &geo, 1);
+        let census = Census::take(&pool, &geo, 1);
+        let mut t = Tracer::new(&census);
         t.visit_conservative(b0);
         t.drain();
-        assert!(t.marks.is_marked(0, 0));
-        assert!(t.marks.is_marked(0, 3));
+        assert!(marked(&t, b0));
+        assert!(marked(&t, b3));
         assert_eq!(t.marks.total, 2, "untagged words must not mark");
     }
 
@@ -428,12 +475,13 @@ mod tests {
             n1.next.set(std::ptr::null());
             std::ptr::write((b1 + 8) as *mut u64, 0);
         }
-        let mut t = Tracer::new(&pool, &geo, 1);
+        let census = Census::take(&pool, &geo, 1);
+        let mut t = Tracer::new(&census);
         t.visit_addr(b0, Some(trace_thunk::<Node>));
         t.drain();
-        assert!(t.marks.is_marked(0, 0));
-        assert!(t.marks.is_marked(0, 1));
-        assert!(!t.marks.is_marked(0, 2), "filter fn must ignore decoy field");
+        assert!(marked(&t, b0));
+        assert!(marked(&t, b1));
+        assert!(!marked(&t, b2), "filter fn must ignore decoy field");
     }
 
     #[test]
@@ -447,10 +495,11 @@ mod tests {
             // b0 holds a tagged pointer to b1 but is visited as a leaf.
             std::ptr::write(b0 as *mut u64, Pptr::<u64>::encode(b0, b1));
         }
-        let mut t = Tracer::new(&pool, &geo, 1);
+        let census = Census::take(&pool, &geo, 1);
+        let mut t = Tracer::new(&census);
         t.visit_leaf(b0);
         t.drain();
-        assert!(t.marks.is_marked(0, 0));
-        assert!(!t.marks.is_marked(0, 1));
+        assert!(marked(&t, b0));
+        assert!(!marked(&t, b1));
     }
 }

@@ -405,7 +405,7 @@ impl Ralloc {
     ///
     /// The caller must guarantee quiescence (no concurrent heap
     /// operation), exactly as for [`Ralloc::recover`]. [`Ralloc::close`]
-    /// and recovery run the same shrink themselves.
+    /// runs it too; recovery shares its `used` and frontier steps.
     ///
     /// Blocks held in live threads' caches keep their superblocks
     /// non-free, so an explicit shrink releases the most after worker

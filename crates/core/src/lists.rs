@@ -98,48 +98,38 @@ impl DescList {
         }
     }
 
-    /// Reset to empty, preserving the ABA counter. Only for offline use
-    /// (recovery step 3).
-    pub fn reset(&self, pool: &PmemPool) {
-        let head = self.head(pool);
-        let h = Counted(head.load(Ordering::Relaxed));
-        head.store(h.advance(None).0, Ordering::Relaxed);
-    }
-
-    /// Splice a pre-linked chain of descriptors onto the list with a
-    /// single CAS. The chain must already be threaded through this list's
-    /// link field (`chain[i]` links to `chain[i+1]`), its tail link is
-    /// rewritten here, and the caller must own every element (none may be
-    /// concurrently popped). Recovery's sweep uses this to publish a whole
-    /// worker-local batch per (class, shard) at O(workers) CAS cost
-    /// instead of one CAS per descriptor.
-    pub fn splice(&self, pool: &PmemPool, geo: &Geometry, first: u32, last: u32) {
-        let head = self.head(pool);
-        let tail_link = self.link_of(&Desc::new(pool, geo, last));
-        loop {
-            let h = Counted(head.load(Ordering::Acquire));
-            tail_link.store(h.idx().map_or(0, |i| i as u64 + 1), Ordering::Relaxed);
-            let nh = h.advance(Some(first));
-            if head
-                .compare_exchange_weak(h.0, nh.0, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                return;
-            }
-        }
-    }
-
-    /// Link `chain[i] -> chain[i+1]` through this list's link field, then
-    /// splice the whole chain in one CAS. No-op on an empty slice.
-    pub fn splice_slice(&self, pool: &PmemPool, geo: &Geometry, chain: &[u32]) {
-        let (&first, &last) = match (chain.first(), chain.last()) {
-            (Some(f), Some(l)) => (f, l),
-            _ => return,
-        };
+    /// Link `chain[i] -> chain[i+1]` through this list's link field,
+    /// leaving the last element's link to [`DescList::publish`]. Offline
+    /// only, on descriptors nothing else is linking.
+    pub fn thread(&self, pool: &PmemPool, geo: &Geometry, chain: &[u32]) {
         for w in chain.windows(2) {
             self.link_of(&Desc::new(pool, geo, w[0])).store(w[1] as u64 + 1, Ordering::Relaxed);
         }
-        self.splice(pool, geo, first, last);
+    }
+
+    /// Make the list exactly `chains`, concatenated in order, each already
+    /// [`thread`](DescList::thread)ed: each chain's last element is linked
+    /// to the next non-empty chain's first (the very last to nothing), and
+    /// the head takes the first element in one plain store that keeps its
+    /// ABA counter. Offline only (recovery, a quiescent shrink): no
+    /// operation is in flight for the counter to protect, and publishing
+    /// the same chains again leaves every byte as it was.
+    pub fn publish<'c>(&self, pool: &PmemPool, geo: &Geometry, chains: impl IntoIterator<Item = &'c [u32]>) {
+        let link = |idx: u32, next: u64| self.link_of(&Desc::new(pool, geo, idx)).store(next, Ordering::Relaxed);
+        let (mut first, mut last) = (None, None);
+        for chain in chains.into_iter().filter(|c| !c.is_empty()) {
+            match last {
+                Some(l) => link(l, chain[0] as u64 + 1),
+                None => first = Some(chain[0]),
+            }
+            last = chain.last().copied();
+        }
+        if let Some(l) = last {
+            link(l, 0);
+        }
+        let head = self.head(pool);
+        let counter = Counted(head.load(Ordering::Relaxed)).counter();
+        head.store(Counted::pack(first, counter).0, Ordering::Release);
     }
 
     /// Snapshot the list contents (offline use: diagnostics, tests).
@@ -229,18 +219,52 @@ mod tests {
     }
 
     #[test]
-    fn splice_publishes_chain_in_one_cas() {
+    fn publish_concatenates_chains_and_keeps_the_counter() {
         let (pool, geo) = test_heap();
         let l = DescList::partial_shard(&geo, 3, 1);
         l.push(&pool, &geo, 99);
         let head = unsafe { pool.atomic_u64(geo.partial_head(3, 1)) };
         let c0 = Counted(head.load(Ordering::Relaxed)).counter();
-        l.splice_slice(&pool, &geo, &[5, 6, 7]);
-        let c1 = Counted(head.load(Ordering::Relaxed)).counter();
-        assert_eq!(c1, c0 + 1, "splice of 3 elements must cost one CAS");
-        assert_eq!(l.collect(&pool, &geo), vec![5, 6, 7, 99]);
-        l.splice_slice(&pool, &geo, &[]);
-        assert_eq!(l.collect(&pool, &geo), vec![5, 6, 7, 99]);
+        let chains: [&[u32]; 4] = [&[5, 6], &[], &[7, 8, 9], &[10]];
+        chains.iter().for_each(|c| l.thread(&pool, &geo, c));
+        l.publish(&pool, &geo, chains);
+        assert_eq!(l.collect(&pool, &geo), vec![5, 6, 7, 8, 9, 10], "publish replaces the list");
+        let word = head.load(Ordering::Relaxed);
+        assert_eq!(Counted(word).counter(), c0, "publish keeps the ABA counter");
+        l.publish(&pool, &geo, chains);
+        assert_eq!(head.load(Ordering::Relaxed), word, "publishing again changes nothing");
+    }
+
+    #[test]
+    fn splice_publishes_chain_in_one_cas() {
+        // A whole threaded chain becomes the list in one head write: the
+        // elements come out in chain order and no CAS loop bumps the counter.
+        let (pool, geo) = test_heap();
+        let l = DescList::partial_shard(&geo, 3, 1);
+        let head = unsafe { pool.atomic_u64(geo.partial_head(3, 1)) };
+        let c0 = Counted(head.load(Ordering::Relaxed)).counter();
+        let chain: &[u32] = &[5, 6, 7];
+        l.thread(&pool, &geo, chain);
+        l.publish(&pool, &geo, [chain]);
+        assert_eq!(Counted(head.load(Ordering::Relaxed)).counter(), c0, "publishing a chain is one plain store");
+        assert_eq!(l.collect(&pool, &geo), vec![5, 6, 7]);
+        assert_eq!(l.pop(&pool, &geo), Some(5), "the published list is live for pops");
+        assert_eq!(l.collect(&pool, &geo), vec![6, 7]);
+    }
+
+    #[test]
+    fn reset_empties() {
+        // Publishing no chain is the offline reset: the list is empty and
+        // keeps its ABA counter.
+        let (pool, geo) = test_heap();
+        let l = DescList::partial_shard(&geo, 5, 2);
+        l.push(&pool, &geo, 7);
+        l.push(&pool, &geo, 8);
+        let head = unsafe { pool.atomic_u64(geo.partial_head(5, 2)) };
+        let c0 = Counted(head.load(Ordering::Relaxed)).counter();
+        l.publish(&pool, &geo, []);
+        assert_eq!(l.pop(&pool, &geo), None, "publishing no chain empties the list");
+        assert_eq!(Counted(head.load(Ordering::Relaxed)).counter(), c0, "an empty publish keeps the counter");
     }
 
     #[test]
@@ -254,16 +278,6 @@ mod tests {
         l.push(&pool, &geo, 4);
         let c1 = Counted(head.load(Ordering::Relaxed)).counter();
         assert_eq!(c1, c0 + 3, "every successful CAS bumps the counter");
-    }
-
-    #[test]
-    fn reset_empties() {
-        let (pool, geo) = test_heap();
-        let l = DescList::partial_shard(&geo, 5, 2);
-        l.push(&pool, &geo, 7);
-        l.push(&pool, &geo, 8);
-        l.reset(&pool);
-        assert_eq!(l.pop(&pool, &geo), None);
     }
 
     #[test]

@@ -1,46 +1,83 @@
 //! Offline recovery: trace, sweep, reconstruct (paper §4.5).
 //!
 //! Recovery runs while the heap is quiescent (after a crash there are no
-//! application threads, paper §3) and performs steps 1–10 of §4.5:
+//! application threads, paper §3) and performs steps 1–10 of §4.5, in
+//! this order:
 //!
 //! 1.  remap (done by the caller when it opened the pool),
 //! 2.  thread caches start empty (their *generation* was bumped),
-//! 3.  partial lists and the superblock free list are reset,
+//! 3.  the transient lists are left as they are: steps 8–9 store every head,
 //! 4.  filter functions were registered by `get_root<T>` calls,
-//! 5.  trace all blocks reachable from the persistent roots,
-//! 6.  scan the superblock region keeping only traced blocks,
-//! 7.  update every descriptor's anchor,
-//! 8.  reconstruct the partial lists,
-//! 9.  reconstruct the superblock free list,
-//! 10. flush all three regions and fence.
+//! 5.  take the **census**, then trace all blocks reachable from the
+//!     persistent roots;
+//! 6.  claim the live large spans and decide the **live prefix**: `used`
+//!     and both frontier words come down onto it, durably, and the tail
+//!     beyond it is decommitted;
+//! 7.  sweep the live prefix keeping only traced blocks and update every
+//!     descriptor's anchor, while the tail's pages go back to the kernel;
+//! 8.  reconstruct the partial lists and
+//! 9.  the superblock free list, one head store each;
+//! 10. flush the committed prefix and fence.
+//!
+//! ## The census (step 5)
+//!
+//! One pass over descriptors `0..used` classifies each superblock once
+//! ([`Census`]): a small class's block size, blocks per superblock and an
+//! exact multiply-shift reciprocal, a large head's span, or nothing. The
+//! tracer, the claim pass and the sweep all read it, so a visited pointer
+//! costs one table load and one multiply, and the mark set is one flat
+//! bitmap sized from it.
+//!
+//! ## The live prefix (step 6)
+//!
+//! Right after the claim pass the trailing run of superblocks with no
+//! mark and no claim is known, and [`HeapInner::lower_to`] (steps 2–3 of
+//! [`HeapInner::shrink_quiesced`]) makes its start, `keep`, the durable
+//! `used` and lowers both frontier words onto it. The sweep then rebuilds
+//! only `0..keep`: a released superblock is never listed, so no list
+//! needs surgery.
+//!
+//! Lowering `used` before the sweep is crash-safe because it changes no
+//! recovery outcome. The roots and every persisted size field are what
+//! the trace read, and recovery changes neither; every block the trace
+//! reached, and every claimed span, lies below `keep`. A crash anywhere
+//! after the lowered `used` is durable therefore leaves a dirty image
+//! whose next recovery traces the same blocks, all of them inside its
+//! smaller `used`, and rebuilds the same prefix: a pointer into the
+//! released tail was refused by this trace (no mark there) and is refused
+//! by the next (beyond `used`). The anchors and lists the sweep writes
+//! are transient and become durable only with the write-back (step 10),
+//! so a crash before it loses only what the next recovery redoes. The
+//! frontier words follow `used` in the shrink protocol's order, so every
+//! durable frontier covers every durably-used superblock throughout.
 //!
 //! ## Parallel recovery (paper §6.4 future work, implemented here)
 //!
 //! The paper notes it is "straightforward to parallelize Step 5 across
 //! persistent roots and Steps 6–9 across superblocks"; `recover_parallel`
-//! does exactly that. Tracing threads work on disjoint root subsets with
-//! private mark sets that are OR-merged afterwards (marking is
-//! idempotent, so shared substructure costs duplicated scanning but never
-//! correctness). Sweeping threads rebuild disjoint descriptor ranges and
-//! publish to the global lists concurrently — the lists are the same
-//! lock-free Treiber stacks used online, so no extra synchronization is
-//! needed.
+//! does exactly that, in two fan-outs whose worker 0 is the calling
+//! thread. Tracing threads work on disjoint root subsets with private
+//! mark sets that are OR-merged afterwards (marking is idempotent, so
+//! shared substructure costs duplicated scanning but never correctness).
+//! After the live prefix is durable, worker `w` sweeps its share of
+//! `0..keep` and discards its share of the tail's pages, cut at huge-page
+//! boundaries ([`nvm::PmemPool::discard`]); the decommit itself stays one
+//! crash-injector event, and a file pool's tail is released and truncated
+//! serially before the fan-out.
 //!
-//! ## Shard-aware rebuild (steps 8–9)
+//! ## Deterministic publish (steps 8–9)
 //!
 //! The partial lists being rebuilt are *sharded* ([`crate::shard`]):
 //! every partial superblock goes to shard
 //! [`place_superblock`](crate::shard::place_superblock)`(sb)`, a pure
-//! function of the superblock index, so the rebuilt state is *born
-//! sharded* and identical for any worker count; the same shard is
-//! stamped as the superblock's owner ([`Desc::set_owner`]), replacing
-//! whatever the dead run's fills left there. Each sweep worker
-//! accumulates its range's descriptors into local per-(class, shard)
-//! batches and publishes each batch with a **single** CAS
-//! ([`DescList::splice_slice`]); the publication cost is O(workers ×
-//! non-empty shards), not O(superblocks) — no CAS storm on a global head
-//! at the end of recovery, which is exactly the failure mode a
-//! single-list rebuild would reintroduce at scale.
+//! function of the superblock index, and the same shard is stamped as the
+//! superblock's owner ([`Desc::set_owner`]). Each sweep worker returns
+//! its free batch and its per-(class, shard) batches, ascending and
+//! threaded; the calling thread links them in worker order and
+//! publishes each list with one head store that keeps its ABA counter
+//! ([`DescList::publish`]). The rebuilt lists are therefore the same
+//! bytes for any worker count (R1), and a second recovery of a recovered
+//! heap changes no byte of metadata (R2).
 //!
 //! ## Large-block conflict rule (beyond the paper)
 //!
@@ -50,24 +87,26 @@
 //! hold live small blocks — a safety violation, not just a leak. Recovery
 //! therefore validates every marked large head: its interior superblocks
 //! must all carry the `CONTINUATION` tag (persisted at large-allocation
-//! time) and no marks. Genuine live large blocks always pass; conflicting
-//! phantoms are dropped. Single-superblock phantoms merely leak one
-//! superblock, matching the paper's "conservative collection may leak,
-//! never corrupts" contract.
+//! time), which also means they hold no mark. Genuine live large blocks
+//! always pass; conflicting phantoms are dropped. Single-superblock
+//! phantoms merely leak one superblock, matching the paper's
+//! "conservative collection may leak, never corrupts" contract.
 
+use std::ops::Range;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
+use nvm::sys::HUGE_PAGE;
 use telemetry::EventKind;
 
 use crate::anchor::{Anchor, SbState};
-use crate::descriptor::{Desc, DescKind};
-use crate::gc::{MarkSet, TraceFn, Tracer};
+use crate::descriptor::Desc;
+use crate::gc::{Census, MarkSet, Slot, TraceFn, Tracer};
 use crate::heap::HeapInner;
 use crate::layout::NUM_ROOTS;
 use crate::lists::DescList;
-use crate::shard::{place_superblock, ShardedPartial, SHARDS};
-use crate::size_class::{class_block_size, class_max_count, NUM_CLASSES};
+use crate::shard::{place_superblock, SHARDS};
+use crate::size_class::NUM_CLASSES;
 
 /// What recovery found and rebuilt.
 ///
@@ -83,7 +122,8 @@ pub struct RecoveryStats {
     pub reachable_blocks: u64,
     /// Bytes those blocks occupy.
     pub reachable_bytes: u64,
-    /// Superblocks returned to the free list.
+    /// Superblocks found free: those the sweep put on the free list plus
+    /// the trailing run past the live prefix, which is released instead.
     pub free_superblocks: usize,
     /// Superblocks placed on partial lists.
     pub partial_superblocks: usize,
@@ -98,10 +138,9 @@ pub struct RecoveryStats {
     pub conservative_candidates: u64,
     /// Worker threads used (1 = the paper's sequential recovery).
     pub threads: usize,
-    /// Trailing fully-free superblocks released (frontier lowered and
-    /// tail decommitted) by the end-of-recovery shrink. These were
-    /// counted in `free_superblocks` by the sweep and are no longer on
-    /// the free list.
+    /// Superblocks the superblock frontier came down by: the free run
+    /// past the live prefix (counted in `free_superblocks`, never listed)
+    /// plus any committed-but-never-carved overshoot.
     pub shrunk_superblocks: usize,
     /// Wall-clock recovery time (the quantity of paper Figure 6).
     pub duration: Duration,
@@ -115,18 +154,22 @@ pub struct RecoveryStats {
 /// (last recovery) beside the `recovery_duration_ns` histogram.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryPhases {
-    /// Cache quiesce, frontier reload and validation, list resets, root
-    /// gathering.
+    /// Cache quiesce, frontier reload and validation, root gathering.
     pub reconcile: Duration,
-    /// Step 5: trace from the roots (incl. the parallel mark-set merge).
+    /// Step 5: the census, then the trace from the roots (incl. the
+    /// parallel mark-set merge).
     pub mark: Duration,
-    /// Pass A: validate marked large heads, claim their spans, and
-    /// total the reachable bytes.
+    /// Validate marked large heads, claim their spans, total the
+    /// reachable bytes and find the live prefix.
     pub claim: Duration,
-    /// Pass B (steps 6-9): rebuild descriptors and lists.
-    pub sweep: Duration,
-    /// The end-of-recovery `shrink_quiesced`.
+    /// Step 6: `used` and both frontier words lowered onto the live
+    /// prefix (each flushed and fenced) and the tail decommitted — but
+    /// not the tail's pages, which the sweep's workers give back.
     pub shrink: Duration,
+    /// Steps 7–9: the fan-out that rebuilds the live prefix's descriptors
+    /// and discards the tail's pages (the release's time lands here),
+    /// then the list publish.
+    pub sweep: Duration,
     /// Step 10: flush the committed prefix and fence.
     pub write_back: Duration,
 }
@@ -138,8 +181,8 @@ impl RecoveryPhases {
             ("recovery_phase_reconcile_ns", self.reconcile),
             ("recovery_phase_mark_ns", self.mark),
             ("recovery_phase_claim_ns", self.claim),
-            ("recovery_phase_sweep_ns", self.sweep),
             ("recovery_phase_shrink_ns", self.shrink),
+            ("recovery_phase_sweep_ns", self.sweep),
             ("recovery_phase_write_back_ns", self.write_back),
         ]
     }
@@ -174,7 +217,7 @@ pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
     // same semantics a real crash gives DRAM caches. Without the wait, a
     // just-joined worker's TLS destructor (which runs *after* its
     // `thread::scope` closure returns) could flush its bins into the
-    // lists this function is about to reset and rebuild.
+    // lists this function is about to rebuild.
     inner.quiesce_caches();
 
     // Frontier reconciliation (reserve/commit model): each durable
@@ -189,13 +232,6 @@ pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
         if let Err(why) = f.check_word(pool, used) {
             panic!("recovery: corrupt image: {why}");
         }
-    }
-
-    // Steps 2-3: empty transient lists (thread caches were invalidated by
-    // the crash's generation bump; on a dirty open none exist yet).
-    DescList::free_list(geo).reset(pool);
-    for class in 0..NUM_CLASSES as u32 {
-        ShardedPartial::new(class).reset_all(pool, geo);
     }
     inner.emit(EventKind::RecoveryReconcile, used as u64, threads as u64);
 
@@ -214,10 +250,12 @@ pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
     }
     phases.reconcile = lap();
 
-    // Step 5: trace — sequentially, or across root subsets in parallel.
+    // Step 5: the census, then the trace — sequentially, or across root
+    // subsets in parallel.
+    let census = Census::take(pool, geo, used);
     let workers = if threads == 1 { 1 } else { threads.min(roots.len()).max(1) };
     let mut traced = fan_out(workers, "tracing worker", |w| {
-        let mut tracer = Tracer::new(pool, geo, used);
+        let mut tracer = Tracer::new(&census);
         for (addr, filter) in roots.iter().skip(w).step_by(workers) {
             tracer.visit_addr(*addr, *filter);
         }
@@ -231,7 +269,6 @@ pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
         cons_words += words;
         cons_hits += hits;
     }
-    recount(&mut marks);
     phases.mark = lap();
 
     let mut stats = RecoveryStats {
@@ -242,53 +279,66 @@ pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
         ..Default::default()
     };
 
-    // Pass A: validate marked large heads and claim their spans.
-    let mut claimed = vec![false; used];
-    for i in 0..used {
-        let d = Desc::new(pool, geo, i as u32);
-        if let DescKind::LargeHead { span } = d.classify(used) {
-            if !marks.is_marked(i, 0) {
-                continue;
+    // Validate marked large heads and claim their spans; count each small
+    // superblock's marks and total the reachable bytes. The live prefix
+    // ends after the last superblock with a mark or a claim.
+    let (mut claimed, mut marked) = (vec![false; used], vec![0u32; used]);
+    let mut keep = 0;
+    for (i, slot) in census.slots.iter().enumerate() {
+        match *slot {
+            Slot::Small { bit, blocks, size, .. } => {
+                marked[i] = marks.count(bit, blocks);
+                stats.reachable_bytes += marked[i] as u64 * size as u64;
+                if marked[i] > 0 {
+                    keep = i + 1;
+                }
             }
-            let conflict = (1..span).any(|k| {
-                let dk = Desc::new(pool, geo, (i + k) as u32);
-                dk.classify(used) != DescKind::Continuation || marks.counts[i + k] != 0
-            });
-            if conflict {
-                stats.rejected_large_phantoms += 1;
-                continue;
+            Slot::Large { bit, span, bytes } if marks.is_marked(bit) => {
+                let span = i..i + span as usize;
+                if census.slots[span.start + 1..span.end].iter().any(|s| *s != Slot::Continuation) {
+                    stats.rejected_large_phantoms += 1;
+                    continue;
+                }
+                stats.reachable_bytes += bytes;
+                keep = span.end;
+                claimed[span].fill(true);
             }
-            for k in 0..span {
-                claimed[i + k] = true;
-            }
-            stats.reachable_bytes += d.block_size();
-        }
-    }
-    // Small-block bytes, recomputed from the merged mark counts.
-    for i in 0..used {
-        let d = Desc::new(pool, geo, i as u32);
-        if let DescKind::Small { class } = d.classify(used) {
-            stats.reachable_bytes += marks.counts[i] as u64 * class_block_size(class) as u64;
+            _ => {}
         }
     }
     phases.claim = lap();
 
-    // Pass B (steps 6-9): rebuild descriptors and lists, in parallel over
-    // disjoint superblock ranges when requested.
-    let sweep_threads = if threads == 1 || used < 64 { 1 } else { threads };
-    let chunk = used.div_ceil(sweep_threads);
-    let swept = fan_out(sweep_threads, "sweep worker", |w| {
-        let (lo, hi) = (w * chunk, ((w + 1) * chunk).min(used));
-        if lo >= hi {
-            (0, 0, 0)
-        } else {
-            sweep_range(inner, &marks, &claimed, lo, hi)
-        }
+    // Step 6: the live prefix becomes durable before anything is swept
+    // (see the module docs for why that order is crash-safe).
+    let (shrunk, tail) = inner.lower_to(keep);
+    stats.shrunk_superblocks = shrunk;
+    stats.free_superblocks = used - keep;
+    phases.shrink = lap();
+
+    // Steps 7-9: one fan-out sweeps `0..keep` and gives the tail's pages
+    // back, in parallel over disjoint shares when requested; then every
+    // list is published from the workers' batches in worker order.
+    // Below 64 superblocks to sweep and huge pages to discard, a second
+    // thread costs more to start than it takes over.
+    let work = keep + tail.len() / HUGE_PAGE;
+    let workers = if threads == 1 || work < 64 { 1 } else { threads };
+    let swept = fan_out(workers, "sweep worker", |w| {
+        pool.discard(share(&tail, w, workers, HUGE_PAGE));
+        let range = share(&(0..keep), w, workers, 1);
+        sweep_range(inner, &census, &marked, &claimed, &marks, range)
     });
-    for (f, p, full) in swept {
-        stats.free_superblocks += f;
-        stats.partial_superblocks += p;
-        stats.full_superblocks += full;
+    DescList::free_list(geo).publish(pool, geo, swept.iter().map(|b| b.free.as_slice()));
+    for class in 0..NUM_CLASSES as u32 {
+        for s in 0..SHARDS {
+            let at = class as usize * SHARDS as usize + s as usize;
+            let batches = swept.iter().map(|b| b.partial[at].as_slice());
+            DescList::partial_shard(geo, class, s).publish(pool, geo, batches);
+        }
+    }
+    for b in &swept {
+        stats.free_superblocks += b.free.len();
+        stats.partial_superblocks += b.partial.iter().map(Vec::len).sum::<usize>();
+        stats.full_superblocks += b.full;
     }
     inner.emit(EventKind::RecoverySweep, stats.reachable_blocks, used as u64);
     inner.emit(
@@ -297,16 +347,6 @@ pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
         stats.free_superblocks as u64,
     );
     phases.sweep = lap();
-
-    // Quiescent-point shrink (the recovery half of the bidirectional
-    // frontier): the sweep just rebuilt the lists, so the trailing run of
-    // fully-free superblocks is exactly known — release it before the
-    // write-back, lowering `used` and the persisted frontier word in the
-    // crash-safe order documented on `shrink_quiesced`. A restart whose
-    // live set collapsed thereby restarts at live-set footprint instead
-    // of its high-water mark.
-    stats.shrunk_superblocks = inner.shrink_quiesced();
-    phases.shrink = lap();
 
     // Step 10: write everything back so a crash immediately after
     // recovery restarts from this reconstructed state. Only the
@@ -338,129 +378,115 @@ pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
     stats
 }
 
-/// Run `work(w)` for every worker `w` — inline for a single worker, on
-/// scoped threads otherwise — and return the results in worker order.
+/// Run `work(w)` for every worker `w`, worker 0 on the calling thread and
+/// the rest on scoped threads, and return the results in worker order.
 fn fan_out<T: Send>(workers: usize, what: &str, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    if workers == 1 {
-        return vec![work(0)];
-    }
     std::thread::scope(|s| {
         let work = &work;
-        let handles: Vec<_> = (0..workers).map(|w| s.spawn(move || work(w))).collect();
-        handles.into_iter().map(|h| h.join().expect(what)).collect()
+        let others: Vec<_> = (1..workers).map(|w| s.spawn(move || work(w))).collect();
+        let mut out = vec![work(0)];
+        out.extend(others.into_iter().map(|h| h.join().expect(what)));
+        out
     })
 }
 
-/// Recompute a mark set's per-superblock counts and total (after merges;
-/// also normalizes the single-tracer path so both report identically).
-fn recount(marks: &mut MarkSet) {
-    marks.merge_from(&MarkSet::new(marks.counts.len()));
+/// Worker `w`'s share of `r` among `workers`, cut on multiples of `unit`
+/// (whole huge pages for a discard, so no two workers split one).
+fn share(r: &Range<usize>, w: usize, workers: usize, unit: usize) -> Range<usize> {
+    let cut = |k: usize| match k {
+        0 => r.start,
+        _ if k == workers => r.end,
+        _ => (r.start + r.len() * k / workers).next_multiple_of(unit).min(r.end),
+    };
+    cut(w)..cut(w + 1)
 }
 
-/// Rebuild descriptors `lo..hi`: per-superblock free chains, anchors, and
-/// list membership (steps 6-9 for a slice of the heap). Safe to run
-/// concurrently over disjoint ranges — each worker accumulates its list
-/// publications into local batches and splices every batch with one CAS
-/// on the (lock-free) shared heads, so workers contend O(1) times per
-/// list rather than once per descriptor. Partial superblocks are placed
-/// on shard `place_superblock(i)`, a pure function of the index, so
-/// any worker count rebuilds the identical sharded partition.
-#[allow(clippy::needless_range_loop)] // `i` is a superblock index, not just a slice cursor
+/// What one sweep worker rebuilt: its range's free batch and its batch
+/// per (class, shard), each ascending and threaded, and how many
+/// superblocks it found full.
+struct Swept {
+    free: Vec<u32>,
+    partial: Vec<Vec<u32>>,
+    full: usize,
+}
+
+/// Rebuild descriptors `range`: per-superblock free chains, anchors, and
+/// list batches (steps 7–9 for a slice of the live prefix). Safe to run
+/// concurrently over disjoint ranges: a worker writes only its own
+/// descriptors and blocks, and publishing is the caller's. Partial
+/// superblocks are placed on shard `place_superblock(i)`, a pure function
+/// of the index, so any worker count rebuilds the identical partition.
 fn sweep_range(
     inner: &HeapInner,
-    marks: &MarkSet,
+    census: &Census,
+    marked: &[u32],
     claimed: &[bool],
-    lo: usize,
-    hi: usize,
-) -> (usize, usize, usize) {
+    marks: &MarkSet,
+    range: Range<usize>,
+) -> Swept {
     let pool = &inner.pool;
     let geo = &inner.geo;
-    let used = inner.used_sb();
     let shards = SHARDS as usize;
-    let (mut frees, mut partials, mut fulls) = (0, 0, 0);
-    let mut free_batch: Vec<u32> = Vec::new();
-    let mut partial_batches: Vec<Vec<u32>> = vec![Vec::new(); NUM_CLASSES * shards];
-    for i in lo..hi {
+    let mut out = Swept { free: Vec::new(), partial: vec![Vec::new(); NUM_CLASSES * shards], full: 0 };
+    for i in range {
         let d = Desc::new(pool, geo, i as u32);
         if claimed[i] {
             // Live large block (head or interior): fully allocated.
             d.set_anchor(Anchor::full(1), Ordering::Relaxed);
-            fulls += 1;
+            out.full += 1;
             continue;
         }
-        match d.classify(used) {
-            DescKind::Small { class } => {
-                let mc = class_max_count(class);
-                let bsize = class_block_size(class) as usize;
-                // Refresh the transient max_count cache without flushing
-                // (the persisted class/size bits are rewritten unchanged).
-                d.set_size(class, bsize as u64, mc, true);
-                let marked = marks.counts[i];
-                let anchor = if marked == mc {
-                    Anchor::full(mc)
-                } else if marked == 0 {
-                    // Nobody walks an EMPTY chain (`flush.rs::push_batch`),
-                    // so a superblock with no marked block goes EMPTY
-                    // unlinked and its blocks stay untouched.
-                    Anchor { avail: 0, count: mc, state: SbState::Empty }
-                } else {
-                    // Chain the unmarked blocks in ascending order (step 6:
-                    // "keep only traced blocks").
-                    let sb_addr = pool.base() as usize + geo.sb(i);
-                    let mut first: Option<u32> = None;
-                    let mut prev: Option<u32> = None;
-                    for blk in 0..mc {
-                        if marks.is_marked(i, blk) {
-                            continue;
-                        }
-                        if let Some(p) = prev {
-                            // SAFETY: free block first-words; ranges disjoint.
-                            unsafe {
-                                std::ptr::write((sb_addr + p as usize * bsize) as *mut u64, blk as u64)
-                            };
-                        } else {
-                            first = Some(blk);
-                        }
-                        prev = Some(blk);
-                    }
-                    Anchor { avail: first.unwrap(), count: mc - marked, state: SbState::Partial }
-                };
-                d.set_anchor(anchor, Ordering::Relaxed);
-                match anchor.state {
-                    SbState::Empty => {
-                        free_batch.push(i as u32);
-                        frees += 1;
-                    }
-                    SbState::Partial => {
-                        let s = place_superblock(i);
-                        d.set_owner(s);
-                        partial_batches[class as usize * shards + s as usize].push(i as u32);
-                        partials += 1;
-                    }
-                    SbState::Full => fulls += 1,
+        // Unreached large heads, stale continuations, and garbage
+        // descriptors all become free superblocks.
+        let Slot::Small { class, bit, blocks: mc, size, .. } = census.slots[i] else {
+            d.set_anchor(Anchor { avail: 0, count: 0, state: SbState::Empty }, Ordering::Relaxed);
+            out.free.push(i as u32);
+            continue;
+        };
+        let class = class as u32;
+        // Refresh the transient max_count cache without flushing (the
+        // persisted class/size bits are rewritten unchanged).
+        d.set_size(class, size as u64, mc, true);
+        let anchor = match marked[i] {
+            n if n == mc => Anchor::full(mc),
+            // Nobody walks an EMPTY chain (`flush.rs::push_batch`), so a
+            // superblock with no marked block goes EMPTY unlinked and its
+            // blocks stay untouched.
+            0 => Anchor { avail: 0, count: mc, state: SbState::Empty },
+            n => {
+                // Chain the unmarked blocks in ascending order (step 7:
+                // "keep only traced blocks").
+                let sb_addr = pool.base() as usize + geo.sb(i);
+                let mut free = (0..mc).filter(|&blk| !marks.is_marked(bit + blk as usize));
+                let first = free.next().expect("a partial superblock has a free block");
+                let mut prev = first;
+                for blk in free {
+                    let at = sb_addr + prev as usize * size as usize;
+                    // SAFETY: free block first-words; ranges disjoint.
+                    unsafe { std::ptr::write(at as *mut u64, blk as u64) };
+                    prev = blk;
                 }
+                Anchor { avail: first, count: mc - n, state: SbState::Partial }
             }
-            // Unreached large heads, stale continuations, and garbage
-            // descriptors all become free superblocks.
-            DescKind::LargeHead { .. } | DescKind::Continuation | DescKind::Invalid => {
-                d.set_anchor(
-                    Anchor { avail: 0, count: 0, state: SbState::Empty },
-                    Ordering::Relaxed,
-                );
-                free_batch.push(i as u32);
-                frees += 1;
+        };
+        d.set_anchor(anchor, Ordering::Relaxed);
+        match anchor.state {
+            SbState::Empty => out.free.push(i as u32),
+            SbState::Partial => {
+                let s = place_superblock(i);
+                d.set_owner(s);
+                out.partial[class as usize * shards + s as usize].push(i as u32);
             }
+            SbState::Full => out.full += 1,
         }
     }
-    // Publish: one CAS per non-empty batch, O(workers) total per list.
-    for (slot, batch) in partial_batches.iter().enumerate() {
-        if !batch.is_empty() {
-            let (class, s) = ((slot / shards) as u32, (slot % shards) as u32);
-            DescList::partial_shard(geo, class, s).splice_slice(pool, geo, batch);
-        }
+    let free_list = DescList::free_list(geo);
+    free_list.thread(pool, geo, &out.free);
+    for (at, batch) in out.partial.iter().enumerate() {
+        let (class, s) = ((at / shards) as u32, (at % shards) as u32);
+        DescList::partial_shard(geo, class, s).thread(pool, geo, batch);
     }
-    DescList::free_list(geo).splice_slice(pool, geo, &free_batch);
-    (frees, partials, fulls)
+    out
 }
 #[cfg(test)]
 mod tests {

@@ -120,13 +120,6 @@ impl ShardedPartial {
         (1..SHARDS).find_map(|probe| self.pop(pool, geo, (home + probe) % SHARDS))
     }
 
-    /// Reset every shard's head (offline use: recovery step 3).
-    pub fn reset_all(&self, pool: &PmemPool, geo: &Geometry) {
-        for s in 0..SHARDS {
-            DescList::partial_shard(geo, self.class, s).reset(pool);
-        }
-    }
-
     /// Snapshot the contents of every shard (offline: tests, checker,
     /// diagnostics). Index `s` of the result is shard `s`.
     pub fn collect_all(&self, pool: &PmemPool, geo: &Geometry) -> Vec<Vec<u32>> {

@@ -3,6 +3,7 @@
 use std::collections::HashMap;
 use std::fs;
 use std::io;
+use std::ops::Range;
 use std::path::Path;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -144,7 +145,8 @@ impl PoolGuard {
 ///
 /// The pool's **reserved** span ([`PmemPool::len`]) is fixed at creation
 /// and is address space only: inaccessible (`PROT_NONE`) until a commit
-/// first reaches it, so creating, opening, shrinking and dropping a pool
+/// first reaches it (the 2 MiB chunk it ends in, for anonymous memory),
+/// so creating, opening, shrinking and dropping a pool
 /// cost system calls and work in proportion to the bytes *used*, never to
 /// the bytes reserved.
 ///
@@ -153,7 +155,9 @@ impl PoolGuard {
 /// accesses, flushes and crash images may cover). [`PmemPool::commit`]
 /// raises it, mapping the pages it has not reached before with one
 /// `mmap`, and [`PmemPool::decommit`] lowers it — the only two ways it
-/// moves. A caller that keeps a frontier of its own over bytes under the
+/// moves ([`PmemPool::decommit_deferred`] is a decommit that leaves the
+/// pages to [`PmemPool::discard`], possibly in parallel). A caller that
+/// keeps a frontier of its own over bytes under the
 /// prefix (the heap's descriptor array) gives a range back with
 /// [`PmemPool::release`], which zeroes it in place. Pools built through
 /// [`PmemPool::new`] are fully committed.
@@ -195,7 +199,8 @@ pub struct PmemPool {
     /// pool's lifetime; `None` for simulated NVM (anonymous pages).
     file: Option<PoolGuard>,
     /// Page-aligned end of the mapped prefix (`>=` the committed
-    /// frontier; equal to its page for a file). The lock serializes
+    /// frontier; equal to its page for a file, a huge-page boundary or
+    /// the span's end otherwise). The lock serializes
     /// mapping and file-length changes against each other (the frontier
     /// word itself stays lock-free for readers).
     mapped: Mutex<usize>,
@@ -308,13 +313,19 @@ impl PmemPool {
     }
 
     /// Back the pool up to `hi`: extend the file first, so no store can
-    /// target a page past its end, then map the pages beyond `mapped`.
+    /// target a page past its end, then map the pages beyond `mapped` —
+    /// anonymous ones on to the next huge-page boundary. A chunk that a
+    /// mapping covers only in part when it is first stored to gets 4 KiB
+    /// pages for good, which a decommit then frees one by one: the seven
+    /// that doubling grows left in a 512 MiB heap cost about 1 ms of the
+    /// release of its tail.
     fn map_to(&self, mapped: &mut usize, hi: usize) -> io::Result<()> {
         let file = self.file.as_ref().map(PoolGuard::file);
         if let Some(file) = file {
             file.set_len(hi as u64)?;
         }
         if hi > *mapped {
+            let hi = if file.is_some() { hi } else { hi.next_multiple_of(sys::HUGE_PAGE).min(self.len()) };
             // SAFETY: bare reservation, which nothing can be using yet.
             unsafe { self.span.map(*mapped, hi, file.map(raw_fd))? };
             *mapped = page_up(hi);
@@ -422,15 +433,27 @@ impl PmemPool {
     /// *before* decommitting, so a crash at any point leaves a frontier
     /// at least as large as every persisted use of the space.
     pub fn decommit(&self, new_len: usize) -> usize {
+        let tail = self.decommit_deferred(new_len);
+        self.discard(tail);
+        self.committed_len()
+    }
+
+    /// [`PmemPool::decommit`] up to the memory of an anonymous tail: the
+    /// frontier, the [`CrashInjector`] event, the tracked image and a
+    /// file's release and truncation happen here, and the returned range
+    /// (empty for a no-op or a file) is what is left to give back with
+    /// [`PmemPool::discard`] — whole, or cut into disjoint pieces that
+    /// several threads discard at once.
+    pub fn decommit_deferred(&self, new_len: usize) -> Range<usize> {
         let new_len = line_up(new_len.max(CACHE_LINE));
         self.crash_point();
         let cur = self.committed.fetch_min(new_len, Ordering::AcqRel);
         if new_len >= cur {
-            return cur; // monotone in the shrink direction: no-op
+            return cur..cur; // monotone in the shrink direction: no-op
         }
         let Some(guard) = &self.file else {
-            self.zero(new_len, cur);
-            return new_len;
+            self.forget(new_len, cur);
+            return new_len..cur;
         };
         // Return a file's tail pages to bare reservation, then truncate
         // it to keep file length == frontier. A kill between the two
@@ -443,7 +466,24 @@ impl PmemPool {
         unsafe { self.span.release(new_len, *mapped) }.expect("pool page release failed");
         *mapped = page_up(new_len);
         guard.file().set_len(new_len as u64).expect("pool file shrink failed");
-        new_len
+        new_len..new_len
+    }
+
+    /// Give the memory of `range` back to the kernel: a range
+    /// [`PmemPool::decommit_deferred`] returned, or a piece of one.
+    /// Disjoint pieces may be discarded from different threads at once;
+    /// nothing else may touch them.
+    pub fn discard(&self, range: Range<usize>) {
+        if range.is_empty() {
+            return;
+        }
+        assert!(
+            self.file.is_none() && range.start >= self.committed_len() && range.end <= *self.mapped.lock(),
+            "discard({range:?}): not a decommitted anonymous range"
+        );
+        // SAFETY: mapped anonymous pages above the committed frontier,
+        // which no access reaches.
+        unsafe { self.span.discard(range.start, range.end) };
     }
 
     /// Give back `[lo, hi)`, cache-line aligned and under the committed
@@ -475,6 +515,12 @@ impl PmemPool {
                 self.span.discard(lo, hi);
             }
         }
+        self.forget(lo, hi);
+    }
+
+    /// Drop `[lo, hi)` from a [`Mode::Tracked`] pool's pending flushes and
+    /// shadow, so it reads zero through a crash.
+    fn forget(&self, lo: usize, hi: usize) {
         if let Some(t) = &self.tracked {
             let mut st = t.lock();
             st.pending.retain(|line, _| line + CACHE_LINE <= lo || *line >= hi);

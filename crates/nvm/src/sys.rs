@@ -364,7 +364,9 @@ impl Reservation {
     /// before its next use, and a page of it read later is a fresh zero
     /// page (a fresh huge page in an advised chunk). Where the kernel
     /// refuses the advice the whole pages are zeroed by stores instead:
-    /// the range reads zero either way.
+    /// the range reads zero either way. Threads may discard disjoint
+    /// ranges at once: each stores only inside its own range, and the
+    /// kernel splits a page two ranges share.
     ///
     /// # Safety
     /// `[lo, hi)` must be mapped private and anonymous (a shared file page

@@ -15,7 +15,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BUDGET=6726
+BUDGET=6813
 REST_BUDGET=9312
 MAX_FIELDS=6
 MAX_VARS=7

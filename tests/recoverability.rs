@@ -227,9 +227,6 @@ fn first_difference(a: &[u8], b: &[u8]) -> Option<usize> {
 /// nothing to shrink and leaves every durable byte of metadata as the
 /// first left it, whatever the worker count.
 #[test]
-#[ignore = "does not hold yet: each recovery advances every list head's ABA counter (first \
-            difference: the free-list head, header byte 43), and with 2 workers the order of \
-            the sweep workers' free-list splices moves descriptor link words"]
 fn a_second_recovery_changes_nothing() {
     for workers in [1, 2] {
         let (heap, _inj) = tracked_with_injector();
@@ -257,6 +254,115 @@ fn a_second_recovery_changes_nothing() {
         let descriptors = first_difference(&once.descriptors, &twice.descriptors);
         assert_eq!(descriptors, None, "{workers} workers: first differing descriptor byte");
         assert_eq!(stack.snapshot(), (1..=80).rev().collect::<Vec<u64>>());
+    }
+}
+
+/// The crashed heap the R1 and crash-inside-recovery tests recover, built
+/// the way `a_second_recovery_changes_nothing` builds its own: rooted and
+/// unrooted superblocks in turn, more than 64 of them, then an unrooted
+/// tail for the recovery's shrink. Stack values `80..=1` are rooted at 0.
+fn populate_and_crash(heap: &Ralloc) {
+    let stack = PStack::create(heap, 0);
+    for r in 1..=80 {
+        (0..16).for_each(|_| assert!(!heap.malloc(4096).is_null()));
+        heap.set_root_raw(r, heap.malloc(ralloc::SB_SIZE / 2 + 1));
+        assert!(stack.push(r as u64));
+    }
+    (0..20 * 16).for_each(|_| assert!(!heap.malloc(4096).is_null()));
+    heap.crash_simulated();
+}
+
+/// Adopt a crash image, register the stack's filter as an application
+/// would, and recover with `workers` workers.
+fn recover_image(image: &[u8], workers: usize) -> (Ralloc, ralloc::RecoveryStats) {
+    let (heap, dirty) = Ralloc::from_image(image, RallocConfig::tracked());
+    assert!(dirty, "a crash image must demand recovery");
+    PStack::attach(&heap, 0).expect("the stack head was persisted at create");
+    let stats = heap.recover_parallel(workers);
+    (heap, stats)
+}
+
+/// Every count a recovery reports (all of `RecoveryStats` but the worker
+/// count and the times).
+fn counts(s: &ralloc::RecoveryStats) -> [u64; 9] {
+    [
+        s.reachable_blocks,
+        s.reachable_bytes,
+        s.free_superblocks as u64,
+        s.partial_superblocks as u64,
+        s.full_superblocks as u64,
+        s.rejected_large_phantoms as u64,
+        s.conservative_words_scanned,
+        s.conservative_candidates,
+        s.shrunk_superblocks as u64,
+    ]
+}
+
+/// R1: one crash image recovers to byte-identical metadata and equal
+/// counts with 1 worker and with 2.
+#[test]
+fn one_image_recovers_to_the_same_bytes_for_any_worker_count() {
+    let (heap, _inj) = tracked_with_injector();
+    populate_and_crash(&heap);
+    let image = heap.pool().persistent_image();
+    let (one, s1) = recover_image(&image, 1);
+    let (two, s2) = recover_image(&image, 2);
+    assert_eq!((s1.threads, s2.threads), (1, 2));
+    assert!(two.used_superblocks() > 64, "{} used: the sweep ran on one worker", two.used_superblocks());
+    let (a, b) = (Recovered::of(&one), Recovered::of(&two));
+    assert_eq!((a.used, a.frontiers), (b.used, b.frontiers));
+    assert_eq!(first_difference(&a.header, &b.header), None, "first differing header byte");
+    let descriptors = first_difference(&a.descriptors, &b.descriptors);
+    assert_eq!(descriptors, None, "first differing descriptor byte");
+    assert_eq!(counts(&s1), counts(&s2));
+}
+
+/// A crash at any persistence event of one `recover_parallel(2)` — the
+/// lowered `used`, each frontier word, the decommit, the flight records
+/// around the list publish, the write-back — leaves an image whose own
+/// recovery is consistent, keeps every rooted block and ends exactly
+/// where an uncrashed recovery of the original image does.
+#[test]
+fn a_crash_inside_recovery_recovers_to_the_uncrashed_result() {
+    let victim = || {
+        let (heap, inj) = tracked_with_injector();
+        populate_and_crash(&heap);
+        PStack::attach(&heap, 0).expect("the stack head was persisted at create");
+        (heap, inj)
+    };
+    let (reference, events) = {
+        let (heap, inj) = victim();
+        let (clean, stats) = recover_image(&heap.pool().persistent_image(), 2);
+        let before = inj.observed();
+        heap.recover_parallel(2);
+        let seen: HashSet<&str> = heap.flight_timeline().events.iter().map(|e| e.kind_name()).collect();
+        for kind in ["shrink_unpublish", "shrink_decommit", "shrink_desc_decommit", "recovery_splice"] {
+            assert!(seen.contains(kind), "the recovery never reached {kind}");
+        }
+        ((Recovered::of(&clean), stats.reachable_blocks), inj.observed() - before)
+    };
+    println!("{events} crash points inside recover_parallel(2)");
+    assert!(events >= 10, "only {events} persistence events in a recovery that shrinks");
+    for budget in 0..events {
+        let (heap, inj) = victim();
+        let crashed = run_until_crash(&inj, budget, || {
+            heap.recover_parallel(2);
+        });
+        assert!(crashed, "budget {budget} did not crash");
+        heap.pool().crash();
+        let (again, stats) = recover_image(&heap.pool().persistent_image(), 2);
+        let report = ralloc::check_heap(&again);
+        assert!(report.is_consistent(), "budget {budget}: {:?}", report.violations);
+        let stack = PStack::attach(&again, 0).expect("stack head");
+        assert_eq!(stack.snapshot(), (1..=80).rev().collect::<Vec<u64>>(), "budget {budget}");
+        assert!((1..=80).all(|r| !again.get_root_raw(r).is_null()), "budget {budget}: a root was lost");
+        assert_eq!(stats.reachable_blocks, reference.1, "budget {budget}");
+        let got = Recovered::of(&again);
+        let want = &reference.0;
+        assert_eq!((got.used, got.frontiers), (want.used, want.frontiers), "budget {budget}");
+        assert_eq!(first_difference(&got.header, &want.header), None, "budget {budget}: header byte");
+        let descriptors = first_difference(&got.descriptors, &want.descriptors);
+        assert_eq!(descriptors, None, "budget {budget}: descriptor byte");
     }
 }
 
