@@ -91,7 +91,7 @@ pub fn check_heap(heap: &Ralloc) -> CheckReport {
     let used = inner.used_sb();
     let mut report = CheckReport { superblocks: used, ..Default::default() };
 
-    // Rule 1: geometry, including the reserve/commit frontiers.
+    // Rule 1: geometry, including the committed prefix.
     // SAFETY: header words.
     unsafe {
         if pool.read_u64(crate::layout::MAGIC_OFF) != crate::layout::MAGIC {
@@ -107,13 +107,10 @@ pub fn check_heap(heap: &Ralloc) -> CheckReport {
     if used > geo.max_sb {
         report.violate("geometry", format!("used {used} exceeds capacity {}", geo.max_sb));
     }
-    // Each persisted frontier word must lie inside its region, never
-    // exceed what the pool actually has committed, and cover every carved
-    // superblock (the grow protocol persists it before any `used` bump).
-    for f in &inner.frontiers {
-        if let Err(why) = f.check_word(pool, used) {
-            report.violate("geometry", why);
-        }
+    // The committed prefix must cover every carved superblock (a grow
+    // commits before any `used` bump relies on it).
+    if let Err(why) = geo.check_image(pool.committed_len(), used) {
+        report.violate("geometry", why);
     }
 
     // Collect list membership first.

@@ -9,8 +9,8 @@
 //! one: it costs no `used` (stealing still precedes carving) and keeps
 //! threads from trading superblocks. The fill stamps whatever it claims
 //! with its home shard ([`Desc::set_owner`]), the word a flush tells a
-//! remote free by. `carve` is the only place `used` rises, growing
-//! whichever [`crate::frontier::Frontier`] is in the way first.
+//! remote free by. `carve` is the only place `used` rises, growing the
+//! committed prefix first when it is in the way ([`crate::frontier`]).
 //!
 //! A fill stores into no block it claims: a fresh superblock's addresses
 //! are computed, and its memory is backed by the first store into its
@@ -53,11 +53,10 @@ pub(crate) fn prefetch_read(addr: usize) {
 
 impl HeapInner {
     /// Expand the used prefix of the superblock region by `n` superblocks
-    /// (paper §4.3): CAS `used` upward, then flush+fence it. A carve
-    /// needs both its superblocks *and* their descriptors under their
-    /// respective durable frontiers before `used` may cover them; when
-    /// one is in the way, grow it first (cold path). `None` only at the
-    /// reserved-capacity ceiling. The caller counts `sb_carved`, a
+    /// (paper §4.3): CAS `used` upward, then flush+fence it. The pool's
+    /// committed prefix must cover the superblocks before `used` may;
+    /// when it is in the way, grow it first (cold path). `None` only at
+    /// the reserved-capacity ceiling. The caller counts `sb_carved`, a
     /// carve's only record (it emits no event).
     pub(crate) fn carve(&self, n: usize) -> Option<u32> {
         // SAFETY: metadata offset, 8-aligned.
@@ -65,8 +64,8 @@ impl HeapInner {
         loop {
             let u = used.load(Ordering::Acquire);
             let need = u as usize + n;
-            if let Some(short) = self.frontiers.iter().find(|f| need > f.covered_sb()) {
-                if !short.grow(self, need) {
+            if need > self.committed_sb() {
+                if !self.grow(need) {
                     return None; // out of reserved space
                 }
                 continue;

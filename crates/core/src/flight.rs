@@ -308,12 +308,12 @@ mod tests {
         let p = pool();
         let rec = FlightRecorder::new(0);
         rec.record(&p, EventKind::GrowCommit, 4096, 0);
-        rec.record(&p, EventKind::GrowPublish, 4096, 0);
+        rec.record(&p, EventKind::ShrinkDecommit, 4096, 0);
         rec.record(&p, EventKind::RootPublish, 3, 17);
         let scan = scan_image(&p.persistent_image());
         assert_eq!(scan.torn, 0);
         let kinds: Vec<_> = scan.events.iter().map(|e| e.kind_name()).collect();
-        assert_eq!(kinds, ["grow_commit", "grow_publish", "root_publish"]);
+        assert_eq!(kinds, ["grow_commit", "shrink_decommit", "root_publish"]);
         assert_eq!(scan.events[2].a, 3);
         assert_eq!(scan.events[2].b, 17);
         assert_eq!(scan.resume_ticket(), 3);
@@ -390,7 +390,7 @@ mod tests {
         let p = pool();
         let rec = FlightRecorder::new(0);
         rec.record(&p, EventKind::GrowCommit, 100, 0);
-        rec.record(&p, EventKind::GrowPublish, 100, 0);
+        rec.record(&p, EventKind::ShrinkDecommit, 100, 0);
         let mut image = p.persistent_image();
         // Flip one payload byte of the newest record (slot 1's `a`).
         image[FLIGHT_RECORDS_OFF + FLIGHT_REC_SIZE + 16] ^= 0xFF;

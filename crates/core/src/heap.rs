@@ -34,7 +34,6 @@ use telemetry::{EventKind, Registry, SamplerHandle};
 
 use crate::descriptor::Desc;
 use crate::flight::{self, FlightRecorder, FlightScan};
-use crate::frontier::Frontier;
 use crate::gc::{trace_thunk, Trace, TraceFn};
 use crate::layout::{Geometry, DIRTY_OFF, NUM_ROOTS, USED_SB_OFF};
 use crate::shard;
@@ -49,10 +48,6 @@ pub struct HeapInner {
     pub(crate) geo: Geometry,
     pub(crate) id: u64,
     pub(crate) transient: bool,
-    /// The committed frontiers, `[superblocks, descriptors]`: each owns
-    /// its persisted word, its published bound and the grow/shrink
-    /// protocol over them (see [`crate::frontier`]).
-    pub(crate) frontiers: [Frontier; 2],
     /// Bumped by crash simulation so stale thread caches are discarded.
     pub(crate) generation: AtomicU64,
     /// Thread-exit cache drains in flight. A thread's TLS destructor runs
@@ -154,16 +149,11 @@ impl HeapInner {
         unsafe { self.pool.atomic_u64(USED_SB_OFF) }.load(Ordering::Acquire) as usize
     }
 
-    /// The superblock-region frontier.
+    /// Superblocks the heap may carve without growing: what the pool's
+    /// committed prefix covers (see [`crate::frontier`]).
     #[inline]
-    pub(crate) fn sb_frontier(&self) -> &Frontier {
-        &self.frontiers[0]
-    }
-
-    /// Superblocks the heap may carve without growing: the durable
-    /// committed frontier's coverage.
     pub(crate) fn committed_sb(&self) -> usize {
-        self.sb_frontier().covered_sb()
+        self.geo.sb_of(self.pool.committed_len())
     }
 }
 
@@ -398,14 +388,13 @@ impl Ralloc {
     }
 
     /// Quiescent-point shrink: release the trailing run of fully-free
-    /// superblocks back to the OS — descriptors unlinked, `used` and the
-    /// persisted frontier word lowered (each flushed and fenced, in that
-    /// order), the pool tail decommitted. Returns the number of
-    /// superblocks released.
+    /// superblocks back to the OS — descriptors unlinked, `used` lowered
+    /// (flushed and fenced), then the pool tail decommitted. Returns the
+    /// number of superblocks released.
     ///
     /// The caller must guarantee quiescence (no concurrent heap
     /// operation), exactly as for [`Ralloc::recover`]. [`Ralloc::close`]
-    /// runs it too; recovery shares its `used` and frontier steps.
+    /// runs it too; recovery shares its `used` and decommit steps.
     ///
     /// Blocks held in live threads' caches keep their superblocks
     /// non-free, so an explicit shrink releases the most after worker
@@ -522,7 +511,7 @@ impl Ralloc {
             inner.id,
             inner.used_sb(),
             inner.committed_sb(),
-            inner.sb_frontier().published(),
+            inner.pool.committed_len(),
             telemetry::export::to_json(&[
                 ("heap", &inner.telemetry),
                 ("pmem", inner.pool.stats().registry()),
@@ -569,7 +558,7 @@ impl Ralloc {
         self.inner.used_sb()
     }
 
-    /// Superblocks covered by the durable committed frontier — carving
+    /// Superblocks covered by the pool's committed prefix — carving
     /// beyond this triggers a (cold-path) grow.
     pub fn committed_superblocks(&self) -> usize {
         self.inner.committed_sb()
@@ -864,9 +853,9 @@ mod batch_tests {
 
     #[test]
     fn grow_persists_frontier_before_used() {
-        // In Tracked mode, after any quiescent moment the persisted
-        // frontier word must cover the persisted `used` — the ordering
-        // the grow protocol guarantees.
+        // In Tracked mode, after any quiescent moment the image — the
+        // committed prefix — must cover the persisted `used`: the
+        // ordering the grow protocol guarantees (commit, then `used`).
         let heap = Ralloc::create(
             2 << 20,
             RallocConfig {
@@ -883,17 +872,16 @@ mod batch_tests {
         }
         assert!(heap.slow_stats().heap_grows.get() >= 1);
         heap.crash_simulated();
-        // Whatever survived: used within frontier, invariants hold.
-        // SAFETY: metadata words on a quiescent pool.
-        let (frontier, used) = unsafe {
-            (
-                heap.pool().read_u64(crate::layout::COMMITTED_LEN_OFF) as usize,
-                heap.pool().read_u64(USED_SB_OFF) as usize,
-            )
-        };
-        assert!(
-            used <= heap.inner.sb_frontier().sb_of(frontier),
-            "persisted used {used} outran persisted frontier {frontier}"
+        // Whatever survived: used within the image, invariants hold.
+        let image = heap.pool().persistent_image();
+        // SAFETY: metadata word on a quiescent pool.
+        let used = unsafe { heap.pool().read_u64(USED_SB_OFF) } as usize;
+        assert!(used > 0);
+        assert_eq!(
+            heap.geometry().check_image(image.len(), used),
+            Ok(heap.committed_superblocks()),
+            "persisted used {used} outran the image's {} bytes",
+            image.len()
         );
         heap.recover();
         assert!(crate::checker::check_heap(&heap).is_consistent());

@@ -19,15 +19,13 @@
 //! flushed during normal operation — are: the dirty indicator, `used`,
 //! the persistent roots, and each descriptor's size-class/block-size.
 //!
-//! Since v5 the three regions are *independently committed*: the
-//! metadata region is always fully backed, while the descriptor and
-//! superblock regions each carry their own persisted committed frontier
-//! (`DESC_COMMITTED_LEN_OFF` / `COMMITTED_LEN_OFF`) and grow/shrink
-//! through their own instances of the frontier protocol, rather than the
-//! descriptor region being committed wholesale as a side effect of the
-//! superblock frontier. [`Geometry`] is a pure function of the reserved
-//! span; what a frontier word covers is [`crate::frontier::Frontier`]'s
-//! arithmetic, not this module's.
+//! The pool's committed prefix is the heap's one frontier: the metadata
+//! and the whole descriptor array always lie under it, and a grow
+//! commits more of the superblock array before `used` may cover it. No
+//! header word records the frontier. What backs the prefix — the file
+//! length, or what a crash image holds — is what an open checks `used`
+//! against ([`Geometry::check_image`]), so `used` stays the only growth
+//! word persisted, as in the paper.
 
 use crate::shard::SHARDS;
 use crate::size_class::SB_SIZE;
@@ -38,19 +36,16 @@ use crate::size_class::SB_SIZE;
 /// from another build is refused instead of silently misread (there is
 /// no in-place migration). v1: single partial-list head per class. v2: 16
 /// head slots per class. v3: reserve/commit capacity model — the header
-/// records the *reserved* span in `POOL_LEN_OFF` and the persisted
-/// committed frontier in `COMMITTED_LEN_OFF`. v4: persistent flight
-/// recorder carved from the metadata region's tail slack. v5:
-/// multi-region frontiers — the descriptor region gains its own
-/// persisted committed frontier (`DESC_COMMITTED_LEN_OFF`) so descriptor
-/// and superblock space grow and shrink independently instead of the
-/// descriptor region being implicitly committed wholesale. v6: the
-/// partial-list heads are stored shard-major, so no two shards' heads
-/// share a cache line (see [`Geometry::partial_head`]). v7: only the
-/// first [`SHARDS`] head slots of a class are lists; a clean v6 image
-/// written under a wider count could hold superblocks on the others, so
-/// it is refused like any other version (this build).
-pub const MAGIC: u64 = 0x52_41_4C_4C_4F_43_00_07;
+/// records the *reserved* span in `POOL_LEN_OFF` and a persisted
+/// committed frontier word. v4: persistent flight recorder carved from
+/// the metadata region's tail slack. v5: a second persisted frontier
+/// word for the descriptor region. v6: the partial-list heads are stored
+/// shard-major, so no two shards' heads share a cache line (see
+/// [`Geometry::partial_head`]). v7: only the first [`SHARDS`] head slots
+/// of a class are lists. v8: no frontier word — the committed prefix is
+/// the frontier, bytes 48–63 are reserved, and a descriptor past `used`
+/// may be stale rather than zero (this build).
+pub const MAGIC: u64 = 0x52_41_4C_4C_4F_43_00_08;
 
 /// Descriptor stride in bytes (one cache line, paper §4.2).
 pub const DESC_SIZE: usize = 64;
@@ -77,24 +72,8 @@ pub const USED_SB_OFF: usize = 32;
 /// Superblock free-list head (`Counted`). Transient: reconstructed by
 /// recovery, written back only by a clean shutdown.
 pub const FREE_LIST_OFF: usize = 40;
-/// Persisted committed frontier in bytes (u64): the pool prefix that is
-/// backed and valid. Grows monotonically online (CAS-max + flush + fence)
-/// *before* any `used` expansion into the newly committed space is
-/// persisted, and shrinks only at quiescent points (close / end of
-/// recovery: CAS-min + flush + fence, *after* the lowered `used` is
-/// durable, then decommit) — so at every crash point a recovered `used`
-/// lies within a recovered frontier. **Bold** (persisted online), once
-/// per heap growth — growth is cold-path only; shrink is offline.
-pub const COMMITTED_LEN_OFF: usize = 48;
-/// Persisted *descriptor-region* committed frontier in bytes (u64, v5).
-/// Bounds which descriptors are backed and usable, exactly as
-/// `COMMITTED_LEN_OFF` bounds superblocks: grows online (CAS-max +
-/// flush + fence) *before* any `used` expansion that needs the new
-/// descriptors is persisted, shrinks only at quiescent points *after*
-/// the lowered `used` is durable. Always within
-/// `[desc_off, sb_off]`. **Bold** (persisted online), once per
-/// descriptor-region growth.
-pub const DESC_COMMITTED_LEN_OFF: usize = 56;
+// Bytes 48..64 held the persisted frontier words up to v7; they stay
+// reserved so that no later offset moves.
 /// Persistent roots: `NUM_ROOTS` u64 slots, each an offset+1 into the
 /// superblock region (0 = null). Persisted on `set_root`.
 pub const ROOTS_OFF: usize = 64;
@@ -193,6 +172,50 @@ impl Geometry {
         self.sb_off + i * SB_SIZE
     }
 
+    /// Superblocks fully covered by a committed prefix of `len` bytes
+    /// (clamped to capacity; a partially covered superblock does not
+    /// count).
+    #[inline]
+    pub fn sb_of(&self, len: usize) -> usize {
+        (len.saturating_sub(self.sb_off) / SB_SIZE).min(self.max_sb)
+    }
+
+    /// The committed prefix (bytes) that covers the first `sbs`
+    /// superblocks.
+    #[inline]
+    pub fn len_for_sb(&self, sbs: usize) -> usize {
+        debug_assert!(sbs <= self.max_sb);
+        self.sb_off + sbs * SB_SIZE
+    }
+
+    /// Check that an image of `len` bytes backs a heap whose header says
+    /// `used`; `Ok` carries the superblocks it covers. The one check of
+    /// the frontier, shared by an open (before anything is mapped),
+    /// recovery, the checker and `rinspect dump`.
+    ///
+    /// The image must reach the superblock array, so the metadata and
+    /// every descriptor are in it, and cover every `used` superblock. A
+    /// grow commits before `used` may rise past the old prefix, and a
+    /// shrink decommits only once the lowered `used` is durable, so at
+    /// every crash point the committed prefix covers the durable `used`:
+    /// a failure means the image was truncated or the header corrupted.
+    pub fn check_image(&self, len: usize, used: usize) -> Result<usize, String> {
+        if len < self.sb_off {
+            return Err(format!(
+                "the superblock array at byte {} exceeds the image ({len} bytes): truncated",
+                self.sb_off
+            ));
+        }
+        let covered = self.sb_of(len);
+        if used > covered {
+            return Err(format!(
+                "used {used} superblocks exceeds the image ({len} bytes), which covers only \
+                 {covered}: truncated"
+            ));
+        }
+        Ok(covered)
+    }
+
     /// Map a byte offset inside the superblock region to its superblock
     /// index ("simple bit manipulation", paper §4.2).
     #[inline]
@@ -224,7 +247,6 @@ impl Geometry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frontier::Frontier;
 
     #[test]
     fn regions_are_disjoint_and_ordered() {
@@ -275,25 +297,29 @@ mod tests {
         Geometry::from_pool_len(1024);
     }
 
-    /// The superblock frontier's arithmetic over a geometry: what
-    /// [`Frontier::sb_of`] and [`Frontier::len_for_sb`] answer for the
-    /// region that ends the pool.
+    /// The frontier's arithmetic over a geometry: what
+    /// [`Geometry::sb_of`] and [`Geometry::len_for_sb`] answer, and where
+    /// [`Geometry::check_image`] draws its line.
     #[test]
     fn committed_views_round_trip_and_clamp() {
         let g = Geometry::from_pool_len(64 << 20);
-        let [sb, _] = Frontier::pair(&g);
-        assert_eq!(sb.len_for_sb(0), g.sb_off, "zero superblocks: the array's base");
-        assert_eq!(sb.sb_of(0), 0, "frontier below sb_off covers nothing");
+        assert_eq!(g.len_for_sb(0), g.sb_off, "zero superblocks: the array's base");
+        assert_eq!(g.sb_of(0), 0, "a prefix below sb_off covers nothing");
         for sbs in [0usize, 1, 7, g.max_sb] {
-            let len = sb.len_for_sb(sbs);
-            assert_eq!(sb.sb_of(len), sbs);
+            let len = g.len_for_sb(sbs);
+            assert_eq!(g.sb_of(len), sbs);
             // A partially-covered superblock does not count.
             if sbs < g.max_sb {
-                assert_eq!(sb.sb_of(len + SB_SIZE - 1), sbs);
+                assert_eq!(g.sb_of(len + SB_SIZE - 1), sbs);
             }
+            assert_eq!(g.check_image(len, sbs), Ok(sbs));
         }
-        assert_eq!(sb.sb_of(usize::MAX), g.max_sb, "clamped to capacity");
-        assert!(sb.len_for_sb(g.max_sb) <= g.pool_len, "full commit fits the pool");
+        assert_eq!(g.sb_of(usize::MAX), g.max_sb, "clamped to capacity");
+        assert!(g.len_for_sb(g.max_sb) <= g.pool_len, "full commit fits the pool");
+        let short = g.check_image(g.len_for_sb(7) - 64, 7).unwrap_err();
+        assert!(short.contains("exceeds the image") && short.contains("covers only 6"), "{short}");
+        let cut = g.check_image(g.sb_off - 64, 0).unwrap_err();
+        assert!(cut.contains("exceeds the image"), "{cut}");
     }
 
     #[test]
@@ -306,7 +332,7 @@ mod tests {
         // (Ring-fits-the-slack is a compile-time `const _` assert next
         // to the constants themselves.)
         // The format version is the low byte of the magic.
-        assert_eq!(MAGIC & 0xFF, 7);
+        assert_eq!(MAGIC & 0xFF, 8);
     }
 
     #[test]
@@ -319,37 +345,6 @@ mod tests {
         let mut image = heap.pool().persistent_image();
         image[MAGIC_OFF] = 6; // little-endian low byte of MAGIC
         let _ = crate::Ralloc::from_image(&image, crate::RallocConfig::default());
-    }
-
-    #[test]
-    fn desc_frontier_word_sits_in_the_header_gap() {
-        // The descriptor frontier sits in the header gap between the
-        // superblock frontier and the roots.
-        assert_eq!(DESC_COMMITTED_LEN_OFF, COMMITTED_LEN_OFF + 8);
-        const { assert!(DESC_COMMITTED_LEN_OFF + 8 <= ROOTS_OFF) };
-    }
-
-    #[test]
-    fn desc_committed_views_round_trip_and_clamp() {
-        let g = Geometry::from_pool_len(64 << 20);
-        let [sb, desc] = Frontier::pair(&g);
-        assert_eq!(desc.len_for_sb(0), g.desc_off, "zero descriptors: the array's base");
-        assert_eq!(desc.sb_of(0), 0, "frontier below desc_off covers nothing");
-        for sbs in [0usize, 1, 7, g.max_sb] {
-            let len = desc.len_for_sb(sbs);
-            assert_eq!(desc.sb_of(len), sbs);
-            if sbs < g.max_sb {
-                // A partially-covered descriptor does not count.
-                assert_eq!(desc.sb_of(len + DESC_SIZE - 1), sbs);
-            }
-        }
-        assert_eq!(desc.sb_of(usize::MAX), g.max_sb, "clamped to capacity");
-        assert!(
-            desc.len_for_sb(g.max_sb) <= g.sb_off,
-            "full descriptor commit fits before the superblock array"
-        );
-        // The two regions' frontier domains only meet at sb_off.
-        assert!(desc.len_for_sb(0) < sb.len_for_sb(0));
     }
 
     #[test]

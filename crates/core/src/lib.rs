@@ -40,7 +40,7 @@
 //! | `tcache` | §4.2/§4.4 | transient thread-local caches |
 //! | [`heap`] | §4.1–§4.4 | shared state + the `Ralloc` handle: malloc/free/roots/close |
 //! | `open` | §4.1 | create / open / adopt an image |
-//! | [`frontier`] | §4.3 | the committed-frontier grow/shrink protocol |
+//! | `frontier` | §4.3 | grow/shrink of the committed prefix against `used` |
 //! | `fill`, `flush`, `large` | §4.4 | the malloc/free slow paths |
 //! | `config`, `stats` | — | `RallocConfig`, `SlowStats` |
 //! | [`gc`] | §4.5.1 | filter functions & tracing |
@@ -55,7 +55,7 @@ pub mod descriptor;
 mod fill;
 pub mod flight;
 mod flush;
-pub mod frontier;
+mod frontier;
 pub mod gc;
 pub mod heap;
 mod large;
@@ -435,7 +435,7 @@ mod tests {
         let _ = Ralloc::from_image(&image, RallocConfig::default());
     }
 
-    /// v3 to v6 were real formats of this allocator; nothing migrates
+    /// v3 to v7 were real formats of this allocator; nothing migrates
     /// them any more. Each must be refused by name — clean or dirty,
     /// through the image path and the file path — and left untouched.
     /// So must a file that was never a heap: opening writes through.
@@ -447,7 +447,7 @@ mod tests {
             let payload = r.expect_err("an older-format image must be refused");
             payload.downcast_ref::<String>().cloned().unwrap_or_default()
         };
-        for version in [3u8, 4, 5, 6] {
+        for version in [3u8, 4, 5, 6, 7] {
             for clean in [true, false] {
                 let heap = small_heap();
                 let p = heap.malloc(64);
@@ -457,13 +457,8 @@ mod tests {
                 }
                 let mut image = heap.pool().persistent_image();
                 // The older formats had the same geometry and header
-                // offsets. Before v5 the descriptor-frontier word was
-                // zeroed slack; v5 differs from this build only in where
-                // the (transient) partial-list heads sit.
+                // offsets; the magic alone decides the refusal.
                 image[0] = version;
-                if version < 5 {
-                    image[layout::DESC_COMMITTED_LEN_OFF..layout::DESC_COMMITTED_LEN_OFF + 8].fill(0);
-                }
                 let what = format!("v{version} {}", if clean { "clean" } else { "dirty" });
                 let want = format!("metadata-format version {version} ");
 

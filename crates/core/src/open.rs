@@ -23,7 +23,6 @@ use telemetry::{EventKind, Registry};
 
 use crate::config::{self, RallocConfig};
 use crate::flight::{self, FlightRecorder, FlightScan};
-use crate::frontier::Frontier;
 use crate::heap::{HeapInner, Ralloc};
 use crate::layout::{
     Geometry, DIRTY_OFF, FLIGHT_HDR_SIZE, FLIGHT_OFF, MAGIC, MAGIC_OFF, MAX_SB_OFF, META_SIZE,
@@ -49,8 +48,8 @@ const HEADER_LEN: usize = ROOTS_OFF;
 ///   than the image (it can never legally outgrow the reservation it was
 ///   carved from), or holding another superblock count than the header
 ///   records (`geometry mismatch`);
-/// * a frontier word the image cannot back, or one that leaves a `used`
-///   superblock outside it ([`Frontier::check`]).
+/// * an image too short for its own superblock array or its `used`
+///   superblocks ([`Geometry::check_image`]).
 ///
 /// Both open paths decide here; the file path returns the reason, the
 /// image path (which returns no `Result`) panics with it. A word past the
@@ -92,11 +91,8 @@ fn probe_header(header: &[u8], len: usize) -> Result<Option<usize>, String> {
             geo.max_sb
         ));
     }
-    let used = word(USED_SB_OFF) as usize;
-    for f in &Frontier::pair(&geo) {
-        f.check(word(f.word_off) as usize, len, used)
-            .map_err(|why| format!("refusing a corrupt or truncated heap image: {why}"))?;
-    }
+    geo.check_image(len, word(USED_SB_OFF) as usize)
+        .map_err(|why| format!("refusing a corrupt or truncated heap image: {why}"))?;
     Ok(Some(reserved))
 }
 
@@ -169,8 +165,7 @@ impl Ralloc {
         let reserved = Geometry::pool_len_for_capacity(max_cap);
         let geo = Geometry::from_pool_len(reserved);
         let init_sb = init_cap.div_ceil(SB_SIZE).clamp(1, geo.max_sb);
-        let [sb, _] = Frontier::pair(&geo);
-        (reserved, sb.len_for_sb(init_sb))
+        (reserved, geo.len_for_sb(init_sb))
     }
 
     /// The paper's `init(path, size)`: map the heap file if it exists
@@ -185,13 +180,14 @@ impl Ralloc {
     /// (`crates/crashtest`) runs on.
     ///
     /// The file holds only the committed prefix (file length == committed
-    /// frontier throughout); the heap's reserved span is re-read from the
-    /// image header, so a grown heap reopens with the same geometry and
+    /// frontier throughout, and nothing else records the frontier); the
+    /// heap's reserved span is re-read from the image header, so a grown
+    /// heap reopens with the same geometry and
     /// the same room to keep growing. A second live process on the same
     /// file gets a "pool busy" (`WouldBlock`) error; a non-empty file
     /// that is not a heap, is a heap of another format version, is
     /// longer than the span its header reserves, or whose header's
-    /// geometry or frontiers the file cannot back (a truncated image) is
+    /// geometry or `used` the file cannot back (a truncated image) is
     /// refused with `InvalidData`, before it is mapped, and left as it
     /// was.
     ///
@@ -232,7 +228,7 @@ impl Ralloc {
     /// reserved span *shorter* than the image (the committed prefix can
     /// never legally outgrow the reservation, so foreign bytes were
     /// appended or the header is corrupt), a geometry the header's
-    /// `max_sb` does not describe, or a frontier the image cannot back (a
+    /// `max_sb` does not describe, or a `used` the image cannot back (a
     /// truncated image) is refused.
     ///
     /// # Panics
@@ -249,12 +245,10 @@ impl Ralloc {
 
     fn fresh(pool: PmemPool, cfg: &RallocConfig) -> Ralloc {
         let geo = Geometry::from_pool_len(pool.len());
-        let frontiers = Frontier::pair(&geo);
-        let [sb, desc] = &frontiers;
         // A fresh pool prefix reaches the superblock array's base (the
-        // smallest legal superblock frontier): it is either planned by
+        // smallest legal frontier): it is either planned by
         // `capacity_plan` (>= one superblock) or a whole non-heap image.
-        assert!(pool.committed_len() >= sb.len_for_sb(0), "fresh pool too short");
+        assert!(pool.committed_len() >= geo.len_for_sb(0), "fresh pool too short");
         flight::init_ring(&pool);
         // SAFETY: fresh pool, exclusive access, metadata offsets in bounds.
         unsafe {
@@ -264,12 +258,7 @@ impl Ralloc {
             pool.write_u64(USED_SB_OFF, 0);
             pool.write_u64(DIRTY_OFF, 1);
         }
-        // The descriptor region starts committed in lockstep with the
-        // initially committed superblocks; from here on the two
-        // frontiers advance and retreat independently.
-        sb.init(&pool, pool.committed_len());
-        desc.init(&pool, desc.len_for_sb(sb.covered_sb()));
-        let heap = Self::build(pool, geo, cfg, frontiers, FlightScan::default());
+        let heap = Self::build(pool, geo, cfg, FlightScan::default());
         heap.inner.persist(0, 64);
         heap.inner.persist(FLIGHT_OFF, FLIGHT_HDR_SIZE);
         heap.inner.emit(EventKind::Open, 0, 0);
@@ -281,11 +270,10 @@ impl Ralloc {
         let geo = Geometry::from_pool_len(pool.len());
         // SAFETY: header read.
         let used = unsafe { pool.read_u64(USED_SB_OFF) } as usize;
-        // Superblocks first: once that word is known to lie inside the
-        // image, the whole descriptor region before it does too.
-        let frontiers = Frontier::pair(&geo);
-        for f in &frontiers {
-            f.adopt_word(&pool, used, cfg.transient);
+        // Both open paths have run this check on the header before the
+        // pool existed, so it fails only on a caller that skipped it.
+        if let Err(why) = geo.check_image(pool.committed_len(), used) {
+            panic!("refusing a corrupt or truncated heap image: {why}");
         }
         // SAFETY: 8-aligned metadata word.
         let dirty = unsafe { pool.atomic_u64(DIRTY_OFF) }.load(Ordering::Acquire) == 1;
@@ -293,7 +281,7 @@ impl Ralloc {
         // what's in it now is the previous run's last steps — after a
         // crash, the victim's pre-crash timeline.
         let preopen = flight::scan_pool(&pool);
-        let heap = Self::build(pool, geo, cfg, frontiers, preopen);
+        let heap = Self::build(pool, geo, cfg, preopen);
         // Mark dirty for the duration of this run (the paper's robust
         // mutex acquire): any crash from here on requires recovery.
         // SAFETY: 8-aligned metadata word.
@@ -312,12 +300,11 @@ impl Ralloc {
     }
 
     /// Wire a pool whose header is written (fresh) or validated (adopted)
-    /// and whose `frontiers` are published into a live heap.
+    /// into a live heap.
     fn build(
         pool: PmemPool,
         geo: Geometry,
         cfg: &RallocConfig,
-        frontiers: [Frontier; 2],
         preopen_flight: FlightScan,
     ) -> Ralloc {
         let cfg = cfg.with_env();
@@ -334,7 +321,6 @@ impl Ralloc {
                 geo,
                 id: NEXT_HEAP_ID.fetch_add(1, Ordering::Relaxed),
                 transient: cfg.transient,
-                frontiers,
                 generation: AtomicU64::new(0),
                 exit_drains: AtomicUsize::new(0),
                 closed: AtomicBool::new(false),

@@ -11,8 +11,8 @@
 //! 5.  take the **census**, then trace all blocks reachable from the
 //!     persistent roots;
 //! 6.  claim the live large spans and decide the **live prefix**: `used`
-//!     and both frontier words come down onto it, durably, and the tail
-//!     beyond it is decommitted;
+//!     comes down onto it, durably, and then the tail beyond it is
+//!     decommitted;
 //! 7.  sweep the live prefix keeping only traced blocks and update every
 //!     descriptor's anchor, while the tail's pages go back to the kernel;
 //! 8.  reconstruct the partial lists and
@@ -33,7 +33,7 @@
 //! Right after the claim pass the trailing run of superblocks with no
 //! mark and no claim is known, and [`HeapInner::lower_to`] (steps 2–3 of
 //! [`HeapInner::shrink_quiesced`]) makes its start, `keep`, the durable
-//! `used` and lowers both frontier words onto it. The sweep then rebuilds
+//! `used` and decommits the prefix down onto it. The sweep then rebuilds
 //! only `0..keep`: a released superblock is never listed, so no list
 //! needs surgery.
 //!
@@ -48,8 +48,9 @@
 //! by the next (beyond `used`). The anchors and lists the sweep writes
 //! are transient and become durable only with the write-back (step 10),
 //! so a crash before it loses only what the next recovery redoes. The
-//! frontier words follow `used` in the shrink protocol's order, so every
-//! durable frontier covers every durably-used superblock throughout.
+//! decommit follows the durable `used`, so the committed prefix covers
+//! every durably-used superblock throughout. The descriptors it leaves
+//! behind past `keep` stay stale and dead (see [`HeapInner::lower_to`]).
 //!
 //! ## Parallel recovery (paper §6.4 future work, implemented here)
 //!
@@ -162,8 +163,8 @@ pub struct RecoveryPhases {
     /// Validate marked large heads, claim their spans, total the
     /// reachable bytes and find the live prefix.
     pub claim: Duration,
-    /// Step 6: `used` and both frontier words lowered onto the live
-    /// prefix (each flushed and fenced) and the tail decommitted — but
+    /// Step 6: `used` lowered onto the live prefix (flushed and fenced)
+    /// and then the tail decommitted — but
     /// not the tail's pages, which the sweep's workers give back.
     pub shrink: Duration,
     /// Steps 7–9: the fan-out that rebuilds the live prefix's descriptors
@@ -220,18 +221,12 @@ pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
     // lists this function is about to rebuild.
     inner.quiesce_caches();
 
-    // Frontier reconciliation (reserve/commit model): each durable
-    // frontier word is the surviving truth after a crash; refresh the
-    // published frontier from it, and validate that the used prefix —
-    // the only region recovery sweeps — and its descriptors lie inside
-    // committed space. The grow protocol persists a frontier word
+    // Reconcile: the used prefix — the only region recovery sweeps — and
+    // its descriptors must lie inside the committed prefix. A grow commits
     // *before* any `used` bump that relies on it, so a violation here
     // means a corrupt or hand-truncated image, not a crash timing.
-    for f in &inner.frontiers {
-        f.reload(pool);
-        if let Err(why) = f.check_word(pool, used) {
-            panic!("recovery: corrupt image: {why}");
-        }
+    if let Err(why) = geo.check_image(pool.committed_len(), used) {
+        panic!("recovery: corrupt image: {why}");
     }
     inner.emit(EventKind::RecoveryReconcile, used as u64, threads as u64);
 

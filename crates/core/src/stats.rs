@@ -106,13 +106,10 @@ slow_stats! {
     flush_anchor_cas,
     /// Superblocks carved by expanding `used`.
     sb_carved,
-    /// Committed-frontier growths (cold path: each one is a commit + one
-    /// persisted metadata word).
+    /// Committed-prefix growths (cold path: each one is a pool commit and
+    /// one flight record).
     heap_grows,
-    /// Descriptor-region frontier growths (the same protocol run against
-    /// the descriptor region's own frontier word).
-    desc_grows,
-    /// Committed-frontier shrinks that released at least one superblock
+    /// Committed-prefix shrinks that released at least one superblock
     /// (quiescent points only: clean close, end of recovery, explicit
     /// [`crate::Ralloc::shrink`]).
     heap_shrinks,

@@ -1,30 +1,31 @@
-//! Cooperative crash sweep through the per-region frontier protocols.
+//! Cooperative crash sweep through the frontier protocols.
 //!
-//! v5 gives the descriptor and superblock regions independent persisted
-//! frontier words, each driven by its own instance of the grow protocol
-//! (commit → CAS-max word → flush+fence → publish) and of the shrink
-//! mirror. Recoverability must hold for a crash at *any* persistence
-//! event inside either protocol, in every interleaving of the two. This
-//! sweep arms a [`ralloc::CrashInjector`] at every event of a window
-//! that crosses several grows of both regions plus an explicit shrink,
-//! simulates the power failure, recovers, and does exact root-survival
-//! accounting against the recovered heap.
+//! The heap's one frontier is the pool's committed prefix: a grow
+//! commits (one injector event) before a carve's `used` CAS + persist
+//! covers the new space, and a shrink persists the lowered `used` before
+//! it decommits. Recoverability must hold for a crash at *any*
+//! persistence event of either, and of a carve that re-types a
+//! descriptor a shrink left stale past `used`. This sweep arms a
+//! [`ralloc::CrashInjector`] at every event of a window that crosses
+//! several grows, an explicit shrink and a re-grow over the stale
+//! descriptors, simulates the power failure, recovers, and does exact
+//! root-survival accounting against the recovered heap.
 
 use std::sync::Arc;
 
 use nvm::{CrashInjector, CrashPoint};
-use ralloc::frontier::Frontier;
 use ralloc::{check_heap, Mode, Ralloc, RallocConfig};
 
 const SENTINEL_WORDS: usize = 8;
 const ROOT_SMALL: usize = 0;
 const ROOT_LARGE: usize = 1;
+const ROOT_REGROW: usize = 2;
 
 fn victim_cfg(injector: Arc<CrashInjector>) -> RallocConfig {
     RallocConfig {
         mode: Mode::Tracked,
         // One committed superblock out of many reserved: the window
-        // below must cross the grow path repeatedly, for both regions.
+        // below must cross the grow path repeatedly.
         initial_capacity: Some(1),
         injector: Some(injector),
         ..RallocConfig::default()
@@ -51,12 +52,12 @@ fn assert_planted(p: *const u64, tag: u64, what: &str) {
     }
 }
 
-/// The crash window: grows both region frontiers several times (large
+/// The crash window: grows the frontier several times (large
 /// allocations double `used` past the initial single superblock again
-/// and again, and every carve demands descriptor coverage too), roots
-/// two survivors, then frees the ballast and shrinks both frontiers
-/// back down.
-fn window(heap: &Ralloc) {
+/// and again), roots two survivors, frees the ballast and shrinks back
+/// down, then re-grows over the descriptors the shrink left stale and
+/// roots a third survivor there. Returns `used` right after the shrink.
+fn window(heap: &Ralloc) -> usize {
     let small = heap.malloc(SENTINEL_WORDS * 8);
     assert!(!small.is_null());
     plant(heap, small, 0xA11CE);
@@ -65,7 +66,7 @@ fn window(heap: &Ralloc) {
     let mut ballast = Vec::new();
     for i in 0..8 {
         // ~1 superblock each: `used` climbs 1 -> ~9, crossing several
-        // doublings of both the superblock and descriptor frontiers.
+        // doublings of the committed prefix.
         let p = heap.malloc(60_000);
         assert!(!p.is_null());
         if i == 3 {
@@ -78,9 +79,25 @@ fn window(heap: &Ralloc) {
     for p in ballast {
         heap.free(p);
     }
-    // Quiescent shrink: trailing free superblocks released, both
-    // frontier words CAS-min'd and persisted, both regions decommitted.
+    // Quiescent shrink: trailing free superblocks released, the lowered
+    // `used` persisted, the tail decommitted. Their descriptors stay
+    // stale (large heads and continuations).
     heap.shrink();
+    let shrunk = heap.used_superblocks();
+
+    // Re-grow: each large block carves past the lowered `used` and
+    // re-types a stale descriptor, and a fill of a class nobody used yet
+    // pops a freed ballast superblock off the free list and re-types it.
+    for i in 0..3 {
+        let p = heap.malloc(60_000);
+        assert!(!p.is_null());
+        if i == 1 {
+            plant(heap, p, 0x5EC0D);
+            heap.set_root_raw(ROOT_REGROW, p);
+        }
+    }
+    assert!(!heap.malloc(1024).is_null());
+    shrunk
 }
 
 /// Recover a crash image and do the exact survival accounting: roots
@@ -99,30 +116,22 @@ fn recover_and_account(image: &[u8], budget: u64) {
     if !large.is_null() {
         assert_planted(large, 0xB16B10C, "large root");
     }
+    let regrown = heap.get_root_raw(ROOT_REGROW) as *const u64;
+    if !regrown.is_null() {
+        assert_planted(regrown, 0x5EC0D, "re-grown root");
+    }
 
     let report = check_heap(&heap);
     assert!(report.is_consistent(), "budget {budget}: invariants violated: {report:?}");
 
     // Recovery ends with its own shrink. Whichever step of the victim's
-    // shrink the crash interrupted — including the one between the two
-    // regions' decommits, which leaves the superblock frontier already on
-    // `used` and only the descriptor frontier above it — both durable
-    // frontiers must land exactly on the recovered `used`.
+    // grow or shrink the crash interrupted, the committed prefix must land
+    // exactly on the recovered `used`.
     let used = heap.used_superblocks();
-    let [sb, desc] = Frontier::pair(&heap.geometry());
-    // SAFETY: header words of a quiescent heap.
-    let (sb_word, desc_word) = unsafe {
-        (heap.pool().read_u64(sb.word_off) as usize, heap.pool().read_u64(desc.word_off) as usize)
-    };
     assert_eq!(
-        sb_word,
-        sb.len_for_sb(used),
-        "budget {budget}: superblock frontier left above used ({used})"
-    );
-    assert_eq!(
-        desc_word,
-        desc.len_for_sb(used),
-        "budget {budget}: descriptor frontier left above used ({used})"
+        heap.pool().committed_len(),
+        heap.geometry().len_for_sb(used),
+        "budget {budget}: committed prefix left above used ({used})"
     );
 
     // The recovered heap keeps working, including across a fresh grow.
@@ -139,20 +148,14 @@ fn crash_sweep_covers_both_region_frontier_protocols() {
     let inj = CrashInjector::new();
     let heap = Ralloc::create(32 << 20, victim_cfg(inj.clone()));
     let e0 = inj.observed();
-    window(&heap);
+    let shrunk = window(&heap);
     let events = inj.observed() - e0;
     assert!(events > 0, "window produced no persistence events");
+    assert!(heap.used_superblocks() > shrunk, "the re-grow never carved past the shrink");
 
     let seen: std::collections::HashSet<&'static str> =
         heap.flight_timeline().events.iter().map(|e| e.kind_name()).collect();
-    for kind in [
-        "grow_commit",
-        "grow_publish",
-        "grow_desc_commit",
-        "grow_desc_publish",
-        "shrink_decommit",
-        "shrink_desc_decommit",
-    ] {
+    for kind in ["grow_commit", "shrink_unpublish", "shrink_decommit"] {
         assert!(seen.contains(kind), "window never crossed {kind}: {seen:?}");
     }
     drop(heap);
@@ -164,7 +167,9 @@ fn crash_sweep_covers_both_region_frontier_protocols() {
         let inj = CrashInjector::new();
         let heap = Ralloc::create(32 << 20, victim_cfg(inj.clone()));
         inj.arm(b);
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| window(&heap)));
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            window(&heap);
+        }));
         inj.disarm();
         match r {
             Ok(()) => {

@@ -23,7 +23,8 @@
 //!   mode: no flushes, nothing to recover) — a plain fast DRAM allocator.
 //! * `GALLOC_CAP=<bytes>` (with `K`/`M`/`G` suffixes) sets the reserved
 //!   capacity; the committed footprint starts at a few superblocks and
-//!   grows on demand through the v5 per-region frontier protocol.
+//!   grows on demand (the pool's committed prefix is the heap's one
+//!   frontier: a grow commits more of it before `used` covers it).
 //!
 //! ## Why a global allocator is harder than a handle
 //!

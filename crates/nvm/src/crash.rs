@@ -2,9 +2,9 @@
 //!
 //! Recoverability (paper §3, Theorem 5.4) must hold for a crash at *any*
 //! point in the execution. To test that, a [`CrashInjector`] counts
-//! persistence events (flushes and fences) and, when a pre-armed budget is
-//! exhausted, aborts the executing thread by panicking with a recognizable
-//! payload. The test harness catches the unwind, invokes
+//! persistence events (flushes, fences, commits and decommits) and, when
+//! a pre-armed budget is exhausted, aborts the executing thread by
+//! panicking with a recognizable payload. The test harness catches the unwind, invokes
 //! [`crate::PmemPool::crash`] to discard non-persisted lines, runs
 //! recovery, and verifies the heap invariants.
 //!

@@ -51,7 +51,7 @@ struct TrackState {
     /// The persistent image: what NVM would contain after power loss. A
     /// second reservation the size of the pool's, mapped whole at
     /// creation (untouched pages cost nothing) and zeroed alongside
-    /// every range the pool releases.
+    /// every range the pool decommits.
     shadow: Reservation,
     /// Lines flushed (content captured at flush time) but not yet fenced.
     pending: HashMap<usize, [u8; CACHE_LINE]>,
@@ -156,10 +156,11 @@ impl PoolGuard {
 /// raises it, mapping the pages it has not reached before with one
 /// `mmap`, and [`PmemPool::decommit`] lowers it — the only two ways it
 /// moves ([`PmemPool::decommit_deferred`] is a decommit that leaves the
-/// pages to [`PmemPool::discard`], possibly in parallel). A caller that
-/// keeps a frontier of its own over bytes under the
-/// prefix (the heap's descriptor array) gives a range back with
-/// [`PmemPool::release`], which zeroes it in place. Pools built through
+/// pages to [`PmemPool::discard`], possibly in parallel). Each of the two
+/// is one [`CrashInjector`] event. Nothing else records the prefix: it
+/// is the file length, or what [`PmemPool::persistent_image`] returns,
+/// so a heap that persists only its `used` word reads its frontier back
+/// from the image after any crash. Pools built through
 /// [`PmemPool::new`] are fully committed.
 ///
 /// ## What backs the committed prefix
@@ -172,7 +173,7 @@ impl PoolGuard {
 ///   `never`). Durability across process
 ///   death is *modelled* (shadow image; [`PmemPool::persistent_image`]
 ///   is the way out), not real. A range, once mapped, stays mapped until
-///   the pool is dropped, but a decommit or release gives the memory of
+///   the pool is dropped, but a decommit gives the memory of
 ///   its whole pages back to the kernel ([`Reservation::discard`]) and
 ///   the next commit over it needs no system call. On 2 MiB pages that
 ///   release costs the same whichever CPU first touched the pages: a
@@ -215,7 +216,7 @@ pub struct PmemPool {
 
 // SAFETY: the pool hands out raw pointers and the collaborating allocator
 // performs all concurrent access through atomics; the pool's own mutable
-// state is behind a Mutex. `crash`, `decommit` and `release` require
+// state is behind a Mutex. `crash` and `decommit` require
 // external quiescence, which the allocator layer guarantees (recovery is
 // offline, paper §3).
 unsafe impl Send for PmemPool {}
@@ -378,15 +379,18 @@ impl PmemPool {
     ///
     /// Committing only makes memory *usable*: an anonymous chunk takes
     /// memory at its first store, a whole huge page of it where the host
-    /// allows. Durability of any state that records the
-    /// frontier is the caller's business (the allocator persists its
-    /// frontier word before relying on the new space).
+    /// allows. Like [`PmemPool::decommit`], one [`CrashInjector`] event,
+    /// taken before the prefix moves: it is the step a caller orders its
+    /// own persisted state after (the allocator commits, then persists a
+    /// `used` that covers the new space), and a crash there leaves the old
+    /// prefix. Once it returns, the new prefix is part of every crash image.
     ///
     /// # Panics
     /// If `new_len` exceeds the reserved span.
     pub fn commit(&self, new_len: usize) -> usize {
         let new_len = line_up(new_len);
         assert!(new_len <= self.len(), "commit({new_len}) beyond the reserved span {}", self.len());
+        self.crash_point();
         let cur = self.committed_len();
         if new_len <= cur {
             return cur;
@@ -398,8 +402,8 @@ impl PmemPool {
         // would wipe them — and the frontier is published under it, so a
         // later, smaller request sees it before it would size the file.
         // The file-length invariant means a kill anywhere in here leaves
-        // file_len >= every published frontier, which reopen heals from
-        // the durable word.
+        // file_len >= every published frontier, and reopen takes the file
+        // length as the frontier.
         let mut mapped = self.mapped.lock();
         if new_len > self.committed_len() {
             self.map_to(&mut mapped, new_len).expect("pool commit failed");
@@ -411,7 +415,7 @@ impl PmemPool {
     /// cache line), releasing the tail. A growing request is a no-op
     /// (mirroring [`PmemPool::commit`]'s monotonicity in the other
     /// direction). Returns the resulting frontier. Like
-    /// [`PmemPool::release`], one [`CrashInjector`] event.
+    /// [`PmemPool::commit`], one [`CrashInjector`] event.
     ///
     /// A later commit over the released range reads zeros, exactly like
     /// never-committed reservation. An anonymous tail stays mapped and
@@ -428,10 +432,9 @@ impl PmemPool {
     ///
     /// The caller must be quiescent (no concurrent access to the released
     /// range): decommit is a close/recovery-time operation, never an
-    /// online one. Durability of whatever records the new frontier is the
-    /// caller's business — the allocator persists its frontier word
-    /// *before* decommitting, so a crash at any point leaves a frontier
-    /// at least as large as every persisted use of the space.
+    /// online one. The allocator persists its lowered `used` *before*
+    /// decommitting, so a crash at any point leaves a prefix at least as
+    /// large as every persisted use of the space.
     pub fn decommit(&self, new_len: usize) -> usize {
         let tail = self.decommit_deferred(new_len);
         self.discard(tail);
@@ -457,9 +460,8 @@ impl PmemPool {
         };
         // Return a file's tail pages to bare reservation, then truncate
         // it to keep file length == frontier. A kill between the two
-        // leaves the file long with the durable frontier word already
-        // lowered — reopen heals the word up over (stale, unreferenced)
-        // committed space and the dirty rebuild reclaims it.
+        // leaves the file long over (stale, unreferenced) space past the
+        // durable `used`, which the next shrink gives back.
         let mut mapped = self.mapped.lock();
         // SAFETY: mapped pages above the lowered frontier; quiescence is
         // the caller's contract. (Mapped pools have no tracked state.)
@@ -484,38 +486,6 @@ impl PmemPool {
         // SAFETY: mapped anonymous pages above the committed frontier,
         // which no access reaches.
         unsafe { self.span.discard(range.start, range.end) };
-    }
-
-    /// Give back `[lo, hi)`, cache-line aligned and under the committed
-    /// prefix, without moving the frontier: it is zeroed in place — in
-    /// the volatile image and, in [`Mode::Tracked`], in the pending
-    /// flushes and the shadow — so it reads zero from then on, through a
-    /// crash too. Its pages stay mapped; anonymous ones give their memory
-    /// back, a file's are zeroed by stores. Like [`PmemPool::decommit`],
-    /// one [`CrashInjector`] event, and the caller must be quiescent.
-    pub fn release(&self, lo: usize, hi: usize) {
-        debug_assert!(lo.is_multiple_of(CACHE_LINE) && hi.is_multiple_of(CACHE_LINE));
-        debug_assert!(lo <= hi && self.check_range(lo, hi - lo));
-        self.crash_point();
-        self.zero(lo, hi);
-    }
-
-    /// Zero `[lo, hi)` in the volatile image, the pending flushes and the
-    /// shadow. Anonymous memory gives its whole pages back to the kernel
-    /// ([`Reservation::discard`]); a file's pages are zeroed by stores,
-    /// since a dropped `MAP_SHARED` page would re-read the file.
-    fn zero(&self, lo: usize, hi: usize) {
-        // SAFETY: the range lies in the mapped prefix (anonymous unless
-        // there is a file) and no frontier covers it any more; quiescence
-        // is the caller's contract.
-        unsafe {
-            if self.file.is_some() {
-                self.span.zero(lo, hi);
-            } else {
-                self.span.discard(lo, hi);
-            }
-        }
-        self.forget(lo, hi);
     }
 
     /// Drop `[lo, hi)` from a [`Mode::Tracked`] pool's pending flushes and
@@ -1034,46 +1004,32 @@ mod tests {
         assert_eq!(read_byte(&pool, 8192), 0, "stale shadow data resurrected");
     }
 
-    /// The heap's shape in small: an interior range (the descriptor
-    /// array) from `INTERIOR` lies under the committed prefix, whose tail
-    /// (the superblocks) starts at `TAIL`.
-    const INTERIOR: usize = 8192;
+    /// Where the tail starts in the tests below: past a prefix that
+    /// stands in for the heap's metadata and descriptors.
     const TAIL: usize = 128 << 10;
 
-    /// Fill the pool from `INTERIOR` or `TAIL` up to its frontier, give
-    /// back the unaligned `[lo, hi)` — a tail through `decommit` and a
-    /// re-commit, an interior range through `release` — and check every
-    /// byte: the kept prefix (and, for an interior range, everything
-    /// above it) intact, the released range zero — before and, in
-    /// tracked mode, after a crash (the shadow must not resurrect it).
-    fn release_and_regrow(pool: PmemPool, tail: bool, lo: usize, hi: usize) {
+    /// Fill the pool from `TAIL` up to `hi`, decommit down to the
+    /// unaligned `lo`, re-commit, and check every byte: the kept prefix
+    /// intact, the released range zero — before and, in tracked mode,
+    /// after a crash (the shadow must not resurrect it).
+    fn release_and_regrow(pool: PmemPool, lo: usize, hi: usize) {
         assert!(!lo.is_multiple_of(4096) && !hi.is_multiple_of(4096));
         assert!(lo.is_multiple_of(64) && hi.is_multiple_of(64));
-        let start = if tail { TAIL } else { INTERIOR };
-        let end = if tail { hi } else { TAIL };
-        assert_eq!(pool.commit(end), end);
-        write_bytes(&pool, start, &vec![0xAA; end - start]);
-        pool.persist(start, end - start);
+        assert_eq!(pool.commit(hi), hi);
+        write_bytes(&pool, TAIL, &vec![0xAA; hi - TAIL]);
+        pool.persist(TAIL, hi - TAIL);
         let mapped = *pool.mapped.lock();
-        if tail {
-            assert_eq!(pool.decommit(lo), lo);
-            assert!(!pool.check_range(lo, 1), "released tail must be out of range");
-        } else {
-            pool.release(lo, hi);
-            assert_eq!(pool.committed_len(), end, "an interior release moved the frontier");
-        }
-        // Only a file's tail gives pages up; everything else is recycled.
-        let unmapped = pool.file.is_some() && tail;
-        assert_eq!(*pool.mapped.lock(), if unmapped { page_up(lo) } else { mapped });
+        assert_eq!(pool.decommit(lo), lo);
+        assert!(!pool.check_range(lo, 1), "released tail must be out of range");
+        // Only a file's tail gives pages up; an anonymous one is recycled.
+        assert_eq!(*pool.mapped.lock(), if pool.file.is_some() { page_up(lo) } else { mapped });
         let check = |what: &str| {
-            let bytes = unsafe { std::slice::from_raw_parts(pool.base().add(start), end - start) };
-            let (kept, rest) = bytes.split_at(lo - start);
-            let (released, above) = rest.split_at(hi - lo);
+            let bytes = unsafe { std::slice::from_raw_parts(pool.base().add(TAIL), hi - TAIL) };
+            let (kept, released) = bytes.split_at(lo - TAIL);
             assert!(kept.iter().all(|&b| b == 0xAA), "{what}: bytes below the release changed");
             assert!(released.iter().all(|&b| b == 0), "{what}: released bytes resurrected");
-            assert!(above.iter().all(|&b| b == 0xAA), "{what}: bytes above the release changed");
         };
-        assert_eq!(pool.commit(end), end);
+        assert_eq!(pool.commit(hi), hi);
         check("volatile image");
         if pool.mode() == Mode::Tracked {
             pool.crash();
@@ -1088,35 +1044,23 @@ mod tests {
     #[test]
     fn unaligned_tail_release_regrows_zero_and_keeps_the_prefix() {
         let (lo, hi) = (TAIL + 4096 + 128, TAIL + 9 * 4096 + 640);
-        release_and_regrow(reserve(Mode::Direct), true, lo, hi);
-        release_and_regrow(reserve(Mode::Tracked), true, lo, hi);
+        release_and_regrow(reserve(Mode::Direct), lo, hi);
+        release_and_regrow(reserve(Mode::Tracked), lo, hi);
         // Both edges inside one page.
-        release_and_regrow(reserve(Mode::Tracked), true, lo, lo + 64);
-    }
-
-    #[test]
-    fn unaligned_interior_release_regrows_zero_and_keeps_the_prefix() {
-        let (lo, hi) = (INTERIOR + 4096 + 192, INTERIOR + 5 * 4096 + 320);
-        release_and_regrow(reserve(Mode::Direct), false, lo, hi);
-        release_and_regrow(reserve(Mode::Tracked), false, lo, hi);
-        release_and_regrow(reserve(Mode::Tracked), false, lo, lo + 64);
+        release_and_regrow(reserve(Mode::Tracked), lo, lo + 64);
     }
 
     #[test]
     fn unaligned_releases_of_a_mapped_file_regrow_zero() {
         let dir = std::env::temp_dir().join(format!("nvm-release-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let mapped = |name: &str| map(&dir.join(name), 1 << 20, 4096);
-        release_and_regrow(mapped("tail"), true, TAIL + 4096 + 128, TAIL + 9 * 4096 + 640);
-        release_and_regrow(mapped("interior"), false, INTERIOR + 4096 + 192, INTERIOR + 5 * 4096 + 320);
-        // The interior release zeroed the file's own bytes.
-        let (lo, hi) = (INTERIOR + 4096 + 192, INTERIOR + 5 * 4096 + 320);
-        let file = std::fs::read(dir.join("interior")).unwrap();
-        assert!(file[INTERIOR..lo].iter().chain(&file[hi..]).all(|&b| b == 0xAA), "the file's kept bytes");
-        assert!(file[lo..hi].iter().all(|&b| b == 0), "the file's released bytes");
-        let len = |name: &str| std::fs::metadata(dir.join(name)).unwrap().len();
-        assert_eq!(len("tail"), (TAIL + 9 * 4096 + 640) as u64, "file length == frontier");
-        assert_eq!(len("interior"), TAIL as u64, "an interior release truncated the file");
+        let (lo, hi) = (TAIL + 4096 + 128, TAIL + 9 * 4096 + 640);
+        release_and_regrow(map(&dir.join("tail"), 1 << 20, 4096), lo, hi);
+        let len = std::fs::metadata(dir.join("tail")).unwrap().len();
+        assert_eq!(len, hi as u64, "file length == frontier");
+        let file = std::fs::read(dir.join("tail")).unwrap();
+        assert!(file[TAIL..lo].iter().all(|&b| b == 0xAA), "the file's kept bytes");
+        assert!(file[lo..].iter().all(|&b| b == 0), "the file's released bytes");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1132,20 +1076,24 @@ mod tests {
         assert_eq!(read_byte(&pool, 4096), 0);
     }
 
+    /// A commit is one injector event, taken before the prefix moves:
+    /// a crash there leaves the old prefix, so the image a recovery sees
+    /// is the one before the grow (what keeps a carve ordered ahead of
+    /// its grow visible).
     #[test]
-    fn release_discards_pending_flushes_and_is_one_crash_point() {
+    fn a_commit_is_one_injector_event() {
         let inj = CrashInjector::new();
         let pool =
-            PmemPool::with_reserve(1 << 16, 8192, Mode::Tracked, FlushModel::free(), Some(inj.clone()));
-        write_bytes(&pool, 4096, &[7; 8]);
-        pool.flush(4096, 8); // flushed but NOT fenced
+            PmemPool::with_reserve(1 << 16, 4096, Mode::Tracked, FlushModel::free(), Some(inj.clone()));
         let before = inj.observed();
-        pool.release(4096, 4096 + 64);
-        assert_eq!(inj.observed(), before + 1, "a release is one injector event");
-        pool.fence(); // must not resurrect the dropped pending line
+        assert_eq!(pool.commit(8192), 8192);
+        assert_eq!(inj.observed(), before + 1, "a commit is one injector event");
+        inj.arm(0);
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pool.commit(16384)));
+        assert!(crate::CrashPoint::is(&*r.unwrap_err()));
+        assert_eq!(pool.committed_len(), 8192, "a crash at the commit moved the prefix");
         pool.crash();
-        assert_eq!(read_byte(&pool, 4096), 0);
-        assert_eq!(pool.committed_len(), 8192, "a release moves no frontier");
+        assert_eq!(pool.persistent_image().len(), 8192);
     }
 
     const HUGE: usize = sys::HUGE_PAGE;

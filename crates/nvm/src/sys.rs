@@ -399,10 +399,8 @@ impl Reservation {
 
     /// Zero `[lo, hi)` by stores; the pages stay where they are. A page
     /// that already reads zero is left alone, so a clean file page is not
-    /// dirtied and a file page nobody wrote is not allocated (a file pool's
-    /// `release` of descriptors the frontier covered but no carve reached
-    /// takes no write fault and no write-back); the pages in between are
-    /// cleared a whole run at a time.
+    /// dirtied and a file page nobody wrote is not allocated; the pages in
+    /// between are cleared a whole run at a time.
     ///
     /// # Safety
     /// `[lo, hi)` must be mapped and nothing may access it concurrently.

@@ -29,7 +29,6 @@ use std::path::Path;
 use ralloc::anchor::SbState;
 use ralloc::descriptor::{Desc, DescKind};
 use ralloc::flight;
-use ralloc::frontier::Frontier;
 use ralloc::layout::{
     Geometry, DIRTY_OFF, FLIGHT_CAP, FLIGHT_MAGIC, FLIGHT_OFF, MAGIC, MAGIC_OFF, MAX_SB_OFF,
     META_SIZE, NUM_ROOTS, POOL_LEN_OFF, USED_SB_OFF,
@@ -120,18 +119,13 @@ pub fn dump(image: &[u8]) -> String {
             geo.sb(0),
             geo.sb(0),
         ));
-        // Each frontier word, judged as an open would judge it.
-        let used = used_sb.unwrap_or(0) as usize;
-        for f in Frontier::pair(&geo) {
-            let verdict = match word(image, f.word_off).map(|w| w as usize) {
-                None => "<unreadable>".to_string(),
-                Some(w) => match f.check(w, image.len(), used) {
-                    Ok(_) => format!("{w}  ok: covers {} of {} superblocks", f.sb_of(w), geo.max_sb),
-                    Err(why) => format!("{w}  REFUSED: {why}"),
-                },
-            };
-            s.push_str(&format!("{} frontier: {verdict}\n", f.name));
-        }
+        // The committed prefix (the image itself), judged as an open
+        // would judge it.
+        let verdict = match geo.check_image(image.len(), used_sb.unwrap_or(0) as usize) {
+            Ok(covered) => format!("ok: covers {covered} of {} superblocks", geo.max_sb),
+            Err(why) => format!("REFUSED: {why}"),
+        };
+        s.push_str(&format!("committed prefix: {} bytes  {verdict}\n", image.len()));
     } else {
         s.push_str("geometry:         none (the reserved span is no heap's)\n");
     }

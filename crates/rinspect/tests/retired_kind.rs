@@ -1,7 +1,8 @@
 //! Retired event kinds are never reused: a pool written while the
 //! allocator still had remote-free rings (kind 15), the flight level
-//! `all` (kinds 8 / 9 / 10) or carve events (kind 11) can hold such
-//! records in its flight ring, and
+//! `all` (kinds 8 / 9 / 10), carve events (kind 11), or persisted
+//! frontier words (kinds 2, 16, 17 and 18) can hold such records in its
+//! flight ring, and
 //! every reader must keep printing them — by name, not as "unknown", and
 //! without dropping or tripping on them.
 
@@ -11,8 +12,17 @@ use ralloc::flight::{self, FlightRecorder};
 use ralloc::telemetry::EventKind;
 use ralloc::{Ralloc, RallocConfig};
 
-const RETIRED: [(u8, &str); 5] =
-    [(8, "fill"), (9, "flush"), (10, "steal"), (11, "carve"), (15, "remote_ring_overflow")];
+const RETIRED: [(u8, &str); 9] = [
+    (2, "grow_publish"),
+    (8, "fill"),
+    (9, "flush"),
+    (10, "steal"),
+    (11, "carve"),
+    (15, "remote_ring_overflow"),
+    (16, "grow_desc_commit"),
+    (17, "grow_desc_publish"),
+    (18, "shrink_desc_decommit"),
+];
 
 #[test]
 fn planted_retired_kind_records_read_back_through_scan_and_rinspect() {

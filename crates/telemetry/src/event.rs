@@ -1,7 +1,7 @@
 //! The event schema: which persistence-protocol step a record names.
 //!
 //! The allocator's correctness story is a sequence of ordered steps —
-//! grow is commit → publish, shrink is unpublish → decommit, recovery is
+//! grow is one commit, shrink is unpublish → decommit, recovery is
 //! reconcile → sweep → splice. Its one recorder, the pool's
 //! crash-surviving flight ring (`ralloc::flight`), stores each step as
 //! one of these kinds plus two payload words, so the order is readable
@@ -13,15 +13,17 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum EventKind {
-    /// Frontier grow: new segment committed (a = new committed_len).
+    /// Frontier grow: the pool's committed prefix raised, before any
+    /// `used` covers it (a = new committed length).
     GrowCommit = 1,
-    /// Frontier grow: committed_len published to the persistent root
-    /// (a = published committed_len).
-    GrowPublish = 2,
-    /// Frontier shrink: persistent watermark lowered (a = new
-    /// committed_len).
+    /// Retired: a grow's publish of the persisted frontier word (a =
+    /// published committed_len). Commit and publish are one step now.
+    Retired2 = 2,
+    /// Frontier shrink: the lowered `used` made durable (a = the committed
+    /// length it needs, b = new `used`).
     ShrinkUnpublish = 3,
-    /// Frontier shrink: tail pages decommitted (a = decommitted bytes).
+    /// Frontier shrink: tail pages decommitted (a = decommitted bytes,
+    /// b = new committed length).
     ShrinkDecommit = 4,
     /// Recovery: descriptor/anchor reconcile pass (a = superblocks seen).
     RecoveryReconcile = 5,
@@ -53,15 +55,14 @@ pub enum EventKind {
     /// push displacing an undrained batch (a = its superblock, b = its
     /// block count).
     Retired15 = 15,
-    /// Descriptor-region frontier grow: new descriptor span committed and
-    /// its frontier word fenced (a = new descriptor frontier in bytes).
-    GrowDescCommit = 16,
-    /// Descriptor-region frontier grow: frontier published to carvers
-    /// (a = published descriptor frontier in bytes).
-    GrowDescPublish = 17,
-    /// Descriptor-region frontier shrink: word lowered, fenced, and the
-    /// region tail released (a = released bytes, b = new frontier).
-    ShrinkDescDecommit = 18,
+    /// Retired: until the descriptor frontier was deleted, its grow's
+    /// fenced word (a = new descriptor frontier in bytes).
+    Retired16 = 16,
+    /// Retired: that grow's publish to carvers, as kind 16.
+    Retired17 = 17,
+    /// Retired: that frontier's shrink (a = released bytes, b = new
+    /// frontier), as kind 16.
+    Retired18 = 18,
 }
 
 impl EventKind {
@@ -70,7 +71,7 @@ impl EventKind {
     pub fn from_u8(v: u8) -> Option<EventKind> {
         Some(match v {
             1 => EventKind::GrowCommit,
-            2 => EventKind::GrowPublish,
+            2 => EventKind::Retired2,
             3 => EventKind::ShrinkUnpublish,
             4 => EventKind::ShrinkDecommit,
             5 => EventKind::RecoveryReconcile,
@@ -84,9 +85,9 @@ impl EventKind {
             13 => EventKind::Open,
             14 => EventKind::Close,
             15 => EventKind::Retired15,
-            16 => EventKind::GrowDescCommit,
-            17 => EventKind::GrowDescPublish,
-            18 => EventKind::ShrinkDescDecommit,
+            16 => EventKind::Retired16,
+            17 => EventKind::Retired17,
+            18 => EventKind::Retired18,
             _ => return None,
         })
     }
@@ -95,7 +96,7 @@ impl EventKind {
     pub fn name(self) -> &'static str {
         match self {
             EventKind::GrowCommit => "grow_commit",
-            EventKind::GrowPublish => "grow_publish",
+            EventKind::Retired2 => "grow_publish",
             EventKind::ShrinkUnpublish => "shrink_unpublish",
             EventKind::ShrinkDecommit => "shrink_decommit",
             EventKind::RecoveryReconcile => "recovery_reconcile",
@@ -109,9 +110,9 @@ impl EventKind {
             EventKind::Open => "open",
             EventKind::Close => "close",
             EventKind::Retired15 => "remote_ring_overflow",
-            EventKind::GrowDescCommit => "grow_desc_commit",
-            EventKind::GrowDescPublish => "grow_desc_publish",
-            EventKind::ShrinkDescDecommit => "shrink_desc_decommit",
+            EventKind::Retired16 => "grow_desc_commit",
+            EventKind::Retired17 => "grow_desc_publish",
+            EventKind::Retired18 => "shrink_desc_decommit",
         }
     }
 }

@@ -15,8 +15,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BUDGET=6813
-REST_BUDGET=9312
+BUDGET=6555
+REST_BUDGET=9308
 MAX_FIELDS=6
 MAX_VARS=7
 

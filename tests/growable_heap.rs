@@ -5,8 +5,8 @@
 //! reopen grown images — clean or dirty — with the grown frontier intact.
 //!
 //! Since the frontier became bidirectional, the same file also sweeps a
-//! crash through every event of the *shrink* protocol (unpublish →
-//! CAS-min word → flush+fence → decommit), drives grow→shrink→grow
+//! crash through every event of the *shrink* protocol (persist the
+//! lowered `used` → decommit), drives grow→shrink→grow
 //! oscillation, and round-trips shrunken images through clean and dirty
 //! reopens.
 
@@ -96,8 +96,8 @@ fn heap_committed_at_4mib_serves_64mib_live() {
     assert!(check_heap(&heap).is_consistent());
 }
 
-/// Growth is observable but cheap: cold-path only, one persisted word per
-/// grow, and the number of grows is logarithmic in the final size.
+/// Growth is observable but cheap: cold-path only, one commit per grow,
+/// and the number of grows is logarithmic in the final size.
 #[test]
 fn growth_is_logarithmic_and_cold_path() {
     let heap = Ralloc::create(
@@ -133,8 +133,8 @@ fn growth_is_logarithmic_and_cold_path() {
 /// whatever the interleaving, recovery must re-establish the full heap
 /// invariant, keep all (and only) the rooted blocks, and leave the heap
 /// serviceable. This sweep necessarily hits every step of the grow
-/// protocol — between the frontier commit, its flush, its fence, and the
-/// `used` bump — because each is a counted event.
+/// protocol — the commit and the `used` bump's flush and fence — because
+/// each is a counted event.
 #[test]
 fn crash_sweep_through_grow_protocol_recovers() {
     let cfg = || RallocConfig {
@@ -322,16 +322,16 @@ fn dirty_reopen_of_grown_image_recovers() {
     assert!(check_heap(&heap2).is_consistent());
 }
 
-/// An image whose persisted frontier claims more than the file contains
-/// is a truncated (data-losing) image and must be refused, not opened —
-/// and so must one whose `used` lies past its superblock frontier, or
+/// An image cut short of the superblocks its `used` claims is a
+/// truncated (data-losing) image and must be refused, not opened — and so
+/// must one whose `used` lies past the superblocks the image covers, or
 /// whose `max_sb` disagrees with its reserved span. `from_image` panics
 /// (it has no `Result`); `open_file` returns `InvalidData` naming the
 /// path and the reason, decided before the file is mapped, so the file is
 /// left byte for byte as it was.
 #[test]
 fn truncated_image_with_frontier_beyond_file_is_refused() {
-    use ralloc::layout::{COMMITTED_LEN_OFF, MAX_SB_OFF, USED_SB_OFF};
+    use ralloc::layout::{MAX_SB_OFF, USED_SB_OFF};
     let heap = Ralloc::create(
         1 << 20,
         RallocConfig {
@@ -354,9 +354,9 @@ fn truncated_image_with_frontier_beyond_file_is_refused() {
         bytes[off..off + 8].copy_from_slice(&value.to_ne_bytes());
         bytes
     };
-    let covered = (word(COMMITTED_LEN_OFF) as usize - heap.geometry().sb_off) / SB_SIZE;
+    let covered = (image.len() - heap.geometry().sb_off) / SB_SIZE;
     let rows: [(&str, Vec<u8>, &str); 3] = [
-        // Lop off the tail: the frontier word now lies past the end.
+        // Lop off the tail: `used` now lies past the end.
         ("truncated", image[..2 << 20].to_vec(), "exceeds the image"),
         ("used-past-frontier", with_word(USED_SB_OFF, covered as u64 + 1), "covers only"),
         ("max-sb", with_word(MAX_SB_OFF, word(MAX_SB_OFF) + 1), "geometry mismatch"),
@@ -395,7 +395,7 @@ fn oversized_image_beyond_header_reserve_is_refused() {
     heap.close().unwrap();
     let mut image = heap.pool().persistent_image();
     // Pad to one page past the *reserved* span — anything shorter is
-    // legally adopted (the frontier word heals upward to file content).
+    // legally adopted (the image length is the frontier).
     image.resize(heap.pool().len() + 4096, 0xA5);
     let grown = image.clone();
     let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -516,12 +516,11 @@ fn shrink_stops_at_live_large_span() {
 
 /// Crash injected at *every* persistence event of a free-then-close run:
 /// the sweep necessarily hits each step of the shrink protocol (the
-/// lowered `used` flush and fence, the CAS-min'd frontier word's flush
-/// and fence, and the decommit itself, which is a counted event), plus
-/// the surrounding close-path writes. Whatever the interleaving, recovery
-/// must keep all and only the still-rooted blocks and re-establish the
-/// full invariant, with the persisted frontier covering the persisted
-/// `used` at every budget.
+/// lowered `used` flush and fence, and the decommit itself, which is a
+/// counted event), plus the surrounding close-path writes. Whatever the
+/// interleaving, recovery must keep all and only the still-rooted blocks
+/// and re-establish the full invariant, with the committed prefix
+/// covering the persisted `used` at every budget.
 #[test]
 fn crash_sweep_through_shrink_protocol_recovers() {
     let cfg = || RallocConfig {

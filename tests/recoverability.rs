@@ -192,25 +192,26 @@ fn injected_crash_sweep_recovers_with_parallel_workers() {
     }
 }
 
-/// What a recovery leaves durable: `used`, both frontier words, the header
-/// up to the flight ring (whose records differ from one recovery to the
-/// next by design), and the descriptors of the used superblocks.
+/// What a recovery leaves durable: `used`, the committed prefix (in
+/// superblocks), the header up to the flight ring (whose records differ
+/// from one recovery to the next by design), and the descriptors of the
+/// used superblocks.
 struct Recovered {
     used: u64,
-    frontiers: [u64; 2],
+    committed: usize,
     header: Vec<u8>,
     descriptors: Vec<u8>,
 }
 
 impl Recovered {
     fn of(heap: &Ralloc) -> Recovered {
-        use ralloc::layout::{COMMITTED_LEN_OFF, DESC_COMMITTED_LEN_OFF, FLIGHT_OFF, USED_SB_OFF};
+        use ralloc::layout::{FLIGHT_OFF, USED_SB_OFF};
         let image = heap.pool().persistent_image();
         let word = |off: usize| u64::from_le_bytes(image[off..off + 8].try_into().unwrap());
         let descriptors = heap.geometry().desc(0)..heap.geometry().desc(heap.used_superblocks());
         Recovered {
             used: word(USED_SB_OFF),
-            frontiers: [word(COMMITTED_LEN_OFF), word(DESC_COMMITTED_LEN_OFF)],
+            committed: heap.committed_superblocks(),
             header: image[..FLIGHT_OFF].to_vec(),
             descriptors: image[descriptors].to_vec(),
         }
@@ -248,7 +249,7 @@ fn a_second_recovery_changes_nothing() {
         let again = heap.recover_parallel(workers);
         assert_eq!(again.shrunk_superblocks, 0, "{workers} workers: the second recovery shrank");
         let twice = Recovered::of(&heap);
-        assert_eq!((once.used, once.frontiers), (twice.used, twice.frontiers), "{workers} workers");
+        assert_eq!((once.used, once.committed), (twice.used, twice.committed), "{workers} workers");
         let header = first_difference(&once.header, &twice.header);
         assert_eq!(header, None, "{workers} workers: first differing header byte");
         let descriptors = first_difference(&once.descriptors, &twice.descriptors);
@@ -310,15 +311,68 @@ fn one_image_recovers_to_the_same_bytes_for_any_worker_count() {
     assert_eq!((s1.threads, s2.threads), (1, 2));
     assert!(two.used_superblocks() > 64, "{} used: the sweep ran on one worker", two.used_superblocks());
     let (a, b) = (Recovered::of(&one), Recovered::of(&two));
-    assert_eq!((a.used, a.frontiers), (b.used, b.frontiers));
+    assert_eq!((a.used, a.committed), (b.used, b.committed));
     assert_eq!(first_difference(&a.header, &b.header), None, "first differing header byte");
     let descriptors = first_difference(&a.descriptors, &b.descriptors);
     assert_eq!(descriptors, None, "first differing descriptor byte");
     assert_eq!(counts(&s1), counts(&s2));
 }
 
+/// Dead descriptors are dead (hostile input past the header): nothing
+/// reads a descriptor at or past `used`, so flipping bytes of the eight
+/// after it in a crash image changes nothing a recovery leaves behind,
+/// for either worker count. Flipped bytes among the *used* descriptors
+/// are hostile input proper: the inspector's check comes back with a
+/// report or an error, never a fault. Seeded, so a failure replays.
+#[test]
+fn flipped_dead_descriptors_change_no_recovery() {
+    use ralloc::layout::DESC_SIZE;
+    let (heap, _inj) = tracked_with_injector();
+    populate_and_crash(&heap);
+    let image = heap.pool().persistent_image();
+    let (desc_off, used) = (heap.geometry().desc_off, heap.used_superblocks());
+    assert!(used + 8 <= heap.max_superblocks(), "{used} used: no dead descriptors to flip");
+    let reference = [1, 2].map(|w| {
+        let (h, s) = recover_image(&image, w);
+        (Recovered::of(&h), counts(&s))
+    });
+    let mut rng = 0x5EED_DE5C_0000_0001u64;
+    let mut next = move |n: usize| {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        (rng % n as u64) as usize
+    };
+    let mut flip = |bytes: &mut [u8], from: usize, len: usize| {
+        let at = from + next(len);
+        bytes[at] ^= 1 + next(255) as u8;
+    };
+    for trial in 0..6 {
+        let mut flipped = image.clone();
+        (0..16).for_each(|_| flip(&mut flipped, desc_off + used * DESC_SIZE, 8 * DESC_SIZE));
+        for (workers, (want, want_counts)) in [1, 2].into_iter().zip(&reference) {
+            let what = format!("trial {trial}, {workers} workers");
+            let (h, s) = recover_image(&flipped, workers);
+            let got = Recovered::of(&h);
+            assert_eq!((got.used, got.committed), (want.used, want.committed), "{what}");
+            assert_eq!(first_difference(&got.header, &want.header), None, "{what}: header byte");
+            let descriptors = first_difference(&got.descriptors, &want.descriptors);
+            assert_eq!(descriptors, None, "{what}: descriptor byte");
+            assert_eq!(&counts(&s), want_counts, "{what}");
+        }
+    }
+    for trial in 0..12 {
+        let mut flipped = image.clone();
+        (0..4).for_each(|_| flip(&mut flipped, desc_off, used * DESC_SIZE));
+        match rinspect::check(&flipped) {
+            Ok(outcome) => assert!(outcome.recovered, "trial {trial}: a dirty image was not recovered"),
+            Err(why) => assert!(!why.is_empty(), "trial {trial}: an empty refusal"),
+        }
+    }
+}
+
 /// A crash at any persistence event of one `recover_parallel(2)` — the
-/// lowered `used`, each frontier word, the decommit, the flight records
+/// lowered `used`, the decommit, the flight records
 /// around the list publish, the write-back — leaves an image whose own
 /// recovery is consistent, keeps every rooted block and ends exactly
 /// where an uncrashed recovery of the original image does.
@@ -336,7 +390,7 @@ fn a_crash_inside_recovery_recovers_to_the_uncrashed_result() {
         let before = inj.observed();
         heap.recover_parallel(2);
         let seen: HashSet<&str> = heap.flight_timeline().events.iter().map(|e| e.kind_name()).collect();
-        for kind in ["shrink_unpublish", "shrink_decommit", "shrink_desc_decommit", "recovery_splice"] {
+        for kind in ["shrink_unpublish", "shrink_decommit", "recovery_splice"] {
             assert!(seen.contains(kind), "the recovery never reached {kind}");
         }
         ((Recovered::of(&clean), stats.reachable_blocks), inj.observed() - before)
@@ -359,7 +413,7 @@ fn a_crash_inside_recovery_recovers_to_the_uncrashed_result() {
         assert_eq!(stats.reachable_blocks, reference.1, "budget {budget}");
         let got = Recovered::of(&again);
         let want = &reference.0;
-        assert_eq!((got.used, got.frontiers), (want.used, want.frontiers), "budget {budget}");
+        assert_eq!((got.used, got.committed), (want.used, want.committed), "budget {budget}");
         assert_eq!(first_difference(&got.header, &want.header), None, "budget {budget}: header byte");
         let descriptors = first_difference(&got.descriptors, &want.descriptors);
         assert_eq!(descriptors, None, "budget {budget}: descriptor byte");

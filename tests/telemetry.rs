@@ -8,7 +8,6 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use ralloc::frontier::Frontier;
 use ralloc::{Ralloc, RallocConfig};
 use telemetry::json;
 use workloads::churn::stress;
@@ -83,23 +82,20 @@ fn sampler_lines_are_telemetry_snapshots() {
     }
 }
 
-/// Grow protocol ordering, per frontier, read off the flight ring: every
-/// `*_publish` is preceded by a `*_commit` of at least the published
-/// length — the crash-safety invariant (persist the frontier word before
-/// exposing the space) replayed from the event trace — and the last
-/// publish of *both* frontiers covers every superblock carved. (Carves
-/// are the `sb_carved` counter, not events; that `used` never outruns a
-/// durable frontier word is checked at every crash point by
+/// Grow protocol ordering, read off the flight ring: each `grow_commit`
+/// raises the committed prefix, and the last one covers every superblock
+/// carved — the prefix is committed before `used` covers it. (Carves are
+/// the `sb_carved` counter, not events; that `used` never outruns the
+/// committed prefix is checked at every crash point by
 /// `region_crash_sweep`, whose recovery refuses such an image.)
 #[test]
 fn journal_orders_grow_commit_before_publish() {
-    use telemetry::EventKind::{GrowCommit, GrowDescCommit, GrowDescPublish, GrowPublish};
     let heap = Ralloc::create(
         64 << 20,
         RallocConfig { initial_capacity: Some(4 << 20), ..Default::default() },
     );
     let geo = heap.geometry();
-    // Outgrow the initial commit so the frontiers must move.
+    // Outgrow the initial commit so the frontier must move.
     let ptrs: Vec<*mut u8> = (0..3000).map(|_| heap.malloc(4096)).collect();
     for p in ptrs {
         heap.free(p);
@@ -107,25 +103,17 @@ fn journal_orders_grow_commit_before_publish() {
     let events = heap.flight_timeline().events;
     assert_eq!(events[0].kind_name(), "open", "the ring must still hold the whole run");
     let used = heap.used_superblocks();
-    // (commit kind, publish kind, the frontier's arithmetic)
-    let [sb, desc] = Frontier::pair(&geo);
-    let frontiers = [(GrowCommit, GrowPublish, sb), (GrowDescCommit, GrowDescPublish, desc)];
-    for (commit, publish, frontier) in frontiers {
-        let is = |e: &ralloc::FlightEvent, k| e.kind() == Some(k);
-        for (i, e) in events.iter().enumerate().filter(|(_, e)| is(e, publish)) {
-            assert!(
-                events[..i].iter().any(|c| is(c, commit) && c.a >= e.a),
-                "{publish:?} of {} has no earlier {commit:?} covering it",
-                e.a
-            );
-        }
-        let last = events.iter().rev().find(|e| is(e, publish));
-        let need = frontier.len_for_sb(used) as u64;
-        assert!(
-            last.is_some_and(|e| e.a >= need),
-            "the last {publish:?} ({last:?}) does not cover the {used} superblocks carved"
-        );
-    }
+    let commits: Vec<u64> =
+        events.iter().filter(|e| e.kind() == Some(telemetry::EventKind::GrowCommit)).map(|e| e.a).collect();
+    assert!(commits.len() >= 2, "the run grew {} times", commits.len());
+    assert!(commits.windows(2).all(|w| w[0] < w[1]), "a grow_commit lowered the prefix: {commits:?}");
+    let need = geo.len_for_sb(used) as u64;
+    let last = commits.last().copied();
+    assert!(
+        last.is_some_and(|a| a >= need),
+        "the last grow_commit ({last:?}) does not cover the {used} superblocks carved"
+    );
+    assert_eq!(last, Some(heap.pool().committed_len() as u64), "the last grow_commit is the prefix");
     // Timestamps are monotone in seq order (one process's clock).
     assert!(events.windows(2).all(|w| w[0].t_ms <= w[1].t_ms));
 }

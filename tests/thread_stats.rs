@@ -249,7 +249,7 @@ fn the_tls_teardown_one_shot_cache_set_is_counted() {
 
 /// The heap's counter names, as every exporter has carried them since
 /// they were registered by `SlowStats` field name.
-const NAMES: [&str; 19] = [
+const NAMES: [&str; 18] = [
     "cache_fills",
     "cache_fill_blocks",
     "cache_flushes",
@@ -258,7 +258,6 @@ const NAMES: [&str; 19] = [
     "flush_anchor_cas",
     "sb_carved",
     "heap_grows",
-    "desc_grows",
     "heap_shrinks",
     "sb_released",
     "sb_scavenged",
