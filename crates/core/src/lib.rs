@@ -101,6 +101,10 @@ pub trait PersistentAllocator: Send + Sync {
     fn persist(&self, ptr: *const u8, len: usize) {
         let _ = (ptr, len);
     }
+    /// What a structure subtracts from an address to store a link; 0 = absolute.
+    fn region_base(&self) -> usize {
+        0
+    }
 }
 
 impl<T: PersistentAllocator + ?Sized> PersistentAllocator for std::sync::Arc<T> {
@@ -118,6 +122,10 @@ impl<T: PersistentAllocator + ?Sized> PersistentAllocator for std::sync::Arc<T> 
 
     fn persist(&self, ptr: *const u8, len: usize) {
         (**self).persist(ptr, len)
+    }
+
+    fn region_base(&self) -> usize {
+        (**self).region_base()
     }
 }
 
@@ -142,6 +150,10 @@ impl PersistentAllocator for Ralloc {
     fn persist(&self, ptr: *const u8, len: usize) {
         let off = ptr as usize - self.pool().base() as usize;
         self.pool().persist(off, len);
+    }
+
+    fn region_base(&self) -> usize {
+        Ralloc::region_base(self)
     }
 }
 

@@ -129,7 +129,7 @@ pub fn check_conservation(
 /// Map-structure semantics the replay has to mirror.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MapSemantics {
-    /// `insert` overwrites an existing key (PKv, PRbTree).
+    /// `insert` overwrites an existing key (`PKv::set`, `PRbTree::insert`).
     Upsert,
     /// `insert` fails on an existing key (NmTree).
     InsertIfAbsent,

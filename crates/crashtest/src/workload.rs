@@ -25,7 +25,7 @@ pub enum Structure {
     Queue,
     /// Recoverable Treiber stack ([`PStack`]).
     Stack,
-    /// Recoverable chained hash map ([`PKv`]).
+    /// Recoverable chained hash map ([`PKv`]) with 8-byte values.
     Kv,
     /// Recoverable Natarajan–Mittal tree ([`NmTree`]).
     NmTree,
@@ -88,7 +88,7 @@ impl Handle {
                 Handle::Queue(PQueue::create(heap, STRUCT_ROOT))
             }
             Structure::Stack => Handle::Stack(PStack::create(heap, STRUCT_ROOT)),
-            Structure::Kv => Handle::Kv(PKv::create(heap, STRUCT_ROOT)),
+            Structure::Kv => Handle::Kv(PKv::create(heap, STRUCT_ROOT, KV_BUCKETS)),
             Structure::NmTree => Handle::NmTree(NmTree::create(heap, STRUCT_ROOT)),
             Structure::RbTree => Handle::RbTree(PRbTree::create(heap, STRUCT_ROOT)),
         }
@@ -229,6 +229,9 @@ fn run_prodcon(heap: &Ralloc, dir: *mut OpLogDir, threads: usize, seed: u64, ops
 /// re-inserts of the same key are common.
 const KEYS_PER_THREAD: u64 = 64;
 
+/// Buckets of the `kv` structure's map.
+const KV_BUCKETS: usize = 512;
+
 fn worker(
     heap: &Ralloc,
     s: Structure,
@@ -313,11 +316,11 @@ fn worker(
                 if r % 10 < 7 {
                     let val = i as u64 + 1;
                     w.begin(OpKind::Insert, key, val);
-                    assert!(m.insert(key, val), "insert failed: heap exhausted");
+                    m.set(key, &val.to_le_bytes());
                     w.ack(1);
                 } else {
                     w.begin(OpKind::Remove, key, 0);
-                    let res = m.remove(key).unwrap_or(RES_NONE);
+                    let res = m.delete(key).map_or(RES_NONE, |v| kv_value(&v));
                     w.ack(res);
                 }
             }
@@ -395,9 +398,14 @@ pub fn verify_structure(
             oracle::check_conservation(logs, &st.snapshot(), true)
         }
         Structure::Kv => {
-            let m = PKv::attach(heap, STRUCT_ROOT)
-                .ok_or("kv root missing after recovery")?;
-            let entries: BTreeMap<u64, u64> = m.snapshot().into_iter().collect();
+            let m = PKv::attach(heap, STRUCT_ROOT)?;
+            let mut entries = BTreeMap::new();
+            for (k, v) in m.snapshot() {
+                if v.len() != 8 {
+                    return Err(format!("kv key {k:#x} holds {} bytes, not 8", v.len()));
+                }
+                entries.insert(k, kv_value(&v));
+            }
             oracle::check_map(logs, &entries, MapSemantics::Upsert)
         }
         Structure::NmTree => {
@@ -410,8 +418,7 @@ pub fn verify_structure(
             oracle::check_map(logs, &entries, MapSemantics::InsertIfAbsent)
         }
         Structure::RbTree => {
-            let t = PRbTree::attach(heap, STRUCT_ROOT)
-                .ok_or("rbtree root missing after recovery")?;
+            let t = PRbTree::attach(heap, STRUCT_ROOT)?;
             t.validate();
             let mut entries = BTreeMap::new();
             for k in t.keys() {
@@ -420,6 +427,11 @@ pub fn verify_structure(
             oracle::check_map(logs, &entries, MapSemantics::Upsert)
         }
     }
+}
+
+/// The `u64` a `kv` value's 8 bytes hold.
+fn kv_value(v: &[u8]) -> u64 {
+    u64::from_le_bytes(v.try_into().expect("a kv value is 8 bytes"))
 }
 
 /// Used by the seed-replay check: total persistence-relevant progress

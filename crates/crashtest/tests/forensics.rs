@@ -130,3 +130,37 @@ fn failure_report_carries_victim_flight_timeline() {
     );
     crashtest::cleanup(&cfg);
 }
+
+/// A hostile tree log fails closed: a crashed `rbtree` image whose
+/// newest record carries an op that is neither insert nor remove is
+/// refused by `PRbTree::attach` with an error, and `verify` reports it
+/// instead of panicking.
+#[test]
+fn flipped_tree_log_op_is_reported_not_a_panic() {
+    let pool = std::env::temp_dir().join("ct_forensics_bad_op.pool");
+    let seed = 0xF0_0003;
+    let sig = spawn_victim(Structure::RbTree, &pool, seed, KillSpec::Events(300));
+    assert_eq!(sig, Some(9), "victim should have SIGKILLed itself mid-workload");
+
+    // Flip the op word (a record's first) of the newest record through a
+    // mapping of the dead pool; the drop leaves the image dirty.
+    {
+        let (heap, dirty) = Ralloc::open_file(&pool, crashtest::POOL_CAP, RallocConfig::default())
+            .expect("reopen for the flip");
+        assert!(dirty, "a SIGKILLed pool reopens dirty");
+        let anchor = heap.get_root::<pds::TreeLogHead>(STRUCT_ROOT);
+        assert!(!anchor.is_null());
+        // SAFETY: the anchor's one word is the newest record's offset + 1;
+        // the record is live in the mapped image, and nothing else runs.
+        unsafe {
+            let newest1 = *(anchor as *const u64);
+            assert_ne!(newest1, 0, "300 events logged at least one op");
+            *((heap.region_base() + newest1 as usize - 1) as *mut u64) = 7;
+        }
+    }
+
+    let cfg = RunConfig::new(Structure::RbTree, pool.clone(), seed);
+    let err = verify(&cfg, true).expect_err("a record with op 7 must be refused");
+    assert!(err.contains("corrupt tree log: unknown op 7"), "{err}");
+    crashtest::cleanup(&cfg);
+}

@@ -2,44 +2,40 @@
 //!
 //! The paper's experiments run data structures *on top of* the allocators
 //! under test (§6.2–§6.4). This crate implements each of them from
-//! scratch:
+//! scratch, one body per shape:
 //!
-//! | structure | used by | paper reference |
-//! |---|---|---|
-//! | [`MsQueue`] | Prod-con (Fig. 5d) | Michael & Scott, PODC'96 |
-//! | [`PStack`] | recovery experiment (Fig. 6a) | Treiber stack |
-//! | [`NmTree`] | recovery experiment (Fig. 6b) | Natarajan & Mittal, PPoPP'14 |
-//! | [`RbTree`] | Vacation OLTP (Fig. 5e) | STAMP's red-black trees |
-//! | [`KvStore`] | memcached/YCSB (Fig. 5f) | library-mode memcached |
+//! | structure | figure | crash harness | paper reference |
+//! |---|---|---|---|
+//! | [`PQueue`] | Prod-con (Fig. 5d) | `queue`, `churn`, `prodcon` | Michael & Scott, PODC'96 |
+//! | [`PKv`] | memcached/YCSB (Fig. 5f) | `kv` | library-mode memcached |
+//! | [`PStack`] | recovery (Fig. 6a) | `stack` | Treiber stack |
+//! | [`NmTree`] | recovery (Fig. 6b) | `nmtree` | Natarajan & Mittal, PPoPP'14 |
+//! | [`RbTree`] | Vacation OLTP (Fig. 5e) | `rbtree`, as [`PRbTree`]'s index | STAMP's red-black trees |
 //!
-//! `MsQueue`, `RbTree` and `KvStore` are generic over any
-//! [`ralloc::PersistentAllocator`], because the corresponding figures
-//! compare allocators. `PStack` and `NmTree` are **recoverable**
-//! structures bound to a Ralloc heap: their data lives entirely inside
-//! the persistent region, reachable from a registered root, with filter
-//! functions ([`ralloc::Trace`] impls) so the recovery GC traces them
-//! precisely. Their node links are superblock-region offsets packed with
-//! ABA counters or mark bits — position-independent by construction.
-//!
-//! The kill-based crash harness (`crates/crashtest`) needs a recoverable
-//! variant of every workload structure, so three more live here:
-//! [`PQueue`] (recoverable MS queue), [`PKv`] (recoverable chained hash
-//! map) and [`PRbTree`] (persistent op-log + transient red-black index).
+//! `PQueue`, `PKv` and `RbTree` are generic over any
+//! [`ralloc::PersistentAllocator`], because the figures that run them
+//! compare allocators. Every structure but `RbTree` is **recoverable** on
+//! a Ralloc heap: its data lives entirely inside the persistent region,
+//! reachable from a registered root, with filter functions
+//! ([`ralloc::Trace`] impls) so the recovery GC traces it precisely. Links
+//! are stored as `address − region_base() + 1`, packed with ABA counters
+//! or mark bits where they are CASed: superblock-region offsets on a
+//! Ralloc heap, so position-independent by construction. `RbTree`'s
+//! rebalancing rewrites several pointers at once, so [`PRbTree`] makes it
+//! recoverable as a persistent op-log in front of a transient index.
 
-mod kvstore;
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
+
 mod nmtree;
 mod pkv;
 mod pqueue;
 mod prbtree;
-mod queue;
 mod rbtree;
 mod stack;
 
-pub use kvstore::KvStore;
 pub use nmtree::{NmNode, NmTree};
 pub use pkv::{KvHead, PKv};
 pub use pqueue::{PQueue, QueueHead};
 pub use prbtree::{PRbTree, TreeLogHead};
-pub use queue::MsQueue;
 pub use rbtree::RbTree;
 pub use stack::{PStack, StackHead};

@@ -62,6 +62,7 @@ pub struct NmNode {
     right: AtomicU64,
 }
 
+// SAFETY: `left` and `right` are a node's only links.
 unsafe impl Trace for NmNode {
     fn trace(&self, t: &mut Tracer<'_>) {
         for edge in [&self.left, &self.right] {
@@ -93,6 +94,7 @@ pub struct NmTree {
 
 // SAFETY: shared mutation is via atomics; the retire list is locked.
 unsafe impl Send for NmTree {}
+// SAFETY: as above.
 unsafe impl Sync for NmTree {}
 
 impl NmTree {
@@ -239,11 +241,6 @@ impl NmTree {
                 None
             }
         }
-    }
-
-    /// True if present.
-    pub fn contains(&self, key: u64) -> bool {
-        self.get(key).is_some()
     }
 
     /// Insert `key -> value`; false if the key already exists.

@@ -1,232 +1,349 @@
-//! A recoverable concurrent hash map (`u64 → u64`).
+//! A recoverable chained hash map of `u64 → bytes`, generic over the
+//! allocator: the library-mode memcached of YCSB (paper §6.3, Fig. 5f)
+//! runs it on every allocator, and the kill harness (`crates/crashtest`)
+//! runs it on a Ralloc heap.
 //!
-//! [`KvStore`] is the *transient* memcached-style store (DRAM bucket
-//! vector, byte values) the allocator-comparison figures run on. This is
-//! its **recoverable** counterpart for the crash harness: a fixed bucket
-//! array and chained entries living entirely in a Ralloc heap, reachable
-//! from a registered root, links as region offsets, with a
-//! [`ralloc::Trace`] filter for precise recovery tracing.
+//! The paper converted memcached into a library so the client calls the
+//! key-value code directly, putting the allocator on the critical path of
+//! every set. This map has that shape: a bucket block and one entry per
+//! key (header and value bytes inline) drawn from the allocator, each
+//! bucket guarded by a transient reader-writer lock. A `set` on an
+//! existing key allocates a new entry and frees the old one, as
+//! memcached's item replacement does.
 //!
-//! Crash-safety comes from two single-word publishes:
+//! Links are `address − region_base() + 1` (0 = none): on a Ralloc heap
+//! a superblock-region offset, so the map is position-independent, and
+//! [`ralloc::Trace`] filters make recovery tracing precise.
 //!
-//! * **insert**: the entry (key, value, chain link) is written and
-//!   persisted *before* the bucket head CAS links it in, so a crash can
-//!   only miss the whole entry, never expose a torn one. Chains grow at
-//!   the head and entries are never unlinked, so a plain offset CAS
-//!   needs no ABA counter.
-//! * **update / remove**: a single atomic store to the entry's value
-//!   word (remove stores a tombstone), persisted after. Values are
-//!   restricted to `u64` precisely so updates can never tear.
+//! Crash safety (durable linearizability, paper §2.2): every mutation is
+//! one 8-byte link store, made under the bucket's write lock. The new
+//! entry is persisted before the store, and the store is persisted before
+//! the old entry is freed, so a crash exposes the map before or after the
+//! op, never a torn entry or a freed one.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
+use parking_lot::RwLock;
 use ralloc::{PersistentAllocator, Ralloc, Trace, Tracer};
 
-/// Fixed bucket count (entries chain within a bucket).
-const BUCKETS: usize = 512;
-
-/// Reserved value encoding "logically deleted". `u64::MAX` is therefore
-/// not storable; [`PKv::insert`] rejects it.
-const TOMBSTONE: u64 = u64::MAX;
-
-#[inline]
-fn bucket_of(key: u64) -> usize {
-    // Fibonacci hashing spreads sequential keys (the workloads use
-    // per-thread key ranges) across buckets.
-    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 55) as usize % BUCKETS
-}
-
-/// Bucket-array head block: lives in the heap, registered as a root.
-/// Each slot is a region offset + 1 of the first chain entry (0 = empty).
+/// Bucket block: the bucket count, then that many link slots. It lives in
+/// the allocator's memory, registered as a persistent root by
+/// [`PKv::create`].
 #[repr(C)]
 pub struct KvHead {
-    buckets: [AtomicU64; BUCKETS],
+    /// Number of slots that follow (a power of two).
+    buckets: u64,
+    // `buckets` × AtomicU64 slots follow: offset + 1 of a chain's first
+    // entry, 0 = empty.
 }
 
-/// A chain entry. `key` and `next` are immutable after publication;
-/// `value` is atomically updatable (tombstone = deleted).
+/// A chain entry; `vlen` value bytes follow it. Only `next` changes after
+/// publication (an unlink of its successor).
 #[repr(C)]
-pub struct KvEntry {
+struct KvEntry {
     key: u64,
-    value: AtomicU64,
-    /// Region offset + 1 of the next entry (0 = end).
-    next: u64,
+    vlen: u64,
+    /// Offset + 1 of the next entry (0 = end).
+    next: AtomicU64,
 }
 
+const HDR: usize = std::mem::size_of::<KvEntry>();
+
+#[inline]
+fn head_bytes(buckets: usize) -> usize {
+    8 + 8 * buckets
+}
+
+/// The slot array that follows a head at `head`.
+#[inline]
+fn slots_of<'a>(head: *const KvHead) -> &'a [AtomicU64] {
+    // SAFETY: a head block holds its count plus that many slots (`new`
+    // allocates it so, `attach` checks the block's usable size, and the
+    // recovery filter trusts the image as every filter does).
+    unsafe {
+        let n = (*head).buckets as usize;
+        std::slice::from_raw_parts((head as *const u8).add(8) as *const AtomicU64, n)
+    }
+}
+
+// SAFETY: every non-empty slot names a chain's first entry; the chain's
+// entries are visited through `next`.
 unsafe impl Trace for KvHead {
     fn trace(&self, t: &mut Tracer<'_>) {
-        for b in &self.buckets {
-            if let Some(off) = b.load(Ordering::Relaxed).checked_sub(1) {
+        for slot in slots_of(self) {
+            if let Some(off) = slot.load(Ordering::Relaxed).checked_sub(1) {
                 t.visit_region_offset::<KvEntry>(off);
             }
         }
     }
 }
 
+// SAFETY: `next` is an entry's only link; the value bytes hold none.
 unsafe impl Trace for KvEntry {
     fn trace(&self, t: &mut Tracer<'_>) {
-        if let Some(off) = self.next.checked_sub(1) {
+        if let Some(off) = self.next.load(Ordering::Relaxed).checked_sub(1) {
             t.visit_region_offset::<KvEntry>(off);
         }
     }
 }
 
-/// A persistent, recoverable, lock-free `u64 → u64` hash map on a Ralloc
-/// heap.
-pub struct PKv {
-    heap: Ralloc,
-    head: *mut KvHead,
+/// Fibonacci hash: good spread for sequential YCSB keys.
+#[inline]
+fn hash(key: u64) -> u64 {
+    key.wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-// SAFETY: all shared mutation goes through atomics in the heap.
-unsafe impl Send for PKv {}
-unsafe impl Sync for PKv {}
+/// A concurrent `u64 → bytes` hash map over allocator `A`, recoverable
+/// when `A` is a Ralloc heap.
+///
+/// There is no `Drop`: a rooted map must outlive its handle. A map built
+/// by [`PKv::new`] is returned to its allocator by [`PKv::destroy`].
+pub struct PKv<A: PersistentAllocator = Ralloc> {
+    alloc: A,
+    /// `alloc.region_base()`, read once: the base of every link.
+    base: usize,
+    head: *mut KvHead,
+    locks: Box<[RwLock<()>]>,
+    mask: u64,
+    len: AtomicUsize,
+}
 
-impl PKv {
-    /// Create a fresh map whose bucket block is registered as root `root`.
-    pub fn create(heap: &Ralloc, root: usize) -> PKv {
-        let head = heap.malloc(std::mem::size_of::<KvHead>()) as *mut KvHead;
-        assert!(!head.is_null(), "heap exhausted creating kv bucket block");
-        // SAFETY: fresh block, exclusively owned.
+// SAFETY: a chain is read under its bucket's read lock and changed under
+// its write lock; entries are freed only under the write lock.
+unsafe impl<A: PersistentAllocator> Send for PKv<A> {}
+// SAFETY: as above.
+unsafe impl<A: PersistentAllocator> Sync for PKv<A> {}
+
+impl<A: PersistentAllocator> PKv<A> {
+    /// Build an unrooted map with `buckets` buckets (rounded up to a
+    /// power of two, at least 16), its bucket block drawn from `alloc` and
+    /// persisted.
+    pub fn new(alloc: A, buckets: usize) -> PKv<A> {
+        let n = buckets.next_power_of_two().max(16);
+        let head = alloc.malloc(head_bytes(n)) as *mut KvHead;
+        assert!(!head.is_null(), "allocator exhausted creating kv bucket block");
+        // SAFETY: fresh block of `head_bytes(n)` bytes, exclusively owned.
         unsafe {
-            for b in &(*head).buckets {
-                b.store(0, Ordering::Relaxed);
+            (*head).buckets = n as u64;
+            std::ptr::write_bytes((head as *mut u8).add(8), 0, 8 * n);
+        }
+        alloc.persist(head as *const u8, head_bytes(n));
+        PKv::with_head(alloc, head)
+    }
+
+    fn with_head(alloc: A, head: *mut KvHead) -> PKv<A> {
+        let n = slots_of(head).len();
+        let locks = (0..n).map(|_| RwLock::new(())).collect();
+        let base = alloc.region_base();
+        PKv { alloc, base, head, locks, mask: n as u64 - 1, len: AtomicUsize::new(0) }
+    }
+
+    /// Return every entry and the bucket block to the allocator. For a map
+    /// from [`PKv::new`]; a rooted map's root would dangle.
+    pub fn destroy(self) {
+        for slot in slots_of(self.head) {
+            let mut cur = self.entry(slot.load(Ordering::Relaxed));
+            while !cur.is_null() {
+                // SAFETY: the handle is consumed, so no other operation
+                // runs; every chained entry is still allocated.
+                let next = unsafe { (*cur).next.load(Ordering::Relaxed) };
+                self.alloc.free(cur as *mut u8);
+                cur = self.entry(next);
             }
         }
-        heap.persist(head as *const u8, std::mem::size_of::<KvHead>());
-        heap.set_root::<KvHead>(root, head);
-        PKv { heap: heap.clone(), head }
+        self.alloc.free(self.head as *mut u8);
     }
 
-    /// Re-attach to a map persisted at root `root`.
-    pub fn attach(heap: &Ralloc, root: usize) -> Option<PKv> {
-        let head = heap.get_root::<KvHead>(root);
-        if head.is_null() {
-            return None;
-        }
-        Some(PKv { heap: heap.clone(), head })
-    }
-
-    #[inline]
-    fn bucket(&self, i: usize) -> &AtomicU64 {
-        // SAFETY: head block is live for the map's lifetime.
-        unsafe { &(*self.head).buckets[i] }
-    }
-
-    #[inline]
-    fn to_addr(&self, off: u64) -> usize {
-        self.heap.region_base() + off as usize
-    }
-
-    /// Find the entry for `key` in its chain (including tombstoned ones —
-    /// the entry is the key's permanent home once linked).
-    fn find(&self, key: u64) -> Option<*mut KvEntry> {
-        let mut cur1 = self.bucket(bucket_of(key)).load(Ordering::Acquire);
-        while let Some(off) = cur1.checked_sub(1) {
-            let e = self.to_addr(off) as *mut KvEntry;
-            // SAFETY: published entries are immutable in key/next.
-            let (k, next) = unsafe { ((*e).key, (*e).next) };
-            if k == key {
-                return Some(e);
-            }
-            cur1 = next;
-        }
-        None
-    }
-
-    /// Insert or update `key → value`. Lock-free. Returns false only on
-    /// heap exhaustion. `value` must not be `u64::MAX` (tombstone).
-    pub fn insert(&self, key: u64, value: u64) -> bool {
-        assert!(value != TOMBSTONE, "u64::MAX is the tombstone value");
-        loop {
-            if let Some(e) = self.find(key) {
-                // SAFETY: entry is live; value is the mutable word.
-                let v = unsafe { &(*e).value };
-                v.store(value, Ordering::Release);
-                self.heap.persist(v as *const AtomicU64 as *const u8, 8);
-                return true;
-            }
-            // No entry: publish a fresh one at the chain head.
-            let bucket = self.bucket(bucket_of(key));
-            let head1 = bucket.load(Ordering::Acquire);
-            let e = self.heap.malloc(std::mem::size_of::<KvEntry>()) as *mut KvEntry;
-            if e.is_null() {
-                return false;
-            }
-            // SAFETY: we own the unpublished entry.
-            unsafe {
-                (*e).key = key;
-                (*e).value = AtomicU64::new(value);
-                (*e).next = head1;
-            }
-            self.heap.persist(e as *const u8, std::mem::size_of::<KvEntry>());
-            let e_off1 = (e as usize - self.heap.region_base()) as u64 + 1;
-            if bucket
-                .compare_exchange(head1, e_off1, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                self.heap.persist(bucket as *const AtomicU64 as *const u8, 8);
-                return true;
-            }
-            // Lost the race: another thread changed the chain (possibly
-            // inserting this very key). Unpublish ours and retry from
-            // the find.
-            self.heap.free(e as *mut u8);
-        }
-    }
-
-    /// Read the value for `key`.
-    pub fn get(&self, key: u64) -> Option<u64> {
-        let e = self.find(key)?;
-        // SAFETY: entry is live.
-        let v = unsafe { (*e).value.load(Ordering::Acquire) };
-        (v != TOMBSTONE).then_some(v)
-    }
-
-    /// Logically remove `key`, returning the previous value. The entry
-    /// stays linked as a tombstone (chains never unlink — that is what
-    /// keeps publication single-word).
-    pub fn remove(&self, key: u64) -> Option<u64> {
-        let e = self.find(key)?;
-        // SAFETY: entry is live.
-        let v = unsafe { &(*e).value };
-        let prev = v.swap(TOMBSTONE, Ordering::AcqRel);
-        self.heap.persist(v as *const AtomicU64 as *const u8, 8);
-        (prev != TOMBSTONE).then_some(prev)
-    }
-
-    /// Number of live (non-tombstoned) keys (O(n); offline use).
+    /// Number of keys stored.
     pub fn len(&self) -> usize {
-        self.snapshot().len()
+        self.len.load(Ordering::Relaxed)
     }
 
-    /// True if no live keys exist.
+    /// True if empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Snapshot all live `(key, value)` pairs, unordered (offline use).
-    pub fn snapshot(&self) -> Vec<(u64, u64)> {
+    /// The entry a link names (null for 0).
+    #[inline]
+    fn entry(&self, link: u64) -> *mut KvEntry {
+        match link.checked_sub(1) {
+            Some(off) => (self.base + off as usize) as *mut KvEntry,
+            None => std::ptr::null_mut(),
+        }
+    }
+
+    /// A bucket's lock and its slot.
+    #[inline]
+    fn bucket(&self, key: u64) -> (&RwLock<()>, &AtomicU64) {
+        let i = (hash(key) & self.mask) as usize;
+        (&self.locks[i], &slots_of(self.head)[i])
+    }
+
+    /// The link that names `key`'s entry, and the entry (null if absent).
+    /// The caller holds the bucket's lock.
+    fn find<'a>(&self, slot: &'a AtomicU64, key: u64) -> (&'a AtomicU64, *mut KvEntry) {
+        let mut link = slot;
+        loop {
+            let e = self.entry(link.load(Ordering::Acquire));
+            // SAFETY: a chained entry stays allocated while the bucket
+            // lock is held.
+            if e.is_null() || unsafe { (*e).key } == key {
+                return (link, e);
+            }
+            // SAFETY: as above; the reference lives as long as the lock.
+            link = unsafe { &(*e).next };
+        }
+    }
+
+    /// Store `to` into `link` and persist it: the one write of every
+    /// mutation.
+    #[inline]
+    fn publish(&self, link: &AtomicU64, to: u64) {
+        link.store(to, Ordering::Release);
+        self.alloc.persist(link as *const AtomicU64 as *const u8, 8);
+    }
+
+    /// Insert or replace; returns true if the key was new. The new entry
+    /// is persisted, then linked where the old one was (or at the chain's
+    /// head), and the old one is freed after the link is persisted.
+    pub fn set(&self, key: u64, value: &[u8]) -> bool {
+        let e = self.alloc.malloc(HDR + value.len()) as *mut KvEntry;
+        assert!(!e.is_null(), "allocator exhausted in PKv::set");
+        let (lock, slot) = self.bucket(key);
+        let _w = lock.write();
+        let (link, old) = self.find(slot, key);
+        let next = if old.is_null() {
+            slot.load(Ordering::Acquire)
+        } else {
+            // SAFETY: `old` is chained and we hold the write lock.
+            unsafe { (*old).next.load(Ordering::Acquire) }
+        };
+        // SAFETY: fresh block of HDR + value.len() bytes, unpublished.
+        unsafe {
+            e.write(KvEntry { key, vlen: value.len() as u64, next: AtomicU64::new(next) });
+            std::ptr::copy_nonoverlapping(value.as_ptr(), (e as *mut u8).add(HDR), value.len());
+        }
+        self.alloc.persist(e as *const u8, HDR + value.len());
+        let e_link = (e as usize - self.base) as u64 + 1;
+        if old.is_null() {
+            self.publish(slot, e_link);
+            self.len.fetch_add(1, Ordering::Relaxed);
+            return true;
+        }
+        self.publish(link, e_link);
+        self.alloc.free(old as *mut u8);
+        false
+    }
+
+    /// Read a value into `buf` (truncated to its length); returns the
+    /// value's full length if the key is present.
+    pub fn get_into(&self, key: u64, buf: &mut [u8]) -> Option<usize> {
+        let (lock, slot) = self.bucket(key);
+        let _r = lock.read();
+        let (_, e) = self.find(slot, key);
+        if e.is_null() {
+            return None;
+        }
+        // SAFETY: a chained entry holds `vlen` value bytes and stays
+        // allocated while the read lock is held.
+        unsafe {
+            let vlen = (*e).vlen as usize;
+            let n = vlen.min(buf.len());
+            std::ptr::copy_nonoverlapping((e as *const u8).add(HDR), buf.as_mut_ptr(), n);
+            Some(vlen)
+        }
+    }
+
+    /// Read a value as an owned vector.
+    pub fn get(&self, key: u64) -> Option<Vec<u8>> {
+        let (lock, slot) = self.bucket(key);
+        let _r = lock.read();
+        let (_, e) = self.find(slot, key);
+        // SAFETY: as in `get_into`.
+        (!e.is_null()).then(|| unsafe { Self::value_of(e) })
+    }
+
+    /// Unlink `key`'s entry, free it and return its value.
+    pub fn delete(&self, key: u64) -> Option<Vec<u8>> {
+        let (lock, slot) = self.bucket(key);
+        let _w = lock.write();
+        let (link, e) = self.find(slot, key);
+        if e.is_null() {
+            return None;
+        }
+        // SAFETY: `e` is chained and we hold the write lock.
+        let (value, next) = unsafe { (Self::value_of(e), (*e).next.load(Ordering::Acquire)) };
+        self.publish(link, next);
+        self.alloc.free(e as *mut u8);
+        self.len.fetch_sub(1, Ordering::Relaxed);
+        Some(value)
+    }
+
+    /// Copy an entry's value out.
+    ///
+    /// # Safety
+    /// `e` is a chained entry, and its bucket's lock is held.
+    unsafe fn value_of(e: *const KvEntry) -> Vec<u8> {
+        // SAFETY: the caller's contract; the entry holds `vlen` bytes.
+        unsafe {
+            let n = (*e).vlen as usize;
+            std::slice::from_raw_parts((e as *const u8).add(HDR), n).to_vec()
+        }
+    }
+
+    /// Every `(key, value)` pair, unordered (offline use).
+    pub fn snapshot(&self) -> Vec<(u64, Vec<u8>)> {
         let mut out = Vec::new();
-        for i in 0..BUCKETS {
-            let mut cur1 = self.bucket(i).load(Ordering::Acquire);
-            while let Some(off) = cur1.checked_sub(1) {
-                // SAFETY: offline traversal.
-                let e = unsafe { &*(self.to_addr(off) as *const KvEntry) };
-                let v = e.value.load(Ordering::Acquire);
-                if v != TOMBSTONE {
-                    out.push((e.key, v));
+        for (i, slot) in slots_of(self.head).iter().enumerate() {
+            let _r = self.locks[i].read();
+            let mut e = self.entry(slot.load(Ordering::Acquire));
+            while !e.is_null() {
+                // SAFETY: chained entries, read under the bucket lock.
+                unsafe {
+                    out.push(((*e).key, Self::value_of(e)));
+                    e = self.entry((*e).next.load(Ordering::Acquire));
                 }
-                cur1 = e.next;
             }
         }
         out
     }
 }
 
+impl PKv<Ralloc> {
+    /// Create a fresh map on `heap` with `buckets` buckets whose bucket
+    /// block is registered as root `root`.
+    pub fn create(heap: &Ralloc, root: usize, buckets: usize) -> PKv {
+        let m = PKv::new(heap.clone(), buckets);
+        heap.set_root::<KvHead>(root, m.head);
+        m
+    }
+
+    /// Re-attach to a map persisted at root `root` (offline — the caller
+    /// owns the quiescent post-recovery heap). Refuses a missing root and
+    /// a bucket count that is not a power of two or that the head block
+    /// cannot hold.
+    pub fn attach(heap: &Ralloc, root: usize) -> Result<PKv, String> {
+        let head = heap.get_root::<KvHead>(root);
+        if head.is_null() {
+            return Err(format!("no kv bucket block at root {root}"));
+        }
+        // SAFETY: a registered root is a live block of at least 8 bytes.
+        let n = unsafe { (*head).buckets };
+        let room = heap.usable_size(head as *mut u8).saturating_sub(8) as u64 / 8;
+        if !n.is_power_of_two() || n > room {
+            return Err(format!("corrupt kv bucket block: {n} buckets"));
+        }
+        let m = PKv::with_head(heap.clone(), head);
+        m.len.store(m.snapshot().len(), Ordering::Relaxed);
+        Ok(m)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use baselines::SystemAlloc;
     use ralloc::RallocConfig;
 
     fn heap() -> Ralloc {
@@ -234,28 +351,112 @@ mod tests {
     }
 
     #[test]
+    fn set_get_delete() {
+        let kv = PKv::new(SystemAlloc::new(), 64);
+        assert!(kv.set(1, b"hello"));
+        assert!(!kv.set(1, b"world"), "update is not an insert");
+        assert_eq!(kv.get(1).as_deref(), Some(&b"world"[..]));
+        assert_eq!(kv.delete(1).as_deref(), Some(&b"world"[..]));
+        assert_eq!(kv.delete(1), None);
+        assert_eq!(kv.get(1), None);
+        kv.destroy();
+    }
+
+    #[test]
+    fn different_size_update_reallocates() {
+        let kv = PKv::new(Ralloc::create(8 << 20, RallocConfig::default()), 64);
+        kv.set(9, &[7u8; 100]);
+        kv.set(9, &[8u8; 400]); // forces replacement
+        assert_eq!(kv.get(9).unwrap(), vec![8u8; 400]);
+        kv.set(9, &[9u8; 16]);
+        assert_eq!(kv.get(9).unwrap(), vec![9u8; 16]);
+        assert_eq!(kv.len(), 1);
+        kv.destroy();
+    }
+
+    #[test]
+    fn get_into_reports_full_length() {
+        let kv = PKv::new(SystemAlloc::new(), 64);
+        kv.set(5, &[3u8; 64]);
+        let mut buf = [0u8; 16];
+        assert_eq!(kv.get_into(5, &mut buf), Some(64));
+        assert_eq!(buf, [3u8; 16]);
+        assert_eq!(kv.get_into(6, &mut buf), None);
+        kv.destroy();
+    }
+
+    #[test]
+    fn many_keys_chain_correctly() {
+        let kv = PKv::new(SystemAlloc::new(), 16); // force chains
+        for k in 0..2000u64 {
+            kv.set(k, &k.to_le_bytes());
+        }
+        assert_eq!(kv.len(), 2000);
+        for k in 0..2000u64 {
+            assert_eq!(kv.get(k).unwrap(), k.to_le_bytes());
+        }
+        for k in (0..2000u64).step_by(2) {
+            assert!(kv.delete(k).is_some());
+        }
+        assert_eq!(kv.len(), 1000);
+        for k in 0..2000u64 {
+            assert_eq!(kv.get(k).is_some(), k % 2 == 1);
+        }
+        kv.destroy();
+    }
+
+    #[test]
+    fn concurrent_disjoint_writers_and_readers() {
+        let kv = PKv::new(Ralloc::create(64 << 20, RallocConfig::default()), 1024);
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let kv = &kv;
+                s.spawn(move || {
+                    for i in 0..5000u64 {
+                        let k = t * 5000 + i;
+                        kv.set(k, &k.to_le_bytes());
+                    }
+                });
+            }
+        });
+        assert_eq!(kv.len(), 20_000);
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let kv = &kv;
+                s.spawn(move || {
+                    for i in 0..5000u64 {
+                        let k = t * 5000 + i;
+                        assert_eq!(kv.get(k).unwrap(), k.to_le_bytes());
+                    }
+                });
+            }
+        });
+        kv.destroy();
+    }
+
+    #[test]
     fn basic_map_semantics() {
         let h = heap();
-        let m = PKv::create(&h, 0);
+        let m = PKv::create(&h, 0, 512);
         assert_eq!(m.get(1), None);
-        m.insert(1, 10);
-        m.insert(2, 20);
-        assert_eq!(m.get(1), Some(10));
-        m.insert(1, 11);
-        assert_eq!(m.get(1), Some(11));
-        assert_eq!(m.remove(1), Some(11));
+        m.set(1, &10u64.to_le_bytes());
+        m.set(2, &20u64.to_le_bytes());
+        assert_eq!(m.get(1).unwrap(), 10u64.to_le_bytes());
+        m.set(1, &11u64.to_le_bytes());
+        assert_eq!(m.get(1).unwrap(), 11u64.to_le_bytes());
+        assert_eq!(m.delete(1).unwrap(), 11u64.to_le_bytes());
         assert_eq!(m.get(1), None);
-        assert_eq!(m.remove(1), None);
-        // Re-insert over a tombstone.
-        m.insert(1, 12);
-        assert_eq!(m.get(1), Some(12));
+        assert_eq!(m.delete(1), None);
+        // Re-insert after a delete; u64::MAX is an ordinary value.
+        m.set(1, &u64::MAX.to_le_bytes());
+        assert_eq!(m.get(1).unwrap(), u64::MAX.to_le_bytes());
         assert_eq!(m.len(), 2);
     }
 
     #[test]
     fn concurrent_disjoint_keys() {
         let h = Ralloc::create(64 << 20, RallocConfig::default());
-        let m = PKv::create(&h, 0);
+        let m = PKv::create(&h, 0, 512);
         let n_threads = 8u64;
         let per = 2000u64;
         std::thread::scope(|sc| {
@@ -264,9 +465,9 @@ mod tests {
                 sc.spawn(move || {
                     for i in 0..per {
                         let k = t * per + i;
-                        assert!(m.insert(k, k * 2));
+                        m.set(k, &(k * 2).to_le_bytes());
                         if i % 3 == 0 {
-                            m.remove(k);
+                            m.delete(k);
                         }
                     }
                 });
@@ -275,7 +476,7 @@ mod tests {
         for t in 0..n_threads {
             for i in 0..per {
                 let k = t * per + i;
-                let expect = (i % 3 != 0).then_some(k * 2);
+                let expect = (i % 3 != 0).then(|| (k * 2).to_le_bytes().to_vec());
                 assert_eq!(m.get(k), expect, "key {k}");
             }
         }
@@ -284,53 +485,54 @@ mod tests {
     #[test]
     fn racing_inserts_on_one_key_keep_one_entry() {
         let h = Ralloc::create(64 << 20, RallocConfig::default());
-        let m = PKv::create(&h, 0);
+        let m = PKv::create(&h, 0, 512);
         std::thread::scope(|sc| {
             for t in 0..8u64 {
                 let m = &m;
                 sc.spawn(move || {
                     for _ in 0..500 {
-                        m.insert(42, t + 1);
+                        m.set(42, &(t + 1).to_le_bytes());
                     }
                 });
             }
         });
-        let v = m.get(42).expect("key present");
+        let v = u64::from_le_bytes(m.get(42).expect("key present").try_into().unwrap());
         assert!((1..=8).contains(&v));
         assert_eq!(m.snapshot().iter().filter(|(k, _)| *k == 42).count(), 1);
+        assert_eq!(m.len(), 1);
     }
 
     #[test]
     fn survives_crash_and_recovery() {
         let h = heap();
-        let m = PKv::create(&h, 0);
-        for k in 0..200 {
-            m.insert(k, k + 1000);
+        let m = PKv::create(&h, 0, 512);
+        for k in 0..200u64 {
+            m.set(k, &(k + 1000).to_le_bytes());
         }
         for k in 0..50 {
-            m.remove(k);
+            m.delete(k);
         }
         h.crash_simulated();
         let stats = h.recover();
-        // Bucket block + 200 entries (tombstones stay linked).
-        assert_eq!(stats.reachable_blocks, 201);
+        // Bucket block + 150 entries (a delete frees its entry).
+        assert_eq!(stats.reachable_blocks, 151);
         let m = PKv::attach(&h, 0).unwrap();
         assert_eq!(m.len(), 150);
-        for k in 0..200 {
-            let expect = (k >= 50).then_some(k + 1000);
+        for k in 0..200u64 {
+            let expect = (k >= 50).then(|| (k + 1000).to_le_bytes().to_vec());
             assert_eq!(m.get(k), expect);
         }
         // Still operational.
-        m.insert(7, 7);
-        assert_eq!(m.get(7), Some(7));
+        m.set(7, &7u64.to_le_bytes());
+        assert_eq!(m.get(7).unwrap(), 7u64.to_le_bytes());
     }
 
     #[test]
     fn position_independent_across_remap() {
         let h = heap();
-        let m = PKv::create(&h, 0);
-        for k in 0..64 {
-            m.insert(k, k * k);
+        let m = PKv::create(&h, 0, 512);
+        for k in 0..64u64 {
+            m.set(k, &(k * k).to_le_bytes());
         }
         let image = h.pool().persistent_image();
         drop((m, h));
@@ -340,6 +542,19 @@ mod tests {
         h2.recover();
         let m2 = PKv::attach(&h2, 0).unwrap();
         assert_eq!(m2.len(), 64);
-        assert_eq!(m2.get(9), Some(81));
+        assert_eq!(m2.get(9).unwrap(), 81u64.to_le_bytes());
+    }
+
+    #[test]
+    fn attach_refuses_a_count_the_block_cannot_hold() {
+        let h = heap();
+        let m = PKv::create(&h, 0, 16);
+        // SAFETY: quiescent; the head block is live.
+        unsafe { (*m.head).buckets = 1 << 20 };
+        let err = PKv::attach(&h, 0).err().expect("a 16-slot block cannot hold 2^20 buckets");
+        assert!(err.contains("corrupt kv bucket block"), "{err}");
+        // SAFETY: as above.
+        unsafe { (*m.head).buckets = 12 };
+        assert!(PKv::attach(&h, 0).is_err(), "12 is not a power of two");
     }
 }

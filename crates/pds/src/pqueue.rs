@@ -1,20 +1,53 @@
-//! A recoverable Michael–Scott queue.
+//! A recoverable Michael–Scott queue (PODC'96), generic over the
+//! allocator: Prod-con (paper Fig. 5d) runs it on every allocator, and
+//! the kill harness (`crates/crashtest`) runs it on a Ralloc heap.
 //!
-//! [`MsQueue`] is the *transient* MS queue the allocator-comparison
-//! figures run on (absolute pointers, DRAM free list). This is its
-//! **recoverable** counterpart, built exactly like [`crate::PStack`]:
-//! head/tail cell and nodes all live in a Ralloc heap, every link is a
-//! superblock-region offset packed with a 16-bit ABA counter, and a
-//! [`ralloc::Trace`] filter makes recovery tracing precise. The structure
-//! is position-independent and survives crash + GC recovery.
+//! The anchor cell and the nodes live in the allocator's memory. Every
+//! link is `address − region_base() + 1` packed with a 16-bit ABA
+//! counter: on a Ralloc heap a superblock-region offset, so the queue is
+//! position-independent and a [`ralloc::Trace`] filter traces it
+//! precisely. A dequeued node goes to the queue's own free chain, never
+//! back to the allocator, so reading a dequeued node's `next` is safe on
+//! any allocator; [`PQueue::destroy`] returns every node.
 //!
-//! Persistence discipline (durable linearizability, the app-side
-//! obligation of paper §2.2): an enqueue persists the node, links it with
-//! a CAS on the predecessor's `next`, persists that link, and only then
-//! swings (and persists) the tail hint; a dequeue persists the head after
-//! swinging it. The tail is a *hint* exactly as in the volatile MS queue
-//! — [`PQueue::attach`] re-derives it from the (authoritative) chain, so
-//! a crash between link and tail-swing loses nothing.
+//! Durable linearizability is the application's obligation (paper §2.2).
+//! An enqueue persists the node, links it with a CAS on the predecessor's
+//! `next`, persists that link, and only then swings (and persists) the
+//! tail hint; a dequeue persists the head after swinging it.
+//! [`PQueue::attach`] re-derives the tail from the chain.
+//!
+//! **An acked enqueue's value is reachable from the head after a crash.**
+//! The harness acks an op after the call returns.
+//! * *SIGKILL* (`crashtest`'s `MAP_SHARED` pool file): every executed
+//!   store is in the file, persisted or not, so the image is the volatile
+//!   queue at the kill. The enqueue's CAS linked its node into the chain
+//!   from the head, and the head moves only along `next`, past a node only
+//!   by the dequeue that returns its value.
+//! * *Power failure* (`Mode::Tracked`: only persisted lines survive): every
+//!   link from the durable head to the node must be durable too. The
+//!   node and its own link are persisted before `enqueue` returns, and a
+//!   predecessor's incoming link is persisted before the tail reaches the
+//!   predecessor, by its own enqueuer or by `enqueue`'s lagging-tail help.
+//!   **This does not close:** `dequeue`'s help, which swings the tail off
+//!   the dummy it is about to retire, persists nothing, so an enqueuer can
+//!   link behind the new tail and return while the dummy's `next` waits
+//!   for its own, still running, enqueuer's persist.
+//!
+//! **No node on the untraced free chain holds a live value.** Only the
+//! dequeuer whose head CAS moved past a node retires it; its value was
+//! returned when it became the dummy. The head never reaches it again
+//! (the durable head is persisted past it before the retire), the tail
+//! cannot point at it (`dequeue` helps the tail off the dummy before
+//! that CAS), a stale CAS on its `next` fails on the counter, and a
+//! popped node is rewritten and persisted before it is linked again. So
+//! recovery may free the chain, and [`PQueue::attach`] empties it.
+//!
+//! **The filters must be registered before recovery.** Links are packed
+//! offsets, not tagged [`ralloc::Pptr`]s, so a conservative scan of the
+//! anchor finds no reference: without the [`QueueHead`] filter every node
+//! is swept as free, and the next mallocs overwrite the values. Hence
+//! `crashtest::register_filters` calls `get_root::<QueueHead>` before
+//! `recover`, as any caller must.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -34,23 +67,16 @@ fn unpack(word: u64) -> (u64, u64) {
     (word & OFF_MASK, word >> OFF_BITS)
 }
 
-/// Queue anchor cell: lives in the heap, registered as a persistent root.
-/// All three words are {counter:16 | node region-offset + 1:48}; the head
-/// always points at the current dummy node.
-///
-/// `free` is the queue's private node free list (a counted Treiber
-/// stack). Retired dummies go here instead of back to `heap.free`,
-/// keeping every node **type-stable**: a concurrent enqueuer racing a
-/// dequeue may still CAS the retired node's `next`, which is only safe
-/// because the memory remains a `QueueNode` whose counters keep
-/// advancing (the standard MS-queue reclamation discipline, same as the
-/// transient [`crate::MsQueue`]).
-///
-/// The free chain is **transient**: its two-word publish (node link +
-/// list head) cannot be made crash-atomic, so it is deliberately not
-/// traced and [`PQueue::attach`] resets it. After a crash, recovery
-/// reclaims the retired nodes as unreachable; after a clean restart they
-/// leak only until the next recovery sweeps them.
+/// Queue anchor cell: lives in the allocator's memory, registered as a
+/// persistent root by [`PQueue::create`]. All three words are
+/// {counter:16 | node offset + 1:48}; the head always points at the
+/// current dummy node. `free` heads the queue's private free chain (a
+/// counted Treiber stack), which keeps every node **type-stable**: a
+/// racing enqueuer may still CAS a retired node's `next`, safe only
+/// because the memory stays a `QueueNode` whose counter keeps advancing.
+/// The chain is transient: its two-word publish (node link + list head)
+/// cannot be crash-atomic, so it is not traced and [`PQueue::attach`]
+/// resets it (a clean restart leaks it until the next recovery).
 #[repr(C)]
 pub struct QueueHead {
     head: AtomicU64,
@@ -66,13 +92,10 @@ pub struct QueueNode {
     next: AtomicU64,
 }
 
+// SAFETY: the chain from the dummy (head) covers every live node and
+// whatever the tail hint names; the free chain holds no live value.
 unsafe impl Trace for QueueHead {
     fn trace(&self, t: &mut Tracer<'_>) {
-        // The chain from the dummy (head) covers every live node,
-        // including everything the tail hint could reference. The free
-        // chain is intentionally NOT traced: its links are never
-        // persisted, so after a crash they are garbage — recovery
-        // reclaims retirees instead, and `attach` resets the list.
         let (off1, _) = unpack(self.head.load(Ordering::Relaxed));
         if let Some(off) = off1.checked_sub(1) {
             t.visit_region_offset::<QueueNode>(off);
@@ -80,6 +103,7 @@ unsafe impl Trace for QueueHead {
     }
 }
 
+// SAFETY: `next` is a node's only link.
 unsafe impl Trace for QueueNode {
     fn trace(&self, t: &mut Tracer<'_>) {
         let (off1, _) = unpack(self.next.load(Ordering::Relaxed));
@@ -89,25 +113,35 @@ unsafe impl Trace for QueueNode {
     }
 }
 
-/// A persistent, recoverable, lock-free FIFO queue of `u64`s on a Ralloc
-/// heap.
-pub struct PQueue {
-    heap: Ralloc,
+/// A persistent, lock-free FIFO queue of `u64`s over allocator `A`,
+/// recoverable when `A` is a Ralloc heap.
+///
+/// There is no `Drop`: a rooted queue must outlive its handle. A queue
+/// built by [`PQueue::new`] is returned to its allocator by
+/// [`PQueue::destroy`].
+pub struct PQueue<A: PersistentAllocator = Ralloc> {
+    alloc: A,
+    /// `alloc.region_base()`, read once: the base of every link.
+    base: usize,
     anchor: *mut QueueHead,
 }
 
-// SAFETY: all shared mutation goes through atomics in the heap.
-unsafe impl Send for PQueue {}
-unsafe impl Sync for PQueue {}
+// SAFETY: all shared mutation goes through atomics in the anchor and the
+// nodes, which stay allocated (type-stable) while the handle lives.
+unsafe impl<A: PersistentAllocator> Send for PQueue<A> {}
+// SAFETY: as above.
+unsafe impl<A: PersistentAllocator> Sync for PQueue<A> {}
 
-impl PQueue {
-    /// Create a fresh queue whose anchor is registered as root `root`.
-    pub fn create(heap: &Ralloc, root: usize) -> PQueue {
-        let dummy = heap.malloc(std::mem::size_of::<QueueNode>()) as *mut QueueNode;
-        assert!(!dummy.is_null(), "heap exhausted creating queue dummy");
-        let anchor = heap.malloc(std::mem::size_of::<QueueHead>()) as *mut QueueHead;
-        assert!(!anchor.is_null(), "heap exhausted creating queue anchor");
-        let dummy_off1 = (dummy as usize - heap.region_base()) as u64 + 1;
+impl<A: PersistentAllocator> PQueue<A> {
+    /// Build an unrooted queue, its dummy node drawn from `alloc` and
+    /// persisted.
+    pub fn new(alloc: A) -> PQueue<A> {
+        let dummy = alloc.malloc(std::mem::size_of::<QueueNode>()) as *mut QueueNode;
+        assert!(!dummy.is_null(), "allocator exhausted creating queue dummy");
+        let anchor = alloc.malloc(std::mem::size_of::<QueueHead>()) as *mut QueueHead;
+        assert!(!anchor.is_null(), "allocator exhausted creating queue anchor");
+        let base = alloc.region_base();
+        let dummy_off1 = (dummy as usize - base) as u64 + 1;
         // SAFETY: fresh blocks, exclusively owned.
         unsafe {
             (*dummy).value = 0;
@@ -116,49 +150,26 @@ impl PQueue {
             (*anchor).tail = AtomicU64::new(pack(dummy_off1, 0));
             (*anchor).free = AtomicU64::new(pack(0, 0));
         }
-        heap.persist(dummy as *const u8, std::mem::size_of::<QueueNode>());
-        heap.persist(anchor as *const u8, std::mem::size_of::<QueueHead>());
-        heap.set_root::<QueueHead>(root, anchor);
-        PQueue { heap: heap.clone(), anchor }
+        alloc.persist(dummy as *const u8, std::mem::size_of::<QueueNode>());
+        PQueue { alloc, base, anchor }
     }
 
-    /// Re-attach to a queue persisted at root `root`, healing the tail
-    /// hint from the chain (offline — the caller owns the quiescent
-    /// post-recovery heap).
-    pub fn attach(heap: &Ralloc, root: usize) -> Option<PQueue> {
-        let anchor = heap.get_root::<QueueHead>(root);
-        if anchor.is_null() {
-            return None;
-        }
-        let q = PQueue { heap: heap.clone(), anchor };
-        // Walk from head to the last node and point the tail at it: a
-        // crash may have left the hint arbitrarily stale (never ahead of
-        // the chain, because a tail CAS only installs an already-linked
-        // node).
-        let (mut cur1, _) = unpack(q.head_word().load(Ordering::Acquire));
-        let mut last1 = cur1;
-        while let Some(off) = cur1.checked_sub(1) {
-            last1 = cur1;
-            // SAFETY: offline traversal of a quiescent queue.
-            cur1 = unpack(unsafe {
-                (*(q.to_addr(off) as *const QueueNode)).next.load(Ordering::Acquire)
-            })
-            .0;
-        }
-        let (t_off1, t_ctr) = unpack(q.tail_word().load(Ordering::Acquire));
-        if t_off1 != last1 {
-            q.tail_word().store(pack(last1, (t_ctr + 1) & 0xFFFF), Ordering::Release);
-            heap.persist(
-                unsafe { std::ptr::addr_of!((*q.anchor).tail) } as *const u8,
-                8,
-            );
-        }
-        // The free list is transient (see `QueueHead`): whatever the
-        // word says now is a stale snapshot whose chain recovery has
-        // already reclaimed. Reset, preserving the counter.
-        let (_, f_ctr) = unpack(q.free_word().load(Ordering::Acquire));
-        q.free_word().store(pack(0, (f_ctr + 1) & 0xFFFF), Ordering::Release);
-        Some(q)
+    /// Return every node — queued, dummy and free-listed — and the anchor
+    /// to the allocator. For a queue from [`PQueue::new`]; a rooted
+    /// queue's root would dangle.
+    pub fn destroy(self) {
+        let release = |mut cur1: u64| {
+            while let Some(off) = cur1.checked_sub(1) {
+                let node = self.to_addr(off) as *mut QueueNode;
+                // SAFETY: the handle is consumed, so no other operation
+                // runs; every node on either chain is still allocated.
+                cur1 = unpack(unsafe { (*node).next.load(Ordering::Relaxed) }).0;
+                self.alloc.free(node as *mut u8);
+            }
+        };
+        release(unpack(self.head_word().load(Ordering::Relaxed)).0);
+        release(unpack(self.free_word().load(Ordering::Relaxed)).0);
+        self.alloc.free(self.anchor as *mut u8);
     }
 
     #[inline]
@@ -181,7 +192,7 @@ impl PQueue {
 
     #[inline]
     fn to_addr(&self, off: u64) -> usize {
-        self.heap.region_base() + off as usize
+        self.base + off as usize
     }
 
     /// Pop a retired node off the free list, or malloc a fresh one. A
@@ -192,7 +203,7 @@ impl PQueue {
             let f = self.free_word().load(Ordering::Acquire);
             let (f_off1, f_ctr) = unpack(f);
             let Some(off) = f_off1.checked_sub(1) else {
-                return self.heap.malloc(std::mem::size_of::<QueueNode>()) as *mut QueueNode;
+                return self.alloc.malloc(std::mem::size_of::<QueueNode>()) as *mut QueueNode;
             };
             let node = self.to_addr(off) as *mut QueueNode;
             // SAFETY: type-stable node; the counter invalidates stale pops.
@@ -227,10 +238,11 @@ impl PQueue {
             let (f_off1, f_ctr) = unpack(f);
             // SAFETY: we own the retired node (we won the head CAS).
             let ctr = unsafe { unpack((*node).next.load(Ordering::Acquire)).1 };
+            // SAFETY: as above.
             unsafe {
                 (*node).next.store(pack(f_off1, (ctr + 1) & 0xFFFF), Ordering::Release)
             };
-            let node_off1 = (node as usize - self.heap.region_base()) as u64 + 1;
+            let node_off1 = (node as usize - self.base) as u64 + 1;
             if self
                 .free_word()
                 .compare_exchange_weak(
@@ -259,8 +271,8 @@ impl PQueue {
             let ctr = unpack((*node).next.load(Ordering::Acquire)).1;
             (*node).next.store(pack(0, ctr), Ordering::Release);
         }
-        self.heap.persist(node as *const u8, std::mem::size_of::<QueueNode>());
-        let node_off1 = (node as usize - self.heap.region_base()) as u64 + 1;
+        self.alloc.persist(node as *const u8, std::mem::size_of::<QueueNode>());
+        let node_off1 = (node as usize - self.base) as u64 + 1;
         loop {
             let t = self.tail_word().load(Ordering::Acquire);
             let (t_off1, t_ctr) = unpack(t);
@@ -283,14 +295,14 @@ impl PQueue {
                 {
                     // The link is the linearization point; make it
                     // durable before publishing the tail hint over it.
-                    self.heap.persist(next_ref as *const AtomicU64 as *const u8, 8);
+                    self.alloc.persist(next_ref as *const AtomicU64 as *const u8, 8);
                     let _ = self.tail_word().compare_exchange(
                         t,
                         pack(node_off1, (t_ctr + 1) & 0xFFFF),
                         Ordering::AcqRel,
                         Ordering::Acquire,
                     );
-                    self.heap.persist(
+                    self.alloc.persist(
                         self.tail_word() as *const AtomicU64 as *const u8,
                         8,
                     );
@@ -300,7 +312,7 @@ impl PQueue {
                 // Tail lags: persist the link we're about to publish past
                 // (it may be another thread's un-persisted CAS), then
                 // help the hint forward.
-                self.heap.persist(next_ref as *const AtomicU64 as *const u8, 8);
+                self.alloc.persist(next_ref as *const AtomicU64 as *const u8, 8);
                 let _ = self.tail_word().compare_exchange(
                     t,
                     pack(n_off1, (t_ctr + 1) & 0xFFFF),
@@ -351,27 +363,12 @@ impl PQueue {
                 )
                 .is_ok()
             {
-                self.heap
+                self.alloc
                     .persist(self.head_word() as *const AtomicU64 as *const u8, 8);
                 self.retire_node(dummy);
                 return Some(value);
             }
         }
-    }
-
-    /// Number of queued values (O(n); offline use).
-    pub fn len(&self) -> usize {
-        self.snapshot().len()
-    }
-
-    /// True if empty.
-    pub fn is_empty(&self) -> bool {
-        let (h_off1, _) = unpack(self.head_word().load(Ordering::Acquire));
-        // SAFETY: offline read of the dummy's link.
-        let n = unsafe {
-            (*(self.to_addr(h_off1 - 1) as *const QueueNode)).next.load(Ordering::Acquire)
-        };
-        unpack(n).0 == 0
     }
 
     /// Snapshot the values front-to-back (offline use).
@@ -396,9 +393,57 @@ impl PQueue {
     }
 }
 
+impl PQueue<Ralloc> {
+    /// Create a fresh queue on `heap` whose anchor is persisted and
+    /// registered as root `root`.
+    pub fn create(heap: &Ralloc, root: usize) -> PQueue {
+        let q = PQueue::new(heap.clone());
+        heap.persist(q.anchor as *const u8, std::mem::size_of::<QueueHead>());
+        heap.set_root::<QueueHead>(root, q.anchor);
+        q
+    }
+
+    /// Re-attach to a queue persisted at root `root`, healing the tail
+    /// hint from the chain (offline — the caller owns the quiescent
+    /// post-recovery heap).
+    pub fn attach(heap: &Ralloc, root: usize) -> Option<PQueue> {
+        let anchor = heap.get_root::<QueueHead>(root);
+        if anchor.is_null() {
+            return None;
+        }
+        let q = PQueue { alloc: heap.clone(), base: heap.region_base(), anchor };
+        // Walk from head to the last node and point the tail at it: a
+        // crash may have left the hint arbitrarily stale (never ahead of
+        // the chain, because a tail CAS only installs an already-linked
+        // node).
+        let (mut cur1, _) = unpack(q.head_word().load(Ordering::Acquire));
+        let mut last1 = cur1;
+        while let Some(off) = cur1.checked_sub(1) {
+            last1 = cur1;
+            // SAFETY: offline traversal of a quiescent queue.
+            cur1 = unpack(unsafe {
+                (*(q.to_addr(off) as *const QueueNode)).next.load(Ordering::Acquire)
+            })
+            .0;
+        }
+        let (t_off1, t_ctr) = unpack(q.tail_word().load(Ordering::Acquire));
+        if t_off1 != last1 {
+            q.tail_word().store(pack(last1, (t_ctr + 1) & 0xFFFF), Ordering::Release);
+            heap.persist(q.tail_word() as *const AtomicU64 as *const u8, 8);
+        }
+        // The free list is transient (see `QueueHead`): whatever the
+        // word says now is a stale snapshot whose chain recovery has
+        // already reclaimed. Reset, preserving the counter.
+        let (_, f_ctr) = unpack(q.free_word().load(Ordering::Acquire));
+        q.free_word().store(pack(0, (f_ctr + 1) & 0xFFFF), Ordering::Release);
+        Some(q)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use baselines::SystemAlloc;
     use ralloc::RallocConfig;
 
     fn heap() -> Ralloc {
@@ -406,10 +451,152 @@ mod tests {
     }
 
     #[test]
+    fn fifo_semantics_over_system_alloc() {
+        let q = PQueue::new(SystemAlloc::new());
+        assert_eq!(q.dequeue(), None);
+        q.enqueue(1);
+        q.enqueue(2);
+        q.enqueue(3);
+        assert_eq!(q.dequeue(), Some(1));
+        assert_eq!(q.dequeue(), Some(2));
+        q.enqueue(4);
+        assert_eq!(q.dequeue(), Some(3));
+        assert_eq!(q.dequeue(), Some(4));
+        assert_eq!(q.dequeue(), None);
+        q.destroy();
+    }
+
+    #[test]
+    fn works_over_ralloc() {
+        let q = PQueue::new(Ralloc::create(8 << 20, RallocConfig::default()));
+        for i in 0..10_000 {
+            assert!(q.enqueue(i));
+        }
+        for i in 0..10_000 {
+            assert_eq!(q.dequeue(), Some(i));
+        }
+        assert_eq!(q.dequeue(), None);
+        q.destroy();
+    }
+
+    #[test]
+    fn nodes_recycled_through_free_list() {
+        let q = PQueue::new(Ralloc::create(1 << 20, RallocConfig::default()));
+        // Far more operations than the pool could hold without reuse.
+        for round in 0..100_000u64 {
+            q.enqueue(round);
+            assert_eq!(q.dequeue(), Some(round));
+        }
+        q.destroy();
+    }
+
+    /// Counts live blocks, so a test can tell that `destroy` returned
+    /// every node, queued or free-listed, and the anchor.
+    struct Counting(SystemAlloc, std::sync::atomic::AtomicIsize);
+
+    impl PersistentAllocator for Counting {
+        fn malloc(&self, size: usize) -> *mut u8 {
+            self.1.fetch_add(1, Ordering::Relaxed);
+            self.0.malloc(size)
+        }
+        fn free(&self, ptr: *mut u8) {
+            self.1.fetch_sub(1, Ordering::Relaxed);
+            self.0.free(ptr)
+        }
+        fn name(&self) -> &'static str {
+            "counting"
+        }
+    }
+
+    #[test]
+    fn destroy_returns_every_block() {
+        let live = std::sync::Arc::new(Counting(SystemAlloc::new(), Default::default()));
+        let q = PQueue::new(live.clone());
+        for i in 0..1_000 {
+            q.enqueue(i);
+        }
+        for _ in 0..600 {
+            q.dequeue();
+        }
+        // 400 queued, the dummy, 600 retired, the anchor.
+        assert_eq!(live.1.load(Ordering::Relaxed), 1_002);
+        q.destroy();
+        assert_eq!(live.1.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn spsc_transfers_all_values() {
+        let q = PQueue::new(SystemAlloc::new());
+        let n = 100_000u64;
+        let got = std::thread::scope(|s| {
+            s.spawn(|| {
+                for i in 0..n {
+                    q.enqueue(i);
+                }
+            });
+            let mut got = Vec::with_capacity(n as usize);
+            while got.len() < n as usize {
+                if let Some(v) = q.dequeue() {
+                    got.push(v);
+                }
+            }
+            got
+        });
+        // FIFO per producer: strictly increasing.
+        assert!(got.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(got.len(), n as usize);
+        q.destroy();
+    }
+
+    #[test]
+    fn mpmc_conserves_elements() {
+        use std::sync::atomic::AtomicUsize;
+        let q = PQueue::new(SystemAlloc::new());
+        let producers = 4u64;
+        let per = 20_000u64;
+        let total = (producers * per) as usize;
+        let popped = AtomicUsize::new(0);
+        let consumed: Vec<Vec<u64>> = std::thread::scope(|s| {
+            for p in 0..producers {
+                let q = &q;
+                s.spawn(move || {
+                    for i in 0..per {
+                        q.enqueue(p * per + i);
+                    }
+                });
+            }
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    let (q, popped) = (&q, &popped);
+                    s.spawn(move || {
+                        let mut got = Vec::new();
+                        // Shared progress counter: consumers stop when the
+                        // group has drained everything, regardless of how
+                        // the elements were distributed among them.
+                        while popped.load(Ordering::Relaxed) < total {
+                            if let Some(v) = q.dequeue() {
+                                popped.fetch_add(1, Ordering::Relaxed);
+                                got.push(v);
+                            }
+                        }
+                        got
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let mut all: Vec<u64> = consumed.into_iter().flatten().collect();
+        all.sort_unstable();
+        all.dedup();
+        assert_eq!(all.len(), total, "duplicate or lost element");
+        q.destroy();
+    }
+
+    #[test]
     fn fifo_semantics() {
         let h = heap();
         let q = PQueue::create(&h, 0);
-        assert!(q.is_empty());
+        assert!(q.snapshot().is_empty());
         assert_eq!(q.dequeue(), None);
         q.enqueue(1);
         q.enqueue(2);
@@ -544,7 +731,7 @@ mod tests {
         let _ = h2.get_root::<QueueHead>(0);
         h2.recover();
         let q2 = PQueue::attach(&h2, 0).unwrap();
-        assert_eq!(q2.len(), 64);
+        assert_eq!(q2.snapshot().len(), 64);
         assert_eq!(q2.dequeue(), Some(0));
     }
 }

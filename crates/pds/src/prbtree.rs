@@ -46,6 +46,7 @@ struct TreeLogRec {
     next: u64,
 }
 
+// SAFETY: `head` is the anchor's only link.
 unsafe impl Trace for TreeLogHead {
     fn trace(&self, t: &mut Tracer<'_>) {
         if let Some(off) = self.head.load(Ordering::Relaxed).checked_sub(1) {
@@ -54,6 +55,7 @@ unsafe impl Trace for TreeLogHead {
     }
 }
 
+// SAFETY: `next` is a record's only link.
 unsafe impl Trace for TreeLogRec {
     fn trace(&self, t: &mut Tracer<'_>) {
         if let Some(off) = self.next.checked_sub(1) {
@@ -73,6 +75,7 @@ pub struct PRbTree {
 // SAFETY: the persistent side is append-only behind atomics; the
 // transient index is mutex-protected.
 unsafe impl Send for PRbTree {}
+// SAFETY: as above.
 unsafe impl Sync for PRbTree {}
 
 use crate::RbTree;
@@ -94,18 +97,20 @@ impl PRbTree {
     }
 
     /// Re-attach to a tree persisted at root `root`, rebuilding the
-    /// transient index by replaying the log oldest-first.
-    pub fn attach(heap: &Ralloc, root: usize) -> Option<PRbTree> {
+    /// transient index by replaying the log oldest-first. Refuses a
+    /// missing root and a record whose op is neither insert nor remove.
+    pub fn attach(heap: &Ralloc, root: usize) -> Result<PRbTree, String> {
         let anchor = heap.get_root::<TreeLogHead>(root);
         if anchor.is_null() {
-            return None;
+            return Err(format!("no tree log at root {root}"));
         }
         let base = heap.region_base();
+        let mut ops = Vec::new();
         // SAFETY: the anchor and every record reachable from it were
         // persisted before publication and retained by recovery.
-        let mut ops = Vec::new();
         let mut cur1 = unsafe { (*anchor).head.load(Ordering::Acquire) };
         while let Some(off) = cur1.checked_sub(1) {
+            // SAFETY: as above.
             let r = unsafe { &*((base + off as usize) as *const TreeLogRec) };
             ops.push((r.op, r.key, r.value));
             cur1 = r.next;
@@ -119,10 +124,10 @@ impl PRbTree {
                 OP_REMOVE => {
                     index.remove(key);
                 }
-                other => panic!("corrupt tree log: unknown op {other}"),
+                other => return Err(format!("corrupt tree log: unknown op {other}")),
             }
         }
-        Some(PRbTree { heap: heap.clone(), anchor, index: Mutex::new(index) })
+        Ok(PRbTree { heap: heap.clone(), anchor, index: Mutex::new(index) })
     }
 
     /// Append one record to the persistent log. Caller must hold the
@@ -167,11 +172,6 @@ impl PRbTree {
         self.index.lock().get(key)
     }
 
-    /// True if `key` is present.
-    pub fn contains(&self, key: u64) -> bool {
-        self.index.lock().contains(key)
-    }
-
     /// All keys in ascending order.
     pub fn keys(&self) -> Vec<u64> {
         self.index.lock().keys()
@@ -192,19 +192,6 @@ impl PRbTree {
     pub fn validate(&self) -> usize {
         self.index.lock().validate()
     }
-
-    /// Number of records currently in the persistent log (O(n)).
-    pub fn log_len(&self) -> usize {
-        let base = self.heap.region_base();
-        // SAFETY: published records are immutable.
-        let mut n = 0;
-        let mut cur1 = unsafe { (*self.anchor).head.load(Ordering::Acquire) };
-        while let Some(off) = cur1.checked_sub(1) {
-            n += 1;
-            cur1 = unsafe { (*((base + off as usize) as *const TreeLogRec)).next };
-        }
-        n
-    }
 }
 
 #[cfg(test)]
@@ -214,6 +201,20 @@ mod tests {
 
     fn heap() -> Ralloc {
         Ralloc::create(16 << 20, RallocConfig::tracked())
+    }
+
+    /// Number of records in the persistent log.
+    fn log_len(t: &PRbTree) -> usize {
+        let base = t.heap.region_base();
+        let mut n = 0;
+        // SAFETY: published records are immutable.
+        let mut cur1 = unsafe { (*t.anchor).head.load(Ordering::Acquire) };
+        while let Some(off) = cur1.checked_sub(1) {
+            n += 1;
+            // SAFETY: as above.
+            cur1 = unsafe { (*((base + off as usize) as *const TreeLogRec)).next };
+        }
+        n
     }
 
     #[test]
@@ -228,7 +229,7 @@ mod tests {
         assert_eq!(t.remove(3), Some(30));
         assert_eq!(t.remove(3), None);
         assert_eq!(t.keys(), vec![5, 8]);
-        assert_eq!(t.log_len(), 5); // the no-op remove is not logged
+        assert_eq!(log_len(&t), 5); // the no-op remove is not logged
         t.validate();
     }
 
@@ -278,7 +279,7 @@ mod tests {
         assert_eq!(stats.reachable_blocks, 181);
         let t = PRbTree::attach(&h, 0).unwrap();
         assert_eq!(t.len(), 120);
-        assert_eq!(t.log_len(), 180);
+        assert_eq!(log_len(&t), 180);
         t.validate();
         for k in 0..150 {
             let expect = (k >= 30).then_some(k * 10);

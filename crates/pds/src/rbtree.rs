@@ -61,11 +61,6 @@ impl<A: PersistentAllocator> RbTree<A> {
         self.len == 0
     }
 
-    /// Borrow the allocator.
-    pub fn allocator(&self) -> &A {
-        &self.alloc
-    }
-
     fn find(&self, key: u64) -> *mut Node {
         let mut cur = self.root;
         // SAFETY: tree-internal pointers are valid or nil.
@@ -97,6 +92,8 @@ impl<A: PersistentAllocator> RbTree<A> {
     }
 
     unsafe fn rotate_left(&mut self, x: *mut Node) {
+        // SAFETY: the caller passes nodes of this tree or `nil`, all
+        // allocated while the tree lives.
         unsafe {
             let y = (*x).right;
             (*x).right = (*y).left;
@@ -117,6 +114,8 @@ impl<A: PersistentAllocator> RbTree<A> {
     }
 
     unsafe fn rotate_right(&mut self, x: *mut Node) {
+        // SAFETY: the caller passes nodes of this tree or `nil`, all
+        // allocated while the tree lives.
         unsafe {
             let y = (*x).left;
             (*x).left = (*y).right;
@@ -176,6 +175,8 @@ impl<A: PersistentAllocator> RbTree<A> {
     }
 
     unsafe fn insert_fixup(&mut self, mut z: *mut Node) {
+        // SAFETY: the caller passes nodes of this tree or `nil`, all
+        // allocated while the tree lives.
         unsafe {
             while (*(*z).parent).color == RED {
                 let gp = (*(*z).parent).parent;
@@ -218,6 +219,8 @@ impl<A: PersistentAllocator> RbTree<A> {
     }
 
     unsafe fn transplant(&mut self, u: *mut Node, v: *mut Node) {
+        // SAFETY: the caller passes nodes of this tree or `nil`, all
+        // allocated while the tree lives.
         unsafe {
             if (*u).parent == self.nil {
                 self.root = v;
@@ -277,6 +280,8 @@ impl<A: PersistentAllocator> RbTree<A> {
     }
 
     unsafe fn remove_fixup(&mut self, mut x: *mut Node) {
+        // SAFETY: the caller passes nodes of this tree or `nil`, all
+        // allocated while the tree lives.
         unsafe {
             while x != self.root && (*x).color == BLACK {
                 if x == (*(*x).parent).left {
@@ -364,6 +369,8 @@ impl<A: PersistentAllocator> RbTree<A> {
     }
 
     unsafe fn validate_node(&self, n: *mut Node, lo: u64, hi: u64) -> usize {
+        // SAFETY: the caller passes nodes of this tree or `nil`, all
+        // allocated while the tree lives.
         unsafe {
             if n == self.nil {
                 return 1;

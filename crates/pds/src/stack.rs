@@ -48,6 +48,7 @@ pub struct StackNode {
     next: u64,
 }
 
+// SAFETY: `head` is the cell's only link.
 unsafe impl Trace for StackHead {
     fn trace(&self, t: &mut Tracer<'_>) {
         let (off1, _) = unpack(self.head.load(Ordering::Relaxed));
@@ -57,6 +58,7 @@ unsafe impl Trace for StackHead {
     }
 }
 
+// SAFETY: `next` is a node's only link.
 unsafe impl Trace for StackNode {
     fn trace(&self, t: &mut Tracer<'_>) {
         if let Some(off) = self.next.checked_sub(1) {
@@ -73,6 +75,7 @@ pub struct PStack {
 
 // SAFETY: all shared mutation goes through atomics in the heap.
 unsafe impl Send for PStack {}
+// SAFETY: as above.
 unsafe impl Sync for PStack {}
 
 impl PStack {

@@ -5,10 +5,16 @@
 //! consumer dequeues and deallocates. Every block therefore crosses a
 //! thread boundary before being freed. The paper allocates 10⁷·2/t
 //! objects per pair; `scale` shrinks that. Metric: wall-clock time.
+//!
+//! The queue is [`PQueue`], the one the kill harness crash-tests: its
+//! anchor and nodes come from the allocator under test, and it persists
+//! each node, link and head as the paper's §2.2 asks of the application.
+//! A persist costs what the allocator's `persist` costs: a flush and a
+//! fence on the four pool-backed allocators, nothing on `system`.
 
 use std::time::{Duration, Instant};
 
-use pds::MsQueue;
+use pds::PQueue;
 use ralloc::PersistentAllocator;
 
 use crate::DynAlloc;
@@ -38,13 +44,12 @@ impl Params {
 pub fn run(alloc: &DynAlloc, p: Params) -> Duration {
     let pairs = (p.threads / 2).max(1);
     let start = Instant::now();
+    let queues: Vec<PQueue<DynAlloc>> = (0..pairs).map(|_| PQueue::new(alloc.clone())).collect();
     std::thread::scope(|s| {
-        for pair in 0..pairs {
-            let queue = std::sync::Arc::new(MsQueue::new(alloc.clone()));
+        for (pair, queue) in queues.iter().enumerate() {
             let n = p.objects_per_pair;
             // Producer
             {
-                let queue = queue.clone();
                 let alloc = alloc.clone();
                 s.spawn(move || {
                     for i in 0..n {
@@ -81,6 +86,9 @@ pub fn run(alloc: &DynAlloc, p: Params) -> Duration {
             }
         }
     });
+    for queue in queues {
+        queue.destroy();
+    }
     start.elapsed()
 }
 

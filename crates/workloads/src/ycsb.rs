@@ -3,15 +3,22 @@
 //! The paper converts memcached into a library and drives it with the
 //! Yahoo! Cloud Serving Benchmark: workload A (50% reads / 50% updates,
 //! Fig. 5f) and workload B (95/5, discussed in §6.3 text). Keys follow
-//! the YCSB zipfian distribution; updates rewrite the whole value and —
-//! as in real memcached item replacement — allocate a fresh item when
-//! the size changes, which our driver forces by cycling value sizes.
-//! Metric: throughput (Kops/s, higher is better).
+//! the YCSB zipfian distribution; an update rewrites the whole value and,
+//! as memcached's item replacement does, allocates a fresh item and frees
+//! the old one. The run phase cycles value sizes, so items change size
+//! class too. Metric: throughput (Kops/s, higher is better).
+//!
+//! The store is [`PKv`], the map the kill harness crash-tests: its
+//! bucket block and items come from the allocator under test, and it
+//! persists each item before linking it and each link before freeing the
+//! item it replaced, as the paper's §2.2 asks of the application. A
+//! persist costs what the allocator's `persist` costs: a flush and a
+//! fence on the four pool-backed allocators, nothing on `system`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use pds::KvStore;
+use pds::PKv;
 use rand::prelude::*;
 
 use crate::zipf::Zipf;
@@ -52,7 +59,7 @@ impl Params {
 
 /// Run YCSB; returns throughput in Kops/s.
 pub fn run(alloc: &DynAlloc, p: Params) -> f64 {
-    let kv = KvStore::new(alloc.clone(), (p.records * 2).next_power_of_two());
+    let kv = PKv::new(alloc.clone(), (p.records * 2).next_power_of_two());
     // Load phase.
     let value = vec![0xABu8; p.value_size];
     for k in 0..p.records as u64 {
@@ -77,8 +84,7 @@ pub fn run(alloc: &DynAlloc, p: Params) -> f64 {
                         let hit = kv.get_into(key, &mut buf);
                         debug_assert!(hit.is_some());
                     } else {
-                        // Cycle sizes so replacement reallocates, as
-                        // memcached's item store does.
+                        // Cycle sizes so replacements change size class.
                         let sz = p.value_size + (i % 3) * 8;
                         kv.set(key, &buf[..sz]);
                     }
@@ -89,6 +95,7 @@ pub fn run(alloc: &DynAlloc, p: Params) -> f64 {
         }
     });
     let elapsed = start.elapsed();
+    kv.destroy();
     done.load(Ordering::Relaxed) as f64 / elapsed.as_secs_f64() / 1_000.0
 }
 

@@ -14,7 +14,7 @@
 use std::time::{Duration, Instant};
 
 use nvm::FlushModel;
-use pds::KvStore;
+use pds::PKv;
 use ralloc::{telemetry::Histogram, Ralloc, RallocConfig};
 use workloads::zipf::Zipf;
 use workloads::{make_allocator, AllocKind, DynAlloc};
@@ -38,7 +38,7 @@ fn main() {
     println!("allocator: {}", kind.name());
 
     let records = 50_000u64;
-    let kv = KvStore::new(alloc, (records as usize * 2).next_power_of_two());
+    let kv = PKv::new(alloc, (records as usize * 2).next_power_of_two());
 
     // Load phase.
     let t0 = Instant::now();
@@ -80,7 +80,8 @@ fn main() {
                     if rand() % 2 == 0 {
                         let _ = kv.get_into(key, &mut buf);
                     } else {
-                        // Size-cycling updates exercise item replacement.
+                        // Every update replaces the item; cycling sizes
+                        // moves it between size classes.
                         let sz = 96 + (i as usize % 3) * 8;
                         kv.set(key, &buf[..sz]);
                     }
@@ -104,6 +105,7 @@ fn main() {
         lat.count
     );
     println!("{} keys resident at the end", kv.len());
+    kv.destroy();
     if let Some(heap) = heap {
         heap.stop_sampler();
         println!("telemetry trajectory -> persistent_kv.jsonl");

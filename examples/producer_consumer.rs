@@ -1,6 +1,7 @@
 //! The prod-con workload (paper Fig. 5d) as a standalone demo: pairs of
 //! threads moving allocator-backed objects through lock-free
-//! Michael–Scott queues, with a side-by-side allocator comparison.
+//! Michael–Scott queues ([`pds::PQueue`], the queue the crash harness
+//! kills), with a side-by-side allocator comparison.
 //!
 //! ```text
 //! cargo run --release --example producer_consumer -- [threads] [objects]
@@ -9,7 +10,7 @@
 use std::time::Instant;
 
 use nvm::FlushModel;
-use pds::MsQueue;
+use pds::PQueue;
 use ralloc::PersistentAllocator;
 use workloads::{make_allocator, AllocKind};
 
@@ -24,12 +25,11 @@ fn main() {
     for kind in AllocKind::all() {
         let alloc = make_allocator(kind, 512 << 20, FlushModel::optane());
         let t0 = Instant::now();
+        let queues: Vec<_> = (0..pairs).map(|_| PQueue::new(alloc.clone())).collect();
         std::thread::scope(|s| {
-            for _ in 0..pairs {
-                let queue = std::sync::Arc::new(MsQueue::new(alloc.clone()));
+            for queue in &queues {
                 // Producer: allocate, initialize, publish.
                 {
-                    let queue = queue.clone();
                     let alloc = alloc.clone();
                     s.spawn(move || {
                         for i in 0..per_pair {
@@ -64,6 +64,9 @@ fn main() {
                 }
             }
         });
+        for queue in queues {
+            queue.destroy();
+        }
         let dt = t0.elapsed();
         println!(
             "{:<10} {:>12.4} {:>14.0}",

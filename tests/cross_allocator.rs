@@ -3,7 +3,7 @@
 //! composition the benchmark harness uses.
 
 use nvm::FlushModel;
-use pds::{KvStore, MsQueue, RbTree};
+use pds::{PKv, PQueue, RbTree};
 use ralloc::PersistentAllocator;
 use workloads::{make_allocator, AllocKind};
 
@@ -11,7 +11,7 @@ use workloads::{make_allocator, AllocKind};
 fn queue_on_every_allocator() {
     for kind in AllocKind::all() {
         let a = make_allocator(kind, 32 << 20, FlushModel::free());
-        let q = MsQueue::new(a);
+        let q = PQueue::new(a);
         for i in 0..5_000u64 {
             assert!(q.enqueue(i), "{kind:?}");
         }
@@ -19,6 +19,7 @@ fn queue_on_every_allocator() {
             assert_eq!(q.dequeue(), Some(i), "{kind:?}");
         }
         assert_eq!(q.dequeue(), None);
+        q.destroy();
     }
 }
 
@@ -43,20 +44,25 @@ fn rbtree_on_every_allocator() {
 fn kvstore_on_every_allocator() {
     for kind in AllocKind::all() {
         let a = make_allocator(kind, 64 << 20, FlushModel::free());
-        let kv = KvStore::new(a, 256);
+        let kv = PKv::new(a, 256);
         for k in 0..2_000u64 {
             kv.set(k, &k.to_le_bytes());
         }
         for k in 0..2_000u64 {
             assert_eq!(kv.get(k).unwrap(), k.to_le_bytes(), "{kind:?}");
         }
-        // Size-changing updates exercise the realloc path.
+        // Every update allocates a new entry and frees the old one.
         for k in 0..500u64 {
             kv.set(k, &[1u8; 200]);
         }
         for k in 0..500u64 {
             assert_eq!(kv.get(k).unwrap().len(), 200, "{kind:?}");
         }
+        for k in 0..500u64 {
+            assert_eq!(kv.delete(k).map(|v| v.len()), Some(200), "{kind:?}");
+        }
+        assert_eq!(kv.len(), 1_500, "{kind:?}");
+        kv.destroy();
     }
 }
 
