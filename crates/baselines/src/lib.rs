@@ -30,6 +30,8 @@
 //! Ralloc so that fragmentation behaviour is comparable, and both are
 //! exercised through the shared [`ralloc::PersistentAllocator`] trait.
 
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
+
 mod chunked;
 mod makalu;
 mod pmdk;

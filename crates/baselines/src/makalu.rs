@@ -259,6 +259,7 @@ mod tests {
         let m = heap();
         let p = m.malloc(64);
         assert!(!p.is_null());
+        // SAFETY: a live 64-byte block.
         unsafe { std::ptr::write_bytes(p, 1, 64) };
         m.free(p);
     }
@@ -327,10 +328,12 @@ mod tests {
                     for i in 0..3000 {
                         let p = m.malloc(8 + (i % 32) * 8);
                         assert!(!p.is_null());
+                        // SAFETY: a live block of at least 8 bytes.
                         unsafe { std::ptr::write(p as *mut u64, p as u64) };
                         held.push(p);
                         if held.len() > 64 {
                             let q = held.swap_remove(i % held.len());
+                            // SAFETY: `q` is still live; this thread wrote it.
                             assert_eq!(unsafe { std::ptr::read(q as *const u64) }, q as u64);
                             m.free(q);
                         }

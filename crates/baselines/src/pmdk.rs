@@ -392,6 +392,7 @@ mod tests {
         let p = heap();
         let a = p.malloc(64);
         assert!(!a.is_null());
+        // SAFETY: a live 64-byte block.
         unsafe { std::ptr::write_bytes(a, 0x5A, 64) };
         p.free(a);
         let b = p.malloc(64);
@@ -493,10 +494,12 @@ mod tests {
                     for i in 0..1000 {
                         let a = p.malloc(8 + (i % 16) * 24);
                         assert!(!a.is_null());
+                        // SAFETY: a live block of at least 8 bytes.
                         unsafe { std::ptr::write(a as *mut u64, a as u64) };
                         held.push(a);
                         if held.len() > 32 {
                             let q = held.swap_remove(i % held.len());
+                            // SAFETY: `q` is still live; this thread wrote it.
                             assert_eq!(unsafe { std::ptr::read(q as *const u64) }, q as u64);
                             p.free(q);
                         }

@@ -65,6 +65,7 @@ mod tests {
         let p = a.malloc(100);
         assert!(!p.is_null());
         assert_eq!(p as usize % 16, 0);
+        // SAFETY: a live 100-byte block.
         unsafe { std::ptr::write_bytes(p, 0x77, 100) };
         a.free(p);
     }

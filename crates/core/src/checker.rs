@@ -6,16 +6,20 @@
 //! every descriptor, list, and block free chain and verifies:
 //!
 //! 1. **Geometry**: header magic/length/capacity are self-consistent.
-//! 2. **Descriptor sanity**: every carved descriptor classifies as a
-//!    valid small class, large head, continuation, or free superblock.
+//! 2. **Descriptor sanity**: every carved descriptor decodes, through
+//!    the same [`Census`] recovery takes, as a small class, part of a
+//!    live large span, or free space that reads EMPTY.
 //! 3. **Anchor consistency**: a PARTIAL superblock's `count` free blocks
 //!    are actually chained from `avail`, all indices in range, no cycles,
 //!    no duplicates; an EMPTY one has `count == max_count` (see below).
 //! 4. **List membership**: every EMPTY superblock reachable from the free
 //!    list, every PARTIAL one from exactly one partial list of its own
 //!    class, no descriptor on two lists, counters monotone.
-//! 5. **Span integrity**: live large blocks own contiguous
-//!    `CONTINUATION`-tagged spans that never overlap other spans.
+//! 5. **Span integrity**: the live spans are [`Census::claim`]'s over
+//!    FULL heads, recovery's own rule with "anchor is FULL" for "head is
+//!    marked". A FULL head whose interior is not all `CONTINUATION`s is a
+//!    phantom, and every superblock of a live span reads FULL, which is
+//!    all a shrink reads.
 //!
 //! An EMPTY superblock's chain is not an invariant, so it is not walked.
 //! A flush that returns a whole population takes the superblock
@@ -37,11 +41,11 @@ use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 
 use crate::anchor::SbState;
-use crate::descriptor::{Desc, DescKind};
+use crate::descriptor::{Census, Desc, Slot};
 use crate::heap::Ralloc;
 use crate::lists::DescList;
 use crate::shard::SHARDS;
-use crate::size_class::{class_max_count, NUM_CLASSES};
+use crate::size_class::NUM_CLASSES;
 
 /// A violated invariant, with enough context to debug it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -156,147 +160,98 @@ pub fn check_heap(heap: &Ralloc) -> CheckReport {
         }
     }
     report.partial_list_len = on_partial.len();
+    let census = Census::take(pool, geo, used);
     for (idx, class) in &partial_class {
-        let d = Desc::new(pool, geo, *idx);
-        if d.size_class() != *class {
-            report.violate(
+        match census.slots.get(*idx as usize) {
+            Some(Slot::Small { class: c, .. }) if *c as u32 == *class => {}
+            Some(slot) => report.violate(
                 "list-membership",
-                format!("desc {idx} on partial list of class {class} but has class {}", d.size_class()),
-            );
+                format!("desc {idx} on partial list of class {class} but decodes as {slot:?}"),
+            ),
+            None => {} // past `used`: reported above
         }
     }
 
-    // Rule 5 precompute: spans claimed by live large heads.
-    let mut claimed = vec![false; used];
-    for i in 0..used {
-        let d = Desc::new(pool, geo, i as u32);
-        if let DescKind::LargeHead { span } = d.classify(used) {
-            if d.anchor(Ordering::Relaxed).state == SbState::Full && !on_free.contains(&(i as u32))
-            {
-                for k in 0..span {
-                    if claimed[i + k] {
-                        report.violate(
-                            "span-integrity",
-                            format!("superblock {} claimed by two live large spans", i + k),
-                        );
-                    }
-                    claimed[i + k] = true;
-                }
-                for k in 1..span {
-                    let dk = Desc::new(pool, geo, (i + k) as u32);
-                    if dk.classify(used) != DescKind::Continuation {
-                        report.violate(
-                            "span-integrity",
-                            format!(
-                                "live large head {i} spans {span} but desc {} is {:?}",
-                                i + k,
-                                dk.classify(used)
-                            ),
-                        );
-                    }
-                }
-            }
+    // Rule 5: the live spans are the census's claim over FULL heads. A
+    // FULL head it refuses is a phantom, and every superblock of a live
+    // span must read FULL, since a shrink reads anchors alone.
+    let anchor = |i: usize| Desc::new(pool, geo, i as u32).anchor(Ordering::Relaxed);
+    let claim = census.claim(|head, _| anchor(head).state == SbState::Full);
+    for head in &claim.phantoms {
+        report.violate(
+            "span-integrity",
+            format!("FULL large head {head} spans a superblock that is not a continuation"),
+        );
+    }
+    for i in claim.spans.iter().flat_map(|s| s.clone()) {
+        let state = anchor(i).state;
+        if state != SbState::Full {
+            report.violate("span-integrity", format!("desc {i} of a live large span reads {state:?}"));
         }
     }
 
     // Rules 2-4 per descriptor.
-    for i in 0..used as u32 {
-        if claimed[i as usize] {
+    for (i, slot) in census.slots.iter().enumerate() {
+        let a = anchor(i);
+        if on_free.contains(&(i as u32)) && a.state != SbState::Empty {
+            report.violate("list-membership", format!("desc {i} on free list with state {:?}", a.state));
+        }
+        if claim.claimed[i] {
             continue; // validated via its span above
         }
-        let d = Desc::new(pool, geo, i);
-        let listed_free = on_free.contains(&i);
-        match d.classify(used) {
-            DescKind::Small { class } => {
-                let mc = class_max_count(class);
-                let a = d.anchor(Ordering::Relaxed);
-                if listed_free && a.state != SbState::Empty {
-                    report.violate(
-                        "list-membership",
-                        format!("desc {i} on free list with state {:?}", a.state),
-                    );
-                }
-                if a.count > mc {
-                    report.violate("anchor", format!("desc {i}: count {} > max {mc}", a.count));
-                    continue;
-                }
-                match a.state {
-                    SbState::Full => {
-                        if a.count != 0 {
-                            report.violate(
-                                "anchor",
-                                format!("desc {i}: FULL but count {}", a.count),
-                            );
-                        }
-                    }
-                    SbState::Empty => {
-                        // Enlisted or pending lazy retirement, every
-                        // block is free: count must be mc.
-                        if a.count != mc {
-                            report.violate(
-                                "anchor",
-                                format!("desc {i}: EMPTY but count {}/{mc}", a.count),
-                            );
-                        }
-                    }
-                    SbState::Partial => {
-                        if a.count == 0 || a.count == mc {
-                            report.violate(
-                                "anchor",
-                                format!("desc {i}: PARTIAL with count {}/{mc}", a.count),
-                            );
-                        }
-                    }
-                }
-                // Rule 3: walk a PARTIAL chain; EMPTY is its count (see
-                // the module docs).
-                if a.state == SbState::Empty {
-                    report.free_blocks += a.count as u64;
-                    continue;
-                }
-                let sb_addr = pool.base() as usize + geo.sb(i as usize);
-                let bsize = d.block_size() as usize;
-                let mut seen = HashSet::new();
-                let mut blk = a.avail;
-                for step in 0..a.count {
-                    if blk >= mc {
-                        report.violate(
-                            "free-chain",
-                            format!("desc {i}: chain index {blk} out of range at step {step}"),
-                        );
-                        break;
-                    }
-                    if !seen.insert(blk) {
-                        report.violate(
-                            "free-chain",
-                            format!("desc {i}: chain revisits block {blk} (cycle)"),
-                        );
-                        break;
-                    }
-                    report.free_blocks += 1;
-                    // SAFETY: free-block first word, quiescent heap.
-                    blk = unsafe {
-                        std::ptr::read((sb_addr + blk as usize * bsize) as *const u64) as u32
-                    };
+        let Slot::Small { blocks: mc, size, .. } = *slot else {
+            // No small class and no live span: only free space may be
+            // here (a stale identity, a freed span, garbage).
+            if a.state != SbState::Empty {
+                report.violate("descriptor", format!("desc {i} holds no live block but reads {:?}", a.state));
+            }
+            continue;
+        };
+        if a.count > mc {
+            report.violate("anchor", format!("desc {i}: count {} > max {mc}", a.count));
+            continue;
+        }
+        match a.state {
+            SbState::Full => {
+                if a.count != 0 {
+                    report.violate("anchor", format!("desc {i}: FULL but count {}", a.count));
                 }
             }
-            DescKind::LargeHead { .. } => {
-                // Unclaimed large head: must be retired (free list) or
-                // stale-free; never PARTIAL.
-                let a = d.anchor(Ordering::Relaxed);
-                if a.state == SbState::Partial {
-                    report.violate("descriptor", format!("large head {i} in PARTIAL state"));
+            SbState::Empty => {
+                // Enlisted or pending lazy retirement, every block is
+                // free: count must be mc.
+                if a.count != mc {
+                    report.violate("anchor", format!("desc {i}: EMPTY but count {}/{mc}", a.count));
                 }
             }
-            DescKind::Continuation | DescKind::Invalid => {
-                // Acceptable only as free superblocks (stale identity).
-                if on_partial.contains(&i) {
-                    report.violate(
-                        "descriptor",
-                        format!("stale/continuation desc {i} on a partial list"),
-                    );
+            SbState::Partial => {
+                if a.count == 0 || a.count == mc {
+                    report.violate("anchor", format!("desc {i}: PARTIAL with count {}/{mc}", a.count));
                 }
             }
+        }
+        // Rule 3: walk a PARTIAL chain; EMPTY is its count (see the
+        // module docs).
+        if a.state == SbState::Empty {
+            report.free_blocks += a.count as u64;
+            continue;
+        }
+        let sb_addr = pool.base() as usize + geo.sb(i);
+        let mut seen = HashSet::new();
+        let mut blk = a.avail;
+        for step in 0..a.count {
+            if blk >= mc {
+                report.violate("free-chain", format!("desc {i}: chain index {blk} out of range at step {step}"));
+                break;
+            }
+            if !seen.insert(blk) {
+                report.violate("free-chain", format!("desc {i}: chain revisits block {blk} (cycle)"));
+                break;
+            }
+            report.free_blocks += 1;
+            let at = sb_addr + blk as usize * size as usize;
+            // SAFETY: free-block first word, quiescent heap.
+            blk = unsafe { std::ptr::read(at as *const u64) as u32 };
         }
     }
     report
@@ -305,7 +260,7 @@ pub fn check_heap(heap: &Ralloc) -> CheckReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::size_class::size_class_of;
+    use crate::size_class::{class_max_count, size_class_of};
     use crate::RallocConfig;
 
     #[test]
@@ -472,5 +427,31 @@ mod tests {
         unsafe { std::ptr::write(ptrs[a.avail as usize] as *mut u64, u64::MAX) };
         let r = check_heap(&heap);
         assert!(r.violations.iter().any(|v| v.rule == "free-chain"), "{:?}", r.violations);
+    }
+
+    /// A live 3-superblock span and the descriptor of its last superblock.
+    fn live_span(heap: &Ralloc) -> Desc<'_> {
+        let (p, geo) = (heap.malloc(3 * crate::SB_SIZE), heap.geometry());
+        let sb = geo.sb_index_of(p as usize - heap.pool().base() as usize).unwrap();
+        assert!(check_heap(heap).is_consistent(), "{:?}", check_heap(heap).violations);
+        Desc::new(heap.pool(), &geo, sb as u32 + 2)
+    }
+
+    #[test]
+    fn a_full_head_over_a_retyped_superblock_is_a_phantom() {
+        let heap = Ralloc::create(8 << 20, RallocConfig::default());
+        // Behind the allocator's back, a fill's identity lands inside.
+        live_span(&heap).set_size(8, 64, class_max_count(8), true);
+        let r = check_heap(&heap);
+        assert!(r.violations.iter().any(|v| v.rule == "span-integrity"), "{:?}", r.violations);
+    }
+
+    #[test]
+    fn a_live_span_superblock_that_is_not_full_is_rejected() {
+        let heap = Ralloc::create(8 << 20, RallocConfig::default());
+        let d = live_span(&heap);
+        d.set_anchor(crate::anchor::Anchor { avail: 0, count: 0, state: SbState::Empty }, Ordering::Release);
+        let r = check_heap(&heap);
+        assert!(r.violations.iter().any(|v| v.rule == "span-integrity"), "{:?}", r.violations);
     }
 }

@@ -17,7 +17,16 @@
 //! every block's size recoverable, which is what lets every other piece of
 //! metadata be rebuilt offline (paper §4, innovation 1). List links store
 //! descriptor *indices* (offset-based, remap-safe), not addresses.
+//!
+//! The [`Census`] is the one decoder of that identity: a small class
+//! with its own block size, a large head (class 0, the byte size) whose
+//! span fits under `used`, a continuation, or nothing. Outside it, only
+//! the online paths read the two fields: `free` / `usable_size`, and the
+//! fill and flush under them, all on a superblock they know is live. Which
+//! large spans are live is [`Census::claim`]'s one rule; recovery, the
+//! checker and `rinspect stats` differ only in the head test they pass.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use nvm::PmemPool;
@@ -25,7 +34,9 @@ use nvm::PmemPool;
 use crate::anchor::Anchor;
 use crate::layout::Geometry;
 use crate::shard::SHARDS;
-use crate::size_class::{is_small_class, CLASS_CONTINUATION, SB_SIZE};
+use crate::size_class::{
+    class_block_size, class_max_count, is_small_class, CLASS_CONTINUATION, SB_SIZE,
+};
 
 const ANCHOR_OFF: usize = 0;
 const NEXT_FREE_OFF: usize = 8;
@@ -161,43 +172,103 @@ impl<'a> Desc<'a> {
             self.pool.fence();
         }
     }
-
-    /// Validate the persisted size identity, as recovery must: a crash may
-    /// leave garbage classes in descriptors that were carved but never
-    /// initialized. Returns the interpretation recovery should use.
-    pub fn classify(&self, used_sb: usize) -> DescKind {
-        let class = self.size_class();
-        let bs = self.block_size();
-        if class == CLASS_CONTINUATION {
-            return DescKind::Continuation;
-        }
-        if class == 0 {
-            // Large head: size must be positive and fit in the used region.
-            let span = (bs as usize).div_ceil(SB_SIZE);
-            if bs > 0 && span > 0 && (self.idx as usize) + span <= used_sb {
-                return DescKind::LargeHead { span };
-            }
-            return DescKind::Invalid;
-        }
-        if is_small_class(class) && bs == crate::size_class::class_block_size(class) as u64 {
-            DescKind::Small { class }
-        } else {
-            DescKind::Invalid
-        }
-    }
 }
 
-/// Recovery-time interpretation of a descriptor's persisted fields.
+/// One superblock as the [`Census`] decodes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DescKind {
-    /// A superblock of small blocks of the given class.
-    Small { class: u32 },
-    /// First superblock of a large allocation spanning `span` superblocks.
-    LargeHead { span: usize },
-    /// Interior superblock of some (possibly stale) large allocation.
+pub enum Slot {
+    /// Holds no block recovery may keep: never initialized, torn, or a
+    /// large head whose span passes `used`.
+    Empty,
+    /// Interior of a (possibly stale) large block.
     Continuation,
-    /// Garbage (carved but never initialized, or torn): treat as free.
-    Invalid,
+    /// Head of a large block of `bytes` bytes over `span` superblocks;
+    /// its mark is bit `bit`.
+    Large { bit: usize, span: u32, bytes: u64 },
+    /// `blocks` blocks of `size` bytes (small `class`), marked at bits
+    /// `bit..bit + blocks`; `recip` is ⌈2³² / size⌉.
+    Small { class: u8, bit: usize, blocks: u32, size: u32, recip: u32 },
+}
+
+/// One pass over descriptors `0..used`: every superblock's [`Slot`], with
+/// a bit range per superblock that can hold a block in one flat mark
+/// bitmap of `bits` bits. This is the only decoder of a descriptor's
+/// persisted identity; recovery, the checker and `rinspect` read it, and
+/// [`Census::claim`] is their one rule for which large spans are live.
+pub struct Census {
+    pub slots: Vec<Slot>,
+    pub(crate) bits: usize,
+    /// Absolute address of superblock 0.
+    pub(crate) sb_base: usize,
+}
+
+/// What [`Census::claim`] decided.
+pub struct Claim {
+    /// Per superblock: inside a claimed span, head or interior.
+    pub claimed: Vec<bool>,
+    /// The claimed spans, ascending and disjoint.
+    pub spans: Vec<Range<usize>>,
+    /// Bytes of the claimed large blocks.
+    pub bytes: u64,
+    /// Heads `live` accepted whose interior is not all continuations.
+    pub phantoms: Vec<usize>,
+}
+
+impl Census {
+    /// Decode descriptors `0..used`. A crash may leave garbage in a
+    /// descriptor that was carved but never initialized, so a small class
+    /// counts only with its own block size, and a large head only with a
+    /// positive size whose span fits under `used`.
+    pub fn take(pool: &PmemPool, geo: &Geometry, used: usize) -> Census {
+        let mut bits = 0;
+        let slots = (0..used)
+            .map(|i| {
+                let d = Desc::new(pool, geo, i as u32);
+                let (class, bytes) = (d.size_class(), d.block_size());
+                let span = (bytes as usize).div_ceil(SB_SIZE);
+                let (slot, n) = match class {
+                    CLASS_CONTINUATION => (Slot::Continuation, 0),
+                    0 if span > 0 && i + span <= used => {
+                        (Slot::Large { bit: bits, span: span as u32, bytes }, 1)
+                    }
+                    c if is_small_class(c) && bytes == class_block_size(c) as u64 => {
+                        let (size, blocks) = (class_block_size(c), class_max_count(c));
+                        let recip = (1u64 << 32).div_ceil(size as u64) as u32;
+                        (Slot::Small { class: c as u8, bit: bits, blocks, size, recip }, blocks)
+                    }
+                    _ => (Slot::Empty, 0),
+                };
+                bits += n as usize;
+                slot
+            })
+            .collect();
+        Census { slots, bits, sb_base: pool.base() as usize + geo.sb(0) }
+    }
+
+    /// The one rule for which large spans are live: claim every head that
+    /// `live(head, mark bit)` accepts and whose whole interior is
+    /// continuations, and report every other accepted head as a phantom.
+    /// A head inside a claimed span is not a continuation, so the spans
+    /// are disjoint.
+    pub fn claim(&self, mut live: impl FnMut(usize, usize) -> bool) -> Claim {
+        let claimed = vec![false; self.slots.len()];
+        let mut out = Claim { claimed, spans: Vec::new(), bytes: 0, phantoms: Vec::new() };
+        for (head, slot) in self.slots.iter().enumerate() {
+            let Slot::Large { bit, span, bytes } = *slot else { continue };
+            if !live(head, bit) {
+                continue;
+            }
+            let span = head..head + span as usize;
+            if self.slots[head + 1..span.end].iter().all(|s| *s == Slot::Continuation) {
+                out.claimed[span.clone()].fill(true);
+                out.spans.push(span);
+                out.bytes += bytes;
+            } else {
+                out.phantoms.push(head);
+            }
+        }
+        out
+    }
 }
 
 #[cfg(test)]
@@ -259,27 +330,43 @@ mod tests {
         let (pool, geo) = test_pool();
         let used = 10usize;
         // Valid small.
-        let d = Desc::new(&pool, &geo, 0);
-        d.set_size(1, 8, 8192, true);
-        assert_eq!(d.classify(used), DescKind::Small { class: 1 });
+        Desc::new(&pool, &geo, 0).set_size(1, 8, 8192, true);
         // Small class with wrong size -> invalid.
-        let d = Desc::new(&pool, &geo, 1);
-        d.set_size(1, 16, 4096, true);
-        assert_eq!(d.classify(used), DescKind::Invalid);
-        // Zeroed descriptor -> class 0 with size 0 -> invalid.
-        let d = Desc::new(&pool, &geo, 2);
-        assert_eq!(d.classify(used), DescKind::Invalid);
+        Desc::new(&pool, &geo, 1).set_size(1, 16, 4096, true);
+        // Descriptor 2 stays zeroed -> class 0 with size 0 -> invalid.
         // Large head spanning 2 superblocks.
-        let d = Desc::new(&pool, &geo, 3);
-        d.set_size(0, (SB_SIZE + 10) as u64, 0, true);
-        assert_eq!(d.classify(used), DescKind::LargeHead { span: 2 });
+        Desc::new(&pool, &geo, 3).set_size(0, (SB_SIZE + 10) as u64, 0, true);
         // Large head overflowing the used region -> invalid.
-        let d = Desc::new(&pool, &geo, 9);
-        d.set_size(0, (SB_SIZE * 4) as u64, 0, true);
-        assert_eq!(d.classify(used), DescKind::Invalid);
+        Desc::new(&pool, &geo, 9).set_size(0, (SB_SIZE * 4) as u64, 0, true);
         // Continuation sentinel.
-        let d = Desc::new(&pool, &geo, 4);
-        d.set_size(CLASS_CONTINUATION, 0, 0, true);
-        assert_eq!(d.classify(used), DescKind::Continuation);
+        Desc::new(&pool, &geo, 4).set_size(CLASS_CONTINUATION, 0, 0, true);
+        let slots = Census::take(&pool, &geo, used).slots;
+        assert!(matches!(slots[0], Slot::Small { class: 1, .. }));
+        assert_eq!(slots[1], Slot::Empty);
+        assert_eq!(slots[2], Slot::Empty);
+        assert!(matches!(slots[3], Slot::Large { span: 2, .. }));
+        assert_eq!(slots[9], Slot::Empty);
+        assert_eq!(slots[4], Slot::Continuation);
+    }
+
+    #[test]
+    fn claim_takes_live_heads_over_continuations_only() {
+        let (pool, geo) = test_pool();
+        let large = |idx: u32, span: usize| {
+            Desc::new(&pool, &geo, idx).set_size(0, (span * SB_SIZE) as u64, 0, true);
+            for k in 1..span as u32 {
+                Desc::new(&pool, &geo, idx + k).set_size(CLASS_CONTINUATION, 0, 0, true);
+            }
+        };
+        large(0, 3); // live
+        large(3, 3); // live, but a fill re-typed its last superblock
+        Desc::new(&pool, &geo, 5).set_size(8, 64, 1024, true);
+        large(6, 2); // not accepted
+        let census = Census::take(&pool, &geo, 8);
+        let claim = census.claim(|head, _| head != 6);
+        assert_eq!((claim.spans.len(), claim.spans[0].clone()), (1, 0..3));
+        assert_eq!(claim.phantoms, [3]);
+        assert_eq!(claim.bytes, 3 * SB_SIZE as u64);
+        assert_eq!(claim.claimed, [true, true, true, false, false, false, false, false]);
     }
 }

@@ -17,7 +17,9 @@
 //!   back).
 //! * **Shrink** (quiescent points only): persist the lowered `used`, then
 //!   decommit the tail. A crash between the two leaves the durable
-//!   `used` already under the still-committed tail.
+//!   `used` already under the still-committed tail. The trailing run it
+//!   releases is read from anchors alone: a superblock is free when it
+//!   reads EMPTY, and every superblock of a live large span reads FULL.
 //!
 //! So at every crash point the prefix covers the durable `used`, which
 //! is all [`Geometry::check_image`](crate::layout::Geometry::check_image)
@@ -30,7 +32,7 @@ use std::sync::atomic::Ordering;
 use telemetry::EventKind;
 
 use crate::anchor::SbState;
-use crate::descriptor::{Desc, DescKind};
+use crate::descriptor::Desc;
 use crate::heap::HeapInner;
 use crate::layout::USED_SB_OFF;
 use crate::lists::DescList;
@@ -83,27 +85,13 @@ impl HeapInner {
     pub(crate) fn shrink_quiesced(&self) -> usize {
         let (pool, geo) = (&self.pool, &self.geo);
         let used = self.used_sb();
-        // Interior superblocks of *live* large allocations carry stale
-        // recycled anchors (only the head's anchor is maintained online),
-        // so "anchor == EMPTY" alone cannot prove a superblock free:
-        // claim live spans first, exactly like recovery and the checker.
-        let mut claimed = vec![false; used];
-        for i in 0..used {
-            let d = Desc::new(pool, geo, i as u32);
-            if let DescKind::LargeHead { span } = d.classify(used) {
-                if d.anchor(Ordering::Acquire).state == SbState::Full {
-                    for k in 0..span {
-                        claimed[i + k] = true;
-                    }
-                }
-            }
-        }
+        // Every superblock of a live span reads FULL (`malloc_large`
+        // stores it into each, recovery's sweep too), so the anchors
+        // alone say which trailing superblocks are free.
         let mut new_used = used;
-        while new_used > 0 && !claimed[new_used - 1] {
-            let d = Desc::new(pool, geo, (new_used - 1) as u32);
-            if d.anchor(Ordering::Acquire).state != SbState::Empty {
-                break;
-            }
+        while new_used > 0
+            && Desc::new(pool, geo, (new_used - 1) as u32).anchor(Ordering::Acquire).state == SbState::Empty
+        {
             new_used -= 1;
         }
         // Step 1: unlink every released descriptor. They sit on the free
@@ -138,11 +126,12 @@ impl HeapInner {
     ///
     /// The descriptors from `keep` on are left as they are: stale, and
     /// dead. Nothing reads a descriptor at or past `used` (recovery, the
-    /// census, the checker and `rinspect` walk `0..used`); a stale large
+    /// checker and `rinspect` read the census of `0..used`); a stale large
     /// head below `used` whose span passes it is refused by
-    /// [`Desc::classify`]; and a carve that takes the superblock back
-    /// persists its `set_size` (a fill's, or every descriptor of a large
-    /// span) before any of its blocks is handed out. A crash between that
+    /// [`Census::take`](crate::descriptor::Census::take); and a carve
+    /// that takes the superblock back persists its `set_size` (a fill's,
+    /// or every descriptor of a large span) before any of its blocks is
+    /// handed out. A crash between that
     /// carve's `used` persist and its `set_size` leaves a stale identity
     /// under `used` that no root reaches, which recovery sweeps as free.
     pub(crate) fn lower_to(&self, keep: usize) -> (usize, Range<usize>) {

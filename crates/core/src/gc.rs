@@ -13,10 +13,8 @@
 
 use pptr::{AtomicPptr, Pptr};
 
-use crate::descriptor::{Desc, DescKind};
-use crate::layout::Geometry;
-use crate::size_class::{class_block_size, class_max_count, SB_SIZE};
-use nvm::PmemPool;
+use crate::descriptor::{Census, Slot};
+use crate::size_class::SB_SIZE;
 
 /// A type-erased filter function: given the absolute address of a block
 /// known to hold a `T`, enumerate its outgoing references into `tracer`.
@@ -87,59 +85,6 @@ unsafe impl<T: Trace> Trace for AtomicPptr<T> {
     #[inline]
     fn trace(&self, tracer: &mut Tracer<'_>) {
         tracer.visit_atomic_pptr(self);
-    }
-}
-
-/// One superblock as recovery's [`Census`] records it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Slot {
-    /// Holds no block recovery may keep: never initialized, torn, or a
-    /// large head whose span passes `used`.
-    Empty,
-    /// Interior of a (possibly stale) large block.
-    Continuation,
-    /// Head of a large block of `bytes` bytes over `span` superblocks;
-    /// its mark is bit `bit`.
-    Large { bit: usize, span: u32, bytes: u64 },
-    /// `blocks` blocks of `size` bytes (small `class`), marked at bits
-    /// `bit..bit + blocks`; `recip` is ⌈2³² / size⌉.
-    Small { class: u8, bit: usize, blocks: u32, size: u32, recip: u32 },
-}
-
-/// Recovery's one pass over descriptors `0..used`: every superblock's
-/// [`Slot`], with a bit range per superblock that can hold a block in
-/// one flat mark bitmap of [`Census::bits`] bits. The tracer, the claim
-/// pass and the sweep all read it, so no descriptor is classified twice.
-pub(crate) struct Census {
-    pub slots: Vec<Slot>,
-    bits: usize,
-    /// Absolute address of superblock 0.
-    sb_base: usize,
-}
-
-impl Census {
-    pub fn take(pool: &PmemPool, geo: &Geometry, used: usize) -> Census {
-        let mut bits = 0;
-        let slots = (0..used as u32)
-            .map(|i| {
-                let d = Desc::new(pool, geo, i);
-                let (slot, n) = match d.classify(used) {
-                    DescKind::Small { class } => {
-                        let (size, blocks) = (class_block_size(class), class_max_count(class));
-                        let recip = (1u64 << 32).div_ceil(size as u64) as u32;
-                        (Slot::Small { class: class as u8, bit: bits, blocks, size, recip }, blocks)
-                    }
-                    DescKind::LargeHead { span } => {
-                        (Slot::Large { bit: bits, span: span as u32, bytes: d.block_size() }, 1)
-                    }
-                    DescKind::Continuation => (Slot::Continuation, 0),
-                    DescKind::Invalid => (Slot::Empty, 0),
-                };
-                bits += n as usize;
-                slot
-            })
-            .collect();
-        Census { slots, bits, sb_base: pool.base() as usize + geo.sb(0) }
     }
 }
 
@@ -289,6 +234,14 @@ impl<'h> Tracer<'h> {
         self.census.sb_base
     }
 
+    /// Byte size of the block that starts at `addr`, if the census has
+    /// one there: a filter whose block holds its own length checks it
+    /// against this before it trusts it.
+    #[inline]
+    pub fn block_bytes(&self, addr: usize) -> Option<u64> {
+        self.classify_target(addr).map(|(_, bytes)| bytes)
+    }
+
     /// Visit a typed target given as a superblock-region offset (for
     /// packed pointer representations that store offsets, not
     /// self-relative `Pptr`s).
@@ -351,8 +304,10 @@ impl<'h> Tracer<'h> {
 mod tests {
     use super::*;
     use crate::anchor::{Anchor, SbState};
-    use crate::size_class::CLASS_CONTINUATION;
-    use nvm::Mode;
+    use crate::descriptor::Desc;
+    use crate::layout::Geometry;
+    use crate::size_class::{class_block_size, class_max_count, CLASS_CONTINUATION};
+    use nvm::{Mode, PmemPool};
     use std::sync::atomic::Ordering;
 
     fn setup() -> (PmemPool, Geometry) {

@@ -4,7 +4,10 @@
 //! The one decision this module owns is the **span encoding**: the head
 //! descriptor carries class 0 and the byte size, every interior
 //! descriptor the continuation class, all persisted before the block is
-//! returned; a free splits the span back into single free superblocks.
+//! returned, and every anchor of the span reads FULL; a free splits the
+//! span back into single EMPTY superblocks. The
+//! [`Census`](crate::descriptor::Census) decodes it, and its `claim` is
+//! the one rule for which spans are live.
 //!
 //! No cache set is in hand here, so what this path counts goes to the
 //! heap's shared counters ([`crate::stats`]): a large pair is ≈ 1.4 µs
@@ -46,13 +49,12 @@ impl HeapInner {
         // Tag interior superblocks first, then the head: all persisted
         // before the block is returned, so a post-crash conservative trace
         // can never misinterpret stale interior metadata (see recovery).
+        // Each interior anchor reads FULL too (transient, so no flush):
+        // a shrink then tells a live span from free space by anchors alone.
         for k in 1..span {
-            Desc::new(&self.pool, &self.geo, idx + k as u32).set_size(
-                CLASS_CONTINUATION,
-                0,
-                0,
-                self.transient,
-            );
+            let d = Desc::new(&self.pool, &self.geo, idx + k as u32);
+            d.set_size(CLASS_CONTINUATION, 0, 0, self.transient);
+            d.set_anchor(Anchor::full(1), Ordering::Release);
         }
         let head = Desc::new(&self.pool, &self.geo, idx);
         head.set_size(0, size as u64, 1, self.transient);

@@ -44,8 +44,9 @@ use crate::size_class::SB_SIZE;
 /// [`Geometry::partial_head`]). v7: only the first [`SHARDS`] head slots
 /// of a class are lists. v8: no frontier word — the committed prefix is
 /// the frontier, bytes 48–63 are reserved, and a descriptor past `used`
-/// may be stale rather than zero (this build).
-pub const MAGIC: u64 = 0x52_41_4C_4C_4F_43_00_08;
+/// may be stale rather than zero. v9: every superblock of a live large
+/// span reads FULL, which is all a shrink reads (this build).
+pub const MAGIC: u64 = 0x52_41_4C_4C_4F_43_00_09;
 
 /// Descriptor stride in bytes (one cache line, paper §4.2).
 pub const DESC_SIZE: usize = 64;
@@ -332,7 +333,7 @@ mod tests {
         // (Ring-fits-the-slack is a compile-time `const _` assert next
         // to the constants themselves.)
         // The format version is the low byte of the magic.
-        assert_eq!(MAGIC & 0xFF, 8);
+        assert_eq!(MAGIC & 0xFF, 9);
     }
 
     #[test]

@@ -447,7 +447,7 @@ mod tests {
         let _ = Ralloc::from_image(&image, RallocConfig::default());
     }
 
-    /// v3 to v7 were real formats of this allocator; nothing migrates
+    /// v3 to v8 were real formats of this allocator; nothing migrates
     /// them any more. Each must be refused by name — clean or dirty,
     /// through the image path and the file path — and left untouched.
     /// So must a file that was never a heap: opening writes through.
@@ -459,7 +459,7 @@ mod tests {
             let payload = r.expect_err("an older-format image must be refused");
             payload.downcast_ref::<String>().cloned().unwrap_or_default()
         };
-        for version in [3u8, 4, 5, 6, 7] {
+        for version in [3u8, 4, 5, 6, 7, 8] {
             for clean in [true, false] {
                 let heap = small_heap();
                 let p = heap.malloc(64);

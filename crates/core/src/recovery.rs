@@ -21,12 +21,12 @@
 //!
 //! ## The census (step 5)
 //!
-//! One pass over descriptors `0..used` classifies each superblock once
-//! ([`Census`]): a small class's block size, blocks per superblock and an
-//! exact multiply-shift reciprocal, a large head's span, or nothing. The
-//! tracer, the claim pass and the sweep all read it, so a visited pointer
-//! costs one table load and one multiply, and the mark set is one flat
-//! bitmap sized from it.
+//! One pass over descriptors `0..used` decodes each superblock once
+//! ([`Census`], the only decoder of a descriptor's identity): a small
+//! class's block size, blocks per superblock and an exact multiply-shift
+//! reciprocal, a large head's span, or nothing. The tracer, the claim
+//! and the sweep all read it, so a visited pointer costs one table load
+//! and one multiply, and the mark set is one flat bitmap sized from it.
 //!
 //! ## The live prefix (step 6)
 //!
@@ -86,12 +86,16 @@
 //! was freed before the crash but whose class-0 descriptor still decodes).
 //! If that phantom's span were honored it could swallow superblocks that
 //! hold live small blocks — a safety violation, not just a leak. Recovery
-//! therefore validates every marked large head: its interior superblocks
-//! must all carry the `CONTINUATION` tag (persisted at large-allocation
-//! time), which also means they hold no mark. Genuine live large blocks
-//! always pass; conflicting phantoms are dropped. Single-superblock
+//! therefore claims spans with [`Census::claim`], the rule the checker
+//! and `rinspect` apply to FULL heads: a marked head is live only if its
+//! interior superblocks all carry the `CONTINUATION` tag (persisted at
+//! large-allocation time), which also means they hold no mark. Genuine
+//! live large blocks always pass; conflicting phantoms are dropped and
+//! counted in [`RecoveryStats::rejected_large_phantoms`]. Single-superblock
 //! phantoms merely leak one superblock, matching the paper's
-//! "conservative collection may leak, never corrupts" contract.
+//! "conservative collection may leak, never corrupts" contract. The
+//! sweep stores FULL into every superblock of a claimed span, so after
+//! recovery, as online, a live span reads FULL throughout.
 
 use std::ops::Range;
 use std::sync::atomic::Ordering;
@@ -101,8 +105,8 @@ use nvm::sys::HUGE_PAGE;
 use telemetry::EventKind;
 
 use crate::anchor::{Anchor, SbState};
-use crate::descriptor::Desc;
-use crate::gc::{Census, MarkSet, Slot, TraceFn, Tracer};
+use crate::descriptor::{Census, Desc, Slot};
+use crate::gc::{MarkSet, TraceFn, Tracer};
 use crate::heap::HeapInner;
 use crate::layout::NUM_ROOTS;
 use crate::lists::DescList;
@@ -274,31 +278,21 @@ pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
         ..Default::default()
     };
 
-    // Validate marked large heads and claim their spans; count each small
-    // superblock's marks and total the reachable bytes. The live prefix
-    // ends after the last superblock with a mark or a claim.
-    let (mut claimed, mut marked) = (vec![false; used], vec![0u32; used]);
-    let mut keep = 0;
+    // Claim the marked large heads' spans (the census's one rule), count
+    // each small superblock's marks and total the reachable bytes. The
+    // live prefix ends after the last superblock with a mark or a claim.
+    let claim = census.claim(|_, bit| marks.is_marked(bit));
+    stats.rejected_large_phantoms = claim.phantoms.len();
+    stats.reachable_bytes = claim.bytes;
+    let mut keep = claim.spans.last().map_or(0, |s| s.end);
+    let mut marked = vec![0u32; used];
     for (i, slot) in census.slots.iter().enumerate() {
-        match *slot {
-            Slot::Small { bit, blocks, size, .. } => {
-                marked[i] = marks.count(bit, blocks);
-                stats.reachable_bytes += marked[i] as u64 * size as u64;
-                if marked[i] > 0 {
-                    keep = i + 1;
-                }
+        if let Slot::Small { bit, blocks, size, .. } = *slot {
+            marked[i] = marks.count(bit, blocks);
+            stats.reachable_bytes += marked[i] as u64 * size as u64;
+            if marked[i] > 0 {
+                keep = keep.max(i + 1);
             }
-            Slot::Large { bit, span, bytes } if marks.is_marked(bit) => {
-                let span = i..i + span as usize;
-                if census.slots[span.start + 1..span.end].iter().any(|s| *s != Slot::Continuation) {
-                    stats.rejected_large_phantoms += 1;
-                    continue;
-                }
-                stats.reachable_bytes += bytes;
-                keep = span.end;
-                claimed[span].fill(true);
-            }
-            _ => {}
         }
     }
     phases.claim = lap();
@@ -320,7 +314,7 @@ pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
     let swept = fan_out(workers, "sweep worker", |w| {
         pool.discard(share(&tail, w, workers, HUGE_PAGE));
         let range = share(&(0..keep), w, workers, 1);
-        sweep_range(inner, &census, &marked, &claimed, &marks, range)
+        sweep_range(inner, &census, &marked, &claim.claimed, &marks, range)
     });
     DescList::free_list(geo).publish(pool, geo, swept.iter().map(|b| b.free.as_slice()));
     for class in 0..NUM_CLASSES as u32 {
@@ -671,6 +665,42 @@ mod tests {
         let stats = heap.recover();
         assert_eq!(stats.reachable_blocks, 0);
         assert_eq!(stats.free_superblocks, used_before, "span must be split and freed");
+    }
+
+    #[test]
+    fn a_stale_large_head_over_reused_superblocks_is_a_rejected_phantom() {
+        use crate::checker::check_heap;
+        use crate::size_class::SB_SIZE;
+        let heap = tracked_heap();
+        let stale = heap.malloc(4 * SB_SIZE) as usize;
+        heap.free(stale as *mut u8);
+        // The free list is LIFO, so fills re-type the freed interior
+        // superblocks first; the head stays a stale class-0 head.
+        let (size, n) = (4096, 3 * SB_SIZE / 4096);
+        for i in 0..n {
+            let p = heap.malloc(size) as *mut u64;
+            assert!((1..4).contains(&((p as usize - stale) / SB_SIZE)), "block {i} not in the span");
+            // SAFETY: a fresh block of `size` bytes.
+            unsafe { std::slice::from_raw_parts_mut(p, size / 8).fill(i as u64 + 1) };
+            heap.pool().persist(p as usize - heap.pool().base() as usize, size);
+            heap.set_root_raw(1 + i, p as *const u8);
+        }
+        heap.set_root_raw(0, stale as *const u8);
+        let image = heap.pool().persistent_image();
+        for workers in [1, 2] {
+            let (heap, dirty) = Ralloc::from_image(&image, RallocConfig::tracked());
+            assert!(dirty);
+            let stats = heap.recover_parallel(workers);
+            assert_eq!(stats.rejected_large_phantoms, 1, "{workers} worker(s)");
+            for i in 0..n {
+                let p = heap.get_root_raw(1 + i) as *const u64;
+                // SAFETY: a rooted block of `size` bytes.
+                let words = unsafe { std::slice::from_raw_parts(p, size / 8) };
+                assert!(words.iter().all(|&w| w == i as u64 + 1), "rooted block {i} changed");
+            }
+            let report = check_heap(&heap);
+            assert!(report.is_consistent(), "{workers} worker(s): {:?}", report.violations);
+        }
     }
 
     #[test]

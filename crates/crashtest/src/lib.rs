@@ -25,6 +25,8 @@
 //! Fork safety: [`run_once`] must be called from a **single-threaded**
 //! process (the `crashtest` binary); the child may spawn threads freely.
 
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
+
 pub mod oplog;
 pub mod oracle;
 pub mod rng;

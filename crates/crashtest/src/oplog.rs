@@ -95,6 +95,7 @@ pub struct OpLogDir {
     slots: [AtomicU64; MAX_THREADS],
 }
 
+// SAFETY: a directory's slots are its only links, each to a thread log.
 unsafe impl Trace for OpLogDir {
     fn trace(&self, t: &mut Tracer<'_>) {
         for s in &self.slots {
@@ -105,6 +106,7 @@ unsafe impl Trace for OpLogDir {
     }
 }
 
+// SAFETY: a log's records hold values, never references.
 unsafe impl Trace for ThreadLog {
     fn trace(&self, _t: &mut Tracer<'_>) {
         // Records hold values, never references: leaf block.
@@ -261,6 +263,7 @@ pub fn read_logs(heap: &Ralloc, dir: *mut OpLogDir) -> Result<Vec<Vec<LogOp>>, S
             if !acked && i + 1 < LOG_CAP {
                 // A sequential thread can have at most one in-flight op,
                 // and only as its last record.
+                // SAFETY: `i + 1 < LOG_CAP`, a record of the same live log.
                 let nxt = unsafe { &(*log).records[i + 1] };
                 if nxt.hdr.load(Ordering::Acquire) & 0xff != EMPTY {
                     return Err(format!(

@@ -54,23 +54,34 @@ fn head_bytes(buckets: usize) -> usize {
     8 + 8 * buckets
 }
 
+/// The first `n` slots of the head at `head`.
+///
+/// # Safety
+/// The head's block holds at least `n` slots after its count.
+#[inline]
+unsafe fn slots<'a>(head: *const KvHead, n: u64) -> &'a [AtomicU64] {
+    // SAFETY: the caller guarantees the block holds `n` slots.
+    unsafe { std::slice::from_raw_parts((head as *const u8).add(8) as *const AtomicU64, n as usize) }
+}
+
 /// The slot array that follows a head at `head`.
 #[inline]
 fn slots_of<'a>(head: *const KvHead) -> &'a [AtomicU64] {
-    // SAFETY: a head block holds its count plus that many slots (`new`
-    // allocates it so, `attach` checks the block's usable size, and the
-    // recovery filter trusts the image as every filter does).
-    unsafe {
-        let n = (*head).buckets as usize;
-        std::slice::from_raw_parts((head as *const u8).add(8) as *const AtomicU64, n)
-    }
+    // SAFETY: a live handle's head holds its count plus that many slots
+    // (`new` allocates it so, and `attach` checks the block's usable size).
+    unsafe { slots(head, (*head).buckets) }
 }
 
 // SAFETY: every non-empty slot names a chain's first entry; the chain's
 // entries are visited through `next`.
 unsafe impl Trace for KvHead {
     fn trace(&self, t: &mut Tracer<'_>) {
-        for slot in slots_of(self) {
+        // Recovery runs before `attach` can check the count, so visit no
+        // more slots than the block holds.
+        let at = self as *const KvHead;
+        let room = t.block_bytes(at as usize).map_or(0, |bytes| bytes.saturating_sub(8) / 8);
+        // SAFETY: the block holds `room` slots after its count.
+        for slot in unsafe { slots(at, self.buckets.min(room)) } {
             if let Some(off) = slot.load(Ordering::Relaxed).checked_sub(1) {
                 t.visit_region_offset::<KvEntry>(off);
             }
@@ -543,6 +554,26 @@ mod tests {
         let m2 = PKv::attach(&h2, 0).unwrap();
         assert_eq!(m2.len(), 64);
         assert_eq!(m2.get(9).unwrap(), 81u64.to_le_bytes());
+    }
+
+    #[test]
+    fn recovery_bounds_a_flipped_bucket_count_and_attach_refuses_it() {
+        let h = heap();
+        let m = PKv::create(&h, 0, 16);
+        for k in 0..64 {
+            assert!(m.set(k, b"value"));
+        }
+        // SAFETY: quiescent; the head block is live.
+        unsafe { (*m.head).buckets = 1 << 60 };
+        h.persist(m.head as *const u8, 8);
+        let image = h.pool().persistent_image();
+        let (h, dirty) = Ralloc::from_image(&image, RallocConfig::tracked());
+        assert!(dirty);
+        let _ = h.get_root::<KvHead>(0);
+        let stats = h.recover();
+        assert_eq!(stats.reachable_blocks, 65, "the head and every entry its 16 slots reach");
+        let err = PKv::attach(&h, 0).err().expect("a 16-slot block cannot hold 2^60 buckets");
+        assert!(err.contains("corrupt kv bucket block"), "{err}");
     }
 
     #[test]

@@ -25,13 +25,16 @@
 //!   by the dequeue that returns its value.
 //! * *Power failure* (`Mode::Tracked`: only persisted lines survive): every
 //!   link from the durable head to the node must be durable too. The
-//!   node and its own link are persisted before `enqueue` returns, and a
-//!   predecessor's incoming link is persisted before the tail reaches the
-//!   predecessor, by its own enqueuer or by `enqueue`'s lagging-tail help.
-//!   **This does not close:** `dequeue`'s help, which swings the tail off
-//!   the dummy it is about to retire, persists nothing, so an enqueuer can
-//!   link behind the new tail and return while the dummy's `next` waits
-//!   for its own, still running, enqueuer's persist.
+//!   node and its own link are persisted before `enqueue` returns. Every
+//!   other link on that path was behind the tail when this enqueue's CAS
+//!   linked behind it, and online the tail moves only through `help_tail`
+//!   (`attach` sets it from the recovered chain), which persists the link
+//!   it passes before its CAS, whoever moves it: that link's enqueuer, an
+//!   enqueuer helping a lagging tail, or a dequeuer helping the tail off
+//!   the dummy it is about to retire. So every link before a tail is
+//!   durable, and the acked value is reachable from the durable head
+//!   (`tests::a_helped_tail_never_outruns_a_durable_link` stalls an
+//!   enqueuer between its link and its persist to check this).
 //!
 //! **No node on the untraced free chain holds a live value.** Only the
 //! dequeuer whose head CAS moved past a node retires it; its value was
@@ -275,8 +278,7 @@ impl<A: PersistentAllocator> PQueue<A> {
         let node_off1 = (node as usize - self.base) as u64 + 1;
         loop {
             let t = self.tail_word().load(Ordering::Acquire);
-            let (t_off1, t_ctr) = unpack(t);
-            let t_off = t_off1 - 1; // tail always points at a node
+            let t_off = unpack(t).0 - 1; // tail always points at a node
             let tail_node = self.to_addr(t_off) as *mut QueueNode;
             // SAFETY: node memory stays mapped; counters invalidate stale
             // CASes.
@@ -293,34 +295,31 @@ impl<A: PersistentAllocator> PQueue<A> {
                     .compare_exchange_weak(n, linked, Ordering::AcqRel, Ordering::Acquire)
                     .is_ok()
                 {
-                    // The link is the linearization point; make it
-                    // durable before publishing the tail hint over it.
-                    self.alloc.persist(next_ref as *const AtomicU64 as *const u8, 8);
-                    let _ = self.tail_word().compare_exchange(
-                        t,
-                        pack(node_off1, (t_ctr + 1) & 0xFFFF),
-                        Ordering::AcqRel,
-                        Ordering::Acquire,
-                    );
-                    self.alloc.persist(
-                        self.tail_word() as *const AtomicU64 as *const u8,
-                        8,
-                    );
+                    // The link is the linearization point; it is durable
+                    // before the tail hint moves over it.
+                    self.help_tail(t, next_ref, node_off1);
+                    self.alloc.persist(self.tail_word() as *const AtomicU64 as *const u8, 8);
                     return true;
                 }
             } else {
-                // Tail lags: persist the link we're about to publish past
-                // (it may be another thread's un-persisted CAS), then
-                // help the hint forward.
-                self.alloc.persist(next_ref as *const AtomicU64 as *const u8, 8);
-                let _ = self.tail_word().compare_exchange(
-                    t,
-                    pack(n_off1, (t_ctr + 1) & 0xFFFF),
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                );
+                self.help_tail(t, next_ref, n_off1);
             }
         }
+    }
+
+    /// Swing the tail hint from `t` to `n_off1`, the node that `link`, the
+    /// tail node's `next`, was read to name, after persisting that link:
+    /// it may be another thread's CAS that is not durable yet. Every tail
+    /// move goes through here (see the module docs).
+    fn help_tail(&self, t: u64, link: &AtomicU64, n_off1: u64) {
+        self.alloc.persist(link as *const AtomicU64 as *const u8, 8);
+        let (_, t_ctr) = unpack(t);
+        let _ = self.tail_word().compare_exchange(
+            t,
+            pack(n_off1, (t_ctr + 1) & 0xFFFF),
+            Ordering::AcqRel,
+            Ordering::Acquire,
+        );
     }
 
     /// Dequeue the oldest value, freeing the retired dummy node.
@@ -341,16 +340,11 @@ impl<A: PersistentAllocator> PQueue<A> {
             // SAFETY: as above.
             let value = unsafe { (*next_node).value };
             let t = self.tail_word().load(Ordering::Acquire);
-            let (t_off1, t_ctr) = unpack(t);
-            if t_off1 == h_off1 {
+            if unpack(t).0 == h_off1 {
                 // Tail still on the dummy we're about to retire: help it
                 // past first so it can never point at a freed node.
-                let _ = self.tail_word().compare_exchange(
-                    t,
-                    pack(n_off1, (t_ctr + 1) & 0xFFFF),
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                );
+                // SAFETY: as above.
+                self.help_tail(t, unsafe { &(*dummy).next }, n_off1);
                 continue;
             }
             if self
@@ -715,6 +709,44 @@ mod tests {
         let q = PQueue::attach(&h, 0).unwrap();
         q.enqueue(10);
         assert_eq!(q.snapshot(), (0..=10).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn a_helped_tail_never_outruns_a_durable_link() {
+        let h = heap();
+        let q = PQueue::create(&h, 0);
+        let size = std::mem::size_of::<QueueNode>();
+        // Move the nodes to come off the dummy's cache line, whose
+        // persists would otherwise carry the dummy's `next` along.
+        for _ in 0..3 {
+            h.malloc(size);
+        }
+        let t = q.tail_word().load(Ordering::Acquire);
+        let dummy = q.to_addr(unpack(t).0 - 1) as *const QueueNode;
+        // A stalled enqueuer: its node is persisted and linked behind the
+        // tail, but neither is the link persisted nor the tail moved.
+        let node = q.alloc_node();
+        // SAFETY: we own the popped node; the dummy is live.
+        let link = unsafe {
+            (*node).value = 1;
+            (*node).next.store(pack(0, unpack((*node).next.load(Ordering::Acquire)).1), Ordering::Release);
+            &(*dummy).next
+        };
+        h.persist(node as *const u8, size);
+        let node_off1 = (node as usize - q.base) as u64 + 1;
+        link.store(pack(node_off1, unpack(link.load(Ordering::Acquire)).1 + 1), Ordering::Release);
+        // A dequeuer's help moves the tail onto it; the next enqueue links
+        // behind it and is acked.
+        q.help_tail(t, link, node_off1);
+        assert!(q.enqueue(2));
+        let acked = q.to_addr(unpack(q.tail_word().load(Ordering::Acquire)).0 - 1);
+        let line = |a: usize| a / 64;
+        assert!(line(dummy as usize) != line(node as usize) && line(dummy as usize) != line(acked));
+        h.crash_simulated();
+        let _ = h.get_root::<QueueHead>(0);
+        h.recover();
+        let q = PQueue::attach(&h, 0).unwrap();
+        assert_eq!(q.snapshot(), [1, 2], "the acked value must survive a power failure");
     }
 
     #[test]

@@ -27,7 +27,7 @@ use std::io;
 use std::path::Path;
 
 use ralloc::anchor::SbState;
-use ralloc::descriptor::{Desc, DescKind};
+use ralloc::descriptor::{Census, Desc, Slot};
 use ralloc::flight;
 use ralloc::layout::{
     Geometry, DIRTY_OFF, FLIGHT_CAP, FLIGHT_MAGIC, FLIGHT_OFF, MAGIC, MAGIC_OFF, MAX_SB_OFF,
@@ -198,9 +198,13 @@ pub struct HeapStats {
     pub dirty: bool,
     pub used_sb: usize,
     pub committed_sb: usize,
+    /// Live large blocks and their superblocks: the census's claim over
+    /// FULL heads, the rule `check` holds the heap to.
     pub large_spans: usize,
     pub large_superblocks: usize,
+    /// Superblocks outside live spans that read EMPTY.
     pub free_superblocks: usize,
+    /// Superblocks that are neither live nor EMPTY.
     pub invalid_superblocks: usize,
     /// Indexed by size class (0 unused; classes start at 1).
     pub classes: Vec<ClassStats>,
@@ -281,40 +285,31 @@ pub fn stats(image: &[u8]) -> Result<HeapStats, String> {
         classes: vec![ClassStats::default(); ralloc::size_class::NUM_CLASSES],
         ..Default::default()
     };
-    let mut skip = 0usize;
-    for idx in 0..used {
-        if skip > 0 {
-            skip -= 1;
-            continue;
-        }
-        let d = Desc::new(pool, &geo, idx as u32);
-        match d.classify(used) {
-            DescKind::Small { class } => {
-                let a = d.anchor(Ordering::Acquire);
-                if a.state == SbState::Empty {
-                    out.free_superblocks += 1;
-                    continue;
-                }
-                let max = d.max_count() as u64;
-                let free = (a.count as u64).min(max);
+    // Recovery's span rule with the checker's head test: a span is live
+    // when its head reads FULL.
+    let census = Census::take(pool, &geo, used);
+    let anchor = |i: usize| Desc::new(pool, &geo, i as u32).anchor(Ordering::Acquire);
+    let claim = census.claim(|head, _| anchor(head).state == SbState::Full);
+    out.large_spans = claim.spans.len();
+    out.large_superblocks = claim.spans.iter().map(|s| s.len()).sum();
+    for (idx, slot) in census.slots.iter().enumerate() {
+        let a = anchor(idx);
+        match *slot {
+            _ if claim.claimed[idx] => {}
+            _ if a.state == SbState::Empty => out.free_superblocks += 1,
+            Slot::Small { class, blocks, size, .. } => {
+                let (max, free) = (blocks as u64, (a.count as u64).min(blocks as u64));
                 let c = &mut out.classes[class as usize];
                 c.superblocks += 1;
-                c.block_size = d.block_size();
+                c.block_size = size as u64;
                 c.blocks_free += free;
                 c.blocks_used += max - free;
-                let bucket = (((max - free) * OCC_BUCKETS as u64) / max.max(1))
-                    .min(OCC_BUCKETS as u64 - 1);
+                let bucket = (((max - free) * OCC_BUCKETS as u64) / max).min(OCC_BUCKETS as u64 - 1);
                 c.occupancy[bucket as usize] += 1;
             }
-            DescKind::LargeHead { span } => {
-                out.large_spans += 1;
-                out.large_superblocks += span;
-                skip = span.saturating_sub(1);
-            }
-            // A continuation without a preceding live head, or garbage:
-            // both read as reclaimable space here; `check` judges them.
-            DescKind::Continuation => out.invalid_superblocks += 1,
-            DescKind::Invalid => out.free_superblocks += 1,
+            // Neither live nor EMPTY: a phantom head, an orphaned
+            // continuation or garbage; `check` judges them.
+            _ => out.invalid_superblocks += 1,
         }
     }
     Ok(out)

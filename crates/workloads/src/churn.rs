@@ -18,7 +18,8 @@ use crate::DynAlloc;
 /// by the caller.
 pub unsafe fn fill_signature(ptr: *mut u8, size: usize) {
     for i in 0..size {
-        *ptr.add(i) = ((ptr as usize).wrapping_add(i) as u8) ^ 0x5A;
+        // SAFETY: `i < size`, inside the caller's exclusively owned block.
+        unsafe { *ptr.add(i) = ((ptr as usize).wrapping_add(i) as u8) ^ 0x5A };
     }
 }
 
@@ -28,7 +29,8 @@ pub unsafe fn fill_signature(ptr: *mut u8, size: usize) {
 /// As for [`fill_signature`].
 pub unsafe fn check_signature(ptr: *mut u8, size: usize) {
     for i in 0..size {
-        let got = *ptr.add(i);
+        // SAFETY: `i < size`, inside the caller's live block.
+        let got = unsafe { *ptr.add(i) };
         let want = ((ptr as usize).wrapping_add(i) as u8) ^ 0x5A;
         assert_eq!(got, want, "signature torn at {ptr:p}+{i}: block overlap or double-issue");
     }

@@ -18,6 +18,8 @@
 //! shared `PersistentAllocator` trait; [`zipf`] provides the YCSB key
 //! distribution. `repro`, the one figure regenerator, prints a CSV row per point.
 
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
+
 pub mod alloc_select;
 pub mod churn;
 pub mod gcbench;

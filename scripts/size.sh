@@ -15,8 +15,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BUDGET=6567
-REST_BUDGET=9018
+BUDGET=6532
+REST_BUDGET=9029
 MAX_FIELDS=6
 MAX_VARS=7
 
