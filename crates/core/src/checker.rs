@@ -14,7 +14,9 @@
 //!    no duplicates; an EMPTY one has `count == max_count` (see below).
 //! 4. **List membership**: every EMPTY superblock reachable from the free
 //!    list, every PARTIAL one from exactly one partial list of its own
-//!    class, no descriptor on two lists, counters monotone.
+//!    class, no descriptor on two lists, counters monotone. A link to a
+//!    descriptor at or past `used` ends its list ([`DescList::collect`])
+//!    and is reported as an uncarved member.
 //! 5. **Span integrity**: the live spans are [`Census::claim`]'s over
 //!    FULL heads, recovery's own rule with "anchor is FULL" for "head is
 //!    marked". A FULL head whose interior is not all `CONTINUATION`s is a
@@ -26,11 +28,11 @@
 //! FULL→EMPTY without linking a single block
 //! ([`crate::heap::HeapInner`]'s `push_batch`), leaving whatever words
 //! the blocks last held. That is sound because nothing ever walks an
-//! EMPTY chain: a fill or scavenge that takes the superblock (off the
-//! free list, or lazily retired off a partial list) re-types it and
-//! hands out or relinks all `max_count` blocks by index, recovery
-//! relinks every unmarked block from the mark bits, and shrink reads
-//! only the anchor's state. All `count == max_count` says is "every
+//! EMPTY chain: a fill or a large block takes the superblock off the free
+//! list (a fill that pops one EMPTY off its class's partial list retires
+//! it there first), re-types it and hands out all `max_count` blocks by
+//! index; recovery relinks every unmarked block from the mark bits; and
+//! shrink reads only the anchor's state. All `count == max_count` says is "every
 //! block is free", and for that the count alone is the whole truth.
 //!
 //! The checker is used by the crash-recovery test suite after every

@@ -15,7 +15,9 @@
 //! `remote_anchor_cas`), not a route: the owner word is read racily, may
 //! be stale or meaningless (a crash image),
 //! and decides nothing. The FULL→PARTIAL transition enlists the
-//! superblock on the *freeing* thread's home shard.
+//! superblock on the *freeing* thread's home shard, FULL→EMPTY puts it on
+//! the free list, and PARTIAL→EMPTY leaves it where it is listed: the
+//! next fill of its class that pops it retires it ([`crate::fill`]).
 //!
 //! Every function here counts into the [`ThreadStats`] of the cache set
 //! it works for ([`crate::stats`]).
@@ -30,7 +32,7 @@ use crate::descriptor::Desc;
 use crate::fill::prefetch_read;
 use crate::heap::HeapInner;
 use crate::lists::DescList;
-use crate::shard::{current_home_shard, ShardedPartial};
+use crate::shard::current_home_shard;
 use crate::size_class::{cache_capacity, class_max_count};
 use crate::stats::{Slot, ThreadStats};
 use crate::tcache::{CacheBin, HeapTls};
@@ -45,7 +47,7 @@ impl HeapInner {
     /// A batch that is the superblock's whole population is not linked
     /// at all: it takes the superblock FULL→EMPTY in one step, and an
     /// EMPTY superblock's chain is never walked — whoever takes it off
-    /// the free list (fill, scavenge, recovery) rebuilds it, shrink only
+    /// the free list (a fill, a large block, recovery) rebuilds it, shrink only
     /// reads the anchor, and [`crate::checker`] holds EMPTY to
     /// `count == max_count` alone.
     pub(crate) fn push_batch(
@@ -73,11 +75,11 @@ impl HeapInner {
             // points at block i+1's index. Unlike the fill walk the
             // addresses are all known up front, so pull block i+2's line
             // in while linking i.
-            // SAFETY: we own every freed block until the CAS publishes them.
             for (i, w) in blocks.windows(2).enumerate() {
                 if let Some(&ahead) = blocks.get(i + 2) {
                     prefetch_read(ahead);
                 }
+                // SAFETY: we own every freed block until the CAS publishes them.
                 unsafe {
                     (*(w[0] as *const AtomicU64)).store(block_idx(w[1]) as u64, Ordering::Relaxed)
                 };
@@ -111,12 +113,14 @@ impl HeapInner {
                     if new.state == SbState::Empty {
                         DescList::free_list(&self.geo).push(&self.pool, &self.geo, sb as u32);
                     } else {
-                        ShardedPartial::new(d.size_class()).push(&self.pool, &self.geo, sb as u32, home);
+                        let shard = DescList::partial_shard(&self.geo, d.size_class(), home);
+                        shard.push(&self.pool, &self.geo, sb as u32);
                         stats.add(Slot::partial_shard_pushes, 1);
                     }
                 }
                 // PARTIAL→EMPTY keeps the descriptor on its partial list;
-                // it is retired when next popped (lazy, paper §4.4).
+                // it is retired when its class's next fill pops it (lazy,
+                // paper §4.4).
                 return;
             }
         }

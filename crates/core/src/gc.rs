@@ -58,6 +58,7 @@ pub unsafe trait Trace {
 /// Leaf impls: plain data holds no references.
 macro_rules! leaf_trace {
     ($($t:ty),* $(,)?) => {
+        // SAFETY: plain data holds no reference, so visiting nothing visits every one.
         $(unsafe impl Trace for $t {
             #[inline]
             fn trace(&self, _tracer: &mut Tracer<'_>) {}
@@ -66,6 +67,7 @@ macro_rules! leaf_trace {
 }
 leaf_trace!(u8, u16, u32, u64, u128, usize, i8, i16, i32, i64, i128, isize, bool, char, f32, f64, ());
 
+// SAFETY: every element is traced, each by its own sound impl.
 unsafe impl<T: Trace, const N: usize> Trace for [T; N] {
     fn trace(&self, tracer: &mut Tracer<'_>) {
         for x in self {
@@ -74,6 +76,7 @@ unsafe impl<T: Trace, const N: usize> Trace for [T; N] {
     }
 }
 
+// SAFETY: the pointer is this value's one reference, and it is visited.
 unsafe impl<T: Trace> Trace for Pptr<T> {
     #[inline]
     fn trace(&self, tracer: &mut Tracer<'_>) {
@@ -81,6 +84,7 @@ unsafe impl<T: Trace> Trace for Pptr<T> {
     }
 }
 
+// SAFETY: the pointer is this value's one reference, and it is visited.
 unsafe impl<T: Trace> Trace for AtomicPptr<T> {
     #[inline]
     fn trace(&self, tracer: &mut Tracer<'_>) {
@@ -386,6 +390,7 @@ mod tests {
         let b0 = base + geo.sb(0); // block 0
         let b3 = b0 + 3 * 64; // block 3
         // Block 0 holds a tagged self-relative pointer to block 3 plus noise.
+        // SAFETY: blocks 0 and 3 lie in superblock 0, carved above and owned by this test.
         unsafe {
             let raw = Pptr::<u64>::encode(b0, b3);
             std::ptr::write(b0 as *mut u64, raw);
@@ -414,11 +419,13 @@ mod tests {
             next: Pptr<Node>,
             _decoy: u64,
         }
+        // SAFETY: `next` is the node's only reference, and it is visited.
         unsafe impl Trace for Node {
             fn trace(&self, t: &mut Tracer<'_>) {
                 t.visit_pptr(&self.next);
             }
         }
+        // SAFETY: b0 and b1 are blocks of superblock 0, carved above and owned by this test.
         unsafe {
             // b0.next -> b1; decoy holds a *tagged* pointer to b2 that a
             // conservative scan would chase but the filter must not.
@@ -446,6 +453,7 @@ mod tests {
         let base = pool.base() as usize;
         let b0 = base + geo.sb(0);
         let b1 = b0 + 64;
+        // SAFETY: b0 is block 0 of superblock 0, carved above and owned by this test.
         unsafe {
             // b0 holds a tagged pointer to b1 but is visited as a leaf.
             std::ptr::write(b0 as *mut u64, Pptr::<u64>::encode(b0, b1));

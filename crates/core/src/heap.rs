@@ -763,28 +763,35 @@ mod batch_tests {
     }
 
     #[test]
-    fn scavenge_reuses_empty_superblock_stranded_on_partial_list() {
-        let heap = Ralloc::create(8 << 20, RallocConfig::default());
-        let mc = class_max_count(8) as usize;
-        let ptrs: Vec<usize> = (0..mc).map(|_| heap.malloc(64) as usize).collect();
-        // Park the superblock EMPTY on the 64 B class's partial list:
-        // first batch makes it FULL->PARTIAL (enlists), second makes it
-        // PARTIAL->EMPTY (lazy retirement leaves it enlisted).
-        let mut first: Vec<usize> = ptrs[..mc - 1].to_vec();
-        heap.inner.flush_blocks(&mut first);
-        let mut second = vec![ptrs[mc - 1]];
-        heap.inner.flush_blocks(&mut second);
-        assert_eq!(heap.used_superblocks(), 1);
-        // A different class now needs a superblock: the free list is
-        // empty, so without scavenging this would carve fresh space.
+    fn an_empty_superblock_parked_on_a_partial_list_serves_only_its_own_class() {
+        let parked = || {
+            let heap = Ralloc::create(8 << 20, RallocConfig::default());
+            let mc = class_max_count(8) as usize;
+            let ptrs: Vec<usize> = (0..mc).map(|_| heap.malloc(64) as usize).collect();
+            // Park the superblock EMPTY on the 64 B class's partial list:
+            // first batch makes it FULL->PARTIAL (enlists), second makes it
+            // PARTIAL->EMPTY (lazy retirement leaves it enlisted).
+            let mut first: Vec<usize> = ptrs[..mc - 1].to_vec();
+            heap.inner.flush_blocks(&mut first);
+            let mut second = vec![ptrs[mc - 1]];
+            heap.inner.flush_blocks(&mut second);
+            assert_eq!(heap.used_superblocks(), 1);
+            heap
+        };
+        // Its own class's next fill pops it, retires it to the free list
+        // and takes it from there: no carve.
+        let heap = parked();
+        let p = heap.malloc(64);
+        assert!(!p.is_null());
+        assert_eq!(heap.used_superblocks(), 1, "the parked superblock must serve its own class");
+        assert_eq!(heap.slow_stats().sb_carved.get(), 1, "only the first fill carved");
+        heap.free(p);
+        // Another class's fill does not look on the 64 B class's lists:
+        // it carves.
+        let heap = parked();
         let q = heap.malloc(128);
         assert!(!q.is_null());
-        assert_eq!(
-            heap.used_superblocks(),
-            1,
-            "empty superblock on a partial list must be reused, not bypassed"
-        );
-        assert_eq!(heap.slow_stats().sb_scavenged.get(), 1);
+        assert_eq!(heap.used_superblocks(), 2, "another class carves past a parked superblock");
         heap.free(q);
     }
 

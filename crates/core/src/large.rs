@@ -7,7 +7,9 @@
 //! returned, and every anchor of the span reads FULL; a free splits the
 //! span back into single EMPTY superblocks. The
 //! [`Census`](crate::descriptor::Census) decodes it, and its `claim` is
-//! the one rule for which spans are live.
+//! the one rule for which spans are live. A large block always carves
+//! (§4.4); only a one-superblock request whose carve fails pops the free
+//! list.
 //!
 //! No cache set is in hand here, so what this path counts goes to the
 //! heap's shared counters ([`crate::stats`]): a large pair is ≈ 1.4 µs
@@ -27,20 +29,15 @@ impl HeapInner {
     pub(crate) fn malloc_large(&self, size: usize) -> *mut u8 {
         let span = size.div_ceil(SB_SIZE);
         // The paper always expands `used` for large allocations (§4.4).
-        // When expansion fails we additionally try the free list for
-        // single-superblock requests — a documented liveness improvement
-        // for long-running processes with bounded pools.
+        // When expansion fails a single-superblock request also tries the
+        // free list — a liveness improvement for long-running processes
+        // with bounded pools.
         let idx = match self.carve(span) {
             Some(i) => {
                 self.slow.sb_carved.add(span as u64);
                 Some(i)
             }
-            None if span == 1 => {
-                DescList::free_list(&self.geo).pop(&self.pool, &self.geo).or_else(|| {
-                    self.scavenge()
-                        .inspect(|_| self.slow.sb_scavenged.add(1))
-                })
-            }
+            None if span == 1 => DescList::free_list(&self.geo).pop(&self.pool, &self.geo),
             None => None,
         };
         let Some(idx) = idx else {

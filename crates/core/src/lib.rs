@@ -46,7 +46,7 @@
 //! | [`gc`] | §4.5.1 | filter functions & tracing |
 //! | [`recovery`] | §4.5 | offline GC + shard-aware reconstruction |
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
 pub mod anchor;
 pub mod checker;
@@ -174,6 +174,7 @@ mod tests {
         assert!(heap.contains(p));
         // 100 B rounds up to the 112 B class.
         assert_eq!(heap.usable_size(p), 112);
+        // SAFETY: `p` is a fresh block of at least 100 bytes.
         unsafe { std::ptr::write_bytes(p, 0xCD, 100) };
         heap.free(p);
     }
@@ -235,6 +236,7 @@ mod tests {
         let p = heap.malloc(200_000); // 4 superblocks
         assert!(!p.is_null());
         assert_eq!(heap.usable_size(p), 200_000);
+        // SAFETY: `p` is a fresh block of at least 200 000 bytes.
         unsafe { std::ptr::write_bytes(p, 0xEE, 200_000) };
         heap.free(p);
         // The span is reusable for small allocations afterwards.
@@ -356,11 +358,13 @@ mod tests {
                             let p = heap.malloc(sz);
                             assert!(!p.is_null());
                             // Write a signature to catch overlap.
+                            // SAFETY: `p` is a fresh block of at least 8 bytes, this thread's own.
                             unsafe { std::ptr::write(p as *mut u64, p as u64) };
                             mine.push(p as usize);
                         }
                         // Verify all signatures intact, then free half.
                         for &p in &mine {
+                            // SAFETY: `p` is still allocated and holds the signature written above.
                             assert_eq!(unsafe { std::ptr::read(p as *const u64) }, p as u64);
                         }
                         for &p in mine.iter().skip(per / 2) {
@@ -421,6 +425,7 @@ mod tests {
     fn clean_restart_via_image_preserves_heap() {
         let heap = small_heap();
         let p = heap.malloc(64);
+        // SAFETY: `p` is a fresh block of at least 8 bytes.
         unsafe { std::ptr::write(p as *mut u64, 0x1122334455667788) };
         heap.set_root::<u64>(0, p as *const u64);
         heap.close().unwrap();
@@ -431,6 +436,7 @@ mod tests {
         assert!(!dirty, "clean shutdown must not require recovery");
         let q = heap2.get_root::<u64>(0);
         assert!(!q.is_null());
+        // SAFETY: the root names the rooted 64-byte block, which survived the restart.
         assert_eq!(unsafe { *q }, 0x1122334455667788);
         // The heap is immediately usable without recovery.
         let r = heap2.malloc(64);

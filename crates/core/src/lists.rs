@@ -7,6 +7,13 @@
 //! `next_partial`). Everything is index-based, hence position-independent;
 //! everything is transient, hence never flushed — recovery rebuilds the
 //! lists from scratch (paper §4.5, steps 8–9).
+//!
+//! A link to a descriptor at or past `used` ends a list: a pop finds it
+//! empty, and a walk stops on it without following it. No live list
+//! holds one, since every listed superblock was carved first and `used`
+//! never falls while a list is in use; so a link past `used` is a
+//! flipped bit in an image, and it must not send a `malloc` or the
+//! checker into uncarved (possibly unmapped) descriptors.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -14,7 +21,7 @@ use nvm::PmemPool;
 use pptr::Counted;
 
 use crate::descriptor::Desc;
-use crate::layout::Geometry;
+use crate::layout::{Geometry, USED_SB_OFF};
 
 /// Which per-descriptor link field a list threads through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,6 +59,16 @@ impl DescList {
         unsafe { pool.atomic_u64(self.head_off) }
     }
 
+    /// True when `idx` was carved: below the `used` word. Read after the
+    /// link that named it: that link's writer had seen the carve's `used`
+    /// CAS, and the link's Release / Acquire pair carries that to this
+    /// load, so a listed descriptor always passes.
+    #[inline]
+    fn carved(pool: &PmemPool, idx: u32) -> bool {
+        // SAFETY: a header word, in bounds and 8-aligned.
+        (idx as u64) < unsafe { pool.atomic_u64(USED_SB_OFF) }.load(Ordering::Acquire)
+    }
+
     #[inline]
     fn link_of<'a>(&self, d: &Desc<'a>) -> &'a AtomicU64 {
         match self.link {
@@ -79,12 +96,13 @@ impl DescList {
         }
     }
 
-    /// Pop the most recently pushed descriptor, if any.
+    /// Pop the most recently pushed descriptor, if any (none when the
+    /// head links past `used`).
     pub fn pop(&self, pool: &PmemPool, geo: &Geometry) -> Option<u32> {
         let head = self.head(pool);
         loop {
             let h = Counted(head.load(Ordering::Acquire));
-            let idx = h.idx()?;
+            let idx = h.idx().filter(|&i| Self::carved(pool, i))?;
             let desc = Desc::new(pool, geo, idx);
             let next_raw = self.link_of(&desc).load(Ordering::Acquire);
             let next = next_raw.checked_sub(1).map(|i| i as u32);
@@ -132,12 +150,16 @@ impl DescList {
         head.store(Counted::pack(first, counter).0, Ordering::Release);
     }
 
-    /// Snapshot the list contents (offline use: diagnostics, tests).
+    /// Snapshot the list contents (offline use: diagnostics, tests). A
+    /// link past `used` is the last element, not followed.
     pub fn collect(&self, pool: &PmemPool, geo: &Geometry) -> Vec<u32> {
         let mut out = Vec::new();
         let mut cur = Counted(self.head(pool).load(Ordering::Acquire)).idx();
         while let Some(idx) = cur {
             out.push(idx);
+            if !Self::carved(pool, idx) {
+                break;
+            }
             let desc = Desc::new(pool, geo, idx);
             cur = self
                 .link_of(&desc)
@@ -171,7 +193,13 @@ mod tests {
         let len = Geometry::pool_len_for_capacity(64 << 20);
         let pool = PmemPool::new(len, Mode::Direct);
         let geo = Geometry::from_pool_len(pool.len());
+        set_used(&pool, geo.max_sb);
         (pool, geo)
+    }
+
+    fn set_used(pool: &PmemPool, used: usize) {
+        // SAFETY: a header word, in bounds and 8-aligned.
+        unsafe { pool.write_u64(USED_SB_OFF, used as u64) };
     }
 
     #[test]
@@ -201,6 +229,25 @@ mod tests {
     }
 
     #[test]
+    fn a_link_past_used_ends_the_list() {
+        let (pool, geo) = test_heap();
+        let l = DescList::free_list(&geo);
+        l.push(&pool, &geo, 3);
+        l.push(&pool, &geo, 9);
+        l.push(&pool, &geo, 2);
+        set_used(&pool, 9);
+        // The walk keeps 9 but does not follow it; a pop takes 2, then
+        // finds the list empty at 9, and leaves it there.
+        assert_eq!(l.collect(&pool, &geo), vec![2, 9]);
+        assert_eq!(l.pop(&pool, &geo), Some(2));
+        assert_eq!(l.pop(&pool, &geo), None);
+        assert_eq!(l.collect(&pool, &geo), vec![9]);
+        set_used(&pool, 10);
+        assert_eq!(l.pop(&pool, &geo), Some(9));
+        assert_eq!(l.pop(&pool, &geo), Some(3));
+    }
+
+    #[test]
     fn free_and_partial_lists_are_independent() {
         let (pool, geo) = test_heap();
         let free = DescList::free_list(&geo);
@@ -223,6 +270,7 @@ mod tests {
         let (pool, geo) = test_heap();
         let l = DescList::partial_shard(&geo, 3, 1);
         l.push(&pool, &geo, 99);
+        // SAFETY: a list head: in bounds and 8-aligned.
         let head = unsafe { pool.atomic_u64(geo.partial_head(3, 1)) };
         let c0 = Counted(head.load(Ordering::Relaxed)).counter();
         let chains: [&[u32]; 4] = [&[5, 6], &[], &[7, 8, 9], &[10]];
@@ -241,6 +289,7 @@ mod tests {
         // elements come out in chain order and no CAS loop bumps the counter.
         let (pool, geo) = test_heap();
         let l = DescList::partial_shard(&geo, 3, 1);
+        // SAFETY: a list head: in bounds and 8-aligned.
         let head = unsafe { pool.atomic_u64(geo.partial_head(3, 1)) };
         let c0 = Counted(head.load(Ordering::Relaxed)).counter();
         let chain: &[u32] = &[5, 6, 7];
@@ -260,6 +309,7 @@ mod tests {
         let l = DescList::partial_shard(&geo, 5, 2);
         l.push(&pool, &geo, 7);
         l.push(&pool, &geo, 8);
+        // SAFETY: a list head: in bounds and 8-aligned.
         let head = unsafe { pool.atomic_u64(geo.partial_head(5, 2)) };
         let c0 = Counted(head.load(Ordering::Relaxed)).counter();
         l.publish(&pool, &geo, []);
@@ -271,6 +321,7 @@ mod tests {
     fn aba_counter_advances() {
         let (pool, geo) = test_heap();
         let l = DescList::free_list(&geo);
+        // SAFETY: the free-list head: in bounds and 8-aligned.
         let head = unsafe { pool.atomic_u64(crate::layout::FREE_LIST_OFF) };
         let c0 = Counted(head.load(Ordering::Relaxed)).counter();
         l.push(&pool, &geo, 4);

@@ -490,6 +490,7 @@ mod tests {
         next: Pptr<Node>,
     }
 
+    // SAFETY: `next` is the node's only reference, and it is visited.
     unsafe impl Trace for Node {
         fn trace(&self, t: &mut Tracer<'_>) {
             t.visit_pptr(&self.next);
@@ -508,6 +509,7 @@ mod tests {
         for i in 0..n {
             let p = heap.malloc(std::mem::size_of::<Node>()) as *mut Node;
             assert!(!p.is_null());
+            // SAFETY: `p` is a fresh block of at least `size_of::<Node>()` bytes.
             unsafe {
                 (*p).value = i as u64;
                 (*p).next.set(head);
@@ -527,6 +529,7 @@ mod tests {
         let mut out = Vec::new();
         let mut cur = heap.get_root::<Node>(root);
         while !cur.is_null() {
+            // SAFETY: every node on the rooted list is a live block holding a `Node`.
             unsafe {
                 out.push((*cur).value);
                 cur = (*cur).next.as_ptr();
@@ -631,6 +634,7 @@ mod tests {
         let size = 3 * crate::size_class::SB_SIZE + 17;
         let p = heap.malloc(size);
         assert!(!p.is_null());
+        // SAFETY: `p` is a fresh block of `size` bytes.
         unsafe {
             std::ptr::write_bytes(p, 0xAB, size);
         }
@@ -643,6 +647,7 @@ mod tests {
         assert_eq!(stats.reachable_bytes, size as u64);
         let q = heap.get_root::<u8>(0);
         assert_eq!(q, p);
+        // SAFETY: `q` is the rooted block of `size` bytes, kept by the recovery.
         unsafe {
             for i in [0usize, 1, size / 2, size - 1] {
                 assert_eq!(*q.add(i), 0xAB, "large block byte {i} corrupted");
@@ -837,6 +842,7 @@ mod parallel_tests {
         value: u64,
         next: Pptr<Node>,
     }
+    // SAFETY: `next` is the node's only reference, and it is visited.
     unsafe impl Trace for Node {
         fn trace(&self, t: &mut Tracer<'_>) {
             t.visit_pptr(&self.next);

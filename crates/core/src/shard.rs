@@ -14,20 +14,19 @@
 //!   keeps a thread's recently-flushed superblocks on the shard it will
 //!   pop next — the same locality argument as the thread cache, one
 //!   level down. A shard's heads occupy cache lines of their own
-//!   ([`Geometry::partial_head`]), so home traffic shares no line with
-//!   another shard's.
+//!   ([`crate::layout::Geometry::partial_head`]), so home traffic shares
+//!   no line with another shard's.
 //! * **Ownership**: the fill that claims a superblock stamps its home
 //!   shard into the descriptor ([`crate::descriptor::Desc::owner`]);
 //!   a flush from any other shard counts its group as a remote free
 //!   (see [`crate::flush`]), so a thread's frees of blocks it filled
 //!   itself are always local.
-//! * **Work-stealing**: a Fill pops its home shard ([`ShardedPartial::pop`]);
-//!   only when that *and* the superblock free list are empty does it
-//!   probe the remaining shards in ring order ([`ShardedPartial::steal`]).
-//!   A steal is a plain pop of a neighbor shard — descriptor ownership
-//!   transfers exactly as on the home path, so no new synchronization is
-//!   needed; the cost is bounded by `SHARDS - 1` extra head loads when
-//!   everything is empty.
+//! * **Work-stealing**: a Fill pops its home shard; only when that *and*
+//!   the superblock free list are empty does it pop the remaining shards
+//!   in ring order ([`neighbors`], in `fill_bin`). A steal is a plain
+//!   pop of a neighbor shard — descriptor ownership transfers exactly as
+//!   on the home path, so no new synchronization is needed; the cost is
+//!   bounded by `SHARDS - 1` extra head loads when everything is empty.
 //!
 //! The shard count is a constant ([`SHARDS`]): at 1 the ledger's `churn`
 //! loses 15 %, 2 reads like 4 on a 2-core host, and 16 buys nothing over
@@ -42,11 +41,6 @@
 //! of `sb % SHARDS`: online, ownership follows fills.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-
-use nvm::PmemPool;
-
-use crate::layout::Geometry;
-use crate::lists::DescList;
 
 /// Partial-list shards per size class.
 pub const SHARDS: u32 = 4;
@@ -88,52 +82,19 @@ pub fn place_superblock(sb: usize) -> u32 {
     (sb % SHARDS as usize) as u32
 }
 
-/// The [`SHARDS`] partial-list shards of one size class.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardedPartial {
-    class: u32,
-}
-
-impl ShardedPartial {
-    #[inline]
-    pub fn new(class: u32) -> ShardedPartial {
-        ShardedPartial { class }
-    }
-
-    /// Push `idx` onto shard `home` (callers pass their home shard; the
-    /// recovery sweep passes [`place_superblock`]).
-    #[inline]
-    pub fn push(&self, pool: &PmemPool, geo: &Geometry, idx: u32, home: u32) {
-        debug_assert!(home < SHARDS);
-        DescList::partial_shard(geo, self.class, home).push(pool, geo, idx);
-    }
-
-    /// Pop from shard `home` only.
-    #[inline]
-    pub fn pop(&self, pool: &PmemPool, geo: &Geometry, home: u32) -> Option<u32> {
-        debug_assert!(home < SHARDS);
-        DescList::partial_shard(geo, self.class, home).pop(pool, geo)
-    }
-
-    /// Pop from the first non-empty neighbor of `home`, in ring order.
-    pub fn steal(&self, pool: &PmemPool, geo: &Geometry, home: u32) -> Option<u32> {
-        (1..SHARDS).find_map(|probe| self.pop(pool, geo, (home + probe) % SHARDS))
-    }
-
-    /// Snapshot the contents of every shard (offline: tests, checker,
-    /// diagnostics). Index `s` of the result is shard `s`.
-    pub fn collect_all(&self, pool: &PmemPool, geo: &Geometry) -> Vec<Vec<u32>> {
-        (0..SHARDS)
-            .map(|s| DescList::partial_shard(geo, self.class, s).collect(pool, geo))
-            .collect()
-    }
+/// The shards other than `home`, in ring order: where a fill steals.
+#[inline]
+pub fn neighbors(home: u32) -> impl Iterator<Item = u32> {
+    debug_assert!(home < SHARDS);
+    (1..SHARDS).map(move |k| (home + k) % SHARDS)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layout::Geometry;
-    use nvm::Mode;
+    use crate::layout::{Geometry, USED_SB_OFF};
+    use crate::lists::DescList;
+    use nvm::{Mode, PmemPool};
 
     fn test_heap() -> (PmemPool, Geometry) {
         // 64 MiB capacity = 1024 superblocks: enough descriptors for the
@@ -141,7 +102,20 @@ mod tests {
         let len = Geometry::pool_len_for_capacity(64 << 20);
         let pool = PmemPool::new(len, Mode::Direct);
         let geo = Geometry::from_pool_len(pool.len());
+        // Every descriptor is carved: a list ends at a link past `used`.
+        // SAFETY: a header word, in bounds and 8-aligned.
+        unsafe { pool.write_u64(USED_SB_OFF, geo.max_sb as u64) };
         (pool, geo)
+    }
+
+    /// Shard `s` of `class`'s partial list.
+    fn shard(geo: &Geometry, class: u32, s: u32) -> DescList {
+        DescList::partial_shard(geo, class, s)
+    }
+
+    /// A fill's steal: pop the first non-empty neighbor of `home`.
+    fn steal(pool: &PmemPool, geo: &Geometry, class: u32, home: u32) -> Option<u32> {
+        neighbors(home).find_map(|s| shard(geo, class, s).pop(pool, geo))
     }
 
     #[test]
@@ -166,29 +140,26 @@ mod tests {
     #[test]
     fn pop_prefers_home_then_steals() {
         let (pool, geo) = test_heap();
-        let sp = ShardedPartial::new(8);
-        sp.push(&pool, &geo, 10, 1);
-        sp.push(&pool, &geo, 11, 3);
+        shard(&geo, 8, 1).push(&pool, &geo, 10);
+        shard(&geo, 8, 3).push(&pool, &geo, 11);
         // A steal never takes from home; a pop takes nothing else.
-        assert_eq!(sp.steal(&pool, &geo, 3), Some(10));
-        sp.push(&pool, &geo, 10, 1);
-        assert_eq!(sp.pop(&pool, &geo, 1), Some(10));
+        assert_eq!(steal(&pool, &geo, 8, 3), Some(10));
+        shard(&geo, 8, 1).push(&pool, &geo, 10);
+        assert_eq!(shard(&geo, 8, 1).pop(&pool, &geo), Some(10));
         // Home (1) now empty: the pop misses, the ring probe finds shard
         // 3's element.
-        assert_eq!(sp.pop(&pool, &geo, 1), None);
-        assert_eq!(sp.steal(&pool, &geo, 1), Some(11));
-        assert_eq!(sp.steal(&pool, &geo, 1), None);
+        assert_eq!(shard(&geo, 8, 1).pop(&pool, &geo), None);
+        assert_eq!(steal(&pool, &geo, 8, 1), Some(11));
+        assert_eq!(steal(&pool, &geo, 8, 1), None);
     }
 
     #[test]
     fn shards_do_not_bleed_across_classes() {
         let (pool, geo) = test_heap();
-        let a = ShardedPartial::new(5);
-        let b = ShardedPartial::new(6);
-        a.push(&pool, &geo, 7, 2);
-        assert_eq!(b.pop(&pool, &geo, 2), None);
-        assert_eq!(b.steal(&pool, &geo, 0), None);
-        assert_eq!(a.pop(&pool, &geo, 2), Some(7));
+        shard(&geo, 5, 2).push(&pool, &geo, 7);
+        assert_eq!(shard(&geo, 6, 2).pop(&pool, &geo), None);
+        assert_eq!(steal(&pool, &geo, 6, 0), None);
+        assert_eq!(shard(&geo, 5, 2).pop(&pool, &geo), Some(7));
     }
 
     #[test]
@@ -205,18 +176,16 @@ mod tests {
     #[test]
     fn concurrent_shard_churn_loses_nothing() {
         let (pool, geo) = test_heap();
-        let sp = ShardedPartial::new(8);
         let n_threads = 8u32;
         let per = 128u32;
         std::thread::scope(|s| {
             for t in 0..n_threads {
                 let pool = &pool;
                 let geo = &geo;
-                let sp = &sp;
                 s.spawn(move || {
-                    let home = home_shard(t as u64);
+                    let home = shard(geo, 8, home_shard(t as u64));
                     for i in 0..per {
-                        sp.push(pool, geo, t * per + i, home);
+                        home.push(pool, geo, t * per + i);
                     }
                 });
             }
@@ -227,12 +196,11 @@ mod tests {
                 .map(|t| {
                     let pool = &pool;
                     let geo = &geo;
-                    let sp = &sp;
                     s.spawn(move || {
                         let home = home_shard(t as u64);
                         let mut got = Vec::new();
                         while let Some(idx) =
-                            sp.pop(pool, geo, home).or_else(|| sp.steal(pool, geo, home))
+                            shard(geo, 8, home).pop(pool, geo).or_else(|| steal(pool, geo, 8, home))
                         {
                             got.push(idx);
                         }

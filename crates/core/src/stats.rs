@@ -115,13 +115,6 @@ slow_stats! {
     heap_shrinks,
     /// Superblocks released back to the OS by those shrinks.
     sb_released,
-    /// Fully-empty superblocks reclaimed from partial lists instead of
-    /// carving fresh space.
-    sb_scavenged,
-    /// Fills served by the free-list re-check that follows a failed
-    /// scavenge (a concurrent flush/scavenge replenished the list while
-    /// our scan was holding descriptors invisible).
-    free_recheck_hits,
     /// Large allocations served.
     large_allocs,
     /// Fills served by popping the calling thread's *home* shard.

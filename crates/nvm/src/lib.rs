@@ -38,7 +38,7 @@
 //!   crash can persist *more* than what was flushed. [`CrashStyle::RandomEviction`]
 //!   models this for adversarial testing.
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
 mod crash;
 mod flush;

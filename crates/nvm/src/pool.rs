@@ -220,6 +220,8 @@ pub struct PmemPool {
 // external quiescence, which the allocator layer guarantees (recovery is
 // offline, paper §3).
 unsafe impl Send for PmemPool {}
+// SAFETY: as for `Send` above: every shared access goes through atomics
+// or the Mutex.
 unsafe impl Sync for PmemPool {}
 
 impl PmemPool {
@@ -744,12 +746,14 @@ mod tests {
     use super::*;
 
     fn write_bytes(pool: &PmemPool, off: usize, bytes: &[u8]) {
+        // SAFETY: the tests write inside the committed prefix, single-threaded.
         unsafe {
             std::ptr::copy_nonoverlapping(bytes.as_ptr(), pool.base().add(off), bytes.len());
         }
     }
 
     fn read_byte(pool: &PmemPool, off: usize) -> u8 {
+        // SAFETY: the tests read inside the committed prefix.
         unsafe { *pool.base().add(off) }
     }
 
@@ -895,6 +899,7 @@ mod tests {
     #[test]
     fn atomic_view_reads_plain_writes() {
         let pool = PmemPool::new(4096, Mode::Direct);
+        // SAFETY: offset 16 is in bounds and 8-aligned.
         unsafe {
             pool.write_u64(16, 0xDEADBEEF);
             assert_eq!(pool.atomic_u64(16).load(Ordering::Relaxed), 0xDEADBEEF);
@@ -1024,6 +1029,7 @@ mod tests {
         // Only a file's tail gives pages up; an anonymous one is recycled.
         assert_eq!(*pool.mapped.lock(), if pool.file.is_some() { page_up(lo) } else { mapped });
         let check = |what: &str| {
+            // SAFETY: `[TAIL, hi)` is committed again before each call.
             let bytes = unsafe { std::slice::from_raw_parts(pool.base().add(TAIL), hi - TAIL) };
             let (kept, released) = bytes.split_at(lo - TAIL);
             assert!(kept.iter().all(|&b| b == 0xAA), "{what}: bytes below the release changed");
@@ -1148,6 +1154,7 @@ mod tests {
             }
             assert_eq!(pool.commit(end), end);
             let check = |what: &str| {
+                // SAFETY: `[0, end)` was committed again just above.
                 let bytes = unsafe { std::slice::from_raw_parts(pool.base(), end) };
                 assert!(bytes[..lo].iter().all(|&b| b == 0xAA), "{mode:?} {what}: kept bytes changed");
                 assert!(bytes[lo..].iter().all(|&b| b == 0), "{mode:?} {what}: released bytes resurrected");

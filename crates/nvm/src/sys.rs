@@ -374,9 +374,11 @@ impl Reservation {
     /// concurrently.
     pub unsafe fn discard(&self, lo: usize, hi: usize) {
         assert!(lo <= hi && hi <= page_up(self.len), "discard({lo}, {hi}) outside the span");
-        // SAFETY: per fn contract, here and below.
+        // SAFETY: per fn contract.
         let (first, last) = unsafe { self.zero_edges(lo, hi) };
+        // SAFETY: `[first, last)` is whole pages inside the range, per fn contract.
         if last > first && unsafe { madvise(self.base.add(first), last - first, MADV_DONTNEED) }.is_err() {
+            // SAFETY: as above; the advice was refused, so stores zero it.
             unsafe { self.zero(first, last) };
         }
     }
@@ -410,14 +412,16 @@ impl Reservation {
         let (mut run, mut at) = (lo, lo);
         while at < hi {
             let end = page_up(at + 1).min(hi);
-            // SAFETY: per fn contract, here and below.
+            // SAFETY: `[at, end)` is inside the range, per fn contract.
             let page = unsafe { std::slice::from_raw_parts(self.base.add(at), end - at) };
             if *page == ZEROS[..page.len()] {
+                // SAFETY: `[run, at)` is inside the range, per fn contract.
                 unsafe { std::ptr::write_bytes(self.base.add(run), 0, at - run) };
                 run = end;
             }
             at = end;
         }
+        // SAFETY: `[run, hi)` is inside the range, per fn contract.
         unsafe { std::ptr::write_bytes(self.base.add(run), 0, hi - run) };
     }
 }

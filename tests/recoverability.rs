@@ -371,6 +371,54 @@ fn flipped_dead_descriptors_change_no_recovery() {
     }
 }
 
+/// A flipped high bit that sends a list head past `used` — bit 20 of the
+/// free-list head word (byte 40) and of the 64 B class's home partial
+/// shard — ends that list. A cleanly closed image is not recovered, so its
+/// lists are trusted as they are: the checker (and the inspector) must
+/// report a `list-membership` violation, and a `malloc` must fall through
+/// the broken lists to a carve. Neither may fault.
+#[test]
+fn a_list_head_flipped_past_used_ends_the_list() {
+    use ralloc::layout::FREE_LIST_OFF;
+    use ralloc::shard::current_home_shard;
+    use ralloc::size_class::size_class_of;
+    let heap = Ralloc::create(8 << 20, RallocConfig::default());
+    let blocks: Vec<*mut u8> = (0..600).map(|_| heap.malloc(64)).collect();
+    assert!(blocks.iter().all(|p| !p.is_null()));
+    // Every other block back: the closing drain leaves PARTIAL superblocks
+    // on this thread's home shard.
+    blocks.iter().step_by(2).for_each(|&p| heap.free(p));
+    heap.close().unwrap();
+    let mut image = heap.pool().persistent_image();
+    let used = heap.used_superblocks();
+    let shard_head = heap.geometry().partial_head(size_class_of(64).unwrap(), current_home_shard());
+    drop(heap);
+    for off in [FREE_LIST_OFF, shard_head] {
+        let word = u64::from_le_bytes(image[off..off + 8].try_into().unwrap()) ^ (1 << 20);
+        image[off..off + 8].copy_from_slice(&word.to_le_bytes());
+    }
+    let membership = |report: &ralloc::CheckReport| {
+        assert!(!report.violations.is_empty(), "a list head past `used` went unreported");
+        for v in &report.violations {
+            assert_eq!(v.rule, "list-membership", "{v:?}");
+        }
+    };
+    let outcome = rinspect::check(&image).expect("a clean image is checked, not refused");
+    assert!(!outcome.recovered, "a clean image is not recovered");
+    membership(&outcome.report);
+    let (heap, dirty) = Ralloc::from_image(&image, RallocConfig::default());
+    assert!(!dirty);
+    membership(&ralloc::check_heap(&heap));
+    let p = heap.malloc(64);
+    assert!(!p.is_null());
+    assert_eq!(heap.used_superblocks(), used + 1, "the fill carves past both broken lists");
+    heap.free(p);
+    let more: Vec<*mut u8> = (0..600).map(|_| heap.malloc(64)).collect();
+    assert!(more.iter().all(|p| !p.is_null()));
+    more.into_iter().for_each(|p| heap.free(p));
+    membership(&ralloc::check_heap(&heap));
+}
+
 /// A crash at any persistence event of one `recover_parallel(2)` — the
 /// lowered `used`, the decommit, the flight records
 /// around the list publish, the write-back — leaves an image whose own

@@ -19,7 +19,7 @@ use std::sync::{mpsc, Arc};
 use nvm::{CrashInjector, CrashPoint};
 use ralloc::layout::Geometry;
 use ralloc::lists::DescList;
-use ralloc::shard::{home_shard, place_superblock, thread_token, ShardedPartial, SHARDS};
+use ralloc::shard::{home_shard, place_superblock, thread_token, SHARDS};
 use ralloc::size_class::{cache_capacity, class_max_count, size_class_of};
 use ralloc::{check_heap, Pptr, Ralloc, RallocConfig, Trace, Tracer};
 
@@ -237,7 +237,8 @@ fn list_snapshot(heap: &Ralloc) -> (Vec<Vec<Vec<u32>>>, Vec<u32>) {
     let pool = heap.pool();
     let mut partials = Vec::new();
     for class in 1..40u32 {
-        let mut shards = ShardedPartial::new(class).collect_all(pool, &geo);
+        let mut shards: Vec<Vec<u32>> =
+            (0..SHARDS).map(|s| DescList::partial_shard(&geo, class, s).collect(pool, &geo)).collect();
         for s in shards.iter_mut() {
             s.sort_unstable();
         }

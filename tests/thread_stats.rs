@@ -249,7 +249,7 @@ fn the_tls_teardown_one_shot_cache_set_is_counted() {
 
 /// The heap's counter names, as every exporter has carried them since
 /// they were registered by `SlowStats` field name.
-const NAMES: [&str; 18] = [
+const NAMES: [&str; 16] = [
     "cache_fills",
     "cache_fill_blocks",
     "cache_flushes",
@@ -260,8 +260,6 @@ const NAMES: [&str; 18] = [
     "heap_grows",
     "heap_shrinks",
     "sb_released",
-    "sb_scavenged",
-    "free_recheck_hits",
     "large_allocs",
     "partial_pops_home",
     "partial_steals",
