@@ -178,7 +178,7 @@ pub fn check_heap(heap: &Ralloc) -> CheckReport {
     // FULL head it refuses is a phantom, and every superblock of a live
     // span must read FULL, since a shrink reads anchors alone.
     let anchor = |i: usize| Desc::new(pool, geo, i as u32).anchor(Ordering::Relaxed);
-    let claim = census.claim(|head, _| anchor(head).state == SbState::Full);
+    let claim = census.claim(census.heads().filter(|&head| anchor(head).state == SbState::Full));
     for head in &claim.phantoms {
         report.violate(
             "span-integrity",

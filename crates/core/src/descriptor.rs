@@ -24,8 +24,9 @@
 //! the online paths read the two fields: `free` / `usable_size`, and the
 //! fill and flush under them, all on a superblock they know is live. Which
 //! large spans are live is [`Census::claim`]'s one rule; recovery, the
-//! checker and `rinspect stats` differ only in the head test they pass.
+//! checker and `rinspect stats` differ only in the heads they pass it.
 
+use std::mem::MaybeUninit;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -220,44 +221,80 @@ impl Census {
     /// counts only with its own block size, and a large head only with a
     /// positive size whose span fits under `used`.
     pub fn take(pool: &PmemPool, geo: &Geometry, used: usize) -> Census {
+        let mut slots = Vec::with_capacity(used);
+        let bits = Census::decode(pool, geo, used, 0..used, &mut slots.spare_capacity_mut()[..used]);
+        // SAFETY: `decode` initialized the first `used` slots.
+        unsafe { slots.set_len(used) };
+        Census::join(pool, geo, slots, &[(0..used, bits)])
+    }
+
+    /// Decode the share `range` of descriptors `0..used` into `out`, one
+    /// slot per descriptor, numbering its bits from 0; returns how many
+    /// it numbered. [`Census::join`] puts the shares together.
+    pub(crate) fn decode(pool: &PmemPool, geo: &Geometry, used: usize, range: Range<usize>, out: &mut [MaybeUninit<Slot>]) -> usize {
         let mut bits = 0;
-        let slots = (0..used)
-            .map(|i| {
-                let d = Desc::new(pool, geo, i as u32);
-                let (class, bytes) = (d.size_class(), d.block_size());
-                let span = (bytes as usize).div_ceil(SB_SIZE);
-                let (slot, n) = match class {
-                    CLASS_CONTINUATION => (Slot::Continuation, 0),
-                    0 if span > 0 && i + span <= used => {
-                        (Slot::Large { bit: bits, span: span as u32, bytes }, 1)
-                    }
-                    c if is_small_class(c) && bytes == class_block_size(c) as u64 => {
-                        let (size, blocks) = (class_block_size(c), class_max_count(c));
-                        let recip = (1u64 << 32).div_ceil(size as u64) as u32;
-                        (Slot::Small { class: c as u8, bit: bits, blocks, size, recip }, blocks)
-                    }
-                    _ => (Slot::Empty, 0),
-                };
-                bits += n as usize;
-                slot
-            })
-            .collect();
+        for (i, out) in range.zip(out) {
+            let d = Desc::new(pool, geo, i as u32);
+            let (class, bytes) = (d.size_class(), d.block_size());
+            let span = (bytes as usize).div_ceil(SB_SIZE);
+            let (slot, n) = match class {
+                CLASS_CONTINUATION => (Slot::Continuation, 0),
+                0 if span > 0 && i + span <= used => (Slot::Large { bit: bits, span: span as u32, bytes }, 1),
+                c if is_small_class(c) && bytes == class_block_size(c) as u64 => {
+                    let (size, blocks) = (class_block_size(c), class_max_count(c));
+                    let recip = (1u64 << 32).div_ceil(size as u64) as u32;
+                    (Slot::Small { class: c as u8, bit: bits, blocks, size, recip }, blocks)
+                }
+                _ => (Slot::Empty, 0),
+            };
+            out.write(slot);
+            bits += n as usize;
+        }
+        bits
+    }
+
+    /// The census of `slots`, decoded in consecutive `shares` (a range
+    /// and its bit count each): every share's bits are renumbered to
+    /// follow those of the shares before it (a prefix sum).
+    pub(crate) fn join(pool: &PmemPool, geo: &Geometry, mut slots: Vec<Slot>, shares: &[(Range<usize>, usize)]) -> Census {
+        let mut bits = 0;
+        for (range, n) in shares {
+            for slot in &mut slots[range.clone()] {
+                if let Slot::Large { bit, .. } | Slot::Small { bit, .. } = slot {
+                    *bit += bits;
+                }
+            }
+            bits += n;
+        }
         Census { slots, bits, sb_base: pool.base() as usize + geo.sb(0) }
     }
 
-    /// The one rule for which large spans are live: claim every head that
-    /// `live(head, mark bit)` accepts and whose whole interior is
-    /// continuations, and report every other accepted head as a phantom.
-    /// A head inside a claimed span is not a continuation, so the spans
-    /// are disjoint.
-    pub fn claim(&self, mut live: impl FnMut(usize, usize) -> bool) -> Claim {
+    /// Every large head, ascending.
+    pub fn heads(&self) -> impl Iterator<Item = usize> + '_ {
+        self.slots.iter().enumerate().filter_map(|(i, s)| matches!(s, Slot::Large { .. }).then_some(i))
+    }
+
+    /// Mark bits of the superblocks below `sb`: where the first bit at or
+    /// past it is.
+    pub(crate) fn bits_below(&self, sb: usize) -> usize {
+        let bit = |slot: &Slot| match *slot {
+            Slot::Small { bit, .. } | Slot::Large { bit, .. } => Some(bit),
+            _ => None,
+        };
+        self.slots[sb..].iter().find_map(bit).unwrap_or(self.bits)
+    }
+
+    /// The one rule for which large spans are live: of the large `heads`
+    /// (ascending), claim each whose whole interior is continuations and
+    /// report every other as a phantom. A head inside a claimed span is not
+    /// a continuation, so the spans are disjoint. Recovery passes the heads
+    /// its trace marked; the checker and `rinspect`, the [`Census::heads`]
+    /// that read FULL.
+    pub fn claim(&self, heads: impl IntoIterator<Item = usize>) -> Claim {
         let claimed = vec![false; self.slots.len()];
         let mut out = Claim { claimed, spans: Vec::new(), bytes: 0, phantoms: Vec::new() };
-        for (head, slot) in self.slots.iter().enumerate() {
-            let Slot::Large { bit, span, bytes } = *slot else { continue };
-            if !live(head, bit) {
-                continue;
-            }
+        for head in heads {
+            let Slot::Large { span, bytes, .. } = self.slots[head] else { continue };
             let span = head..head + span as usize;
             if self.slots[head + 1..span.end].iter().all(|s| *s == Slot::Continuation) {
                 out.claimed[span.clone()].fill(true);
@@ -363,7 +400,8 @@ mod tests {
         Desc::new(&pool, &geo, 5).set_size(8, 64, 1024, true);
         large(6, 2); // not accepted
         let census = Census::take(&pool, &geo, 8);
-        let claim = census.claim(|head, _| head != 6);
+        assert_eq!(census.heads().collect::<Vec<_>>(), [0, 3, 6]);
+        let claim = census.claim(census.heads().filter(|&head| head != 6));
         assert_eq!((claim.spans.len(), claim.spans[0].clone()), (1, 0..3));
         assert_eq!(claim.phantoms, [3]);
         assert_eq!(claim.bytes, 3 * SB_SIZE as u64);

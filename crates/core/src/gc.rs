@@ -95,28 +95,20 @@ unsafe impl<T: Trace> Trace for AtomicPptr<T> {
 /// Marks over a [`Census`]'s flat bitmap (block granularity).
 pub(crate) struct MarkSet {
     words: Vec<u64>,
-    /// Marked blocks.
-    pub total: u64,
-    /// Bytes of the marked blocks.
-    pub bytes: u64,
 }
 
 impl MarkSet {
     pub fn new(bits: usize) -> MarkSet {
-        MarkSet { words: vec![0; bits.div_ceil(64)], total: 0, bytes: 0 }
+        MarkSet { words: vec![0; bits.div_ceil(64)] }
     }
 
-    /// Mark `bit`, a block of `bytes` bytes; true if newly marked.
+    /// Mark `bit`; true if newly marked.
     #[inline]
-    pub fn mark(&mut self, bit: usize, bytes: u64) -> bool {
+    pub fn mark(&mut self, bit: usize) -> bool {
         let (word, mask) = (&mut self.words[bit / 64], 1u64 << (bit % 64));
-        if *word & mask != 0 {
-            return false;
-        }
+        let fresh = *word & mask == 0;
         *word |= mask;
-        self.total += 1;
-        self.bytes += bytes;
-        true
+        fresh
     }
 
     /// Is `bit` marked?
@@ -137,26 +129,35 @@ impl MarkSet {
         marked
     }
 
-    /// Union another mark set into this one (parallel recovery merges the
-    /// per-thread mark sets produced by tracing disjoint root subsets;
-    /// overlap is possible when roots share substructure and is handled
-    /// by the idempotent OR). `total` is recounted; `bytes` is left to the
-    /// caller, which re-derives it from the census.
-    pub fn merge_from(&mut self, other: &MarkSet) {
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
+    /// Union another mark set's bits `0..bits` into this one (parallel
+    /// recovery merges the per-thread mark sets of disjoint root subsets
+    /// over the live prefix; overlap, when roots share substructure, is
+    /// handled by the idempotent OR).
+    pub fn merge_from(&mut self, other: &MarkSet, bits: usize) {
+        let words = bits.div_ceil(64);
+        for (a, b) in self.words[..words].iter_mut().zip(&other.words) {
             *a |= b;
         }
-        self.total = self.words.iter().map(|w| w.count_ones() as u64).sum();
     }
 }
+
+/// A block the tracer may visit: a queued block address and its filter
+/// (`None` scans it conservatively).
+type Visit = (usize, Option<TraceFn>);
 
 /// The tracing context handed to filter functions (the paper's `GC`
 /// class: visited set + pending stacks of blocks and their functions).
 pub struct Tracer<'h> {
     census: &'h Census,
     pub(crate) marks: MarkSet,
-    /// Pending blocks: (block address, filter fn or None = conservative).
-    pending: Vec<(usize, Option<TraceFn>)>,
+    /// The next block to scan, ahead of `pending`: a list's next node
+    /// never goes through the stack.
+    next: Option<Visit>,
+    pending: Vec<Visit>,
+    /// The highest marked small block's address (0: none yet).
+    top: usize,
+    /// The large heads marked, in marking order: the claim judges these.
+    pub(crate) heads: Vec<usize>,
     /// Conservative candidate words examined (diagnostics/ablation).
     pub(crate) cons_words_scanned: u64,
     /// Conservative candidates accepted (potential false positives).
@@ -168,38 +169,64 @@ impl<'h> Tracer<'h> {
         Tracer {
             census,
             marks: MarkSet::new(census.bits),
+            next: None,
             pending: Vec::new(),
+            top: 0,
+            heads: Vec::new(),
             cons_words_scanned: 0,
             cons_hits: 0,
         }
     }
 
-    /// Classify an absolute address as a block start: its mark bit and
-    /// byte size, if a block recovery may keep starts there. One census
-    /// load and one multiply; pointers to block interiors, into a small
-    /// class's tail waste or anywhere but a large head's first byte are
-    /// refused (§4.5).
+    /// Classify an absolute address as a block start: its mark bit, its
+    /// byte size and whether it is a large head, if a block recovery may
+    /// keep starts there. One census load and one multiply; pointers to
+    /// block interiors, into a small class's tail waste or anywhere but a
+    /// large head's first byte are refused (§4.5).
     #[inline]
-    fn classify_target(&self, addr: usize) -> Option<(usize, u64)> {
+    fn classify_target(&self, addr: usize) -> Option<(usize, u64, bool)> {
         let off = addr.wrapping_sub(self.census.sb_base);
         let inner = (off % SB_SIZE) as u32;
         match *self.census.slots.get(off / SB_SIZE)? {
             Slot::Small { bit, blocks, size, recip, .. } => {
                 // Exact for every offset below SB_SIZE: offset × size < 2³².
                 let blk = ((inner as u64 * recip as u64) >> 32) as u32;
-                (blk * size == inner && blk < blocks).then_some((bit + blk as usize, size as u64))
+                (blk * size == inner && blk < blocks).then_some((bit + blk as usize, size as u64, false))
             }
-            Slot::Large { bit, bytes, .. } => (inner == 0).then_some((bit, bytes)),
+            Slot::Large { bit, bytes, .. } => (inner == 0).then_some((bit, bytes, true)),
             Slot::Continuation | Slot::Empty => None,
         }
     }
 
+    /// Mark the block starting at `addr`, if one does; true if newly
+    /// marked. What the live prefix is taken from is recorded on the way:
+    /// a large head joins `heads`, a small block may raise `top`.
+    #[inline]
+    fn mark(&mut self, addr: usize) -> bool {
+        let Some((bit, _, head)) = self.classify_target(addr) else { return false };
+        if !self.marks.mark(bit) {
+            return false;
+        }
+        match head {
+            true => self.heads.push((addr - self.census.sb_base) / SB_SIZE),
+            false => self.top = self.top.max(addr),
+        }
+        true
+    }
+
+    /// One past the highest superblock holding a marked small block.
+    pub(crate) fn top(&self) -> usize {
+        self.top.checked_sub(self.census.sb_base).map_or(0, |off| off / SB_SIZE + 1)
+    }
+
     /// Visit a candidate target address with an optional filter function.
     /// Marks the block and queues it for scanning if newly reached.
+    #[inline]
     pub fn visit_addr(&mut self, addr: usize, filter: Option<TraceFn>) {
-        if let Some((bit, bytes)) = self.classify_target(addr) {
-            if self.marks.mark(bit, bytes) {
-                self.pending.push((addr, filter));
+        if self.mark(addr) {
+            match self.next {
+                None => self.next = Some((addr, filter)),
+                Some(_) => self.pending.push((addr, filter)),
             }
         }
     }
@@ -243,7 +270,7 @@ impl<'h> Tracer<'h> {
     /// against this before it trusts it.
     #[inline]
     pub fn block_bytes(&self, addr: usize) -> Option<u64> {
-        self.classify_target(addr).map(|(_, bytes)| bytes)
+        self.classify_target(addr).map(|(_, bytes, _)| bytes)
     }
 
     /// Visit a typed target given as a superblock-region offset (for
@@ -259,16 +286,14 @@ impl<'h> Tracer<'h> {
     /// hold no pointers, e.g. string payloads).
     #[inline]
     pub fn visit_leaf(&mut self, addr: usize) {
-        if let Some((bit, bytes)) = self.classify_target(addr) {
-            self.marks.mark(bit, bytes);
-        }
+        self.mark(addr);
     }
 
     /// The default conservative filter (paper Figure 3, `filter<T>`
     /// default): scan every 64-bit-aligned word of the block; words
     /// carrying the off-holder tag are candidate references.
     fn conservative_scan(&mut self, addr: usize) {
-        let Some((_, bytes)) = self.classify_target(addr) else {
+        let Some((_, bytes, _)) = self.classify_target(addr) else {
             return;
         };
         let words = (bytes / 8) as usize;
@@ -284,15 +309,9 @@ impl<'h> Tracer<'h> {
         }
     }
 
-    /// Consume the tracer, yielding its mark set and conservative-scan
-    /// counters (words scanned, candidates accepted).
-    pub(crate) fn into_parts(self) -> (MarkSet, u64, u64) {
-        (self.marks, self.cons_words_scanned, self.cons_hits)
-    }
-
-    /// Drain the pending stack to a fixpoint (the paper's `collect()`).
+    /// Drain the pending blocks to a fixpoint (the paper's `collect()`).
     pub(crate) fn drain(&mut self) {
-        while let Some((addr, filter)) = self.pending.pop() {
+        while let Some((addr, filter)) = self.next.take().or_else(|| self.pending.pop()) {
             match filter {
                 // SAFETY: addr was classified as a block start and the
                 // filter was registered for this block's type by
@@ -372,11 +391,10 @@ mod tests {
     #[test]
     fn mark_set_dedupes() {
         let mut m = MarkSet::new(2 * 1024);
-        assert!(m.mark(5, 64));
-        assert!(!m.mark(5, 64));
-        assert!(m.mark(1024 + 5, 64));
-        assert_eq!(m.total, 2);
-        assert_eq!(m.bytes, 128);
+        assert!(m.mark(5));
+        assert!(!m.mark(5));
+        assert!(m.mark(1024 + 5));
+        assert_eq!(m.count(0, 2 * 1024), 2);
         assert!(m.is_marked(5));
         assert!(!m.is_marked(6));
         assert_eq!((m.count(0, 1024), m.count(1000, 30), m.count(6, 1024)), (1, 1, 1));
@@ -403,7 +421,7 @@ mod tests {
         t.drain();
         assert!(marked(&t, b0));
         assert!(marked(&t, b3));
-        assert_eq!(t.marks.total, 2, "untagged words must not mark");
+        assert_eq!(t.marks.count(0, census.bits as u32), 2, "untagged words must not mark");
     }
 
     #[test]

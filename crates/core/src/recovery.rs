@@ -27,15 +27,20 @@
 //! reciprocal, a large head's span, or nothing. The tracer, the claim
 //! and the sweep all read it, so a visited pointer costs one table load
 //! and one multiply, and the mark set is one flat bitmap sized from it.
+//! The workers decode it in pieces, in place, each numbering its bits
+//! from 0; worker 0 renumbers them by a prefix sum.
 //!
 //! ## The live prefix (step 6)
 //!
-//! Right after the claim pass the trailing run of superblocks with no
-//! mark and no claim is known, and [`HeapInner::lower_to`] (steps 2–3 of
-//! [`HeapInner::shrink_quiesced`]) makes its start, `keep`, the durable
-//! `used` and decommits the prefix down onto it. The sweep then rebuilds
-//! only `0..keep`: a released superblock is never listed, so no list
-//! needs surgery.
+//! `keep` comes from the marks, not from a pass over `used`: each tracer
+//! records the superblock past its highest marked small block and every
+//! large head it marks, [`Census::claim`] judges only those heads, and
+//! `keep` is the furthest small mark or claimed span's end, so a rejected
+//! phantom never raises it. The marks are merged over `0..keep` alone.
+//! [`HeapInner::lower_to`] (steps 2–3 of [`HeapInner::shrink_quiesced`])
+//! makes `keep` the durable `used` and decommits the prefix down onto it.
+//! The sweep then rebuilds only `0..keep`: a released superblock is never
+//! listed, so no list needs surgery.
 //!
 //! Lowering `used` before the sweep is crash-safe because it changes no
 //! recovery outcome. The roots and every persisted size field are what
@@ -44,27 +49,33 @@
 //! after the lowered `used` is durable therefore leaves a dirty image
 //! whose next recovery traces the same blocks, all of them inside its
 //! smaller `used`, and rebuilds the same prefix: a pointer into the
-//! released tail was refused by this trace (no mark there) and is refused
-//! by the next (beyond `used`). The anchors and lists the sweep writes
-//! are transient and become durable only with the write-back (step 10),
-//! so a crash before it loses only what the next recovery redoes. The
-//! decommit follows the durable `used`, so the committed prefix covers
-//! every durably-used superblock throughout. The descriptors it leaves
-//! behind past `keep` stay stale and dead (see [`HeapInner::lower_to`]).
+//! released tail was refused by this trace (no mark there, or a rejected
+//! phantom) and is refused by the next (beyond `used`). The anchors and
+//! lists the sweep writes are transient and become durable only with the
+//! write-back (step 10), so a crash before it loses only what the next
+//! recovery redoes. The decommit follows the durable `used`, so the
+//! committed prefix covers every durably-used superblock throughout. The
+//! descriptors it leaves behind past `keep` stay stale and dead (see
+//! [`HeapInner::lower_to`]).
 //!
 //! ## Parallel recovery (paper §6.4 future work, implemented here)
 //!
 //! The paper notes it is "straightforward to parallelize Step 5 across
 //! persistent roots and Steps 6–9 across superblocks"; `recover_parallel`
-//! does exactly that, in two fan-outs whose worker 0 is the calling
-//! thread. Tracing threads work on disjoint root subsets with private
-//! mark sets that are OR-merged afterwards (marking is idempotent, so
-//! shared substructure costs duplicated scanning but never correctness).
-//! After the live prefix is durable, worker `w` sweeps its share of
-//! `0..keep` and discards its share of the tail's pages, cut at huge-page
-//! boundaries ([`nvm::PmemPool::discard`]); the decommit itself stays one
-//! crash-injector event, and a file pool's tail is released and truncated
-//! serially before the fan-out.
+//! does it in one fan-out, spawned at entry, whose worker 0 is the calling
+//! thread. Barriers part the census, the trace, the sweep with the tail
+//! release, and the write-back; between them worker 0 alone joins the
+//! census, then merges, claims and lowers `used`, then publishes. Tracers
+//! take the roots at a fixed stride, so every count in [`RecoveryStats`]
+//! depends on the image and the worker count alone, with private mark
+//! sets OR-merged afterwards (shared substructure costs duplicated
+//! scanning, never correctness). The other phases cut their range into
+//! [`Pieces`] the workers take as they come free; the tail is cut at
+//! huge-page boundaries ([`nvm::PmemPool::discard`]), and its decommit
+//! stays one crash-injector event. Step 10 runs on every worker, after the
+//! publish: an `sfence` orders only its own core's write-backs, so each
+//! worker fences the pieces it flushed before the join lets recovery
+//! return.
 //!
 //! ## Deterministic publish (steps 8–9)
 //!
@@ -72,9 +83,9 @@
 //! every partial superblock goes to shard
 //! [`place_superblock`](crate::shard::place_superblock)`(sb)`, a pure
 //! function of the superblock index, and the same shard is stamped as the
-//! superblock's owner ([`Desc::set_owner`]). Each sweep worker returns
-//! its free batch and its per-(class, shard) batches, ascending and
-//! threaded; the calling thread links them in worker order and
+//! superblock's owner ([`Desc::set_owner`]). Each piece of the sweep
+//! yields its free batch and its per-(class, shard) batches, ascending
+//! and threaded; worker 0 links them in piece order and
 //! publishes each list with one head store that keeps its ABA counter
 //! ([`DescList::publish`]). The rebuilt lists are therefore the same
 //! bytes for any worker count (R1), and a second recovery of a recovered
@@ -97,15 +108,20 @@
 //! sweep stores FULL into every superblock of a claimed span, so after
 //! recovery, as online, a live span reads FULL throughout.
 
+use std::mem::MaybeUninit;
 use std::ops::Range;
-use std::sync::atomic::Ordering;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use nvm::sys::HUGE_PAGE;
+use nvm::CACHE_LINE;
+use parking_lot::Mutex;
 use telemetry::EventKind;
 
 use crate::anchor::{Anchor, SbState};
-use crate::descriptor::{Census, Desc, Slot};
+use crate::descriptor::{Census, Claim, Desc, Slot};
 use crate::gc::{MarkSet, TraceFn, Tracer};
 use crate::heap::HeapInner;
 use crate::layout::NUM_ROOTS;
@@ -153,7 +169,7 @@ pub struct RecoveryStats {
     pub phases: RecoveryPhases,
 }
 
-/// Wall time of each recovery phase, in the order they run. The phases
+/// Wall time of each recovery phase on worker 0, in run order. The phases
 /// are contiguous laps of one clock, so they sum to
 /// [`RecoveryStats::duration`]; published as `recovery_phase_*_ns` gauges
 /// (last recovery) beside the `recovery_duration_ns` histogram.
@@ -161,29 +177,30 @@ pub struct RecoveryStats {
 pub struct RecoveryPhases {
     /// Cache quiesce, frontier reload and validation, root gathering.
     pub reconcile: Duration,
-    /// Step 5: the census, then the trace from the roots (incl. the
-    /// parallel mark-set merge).
+    /// The helpers' spawn and the census, decoded and joined.
+    pub census: Duration,
+    /// Step 5: the trace from the roots, until the last worker is done.
     pub mark: Duration,
-    /// Validate marked large heads, claim their spans, total the
-    /// reachable bytes and find the live prefix.
+    /// Claim the marked large heads' spans, find the live prefix and
+    /// merge the mark sets over it.
     pub claim: Duration,
     /// Step 6: `used` lowered onto the live prefix (flushed and fenced)
     /// and then the tail decommitted — but
     /// not the tail's pages, which the sweep's workers give back.
     pub shrink: Duration,
-    /// Steps 7–9: the fan-out that rebuilds the live prefix's descriptors
-    /// and discards the tail's pages (the release's time lands here),
-    /// then the list publish.
+    /// Steps 7–9: the live prefix's descriptors rebuilt and the tail's
+    /// pages discarded (the release's time lands here), then the publish.
     pub sweep: Duration,
-    /// Step 10: flush the committed prefix and fence.
+    /// Step 10: the committed prefix flushed and fenced, then the join.
     pub write_back: Duration,
 }
 
 impl RecoveryPhases {
     /// `(gauge name, wall time)` per phase, in run order.
-    pub fn named(&self) -> [(&'static str, Duration); 6] {
+    pub fn named(&self) -> [(&'static str, Duration); 7] {
         [
             ("recovery_phase_reconcile_ns", self.reconcile),
+            ("recovery_phase_census_ns", self.census),
             ("recovery_phase_mark_ns", self.mark),
             ("recovery_phase_claim_ns", self.claim),
             ("recovery_phase_shrink_ns", self.shrink),
@@ -198,19 +215,20 @@ pub(crate) fn recover(inner: &HeapInner) -> RecoveryStats {
     recover_with(inner, 1)
 }
 
+/// What worker 0 decided after the trace: the merged marks and the
+/// claimed spans, and the pieces of the decommitted tail, of the live
+/// prefix and of the committed prefix to discard, sweep and write back.
+struct Plan {
+    marks: MarkSet,
+    claim: Claim,
+    tail: Pieces,
+    sweep: Pieces,
+    lines: Pieces,
+}
+
 /// Run offline recovery with `threads` workers.
 pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
     let t0 = Instant::now();
-    // Phase clock: each call returns the time since the previous one, so
-    // the phases tile `duration` with no gaps.
-    let mut last = t0;
-    let mut lap = move || {
-        let now = Instant::now();
-        let d = now - last;
-        last = now;
-        d
-    };
-    let mut phases = RecoveryPhases::default();
     let pool = &inner.pool;
     let geo = &inner.geo;
     let used = inner.used_sb();
@@ -247,107 +265,140 @@ pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
             }
         }
     }
-    phases.reconcile = lap();
+    let mut clock = Clock(t0);
+    let phases = RecoveryPhases { reconcile: clock.lap(), ..Default::default() };
 
-    // Step 5: the census, then the trace — sequentially, or across root
-    // subsets in parallel.
-    let census = Census::take(pool, geo, used);
-    let workers = if threads == 1 { 1 } else { threads.min(roots.len()).max(1) };
-    let mut traced = fan_out(workers, "tracing worker", |w| {
-        let mut tracer = Tracer::new(&census);
+    // One fan-out runs every phase. Below 64 superblocks to decode and
+    // huge pages to discard, a second thread costs more to start than it
+    // takes over, unless it has roots of its own to trace.
+    let work = used + pool.committed_len() / HUGE_PAGE;
+    let workers = if work < 64 { threads.min(roots.len()).max(1) } else { threads };
+    // The census is decoded piece by piece into one buffer, in place.
+    let pieces = Pieces::new(0..used, 1, workers);
+    let census_shares = Board::new();
+    let slots = Mutex::new(Vec::with_capacity(used));
+    let slots_at = SlotsAt(slots.lock().as_mut_ptr());
+    let census = OnceLock::new();
+    let tracers = Board::new();
+    let plan = OnceLock::new();
+    let swept = Board::new();
+    let done = fan_out(workers, |w, sync| {
+        // Worker 0's copies are the ones kept.
+        let (mut phases, mut clock) = (phases, clock);
+        let mut stats = RecoveryStats { threads, ..Default::default() };
+        while let Some((k, range)) = pieces.take() {
+            // SAFETY: the pieces are disjoint ranges of `0..used`, and
+            // nothing reads the buffer before the join.
+            let out = unsafe { slots_at.piece(&range) };
+            census_shares.put(k, (range.clone(), Census::decode(pool, geo, used, range, out)));
+        }
+        sync.wait();
+        if w == 0 {
+            let mut slots = std::mem::take(&mut *slots.lock());
+            // SAFETY: the pieces cover `0..used`, and each is decoded.
+            unsafe { slots.set_len(used) };
+            let _ = census.set(Census::join(pool, geo, slots, &census_shares.take()));
+            phases.census = clock.lap();
+        }
+        sync.wait();
+
+        // Step 5: the trace, over disjoint root subsets.
+        let census = census.get().expect("worker 0 joined the census");
+        let mut tracer = Tracer::new(census);
         for (addr, filter) in roots.iter().skip(w).step_by(workers) {
             tracer.visit_addr(*addr, *filter);
         }
         tracer.drain();
-        tracer.into_parts()
-    })
-    .into_iter();
-    let (mut marks, mut cons_words, mut cons_hits) = traced.next().expect("one worker");
-    for (m, words, hits) in traced {
-        marks.merge_from(&m);
-        cons_words += words;
-        cons_hits += hits;
-    }
-    phases.mark = lap();
-
-    let mut stats = RecoveryStats {
-        reachable_blocks: marks.total,
-        conservative_words_scanned: cons_words,
-        conservative_candidates: cons_hits,
-        threads,
-        ..Default::default()
-    };
-
-    // Claim the marked large heads' spans (the census's one rule), count
-    // each small superblock's marks and total the reachable bytes. The
-    // live prefix ends after the last superblock with a mark or a claim.
-    let claim = census.claim(|_, bit| marks.is_marked(bit));
-    stats.rejected_large_phantoms = claim.phantoms.len();
-    stats.reachable_bytes = claim.bytes;
-    let mut keep = claim.spans.last().map_or(0, |s| s.end);
-    let mut marked = vec![0u32; used];
-    for (i, slot) in census.slots.iter().enumerate() {
-        if let Slot::Small { bit, blocks, size, .. } = *slot {
-            marked[i] = marks.count(bit, blocks);
-            stats.reachable_bytes += marked[i] as u64 * size as u64;
-            if marked[i] > 0 {
-                keep = keep.max(i + 1);
+        tracers.put(w, tracer);
+        sync.wait();
+        if w == 0 {
+            phases.mark = clock.lap();
+            // The live prefix (see the module docs).
+            let mut traced = tracers.take();
+            let mut heads: Vec<usize> = traced.iter().flat_map(|t| t.heads.iter().copied()).collect();
+            heads.sort_unstable();
+            heads.dedup();
+            let claim = census.claim(heads.iter().copied());
+            let top = traced.iter().map(Tracer::top).max().unwrap_or(0);
+            let keep = top.max(claim.spans.last().map_or(0, |s| s.end));
+            let bits = census.bits_below(keep);
+            let mut marks = std::mem::replace(&mut traced[0].marks, MarkSet::new(0));
+            for t in &traced {
+                marks.merge_from(&t.marks, bits);
+                stats.conservative_words_scanned += t.cons_words_scanned;
+                stats.conservative_candidates += t.cons_hits;
             }
+            stats.reachable_blocks = heads.len() as u64;
+            stats.reachable_bytes = claim.bytes;
+            stats.rejected_large_phantoms = claim.phantoms.len();
+            phases.claim = clock.lap();
+
+            // Step 6: the live prefix becomes durable before anything is
+            // swept (see the module docs for why that order is crash-safe).
+            let (shrunk, tail) = inner.lower_to(keep);
+            stats.shrunk_superblocks = shrunk;
+            stats.free_superblocks = used - keep;
+            let (tail, sweep) = (Pieces::new(tail, HUGE_PAGE, workers), Pieces::new(0..keep, 1, workers));
+            let lines = Pieces::new(0..pool.committed_len(), CACHE_LINE, workers);
+            let _ = plan.set(Plan { marks, claim, tail, sweep, lines });
+            phases.shrink = clock.lap();
         }
-    }
-    phases.claim = lap();
+        sync.wait();
 
-    // Step 6: the live prefix becomes durable before anything is swept
-    // (see the module docs for why that order is crash-safe).
-    let (shrunk, tail) = inner.lower_to(keep);
-    stats.shrunk_superblocks = shrunk;
-    stats.free_superblocks = used - keep;
-    phases.shrink = lap();
+        // Steps 7-9: the workers give the tail's pages back and sweep
+        // `0..keep`, piece by piece; worker 0 then publishes every list
+        // from the pieces' batches in piece order.
+        let plan = plan.get().expect("worker 0 planned the sweep");
+        while let Some((_, pages)) = plan.tail.take() {
+            pool.discard(pages);
+        }
+        while let Some((k, range)) = plan.sweep.take() {
+            swept.put(k, sweep_range(inner, census, plan, range));
+        }
+        sync.wait();
+        if w == 0 {
+            let swept = swept.take();
+            DescList::free_list(geo).publish(pool, geo, swept.iter().map(|b| b.free.as_slice()));
+            for class in 0..NUM_CLASSES as u32 {
+                for s in 0..SHARDS {
+                    let at = class as usize * SHARDS as usize + s as usize;
+                    let batches = swept.iter().map(|b| b.partial[at].as_slice());
+                    DescList::partial_shard(geo, class, s).publish(pool, geo, batches);
+                }
+            }
+            for b in &swept {
+                stats.reachable_blocks += b.blocks;
+                stats.reachable_bytes += b.bytes;
+                stats.free_superblocks += b.free.len();
+                stats.partial_superblocks += b.partial.iter().map(Vec::len).sum::<usize>();
+                stats.full_superblocks += b.full;
+            }
+            inner.emit(EventKind::RecoverySweep, stats.reachable_blocks, used as u64);
+            inner.emit(
+                EventKind::RecoverySplice,
+                stats.partial_superblocks as u64,
+                stats.free_superblocks as u64,
+            );
+            phases.sweep = clock.lap();
+        }
+        sync.wait();
 
-    // Steps 7-9: one fan-out sweeps `0..keep` and gives the tail's pages
-    // back, in parallel over disjoint shares when requested; then every
-    // list is published from the workers' batches in worker order.
-    // Below 64 superblocks to sweep and huge pages to discard, a second
-    // thread costs more to start than it takes over.
-    let work = keep + tail.len() / HUGE_PAGE;
-    let workers = if threads == 1 || work < 64 { 1 } else { threads };
-    let swept = fan_out(workers, "sweep worker", |w| {
-        pool.discard(share(&tail, w, workers, HUGE_PAGE));
-        let range = share(&(0..keep), w, workers, 1);
-        sweep_range(inner, &census, &marked, &claim.claimed, &marks, range)
+        // Step 10: write everything back so a crash immediately after
+        // recovery restarts from this reconstructed state. Only the
+        // committed prefix exists to flush; the uncommitted reservation
+        // has no content (and the pool would reject the range). A fence
+        // orders only its own core's write-backs, so every worker fences
+        // after the pieces it flushed.
+        if !inner.transient {
+            while let Some((_, lines)) = plan.lines.take() {
+                pool.flush(lines.start, lines.len());
+            }
+            pool.fence();
+        }
+        (RecoveryStats { phases, ..stats }, clock)
     });
-    DescList::free_list(geo).publish(pool, geo, swept.iter().map(|b| b.free.as_slice()));
-    for class in 0..NUM_CLASSES as u32 {
-        for s in 0..SHARDS {
-            let at = class as usize * SHARDS as usize + s as usize;
-            let batches = swept.iter().map(|b| b.partial[at].as_slice());
-            DescList::partial_shard(geo, class, s).publish(pool, geo, batches);
-        }
-    }
-    for b in &swept {
-        stats.free_superblocks += b.free.len();
-        stats.partial_superblocks += b.partial.iter().map(Vec::len).sum::<usize>();
-        stats.full_superblocks += b.full;
-    }
-    inner.emit(EventKind::RecoverySweep, stats.reachable_blocks, used as u64);
-    inner.emit(
-        EventKind::RecoverySplice,
-        stats.partial_superblocks as u64,
-        stats.free_superblocks as u64,
-    );
-    phases.sweep = lap();
-
-    // Step 10: write everything back so a crash immediately after
-    // recovery restarts from this reconstructed state. Only the
-    // committed prefix exists to flush; the uncommitted reservation has
-    // no content (and the pool would reject the range).
-    if !inner.transient {
-        pool.flush(0, pool.committed_len());
-        pool.fence();
-    }
-    phases.write_back = lap();
-
-    stats.phases = phases;
+    let (mut stats, mut clock) = done.into_iter().next().expect("worker 0 reports");
+    stats.phases.write_back = clock.lap();
     stats.duration = t0.elapsed();
 
     // Publish the exportable view: last-recovery gauges plus one
@@ -360,43 +411,169 @@ pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
     reg.gauge("recovery_full_superblocks").set(stats.full_superblocks as i64);
     reg.gauge("recovery_threads").set(stats.threads as i64);
     reg.histogram("recovery_duration_ns").observe(stats.duration.as_nanos() as u64);
-    for (name, d) in phases.named() {
+    for (name, d) in stats.phases.named() {
         reg.gauge(name).set(d.as_nanos() as i64);
     }
 
     stats
 }
 
-/// Run `work(w)` for every worker `w`, worker 0 on the calling thread and
-/// the rest on scoped threads, and return the results in worker order.
-fn fan_out<T: Send>(workers: usize, what: &str, work: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    std::thread::scope(|s| {
-        let work = &work;
-        let others: Vec<_> = (1..workers).map(|w| s.spawn(move || work(w))).collect();
-        let mut out = vec![work(0)];
-        out.extend(others.into_iter().map(|h| h.join().expect(what)));
-        out
-    })
+/// A phase clock: each lap is the time since the previous one, so the
+/// phases tile `duration` with no gaps.
+#[derive(Clone, Copy)]
+struct Clock(Instant);
+
+impl Clock {
+    fn lap(&mut self) -> Duration {
+        let now = Instant::now();
+        let d = now - self.0;
+        self.0 = now;
+        d
+    }
 }
 
-/// Worker `w`'s share of `r` among `workers`, cut on multiples of `unit`
-/// (whole huge pages for a discard, so no two workers split one).
-fn share(r: &Range<usize>, w: usize, workers: usize, unit: usize) -> Range<usize> {
-    let cut = |k: usize| match k {
-        0 => r.start,
-        _ if k == workers => r.end,
-        _ => (r.start + r.len() * k / workers).next_multiple_of(unit).min(r.end),
+/// The census buffer, which the workers decode into.
+struct SlotsAt(*mut Slot);
+
+// SAFETY: each worker writes only the slots of the pieces it takes.
+unsafe impl Sync for SlotsAt {}
+
+impl SlotsAt {
+    /// The slots `range` of a buffer with room for `range.end`.
+    ///
+    /// # Safety
+    /// No other borrow of those slots may be live while this one is.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn piece(&self, range: &Range<usize>) -> &mut [MaybeUninit<Slot>] {
+        // SAFETY: in the buffer, and exclusive per the fn contract.
+        unsafe { std::slice::from_raw_parts_mut(self.0.add(range.start).cast(), range.len()) }
+    }
+}
+
+/// Values posted under a number (a worker's or a piece's), taken by
+/// worker 0 after a barrier, in number order.
+struct Board<T>(Mutex<Vec<(usize, T)>>);
+
+impl<T> Board<T> {
+    fn new() -> Board<T> {
+        Board(Mutex::new(Vec::new()))
+    }
+
+    fn put(&self, k: usize, v: T) {
+        self.0.lock().push((k, v));
+    }
+
+    fn take(&self) -> Vec<T> {
+        let mut posted = std::mem::take(&mut *self.0.lock());
+        posted.sort_unstable_by_key(|&(k, _)| k);
+        posted.into_iter().map(|(_, v)| v).collect()
+    }
+}
+
+/// The fan-out's phase barrier: a worker's k-th wait returns once
+/// `k × workers` have arrived, spinning, then yielding (more workers than
+/// cores is allowed). A worker that unwinds breaks it, and the waiters
+/// leave by unwinding with [`Abandoned`], so none waits on a dead one.
+struct Barrier {
+    workers: usize,
+    arrived: AtomicUsize,
+    broken: AtomicBool,
+}
+
+/// The payload of a worker that left a broken [`Barrier`].
+struct Abandoned;
+
+/// One worker's handle on the [`Barrier`]: the number of waits it made.
+struct Rendezvous<'b>(&'b Barrier, usize);
+
+impl Rendezvous<'_> {
+    fn wait(&mut self) {
+        let Rendezvous(bar, k) = self;
+        *k += 1;
+        bar.arrived.fetch_add(1, Ordering::AcqRel);
+        for spin in 0usize.. {
+            if bar.arrived.load(Ordering::Acquire) >= *k * bar.workers {
+                return;
+            }
+            if bar.broken.load(Ordering::Acquire) {
+                resume_unwind(Box::new(Abandoned));
+            }
+            match spin {
+                0..64 => std::hint::spin_loop(),
+                _ => std::thread::yield_now(),
+            }
+        }
+    }
+}
+
+/// Run `work(w, sync)` for every worker `w`, worker 0 on the calling
+/// thread and the rest on scoped threads, and return the results in
+/// worker order. The workers meet at `sync.wait()`; if one panics, the
+/// others leave their waits and its panic is resumed here.
+fn fan_out<T: Send>(workers: usize, work: impl Fn(usize, &mut Rendezvous) -> T + Sync) -> Vec<T> {
+    let bar = Barrier { workers, arrived: AtomicUsize::new(0), broken: AtomicBool::new(false) };
+    let run = |w: usize| {
+        catch_unwind(AssertUnwindSafe(|| work(w, &mut Rendezvous(&bar, 0))))
+            .inspect_err(|_| bar.broken.store(true, Ordering::Release))
     };
-    cut(w)..cut(w + 1)
+    let mut done = std::thread::scope(|s| {
+        let others: Vec<_> = (1..workers).map(|w| s.spawn(move || run(w))).collect();
+        let mut done = vec![run(0)];
+        // Wait for the others busily: a joiner that sleeps may idle its
+        // core, and waking one takes longer than the rest of a phase.
+        for h in &others {
+            while !h.is_finished() {
+                std::thread::yield_now();
+            }
+        }
+        done.extend(others.into_iter().map(|h| h.join().expect("a worker catches its panic")));
+        done
+    });
+    if let Some(at) = done.iter().position(|r| r.as_ref().is_err_and(|p| !p.is::<Abandoned>())) {
+        resume_unwind(done.swap_remove(at).err().expect("a worker's panic"));
+    }
+    done.into_iter().map(|r| r.expect("workers abandon only after a panic")).collect()
 }
 
-/// What one sweep worker rebuilt: its range's free batch and its batch
-/// per (class, shard), each ascending and threaded, and how many
-/// superblocks it found full.
+/// A range cut into four pieces per worker on multiples of `unit` (whole
+/// huge pages for a discard), taken in turn by whichever worker comes
+/// free, so a slow one does less. What a piece yields is kept by its
+/// number, so it is the same for any worker count and timing.
+struct Pieces {
+    range: Range<usize>,
+    unit: usize,
+    n: usize,
+    next: AtomicUsize,
+}
+
+impl Pieces {
+    fn new(range: Range<usize>, unit: usize, workers: usize) -> Pieces {
+        let n = if workers == 1 { 1 } else { 4 * workers };
+        Pieces { range, unit, n, next: AtomicUsize::new(0) }
+    }
+
+    /// The next piece nobody has taken: its number and its range.
+    fn take(&self) -> Option<(usize, Range<usize>)> {
+        let k = self.next.fetch_add(1, Ordering::Relaxed);
+        let (r, n) = (&self.range, self.n);
+        let cut = |k: usize| match k {
+            0 => r.start,
+            _ if k == n => r.end,
+            _ => (r.start + r.len() * k / n).next_multiple_of(self.unit).min(r.end),
+        };
+        (k < n).then(|| (k, cut(k)..cut(k + 1)))
+    }
+}
+
+/// What one sweep piece rebuilt: its free batch and its batch per (class,
+/// shard), each ascending and threaded, its full superblocks, and its
+/// marked small blocks and their bytes.
 struct Swept {
     free: Vec<u32>,
     partial: Vec<Vec<u32>>,
     full: usize,
+    blocks: u64,
+    bytes: u64,
 }
 
 /// Rebuild descriptors `range`: per-superblock free chains, anchors, and
@@ -405,21 +582,14 @@ struct Swept {
 /// descriptors and blocks, and publishing is the caller's. Partial
 /// superblocks are placed on shard `place_superblock(i)`, a pure function
 /// of the index, so any worker count rebuilds the identical partition.
-fn sweep_range(
-    inner: &HeapInner,
-    census: &Census,
-    marked: &[u32],
-    claimed: &[bool],
-    marks: &MarkSet,
-    range: Range<usize>,
-) -> Swept {
+fn sweep_range(inner: &HeapInner, census: &Census, plan: &Plan, range: Range<usize>) -> Swept {
     let pool = &inner.pool;
     let geo = &inner.geo;
     let shards = SHARDS as usize;
-    let mut out = Swept { free: Vec::new(), partial: vec![Vec::new(); NUM_CLASSES * shards], full: 0 };
+    let mut out = Swept { free: Vec::new(), partial: vec![Vec::new(); NUM_CLASSES * shards], full: 0, blocks: 0, bytes: 0 };
     for i in range {
         let d = Desc::new(pool, geo, i as u32);
-        if claimed[i] {
+        if plan.claim.claimed[i] {
             // Live large block (head or interior): fully allocated.
             d.set_anchor(Anchor::full(1), Ordering::Relaxed);
             out.full += 1;
@@ -436,7 +606,10 @@ fn sweep_range(
         // Refresh the transient max_count cache without flushing (the
         // persisted class/size bits are rewritten unchanged).
         d.set_size(class, size as u64, mc, true);
-        let anchor = match marked[i] {
+        let marked = plan.marks.count(bit, mc);
+        out.blocks += marked as u64;
+        out.bytes += marked as u64 * size as u64;
+        let anchor = match marked {
             n if n == mc => Anchor::full(mc),
             // Nobody walks an EMPTY chain (`flush.rs::push_batch`), so a
             // superblock with no marked block goes EMPTY unlinked and its
@@ -446,7 +619,7 @@ fn sweep_range(
                 // Chain the unmarked blocks in ascending order (step 7:
                 // "keep only traced blocks").
                 let sb_addr = pool.base() as usize + geo.sb(i);
-                let mut free = (0..mc).filter(|&blk| !marks.is_marked(bit + blk as usize));
+                let mut free = (0..mc).filter(|&blk| !plan.marks.is_marked(bit + blk as usize));
                 let first = free.next().expect("a partial superblock has a free block");
                 let mut prev = first;
                 for blk in free {

@@ -37,13 +37,13 @@
 //!   enqueuer between its link and its persist to check this).
 //!
 //! **No node on the untraced free chain holds a live value.** Only the
-//! dequeuer whose head CAS moved past a node retires it; its value was
-//! returned when it became the dummy. The head never reaches it again
-//! (the durable head is persisted past it before the retire), the tail
-//! cannot point at it (`dequeue` helps the tail off the dummy before
-//! that CAS), a stale CAS on its `next` fails on the counter, and a
-//! popped node is rewritten and persisted before it is linked again. So
-//! recovery may free the chain, and [`PQueue::attach`] empties it.
+//! dequeuer whose head CAS moved past a node retires it, whose value left
+//! when it became the dummy. The head is persisted past it first and never
+//! returns. The tail is read before the head re-check, and while the head
+//! reads `h` its dummy is not retired, so a tail naming it names this life
+//! of it, and `dequeue` helps it off before its CAS. A stale CAS on `next`
+//! fails on the counter; a popped node is rewritten and persisted before
+//! it is relinked. Recovery may free the chain; [`PQueue::attach`] empties it.
 //!
 //! **The filters must be registered before recovery.** Links are packed
 //! offsets, not tagged [`ralloc::Pptr`]s, so a conservative scan of the
@@ -327,6 +327,7 @@ impl<A: PersistentAllocator> PQueue<A> {
         loop {
             let h = self.head_word().load(Ordering::Acquire);
             let (h_off1, h_ctr) = unpack(h);
+            let t = self.tail_word().load(Ordering::Acquire);
             let dummy = self.to_addr(h_off1 - 1) as *mut QueueNode;
             // SAFETY: pool memory stays mapped; the head counter
             // invalidates our CAS if the dummy was recycled.
@@ -339,7 +340,6 @@ impl<A: PersistentAllocator> PQueue<A> {
             let next_node = self.to_addr(n_off) as *mut QueueNode;
             // SAFETY: as above.
             let value = unsafe { (*next_node).value };
-            let t = self.tail_word().load(Ordering::Acquire);
             if unpack(t).0 == h_off1 {
                 // Tail still on the dummy we're about to retire: help it
                 // past first so it can never point at a freed node.
@@ -584,6 +584,74 @@ mod tests {
         all.dedup();
         assert_eq!(all.len(), total, "duplicate or lost element");
         q.destroy();
+    }
+
+    /// Every thread both enqueues and dequeues, so a dequeuer's window
+    /// between its head re-check and its CAS overlaps other threads'
+    /// retires, pops and enqueues of the same node (which
+    /// `mpmc_conserves_elements`, with separate producers and consumers,
+    /// never reaches). Each run checks that every value enqueued comes out
+    /// once, by a dequeue or by the final drain. A tail swung onto a
+    /// recycled dummy loses values or links a node to itself, and then
+    /// the queue spins forever: the runs go on a thread of their own, and
+    /// the test fails if they have not reported in 5 s.
+    #[test]
+    fn mixed_operations_on_every_thread_conserve_values() {
+        const THREADS: u64 = 4;
+        const OPS: u64 = 20_000;
+        const RUNS: u64 = 8;
+        let run = |seed: u64| -> Result<(), String> {
+            let q = PQueue::new(SystemAlloc::new());
+            let logs: Vec<(Vec<u64>, Vec<u64>)> = std::thread::scope(|s| {
+                let workers: Vec<_> = (0..THREADS)
+                    .map(|t| {
+                        let q = &q;
+                        s.spawn(move || {
+                            let (mut put, mut got) = (Vec::new(), Vec::new());
+                            let mut x = (seed * THREADS + t + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                            for i in 0..OPS {
+                                x ^= x << 13;
+                                x ^= x >> 7;
+                                x ^= x << 17;
+                                if x & 1 == 0 {
+                                    q.enqueue(t * OPS + i);
+                                    put.push(t * OPS + i);
+                                } else if let Some(v) = q.dequeue() {
+                                    got.push(v);
+                                }
+                            }
+                            (put, got)
+                        })
+                    })
+                    .collect();
+                workers.into_iter().map(|w| w.join().unwrap()).collect()
+            });
+            let mut put: Vec<u64> = logs.iter().flat_map(|(p, _)| p.iter().copied()).collect();
+            let mut got: Vec<u64> = logs.iter().flat_map(|(_, g)| g.iter().copied()).collect();
+            while let Some(v) = q.dequeue() {
+                got.push(v);
+                if got.len() > put.len() {
+                    return Err(format!("run {seed}: more values out than in"));
+                }
+            }
+            put.sort_unstable();
+            got.sort_unstable();
+            if put != got {
+                return Err(format!("run {seed}: {} values in, {} out", put.len(), got.len()));
+            }
+            q.destroy();
+            Ok(())
+        };
+        let (tx, rx) = std::sync::mpsc::channel();
+        let runs = std::thread::spawn(move || tx.send((0..RUNS).try_for_each(run)));
+        match rx.recv_timeout(std::time::Duration::from_secs(5)) {
+            Ok(verdict) => {
+                runs.join().expect("the runs' thread").expect("the verdict was received");
+                verdict.unwrap()
+            }
+            // A livelocked thread cannot be joined; the test process ends it.
+            Err(_) => panic!("{RUNS} runs did not finish in 5 s: the queue livelocked"),
+        }
     }
 
     #[test]

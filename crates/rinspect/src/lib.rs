@@ -289,7 +289,7 @@ pub fn stats(image: &[u8]) -> Result<HeapStats, String> {
     // when its head reads FULL.
     let census = Census::take(pool, &geo, used);
     let anchor = |i: usize| Desc::new(pool, &geo, i as u32).anchor(Ordering::Acquire);
-    let claim = census.claim(|head, _| anchor(head).state == SbState::Full);
+    let claim = census.claim(census.heads().filter(|&head| anchor(head).state == SbState::Full));
     out.large_spans = claim.spans.len();
     out.large_superblocks = claim.spans.iter().map(|s| s.len()).sum();
     for (idx, slot) in census.slots.iter().enumerate() {

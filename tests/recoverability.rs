@@ -299,23 +299,105 @@ fn counts(s: &ralloc::RecoveryStats) -> [u64; 9] {
     ]
 }
 
+/// The superblock index of `p`, a block of `heap`.
+fn superblock_of(heap: &Ralloc, p: *const u8) -> usize {
+    (p as usize - heap.pool().base() as usize - heap.geometry().sb(0)) / ralloc::SB_SIZE
+}
+
 /// R1: one crash image recovers to byte-identical metadata and equal
-/// counts with 1 worker and with 2.
+/// counts with 1 worker, with 2 and with 3 (more than a 2-CPU host has).
+/// The image's last live block is root 80's one-superblock large block,
+/// above every marked small block, so each recovery's `used` must cover
+/// it.
 #[test]
 fn one_image_recovers_to_the_same_bytes_for_any_worker_count() {
     let (heap, _inj) = tracked_with_injector();
     populate_and_crash(&heap);
     let image = heap.pool().persistent_image();
     let (one, s1) = recover_image(&image, 1);
-    let (two, s2) = recover_image(&image, 2);
-    assert_eq!((s1.threads, s2.threads), (1, 2));
-    assert!(two.used_superblocks() > 64, "{} used: the sweep ran on one worker", two.used_superblocks());
-    let (a, b) = (Recovered::of(&one), Recovered::of(&two));
-    assert_eq!((a.used, a.committed), (b.used, b.committed));
-    assert_eq!(first_difference(&a.header, &b.header), None, "first differing header byte");
-    let descriptors = first_difference(&a.descriptors, &b.descriptors);
-    assert_eq!(descriptors, None, "first differing descriptor byte");
-    assert_eq!(counts(&s1), counts(&s2));
+    for workers in [2, 3] {
+        let (many, s) = recover_image(&image, workers);
+        assert_eq!((s1.threads, s.threads), (1, workers));
+        assert!(many.used_superblocks() > 64, "{} used: the sweep ran on one worker", many.used_superblocks());
+        let (a, b) = (Recovered::of(&one), Recovered::of(&many));
+        assert_eq!((a.used, a.committed), (b.used, b.committed), "{workers} workers");
+        assert_eq!(first_difference(&a.header, &b.header), None, "{workers} workers: first differing header byte");
+        let descriptors = first_difference(&a.descriptors, &b.descriptors);
+        assert_eq!(descriptors, None, "{workers} workers: first differing descriptor byte");
+        assert_eq!(counts(&s1), counts(&s), "{workers} workers");
+    }
+    let last = superblock_of(&one, one.get_root_raw(80));
+    assert_eq!(one.used_superblocks(), last + 1, "the live prefix ends after root 80's span");
+}
+
+/// Build a crash image whose live prefix ends with a rooted large span
+/// above every rooted small block, unrooted 4 KiB blocks above it, and,
+/// if `phantom`, a stale large head above those, rooted, whose interior
+/// unrooted fills re-typed. Returns the image and the span's end.
+fn a_large_span_above_the_small_marks(phantom: bool) -> (Vec<u8>, usize) {
+    use ralloc::SB_SIZE;
+    let heap = Ralloc::create(16 << 20, RallocConfig::tracked());
+    let small = heap.malloc(64);
+    heap.set_root_raw(0, small);
+    let span = heap.malloc(2 * SB_SIZE);
+    // SAFETY: a fresh block of 2 superblocks.
+    unsafe { std::ptr::write_bytes(span, 0x5A, 2 * SB_SIZE) };
+    heap.pool().persist(span as usize - heap.pool().base() as usize, 2 * SB_SIZE);
+    heap.set_root_raw(1, span);
+    let end = superblock_of(&heap, span) + 2;
+    assert!(superblock_of(&heap, small) < end - 2, "the small block is not below the span");
+    (0..70 * 16).for_each(|_| assert!(!heap.malloc(4096).is_null()));
+    if phantom {
+        let stale = heap.malloc(4 * SB_SIZE);
+        heap.free(stale);
+        // The free list is LIFO: the fills re-type the interior first.
+        for _ in 0..3 * SB_SIZE / 4096 {
+            let p = heap.malloc(4096);
+            assert!((1..4).contains(&(superblock_of(&heap, p) - superblock_of(&heap, stale))));
+        }
+        heap.set_root_raw(2, stale);
+        assert_eq!(heap.used_superblocks(), superblock_of(&heap, stale) + 4);
+    }
+    (heap.pool().persistent_image(), end)
+}
+
+/// Recover `image` with 1, 2 and 3 workers; each must keep the large span
+/// rooted at 1, which ends at superblock `end`, and release everything
+/// past it.
+fn recovers_to_the_span(image: &[u8], end: usize, phantoms: usize) {
+    for workers in [1, 2, 3] {
+        let (heap, dirty) = Ralloc::from_image(image, RallocConfig::tracked());
+        assert!(dirty);
+        let stats = heap.recover_parallel(workers);
+        assert_eq!(heap.used_superblocks(), end, "{workers} workers: `used` is not the span's end");
+        assert_eq!(stats.rejected_large_phantoms, phantoms, "{workers} workers");
+        // The marked phantom head counts as reached, as every mark does.
+        let reached = 2 + phantoms as u64;
+        assert_eq!((stats.reachable_blocks, stats.full_superblocks), (reached, 2), "{workers} workers");
+        let span = heap.get_root_raw(1);
+        // SAFETY: the rooted block of 2 superblocks, kept by the recovery.
+        let bytes = unsafe { std::slice::from_raw_parts(span, 2 * ralloc::SB_SIZE) };
+        assert!(bytes.iter().all(|&b| b == 0x5A), "{workers} workers: the span changed");
+        let report = ralloc::check_heap(&heap);
+        assert!(report.is_consistent(), "{workers} workers: {:?}", report.violations);
+    }
+}
+
+/// `keep` comes from the claimed spans as well as the small marks: a live
+/// large span above the last marked small block ends the live prefix.
+#[test]
+fn a_live_large_span_above_the_small_marks_sets_the_live_prefix() {
+    let (image, end) = a_large_span_above_the_small_marks(false);
+    recovers_to_the_span(&image, end, 0);
+}
+
+/// A marked large head the claim rejects is not live: above every live
+/// block it does not raise `keep`, and its superblocks are released with
+/// the rest of the tail.
+#[test]
+fn a_rejected_phantom_above_every_live_block_is_released() {
+    let (image, end) = a_large_span_above_the_small_marks(true);
+    recovers_to_the_span(&image, end, 1);
 }
 
 /// Dead descriptors are dead (hostile input past the header): nothing
