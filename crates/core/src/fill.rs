@@ -85,13 +85,6 @@ impl HeapInner {
         }
     }
 
-    /// Account one served fill of `n` blocks.
-    #[inline]
-    fn filled(stats: &mut ThreadStats, n: u64) {
-        stats.add(Slot::cache_fills, 1);
-        stats.add(Slot::cache_fill_blocks, n);
-    }
-
     /// Refill a cache bin for `class` (paper §4.4, LRMalloc's Fill), from
     /// the first of four places that has a superblock: the home shard's
     /// partial list, the free list, the other shards' partial lists in
@@ -102,22 +95,27 @@ impl HeapInner {
     /// [`cache_capacity`]). So a fill synchronizes once, whatever its
     /// batch. A superblock popped EMPTY off a partial list is retired to
     /// the free list (paper §4.4's lazy retirement) and the fill goes on.
+    /// A partial-list pop that names a FULL superblock or another class's
+    /// is a corrupt link (a flipped bit in an image): the fill drops it, a
+    /// leak until recovery, and reads no partial list for the rest of the
+    /// call, so a link that names itself cannot hold it.
     pub(crate) fn fill_bin(&self, class: u32, bin: &mut CacheBin, stats: &mut ThreadStats) -> bool {
         debug_assert!(is_small_class(class));
         debug_assert_eq!(bin.len(), 0, "fill into a non-empty bin");
         bin.ensure_capacity(cache_capacity(class) as usize);
         let home = current_home_shard();
         let free = DescList::free_list(&self.geo);
-        let partial = |s| DescList::partial_shard(&self.geo, class, s).pop(&self.pool, &self.geo);
         let bsize = class_block_size(class) as usize;
         let mc = class_max_count(class);
-        loop {
+        let partial = |s| DescList::partial_shard(&self.geo, class, s).pop(&self.pool, &self.geo);
+        let mut corrupt = false;
+        let n = loop {
             // `from` is the counter of a partial-list pop; a free or
             // fresh superblock has none.
-            let found = partial(home)
+            let found = Some(home).filter(|_| !corrupt).and_then(partial)
                 .map(|i| (i, Some(Slot::partial_pops_home)))
                 .or_else(|| free.pop(&self.pool, &self.geo).map(|i| (i, None)))
-                .or_else(|| neighbors(home).find_map(partial).map(|i| (i, Some(Slot::partial_steals))))
+                .or_else(|| neighbors(home).filter(|_| !corrupt).find_map(partial).map(|i| (i, Some(Slot::partial_steals))))
                 .or_else(|| self.carve(1).inspect(|_| stats.add(Slot::sb_carved, 1)).map(|i| (i, None)));
             let Some((idx, from)) = found else {
                 return false; // out of persistent space
@@ -137,16 +135,16 @@ impl HeapInner {
                 // We own it outright, so a plain anchor store publishes
                 // it FULL.
                 d.set_anchor(Anchor::full(mc), Ordering::Release);
-                let sb_addr = self.addr_of(self.geo.sb(idx as usize));
-                for i in (0..mc).rev() {
-                    bin.push(sb_addr + i as usize * bsize);
-                }
-                Self::filled(stats, mc as u64);
-                return true;
+                bin.push_run(self.addr_of(self.geo.sb(idx as usize)), bsize, mc as usize);
+                break mc;
             };
+            let mut a = d.anchor(Ordering::Acquire);
+            if a.state == SbState::Full || d.size_class() != class {
+                corrupt = true;
+                continue;
+            }
             // A partial superblock: reserve every free block with one CAS
             // (count=0, avail parked at max_count, state FULL).
-            let mut a = d.anchor(Ordering::Acquire);
             while a.state != SbState::Empty {
                 debug_assert_eq!(a.state, SbState::Partial);
                 match d.cas_anchor(a, Anchor::full(mc)) {
@@ -189,8 +187,64 @@ impl HeapInner {
                 }
                 bin.push(addr);
             }
-            Self::filled(stats, take as u64);
-            return true;
+            break take;
+        };
+        stats.add(Slot::cache_fills, 1);
+        stats.add(Slot::cache_fill_blocks, n as u64);
+        true
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::HashSet;
+
+    use super::*;
+    use crate::size_class::size_class_of;
+    use crate::{check_heap, Ralloc, RallocConfig};
+
+    /// A partial-list link that names a FULL superblock of the class, or a
+    /// PARTIAL one of another class, as a flipped bit in an image can: the
+    /// fill that pops it must serve neither its live blocks nor blocks at
+    /// the wrong stride, and `malloc` must not panic.
+    #[test]
+    fn a_fill_drops_a_corrupt_partial_pop_and_carves() {
+        let class = size_class_of(64).unwrap();
+        let mc = class_max_count(class) as usize;
+        for other_class in [false, true] {
+            let heap = Ralloc::create(8 << 20, RallocConfig::default());
+            let inner = &*heap.inner;
+            let sb_of = |p: usize| inner.geo.sb_index_of(p - inner.pool.base() as usize).unwrap();
+            // Superblock A: every 64 B block allocated, then 10 handed
+            // back, so A is PARTIAL on this thread's home shard.
+            let a: Vec<usize> = (0..mc).map(|_| heap.malloc(64) as usize).collect();
+            // The superblock the corrupt link names, and its live blocks.
+            let (target, held): (usize, Vec<usize>) = if other_class {
+                let c: Vec<usize> = (0..64).map(|_| heap.malloc(1024) as usize).collect();
+                inner.flush_blocks(&mut c[..10].to_vec());
+                (sb_of(c[0]), c[10..].to_vec())
+            } else {
+                let b: Vec<usize> = (0..mc).map(|_| heap.malloc(64) as usize).collect();
+                (sb_of(b[0]), b)
+            };
+            inner.flush_blocks(&mut a[..10].to_vec());
+            let d = Desc::new(&inner.pool, &inner.geo, sb_of(a[0]) as u32);
+            d.next_partial().store(target as u64 + 1, Ordering::Relaxed);
+            let mut live: HashSet<usize> = a[10..].iter().chain(&held).copied().collect();
+            for _ in 0..10 + mc {
+                let p = heap.malloc(64) as usize;
+                assert_ne!(p, 0, "other class: {other_class}");
+                let sb = sb_of(p);
+                assert_eq!(
+                    Desc::new(&inner.pool, &inner.geo, sb as u32).size_class(),
+                    class,
+                    "other class: {other_class}: {p:#x} is in a superblock of another class"
+                );
+                assert_eq!((p - inner.addr_of(inner.geo.sb(sb))) % 64, 0);
+                assert!(live.insert(p), "other class: {other_class}: live block {p:#x} served");
+            }
+            let report = check_heap(&heap);
+            assert!(report.is_consistent(), "other class: {other_class}: {:?}", report.violations);
         }
     }
 }

@@ -4,7 +4,9 @@
 //! There is one route (the paper's Flush, §4.4): blocks are partitioned
 //! by superblock and each group goes back with **one** anchor CAS
 //! (`push_batch`) — 1/N of a CAS per block for a group of N, whichever
-//! thread filled the superblock. A returned block is visible to every
+//! thread filled the superblock; a batch inside its first block's
+//! superblock, the usual whole-bin flush, is one group as it stands. A
+//! returned block is visible to every
 //! fill the moment that CAS lands. An overflowing bin returns its oldest
 //! superblock population and keeps the rest ([`HeapInner::free_overflow`]);
 //! exit and `close` drain whole bins.
@@ -22,7 +24,7 @@
 //! Every function here counts into the [`ThreadStats`] of the cache set
 //! it works for ([`crate::stats`]).
 //!
-//! `pub(crate)` surface on [`HeapInner`]: `return_blocks`, `flush_bin`,
+//! `pub(crate)` surface on [`HeapInner`]: `return_blocks`,
 //! `free_overflow`, `drain_tls`, `push_batch`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -33,7 +35,7 @@ use crate::fill::prefetch_read;
 use crate::heap::HeapInner;
 use crate::lists::DescList;
 use crate::shard::current_home_shard;
-use crate::size_class::{cache_capacity, class_max_count};
+use crate::size_class::{cache_capacity, class_max_count, SB_SIZE};
 use crate::stats::{Slot, ThreadStats};
 use crate::tcache::{CacheBin, HeapTls};
 
@@ -144,12 +146,14 @@ impl HeapInner {
     ///
     /// Each group goes back through [`HeapInner::return_group`].
     ///
-    /// Most bins hold blocks of one or two superblocks, so the partition
-    /// starts with a linear scan that moves one superblock's blocks to the
-    /// front per pass. A batch that spans more superblocks than that scan
-    /// takes on — a 16-slot bin of 4-block superblocks usually does —
-    /// sorts the rest by address: a superblock is a contiguous address
-    /// range, so sorted blocks arrive grouped, one run per superblock.
+    /// Most bins hold one superblock's run, which one range test per block
+    /// tells: it goes back as it stands. The others mostly hold two
+    /// superblocks, so their partition starts with a linear scan that moves
+    /// one superblock's blocks to the front per pass. A batch that spans
+    /// more superblocks than that scan takes on — a 16-slot bin of 4-block
+    /// superblocks usually does — sorts the rest by address: a superblock is
+    /// a contiguous address range, so sorted blocks arrive grouped, one run
+    /// per superblock.
     pub(crate) fn return_blocks(&self, blocks: &mut [usize], stats: &mut ThreadStats) {
         /// Superblocks the linear scan takes before the rest is sorted:
         /// its worst case is then `MAX_LINEAR_GROUPS`·n comparisons.
@@ -159,6 +163,12 @@ impl HeapInner {
             |addr: usize| self.geo.sb_index_of(addr - base).expect("flush_blocks: foreign address");
         // One TLS lookup + hash for the whole batch, not per superblock.
         let home = current_home_shard();
+        let Some(&first) = blocks.first() else { return };
+        let sb = sb_of(first);
+        let lo = self.addr_of(self.geo.sb(sb));
+        if blocks.iter().all(|&addr| addr.wrapping_sub(lo) < SB_SIZE) {
+            return self.return_group(sb, blocks, home, stats);
+        }
         let mut rest = blocks;
         for _ in 0..MAX_LINEAR_GROUPS {
             let Some(&first) = rest.first() else { return };
@@ -196,12 +206,6 @@ impl HeapInner {
         bin.drain_front(n);
     }
 
-    /// Flush an entire cache bin back to the heap (paper §4.4: "all of
-    /// the blocks in the cache are pushed back").
-    pub(crate) fn flush_bin(&self, bin: &mut CacheBin, stats: &mut ThreadStats) {
-        self.flush_oldest(bin, bin.len() as usize, stats);
-    }
-
     /// Free-path overflow: size a never-used bin, or flush a full one's
     /// oldest superblock population — the whole bin for every class of
     /// ≤ 4 096 B, the oldest 4–12 of a bigger class's 16, as tcmalloc
@@ -215,18 +219,96 @@ impl HeapInner {
     }
 
     /// Drain every class bin of a TLS entry back to its superblocks
-    /// (thread exit and `close`).
+    /// (thread exit and `close`; paper §4.4: "all of the blocks in the
+    /// cache are pushed back").
     pub(crate) fn drain_tls(&self, entry: &mut HeapTls) {
         let HeapTls { bins, stats, .. } = entry;
         for bin in bins.iter_mut() {
-            self.flush_bin(bin, stats);
+            self.flush_oldest(bin, bin.len() as usize, stats);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The one-run batch: a batch inside its first block's superblock goes
+    //! back whole, and a block one past that superblock's end is another
+    //! superblock's.
+
+    use std::sync::atomic::Ordering;
+
+    use crate::anchor::{Anchor, SbState};
+    use crate::descriptor::Desc;
+    use crate::heap::HeapInner;
+    use crate::size_class::class_max_count;
+    use crate::stats::ThreadStats;
+    use crate::{Ralloc, RallocConfig};
+
+    impl HeapInner {
+        /// [`HeapInner::return_blocks`] for a test that hands blocks back
+        /// by hand, counted through a block of its own.
+        pub(crate) fn flush_blocks(&self, blocks: &mut [usize]) {
+            self.return_blocks(blocks, &mut ThreadStats::new(&self.telemetry));
         }
     }
 
-    /// [`HeapInner::return_blocks`] for a test that hands blocks back by
-    /// hand, counted through a block of its own.
-    #[cfg(test)]
-    pub(crate) fn flush_blocks(&self, blocks: &mut [usize]) {
-        self.return_blocks(blocks, &mut ThreadStats::new(&self.telemetry));
+    /// Every 64 B block of the first `n` superblocks, by superblock, all
+    /// allocated (so every superblock is FULL and the bin is empty).
+    fn full_superblocks(heap: &Ralloc, n: usize) -> Vec<Vec<usize>> {
+        let mc = class_max_count(8) as usize;
+        let mut got: Vec<usize> = (0..n * mc).map(|_| heap.malloc(64) as usize).collect();
+        got.sort_unstable();
+        let want = (0..n * mc).map(|i| heap.region_base() + i / mc * crate::SB_SIZE + i % mc * 64);
+        assert!(got.iter().copied().eq(want), "the first {n} superblocks serve the 64 B class");
+        got.chunks(mc).map(<[usize]>::to_vec).collect()
+    }
+
+    fn anchor(heap: &Ralloc, sb: usize) -> Anchor {
+        Desc::new(&heap.inner.pool, &heap.inner.geo, sb as u32).anchor(Ordering::Acquire)
+    }
+
+    fn flush_cas(heap: &Ralloc) -> u64 {
+        heap.slow_stats().flush_anchor_cas.get()
+    }
+
+    #[test]
+    fn a_batch_ending_on_the_next_superblocks_first_block_lands_on_both_anchors() {
+        let heap = Ralloc::create(8 << 20, RallocConfig::default());
+        let sbs = full_superblocks(&heap, 2);
+        let mut batch: Vec<usize> = sbs[0][..10].iter().copied().chain([sbs[1][0]]).collect();
+        heap.inner.flush_blocks(&mut batch);
+        assert_eq!((anchor(&heap, 0).count, anchor(&heap, 0).state), (10, SbState::Partial));
+        assert_eq!((anchor(&heap, 1).count, anchor(&heap, 1).state), (1, SbState::Partial));
+        assert_eq!(flush_cas(&heap), 2, "two superblocks, two anchor CASes");
+    }
+
+    #[test]
+    fn a_batch_starting_at_a_superblocks_last_block_lands_on_both_anchors() {
+        let heap = Ralloc::create(8 << 20, RallocConfig::default());
+        let sbs = full_superblocks(&heap, 2);
+        let mut batch = vec![*sbs[0].last().unwrap(), sbs[1][0]];
+        heap.inner.flush_blocks(&mut batch);
+        assert_eq!((anchor(&heap, 0).count, anchor(&heap, 0).state), (1, SbState::Partial));
+        assert_eq!((anchor(&heap, 1).count, anchor(&heap, 1).state), (1, SbState::Partial));
+        assert_eq!(flush_cas(&heap), 2, "two superblocks, two anchor CASes");
+    }
+
+    #[test]
+    fn a_whole_population_costs_one_anchor_cas() {
+        let heap = Ralloc::create(8 << 20, RallocConfig::default());
+        let mc = class_max_count(8);
+        let sbs = full_superblocks(&heap, 3);
+        // Alone, newest first as a bin holds it.
+        let mut batch: Vec<usize> = sbs[0].iter().rev().copied().collect();
+        heap.inner.flush_blocks(&mut batch);
+        assert_eq!((anchor(&heap, 0).count, anchor(&heap, 0).state), (mc, SbState::Empty));
+        assert_eq!(flush_cas(&heap), 1, "one population, one anchor CAS");
+        // With the next superblock's first block behind it: the
+        // population still goes back in one CAS, the stray in its own.
+        let mut batch: Vec<usize> = sbs[1].iter().copied().chain([sbs[2][0]]).collect();
+        heap.inner.flush_blocks(&mut batch);
+        assert_eq!((anchor(&heap, 1).count, anchor(&heap, 1).state), (mc, SbState::Empty));
+        assert_eq!((anchor(&heap, 2).count, anchor(&heap, 2).state), (1, SbState::Partial));
+        assert_eq!(flush_cas(&heap), 3, "one CAS per superblock");
     }
 }

@@ -48,14 +48,15 @@ pub struct HeapInner {
     pub(crate) geo: Geometry,
     pub(crate) id: u64,
     pub(crate) transient: bool,
-    /// Bumped by crash simulation so stale thread caches are discarded.
+    /// Replaced by a fresh value ([`tcache::fresh_generation`]) at every
+    /// simulated crash and recovery, so stale thread caches are discarded.
     pub(crate) generation: AtomicU64,
     /// Thread-exit cache drains in flight. A thread's TLS destructor runs
     /// *after* the thread is observably finished (e.g. after
     /// `thread::scope` returns, which only waits for the closure), so its
     /// cache flush can land in the middle of a quiescent-point operation
-    /// on another thread. Destructors bracket their drain with
-    /// `begin/end_exit_drain`; recovery retires pre-recovery caches and
+    /// on another thread. Destructors announce their drain
+    /// (`exit_drain`); recovery retires pre-recovery caches and
     /// waits this count out (`quiesce_caches`), close and explicit shrink
     /// wait it out (`await_exit_drains`).
     pub(crate) exit_drains: AtomicUsize,
@@ -86,18 +87,17 @@ impl HeapInner {
         self.generation.load(Ordering::Acquire)
     }
 
-    /// Announce a thread-exit cache drain and read the state that decides
-    /// whether it may flush: `(generation, closed)`. SeqCst pairs this
-    /// with [`HeapInner::quiesce_caches`]: a destructor either reads the
-    /// old generation — and then its increment is visible to the waiter,
-    /// which blocks until [`HeapInner::end_exit_drain`] — or reads the new
-    /// one and flushes nothing.
-    pub(crate) fn begin_exit_drain(&self) -> (u64, bool) {
+    /// Drain a dying cache set (thread exit, the teardown one-shot set)
+    /// unless the heap crashed, recovered or closed since it was stamped.
+    /// The drain is announced first, and SeqCst pairs this with
+    /// [`HeapInner::quiesce_caches`]: a drain either reads the old
+    /// generation — and then its announcement is visible to the waiter,
+    /// which blocks until it ends — or reads the new one and flushes nothing.
+    pub(crate) fn exit_drain(&self, entry: &mut tcache::HeapTls) {
         self.exit_drains.fetch_add(1, Ordering::SeqCst);
-        (self.generation.load(Ordering::SeqCst), self.closed.load(Ordering::SeqCst))
-    }
-
-    pub(crate) fn end_exit_drain(&self) {
+        if self.generation.load(Ordering::SeqCst) == entry.generation && !self.closed.load(Ordering::SeqCst) {
+            self.drain_tls(entry);
+        }
         self.exit_drains.fetch_sub(1, Ordering::SeqCst);
     }
 
@@ -106,7 +106,7 @@ impl HeapInner {
     /// crash) and wait out exit drains that passed the generation check
     /// first. Recovery's entry step.
     pub(crate) fn quiesce_caches(&self) {
-        self.generation.fetch_add(1, Ordering::SeqCst);
+        self.generation.store(tcache::fresh_generation(), Ordering::SeqCst);
         self.await_exit_drains();
     }
 
@@ -192,7 +192,6 @@ impl Ralloc {
     #[inline(never)]
     fn malloc_slow(&self, size: usize) -> *mut u8 {
         let inner = &*self.inner;
-        debug_assert!(!inner.closed.load(Ordering::Acquire), "malloc on closed heap");
         match size_class_of(size) {
             Some(class) => tcache::with_heap_tls(inner, || Arc::downgrade(&self.inner), |tls| {
                 let bin = &mut tls.bins[class as usize];
@@ -411,7 +410,7 @@ impl Ralloc {
     pub fn crash_simulated(&self) {
         let inner = &*self.inner;
         inner.pool.crash();
-        inner.generation.fetch_add(1, Ordering::AcqRel);
+        inner.generation.store(tcache::fresh_generation(), Ordering::SeqCst);
         inner.closed.store(false, Ordering::Release);
         tcache::discard_current_thread(inner);
     }
@@ -461,9 +460,7 @@ impl Ralloc {
     /// counts as remote.
     pub fn owner_shard_of(&self, ptr: *const u8) -> u32 {
         let inner = &*self.inner;
-        let off = (ptr as usize)
-            .checked_sub(inner.pool.base() as usize)
-            .expect("owner_shard_of: pointer below heap");
+        let off = (ptr as usize).wrapping_sub(inner.pool.base() as usize);
         let sb = inner.geo.sb_index_of(off).expect("owner_shard_of: pointer outside superblocks");
         Desc::new(&inner.pool, &inner.geo, sb as u32).owner()
     }
@@ -584,10 +581,8 @@ impl Ralloc {
 
     /// True if `ptr` lies inside this heap's superblock region.
     pub fn contains(&self, ptr: *const u8) -> bool {
-        (ptr as usize)
-            .checked_sub(self.inner.pool.base() as usize)
-            .and_then(|off| self.inner.geo.sb_index_of(off))
-            .is_some()
+        let off = (ptr as usize).wrapping_sub(self.inner.pool.base() as usize);
+        self.inner.geo.sb_index_of(off).is_some()
     }
 }
 

@@ -218,13 +218,12 @@ impl Geometry {
     }
 
     /// Map a byte offset inside the superblock region to its superblock
-    /// index ("simple bit manipulation", paper §4.2).
+    /// index ("simple bit manipulation", paper §4.2), with one compare:
+    /// an offset below the region wraps to an index far past `max_sb`.
     #[inline]
     pub fn sb_index_of(&self, off: usize) -> Option<usize> {
-        if off < self.sb_off || off >= self.sb_off + self.max_sb * SB_SIZE {
-            return None;
-        }
-        Some((off - self.sb_off) / SB_SIZE)
+        let i = off.wrapping_sub(self.sb_off) / SB_SIZE;
+        (i < self.max_sb).then_some(i)
     }
 
     /// Byte offset of root slot `i`.

@@ -321,7 +321,7 @@ impl Ralloc {
                 geo,
                 id: NEXT_HEAP_ID.fetch_add(1, Ordering::Relaxed),
                 transient: cfg.transient,
-                generation: AtomicU64::new(0),
+                generation: AtomicU64::new(crate::tcache::fresh_generation()),
                 exit_drains: AtomicUsize::new(0),
                 closed: AtomicBool::new(false),
                 root_fns: Mutex::new(HashMap::new()),

@@ -9,23 +9,14 @@
 //! above 4 KiB, with 4–12 blocks per superblock, get 16), so the bin's
 //! lifecycle follows LRMalloc's Fill/Flush discipline:
 //!
-//! * **Fill** (bin empty on `malloc`): reserve a whole batch of blocks —
-//!   every free block of a partial superblock, or all of a fresh one —
-//!   with a *single* anchor CAS, then carve the batch into the bin
-//!   locally. The slow path's cost (one CAS, and for fresh superblocks
-//!   one flush+fence of the size identity) is amortized over the batch.
-//!   A fill claims one superblock, so in a bin larger than the
-//!   population it leaves room to spare.
-//! * **Flush** (bin full on `free`): return the oldest superblock
-//!   population — the *entire* bin for every class of ≤ 4 096 B (paper
-//!   §4.4: "all of the blocks in the cache are pushed back"), the oldest
-//!   4–12 of a bigger class's 16. Blocks are grouped by
-//!   superblock (in place, no allocation: [`crate::flush`]),
-//!   pre-linked into a local chain, and each group is spliced
-//!   into its anchor's free list with a single CAS — one CAS per
-//!   superblock touched, not one per block — whether this thread's own
-//!   Fill claimed the superblock or another shard's did (a *remote*
-//!   free: counted, routed no differently).
+//! * **Fill** (bin empty on `malloc`): every free block of one partial
+//!   superblock for one anchor CAS, or all of a free or fresh one, whose
+//!   one flush+fence of the size identity the batch amortizes
+//!   ([`crate::fill`]).
+//! * **Flush** (bin full on `free`): the oldest superblock population —
+//!   the whole bin for every class of ≤ 4 096 B, the oldest 4–12 of a
+//!   bigger class's 16 — back with one anchor CAS per superblock touched,
+//!   not one per block, whichever thread filled it ([`crate::flush`]).
 //!
 //! In between, `malloc` is an array pop and `free` an array push.
 //!
@@ -34,9 +25,10 @@
 //! Because a process may hold several heaps, the thread-local store keeps
 //! a small vector of per-heap cache sets keyed by heap id. The
 //! overwhelmingly common case is one heap, so a separate thread-local
-//! **fast slot** memoizes `(heap id, pointer to that heap's cache set)`.
-//! The malloc/free fast path is then: one fast-slot read, one id compare,
-//! one generation compare, one bin pop/push ([`with_fast_tls`]). That
+//! **fast slot** memoizes `(generation, pointer to that heap's cache
+//! set)`: a generation names one heap in one epoch ([`fresh_generation`]).
+//! The malloc/free fast path is then: one fast-slot read, one generation
+//! compare, one bin pop/push ([`with_fast_tls`]). That
 //! much is all `Ralloc::malloc` / `free` inline into their callers, so a
 //! hit is a leaf: no call, no register saved, no spill. Whatever fails a
 //! test runs out of line in `malloc_slow` / `free_slow` — large blocks,
@@ -44,17 +36,17 @@
 //! [`with_heap_tls`], whose linear scan over cache sets (first touch, heap
 //! switch, or after a crash) is `#[cold]`. Entries are boxed so the
 //! memoized pointer stays valid when the vector reallocates; every path
-//! that removes or replaces an entry invalidates the slot first.
+//! that removes an entry clears the slot first.
 //!
 //! ## Crash semantics
 //!
 //! The bins are **transient**: nothing about them is flushed, and after a
 //! crash their contents are recovered by the tracing GC (blocks in a bin
 //! are unreachable from the roots, so they are reclaimed). Each cache set
-//! is stamped with the heap's *generation*, which is bumped by a
-//! simulated crash: stale cached blocks from "before the crash" must be
+//! is stamped with the heap's *generation*, which a crash or a recovery
+//! replaces: stale cached blocks from "before the crash" must be
 //! forgotten, not reused, exactly as a real crash would forget DRAM. The
-//! generation compare sits on the fast path so a crash invalidates the
+//! generation compare is the fast path's test, so a crash invalidates the
 //! fast slot, too. On clean thread exit the bins are flushed back to the
 //! heap, so a clean shutdown leaves nothing cached.
 //!
@@ -72,6 +64,7 @@
 //! folds it into the heap's totals, so no path can forget to.
 
 use std::cell::{Cell, RefCell};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Weak;
 
 use crate::heap::HeapInner;
@@ -111,6 +104,16 @@ impl CacheBin {
         // SAFETY: guarded by the debug_assert contract above.
         unsafe { *self.slots.get_unchecked_mut(self.len as usize) = addr };
         self.len += 1;
+    }
+
+    /// Push the `n` blocks `start + i·stride` in one loop, lowest address
+    /// on top: a fill's whole superblock. Panics if they do not fit.
+    pub fn push_run(&mut self, start: usize, stride: usize, n: usize) {
+        let len = self.len as usize;
+        for (slot, i) in self.slots[len..len + n].iter_mut().zip((0..n).rev()) {
+            *slot = start + i * stride;
+        }
+        self.len += n as u32;
     }
 
     /// True when a push would overflow. Also true for a never-used bin
@@ -200,23 +203,27 @@ impl Drop for TlsStore {
                 // the thread looks finished to joiners (`thread::scope`
                 // returns when the closure does), so this drain can race a
                 // quiescent-point operation that the joining thread starts
-                // next. The begin/end bracket is the rendezvous: recovery
-                // bumps the generation and waits out announced drains, so
-                // a flush here either completes before recovery resets the
-                // lists or never starts.
-                let (generation, closed) = heap.begin_exit_drain();
-                if generation == entry.generation && !closed {
-                    heap.drain_tls(entry);
-                }
-                heap.end_exit_drain();
+                // next. `exit_drain` announces it: recovery replaces the
+                // generation and waits out announced drains, so a flush
+                // here either completes before recovery resets the lists
+                // or never starts.
+                heap.exit_drain(entry);
             }
         }
     }
 }
 
+/// Every heap's generations, at creation and after each crash or
+/// recovery, come from here: a value names one heap in one epoch, never 0.
+static NEXT_GENERATION: AtomicU64 = AtomicU64::new(1);
+
+pub(crate) fn fresh_generation() -> u64 {
+    NEXT_GENERATION.fetch_add(1, Ordering::Relaxed)
+}
+
 thread_local! {
-    /// Single-heap fast slot: (heap id, pointer to its cache set in this
-    /// thread's store). Heap ids start at 1, so id 0 never matches. The
+    /// Single-heap fast slot: (generation, pointer to that heap's cache
+    /// set in this thread's store); generation 0 never matches. The
     /// pointee is owned by `TLS`; every removal/replacement invalidates
     /// this slot before touching the entry.
     static FAST: Cell<(u64, *mut HeapTls)> = const { Cell::new((0, std::ptr::null_mut())) };
@@ -230,14 +237,15 @@ thread_local! {
 /// directly, and [`with_heap_tls`] adds the miss.
 #[inline(always)]
 pub(crate) fn with_fast_tls<R>(heap: &HeapInner, f: impl FnOnce(&mut HeapTls) -> R) -> Option<R> {
-    let (fast_id, fast_ptr) = FAST.get();
-    // SAFETY: heap ids start at 1, so a matching id means the slot holds a
-    // boxed entry of this thread's store, and every path that drops or
-    // replaces an entry clears the slot first: the pointee is live. `f`
-    // has it exclusively: only this thread reaches it, and nothing in the
-    // allocator re-enters the TLS machinery while `f` runs.
-    let entry = (fast_id == heap.id).then(|| unsafe { &mut *fast_ptr })?;
-    (entry.generation == heap.generation()).then(|| f(entry))
+    let (fast_gen, fast_ptr) = FAST.get();
+    // SAFETY: generations are never 0 and each names one heap in one epoch
+    // ([`fresh_generation`]), so a match means a miss on this heap in this
+    // epoch set the slot to its boxed entry in this thread's store. A path
+    // that drops an entry clears the slot first, and a miss replaces an
+    // entry in place only once its generation is stale: the pointee is
+    // live. `f` has it exclusively: only this thread reaches it, and
+    // nothing in the allocator re-enters the TLS machinery meanwhile.
+    (fast_gen == heap.generation()).then(|| f(unsafe { &mut *fast_ptr }))
 }
 
 /// Run `f` with this thread's cache set for `heap`, creating or resetting
@@ -293,7 +301,7 @@ fn with_heap_tls_miss<R>(
             }
         };
         let ptr: *mut HeapTls = &mut **entry;
-        FAST.set((id, ptr));
+        FAST.set((gen, ptr));
         f.take().unwrap()(entry)
     });
     match attempt {
@@ -310,11 +318,7 @@ fn with_heap_tls_miss<R>(
             let mut entry =
                 Box::new(HeapTls::new(heap, heap.generation(), make_weak.take().unwrap()()));
             let r = f.take().unwrap()(&mut entry);
-            let (generation, closed) = heap.begin_exit_drain();
-            if generation == entry.generation && !closed {
-                heap.drain_tls(&mut entry);
-            }
-            heap.end_exit_drain();
+            heap.exit_drain(&mut entry);
             r
         }
     }

@@ -15,7 +15,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BUDGET=6680
+BUDGET=6678
 REST_BUDGET=9029
 MAX_FIELDS=6
 MAX_VARS=7

@@ -317,3 +317,182 @@ fn two_heaps_interleaved_keep_bins_separate() {
     assert!(check_heap(&a).is_consistent());
     assert!(check_heap(&b).is_consistent());
 }
+
+#[test]
+fn a_dropped_heaps_cache_never_serves_a_later_heap() {
+    // The fast slot holds a generation and no heap id, so a generation
+    // must name one heap in one epoch. Heap A crashes and recovers
+    // before a worker caches its 16 B and 256 B blocks; heap B, created
+    // after A is dropped, goes through the same steps. With per-heap
+    // counters both would stand at the same value, and the worker's
+    // first malloc on B would pop A's bin.
+    use std::sync::mpsc::channel;
+    let a = Ralloc::create(8 << 20, RallocConfig::tracked());
+    a.crash_simulated();
+    a.recover();
+    let (to_worker, jobs) = channel::<Ralloc>();
+    let (to_main, done) = channel::<()>();
+    std::thread::scope(|s| {
+        let worker = s.spawn(move || {
+            let a = jobs.recv().unwrap();
+            for size in [16, 256] {
+                let ps: Vec<*mut u8> = (0..50).map(|_| a.malloc(size)).collect();
+                assert!(ps.iter().all(|p| !p.is_null()));
+                ps.into_iter().for_each(|p| a.free(p));
+            }
+            drop(a);
+            to_main.send(()).unwrap();
+            // B, after its crash and recovery: every block is B's, of
+            // the class asked for.
+            let b = jobs.recv().unwrap();
+            let mut got = Vec::new();
+            for (size, n) in [(256, 2), (16, 200)] {
+                for _ in 0..n {
+                    let p = b.malloc(size);
+                    assert!(b.contains(p), "{size} B: {p:?} is not a block of B");
+                    let sb = (p as usize - b.region_base()) / ralloc::SB_SIZE;
+                    assert!(sb < b.used_superblocks(), "{size} B: {p:?} is in no carved superblock");
+                    assert_eq!(b.usable_size(p), size, "{p:?} is a block of another class");
+                    got.push(p as usize);
+                }
+            }
+            got
+        });
+        to_worker.send(a.clone()).unwrap();
+        done.recv().unwrap();
+        drop(a);
+        // B's own pre-crash cache: 100 rooted 16 B nodes freed into this
+        // thread's bin whose unlink never reached media, so recovery
+        // keeps them live.
+        let b = Ralloc::create(8 << 20, RallocConfig::tracked());
+        build_list(&b, 0, 100);
+        let mut nodes = std::collections::HashSet::new();
+        let mut cur = b.get_root::<Node>(0);
+        while !cur.is_null() {
+            nodes.insert(cur as usize);
+            // SAFETY: a node of the list just built.
+            cur = unsafe { (*cur).next.as_ptr() };
+        }
+        nodes.iter().for_each(|&p| b.free(p as *mut u8));
+        b.crash_simulated();
+        b.get_root::<Node>(0);
+        assert_eq!(b.recover().reachable_blocks, 100);
+        to_worker.send(b.clone()).unwrap();
+        let got = worker.join().unwrap();
+        assert!(got.iter().all(|p| !nodes.contains(p)), "the worker got a live node");
+        for _ in 0..200 {
+            let p = b.malloc(16) as usize;
+            assert!(b.contains(p as *const u8) && !nodes.contains(&p), "live node {p:#x} reissued");
+        }
+        assert_eq!(list_len(&b, 0), 100);
+    });
+}
+
+/// Four threads in a ring, each freeing what its left neighbour
+/// allocated: threads 0 and 2 allocate 64 B blocks, 1 and 3 allocate
+/// 1 KiB ones, so a thread never reuses what it frees. Its bin of the
+/// freed class only overflows and flushes another thread's blocks, which
+/// enlists their superblocks on the freeing thread's shard or the free
+/// list; its fills pop them there, steal them from another shard, or
+/// carve. Batches have seeded random lengths around a bin's capacity, so
+/// the flushed runs straddle superblock boundaries at every offset.
+/// Each thread logs the addresses it was handed (stamped on a shared
+/// clock after `malloc` returns) and the ones it freed (stamped before
+/// `free` is called): an address is live twice if two of its allocations
+/// come without a free between them. The run goes on a thread of its own,
+/// and the test fails if it has not reported in 5 s.
+#[test]
+fn a_ring_of_four_threads_never_issues_a_live_block_twice() {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::mpsc::{channel, RecvTimeoutError};
+    const THREADS: usize = 4;
+    const ROUNDS: usize = 40;
+    /// (size, bin capacity) of the class each thread allocates.
+    const CLASS: [(usize, u64); 2] = [(64, 1024), (1024, 64)];
+    let run = || -> Result<(), String> {
+        let heap = Ralloc::create(32 << 20, RallocConfig::default());
+        let clock = AtomicU64::new(0);
+        let (senders, receivers): (Vec<_>, Vec<_>) =
+            (0..THREADS).map(|_| channel::<Vec<usize>>()).unzip();
+        let logs: Vec<Vec<(usize, u64, bool)>> = std::thread::scope(|s| {
+            let workers: Vec<_> = receivers
+                .into_iter()
+                .enumerate()
+                .map(|(t, from_left)| {
+                    let to_right = senders[(t + 1) % THREADS].clone();
+                    let (heap, clock) = (&heap, &clock);
+                    s.spawn(move || {
+                        let tick = || clock.fetch_add(1, Ordering::Relaxed);
+                        let (size, cap) = CLASS[t % 2];
+                        let mut rng = (t as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                        let mut log = Vec::new();
+                        for round in 0..ROUNDS {
+                            rng ^= rng << 13;
+                            rng ^= rng >> 7;
+                            rng ^= rng << 17;
+                            let n = cap / 2 + rng % (cap * 3 / 2);
+                            let batch: Vec<usize> = (0..n)
+                                .map(|_| {
+                                    let p = heap.malloc(size) as usize;
+                                    log.push((p, tick(), true));
+                                    assert_ne!(p, 0, "thread {t} round {round}: out of memory");
+                                    // SAFETY: a fresh block of at least 64 B.
+                                    unsafe { ((p + 8) as *mut u64).write(p as u64 ^ t as u64) };
+                                    p
+                                })
+                                .collect();
+                            // The first block goes back on this thread, so
+                            // the run the neighbour receives starts one
+                            // block later each round.
+                            log.push((batch[0], tick(), false));
+                            heap.free(batch[0] as *mut u8);
+                            to_right.send(batch[1..].to_vec()).unwrap();
+                            let left = (t + THREADS - 1) % THREADS;
+                            for p in from_left.recv().unwrap() {
+                                // SAFETY: the left neighbour handed this block over.
+                                let sig = unsafe { ((p + 8) as *const u64).read() };
+                                assert_eq!(sig, p as u64 ^ left as u64, "{p:#x} was written by another owner");
+                                log.push((p, tick(), false));
+                                heap.free(p as *mut u8);
+                            }
+                        }
+                        log
+                    })
+                })
+                .collect();
+            // Joined here, so every worker's exit drain has run.
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        let mut events: Vec<(usize, u64, bool)> = logs.concat();
+        events.sort_unstable();
+        for group in events.chunk_by(|a, b| a.0 == b.0) {
+            // Allocations and frees of one address must alternate,
+            // starting with an allocation and ending with a free.
+            for (i, &(p, t, alloc)) in group.iter().enumerate() {
+                if alloc != (i % 2 == 0) || (alloc && i + 1 == group.len()) {
+                    return Err(format!("{p:#x} live twice (event {i} at tick {t})"));
+                }
+            }
+        }
+        let report = check_heap(&heap);
+        if !report.is_consistent() {
+            return Err(format!("{:?}", report.violations));
+        }
+        heap.shrink();
+        match heap.used_superblocks() {
+            0 => Ok(()),
+            n => Err(format!("{n} superblocks still used after the ring drained")),
+        }
+    };
+    let (tx, rx) = channel();
+    let ring = std::thread::spawn(move || tx.send(run()));
+    match rx.recv_timeout(std::time::Duration::from_secs(5)) {
+        Ok(verdict) => {
+            ring.join().expect("the ring's thread").expect("the verdict was received");
+            verdict.unwrap()
+        }
+        Err(RecvTimeoutError::Disconnected) => std::panic::resume_unwind(ring.join().unwrap_err()),
+        // A livelocked thread cannot be joined; the test process ends it.
+        Err(RecvTimeoutError::Timeout) => panic!("the ring did not finish in 5 s"),
+    }
+}
