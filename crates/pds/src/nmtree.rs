@@ -568,6 +568,77 @@ mod tests {
         t.quiesce();
     }
 
+    /// Every thread inserts and removes on one tree, so flags, tags and
+    /// the ancestor swing of one thread's removal race other threads'
+    /// inserts and removals on neighbouring edges. Each thread owns its
+    /// keys (`tid << 32 | k`), so a per-thread model predicts every result
+    /// and the final contents. A lost edge update drops or resurrects a
+    /// key, or loops a seek forever: the runs go on a thread of their own,
+    /// and the test fails if they have not reported in 5 s.
+    #[test]
+    fn mixed_operations_on_every_thread_match_per_thread_models() {
+        use std::collections::BTreeMap;
+        const THREADS: u64 = 4;
+        const OPS: u64 = 20_000;
+        const KEYS: u64 = 256;
+        const RUNS: u64 = 8;
+        let run = |seed: u64| -> Result<(), String> {
+            let h = Ralloc::create(64 << 20, RallocConfig::default());
+            let tree = NmTree::create(&h, 0);
+            let models = std::thread::scope(|s| {
+                let workers: Vec<_> = (0..THREADS)
+                    .map(|tid| {
+                        let tree = &tree;
+                        s.spawn(move || {
+                            let mut model = BTreeMap::new();
+                            let mut x = (seed * THREADS + tid + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                            for i in 0..OPS {
+                                x ^= x << 13;
+                                x ^= x >> 7;
+                                x ^= x << 17;
+                                let key = tid << 32 | (x >> 8) % KEYS;
+                                if x & 1 == 0 {
+                                    let fresh = !model.contains_key(&key);
+                                    if tree.insert(key, i) != fresh {
+                                        return Err(format!("run {seed}: insert({key:#x}) != {fresh}"));
+                                    }
+                                    model.entry(key).or_insert(i);
+                                } else {
+                                    let want = model.remove(&key);
+                                    let got = tree.remove(key);
+                                    if got != want {
+                                        return Err(format!("run {seed}: remove({key:#x}) = {got:?}, not {want:?}"));
+                                    }
+                                }
+                            }
+                            Ok(model)
+                        })
+                    })
+                    .collect();
+                workers.into_iter().map(|w| w.join().unwrap()).collect::<Result<Vec<_>, _>>()
+            })?;
+            let want: BTreeMap<u64, u64> = models.into_iter().flatten().collect();
+            if tree.keys() != want.keys().copied().collect::<Vec<_>>() {
+                return Err(format!("run {seed}: the tree's keys differ from the models'"));
+            }
+            if let Some((k, v)) = want.iter().find(|(k, v)| tree.get(**k) != Some(**v)) {
+                return Err(format!("run {seed}: get({k:#x}) != Some({v})"));
+            }
+            tree.quiesce();
+            Ok(())
+        };
+        let (tx, rx) = std::sync::mpsc::channel();
+        let runs = std::thread::spawn(move || tx.send((0..RUNS).try_for_each(run)));
+        match rx.recv_timeout(std::time::Duration::from_secs(5)) {
+            Ok(verdict) => {
+                runs.join().expect("the runs' thread").expect("the verdict was received");
+                verdict.unwrap()
+            }
+            // A livelocked thread cannot be joined; the test process ends it.
+            Err(_) => panic!("{RUNS} runs did not finish in 5 s: the tree livelocked"),
+        }
+    }
+
     #[test]
     fn survives_crash_and_recovery() {
         let h = heap();

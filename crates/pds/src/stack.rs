@@ -274,6 +274,73 @@ mod tests {
         assert_eq!(popped, expect, "every pushed element pops exactly once");
     }
 
+    /// Every thread both pushes and pops, so a pop's window between its
+    /// head read and its CAS overlaps other threads' pops, frees and
+    /// pushes of the same node (which `concurrent_push_pop_conserves_elements`,
+    /// with its separate phases, never reaches). Each run checks that every
+    /// value pushed comes out once, by a pop or by the final drain. A
+    /// head CAS that succeeds on a recycled node loses values or links a
+    /// cycle, and then the drain spins forever: the runs go on a thread
+    /// of their own, and the test fails if they have not reported in 5 s.
+    #[test]
+    fn mixed_operations_on_every_thread_conserve_values() {
+        const THREADS: u64 = 4;
+        const OPS: u64 = 20_000;
+        const RUNS: u64 = 8;
+        let run = |seed: u64| -> Result<(), String> {
+            let h = Ralloc::create(64 << 20, RallocConfig::default());
+            let st = PStack::create(&h, 0);
+            let logs: Vec<(Vec<u64>, Vec<u64>)> = std::thread::scope(|s| {
+                let workers: Vec<_> = (0..THREADS)
+                    .map(|t| {
+                        let st = &st;
+                        s.spawn(move || {
+                            let (mut put, mut got) = (Vec::new(), Vec::new());
+                            let mut x = (seed * THREADS + t + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                            for i in 0..OPS {
+                                x ^= x << 13;
+                                x ^= x >> 7;
+                                x ^= x << 17;
+                                if x & 1 == 0 {
+                                    assert!(st.push(t * OPS + i));
+                                    put.push(t * OPS + i);
+                                } else if let Some(v) = st.pop() {
+                                    got.push(v);
+                                }
+                            }
+                            (put, got)
+                        })
+                    })
+                    .collect();
+                workers.into_iter().map(|w| w.join().unwrap()).collect()
+            });
+            let mut put: Vec<u64> = logs.iter().flat_map(|(p, _)| p.iter().copied()).collect();
+            let mut got: Vec<u64> = logs.iter().flat_map(|(_, g)| g.iter().copied()).collect();
+            while let Some(v) = st.pop() {
+                got.push(v);
+                if got.len() > put.len() {
+                    return Err(format!("run {seed}: more values out than in"));
+                }
+            }
+            put.sort_unstable();
+            got.sort_unstable();
+            if put != got {
+                return Err(format!("run {seed}: {} values in, {} out", put.len(), got.len()));
+            }
+            Ok(())
+        };
+        let (tx, rx) = std::sync::mpsc::channel();
+        let runs = std::thread::spawn(move || tx.send((0..RUNS).try_for_each(run)));
+        match rx.recv_timeout(std::time::Duration::from_secs(5)) {
+            Ok(verdict) => {
+                runs.join().expect("the runs' thread").expect("the verdict was received");
+                verdict.unwrap()
+            }
+            // A livelocked thread cannot be joined; the test process ends it.
+            Err(_) => panic!("{RUNS} runs did not finish in 5 s: the stack livelocked"),
+        }
+    }
+
     #[test]
     fn survives_crash_and_recovery() {
         let h = heap();
