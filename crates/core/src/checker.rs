@@ -12,11 +12,14 @@
 //! 3. **Anchor consistency**: a PARTIAL superblock's `count` free blocks
 //!    are actually chained from `avail`, all indices in range, no cycles,
 //!    no duplicates; an EMPTY one has `count == max_count` (see below).
-//! 4. **List membership**: every EMPTY superblock reachable from the free
-//!    list, every PARTIAL one from exactly one partial list of its own
-//!    class, no descriptor on two lists, counters monotone. A link to a
-//!    descriptor at or past `used` ends its list ([`DescList::collect`])
-//!    and is reported as an uncarved member.
+//! 4. **List membership**: every superblock on the free list reads EMPTY,
+//!    every one on a partial list decodes as that list's class, and no
+//!    descriptor is on two lists. Conversely every PARTIAL superblock is
+//!    on a partial list, and every EMPTY one on the free list or, pending
+//!    lazy retirement, on a partial list: one on neither is an orphan, cut
+//!    off by a broken link. A link to a descriptor at or past `used` ends
+//!    its list ([`DescList::collect`]) and is reported as an uncarved
+//!    member.
 //! 5. **Span integrity**: the live spans are [`Census::claim`]'s over
 //!    FULL heads, recovery's own rule with "anchor is FULL" for "head is
 //!    marked". A FULL head whose interior is not all `CONTINUATION`s is a
@@ -200,6 +203,10 @@ pub fn check_heap(heap: &Ralloc) -> CheckReport {
         }
         if claim.claimed[i] {
             continue; // validated via its span above
+        }
+        let (free, partial) = (on_free.contains(&(i as u32)), on_partial.contains(&(i as u32)));
+        if a.state == SbState::Partial && !partial || a.state == SbState::Empty && !free && !partial {
+            report.violate("list-membership", format!("desc {i} reads {:?} but is on no list", a.state));
         }
         let Slot::Small { blocks: mc, size, .. } = *slot else {
             // No small class and no live span: only free space may be
@@ -429,6 +436,36 @@ mod tests {
         unsafe { std::ptr::write(ptrs[a.avail as usize] as *mut u64, u64::MAX) };
         let r = check_heap(&heap);
         assert!(r.violations.iter().any(|v| v.rule == "free-chain"), "{:?}", r.violations);
+    }
+
+    /// Two EMPTY superblocks on the free list and two PARTIAL ones on a
+    /// partial list; cutting each list after its first element orphans the
+    /// second, and the checker names both.
+    #[test]
+    fn a_cut_list_orphans_are_named() {
+        let heap = Ralloc::create(8 << 20, RallocConfig::default());
+        let (pool, geo) = (heap.pool(), heap.geometry());
+        let mc = class_max_count(8) as usize;
+        let mut ptrs: Vec<usize> = (0..4 * mc).map(|_| heap.malloc(64) as usize).collect();
+        ptrs.sort_unstable();
+        let sb_of = |p: usize| geo.sb_index_of(p - pool.base() as usize).unwrap() as u32;
+        let sbs: Vec<u32> = ptrs.chunks(mc).map(|c| sb_of(c[0])).collect();
+        for (k, chunk) in ptrs.chunks(mc).enumerate() {
+            // The first two go back whole (EMPTY), the others keep a block.
+            heap.inner.flush_blocks(&mut chunk[usize::from(k >= 2)..].to_vec());
+        }
+        assert!(check_heap(&heap).is_consistent(), "{:?}", check_heap(&heap).violations);
+        // Lists are LIFO: each list's head is the later push, and its link
+        // names the earlier one.
+        Desc::new(pool, &geo, sbs[1]).next_free().store(pptr::Link::<30>::NONE.0, Ordering::Relaxed);
+        Desc::new(pool, &geo, sbs[3]).next_partial().store(pptr::Link::<30>::NONE.0, Ordering::Relaxed);
+        let r = check_heap(&heap);
+        assert!(r.violations.iter().all(|v| v.rule == "list-membership"), "{:?}", r.violations);
+        let mut named: Vec<&str> = r.violations.iter().map(|v| v.detail.as_str()).collect();
+        named.sort_unstable();
+        let mut want = [(sbs[0], "Empty"), (sbs[2], "Partial")].map(|(i, s)| format!("desc {i} reads {s} but is on no list"));
+        want.sort_unstable();
+        assert_eq!(named, want);
     }
 
     /// A live 3-superblock span and the descriptor of its last superblock.

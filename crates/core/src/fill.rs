@@ -98,7 +98,8 @@ impl HeapInner {
     /// A partial-list pop that names a FULL superblock or another class's
     /// is a corrupt link (a flipped bit in an image): the fill drops it, a
     /// leak until recovery, and reads no partial list for the rest of the
-    /// call, so a link that names itself cannot hold it.
+    /// call, so a link that names itself cannot hold it. A free-list pop
+    /// that does not read EMPTY is dropped the same way ([`Self::pop_free`]).
     pub(crate) fn fill_bin(&self, class: u32, bin: &mut CacheBin, stats: &mut ThreadStats) -> bool {
         debug_assert!(is_small_class(class));
         debug_assert_eq!(bin.len(), 0, "fill into a non-empty bin");
@@ -108,13 +109,13 @@ impl HeapInner {
         let bsize = class_block_size(class) as usize;
         let mc = class_max_count(class);
         let partial = |s| DescList::partial_shard(&self.geo, class, s).pop(&self.pool, &self.geo);
-        let mut corrupt = false;
+        let (mut corrupt, mut free_ok) = (false, true);
         let n = loop {
             // `from` is the counter of a partial-list pop; a free or
             // fresh superblock has none.
             let found = Some(home).filter(|_| !corrupt).and_then(partial)
                 .map(|i| (i, Some(Slot::partial_pops_home)))
-                .or_else(|| free.pop(&self.pool, &self.geo).map(|i| (i, None)))
+                .or_else(|| self.pop_free(&mut free_ok).map(|i| (i, None)))
                 .or_else(|| neighbors(home).filter(|_| !corrupt).find_map(partial).map(|i| (i, Some(Slot::partial_steals))))
                 .or_else(|| self.carve(1).inspect(|_| stats.add(Slot::sb_carved, 1)).map(|i| (i, None)));
             let Some((idx, from)) = found else {
@@ -193,6 +194,17 @@ impl HeapInner {
         stats.add(Slot::cache_fill_blocks, n as u64);
         true
     }
+
+    /// Pop the free list while `*trusted`. Every path that lists a
+    /// superblock there stores EMPTY first, so a pop that reads otherwise
+    /// is a corrupt link (a flipped bit in an image) whose blocks may be
+    /// live: drop it, a leak until recovery, and clear `*trusted`, so that
+    /// the caller reads the free list no more.
+    pub(crate) fn pop_free(&self, trusted: &mut bool) -> Option<u32> {
+        let idx = trusted.then(|| DescList::free_list(&self.geo).pop(&self.pool, &self.geo)).flatten()?;
+        *trusted = Desc::new(&self.pool, &self.geo, idx).anchor(Ordering::Acquire).state == SbState::Empty;
+        trusted.then_some(idx)
+    }
 }
 
 #[cfg(test)]
@@ -229,7 +241,7 @@ mod tests {
             };
             inner.flush_blocks(&mut a[..10].to_vec());
             let d = Desc::new(&inner.pool, &inner.geo, sb_of(a[0]) as u32);
-            d.next_partial().store(target as u64 + 1, Ordering::Relaxed);
+            d.next_partial().store(pptr::Link::<30>::new(Some(target as u64), 0).0, Ordering::Relaxed);
             let mut live: HashSet<usize> = a[10..].iter().chain(&held).copied().collect();
             for _ in 0..10 + mc {
                 let p = heap.malloc(64) as usize;
@@ -246,5 +258,48 @@ mod tests {
             let report = check_heap(&heap);
             assert!(report.is_consistent(), "other class: {other_class}: {:?}", report.violations);
         }
+    }
+
+    /// A free superblock's `next_free` that names a FULL superblock, as a
+    /// flipped bit in an image can: the fill that pops it must not re-type
+    /// it and hand its live, rooted blocks out again.
+    #[test]
+    fn a_fill_drops_a_free_pop_that_is_not_empty() {
+        let class = size_class_of(1024).unwrap();
+        let mc = class_max_count(class) as usize;
+        let heap = Ralloc::create(8 << 20, RallocConfig::default());
+        let inner = &*heap.inner;
+        let sb_of = |p: usize| inner.geo.sb_index_of(p - inner.pool.base() as usize).unwrap();
+        // Superblock F: every block allocated, then all handed back, so F
+        // is EMPTY and alone on the free list. Superblock R: FULL, every
+        // block rooted and holding its root index.
+        let f: Vec<usize> = (0..mc).map(|_| heap.malloc(1024) as usize).collect();
+        let rooted: Vec<usize> = (0..mc).map(|_| heap.malloc(1024) as usize).collect();
+        for (i, &p) in rooted.iter().enumerate() {
+            // SAFETY: a live 1 KiB block of ours.
+            unsafe { std::slice::from_raw_parts_mut(p as *mut u64, 128).fill(i as u64) };
+            heap.set_root_raw(i, p as *const u8);
+        }
+        inner.flush_blocks(&mut f.clone());
+        let d = Desc::new(&inner.pool, &inner.geo, sb_of(f[0]) as u32);
+        d.next_free().store(pptr::Link::<30>::new(Some(sb_of(rooted[0]) as u64), 0).0, Ordering::Relaxed);
+        // F serves the first `mc`; the next fill pops R off the corrupt
+        // link, drops it and carves.
+        let mut live: HashSet<usize> = rooted.iter().copied().collect();
+        for _ in 0..2 * mc {
+            let p = heap.malloc(1024) as usize;
+            assert_ne!(p, 0);
+            assert!(live.insert(p), "live block {p:#x} served twice");
+            // SAFETY: a block just handed out, 1 KiB.
+            unsafe { std::ptr::write_bytes(p as *mut u8, 0xFF, 1024) };
+        }
+        for (i, &p) in rooted.iter().enumerate() {
+            assert_eq!(heap.get_root_raw(i) as usize, p);
+            // SAFETY: a live rooted block.
+            let words = unsafe { std::slice::from_raw_parts(p as *const u64, 128) };
+            assert!(words.iter().all(|&w| w == i as u64), "rooted block {i} changed");
+        }
+        let report = check_heap(&heap);
+        assert!(report.is_consistent(), "{:?}", report.violations);
     }
 }

@@ -11,7 +11,7 @@
 //! each execution (they are registered transiently by `get_root<T>`), so
 //! recompilation and ASLR are harmless.
 
-use pptr::{AtomicPptr, Pptr};
+use pptr::{AtomicPptr, Link, Pptr};
 
 use crate::descriptor::{Census, Slot};
 use crate::size_class::SB_SIZE;
@@ -257,14 +257,6 @@ impl<'h> Tracer<'h> {
         self.visit_addr(addr, None);
     }
 
-    /// Absolute address of the superblock region's first byte. Structures
-    /// that store region-relative offsets (e.g. ABA-counted heads, which
-    /// cannot carry the self-relative tag) use this in their filters.
-    #[inline]
-    pub fn region_base(&self) -> usize {
-        self.census.sb_base
-    }
-
     /// Byte size of the block that starts at `addr`, if the census has
     /// one there: a filter whose block holds its own length checks it
     /// against this before it trusts it.
@@ -273,13 +265,14 @@ impl<'h> Tracer<'h> {
         self.classify_target(addr).map(|(_, bytes, _)| bytes)
     }
 
-    /// Visit a typed target given as a superblock-region offset (for
-    /// packed pointer representations that store offsets, not
-    /// self-relative `Pptr`s).
+    /// Visit the typed target of a superblock-region link, if it names
+    /// one (for links that store region offsets, not self-relative
+    /// `Pptr`s: tagged or CAS-able ones).
     #[inline]
-    pub fn visit_region_offset<T: Trace>(&mut self, off: u64) {
-        let addr = self.region_base() + off as usize;
-        self.visit_addr(addr, Some(trace_thunk::<T>));
+    pub fn visit_link<T: Trace>(&mut self, link: Link<48>) {
+        if let Some(off) = link.target() {
+            self.visit_addr(self.census.sb_base + off as usize, Some(trace_thunk::<T>));
+        }
     }
 
     /// Mark a target without scanning its contents (for blocks known to

@@ -30,6 +30,7 @@ use std::time::Duration;
 use parking_lot::Mutex;
 
 use nvm::PmemPool;
+use pptr::Link;
 use telemetry::{EventKind, Registry, SamplerHandle};
 
 use crate::descriptor::Desc;
@@ -311,9 +312,7 @@ impl Ralloc {
         assert!(i < NUM_ROOTS, "root index out of range");
         let inner = &*self.inner;
         let slot = inner.geo.root(i);
-        let val = if ptr.is_null() {
-            0
-        } else {
+        let off = (!ptr.is_null()).then(|| {
             let off = (ptr as usize)
                 .checked_sub(inner.addr_of(inner.geo.sb(0)))
                 .expect("set_root: pointer below superblock region");
@@ -321,8 +320,9 @@ impl Ralloc {
                 inner.geo.sb_index_of(inner.geo.sb(0) + off).is_some(),
                 "set_root: pointer outside superblock region"
             );
-            off as u64 + 1
-        };
+            off as u64
+        });
+        let val = Link::<48>::new(off, 0).0;
         // SAFETY: root slot is in the metadata region, 8-aligned.
         unsafe { inner.pool.atomic_u64(slot) }.store(val, Ordering::Release);
         inner.persist(slot, 8);
@@ -336,10 +336,8 @@ impl Ralloc {
         let inner = &*self.inner;
         // SAFETY: root slot in bounds, 8-aligned.
         let raw = unsafe { inner.pool.atomic_u64(inner.geo.root(i)) }.load(Ordering::Acquire);
-        match raw.checked_sub(1) {
-            None => std::ptr::null_mut(),
-            Some(off) => (inner.addr_of(inner.geo.sb(0)) + off as usize) as *mut u8,
-        }
+        let base = inner.addr_of(inner.geo.sb(0));
+        Link::<48>(raw).target().map_or(std::ptr::null_mut(), |off| (base + off as usize) as *mut u8)
     }
 
     /// Drop any registered filter function for root `i`, forcing

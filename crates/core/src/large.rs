@@ -31,13 +31,13 @@ impl HeapInner {
         // The paper always expands `used` for large allocations (§4.4).
         // When expansion fails a single-superblock request also tries the
         // free list — a liveness improvement for long-running processes
-        // with bounded pools.
+        // with bounded pools — and drops a pop that does not read EMPTY.
         let idx = match self.carve(span) {
             Some(i) => {
                 self.slow.sb_carved.add(span as u64);
                 Some(i)
             }
-            None if span == 1 => DescList::free_list(&self.geo).pop(&self.pool, &self.geo),
+            None if span == 1 => self.pop_free(&mut true),
             None => None,
         };
         let Some(idx) = idx else {

@@ -70,19 +70,19 @@ pub const MAX_SB_OFF: usize = 24;
 /// Number of superblocks carved so far — the paper's `used` word.
 /// Persisted (CAS + flush + fence on every expansion).
 pub const USED_SB_OFF: usize = 32;
-/// Superblock free-list head (`Counted`). Transient: reconstructed by
+/// Superblock free-list head (`pptr::Link<30>`). Transient: reconstructed by
 /// recovery, written back only by a clean shutdown.
 pub const FREE_LIST_OFF: usize = 40;
 // Bytes 48..64 held the persisted frontier words up to v7; they stay
 // reserved so that no later offset moves.
-/// Persistent roots: `NUM_ROOTS` u64 slots, each an offset+1 into the
-/// superblock region (0 = null). Persisted on `set_root`.
+/// Persistent roots: `NUM_ROOTS` `pptr::Link<48>` slots, each an offset into
+/// the superblock region (0 = null). Persisted on `set_root`.
 pub const ROOTS_OFF: usize = 64;
 /// Head slots the metadata region holds per size class. The first
 /// [`SHARDS`] are the partial lists; the rest is padding from when the
 /// shard count was an option, kept so that no later offset moves.
 const HEAD_SLOTS: usize = 16;
-/// Per-shard, per-class partial-list heads (`Counted`), `HEAD_SLOTS * 40`
+/// Per-shard, per-class partial-list heads (`pptr::Link<30>`), `HEAD_SLOTS * 40`
 /// slots, shard-major. Transient: reset and rebuilt by recovery.
 pub const PARTIAL_HEADS_OFF: usize = ROOTS_OFF + NUM_ROOTS * 8;
 

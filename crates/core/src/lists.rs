@@ -2,11 +2,11 @@
 //!
 //! The superblock free list and the per-size-class partial lists are all
 //! instances of the same structure: a stack whose head lives in the
-//! metadata region as a [`Counted`] word (34-bit ABA counter + descriptor
-//! index) and whose links are per-descriptor index words (`next_free` or
-//! `next_partial`). Everything is index-based, hence position-independent;
-//! everything is transient, hence never flushed — recovery rebuilds the
-//! lists from scratch (paper §4.5, steps 8–9).
+//! metadata region as a [`Link<30>`] word (34-bit ABA counter + descriptor
+//! index) and whose links are per-descriptor `Link<30>` words with tag 0
+//! (`next_free` or `next_partial`). Everything is index-based, hence
+//! position-independent; everything is transient, hence never flushed —
+//! recovery rebuilds the lists from scratch (paper §4.5, steps 8–9).
 //!
 //! A link to a descriptor at or past `used` ends a list: a pop finds it
 //! empty, and a walk stops on it without following it. No live list
@@ -18,7 +18,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use nvm::PmemPool;
-use pptr::Counted;
+use pptr::Link;
 
 use crate::descriptor::Desc;
 use crate::layout::{Geometry, USED_SB_OFF};
@@ -83,10 +83,10 @@ impl DescList {
         let desc = Desc::new(pool, geo, idx);
         let link = self.link_of(&desc);
         loop {
-            let h = Counted(head.load(Ordering::Acquire));
+            let h = Link::<30>(head.load(Ordering::Acquire));
             // Our descriptor is unlisted, so we own its link word.
-            link.store(h.idx().map_or(0, |i| i as u64 + 1), Ordering::Relaxed);
-            let nh = h.advance(Some(idx));
+            link.store(Link::<30>::new(h.target(), 0).0, Ordering::Relaxed);
+            let nh = h.advance(Some(idx as u64));
             if head
                 .compare_exchange_weak(h.0, nh.0, Ordering::AcqRel, Ordering::Acquire)
                 .is_ok()
@@ -101,12 +101,11 @@ impl DescList {
     pub fn pop(&self, pool: &PmemPool, geo: &Geometry) -> Option<u32> {
         let head = self.head(pool);
         loop {
-            let h = Counted(head.load(Ordering::Acquire));
-            let idx = h.idx().filter(|&i| Self::carved(pool, i))?;
+            let h = Link::<30>(head.load(Ordering::Acquire));
+            let idx = h.target().map(|i| i as u32).filter(|&i| Self::carved(pool, i))?;
             let desc = Desc::new(pool, geo, idx);
-            let next_raw = self.link_of(&desc).load(Ordering::Acquire);
-            let next = next_raw.checked_sub(1).map(|i| i as u32);
-            let nh = h.advance(next);
+            let next = Link::<30>(self.link_of(&desc).load(Ordering::Acquire));
+            let nh = h.advance(next.target());
             if head
                 .compare_exchange_weak(h.0, nh.0, Ordering::AcqRel, Ordering::Acquire)
                 .is_ok()
@@ -121,7 +120,7 @@ impl DescList {
     /// only, on descriptors nothing else is linking.
     pub fn thread(&self, pool: &PmemPool, geo: &Geometry, chain: &[u32]) {
         for w in chain.windows(2) {
-            self.link_of(&Desc::new(pool, geo, w[0])).store(w[1] as u64 + 1, Ordering::Relaxed);
+            self.link_of(&Desc::new(pool, geo, w[0])).store(Link::<30>::new(Some(w[1] as u64), 0).0, Ordering::Relaxed);
         }
     }
 
@@ -133,39 +132,35 @@ impl DescList {
     /// operation is in flight for the counter to protect, and publishing
     /// the same chains again leaves every byte as it was.
     pub fn publish<'c>(&self, pool: &PmemPool, geo: &Geometry, chains: impl IntoIterator<Item = &'c [u32]>) {
-        let link = |idx: u32, next: u64| self.link_of(&Desc::new(pool, geo, idx)).store(next, Ordering::Relaxed);
+        let link = |idx: u32, next: Option<u32>| self.link_of(&Desc::new(pool, geo, idx)).store(Link::<30>::new(next.map(u64::from), 0).0, Ordering::Relaxed);
         let (mut first, mut last) = (None, None);
         for chain in chains.into_iter().filter(|c| !c.is_empty()) {
             match last {
-                Some(l) => link(l, chain[0] as u64 + 1),
+                Some(l) => link(l, Some(chain[0])),
                 None => first = Some(chain[0]),
             }
             last = chain.last().copied();
         }
         if let Some(l) = last {
-            link(l, 0);
+            link(l, None);
         }
         let head = self.head(pool);
-        let counter = Counted(head.load(Ordering::Relaxed)).counter();
-        head.store(Counted::pack(first, counter).0, Ordering::Release);
+        let counter = Link::<30>(head.load(Ordering::Relaxed)).tag();
+        head.store(Link::<30>::new(first.map(u64::from), counter).0, Ordering::Release);
     }
 
     /// Snapshot the list contents (offline use: diagnostics, tests). A
     /// link past `used` is the last element, not followed.
     pub fn collect(&self, pool: &PmemPool, geo: &Geometry) -> Vec<u32> {
         let mut out = Vec::new();
-        let mut cur = Counted(self.head(pool).load(Ordering::Acquire)).idx();
-        while let Some(idx) = cur {
+        let mut cur = Link::<30>(self.head(pool).load(Ordering::Acquire)).target();
+        while let Some(idx) = cur.map(|i| i as u32) {
             out.push(idx);
             if !Self::carved(pool, idx) {
                 break;
             }
             let desc = Desc::new(pool, geo, idx);
-            cur = self
-                .link_of(&desc)
-                .load(Ordering::Acquire)
-                .checked_sub(1)
-                .map(|i| i as u32);
+            cur = Link::<30>(self.link_of(&desc).load(Ordering::Acquire)).target();
             if out.len() > geo.max_sb {
                 // Diagnose rather than loop forever: name the first
                 // revisited descriptor, since a cycle here means a link
@@ -272,13 +267,13 @@ mod tests {
         l.push(&pool, &geo, 99);
         // SAFETY: a list head: in bounds and 8-aligned.
         let head = unsafe { pool.atomic_u64(geo.partial_head(3, 1)) };
-        let c0 = Counted(head.load(Ordering::Relaxed)).counter();
+        let c0 = Link::<30>(head.load(Ordering::Relaxed)).tag();
         let chains: [&[u32]; 4] = [&[5, 6], &[], &[7, 8, 9], &[10]];
         chains.iter().for_each(|c| l.thread(&pool, &geo, c));
         l.publish(&pool, &geo, chains);
         assert_eq!(l.collect(&pool, &geo), vec![5, 6, 7, 8, 9, 10], "publish replaces the list");
         let word = head.load(Ordering::Relaxed);
-        assert_eq!(Counted(word).counter(), c0, "publish keeps the ABA counter");
+        assert_eq!(Link::<30>(word).tag(), c0, "publish keeps the ABA counter");
         l.publish(&pool, &geo, chains);
         assert_eq!(head.load(Ordering::Relaxed), word, "publishing again changes nothing");
     }
@@ -291,11 +286,11 @@ mod tests {
         let l = DescList::partial_shard(&geo, 3, 1);
         // SAFETY: a list head: in bounds and 8-aligned.
         let head = unsafe { pool.atomic_u64(geo.partial_head(3, 1)) };
-        let c0 = Counted(head.load(Ordering::Relaxed)).counter();
+        let c0 = Link::<30>(head.load(Ordering::Relaxed)).tag();
         let chain: &[u32] = &[5, 6, 7];
         l.thread(&pool, &geo, chain);
         l.publish(&pool, &geo, [chain]);
-        assert_eq!(Counted(head.load(Ordering::Relaxed)).counter(), c0, "publishing a chain is one plain store");
+        assert_eq!(Link::<30>(head.load(Ordering::Relaxed)).tag(), c0, "publishing a chain is one plain store");
         assert_eq!(l.collect(&pool, &geo), vec![5, 6, 7]);
         assert_eq!(l.pop(&pool, &geo), Some(5), "the published list is live for pops");
         assert_eq!(l.collect(&pool, &geo), vec![6, 7]);
@@ -311,10 +306,10 @@ mod tests {
         l.push(&pool, &geo, 8);
         // SAFETY: a list head: in bounds and 8-aligned.
         let head = unsafe { pool.atomic_u64(geo.partial_head(5, 2)) };
-        let c0 = Counted(head.load(Ordering::Relaxed)).counter();
+        let c0 = Link::<30>(head.load(Ordering::Relaxed)).tag();
         l.publish(&pool, &geo, []);
         assert_eq!(l.pop(&pool, &geo), None, "publishing no chain empties the list");
-        assert_eq!(Counted(head.load(Ordering::Relaxed)).counter(), c0, "an empty publish keeps the counter");
+        assert_eq!(Link::<30>(head.load(Ordering::Relaxed)).tag(), c0, "an empty publish keeps the counter");
     }
 
     #[test]
@@ -323,11 +318,11 @@ mod tests {
         let l = DescList::free_list(&geo);
         // SAFETY: the free-list head: in bounds and 8-aligned.
         let head = unsafe { pool.atomic_u64(crate::layout::FREE_LIST_OFF) };
-        let c0 = Counted(head.load(Ordering::Relaxed)).counter();
+        let c0 = Link::<30>(head.load(Ordering::Relaxed)).tag();
         l.push(&pool, &geo, 4);
         l.pop(&pool, &geo);
         l.push(&pool, &geo, 4);
-        let c1 = Counted(head.load(Ordering::Relaxed)).counter();
+        let c1 = Link::<30>(head.load(Ordering::Relaxed)).tag();
         assert_eq!(c1, c0 + 3, "every successful CAS bumps the counter");
     }
 

@@ -1,7 +1,7 @@
 //! Sharded per-size-class partial lists with work-stealing.
 //!
 //! The paper keeps **one** global lock-free partial list per size class
-//! (§4.2). Under high thread counts that single `Counted` head becomes
+//! (§4.2). Under high thread counts that single `Link<30>` head becomes
 //! the contention point of both slow paths: every Fill pops it and every
 //! FULL→PARTIAL flush transition pushes it, so the head's cache line
 //! ping-pongs and CAS retries pile up. This module splits each class's

@@ -23,7 +23,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use ralloc::{PersistentAllocator, Ralloc, Trace, Tracer};
+use ralloc::{Link, PersistentAllocator, Ralloc, Trace, Tracer};
 
 /// Maximum workload threads a log directory can register.
 pub const MAX_THREADS: usize = 8;
@@ -89,7 +89,7 @@ pub struct ThreadLog {
     records: [OpRec; LOG_CAP],
 }
 
-/// Root block: slot `t` holds the region offset + 1 of thread `t`'s log.
+/// Root block: slot `t` holds a `Link<48>` to thread `t`'s log.
 #[repr(C)]
 pub struct OpLogDir {
     slots: [AtomicU64; MAX_THREADS],
@@ -99,9 +99,7 @@ pub struct OpLogDir {
 unsafe impl Trace for OpLogDir {
     fn trace(&self, t: &mut Tracer<'_>) {
         for s in &self.slots {
-            if let Some(off) = s.load(Ordering::Relaxed).checked_sub(1) {
-                t.visit_region_offset::<ThreadLog>(off);
-            }
+            t.visit_link::<ThreadLog>(Link(s.load(Ordering::Relaxed)));
         }
     }
 }
@@ -122,15 +120,15 @@ pub fn create(heap: &Ralloc, root: usize, threads: usize) -> *mut OpLogDir {
     // SAFETY: fresh blocks, exclusively owned until published.
     unsafe {
         for s in &(*dir).slots {
-            s.store(0, Ordering::Relaxed);
+            s.store(Link::<48>::NONE.0, Ordering::Relaxed);
         }
         for t in 0..threads {
             let log = heap.malloc(std::mem::size_of::<ThreadLog>()) as *mut ThreadLog;
             assert!(!log.is_null(), "heap exhausted creating thread log");
             std::ptr::write_bytes(log as *mut u8, 0, std::mem::size_of::<ThreadLog>());
             heap.persist(log as *const u8, std::mem::size_of::<ThreadLog>());
-            let off1 = (log as usize - heap.region_base()) as u64 + 1;
-            (*dir).slots[t].store(off1, Ordering::Release);
+            let to_log = Link::<48>::new(Some((log as usize - heap.region_base()) as u64), 0);
+            (*dir).slots[t].store(to_log.0, Ordering::Release);
         }
     }
     heap.persist(dir as *const u8, std::mem::size_of::<OpLogDir>());
@@ -143,6 +141,16 @@ pub fn create(heap: &Ralloc, root: usize, threads: usize) -> *mut OpLogDir {
 pub fn attach(heap: &Ralloc, root: usize) -> Option<*mut OpLogDir> {
     let dir = heap.get_root::<OpLogDir>(root);
     (!dir.is_null()).then_some(dir)
+}
+
+/// Thread `t`'s log in directory `dir`, if its slot names one.
+///
+/// # Safety
+/// `dir` is a live directory whose slots were published.
+unsafe fn log_of(heap: &Ralloc, dir: *mut OpLogDir, t: usize) -> Option<*mut ThreadLog> {
+    // SAFETY: the caller's contract.
+    let slot = Link::<48>(unsafe { (*dir).slots[t].load(Ordering::Acquire) });
+    slot.target().map(|off| (heap.region_base() + off as usize) as *mut ThreadLog)
 }
 
 /// Sequential writer for one thread's log (child side).
@@ -162,9 +170,7 @@ impl OpWriter {
     #[allow(clippy::not_unsafe_ptr_arg_deref)]
     pub fn new(heap: &Ralloc, dir: *mut OpLogDir, tid: usize) -> OpWriter {
         // SAFETY: slots were published by `create` before threads spawned.
-        let off1 = unsafe { (*dir).slots[tid].load(Ordering::Acquire) };
-        assert!(off1 != 0, "thread {tid} has no log slot");
-        let log = (heap.region_base() + (off1 - 1) as usize) as *mut ThreadLog;
+        let log = unsafe { log_of(heap, dir, tid) }.unwrap_or_else(|| panic!("thread {tid} has no log slot"));
         OpWriter { heap: heap.clone(), log, n: 0 }
     }
 
@@ -233,11 +239,9 @@ pub fn read_logs(heap: &Ralloc, dir: *mut OpLogDir) -> Result<Vec<Vec<LogOp>>, S
     let mut out = Vec::new();
     for t in 0..MAX_THREADS {
         // SAFETY: quiescent post-mortem read.
-        let off1 = unsafe { (*dir).slots[t].load(Ordering::Acquire) };
-        let Some(off) = off1.checked_sub(1) else {
+        let Some(log) = (unsafe { log_of(heap, dir, t) }) else {
             continue;
         };
-        let log = (heap.region_base() + off as usize) as *const ThreadLog;
         let mut ops = Vec::new();
         for i in 0..LOG_CAP {
             // SAFETY: in-bounds record of a live log block.

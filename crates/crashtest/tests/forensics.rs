@@ -150,12 +150,12 @@ fn flipped_tree_log_op_is_reported_not_a_panic() {
         assert!(dirty, "a SIGKILLed pool reopens dirty");
         let anchor = heap.get_root::<pds::TreeLogHead>(STRUCT_ROOT);
         assert!(!anchor.is_null());
-        // SAFETY: the anchor's one word is the newest record's offset + 1;
-        // the record is live in the mapped image, and nothing else runs.
+        // SAFETY: the anchor's one word links the newest record; the
+        // record is live in the mapped image, and nothing else runs.
         unsafe {
-            let newest1 = *(anchor as *const u64);
-            assert_ne!(newest1, 0, "300 events logged at least one op");
-            *((heap.region_base() + newest1 as usize - 1) as *mut u64) = 7;
+            let newest = ralloc::Link::<48>(*(anchor as *const u64)).target();
+            let newest = newest.expect("300 events logged at least one op");
+            *((heap.region_base() + newest as usize) as *mut u64) = 7;
         }
     }
 

@@ -17,25 +17,16 @@
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
-/// Panic payload used to signal an injected crash. Harnesses match on this
-/// with [`CrashPoint::is`] after `catch_unwind`.
+/// Panic payload used to signal an injected crash, and the only one the
+/// injector raises. Harnesses match on this with [`CrashPoint::is`] after
+/// `catch_unwind`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrashPoint;
-
-/// Message embedded in injected-crash panics (also matchable as a string
-/// payload for convenience when the payload crosses a thread boundary).
-pub const CRASH_POINT_MSG: &str = "nvm: injected crash point";
 
 impl CrashPoint {
     /// Returns true if a caught panic payload is an injected crash.
     pub fn is(payload: &(dyn std::any::Any + Send)) -> bool {
         payload.is::<CrashPoint>()
-            || payload
-                .downcast_ref::<&str>()
-                .is_some_and(|s| *s == CRASH_POINT_MSG)
-            || payload
-                .downcast_ref::<String>()
-                .is_some_and(|s| s == CRASH_POINT_MSG)
     }
 }
 
@@ -134,10 +125,8 @@ impl CrashInjector {
             }
             std::panic::panic_any(CrashPoint);
         }
-        if prev < 0 {
-            // Lost a race with the crashing thread after it re-armed to a
-            // deeply negative value; treat as disarmed.
-        }
+        // prev < 0: lost a race with the crashing thread, which left the
+        // budget deeply negative; treat as disarmed.
     }
 }
 
@@ -187,12 +176,11 @@ mod tests {
     }
 
     #[test]
-    fn crash_point_matches_str_payloads() {
-        let boxed: Box<dyn std::any::Any + Send> = Box::new(CRASH_POINT_MSG);
+    fn crash_point_matches_no_other_payload() {
+        let boxed: Box<dyn std::any::Any + Send> = Box::new(CrashPoint);
         assert!(CrashPoint::is(&*boxed));
-        let boxed: Box<dyn std::any::Any + Send> = Box::new(CRASH_POINT_MSG.to_string());
-        assert!(CrashPoint::is(&*boxed));
-        let other: Box<dyn std::any::Any + Send> = Box::new(42u32);
-        assert!(!CrashPoint::is(&*other));
+        for other in [Box::new("injected crash point") as Box<dyn std::any::Any + Send>, Box::new(42u32)] {
+            assert!(!CrashPoint::is(&*other));
+        }
     }
 }

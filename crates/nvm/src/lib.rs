@@ -46,7 +46,7 @@ mod pool;
 mod stats;
 pub mod sys;
 
-pub use crash::{CrashAction, CrashInjector, CrashPoint, CRASH_POINT_MSG};
+pub use crash::{CrashAction, CrashInjector, CrashPoint};
 pub use flush::FlushModel;
 pub use pool::{CrashStyle, Mode, PmemPool, PoolGuard};
 pub use stats::PmemStats;

@@ -17,10 +17,11 @@
 //! compare allocators. Every structure but `RbTree` is **recoverable** on
 //! a Ralloc heap: its data lives entirely inside the persistent region,
 //! reachable from a registered root, with filter functions
-//! ([`ralloc::Trace`] impls) so the recovery GC traces it precisely. Links
-//! are stored as `address − region_base() + 1`, packed with ABA counters
-//! or mark bits where they are CASed: superblock-region offsets on a
-//! Ralloc heap, so position-independent by construction. `RbTree`'s
+//! ([`ralloc::Trace`] impls) so the recovery GC traces it precisely. Every
+//! link is a [`ralloc::Link<48>`](ralloc::Link): the offset of its target
+//! from `region_base()`, with an ABA counter or mark bits in its tag where
+//! it is CASed. On a Ralloc heap that is a superblock-region offset, so
+//! every structure is position-independent by construction. `RbTree`'s
 //! rebalancing rewrites several pointers at once, so [`PRbTree`] makes it
 //! recoverable as a persistent op-log in front of a transient index.
 
@@ -39,3 +40,18 @@ pub use pqueue::{PQueue, QueueHead};
 pub use prbtree::{PRbTree, TreeLogHead};
 pub use rbtree::RbTree;
 pub use stack::{PStack, StackHead};
+
+use ralloc::Link;
+
+/// The block `link` names in the region whose first byte is at `base`.
+#[inline]
+fn block<T>(base: usize, link: Link<48>) -> Option<*mut T> {
+    link.target().map(|off| (base + off as usize) as *mut T)
+}
+
+/// The target of a link to `block` in the region at `base`: its offset.
+/// Always `Some`, the shape [`Link::new`] and [`Link::advance`] take.
+#[inline]
+fn offset<T>(base: usize, block: *const T) -> Option<u64> {
+    Some((block as usize - base) as u64)
+}

@@ -9,11 +9,12 @@
 //!
 //! Persistence/recoverability adaptations (this crate):
 //!
-//! * child edges store `(superblock-region offset + 1) << 2 | marks`, so
-//!   the whole structure is position-independent and a [`ralloc::Trace`]
-//!   filter can enumerate children precisely (mark bits are masked off —
-//!   exactly the pointer-tagging problem filter functions were invented
-//!   for, paper §4.5.1);
+//! * child edges are [`Link<48>`]s, a superblock-region offset with the
+//!   edge's marks in the tag, so the whole structure is
+//!   position-independent and a [`ralloc::Trace`] filter can enumerate
+//!   children precisely (the marks are not part of the target — exactly
+//!   the pointer-tagging problem filter functions were invented for,
+//!   paper §4.5.1);
 //! * unlinked nodes go to a retire list and return to the allocator only
 //!   at [`NmTree::quiesce`], the "limbo list layered above free" the
 //!   paper describes (§3, §5.2): a crash simply loses the transient
@@ -27,33 +28,20 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
-use ralloc::{PersistentAllocator, Ralloc, Trace, Tracer};
+use ralloc::{Link, PersistentAllocator, Ralloc, Trace, Tracer};
 
+use crate::{block, offset};
+
+/// Edge marks, in a link's tag.
 const FLAG: u64 = 1;
 const TAG: u64 = 2;
-const MARKS: u64 = 3;
 
 /// Keys must be below this; two infinity sentinels sit above.
 pub const MAX_KEY: u64 = u64::MAX - 2;
 const INF1: u64 = u64::MAX - 1;
 const INF2: u64 = u64::MAX;
 
-#[inline]
-fn edge_pack(off1: u64, marks: u64) -> u64 {
-    (off1 << 2) | marks
-}
-
-#[inline]
-fn edge_off1(word: u64) -> u64 {
-    word >> 2
-}
-
-#[inline]
-fn edge_marks(word: u64) -> u64 {
-    word & MARKS
-}
-
-/// Tree node; leaves have both child edges zero.
+/// Tree node; leaves have both child edges empty.
 #[repr(C)]
 pub struct NmNode {
     key: u64,
@@ -66,10 +54,7 @@ pub struct NmNode {
 unsafe impl Trace for NmNode {
     fn trace(&self, t: &mut Tracer<'_>) {
         for edge in [&self.left, &self.right] {
-            let w = edge.load(Ordering::Relaxed);
-            if let Some(off) = edge_off1(w).checked_sub(1) {
-                t.visit_region_offset::<NmNode>(off);
-            }
+            t.visit_link::<NmNode>(Link(edge.load(Ordering::Relaxed)));
         }
     }
 }
@@ -84,6 +69,8 @@ struct SeekRecord {
 /// A recoverable lock-free external BST of `u64 -> u64` on a Ralloc heap.
 pub struct NmTree {
     heap: Ralloc,
+    /// `heap.region_base()`, read once: the base of every link.
+    base: usize,
     /// Root sentinel R (key INF2); registered as a persistent root.
     r: *mut NmNode,
     /// Sentinel S (key INF1), R's left child.
@@ -105,21 +92,16 @@ impl NmTree {
         unsafe {
             (*n).key = key;
             (*n).value = value;
-            (*n).left = AtomicU64::new(0);
-            (*n).right = AtomicU64::new(0);
+            (*n).left = AtomicU64::new(Link::<48>::NONE.0);
+            (*n).right = AtomicU64::new(Link::<48>::NONE.0);
         }
         n
     }
 
+    /// An unmarked edge to `n`.
     #[inline]
-    fn off1(&self, node: *mut NmNode) -> u64 {
-        (node as usize - self.heap.region_base()) as u64 + 1
-    }
-
-    #[inline]
-    fn node(&self, off1: u64) -> *mut NmNode {
-        debug_assert_ne!(off1, 0);
-        (self.heap.region_base() + (off1 - 1) as usize) as *mut NmNode
+    fn edge(&self, n: *mut NmNode) -> Link<48> {
+        Link::new(offset(self.base, n), 0)
     }
 
     fn persist_node(&self, n: *mut NmNode) {
@@ -137,13 +119,13 @@ impl NmTree {
         let leaf_inf1 = Self::alloc_node(heap, INF1, 0);
         let leaf_inf2a = Self::alloc_node(heap, INF2, 0);
         let leaf_inf2b = Self::alloc_node(heap, INF2, 0);
-        let tree = NmTree { heap: heap.clone(), r, s, retired: Mutex::new(Vec::new()) };
+        let tree = NmTree { heap: heap.clone(), base: heap.region_base(), r, s, retired: Mutex::new(Vec::new()) };
         // SAFETY: freshly allocated, exclusively owned.
         unsafe {
-            (*s).left.store(edge_pack(tree.off1(leaf_inf1), 0), Ordering::Relaxed);
-            (*s).right.store(edge_pack(tree.off1(leaf_inf2a), 0), Ordering::Relaxed);
-            (*r).left.store(edge_pack(tree.off1(s), 0), Ordering::Relaxed);
-            (*r).right.store(edge_pack(tree.off1(leaf_inf2b), 0), Ordering::Relaxed);
+            (*s).left.store(tree.edge(leaf_inf1).0, Ordering::Relaxed);
+            (*s).right.store(tree.edge(leaf_inf2a).0, Ordering::Relaxed);
+            (*r).left.store(tree.edge(s).0, Ordering::Relaxed);
+            (*r).right.store(tree.edge(leaf_inf2b).0, Ordering::Relaxed);
         }
         for n in [leaf_inf1, leaf_inf2a, leaf_inf2b, s, r] {
             tree.persist_node(n);
@@ -159,25 +141,19 @@ impl NmTree {
         if r.is_null() {
             return None;
         }
-        let tree = NmTree {
-            heap: heap.clone(),
-            r,
-            s: std::ptr::null_mut(),
-            retired: Mutex::new(Vec::new()),
-        };
+        let base = heap.region_base();
         // S is R's left child by construction.
         // SAFETY: R is live.
-        let s_off1 = edge_off1(unsafe { (*r).left.load(Ordering::Acquire) });
-        let s = tree.node(s_off1);
-        Some(NmTree { s, ..tree })
+        let s = block(base, Link(unsafe { (*r).left.load(Ordering::Acquire) })).expect("R links S");
+        Some(NmTree { heap: heap.clone(), base, r, s, retired: Mutex::new(Vec::new()) })
     }
 
     #[inline]
     fn is_leaf(&self, n: *mut NmNode) -> bool {
         // SAFETY: tree nodes stay mapped for the heap's lifetime.
         unsafe {
-            edge_off1((*n).left.load(Ordering::Acquire)) == 0
-                && edge_off1((*n).right.load(Ordering::Acquire)) == 0
+            Link::<48>((*n).left.load(Ordering::Acquire)).target().is_none()
+                && Link::<48>((*n).right.load(Ordering::Acquire)).target().is_none()
         }
     }
 
@@ -207,23 +183,21 @@ impl NmTree {
                 leaf: std::ptr::null_mut(),
             };
             // Edge parent(S) -> first node on the search path.
-            let mut parent_field = self.child_edge(self.s, key).load(Ordering::Acquire);
-            rec.leaf = self.node(edge_off1(parent_field));
-            // Probe below: zero iff rec.leaf is an actual leaf.
-            let mut current_field = self.child_edge(rec.leaf, key).load(Ordering::Acquire);
-            let mut current = edge_off1(current_field);
-            while current != 0 {
+            let mut parent_field = Link(self.child_edge(self.s, key).load(Ordering::Acquire));
+            rec.leaf = block(self.base, parent_field).expect("S has children");
+            // Probe below: empty iff rec.leaf is an actual leaf.
+            let mut current_field = Link(self.child_edge(rec.leaf, key).load(Ordering::Acquire));
+            while let Some(current) = block(self.base, current_field) {
                 // The (ancestor, successor) pair tracks the deepest edge
                 // into the path that is not tagged for removal.
-                if edge_marks(parent_field) & TAG == 0 {
+                if parent_field.tag() & TAG == 0 {
                     rec.ancestor = rec.parent;
                     rec.successor = rec.leaf;
                 }
                 rec.parent = rec.leaf;
-                rec.leaf = self.node(current);
+                rec.leaf = current;
                 parent_field = current_field;
-                current_field = self.child_edge(rec.leaf, key).load(Ordering::Acquire);
-                current = edge_off1(current_field);
+                current_field = Link(self.child_edge(rec.leaf, key).load(Ordering::Acquire));
             }
             rec
         }
@@ -266,22 +240,22 @@ impl NmTree {
             // Order the two leaves under the new internal node.
             // SAFETY: we own new_internal until the CAS publishes it.
             unsafe {
-                let (lkey, l_off1, r_off1) = if key < leaf_key {
-                    (leaf_key, self.off1(new_leaf), self.off1(rec.leaf))
+                let (lkey, l, r) = if key < leaf_key {
+                    (leaf_key, new_leaf, rec.leaf)
                 } else {
-                    (key, self.off1(rec.leaf), self.off1(new_leaf))
+                    (key, rec.leaf, new_leaf)
                 };
                 (*new_internal).key = lkey;
-                (*new_internal).left.store(edge_pack(l_off1, 0), Ordering::Relaxed);
-                (*new_internal).right.store(edge_pack(r_off1, 0), Ordering::Relaxed);
+                (*new_internal).left.store(self.edge(l).0, Ordering::Relaxed);
+                (*new_internal).right.store(self.edge(r).0, Ordering::Relaxed);
             }
             self.persist_node(new_leaf);
             self.persist_node(new_internal);
             let edge = self.child_edge(rec.parent, key);
-            let expected = edge_pack(self.off1(rec.leaf), 0);
+            let expected = self.edge(rec.leaf);
             match edge.compare_exchange(
-                expected,
-                edge_pack(self.off1(new_internal), 0),
+                expected.0,
+                self.edge(new_internal).0,
                 Ordering::AcqRel,
                 Ordering::Acquire,
             ) {
@@ -291,9 +265,8 @@ impl NmTree {
                 }
                 Err(actual) => {
                     // Help an in-flight deletion at this edge, then retry.
-                    if edge_off1(actual) == self.off1(rec.leaf)
-                        && edge_marks(actual) != 0
-                    {
+                    let actual = Link::<48>(actual);
+                    if actual.target() == expected.target() && actual.tag() != 0 {
                         self.cleanup(key, &rec);
                     }
                 }
@@ -318,10 +291,10 @@ impl NmTree {
                     value = (*rec.leaf).value;
                 }
                 let edge = self.child_edge(rec.parent, key);
-                let expected = edge_pack(self.off1(rec.leaf), 0);
+                let expected = self.edge(rec.leaf);
                 match edge.compare_exchange(
-                    expected,
-                    edge_pack(self.off1(rec.leaf), FLAG),
+                    expected.0,
+                    Link::<48>::new(expected.target(), FLAG).0,
                     Ordering::AcqRel,
                     Ordering::Acquire,
                 ) {
@@ -334,7 +307,8 @@ impl NmTree {
                         }
                     }
                     Err(actual) => {
-                        if edge_off1(actual) == self.off1(rec.leaf) && edge_marks(actual) != 0 {
+                        let actual = Link::<48>(actual);
+                        if actual.target() == expected.target() && actual.tag() != 0 {
                             self.cleanup(key, &rec);
                         }
                     }
@@ -364,56 +338,46 @@ impl NmTree {
                 (&(*rec.parent).right, &(*rec.parent).left)
             }
         };
-        let child_word = child_edge.load(Ordering::Acquire);
+        let child_word = Link::<48>(child_edge.load(Ordering::Acquire));
         // Normally the key-side edge carries the flag; when helping a
         // deletion injected on the *other* side, the survivor is the
         // key-side child instead.
-        let (sib_edge, mut sib_word) = if edge_marks(child_word) & FLAG != 0 {
-            (sibling_edge, sibling_edge.load(Ordering::Acquire))
+        let (sib_edge, mut sib_word) = if child_word.tag() & FLAG != 0 {
+            (sibling_edge, Link(sibling_edge.load(Ordering::Acquire)))
         } else {
             (child_edge, child_word)
         };
         // Tag the sibling edge: a tagged edge can no longer be the target
         // of an insert or a flag, freezing its value.
-        loop {
-            if edge_marks(sib_word) & TAG != 0 {
-                break;
-            }
-            match sib_edge.compare_exchange_weak(
-                sib_word,
-                sib_word | TAG,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => {
-                    sib_word |= TAG;
-                    break;
-                }
-                Err(w) => sib_word = w,
+        while sib_word.tag() & TAG == 0 {
+            let tagged = Link::new(sib_word.target(), sib_word.tag() | TAG);
+            match sib_edge.compare_exchange_weak(sib_word.0, tagged.0, Ordering::AcqRel, Ordering::Acquire) {
+                Ok(_) => sib_word = tagged,
+                Err(w) => sib_word = Link(w),
             }
         }
         self.persist_edge(sib_edge);
         // Swing the ancestor edge from the successor to the surviving
         // sibling, dropping the tag but preserving any flag the sibling
         // itself carries (its own deletion will be completed later).
-        let expected = edge_pack(self.off1(rec.successor), 0);
-        let new_word = edge_pack(edge_off1(sib_word), edge_marks(sib_word) & FLAG);
-        match ancestor_edge.compare_exchange(expected, new_word, Ordering::AcqRel, Ordering::Acquire)
+        let expected = self.edge(rec.successor);
+        let new_word = Link::<48>::new(sib_word.target(), sib_word.tag() & FLAG);
+        match ancestor_edge.compare_exchange(expected.0, new_word.0, Ordering::AcqRel, Ordering::Acquire)
         {
             Ok(_) => {
                 self.persist_edge(ancestor_edge);
                 // Exactly one thread wins this CAS; it retires the dead
                 // parent and the flagged victim leaf.
-                let victim_word = if std::ptr::eq(sib_edge, child_edge) {
+                let victim_word = Link::<48>(if std::ptr::eq(sib_edge, child_edge) {
                     sibling_edge.load(Ordering::Acquire)
                 } else {
                     child_edge.load(Ordering::Acquire)
-                };
+                });
                 let mut retired = self.retired.lock();
                 retired.push(rec.parent as usize);
-                if let Some(off) = edge_off1(victim_word).checked_sub(1) {
-                    if edge_marks(victim_word) & FLAG != 0 {
-                        retired.push(self.node(off + 1) as usize);
+                if let Some(victim) = block::<NmNode>(self.base, victim_word) {
+                    if victim_word.tag() & FLAG != 0 {
+                        retired.push(victim as usize);
                     }
                 }
                 true
@@ -453,9 +417,8 @@ impl NmTree {
         // SAFETY: offline traversal.
         unsafe {
             for edge in [&(*n).left, &(*n).right] {
-                let w = edge.load(Ordering::Relaxed);
-                if let Some(off) = edge_off1(w).checked_sub(1) {
-                    self.walk(self.node(off + 1), out);
+                if let Some(child) = block(self.base, Link(edge.load(Ordering::Relaxed))) {
+                    self.walk(child, out);
                 }
             }
         }
@@ -596,7 +559,7 @@ mod tests {
                                 x ^= x << 13;
                                 x ^= x >> 7;
                                 x ^= x << 17;
-                                let key = tid << 32 | (x >> 8) % KEYS;
+                                let key = (tid << 32) | ((x >> 8) % KEYS);
                                 if x & 1 == 0 {
                                     let fresh = !model.contains_key(&key);
                                     if tree.insert(key, i) != fresh {

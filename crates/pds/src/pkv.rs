@@ -11,8 +11,9 @@
 //! existing key allocates a new entry and frees the old one, as
 //! memcached's item replacement does.
 //!
-//! Links are `address − region_base() + 1` (0 = none): on a Ralloc heap
-//! a superblock-region offset, so the map is position-independent, and
+//! Links are [`Link<48>`]s with tag 0, the target's offset from
+//! `region_base()`: on a Ralloc heap a superblock-region offset, so the
+//! map is position-independent, and
 //! [`ralloc::Trace`] filters make recovery tracing precise.
 //!
 //! Crash safety (durable linearizability, paper §2.2): every mutation is
@@ -24,7 +25,9 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use parking_lot::RwLock;
-use ralloc::{PersistentAllocator, Ralloc, Trace, Tracer};
+use ralloc::{Link, PersistentAllocator, Ralloc, Trace, Tracer};
+
+use crate::{block, offset};
 
 /// Bucket block: the bucket count, then that many link slots. It lives in
 /// the allocator's memory, registered as a persistent root by
@@ -33,8 +36,8 @@ use ralloc::{PersistentAllocator, Ralloc, Trace, Tracer};
 pub struct KvHead {
     /// Number of slots that follow (a power of two).
     buckets: u64,
-    // `buckets` × AtomicU64 slots follow: offset + 1 of a chain's first
-    // entry, 0 = empty.
+    // `buckets` × AtomicU64 slots follow, each a `Link<48>` to a chain's
+    // first entry (no target = empty).
 }
 
 /// A chain entry; `vlen` value bytes follow it. Only `next` changes after
@@ -43,7 +46,7 @@ pub struct KvHead {
 struct KvEntry {
     key: u64,
     vlen: u64,
-    /// Offset + 1 of the next entry (0 = end).
+    /// The next entry (a `Link<48>`; no target = end).
     next: AtomicU64,
 }
 
@@ -82,9 +85,7 @@ unsafe impl Trace for KvHead {
         let room = t.block_bytes(at as usize).map_or(0, |bytes| bytes.saturating_sub(8) / 8);
         // SAFETY: the block holds `room` slots after its count.
         for slot in unsafe { slots(at, self.buckets.min(room)) } {
-            if let Some(off) = slot.load(Ordering::Relaxed).checked_sub(1) {
-                t.visit_region_offset::<KvEntry>(off);
-            }
+            t.visit_link::<KvEntry>(Link(slot.load(Ordering::Relaxed)));
         }
     }
 }
@@ -92,9 +93,7 @@ unsafe impl Trace for KvHead {
 // SAFETY: `next` is an entry's only link; the value bytes hold none.
 unsafe impl Trace for KvEntry {
     fn trace(&self, t: &mut Tracer<'_>) {
-        if let Some(off) = self.next.load(Ordering::Relaxed).checked_sub(1) {
-            t.visit_region_offset::<KvEntry>(off);
-        }
+        t.visit_link::<KvEntry>(Link(self.next.load(Ordering::Relaxed)));
     }
 }
 
@@ -153,13 +152,12 @@ impl<A: PersistentAllocator> PKv<A> {
     /// from [`PKv::new`]; a rooted map's root would dangle.
     pub fn destroy(self) {
         for slot in slots_of(self.head) {
-            let mut cur = self.entry(slot.load(Ordering::Relaxed));
-            while !cur.is_null() {
+            let mut cur = Link(slot.load(Ordering::Relaxed));
+            while let Some(e) = block::<KvEntry>(self.base, cur) {
                 // SAFETY: the handle is consumed, so no other operation
                 // runs; every chained entry is still allocated.
-                let next = unsafe { (*cur).next.load(Ordering::Relaxed) };
-                self.alloc.free(cur as *mut u8);
-                cur = self.entry(next);
+                cur = Link(unsafe { (*e).next.load(Ordering::Relaxed) });
+                self.alloc.free(e as *mut u8);
             }
         }
         self.alloc.free(self.head as *mut u8);
@@ -175,15 +173,6 @@ impl<A: PersistentAllocator> PKv<A> {
         self.len() == 0
     }
 
-    /// The entry a link names (null for 0).
-    #[inline]
-    fn entry(&self, link: u64) -> *mut KvEntry {
-        match link.checked_sub(1) {
-            Some(off) => (self.base + off as usize) as *mut KvEntry,
-            None => std::ptr::null_mut(),
-        }
-    }
-
     /// A bucket's lock and its slot.
     #[inline]
     fn bucket(&self, key: u64) -> (&RwLock<()>, &AtomicU64) {
@@ -191,27 +180,25 @@ impl<A: PersistentAllocator> PKv<A> {
         (&self.locks[i], &slots_of(self.head)[i])
     }
 
-    /// The link that names `key`'s entry, and the entry (null if absent).
-    /// The caller holds the bucket's lock.
-    fn find<'a>(&self, slot: &'a AtomicU64, key: u64) -> (&'a AtomicU64, *mut KvEntry) {
+    /// The link that names `key`'s entry, and the entry (`None` if
+    /// absent). The caller holds the bucket's lock.
+    fn find<'a>(&self, slot: &'a AtomicU64, key: u64) -> (&'a AtomicU64, Option<*mut KvEntry>) {
         let mut link = slot;
         loop {
-            let e = self.entry(link.load(Ordering::Acquire));
-            // SAFETY: a chained entry stays allocated while the bucket
-            // lock is held.
-            if e.is_null() || unsafe { (*e).key } == key {
-                return (link, e);
+            match block::<KvEntry>(self.base, Link(link.load(Ordering::Acquire))) {
+                // SAFETY: a chained entry stays allocated while the bucket
+                // lock is held; the reference lives as long as the lock.
+                Some(e) if unsafe { (*e).key } != key => link = unsafe { &(*e).next },
+                e => return (link, e),
             }
-            // SAFETY: as above; the reference lives as long as the lock.
-            link = unsafe { &(*e).next };
         }
     }
 
     /// Store `to` into `link` and persist it: the one write of every
     /// mutation.
     #[inline]
-    fn publish(&self, link: &AtomicU64, to: u64) {
-        link.store(to, Ordering::Release);
+    fn publish(&self, link: &AtomicU64, to: Link<48>) {
+        link.store(to.0, Ordering::Release);
         self.alloc.persist(link as *const AtomicU64 as *const u8, 8);
     }
 
@@ -224,11 +211,10 @@ impl<A: PersistentAllocator> PKv<A> {
         let (lock, slot) = self.bucket(key);
         let _w = lock.write();
         let (link, old) = self.find(slot, key);
-        let next = if old.is_null() {
-            slot.load(Ordering::Acquire)
-        } else {
+        let next = match old {
+            None => slot.load(Ordering::Acquire),
             // SAFETY: `old` is chained and we hold the write lock.
-            unsafe { (*old).next.load(Ordering::Acquire) }
+            Some(old) => unsafe { (*old).next.load(Ordering::Acquire) },
         };
         // SAFETY: fresh block of HDR + value.len() bytes, unpublished.
         unsafe {
@@ -236,13 +222,13 @@ impl<A: PersistentAllocator> PKv<A> {
             std::ptr::copy_nonoverlapping(value.as_ptr(), (e as *mut u8).add(HDR), value.len());
         }
         self.alloc.persist(e as *const u8, HDR + value.len());
-        let e_link = (e as usize - self.base) as u64 + 1;
-        if old.is_null() {
-            self.publish(slot, e_link);
+        let to_e = Link::new(offset(self.base, e), 0);
+        let Some(old) = old else {
+            self.publish(slot, to_e);
             self.len.fetch_add(1, Ordering::Relaxed);
             return true;
-        }
-        self.publish(link, e_link);
+        };
+        self.publish(link, to_e);
         self.alloc.free(old as *mut u8);
         false
     }
@@ -252,10 +238,7 @@ impl<A: PersistentAllocator> PKv<A> {
     pub fn get_into(&self, key: u64, buf: &mut [u8]) -> Option<usize> {
         let (lock, slot) = self.bucket(key);
         let _r = lock.read();
-        let (_, e) = self.find(slot, key);
-        if e.is_null() {
-            return None;
-        }
+        let e = self.find(slot, key).1?;
         // SAFETY: a chained entry holds `vlen` value bytes and stays
         // allocated while the read lock is held.
         unsafe {
@@ -270,9 +253,8 @@ impl<A: PersistentAllocator> PKv<A> {
     pub fn get(&self, key: u64) -> Option<Vec<u8>> {
         let (lock, slot) = self.bucket(key);
         let _r = lock.read();
-        let (_, e) = self.find(slot, key);
         // SAFETY: as in `get_into`.
-        (!e.is_null()).then(|| unsafe { Self::value_of(e) })
+        self.find(slot, key).1.map(|e| unsafe { Self::value_of(e) })
     }
 
     /// Unlink `key`'s entry, free it and return its value.
@@ -280,12 +262,10 @@ impl<A: PersistentAllocator> PKv<A> {
         let (lock, slot) = self.bucket(key);
         let _w = lock.write();
         let (link, e) = self.find(slot, key);
-        if e.is_null() {
-            return None;
-        }
+        let e = e?;
         // SAFETY: `e` is chained and we hold the write lock.
         let (value, next) = unsafe { (Self::value_of(e), (*e).next.load(Ordering::Acquire)) };
-        self.publish(link, next);
+        self.publish(link, Link(next));
         self.alloc.free(e as *mut u8);
         self.len.fetch_sub(1, Ordering::Relaxed);
         Some(value)
@@ -308,12 +288,12 @@ impl<A: PersistentAllocator> PKv<A> {
         let mut out = Vec::new();
         for (i, slot) in slots_of(self.head).iter().enumerate() {
             let _r = self.locks[i].read();
-            let mut e = self.entry(slot.load(Ordering::Acquire));
-            while !e.is_null() {
+            let mut cur = Link(slot.load(Ordering::Acquire));
+            while let Some(e) = block::<KvEntry>(self.base, cur) {
                 // SAFETY: chained entries, read under the bucket lock.
                 unsafe {
                     out.push(((*e).key, Self::value_of(e)));
-                    e = self.entry((*e).next.load(Ordering::Acquire));
+                    cur = Link((*e).next.load(Ordering::Acquire));
                 }
             }
         }

@@ -3,10 +3,10 @@
 //! the kill harness (`crates/crashtest`) runs it on a Ralloc heap.
 //!
 //! The anchor cell and the nodes live in the allocator's memory. Every
-//! link is `address − region_base() + 1` packed with a 16-bit ABA
-//! counter: on a Ralloc heap a superblock-region offset, so the queue is
-//! position-independent and a [`ralloc::Trace`] filter traces it
-//! precisely. A dequeued node goes to the queue's own free chain, never
+//! link is a [`Link<48>`]: the target's offset from `region_base()`
+//! with a 16-bit ABA counter in its tag. On a Ralloc heap that is a
+//! superblock-region offset, so the queue is position-independent and a
+//! [`ralloc::Trace`] filter traces it precisely. A dequeued node goes to the queue's own free chain, never
 //! back to the allocator, so reading a dequeued node's `next` is safe on
 //! any allocator; [`PQueue::destroy`] returns every node.
 //!
@@ -45,34 +45,23 @@
 //! fails on the counter; a popped node is rewritten and persisted before
 //! it is relinked. Recovery may free the chain; [`PQueue::attach`] empties it.
 //!
-//! **The filters must be registered before recovery.** Links are packed
-//! offsets, not tagged [`ralloc::Pptr`]s, so a conservative scan of the
-//! anchor finds no reference: without the [`QueueHead`] filter every node
-//! is swept as free, and the next mallocs overwrite the values. Hence
+//! **The filters must be registered before recovery.** Links are
+//! [`Link<48>`] offsets, not tagged [`ralloc::Pptr`]s, so a conservative
+//! scan of the anchor finds no reference: without the [`QueueHead`]
+//! filter every node is swept as free, and the next mallocs overwrite the
+//! values. Hence
 //! `crashtest::register_filters` calls `get_root::<QueueHead>` before
 //! `recover`, as any caller must.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use ralloc::{PersistentAllocator, Ralloc, Trace, Tracer};
+use ralloc::{Link, PersistentAllocator, Ralloc, Trace, Tracer};
 
-const OFF_BITS: u32 = 48;
-const OFF_MASK: u64 = (1u64 << OFF_BITS) - 1;
-
-#[inline]
-fn pack(off1: u64, ctr: u64) -> u64 {
-    debug_assert!(off1 <= OFF_MASK);
-    (ctr << OFF_BITS) | off1
-}
-
-#[inline]
-fn unpack(word: u64) -> (u64, u64) {
-    (word & OFF_MASK, word >> OFF_BITS)
-}
+use crate::{block, offset};
 
 /// Queue anchor cell: lives in the allocator's memory, registered as a
 /// persistent root by [`PQueue::create`]. All three words are
-/// {counter:16 | node offset + 1:48}; the head always points at the
+/// [`Link<48>`]s tagged with an ABA counter; the head always points at the
 /// current dummy node. `free` heads the queue's private free chain (a
 /// counted Treiber stack), which keeps every node **type-stable**: a
 /// racing enqueuer may still CAS a retired node's `next`, safe only
@@ -87,7 +76,7 @@ pub struct QueueHead {
     free: AtomicU64,
 }
 
-/// A queue node. `next` is CAS-able ({ctr:16 | off+1:48}); `value` is
+/// A queue node. `next` is a CAS-able counted [`Link<48>`]; `value` is
 /// immutable once the node is published.
 #[repr(C)]
 pub struct QueueNode {
@@ -99,20 +88,14 @@ pub struct QueueNode {
 // whatever the tail hint names; the free chain holds no live value.
 unsafe impl Trace for QueueHead {
     fn trace(&self, t: &mut Tracer<'_>) {
-        let (off1, _) = unpack(self.head.load(Ordering::Relaxed));
-        if let Some(off) = off1.checked_sub(1) {
-            t.visit_region_offset::<QueueNode>(off);
-        }
+        t.visit_link::<QueueNode>(Link(self.head.load(Ordering::Relaxed)));
     }
 }
 
 // SAFETY: `next` is a node's only link.
 unsafe impl Trace for QueueNode {
     fn trace(&self, t: &mut Tracer<'_>) {
-        let (off1, _) = unpack(self.next.load(Ordering::Relaxed));
-        if let Some(off) = off1.checked_sub(1) {
-            t.visit_region_offset::<QueueNode>(off);
-        }
+        t.visit_link::<QueueNode>(Link(self.next.load(Ordering::Relaxed)));
     }
 }
 
@@ -144,14 +127,14 @@ impl<A: PersistentAllocator> PQueue<A> {
         let anchor = alloc.malloc(std::mem::size_of::<QueueHead>()) as *mut QueueHead;
         assert!(!anchor.is_null(), "allocator exhausted creating queue anchor");
         let base = alloc.region_base();
-        let dummy_off1 = (dummy as usize - base) as u64 + 1;
+        let to_dummy = Link::<48>::new(offset(base, dummy), 0);
         // SAFETY: fresh blocks, exclusively owned.
         unsafe {
             (*dummy).value = 0;
-            (*dummy).next = AtomicU64::new(pack(0, 0));
-            (*anchor).head = AtomicU64::new(pack(dummy_off1, 0));
-            (*anchor).tail = AtomicU64::new(pack(dummy_off1, 0));
-            (*anchor).free = AtomicU64::new(pack(0, 0));
+            (*dummy).next = AtomicU64::new(Link::<48>::NONE.0);
+            (*anchor).head = AtomicU64::new(to_dummy.0);
+            (*anchor).tail = AtomicU64::new(to_dummy.0);
+            (*anchor).free = AtomicU64::new(Link::<48>::NONE.0);
         }
         alloc.persist(dummy as *const u8, std::mem::size_of::<QueueNode>());
         PQueue { alloc, base, anchor }
@@ -161,17 +144,16 @@ impl<A: PersistentAllocator> PQueue<A> {
     /// to the allocator. For a queue from [`PQueue::new`]; a rooted
     /// queue's root would dangle.
     pub fn destroy(self) {
-        let release = |mut cur1: u64| {
-            while let Some(off) = cur1.checked_sub(1) {
-                let node = self.to_addr(off) as *mut QueueNode;
+        let release = |mut cur: Link<48>| {
+            while let Some(node) = block::<QueueNode>(self.base, cur) {
                 // SAFETY: the handle is consumed, so no other operation
                 // runs; every node on either chain is still allocated.
-                cur1 = unpack(unsafe { (*node).next.load(Ordering::Relaxed) }).0;
+                cur = Link(unsafe { (*node).next.load(Ordering::Relaxed) });
                 self.alloc.free(node as *mut u8);
             }
         };
-        release(unpack(self.head_word().load(Ordering::Relaxed)).0);
-        release(unpack(self.free_word().load(Ordering::Relaxed)).0);
+        release(Link(self.head_word().load(Ordering::Relaxed)));
+        release(Link(self.free_word().load(Ordering::Relaxed)));
         self.alloc.free(self.anchor as *mut u8);
     }
 
@@ -193,42 +175,27 @@ impl<A: PersistentAllocator> PQueue<A> {
         unsafe { &(*self.anchor).free }
     }
 
-    #[inline]
-    fn to_addr(&self, off: u64) -> usize {
-        self.base + off as usize
-    }
-
     /// Pop a retired node off the free list, or malloc a fresh one. A
     /// recycled node's `next` counter keeps advancing (never resets), so
     /// stale CASes from the node's previous life fail.
     fn alloc_node(&self) -> *mut QueueNode {
         loop {
-            let f = self.free_word().load(Ordering::Acquire);
-            let (f_off1, f_ctr) = unpack(f);
-            let Some(off) = f_off1.checked_sub(1) else {
+            let f = Link(self.free_word().load(Ordering::Acquire));
+            let Some(node) = block::<QueueNode>(self.base, f) else {
                 return self.alloc.malloc(std::mem::size_of::<QueueNode>()) as *mut QueueNode;
             };
-            let node = self.to_addr(off) as *mut QueueNode;
             // SAFETY: type-stable node; the counter invalidates stale pops.
-            let next = unsafe { (*node).next.load(Ordering::Acquire) };
-            let (next_off1, next_ctr) = unpack(next);
+            let next = Link::<48>(unsafe { (*node).next.load(Ordering::Acquire) });
             if self
                 .free_word()
-                .compare_exchange_weak(
-                    f,
-                    pack(next_off1, (f_ctr + 1) & 0xFFFF),
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                )
+                .compare_exchange_weak(f.0, f.advance(next.target()).0, Ordering::AcqRel, Ordering::Acquire)
                 .is_ok()
             {
                 // Detach: advance the counter past the free-link value so
                 // CASes expecting either the old live or free-link word
                 // fail.
                 // SAFETY: we own the popped node.
-                unsafe {
-                    (*node).next.store(pack(0, (next_ctr + 1) & 0xFFFF), Ordering::Release)
-                };
+                unsafe { (*node).next.store(next.advance(None).0, Ordering::Release) };
                 return node;
             }
         }
@@ -237,20 +204,16 @@ impl<A: PersistentAllocator> PQueue<A> {
     /// Push a retired dummy onto the free list (type-stable reclamation).
     fn retire_node(&self, node: *mut QueueNode) {
         loop {
-            let f = self.free_word().load(Ordering::Acquire);
-            let (f_off1, f_ctr) = unpack(f);
+            let f = Link::<48>(self.free_word().load(Ordering::Acquire));
             // SAFETY: we own the retired node (we won the head CAS).
-            let ctr = unsafe { unpack((*node).next.load(Ordering::Acquire)).1 };
+            let next = Link::<48>(unsafe { (*node).next.load(Ordering::Acquire) });
             // SAFETY: as above.
-            unsafe {
-                (*node).next.store(pack(f_off1, (ctr + 1) & 0xFFFF), Ordering::Release)
-            };
-            let node_off1 = (node as usize - self.base) as u64 + 1;
+            unsafe { (*node).next.store(next.advance(f.target()).0, Ordering::Release) };
             if self
                 .free_word()
                 .compare_exchange_weak(
-                    f,
-                    pack(node_off1, (f_ctr + 1) & 0xFFFF),
+                    f.0,
+                    f.advance(offset(self.base, node)).0,
                     Ordering::AcqRel,
                     Ordering::Acquire,
                 )
@@ -271,90 +234,73 @@ impl<A: PersistentAllocator> PQueue<A> {
         // preserved from any previous life; see `alloc_node`).
         unsafe {
             (*node).value = value;
-            let ctr = unpack((*node).next.load(Ordering::Acquire)).1;
-            (*node).next.store(pack(0, ctr), Ordering::Release);
+            let next = Link::<48>((*node).next.load(Ordering::Acquire));
+            (*node).next.store(Link::<48>::new(None, next.tag()).0, Ordering::Release);
         }
         self.alloc.persist(node as *const u8, std::mem::size_of::<QueueNode>());
-        let node_off1 = (node as usize - self.base) as u64 + 1;
+        let to_node = offset(self.base, node);
         loop {
-            let t = self.tail_word().load(Ordering::Acquire);
-            let t_off = unpack(t).0 - 1; // tail always points at a node
-            let tail_node = self.to_addr(t_off) as *mut QueueNode;
+            let t = Link(self.tail_word().load(Ordering::Acquire));
+            let tail_node = block::<QueueNode>(self.base, t).expect("the tail names a node");
             // SAFETY: node memory stays mapped; counters invalidate stale
             // CASes.
             let next_ref = unsafe { &(*tail_node).next };
-            let n = next_ref.load(Ordering::Acquire);
-            if self.tail_word().load(Ordering::Acquire) != t {
+            let n = Link::<48>(next_ref.load(Ordering::Acquire));
+            if self.tail_word().load(Ordering::Acquire) != t.0 {
                 continue;
             }
-            let (n_off1, n_ctr) = unpack(n);
-            if n_off1 == 0 {
+            if n.target().is_none() {
                 // Tail is last: link our node.
-                let linked = pack(node_off1, (n_ctr + 1) & 0xFFFF);
                 if next_ref
-                    .compare_exchange_weak(n, linked, Ordering::AcqRel, Ordering::Acquire)
+                    .compare_exchange_weak(n.0, n.advance(to_node).0, Ordering::AcqRel, Ordering::Acquire)
                     .is_ok()
                 {
                     // The link is the linearization point; it is durable
                     // before the tail hint moves over it.
-                    self.help_tail(t, next_ref, node_off1);
+                    self.help_tail(t, next_ref, to_node);
                     self.alloc.persist(self.tail_word() as *const AtomicU64 as *const u8, 8);
                     return true;
                 }
             } else {
-                self.help_tail(t, next_ref, n_off1);
+                self.help_tail(t, next_ref, n.target());
             }
         }
     }
 
-    /// Swing the tail hint from `t` to `n_off1`, the node that `link`, the
+    /// Swing the tail hint from `t` to `next`, the node that `link`, the
     /// tail node's `next`, was read to name, after persisting that link:
     /// it may be another thread's CAS that is not durable yet. Every tail
     /// move goes through here (see the module docs).
-    fn help_tail(&self, t: u64, link: &AtomicU64, n_off1: u64) {
+    fn help_tail(&self, t: Link<48>, link: &AtomicU64, next: Option<u64>) {
         self.alloc.persist(link as *const AtomicU64 as *const u8, 8);
-        let (_, t_ctr) = unpack(t);
-        let _ = self.tail_word().compare_exchange(
-            t,
-            pack(n_off1, (t_ctr + 1) & 0xFFFF),
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        );
+        let _ = self.tail_word().compare_exchange(t.0, t.advance(next).0, Ordering::AcqRel, Ordering::Acquire);
     }
 
     /// Dequeue the oldest value, freeing the retired dummy node.
     pub fn dequeue(&self) -> Option<u64> {
         loop {
-            let h = self.head_word().load(Ordering::Acquire);
-            let (h_off1, h_ctr) = unpack(h);
-            let t = self.tail_word().load(Ordering::Acquire);
-            let dummy = self.to_addr(h_off1 - 1) as *mut QueueNode;
+            let h = Link(self.head_word().load(Ordering::Acquire));
+            let t = Link(self.tail_word().load(Ordering::Acquire));
+            let dummy = block::<QueueNode>(self.base, h).expect("the head names the dummy");
             // SAFETY: pool memory stays mapped; the head counter
             // invalidates our CAS if the dummy was recycled.
-            let n = unsafe { (*dummy).next.load(Ordering::Acquire) };
-            if self.head_word().load(Ordering::Acquire) != h {
+            let n = Link(unsafe { (*dummy).next.load(Ordering::Acquire) });
+            if self.head_word().load(Ordering::Acquire) != h.0 {
                 continue;
             }
-            let (n_off1, _) = unpack(n);
-            let n_off = n_off1.checked_sub(1)?; // next == 0: empty
-            let next_node = self.to_addr(n_off) as *mut QueueNode;
+            let next_node = block::<QueueNode>(self.base, n)?; // no next: empty
             // SAFETY: as above.
             let value = unsafe { (*next_node).value };
-            if unpack(t).0 == h_off1 {
+            if t.target() == h.target() {
                 // Tail still on the dummy we're about to retire: help it
                 // past first so it can never point at a freed node.
                 // SAFETY: as above.
-                self.help_tail(t, unsafe { &(*dummy).next }, n_off1);
+                self.help_tail(t, unsafe { &(*dummy).next }, n.target());
                 continue;
             }
             if self
                 .head_word()
-                .compare_exchange_weak(
-                    h,
-                    pack(n_off1, (h_ctr + 1) & 0xFFFF),
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                )
+                .compare_exchange_weak(h.0, h.advance(n.target()).0, Ordering::AcqRel, Ordering::Acquire)
                 .is_ok()
             {
                 self.alloc
@@ -368,20 +314,16 @@ impl<A: PersistentAllocator> PQueue<A> {
     /// Snapshot the values front-to-back (offline use).
     pub fn snapshot(&self) -> Vec<u64> {
         let mut out = Vec::new();
-        let (h_off1, _) = unpack(self.head_word().load(Ordering::Acquire));
+        let h = Link(self.head_word().load(Ordering::Acquire));
+        let dummy = block::<QueueNode>(self.base, h).expect("the head names the dummy");
         // Skip the dummy; its value is retired.
         // SAFETY: offline traversal of a quiescent queue.
-        let mut cur1 = unsafe {
-            unpack(
-                (*(self.to_addr(h_off1 - 1) as *const QueueNode)).next.load(Ordering::Acquire),
-            )
-            .0
-        };
-        while let Some(off) = cur1.checked_sub(1) {
+        let mut cur = Link(unsafe { (*dummy).next.load(Ordering::Acquire) });
+        while let Some(node) = block::<QueueNode>(self.base, cur) {
             // SAFETY: as above.
-            let node = unsafe { &*(self.to_addr(off) as *const QueueNode) };
+            let node = unsafe { &*node };
             out.push(node.value);
-            cur1 = unpack(node.next.load(Ordering::Acquire)).0;
+            cur = Link(node.next.load(Ordering::Acquire));
         }
         out
     }
@@ -410,26 +352,23 @@ impl PQueue<Ralloc> {
         // crash may have left the hint arbitrarily stale (never ahead of
         // the chain, because a tail CAS only installs an already-linked
         // node).
-        let (mut cur1, _) = unpack(q.head_word().load(Ordering::Acquire));
-        let mut last1 = cur1;
-        while let Some(off) = cur1.checked_sub(1) {
-            last1 = cur1;
+        let mut cur = Link::<48>(q.head_word().load(Ordering::Acquire));
+        let mut last = cur.target();
+        while let Some(node) = block::<QueueNode>(q.base, cur) {
+            last = cur.target();
             // SAFETY: offline traversal of a quiescent queue.
-            cur1 = unpack(unsafe {
-                (*(q.to_addr(off) as *const QueueNode)).next.load(Ordering::Acquire)
-            })
-            .0;
+            cur = Link(unsafe { (*node).next.load(Ordering::Acquire) });
         }
-        let (t_off1, t_ctr) = unpack(q.tail_word().load(Ordering::Acquire));
-        if t_off1 != last1 {
-            q.tail_word().store(pack(last1, (t_ctr + 1) & 0xFFFF), Ordering::Release);
+        let t = Link::<48>(q.tail_word().load(Ordering::Acquire));
+        if t.target() != last {
+            q.tail_word().store(t.advance(last).0, Ordering::Release);
             heap.persist(q.tail_word() as *const AtomicU64 as *const u8, 8);
         }
         // The free list is transient (see `QueueHead`): whatever the
         // word says now is a stale snapshot whose chain recovery has
         // already reclaimed. Reset, preserving the counter.
-        let (_, f_ctr) = unpack(q.free_word().load(Ordering::Acquire));
-        q.free_word().store(pack(0, (f_ctr + 1) & 0xFFFF), Ordering::Release);
+        let f = Link::<48>(q.free_word().load(Ordering::Acquire));
+        q.free_word().store(f.advance(None).0, Ordering::Release);
         Some(q)
     }
 }
@@ -789,25 +728,26 @@ mod tests {
         for _ in 0..3 {
             h.malloc(size);
         }
-        let t = q.tail_word().load(Ordering::Acquire);
-        let dummy = q.to_addr(unpack(t).0 - 1) as *const QueueNode;
+        let t = Link(q.tail_word().load(Ordering::Acquire));
+        let dummy = block::<QueueNode>(q.base, t).unwrap();
         // A stalled enqueuer: its node is persisted and linked behind the
         // tail, but neither is the link persisted nor the tail moved.
         let node = q.alloc_node();
         // SAFETY: we own the popped node; the dummy is live.
         let link = unsafe {
             (*node).value = 1;
-            (*node).next.store(pack(0, unpack((*node).next.load(Ordering::Acquire)).1), Ordering::Release);
+            let next = Link::<48>((*node).next.load(Ordering::Acquire));
+            (*node).next.store(Link::<48>::new(None, next.tag()).0, Ordering::Release);
             &(*dummy).next
         };
         h.persist(node as *const u8, size);
-        let node_off1 = (node as usize - q.base) as u64 + 1;
-        link.store(pack(node_off1, unpack(link.load(Ordering::Acquire)).1 + 1), Ordering::Release);
+        let to_node = offset(q.base, node);
+        link.store(Link::<48>(link.load(Ordering::Acquire)).advance(to_node).0, Ordering::Release);
         // A dequeuer's help moves the tail onto it; the next enqueue links
         // behind it and is acked.
-        q.help_tail(t, link, node_off1);
+        q.help_tail(t, link, to_node);
         assert!(q.enqueue(2));
-        let acked = q.to_addr(unpack(q.tail_word().load(Ordering::Acquire)).0 - 1);
+        let acked = block::<QueueNode>(q.base, Link(q.tail_word().load(Ordering::Acquire))).unwrap() as usize;
         let line = |a: usize| a / 64;
         assert!(line(dummy as usize) != line(node as usize) && line(dummy as usize) != line(acked));
         h.crash_simulated();

@@ -24,13 +24,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use baselines::SystemAlloc;
 use parking_lot::Mutex;
-use ralloc::{PersistentAllocator, Ralloc, Trace, Tracer};
+use ralloc::{Link, PersistentAllocator, Ralloc, Trace, Tracer};
+
+use crate::{block, offset};
 
 const OP_INSERT: u64 = 0;
 const OP_REMOVE: u64 = 1;
 
-/// Log anchor block (registered as a root). `head` holds the region
-/// offset + 1 of the newest record (0 = empty log).
+/// Log anchor block (registered as a root). `head` is a `Link<48>` to the
+/// newest record (no target = empty log).
 #[repr(C)]
 pub struct TreeLogHead {
     head: AtomicU64,
@@ -42,25 +44,21 @@ struct TreeLogRec {
     op: u64,
     key: u64,
     value: u64,
-    /// Region offset + 1 of the previously-newest record (0 = end).
-    next: u64,
+    /// The previously-newest record (no target = end).
+    next: Link<48>,
 }
 
 // SAFETY: `head` is the anchor's only link.
 unsafe impl Trace for TreeLogHead {
     fn trace(&self, t: &mut Tracer<'_>) {
-        if let Some(off) = self.head.load(Ordering::Relaxed).checked_sub(1) {
-            t.visit_region_offset::<TreeLogRec>(off);
-        }
+        t.visit_link::<TreeLogRec>(Link(self.head.load(Ordering::Relaxed)));
     }
 }
 
 // SAFETY: `next` is a record's only link.
 unsafe impl Trace for TreeLogRec {
     fn trace(&self, t: &mut Tracer<'_>) {
-        if let Some(off) = self.next.checked_sub(1) {
-            t.visit_region_offset::<TreeLogRec>(off);
-        }
+        t.visit_link::<TreeLogRec>(self.next);
     }
 }
 
@@ -86,7 +84,7 @@ impl PRbTree {
         let anchor = heap.malloc(std::mem::size_of::<TreeLogHead>()) as *mut TreeLogHead;
         assert!(!anchor.is_null(), "heap exhausted creating tree log anchor");
         // SAFETY: fresh block, exclusively owned.
-        unsafe { (*anchor).head.store(0, Ordering::Relaxed) };
+        unsafe { (*anchor).head.store(Link::<48>::NONE.0, Ordering::Relaxed) };
         heap.persist(anchor as *const u8, std::mem::size_of::<TreeLogHead>());
         heap.set_root::<TreeLogHead>(root, anchor);
         PRbTree {
@@ -104,16 +102,15 @@ impl PRbTree {
         if anchor.is_null() {
             return Err(format!("no tree log at root {root}"));
         }
-        let base = heap.region_base();
         let mut ops = Vec::new();
         // SAFETY: the anchor and every record reachable from it were
         // persisted before publication and retained by recovery.
-        let mut cur1 = unsafe { (*anchor).head.load(Ordering::Acquire) };
-        while let Some(off) = cur1.checked_sub(1) {
+        let mut cur = Link(unsafe { (*anchor).head.load(Ordering::Acquire) });
+        while let Some(r) = block::<TreeLogRec>(heap.region_base(), cur) {
             // SAFETY: as above.
-            let r = unsafe { &*((base + off as usize) as *const TreeLogRec) };
+            let r = unsafe { &*r };
             ops.push((r.op, r.key, r.value));
-            cur1 = r.next;
+            cur = r.next;
         }
         let mut index = RbTree::new(SystemAlloc::new());
         for &(op, key, value) in ops.iter().rev() {
@@ -142,11 +139,10 @@ impl PRbTree {
             (*rec).op = op;
             (*rec).key = key;
             (*rec).value = value;
-            (*rec).next = head.load(Ordering::Acquire);
+            (*rec).next = Link(head.load(Ordering::Acquire));
         }
         self.heap.persist(rec as *const u8, std::mem::size_of::<TreeLogRec>());
-        let rec_off1 = (rec as usize - self.heap.region_base()) as u64 + 1;
-        head.store(rec_off1, Ordering::Release);
+        head.store(Link::<48>::new(offset(self.heap.region_base(), rec), 0).0, Ordering::Release);
         self.heap.persist(head as *const AtomicU64 as *const u8, 8);
     }
 
@@ -205,14 +201,13 @@ mod tests {
 
     /// Number of records in the persistent log.
     fn log_len(t: &PRbTree) -> usize {
-        let base = t.heap.region_base();
         let mut n = 0;
         // SAFETY: published records are immutable.
-        let mut cur1 = unsafe { (*t.anchor).head.load(Ordering::Acquire) };
-        while let Some(off) = cur1.checked_sub(1) {
+        let mut cur = Link(unsafe { (*t.anchor).head.load(Ordering::Acquire) });
+        while let Some(r) = block::<TreeLogRec>(t.heap.region_base(), cur) {
             n += 1;
             // SAFETY: as above.
-            cur1 = unsafe { (*((base + off as usize) as *const TreeLogRec)).next };
+            cur = unsafe { (*r).next };
         }
         n
     }

@@ -1,9 +1,9 @@
 //! A recoverable Treiber stack (paper §6.4, Figure 6a).
 //!
 //! The stack is a lock-free LIFO whose head cell and nodes all live in a
-//! Ralloc heap. The head packs a 16-bit ABA counter with a 48-bit
-//! superblock-region offset, CAS-able in one word; node `next` links are
-//! plain region offsets (immutable once the node is published). A
+//! Ralloc heap. The head is a [`Link<48>`]: a superblock-region offset with
+//! a 16-bit ABA counter in its tag, CAS-able in one word; node `next` links
+//! are `Link<48>`s with tag 0 (immutable once the node is published). A
 //! [`ralloc::Trace`] filter makes recovery tracing precise, and because
 //! every stored link is an offset, the structure is position-independent
 //! (it survives remapping at a different base address).
@@ -16,54 +16,36 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use ralloc::{PersistentAllocator, Ralloc, Trace, Tracer};
+use ralloc::{Link, PersistentAllocator, Ralloc, Trace, Tracer};
 
-const OFF_BITS: u32 = 48;
-const OFF_MASK: u64 = (1u64 << OFF_BITS) - 1;
-
-#[inline]
-fn pack(off1: u64, ctr: u64) -> u64 {
-    debug_assert!(off1 <= OFF_MASK);
-    (ctr << OFF_BITS) | off1
-}
-
-#[inline]
-fn unpack(word: u64) -> (u64, u64) {
-    (word & OFF_MASK, word >> OFF_BITS)
-}
+use crate::{block, offset};
 
 /// Head cell: lives in the heap, registered as a persistent root.
 #[repr(C)]
 pub struct StackHead {
-    /// {counter:16 | node region-offset + 1:48}; 0 offset = empty.
+    /// The top node, tagged with an ABA counter; no target = empty.
     head: AtomicU64,
 }
 
-/// A stack node: 64-bit value plus an offset link.
+/// A stack node: 64-bit value plus a link.
 #[repr(C)]
 pub struct StackNode {
     value: u64,
-    /// Region offset + 1 of the next node (0 = end). Immutable after
-    /// publication.
-    next: u64,
+    /// The next node (no target = end). Immutable after publication.
+    next: Link<48>,
 }
 
 // SAFETY: `head` is the cell's only link.
 unsafe impl Trace for StackHead {
     fn trace(&self, t: &mut Tracer<'_>) {
-        let (off1, _) = unpack(self.head.load(Ordering::Relaxed));
-        if let Some(off) = off1.checked_sub(1) {
-            t.visit_region_offset::<StackNode>(off);
-        }
+        t.visit_link::<StackNode>(Link(self.head.load(Ordering::Relaxed)));
     }
 }
 
 // SAFETY: `next` is a node's only link.
 unsafe impl Trace for StackNode {
     fn trace(&self, t: &mut Tracer<'_>) {
-        if let Some(off) = self.next.checked_sub(1) {
-            t.visit_region_offset::<StackNode>(off);
-        }
+        t.visit_link::<StackNode>(self.next);
     }
 }
 
@@ -84,7 +66,7 @@ impl PStack {
         let head = heap.malloc(std::mem::size_of::<StackHead>()) as *mut StackHead;
         assert!(!head.is_null(), "heap exhausted creating stack head");
         // SAFETY: fresh block, exclusively owned.
-        unsafe { (*head).head = AtomicU64::new(pack(0, 0)) };
+        unsafe { (*head).head = AtomicU64::new(Link::<48>::NONE.0) };
         heap.persist(head as *const u8, std::mem::size_of::<StackHead>());
         heap.set_root::<StackHead>(root, head);
         PStack { heap: heap.clone(), head }
@@ -106,37 +88,25 @@ impl PStack {
         unsafe { &(*self.head).head }
     }
 
-    #[inline]
-    fn to_addr(&self, off: u64) -> usize {
-        self.heap.region_base() + off as usize
-    }
-
-    #[inline]
-    fn to_off(&self, addr: usize) -> u64 {
-        (addr - self.heap.region_base()) as u64
-    }
-
     /// Push a value. Lock-free; persists the node, then the head.
     pub fn push(&self, value: u64) -> bool {
         let node = self.heap.malloc(std::mem::size_of::<StackNode>()) as *mut StackNode;
         if node.is_null() {
             return false;
         }
-        let node_off1 = self.to_off(node as usize) + 1;
+        let to_node = offset(self.heap.region_base(), node);
         loop {
-            let h = self.head_word().load(Ordering::Acquire);
-            let (top1, ctr) = unpack(h);
+            let h = Link::<48>(self.head_word().load(Ordering::Acquire));
             // SAFETY: we own the unpublished node.
             unsafe {
                 (*node).value = value;
-                (*node).next = top1;
+                (*node).next = Link::new(h.target(), 0);
             }
             self.heap
                 .persist(node as *const u8, std::mem::size_of::<StackNode>());
-            let nh = pack(node_off1, (ctr + 1) & 0xFFFF);
             if self
                 .head_word()
-                .compare_exchange_weak(h, nh, Ordering::AcqRel, Ordering::Acquire)
+                .compare_exchange_weak(h.0, h.advance(to_node).0, Ordering::AcqRel, Ordering::Acquire)
                 .is_ok()
             {
                 self.heap
@@ -149,17 +119,14 @@ impl PStack {
     /// Pop the most recently pushed value, freeing its node.
     pub fn pop(&self) -> Option<u64> {
         loop {
-            let h = self.head_word().load(Ordering::Acquire);
-            let (top1, ctr) = unpack(h);
-            let top_off = top1.checked_sub(1)?;
-            let node = self.to_addr(top_off) as *mut StackNode;
+            let h = Link(self.head_word().load(Ordering::Acquire));
+            let node = block::<StackNode>(self.heap.region_base(), h)?;
             // SAFETY: node memory stays mapped (pool-backed); the ABA
             // counter invalidates our CAS if the node was recycled.
-            let (value, next1) = unsafe { ((*node).value, (*node).next) };
-            let nh = pack(next1, (ctr + 1) & 0xFFFF);
+            let (value, next) = unsafe { ((*node).value, (*node).next) };
             if self
                 .head_word()
-                .compare_exchange_weak(h, nh, Ordering::AcqRel, Ordering::Acquire)
+                .compare_exchange_weak(h.0, h.advance(next.target()).0, Ordering::AcqRel, Ordering::Acquire)
                 .is_ok()
             {
                 self.heap
@@ -172,30 +139,23 @@ impl PStack {
 
     /// Number of nodes (O(n), offline use: tests and recovery checks).
     pub fn len(&self) -> usize {
-        let mut n = 0;
-        let (mut cur1, _) = unpack(self.head_word().load(Ordering::Acquire));
-        while let Some(off) = cur1.checked_sub(1) {
-            n += 1;
-            // SAFETY: offline traversal of a quiescent stack.
-            cur1 = unsafe { (*(self.to_addr(off) as *const StackNode)).next };
-        }
-        n
+        self.snapshot().len()
     }
 
     /// True if empty.
     pub fn is_empty(&self) -> bool {
-        unpack(self.head_word().load(Ordering::Acquire)).0 == 0
+        Link::<48>(self.head_word().load(Ordering::Acquire)).target().is_none()
     }
 
     /// Snapshot the values top-to-bottom (offline use).
     pub fn snapshot(&self) -> Vec<u64> {
         let mut out = Vec::new();
-        let (mut cur1, _) = unpack(self.head_word().load(Ordering::Acquire));
-        while let Some(off) = cur1.checked_sub(1) {
-            // SAFETY: offline traversal.
-            let node = unsafe { &*(self.to_addr(off) as *const StackNode) };
+        let mut cur = Link(self.head_word().load(Ordering::Acquire));
+        while let Some(node) = block::<StackNode>(self.heap.region_base(), cur) {
+            // SAFETY: offline traversal of a quiescent stack.
+            let node = unsafe { &*node };
             out.push(node.value);
-            cur1 = node.next;
+            cur = node.next;
         }
         out
     }

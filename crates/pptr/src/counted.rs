@@ -1,68 +1,66 @@
-//! ABA-safe counted index words for Treiber stack heads.
+//! Counted link words: the one format of every region-relative link.
 //!
-//! The heads of the superblock free list and the per-size-class partial
-//! lists are lock-free LIFO stacks of descriptors. A pop that reads head
-//! `A`, is delayed, and then CASes while `A` was popped and pushed back
-//! would corrupt the list (the ABA problem, paper §4.2 / Scott §2.3.1).
-//! The paper devotes 34 bits of each list head to a monotonically
-//! increasing counter, leaving 30 bits for the descriptor index — enough
-//! for 2^30 superblocks × 64 KiB = 64 TiB of heap, comfortably above the
-//! 1 TB region limit.
+//! A link names its target by an index or offset counted from a base the
+//! reader knows (a descriptor array, the superblock region), so it is
+//! position-independent like a [`crate::Pptr`], and packs a tag above it
+//! in the same 64-bit word, so one CAS swings both. The heads of the
+//! superblock free list and the partial lists are lock-free LIFO stacks:
+//! a pop that reads head `A`, is delayed, and then CASes while `A` was
+//! popped and pushed back would corrupt the list (the ABA problem, paper
+//! §4.2 / Scott §2.3.1). The paper devotes 34 bits of each list head to a
+//! counter that every swing advances, leaving 30 bits for the descriptor
+//! index — enough for 2^30 superblocks × 64 KiB = 64 TiB of heap, well
+//! above the 1 TB region limit.
 
-/// Packed `{counter: 34, index+1: 30}` word. Index field value 0 encodes
-/// the empty list, so zeroed NVM decodes as an empty stack head.
+/// Packed `{tag: 64 − BITS | target + 1: BITS}` word. A target field of
+/// 0 encodes "no target", so zeroed NVM reads as an empty list or a null
+/// link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(transparent)]
-pub struct Counted(pub u64);
+pub struct Link<const BITS: u32>(pub u64);
 
-/// Number of bits for the (index+1) field.
-const IDX_BITS: u32 = 30;
-const IDX_MASK: u64 = (1u64 << IDX_BITS) - 1;
+impl<const BITS: u32> Link<BITS> {
+    const MASK: u64 = (1 << BITS) - 1;
 
-impl Counted {
-    /// An empty head (counter 0).
-    pub const EMPTY: Counted = Counted(0);
+    /// No target, tag 0: the all-zero word.
+    pub const NONE: Self = Link(0);
 
-    /// Build from parts. `idx == None` encodes the empty list.
+    /// Build from parts. The tag keeps its low `64 − BITS` bits.
     #[inline]
-    pub fn pack(idx: Option<u32>, counter: u64) -> Self {
-        let idxf = match idx {
+    pub fn new(target: Option<u64>, tag: u64) -> Self {
+        let field = match target {
             None => 0,
-            Some(i) => {
-                debug_assert!((i as u64) < IDX_MASK, "descriptor index too large");
-                i as u64 + 1
+            Some(t) => {
+                debug_assert!(t < Self::MASK, "link target {t:#x} does not fit {BITS} bits");
+                t + 1
             }
         };
-        Counted((counter << IDX_BITS) | idxf)
+        Link(tag << BITS | field)
     }
 
-    /// The head descriptor index, `None` if the list is empty.
+    /// The target, `None` if the link names none.
     #[inline]
-    pub fn idx(&self) -> Option<u32> {
-        let f = self.0 & IDX_MASK;
-        if f == 0 {
-            None
-        } else {
-            Some((f - 1) as u32)
-        }
+    pub fn target(self) -> Option<u64> {
+        (self.0 & Self::MASK).checked_sub(1)
     }
 
-    /// The ABA counter (wraps modulo 2^34).
+    /// The tag (an ABA counter, or mark bits).
     #[inline]
-    pub fn counter(&self) -> u64 {
-        self.0 >> IDX_BITS
+    pub fn tag(self) -> u64 {
+        self.0 >> BITS
     }
 
-    /// A head with a new index and the counter advanced by one.
+    /// A link to `target` with the tag advanced by one, wrapping at
+    /// 2^(64 − BITS).
     #[inline]
-    pub fn advance(&self, idx: Option<u32>) -> Self {
-        Self::pack(idx, (self.counter() + 1) & ((1u64 << 34) - 1))
+    pub fn advance(self, target: Option<u64>) -> Self {
+        Self::new(target, self.tag().wrapping_add(1))
     }
 }
 
-impl Default for Counted {
+impl<const BITS: u32> Default for Link<BITS> {
     fn default() -> Self {
-        Self::EMPTY
+        Self::NONE
     }
 }
 
@@ -72,55 +70,75 @@ mod tests {
 
     #[test]
     fn empty_is_zero() {
-        assert_eq!(Counted::EMPTY.0, 0);
-        assert_eq!(Counted::EMPTY.idx(), None);
-        assert_eq!(Counted::EMPTY.counter(), 0);
+        assert_eq!(Link::<30>::NONE.0, 0);
+        assert_eq!(Link::<48>::NONE.0, 0);
+        assert_eq!(Link::<30>::NONE.target(), None);
+        assert_eq!(Link::<30>::NONE.tag(), 0);
+        assert_eq!(Link::<30>::new(None, 0), Link::NONE);
     }
 
     #[test]
     fn pack_unpack() {
-        let c = Counted::pack(Some(0), 0);
-        assert_eq!(c.idx(), Some(0));
-        assert_eq!(c.counter(), 0);
-        let c = Counted::pack(Some(123456), 999);
-        assert_eq!(c.idx(), Some(123456));
-        assert_eq!(c.counter(), 999);
-        let c = Counted::pack(None, 7);
-        assert_eq!(c.idx(), None);
-        assert_eq!(c.counter(), 7);
+        let c = Link::<30>::new(Some(0), 0);
+        assert_eq!(c.target(), Some(0));
+        assert_eq!(c.tag(), 0);
+        let c = Link::<30>::new(Some(123456), 999);
+        assert_eq!(c.target(), Some(123456));
+        assert_eq!(c.tag(), 999);
+        let c = Link::<48>::new(None, 7);
+        assert_eq!(c.target(), None);
+        assert_eq!(c.tag(), 7);
+    }
+
+    /// The layouts the images and the structures store: a change here
+    /// changes every pool and every persisted structure.
+    #[test]
+    fn the_bits_are_pinned() {
+        for (i, c) in [(0u64, 0u64), (5, 9), ((1 << 30) - 2, (1 << 34) - 1)] {
+            assert_eq!(Link::<30>::new(Some(i), c).0, c << 30 | (i + 1));
+        }
+        for (o, c) in [(0u64, 0u64), (0x1_0040, 3), ((1 << 48) - 2, 0xFFFF)] {
+            assert_eq!(Link::<48>::new(Some(o), c).0, c << 48 | (o + 1));
+        }
     }
 
     #[test]
     fn advance_bumps_counter() {
-        let c = Counted::pack(Some(5), 10);
+        let c = Link::<30>::new(Some(5), 10);
         let d = c.advance(Some(6));
-        assert_eq!(d.idx(), Some(6));
-        assert_eq!(d.counter(), 11);
+        assert_eq!(d.target(), Some(6));
+        assert_eq!(d.tag(), 11);
         let e = d.advance(None);
-        assert_eq!(e.idx(), None);
-        assert_eq!(e.counter(), 12);
+        assert_eq!(e.target(), None);
+        assert_eq!(e.tag(), 12);
     }
 
     #[test]
     fn counter_wraps_at_34_bits() {
-        let c = Counted::pack(Some(1), (1u64 << 34) - 1);
+        let c = Link::<30>::new(Some(1), (1u64 << 34) - 1);
         let d = c.advance(Some(1));
-        assert_eq!(d.counter(), 0);
-        assert_eq!(d.idx(), Some(1));
+        assert_eq!(d.tag(), 0);
+        assert_eq!(d.target(), Some(1));
+        let c = Link::<48>::new(Some(1), 0xFFFF);
+        let d = c.advance(Some(2));
+        assert_eq!(d.tag(), 0, "a 48-bit link's tag wraps at 2^16");
+        assert_eq!(d.target(), Some(2));
     }
 
     #[test]
     fn distinct_counters_distinct_words() {
-        // The ABA defence: same index, different counters, different bits.
-        let a = Counted::pack(Some(9), 1);
-        let b = Counted::pack(Some(9), 2);
+        // The ABA defence: same target, different counters, different bits.
+        let a = Link::<30>::new(Some(9), 1);
+        let b = Link::<30>::new(Some(9), 2);
         assert_ne!(a.0, b.0);
     }
 
     #[test]
     fn max_index_fits() {
-        let max = (IDX_MASK - 1) as u32;
-        let c = Counted::pack(Some(max), 0);
-        assert_eq!(c.idx(), Some(max));
+        let max = (1u64 << 30) - 2;
+        let c = Link::<30>::new(Some(max), 0);
+        assert_eq!(c.target(), Some(max));
+        let max = (1u64 << 48) - 2;
+        assert_eq!(Link::<48>::new(Some(max), 0xFFFF).target(), Some(max));
     }
 }

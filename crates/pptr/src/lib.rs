@@ -13,8 +13,15 @@
 //!   wide-CAS for atomic updates).
 //! * [`AtomicPptr<T>`] — the same representation behind an `AtomicU64`,
 //!   CAS-able with a single-word compare-and-swap.
-//! * [`Counted`] — a packed {index, counter} word for ABA-safe Treiber
-//!   stack heads (34-bit counter + 30-bit index, paper §4.2).
+//! * [`Link<BITS>`](Link) — a packed `{tag, target + 1}` word, the one
+//!   format of every link counted from a base the reader knows, CAS-able
+//!   with its tag in one word:
+//!   - `Link<30>`: descriptor-list heads and the descriptors' list links
+//!     (`ralloc::lists`), a 34-bit ABA counter over a 30-bit index
+//!     (paper §4.2);
+//!   - `Link<48>`: superblock-region offsets with a 16-bit tag — the heap's
+//!     root slots, `crashtest`'s op-log slots and every `pds` link (the
+//!     queue's and stack's ABA counters, the tree's edge marks).
 //!
 //! Every pointer targets its own heap: a cross-heap pointer (§4.6's RIV
 //! plan) waits for a GC that traces it, or a crash would drop its target.
@@ -35,7 +42,7 @@
 mod counted;
 mod pptr_impl;
 
-pub use counted::Counted;
+pub use counted::Link;
 pub use pptr_impl::{AtomicPptr, Pptr, PPTR_LOW_MASK, PPTR_TAG, PPTR_TAG_SHIFT};
 
 /// True if `word` carries the off-holder tag, i.e. could be a non-null

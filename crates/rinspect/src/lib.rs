@@ -132,7 +132,7 @@ pub fn dump(image: &[u8]) -> String {
     let roots_set = (0..NUM_ROOTS)
         .filter(|&i| {
             // Root slots sit at geo-independent metadata offsets.
-            word(image, ralloc::layout::ROOTS_OFF + i * 8).is_some_and(|v| v != 0)
+            word(image, ralloc::layout::ROOTS_OFF + i * 8).is_some_and(|v| ralloc::Link::<48>(v).target().is_some())
         })
         .count();
     s.push_str(&format!("roots set:        {roots_set} of {NUM_ROOTS}\n"));

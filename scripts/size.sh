@@ -15,8 +15,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BUDGET=6678
-REST_BUDGET=9029
+BUDGET=6673
+REST_BUDGET=8892
 MAX_FIELDS=6
 MAX_VARS=7
 

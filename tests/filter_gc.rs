@@ -6,7 +6,7 @@
 //! avoid the false-positive retention that conservative scanning is
 //! vulnerable to.
 
-use ralloc::{Pptr, Ralloc, RallocConfig, Trace, Tracer};
+use ralloc::{Link, Pptr, Ralloc, RallocConfig, Trace, Tracer};
 
 #[repr(C)]
 struct Node {
@@ -65,14 +65,13 @@ fn filters_handle_nonstandard_pointer_representations() {
     #[repr(C)]
     struct Weird {
         value: u64,
-        scrambled_off1: u64, // (region offset + 1) ^ 0xDEADBEEF; 0 = null
+        scrambled: u64, // a `Link<48>` ^ 0xDEADBEEF; 0 = null
     }
     const MASK: u64 = 0xDEAD_BEEF;
     unsafe impl Trace for Weird {
         fn trace(&self, t: &mut Tracer<'_>) {
-            if self.scrambled_off1 != 0 {
-                let off1 = self.scrambled_off1 ^ MASK;
-                t.visit_region_offset::<Weird>(off1 - 1);
+            if self.scrambled != 0 {
+                t.visit_link::<Weird>(Link(self.scrambled ^ MASK));
             }
         }
     }
@@ -85,10 +84,10 @@ fn filters_handle_nonstandard_pointer_representations() {
         // SAFETY: fresh block.
         unsafe {
             (*p).value = i;
-            (*p).scrambled_off1 = if head.is_null() {
+            (*p).scrambled = if head.is_null() {
                 0
             } else {
-                ((head as usize - rb) as u64 + 1) ^ MASK
+                Link::<48>::new(Some((head as usize - rb) as u64), 0).0 ^ MASK
             };
         }
         head = p;
