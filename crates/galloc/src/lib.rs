@@ -26,30 +26,39 @@
 //!   grows on demand (the pool's committed prefix is the heap's one
 //!   frontier: a grow commits more of it before `used` covers it).
 //!
-//! ## Why a global allocator is harder than a handle
+//! [`init`] builds the pool from an explicit path and capacity instead;
+//! `librp.so`'s `rp_init` is a call to it.
+//!
+//! ## One lifecycle word
 //!
 //! The handle API (`Ralloc::malloc`) can assume it is *not* the allocator
 //! its own implementation uses. A `#[global_allocator]` cannot: the
 //! heap's transient metadata (thread cache sets, bin slot arrays, shard
 //! vectors) is allocated with Rust's global allocator — i.e. through
-//! *this very type*. Three mechanisms break the recursion:
+//! *this very type*. The pool's whole life is one state word, read on
+//! the same cache line as the pool's address range:
 //!
-//! 1. **A state machine** ([`UNINIT`]→[`BUSY`]→[`READY`]/[`FAILED`]):
-//!    while the pool is being built (`BUSY`), every allocation — notably
-//!    the builder's own — is served by [`System`].
-//! 2. **A re-entrancy flag** (const-initialized thread-local, so it is
-//!    accessible even during thread teardown): while a pool operation is
-//!    in flight on this thread, nested allocations go to [`System`].
-//! 3. **Routing on `dealloc`** by [`Ralloc::contains`]: pool blocks go
-//!    back to the pool, everything else to [`System`]. The two never
-//!    mix because (1) and (2) guarantee internal DRAM is never carved
-//!    from the pool.
+//! ```text
+//! UNINIT ──build──▶ BUSY ──built──▶ READY ──close──▶ CLOSED
+//!                     └──failed──▶ FAILED  (or UNINIT again after a failed init)
+//! ```
+//!
+//! * Only `READY` serves from the pool. In every other state an
+//!   allocation goes to [`System`] (`librp.so`: its bootstrap arena) —
+//!   notably the builder's own while `BUSY`, so the heap's DRAM is never
+//!   carved from the heap.
+//! * While a pool operation is in flight on this thread (the
+//!   const-initialized, destructor-free `IN_POOL` flag, accessible even
+//!   during thread teardown), nested allocations go to [`System`] too.
+//! * `dealloc` routes by address: the pool's range is stored once,
+//!   before `READY` is first published, and never changes, so a pool
+//!   block is recognized in every state after. Once `CLOSED` the image
+//!   is sealed, and a freed pool block is leaked rather than written.
 //!
 //! Allocations during TLS destructors (a `thread_local` with a `Drop`
 //! that frees or allocates) are served too: the heap's cache layer falls
 //! back to a transient one-shot cache set once this thread's TLS store
-//! is gone, and the flag/fast-slot thread-locals are const-initialized
-//! `Cell`s with no destructor of their own.
+//! is gone.
 //!
 //! ## Alignment
 //!
@@ -61,9 +70,10 @@
 //!   class table is 8-step below 128, 16-step to 256, 32-step to 512,
 //!   then 64-multiples throughout), and large blocks start on superblock
 //!   boundaries, so the natural block address is already aligned.
-//! * `align > 64`: over-allocate `size + align + 8`, round the payload
-//!   up past an 8-byte slot, and stash the raw block address in the slot
-//!   just below the payload for `dealloc`/`realloc` to recover.
+//! * `align > 64`, and every `librp.so` pool block (C `free` has no
+//!   layout): over-allocate `size + align + 8`, round the payload up
+//!   past an 8-byte slot, and stash the raw block address in the slot
+//!   just below the payload (`stash_alloc` / `stashed_raw`).
 
 #![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
@@ -71,12 +81,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::{Cell, UnsafeCell};
 use std::io;
 use std::mem::MaybeUninit;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
+use std::path::Path;
+use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 
 use ralloc::{Ralloc, RallocConfig};
-
-pub mod boot;
 
 /// Default reserved capacity when `GALLOC_CAP` is unset: 1 GiB of
 /// virtual span (committed lazily, a few superblocks at a time).
@@ -90,13 +98,16 @@ const INITIAL_COMMIT: usize = 8 << 20;
 /// beyond this the over-allocate-and-stash scheme kicks in.
 const NATURAL_ALIGN: usize = 64;
 
+/// No build has started: the next allocation builds from the environment.
 const UNINIT: u8 = 0;
+/// A build is in flight; nothing is served from the pool.
 const BUSY: u8 = 1;
+/// The pool serves.
 const READY: u8 = 2;
-const FAILED: u8 = 3;
-
-static STATE: AtomicU8 = AtomicU8::new(UNINIT);
-static CLOSED: AtomicBool = AtomicBool::new(false);
+/// The image is sealed: nothing is allocated from or freed to it again.
+const CLOSED: u8 = 3;
+/// The build from the environment failed; [`System`] serves for good.
+const FAILED: u8 = 4;
 
 /// Every piece of state the per-op fast paths touch, in *one* static.
 ///
@@ -105,29 +116,30 @@ static CLOSED: AtomicBool = AtomicBool::new(false);
 /// find the static, then the value load. Scattered statics would cost
 /// one GOT indirection *each* on every `alloc`/`dealloc`; a single
 /// struct costs one, which is loop-invariant and hoistable, and keeps
-/// the flag and the range bounds on one read-mostly cache line. The
-/// heap itself is constructed *in place* here (not in a `OnceLock`), so
-/// the `&Ralloc` the fast paths use is a constant offset from that same
-/// address: liveness stays a control-only predicted branch instead of a
-/// pointer load feeding the critical data dependency of every `malloc`.
+/// the state word and the range bounds on one read-mostly cache line.
+/// The heap itself is constructed *in place* here (not in a `OnceLock`),
+/// so the `&Ralloc` the fast paths use is a constant offset from that
+/// same address: liveness stays a control-only predicted branch instead
+/// of a pointer load feeding the critical data dependency of every
+/// `malloc`.
 #[repr(C, align(64))]
 struct FastState {
-    /// True exactly while the pool is READY and not closed — the one
-    /// flag `alloc` branches on.
-    live: AtomicBool,
-    /// Cached absolute bounds of the pool's superblock region (fixed
-    /// for the heap's life: the v5 pool reserves its whole span up
-    /// front and grows only the committed frontier within it).
-    /// `dealloc` routing is then two compares with no pointer chasing.
-    /// Zero until init, so the empty range can never claim a foreign
-    /// pointer.
+    /// The pool's lifecycle: [`UNINIT`], [`BUSY`], [`READY`], [`CLOSED`]
+    /// or [`FAILED`]. The fast paths test `== READY`.
+    state: AtomicU8,
+    /// Absolute bounds of the pool's superblock region, stored before
+    /// `READY` is first published and never changed after: the pool
+    /// reserves its whole span when it is built and grows only the
+    /// committed prefix within it. `dealloc` routing is then two
+    /// compares with no pointer chasing. Zero until then, so the empty
+    /// range can never claim a foreign pointer.
     sb_start: AtomicUsize,
     sb_end: AtomicUsize,
-    /// The heap, written exactly once by the UNINIT→BUSY race winner
-    /// strictly before READY/`live` are Release-published. On its own
-    /// cache line (`HeapSlot` is align(64)): whatever mutable state
-    /// lives at the head of `Ralloc` must not false-share with the
-    /// read-mostly routing fields above.
+    /// The heap, written exactly once by the UNINIT→BUSY winner strictly
+    /// before `READY` is Release-published. On its own cache line
+    /// (`HeapSlot` is align(64)): whatever mutable state lives at the
+    /// head of `Ralloc` must not false-share with the read-mostly
+    /// routing fields above.
     heap: HeapSlot,
 }
 
@@ -135,12 +147,12 @@ struct FastState {
 struct HeapSlot(UnsafeCell<MaybeUninit<Ralloc>>);
 
 // SAFETY: `heap` is written only by the BUSY-state winner before the
-// Release-publish; afterwards it is only read through `&Ralloc` (itself
-// Sync). The remaining fields are atomics.
+// Release-publish of READY; afterwards it is only read through `&Ralloc`
+// (itself Sync). The remaining fields are atomics.
 unsafe impl Sync for FastState {}
 
 static FAST: FastState = FastState {
-    live: AtomicBool::new(false),
+    state: AtomicU8::new(UNINIT),
     sb_start: AtomicUsize::new(0),
     sb_end: AtomicUsize::new(0),
     heap: HeapSlot(UnsafeCell::new(MaybeUninit::uninit())),
@@ -149,13 +161,19 @@ static FAST: FastState = FastState {
 /// The heap at its constant address.
 ///
 /// # Safety
-/// The pool must have been published (STATE == READY, or `FAST.live`
-/// observed true with Acquire ordering).
+/// The pool must have been published: `READY` or `CLOSED` observed with
+/// Acquire ordering, or a pointer in the pool's range in hand (the range
+/// is empty until the build that publishes the heap).
 #[inline]
 unsafe fn heap_ref() -> &'static Ralloc {
     // SAFETY: per the caller contract the cell was initialized before a
-    // Release-publish the caller has Acquire-observed.
+    // Release-publish, and is never written again.
     unsafe { &*(FAST.heap.0.get() as *const Ralloc) }
+}
+
+#[inline]
+fn state() -> u8 {
+    FAST.state.load(Ordering::Acquire)
 }
 
 thread_local! {
@@ -165,8 +183,8 @@ thread_local! {
     static IN_POOL: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Scoped set/restore of [`IN_POOL`] (restore, not clear: `dealloc` of a
-/// pool block may nest under an `alloc` that already holds the flag).
+/// Scoped set/restore of [`IN_POOL`] (restore, not clear: a free of a
+/// pool block may nest under an operation that already holds the flag).
 struct Enter {
     prev: bool,
 }
@@ -186,17 +204,12 @@ impl Drop for Enter {
     }
 }
 
-#[inline]
-fn in_pool() -> bool {
-    IN_POOL.with(Cell::get)
-}
-
 /// Run a pointer-producing `f` with the re-entrancy flag held, in a
-/// *single* TLS access — the fast path for `alloc`. Null doubles as
-/// the "already in a pool op" verdict (a nested allocation from inside
-/// the pool's own machinery) and as pool exhaustion: either way the
-/// caller serves from [`System`], so no separate discriminant is paid.
-/// No unwind guard: unwinding out of a `GlobalAlloc` method is
+/// *single* TLS access — the bracket of every pool allocation. Null
+/// doubles as the "already in a pool op" verdict (a nested allocation
+/// from inside the pool's own machinery) and as pool exhaustion: either
+/// way the caller serves from elsewhere, so no separate discriminant is
+/// paid. No unwind guard: unwinding out of a `GlobalAlloc` method is
 /// undefined behavior anyway, so `f` must not panic.
 #[inline]
 fn with_pool_flag(f: impl FnOnce() -> *mut u8) -> *mut u8 {
@@ -211,135 +224,82 @@ fn with_pool_flag(f: impl FnOnce() -> *mut u8) -> *mut u8 {
     })
 }
 
-/// Like [`with_pool_flag`] but nesting-tolerant (save/restore): for
-/// `realloc` of a pool block, which must reach the pool even when the
-/// flag is already held.
-#[inline]
-fn with_pool_flag_nested<R>(f: impl FnOnce() -> R) -> R {
-    IN_POOL.with(|flag| {
-        let prev = flag.replace(true);
-        let r = f();
-        flag.set(prev);
-        r
-    })
-}
-
-/// Set-and-clear flag bracket with *no* load: for `dealloc` of a pool
-/// block. Sound because `GlobalAlloc::dealloc` of a pool-range pointer
-/// is never re-entered from inside pool machinery — everything the pool
-/// allocates internally comes from [`System`] (the alloc-path flag
-/// guarantees it), so its drops route down the System branch, and the
-/// pool frees its own blocks via `Ralloc::free` directly, never through
-/// the global allocator. Two TLS stores instead of load+branch+stores.
-#[inline]
-fn with_pool_flag_leaf<R>(f: impl FnOnce() -> R) -> R {
-    IN_POOL.with(|flag| {
-        flag.set(true);
-        let r = f();
-        flag.set(false);
-        r
-    })
-}
-
-/// The process-wide pool, built lazily on first use. `None` while the
-/// pool is being built (including re-entrant calls from the builder
-/// itself), or forever after construction failed.
+/// The process-wide pool while it serves. The first call builds it from
+/// the environment; `None` while a build is in flight (including
+/// re-entrant calls from the builder itself), after a failed build, and
+/// after [`close_pool`].
 #[inline]
 pub fn heap() -> Option<&'static Ralloc> {
-    match STATE.load(Ordering::Acquire) {
+    match state() {
         // SAFETY: READY Acquire-observed.
         READY => Some(unsafe { heap_ref() }),
-        BUSY | FAILED => None,
-        _ => init_slow(),
+        UNINIT => init_from_env(),
+        _ => None,
     }
-}
-
-/// True once [`close_pool`] has run: the image is durably closed, so no
-/// further pool mutation is allowed (allocation falls back to [`System`]
-/// and frees of pool blocks become no-ops in the exiting process).
-#[inline]
-pub fn pool_closed() -> bool {
-    CLOSED.load(Ordering::Acquire)
 }
 
 #[cold]
-fn init_slow() -> Option<&'static Ralloc> {
-    if STATE.compare_exchange(UNINIT, BUSY, Ordering::AcqRel, Ordering::Acquire).is_err() {
-        // Lost the race (or recursed here from the builder): the winner
-        // will publish READY/FAILED; meanwhile System serves.
-        return if STATE.load(Ordering::Acquire) == READY {
-            // SAFETY: READY Acquire-observed.
-            Some(unsafe { heap_ref() })
-        } else {
-            None
-        };
+fn init_from_env() -> Option<&'static Ralloc> {
+    // The variable is read inside the build: reading it allocates, and
+    // an allocation before the UNINIT→BUSY step would recurse here.
+    build(|| open(std::env::var_os("GALLOC_POOL").as_deref().map(Path::new), 0), FAILED);
+    // SAFETY: READY Acquire-observed.
+    (state() == READY).then(|| unsafe { heap_ref() })
+}
+
+/// Build the pool from `path` (`None`: anonymous and transient) and
+/// `cap` (0: `GALLOC_CAP`, or [`DEFAULT_CAP`]), if no build has started.
+/// True iff this call built it. A failed build leaves the pool unbuilt,
+/// as if this call had not been made.
+pub fn init(path: Option<&Path>, cap: usize) -> bool {
+    build(|| open(path, cap), UNINIT)
+}
+
+/// The one build routine: win UNINIT→BUSY, open the heap, publish it as
+/// `READY`, or store `failed` if it could not be opened.
+fn build(open: impl FnOnce() -> io::Result<Ralloc>, failed: u8) -> bool {
+    if FAST.state.compare_exchange(UNINIT, BUSY, Ordering::AcqRel, Ordering::Acquire).is_err() {
+        return false;
     }
-    // Building the heap allocates DRAM (shard vectors, telemetry, the
-    // path string): all of it lands on System because STATE is BUSY.
-    // The catch_unwind keeps a build panic from unwinding out of
-    // `GlobalAlloc::alloc`, which would be undefined behavior.
-    let built = std::panic::catch_unwind(build_heap);
-    match built {
+    // Opening allocates DRAM (shard vectors, telemetry, the path): all
+    // of it goes elsewhere while BUSY. The catch_unwind keeps a build
+    // panic from unwinding out of an allocation, which would be
+    // undefined behavior.
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(open)) {
         Ok(Ok(h)) => {
             // SAFETY: we hold BUSY, so this is the only writer, and no
-            // reader dereferences the cell until READY/LIVE below.
+            // reader dereferences the cell before READY below.
             let heap: &'static Ralloc = unsafe {
                 (*FAST.heap.0.get()).write(h);
                 heap_ref()
             };
             FAST.sb_start.store(heap.region_base(), Ordering::Relaxed);
             FAST.sb_end.store(heap.pool().base() as usize + heap.pool().len(), Ordering::Relaxed);
-            STATE.store(READY, Ordering::Release);
-            FAST.live.store(true, Ordering::Release);
-            Some(heap)
+            FAST.state.store(READY, Ordering::Release);
+            true
         }
         _ => {
-            STATE.store(FAILED, Ordering::Release);
-            None
+            FAST.state.store(failed, Ordering::Release);
+            false
         }
     }
 }
 
-/// The pool handle iff it is ready and open, in one flag load — the
-/// handle itself is the constant [`HEAP`] address, so the check is pure
-/// control flow. Falls into the cold path only before the first
-/// successful init (or after close or failure, where it keeps returning
-/// `None` cheaply via [`STATE`]).
-#[inline]
-fn active_heap() -> Option<&'static Ralloc> {
-    if FAST.live.load(Ordering::Acquire) {
-        // SAFETY: LIVE Acquire-observed.
-        return Some(unsafe { heap_ref() });
-    }
-    if STATE.load(Ordering::Acquire) == UNINIT {
-        init_slow()
-    } else {
-        None
-    }
-}
-
-/// True if `ptr` lies inside the pool's superblock region (two compares
-/// against the cached bounds — no false positives before init, since
-/// the range is then empty).
-#[inline]
-fn in_pool_range(ptr: *const u8) -> bool {
-    let a = ptr as usize;
-    a >= FAST.sb_start.load(Ordering::Relaxed) && a < FAST.sb_end.load(Ordering::Relaxed)
-}
-
-fn build_heap() -> io::Result<Ralloc> {
-    let cap = std::env::var("GALLOC_CAP")
-        .ok()
-        .and_then(|s| ralloc::parse_size(&s))
-        .unwrap_or(DEFAULT_CAP);
+fn open(path: Option<&Path>, cap: usize) -> io::Result<Ralloc> {
+    let cap = match cap {
+        0 => std::env::var("GALLOC_CAP")
+            .ok()
+            .and_then(|s| ralloc::parse_size(&s))
+            .unwrap_or(DEFAULT_CAP),
+        cap => cap,
+    };
     let cfg = RallocConfig {
         initial_capacity: Some(INITIAL_COMMIT.min(cap)),
         ..RallocConfig::default()
     };
-    match std::env::var_os("GALLOC_POOL") {
+    match path {
         Some(path) => {
-            let path = PathBuf::from(path);
-            let (heap, dirty) = Ralloc::open_file(&path, cap, cfg)?;
+            let (heap, dirty) = Ralloc::open_file(path, cap, cfg)?;
             if dirty {
                 heap.recover();
             }
@@ -362,24 +322,26 @@ fn register_atexit_close() {
     unsafe { atexit(close_at_exit) };
 }
 
-/// Cleanly close a file-backed pool (flush, drain this thread's cache,
-/// clear the dirty bit). Idempotent; returns whether this call did the
-/// close. After closing, allocation falls back to [`System`] and frees
-/// of still-live pool blocks are ignored — the pool image is sealed.
+/// Cleanly close the pool (flush, drain this thread's cache, clear a
+/// file's dirty bit): one READY→CLOSED step. Idempotent; returns whether
+/// this call did the close. After it, allocation falls back to [`System`]
+/// and frees of still-live pool blocks are ignored — the image is sealed.
 pub fn close_pool() -> bool {
-    if STATE.load(Ordering::Acquire) != READY {
+    if FAST.state.compare_exchange(READY, CLOSED, Ordering::AcqRel, Ordering::Acquire).is_err() {
         return false;
     }
-    if CLOSED.swap(true, Ordering::SeqCst) {
-        return false;
-    }
-    // Unpublish the fast-path flag first: new allocations fall to
-    // System while the close flushes and seals the image.
-    FAST.live.store(false, Ordering::Release);
-    // SAFETY: STATE == READY was checked above.
-    let h = unsafe { heap_ref() };
     let _g = Enter::new();
-    h.close().is_ok()
+    // SAFETY: READY was Acquire-observed by the exchange.
+    unsafe { heap_ref() }.close().is_ok()
+}
+
+/// True if `ptr` lies inside the pool's superblock region (two compares
+/// against the cached bounds — no false positives before the build,
+/// since the range is then empty).
+#[inline]
+fn in_pool_range(ptr: *const u8) -> bool {
+    let a = ptr as usize;
+    a >= FAST.sb_start.load(Ordering::Relaxed) && a < FAST.sb_end.load(Ordering::Relaxed)
 }
 
 #[inline]
@@ -387,12 +349,55 @@ fn round_up(n: usize, align: usize) -> usize {
     (n + align - 1) & !(align - 1)
 }
 
+/// Allocate `size` bytes at `align` (a power of two, at least 8) with
+/// the raw block address stashed just below the payload, where
+/// [`stashed_raw`] finds it. Null on exhaustion or overflow.
+///
+/// # Safety
+/// `align` must be a power of two, at least 8.
+#[inline]
+unsafe fn stash_alloc(heap: &Ralloc, size: usize, align: usize) -> *mut u8 {
+    let Some(request) = size.checked_add(align + 8) else {
+        return std::ptr::null_mut();
+    };
+    let raw = heap.malloc(request);
+    if raw.is_null() {
+        return raw;
+    }
+    let p = round_up(raw as usize + 8, align);
+    // SAFETY: `p - 8 >= raw` and `p + size <= raw + request`; the slot
+    // is 8-aligned because `p` is a multiple of `align >= 8`.
+    unsafe { std::ptr::write((p as *mut usize).sub(1), raw as usize) };
+    p as *mut u8
+}
+
+/// The raw block under a [`stash_alloc`] payload.
+///
+/// # Safety
+/// `p` must be a live [`stash_alloc`] payload.
+#[inline]
+unsafe fn stashed_raw(p: *const u8) -> *mut u8 {
+    // SAFETY: stash_alloc wrote the raw address in the slot below `p`.
+    unsafe { std::ptr::read((p as *const usize).sub(1)) as *mut u8 }
+}
+
+/// The bytes usable at a [`stash_alloc`] payload.
+///
+/// # Safety
+/// `p` must be a live [`stash_alloc`] payload of `heap`.
+#[inline]
+unsafe fn stashed_usable(heap: &Ralloc, p: *const u8) -> usize {
+    // SAFETY: per the caller contract.
+    let raw = unsafe { stashed_raw(p) };
+    heap.usable_size(raw) - (p as usize - raw as usize)
+}
+
 /// Allocate `size` bytes at `align` from the pool. Null on exhaustion.
 ///
 /// # Safety
 /// `align` must be a power of two (the `Layout` contract).
 #[inline]
-pub unsafe fn pool_alloc(heap: &Ralloc, size: usize, align: usize) -> *mut u8 {
+unsafe fn pool_alloc(heap: &Ralloc, size: usize, align: usize) -> *mut u8 {
     if align <= NATURAL_ALIGN {
         // Natural path: the rounded request lands in a size class whose
         // block size is a multiple of `align` (see module docs), or on a
@@ -401,16 +406,8 @@ pub unsafe fn pool_alloc(heap: &Ralloc, size: usize, align: usize) -> *mut u8 {
         // requested alignment*, C-`malloc(0)` style.
         heap.malloc(round_up(size.max(1), align))
     } else {
-        let raw = heap.malloc(size + align + 8);
-        if raw.is_null() {
-            return std::ptr::null_mut();
-        }
-        let aligned = round_up(raw as usize + 8, align);
-        // SAFETY: `aligned - 8 >= raw` and `aligned + size` fits the
-        // block (it spans `size + align + 8` bytes); the slot is
-        // 8-aligned because `aligned` is a multiple of `align >= 128`.
-        unsafe { std::ptr::write((aligned as *mut u64).sub(1), raw as u64) };
-        aligned as *mut u8
+        // SAFETY: a power of two above 64.
+        unsafe { stash_alloc(heap, size, align) }
     }
 }
 
@@ -420,14 +417,12 @@ pub unsafe fn pool_alloc(heap: &Ralloc, size: usize, align: usize) -> *mut u8 {
 /// # Safety
 /// `ptr` must be a live pool block allocated at `align`.
 #[inline]
-pub unsafe fn pool_dealloc(heap: &Ralloc, ptr: *mut u8, align: usize) {
+unsafe fn pool_dealloc(heap: &Ralloc, ptr: *mut u8, align: usize) {
     if align <= NATURAL_ALIGN {
         heap.free(ptr);
     } else {
-        // SAFETY: pool_alloc stashed the raw block address just below
-        // the over-aligned payload.
-        let raw = unsafe { std::ptr::read((ptr as *const u64).sub(1)) } as *mut u8;
-        heap.free(raw);
+        // SAFETY: pool_alloc stashed above the natural alignment.
+        heap.free(unsafe { stashed_raw(ptr) });
     }
 }
 
@@ -440,11 +435,53 @@ pub unsafe fn pool_usable_size(heap: &Ralloc, ptr: *const u8, align: usize) -> u
     if align <= NATURAL_ALIGN {
         heap.usable_size(ptr)
     } else {
-        // SAFETY: per pool_alloc's layout, the raw block starts at the
-        // stashed address and the payload at `ptr`.
-        let raw = unsafe { std::ptr::read((ptr as *const u64).sub(1)) } as usize;
-        heap.usable_size(raw as *const u8) - (ptr as usize - raw)
+        // SAFETY: pool_alloc stashed above the natural alignment.
+        unsafe { stashed_usable(heap, ptr) }
     }
+}
+
+/// A pool block for a caller that frees without a layout (`librp.so`):
+/// always stashed, so [`free_stashed`] and [`usable_size_stashed`] need
+/// only the pointer. Null when the pool does not serve: not `READY`, a
+/// pool operation already in flight on this thread, or exhaustion.
+///
+/// # Safety
+/// `align` must be a power of two, at least 8.
+pub unsafe fn alloc_stashed(size: usize, align: usize) -> *mut u8 {
+    match heap() {
+        // SAFETY: per the caller contract.
+        Some(heap) => with_pool_flag(|| unsafe { stash_alloc(heap, size, align) }),
+        None => std::ptr::null_mut(),
+    }
+}
+
+/// Free an [`alloc_stashed`] block. False, touching nothing, if `p` is
+/// not in the pool's range; a pool block freed after [`close_pool`] is
+/// leaked, since the image is sealed.
+///
+/// # Safety
+/// `p` must be a live [`alloc_stashed`] block or lie outside the pool.
+pub unsafe fn free_stashed(p: *mut u8) -> bool {
+    if !in_pool_range(p) {
+        return false;
+    }
+    if state() == READY {
+        let _g = Enter::new();
+        // SAFETY: READY Acquire-observed; a stashed pool block.
+        unsafe { heap_ref().free(stashed_raw(p)) };
+    }
+    true
+}
+
+/// The bytes usable at an [`alloc_stashed`] block, or `None` if `p` is
+/// not in the pool's range.
+///
+/// # Safety
+/// As [`free_stashed`].
+pub unsafe fn usable_size_stashed(p: *const u8) -> Option<usize> {
+    // SAFETY: a pointer in the pool's range implies a published heap,
+    // and per the caller contract it is a stashed block of it.
+    in_pool_range(p).then(|| unsafe { stashed_usable(heap_ref(), p) })
 }
 
 /// The drop-in global allocator. A unit type: all state is process-wide
@@ -453,12 +490,12 @@ pub struct RallocGlobal;
 
 // SAFETY: allocation is served by the lock-free Ralloc heap or by
 // System; dealloc routes each pointer back to the allocator that issued
-// it (Ralloc::contains discriminates), and layouts are respected per
-// the scheme in the module docs.
+// it (the pool's fixed range discriminates), and layouts are respected
+// per the scheme in the module docs.
 unsafe impl GlobalAlloc for RallocGlobal {
     #[inline]
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if let Some(heap) = active_heap() {
+        if let Some(heap) = heap() {
             // SAFETY: Layout guarantees a power-of-two align.
             let p = with_pool_flag(|| unsafe { pool_alloc(heap, layout.size(), layout.align()) });
             if !p.is_null() {
@@ -468,146 +505,60 @@ unsafe impl GlobalAlloc for RallocGlobal {
             // machinery, or the pool is exhausted — degrade to System
             // rather than failing the process (dealloc routes by
             // range, so mixed provenance is fine).
-            // None: re-entered from the pool's own DRAM needs.
         }
+        // The one fallback site: `alloc_zeroed` (the trait's default,
+        // which zeroes every block — a recycled persistent one may hold
+        // bytes from before a crash) and a moving `realloc` come here.
         // SAFETY: forwarded layout.
         unsafe { System.alloc(layout) }
     }
 
     #[inline]
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        if in_pool_range(ptr) {
-            if !FAST.live.load(Ordering::Acquire) {
-                // The image is sealed (exit path): leaking in the dying
-                // process beats dirtying a closed pool.
-                return;
-            }
-            // SAFETY: a pool-range pointer implies the heap was
-            // published (the range is empty before init); ptr came from
-            // pool_alloc at this layout.
-            with_pool_flag_leaf(|| unsafe { pool_dealloc(heap_ref(), ptr, layout.align()) });
-            return;
+        if !in_pool_range(ptr) {
+            // SAFETY: not a pool block, so it came from System.
+            return unsafe { System.dealloc(ptr, layout) };
         }
-        // SAFETY: not a pool block, so it came from System.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    #[inline]
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if let Some(heap) = active_heap() {
-            // SAFETY: Layout guarantees a power-of-two align.
-            let p = with_pool_flag(|| unsafe { pool_alloc(heap, layout.size(), layout.align()) });
-            if !p.is_null() {
-                // A recycled persistent block holds whatever bytes
-                // its previous life left there — possibly bytes
-                // from *before a crash*. calloc semantics demand
-                // zeroing, always.
-                // SAFETY: the block spans at least layout.size().
-                unsafe { std::ptr::write_bytes(p, 0, layout.size()) };
-                return p;
-            }
+        // Once CLOSED the image is sealed (the exit path): leaking in
+        // the dying process beats dirtying a closed pool.
+        if state() == READY {
+            let _g = Enter::new();
+            // SAFETY: READY Acquire-observed; ptr came from pool_alloc
+            // at this layout.
+            unsafe { pool_dealloc(heap_ref(), ptr, layout.align()) };
         }
-        // SAFETY: forwarded layout.
-        unsafe { System.alloc_zeroed(layout) }
     }
 
     #[inline]
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if in_pool_range(ptr) {
-            if !FAST.live.load(Ordering::Acquire) {
-                // Sealed image: copy out to System, leak the pool block.
-                // SAFETY: old block holds layout.size() readable bytes.
-                unsafe {
-                    let fresh =
-                        System.alloc(Layout::from_size_align_unchecked(new_size, layout.align()));
-                    if !fresh.is_null() {
-                        std::ptr::copy_nonoverlapping(ptr, fresh, layout.size().min(new_size));
-                    }
-                    return fresh;
-                }
-            }
-            // SAFETY: pool-range pointer implies a published heap; pool
-            // block at this layout; new_size > 0 per the GlobalAlloc
-            // contract.
-            return unsafe { pool_realloc(heap_ref(), ptr, layout, new_size) };
+        if !in_pool_range(ptr) {
+            // SAFETY: not a pool block, so it came from System.
+            return unsafe { System.realloc(ptr, layout, new_size) };
         }
-        // SAFETY: not a pool block, so it came from System.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-/// RAII guard marking a pool operation in flight on this thread; the C
-/// ABI layer (`crates/capi`) brackets its pool calls with this so both
-/// surfaces share one re-entrancy flag.
-pub struct ReentryGuard(#[allow(dead_code)] Enter);
-
-/// Set the re-entrancy flag for the current scope (see [`ReentryGuard`]).
-pub fn reentry_guard() -> ReentryGuard {
-    ReentryGuard(Enter::new())
-}
-
-/// True while a pool operation is in flight on this thread — nested
-/// allocations must be served away from the pool.
-#[inline]
-pub fn in_pool_op() -> bool {
-    in_pool()
-}
-
-/// The heap, only if fully initialized: never triggers construction.
-/// This is the accessor for `dealloc`-side routing — a pointer that
-/// predates the pool cannot be a pool block.
-#[inline]
-pub fn heap_if_ready() -> Option<&'static Ralloc> {
-    ready_heap()
-}
-
-#[inline]
-fn ready_heap() -> Option<&'static Ralloc> {
-    if STATE.load(Ordering::Acquire) == READY {
-        // SAFETY: READY Acquire-observed.
-        Some(unsafe { heap_ref() })
-    } else {
-        None
-    }
-}
-
-/// Grow/shrink a pool block: in place while the rounded request still
-/// fits the block's usable span, else allocate-copy-free.
-///
-/// # Safety
-/// `ptr` is a live pool block of `layout`; `new_size > 0`.
-unsafe fn pool_realloc(heap: &Ralloc, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-    let align = layout.align();
-    with_pool_flag_nested(|| {
-        // SAFETY: live pool block at this align.
-        let usable = unsafe { pool_usable_size(heap, ptr, align) };
-        if align <= NATURAL_ALIGN && round_up(new_size, align) <= usable {
-            // In place: the class block (or large span) already covers
-            // the new size. Shrinks always land here; so do grows
-            // within slack.
-            return ptr;
-        }
-        // SAFETY: align is a power of two, new_size > 0.
-        let fresh = unsafe { pool_alloc(heap, new_size, align) };
-        if fresh.is_null() {
-            // SAFETY: degraded path mirrors alloc's System fallback.
-            unsafe {
-                let sys = System.alloc(Layout::from_size_align_unchecked(new_size, align));
-                if sys.is_null() {
-                    return std::ptr::null_mut();
-                }
-                std::ptr::copy_nonoverlapping(ptr, sys, layout.size().min(new_size));
-                pool_dealloc(heap, ptr, align);
-                return sys;
+        let align = layout.align();
+        // In place while the pool serves and the class block (or large
+        // span) already covers the rounded request: shrinks always land
+        // here, and so do grows within slack.
+        if align <= NATURAL_ALIGN && state() == READY {
+            // SAFETY: READY Acquire-observed.
+            if round_up(new_size, align) <= unsafe { heap_ref() }.usable_size(ptr) {
+                return ptr;
             }
         }
-        // SAFETY: both blocks are live and at least min(old, new) long.
+        // Otherwise move: to the pool when it serves, else to System,
+        // and the old block goes back to the pool (or is leaked once
+        // the image is sealed).
+        // SAFETY: align is the layout's, new_size > 0 per the
+        // GlobalAlloc contract; both blocks span min(old, new) bytes.
         unsafe {
-            std::ptr::copy_nonoverlapping(ptr, fresh, layout.size().min(new_size));
-            pool_dealloc(heap, ptr, align);
+            let fresh = self.alloc(Layout::from_size_align_unchecked(new_size, align));
+            if !fresh.is_null() {
+                std::ptr::copy_nonoverlapping(ptr, fresh, layout.size().min(new_size));
+                self.dealloc(ptr, layout);
+            }
+            fresh
         }
-        fresh
-    })
+    }
 }
 
 #[cfg(test)]

@@ -55,3 +55,21 @@ fn block<T>(base: usize, link: Link<48>) -> Option<*mut T> {
 fn offset<T>(base: usize, block: *const T) -> Option<u64> {
     Some((block as usize - base) as u64)
 }
+
+#[cfg(test)]
+/// The watchdog of every `mixed_operations_on_every_thread_*` test: the
+/// runs `0..runs` go on a thread of their own, and the test fails unless
+/// all of them pass within 5 s. A livelocked structure loops forever
+/// instead of failing; its thread cannot be joined, and the test process
+/// ends it.
+fn runs_within_5s(what: &str, runs: u64, run: impl Fn(u64) -> Result<(), String> + Send + 'static) {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let runner = std::thread::spawn(move || tx.send((0..runs).try_for_each(run)));
+    match rx.recv_timeout(std::time::Duration::from_secs(5)) {
+        Ok(verdict) => {
+            runner.join().expect("the runs' thread").expect("the verdict was received");
+            verdict.unwrap()
+        }
+        Err(_) => panic!("{runs} runs did not finish in 5 s: the {what} livelocked"),
+    }
+}

@@ -590,16 +590,7 @@ mod tests {
             tree.quiesce();
             Ok(())
         };
-        let (tx, rx) = std::sync::mpsc::channel();
-        let runs = std::thread::spawn(move || tx.send((0..RUNS).try_for_each(run)));
-        match rx.recv_timeout(std::time::Duration::from_secs(5)) {
-            Ok(verdict) => {
-                runs.join().expect("the runs' thread").expect("the verdict was received");
-                verdict.unwrap()
-            }
-            // A livelocked thread cannot be joined; the test process ends it.
-            Err(_) => panic!("{RUNS} runs did not finish in 5 s: the tree livelocked"),
-        }
+        crate::runs_within_5s("tree", RUNS, run);
     }
 
     #[test]

@@ -353,6 +353,74 @@ mod tests {
         kv.destroy();
     }
 
+    /// Every thread inserts, updates (to a value of another size),
+    /// deletes and reads on one map. Each thread owns a key stripe
+    /// (`tid << 32 | k`), but a bucket is picked by the key's low bits,
+    /// so every stripe spans all 16 buckets and threads race on the same
+    /// chains and bucket locks; a per-thread model predicts every result
+    /// and the final contents. A lost link drops, resurrects or garbles
+    /// an entry.
+    #[test]
+    fn mixed_operations_on_every_thread_match_per_thread_models() {
+        use std::collections::BTreeMap;
+        const THREADS: u64 = 4;
+        const OPS: u64 = 20_000;
+        const KEYS: u64 = 256;
+        const RUNS: u64 = 8;
+        // A value whose length and bytes name the key and the op.
+        let value = |key: u64, i: u64| vec![(key ^ i) as u8; 1 + ((key + i) % 97) as usize];
+        let run = move |seed: u64| -> Result<(), String> {
+            let kv = PKv::new(Ralloc::create(64 << 20, RallocConfig::default()), 16);
+            let models = std::thread::scope(|s| {
+                let workers: Vec<_> = (0..THREADS)
+                    .map(|tid| {
+                        let kv = &kv;
+                        s.spawn(move || {
+                            let mut model = BTreeMap::new();
+                            let mut x = (seed * THREADS + tid + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                            for i in 0..OPS {
+                                x ^= x << 13;
+                                x ^= x >> 7;
+                                x ^= x << 17;
+                                let key = (tid << 32) | ((x >> 8) % KEYS);
+                                match x % 3 {
+                                    0 => {
+                                        let v = value(key, i);
+                                        let fresh = model.insert(key, v.clone()).is_none();
+                                        if kv.set(key, &v) != fresh {
+                                            return Err(format!("run {seed}: set({key:#x}) != {fresh}"));
+                                        }
+                                    }
+                                    1 => {
+                                        let (got, want) = (kv.delete(key), model.remove(&key));
+                                        if got != want {
+                                            return Err(format!("run {seed}: delete({key:#x}) = {got:?}, not {want:?}"));
+                                        }
+                                    }
+                                    _ => {
+                                        if kv.get(key).as_ref() != model.get(&key) {
+                                            return Err(format!("run {seed}: get({key:#x}) differs from the model"));
+                                        }
+                                    }
+                                }
+                            }
+                            Ok(model)
+                        })
+                    })
+                    .collect();
+                workers.into_iter().map(|w| w.join().unwrap()).collect::<Result<Vec<_>, _>>()
+            })?;
+            let want: BTreeMap<u64, Vec<u8>> = models.into_iter().flatten().collect();
+            let got: BTreeMap<u64, Vec<u8>> = kv.snapshot().into_iter().collect();
+            if got != want || kv.len() != want.len() {
+                return Err(format!("run {seed}: the map holds {} keys, the models {}", got.len(), want.len()));
+            }
+            kv.destroy();
+            Ok(())
+        };
+        crate::runs_within_5s("map", RUNS, run);
+    }
+
     #[test]
     fn different_size_update_reallocates() {
         let kv = PKv::new(Ralloc::create(8 << 20, RallocConfig::default()), 64);

@@ -258,6 +258,68 @@ mod tests {
         }
     }
 
+    /// Every thread inserts, updates, removes and reads on one tree. Each
+    /// thread owns a key stripe (`k * THREADS + tid`), so the stripes
+    /// interleave along every root-to-leaf path, and every op appends to
+    /// the one log; a per-thread model predicts every result and the
+    /// final contents, the index must stay a red-black tree, and the
+    /// replayed log must hold the same map.
+    #[test]
+    fn mixed_operations_on_every_thread_match_per_thread_models() {
+        use std::collections::BTreeMap;
+        const THREADS: u64 = 4;
+        const OPS: u64 = 20_000;
+        const KEYS: u64 = 256;
+        const RUNS: u64 = 8;
+        let run = |seed: u64| -> Result<(), String> {
+            let h = Ralloc::create(64 << 20, RallocConfig::default());
+            let tree = PRbTree::create(&h, 0);
+            let models = std::thread::scope(|s| {
+                let workers: Vec<_> = (0..THREADS)
+                    .map(|tid| {
+                        let tree = &tree;
+                        s.spawn(move || {
+                            let mut model = BTreeMap::new();
+                            let mut x = (seed * THREADS + tid + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                            for i in 0..OPS {
+                                x ^= x << 13;
+                                x ^= x >> 7;
+                                x ^= x << 17;
+                                let key = ((x >> 8) % KEYS) * THREADS + tid;
+                                let (got, want) = match x % 3 {
+                                    0 => (tree.insert(key, i), model.insert(key, i)),
+                                    1 => (tree.remove(key), model.remove(&key)),
+                                    _ => (tree.get(key), model.get(&key).copied()),
+                                };
+                                if got != want {
+                                    return Err(format!("run {seed}: op {} on {key} = {got:?}, not {want:?}", x % 3));
+                                }
+                            }
+                            Ok(model)
+                        })
+                    })
+                    .collect();
+                workers.into_iter().map(|w| w.join().unwrap()).collect::<Result<Vec<_>, _>>()
+            })?;
+            let want: BTreeMap<u64, u64> = models.into_iter().flatten().collect();
+            if tree.keys() != want.keys().copied().collect::<Vec<_>>() {
+                return Err(format!("run {seed}: the tree's keys differ from the models'"));
+            }
+            if let Some((k, v)) = want.iter().find(|(k, v)| tree.get(**k) != Some(**v)) {
+                return Err(format!("run {seed}: get({k}) != Some({v})"));
+            }
+            tree.validate();
+            // The log holds the same map: a lost or misordered append
+            // shows when it is replayed.
+            let replayed = PRbTree::attach(&h, 0)?;
+            if replayed.keys() != tree.keys() || want.iter().any(|(k, v)| replayed.get(*k) != Some(*v)) {
+                return Err(format!("run {seed}: the replayed log differs from the tree"));
+            }
+            Ok(())
+        };
+        crate::runs_within_5s("tree", RUNS, run);
+    }
+
     #[test]
     fn survives_crash_and_recovery() {
         let h = heap();

@@ -16,7 +16,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUDGET=6673
-REST_BUDGET=8892
+REST_BUDGET=8812
 MAX_FIELDS=6
 MAX_VARS=7
 
