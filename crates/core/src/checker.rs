@@ -457,8 +457,8 @@ mod tests {
         assert!(check_heap(&heap).is_consistent(), "{:?}", check_heap(&heap).violations);
         // Lists are LIFO: each list's head is the later push, and its link
         // names the earlier one.
-        Desc::new(pool, &geo, sbs[1]).next_free().store(pptr::Link::<30>::NONE.0, Ordering::Relaxed);
-        Desc::new(pool, &geo, sbs[3]).next_partial().store(pptr::Link::<30>::NONE.0, Ordering::Relaxed);
+        Desc::new(pool, &geo, sbs[1]).next_free().store(pptr::Link::NONE);
+        Desc::new(pool, &geo, sbs[3]).next_partial().store(pptr::Link::NONE);
         let r = check_heap(&heap);
         assert!(r.violations.iter().all(|v| v.rule == "list-membership"), "{:?}", r.violations);
         let mut named: Vec<&str> = r.violations.iter().map(|v| v.detail.as_str()).collect();

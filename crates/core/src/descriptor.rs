@@ -4,8 +4,8 @@
 //!
 //! ```text
 //! +0   anchor        AtomicU64   (transient: reconstructed by recovery)
-//! +8   next_free     AtomicU64   (transient: superblock free-list link)
-//! +16  next_partial  AtomicU64   (transient: partial-list link)
+//! +8   next_free     AtomicLink  (transient: superblock free-list link)
+//! +16  next_partial  AtomicLink  (transient: partial-list link)
 //! +24  block_size    u64         (PERSISTED at superblock (re)use)
 //! +32  size_class    u32  \  one (PERSISTED at superblock (re)use)
 //! +36  max_count     u32  /  u64 (transient cache of SB_SIZE/block_size)
@@ -31,6 +31,7 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use nvm::PmemPool;
+use pptr::AtomicLink;
 
 use crate::anchor::Anchor;
 use crate::layout::Geometry;
@@ -92,18 +93,18 @@ impl<'a> Desc<'a> {
             .map_err(Anchor::unpack)
     }
 
-    /// Superblock free-list link (descriptor index + 1; 0 = end).
+    /// Superblock free-list link (no target = end).
     #[inline]
-    pub fn next_free(&self) -> &'a AtomicU64 {
+    pub fn next_free(&self) -> &'a AtomicLink<30> {
         // SAFETY: in-bounds, 8-aligned.
-        unsafe { self.pool.atomic_u64(self.off + NEXT_FREE_OFF) }
+        AtomicLink::from_ref(unsafe { self.pool.atomic_u64(self.off + NEXT_FREE_OFF) })
     }
 
-    /// Partial-list link (descriptor index + 1; 0 = end).
+    /// Partial-list link (no target = end).
     #[inline]
-    pub fn next_partial(&self) -> &'a AtomicU64 {
+    pub fn next_partial(&self) -> &'a AtomicLink<30> {
         // SAFETY: in-bounds, 8-aligned.
-        unsafe { self.pool.atomic_u64(self.off + NEXT_PARTIAL_OFF) }
+        AtomicLink::from_ref(unsafe { self.pool.atomic_u64(self.off + NEXT_PARTIAL_OFF) })
     }
 
     /// This superblock's owning shard: the home shard of the thread whose

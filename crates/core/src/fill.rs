@@ -241,7 +241,7 @@ mod tests {
             };
             inner.flush_blocks(&mut a[..10].to_vec());
             let d = Desc::new(&inner.pool, &inner.geo, sb_of(a[0]) as u32);
-            d.next_partial().store(pptr::Link::<30>::new(Some(target as u64), 0).0, Ordering::Relaxed);
+            d.next_partial().store(pptr::Link::new(Some(target as u64), 0));
             let mut live: HashSet<usize> = a[10..].iter().chain(&held).copied().collect();
             for _ in 0..10 + mc {
                 let p = heap.malloc(64) as usize;
@@ -282,7 +282,7 @@ mod tests {
         }
         inner.flush_blocks(&mut f.clone());
         let d = Desc::new(&inner.pool, &inner.geo, sb_of(f[0]) as u32);
-        d.next_free().store(pptr::Link::<30>::new(Some(sb_of(rooted[0]) as u64), 0).0, Ordering::Relaxed);
+        d.next_free().store(pptr::Link::new(Some(sb_of(rooted[0]) as u64), 0));
         // F serves the first `mc`; the next fill pops R off the corrupt
         // link, drops it and carves.
         let mut live: HashSet<usize> = rooted.iter().copied().collect();

@@ -6,12 +6,12 @@
 //! a potential reference. *Filter functions* let the programmer supply
 //! precise type information instead: the [`Trace`] trait is the Rust
 //! rendering of the paper's `filter<T>()` template; implementing it for a
-//! node type enumerates exactly the `Pptr` fields that the collector
+//! node type enumerates exactly the link and `Pptr` fields that the collector
 //! should follow. Like the paper, function pointers are re-established in
 //! each execution (they are registered transiently by `get_root<T>`), so
 //! recompilation and ASLR are harmless.
 
-use pptr::{AtomicPptr, Link, Pptr};
+use pptr::{Link, Pptr};
 
 use crate::descriptor::{Census, Slot};
 use crate::size_class::SB_SIZE;
@@ -34,19 +34,20 @@ pub unsafe fn trace_thunk<T: Trace>(addr: usize, tracer: &mut Tracer<'_>) {
 /// value so the recovery GC can trace precisely instead of conservatively.
 ///
 /// # Safety
-/// An implementation must visit **every** `Pptr`/`AtomicPptr` through
-/// which the structure can reach other heap blocks; missing one makes
-/// recovery free a live block. Visiting too much is safe (at worst it
-/// leaks, like conservative collection).
+/// An implementation must visit **every** link (`Link<48>`, through
+/// [`Tracer::visit_link`]) and every `Pptr` (through
+/// [`Tracer::visit_pptr`]) through which the structure can reach other
+/// heap blocks; missing one makes recovery free a live block. Visiting
+/// too much is safe (at worst it leaks, like conservative collection).
 ///
-/// Typical implementations call [`Tracer::visit_pptr`] /
-/// [`Tracer::visit_atomic_pptr`] per pointer field:
+/// Typical implementations call [`Tracer::visit_link`] per link field,
+/// reading a shared one through its `AtomicLink`:
 ///
 /// ```ignore
 /// unsafe impl Trace for TreeNode {
 ///     fn trace(&self, t: &mut Tracer) {
-///         t.visit_pptr(&self.left);
-///         t.visit_pptr(&self.right);
+///         t.visit_link::<TreeNode>(self.left.load());
+///         t.visit_link::<TreeNode>(self.right.load());
 ///     }
 /// }
 /// ```
@@ -81,14 +82,6 @@ unsafe impl<T: Trace> Trace for Pptr<T> {
     #[inline]
     fn trace(&self, tracer: &mut Tracer<'_>) {
         tracer.visit_pptr(self);
-    }
-}
-
-// SAFETY: the pointer is this value's one reference, and it is visited.
-unsafe impl<T: Trace> Trace for AtomicPptr<T> {
-    #[inline]
-    fn trace(&self, tracer: &mut Tracer<'_>) {
-        tracer.visit_atomic_pptr(self);
     }
 }
 
@@ -236,15 +229,6 @@ impl<'h> Tracer<'h> {
     #[inline]
     pub fn visit_pptr<T: Trace>(&mut self, p: &Pptr<T>) {
         let t = p.as_ptr();
-        if !t.is_null() {
-            self.visit_addr(t as usize, Some(trace_thunk::<T>));
-        }
-    }
-
-    /// Visit through an atomic typed persistent pointer.
-    #[inline]
-    pub fn visit_atomic_pptr<T: Trace>(&mut self, p: &AtomicPptr<T>) {
-        let t = p.load(std::sync::atomic::Ordering::Relaxed);
         if !t.is_null() {
             self.visit_addr(t as usize, Some(trace_thunk::<T>));
         }

@@ -30,7 +30,7 @@ use std::time::Duration;
 use parking_lot::Mutex;
 
 use nvm::PmemPool;
-use pptr::Link;
+use pptr::{AtomicLink, Link};
 use telemetry::{EventKind, Registry, SamplerHandle};
 
 use crate::descriptor::Desc;
@@ -142,6 +142,13 @@ impl HeapInner {
         if let Some(flight) = &self.flight {
             flight.record(&self.pool, kind, a, b);
         }
+    }
+
+    /// Root slot `i`: a link to an offset in the superblock region.
+    #[inline]
+    pub(crate) fn root(&self, i: usize) -> &AtomicLink<48> {
+        // SAFETY: a root slot is a header word, in bounds and 8-aligned.
+        AtomicLink::from_ref(unsafe { self.pool.atomic_u64(self.geo.root(i)) })
     }
 
     /// Number of superblocks carved so far (the paper's `used`).
@@ -311,7 +318,6 @@ impl Ralloc {
     pub fn set_root_raw(&self, i: usize, ptr: *const u8) {
         assert!(i < NUM_ROOTS, "root index out of range");
         let inner = &*self.inner;
-        let slot = inner.geo.root(i);
         let off = (!ptr.is_null()).then(|| {
             let off = (ptr as usize)
                 .checked_sub(inner.addr_of(inner.geo.sb(0)))
@@ -322,11 +328,10 @@ impl Ralloc {
             );
             off as u64
         });
-        let val = Link::<48>::new(off, 0).0;
-        // SAFETY: root slot is in the metadata region, 8-aligned.
-        unsafe { inner.pool.atomic_u64(slot) }.store(val, Ordering::Release);
-        inner.persist(slot, 8);
-        inner.emit(EventKind::RootPublish, i as u64, val);
+        let link = Link::new(off, 0);
+        inner.root(i).store(link);
+        inner.persist(inner.geo.root(i), 8);
+        inner.emit(EventKind::RootPublish, i as u64, link.0);
     }
 
     /// Untyped root load (traced conservatively unless a typed
@@ -334,10 +339,8 @@ impl Ralloc {
     pub fn get_root_raw(&self, i: usize) -> *mut u8 {
         assert!(i < NUM_ROOTS, "root index out of range");
         let inner = &*self.inner;
-        // SAFETY: root slot in bounds, 8-aligned.
-        let raw = unsafe { inner.pool.atomic_u64(inner.geo.root(i)) }.load(Ordering::Acquire);
         let base = inner.addr_of(inner.geo.sb(0));
-        Link::<48>(raw).target().map_or(std::ptr::null_mut(), |off| (base + off as usize) as *mut u8)
+        inner.root(i).load().target().map_or(std::ptr::null_mut(), |off| (base + off as usize) as *mut u8)
     }
 
     /// Drop any registered filter function for root `i`, forcing

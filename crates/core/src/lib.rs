@@ -79,7 +79,7 @@ pub use size_class::{MAX_SMALL, SB_SIZE};
 
 // Re-export the substrate types callers need to configure a heap.
 pub use nvm::{CrashInjector, CrashStyle, FlushModel, Mode};
-pub use pptr::{AtomicPptr, Link, Pptr};
+pub use pptr::{AtomicLink, Link, Pptr};
 // Re-export the whole observability layer: callers register their own
 // metrics on `Ralloc::telemetry()` and read the exporters and event kinds
 // without a separate dependency.

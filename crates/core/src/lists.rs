@@ -15,10 +15,10 @@
 //! flipped bit in an image, and it must not send a `malloc` or the
 //! checker into uncarved (possibly unmapped) descriptors.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 
 use nvm::PmemPool;
-use pptr::Link;
+use pptr::{AtomicLink, Link};
 
 use crate::descriptor::Desc;
 use crate::layout::{Geometry, USED_SB_OFF};
@@ -54,15 +54,15 @@ impl DescList {
     }
 
     #[inline]
-    fn head<'a>(&self, pool: &'a PmemPool) -> &'a AtomicU64 {
+    fn head<'a>(&self, pool: &'a PmemPool) -> &'a AtomicLink<30> {
         // SAFETY: metadata offsets are in bounds and 8-aligned.
-        unsafe { pool.atomic_u64(self.head_off) }
+        AtomicLink::from_ref(unsafe { pool.atomic_u64(self.head_off) })
     }
 
     /// True when `idx` was carved: below the `used` word. Read after the
     /// link that named it: that link's writer had seen the carve's `used`
-    /// CAS, and the link's Release / Acquire pair carries that to this
-    /// load, so a listed descriptor always passes.
+    /// CAS, and the link's store / load pair carries that to this load,
+    /// so a listed descriptor always passes.
     #[inline]
     fn carved(pool: &PmemPool, idx: u32) -> bool {
         // SAFETY: a header word, in bounds and 8-aligned.
@@ -70,7 +70,7 @@ impl DescList {
     }
 
     #[inline]
-    fn link_of<'a>(&self, d: &Desc<'a>) -> &'a AtomicU64 {
+    fn link_of<'a>(&self, d: &Desc<'a>) -> &'a AtomicLink<30> {
         match self.link {
             LinkField::Free => d.next_free(),
             LinkField::Partial => d.next_partial(),
@@ -83,14 +83,10 @@ impl DescList {
         let desc = Desc::new(pool, geo, idx);
         let link = self.link_of(&desc);
         loop {
-            let h = Link::<30>(head.load(Ordering::Acquire));
+            let h = head.load();
             // Our descriptor is unlisted, so we own its link word.
-            link.store(Link::<30>::new(h.target(), 0).0, Ordering::Relaxed);
-            let nh = h.advance(Some(idx as u64));
-            if head
-                .compare_exchange_weak(h.0, nh.0, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
+            link.store(Link::new(h.target(), 0));
+            if head.compare_exchange(h, h.advance(Some(idx as u64))).is_ok() {
                 return;
             }
         }
@@ -101,15 +97,10 @@ impl DescList {
     pub fn pop(&self, pool: &PmemPool, geo: &Geometry) -> Option<u32> {
         let head = self.head(pool);
         loop {
-            let h = Link::<30>(head.load(Ordering::Acquire));
+            let h = head.load();
             let idx = h.target().map(|i| i as u32).filter(|&i| Self::carved(pool, i))?;
-            let desc = Desc::new(pool, geo, idx);
-            let next = Link::<30>(self.link_of(&desc).load(Ordering::Acquire));
-            let nh = h.advance(next.target());
-            if head
-                .compare_exchange_weak(h.0, nh.0, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
+            let next = self.link_of(&Desc::new(pool, geo, idx)).load();
+            if head.compare_exchange(h, h.advance(next.target())).is_ok() {
                 return Some(idx);
             }
         }
@@ -120,7 +111,7 @@ impl DescList {
     /// only, on descriptors nothing else is linking.
     pub fn thread(&self, pool: &PmemPool, geo: &Geometry, chain: &[u32]) {
         for w in chain.windows(2) {
-            self.link_of(&Desc::new(pool, geo, w[0])).store(Link::<30>::new(Some(w[1] as u64), 0).0, Ordering::Relaxed);
+            self.link_of(&Desc::new(pool, geo, w[0])).store(Link::new(Some(w[1] as u64), 0));
         }
     }
 
@@ -132,7 +123,7 @@ impl DescList {
     /// operation is in flight for the counter to protect, and publishing
     /// the same chains again leaves every byte as it was.
     pub fn publish<'c>(&self, pool: &PmemPool, geo: &Geometry, chains: impl IntoIterator<Item = &'c [u32]>) {
-        let link = |idx: u32, next: Option<u32>| self.link_of(&Desc::new(pool, geo, idx)).store(Link::<30>::new(next.map(u64::from), 0).0, Ordering::Relaxed);
+        let link = |idx: u32, next: Option<u32>| self.link_of(&Desc::new(pool, geo, idx)).store(Link::new(next.map(u64::from), 0));
         let (mut first, mut last) = (None, None);
         for chain in chains.into_iter().filter(|c| !c.is_empty()) {
             match last {
@@ -145,22 +136,20 @@ impl DescList {
             link(l, None);
         }
         let head = self.head(pool);
-        let counter = Link::<30>(head.load(Ordering::Relaxed)).tag();
-        head.store(Link::<30>::new(first.map(u64::from), counter).0, Ordering::Release);
+        head.store(Link::new(first.map(u64::from), head.load().tag()));
     }
 
     /// Snapshot the list contents (offline use: diagnostics, tests). A
     /// link past `used` is the last element, not followed.
     pub fn collect(&self, pool: &PmemPool, geo: &Geometry) -> Vec<u32> {
         let mut out = Vec::new();
-        let mut cur = Link::<30>(self.head(pool).load(Ordering::Acquire)).target();
+        let mut cur = self.head(pool).load().target();
         while let Some(idx) = cur.map(|i| i as u32) {
             out.push(idx);
             if !Self::carved(pool, idx) {
                 break;
             }
-            let desc = Desc::new(pool, geo, idx);
-            cur = Link::<30>(self.link_of(&desc).load(Ordering::Acquire)).target();
+            cur = self.link_of(&Desc::new(pool, geo, idx)).load().target();
             if out.len() > geo.max_sb {
                 // Diagnose rather than loop forever: name the first
                 // revisited descriptor, since a cycle here means a link
@@ -169,7 +158,7 @@ impl DescList {
                 let first_dup = out.iter().find(|&&i| !seen.insert(i)).copied();
                 panic!(
                     "descriptor list cycle detected: head_word={:#x} len={} first_dup={:?}",
-                    self.head(pool).load(Ordering::Relaxed),
+                    self.head(pool).load().0,
                     out.len(),
                     first_dup,
                 );
@@ -264,34 +253,20 @@ mod tests {
     fn publish_concatenates_chains_and_keeps_the_counter() {
         let (pool, geo) = test_heap();
         let l = DescList::partial_shard(&geo, 3, 1);
+        let head = l.head(&pool);
         l.push(&pool, &geo, 99);
-        // SAFETY: a list head: in bounds and 8-aligned.
-        let head = unsafe { pool.atomic_u64(geo.partial_head(3, 1)) };
-        let c0 = Link::<30>(head.load(Ordering::Relaxed)).tag();
-        let chains: [&[u32]; 4] = [&[5, 6], &[], &[7, 8, 9], &[10]];
-        chains.iter().for_each(|c| l.thread(&pool, &geo, c));
-        l.publish(&pool, &geo, chains);
-        assert_eq!(l.collect(&pool, &geo), vec![5, 6, 7, 8, 9, 10], "publish replaces the list");
-        let word = head.load(Ordering::Relaxed);
-        assert_eq!(Link::<30>(word).tag(), c0, "publish keeps the ABA counter");
-        l.publish(&pool, &geo, chains);
-        assert_eq!(head.load(Ordering::Relaxed), word, "publishing again changes nothing");
-    }
-
-    #[test]
-    fn splice_publishes_chain_in_one_cas() {
-        // A whole threaded chain becomes the list in one head write: the
-        // elements come out in chain order and no CAS loop bumps the counter.
-        let (pool, geo) = test_heap();
-        let l = DescList::partial_shard(&geo, 3, 1);
-        // SAFETY: a list head: in bounds and 8-aligned.
-        let head = unsafe { pool.atomic_u64(geo.partial_head(3, 1)) };
-        let c0 = Link::<30>(head.load(Ordering::Relaxed)).tag();
-        let chain: &[u32] = &[5, 6, 7];
-        l.thread(&pool, &geo, chain);
-        l.publish(&pool, &geo, [chain]);
-        assert_eq!(Link::<30>(head.load(Ordering::Relaxed)).tag(), c0, "publishing a chain is one plain store");
-        assert_eq!(l.collect(&pool, &geo), vec![5, 6, 7]);
+        let c0 = head.load().tag();
+        let many: &[&[u32]] = &[&[5, 6], &[], &[7, 8, 9], &[10]];
+        let one: &[&[u32]] = &[&[5, 6, 7]];
+        for chains in [many, one] {
+            chains.iter().for_each(|c| l.thread(&pool, &geo, c));
+            l.publish(&pool, &geo, chains.iter().copied());
+            assert_eq!(l.collect(&pool, &geo), chains.concat(), "publish replaces the list");
+            let word = head.load();
+            assert_eq!(word.tag(), c0, "publish keeps the ABA counter");
+            l.publish(&pool, &geo, chains.iter().copied());
+            assert_eq!(head.load(), word, "publishing again changes nothing");
+        }
         assert_eq!(l.pop(&pool, &geo), Some(5), "the published list is live for pops");
         assert_eq!(l.collect(&pool, &geo), vec![6, 7]);
     }
@@ -304,25 +279,21 @@ mod tests {
         let l = DescList::partial_shard(&geo, 5, 2);
         l.push(&pool, &geo, 7);
         l.push(&pool, &geo, 8);
-        // SAFETY: a list head: in bounds and 8-aligned.
-        let head = unsafe { pool.atomic_u64(geo.partial_head(5, 2)) };
-        let c0 = Link::<30>(head.load(Ordering::Relaxed)).tag();
+        let c0 = l.head(&pool).load().tag();
         l.publish(&pool, &geo, []);
         assert_eq!(l.pop(&pool, &geo), None, "publishing no chain empties the list");
-        assert_eq!(Link::<30>(head.load(Ordering::Relaxed)).tag(), c0, "an empty publish keeps the counter");
+        assert_eq!(l.head(&pool).load().tag(), c0, "an empty publish keeps the counter");
     }
 
     #[test]
     fn aba_counter_advances() {
         let (pool, geo) = test_heap();
         let l = DescList::free_list(&geo);
-        // SAFETY: the free-list head: in bounds and 8-aligned.
-        let head = unsafe { pool.atomic_u64(crate::layout::FREE_LIST_OFF) };
-        let c0 = Link::<30>(head.load(Ordering::Relaxed)).tag();
+        let c0 = l.head(&pool).load().tag();
         l.push(&pool, &geo, 4);
         l.pop(&pool, &geo);
         l.push(&pool, &geo, 4);
-        let c1 = Link::<30>(head.load(Ordering::Relaxed)).tag();
+        let c1 = l.head(&pool).load().tag();
         assert_eq!(c1, c0 + 3, "every successful CAS bumps the counter");
     }
 

@@ -118,7 +118,6 @@ use std::time::{Duration, Instant};
 use nvm::sys::HUGE_PAGE;
 use nvm::CACHE_LINE;
 use parking_lot::Mutex;
-use pptr::Link;
 use telemetry::EventKind;
 
 use crate::anchor::{Anchor, SbState};
@@ -258,9 +257,7 @@ pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
     {
         let root_fns = inner.root_fns.lock();
         for i in 0..NUM_ROOTS {
-            // SAFETY: root slots are 8-aligned metadata words.
-            let raw = unsafe { pool.atomic_u64(geo.root(i)) }.load(Ordering::Acquire);
-            if let Some(off) = Link::<48>(raw).target() {
+            if let Some(off) = inner.root(i).load().target() {
                 let addr = pool.base() as usize + geo.sb(0) + off as usize;
                 roots.push((addr, root_fns.get(&i).copied()));
             }

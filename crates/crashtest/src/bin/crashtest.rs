@@ -33,17 +33,9 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use crashtest::{
-    cleanup, run_once, seed_from_env, KillSpec, RunConfig, Structure, XorShift, SEED_ENV,
+    cleanup, parse_u64, ready_path, run_once, seed_from_env, KillSpec, RunConfig, Structure, XorShift,
+    SEED_ENV,
 };
-
-fn parse_u64(s: &str) -> Option<u64> {
-    let t = s.trim();
-    if let Some(hex) = t.strip_prefix("0x") {
-        u64::from_str_radix(hex, 16).ok()
-    } else {
-        t.parse().ok()
-    }
-}
 
 /// Minimal `--flag value` parser over the remaining args.
 struct Args(Vec<String>);
@@ -106,16 +98,57 @@ fn structures_arg(args: &mut Args) -> Vec<Structure> {
     }
 }
 
+/// `--seed S`, else `RALLOC_CRASH_SEED`, else a fresh one.
+fn seed_arg(args: &mut Args) -> u64 {
+    args.opt("--seed")
+        .map(|v| parse_u64(&v).unwrap_or_else(|| die("bad --seed")))
+        .unwrap_or_else(seed_from_env)
+}
+
+/// The one run that `run` or `victim` (`cmd`) names. A victim kills
+/// itself by event count only, so it takes no `--time-us`, and it has no
+/// default pool.
+fn run_config(args: &mut Args, cmd: &str) -> RunConfig {
+    let victim = cmd == "victim";
+    let structure = match structures_arg(args).as_slice() {
+        [s] => *s,
+        _ => die(&format!("{cmd} needs exactly one --structure")),
+    };
+    let pool = match args.opt("--pool") {
+        Some(p) => PathBuf::from(p),
+        None if victim => die("victim needs --pool"),
+        None => std::env::temp_dir().join("crashtest_run.pool"),
+    };
+    let mut cfg = RunConfig::new(structure, pool, seed_arg(args));
+    if let Some(t) = args.opt("--threads").and_then(|v| v.parse().ok()) {
+        cfg.threads = t;
+    }
+    if let Some(n) = args.opt("--ops").and_then(|v| v.parse().ok()) {
+        cfg.ops_per_thread = n;
+    }
+    let num = |flag: &str, v: String| parse_u64(&v).unwrap_or_else(|| die(&format!("bad {flag}")));
+    cfg.kill = if let Some(n) = args.opt("--events") {
+        KillSpec::Events(num("--events", n))
+    } else if let Some(us) = if victim { None } else { args.opt("--time-us") } {
+        KillSpec::TimeMicros(num("--time-us", us))
+    } else if args.flag("--no-kill") {
+        KillSpec::None
+    } else if victim {
+        die("victim needs --events N or --no-kill")
+    } else {
+        die("run needs --events N, --time-us N, or --no-kill")
+    };
+    args.finish();
+    cfg
+}
+
 fn sweep(args: &mut Args) -> ExitCode {
     let structures = structures_arg(args);
     let rounds: usize = args
         .opt("--rounds")
         .and_then(|v| v.parse().ok())
         .unwrap_or(25);
-    let seed = args
-        .opt("--seed")
-        .map(|v| parse_u64(&v).unwrap_or_else(|| die("bad --seed")))
-        .unwrap_or_else(seed_from_env);
+    let seed = seed_arg(args);
     let dir = args
         .opt("--dir")
         .map(PathBuf::from)
@@ -180,36 +213,8 @@ fn sweep(args: &mut Args) -> ExitCode {
 }
 
 fn run(args: &mut Args) -> ExitCode {
-    let structure = match structures_arg(args).as_slice() {
-        [s] => *s,
-        _ => die("run needs exactly one --structure"),
-    };
-    let pool = args
-        .opt("--pool")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| std::env::temp_dir().join("crashtest_run.pool"));
-    let seed = args
-        .opt("--seed")
-        .map(|v| parse_u64(&v).unwrap_or_else(|| die("bad --seed")))
-        .unwrap_or_else(seed_from_env);
-    let mut cfg = RunConfig::new(structure, pool, seed);
-    if let Some(t) = args.opt("--threads").and_then(|v| v.parse().ok()) {
-        cfg.threads = t;
-    }
-    if let Some(n) = args.opt("--ops").and_then(|v| v.parse().ok()) {
-        cfg.ops_per_thread = n;
-    }
-    cfg.kill = if let Some(n) = args.opt("--events") {
-        KillSpec::Events(parse_u64(&n).unwrap_or_else(|| die("bad --events")))
-    } else if let Some(us) = args.opt("--time-us") {
-        KillSpec::TimeMicros(parse_u64(&us).unwrap_or_else(|| die("bad --time-us")))
-    } else if args.flag("--no-kill") {
-        KillSpec::None
-    } else {
-        die("run needs --events N, --time-us N, or --no-kill")
-    };
-    args.finish();
-
+    let cfg = run_config(args, "run");
+    let (structure, seed) = (cfg.structure, cfg.seed);
     match run_once(&cfg) {
         Ok(r) => {
             println!(
@@ -238,37 +243,9 @@ fn run(args: &mut Args) -> ExitCode {
 /// `--events N` the process SIGKILLs itself mid-workload, leaving the
 /// pool dirty on disk — the raw material for post-mortem forensics.
 fn victim(args: &mut Args) -> ! {
-    let structure = match structures_arg(args).as_slice() {
-        [s] => *s,
-        _ => die("victim needs exactly one --structure"),
-    };
-    let pool = args
-        .opt("--pool")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| die("victim needs --pool"));
-    let seed = args
-        .opt("--seed")
-        .map(|v| parse_u64(&v).unwrap_or_else(|| die("bad --seed")))
-        .unwrap_or_else(seed_from_env);
-    let mut cfg = RunConfig::new(structure, pool, seed);
-    if let Some(t) = args.opt("--threads").and_then(|v| v.parse().ok()) {
-        cfg.threads = t;
-    }
-    if let Some(n) = args.opt("--ops").and_then(|v| v.parse().ok()) {
-        cfg.ops_per_thread = n;
-    }
-    cfg.kill = if let Some(n) = args.opt("--events") {
-        KillSpec::Events(parse_u64(&n).unwrap_or_else(|| die("bad --events")))
-    } else if args.flag("--no-kill") {
-        KillSpec::None
-    } else {
-        die("victim needs --events N or --no-kill")
-    };
-    args.finish();
+    let cfg = run_config(args, "victim");
     let _ = std::fs::remove_file(&cfg.pool);
-    let mut marker = cfg.pool.as_os_str().to_owned();
-    marker.push(".ready");
-    let _ = std::fs::remove_file(PathBuf::from(marker));
+    let _ = std::fs::remove_file(ready_path(&cfg.pool));
     crashtest::child_exec(&cfg)
 }
 

@@ -114,7 +114,8 @@ pub struct RunReport {
     pub inflight: usize,
 }
 
-fn ready_path(pool: &Path) -> PathBuf {
+/// The marker a victim writes next to `pool` once its setup is done.
+pub fn ready_path(pool: &Path) -> PathBuf {
     let mut p = pool.as_os_str().to_owned();
     p.push(".ready");
     PathBuf::from(p)
@@ -242,17 +243,20 @@ pub fn cleanup(cfg: &RunConfig) {
     let _ = std::fs::remove_file(ready_path(&cfg.pool));
 }
 
+/// A number in decimal or `0x`-hex: a seed or a count.
+pub fn parse_u64(s: &str) -> Option<u64> {
+    let t = s.trim();
+    match t.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => t.parse().ok(),
+    }
+}
+
 /// Read the sweep seed: `RALLOC_CRASH_SEED` if set (decimal or
 /// `0x`-hex), else derived from the process id and time.
 pub fn seed_from_env() -> u64 {
     if let Ok(s) = std::env::var(SEED_ENV) {
-        let t = s.trim();
-        let parsed = if let Some(hex) = t.strip_prefix("0x") {
-            u64::from_str_radix(hex, 16).ok()
-        } else {
-            t.parse().ok()
-        };
-        if let Some(v) = parsed {
+        if let Some(v) = parse_u64(&s) {
             return v;
         }
         eprintln!("crashtest: ignoring unparsable {SEED_ENV}={s}");

@@ -23,7 +23,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use ralloc::{Link, PersistentAllocator, Ralloc, Trace, Tracer};
+use ralloc::{AtomicLink, Link, PersistentAllocator, Ralloc, Trace, Tracer};
 
 /// Maximum workload threads a log directory can register.
 pub const MAX_THREADS: usize = 8;
@@ -92,14 +92,14 @@ pub struct ThreadLog {
 /// Root block: slot `t` holds a `Link<48>` to thread `t`'s log.
 #[repr(C)]
 pub struct OpLogDir {
-    slots: [AtomicU64; MAX_THREADS],
+    slots: [AtomicLink<48>; MAX_THREADS],
 }
 
 // SAFETY: a directory's slots are its only links, each to a thread log.
 unsafe impl Trace for OpLogDir {
     fn trace(&self, t: &mut Tracer<'_>) {
         for s in &self.slots {
-            t.visit_link::<ThreadLog>(Link(s.load(Ordering::Relaxed)));
+            t.visit_link::<ThreadLog>(s.load());
         }
     }
 }
@@ -120,15 +120,14 @@ pub fn create(heap: &Ralloc, root: usize, threads: usize) -> *mut OpLogDir {
     // SAFETY: fresh blocks, exclusively owned until published.
     unsafe {
         for s in &(*dir).slots {
-            s.store(Link::<48>::NONE.0, Ordering::Relaxed);
+            s.store(Link::NONE);
         }
         for t in 0..threads {
             let log = heap.malloc(std::mem::size_of::<ThreadLog>()) as *mut ThreadLog;
             assert!(!log.is_null(), "heap exhausted creating thread log");
             std::ptr::write_bytes(log as *mut u8, 0, std::mem::size_of::<ThreadLog>());
             heap.persist(log as *const u8, std::mem::size_of::<ThreadLog>());
-            let to_log = Link::<48>::new(Some((log as usize - heap.region_base()) as u64), 0);
-            (*dir).slots[t].store(to_log.0, Ordering::Release);
+            (*dir).slots[t].store(Link::new(Some((log as usize - heap.region_base()) as u64), 0));
         }
     }
     heap.persist(dir as *const u8, std::mem::size_of::<OpLogDir>());
@@ -149,7 +148,7 @@ pub fn attach(heap: &Ralloc, root: usize) -> Option<*mut OpLogDir> {
 /// `dir` is a live directory whose slots were published.
 unsafe fn log_of(heap: &Ralloc, dir: *mut OpLogDir, t: usize) -> Option<*mut ThreadLog> {
     // SAFETY: the caller's contract.
-    let slot = Link::<48>(unsafe { (*dir).slots[t].load(Ordering::Acquire) });
+    let slot = unsafe { (*dir).slots[t].load() };
     slot.target().map(|off| (heap.region_base() + off as usize) as *mut ThreadLog)
 }
 

@@ -20,7 +20,8 @@
 //! ([`ralloc::Trace`] impls) so the recovery GC traces it precisely. Every
 //! link is a [`ralloc::Link<48>`](ralloc::Link): the offset of its target
 //! from `region_base()`, with an ABA counter or mark bits in its tag where
-//! it is CASed. On a Ralloc heap that is a superblock-region offset, so
+//! it is CASed, and every link word that threads share is a
+//! [`ralloc::AtomicLink<48>`](ralloc::AtomicLink). On a Ralloc heap that is a superblock-region offset, so
 //! every structure is position-independent by construction. `RbTree`'s
 //! rebalancing rewrites several pointers at once, so [`PRbTree`] makes it
 //! recoverable as a persistent op-log in front of a transient index.

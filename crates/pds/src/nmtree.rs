@@ -25,10 +25,8 @@
 //! (flag/tag CASes included), giving the buffered-durable behaviour the
 //! paper's model permits.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use parking_lot::Mutex;
-use ralloc::{Link, PersistentAllocator, Ralloc, Trace, Tracer};
+use ralloc::{AtomicLink, Link, PersistentAllocator, Ralloc, Trace, Tracer};
 
 use crate::{block, offset};
 
@@ -46,15 +44,15 @@ const INF2: u64 = u64::MAX;
 pub struct NmNode {
     key: u64,
     value: u64,
-    left: AtomicU64,
-    right: AtomicU64,
+    left: AtomicLink<48>,
+    right: AtomicLink<48>,
 }
 
 // SAFETY: `left` and `right` are a node's only links.
 unsafe impl Trace for NmNode {
     fn trace(&self, t: &mut Tracer<'_>) {
         for edge in [&self.left, &self.right] {
-            t.visit_link::<NmNode>(Link(edge.load(Ordering::Relaxed)));
+            t.visit_link::<NmNode>(edge.load());
         }
     }
 }
@@ -92,8 +90,8 @@ impl NmTree {
         unsafe {
             (*n).key = key;
             (*n).value = value;
-            (*n).left = AtomicU64::new(Link::<48>::NONE.0);
-            (*n).right = AtomicU64::new(Link::<48>::NONE.0);
+            (*n).left = AtomicLink::new(Link::NONE);
+            (*n).right = AtomicLink::new(Link::NONE);
         }
         n
     }
@@ -108,8 +106,8 @@ impl NmTree {
         self.heap.persist(n as *const u8, std::mem::size_of::<NmNode>());
     }
 
-    fn persist_edge(&self, e: &AtomicU64) {
-        self.heap.persist(e as *const AtomicU64 as *const u8, 8);
+    fn persist_edge(&self, e: &AtomicLink<48>) {
+        self.heap.persist(e as *const AtomicLink<48> as *const u8, 8);
     }
 
     /// Create a fresh tree registered at root slot `root`.
@@ -122,10 +120,10 @@ impl NmTree {
         let tree = NmTree { heap: heap.clone(), base: heap.region_base(), r, s, retired: Mutex::new(Vec::new()) };
         // SAFETY: freshly allocated, exclusively owned.
         unsafe {
-            (*s).left.store(tree.edge(leaf_inf1).0, Ordering::Relaxed);
-            (*s).right.store(tree.edge(leaf_inf2a).0, Ordering::Relaxed);
-            (*r).left.store(tree.edge(s).0, Ordering::Relaxed);
-            (*r).right.store(tree.edge(leaf_inf2b).0, Ordering::Relaxed);
+            (*s).left.store(tree.edge(leaf_inf1));
+            (*s).right.store(tree.edge(leaf_inf2a));
+            (*r).left.store(tree.edge(s));
+            (*r).right.store(tree.edge(leaf_inf2b));
         }
         for n in [leaf_inf1, leaf_inf2a, leaf_inf2b, s, r] {
             tree.persist_node(n);
@@ -144,7 +142,7 @@ impl NmTree {
         let base = heap.region_base();
         // S is R's left child by construction.
         // SAFETY: R is live.
-        let s = block(base, Link(unsafe { (*r).left.load(Ordering::Acquire) })).expect("R links S");
+        let s = block(base, unsafe { (*r).left.load() }).expect("R links S");
         Some(NmTree { heap: heap.clone(), base, r, s, retired: Mutex::new(Vec::new()) })
     }
 
@@ -152,13 +150,12 @@ impl NmTree {
     fn is_leaf(&self, n: *mut NmNode) -> bool {
         // SAFETY: tree nodes stay mapped for the heap's lifetime.
         unsafe {
-            Link::<48>((*n).left.load(Ordering::Acquire)).target().is_none()
-                && Link::<48>((*n).right.load(Ordering::Acquire)).target().is_none()
+            (*n).left.load().target().is_none() && (*n).right.load().target().is_none()
         }
     }
 
     #[inline]
-    fn child_edge(&self, n: *mut NmNode, key: u64) -> &AtomicU64 {
+    fn child_edge(&self, n: *mut NmNode, key: u64) -> &AtomicLink<48> {
         // SAFETY: node is live.
         unsafe {
             if key < (*n).key {
@@ -183,10 +180,10 @@ impl NmTree {
                 leaf: std::ptr::null_mut(),
             };
             // Edge parent(S) -> first node on the search path.
-            let mut parent_field = Link(self.child_edge(self.s, key).load(Ordering::Acquire));
+            let mut parent_field = self.child_edge(self.s, key).load();
             rec.leaf = block(self.base, parent_field).expect("S has children");
             // Probe below: empty iff rec.leaf is an actual leaf.
-            let mut current_field = Link(self.child_edge(rec.leaf, key).load(Ordering::Acquire));
+            let mut current_field = self.child_edge(rec.leaf, key).load();
             while let Some(current) = block(self.base, current_field) {
                 // The (ancestor, successor) pair tracks the deepest edge
                 // into the path that is not tagged for removal.
@@ -197,7 +194,7 @@ impl NmTree {
                 rec.parent = rec.leaf;
                 rec.leaf = current;
                 parent_field = current_field;
-                current_field = Link(self.child_edge(rec.leaf, key).load(Ordering::Acquire));
+                current_field = self.child_edge(rec.leaf, key).load();
             }
             rec
         }
@@ -246,26 +243,20 @@ impl NmTree {
                     (key, rec.leaf, new_leaf)
                 };
                 (*new_internal).key = lkey;
-                (*new_internal).left.store(self.edge(l).0, Ordering::Relaxed);
-                (*new_internal).right.store(self.edge(r).0, Ordering::Relaxed);
+                (*new_internal).left.store(self.edge(l));
+                (*new_internal).right.store(self.edge(r));
             }
             self.persist_node(new_leaf);
             self.persist_node(new_internal);
             let edge = self.child_edge(rec.parent, key);
             let expected = self.edge(rec.leaf);
-            match edge.compare_exchange(
-                expected.0,
-                self.edge(new_internal).0,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
+            match edge.compare_exchange(expected, self.edge(new_internal)) {
                 Ok(_) => {
                     self.persist_edge(edge);
                     return true;
                 }
                 Err(actual) => {
                     // Help an in-flight deletion at this edge, then retry.
-                    let actual = Link::<48>(actual);
                     if actual.target() == expected.target() && actual.tag() != 0 {
                         self.cleanup(key, &rec);
                     }
@@ -292,12 +283,7 @@ impl NmTree {
                 }
                 let edge = self.child_edge(rec.parent, key);
                 let expected = self.edge(rec.leaf);
-                match edge.compare_exchange(
-                    expected.0,
-                    Link::<48>::new(expected.target(), FLAG).0,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                ) {
+                match edge.compare_exchange(expected, Link::new(expected.target(), FLAG)) {
                     Ok(_) => {
                         self.persist_edge(edge);
                         injected = true;
@@ -307,7 +293,6 @@ impl NmTree {
                         }
                     }
                     Err(actual) => {
-                        let actual = Link::<48>(actual);
                         if actual.target() == expected.target() && actual.tag() != 0 {
                             self.cleanup(key, &rec);
                         }
@@ -338,12 +323,12 @@ impl NmTree {
                 (&(*rec.parent).right, &(*rec.parent).left)
             }
         };
-        let child_word = Link::<48>(child_edge.load(Ordering::Acquire));
+        let child_word = child_edge.load();
         // Normally the key-side edge carries the flag; when helping a
         // deletion injected on the *other* side, the survivor is the
         // key-side child instead.
         let (sib_edge, mut sib_word) = if child_word.tag() & FLAG != 0 {
-            (sibling_edge, Link(sibling_edge.load(Ordering::Acquire)))
+            (sibling_edge, sibling_edge.load())
         } else {
             (child_edge, child_word)
         };
@@ -351,9 +336,9 @@ impl NmTree {
         // of an insert or a flag, freezing its value.
         while sib_word.tag() & TAG == 0 {
             let tagged = Link::new(sib_word.target(), sib_word.tag() | TAG);
-            match sib_edge.compare_exchange_weak(sib_word.0, tagged.0, Ordering::AcqRel, Ordering::Acquire) {
+            match sib_edge.compare_exchange(sib_word, tagged) {
                 Ok(_) => sib_word = tagged,
-                Err(w) => sib_word = Link(w),
+                Err(w) => sib_word = w,
             }
         }
         self.persist_edge(sib_edge);
@@ -361,18 +346,13 @@ impl NmTree {
         // sibling, dropping the tag but preserving any flag the sibling
         // itself carries (its own deletion will be completed later).
         let expected = self.edge(rec.successor);
-        let new_word = Link::<48>::new(sib_word.target(), sib_word.tag() & FLAG);
-        match ancestor_edge.compare_exchange(expected.0, new_word.0, Ordering::AcqRel, Ordering::Acquire)
-        {
+        let new_word = Link::new(sib_word.target(), sib_word.tag() & FLAG);
+        match ancestor_edge.compare_exchange(expected, new_word) {
             Ok(_) => {
                 self.persist_edge(ancestor_edge);
                 // Exactly one thread wins this CAS; it retires the dead
                 // parent and the flagged victim leaf.
-                let victim_word = Link::<48>(if std::ptr::eq(sib_edge, child_edge) {
-                    sibling_edge.load(Ordering::Acquire)
-                } else {
-                    child_edge.load(Ordering::Acquire)
-                });
+                let victim_word = if std::ptr::eq(sib_edge, child_edge) { sibling_edge } else { child_edge }.load();
                 let mut retired = self.retired.lock();
                 retired.push(rec.parent as usize);
                 if let Some(victim) = block::<NmNode>(self.base, victim_word) {
@@ -417,7 +397,7 @@ impl NmTree {
         // SAFETY: offline traversal.
         unsafe {
             for edge in [&(*n).left, &(*n).right] {
-                if let Some(child) = block(self.base, Link(edge.load(Ordering::Relaxed))) {
+                if let Some(child) = block(self.base, edge.load()) {
                     self.walk(child, out);
                 }
             }

@@ -11,6 +11,11 @@
 //! existing key allocates a new entry and frees the old one, as
 //! memcached's item replacement does.
 //!
+//! A key's bucket is the high bits of its Fibonacci hash, which every key
+//! bit moves; the bucket block carries a format word that says so, and
+//! [`PKv::attach`] refuses a block without it (one built when the low
+//! bits, which only the key's low bits move, picked the bucket).
+//!
 //! Links are [`Link<48>`]s with tag 0, the target's offset from
 //! `region_base()`: on a Ralloc heap a superblock-region offset, so the
 //! map is position-independent, and
@@ -22,23 +27,32 @@
 //! the old entry is freed, so a crash exposes the map before or after the
 //! op, never a torn entry or a freed one.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use parking_lot::RwLock;
-use ralloc::{Link, PersistentAllocator, Ralloc, Trace, Tracer};
+use ralloc::{AtomicLink, Link, PersistentAllocator, Ralloc, Trace, Tracer};
 
 use crate::{block, offset};
 
-/// Bucket block: the bucket count, then that many link slots. It lives in
-/// the allocator's memory, registered as a persistent root by
-/// [`PKv::create`].
+/// Bucket block: the bucket count, the format word, then that many link
+/// slots. It lives in the allocator's memory, registered as a persistent
+/// root by [`PKv::create`].
 #[repr(C)]
 pub struct KvHead {
     /// Number of slots that follow (a power of two).
     buckets: u64,
-    // `buckets` × AtomicU64 slots follow, each a `Link<48>` to a chain's
-    // first entry (no target = empty).
+    /// [`FORMAT`].
+    format: u64,
+    // `buckets` × `AtomicLink<48>` slots follow, each to a chain's first
+    // entry (no target = empty).
 }
+
+/// The format word of a bucket block whose map picks a key's bucket by
+/// the high bits of its hash. A block without it was built when the low
+/// bits picked it: its slots start where this word is, and every key
+/// would be looked up in the wrong chain. Its top 16 bits are neither a
+/// tag-0 link's (0) nor a `Pptr`'s.
+const FORMAT: u64 = u64::from_be_bytes(*b"PKv:hash");
 
 /// A chain entry; `vlen` value bytes follow it. Only `next` changes after
 /// publication (an unlink of its successor).
@@ -46,15 +60,17 @@ pub struct KvHead {
 struct KvEntry {
     key: u64,
     vlen: u64,
-    /// The next entry (a `Link<48>`; no target = end).
-    next: AtomicU64,
+    /// The next entry (no target = end).
+    next: AtomicLink<48>,
 }
 
 const HDR: usize = std::mem::size_of::<KvEntry>();
 
+const HEAD: usize = std::mem::size_of::<KvHead>();
+
 #[inline]
 fn head_bytes(buckets: usize) -> usize {
-    8 + 8 * buckets
+    HEAD + 8 * buckets
 }
 
 /// The first `n` slots of the head at `head`.
@@ -62,14 +78,14 @@ fn head_bytes(buckets: usize) -> usize {
 /// # Safety
 /// The head's block holds at least `n` slots after its count.
 #[inline]
-unsafe fn slots<'a>(head: *const KvHead, n: u64) -> &'a [AtomicU64] {
+unsafe fn slots<'a>(head: *const KvHead, n: u64) -> &'a [AtomicLink<48>] {
     // SAFETY: the caller guarantees the block holds `n` slots.
-    unsafe { std::slice::from_raw_parts((head as *const u8).add(8) as *const AtomicU64, n as usize) }
+    unsafe { std::slice::from_raw_parts((head as *const u8).add(HEAD) as *const AtomicLink<48>, n as usize) }
 }
 
 /// The slot array that follows a head at `head`.
 #[inline]
-fn slots_of<'a>(head: *const KvHead) -> &'a [AtomicU64] {
+fn slots_of<'a>(head: *const KvHead) -> &'a [AtomicLink<48>] {
     // SAFETY: a live handle's head holds its count plus that many slots
     // (`new` allocates it so, and `attach` checks the block's usable size).
     unsafe { slots(head, (*head).buckets) }
@@ -82,10 +98,10 @@ unsafe impl Trace for KvHead {
         // Recovery runs before `attach` can check the count, so visit no
         // more slots than the block holds.
         let at = self as *const KvHead;
-        let room = t.block_bytes(at as usize).map_or(0, |bytes| bytes.saturating_sub(8) / 8);
+        let room = t.block_bytes(at as usize).map_or(0, |bytes| bytes.saturating_sub(HEAD as u64) / 8);
         // SAFETY: the block holds `room` slots after its count.
         for slot in unsafe { slots(at, self.buckets.min(room)) } {
-            t.visit_link::<KvEntry>(Link(slot.load(Ordering::Relaxed)));
+            t.visit_link::<KvEntry>(slot.load());
         }
     }
 }
@@ -93,11 +109,12 @@ unsafe impl Trace for KvHead {
 // SAFETY: `next` is an entry's only link; the value bytes hold none.
 unsafe impl Trace for KvEntry {
     fn trace(&self, t: &mut Tracer<'_>) {
-        t.visit_link::<KvEntry>(Link(self.next.load(Ordering::Relaxed)));
+        t.visit_link::<KvEntry>(self.next.load());
     }
 }
 
-/// Fibonacci hash: good spread for sequential YCSB keys.
+/// Fibonacci hash: good spread for sequential YCSB keys in its high bits
+/// (a low bit of the product depends only on the key's bits below it).
 #[inline]
 fn hash(key: u64) -> u64 {
     key.wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -114,7 +131,8 @@ pub struct PKv<A: PersistentAllocator = Ralloc> {
     base: usize,
     head: *mut KvHead,
     locks: Box<[RwLock<()>]>,
-    mask: u64,
+    /// `64 − log2(buckets)`: a key's bucket is `hash(key) >> shift`.
+    shift: u32,
     len: AtomicUsize,
 }
 
@@ -135,7 +153,8 @@ impl<A: PersistentAllocator> PKv<A> {
         // SAFETY: fresh block of `head_bytes(n)` bytes, exclusively owned.
         unsafe {
             (*head).buckets = n as u64;
-            std::ptr::write_bytes((head as *mut u8).add(8), 0, 8 * n);
+            (*head).format = FORMAT;
+            std::ptr::write_bytes((head as *mut u8).add(HEAD), 0, 8 * n);
         }
         alloc.persist(head as *const u8, head_bytes(n));
         PKv::with_head(alloc, head)
@@ -145,18 +164,18 @@ impl<A: PersistentAllocator> PKv<A> {
         let n = slots_of(head).len();
         let locks = (0..n).map(|_| RwLock::new(())).collect();
         let base = alloc.region_base();
-        PKv { alloc, base, head, locks, mask: n as u64 - 1, len: AtomicUsize::new(0) }
+        PKv { alloc, base, head, locks, shift: 64 - n.trailing_zeros(), len: AtomicUsize::new(0) }
     }
 
     /// Return every entry and the bucket block to the allocator. For a map
     /// from [`PKv::new`]; a rooted map's root would dangle.
     pub fn destroy(self) {
         for slot in slots_of(self.head) {
-            let mut cur = Link(slot.load(Ordering::Relaxed));
+            let mut cur = slot.load();
             while let Some(e) = block::<KvEntry>(self.base, cur) {
                 // SAFETY: the handle is consumed, so no other operation
                 // runs; every chained entry is still allocated.
-                cur = Link(unsafe { (*e).next.load(Ordering::Relaxed) });
+                cur = unsafe { (*e).next.load() };
                 self.alloc.free(e as *mut u8);
             }
         }
@@ -175,17 +194,17 @@ impl<A: PersistentAllocator> PKv<A> {
 
     /// A bucket's lock and its slot.
     #[inline]
-    fn bucket(&self, key: u64) -> (&RwLock<()>, &AtomicU64) {
-        let i = (hash(key) & self.mask) as usize;
+    fn bucket(&self, key: u64) -> (&RwLock<()>, &AtomicLink<48>) {
+        let i = (hash(key) >> self.shift) as usize;
         (&self.locks[i], &slots_of(self.head)[i])
     }
 
     /// The link that names `key`'s entry, and the entry (`None` if
     /// absent). The caller holds the bucket's lock.
-    fn find<'a>(&self, slot: &'a AtomicU64, key: u64) -> (&'a AtomicU64, Option<*mut KvEntry>) {
+    fn find<'a>(&self, slot: &'a AtomicLink<48>, key: u64) -> (&'a AtomicLink<48>, Option<*mut KvEntry>) {
         let mut link = slot;
         loop {
-            match block::<KvEntry>(self.base, Link(link.load(Ordering::Acquire))) {
+            match block::<KvEntry>(self.base, link.load()) {
                 // SAFETY: a chained entry stays allocated while the bucket
                 // lock is held; the reference lives as long as the lock.
                 Some(e) if unsafe { (*e).key } != key => link = unsafe { &(*e).next },
@@ -197,9 +216,9 @@ impl<A: PersistentAllocator> PKv<A> {
     /// Store `to` into `link` and persist it: the one write of every
     /// mutation.
     #[inline]
-    fn publish(&self, link: &AtomicU64, to: Link<48>) {
-        link.store(to.0, Ordering::Release);
-        self.alloc.persist(link as *const AtomicU64 as *const u8, 8);
+    fn publish(&self, link: &AtomicLink<48>, to: Link<48>) {
+        link.store(to);
+        self.alloc.persist(link as *const AtomicLink<48> as *const u8, 8);
     }
 
     /// Insert or replace; returns true if the key was new. The new entry
@@ -212,13 +231,13 @@ impl<A: PersistentAllocator> PKv<A> {
         let _w = lock.write();
         let (link, old) = self.find(slot, key);
         let next = match old {
-            None => slot.load(Ordering::Acquire),
+            None => slot.load(),
             // SAFETY: `old` is chained and we hold the write lock.
-            Some(old) => unsafe { (*old).next.load(Ordering::Acquire) },
+            Some(old) => unsafe { (*old).next.load() },
         };
         // SAFETY: fresh block of HDR + value.len() bytes, unpublished.
         unsafe {
-            e.write(KvEntry { key, vlen: value.len() as u64, next: AtomicU64::new(next) });
+            e.write(KvEntry { key, vlen: value.len() as u64, next: AtomicLink::new(next) });
             std::ptr::copy_nonoverlapping(value.as_ptr(), (e as *mut u8).add(HDR), value.len());
         }
         self.alloc.persist(e as *const u8, HDR + value.len());
@@ -264,8 +283,8 @@ impl<A: PersistentAllocator> PKv<A> {
         let (link, e) = self.find(slot, key);
         let e = e?;
         // SAFETY: `e` is chained and we hold the write lock.
-        let (value, next) = unsafe { (Self::value_of(e), (*e).next.load(Ordering::Acquire)) };
-        self.publish(link, Link(next));
+        let (value, next) = unsafe { (Self::value_of(e), (*e).next.load()) };
+        self.publish(link, next);
         self.alloc.free(e as *mut u8);
         self.len.fetch_sub(1, Ordering::Relaxed);
         Some(value)
@@ -288,12 +307,12 @@ impl<A: PersistentAllocator> PKv<A> {
         let mut out = Vec::new();
         for (i, slot) in slots_of(self.head).iter().enumerate() {
             let _r = self.locks[i].read();
-            let mut cur = Link(slot.load(Ordering::Acquire));
+            let mut cur = slot.load();
             while let Some(e) = block::<KvEntry>(self.base, cur) {
                 // SAFETY: chained entries, read under the bucket lock.
                 unsafe {
                     out.push(((*e).key, Self::value_of(e)));
-                    cur = Link((*e).next.load(Ordering::Acquire));
+                    cur = (*e).next.load();
                 }
             }
         }
@@ -311,18 +330,28 @@ impl PKv<Ralloc> {
     }
 
     /// Re-attach to a map persisted at root `root` (offline — the caller
-    /// owns the quiescent post-recovery heap). Refuses a missing root and
-    /// a bucket count that is not a power of two or that the head block
-    /// cannot hold.
+    /// owns the quiescent post-recovery heap). Refuses a missing root, a
+    /// block without the `FORMAT` word, and a bucket count that is not a
+    /// power of two, is below the 16 that [`PKv::new`] builds at least, or
+    /// that the head block cannot hold.
     pub fn attach(heap: &Ralloc, root: usize) -> Result<PKv, String> {
         let head = heap.get_root::<KvHead>(root);
         if head.is_null() {
             return Err(format!("no kv bucket block at root {root}"));
         }
-        // SAFETY: a registered root is a live block of at least 8 bytes.
+        let bytes = heap.usable_size(head as *mut u8);
+        // SAFETY: a registered root is a live block of `bytes` bytes, and
+        // the format word is read only when the block holds it.
+        if bytes < HEAD || unsafe { (*head).format } != FORMAT {
+            return Err(format!(
+                "kv bucket block at root {root} has no format mark: it was built when a key's bucket was \
+                 the low bits of its hash, and this map reads the high bits"
+            ));
+        }
+        // SAFETY: as above.
         let n = unsafe { (*head).buckets };
-        let room = heap.usable_size(head as *mut u8).saturating_sub(8) as u64 / 8;
-        if !n.is_power_of_two() || n > room {
+        let room = (bytes - HEAD) as u64 / 8;
+        if !n.is_power_of_two() || n < 16 || n > room {
             return Err(format!("corrupt kv bucket block: {n} buckets"));
         }
         let m = PKv::with_head(heap.clone(), head);
@@ -355,9 +384,10 @@ mod tests {
 
     /// Every thread inserts, updates (to a value of another size),
     /// deletes and reads on one map. Each thread owns a key stripe
-    /// (`tid << 32 | k`), but a bucket is picked by the key's low bits,
-    /// so every stripe spans all 16 buckets and threads race on the same
-    /// chains and bucket locks; a per-thread model predicts every result
+    /// (`tid << 32 | k`), but a bucket is picked by the high bits of the
+    /// key's hash, which the key's low bits move too, so every stripe
+    /// spans all 16 buckets and threads race on the same chains and
+    /// bucket locks; a per-thread model predicts every result
     /// and the final contents. A lost link drops, resurrects or garbles
     /// an entry.
     #[test]
@@ -419,6 +449,38 @@ mod tests {
             Ok(())
         };
         crate::runs_within_5s("map", RUNS, run);
+    }
+
+    /// Keys that differ only above their low four bits: a low-bits hash
+    /// put every one in bucket 0.
+    #[test]
+    fn multiples_of_sixteen_occupy_every_bucket() {
+        let kv = PKv::new(SystemAlloc::new(), 16);
+        for k in 0..1024u64 {
+            kv.set(k * 16, b"v");
+        }
+        let used = slots_of(kv.head).iter().filter(|s| s.load().target().is_some()).count();
+        assert_eq!(used, 16, "keys k × 16 occupy {used} of 16 buckets");
+        kv.destroy();
+    }
+
+    /// A bucket block in the old layout (the count, then the slots at
+    /// once), as a map built when the low bits picked a bucket left it.
+    #[test]
+    fn attach_refuses_an_old_layout_head_by_name() {
+        let h = heap();
+        let old = h.malloc(8 + 8 * 16) as *mut u64;
+        // SAFETY: a fresh block of 17 words.
+        unsafe {
+            old.write(16);
+            std::ptr::write_bytes(old.add(1), 0, 16);
+        }
+        h.persist(old as *const u8, 8 + 8 * 16);
+        h.set_root::<KvHead>(0, old as *mut KvHead);
+        let err = PKv::attach(&h, 0).err().expect("an old-layout head is refused");
+        assert!(err.contains("no format mark"), "{err}");
+        PKv::create(&h, 1, 16);
+        assert!(PKv::attach(&h, 1).is_ok(), "a fresh head carries the mark");
     }
 
     #[test]
@@ -635,5 +697,8 @@ mod tests {
         // SAFETY: as above.
         unsafe { (*m.head).buckets = 12 };
         assert!(PKv::attach(&h, 0).is_err(), "12 is not a power of two");
+        // SAFETY: as above.
+        unsafe { (*m.head).buckets = 1 };
+        assert!(PKv::attach(&h, 0).is_err(), "1 is below the 16 buckets `new` builds at least");
     }
 }

@@ -53,9 +53,7 @@
 //! `crashtest::register_filters` calls `get_root::<QueueHead>` before
 //! `recover`, as any caller must.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use ralloc::{Link, PersistentAllocator, Ralloc, Trace, Tracer};
+use ralloc::{AtomicLink, Link, PersistentAllocator, Ralloc, Trace, Tracer};
 
 use crate::{block, offset};
 
@@ -71,9 +69,9 @@ use crate::{block, offset};
 /// resets it (a clean restart leaks it until the next recovery).
 #[repr(C)]
 pub struct QueueHead {
-    head: AtomicU64,
-    tail: AtomicU64,
-    free: AtomicU64,
+    head: AtomicLink<48>,
+    tail: AtomicLink<48>,
+    free: AtomicLink<48>,
 }
 
 /// A queue node. `next` is a CAS-able counted [`Link<48>`]; `value` is
@@ -81,21 +79,21 @@ pub struct QueueHead {
 #[repr(C)]
 pub struct QueueNode {
     value: u64,
-    next: AtomicU64,
+    next: AtomicLink<48>,
 }
 
 // SAFETY: the chain from the dummy (head) covers every live node and
 // whatever the tail hint names; the free chain holds no live value.
 unsafe impl Trace for QueueHead {
     fn trace(&self, t: &mut Tracer<'_>) {
-        t.visit_link::<QueueNode>(Link(self.head.load(Ordering::Relaxed)));
+        t.visit_link::<QueueNode>(self.head.load());
     }
 }
 
 // SAFETY: `next` is a node's only link.
 unsafe impl Trace for QueueNode {
     fn trace(&self, t: &mut Tracer<'_>) {
-        t.visit_link::<QueueNode>(Link(self.next.load(Ordering::Relaxed)));
+        t.visit_link::<QueueNode>(self.next.load());
     }
 }
 
@@ -131,10 +129,10 @@ impl<A: PersistentAllocator> PQueue<A> {
         // SAFETY: fresh blocks, exclusively owned.
         unsafe {
             (*dummy).value = 0;
-            (*dummy).next = AtomicU64::new(Link::<48>::NONE.0);
-            (*anchor).head = AtomicU64::new(to_dummy.0);
-            (*anchor).tail = AtomicU64::new(to_dummy.0);
-            (*anchor).free = AtomicU64::new(Link::<48>::NONE.0);
+            (*dummy).next = AtomicLink::new(Link::NONE);
+            (*anchor).head = AtomicLink::new(to_dummy);
+            (*anchor).tail = AtomicLink::new(to_dummy);
+            (*anchor).free = AtomicLink::new(Link::NONE);
         }
         alloc.persist(dummy as *const u8, std::mem::size_of::<QueueNode>());
         PQueue { alloc, base, anchor }
@@ -148,29 +146,29 @@ impl<A: PersistentAllocator> PQueue<A> {
             while let Some(node) = block::<QueueNode>(self.base, cur) {
                 // SAFETY: the handle is consumed, so no other operation
                 // runs; every node on either chain is still allocated.
-                cur = Link(unsafe { (*node).next.load(Ordering::Relaxed) });
+                cur = unsafe { (*node).next.load() };
                 self.alloc.free(node as *mut u8);
             }
         };
-        release(Link(self.head_word().load(Ordering::Relaxed)));
-        release(Link(self.free_word().load(Ordering::Relaxed)));
+        release(self.head_word().load());
+        release(self.free_word().load());
         self.alloc.free(self.anchor as *mut u8);
     }
 
     #[inline]
-    fn head_word(&self) -> &AtomicU64 {
+    fn head_word(&self) -> &AtomicLink<48> {
         // SAFETY: anchor cell is live for the queue's lifetime.
         unsafe { &(*self.anchor).head }
     }
 
     #[inline]
-    fn tail_word(&self) -> &AtomicU64 {
+    fn tail_word(&self) -> &AtomicLink<48> {
         // SAFETY: as above.
         unsafe { &(*self.anchor).tail }
     }
 
     #[inline]
-    fn free_word(&self) -> &AtomicU64 {
+    fn free_word(&self) -> &AtomicLink<48> {
         // SAFETY: as above.
         unsafe { &(*self.anchor).free }
     }
@@ -180,22 +178,18 @@ impl<A: PersistentAllocator> PQueue<A> {
     /// stale CASes from the node's previous life fail.
     fn alloc_node(&self) -> *mut QueueNode {
         loop {
-            let f = Link(self.free_word().load(Ordering::Acquire));
+            let f = self.free_word().load();
             let Some(node) = block::<QueueNode>(self.base, f) else {
                 return self.alloc.malloc(std::mem::size_of::<QueueNode>()) as *mut QueueNode;
             };
             // SAFETY: type-stable node; the counter invalidates stale pops.
-            let next = Link::<48>(unsafe { (*node).next.load(Ordering::Acquire) });
-            if self
-                .free_word()
-                .compare_exchange_weak(f.0, f.advance(next.target()).0, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
+            let next = unsafe { (*node).next.load() };
+            if self.free_word().compare_exchange(f, f.advance(next.target())).is_ok() {
                 // Detach: advance the counter past the free-link value so
                 // CASes expecting either the old live or free-link word
                 // fail.
                 // SAFETY: we own the popped node.
-                unsafe { (*node).next.store(next.advance(None).0, Ordering::Release) };
+                unsafe { (*node).next.store(next.advance(None)) };
                 return node;
             }
         }
@@ -204,21 +198,12 @@ impl<A: PersistentAllocator> PQueue<A> {
     /// Push a retired dummy onto the free list (type-stable reclamation).
     fn retire_node(&self, node: *mut QueueNode) {
         loop {
-            let f = Link::<48>(self.free_word().load(Ordering::Acquire));
+            let f = self.free_word().load();
             // SAFETY: we own the retired node (we won the head CAS).
-            let next = Link::<48>(unsafe { (*node).next.load(Ordering::Acquire) });
+            let next = unsafe { (*node).next.load() };
             // SAFETY: as above.
-            unsafe { (*node).next.store(next.advance(f.target()).0, Ordering::Release) };
-            if self
-                .free_word()
-                .compare_exchange_weak(
-                    f.0,
-                    f.advance(offset(self.base, node)).0,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                )
-                .is_ok()
-            {
+            unsafe { (*node).next.store(next.advance(f.target())) };
+            if self.free_word().compare_exchange(f, f.advance(offset(self.base, node))).is_ok() {
                 return;
             }
         }
@@ -234,31 +219,27 @@ impl<A: PersistentAllocator> PQueue<A> {
         // preserved from any previous life; see `alloc_node`).
         unsafe {
             (*node).value = value;
-            let next = Link::<48>((*node).next.load(Ordering::Acquire));
-            (*node).next.store(Link::<48>::new(None, next.tag()).0, Ordering::Release);
+            (*node).next.store(Link::new(None, (*node).next.load().tag()));
         }
         self.alloc.persist(node as *const u8, std::mem::size_of::<QueueNode>());
         let to_node = offset(self.base, node);
         loop {
-            let t = Link(self.tail_word().load(Ordering::Acquire));
+            let t = self.tail_word().load();
             let tail_node = block::<QueueNode>(self.base, t).expect("the tail names a node");
             // SAFETY: node memory stays mapped; counters invalidate stale
             // CASes.
             let next_ref = unsafe { &(*tail_node).next };
-            let n = Link::<48>(next_ref.load(Ordering::Acquire));
-            if self.tail_word().load(Ordering::Acquire) != t.0 {
+            let n = next_ref.load();
+            if self.tail_word().load() != t {
                 continue;
             }
             if n.target().is_none() {
                 // Tail is last: link our node.
-                if next_ref
-                    .compare_exchange_weak(n.0, n.advance(to_node).0, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-                {
+                if next_ref.compare_exchange(n, n.advance(to_node)).is_ok() {
                     // The link is the linearization point; it is durable
                     // before the tail hint moves over it.
                     self.help_tail(t, next_ref, to_node);
-                    self.alloc.persist(self.tail_word() as *const AtomicU64 as *const u8, 8);
+                    self.alloc.persist(self.tail_word() as *const AtomicLink<48> as *const u8, 8);
                     return true;
                 }
             } else {
@@ -271,21 +252,21 @@ impl<A: PersistentAllocator> PQueue<A> {
     /// tail node's `next`, was read to name, after persisting that link:
     /// it may be another thread's CAS that is not durable yet. Every tail
     /// move goes through here (see the module docs).
-    fn help_tail(&self, t: Link<48>, link: &AtomicU64, next: Option<u64>) {
-        self.alloc.persist(link as *const AtomicU64 as *const u8, 8);
-        let _ = self.tail_word().compare_exchange(t.0, t.advance(next).0, Ordering::AcqRel, Ordering::Acquire);
+    fn help_tail(&self, t: Link<48>, link: &AtomicLink<48>, next: Option<u64>) {
+        self.alloc.persist(link as *const AtomicLink<48> as *const u8, 8);
+        let _ = self.tail_word().compare_exchange(t, t.advance(next));
     }
 
     /// Dequeue the oldest value, freeing the retired dummy node.
     pub fn dequeue(&self) -> Option<u64> {
         loop {
-            let h = Link(self.head_word().load(Ordering::Acquire));
-            let t = Link(self.tail_word().load(Ordering::Acquire));
+            let h = self.head_word().load();
+            let t = self.tail_word().load();
             let dummy = block::<QueueNode>(self.base, h).expect("the head names the dummy");
             // SAFETY: pool memory stays mapped; the head counter
             // invalidates our CAS if the dummy was recycled.
-            let n = Link(unsafe { (*dummy).next.load(Ordering::Acquire) });
-            if self.head_word().load(Ordering::Acquire) != h.0 {
+            let n = unsafe { (*dummy).next.load() };
+            if self.head_word().load() != h {
                 continue;
             }
             let next_node = block::<QueueNode>(self.base, n)?; // no next: empty
@@ -298,13 +279,8 @@ impl<A: PersistentAllocator> PQueue<A> {
                 self.help_tail(t, unsafe { &(*dummy).next }, n.target());
                 continue;
             }
-            if self
-                .head_word()
-                .compare_exchange_weak(h.0, h.advance(n.target()).0, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                self.alloc
-                    .persist(self.head_word() as *const AtomicU64 as *const u8, 8);
+            if self.head_word().compare_exchange(h, h.advance(n.target())).is_ok() {
+                self.alloc.persist(self.head_word() as *const AtomicLink<48> as *const u8, 8);
                 self.retire_node(dummy);
                 return Some(value);
             }
@@ -314,16 +290,16 @@ impl<A: PersistentAllocator> PQueue<A> {
     /// Snapshot the values front-to-back (offline use).
     pub fn snapshot(&self) -> Vec<u64> {
         let mut out = Vec::new();
-        let h = Link(self.head_word().load(Ordering::Acquire));
+        let h = self.head_word().load();
         let dummy = block::<QueueNode>(self.base, h).expect("the head names the dummy");
         // Skip the dummy; its value is retired.
         // SAFETY: offline traversal of a quiescent queue.
-        let mut cur = Link(unsafe { (*dummy).next.load(Ordering::Acquire) });
+        let mut cur = unsafe { (*dummy).next.load() };
         while let Some(node) = block::<QueueNode>(self.base, cur) {
             // SAFETY: as above.
             let node = unsafe { &*node };
             out.push(node.value);
-            cur = Link(node.next.load(Ordering::Acquire));
+            cur = node.next.load();
         }
         out
     }
@@ -352,23 +328,23 @@ impl PQueue<Ralloc> {
         // crash may have left the hint arbitrarily stale (never ahead of
         // the chain, because a tail CAS only installs an already-linked
         // node).
-        let mut cur = Link::<48>(q.head_word().load(Ordering::Acquire));
+        let mut cur = q.head_word().load();
         let mut last = cur.target();
         while let Some(node) = block::<QueueNode>(q.base, cur) {
             last = cur.target();
             // SAFETY: offline traversal of a quiescent queue.
-            cur = Link(unsafe { (*node).next.load(Ordering::Acquire) });
+            cur = unsafe { (*node).next.load() };
         }
-        let t = Link::<48>(q.tail_word().load(Ordering::Acquire));
+        let t = q.tail_word().load();
         if t.target() != last {
-            q.tail_word().store(t.advance(last).0, Ordering::Release);
-            heap.persist(q.tail_word() as *const AtomicU64 as *const u8, 8);
+            q.tail_word().store(t.advance(last));
+            heap.persist(q.tail_word() as *const AtomicLink<48> as *const u8, 8);
         }
         // The free list is transient (see `QueueHead`): whatever the
         // word says now is a stale snapshot whose chain recovery has
         // already reclaimed. Reset, preserving the counter.
-        let f = Link::<48>(q.free_word().load(Ordering::Acquire));
-        q.free_word().store(f.advance(None).0, Ordering::Release);
+        let f = q.free_word().load();
+        q.free_word().store(f.advance(None));
         Some(q)
     }
 }
@@ -378,6 +354,7 @@ mod tests {
     use super::*;
     use baselines::SystemAlloc;
     use ralloc::RallocConfig;
+    use std::sync::atomic::Ordering;
 
     fn heap() -> Ralloc {
         Ralloc::create(16 << 20, RallocConfig::tracked())
@@ -701,8 +678,7 @@ mod tests {
         }
         // Sabotage the tail hint back to the dummy (simulating a crash
         // right after a link, before the tail swing persisted).
-        let (h_word, _) = (q.head_word().load(Ordering::Acquire), ());
-        q.tail_word().store(h_word, Ordering::Release);
+        q.tail_word().store(q.head_word().load());
         drop(q);
         let q = PQueue::attach(&h, 0).unwrap();
         q.enqueue(10);
@@ -719,7 +695,7 @@ mod tests {
         for _ in 0..3 {
             h.malloc(size);
         }
-        let t = Link(q.tail_word().load(Ordering::Acquire));
+        let t = q.tail_word().load();
         let dummy = block::<QueueNode>(q.base, t).unwrap();
         // A stalled enqueuer: its node is persisted and linked behind the
         // tail, but neither is the link persisted nor the tail moved.
@@ -727,18 +703,17 @@ mod tests {
         // SAFETY: we own the popped node; the dummy is live.
         let link = unsafe {
             (*node).value = 1;
-            let next = Link::<48>((*node).next.load(Ordering::Acquire));
-            (*node).next.store(Link::<48>::new(None, next.tag()).0, Ordering::Release);
+            (*node).next.store(Link::new(None, (*node).next.load().tag()));
             &(*dummy).next
         };
         h.persist(node as *const u8, size);
         let to_node = offset(q.base, node);
-        link.store(Link::<48>(link.load(Ordering::Acquire)).advance(to_node).0, Ordering::Release);
+        link.store(link.load().advance(to_node));
         // A dequeuer's help moves the tail onto it; the next enqueue links
         // behind it and is acked.
         q.help_tail(t, link, to_node);
         assert!(q.enqueue(2));
-        let acked = block::<QueueNode>(q.base, Link(q.tail_word().load(Ordering::Acquire))).unwrap() as usize;
+        let acked = block::<QueueNode>(q.base, q.tail_word().load()).unwrap() as usize;
         let line = |a: usize| a / 64;
         assert!(line(dummy as usize) != line(node as usize) && line(dummy as usize) != line(acked));
         h.crash_simulated();

@@ -20,11 +20,9 @@
 //! which also serializes log appends — the head word needs no ABA
 //! counter.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use baselines::SystemAlloc;
 use parking_lot::Mutex;
-use ralloc::{Link, PersistentAllocator, Ralloc, Trace, Tracer};
+use ralloc::{AtomicLink, Link, PersistentAllocator, Ralloc, Trace, Tracer};
 
 use crate::{block, offset};
 
@@ -35,7 +33,7 @@ const OP_REMOVE: u64 = 1;
 /// newest record (no target = empty log).
 #[repr(C)]
 pub struct TreeLogHead {
-    head: AtomicU64,
+    head: AtomicLink<48>,
 }
 
 /// One logged mutation. Immutable once reachable from the head.
@@ -51,7 +49,7 @@ struct TreeLogRec {
 // SAFETY: `head` is the anchor's only link.
 unsafe impl Trace for TreeLogHead {
     fn trace(&self, t: &mut Tracer<'_>) {
-        t.visit_link::<TreeLogRec>(Link(self.head.load(Ordering::Relaxed)));
+        t.visit_link::<TreeLogRec>(self.head.load());
     }
 }
 
@@ -84,7 +82,7 @@ impl PRbTree {
         let anchor = heap.malloc(std::mem::size_of::<TreeLogHead>()) as *mut TreeLogHead;
         assert!(!anchor.is_null(), "heap exhausted creating tree log anchor");
         // SAFETY: fresh block, exclusively owned.
-        unsafe { (*anchor).head.store(Link::<48>::NONE.0, Ordering::Relaxed) };
+        unsafe { (*anchor).head.store(Link::NONE) };
         heap.persist(anchor as *const u8, std::mem::size_of::<TreeLogHead>());
         heap.set_root::<TreeLogHead>(root, anchor);
         PRbTree {
@@ -105,7 +103,7 @@ impl PRbTree {
         let mut ops = Vec::new();
         // SAFETY: the anchor and every record reachable from it were
         // persisted before publication and retained by recovery.
-        let mut cur = Link(unsafe { (*anchor).head.load(Ordering::Acquire) });
+        let mut cur = unsafe { (*anchor).head.load() };
         while let Some(r) = block::<TreeLogRec>(heap.region_base(), cur) {
             // SAFETY: as above.
             let r = unsafe { &*r };
@@ -139,11 +137,11 @@ impl PRbTree {
             (*rec).op = op;
             (*rec).key = key;
             (*rec).value = value;
-            (*rec).next = Link(head.load(Ordering::Acquire));
+            (*rec).next = head.load();
         }
         self.heap.persist(rec as *const u8, std::mem::size_of::<TreeLogRec>());
-        head.store(Link::<48>::new(offset(self.heap.region_base(), rec), 0).0, Ordering::Release);
-        self.heap.persist(head as *const AtomicU64 as *const u8, 8);
+        head.store(Link::new(offset(self.heap.region_base(), rec), 0));
+        self.heap.persist(head as *const AtomicLink<48> as *const u8, 8);
     }
 
     /// Insert or update `key → value`; returns the previous value.
@@ -203,7 +201,7 @@ mod tests {
     fn log_len(t: &PRbTree) -> usize {
         let mut n = 0;
         // SAFETY: published records are immutable.
-        let mut cur = Link(unsafe { (*t.anchor).head.load(Ordering::Acquire) });
+        let mut cur = unsafe { (*t.anchor).head.load() };
         while let Some(r) = block::<TreeLogRec>(t.heap.region_base(), cur) {
             n += 1;
             // SAFETY: as above.

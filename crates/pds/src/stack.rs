@@ -14,9 +14,7 @@
 //! linearization is the CAS; the trailing persist gives buffered-durable
 //! behaviour, which the paper's model permits.)
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use ralloc::{Link, PersistentAllocator, Ralloc, Trace, Tracer};
+use ralloc::{AtomicLink, Link, PersistentAllocator, Ralloc, Trace, Tracer};
 
 use crate::{block, offset};
 
@@ -24,7 +22,7 @@ use crate::{block, offset};
 #[repr(C)]
 pub struct StackHead {
     /// The top node, tagged with an ABA counter; no target = empty.
-    head: AtomicU64,
+    head: AtomicLink<48>,
 }
 
 /// A stack node: 64-bit value plus a link.
@@ -38,7 +36,7 @@ pub struct StackNode {
 // SAFETY: `head` is the cell's only link.
 unsafe impl Trace for StackHead {
     fn trace(&self, t: &mut Tracer<'_>) {
-        t.visit_link::<StackNode>(Link(self.head.load(Ordering::Relaxed)));
+        t.visit_link::<StackNode>(self.head.load());
     }
 }
 
@@ -66,7 +64,7 @@ impl PStack {
         let head = heap.malloc(std::mem::size_of::<StackHead>()) as *mut StackHead;
         assert!(!head.is_null(), "heap exhausted creating stack head");
         // SAFETY: fresh block, exclusively owned.
-        unsafe { (*head).head = AtomicU64::new(Link::<48>::NONE.0) };
+        unsafe { (*head).head = AtomicLink::new(Link::NONE) };
         heap.persist(head as *const u8, std::mem::size_of::<StackHead>());
         heap.set_root::<StackHead>(root, head);
         PStack { heap: heap.clone(), head }
@@ -83,7 +81,7 @@ impl PStack {
     }
 
     #[inline]
-    fn head_word(&self) -> &AtomicU64 {
+    fn head_word(&self) -> &AtomicLink<48> {
         // SAFETY: head cell is live for the stack's lifetime.
         unsafe { &(*self.head).head }
     }
@@ -96,7 +94,7 @@ impl PStack {
         }
         let to_node = offset(self.heap.region_base(), node);
         loop {
-            let h = Link::<48>(self.head_word().load(Ordering::Acquire));
+            let h = self.head_word().load();
             // SAFETY: we own the unpublished node.
             unsafe {
                 (*node).value = value;
@@ -104,11 +102,7 @@ impl PStack {
             }
             self.heap
                 .persist(node as *const u8, std::mem::size_of::<StackNode>());
-            if self
-                .head_word()
-                .compare_exchange_weak(h.0, h.advance(to_node).0, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
+            if self.head_word().compare_exchange(h, h.advance(to_node)).is_ok() {
                 self.heap
                     .persist(self.head as *const u8, std::mem::size_of::<StackHead>());
                 return true;
@@ -119,16 +113,12 @@ impl PStack {
     /// Pop the most recently pushed value, freeing its node.
     pub fn pop(&self) -> Option<u64> {
         loop {
-            let h = Link(self.head_word().load(Ordering::Acquire));
+            let h = self.head_word().load();
             let node = block::<StackNode>(self.heap.region_base(), h)?;
             // SAFETY: node memory stays mapped (pool-backed); the ABA
             // counter invalidates our CAS if the node was recycled.
             let (value, next) = unsafe { ((*node).value, (*node).next) };
-            if self
-                .head_word()
-                .compare_exchange_weak(h.0, h.advance(next.target()).0, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
+            if self.head_word().compare_exchange(h, h.advance(next.target())).is_ok() {
                 self.heap
                     .persist(self.head as *const u8, std::mem::size_of::<StackHead>());
                 self.heap.free(node as *mut u8);
@@ -144,13 +134,13 @@ impl PStack {
 
     /// True if empty.
     pub fn is_empty(&self) -> bool {
-        Link::<48>(self.head_word().load(Ordering::Acquire)).target().is_none()
+        self.head_word().load().target().is_none()
     }
 
     /// Snapshot the values top-to-bottom (offline use).
     pub fn snapshot(&self) -> Vec<u64> {
         let mut out = Vec::new();
-        let mut cur = Link(self.head_word().load(Ordering::Acquire));
+        let mut cur = self.head_word().load();
         while let Some(node) = block::<StackNode>(self.heap.region_base(), cur) {
             // SAFETY: offline traversal of a quiescent stack.
             let node = unsafe { &*node };

@@ -11,6 +11,13 @@
 //! counter that every swing advances, leaving 30 bits for the descriptor
 //! index — enough for 2^30 superblocks × 64 KiB = 64 TiB of heap, well
 //! above the 1 TB region limit.
+//!
+//! A link shared between threads is an [`AtomicLink`], whose orderings
+//! are fixed: every link publishes a block that was written (and
+//! persisted) before it, so a load acquires, a store releases and a CAS
+//! does both.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Packed `{tag: 64 − BITS | target + 1: BITS}` word. A target field of
 /// 0 encodes "no target", so zeroed NVM reads as an empty list or a null
@@ -61,6 +68,48 @@ impl<const BITS: u32> Link<BITS> {
 impl<const BITS: u32> Default for Link<BITS> {
     fn default() -> Self {
         Self::NONE
+    }
+}
+
+/// A [`Link`] word shared between threads: the only way a persisted link
+/// is loaded, stored or CASed. Zeroed memory reads as [`Link::NONE`].
+#[derive(Debug)]
+#[repr(transparent)]
+pub struct AtomicLink<const BITS: u32>(AtomicU64);
+
+impl<const BITS: u32> AtomicLink<BITS> {
+    /// A word holding `link`.
+    pub const fn new(link: Link<BITS>) -> Self {
+        AtomicLink(AtomicU64::new(link.0))
+    }
+
+    /// View a word of a pool (`PmemPool::atomic_u64`) as a link.
+    #[inline]
+    pub fn from_ref(word: &AtomicU64) -> &Self {
+        // SAFETY: `AtomicLink` is `repr(transparent)` over `AtomicU64`.
+        unsafe { &*(word as *const AtomicU64 as *const Self) }
+    }
+
+    /// The link, with Acquire: what it names was written before it.
+    #[inline]
+    pub fn load(&self) -> Link<BITS> {
+        Link(self.0.load(Ordering::Acquire))
+    }
+
+    /// Publish `link`, with Release.
+    #[inline]
+    pub fn store(&self, link: Link<BITS>) {
+        self.0.store(link.0, Ordering::Release)
+    }
+
+    /// Swing `current` to `new` (AcqRel; Acquire on failure). `Ok` holds
+    /// the previous link, `Err` the link found instead.
+    #[inline]
+    pub fn compare_exchange(&self, current: Link<BITS>, new: Link<BITS>) -> Result<Link<BITS>, Link<BITS>> {
+        self.0
+            .compare_exchange(current.0, new.0, Ordering::AcqRel, Ordering::Acquire)
+            .map(Link)
+            .map_err(Link)
     }
 }
 
@@ -131,6 +180,36 @@ mod tests {
         let a = Link::<30>::new(Some(9), 1);
         let b = Link::<30>::new(Some(9), 2);
         assert_ne!(a.0, b.0);
+    }
+
+    #[test]
+    fn an_atomic_link_round_trips_its_tag() {
+        let a = AtomicLink::<48>::new(Link::NONE);
+        assert_eq!(a.load(), Link::NONE);
+        let l = Link::<48>::new(Some(0x4_0040), 0xBEEF);
+        a.store(l);
+        assert_eq!(a.load(), l);
+        assert_eq!(AtomicLink::<30>::new(Link::new(Some(7), 3)).load(), Link::new(Some(7), 3));
+    }
+
+    #[test]
+    fn a_cas_returns_the_previous_or_the_observed_link() {
+        let (l0, l1, l2) = (Link::<30>::new(Some(1), 0), Link::new(Some(2), 1), Link::new(Some(3), 2));
+        let a = AtomicLink::new(l0);
+        assert_eq!(a.compare_exchange(l0, l1), Ok(l0), "a CAS that succeeds returns the previous link");
+        assert_eq!(a.compare_exchange(l0, l2), Err(l1), "a failing CAS returns the observed link");
+        assert_eq!(a.load(), l1, "and changes nothing");
+    }
+
+    #[test]
+    fn a_viewed_word_and_its_link_see_each_other() {
+        let word = AtomicU64::new(0);
+        let a = AtomicLink::<48>::from_ref(&word);
+        let l = Link::<48>::new(Some(64), 9);
+        a.store(l);
+        assert_eq!(word.load(Ordering::Relaxed), l.0);
+        word.store(Link::<48>::new(None, 10).0, Ordering::Relaxed);
+        assert_eq!(a.load(), Link::new(None, 10));
     }
 
     #[test]

@@ -11,8 +11,6 @@
 //!   pointer, no segment base register is needed, and the representation
 //!   stays 64 bits (unlike PMDK's 128-bit based pointers, which force
 //!   wide-CAS for atomic updates).
-//! * [`AtomicPptr<T>`] — the same representation behind an `AtomicU64`,
-//!   CAS-able with a single-word compare-and-swap.
 //! * [`Link<BITS>`](Link) — a packed `{tag, target + 1}` word, the one
 //!   format of every link counted from a base the reader knows, CAS-able
 //!   with its tag in one word:
@@ -22,6 +20,12 @@
 //!   - `Link<48>`: superblock-region offsets with a 16-bit tag — the heap's
 //!     root slots, `crashtest`'s op-log slots and every `pds` link (the
 //!     queue's and stack's ABA counters, the tree's edge marks).
+//! * [`AtomicLink<BITS>`](AtomicLink) — a `Link` behind an `AtomicU64`,
+//!   the only way a shared link word is loaded, stored or CASed. Its
+//!   orderings are fixed, not passed: a link publishes a block written
+//!   before it, so loads acquire, stores release and a CAS does both
+//!   (on x86-64 the same instructions as relaxed ones; only the
+//!   compiler's reordering freedom differs).
 //!
 //! Every pointer targets its own heap: a cross-heap pointer (§4.6's RIV
 //! plan) waits for a GC that traces it, or a crash would drop its target.
@@ -42,8 +46,8 @@
 mod counted;
 mod pptr_impl;
 
-pub use counted::Link;
-pub use pptr_impl::{AtomicPptr, Pptr, PPTR_LOW_MASK, PPTR_TAG, PPTR_TAG_SHIFT};
+pub use counted::{AtomicLink, Link};
+pub use pptr_impl::{Pptr, PPTR_LOW_MASK, PPTR_TAG, PPTR_TAG_SHIFT};
 
 /// True if `word` carries the off-holder tag, i.e. could be a non-null
 /// `Pptr` bit pattern. Used by the conservative GC filter.

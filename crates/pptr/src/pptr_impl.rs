@@ -1,7 +1,6 @@
-//! Self-relative (off-holder) pointers and their atomic variant.
+//! Self-relative (off-holder) pointers.
 
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::sign_extend_48;
 
@@ -127,89 +126,6 @@ impl<T> std::fmt::Debug for Pptr<T> {
     }
 }
 
-/// An atomic off-holder: [`Pptr`] semantics over an `AtomicU64`, updatable
-/// with a plain 64-bit CAS (no wide-CAS needed — this is the point of
-/// self-relative over base-plus-offset representations, paper §1/§4.6).
-#[repr(transparent)]
-pub struct AtomicPptr<T> {
-    raw: AtomicU64,
-    _marker: PhantomData<*const T>,
-}
-
-impl<T> AtomicPptr<T> {
-    /// A new null atomic pointer.
-    pub const fn null() -> Self {
-        AtomicPptr { raw: AtomicU64::new(0), _marker: PhantomData }
-    }
-
-    #[inline]
-    fn self_addr(&self) -> usize {
-        self as *const Self as usize
-    }
-
-    /// Load the absolute target address (null if unset).
-    #[inline]
-    pub fn load(&self, order: Ordering) -> *mut T {
-        match Pptr::<T>::decode(self.self_addr(), self.raw.load(order)) {
-            Some(a) => a as *mut T,
-            None => std::ptr::null_mut(),
-        }
-    }
-
-    /// Store a new target.
-    #[inline]
-    pub fn store(&self, target: *const T, order: Ordering) {
-        let raw = if target.is_null() {
-            0
-        } else {
-            Pptr::<T>::encode(self.self_addr(), target as usize)
-        };
-        self.raw.store(raw, order);
-    }
-
-    /// Compare-and-swap by target address. Returns `Ok(current)` on
-    /// success, `Err(actual_target)` on failure.
-    #[inline]
-    pub fn compare_exchange(
-        &self,
-        current: *const T,
-        new: *const T,
-        success: Ordering,
-        failure: Ordering,
-    ) -> Result<*mut T, *mut T> {
-        let enc = |p: *const T| {
-            if p.is_null() {
-                0
-            } else {
-                Pptr::<T>::encode(self.self_addr(), p as usize)
-            }
-        };
-        let dec = |raw: u64| match Pptr::<T>::decode(self.self_addr(), raw) {
-            Some(a) => a as *mut T,
-            None => std::ptr::null_mut(),
-        };
-        match self
-            .raw
-            .compare_exchange(enc(current), enc(new), success, failure)
-        {
-            Ok(prev) => Ok(dec(prev)),
-            Err(prev) => Err(dec(prev)),
-        }
-    }
-}
-
-impl<T> Default for AtomicPptr<T> {
-    fn default() -> Self {
-        Self::null()
-    }
-}
-
-impl<T> std::fmt::Debug for AtomicPptr<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "AtomicPptr({:p})", self.load(Ordering::Relaxed))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,34 +190,6 @@ mod tests {
         b.set(&target);
         assert_eq!(a.as_ptr(), b.as_ptr());
         assert_ne!(a.raw(), b.raw());
-    }
-
-    #[test]
-    fn atomic_store_load() {
-        let target: u64 = 123;
-        let p: AtomicPptr<u64> = AtomicPptr::null();
-        assert!(p.load(Ordering::Relaxed).is_null());
-        p.store(&target, Ordering::Release);
-        assert_eq!(p.load(Ordering::Acquire), &target as *const u64 as *mut u64);
-    }
-
-    #[test]
-    fn atomic_cas_success_and_failure() {
-        let t1: u64 = 1;
-        let t2: u64 = 2;
-        let p: AtomicPptr<u64> = AtomicPptr::null();
-        assert!(p
-            .compare_exchange(std::ptr::null(), &t1, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok());
-        // Wrong expectation fails and reports the actual value.
-        let err = p
-            .compare_exchange(std::ptr::null(), &t2, Ordering::AcqRel, Ordering::Acquire)
-            .unwrap_err();
-        assert_eq!(err, &t1 as *const u64 as *mut u64);
-        assert!(p
-            .compare_exchange(&t1, &t2, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok());
-        assert_eq!(p.load(Ordering::Relaxed), &t2 as *const u64 as *mut u64);
     }
 
     #[test]

@@ -15,8 +15,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BUDGET=6673
-REST_BUDGET=8812
+BUDGET=6647
+REST_BUDGET=8735
 MAX_FIELDS=6
 MAX_VARS=7
 
