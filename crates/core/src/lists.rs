@@ -256,17 +256,29 @@ mod tests {
         let head = l.head(&pool);
         l.push(&pool, &geo, 99);
         let c0 = head.load().tag();
-        let many: &[&[u32]] = &[&[5, 6], &[], &[7, 8, 9], &[10]];
-        let one: &[&[u32]] = &[&[5, 6, 7]];
-        for chains in [many, one] {
-            chains.iter().for_each(|c| l.thread(&pool, &geo, c));
-            l.publish(&pool, &geo, chains.iter().copied());
-            assert_eq!(l.collect(&pool, &geo), chains.concat(), "publish replaces the list");
-            let word = head.load();
-            assert_eq!(word.tag(), c0, "publish keeps the ABA counter");
-            l.publish(&pool, &geo, chains.iter().copied());
-            assert_eq!(head.load(), word, "publishing again changes nothing");
-        }
+        let chains: [&[u32]; 4] = [&[5, 6], &[], &[7, 8, 9], &[10]];
+        chains.iter().for_each(|c| l.thread(&pool, &geo, c));
+        l.publish(&pool, &geo, chains);
+        assert_eq!(l.collect(&pool, &geo), vec![5, 6, 7, 8, 9, 10], "publish replaces the list");
+        let word = head.load();
+        assert_eq!(word.tag(), c0, "publish keeps the ABA counter");
+        l.publish(&pool, &geo, chains);
+        assert_eq!(head.load(), word, "publishing again changes nothing");
+    }
+
+    #[test]
+    fn splice_publishes_chain_in_one_cas() {
+        // A whole threaded chain becomes the list in one head write: the
+        // elements come out in chain order and no CAS loop bumps the counter.
+        let (pool, geo) = test_heap();
+        let l = DescList::partial_shard(&geo, 3, 1);
+        let head = l.head(&pool);
+        let c0 = head.load().tag();
+        let chain: &[u32] = &[5, 6, 7];
+        l.thread(&pool, &geo, chain);
+        l.publish(&pool, &geo, [chain]);
+        assert_eq!(head.load().tag(), c0, "publishing a chain is one plain store");
+        assert_eq!(l.collect(&pool, &geo), vec![5, 6, 7]);
         assert_eq!(l.pop(&pool, &geo), Some(5), "the published list is live for pops");
         assert_eq!(l.collect(&pool, &geo), vec![6, 7]);
     }
