@@ -26,7 +26,6 @@
 //! large spans are live is [`Census::claim`]'s one rule; recovery, the
 //! checker and `rinspect stats` differ only in the heads they pass it.
 
-use std::mem::MaybeUninit;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -222,51 +221,26 @@ impl Census {
     /// counts only with its own block size, and a large head only with a
     /// positive size whose span fits under `used`.
     pub fn take(pool: &PmemPool, geo: &Geometry, used: usize) -> Census {
-        let mut slots = Vec::with_capacity(used);
-        let bits = Census::decode(pool, geo, used, 0..used, &mut slots.spare_capacity_mut()[..used]);
-        // SAFETY: `decode` initialized the first `used` slots.
-        unsafe { slots.set_len(used) };
-        Census::join(pool, geo, slots, &[(0..used, bits)])
-    }
-
-    /// Decode the share `range` of descriptors `0..used` into `out`, one
-    /// slot per descriptor, numbering its bits from 0; returns how many
-    /// it numbered. [`Census::join`] puts the shares together.
-    pub(crate) fn decode(pool: &PmemPool, geo: &Geometry, used: usize, range: Range<usize>, out: &mut [MaybeUninit<Slot>]) -> usize {
         let mut bits = 0;
-        for (i, out) in range.zip(out) {
-            let d = Desc::new(pool, geo, i as u32);
-            let (class, bytes) = (d.size_class(), d.block_size());
-            let span = (bytes as usize).div_ceil(SB_SIZE);
-            let (slot, n) = match class {
-                CLASS_CONTINUATION => (Slot::Continuation, 0),
-                0 if span > 0 && i + span <= used => (Slot::Large { bit: bits, span: span as u32, bytes }, 1),
-                c if is_small_class(c) && bytes == class_block_size(c) as u64 => {
-                    let (size, blocks) = (class_block_size(c), class_max_count(c));
-                    let recip = (1u64 << 32).div_ceil(size as u64) as u32;
-                    (Slot::Small { class: c as u8, bit: bits, blocks, size, recip }, blocks)
-                }
-                _ => (Slot::Empty, 0),
-            };
-            out.write(slot);
-            bits += n as usize;
-        }
-        bits
-    }
-
-    /// The census of `slots`, decoded in consecutive `shares` (a range
-    /// and its bit count each): every share's bits are renumbered to
-    /// follow those of the shares before it (a prefix sum).
-    pub(crate) fn join(pool: &PmemPool, geo: &Geometry, mut slots: Vec<Slot>, shares: &[(Range<usize>, usize)]) -> Census {
-        let mut bits = 0;
-        for (range, n) in shares {
-            for slot in &mut slots[range.clone()] {
-                if let Slot::Large { bit, .. } | Slot::Small { bit, .. } = slot {
-                    *bit += bits;
-                }
-            }
-            bits += n;
-        }
+        let slots = (0..used)
+            .map(|i| {
+                let d = Desc::new(pool, geo, i as u32);
+                let (class, bytes) = (d.size_class(), d.block_size());
+                let span = (bytes as usize).div_ceil(SB_SIZE);
+                let (slot, n) = match class {
+                    CLASS_CONTINUATION => (Slot::Continuation, 0),
+                    0 if span > 0 && i + span <= used => (Slot::Large { bit: bits, span: span as u32, bytes }, 1),
+                    c if is_small_class(c) && bytes == class_block_size(c) as u64 => {
+                        let (size, blocks) = (class_block_size(c), class_max_count(c));
+                        let recip = (1u64 << 32).div_ceil(size as u64) as u32;
+                        (Slot::Small { class: c as u8, bit: bits, blocks, size, recip }, blocks)
+                    }
+                    _ => (Slot::Empty, 0),
+                };
+                bits += n as usize;
+                slot
+            })
+            .collect();
         Census { slots, bits, sb_base: pool.base() as usize + geo.sb(0) }
     }
 

@@ -105,8 +105,7 @@ impl HeapInner {
                 let all = list.collect(pool, geo);
                 if !all.iter().all(keep) {
                     let kept: Vec<u32> = all.into_iter().filter(keep).collect();
-                    list.thread(pool, geo, &kept);
-                    list.publish(pool, geo, [kept.as_slice()]);
+                    list.publish(pool, geo, &kept);
                 }
             }
         }

@@ -106,37 +106,19 @@ impl DescList {
         }
     }
 
-    /// Link `chain[i] -> chain[i+1]` through this list's link field,
-    /// leaving the last element's link to [`DescList::publish`]. Offline
-    /// only, on descriptors nothing else is linking.
-    pub fn thread(&self, pool: &PmemPool, geo: &Geometry, chain: &[u32]) {
-        for w in chain.windows(2) {
-            self.link_of(&Desc::new(pool, geo, w[0])).store(Link::new(Some(w[1] as u64), 0));
-        }
-    }
-
-    /// Make the list exactly `chains`, concatenated in order, each already
-    /// [`thread`](DescList::thread)ed: each chain's last element is linked
-    /// to the next non-empty chain's first (the very last to nothing), and
-    /// the head takes the first element in one plain store that keeps its
-    /// ABA counter. Offline only (recovery, a quiescent shrink): no
+    /// Make the list exactly `chain`: each element is linked to the next
+    /// (the last to nothing) and the head takes the first in one plain
+    /// store that keeps its ABA counter. Offline only (recovery, a
+    /// quiescent shrink), on descriptors nothing else is linking: no
     /// operation is in flight for the counter to protect, and publishing
-    /// the same chains again leaves every byte as it was.
-    pub fn publish<'c>(&self, pool: &PmemPool, geo: &Geometry, chains: impl IntoIterator<Item = &'c [u32]>) {
-        let link = |idx: u32, next: Option<u32>| self.link_of(&Desc::new(pool, geo, idx)).store(Link::new(next.map(u64::from), 0));
-        let (mut first, mut last) = (None, None);
-        for chain in chains.into_iter().filter(|c| !c.is_empty()) {
-            match last {
-                Some(l) => link(l, Some(chain[0])),
-                None => first = Some(chain[0]),
-            }
-            last = chain.last().copied();
-        }
-        if let Some(l) = last {
-            link(l, None);
+    /// the same chain again leaves every byte as it was.
+    pub fn publish(&self, pool: &PmemPool, geo: &Geometry, chain: &[u32]) {
+        for (at, &idx) in chain.iter().enumerate() {
+            let next = chain.get(at + 1).map(|&n| n as u64);
+            self.link_of(&Desc::new(pool, geo, idx)).store(Link::new(next, 0));
         }
         let head = self.head(pool);
-        head.store(Link::new(first.map(u64::from), head.load().tag()));
+        head.store(Link::new(chain.first().map(|&i| i as u64), head.load().tag()));
     }
 
     /// Snapshot the list contents (offline use: diagnostics, tests). A
@@ -250,35 +232,20 @@ mod tests {
     }
 
     #[test]
-    fn publish_concatenates_chains_and_keeps_the_counter() {
-        let (pool, geo) = test_heap();
-        let l = DescList::partial_shard(&geo, 3, 1);
-        let head = l.head(&pool);
-        l.push(&pool, &geo, 99);
-        let c0 = head.load().tag();
-        let chains: [&[u32]; 4] = [&[5, 6], &[], &[7, 8, 9], &[10]];
-        chains.iter().for_each(|c| l.thread(&pool, &geo, c));
-        l.publish(&pool, &geo, chains);
-        assert_eq!(l.collect(&pool, &geo), vec![5, 6, 7, 8, 9, 10], "publish replaces the list");
-        let word = head.load();
-        assert_eq!(word.tag(), c0, "publish keeps the ABA counter");
-        l.publish(&pool, &geo, chains);
-        assert_eq!(head.load(), word, "publishing again changes nothing");
-    }
-
-    #[test]
     fn splice_publishes_chain_in_one_cas() {
-        // A whole threaded chain becomes the list in one head write: the
+        // A whole chain becomes the list in one head write: the
         // elements come out in chain order and no CAS loop bumps the counter.
         let (pool, geo) = test_heap();
         let l = DescList::partial_shard(&geo, 3, 1);
         let head = l.head(&pool);
         let c0 = head.load().tag();
         let chain: &[u32] = &[5, 6, 7];
-        l.thread(&pool, &geo, chain);
-        l.publish(&pool, &geo, [chain]);
+        l.publish(&pool, &geo, chain);
         assert_eq!(head.load().tag(), c0, "publishing a chain is one plain store");
         assert_eq!(l.collect(&pool, &geo), vec![5, 6, 7]);
+        let word = head.load();
+        l.publish(&pool, &geo, chain);
+        assert_eq!(head.load(), word, "publishing again changes nothing");
         assert_eq!(l.pop(&pool, &geo), Some(5), "the published list is live for pops");
         assert_eq!(l.collect(&pool, &geo), vec![6, 7]);
     }
@@ -292,7 +259,7 @@ mod tests {
         l.push(&pool, &geo, 7);
         l.push(&pool, &geo, 8);
         let c0 = l.head(&pool).load().tag();
-        l.publish(&pool, &geo, []);
+        l.publish(&pool, &geo, &[]);
         assert_eq!(l.pop(&pool, &geo), None, "publishing no chain empties the list");
         assert_eq!(l.head(&pool).load().tag(), c0, "an empty publish keeps the counter");
     }

@@ -17,7 +17,7 @@
 //!     descriptor's anchor, while the tail's pages go back to the kernel;
 //! 8.  reconstruct the partial lists and
 //! 9.  the superblock free list, one head store each;
-//! 10. flush the committed prefix and fence.
+//! 10. flush the committed prefix and fence, and finish giving the tail back.
 //!
 //! ## The census (step 5)
 //!
@@ -27,8 +27,9 @@
 //! reciprocal, a large head's span, or nothing. The tracer, the claim
 //! and the sweep all read it, so a visited pointer costs one table load
 //! and one multiply, and the mark set is one flat bitmap sized from it.
-//! The workers decode it in pieces, in place, each numbering its bits
-//! from 0; worker 0 renumbers them by a prefix sum.
+//! Worker 0 takes it alone ([`Census::take`], the one census path): a
+//! pass over 8 192 descriptors costs about 0.14 ms, less than a second
+//! worker's start-up.
 //!
 //! ## The live prefix (step 6)
 //!
@@ -62,20 +63,29 @@
 //!
 //! The paper notes it is "straightforward to parallelize Step 5 across
 //! persistent roots and Steps 6–9 across superblocks"; `recover_parallel`
-//! does it in one fan-out, spawned at entry, whose worker 0 is the calling
-//! thread. Barriers part the census, the trace, the sweep with the tail
-//! release, and the write-back; between them worker 0 alone joins the
-//! census, then merges, claims and lowers `used`, then publishes. Tracers
-//! take the roots at a fixed stride, so every count in [`RecoveryStats`]
-//! depends on the image and the worker count alone, with private mark
-//! sets OR-merged afterwards (shared substructure costs duplicated
-//! scanning, never correctness). The other phases cut their range into
-//! [`Pieces`] the workers take as they come free; the tail is cut at
-//! huge-page boundaries ([`nvm::PmemPool::discard`]), and its decommit
-//! stays one crash-injector event. Step 10 runs on every worker, after the
-//! publish: an `sfence` orders only its own core's write-backs, so each
-//! worker fences the pieces it flushed before the join lets recovery
-//! return.
+//! fans out only the two steps where a second worker pays: the trace and
+//! the release of the tail's pages. One fan-out is spawned at entry, its
+//! worker 0 the calling thread, and each helper moves to a CPU of its own
+//! (see [`fan_out`]). The helpers wait for worker 0's census, trace their
+//! roots, and wait again; worker 0 merges, claims and lowers `used`, and
+//! only then may the helpers release the tail. Tracers take the roots at a
+//! fixed stride, so every count in [`RecoveryStats`] depends on the image
+//! and the worker count alone, with private mark sets OR-merged afterwards
+//! (shared substructure costs duplicated scanning, never correctness). The
+//! tail is cut at huge-page boundaries into [`Pieces`] the workers take as
+//! they come free ([`nvm::PmemPool::discard`]); its decommit stays one
+//! crash-injector event. Meanwhile worker 0 alone sweeps the live prefix,
+//! publishes the lists, writes back and fences the committed prefix (step
+//! 10: an `sfence` orders only its own core's write-backs, and all of them
+//! are worker 0's), and then takes the tail pieces left.
+//!
+//! The steps left on worker 0 buy nothing from a second one. On a
+//! restart-shaped heap (8 192 superblocks, 32 of them live; a 2-vCPU
+//! guest) a census split over two workers took 0.20–0.36 ms against
+//! 0.14 ms on one, a split write-back 0.11–0.16 ms against 0.09 ms, and
+//! the 32-superblock sweep takes 31–65 µs, while two workers cut the trace
+//! from 1.0–1.2 ms to 0.6–0.7 ms and the 510 MiB tail release from
+//! 1.8–1.9 ms to 1.0–1.25 ms.
 //!
 //! ## Deterministic publish (steps 8–9)
 //!
@@ -83,13 +93,12 @@
 //! every partial superblock goes to shard
 //! [`place_superblock`](crate::shard::place_superblock)`(sb)`, a pure
 //! function of the superblock index, and the same shard is stamped as the
-//! superblock's owner ([`Desc::set_owner`]). Each piece of the sweep
-//! yields its free batch and its per-(class, shard) batches, ascending
-//! and threaded; worker 0 links them in piece order and
-//! publishes each list with one head store that keeps its ABA counter
-//! ([`DescList::publish`]). The rebuilt lists are therefore the same
-//! bytes for any worker count (R1), and a second recovery of a recovered
-//! heap changes no byte of metadata (R2).
+//! superblock's owner ([`Desc::set_owner`]). The one sweep yields the free
+//! list and each (class, shard) list as one ascending chain, and
+//! [`DescList::publish`] links each and stores its head once, keeping the
+//! ABA counter. The sweep reads only the image and the merged marks, so
+//! the rebuilt lists are the same bytes for any worker count (R1), and a
+//! second recovery of a recovered heap changes no byte of metadata (R2).
 //!
 //! ## Large-block conflict rule (beyond the paper)
 //!
@@ -108,20 +117,18 @@
 //! sweep stores FULL into every superblock of a claimed span, so after
 //! recovery, as online, a live span reads FULL throughout.
 
-use std::mem::MaybeUninit;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
-use nvm::sys::HUGE_PAGE;
-use nvm::CACHE_LINE;
+use nvm::sys::{self, HUGE_PAGE};
 use parking_lot::Mutex;
 use telemetry::EventKind;
 
 use crate::anchor::{Anchor, SbState};
-use crate::descriptor::{Census, Claim, Desc, Slot};
+use crate::descriptor::{Census, Desc, Slot};
 use crate::gc::{MarkSet, TraceFn, Tracer};
 use crate::heap::HeapInner;
 use crate::layout::NUM_ROOTS;
@@ -177,7 +184,8 @@ pub struct RecoveryStats {
 pub struct RecoveryPhases {
     /// Cache quiesce, frontier reload and validation, root gathering.
     pub reconcile: Duration,
-    /// The helpers' spawn and the census, decoded and joined.
+    /// The helpers' spawn and worker 0's census, until every helper has
+    /// started.
     pub census: Duration,
     /// Step 5: the trace from the roots, until the last worker is done.
     pub mark: Duration,
@@ -185,13 +193,14 @@ pub struct RecoveryPhases {
     /// merge the mark sets over it.
     pub claim: Duration,
     /// Step 6: `used` lowered onto the live prefix (flushed and fenced)
-    /// and then the tail decommitted — but
-    /// not the tail's pages, which the sweep's workers give back.
+    /// and then the tail decommitted — but not the tail's pages, which the
+    /// helpers start to give back from here on.
     pub shrink: Duration,
-    /// Steps 7–9: the live prefix's descriptors rebuilt and the tail's
-    /// pages discarded (the release's time lands here), then the publish.
+    /// Steps 7–9 on worker 0: the live prefix's descriptors rebuilt and
+    /// every list published, while the helpers release the tail.
     pub sweep: Duration,
-    /// Step 10: the committed prefix flushed and fenced, then the join.
+    /// Step 10: the committed prefix flushed and fenced, then what is left
+    /// of the tail's release (all of it on one worker), then the join.
     pub write_back: Duration,
 }
 
@@ -213,17 +222,6 @@ impl RecoveryPhases {
 /// Run sequential offline recovery. Caller guarantees quiescence.
 pub(crate) fn recover(inner: &HeapInner) -> RecoveryStats {
     recover_with(inner, 1)
-}
-
-/// What worker 0 decided after the trace: the merged marks and the
-/// claimed spans, and the pieces of the decommitted tail, of the live
-/// prefix and of the committed prefix to discard, sweep and write back.
-struct Plan {
-    marks: MarkSet,
-    claim: Claim,
-    tail: Pieces,
-    sweep: Pieces,
-    lines: Pieces,
 }
 
 /// Run offline recovery with `threads` workers.
@@ -266,42 +264,26 @@ pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
     let mut clock = Clock(t0);
     let phases = RecoveryPhases { reconcile: clock.lap(), ..Default::default() };
 
-    // One fan-out runs every phase. Below 64 superblocks to decode and
-    // huge pages to discard, a second thread costs more to start than it
-    // takes over, unless it has roots of its own to trace.
+    // One fan-out runs the trace and the tail release. Below 64 superblocks
+    // to trace and huge pages to release, a second thread costs more to
+    // start than it takes over, unless it has roots of its own to trace.
     let work = used + pool.committed_len() / HUGE_PAGE;
     let workers = if work < 64 { threads.min(roots.len()).max(1) } else { threads };
-    // The census is decoded piece by piece into one buffer, in place.
-    let pieces = Pieces::new(0..used, 1, workers);
-    let census_shares = Board::new();
-    let slots = Mutex::new(Vec::with_capacity(used));
-    let slots_at = SlotsAt(slots.lock().as_mut_ptr());
     let census = OnceLock::new();
     let tracers = Board::new();
-    let plan = OnceLock::new();
-    let swept = Board::new();
+    let tail = OnceLock::new();
     let done = fan_out(workers, |w, sync| {
         // Worker 0's copies are the ones kept.
         let (mut phases, mut clock) = (phases, clock);
         let mut stats = RecoveryStats { threads, ..Default::default() };
-        while let Some((k, range)) = pieces.take() {
-            // SAFETY: the pieces are disjoint ranges of `0..used`, and
-            // nothing reads the buffer before the join.
-            let out = unsafe { slots_at.piece(&range) };
-            census_shares.put(k, (range.clone(), Census::decode(pool, geo, used, range, out)));
-        }
-        sync.wait();
         if w == 0 {
-            let mut slots = std::mem::take(&mut *slots.lock());
-            // SAFETY: the pieces cover `0..used`, and each is decoded.
-            unsafe { slots.set_len(used) };
-            let _ = census.set(Census::join(pool, geo, slots, &census_shares.take()));
-            phases.census = clock.lap();
+            let _ = census.set(Census::take(pool, geo, used));
         }
         sync.wait();
+        phases.census = clock.lap();
 
         // Step 5: the trace, over disjoint root subsets.
-        let census = census.get().expect("worker 0 joined the census");
+        let census = census.get().expect("worker 0 took the census");
         let mut tracer = Tracer::new(census);
         for (addr, filter) in roots.iter().skip(w).step_by(workers) {
             tracer.visit_addr(*addr, *filter);
@@ -309,90 +291,74 @@ pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
         tracer.drain();
         tracers.put(w, tracer);
         sync.wait();
-        if w == 0 {
-            phases.mark = clock.lap();
-            // The live prefix (see the module docs).
-            let mut traced = tracers.take();
-            let mut heads: Vec<usize> = traced.iter().flat_map(|t| t.heads.iter().copied()).collect();
-            heads.sort_unstable();
-            heads.dedup();
-            let claim = census.claim(heads.iter().copied());
-            let top = traced.iter().map(Tracer::top).max().unwrap_or(0);
-            let keep = top.max(claim.spans.last().map_or(0, |s| s.end));
-            let bits = census.bits_below(keep);
-            let mut marks = std::mem::replace(&mut traced[0].marks, MarkSet::new(0));
-            for t in &traced {
-                marks.merge_from(&t.marks, bits);
-                stats.conservative_words_scanned += t.cons_words_scanned;
-                stats.conservative_candidates += t.cons_hits;
+        let release = |tail: &Pieces| {
+            while let Some(pages) = tail.take() {
+                pool.discard(pages);
             }
-            stats.reachable_blocks = heads.len() as u64;
-            stats.reachable_bytes = claim.bytes;
-            stats.rejected_large_phantoms = claim.phantoms.len();
-            phases.claim = clock.lap();
+        };
+        if w > 0 {
+            // A helper gives the tail's pages back once worker 0 has
+            // lowered `used` and decommitted it.
+            sync.wait();
+            release(tail.get().expect("worker 0 decommitted the tail"));
+            return (stats, clock);
+        }
+        phases.mark = clock.lap();
+        // The live prefix (see the module docs).
+        let mut traced = tracers.take();
+        let mut heads: Vec<usize> = traced.iter().flat_map(|t| t.heads.iter().copied()).collect();
+        heads.sort_unstable();
+        heads.dedup();
+        let claim = census.claim(heads.iter().copied());
+        let top = traced.iter().map(Tracer::top).max().unwrap_or(0);
+        let keep = top.max(claim.spans.last().map_or(0, |s| s.end));
+        let bits = census.bits_below(keep);
+        let mut marks = std::mem::replace(&mut traced[0].marks, MarkSet::new(0));
+        for t in &traced {
+            marks.merge_from(&t.marks, bits);
+            stats.conservative_words_scanned += t.cons_words_scanned;
+            stats.conservative_candidates += t.cons_hits;
+        }
+        stats.reachable_blocks = heads.len() as u64;
+        stats.reachable_bytes = claim.bytes;
+        stats.rejected_large_phantoms = claim.phantoms.len();
+        phases.claim = clock.lap();
 
-            // Step 6: the live prefix becomes durable before anything is
-            // swept (see the module docs for why that order is crash-safe).
-            let (shrunk, tail) = inner.lower_to(keep);
-            stats.shrunk_superblocks = shrunk;
-            stats.free_superblocks = used - keep;
-            let (tail, sweep) = (Pieces::new(tail, HUGE_PAGE, workers), Pieces::new(0..keep, 1, workers));
-            let lines = Pieces::new(0..pool.committed_len(), CACHE_LINE, workers);
-            let _ = plan.set(Plan { marks, claim, tail, sweep, lines });
-            phases.shrink = clock.lap();
-        }
+        // Step 6: the live prefix becomes durable before anything is
+        // swept (see the module docs for why that order is crash-safe).
+        let (shrunk, pages) = inner.lower_to(keep);
+        stats.shrunk_superblocks = shrunk;
+        stats.free_superblocks = used - keep;
+        let tail = tail.get_or_init(|| Pieces::new(pages, workers));
+        phases.shrink = clock.lap();
         sync.wait();
 
-        // Steps 7-9: the workers give the tail's pages back and sweep
-        // `0..keep`, piece by piece; worker 0 then publishes every list
-        // from the pieces' batches in piece order.
-        let plan = plan.get().expect("worker 0 planned the sweep");
-        while let Some((_, pages)) = plan.tail.take() {
-            pool.discard(pages);
+        // Steps 7-9, while the helpers give the tail's pages back: sweep
+        // `0..keep` and publish every list.
+        let swept = sweep(inner, census, &marks, &claim.claimed[..keep]);
+        DescList::free_list(geo).publish(pool, geo, &swept.free);
+        for (at, chain) in swept.partial.iter().enumerate() {
+            let (class, s) = ((at / SHARDS as usize) as u32, (at % SHARDS as usize) as u32);
+            DescList::partial_shard(geo, class, s).publish(pool, geo, chain);
         }
-        while let Some((k, range)) = plan.sweep.take() {
-            swept.put(k, sweep_range(inner, census, plan, range));
-        }
-        sync.wait();
-        if w == 0 {
-            let swept = swept.take();
-            DescList::free_list(geo).publish(pool, geo, swept.iter().map(|b| b.free.as_slice()));
-            for class in 0..NUM_CLASSES as u32 {
-                for s in 0..SHARDS {
-                    let at = class as usize * SHARDS as usize + s as usize;
-                    let batches = swept.iter().map(|b| b.partial[at].as_slice());
-                    DescList::partial_shard(geo, class, s).publish(pool, geo, batches);
-                }
-            }
-            for b in &swept {
-                stats.reachable_blocks += b.blocks;
-                stats.reachable_bytes += b.bytes;
-                stats.free_superblocks += b.free.len();
-                stats.partial_superblocks += b.partial.iter().map(Vec::len).sum::<usize>();
-                stats.full_superblocks += b.full;
-            }
-            inner.emit(EventKind::RecoverySweep, stats.reachable_blocks, used as u64);
-            inner.emit(
-                EventKind::RecoverySplice,
-                stats.partial_superblocks as u64,
-                stats.free_superblocks as u64,
-            );
-            phases.sweep = clock.lap();
-        }
-        sync.wait();
+        stats.reachable_blocks += swept.blocks;
+        stats.reachable_bytes += swept.bytes;
+        stats.free_superblocks += swept.free.len();
+        stats.partial_superblocks = swept.partial.iter().map(Vec::len).sum();
+        stats.full_superblocks = swept.full;
+        inner.emit(EventKind::RecoverySweep, stats.reachable_blocks, used as u64);
+        inner.emit(EventKind::RecoverySplice, stats.partial_superblocks as u64, stats.free_superblocks as u64);
+        phases.sweep = clock.lap();
 
         // Step 10: write everything back so a crash immediately after
         // recovery restarts from this reconstructed state. Only the
         // committed prefix exists to flush; the uncommitted reservation
-        // has no content (and the pool would reject the range). A fence
-        // orders only its own core's write-backs, so every worker fences
-        // after the pieces it flushed.
+        // has no content (and the pool would reject the range). Then take
+        // what is left of the tail.
         if !inner.transient {
-            while let Some((_, lines)) = plan.lines.take() {
-                pool.flush(lines.start, lines.len());
-            }
-            pool.fence();
+            pool.persist(0, pool.committed_len());
         }
+        release(tail);
         (RecoveryStats { phases, ..stats }, clock)
     });
     let (mut stats, mut clock) = done.into_iter().next().expect("worker 0 reports");
@@ -430,26 +396,8 @@ impl Clock {
     }
 }
 
-/// The census buffer, which the workers decode into.
-struct SlotsAt(*mut Slot);
-
-// SAFETY: each worker writes only the slots of the pieces it takes.
-unsafe impl Sync for SlotsAt {}
-
-impl SlotsAt {
-    /// The slots `range` of a buffer with room for `range.end`.
-    ///
-    /// # Safety
-    /// No other borrow of those slots may be live while this one is.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn piece(&self, range: &Range<usize>) -> &mut [MaybeUninit<Slot>] {
-        // SAFETY: in the buffer, and exclusive per the fn contract.
-        unsafe { std::slice::from_raw_parts_mut(self.0.add(range.start).cast(), range.len()) }
-    }
-}
-
-/// Values posted under a number (a worker's or a piece's), taken by
-/// worker 0 after a barrier, in number order.
+/// Values posted under a worker's number, taken by worker 0 after a
+/// barrier, in number order.
 struct Board<T>(Mutex<Vec<(usize, T)>>);
 
 impl<T> Board<T> {
@@ -508,14 +456,35 @@ impl Rendezvous<'_> {
 /// thread and the rest on scoped threads, and return the results in
 /// worker order. The workers meet at `sync.wait()`; if one panics, the
 /// others leave their waits and its panic is resumed here.
+///
+/// A spawned thread starts on its parent's CPU, and a host that does not
+/// balance load (a cpuset whose `sched_load_balance` is 0) never moves it,
+/// so a helper that started on worker 0's CPU would share it to the end.
+/// Each helper therefore moves to the CPU [`helper_cpu`] gives it, when it
+/// did not start there.
 fn fan_out<T: Send>(workers: usize, work: impl Fn(usize, &mut Rendezvous) -> T + Sync) -> Vec<T> {
     let bar = Barrier { workers, arrived: AtomicUsize::new(0), broken: AtomicBool::new(false) };
     let run = |w: usize| {
         catch_unwind(AssertUnwindSafe(|| work(w, &mut Rendezvous(&bar, 0))))
             .inspect_err(|_| bar.broken.store(true, Ordering::Release))
     };
+    let here = match workers {
+        1 => None,
+        _ => sys::getcpu().ok().zip(sys::sched_getaffinity(0).ok()),
+    };
+    let place = |w: usize| {
+        if let Some((cpu, allowed)) = &here {
+            let want = helper_cpu(allowed, *cpu, w);
+            if sys::getcpu().is_ok_and(|now| now != want) {
+                // A refusal leaves the helper where it is: slower, not wrong.
+                let _ = sys::sched_setaffinity(0, &[want]);
+            }
+        }
+    };
     let mut done = std::thread::scope(|s| {
-        let others: Vec<_> = (1..workers).map(|w| s.spawn(move || run(w))).collect();
+        let others: Vec<_> = (1..workers)
+            .map(|w| s.spawn(move || { place(w); run(w) }))
+            .collect();
         let mut done = vec![run(0)];
         // Wait for the others busily: a joiner that sleeps may idle its
         // core, and waking one takes longer than the rest of a phase.
@@ -533,39 +502,45 @@ fn fan_out<T: Send>(workers: usize, work: impl Fn(usize, &mut Rendezvous) -> T +
     done.into_iter().map(|r| r.expect("workers abandon only after a panic")).collect()
 }
 
-/// A range cut into four pieces per worker on multiples of `unit` (whole
-/// huge pages for a discard), taken in turn by whichever worker comes
-/// free, so a slow one does less. What a piece yields is kept by its
-/// number, so it is the same for any worker count and timing.
+/// The CPU helper `w` belongs on: the `w`-th of the `allowed` CPUs after
+/// the one worker 0 runs on (`cpu0`), wrapping, so that up to one worker
+/// per allowed CPU no two share one.
+fn helper_cpu(allowed: &[usize], cpu0: usize, w: usize) -> usize {
+    let i0 = allowed.iter().position(|&c| c == cpu0).unwrap_or(0);
+    allowed[(i0 + w) % allowed.len()]
+}
+
+/// The decommitted tail cut at huge-page boundaries into four pieces per
+/// worker, taken in turn by whichever worker comes free, so a slow one
+/// does less.
 struct Pieces {
     range: Range<usize>,
-    unit: usize,
     n: usize,
     next: AtomicUsize,
 }
 
 impl Pieces {
-    fn new(range: Range<usize>, unit: usize, workers: usize) -> Pieces {
+    fn new(range: Range<usize>, workers: usize) -> Pieces {
         let n = if workers == 1 { 1 } else { 4 * workers };
-        Pieces { range, unit, n, next: AtomicUsize::new(0) }
+        Pieces { range, n, next: AtomicUsize::new(0) }
     }
 
-    /// The next piece nobody has taken: its number and its range.
-    fn take(&self) -> Option<(usize, Range<usize>)> {
+    /// The next piece nobody has taken.
+    fn take(&self) -> Option<Range<usize>> {
         let k = self.next.fetch_add(1, Ordering::Relaxed);
         let (r, n) = (&self.range, self.n);
         let cut = |k: usize| match k {
             0 => r.start,
             _ if k == n => r.end,
-            _ => (r.start + r.len() * k / n).next_multiple_of(self.unit).min(r.end),
+            _ => (r.start + r.len() * k / n).next_multiple_of(HUGE_PAGE).min(r.end),
         };
-        (k < n).then(|| (k, cut(k)..cut(k + 1)))
+        (k < n).then(|| cut(k)..cut(k + 1))
     }
 }
 
-/// What one sweep piece rebuilt: its free batch and its batch per (class,
-/// shard), each ascending and threaded, its full superblocks, and its
-/// marked small blocks and their bytes.
+/// What the sweep rebuilt: the free list and the list per (class, shard),
+/// each ascending, the full superblocks, and the marked small blocks and
+/// their bytes.
 struct Swept {
     free: Vec<u32>,
     partial: Vec<Vec<u32>>,
@@ -574,20 +549,18 @@ struct Swept {
     bytes: u64,
 }
 
-/// Rebuild descriptors `range`: per-superblock free chains, anchors, and
-/// list batches (steps 7–9 for a slice of the live prefix). Safe to run
-/// concurrently over disjoint ranges: a worker writes only its own
-/// descriptors and blocks, and publishing is the caller's. Partial
-/// superblocks are placed on shard `place_superblock(i)`, a pure function
-/// of the index, so any worker count rebuilds the identical partition.
-fn sweep_range(inner: &HeapInner, census: &Census, plan: &Plan, range: Range<usize>) -> Swept {
+/// Rebuild descriptors `0..claimed.len()` (steps 7–9 for the live prefix):
+/// per-superblock free chains, anchors, and list members; publishing is
+/// the caller's. Partial superblocks are placed on shard
+/// `place_superblock(i)`, a pure function of the index.
+fn sweep(inner: &HeapInner, census: &Census, marks: &MarkSet, claimed: &[bool]) -> Swept {
     let pool = &inner.pool;
     let geo = &inner.geo;
     let shards = SHARDS as usize;
     let mut out = Swept { free: Vec::new(), partial: vec![Vec::new(); NUM_CLASSES * shards], full: 0, blocks: 0, bytes: 0 };
-    for i in range {
+    for (i, &claimed) in claimed.iter().enumerate() {
         let d = Desc::new(pool, geo, i as u32);
-        if plan.claim.claimed[i] {
+        if claimed {
             // Live large block (head or interior): fully allocated.
             d.set_anchor(Anchor::full(1), Ordering::Relaxed);
             out.full += 1;
@@ -604,7 +577,7 @@ fn sweep_range(inner: &HeapInner, census: &Census, plan: &Plan, range: Range<usi
         // Refresh the transient max_count cache without flushing (the
         // persisted class/size bits are rewritten unchanged).
         d.set_size(class, size as u64, mc, true);
-        let marked = plan.marks.count(bit, mc);
+        let marked = marks.count(bit, mc);
         out.blocks += marked as u64;
         out.bytes += marked as u64 * size as u64;
         let anchor = match marked {
@@ -617,7 +590,7 @@ fn sweep_range(inner: &HeapInner, census: &Census, plan: &Plan, range: Range<usi
                 // Chain the unmarked blocks in ascending order (step 7:
                 // "keep only traced blocks").
                 let sb_addr = pool.base() as usize + geo.sb(i);
-                let mut free = (0..mc).filter(|&blk| !plan.marks.is_marked(bit + blk as usize));
+                let mut free = (0..mc).filter(|&blk| !marks.is_marked(bit + blk as usize));
                 let first = free.next().expect("a partial superblock has a free block");
                 let mut prev = first;
                 for blk in free {
@@ -639,12 +612,6 @@ fn sweep_range(inner: &HeapInner, census: &Census, plan: &Plan, range: Range<usi
             }
             SbState::Full => out.full += 1,
         }
-    }
-    let free_list = DescList::free_list(geo);
-    free_list.thread(pool, geo, &out.free);
-    for (at, batch) in out.partial.iter().enumerate() {
-        let (class, s) = ((at / shards) as u32, (at % shards) as u32);
-        DescList::partial_shard(geo, class, s).thread(pool, geo, batch);
     }
     out
 }
@@ -1098,6 +1065,19 @@ mod parallel_tests {
             heap.free(p);
         }
         assert!(check_heap(&heap).is_consistent());
+    }
+
+    #[test]
+    fn each_helper_gets_the_next_allowed_cpu_after_worker_zeros() {
+        use super::helper_cpu;
+        let on = |allowed: &[usize], cpu0, workers: usize| (1..workers).map(|w| helper_cpu(allowed, cpu0, w)).collect::<Vec<_>>();
+        assert_eq!(on(&[0, 1], 0, 2), [1]);
+        assert_eq!(on(&[0, 1], 1, 2), [0]);
+        // A gappy mask counts positions, not CPU numbers, and wraps.
+        assert_eq!(on(&[2, 5, 7], 5, 4), [7, 2, 5]);
+        // Worker 0 off its own mask counts from the first allowed CPU.
+        assert_eq!(on(&[3, 4], 9, 3), [4, 3]);
+        assert_eq!(on(&[6], 6, 3), [6, 6]);
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! crash-testing substrate need and `std` does not expose: address-space
 //! reservations and file mappings (`mmap`/`munmap`/`msync`, wrapped as
 //! [`Reservation`]), page backing and residency (`madvise`/`mincore`),
-//! advisory file locks (`flock`), and process control for the
-//! fork/SIGKILL harness (`fork`/`kill`/`wait4`).
+//! advisory file locks (`flock`), CPU placement for recovery's helpers
+//! (`sched_getaffinity`/`sched_setaffinity`/`getcpu`), and process
+//! control for the fork/SIGKILL harness (`fork`/`kill`/`wait4`).
 //!
 //! The workspace builds offline with no `libc` crate, so these are
 //! direct `syscall` instructions on x86_64 Linux. Every wrapper returns
@@ -60,6 +61,9 @@ mod nr {
     pub const WAIT4: usize = 61;
     pub const KILL: usize = 62;
     pub const FLOCK: usize = 73;
+    pub const SCHED_SETAFFINITY: usize = 203;
+    pub const SCHED_GETAFFINITY: usize = 204;
+    pub const GETCPU: usize = 309;
 }
 
 /// Raw 6-argument syscall. Returns the kernel's raw result (negative
@@ -180,6 +184,51 @@ pub fn flock(fd: i32, op: usize) -> io::Result<()> {
     // SAFETY: no memory arguments.
     let r = unsafe { syscall6(nr::FLOCK, fd as usize, op, 0, 0, 0, 0) };
     check(r).map(|_| ())
+}
+
+/// A CPU mask as the affinity calls take it: room for 1 024 CPUs, the
+/// size of glibc's `cpu_set_t`.
+type CpuMask = [u64; 16];
+
+/// `sched_getaffinity(tid)` — the CPUs thread `tid` (0: the calling
+/// thread) may run on, ascending.
+pub fn sched_getaffinity(tid: i32) -> io::Result<Vec<usize>> {
+    let mut mask: CpuMask = [0; 16];
+    // SAFETY: the kernel writes at most `size_of_val(&mask)` bytes, into
+    // `mask`.
+    let r = unsafe {
+        let len = std::mem::size_of_val(&mask);
+        syscall6(nr::SCHED_GETAFFINITY, tid as usize, len, mask.as_mut_ptr() as usize, 0, 0, 0)
+    };
+    check(r)?;
+    Ok((0..mask.len() * 64).filter(|&c| mask[c / 64] >> (c % 64) & 1 != 0).collect())
+}
+
+/// `sched_setaffinity(tid, cpus)` — let thread `tid` (0: the calling
+/// thread) run on `cpus` only; the kernel moves it at once if it runs on
+/// another. A CPU past the mask is `EINVAL`, as the kernel refuses one it
+/// does not have.
+pub fn sched_setaffinity(tid: i32, cpus: &[usize]) -> io::Result<()> {
+    let mut mask: CpuMask = [0; 16];
+    for &c in cpus {
+        *mask.get_mut(c / 64).ok_or_else(|| io::Error::from_raw_os_error(22))? |= 1 << (c % 64);
+    }
+    // SAFETY: the kernel only reads `mask`, `size_of_val(&mask)` bytes.
+    let r = unsafe {
+        let len = std::mem::size_of_val(&mask);
+        syscall6(nr::SCHED_SETAFFINITY, tid as usize, len, mask.as_ptr() as usize, 0, 0, 0)
+    };
+    check(r).map(|_| ())
+}
+
+/// `getcpu()` — the CPU the calling thread runs on (it may move right
+/// after, unless its affinity holds one CPU).
+pub fn getcpu() -> io::Result<usize> {
+    let mut cpu: u32 = 0;
+    // SAFETY: the kernel writes one `u32`, into `cpu`; the node and cache
+    // pointers are null, which it skips.
+    let r = unsafe { syscall6(nr::GETCPU, &mut cpu as *mut u32 as usize, 0, 0, 0, 0, 0) };
+    check(r).map(|_| cpu as usize)
 }
 
 /// `fork()` — returns the child pid in the parent, 0 in the child.
@@ -512,6 +561,24 @@ pub(crate) mod tests {
     #[test]
     fn getpid_matches_std() {
         assert_eq!(getpid() as u32, std::process::id());
+    }
+
+    #[test]
+    fn a_thread_pinned_to_each_allowed_cpu_runs_there() {
+        let allowed = sched_getaffinity(0).unwrap();
+        assert!(!allowed.is_empty());
+        // A thread of its own, so the test harness's thread keeps its mask.
+        std::thread::spawn(move || {
+            for &cpu in &allowed {
+                sched_setaffinity(0, &[cpu]).unwrap();
+                assert_eq!(sched_getaffinity(0).unwrap(), [cpu]);
+                assert_eq!(getcpu().unwrap(), cpu, "pinned to CPU {cpu}");
+            }
+            let err = sched_setaffinity(0, &[1 << 20]).expect_err("a CPU past the mask");
+            assert_eq!(err.raw_os_error(), Some(22), "EINVAL");
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

@@ -39,7 +39,9 @@ pub const MAX_KEY: u64 = u64::MAX - 2;
 const INF1: u64 = u64::MAX - 1;
 const INF2: u64 = u64::MAX;
 
-/// Tree node; leaves have both child edges empty.
+/// Tree node; leaves have both child edges empty. `key` and `value` are
+/// stored before the edge CAS that publishes the node, and a node is freed
+/// only at [`NmTree::quiesce`]: no store races a read of a reached node.
 #[repr(C)]
 pub struct NmNode {
     key: u64,
@@ -156,7 +158,7 @@ impl NmTree {
 
     #[inline]
     fn child_edge(&self, n: *mut NmNode, key: u64) -> &AtomicLink<48> {
-        // SAFETY: node is live.
+        // SAFETY: a reached node is unchanged until quiesce (see `NmNode`).
         unsafe {
             if key < (*n).key {
                 &(*n).left
@@ -204,7 +206,7 @@ impl NmTree {
     pub fn get(&self, key: u64) -> Option<u64> {
         assert!(key <= MAX_KEY);
         let rec = self.seek(key);
-        // SAFETY: leaf stays mapped.
+        // SAFETY: a reached node is unchanged until quiesce (see `NmNode`).
         unsafe {
             if (*rec.leaf).key == key {
                 Some((*rec.leaf).value)
@@ -221,7 +223,7 @@ impl NmTree {
         let mut new_internal: *mut NmNode = std::ptr::null_mut();
         loop {
             let rec = self.seek(key);
-            // SAFETY: leaf stays mapped.
+            // SAFETY: a reached node is unchanged until quiesce (see `NmNode`).
             let leaf_key = unsafe { (*rec.leaf).key };
             if leaf_key == key {
                 if !new_leaf.is_null() {
@@ -274,7 +276,7 @@ impl NmTree {
         loop {
             let rec = self.seek(key);
             if !injected {
-                // SAFETY: leaf stays mapped.
+                // SAFETY: a reached node is unchanged until quiesce (see `NmNode`).
                 unsafe {
                     if (*rec.leaf).key != key {
                         return None;
@@ -315,7 +317,7 @@ impl NmTree {
     /// ancestor edge over the surviving sibling with one CAS.
     fn cleanup(&self, key: u64, rec: &SeekRecord) -> bool {
         let ancestor_edge = self.child_edge(rec.ancestor, key);
-        // SAFETY: parent stays mapped (retire-until-quiesce discipline).
+        // SAFETY: a reached node is unchanged until quiesce (see `NmNode`).
         let (child_edge, sibling_edge) = unsafe {
             if key < (*rec.parent).key {
                 (&(*rec.parent).left, &(*rec.parent).right)

@@ -53,6 +53,8 @@
 //! `crashtest::register_filters` calls `get_root::<QueueHead>` before
 //! `recover`, as any caller must.
 
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+
 use ralloc::{AtomicLink, Link, PersistentAllocator, Ralloc, Trace, Tracer};
 
 use crate::{block, offset};
@@ -75,10 +77,11 @@ pub struct QueueHead {
 }
 
 /// A queue node. `next` is a CAS-able counted [`Link<48>`]; `value` is
-/// immutable once the node is published.
+/// atomic, a `dequeue` may read it while an `enqueue` reuses the node, and
+/// Relaxed: the `next` link's release CAS and acquire load order it.
 #[repr(C)]
 pub struct QueueNode {
-    value: u64,
+    value: AtomicU64,
     next: AtomicLink<48>,
 }
 
@@ -128,11 +131,11 @@ impl<A: PersistentAllocator> PQueue<A> {
         let to_dummy = Link::<48>::new(offset(base, dummy), 0);
         // SAFETY: fresh blocks, exclusively owned.
         unsafe {
-            (*dummy).value = 0;
-            (*dummy).next = AtomicLink::new(Link::NONE);
-            (*anchor).head = AtomicLink::new(to_dummy);
-            (*anchor).tail = AtomicLink::new(to_dummy);
-            (*anchor).free = AtomicLink::new(Link::NONE);
+            (*dummy).value.store(0, Relaxed);
+            (*dummy).next.store(Link::NONE);
+            (*anchor).head.store(to_dummy);
+            (*anchor).tail.store(to_dummy);
+            (*anchor).free.store(Link::NONE);
         }
         alloc.persist(dummy as *const u8, std::mem::size_of::<QueueNode>());
         PQueue { alloc, base, anchor }
@@ -150,27 +153,16 @@ impl<A: PersistentAllocator> PQueue<A> {
                 self.alloc.free(node as *mut u8);
             }
         };
-        release(self.head_word().load());
-        release(self.free_word().load());
+        release(self.words().head.load());
+        release(self.words().free.load());
         self.alloc.free(self.anchor as *mut u8);
     }
 
+    /// The anchor cell: its `head`, `tail` and `free` words.
     #[inline]
-    fn head_word(&self) -> &AtomicLink<48> {
+    fn words(&self) -> &QueueHead {
         // SAFETY: anchor cell is live for the queue's lifetime.
-        unsafe { &(*self.anchor).head }
-    }
-
-    #[inline]
-    fn tail_word(&self) -> &AtomicLink<48> {
-        // SAFETY: as above.
-        unsafe { &(*self.anchor).tail }
-    }
-
-    #[inline]
-    fn free_word(&self) -> &AtomicLink<48> {
-        // SAFETY: as above.
-        unsafe { &(*self.anchor).free }
+        unsafe { &*self.anchor }
     }
 
     /// Pop a retired node off the free list, or malloc a fresh one. A
@@ -178,13 +170,13 @@ impl<A: PersistentAllocator> PQueue<A> {
     /// stale CASes from the node's previous life fail.
     fn alloc_node(&self) -> *mut QueueNode {
         loop {
-            let f = self.free_word().load();
+            let f = self.words().free.load();
             let Some(node) = block::<QueueNode>(self.base, f) else {
                 return self.alloc.malloc(std::mem::size_of::<QueueNode>()) as *mut QueueNode;
             };
             // SAFETY: type-stable node; the counter invalidates stale pops.
             let next = unsafe { (*node).next.load() };
-            if self.free_word().compare_exchange(f, f.advance(next.target())).is_ok() {
+            if self.words().free.compare_exchange(f, f.advance(next.target())).is_ok() {
                 // Detach: advance the counter past the free-link value so
                 // CASes expecting either the old live or free-link word
                 // fail.
@@ -198,12 +190,12 @@ impl<A: PersistentAllocator> PQueue<A> {
     /// Push a retired dummy onto the free list (type-stable reclamation).
     fn retire_node(&self, node: *mut QueueNode) {
         loop {
-            let f = self.free_word().load();
+            let f = self.words().free.load();
             // SAFETY: we own the retired node (we won the head CAS).
             let next = unsafe { (*node).next.load() };
             // SAFETY: as above.
             unsafe { (*node).next.store(next.advance(f.target())) };
-            if self.free_word().compare_exchange(f, f.advance(offset(self.base, node))).is_ok() {
+            if self.words().free.compare_exchange(f, f.advance(offset(self.base, node))).is_ok() {
                 return;
             }
         }
@@ -218,19 +210,19 @@ impl<A: PersistentAllocator> PQueue<A> {
         // SAFETY: we own the unpublished node (its `next` counter is
         // preserved from any previous life; see `alloc_node`).
         unsafe {
-            (*node).value = value;
+            (*node).value.store(value, Relaxed);
             (*node).next.store(Link::new(None, (*node).next.load().tag()));
         }
         self.alloc.persist(node as *const u8, std::mem::size_of::<QueueNode>());
         let to_node = offset(self.base, node);
         loop {
-            let t = self.tail_word().load();
+            let t = self.words().tail.load();
             let tail_node = block::<QueueNode>(self.base, t).expect("the tail names a node");
             // SAFETY: node memory stays mapped; counters invalidate stale
             // CASes.
             let next_ref = unsafe { &(*tail_node).next };
             let n = next_ref.load();
-            if self.tail_word().load() != t {
+            if self.words().tail.load() != t {
                 continue;
             }
             if n.target().is_none() {
@@ -239,7 +231,7 @@ impl<A: PersistentAllocator> PQueue<A> {
                     // The link is the linearization point; it is durable
                     // before the tail hint moves over it.
                     self.help_tail(t, next_ref, to_node);
-                    self.alloc.persist(self.tail_word() as *const AtomicLink<48> as *const u8, 8);
+                    self.alloc.persist(&self.words().tail as *const AtomicLink<48> as *const u8, 8);
                     return true;
                 }
             } else {
@@ -254,24 +246,24 @@ impl<A: PersistentAllocator> PQueue<A> {
     /// move goes through here (see the module docs).
     fn help_tail(&self, t: Link<48>, link: &AtomicLink<48>, next: Option<u64>) {
         self.alloc.persist(link as *const AtomicLink<48> as *const u8, 8);
-        let _ = self.tail_word().compare_exchange(t, t.advance(next));
+        let _ = self.words().tail.compare_exchange(t, t.advance(next));
     }
 
     /// Dequeue the oldest value, freeing the retired dummy node.
     pub fn dequeue(&self) -> Option<u64> {
         loop {
-            let h = self.head_word().load();
-            let t = self.tail_word().load();
+            let h = self.words().head.load();
+            let t = self.words().tail.load();
             let dummy = block::<QueueNode>(self.base, h).expect("the head names the dummy");
             // SAFETY: pool memory stays mapped; the head counter
             // invalidates our CAS if the dummy was recycled.
             let n = unsafe { (*dummy).next.load() };
-            if self.head_word().load() != h {
+            if self.words().head.load() != h {
                 continue;
             }
             let next_node = block::<QueueNode>(self.base, n)?; // no next: empty
             // SAFETY: as above.
-            let value = unsafe { (*next_node).value };
+            let value = unsafe { (*next_node).value.load(Relaxed) };
             if t.target() == h.target() {
                 // Tail still on the dummy we're about to retire: help it
                 // past first so it can never point at a freed node.
@@ -279,8 +271,8 @@ impl<A: PersistentAllocator> PQueue<A> {
                 self.help_tail(t, unsafe { &(*dummy).next }, n.target());
                 continue;
             }
-            if self.head_word().compare_exchange(h, h.advance(n.target())).is_ok() {
-                self.alloc.persist(self.head_word() as *const AtomicLink<48> as *const u8, 8);
+            if self.words().head.compare_exchange(h, h.advance(n.target())).is_ok() {
+                self.alloc.persist(&self.words().head as *const AtomicLink<48> as *const u8, 8);
                 self.retire_node(dummy);
                 return Some(value);
             }
@@ -290,7 +282,7 @@ impl<A: PersistentAllocator> PQueue<A> {
     /// Snapshot the values front-to-back (offline use).
     pub fn snapshot(&self) -> Vec<u64> {
         let mut out = Vec::new();
-        let h = self.head_word().load();
+        let h = self.words().head.load();
         let dummy = block::<QueueNode>(self.base, h).expect("the head names the dummy");
         // Skip the dummy; its value is retired.
         // SAFETY: offline traversal of a quiescent queue.
@@ -298,7 +290,7 @@ impl<A: PersistentAllocator> PQueue<A> {
         while let Some(node) = block::<QueueNode>(self.base, cur) {
             // SAFETY: as above.
             let node = unsafe { &*node };
-            out.push(node.value);
+            out.push(node.value.load(Relaxed));
             cur = node.next.load();
         }
         out
@@ -328,23 +320,23 @@ impl PQueue<Ralloc> {
         // crash may have left the hint arbitrarily stale (never ahead of
         // the chain, because a tail CAS only installs an already-linked
         // node).
-        let mut cur = q.head_word().load();
+        let mut cur = q.words().head.load();
         let mut last = cur.target();
         while let Some(node) = block::<QueueNode>(q.base, cur) {
             last = cur.target();
             // SAFETY: offline traversal of a quiescent queue.
             cur = unsafe { (*node).next.load() };
         }
-        let t = q.tail_word().load();
+        let t = q.words().tail.load();
         if t.target() != last {
-            q.tail_word().store(t.advance(last));
-            heap.persist(q.tail_word() as *const AtomicLink<48> as *const u8, 8);
+            q.words().tail.store(t.advance(last));
+            heap.persist(&q.words().tail as *const AtomicLink<48> as *const u8, 8);
         }
         // The free list is transient (see `QueueHead`): whatever the
         // word says now is a stale snapshot whose chain recovery has
         // already reclaimed. Reset, preserving the counter.
-        let f = q.free_word().load();
-        q.free_word().store(f.advance(None));
+        let f = q.words().free.load();
+        q.words().free.store(f.advance(None));
         Some(q)
     }
 }
@@ -515,7 +507,8 @@ mod tests {
     fn mixed_operations_on_every_thread_conserve_values() {
         const THREADS: u64 = 4;
         const OPS: u64 = 20_000;
-        const RUNS: u64 = 8;
+        // A run under ThreadSanitizer takes about ten times as long.
+        const RUNS: u64 = if cfg!(tsan) { 2 } else { 8 };
         let run = |seed: u64| -> Result<(), String> {
             let q = PQueue::new(SystemAlloc::new());
             let logs: Vec<(Vec<u64>, Vec<u64>)> = std::thread::scope(|s| {
@@ -678,7 +671,7 @@ mod tests {
         }
         // Sabotage the tail hint back to the dummy (simulating a crash
         // right after a link, before the tail swing persisted).
-        q.tail_word().store(q.head_word().load());
+        q.words().tail.store(q.words().head.load());
         drop(q);
         let q = PQueue::attach(&h, 0).unwrap();
         q.enqueue(10);
@@ -695,14 +688,14 @@ mod tests {
         for _ in 0..3 {
             h.malloc(size);
         }
-        let t = q.tail_word().load();
+        let t = q.words().tail.load();
         let dummy = block::<QueueNode>(q.base, t).unwrap();
         // A stalled enqueuer: its node is persisted and linked behind the
         // tail, but neither is the link persisted nor the tail moved.
         let node = q.alloc_node();
         // SAFETY: we own the popped node; the dummy is live.
         let link = unsafe {
-            (*node).value = 1;
+            (*node).value.store(1, Relaxed);
             (*node).next.store(Link::new(None, (*node).next.load().tag()));
             &(*dummy).next
         };
@@ -713,7 +706,7 @@ mod tests {
         // behind it and is acked.
         q.help_tail(t, link, to_node);
         assert!(q.enqueue(2));
-        let acked = block::<QueueNode>(q.base, q.tail_word().load()).unwrap() as usize;
+        let acked = block::<QueueNode>(q.base, q.words().tail.load()).unwrap() as usize;
         let line = |a: usize| a / 64;
         assert!(line(dummy as usize) != line(node as usize) && line(dummy as usize) != line(acked));
         h.crash_simulated();

@@ -14,6 +14,8 @@
 //! linearization is the CAS; the trailing persist gives buffered-durable
 //! behaviour, which the paper's model permits.)
 
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+
 use ralloc::{AtomicLink, Link, PersistentAllocator, Ralloc, Trace, Tracer};
 
 use crate::{block, offset};
@@ -25,12 +27,14 @@ pub struct StackHead {
     head: AtomicLink<48>,
 }
 
-/// A stack node: 64-bit value plus a link.
+/// A stack node: 64-bit value plus a link, both atomic: a `pop` reads
+/// them from a node another thread may have freed and reused meanwhile.
+/// `value` is Relaxed: the head's release CAS and acquire load order it.
 #[repr(C)]
 pub struct StackNode {
-    value: u64,
-    /// The next node (no target = end). Immutable after publication.
-    next: Link<48>,
+    value: AtomicU64,
+    /// The next node (no target = end). Unchanged after publication.
+    next: AtomicLink<48>,
 }
 
 // SAFETY: `head` is the cell's only link.
@@ -43,7 +47,7 @@ unsafe impl Trace for StackHead {
 // SAFETY: `next` is a node's only link.
 unsafe impl Trace for StackNode {
     fn trace(&self, t: &mut Tracer<'_>) {
-        t.visit_link::<StackNode>(self.next);
+        t.visit_link::<StackNode>(self.next.load());
     }
 }
 
@@ -64,7 +68,7 @@ impl PStack {
         let head = heap.malloc(std::mem::size_of::<StackHead>()) as *mut StackHead;
         assert!(!head.is_null(), "heap exhausted creating stack head");
         // SAFETY: fresh block, exclusively owned.
-        unsafe { (*head).head = AtomicLink::new(Link::NONE) };
+        unsafe { (*head).head.store(Link::NONE) };
         heap.persist(head as *const u8, std::mem::size_of::<StackHead>());
         heap.set_root::<StackHead>(root, head);
         PStack { heap: heap.clone(), head }
@@ -95,10 +99,10 @@ impl PStack {
         let to_node = offset(self.heap.region_base(), node);
         loop {
             let h = self.head_word().load();
-            // SAFETY: we own the unpublished node.
+            // SAFETY: we own the unpublished node (a stale `pop` may read it).
             unsafe {
-                (*node).value = value;
-                (*node).next = Link::new(h.target(), 0);
+                (*node).value.store(value, Relaxed);
+                (*node).next.store(Link::new(h.target(), 0));
             }
             self.heap
                 .persist(node as *const u8, std::mem::size_of::<StackNode>());
@@ -117,7 +121,7 @@ impl PStack {
             let node = block::<StackNode>(self.heap.region_base(), h)?;
             // SAFETY: node memory stays mapped (pool-backed); the ABA
             // counter invalidates our CAS if the node was recycled.
-            let (value, next) = unsafe { ((*node).value, (*node).next) };
+            let (value, next) = unsafe { ((*node).value.load(Relaxed), (*node).next.load()) };
             if self.head_word().compare_exchange(h, h.advance(next.target())).is_ok() {
                 self.heap
                     .persist(self.head as *const u8, std::mem::size_of::<StackHead>());
@@ -144,8 +148,8 @@ impl PStack {
         while let Some(node) = block::<StackNode>(self.heap.region_base(), cur) {
             // SAFETY: offline traversal of a quiescent stack.
             let node = unsafe { &*node };
-            out.push(node.value);
-            cur = node.next;
+            out.push(node.value.load(Relaxed));
+            cur = node.next.load();
         }
         out
     }
@@ -236,7 +240,8 @@ mod tests {
     fn mixed_operations_on_every_thread_conserve_values() {
         const THREADS: u64 = 4;
         const OPS: u64 = 20_000;
-        const RUNS: u64 = 8;
+        // A run under ThreadSanitizer takes about ten times as long.
+        const RUNS: u64 = if cfg!(tsan) { 2 } else { 8 };
         let run = |seed: u64| -> Result<(), String> {
             let h = Ralloc::create(64 << 20, RallocConfig::default());
             let st = PStack::create(&h, 0);

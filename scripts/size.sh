@@ -15,8 +15,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BUDGET=6647
-REST_BUDGET=8735
+BUDGET=6618
+REST_BUDGET=8733
 MAX_FIELDS=6
 MAX_VARS=7
 
