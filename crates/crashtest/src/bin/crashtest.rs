@@ -182,17 +182,7 @@ fn sweep(args: &mut Args) -> ExitCode {
                     if r.killed {
                         total_kills += 1;
                     }
-                    println!(
-                        "round structure={} i={round} kill={} killed={} setup_died={} \
-                         records={} acked={} inflight={} ok",
-                        s.name(),
-                        cfg.kill,
-                        r.killed,
-                        r.died_in_setup,
-                        r.records,
-                        r.acked,
-                        r.inflight
-                    );
+                    println!("round structure={} i={round} kill={} {r} ok", s.name(), cfg.kill);
                     cleanup(&cfg);
                 }
                 Err(e) => {
@@ -217,17 +207,7 @@ fn run(args: &mut Args) -> ExitCode {
     let (structure, seed) = (cfg.structure, cfg.seed);
     match run_once(&cfg) {
         Ok(r) => {
-            println!(
-                "RESULT structure={} seed={seed:#x} kill={} killed={} setup_died={} \
-                 records={} acked={} inflight={}",
-                structure.name(),
-                cfg.kill,
-                r.killed,
-                r.died_in_setup,
-                r.records,
-                r.acked,
-                r.inflight
-            );
+            println!("RESULT structure={} seed={seed:#x} kill={} {r}", structure.name(), cfg.kill);
             cleanup(&cfg);
             ExitCode::SUCCESS
         }

@@ -1,29 +1,30 @@
-//! # crashtest — fork/SIGKILL crash-injection harness
+//! # crashtest — one crash contract per structure, two crash models
 //!
-//! The cooperative crash tests (`tests/recoverability.rs`) simulate
-//! power failure *inside* one process: an armed [`nvm::CrashInjector`]
-//! panics at a persistence event, the harness catches the unwind and
-//! discards unflushed lines. That model is precise but polite — panics
-//! unwind, destructors run, and only `Mode::Tracked` pools participate.
+//! Every structure under test has one [`workload::Contract`], a row of one
+//! table: how to create it, how a worker thread runs one logged op (a
+//! STARTED record persisted before the op, an ACKED one after, in an
+//! op-log in the same heap, see [`oplog`]), which filter recovery needs
+//! for its root, and the oracle that judges a recovered heap against the
+//! op-log ([`oracle`]): acked ops exactly-once visible, in-flight ops
+//! at-most-once. Two harnesses run the same sequence ([`Structure::victim`]),
+//! crash it, recover and [`judge`] it, under the two crash models:
 //!
-//! This crate kills for real. The victim is a **forked child** running a
-//! multi-threaded workload over a file heap ([`ralloc::Ralloc::open_file`]:
-//! the pool is its file, `MAP_SHARED`, so every executed store outlives
-//! the process — the same path `GALLOC_POOL` and `librp.so` run on); the
-//! parent SIGKILLs it at a randomized moment — either wall-clock
-//! ([`KillSpec::TimeMicros`]) or an exact persistence-event count
-//! ([`KillSpec::Events`], replayable) — then reopens the pool, runs
-//! recovery, and checks **visibility oracles** against a per-thread
-//! op-log persisted in the same heap (see [`oplog`] and [`oracle`]):
-//! acked operations are exactly-once visible, in-flight operations
-//! at-most-once.
+//! * **SIGKILL** ([`run_once`]): a **forked child** runs a multi-threaded
+//!   workload over a file heap ([`ralloc::Ralloc::open_file`], the path
+//!   `GALLOC_POOL` and `librp.so` run on) and the parent kills it after a
+//!   wall-clock delay ([`KillSpec::TimeMicros`]) or it kills itself at an
+//!   exact persistence event ([`KillSpec::Events`], replayable). The pool
+//!   is its file, so every executed store survives: real fail-stop at any
+//!   instruction, but no persist order is checked.
+//! * **Power failure** ([`tracked_sweep`]): in-process on a `Mode::Tracked`
+//!   heap, crashed at every persistence event in turn; only
+//!   flushed-and-fenced lines survive (plus what a
+//!   `CrashStyle::RandomEviction` lets through), so a missing persist shows.
 //!
 //! Everything random derives from one seed (`RALLOC_CRASH_SEED`); a
 //! failing round prints it, and re-running with it reproduces the same
-//! kill point.
-//!
-//! Fork safety: [`run_once`] must be called from a **single-threaded**
-//! process (the `crashtest` binary); the child may spawn threads freely.
+//! kill point. Fork safety: [`run_once`] must be called from a
+//! **single-threaded** process (the `crashtest` binary).
 
 #![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
@@ -33,10 +34,12 @@ pub mod rng;
 pub mod workload;
 
 use std::fmt;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
+use std::sync::Once;
 use std::time::Duration;
 
-use nvm::sys;
+use nvm::{sys, CrashInjector, CrashPoint, CrashStyle, Mode};
 use ralloc::{Ralloc, RallocConfig};
 
 pub use rng::XorShift;
@@ -114,6 +117,13 @@ pub struct RunReport {
     pub inflight: usize,
 }
 
+impl fmt::Display for RunReport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let RunReport { killed, died_in_setup, records, acked, inflight } = self;
+        write!(f, "killed={killed} setup_died={died_in_setup} records={records} acked={acked} inflight={inflight}")
+    }
+}
+
 /// The marker a victim writes next to `pool` once its setup is done.
 pub fn ready_path(pool: &Path) -> PathBuf {
     let mut p = pool.as_os_str().to_owned();
@@ -121,19 +131,15 @@ pub fn ready_path(pool: &Path) -> PathBuf {
     PathBuf::from(p)
 }
 
-fn victim_config(injector: Option<std::sync::Arc<nvm::CrashInjector>>) -> RallocConfig {
-    RallocConfig {
-        injector,
-        initial_capacity: Some(INIT_COMMIT),
-        ..Default::default()
-    }
+fn victim_config(injector: Option<std::sync::Arc<CrashInjector>>) -> RallocConfig {
+    RallocConfig { injector, initial_capacity: Some(INIT_COMMIT), ..Default::default() }
 }
 
 /// Child-side body: open the pool live-mapped, build the structure and
 /// op-log, then run the workload until the kill lands (or it finishes).
 /// Never returns; exits via `exit_group` so no buffers flush twice.
 pub fn child_exec(cfg: &RunConfig) -> ! {
-    let inj = nvm::CrashInjector::new();
+    let inj = CrashInjector::new();
     let (heap, _dirty) =
         match Ralloc::open_file(&cfg.pool, POOL_CAP, victim_config(Some(inj.clone()))) {
             Ok(v) => v,
@@ -142,18 +148,18 @@ pub fn child_exec(cfg: &RunConfig) -> ! {
                 sys::exit_group(2)
             }
         };
-    let dir = workload::setup(&heap, cfg.structure, cfg.threads);
-    // Ops can only ack past this marker; the parent treats a missing
-    // marker as "died during setup" (vacuous pass — init is not a
-    // recoverable phase, a real deployment re-creates on failed init).
-    if let Err(e) = std::fs::write(ready_path(&cfg.pool), b"ready") {
-        eprintln!("crashtest child: marker write failed: {e}");
-        sys::exit_group(2)
-    }
-    if let KillSpec::Events(n) = cfg.kill {
-        inj.arm_kill(n);
-    }
-    workload::run(&heap, cfg.structure, dir, cfg.threads, cfg.seed, cfg.ops_per_thread);
+    cfg.structure.victim(&heap, cfg.threads, cfg.seed, cfg.ops_per_thread, || {
+        // Ops can only ack past this marker; the parent treats a missing
+        // marker as "died during setup" (vacuous pass — init is not a
+        // recoverable phase, a real deployment re-creates on failed init).
+        if let Err(e) = std::fs::write(ready_path(&cfg.pool), b"ready") {
+            eprintln!("crashtest child: marker write failed: {e}");
+            sys::exit_group(2)
+        }
+        if let KillSpec::Events(n) = cfg.kill {
+            inj.arm_kill(n);
+        }
+    });
     inj.disarm();
     sys::exit_group(0)
 }
@@ -189,7 +195,7 @@ pub fn run_once(cfg: &RunConfig) -> Result<RunReport, String> {
     verify(cfg, killed)
 }
 
-/// Reopen the pool, recover, and run every oracle. Separated from
+/// Reopen the pool, recover, and [`judge`] it. Separated from
 /// [`run_once`] so a recorded pool file can be re-checked on its own.
 pub fn verify(cfg: &RunConfig, killed: bool) -> Result<RunReport, String> {
     if !ready_path(&cfg.pool).exists() {
@@ -211,7 +217,7 @@ pub fn verify(cfg: &RunConfig, killed: bool) -> Result<RunReport, String> {
     // persistent flight timeline scanned from the pool at reopen, before
     // this process recorded anything. (A scan now would mix in this
     // process's own open and recovery records.)
-    let fail = |msg: String| -> String {
+    let (records, acked, inflight) = judge(&heap, cfg.structure).map_err(|msg| {
         format!(
             "{msg}\nstructure={} seed={:#x} kill={}\n--- victim flight timeline \
              (pre-crash, from the pool) ---\n{}",
@@ -220,21 +226,72 @@ pub fn verify(cfg: &RunConfig, killed: bool) -> Result<RunReport, String> {
             cfg.kill,
             heap.preopen_flight().to_json()
         )
-    };
-    let chk = ralloc::checker::check_heap(&heap);
-    if !chk.is_consistent() {
-        return Err(fail(format!(
-            "heap checker found {} violation(s): {:?}",
-            chk.violations.len(),
-            chk.violations
-        )));
-    }
-    let dir = oplog::attach(&heap, OPLOG_ROOT)
-        .ok_or_else(|| fail("op-log root missing despite setup marker".into()))?;
-    let logs = oplog::read_logs(&heap, dir).map_err(&fail)?;
-    workload::verify_structure(&heap, cfg.structure, &logs).map_err(&fail)?;
-    let (records, acked, inflight) = workload::oplog_totals(&logs);
+    })?;
     Ok(RunReport { killed, died_in_setup: false, records, acked, inflight })
+}
+
+/// Everything after recovery: the heap checker, the op-log, and the
+/// structure's oracle over both. Returns the op-log records begun, acked
+/// and in flight across all threads.
+pub fn judge(heap: &Ralloc, structure: Structure) -> Result<(usize, usize, usize), String> {
+    let chk = ralloc::checker::check_heap(heap);
+    if !chk.is_consistent() {
+        return Err(format!("heap checker found {} violation(s): {:?}", chk.violations.len(), chk.violations));
+    }
+    let dir = oplog::attach(heap, OPLOG_ROOT).ok_or("op-log root missing despite setup marker")?;
+    let logs = oplog::read_logs(heap, dir)?;
+    (structure.contract().judge)(heap, &logs)?;
+    let records: usize = logs.iter().map(Vec::len).sum();
+    let acked = logs.iter().flatten().filter(|o| o.acked).count();
+    Ok((records, acked, records - acked))
+}
+
+/// [`Structure::victim`] with one thread of `ops` ops on a `Mode::Tracked`
+/// heap, crashed with `style` at its 1st, 2nd, 3rd … persistence event
+/// (budgets 0, 1, 2, …) until it completes; each crash is recovered and
+/// [`judge`]d. Returns the last budget that crashed: the count a
+/// one-thread [`KillSpec::Events`] sweep with the same seed and ops ends
+/// at (it starts at 1, so it kills at one event fewer).
+pub fn tracked_sweep(structure: Structure, style: CrashStyle, seed: u64, ops: usize) -> Result<u64, String> {
+    static QUIET: Once = Once::new();
+    QUIET.call_once(|| {
+        // An injected crash is expected: print every other panic only.
+        let report = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !CrashPoint::is(info.payload()) {
+                report(info)
+            }
+        }));
+    });
+    for budget in 0.. {
+        let inj = CrashInjector::new();
+        let config = RallocConfig { mode: Mode::Tracked, ..victim_config(Some(inj.clone())) };
+        let heap = Ralloc::create(POOL_CAP, config);
+        let mut start = 0;
+        let ran = panic::catch_unwind(AssertUnwindSafe(|| {
+            structure.victim(&heap, 1, seed, ops, || {
+                start = inj.observed();
+                inj.arm(budget);
+            })
+        }));
+        inj.disarm();
+        // `scope` may re-raise a worker's panic with a payload of its own,
+        // so the injector's count tells whether the crash fired.
+        if inj.observed() - start <= budget {
+            return match ran {
+                Ok(()) => budget.checked_sub(1).ok_or_else(|| "the run persists nothing".into()),
+                Err(_) => Err(format!("{}: a panic before event {}", structure.name(), budget + 1)),
+            };
+        }
+        heap.pool().crash_with(style);
+        heap.crash_simulated();
+        workload::register_filters(&heap, structure);
+        heap.recover();
+        judge(&heap, structure).map_err(|e| {
+            format!("{} seed={seed:#x}, {style:?} crash at event {}: {e}", structure.name(), budget + 1)
+        })?;
+    }
+    unreachable!()
 }
 
 /// Remove a round's pool and marker files (sweep hygiene).

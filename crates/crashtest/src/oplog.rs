@@ -57,16 +57,8 @@ pub enum OpKind {
 
 impl OpKind {
     fn from_u8(v: u8) -> Option<OpKind> {
-        Some(match v {
-            1 => OpKind::Enqueue,
-            2 => OpKind::Dequeue,
-            3 => OpKind::Push,
-            4 => OpKind::Pop,
-            5 => OpKind::Insert,
-            6 => OpKind::Remove,
-            7 => OpKind::Churn,
-            _ => return None,
-        })
+        use OpKind::*;
+        [Enqueue, Dequeue, Push, Pop, Insert, Remove, Churn].into_iter().find(|k| *k as u8 == v)
     }
 }
 
@@ -175,8 +167,8 @@ impl OpWriter {
 
     #[inline]
     fn rec(&self) -> &OpRec {
-        // SAFETY: n < LOG_CAP is checked in `begin`; the log block is
-        // live for the heap's lifetime.
+        // SAFETY: the log block is live for the heap's lifetime (the
+        // index is checked: a write past a full log panics).
         unsafe { &(*self.log).records[self.n] }
     }
 
@@ -185,17 +177,9 @@ impl OpWriter {
         self.n >= LOG_CAP
     }
 
-    /// Number of operations begun so far.
-    pub fn begun(&self) -> usize {
-        self.n
-    }
-
-    /// Persist a `STARTED` record for the op about to run. Returns false
-    /// if the log is full (op must not run).
-    pub fn begin(&mut self, kind: OpKind, a: u64, b: u64) -> bool {
-        if self.full() {
-            return false;
-        }
+    /// Persist a `STARTED` record for the op about to run (callers stop
+    /// at a [`full`](OpWriter::full) log).
+    pub fn begin(&mut self, kind: OpKind, a: u64, b: u64) {
         let r = self.rec();
         r.a.store(a, Ordering::Relaxed);
         r.b.store(b, Ordering::Relaxed);
@@ -203,7 +187,6 @@ impl OpWriter {
         r.hdr.store(STARTED | (kind as u64) << 8, Ordering::Release);
         self.heap
             .persist(r as *const OpRec as *const u8, std::mem::size_of::<OpRec>());
-        true
     }
 
     /// Persist the `ACKED` record for the op `begin` opened.

@@ -175,66 +175,37 @@ pub fn check_map(
                     return Err(format!("thread {t}: unexpected op {other:?} in map log"))
                 }
             };
-            if op.acked {
-                match post {
-                    Some(v) => {
-                        expect.insert(key, v);
-                    }
-                    None => {
-                        expect.remove(&key);
-                    }
-                }
-            } else {
+            if !op.acked {
                 // Only the last record can be in flight (read_logs
                 // enforced that): either state of this key is legal.
                 inflight = Some((key, pre, post));
+            } else if let Some(v) = post {
+                expect.insert(key, v);
+            } else {
+                expect.remove(&key);
             }
         }
-        let (if_key, if_pre, if_post) =
-            inflight.map_or((u64::MAX, None, None), |(k, a, b)| (k, a, b));
-        // Every expected key must hold its expected value; every actual
-        // key must be expected — except the in-flight key, which may be
-        // in its pre- or post-state.
-        for (&k, &v) in &expect {
-            if k == if_key {
-                continue;
-            }
-            match actual[t].get(&k) {
-                Some(&av) if av == v => {}
-                Some(&av) => {
-                    return Err(format!(
-                        "thread {t} key {k:#x}: expected {v:#x}, structure has {av:#x}"
-                    ))
+        // Every key but the in-flight one holds exactly its expected
+        // value; the in-flight key is in its pre- or post-state.
+        let (if_key, if_pre, if_post) = inflight.unwrap_or((u64::MAX, None, None));
+        expect.remove(&if_key);
+        let got = actual[t].remove(&if_key);
+        for k in expect.keys().chain(actual[t].keys()) {
+            match (expect.get(k), actual[t].get(k)) {
+                (want, have) if want == have => {}
+                (Some(v), None) => {
+                    return Err(format!("thread {t} key {k:#x}: acked value {v:#x} missing from structure"))
                 }
-                None => {
-                    return Err(format!(
-                        "thread {t} key {k:#x}: acked value {v:#x} missing from structure"
-                    ))
+                (want, have) => {
+                    return Err(format!("thread {t} key {k:#x}: acked ops leave {want:x?}, structure has {have:x?}"))
                 }
             }
         }
-        for (&k, &av) in &actual[t] {
-            if k == if_key {
-                continue;
-            }
-            match expect.get(&k) {
-                Some(_) => {} // checked above
-                None => {
-                    return Err(format!(
-                        "thread {t} key {k:#x}={av:#x} present but its last acked \
-                         op removed it (or it was never inserted)"
-                    ))
-                }
-            }
-        }
-        if if_key != u64::MAX {
-            let got = actual[t].get(&if_key).copied();
-            if got != if_pre && got != if_post {
-                return Err(format!(
-                    "thread {t} in-flight key {if_key:#x}: structure has {got:?}, \
-                     expected pre {if_pre:?} or post {if_post:?}"
-                ));
-            }
+        if if_key != u64::MAX && got != if_pre && got != if_post {
+            return Err(format!(
+                "thread {t} in-flight key {if_key:#x}: structure has {got:?}, \
+                 expected pre {if_pre:?} or post {if_post:?}"
+            ));
         }
     }
     Ok(())

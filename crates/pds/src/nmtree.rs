@@ -526,7 +526,8 @@ mod tests {
         const THREADS: u64 = 4;
         const OPS: u64 = 20_000;
         const KEYS: u64 = 256;
-        const RUNS: u64 = 8;
+        // A run under ThreadSanitizer takes about ten times as long.
+        const RUNS: u64 = if cfg!(tsan) { 2 } else { 8 };
         let run = |seed: u64| -> Result<(), String> {
             let h = Ralloc::create(64 << 20, RallocConfig::default());
             let tree = NmTree::create(&h, 0);

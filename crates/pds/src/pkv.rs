@@ -396,7 +396,8 @@ mod tests {
         const THREADS: u64 = 4;
         const OPS: u64 = 20_000;
         const KEYS: u64 = 256;
-        const RUNS: u64 = 8;
+        // A run under ThreadSanitizer takes about ten times as long.
+        const RUNS: u64 = if cfg!(tsan) { 2 } else { 8 };
         // A value whose length and bytes name the key and the op.
         let value = |key: u64, i: u64| vec![(key ^ i) as u8; 1 + ((key + i) % 97) as usize];
         let run = move |seed: u64| -> Result<(), String> {

@@ -2,83 +2,23 @@
 //! `RwLock` API, implemented over `std::sync`. A thread that panics while
 //! holding a lock does not poison it for everyone else — matching
 //! parking_lot semantics, which the workspace relies on in crash tests.
+//!
+//! Under `--cfg tsan` (a ThreadSanitizer build) both are spin locks over
+//! this crate's own atomics instead (`spin.rs`): std is not rebuilt with
+//! the sanitizer, so TSan cannot see the hand-off in std's futex path and
+//! reports every access a std lock orders as a race.
 
-pub use std::sync::{MutexGuard, RwLockReadGuard, RwLockWriteGuard};
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
-/// Non-poisoning mutex with parking_lot's `lock()` signature.
-#[derive(Debug, Default)]
-pub struct Mutex<T: ?Sized>(std::sync::Mutex<T>);
+#[cfg(tsan)]
+mod spin;
+#[cfg(tsan)]
+pub use spin::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-impl<T> Mutex<T> {
-    #[inline]
-    pub const fn new(value: T) -> Mutex<T> {
-        Mutex(std::sync::Mutex::new(value))
-    }
-
-    #[inline]
-    pub fn into_inner(self) -> T {
-        match self.0.into_inner() {
-            Ok(v) => v,
-            Err(e) => e.into_inner(),
-        }
-    }
-}
-
-impl<T: ?Sized> Mutex<T> {
-    #[inline]
-    pub fn lock(&self) -> MutexGuard<'_, T> {
-        match self.0.lock() {
-            Ok(g) => g,
-            Err(e) => e.into_inner(),
-        }
-    }
-
-    #[inline]
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.0.try_lock() {
-            Ok(g) => Some(g),
-            Err(std::sync::TryLockError::Poisoned(e)) => Some(e.into_inner()),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
-    #[inline]
-    pub fn get_mut(&mut self) -> &mut T {
-        match self.0.get_mut() {
-            Ok(v) => v,
-            Err(e) => e.into_inner(),
-        }
-    }
-}
-
-/// Non-poisoning reader-writer lock with parking_lot's API.
-#[derive(Debug, Default)]
-pub struct RwLock<T: ?Sized>(std::sync::RwLock<T>);
-
-impl<T> RwLock<T> {
-    #[inline]
-    pub const fn new(value: T) -> RwLock<T> {
-        RwLock(std::sync::RwLock::new(value))
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    #[inline]
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        match self.0.read() {
-            Ok(g) => g,
-            Err(e) => e.into_inner(),
-        }
-    }
-
-    #[inline]
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        match self.0.write() {
-            Ok(g) => g,
-            Err(e) => e.into_inner(),
-        }
-    }
-}
+#[cfg(not(tsan))]
+mod std_lock;
+#[cfg(not(tsan))]
+pub use std_lock::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 #[cfg(test)]
 mod tests {

@@ -63,15 +63,7 @@ fn main() {
         cfg.ops_per_thread = 60_000; // long enough that the timed kill lands mid-run
         cfg.kill = KillSpec::TimeMicros(rng.range(2_000, 60_000));
         let r = run_once(&cfg).expect("oracle must hold after a timed kill");
-        println!(
-            "{:>6}: killed={} setup_died={} records={} acked={} inflight={}",
-            s.name(),
-            r.killed,
-            r.died_in_setup,
-            r.records,
-            r.acked,
-            r.inflight
-        );
+        println!("{:>6}: {r}", s.name());
     }
 
     crashtest::cleanup(&cfg);

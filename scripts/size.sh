@@ -16,7 +16,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUDGET=6618
-REST_BUDGET=8733
+REST_BUDGET=8726
 MAX_FIELDS=6
 MAX_VARS=7
 
