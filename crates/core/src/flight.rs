@@ -37,7 +37,8 @@
 //! publishes, open/close): its cache line is flushed immediately but
 //! **not** fenced — every such site sits next to an existing flush+fence
 //! of the protocol itself, so the record rides the same fence and costs
-//! no extra ordering. Nothing on the malloc/free paths records here
+//! no extra ordering (a decommit persists nothing, so `shrink_decommit`
+//! has a fence of its own). Nothing on the malloc/free paths records here
 //! (carves, fills, flushes and steals are counters), and a transient
 //! heap, which persists nothing, has no recorder at all.
 //!

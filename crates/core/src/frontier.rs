@@ -119,9 +119,12 @@ impl HeapInner {
     /// down onto it. The release covers the freed trailing run *and* the
     /// committed-but-never-carved overshoot of the doubling policy.
     /// Returns the superblocks released and the pool tail whose pages the
-    /// caller still discards ([`nvm::PmemPool::discard`]). The caller
+    /// caller still gives back ([`nvm::PmemPool::discard`], or
+    /// [`nvm::PmemPool::discard_behind`] in recovery). The caller
     /// guarantees that every superblock from `keep` on is free, and
-    /// leaves none of them listed.
+    /// leaves none of them listed. Each step's flight record is durable by
+    /// the time the step is: `shrink_unpublish` rides `used`'s fence, and
+    /// `shrink_decommit` gets one of its own before the decommit.
     ///
     /// The descriptors from `keep` on are left as they are: stale, and
     /// dead. Nothing reads a descriptor at or past `used` (recovery, the
@@ -139,16 +142,20 @@ impl HeapInner {
         if keep == self.used_sb() && before <= target {
             return (0, 0..0);
         }
-        // Step 2: the lowered `used` becomes durable first.
+        // Step 2: the lowered `used` becomes durable first, its record
+        // with it.
         // SAFETY: metadata word, quiescent.
         unsafe { self.pool.atomic_u64(USED_SB_OFF) }.store(keep as u64, Ordering::Release);
-        self.persist(USED_SB_OFF, 8);
         self.emit(EventKind::ShrinkUnpublish, target as u64, keep as u64);
-        // Step 3: the prefix comes down onto it.
+        self.persist(USED_SB_OFF, 8);
+        // Step 3: the prefix comes down onto it, its record durable first.
         let (mut released, mut pages) = (0, 0..0);
         if before > target {
-            pages = self.pool.decommit_deferred(target);
             self.emit(EventKind::ShrinkDecommit, (before - target) as u64, target as u64);
+            if !self.transient {
+                self.pool.fence();
+            }
+            pages = self.pool.decommit(target);
             released = (before - target) / SB_SIZE;
         }
         self.slow.heap_shrinks.add(1);

@@ -432,12 +432,12 @@ impl Ralloc {
     /// unreachable from the roots, so the rebuild reclaims them — the
     /// crash semantics recovery models even when called on a live heap.
     pub fn recover(&self) -> crate::recovery::RecoveryStats {
-        crate::recovery::recover(&self.inner)
+        crate::recovery::recover_with(&self.inner, 1)
     }
 
     /// Parallel offline recovery (paper §6.4 future work): tracing is
-    /// divided across persistent roots, sweeping across superblocks.
-    /// Equivalent to [`Ralloc::recover`] with `threads == 1`.
+    /// divided across persistent roots, one worker per root up to
+    /// `threads`. Equivalent to [`Ralloc::recover`] with `threads == 1`.
     pub fn recover_parallel(&self, threads: usize) -> crate::recovery::RecoveryStats {
         crate::recovery::recover_with(&self.inner, threads)
     }

@@ -11,13 +11,18 @@
 //! 5.  take the **census**, then trace all blocks reachable from the
 //!     persistent roots;
 //! 6.  claim the live large spans and decide the **live prefix**: `used`
-//!     comes down onto it, durably, and then the tail beyond it is
-//!     decommitted;
+//!     comes down onto it, durably, then the tail beyond it is
+//!     decommitted, and its pages are handed to a thread of the pool's
+//!     own ([`nvm::PmemPool::discard_behind`]);
 //! 7.  sweep the live prefix keeping only traced blocks and update every
-//!     descriptor's anchor, while the tail's pages go back to the kernel;
+//!     descriptor's anchor, while that thread gives the tail's pages back
+//!     to the kernel;
 //! 8.  reconstruct the partial lists and
 //! 9.  the superblock free list, one head store each;
-//! 10. flush the committed prefix and fence, and finish giving the tail back.
+//! 10. flush the committed prefix and fence, and return: the heap is
+//!     durable, and nothing touches the tail's pages again before the
+//!     next commit, decommit, crash or drop, each of which waits for the
+//!     release first.
 //!
 //! ## The census (step 5)
 //!
@@ -63,29 +68,29 @@
 //!
 //! The paper notes it is "straightforward to parallelize Step 5 across
 //! persistent roots and Steps 6–9 across superblocks"; `recover_parallel`
-//! fans out only the two steps where a second worker pays: the trace and
-//! the release of the tail's pages. One fan-out is spawned at entry, its
+//! fans out only the step where a second worker pays, the trace: one
+//! worker per root, up to `threads`. One fan-out is spawned at entry, its
 //! worker 0 the calling thread, and each helper moves to a CPU of its own
 //! (see [`fan_out`]). The helpers wait for worker 0's census, trace their
-//! roots, and wait again; worker 0 merges, claims and lowers `used`, and
-//! only then may the helpers release the tail. Tracers take the roots at a
-//! fixed stride, so every count in [`RecoveryStats`] depends on the image
-//! and the worker count alone, with private mark sets OR-merged afterwards
-//! (shared substructure costs duplicated scanning, never correctness). The
-//! tail is cut at huge-page boundaries into [`Pieces`] the workers take as
-//! they come free ([`nvm::PmemPool::discard`]); its decommit stays one
-//! crash-injector event. Meanwhile worker 0 alone sweeps the live prefix,
-//! publishes the lists, writes back and fences the committed prefix (step
-//! 10: an `sfence` orders only its own core's write-backs, and all of them
-//! are worker 0's), and then takes the tail pieces left.
+//! roots, and leave. Tracers take the roots at a fixed stride, so every
+//! count in [`RecoveryStats`] depends on the image and the worker count
+//! alone, with private mark sets OR-merged afterwards (shared
+//! substructure costs duplicated scanning, never correctness). Worker 0
+//! alone merges, claims, lowers `used`, hands the tail to the pool's
+//! release thread, sweeps the live prefix, publishes the lists, and writes
+//! back and fences the committed prefix (step 10: an `sfence` orders only
+//! its own core's write-backs, and all of them are worker 0's).
 //!
 //! The steps left on worker 0 buy nothing from a second one. On a
 //! restart-shaped heap (8 192 superblocks, 32 of them live; a 2-vCPU
 //! guest) a census split over two workers took 0.20–0.36 ms against
 //! 0.14 ms on one, a split write-back 0.11–0.16 ms against 0.09 ms, and
-//! the 32-superblock sweep takes 31–65 µs, while two workers cut the trace
-//! from 1.0–1.2 ms to 0.6–0.7 ms and the 510 MiB tail release from
-//! 1.8–1.9 ms to 1.0–1.25 ms.
+//! the sweep takes 30–50 µs, while two workers cut the trace from 1.4 to
+//! 0.75 ms. The 510 MiB tail's release (1.2 ms of `madvise` on two
+//! workers, 2.4 ms on one) left the critical path for a 0.05–0.10 ms
+//! thread spawn: `recover_parallel(2)` 2.52–2.62 → 1.34–1.39 ms, one
+//! worker 4.06 → 1.90 ms (medians of 30 cycles), the walk after it no
+//! slower.
 //!
 //! ## Deterministic publish (steps 8–9)
 //!
@@ -117,13 +122,12 @@
 //! sweep stores FULL into every superblock of a claimed span, so after
 //! recovery, as online, a live span reads FULL throughout.
 
-use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
-use nvm::sys::{self, HUGE_PAGE};
+use nvm::sys::Home;
 use parking_lot::Mutex;
 use telemetry::EventKind;
 
@@ -192,15 +196,16 @@ pub struct RecoveryPhases {
     /// Claim the marked large heads' spans, find the live prefix and
     /// merge the mark sets over it.
     pub claim: Duration,
-    /// Step 6: `used` lowered onto the live prefix (flushed and fenced)
-    /// and then the tail decommitted — but not the tail's pages, which the
-    /// helpers start to give back from here on.
+    /// Step 6: `used` lowered onto the live prefix (flushed and fenced),
+    /// the tail decommitted, and its pages handed to the pool's release
+    /// thread: this phase holds that thread's spawn, not the release.
     pub shrink: Duration,
     /// Steps 7–9 on worker 0: the live prefix's descriptors rebuilt and
-    /// every list published, while the helpers release the tail.
+    /// every list published, while the release thread gives the tail back.
     pub sweep: Duration,
-    /// Step 10: the committed prefix flushed and fenced, then what is left
-    /// of the tail's release (all of it on one worker), then the join.
+    /// Step 10: the committed prefix flushed and fenced, then the join of
+    /// the helpers, which finished with the trace. No part of the tail's
+    /// release: recovery returns without waiting for it.
     pub write_back: Duration,
 }
 
@@ -219,12 +224,8 @@ impl RecoveryPhases {
     }
 }
 
-/// Run sequential offline recovery. Caller guarantees quiescence.
-pub(crate) fn recover(inner: &HeapInner) -> RecoveryStats {
-    recover_with(inner, 1)
-}
-
-/// Run offline recovery with `threads` workers.
+/// Run offline recovery with `threads` workers (1: the paper's sequential
+/// recovery). Caller guarantees quiescence.
 pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
     let t0 = Instant::now();
     let pool = &inner.pool;
@@ -264,14 +265,10 @@ pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
     let mut clock = Clock(t0);
     let phases = RecoveryPhases { reconcile: clock.lap(), ..Default::default() };
 
-    // One fan-out runs the trace and the tail release. Below 64 superblocks
-    // to trace and huge pages to release, a second thread costs more to
-    // start than it takes over, unless it has roots of its own to trace.
-    let work = used + pool.committed_len() / HUGE_PAGE;
-    let workers = if work < 64 { threads.min(roots.len()).max(1) } else { threads };
+    // One fan-out runs the trace: one worker per root, up to `threads`.
+    let workers = threads.min(roots.len()).max(1);
     let census = OnceLock::new();
     let tracers = Board::new();
-    let tail = OnceLock::new();
     let done = fan_out(workers, |w, sync| {
         // Worker 0's copies are the ones kept.
         let (mut phases, mut clock) = (phases, clock);
@@ -291,16 +288,7 @@ pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
         tracer.drain();
         tracers.put(w, tracer);
         sync.wait();
-        let release = |tail: &Pieces| {
-            while let Some(pages) = tail.take() {
-                pool.discard(pages);
-            }
-        };
         if w > 0 {
-            // A helper gives the tail's pages back once worker 0 has
-            // lowered `used` and decommitted it.
-            sync.wait();
-            release(tail.get().expect("worker 0 decommitted the tail"));
             return (stats, clock);
         }
         phases.mark = clock.lap();
@@ -325,16 +313,16 @@ pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
         phases.claim = clock.lap();
 
         // Step 6: the live prefix becomes durable before anything is
-        // swept (see the module docs for why that order is crash-safe).
+        // swept (see the module docs for why that order is crash-safe),
+        // and the tail's pages go back on the pool's own thread.
         let (shrunk, pages) = inner.lower_to(keep);
+        pool.discard_behind(pages);
         stats.shrunk_superblocks = shrunk;
         stats.free_superblocks = used - keep;
-        let tail = tail.get_or_init(|| Pieces::new(pages, workers));
         phases.shrink = clock.lap();
-        sync.wait();
 
-        // Steps 7-9, while the helpers give the tail's pages back: sweep
-        // `0..keep` and publish every list.
+        // Steps 7-9, while the tail's pages go back: sweep `0..keep` and
+        // publish every list.
         let swept = sweep(inner, census, &marks, &claim.claimed[..keep]);
         DescList::free_list(geo).publish(pool, geo, &swept.free);
         for (at, chain) in swept.partial.iter().enumerate() {
@@ -353,12 +341,10 @@ pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
         // Step 10: write everything back so a crash immediately after
         // recovery restarts from this reconstructed state. Only the
         // committed prefix exists to flush; the uncommitted reservation
-        // has no content (and the pool would reject the range). Then take
-        // what is left of the tail.
+        // has no content (and the pool would reject the range).
         if !inner.transient {
             pool.persist(0, pool.committed_len());
         }
-        release(tail);
         (RecoveryStats { phases, ..stats }, clock)
     });
     let (mut stats, mut clock) = done.into_iter().next().expect("worker 0 reports");
@@ -455,30 +441,18 @@ impl Rendezvous<'_> {
 /// Run `work(w, sync)` for every worker `w`, worker 0 on the calling
 /// thread and the rest on scoped threads, and return the results in
 /// worker order. The workers meet at `sync.wait()`; if one panics, the
-/// others leave their waits and its panic is resumed here.
-///
-/// A spawned thread starts on its parent's CPU, and a host that does not
-/// balance load (a cpuset whose `sched_load_balance` is 0) never moves it,
-/// so a helper that started on worker 0's CPU would share it to the end.
-/// Each helper therefore moves to the CPU [`helper_cpu`] gives it, when it
-/// did not start there.
+/// others leave their waits and its panic is resumed here. Each helper
+/// moves off worker 0's CPU ([`Home::place`]).
 fn fan_out<T: Send>(workers: usize, work: impl Fn(usize, &mut Rendezvous) -> T + Sync) -> Vec<T> {
     let bar = Barrier { workers, arrived: AtomicUsize::new(0), broken: AtomicBool::new(false) };
     let run = |w: usize| {
         catch_unwind(AssertUnwindSafe(|| work(w, &mut Rendezvous(&bar, 0))))
             .inspect_err(|_| bar.broken.store(true, Ordering::Release))
     };
-    let here = match workers {
-        1 => None,
-        _ => sys::getcpu().ok().zip(sys::sched_getaffinity(0).ok()),
-    };
+    let home = if workers > 1 { Home::here() } else { None };
     let place = |w: usize| {
-        if let Some((cpu, allowed)) = &here {
-            let want = helper_cpu(allowed, *cpu, w);
-            if sys::getcpu().is_ok_and(|now| now != want) {
-                // A refusal leaves the helper where it is: slower, not wrong.
-                let _ = sys::sched_setaffinity(0, &[want]);
-            }
+        if let Some(home) = &home {
+            home.place(w);
         }
     };
     let mut done = std::thread::scope(|s| {
@@ -500,42 +474,6 @@ fn fan_out<T: Send>(workers: usize, work: impl Fn(usize, &mut Rendezvous) -> T +
         resume_unwind(done.swap_remove(at).err().expect("a worker's panic"));
     }
     done.into_iter().map(|r| r.expect("workers abandon only after a panic")).collect()
-}
-
-/// The CPU helper `w` belongs on: the `w`-th of the `allowed` CPUs after
-/// the one worker 0 runs on (`cpu0`), wrapping, so that up to one worker
-/// per allowed CPU no two share one.
-fn helper_cpu(allowed: &[usize], cpu0: usize, w: usize) -> usize {
-    let i0 = allowed.iter().position(|&c| c == cpu0).unwrap_or(0);
-    allowed[(i0 + w) % allowed.len()]
-}
-
-/// The decommitted tail cut at huge-page boundaries into four pieces per
-/// worker, taken in turn by whichever worker comes free, so a slow one
-/// does less.
-struct Pieces {
-    range: Range<usize>,
-    n: usize,
-    next: AtomicUsize,
-}
-
-impl Pieces {
-    fn new(range: Range<usize>, workers: usize) -> Pieces {
-        let n = if workers == 1 { 1 } else { 4 * workers };
-        Pieces { range, n, next: AtomicUsize::new(0) }
-    }
-
-    /// The next piece nobody has taken.
-    fn take(&self) -> Option<Range<usize>> {
-        let k = self.next.fetch_add(1, Ordering::Relaxed);
-        let (r, n) = (&self.range, self.n);
-        let cut = |k: usize| match k {
-            0 => r.start,
-            _ if k == n => r.end,
-            _ => (r.start + r.len() * k / n).next_multiple_of(HUGE_PAGE).min(r.end),
-        };
-        (k < n).then(|| cut(k)..cut(k + 1))
-    }
 }
 
 /// What the sweep rebuilt: the free list and the list per (class, shard),
@@ -1069,7 +1007,7 @@ mod parallel_tests {
 
     #[test]
     fn each_helper_gets_the_next_allowed_cpu_after_worker_zeros() {
-        use super::helper_cpu;
+        use nvm::sys::helper_cpu;
         let on = |allowed: &[usize], cpu0, workers: usize| (1..workers).map(|w| helper_cpu(allowed, cpu0, w)).collect::<Vec<_>>();
         assert_eq!(on(&[0, 1], 0, 2), [1]);
         assert_eq!(on(&[0, 1], 1, 2), [0]);

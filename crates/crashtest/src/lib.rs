@@ -57,8 +57,8 @@ pub const SEED_ENV: &str = "RALLOC_CRASH_SEED";
 /// When the parent kills the child.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KillSpec {
-    /// Child SIGKILLs itself at exactly the `n`-th persistence event
-    /// after the workload starts (deterministic, replayable).
+    /// Child SIGKILLs itself at persistence event `n + 1` after the
+    /// workload starts (`0`: the first; deterministic, replayable).
     Events(u64),
     /// Parent SIGKILLs the child after a wall-clock delay (asynchronous:
     /// lands at an arbitrary instruction).
@@ -249,9 +249,9 @@ pub fn judge(heap: &Ralloc, structure: Structure) -> Result<(usize, usize, usize
 /// [`Structure::victim`] with one thread of `ops` ops on a `Mode::Tracked`
 /// heap, crashed with `style` at its 1st, 2nd, 3rd … persistence event
 /// (budgets 0, 1, 2, …) until it completes; each crash is recovered and
-/// [`judge`]d. Returns the last budget that crashed: the count a
-/// one-thread [`KillSpec::Events`] sweep with the same seed and ops ends
-/// at (it starts at 1, so it kills at one event fewer).
+/// [`judge`]d. Returns the number of persistence events, the first
+/// budget that did not crash: the count a one-thread
+/// [`KillSpec::Events`] sweep with the same seed and ops ends at.
 pub fn tracked_sweep(structure: Structure, style: CrashStyle, seed: u64, ops: usize) -> Result<u64, String> {
     static QUIET: Once = Once::new();
     QUIET.call_once(|| {
@@ -279,7 +279,7 @@ pub fn tracked_sweep(structure: Structure, style: CrashStyle, seed: u64, ops: us
         // so the injector's count tells whether the crash fired.
         if inj.observed() - start <= budget {
             return match ran {
-                Ok(()) => budget.checked_sub(1).ok_or_else(|| "the run persists nothing".into()),
+                Ok(()) => (budget > 0).then_some(budget).ok_or_else(|| "the run persists nothing".into()),
                 Err(_) => Err(format!("{}: a panic before event {}", structure.name(), budget + 1)),
             };
         }

@@ -13,13 +13,14 @@ use std::process::Command;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Kill `structure` at every event of its run; returns the number of
-/// events (the first `n` at which the victim was not killed, minus one).
+/// events: the first `n` at which the victim was not killed (`--events n`
+/// kills once `n` events have passed, so `--events 0` kills at the first).
 fn sweep_every_event(structure: &str) -> u64 {
     // One pool per call: two tests may sweep the same structure at once.
     static CALLS: AtomicUsize = AtomicUsize::new(0);
     let call = CALLS.fetch_add(1, Ordering::Relaxed);
     let pool = std::env::temp_dir().join(format!("ct_every_event_{structure}_{call}.pool"));
-    for n in 1u64.. {
+    for n in 0u64.. {
         let out = Command::new(env!("CARGO_BIN_EXE_crashtest"))
             .args(["run", "--structure", structure, "--threads", "1", "--ops", "20"])
             .args(["--seed", "7", "--events", &n.to_string()])
@@ -38,8 +39,8 @@ fn sweep_every_event(structure: &str) -> u64 {
             .find(|l| l.starts_with("RESULT"))
             .unwrap_or_else(|| panic!("no RESULT line in:\n{stdout}"));
         if result.contains(" killed=false ") {
-            println!("{structure}: {} persistence events, every kill recovered", n - 1);
-            return n - 1;
+            println!("{structure}: {n} persistence events, every kill recovered");
+            return n;
         }
     }
     unreachable!()

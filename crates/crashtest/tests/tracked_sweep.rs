@@ -12,18 +12,18 @@
 use crashtest::{tracked_sweep, Structure};
 use nvm::CrashStyle;
 
-/// Each structure's last crashing budget for seed 7 and 20 ops, which is
+/// Each structure's persistence events for seed 7 and 20 ops, which is
 /// `event_sweep`'s count: both sweeps run the same sequence. A change
 /// means a structure's persist protocol changed.
 fn pinned(s: Structure) -> u64 {
     match s {
-        Structure::Queue => 159,
-        Structure::Stack => 139,
-        Structure::Kv => 125,
-        Structure::NmTree => 149,
-        Structure::RbTree => 127,
-        Structure::Churn => 167,
-        Structure::ProdCon => 115,
+        Structure::Queue => 160,
+        Structure::Stack => 140,
+        Structure::Kv => 126,
+        Structure::NmTree => 150,
+        Structure::RbTree => 128,
+        Structure::Churn => 168,
+        Structure::ProdCon => 116,
     }
 }
 

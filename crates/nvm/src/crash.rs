@@ -11,8 +11,9 @@
 //! Counting *persistence events* rather than instructions keeps the crash
 //! points aligned with the moments the persistent image actually changes,
 //! which is where the interesting interleavings live. Tests typically
-//! sweep the budget from 1 to the total number of events observed in a
-//! crash-free run, plus random budgets under concurrency.
+//! sweep the budget from 0 (a crash at the first event) up to the number
+//! of events a crash-free run observes, plus random budgets under
+//! concurrency.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
@@ -28,20 +29,6 @@ impl CrashPoint {
     pub fn is(payload: &(dyn std::any::Any + Send)) -> bool {
         payload.is::<CrashPoint>()
     }
-}
-
-/// What firing the injector does to the process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CrashAction {
-    /// Panic with [`CrashPoint`] — the cooperative style: the harness
-    /// catches the unwind in-process and simulates the power failure
-    /// itself (`PmemPool::crash`).
-    Panic,
-    /// `SIGKILL` the whole process — the kill-based style: no unwinding,
-    /// no destructors, no chance to "finish" anything. Only meaningful
-    /// when the surviving state lives outside the process (a file-backed
-    /// pool) and a parent process performs the recovery check.
-    Kill,
 }
 
 /// Counts persistence events and injects a crash when armed.
@@ -84,7 +71,9 @@ impl CrashInjector {
     }
 
     /// Arm the injector to `SIGKILL` the whole process at the event
-    /// instead of panicking. See [`CrashAction::Kill`].
+    /// instead of panicking: no unwinding, no destructors, so only state
+    /// outside the process (a file-backed pool) survives, for a parent
+    /// process to check.
     pub fn arm_kill(&self, n: u64) {
         self.action.store(1, Ordering::SeqCst);
         self.budget.store(n as i64, Ordering::SeqCst);

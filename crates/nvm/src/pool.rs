@@ -4,9 +4,11 @@ use std::collections::HashMap;
 use std::fs;
 use std::io;
 use std::ops::Range;
+use std::panic::resume_unwind;
 use std::path::Path;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 use parking_lot::Mutex;
 
@@ -155,9 +157,7 @@ impl PoolGuard {
 /// accesses, flushes and crash images may cover). [`PmemPool::commit`]
 /// raises it, mapping the pages it has not reached before with one
 /// `mmap`, and [`PmemPool::decommit`] lowers it — the only two ways it
-/// moves ([`PmemPool::decommit_deferred`] is a decommit that leaves the
-/// pages to [`PmemPool::discard`], possibly in parallel). Each of the two
-/// is one [`CrashInjector`] event. Nothing else records the prefix: it
+/// moves, each one [`CrashInjector`] event. Nothing else records the prefix: it
 /// is the file length, or what [`PmemPool::persistent_image`] returns,
 /// so a heap that persists only its `used` word reads its frontier back
 /// from the image after any crash. Pools built through
@@ -173,14 +173,10 @@ impl PoolGuard {
 ///   `never`). Durability across process
 ///   death is *modelled* (shadow image; [`PmemPool::persistent_image`]
 ///   is the way out), not real. A range, once mapped, stays mapped until
-///   the pool is dropped, but a decommit gives the memory of
-///   its whole pages back to the kernel ([`Reservation::discard`]) and
-///   the next commit over it needs no system call. On 2 MiB pages that
-///   release costs the same whichever CPU first touched the pages: a
-///   shrink of ≈ 510 MiB takes 2.7–3.5 ms (median) on either CPU of a
-///   2-vCPU guest, each median inside the other CPU's range (CHANGES.md
-///   has the table). On 4 KiB pages it cost 170–350 ns a page, and which
-///   CPU decided where in that range.
+///   the pool is dropped, but the memory of a decommitted range's whole
+///   pages goes back to the kernel ([`PmemPool::discard`], or on a thread
+///   of the pool's own: [`PmemPool::discard_behind`]) and the next commit
+///   over it needs no system call.
 /// * **A real file** ([`PmemPool::map_file`]): the file, `MAP_SHARED`,
 ///   unadvised. Stores land in the OS page cache, which survives the death of the
 ///   process — the property the SIGKILL harness tests against. The
@@ -205,13 +201,13 @@ pub struct PmemPool {
     /// mapping and file-length changes against each other (the frontier
     /// word itself stays lock-free for readers).
     mapped: Mutex<usize>,
+    /// The page release [`PmemPool::discard_behind`] started, until joined.
+    release: Mutex<Option<JoinHandle<()>>>,
     mode: Mode,
     flush_model: FlushModel,
     stats: PmemStats,
     injector: Option<Arc<CrashInjector>>,
     tracked: Option<Mutex<TrackState>>,
-    /// Number of simulated crashes survived (diagnostics).
-    crashes: AtomicU32,
 }
 
 // SAFETY: the pool hands out raw pointers and the collaborating allocator
@@ -304,12 +300,12 @@ impl PmemPool {
             committed: AtomicUsize::new(committed),
             file,
             mapped: Mutex::new(0),
+            release: Mutex::new(None),
             mode,
             flush_model,
             stats: PmemStats::default(),
             injector,
             tracked,
-            crashes: AtomicU32::new(0),
         };
         pool.map_to(&mut pool.mapped.lock(), committed)?;
         Ok(pool)
@@ -408,49 +404,36 @@ impl PmemPool {
         // length as the frontier.
         let mut mapped = self.mapped.lock();
         if new_len > self.committed_len() {
+            self.join_release();
             self.map_to(&mut mapped, new_len).expect("pool commit failed");
         }
         self.committed.fetch_max(new_len, Ordering::AcqRel).max(new_len)
     }
 
     /// Shrink the committed prefix to `new_len` bytes (rounded up to a
-    /// cache line), releasing the tail. A growing request is a no-op
-    /// (mirroring [`PmemPool::commit`]'s monotonicity in the other
-    /// direction). Returns the resulting frontier. Like
-    /// [`PmemPool::commit`], one [`CrashInjector`] event.
+    /// cache line), releasing the tail. A growing request is a no-op.
+    /// Like [`PmemPool::commit`], one [`CrashInjector`] event, and the
+    /// caller must be quiescent: no access may reach the released range
+    /// (a close/recovery-time operation; the allocator persists its
+    /// lowered `used` first, so a crash at any point leaves a prefix at
+    /// least as large as every persisted use of the space).
     ///
     /// A later commit over the released range reads zeros, exactly like
-    /// never-committed reservation. An anonymous tail stays mapped and
-    /// its whole pages go back to the kernel ([`Reservation::discard`]),
-    /// so its memory leaves at the decommit and that commit needs no
-    /// system call. A file's tail is unmapped into bare reservation —
-    /// only the rest of the frontier's own page is zeroed — and the file
-    /// truncated.
+    /// never-committed reservation. An anonymous tail stays mapped, and
+    /// the returned range is what is left to give back: its whole pages go
+    /// to the kernel with [`PmemPool::discard`] (before it returns) or
+    /// [`PmemPool::discard_behind`], so the next commit needs no system
+    /// call. A file's tail is unmapped into bare reservation — only the
+    /// rest of the frontier's own page is zeroed — and the file truncated
+    /// here (the returned range is empty, as for a no-op).
     ///
     /// In [`Mode::Tracked`] the released range is also dropped from the
     /// persistent image: pending (flushed-unfenced) lines in it are
     /// discarded and the shadow's range is zeroed too, so no stale data
     /// can resurrect through a crash after a re-grow.
-    ///
-    /// The caller must be quiescent (no concurrent access to the released
-    /// range): decommit is a close/recovery-time operation, never an
-    /// online one. The allocator persists its lowered `used` *before*
-    /// decommitting, so a crash at any point leaves a prefix at least as
-    /// large as every persisted use of the space.
-    pub fn decommit(&self, new_len: usize) -> usize {
-        let tail = self.decommit_deferred(new_len);
-        self.discard(tail);
-        self.committed_len()
-    }
-
-    /// [`PmemPool::decommit`] up to the memory of an anonymous tail: the
-    /// frontier, the [`CrashInjector`] event, the tracked image and a
-    /// file's release and truncation happen here, and the returned range
-    /// (empty for a no-op or a file) is what is left to give back with
-    /// [`PmemPool::discard`] — whole, or cut into disjoint pieces that
-    /// several threads discard at once.
-    pub fn decommit_deferred(&self, new_len: usize) -> Range<usize> {
+    pub fn decommit(&self, new_len: usize) -> Range<usize> {
         let new_len = line_up(new_len.max(CACHE_LINE));
+        self.join_release();
         self.crash_point();
         let cur = self.committed.fetch_min(new_len, Ordering::AcqRel);
         if new_len >= cur {
@@ -473,21 +456,64 @@ impl PmemPool {
         new_len..new_len
     }
 
-    /// Give the memory of `range` back to the kernel: a range
-    /// [`PmemPool::decommit_deferred`] returned, or a piece of one.
-    /// Disjoint pieces may be discarded from different threads at once;
-    /// nothing else may touch them.
+    /// Give the memory of `range`, which [`PmemPool::decommit`] returned,
+    /// back to the kernel before returning.
     pub fn discard(&self, range: Range<usize>) {
-        if range.is_empty() {
+        if self.decommitted(&range) {
+            // SAFETY: mapped anonymous pages above the committed frontier,
+            // which no access reaches.
+            unsafe { self.span.discard(range.start, range.end) };
+        }
+    }
+
+    /// [`PmemPool::discard`] without the wait: the sub-page edges are
+    /// zeroed here, the whole pages go back on a thread of their own moved
+    /// off the caller's CPU ([`sys::Home::place`]), or here if none starts.
+    /// Every later commit, decommit, discard, [`PmemPool::crash_with`] and
+    /// the drop joins it before touching the range, so a commit still
+    /// reads zero; all but the drop resume its panic.
+    pub fn discard_behind(&self, range: Range<usize>) {
+        if !self.decommitted(&range) {
             return;
         }
+        // SAFETY: as in `discard`.
+        let (first, last) = unsafe { self.span.zero_edges(range.start, range.end) };
+        let (at, len) = (self.base() as usize + first, last - first);
+        // SAFETY: whole pages of the decommitted range, which nothing
+        // touches before the release is joined.
+        let release = move || unsafe { sys::discard_pages(at as *mut u8, len) };
+        let home = sys::Home::here();
+        let spawned = std::thread::Builder::new().name("pmem-release".into()).spawn(move || {
+            if let Some(home) = home {
+                home.place(1);
+            }
+            release()
+        });
+        match spawned {
+            Ok(thread) => *self.release.lock() = Some(thread),
+            Err(_) => release(),
+        }
+    }
+
+    /// Join any earlier release, check that `range` is empty or decommitted
+    /// anonymous memory, and say whether it has anything to give back.
+    fn decommitted(&self, range: &Range<usize>) -> bool {
+        self.join_release();
         assert!(
-            self.file.is_none() && range.start >= self.committed_len() && range.end <= *self.mapped.lock(),
+            range.is_empty()
+                || self.file.is_none() && range.start >= self.committed_len() && range.end <= *self.mapped.lock(),
             "discard({range:?}): not a decommitted anonymous range"
         );
-        // SAFETY: mapped anonymous pages above the committed frontier,
-        // which no access reaches.
-        unsafe { self.span.discard(range.start, range.end) };
+        !range.is_empty()
+    }
+
+    /// Wait for the release [`PmemPool::discard_behind`] started, if any,
+    /// and resume its panic.
+    fn join_release(&self) {
+        let mut release = self.release.lock();
+        if let Some(Err(panic)) = release.take().map(JoinHandle::join) {
+            resume_unwind(panic);
+        }
     }
 
     /// Drop `[lo, hi)` from a [`Mode::Tracked`] pool's pending flushes and
@@ -520,11 +546,6 @@ impl PmemPool {
     #[inline]
     pub fn stats(&self) -> &PmemStats {
         &self.stats
-    }
-
-    /// Number of simulated crashes this pool has been through.
-    pub fn crash_count(&self) -> u32 {
-        self.crashes.load(Ordering::Relaxed)
     }
 
     /// True if `off..off+len` lies within the committed prefix.
@@ -661,6 +682,7 @@ impl PmemPool {
 
     /// Simulate a crash with a chosen [`CrashStyle`].
     pub fn crash_with(&self, style: CrashStyle) {
+        self.join_release();
         let tracked = self
             .tracked
             .as_ref()
@@ -695,7 +717,6 @@ impl PmemPool {
         unsafe {
             std::ptr::copy_nonoverlapping(st.shadow().as_ptr(), self.base(), committed);
         }
-        self.crashes.fetch_add(1, Ordering::Relaxed);
     }
 
     /// A copy of the image that would survive a crash right now — the
@@ -730,13 +751,20 @@ impl PmemPool {
     }
 }
 
+impl Drop for PmemPool {
+    fn drop(&mut self) {
+        // A release thread stores into the span, which the fields unmap.
+        // Its panic is dropped: a drop must not panic.
+        let _ = self.release.lock().take().map(JoinHandle::join);
+    }
+}
+
 impl std::fmt::Debug for PmemPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PmemPool")
             .field("len", &self.len())
             .field("committed", &self.committed_len())
             .field("mode", &self.mode)
-            .field("crashes", &self.crash_count())
             .finish_non_exhaustive()
     }
 }
@@ -744,6 +772,13 @@ impl std::fmt::Debug for PmemPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Decommit down to `len` and give the tail's pages back; returns the
+    /// frontier.
+    fn decommit(pool: &PmemPool, len: usize) -> usize {
+        pool.discard(pool.decommit(len));
+        pool.committed_len()
+    }
 
     fn write_bytes(pool: &PmemPool, off: usize, bytes: &[u8]) {
         // SAFETY: the tests write inside the committed prefix, single-threaded.
@@ -995,12 +1030,12 @@ mod tests {
         pool.persist(8192, 64);
         assert_eq!(pool.committed_len(), 16384);
         // Shrink back below the persisted data.
-        assert_eq!(pool.decommit(4096), 4096);
+        assert_eq!(decommit(&pool, 4096), 4096);
         assert_eq!(pool.committed_len(), 4096);
         assert!(!pool.check_range(4096, 1), "released tail must be out of range");
         assert_eq!(pool.persistent_image().len(), 4096, "image = shrunken prefix");
         // Growing requests through decommit are no-ops.
-        assert_eq!(pool.decommit(1 << 20), 4096);
+        assert_eq!(decommit(&pool, 1 << 20), 4096);
         // Recommit: the released range reads zero, in both the volatile
         // image and the persistent shadow.
         pool.commit(16384);
@@ -1024,7 +1059,7 @@ mod tests {
         write_bytes(&pool, TAIL, &vec![0xAA; hi - TAIL]);
         pool.persist(TAIL, hi - TAIL);
         let mapped = *pool.mapped.lock();
-        assert_eq!(pool.decommit(lo), lo);
+        assert_eq!(decommit(&pool, lo), lo);
         assert!(!pool.check_range(lo, 1), "released tail must be out of range");
         // Only a file's tail gives pages up; an anonymous one is recycled.
         assert_eq!(*pool.mapped.lock(), if pool.file.is_some() { page_up(lo) } else { mapped });
@@ -1075,7 +1110,7 @@ mod tests {
         let pool = PmemPool::with_reserve(1 << 16, 8192, Mode::Tracked, FlushModel::free(), None);
         write_bytes(&pool, 4096, &[7; 8]);
         pool.flush(4096, 8); // flushed but NOT fenced
-        pool.decommit(4096);
+        decommit(&pool, 4096);
         pool.commit(8192);
         pool.fence(); // must not resurrect the dropped pending line
         pool.crash();
@@ -1145,7 +1180,7 @@ mod tests {
             for base in images.into_iter().flatten() {
                 assert!(whole_chunks(base).iter().all(|&r| r), "{mode:?}: stored-to pages are not resident");
             }
-            assert_eq!(pool.decommit(lo), lo);
+            assert_eq!(decommit(&pool, lo), lo);
             if mode == Mode::Tracked {
                 pool.crash();
             }

@@ -2,7 +2,7 @@
 //! crash-testing substrate need and `std` does not expose: address-space
 //! reservations and file mappings (`mmap`/`munmap`/`msync`, wrapped as
 //! [`Reservation`]), page backing and residency (`madvise`/`mincore`),
-//! advisory file locks (`flock`), CPU placement for recovery's helpers
+//! advisory file locks (`flock`), CPU placement for helper threads
 //! (`sched_getaffinity`/`sched_setaffinity`/`getcpu`), and process
 //! control for the fork/SIGKILL harness (`fork`/`kill`/`wait4`).
 //!
@@ -45,9 +45,6 @@ pub const LOCK_NB: usize = 4;
 pub const LOCK_UN: usize = 8;
 
 pub const SIGKILL: i32 = 9;
-
-/// `wait4` option: return immediately when no child has exited yet.
-pub const WNOHANG: usize = 1;
 
 mod nr {
     pub const MMAP: usize = 9;
@@ -166,6 +163,22 @@ pub unsafe fn madvise(addr: *mut u8, len: usize, advice: usize) -> io::Result<()
     check(r).map(|_| ())
 }
 
+/// Give the whole pages `[addr, addr + len)` of a private anonymous
+/// mapping back to the kernel (`MADV_DONTNEED`), or zero them by stores
+/// where the kernel refuses: the range reads zero either way.
+///
+/// # Safety
+/// `addr` must be page-aligned, the range whole pages of a private
+/// anonymous mapping of this process, and nothing may access it
+/// concurrently.
+pub unsafe fn discard_pages(addr: *mut u8, len: usize) {
+    // SAFETY: per fn contract; stores stand in only where the advice failed.
+    if len > 0 && unsafe { madvise(addr, len, MADV_DONTNEED) }.is_err() {
+        // SAFETY: as above.
+        unsafe { std::ptr::write_bytes(addr, 0, len) };
+    }
+}
+
 /// `mincore(addr, len)`: whether each page of `[addr, addr + len)` is
 /// resident (`addr` page-aligned). An anonymous page is once anything
 /// maps it, a read of the shared zero page included; a file page is
@@ -231,6 +244,38 @@ pub fn getcpu() -> io::Result<usize> {
     check(r).map(|_| cpu as usize)
 }
 
+/// The calling thread's CPU and the CPUs it may use, read before it
+/// starts helpers: a spawned thread starts on its parent's CPU, and a host
+/// that does not balance load (`sched_load_balance` 0) never moves it.
+pub struct Home {
+    cpu: usize,
+    allowed: Vec<usize>,
+}
+
+impl Home {
+    pub fn here() -> Option<Home> {
+        let (cpu, allowed) = getcpu().ok().zip(sched_getaffinity(0).ok())?;
+        Some(Home { cpu, allowed })
+    }
+
+    /// Move the calling thread, helper `w`, to [`helper_cpu`]'s CPU unless
+    /// it runs there. A refusal leaves it where it is: slower, not wrong.
+    pub fn place(&self, w: usize) {
+        let want = helper_cpu(&self.allowed, self.cpu, w);
+        if getcpu().is_ok_and(|now| now != want) {
+            let _ = sched_setaffinity(0, &[want]);
+        }
+    }
+}
+
+/// The CPU helper `w` belongs on: the `w`-th of the `allowed` CPUs after
+/// the one its parent runs on (`cpu0`), wrapping, so that up to one helper
+/// per allowed CPU no two share one.
+pub fn helper_cpu(allowed: &[usize], cpu0: usize, w: usize) -> usize {
+    let i0 = allowed.iter().position(|&c| c == cpu0).unwrap_or(0);
+    allowed[(i0 + w) % allowed.len()]
+}
+
 /// `fork()` — returns the child pid in the parent, 0 in the child.
 ///
 /// # Safety
@@ -256,8 +301,7 @@ pub fn getpid() -> i32 {
     unsafe { syscall6(nr::GETPID, 0, 0, 0, 0, 0, 0) as i32 }
 }
 
-/// `wait4(pid, &status, options, NULL)` — returns `(pid, status)`;
-/// pid 0 when `WNOHANG` was set and the child is still running.
+/// `wait4(pid, &status, options, NULL)` — returns `(pid, status)`.
 pub fn wait4(pid: i32, options: usize) -> io::Result<(i32, i32)> {
     let mut status: i32 = 0;
     // SAFETY: status points at a live i32.
@@ -407,15 +451,11 @@ impl Reservation {
     }
 
     /// Zero `[lo, hi)` of an anonymous mapping and free its memory: the
-    /// whole pages inside go back to the kernel with one
-    /// `madvise(MADV_DONTNEED)` and the sub-page edges are zeroed by
-    /// stores. The range stays mapped, so it needs no [`Reservation::map`]
-    /// before its next use, and a page of it read later is a fresh zero
-    /// page (a fresh huge page in an advised chunk). Where the kernel
-    /// refuses the advice the whole pages are zeroed by stores instead:
-    /// the range reads zero either way. Threads may discard disjoint
-    /// ranges at once: each stores only inside its own range, and the
-    /// kernel splits a page two ranges share.
+    /// whole pages inside go back to the kernel ([`discard_pages`]) and
+    /// the sub-page edges are zeroed by stores. The range stays mapped, so
+    /// it needs no [`Reservation::map`] before its next use, and a page of
+    /// it read later is a fresh zero page (a fresh huge page in an advised
+    /// chunk).
     ///
     /// # Safety
     /// `[lo, hi)` must be mapped private and anonymous (a shared file page
@@ -426,10 +466,7 @@ impl Reservation {
         // SAFETY: per fn contract.
         let (first, last) = unsafe { self.zero_edges(lo, hi) };
         // SAFETY: `[first, last)` is whole pages inside the range, per fn contract.
-        if last > first && unsafe { madvise(self.base.add(first), last - first, MADV_DONTNEED) }.is_err() {
-            // SAFETY: as above; the advice was refused, so stores zero it.
-            unsafe { self.zero(first, last) };
-        }
+        unsafe { discard_pages(self.base.add(first), last - first) };
     }
 
     /// Zero the sub-page edges of `[lo, hi)` by stores and return the run
@@ -437,7 +474,7 @@ impl Reservation {
     ///
     /// # Safety
     /// As for [`Reservation::zero`].
-    unsafe fn zero_edges(&self, lo: usize, hi: usize) -> (usize, usize) {
+    pub unsafe fn zero_edges(&self, lo: usize, hi: usize) -> (usize, usize) {
         let first = page_up(lo).min(hi);
         let last = page_down(hi).max(first);
         // SAFETY: both edges are inside the range, per fn contract.

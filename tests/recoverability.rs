@@ -508,6 +508,12 @@ fn a_list_head_flipped_past_used_ends_the_list() {
 /// where an uncrashed recovery of the original image does. The sweep
 /// crashes inside every step: each step's flight record is the last one
 /// the crashed recovery wrote at one crash point or more.
+///
+/// Each crash image's flight ring also ends at the last step that image
+/// shows: the record from before recovery while `used` is not lowered,
+/// `shrink_unpublish` or `shrink_decommit` once it is, and
+/// `shrink_decommit` once the prefix is lowered too. The sweep reaches
+/// all three.
 #[test]
 fn a_crash_inside_recovery_recovers_to_the_uncrashed_result() {
     let victim = || {
@@ -515,6 +521,10 @@ fn a_crash_inside_recovery_recovers_to_the_uncrashed_result() {
         populate_and_crash(&heap);
         PStack::attach(&heap, 0).expect("the stack head was persisted at create");
         (heap, inj)
+    };
+    let (used, committed) = {
+        let (heap, _) = victim();
+        (heap.used_superblocks(), heap.pool().committed_len())
     };
     let (reference, events) = {
         let (heap, inj) = victim();
@@ -528,7 +538,7 @@ fn a_crash_inside_recovery_recovers_to_the_uncrashed_result() {
         ((Recovered::of(&clean), stats.reachable_blocks), inj.observed() - before)
     };
     println!("{events} crash points inside recover_parallel(2)");
-    let mut last_records = HashSet::new();
+    let (mut last_records, mut last_durable) = (HashSet::new(), HashSet::new());
     for budget in 0..events {
         let (heap, inj) = victim();
         let crashed = run_until_crash(&inj, budget, || {
@@ -537,6 +547,15 @@ fn a_crash_inside_recovery_recovers_to_the_uncrashed_result() {
         assert!(crashed, "budget {budget} did not crash");
         last_records.extend(heap.flight_timeline().events.last().map(|e| e.kind_name()));
         heap.pool().crash();
+        let durable = heap.flight_timeline().events.last().map_or("none", |e| e.kind_name());
+        let shows: &[&str] = match (heap.used_superblocks() < used, heap.pool().committed_len() < committed) {
+            (false, false) => &["root_publish"],
+            (true, false) => &["shrink_unpublish", "shrink_decommit"],
+            (true, true) => &["shrink_decommit"],
+            (false, true) => panic!("budget {budget}: the prefix came down before `used`"),
+        };
+        assert!(shows.contains(&durable), "budget {budget}: the crash image's flight ring ends at {durable}");
+        last_durable.insert(durable);
         let (again, stats) = recover_image(&heap.pool().persistent_image(), 2);
         let report = ralloc::check_heap(&again);
         assert!(report.is_consistent(), "budget {budget}: {:?}", report.violations);
@@ -553,6 +572,9 @@ fn a_crash_inside_recovery_recovers_to_the_uncrashed_result() {
     }
     for step in ["recovery_reconcile", "shrink_unpublish", "shrink_decommit", "recovery_sweep", "recovery_splice"] {
         assert!(last_records.contains(step), "no crash lands after {step}: {last_records:?}");
+    }
+    for step in ["root_publish", "shrink_unpublish", "shrink_decommit"] {
+        assert!(last_durable.contains(step), "no crash image ends at {step}: {last_durable:?}");
     }
 }
 

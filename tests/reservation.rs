@@ -162,3 +162,86 @@ fn a_large_block_waits_for_stores_and_one_store_backs_its_chunk() {
     heap.free(big);
     heap.free(small);
 }
+
+/// Recovery hands the tail it releases to a thread of the pool's own and
+/// returns at once. A grow right after it reaches into the range that
+/// thread may still be giving back: every page it commits must read zero,
+/// and keep what is stored to it, because a commit waits for the release.
+/// Blocks are written from the top down, so a store lands where a release
+/// still running would reach last. After `close`, the chunks recovery
+/// released and nothing committed again are not resident.
+///
+/// Each worker count runs on huge pages, as a heap grows, and again on a
+/// heap committed whole at creation and advised to 4 KiB pages: releasing
+/// 128 MiB of those takes milliseconds, not a fraction of one, so a commit
+/// that did not wait would meet the tail's old pages every time.
+#[test]
+fn a_grow_into_the_tail_recovery_is_releasing_reads_zero_and_keeps_its_stores() {
+    let _serial = one_at_a_time();
+    for small_pages in [false, true] {
+        for workers in [1, 2] {
+            grow_into_a_releasing_tail(&format!("{workers} worker(s), 4 KiB pages {small_pages}"), workers, small_pages);
+        }
+    }
+}
+
+fn grow_into_a_releasing_tail(what: &str, workers: usize, small_pages: bool) {
+    const CHUNK: usize = nvm::sys::HUGE_PAGE;
+    const PAGE: usize = nvm::sys::PAGE;
+    const BLOCK: usize = 8 * MIB;
+    const MADV_NOHUGEPAGE: usize = 15;
+    let initial = if small_pages { 256 * MIB } else { 4 * MIB };
+    let heap = Ralloc::create(initial, growable(initial, 256 * MIB));
+    if small_pages {
+        let (base, len) = (heap.pool().base(), heap.pool().committed_len());
+        // SAFETY: the committed prefix of our own pool; the advice changes
+        // no byte, only the size of the pages faulted in from here on.
+        unsafe { nvm::sys::madvise(base, len, MADV_NOHUGEPAGE) }.expect("advise 4 KiB pages");
+    }
+    // Two roots, so that two workers both trace.
+    heap.set_root_raw(0, heap.malloc(64));
+    heap.set_root_raw(1, heap.malloc(64));
+    // 128 MiB of garbage behind the roots, every page stored to.
+    for _ in 0..128 * MIB / BLOCK {
+        let p = heap.malloc(BLOCK);
+        assert!(!p.is_null());
+        // SAFETY: a fresh block of BLOCK bytes.
+        unsafe { p.write_bytes(0xA5, BLOCK) };
+    }
+    let (base, before) = (heap.pool().base(), heap.pool().committed_len());
+    heap.recover_parallel(workers);
+    let frontier = heap.pool().committed_len();
+    assert!(before - frontier >= 64 * MIB, "{what}: released [{frontier:#x}, {before:#x})");
+
+    let blocks: Vec<usize> = (0..12).map(|_| heap.malloc(BLOCK) as usize).collect();
+    assert!(blocks.iter().all(|&p| p != 0));
+    let top = blocks.iter().max().unwrap() + BLOCK - base as usize;
+    assert!(top > frontier + 64 * MIB, "{what}: the grow stays short of the tail");
+    let pattern = |block: usize, page: usize| (block << 32 | page) as u64 ^ 0x5EED_0000_0000_5EED;
+    for (i, &p) in blocks.iter().enumerate().rev() {
+        for page in (0..BLOCK / PAGE).rev() {
+            let at = (p + page * PAGE) as *mut u64;
+            // SAFETY: the first word of a page of a live block of ours.
+            unsafe {
+                assert_eq!(at.read(), 0, "{what}: block {i} page {page} was not zero");
+                at.write(pattern(i, page));
+            }
+        }
+    }
+    for _ in 0..1000 {
+        assert!(!heap.malloc(64).is_null());
+    }
+    for (i, &p) in blocks.iter().enumerate() {
+        for page in 0..BLOCK / PAGE {
+            // SAFETY: as above.
+            let word = unsafe { ((p + page * PAGE) as *const u64).read() };
+            assert_eq!(word, pattern(i, page), "{what}: block {i} page {page} lost its store");
+        }
+    }
+    heap.close().unwrap();
+    let lo = heap.pool().committed_len().next_multiple_of(CHUNK);
+    let hi = before / CHUNK * CHUNK;
+    assert!(hi - lo >= 16 * MIB, "{what}: released [{lo:#x}, {hi:#x})");
+    let pages = resident(base.wrapping_add(lo), hi - lo);
+    assert!(pages.iter().all(|&r| !r), "{what}: a released chunk is still resident");
+}
