@@ -32,9 +32,9 @@
 //! reciprocal, a large head's span, or nothing. The tracer, the claim
 //! and the sweep all read it, so a visited pointer costs one table load
 //! and one multiply, and the mark set is one flat bitmap sized from it.
-//! Worker 0 takes it alone ([`Census::take`], the one census path): a
-//! pass over 8 192 descriptors costs about 0.14 ms, less than a second
-//! worker's start-up.
+//! The calling thread takes it alone ([`Census::take`], the one census
+//! path): a pass over 8 192 descriptors costs about 0.12 ms, less than a
+//! second worker's start-up.
 //!
 //! ## The live prefix (step 6)
 //!
@@ -68,25 +68,38 @@
 //!
 //! The paper notes it is "straightforward to parallelize Step 5 across
 //! persistent roots and Steps 6–9 across superblocks"; `recover_parallel`
-//! fans out only the step where a second worker pays, the trace: one
-//! worker per root, up to `threads`. One fan-out is spawned at entry, its
-//! worker 0 the calling thread, and each helper moves to a CPU of its own
-//! (see [`fan_out`]). The helpers wait for worker 0's census, trace their
-//! roots, and leave. Tracers take the roots at a fixed stride, so every
-//! count in [`RecoveryStats`] depends on the image and the worker count
-//! alone, with private mark sets OR-merged afterwards (shared
-//! substructure costs duplicated scanning, never correctness). Worker 0
-//! alone merges, claims, lowers `used`, hands the tail to the pool's
-//! release thread, sweeps the live prefix, publishes the lists, and writes
-//! back and fences the committed prefix (step 10: an `sfence` orders only
-//! its own core's write-backs, and all of them are worker 0's).
+//! runs only the trace concurrently: one worker per root, up to
+//! `threads`, worker 0 the calling thread. The helpers are spawned at
+//! entry, and each moves to a CPU of its own ([`Home::place`]: a thread
+//! starts on its parent's CPU, and a host that does not balance load
+//! never moves it). A helper waits for one thing, worker 0's census, on a
+//! channel of its own; it then traces its roots and sends its tracer
+//! back on a second channel. Worker 0 takes the census, hands it over,
+//! yields until every helper has moved, traces its own roots, and waits
+//! busily for each helper to finish before it takes that tracer. Only a
+//! helper that panicked, and so sent nothing, is joined: its panic is
+//! resumed with its own payload. A worker 0 that unwinds drops its
+//! senders, which ends every helper's wait. Tracers take the roots at a
+//! fixed stride, so every count in [`RecoveryStats`] depends on the image
+//! and the worker count alone, with private mark sets OR-merged
+//! afterwards (shared substructure costs duplicated scanning, never
+//! correctness). Everything after the trace runs in order on the calling
+//! thread: merge, claim, lower `used`, hand the tail to the pool's
+//! release thread, sweep, publish, and write back and fence the committed
+//! prefix (step 10: an `sfence` orders only its own core's write-backs,
+//! and all of them are the caller's).
 //!
-//! The steps left on worker 0 buy nothing from a second one. On a
+//! The steps after the trace buy nothing from a second worker. On a
 //! restart-shaped heap (8 192 superblocks, 32 of them live; a 2-vCPU
 //! guest) a census split over two workers took 0.20–0.36 ms against
 //! 0.14 ms on one, a split write-back 0.11–0.16 ms against 0.09 ms, and
 //! the sweep takes 30–50 µs, while two workers cut the trace from 1.4 to
-//! 0.75 ms. The 510 MiB tail's release (1.2 ms of `madvise` on two
+//! 0.75 ms. The census is taken after the spawn, not before it, which
+//! keeps the helper's spawn and move off the critical path (census
+//! first: `restart` `vs_reference` 0.435 → 0.389). A tracer returned
+//! through the join handle would cost a join, which waits out the
+//! helper's thread exit: 0.03–0.08 ms per recovery, `vs_reference`
+//! 0.446 → 0.420. The 510 MiB tail's release (1.2 ms of `madvise` on two
 //! workers, 2.4 ms on one) left the critical path for a 0.05–0.10 ms
 //! thread spawn: `recover_parallel(2)` 2.52–2.62 → 1.34–1.39 ms, one
 //! worker 4.06 → 1.90 ms (medians of 30 cycles), the walk after it no
@@ -122,13 +135,13 @@
 //! sweep stores FULL into every superblock of a claimed span, so after
 //! recovery, as online, a live span reads FULL throughout.
 
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::cell::OnceCell;
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{self, TryRecvError};
 use std::time::{Duration, Instant};
 
 use nvm::sys::Home;
-use parking_lot::Mutex;
 use telemetry::EventKind;
 
 use crate::anchor::{Anchor, SbState};
@@ -180,18 +193,20 @@ pub struct RecoveryStats {
     pub phases: RecoveryPhases,
 }
 
-/// Wall time of each recovery phase on worker 0, in run order. The phases
-/// are contiguous laps of one clock, so they sum to
+/// Wall time of each recovery phase on the calling thread, in run order.
+/// The phases are contiguous laps of one clock, so they sum to
 /// [`RecoveryStats::duration`]; published as `recovery_phase_*_ns` gauges
 /// (last recovery) beside the `recovery_duration_ns` histogram.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryPhases {
-    /// Cache quiesce, frontier reload and validation, root gathering.
+    /// Cache quiesce, frontier reload and validation, root gathering and
+    /// the helpers' spawn.
     pub reconcile: Duration,
-    /// The helpers' spawn and worker 0's census, until every helper has
-    /// started.
+    /// The census alone ([`Census::take`]).
     pub census: Duration,
-    /// Step 5: the trace from the roots, until the last worker is done.
+    /// Step 5: the census handed over, the wait for every helper to move
+    /// off this CPU, this thread's trace and the wait for each helper to
+    /// finish.
     pub mark: Duration,
     /// Claim the marked large heads' spans, find the live prefix and
     /// merge the mark sets over it.
@@ -200,12 +215,11 @@ pub struct RecoveryPhases {
     /// the tail decommitted, and its pages handed to the pool's release
     /// thread: this phase holds that thread's spawn, not the release.
     pub shrink: Duration,
-    /// Steps 7–9 on worker 0: the live prefix's descriptors rebuilt and
-    /// every list published, while the release thread gives the tail back.
+    /// Steps 7–9: the live prefix's descriptors rebuilt and every list
+    /// published, while the release thread gives the tail back.
     pub sweep: Duration,
-    /// Step 10: the committed prefix flushed and fenced, then the join of
-    /// the helpers, which finished with the trace. No part of the tail's
-    /// release: recovery returns without waiting for it.
+    /// Step 10: the committed prefix flushed and fenced. No part of the
+    /// tail's release: recovery returns without waiting for it.
     pub write_back: Duration,
 }
 
@@ -263,92 +277,121 @@ pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
         }
     }
     let mut clock = Clock(t0);
-    let phases = RecoveryPhases { reconcile: clock.lap(), ..Default::default() };
+    let mut phases = RecoveryPhases::default();
+    let mut stats = RecoveryStats { threads, ..Default::default() };
 
-    // One fan-out runs the trace: one worker per root, up to `threads`.
+    // Step 5, the one step that fans out: one worker per root, up to
+    // `threads`, worker 0 the calling thread (see the module docs).
     let workers = threads.min(roots.len()).max(1);
-    let census = OnceLock::new();
-    let tracers = Board::new();
-    let done = fan_out(workers, |w, sync| {
-        // Worker 0's copies are the ones kept.
-        let (mut phases, mut clock) = (phases, clock);
-        let mut stats = RecoveryStats { threads, ..Default::default() };
-        if w == 0 {
-            let _ = census.set(Census::take(pool, geo, used));
-        }
-        sync.wait();
+    let home = if workers > 1 { Home::here() } else { None };
+    let moved = AtomicUsize::new(0);
+    let census = OnceCell::new();
+    let (census, mut traced) = std::thread::scope(|s| {
+        let (roots, home, moved) = (&roots, &home, &moved);
+        let (census_txs, helpers): (Vec<_>, Vec<_>) = (1..workers)
+            .map(|w| {
+                let (census_tx, census_rx) = mpsc::channel();
+                let (tracer_tx, tracer_rx) = mpsc::channel();
+                let helper = s.spawn(move || {
+                    if let Some(home) = home {
+                        home.place(w);
+                    }
+                    moved.fetch_add(1, Ordering::Release);
+                    // Disconnected: worker 0 unwound before the census.
+                    let census = loop {
+                        match census_rx.try_recv() {
+                            Ok(census) => break census,
+                            Err(TryRecvError::Empty) => std::thread::yield_now(),
+                            Err(TryRecvError::Disconnected) => return,
+                        }
+                    };
+                    let _ = tracer_tx.send(trace(census, roots, w, workers));
+                });
+                (census_tx, (tracer_rx, helper))
+            })
+            .collect();
+        phases.reconcile = clock.lap();
+        let census: &Census = census.get_or_init(|| Census::take(pool, geo, used));
         phases.census = clock.lap();
-
-        // Step 5: the trace, over disjoint root subsets.
-        let census = census.get().expect("worker 0 took the census");
-        let mut tracer = Tracer::new(census);
-        for (addr, filter) in roots.iter().skip(w).step_by(workers) {
-            tracer.visit_addr(*addr, *filter);
+        for census_tx in census_txs {
+            let _ = census_tx.send(census);
         }
-        tracer.drain();
-        tracers.put(w, tracer);
-        sync.wait();
-        if w > 0 {
-            return (stats, clock);
+        // A helper still on this CPU runs only once this thread yields it.
+        while moved.load(Ordering::Acquire) < workers - 1 {
+            std::thread::yield_now();
         }
-        phases.mark = clock.lap();
-        // The live prefix (see the module docs).
-        let mut traced = tracers.take();
-        let mut heads: Vec<usize> = traced.iter().flat_map(|t| t.heads.iter().copied()).collect();
-        heads.sort_unstable();
-        heads.dedup();
-        let claim = census.claim(heads.iter().copied());
-        let top = traced.iter().map(Tracer::top).max().unwrap_or(0);
-        let keep = top.max(claim.spans.last().map_or(0, |s| s.end));
-        let bits = census.bits_below(keep);
-        let mut marks = std::mem::replace(&mut traced[0].marks, MarkSet::new(0));
-        for t in &traced {
-            marks.merge_from(&t.marks, bits);
-            stats.conservative_words_scanned += t.cons_words_scanned;
-            stats.conservative_candidates += t.cons_hits;
+        let mut traced = vec![trace(census, roots, 0, workers)];
+        for (tracer_rx, helper) in helpers {
+            // Busily: a waiter that sleeps may idle its core, and waking
+            // one takes longer than the rest of the trace.
+            while !helper.is_finished() {
+                std::thread::yield_now();
+            }
+            // Only a helper that panicked is joined: a join waits out the
+            // thread's exit, which the steps below overlap instead.
+            match tracer_rx.recv() {
+                Ok(tracer) => traced.push(tracer),
+                Err(_) => resume_unwind(helper.join().expect_err("a helper that sent no tracer panicked")),
+            }
         }
-        stats.reachable_blocks = heads.len() as u64;
-        stats.reachable_bytes = claim.bytes;
-        stats.rejected_large_phantoms = claim.phantoms.len();
-        phases.claim = clock.lap();
-
-        // Step 6: the live prefix becomes durable before anything is
-        // swept (see the module docs for why that order is crash-safe),
-        // and the tail's pages go back on the pool's own thread.
-        let (shrunk, pages) = inner.lower_to(keep);
-        pool.discard_behind(pages);
-        stats.shrunk_superblocks = shrunk;
-        stats.free_superblocks = used - keep;
-        phases.shrink = clock.lap();
-
-        // Steps 7-9, while the tail's pages go back: sweep `0..keep` and
-        // publish every list.
-        let swept = sweep(inner, census, &marks, &claim.claimed[..keep]);
-        DescList::free_list(geo).publish(pool, geo, &swept.free);
-        for (at, chain) in swept.partial.iter().enumerate() {
-            let (class, s) = ((at / SHARDS as usize) as u32, (at % SHARDS as usize) as u32);
-            DescList::partial_shard(geo, class, s).publish(pool, geo, chain);
-        }
-        stats.reachable_blocks += swept.blocks;
-        stats.reachable_bytes += swept.bytes;
-        stats.free_superblocks += swept.free.len();
-        stats.partial_superblocks = swept.partial.iter().map(Vec::len).sum();
-        stats.full_superblocks = swept.full;
-        inner.emit(EventKind::RecoverySweep, stats.reachable_blocks, used as u64);
-        inner.emit(EventKind::RecoverySplice, stats.partial_superblocks as u64, stats.free_superblocks as u64);
-        phases.sweep = clock.lap();
-
-        // Step 10: write everything back so a crash immediately after
-        // recovery restarts from this reconstructed state. Only the
-        // committed prefix exists to flush; the uncommitted reservation
-        // has no content (and the pool would reject the range).
-        if !inner.transient {
-            pool.persist(0, pool.committed_len());
-        }
-        (RecoveryStats { phases, ..stats }, clock)
+        (census, traced)
     });
-    let (mut stats, mut clock) = done.into_iter().next().expect("worker 0 reports");
-    stats.phases.write_back = clock.lap();
+    phases.mark = clock.lap();
+
+    // The live prefix (see the module docs).
+    let mut heads: Vec<usize> = traced.iter().flat_map(|t| t.heads.iter().copied()).collect();
+    heads.sort_unstable();
+    heads.dedup();
+    let claim = census.claim(heads.iter().copied());
+    let top = traced.iter().map(Tracer::top).max().unwrap_or(0);
+    let keep = top.max(claim.spans.last().map_or(0, |s| s.end));
+    let bits = census.bits_below(keep);
+    let mut marks = std::mem::replace(&mut traced[0].marks, MarkSet::new(0));
+    for t in &traced {
+        marks.merge_from(&t.marks, bits);
+        stats.conservative_words_scanned += t.cons_words_scanned;
+        stats.conservative_candidates += t.cons_hits;
+    }
+    stats.reachable_blocks = heads.len() as u64;
+    stats.reachable_bytes = claim.bytes;
+    stats.rejected_large_phantoms = claim.phantoms.len();
+    phases.claim = clock.lap();
+
+    // Step 6: the live prefix becomes durable before anything is swept
+    // (see the module docs for why that order is crash-safe), and the
+    // tail's pages go back on the pool's own thread.
+    let (shrunk, pages) = inner.lower_to(keep);
+    pool.discard_behind(pages);
+    stats.shrunk_superblocks = shrunk;
+    stats.free_superblocks = used - keep;
+    phases.shrink = clock.lap();
+
+    // Steps 7-9, while the tail's pages go back: sweep `0..keep` and
+    // publish every list.
+    let swept = sweep(inner, census, &marks, &claim.claimed[..keep]);
+    DescList::free_list(geo).publish(pool, geo, &swept.free);
+    for (at, chain) in swept.partial.iter().enumerate() {
+        let (class, s) = ((at / SHARDS as usize) as u32, (at % SHARDS as usize) as u32);
+        DescList::partial_shard(geo, class, s).publish(pool, geo, chain);
+    }
+    stats.reachable_blocks += swept.blocks;
+    stats.reachable_bytes += swept.bytes;
+    stats.free_superblocks += swept.free.len();
+    stats.partial_superblocks = swept.partial.iter().map(Vec::len).sum();
+    stats.full_superblocks = swept.full;
+    inner.emit(EventKind::RecoverySweep, stats.reachable_blocks, used as u64);
+    inner.emit(EventKind::RecoverySplice, stats.partial_superblocks as u64, stats.free_superblocks as u64);
+    phases.sweep = clock.lap();
+
+    // Step 10: write everything back so a crash immediately after
+    // recovery restarts from this reconstructed state. Only the committed
+    // prefix exists to flush; the uncommitted reservation has no content
+    // (and the pool would reject the range).
+    if !inner.transient {
+        pool.persist(0, pool.committed_len());
+    }
+    phases.write_back = clock.lap();
+    stats.phases = phases;
     stats.duration = t0.elapsed();
 
     // Publish the exportable view: last-recovery gauges plus one
@@ -370,7 +413,6 @@ pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
 
 /// A phase clock: each lap is the time since the previous one, so the
 /// phases tile `duration` with no gaps.
-#[derive(Clone, Copy)]
 struct Clock(Instant);
 
 impl Clock {
@@ -382,98 +424,15 @@ impl Clock {
     }
 }
 
-/// Values posted under a worker's number, taken by worker 0 after a
-/// barrier, in number order.
-struct Board<T>(Mutex<Vec<(usize, T)>>);
-
-impl<T> Board<T> {
-    fn new() -> Board<T> {
-        Board(Mutex::new(Vec::new()))
+/// Worker `w`'s part of the trace (step 5): every `workers`-th root from
+/// the `w`-th.
+fn trace<'c>(census: &'c Census, roots: &[(usize, Option<TraceFn>)], w: usize, workers: usize) -> Tracer<'c> {
+    let mut tracer = Tracer::new(census);
+    for (addr, filter) in roots.iter().skip(w).step_by(workers) {
+        tracer.visit_addr(*addr, *filter);
     }
-
-    fn put(&self, k: usize, v: T) {
-        self.0.lock().push((k, v));
-    }
-
-    fn take(&self) -> Vec<T> {
-        let mut posted = std::mem::take(&mut *self.0.lock());
-        posted.sort_unstable_by_key(|&(k, _)| k);
-        posted.into_iter().map(|(_, v)| v).collect()
-    }
-}
-
-/// The fan-out's phase barrier: a worker's k-th wait returns once
-/// `k × workers` have arrived, spinning, then yielding (more workers than
-/// cores is allowed). A worker that unwinds breaks it, and the waiters
-/// leave by unwinding with [`Abandoned`], so none waits on a dead one.
-struct Barrier {
-    workers: usize,
-    arrived: AtomicUsize,
-    broken: AtomicBool,
-}
-
-/// The payload of a worker that left a broken [`Barrier`].
-struct Abandoned;
-
-/// One worker's handle on the [`Barrier`]: the number of waits it made.
-struct Rendezvous<'b>(&'b Barrier, usize);
-
-impl Rendezvous<'_> {
-    fn wait(&mut self) {
-        let Rendezvous(bar, k) = self;
-        *k += 1;
-        bar.arrived.fetch_add(1, Ordering::AcqRel);
-        for spin in 0usize.. {
-            if bar.arrived.load(Ordering::Acquire) >= *k * bar.workers {
-                return;
-            }
-            if bar.broken.load(Ordering::Acquire) {
-                resume_unwind(Box::new(Abandoned));
-            }
-            match spin {
-                0..64 => std::hint::spin_loop(),
-                _ => std::thread::yield_now(),
-            }
-        }
-    }
-}
-
-/// Run `work(w, sync)` for every worker `w`, worker 0 on the calling
-/// thread and the rest on scoped threads, and return the results in
-/// worker order. The workers meet at `sync.wait()`; if one panics, the
-/// others leave their waits and its panic is resumed here. Each helper
-/// moves off worker 0's CPU ([`Home::place`]).
-fn fan_out<T: Send>(workers: usize, work: impl Fn(usize, &mut Rendezvous) -> T + Sync) -> Vec<T> {
-    let bar = Barrier { workers, arrived: AtomicUsize::new(0), broken: AtomicBool::new(false) };
-    let run = |w: usize| {
-        catch_unwind(AssertUnwindSafe(|| work(w, &mut Rendezvous(&bar, 0))))
-            .inspect_err(|_| bar.broken.store(true, Ordering::Release))
-    };
-    let home = if workers > 1 { Home::here() } else { None };
-    let place = |w: usize| {
-        if let Some(home) = &home {
-            home.place(w);
-        }
-    };
-    let mut done = std::thread::scope(|s| {
-        let others: Vec<_> = (1..workers)
-            .map(|w| s.spawn(move || { place(w); run(w) }))
-            .collect();
-        let mut done = vec![run(0)];
-        // Wait for the others busily: a joiner that sleeps may idle its
-        // core, and waking one takes longer than the rest of a phase.
-        for h in &others {
-            while !h.is_finished() {
-                std::thread::yield_now();
-            }
-        }
-        done.extend(others.into_iter().map(|h| h.join().expect("a worker catches its panic")));
-        done
-    });
-    if let Some(at) = done.iter().position(|r| r.as_ref().is_err_and(|p| !p.is::<Abandoned>())) {
-        resume_unwind(done.swap_remove(at).err().expect("a worker's panic"));
-    }
-    done.into_iter().map(|r| r.expect("workers abandon only after a panic")).collect()
+    tracer.drain();
+    tracer
 }
 
 /// What the sweep rebuilt: the free list and the list per (class, shard),
@@ -561,9 +520,9 @@ mod tests {
 
     /// A persistent singly-linked list node with a precise filter.
     #[repr(C)]
-    struct Node {
-        value: u64,
-        next: Pptr<Node>,
+    pub(super) struct Node {
+        pub(super) value: u64,
+        pub(super) next: Pptr<Node>,
     }
 
     // SAFETY: `next` is the node's only reference, and it is visited.
@@ -601,7 +560,7 @@ mod tests {
         addrs
     }
 
-    fn list_values(heap: &Ralloc, root: usize) -> Vec<u64> {
+    pub(super) fn list_values(heap: &Ralloc, root: usize) -> Vec<u64> {
         let mut out = Vec::new();
         let mut cur = heap.get_root::<Node>(root);
         while !cur.is_null() {
@@ -908,22 +867,10 @@ mod tests {
 
 #[cfg(test)]
 mod parallel_tests {
+    use super::tests::{list_values, Node};
     use crate::checker::check_heap;
     use crate::gc::{Trace, Tracer};
     use crate::{Ralloc, RallocConfig};
-    use pptr::Pptr;
-
-    #[repr(C)]
-    struct Node {
-        value: u64,
-        next: Pptr<Node>,
-    }
-    // SAFETY: `next` is the node's only reference, and it is visited.
-    unsafe impl Trace for Node {
-        fn trace(&self, t: &mut Tracer<'_>) {
-            t.visit_pptr(&self.next);
-        }
-    }
 
     /// Many roots, each a list, so the parallel mark phase has real work
     /// to divide.
@@ -1003,6 +950,50 @@ mod parallel_tests {
             heap.free(p);
         }
         assert!(check_heap(&heap).is_consistent());
+    }
+
+    /// A filter that panics on the first block it is handed.
+    struct Bomb;
+    // SAFETY: it never returns, so it never leaves a reference unvisited.
+    unsafe impl Trace for Bomb {
+        fn trace(&self, _: &mut Tracer<'_>) {
+            panic!("a filter panicked mid-trace");
+        }
+    }
+
+    /// A filter that panics on worker 0 or on a helper of
+    /// `recover_parallel(2)` ends it with that panic's own payload, within
+    /// 5 s, and the heap it leaves behind recovers whole once the right
+    /// filters are registered.
+    #[test]
+    fn a_panicking_filter_on_either_worker_is_resumed_and_the_heap_recovers() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        // Roots go to the workers at a stride: worker 0 traces slot 0,
+        // the helper slot 1.
+        for (slot, worker) in [(0, "worker 0"), (1, "the helper")] {
+            let (send, verdict) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let heap = Ralloc::create(16 << 20, RallocConfig::tracked());
+                build_many_lists(&heap, 2, 300);
+                heap.crash_simulated();
+                let _ = heap.get_root::<Bomb>(slot);
+                let panic = catch_unwind(AssertUnwindSafe(|| heap.recover_parallel(2))).expect_err("the filter panics");
+                let payload = panic.downcast_ref::<&str>().copied();
+                let _ = heap.get_root::<Node>(slot);
+                let stats = heap.recover_parallel(2);
+                let lists = [list_values(&heap, 0), list_values(&heap, 1)];
+                let _ = send.send((payload, stats.reachable_blocks, lists, check_heap(&heap).violations));
+            });
+            let (payload, reachable, lists, violations) = verdict
+                .recv_timeout(std::time::Duration::from_secs(5))
+                .unwrap_or_else(|_| panic!("{worker}: no verdict in 5 s"));
+            assert_eq!(payload, Some("a filter panicked mid-trace"), "{worker}");
+            assert_eq!(reachable, 600, "{worker}");
+            for list in lists {
+                assert_eq!(list, (0..300).rev().collect::<Vec<u64>>(), "{worker}");
+            }
+            assert!(violations.is_empty(), "{worker}: {violations:?}");
+        }
     }
 
     #[test]

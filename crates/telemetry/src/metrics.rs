@@ -25,8 +25,10 @@
 //! take a lock and touch every writer's line, so keep them off hot paths.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
+
+use parking_lot::Mutex;
 
 /// Shards per counter/histogram-total. Increments on different shards
 /// never contend on a cache line; 8 covers typical thread pools without
@@ -60,7 +62,9 @@ struct Slots([AtomicU64; LOCAL_SLOTS]);
 
 /// What a registry, its slotted counters and its blocks share: the live
 /// blocks and the totals of the retired ones, under one lock so a read
-/// sees every block exactly once, live or folded.
+/// sees every block exactly once, live or folded. The lock (the
+/// `parking_lot` shim) never poisons, so [`LocalBlock`]'s drop cannot
+/// panic on it, and a ThreadSanitizer build sees its hand-offs.
 #[derive(Default)]
 pub(crate) struct LocalSet(Mutex<LocalSetInner>);
 
@@ -71,16 +75,9 @@ struct LocalSetInner {
 }
 
 impl LocalSet {
-    fn lock(&self) -> std::sync::MutexGuard<'_, LocalSetInner> {
-        // Nothing done under this lock can panic part-way, so a poisoned
-        // guard (a reader's caller unwinding) still holds valid totals —
-        // and `LocalBlock::drop` must not panic.
-        self.0.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     /// Everything ever counted into `slot`: retired blocks plus live ones.
     fn total(&self, slot: usize) -> u64 {
-        let set = self.lock();
+        let set = self.0.lock();
         set.live
             .iter()
             .fold(set.folded[slot], |sum, b| sum.wrapping_add(b.0[slot].load(Ordering::Relaxed)))
@@ -89,7 +86,7 @@ impl LocalSet {
     /// A fresh zeroed block, enlisted. Cold: once per (thread, registry).
     pub(crate) fn block(self: &Arc<LocalSet>) -> LocalBlock {
         let slots = Arc::new(Slots(std::array::from_fn(|_| AtomicU64::new(0))));
-        self.lock().live.push(slots.clone());
+        self.0.lock().live.push(slots.clone());
         LocalBlock { slots, set: self.clone() }
     }
 }
@@ -119,7 +116,7 @@ impl LocalBlock {
 
 impl Drop for LocalBlock {
     fn drop(&mut self) {
-        let mut set = self.set.lock();
+        let mut set = self.set.0.lock();
         for (total, cell) in set.folded.iter_mut().zip(&self.slots.0) {
             *total = total.wrapping_add(cell.load(Ordering::Relaxed));
         }

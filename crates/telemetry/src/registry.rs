@@ -9,7 +9,8 @@
 //! [`LocalBlock`]s its slotted counters are summed over.
 
 use crate::metrics::{Counter, Gauge, Histogram, LocalBlock, LocalSet};
-use std::sync::{Arc, Mutex};
+use parking_lot::Mutex;
+use std::sync::Arc;
 
 /// A registered metric, as enumerated by [`Registry::entries`].
 #[derive(Clone)]
@@ -45,7 +46,7 @@ impl Registry {
         name: &'static str,
         make: impl FnOnce(&[(&'static str, Metric)]) -> Metric,
     ) -> Metric {
-        let mut entries = self.0.entries.lock().unwrap();
+        let mut entries = self.0.entries.lock();
         if let Some((_, m)) = entries.iter().find(|(n, _)| *n == name) {
             return m.clone();
         }
@@ -111,13 +112,13 @@ impl Registry {
 
     /// All registered metrics in registration order.
     pub fn entries(&self) -> Vec<(&'static str, Metric)> {
-        self.0.entries.lock().unwrap().clone()
+        self.0.entries.lock().clone()
     }
 
     /// Convenience: the current value of a registered counter, or `None`
     /// if `name` is unregistered or not a counter.
     pub fn counter_value(&self, name: &str) -> Option<u64> {
-        self.0.entries.lock().unwrap().iter().find_map(|(n, m)| match m {
+        self.0.entries.lock().iter().find_map(|(n, m)| match m {
             Metric::Counter(c) if *n == name => Some(c.get()),
             _ => None,
         })

@@ -15,8 +15,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BUDGET=6618
-REST_BUDGET=8726
+BUDGET=6577
+REST_BUDGET=8724
 MAX_FIELDS=6
 MAX_VARS=7
 

@@ -6,9 +6,9 @@
 //! 1. **Crash mid-steal**: a descriptor stolen from a neighbor shard is
 //!    on *no* list while its blocks sit in the thief's (transient) cache;
 //!    a crash in that window must lose nothing after recovery.
-//! 2. **Crash during parallel recovery**: the sweep publishes to shards
-//!    before step 10 persists anything; a crash mid-recovery must land
-//!    back on the pre-recovery persistent state and recover cleanly.
+//! 2. **Crash during parallel recovery**: a crash after a four-worker
+//!    trace, before anything recovery writes is durable, must land back
+//!    on the pre-recovery persistent state and recover cleanly.
 //! 3. **Determinism**: 1-worker and N-worker rebuilds of the same crash
 //!    image must agree on the reachable set *and* on per-shard list
 //!    membership, which must be a disjoint partition placed by
@@ -187,36 +187,56 @@ fn crash_mid_steal_loses_nothing() {
 
 #[test]
 fn crash_during_parallel_recovery_is_recoverable() {
+    const LISTS: usize = 4;
+    const PER_LIST: u64 = 50;
     let inj = CrashInjector::new();
     let cfg = RallocConfig { injector: Some(inj.clone()), ..RallocConfig::tracked() };
     let heap = Ralloc::create(32 << 20, cfg);
-    let rooted = heap.malloc(8) as *mut u64;
-    // SAFETY: fresh block.
-    unsafe { *rooted = 77 };
-    let off = rooted as usize - heap.pool().base() as usize;
-    heap.pool().persist(off, 8);
-    heap.set_root::<u64>(0, rooted);
+    // Recovery runs one worker per root: four rooted lists make
+    // `recover_parallel(4)` trace on four workers.
+    for r in 0..LISTS {
+        rooted_block_list(&heap, r, PER_LIST);
+    }
     let _held = make_partials(&heap, 4);
     for _ in 0..500 {
         let _ = heap.malloc(64); // leaked: sweep work
     }
     heap.crash_simulated();
 
-    // Recovery's only persistence events are its final step-10 flush +
-    // fence; arming a 1-event budget crashes it after the parallel sweep
-    // has already published every shard but before anything persisted.
+    // A recovery's first persistence event is its `recovery_reconcile`
+    // flight record, before the trace. A 1-event budget crashes it at the
+    // next one, after every worker has traced: the record of the lowered
+    // `used`, before that `used`, the sweep or the write-back is durable.
     inj.arm(1);
     let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| heap.recover_parallel(4)));
     inj.disarm();
     assert!(CrashPoint::is(&*r.expect_err("injector must fire mid-recovery")));
+    let last = heap.flight_timeline().events.last().map(|e| e.kind_name());
+    assert_eq!(last, Some("shrink_unpublish"), "the crash landed elsewhere");
 
     // Power failed mid-recovery: back to the pre-recovery image.
     heap.crash_simulated();
     let stats = heap.recover_parallel(4);
-    assert_eq!(stats.reachable_blocks, 1);
-    assert_eq!(unsafe { *heap.get_root::<u64>(0) }, 77);
+    assert_eq!(stats.reachable_blocks, LISTS as u64 * PER_LIST);
+    for r in 0..LISTS {
+        assert_eq!(list_values(&heap, r), (0..PER_LIST).rev().collect::<Vec<_>>(), "list {r}");
+    }
     let report = check_heap(&heap);
     assert!(report.is_consistent(), "{:?}", report.violations);
+}
+
+/// The values of the list rooted at slot `root`, head first.
+fn list_values(heap: &Ralloc, root: usize) -> Vec<u64> {
+    let mut out = Vec::new();
+    let mut p = heap.get_root::<Node>(root);
+    while !p.is_null() {
+        // SAFETY: a live node of a rooted list.
+        unsafe {
+            out.push((*p).value);
+            p = (*p).next.as_ptr();
+        }
+    }
+    out
 }
 
 #[repr(C)]
@@ -387,8 +407,9 @@ fn private_churn_never_leaves_the_threads_own_shard() {
 }
 
 /// A list of `n` 14336 B nodes (whole superblocks, every block
-/// reachable), persisted and rooted at slot 0.
-fn rooted_block_list(heap: &Ralloc, n: u64) {
+/// reachable), values `0..n` from its tail, persisted and rooted at slot
+/// `root`.
+fn rooted_block_list(heap: &Ralloc, root: usize, n: u64) {
     let mut head: *mut Node = std::ptr::null_mut();
     for i in 0..n {
         let p = heap.malloc(BLOCK) as *mut Node;
@@ -401,7 +422,7 @@ fn rooted_block_list(heap: &Ralloc, n: u64) {
         heap.pool().persist(p as usize - heap.pool().base() as usize, std::mem::size_of::<Node>());
         head = p;
     }
-    heap.set_root::<Node>(0, head);
+    heap.set_root::<Node>(root, head);
 }
 
 /// Free the list rooted at slot 0 from one fresh thread (its exit
@@ -435,7 +456,7 @@ fn free_rooted_list_and_expect_an_empty_heap(heap: &Ralloc, n: u64) {
 #[test]
 fn garbage_owner_words_in_a_crash_image_route_safely() {
     let heap = Ralloc::create(32 << 20, RallocConfig::tracked());
-    rooted_block_list(&heap, 8);
+    rooted_block_list(&heap, 0, 8);
     heap.crash_simulated();
     let image = heap.pool().persistent_image();
     drop(heap);
