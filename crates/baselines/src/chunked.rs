@@ -6,8 +6,13 @@
 //! the *eagerly persisted* state that distinguishes these designs from
 //! Ralloc: every alloc/free writes it back immediately, which is where
 //! their persistence overhead comes from.
+//!
+//! Both also share their large blocks ([`Spans`], first-fit over freed
+//! chunk spans, else a carve) and their recovery walk ([`rebuild`]); they
+//! differ only in where a small block goes when it is free.
 
 use nvm::PmemPool;
+use parking_lot::Mutex;
 use std::sync::atomic::Ordering;
 
 /// Chunk size; matches Ralloc's superblock so fragmentation behaviour is
@@ -165,6 +170,79 @@ pub fn locate(pool: &PmemPool, geo: &ChunkGeo, ptr: *mut u8) -> (usize, u32, u64
     let (class, bsize) = chunk_class(pool, geo, chunk);
     let blk = ((off - geo.chunk(chunk)) / bsize.max(1) as usize) as u32;
     (chunk, blk, bsize, class)
+}
+
+/// The free chunk spans that large blocks come from, `(first chunk,
+/// length)`: volatile, rebuilt by [`rebuild`] after a crash.
+#[derive(Default)]
+pub struct Spans(Mutex<Vec<(usize, usize)>>);
+
+impl Spans {
+    /// Allocate a large block of `size` bytes: the first free span that
+    /// fits (its rest stays free), else fresh chunks carved off the
+    /// watermark. The head's class word and allocation byte are persisted.
+    /// Returns the head chunk, or `None` when the pool is full.
+    pub fn take(&self, pool: &PmemPool, geo: &ChunkGeo, size: usize) -> Option<usize> {
+        let span = size.div_ceil(CHUNK_SIZE);
+        let head = {
+            let mut free = self.0.lock();
+            match free.iter().position(|&(_, n)| n >= span) {
+                Some(p) => {
+                    let (first, n) = free[p];
+                    if n == span {
+                        free.swap_remove(p);
+                    } else {
+                        free[p] = (first + span, n - span);
+                    }
+                    first
+                }
+                None => carve(pool, geo, span)?,
+            }
+        };
+        set_chunk_class(pool, geo, head, 0, size as u64);
+        set_alloc_state(pool, geo, head, 0, true);
+        Some(head)
+    }
+
+    /// Free the large block of `size` bytes at chunk `head`: persist its
+    /// cleared allocation byte, then make its span reusable.
+    pub fn give(&self, pool: &PmemPool, geo: &ChunkGeo, head: usize, size: u64) {
+        set_alloc_state(pool, geo, head, 0, false);
+        self.0.lock().push((head, (size as usize).div_ceil(CHUNK_SIZE)));
+    }
+}
+
+/// Rebuild the free state from the persisted chunk headers and allocation
+/// bytes (post-crash), which are authoritative: `spans` becomes the large
+/// spans whose head byte is clear, and `free(class, off)` is called for
+/// every small block whose byte is clear, with its pool offset.
+pub fn rebuild(pool: &PmemPool, geo: &ChunkGeo, spans: &Spans, mut free: impl FnMut(u32, usize)) {
+    let mut spans = spans.0.lock();
+    spans.clear();
+    let used = used_chunks(pool);
+    let mut i = 0usize;
+    while i < used {
+        let (class, bsize) = chunk_class(pool, geo, i);
+        if class == 0 && bsize > 0 {
+            let span = (bsize as usize).div_ceil(CHUNK_SIZE).min(used - i);
+            if !alloc_state(pool, geo, i, 0) {
+                spans.push((i, span));
+            }
+            i += span;
+            continue;
+        }
+        if is_small_class(class) && bsize == class_block_size(class) as u64 {
+            for blk in 0..class_max_count(class) {
+                if !alloc_state(pool, geo, i, blk) {
+                    free(class, geo.chunk(i) + blk as usize * bsize as usize);
+                }
+            }
+        }
+        // Uninitialized chunk headers (carved but never classed) are
+        // unreachable: conservatively skip (they leak until reuse, as in
+        // the real systems without GC).
+        i += 1;
+    }
 }
 
 #[cfg(test)]

@@ -27,7 +27,8 @@
 //!   *every* operation.
 //!
 //! Both simulations allocate from the same 64 KiB-chunk geometry as
-//! Ralloc so that fragmentation behaviour is comparable, and both are
+//! Ralloc so that fragmentation behaviour is comparable, share one
+//! large-span allocator and one recovery walk (`chunked`), and are
 //! exercised through the shared [`ralloc::PersistentAllocator`] trait.
 
 #![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]

@@ -25,9 +25,8 @@ use nvm::{FlushModel, Mode, PmemPool};
 use ralloc::PersistentAllocator;
 
 use crate::chunked::{
-    self, alloc_state, carve, chunk_class, class_block_size, class_max_count, locate,
-    set_alloc_state, set_chunk_class, size_class_of, used_chunks, ChunkGeo, CHUNK_SIZE,
-    NUM_CLASSES,
+    self, carve, class_block_size, class_max_count, locate, set_alloc_state, set_chunk_class,
+    size_class_of, used_chunks, ChunkGeo, Spans, NUM_CLASSES,
 };
 use crate::tls::{self, CacheOwner};
 
@@ -37,8 +36,8 @@ pub(crate) struct MakaluInner {
     id: u64,
     /// Central block pools (absolute addresses), one mutex per class.
     central: Vec<Mutex<Vec<usize>>>,
-    /// Free chunk spans for large allocations: (first chunk, length).
-    large_free: Mutex<Vec<(usize, usize)>>,
+    /// Free chunk spans for large allocations.
+    spans: Spans,
 }
 
 impl CacheOwner for MakaluInner {
@@ -72,7 +71,7 @@ impl MakaluSim {
                 geo,
                 id: tls::next_id(),
                 central: (0..NUM_CLASSES).map(|_| Mutex::new(Vec::new())).collect(),
-                large_free: Mutex::new(Vec::new()),
+                spans: Spans::default(),
             }),
         }
     }
@@ -90,35 +89,10 @@ impl MakaluSim {
         for c in inner.central.iter() {
             c.lock().clear();
         }
-        inner.large_free.lock().clear();
-        let used = used_chunks(&inner.pool);
-        let mut i = 0usize;
-        while i < used {
-            let (class, bsize) = chunk_class(&inner.pool, &inner.geo, i);
-            if class == 0 && bsize > 0 {
-                // Large span.
-                let span = (bsize as usize).div_ceil(CHUNK_SIZE).min(used - i);
-                if !alloc_state(&inner.pool, &inner.geo, i, 0) {
-                    inner.large_free.lock().push((i, span));
-                }
-                i += span;
-                continue;
-            }
-            if chunked::is_small_class(class) && bsize == class_block_size(class) as u64 {
-                let mc = class_max_count(class);
-                let base = inner.pool.base() as usize + inner.geo.chunk(i);
-                let mut central = inner.central[class as usize].lock();
-                for blk in 0..mc {
-                    if !alloc_state(&inner.pool, &inner.geo, i, blk) {
-                        central.push(base + blk as usize * bsize as usize);
-                    }
-                }
-            }
-            // Uninitialized chunk headers (carved but never classed) are
-            // unreachable: conservatively skip (they leak until reuse,
-            // as in the real system without GC).
-            i += 1;
-        }
+        let base = inner.pool.base() as usize;
+        chunked::rebuild(&inner.pool, &inner.geo, &inner.spans, |class, off| {
+            inner.central[class as usize].lock().push(base + off)
+        });
     }
 
     fn alloc_small(&self, class: u32) -> *mut u8 {
@@ -168,28 +142,10 @@ impl MakaluSim {
 
     fn alloc_large(&self, size: usize) -> *mut u8 {
         let inner = &*self.inner;
-        let span = size.div_ceil(CHUNK_SIZE);
-        let mut free = inner.large_free.lock();
-        let pos = free.iter().position(|&(_, n)| n >= span);
-        let head = match pos {
-            Some(p) => {
-                let (start, n) = free[p];
-                if n == span {
-                    free.swap_remove(p);
-                } else {
-                    free[p] = (start + span, n - span);
-                }
-                start
-            }
-            None => match carve(&inner.pool, &inner.geo, span) {
-                Some(i) => i,
-                None => return std::ptr::null_mut(),
-            },
-        };
-        drop(free);
-        set_chunk_class(&inner.pool, &inner.geo, head, 0, size as u64);
-        set_alloc_state(&inner.pool, &inner.geo, head, 0, true);
-        (inner.pool.base() as usize + inner.geo.chunk(head)) as *mut u8
+        match inner.spans.take(&inner.pool, &inner.geo, size) {
+            Some(head) => (inner.pool.base() as usize + inner.geo.chunk(head)) as *mut u8,
+            None => std::ptr::null_mut(),
+        }
     }
 }
 
@@ -206,9 +162,7 @@ impl PersistentAllocator for MakaluSim {
         let inner = &*self.inner;
         let (chunk, blk, bsize, class) = locate(&inner.pool, &inner.geo, ptr);
         if class == 0 {
-            let span = (bsize as usize).div_ceil(CHUNK_SIZE);
-            set_alloc_state(&inner.pool, &inner.geo, chunk, 0, false);
-            inner.large_free.lock().push((chunk, span));
+            inner.spans.give(&inner.pool, &inner.geo, chunk, bsize);
             return;
         }
         // Eager persistence of the freed state.

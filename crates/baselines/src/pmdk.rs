@@ -15,7 +15,8 @@
 //! That is 4–5 fenced flushes per operation versus Ralloc's ~0, matching
 //! the shape of the paper's Figure 5 (PMDK slowest, flat scaling). A
 //! per-class mutex serializes the metadata updates, as libpmemobj's
-//! arena locks do under contention.
+//! arena locks do under contention; class 0's serializes every large
+//! block's, whose binding goes through the same scratch slot.
 //!
 //! The plain `malloc`/`free` trait methods bind to a per-class scratch
 //! destination inside the pool — exactly the "local dummy variable"
@@ -30,9 +31,8 @@ use nvm::{CrashInjector, FlushModel, Mode, PmemPool};
 use ralloc::PersistentAllocator;
 
 use crate::chunked::{
-    self, alloc_state, carve, chunk_class, class_block_size, class_max_count, locate,
-    set_alloc_state, set_chunk_class, size_class_of, used_chunks, ChunkGeo, CHUNK_SIZE,
-    CUSTOM_OFF, NUM_CLASSES,
+    self, carve, chunk_class, class_block_size, class_max_count, locate, set_alloc_state,
+    set_chunk_class, size_class_of, used_chunks, ChunkGeo, Spans, CUSTOM_OFF, NUM_CLASSES,
 };
 
 // Persistent layout inside the header's custom area:
@@ -50,8 +50,9 @@ const OP_FREE: u64 = 2;
 struct PmdkInner {
     pool: PmemPool,
     geo: ChunkGeo,
+    /// One lock per class; class 0's covers every large block.
     class_locks: Vec<Mutex<()>>,
-    large_lock: Mutex<Vec<(usize, usize)>>,
+    spans: Spans,
 }
 
 /// The PMDK-like baseline allocator.
@@ -80,7 +81,7 @@ impl PmdkSim {
                 pool,
                 geo,
                 class_locks: (0..NUM_CLASSES).map(|_| Mutex::new(())).collect(),
-                large_lock: Mutex::new(Vec::new()),
+                spans: Spans::default(),
             }),
         }
     }
@@ -157,12 +158,17 @@ impl PmdkSim {
     /// pool offset (+1) to the destination word at pool offset `dest_off`.
     /// Returns the block address, or null on exhaustion.
     pub fn malloc_to(&self, size: usize, dest_off: usize) -> *mut u8 {
-        let class = match size_class_of(size) {
-            Some(c) => c,
-            None => return self.malloc_large_to(size, dest_off),
-        };
         let inner = &*self.inner;
+        let class = size_class_of(size).unwrap_or(0);
         let _g = inner.class_locks[class as usize].lock();
+        if class == 0 {
+            let Some(head) = inner.spans.take(&inner.pool, &inner.geo, size) else {
+                return std::ptr::null_mut();
+            };
+            let off = inner.geo.chunk(head);
+            self.set_word(dest_off, off as u64 + 1);
+            return (inner.pool.base() as usize + off) as *mut u8;
+        }
         // 1. intent
         self.write_log(OP_ALLOC, class as u64, 0, dest_off as u64, size as u64);
         // 2. pop persistent free list
@@ -200,16 +206,11 @@ impl PmdkSim {
             &inner.geo,
             (inner.pool.base() as usize + block_off as usize) as *mut u8,
         );
-        if class == 0 {
-            self.free_from_locked(dest_off);
-            return;
-        }
         let _g = inner.class_locks[class as usize].lock();
         self.free_from_locked(dest_off);
     }
 
-    /// Body of `free_from`; the caller holds the class lock (or the block
-    /// is large, whose path synchronizes on `large_lock` internally).
+    /// Body of `free_from`; the caller holds the class lock.
     fn free_from_locked(&self, dest_off: usize) {
         let inner = &*self.inner;
         let bound = self.word(dest_off);
@@ -222,10 +223,8 @@ impl PmdkSim {
             (inner.pool.base() as usize + block_off as usize) as *mut u8,
         );
         if class == 0 {
-            let span = (bsize as usize).div_ceil(CHUNK_SIZE);
-            set_alloc_state(&inner.pool, &inner.geo, chunk, 0, false);
+            inner.spans.give(&inner.pool, &inner.geo, chunk, bsize);
             self.set_word(dest_off, 0);
-            inner.large_lock.lock().push((chunk, span));
             return;
         }
         self.write_log(OP_FREE, class as u64, block_off + 1, dest_off as u64, bsize);
@@ -238,34 +237,6 @@ impl PmdkSim {
         self.set_word(head_off, block_off + 1);
         self.set_word(dest_off, 0);
         self.write_log(OP_NONE, 0, 0, 0, 0);
-    }
-
-    fn malloc_large_to(&self, size: usize, dest_off: usize) -> *mut u8 {
-        let inner = &*self.inner;
-        let span = size.div_ceil(CHUNK_SIZE);
-        let mut free = inner.large_lock.lock();
-        let pos = free.iter().position(|&(_, n)| n >= span);
-        let head = match pos {
-            Some(p) => {
-                let (start, n) = free[p];
-                if n == span {
-                    free.swap_remove(p);
-                } else {
-                    free[p] = (start + span, n - span);
-                }
-                start
-            }
-            None => match carve(&inner.pool, &inner.geo, span) {
-                Some(i) => i,
-                None => return std::ptr::null_mut(),
-            },
-        };
-        drop(free);
-        set_chunk_class(&inner.pool, &inner.geo, head, 0, size as u64);
-        set_alloc_state(&inner.pool, &inner.geo, head, 0, true);
-        let off = inner.geo.chunk(head);
-        self.set_word(dest_off, off as u64 + 1);
-        (inner.pool.base() as usize + off) as *mut u8
     }
 
     /// Post-crash recovery: complete or roll back the in-flight logged
@@ -301,35 +272,13 @@ impl PmdkSim {
         for class in 1..NUM_CLASSES as u32 {
             self.set_word(Self::head_off(class), 0);
         }
-        inner.large_lock.lock().clear();
-        let used = used_chunks(&inner.pool);
-        let mut i = 0usize;
-        while i < used {
-            let (class, bsize) = chunk_class(&inner.pool, &inner.geo, i);
-            if class == 0 && bsize > 0 {
-                let span = (bsize as usize).div_ceil(CHUNK_SIZE).min(used - i);
-                if !alloc_state(&inner.pool, &inner.geo, i, 0) {
-                    inner.large_lock.lock().push((i, span));
-                }
-                i += span;
-                continue;
-            }
-            if chunked::is_small_class(class) && bsize == class_block_size(class) as u64 {
-                let mc = class_max_count(class);
-                let head_off = Self::head_off(class);
-                for blk in 0..mc {
-                    if !alloc_state(&inner.pool, &inner.geo, i, blk) {
-                        let boff = inner.geo.chunk(i) + blk as usize * bsize as usize;
-                        let head = self.word(head_off);
-                        // SAFETY: block first word.
-                        unsafe { inner.pool.atomic_u64(boff) }.store(head, Ordering::Relaxed);
-                        inner.pool.persist(boff, 8);
-                        self.set_word(head_off, boff as u64 + 1);
-                    }
-                }
-            }
-            i += 1;
-        }
+        chunked::rebuild(&inner.pool, &inner.geo, &inner.spans, |class, boff| {
+            let head_off = Self::head_off(class);
+            // SAFETY: block first word.
+            unsafe { inner.pool.atomic_u64(boff) }.store(self.word(head_off), Ordering::Relaxed);
+            inner.pool.persist(boff, 8);
+            self.set_word(head_off, boff as u64 + 1);
+        });
     }
 }
 
@@ -350,14 +299,9 @@ impl PersistentAllocator for PmdkSim {
         // of the same class cannot clobber each other's scratch binding.
         let dest = Self::scratch_off(class);
         let block_off = ptr as usize - inner.pool.base() as usize;
-        if class == 0 {
-            self.set_word(dest, block_off as u64 + 1);
-            self.free_from_locked(dest);
-        } else {
-            let _g = inner.class_locks[class as usize].lock();
-            self.set_word(dest, block_off as u64 + 1);
-            self.free_from_locked(dest);
-        }
+        let _g = inner.class_locks[class as usize].lock();
+        self.set_word(dest, block_off as u64 + 1);
+        self.free_from_locked(dest);
     }
 
     fn name(&self) -> &'static str {
@@ -481,6 +425,38 @@ mod tests {
                 assert!(handed.insert(q as usize), "budget {budget}: double allocation");
             }
         }
+    }
+
+    /// Large frees bind the shared class-0 scratch slot, so they must
+    /// hold class 0's lock like every other class: a free that read
+    /// another thread's binding would free that thread's live span.
+    #[test]
+    fn concurrent_large_blocks_are_never_shared_or_leaked() {
+        let p = heap();
+        std::thread::scope(|s| {
+            for t in 0..2u64 {
+                let p = &p;
+                s.spawn(move || {
+                    for i in 0..20_000u64 {
+                        let a = p.malloc(100_000);
+                        assert!(!a.is_null(), "thread {t}, round {i}: the heap ran out");
+                        let sig = t << 32 | i;
+                        let words = [a as *mut u64, a.wrapping_add(100_000 - 8) as *mut u64];
+                        for w in words {
+                            // SAFETY: the first and last words of a live
+                            // 100 000-byte block.
+                            unsafe { std::ptr::write_volatile(w, sig) };
+                        }
+                        for w in words {
+                            // SAFETY: as above.
+                            let got = unsafe { std::ptr::read_volatile(w) };
+                            assert_eq!(got, sig, "thread {t}, round {i}: a live block was reissued");
+                        }
+                        p.free(a);
+                    }
+                });
+            }
+        });
     }
 
     #[test]

@@ -34,9 +34,10 @@
 //! histograms use relaxed `fetch_add` on a per-thread shard, a
 //! [`LocalBlock`] bump is a relaxed load and store by the block's one
 //! writer, and gauges use plain stores. The only locks live in
-//! registration (once per metric, once per thread block made or retired),
-//! in reads of a slotted counter, and in the sampler's file writer — the
-//! allocator meets one only when a thread's cache set is made or ends.
+//! registration (once per metric, once per thread block made or retired)
+//! and in reads of a slotted counter — the allocator meets one only when
+//! a thread's cache set is made or ends. The sampler takes none: its
+//! thread owns its file and closure, and a channel stops it.
 //! CI's "Telemetry performs no CAS" step holds this crate to that: it
 //! fails if the sources name a compare-and-swap.
 //!

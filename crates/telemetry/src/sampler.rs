@@ -1,70 +1,47 @@
 //! Background JSONL sampler: the soak-run time series.
 //!
-//! A sampler owns an output file, a closure producing one JSON object per
-//! tick, and a thread that fires the closure every interval and appends
-//! the object as one line — the JSONL format CI and plotting scripts
-//! consume. The heap's closure is its `telemetry_snapshot()`, so every
-//! line carries the snapshot's schema.
+//! A sampler is a thread that owns an output file and a closure producing
+//! one JSON object per tick: it fires the closure every interval and
+//! appends the object as one line — the JSONL format CI and plotting
+//! scripts consume. The heap's closure is its `telemetry_snapshot()`, so
+//! every line carries the snapshot's schema.
+//!
+//! The handle keeps only the sending end of a channel and the thread's
+//! join handle, so the sampler's state passes between threads through
+//! spawn and join alone. The thread waits on the channel for one interval
+//! per tick: a message asks for one final sample, a dropped sender (the
+//! handle dropped, possibly on the sampler thread itself) ends the thread
+//! at once.
 //!
 //! The closure returning `None` ends sampling: samplers hold a `Weak`
 //! reference to their subject so a heap that closes underneath its
 //! sampler retires the thread instead of keeping the heap alive or
-//! crashing it.
+//! crashing it. A retired closure is never called again.
 
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{self, RecvTimeoutError, Sender};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// The per-tick sample producer. Returns one JSON object (without the
-/// trailing newline), or `None` to end sampling.
-pub type SampleFn = Box<dyn FnMut() -> Option<String> + Send>;
-
-struct State {
-    writer: BufWriter<File>,
-    f: SampleFn,
-    retired: bool,
+/// Append one sample to `out`. Returns `false` once the producer retires.
+fn sample(f: &mut impl FnMut() -> Option<String>, out: &mut BufWriter<File>) -> bool {
+    let Some(line) = f() else { return false };
+    // Telemetry must never take the process down; a full disk loses
+    // samples, not the workload.
+    let _ = writeln!(out, "{line}");
+    let _ = out.flush();
+    true
 }
 
-struct Shared {
-    state: Mutex<State>,
-    stop: Mutex<bool>,
-    wake: Condvar,
-}
-
-impl Shared {
-    /// Run one tick: produce a sample, append it. Returns `false` once
-    /// the producer has retired (now or previously).
-    fn tick(&self) -> bool {
-        let mut st = self.state.lock().unwrap();
-        if st.retired {
-            return false;
-        }
-        match (st.f)() {
-            Some(line) => {
-                // Telemetry must never take the process down; a full
-                // disk loses samples, not the workload.
-                let _ = writeln!(st.writer, "{line}");
-                let _ = st.writer.flush();
-                true
-            }
-            None => {
-                st.retired = true;
-                false
-            }
-        }
-    }
-}
-
-/// Handle to a JSONL sampler (see module docs). Dropping the handle
-/// signals the background thread to stop without joining it — safe even
-/// when the drop happens *on* the sampler thread (the closure dropping
-/// the last strong reference to its subject). Call [`SamplerHandle::stop`]
-/// for a joined, flushed shutdown.
+/// Handle to a JSONL sampler (see module docs). Dropping the handle ends
+/// the background thread without joining it — safe even when the drop
+/// happens *on* the sampler thread (the closure dropping the last strong
+/// reference to its subject). Call [`SamplerHandle::stop`] for a final
+/// sample and a joined shutdown.
 pub struct SamplerHandle {
-    shared: Arc<Shared>,
+    stop: Sender<()>,
     thread: Option<JoinHandle<()>>,
 }
 
@@ -75,58 +52,34 @@ impl SamplerHandle {
     pub fn start(
         path: impl AsRef<Path>,
         interval: Duration,
-        f: impl FnMut() -> Option<String> + Send + 'static,
+        mut f: impl FnMut() -> Option<String> + Send + 'static,
     ) -> io::Result<SamplerHandle> {
-        let writer = BufWriter::new(File::create(path)?);
-        let shared = Arc::new(Shared {
-            state: Mutex::new(State { writer, f: Box::new(f), retired: false }),
-            stop: Mutex::new(false),
-            wake: Condvar::new(),
-        });
-        shared.tick();
-        let thread = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new().name("telemetry-sampler".into()).spawn(move || {
-                let mut stopped = shared.stop.lock().unwrap();
-                loop {
-                    // `_while`: the flag is looked at before sleeping, so
-                    // a stop that lands before this thread first runs, or
-                    // while it is sampling, is not slept through.
-                    let (guard, _timeout) =
-                        shared.wake.wait_timeout_while(stopped, interval, |stop| !*stop).unwrap();
-                    stopped = guard;
-                    if *stopped {
-                        return;
+        let mut out = BufWriter::new(File::create(path)?);
+        let mut live = sample(&mut f, &mut out);
+        let (stop, stopped) = mpsc::channel();
+        let thread = std::thread::Builder::new().name("telemetry-sampler".into()).spawn(move || {
+            while live {
+                live = match stopped.recv_timeout(interval) {
+                    Err(RecvTimeoutError::Timeout) => sample(&mut f, &mut out),
+                    Ok(()) => {
+                        sample(&mut f, &mut out);
+                        false
                     }
-                    drop(stopped);
-                    if !shared.tick() {
-                        return; // producer retired (subject gone)
-                    }
-                    stopped = shared.stop.lock().unwrap();
-                }
-            })?
-        };
-        Ok(SamplerHandle { shared, thread: Some(thread) })
+                    Err(RecvTimeoutError::Disconnected) => false,
+                };
+            }
+        })?;
+        Ok(SamplerHandle { stop, thread: Some(thread) })
     }
 
     /// Take a final sample, stop the background thread, and join it.
-    /// Idempotent.
+    /// Idempotent; a retired producer takes no final sample.
     pub fn stop(&mut self) {
         if let Some(thread) = self.thread.take() {
-            self.shared.tick();
-            *self.shared.stop.lock().unwrap() = true;
-            self.shared.wake.notify_all();
+            // Fails only when the thread has already returned (retired).
+            let _ = self.stop.send(());
             let _ = thread.join();
         }
-    }
-}
-
-impl Drop for SamplerHandle {
-    fn drop(&mut self) {
-        // Signal only — joining here would deadlock if the handle is
-        // dropped on the sampler thread itself.
-        *self.shared.stop.lock().unwrap() = true;
-        self.shared.wake.notify_all();
     }
 }
 
@@ -135,6 +88,7 @@ mod tests {
     use super::*;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     fn temp_path(tag: &str) -> PathBuf {
         static SEQ: AtomicU64 = AtomicU64::new(0);

@@ -16,7 +16,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUDGET=6577
-REST_BUDGET=8724
+REST_BUDGET=8655
 MAX_FIELDS=6
 MAX_VARS=7
 
