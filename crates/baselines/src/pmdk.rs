@@ -6,7 +6,7 @@
 //! of several fenced flushes and lock acquisition on **every** operation.
 //! This simulation reproduces that cost profile:
 //!
-//! 1. write + persist a redo-log record (intent),
+//! 1. write + persist the class's redo-log record (intent),
 //! 2. pop the class's **persistent** free list (head word persisted),
 //! 3. persist the per-block allocation byte,
 //! 4. write + persist the destination pointer,
@@ -15,8 +15,9 @@
 //! That is 4–5 fenced flushes per operation versus Ralloc's ~0, matching
 //! the shape of the paper's Figure 5 (PMDK slowest, flat scaling). A
 //! per-class mutex serializes the metadata updates, as libpmemobj's
-//! arena locks do under contention; class 0's serializes every large
-//! block's, whose binding goes through the same scratch slot.
+//! arena locks do under contention, and each class logs in a record of
+//! its own under that lock; class 0's serializes every large block's,
+//! whose binding goes through the same scratch slot.
 //!
 //! The plain `malloc`/`free` trait methods bind to a per-class scratch
 //! destination inside the pool — exactly the "local dummy variable"
@@ -31,17 +32,20 @@ use nvm::{CrashInjector, FlushModel, Mode, PmemPool};
 use ralloc::PersistentAllocator;
 
 use crate::chunked::{
-    self, carve, chunk_class, class_block_size, class_max_count, locate, set_alloc_state,
-    set_chunk_class, size_class_of, used_chunks, ChunkGeo, Spans, CUSTOM_OFF, NUM_CLASSES,
+    self, alloc_state, carve, chunk_class, class_block_size, class_max_count, locate,
+    set_alloc_state, set_chunk_class, size_class_of, used_chunks, ChunkGeo, Spans, CUSTOM_OFF,
+    NUM_CLASSES,
 };
 
 // Persistent layout inside the header's custom area:
 //   CUSTOM_OFF + 16*class      : free-list head (block pool-offset + 1)
 //   CUSTOM_OFF + 16*class + 8  : scratch destination word for this class
-//   LOG_OFF .. LOG_OFF+40      : redo log {op, class, block_off+1, dest_off, size}
+//   LOG_OFF + 64*class .. +40  : the class's redo log {op, block_off+1, dest_off, size},
+//                                a cache line each, so no class's persist
+//                                carries another's half-written record
 const HEADS_OFF: usize = CUSTOM_OFF;
 const LOG_OFF: usize = CUSTOM_OFF + 16 * NUM_CLASSES;
-const LOG_LEN: usize = 40;
+const LOG_LEN: usize = 32;
 
 const OP_NONE: u64 = 0;
 const OP_ALLOC: u64 = 1;
@@ -74,7 +78,16 @@ impl PmdkSim {
         injector: Option<Arc<CrashInjector>>,
     ) -> PmdkSim {
         let len = ChunkGeo::pool_len_for_capacity(capacity);
-        let pool = PmemPool::with_reserve(len, len, mode, flush_model, injector);
+        Self::on(PmemPool::with_reserve(len, len, mode, flush_model, injector))
+    }
+
+    /// The heap a crash image holds, on a `Mode::Direct` pool, before
+    /// [`PmdkSim::recover`].
+    pub fn from_image(image: &[u8]) -> PmdkSim {
+        Self::on(PmemPool::from_image_reserving(image, image.len(), Mode::Direct))
+    }
+
+    fn on(pool: PmemPool) -> PmdkSim {
         let geo = ChunkGeo::new(pool.len());
         PmdkSim {
             inner: Arc::new(PmdkInner {
@@ -99,6 +112,10 @@ impl PmdkSim {
         HEADS_OFF + 16 * class as usize + 8
     }
 
+    fn log_off(class: u32) -> usize {
+        LOG_OFF + 64 * class as usize
+    }
+
     fn word(&self, off: usize) -> u64 {
         // SAFETY: header words, 8-aligned.
         unsafe { self.inner.pool.atomic_u64(off) }.load(Ordering::Acquire)
@@ -110,17 +127,15 @@ impl PmdkSim {
         self.inner.pool.persist(off, 8);
     }
 
-    fn write_log(&self, op: u64, class: u64, block: u64, dest: u64, size: u64) {
-        let pool = &self.inner.pool;
-        // SAFETY: log words in the header, 8-aligned.
-        unsafe {
-            pool.atomic_u64(LOG_OFF).store(op, Ordering::Relaxed);
-            pool.atomic_u64(LOG_OFF + 8).store(class, Ordering::Relaxed);
-            pool.atomic_u64(LOG_OFF + 16).store(block, Ordering::Relaxed);
-            pool.atomic_u64(LOG_OFF + 24).store(dest, Ordering::Relaxed);
-            pool.atomic_u64(LOG_OFF + 32).store(size, Ordering::Release);
+    /// Write and persist `class`'s log record; the caller holds the class
+    /// lock.
+    fn write_log(&self, class: u32, op: u64, block: u64, dest: u64, size: u64) {
+        let (pool, log) = (&self.inner.pool, Self::log_off(class));
+        for (i, word) in [op, block, dest, size].into_iter().enumerate() {
+            // SAFETY: log words in the header, 8-aligned.
+            unsafe { pool.atomic_u64(log + 8 * i) }.store(word, Ordering::Release);
         }
-        pool.persist(LOG_OFF, LOG_LEN);
+        pool.persist(log, LOG_LEN);
     }
 
     /// Pop the persistent free list of `class`; refills by carving a
@@ -170,17 +185,14 @@ impl PmdkSim {
             return (inner.pool.base() as usize + off) as *mut u8;
         }
         // 1. intent
-        self.write_log(OP_ALLOC, class as u64, 0, dest_off as u64, size as u64);
+        self.write_log(class, OP_ALLOC, 0, dest_off as u64, size as u64);
         // 2. pop persistent free list
         let Some(block_off) = self.pop_free(class) else {
-            self.write_log(OP_NONE, 0, 0, 0, 0);
+            self.write_log(class, OP_NONE, 0, 0, 0);
             return std::ptr::null_mut();
         };
         // Record the popped block in the log so recovery can roll back.
-        // SAFETY: log word.
-        unsafe { inner.pool.atomic_u64(LOG_OFF + 16) }
-            .store(block_off as u64 + 1, Ordering::Release);
-        inner.pool.persist(LOG_OFF + 16, 8);
+        self.set_word(Self::log_off(class) + 8, block_off as u64 + 1);
         // 3. allocation byte
         let chunk = inner.geo.chunk_index_of(block_off).unwrap();
         let bsize = class_block_size(class) as usize;
@@ -189,7 +201,7 @@ impl PmdkSim {
         // 4. publish to destination
         self.set_word(dest_off, block_off as u64 + 1);
         // 5. retire log
-        self.write_log(OP_NONE, 0, 0, 0, 0);
+        self.write_log(class, OP_NONE, 0, 0, 0);
         (inner.pool.base() as usize + block_off) as *mut u8
     }
 
@@ -227,7 +239,7 @@ impl PmdkSim {
             self.set_word(dest_off, 0);
             return;
         }
-        self.write_log(OP_FREE, class as u64, block_off + 1, dest_off as u64, bsize);
+        self.write_log(class, OP_FREE, block_off + 1, dest_off as u64, bsize);
         set_alloc_state(&inner.pool, &inner.geo, chunk, blk, false);
         let head_off = Self::head_off(class);
         let head = self.word(head_off);
@@ -236,37 +248,45 @@ impl PmdkSim {
         inner.pool.persist(block_off as usize, 8);
         self.set_word(head_off, block_off + 1);
         self.set_word(dest_off, 0);
-        self.write_log(OP_NONE, 0, 0, 0, 0);
+        self.write_log(class, OP_NONE, 0, 0, 0);
     }
 
-    /// Post-crash recovery: complete or roll back the in-flight logged
-    /// operation so no block is leaked or double-allocated, then trust
-    /// the persisted allocation bytes (free lists are rebuilt from them).
+    /// Whether the block at pool offset `off` is allocated: what keeps it
+    /// off the free lists a recovery rebuilds.
+    pub fn is_allocated(&self, off: usize) -> bool {
+        let inner = &*self.inner;
+        let (chunk, blk, _, _) = locate(&inner.pool, &inner.geo, inner.pool.base().wrapping_add(off));
+        alloc_state(&inner.pool, &inner.geo, chunk, blk)
+    }
+
+    /// Post-crash recovery: complete or roll back each class's in-flight
+    /// logged operation so no block is leaked or bound while free, then
+    /// trust the persisted allocation bytes (free lists are rebuilt from
+    /// them).
     pub fn recover(&self) {
         let inner = &*self.inner;
-        let op = self.word(LOG_OFF);
-        if op == OP_ALLOC {
-            // Roll back a half-applied allocation: if the destination was
-            // never published, the block (if popped) must return to the
-            // free state.
-            let block = self.word(LOG_OFF + 16);
-            let dest = self.word(LOG_OFF + 24) as usize;
+        for class in 1..NUM_CLASSES as u32 {
+            let log = Self::log_off(class);
+            let (op, block, dest) = (self.word(log), self.word(log + 8), self.word(log + 16) as usize);
+            if op == OP_NONE {
+                continue;
+            }
             if let Some(block_off) = block.checked_sub(1) {
-                if self.word(dest) != block {
-                    if let Some(chunk) = inner.geo.chunk_index_of(block_off as usize) {
-                        let (_, bsize) = chunk_class(&inner.pool, &inner.geo, chunk);
-                        if bsize > 0 {
-                            let blk =
-                                ((block_off as usize - inner.geo.chunk(chunk)) / bsize as usize) as u32;
-                            set_alloc_state(&inner.pool, &inner.geo, chunk, blk, false);
-                        }
-                    }
+                let chunk = inner.geo.chunk_index_of(block_off as usize).expect("a logged block in the chunk area");
+                let (_, bsize) = chunk_class(&inner.pool, &inner.geo, chunk);
+                let blk = ((block_off as usize - inner.geo.chunk(chunk)) / bsize as usize) as u32;
+                if op == OP_ALLOC && self.word(dest) != block {
+                    // The destination was never published: the block, if
+                    // marked, goes back to the free state.
+                    set_alloc_state(&inner.pool, &inner.geo, chunk, blk, false);
+                }
+                if op == OP_FREE && !alloc_state(&inner.pool, &inner.geo, chunk, blk) && self.word(dest) == block {
+                    // The block is free: finish unbinding its destination.
+                    self.set_word(dest, 0);
                 }
             }
+            self.write_log(class, OP_NONE, 0, 0, 0);
         }
-        // OP_FREE half-applied: the allocation byte decides (cleared =>
-        // free). Either way the rebuild below restores consistency.
-        self.write_log(OP_NONE, 0, 0, 0, 0);
 
         // Rebuild persistent free lists from the allocation bytes.
         for class in 1..NUM_CLASSES as u32 {
@@ -357,7 +377,7 @@ mod tests {
     #[test]
     fn malloc_to_binds_destination() {
         let p = heap();
-        let dest = LOG_OFF + LOG_LEN + 8; // spare header word past the log
+        let dest = PmdkSim::log_off(NUM_CLASSES as u32); // spare header word past the logs
         let a = p.malloc_to(100, dest);
         assert!(!a.is_null());
         let bound = p.word(dest);
@@ -386,45 +406,6 @@ mod tests {
         p.free(a);
         let b = p.malloc(300_000);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn crash_mid_alloc_never_double_allocates() {
-        use nvm::{CrashInjector, CrashPoint};
-        // Sweep crash points through a malloc; after recovery the heap
-        // must never hand out a block that a pre-crash survivor owns.
-        for budget in 0..12 {
-            let inj = CrashInjector::new();
-            let p = PmdkSim::create_with(
-                4 << 20,
-                Mode::Tracked,
-                FlushModel::free(),
-                Some(inj.clone()),
-            );
-            let survivors: Vec<usize> = (0..50).map(|_| p.malloc(64) as usize).collect();
-            inj.arm(budget);
-            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| p.malloc(64)));
-            inj.disarm();
-            let crashed = r.is_err();
-            if crashed {
-                assert!(CrashPoint::is(&*r.unwrap_err()));
-                p.pool().crash();
-                p.recover();
-            }
-            let survivor_set: HashSet<usize> = survivors.into_iter().collect();
-            let mut handed = HashSet::new();
-            for _ in 0..500 {
-                let q = p.malloc(64);
-                if q.is_null() {
-                    break;
-                }
-                assert!(
-                    !survivor_set.contains(&(q as usize)),
-                    "budget {budget}: survivor re-allocated after crash"
-                );
-                assert!(handed.insert(q as usize), "budget {budget}: double allocation");
-            }
-        }
     }
 
     /// Large frees bind the shared class-0 scratch slot, so they must

@@ -17,7 +17,8 @@
 //!   is its file, so every executed store survives: real fail-stop at any
 //!   instruction, but no persist order is checked.
 //! * **Power failure** ([`tracked_sweep`]): in-process on a `Mode::Tracked`
-//!   heap, crashed at every persistence event in turn; only
+//!   heap, crashed at every persistence event in turn by the [`driver`]
+//!   every power-failure sweep in the workspace runs on; only
 //!   flushed-and-fenced lines survive (plus what a
 //!   `CrashStyle::RandomEviction` lets through), so a missing persist shows.
 //!
@@ -28,20 +29,21 @@
 
 #![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
+pub mod driver;
 pub mod oplog;
 pub mod oracle;
 pub mod rng;
 pub mod workload;
 
 use std::fmt;
-use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::Once;
 use std::time::Duration;
 
-use nvm::{sys, CrashInjector, CrashPoint, CrashStyle, Mode};
+use baselines::PmdkSim;
+use nvm::{sys, CrashInjector, CrashStyle, Mode, PmemPool};
 use ralloc::{Ralloc, RallocConfig};
 
+pub use driver::{crash_at, sweep, Victim, STYLES};
 pub use rng::XorShift;
 pub use workload::{Structure, OPLOG_ROOT, STRUCT_ROOT};
 
@@ -246,52 +248,42 @@ pub fn judge(heap: &Ralloc, structure: Structure) -> Result<(usize, usize, usize
     Ok((records, acked, records - acked))
 }
 
-/// [`Structure::victim`] with one thread of `ops` ops on a `Mode::Tracked`
-/// heap, crashed with `style` at its 1st, 2nd, 3rd … persistence event
-/// (budgets 0, 1, 2, …) until it completes; each crash is recovered and
-/// [`judge`]d. Returns the number of persistence events, the first
-/// budget that did not crash: the count a one-thread
-/// [`KillSpec::Events`] sweep with the same seed and ops ends at.
-pub fn tracked_sweep(structure: Structure, style: CrashStyle, seed: u64, ops: usize) -> Result<u64, String> {
-    static QUIET: Once = Once::new();
-    QUIET.call_once(|| {
-        // An injected crash is expected: print every other panic only.
-        let report = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if !CrashPoint::is(info.payload()) {
-                report(info)
+/// [`sweep`] of [`Structure::victim`] with one thread of `ops` ops on a
+/// `Mode::Tracked` heap: each crash is recovered and [`judge`]d under each
+/// of `styles`, and a failure panics. Returns the event count, where a
+/// one-thread [`KillSpec::Events`] sweep with the same seed ends too.
+pub fn tracked_sweep(structure: Structure, styles: &[CrashStyle], seed: u64, ops: usize) -> u64 {
+    sweep(
+        styles,
+        |inj| Ralloc::create(POOL_CAP, RallocConfig { mode: Mode::Tracked, ..victim_config(Some(inj)) }),
+        |heap, arm| structure.victim(heap, 1, seed, ops, arm),
+        |_, heap, budget, style| {
+            workload::register_filters(&heap, structure);
+            heap.recover();
+            if let Err(e) = judge(&heap, structure) {
+                panic!("{} seed={seed:#x}, {style:?} crash at event {}: {e}", structure.name(), budget + 1)
             }
-        }));
-    });
-    for budget in 0.. {
-        let inj = CrashInjector::new();
-        let config = RallocConfig { mode: Mode::Tracked, ..victim_config(Some(inj.clone())) };
-        let heap = Ralloc::create(POOL_CAP, config);
-        let mut start = 0;
-        let ran = panic::catch_unwind(AssertUnwindSafe(|| {
-            structure.victim(&heap, 1, seed, ops, || {
-                start = inj.observed();
-                inj.arm(budget);
-            })
-        }));
-        inj.disarm();
-        // `scope` may re-raise a worker's panic with a payload of its own,
-        // so the injector's count tells whether the crash fired.
-        if inj.observed() - start <= budget {
-            return match ran {
-                Ok(()) => (budget > 0).then_some(budget).ok_or_else(|| "the run persists nothing".into()),
-                Err(_) => Err(format!("{}: a panic before event {}", structure.name(), budget + 1)),
-            };
-        }
-        heap.pool().crash_with(style);
-        heap.crash_simulated();
-        workload::register_filters(&heap, structure);
-        heap.recover();
-        judge(&heap, structure).map_err(|e| {
-            format!("{} seed={seed:#x}, {style:?} crash at event {}: {e}", structure.name(), budget + 1)
-        })?;
+        },
+    )
+    .0
+}
+
+impl Victim for Ralloc {
+    fn pool(&self) -> &PmemPool {
+        Ralloc::pool(self)
     }
-    unreachable!()
+    fn adopt(image: &[u8]) -> Ralloc {
+        Ralloc::from_image(image, RallocConfig::default()).0
+    }
+}
+
+impl Victim for PmdkSim {
+    fn pool(&self) -> &PmemPool {
+        PmdkSim::pool(self)
+    }
+    fn adopt(image: &[u8]) -> PmdkSim {
+        PmdkSim::from_image(image)
+    }
 }
 
 /// Remove a round's pool and marker files (sweep hygiene).

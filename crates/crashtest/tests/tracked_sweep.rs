@@ -6,10 +6,11 @@
 //! persist; both judge the recovered heap with the same oracles.
 //!
 //! `queue`, `stack` and `kv` run under `StrictFlushOnly` by default; the
-//! ignored test sweeps all seven structures under three styles (CI's
+//! ignored test sweeps all seven structures under the driver's three
+//! styles, one run per crash point serving all three (CI's
 //! crash-injection job runs it in release).
 
-use crashtest::{tracked_sweep, Structure};
+use crashtest::{tracked_sweep, Structure, STYLES};
 use nvm::CrashStyle;
 
 /// Each structure's persistence events for seed 7 and 20 ops, which is
@@ -27,38 +28,31 @@ fn pinned(s: Structure) -> u64 {
     }
 }
 
-fn sweep(s: Structure, style: CrashStyle) {
-    let events = tracked_sweep(s, style, 7, 20).unwrap_or_else(|e| panic!("{e}"));
-    println!("{}: {events} persistence events, every crash under {style:?} recovered", s.name());
+fn sweep(s: Structure, styles: &[CrashStyle]) {
+    let events = tracked_sweep(s, styles, 7, 20);
+    println!("{}: {events} persistence events, every crash under {styles:?} recovered", s.name());
     assert_eq!(events, pinned(s), "{}: the persist protocol changed", s.name());
 }
 
 #[test]
 fn queue_recovers_from_a_power_failure_at_every_event() {
-    sweep(Structure::Queue, CrashStyle::StrictFlushOnly);
+    sweep(Structure::Queue, &[CrashStyle::StrictFlushOnly]);
 }
 
 #[test]
 fn stack_recovers_from_a_power_failure_at_every_event() {
-    sweep(Structure::Stack, CrashStyle::StrictFlushOnly);
+    sweep(Structure::Stack, &[CrashStyle::StrictFlushOnly]);
 }
 
 #[test]
 fn kv_recovers_from_a_power_failure_at_every_event() {
-    sweep(Structure::Kv, CrashStyle::StrictFlushOnly);
+    sweep(Structure::Kv, &[CrashStyle::StrictFlushOnly]);
 }
 
 #[test]
 #[ignore = "long in a debug build: every event of all seven structures, three crash styles"]
 fn every_structure_recovers_from_a_power_failure_at_every_event() {
-    let styles = [
-        CrashStyle::StrictFlushOnly,
-        CrashStyle::RandomEviction { survive_permille: 500, seed: 11 },
-        CrashStyle::RandomEviction { survive_permille: 100, seed: 12 },
-    ];
     for s in Structure::ALL {
-        for style in styles {
-            sweep(s, style);
-        }
+        sweep(s, &STYLES);
     }
 }

@@ -1,42 +1,38 @@
 //! Deterministic crash-point injection.
 //!
 //! Recoverability (paper §3, Theorem 5.4) must hold for a crash at *any*
-//! point in the execution. To test that, a [`CrashInjector`] counts
-//! persistence events (flushes, fences, commits and decommits) and, when
-//! a pre-armed budget is exhausted, aborts the executing thread by
-//! panicking with a recognizable payload. The test harness catches the unwind, invokes
-//! [`crate::PmemPool::crash`] to discard non-persisted lines, runs
-//! recovery, and verifies the heap invariants.
-//!
-//! Counting *persistence events* rather than instructions keeps the crash
-//! points aligned with the moments the persistent image actually changes,
-//! which is where the interesting interleavings live. Tests typically
-//! sweep the budget from 0 (a crash at the first event) up to the number
-//! of events a crash-free run observes, plus random budgets under
-//! concurrency.
+//! persistence event (flush, fence, commit or decommit). A
+//! [`CrashInjector`] counts them and, when an armed budget runs out,
+//! **fires**: the thread at that event panics with [`CrashPoint`], or the
+//! process is killed ([`CrashInjector::arm_kill`]). The contract is fire →
+//! freeze → one image per style: on a `Mode::Tracked` pool the fire
+//! freezes the crash image under the pool's lock, so no later event on any
+//! thread changes it, [`crate::PmemPool::crash_image`] reads it under each
+//! [`crate::CrashStyle`] without changing it, and
+//! [`crate::PmemPool::crash_with`] reverts the pool to one of them. A
+//! sweep arms budgets 0, 1, 2 … until a run completes: that budget is the
+//! run's event count.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
-/// Panic payload used to signal an injected crash, and the only one the
-/// injector raises. Harnesses match on this with [`CrashPoint::is`] after
-/// `catch_unwind`.
+/// Panic payload of an injected crash. A worker's may reach a harness
+/// re-raised with another payload (`std::thread::scope` does that), so a
+/// harness asks [`CrashInjector::fired`] instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrashPoint;
 
-impl CrashPoint {
-    /// Returns true if a caught panic payload is an injected crash.
-    pub fn is(payload: &(dyn std::any::Any + Send)) -> bool {
-        payload.is::<CrashPoint>()
-    }
-}
+/// The budget of a fired injector: far below the disarmed `-1`, so no
+/// racing decrement brings it back to `0`.
+const FIRED: i64 = i64::MIN / 2;
 
 /// Counts persistence events and injects a crash when armed.
 ///
 /// Disarmed by default; [`CrashInjector::arm`] gives a budget of events
-/// after which the *next* event panics. The injector is shared (`Arc`) so a
-/// pool and many threads can observe the same budget; the panic fires in
-/// whichever thread exhausts it, and only once per arming.
+/// after which the *next* event fires. The injector is shared (`Arc`) so a
+/// pool and many threads can observe the same budget; it fires in
+/// whichever thread exhausts it, only once per arming, and
+/// [`CrashInjector::fired`] says so until the next `arm` or `disarm`.
 ///
 /// [`CrashInjector::arm_kill`] swaps the panic for a real `SIGKILL` of the
 /// process — the deterministic flavour of the fork-based crash harness
@@ -45,7 +41,8 @@ impl CrashPoint {
 /// the event executes, not even unwinding).
 #[derive(Debug, Default)]
 pub struct CrashInjector {
-    /// Remaining events before crash; negative = disarmed.
+    /// Remaining events before crash; `-1` = disarmed, [`FIRED`] or
+    /// below = fired.
     budget: AtomicI64,
     /// Total events observed since construction (never reset by arm).
     observed: AtomicU64,
@@ -63,8 +60,9 @@ impl CrashInjector {
         })
     }
 
-    /// Arm the injector: after `n` further events, the next event panics
-    /// with [`CrashPoint`]. `n == 0` means the very next event crashes.
+    /// Arm the injector: after `n` further events, the next event fires,
+    /// panicking with [`CrashPoint`]. `n == 0` means the very next event
+    /// crashes.
     pub fn arm(&self, n: u64) {
         self.action.store(0, Ordering::SeqCst);
         self.budget.store(n as i64, Ordering::SeqCst);
@@ -85,37 +83,46 @@ impl CrashInjector {
     }
 
     /// Number of persistence events observed over the injector's lifetime.
-    /// Run once disarmed to learn the event count, then sweep `arm(0..n)`.
     pub fn observed(&self) -> u64 {
         self.observed.load(Ordering::SeqCst)
     }
 
-    /// Record one persistence event; panics with [`CrashPoint`] if the
-    /// armed budget is exhausted. Called by the pool on flush and fence.
+    /// True once the armed budget ran out, until the next `arm` or
+    /// `disarm`: the crash happened, whatever payload reached the caller.
+    pub fn fired(&self) -> bool {
+        self.budget.load(Ordering::SeqCst) <= FIRED
+    }
+
+    /// Record one persistence event; true if this one is the fire (the
+    /// caller must then call [`CrashInjector::fire`]). Only one caller
+    /// per arming sees true.
     #[inline]
-    pub fn on_event(&self) {
+    pub(crate) fn tick(&self) -> bool {
         self.observed.fetch_add(1, Ordering::Relaxed);
-        // Fast path: disarmed.
+        // Fast path: disarmed, or fired already.
         if self.budget.load(Ordering::Relaxed) < 0 {
-            return;
+            return false;
         }
-        let prev = self.budget.fetch_sub(1, Ordering::SeqCst);
-        if prev == 0 {
-            // Our decrement consumed the final budget: crash here. Leave
-            // the counter negative so concurrent threads do not also fire.
-            self.budget.store(i64::MIN / 2, Ordering::SeqCst);
-            if self.action.load(Ordering::SeqCst) == 1 {
-                // Fail-stop for real: SIGKILL cannot be caught, so nothing
-                // past this persistence event runs in any thread. If the
-                // kill somehow fails, fall through to the panic so the
-                // event never passes silently.
-                let _ = crate::sys::kill(crate::sys::getpid(), crate::sys::SIGKILL);
-                std::thread::sleep(std::time::Duration::from_secs(10));
-            }
-            std::panic::panic_any(CrashPoint);
+        // Our decrement consumed the final budget: crash here. Mark the
+        // injector fired so concurrent threads do not also fire; one that
+        // lost the race finds the budget negative.
+        self.budget.fetch_sub(1, Ordering::SeqCst) == 0 && {
+            self.budget.store(FIRED, Ordering::SeqCst);
+            true
         }
-        // prev < 0: lost a race with the crashing thread, which left the
-        // budget deeply negative; treat as disarmed.
+    }
+
+    /// Crash the calling thread with [`CrashPoint`], or kill the process.
+    pub(crate) fn fire(&self) -> ! {
+        if self.action.load(Ordering::SeqCst) == 1 {
+            // Fail-stop for real: SIGKILL cannot be caught, so nothing
+            // past this persistence event runs in any thread. If the kill
+            // somehow fails, fall through to the panic so the event never
+            // passes silently.
+            let _ = crate::sys::kill(crate::sys::getpid(), crate::sys::SIGKILL);
+            std::thread::sleep(std::time::Duration::from_secs(10));
+        }
+        std::panic::panic_any(CrashPoint)
     }
 }
 
@@ -123,11 +130,18 @@ impl CrashInjector {
 mod tests {
     use super::*;
 
+    /// One event as the pool records it.
+    fn on_event(inj: &CrashInjector) {
+        if inj.tick() {
+            inj.fire()
+        }
+    }
+
     #[test]
     fn disarmed_never_fires() {
         let inj = CrashInjector::new();
         for _ in 0..1000 {
-            inj.on_event();
+            on_event(&inj);
         }
         assert_eq!(inj.observed(), 1000);
     }
@@ -136,40 +150,36 @@ mod tests {
     fn fires_after_budget() {
         let inj = CrashInjector::new();
         inj.arm(3);
-        inj.on_event();
-        inj.on_event();
-        inj.on_event();
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| inj.on_event()));
+        on_event(&inj);
+        on_event(&inj);
+        on_event(&inj);
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| on_event(&inj)));
         let payload = r.expect_err("should have crashed");
-        assert!(CrashPoint::is(&*payload));
+        assert!(payload.is::<CrashPoint>());
     }
 
     #[test]
     fn fires_only_once() {
         let inj = CrashInjector::new();
         inj.arm(0);
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| inj.on_event()));
+        assert!(!inj.fired());
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| on_event(&inj)));
         assert!(r.is_err());
-        // Subsequent events are quiet.
-        inj.on_event();
-        inj.on_event();
+        // Subsequent events are quiet, and the injector says it fired
+        // until it is disarmed.
+        on_event(&inj);
+        on_event(&inj);
+        assert!(inj.fired());
+        inj.disarm();
+        assert!(!inj.fired());
     }
 
     #[test]
     fn disarm_cancels() {
         let inj = CrashInjector::new();
         inj.arm(1);
-        inj.on_event();
+        on_event(&inj);
         inj.disarm();
-        inj.on_event(); // would have fired
-    }
-
-    #[test]
-    fn crash_point_matches_no_other_payload() {
-        let boxed: Box<dyn std::any::Any + Send> = Box::new(CrashPoint);
-        assert!(CrashPoint::is(&*boxed));
-        for other in [Box::new("injected crash point") as Box<dyn std::any::Any + Send>, Box::new(42u32)] {
-            assert!(!CrashPoint::is(&*other));
-        }
+        on_event(&inj); // would have fired
     }
 }

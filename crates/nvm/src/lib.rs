@@ -16,11 +16,15 @@
 //!   line reaches the shadow only when it has been explicitly flushed *and*
 //!   fenced (the strict pmemcheck/Yat model). [`PmemPool::crash`] replaces
 //!   the volatile image with the shadow, simulating a power failure in
-//!   which every non-written-back line is lost (never torn). Used for
-//!   crash-recovery testing.
-//! * [`CrashInjector`] — aborts execution (via panic) after a configured
-//!   number of flush/fence events so tests can explore mid-operation crash
-//!   points exhaustively or randomly.
+//!   which every non-written-back line is lost (never torn);
+//!   [`PmemPool::crash_image`] reads that image, under any
+//!   [`CrashStyle`], without causing the failure. Used for crash-recovery
+//!   testing.
+//! * [`CrashInjector`] — fires (a panic, or a `SIGKILL`) at a chosen
+//!   persistence event (flush, fence, commit or decommit). On a tracked
+//!   pool the fire also freezes the crash image, so a crash point is one
+//!   power failure however many threads keep running; `crashtest`'s
+//!   driver sweeps every event of a run with it.
 //!
 //! [`PmemPool::map_file`] stands in for a DAX file system segment: the
 //! pool *is* a `MAP_SHARED` file, so every store reaches the page cache

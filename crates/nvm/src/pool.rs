@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::crash::CrashInjector;
 use crate::flush::FlushModel;
@@ -26,9 +26,9 @@ pub enum Mode {
     /// performance-measurement configuration.
     Direct,
     /// The pool maintains a shadow *persistent image*. A cache line enters
-    /// the shadow only when flushed and then fenced. [`PmemPool::crash`]
-    /// reverts the volatile image to the shadow. This is the
-    /// crash-semantics-testing configuration.
+    /// the shadow only when flushed and then fenced (until a
+    /// [`CrashInjector`] fires). [`PmemPool::crash`] reverts the volatile
+    /// image to the shadow. This is the crash-semantics-testing configuration.
     Tracked,
 }
 
@@ -49,6 +49,12 @@ pub enum CrashStyle {
     },
 }
 
+/// The tail below which [`PmemPool::discard_behind`] releases inline: a
+/// thread spawn costs 0.05–0.10 ms here and `madvise` frees a touched
+/// 2 MiB chunk in about 4 µs, so a release of fewer than 50 / 4 chunks
+/// costs less than the cheapest spawn.
+const INLINE_RELEASE: usize = 50 / 4 * sys::HUGE_PAGE;
+
 struct TrackState {
     /// The persistent image: what NVM would contain after power loss. A
     /// second reservation the size of the pool's, mapped whole at
@@ -57,13 +63,30 @@ struct TrackState {
     shadow: Reservation,
     /// Lines flushed (content captured at flush time) but not yet fenced.
     pending: HashMap<usize, [u8; CACHE_LINE]>,
+    /// Set at the injector's fire, until a crash: nothing changes the
+    /// shadow meanwhile.
+    frozen: Option<Frozen>,
+    /// The shadow reads zero past here.
+    high: usize,
+}
+
+/// A power failure at the fire: the committed prefix then, and its lines
+/// that differed from the shadow, with their volatile contents.
+struct Frozen {
+    len: usize,
+    dirty: Vec<(usize, [u8; CACHE_LINE])>,
 }
 
 impl TrackState {
-    fn shadow(&mut self) -> &mut [u8] {
+    fn shadow(&self) -> &[u8] {
         // SAFETY: the shadow is mapped read-write over its whole span when
-        // the pool is built and stays so; `&mut self` makes the borrow
-        // exclusive.
+        // the pool is built and stays so; it changes only through
+        // `shadow_mut`, whose `&mut self` excludes this borrow.
+        unsafe { std::slice::from_raw_parts(self.shadow.base(), self.shadow.size()) }
+    }
+
+    fn shadow_mut(&mut self) -> &mut [u8] {
+        // SAFETY: as for `shadow`; `&mut self` makes the borrow exclusive.
         unsafe { std::slice::from_raw_parts_mut(self.shadow.base(), self.shadow.size()) }
     }
 }
@@ -292,7 +315,7 @@ impl PmemPool {
                 let shadow = Reservation::reserve(len)?;
                 // SAFETY: fresh reservation, nothing uses it yet.
                 unsafe { shadow.map(0, len, None)? };
-                Some(Mutex::new(TrackState { shadow, pending: HashMap::new() }))
+                Some(Mutex::new(TrackState { shadow, pending: HashMap::new(), frozen: None, high: 0 }))
             }
         };
         let pool = PmemPool {
@@ -388,7 +411,7 @@ impl PmemPool {
     pub fn commit(&self, new_len: usize) -> usize {
         let new_len = line_up(new_len);
         assert!(new_len <= self.len(), "commit({new_len}) beyond the reserved span {}", self.len());
-        self.crash_point();
+        drop(self.crash_point());
         let cur = self.committed_len();
         if new_len <= cur {
             return cur;
@@ -428,19 +451,24 @@ impl PmemPool {
     /// here (the returned range is empty, as for a no-op).
     ///
     /// In [`Mode::Tracked`] the released range is also dropped from the
-    /// persistent image: pending (flushed-unfenced) lines in it are
-    /// discarded and the shadow's range is zeroed too, so no stale data
-    /// can resurrect through a crash after a re-grow.
+    /// persistent image (unless it is frozen): pending (flushed-unfenced)
+    /// lines in it are discarded and the shadow's range is zeroed too, so
+    /// no stale data can resurrect through a crash after a re-grow.
     pub fn decommit(&self, new_len: usize) -> Range<usize> {
         let new_len = line_up(new_len.max(CACHE_LINE));
         self.join_release();
-        self.crash_point();
+        let tracked = self.crash_point();
         let cur = self.committed.fetch_min(new_len, Ordering::AcqRel);
         if new_len >= cur {
             return cur..cur; // monotone in the shrink direction: no-op
         }
         let Some(guard) = &self.file else {
-            self.forget(new_len, cur);
+            if let Some(mut st) = tracked {
+                st.pending.retain(|line, _| line + CACHE_LINE <= new_len || *line >= cur);
+                // SAFETY: all of the shadow is mapped anonymous and ours
+                // under the lock.
+                unsafe { st.shadow.discard(new_len, cur) };
+            }
             return new_len..cur;
         };
         // Return a file's tail pages to bare reservation, then truncate
@@ -468,10 +496,11 @@ impl PmemPool {
 
     /// [`PmemPool::discard`] without the wait: the sub-page edges are
     /// zeroed here, the whole pages go back on a thread of their own moved
-    /// off the caller's CPU ([`sys::Home::place`]), or here if none starts.
-    /// Every later commit, decommit, discard, [`PmemPool::crash_with`] and
-    /// the drop joins it before touching the range, so a commit still
-    /// reads zero; all but the drop resume its panic.
+    /// off the caller's CPU ([`sys::Home::place`]), or here if none starts
+    /// or the tail is below `INLINE_RELEASE` (24 MiB). Every later commit,
+    /// decommit, discard, [`PmemPool::crash_with`] and the drop joins the
+    /// thread before touching the range, so a commit still reads zero; all
+    /// but the drop resume its panic.
     pub fn discard_behind(&self, range: Range<usize>) {
         if !self.decommitted(&range) {
             return;
@@ -482,6 +511,9 @@ impl PmemPool {
         // SAFETY: whole pages of the decommitted range, which nothing
         // touches before the release is joined.
         let release = move || unsafe { sys::discard_pages(at as *mut u8, len) };
+        if len < INLINE_RELEASE {
+            return release();
+        }
         let home = sys::Home::here();
         let spawned = std::thread::Builder::new().name("pmem-release".into()).spawn(move || {
             if let Some(home) = home {
@@ -516,24 +548,40 @@ impl PmemPool {
         }
     }
 
-    /// Drop `[lo, hi)` from a [`Mode::Tracked`] pool's pending flushes and
-    /// shadow, so it reads zero through a crash.
-    fn forget(&self, lo: usize, hi: usize) {
-        if let Some(t) = &self.tracked {
-            let mut st = t.lock();
-            st.pending.retain(|line, _| line + CACHE_LINE <= lo || *line >= hi);
-            // SAFETY: all of the shadow is mapped anonymous and ours under
-            // the lock.
-            unsafe { st.shadow.discard(lo, hi) };
+    /// One persistence event for the crash injector, if any, under the
+    /// track lock of a [`Mode::Tracked`] pool, so that a fire freezes the
+    /// image before any other thread's next event. Returns the tracked
+    /// state, locked, unless it is frozen: the caller's only way to change
+    /// the image.
+    #[inline]
+    fn crash_point(&self) -> Option<MutexGuard<'_, TrackState>> {
+        let mut tracked = self.tracked.as_ref().map(|t| t.lock());
+        if let Some(inj) = self.injector.as_ref().filter(|inj| inj.tick()) {
+            if let Some(st) = tracked.as_mut().filter(|st| st.frozen.is_none()) {
+                let len = self.committed_len();
+                st.frozen = Some(Frozen { len, dirty: self.dirty(&st.shadow()[..len]) });
+            }
+            drop(tracked);
+            inj.fire();
         }
+        tracked.filter(|st| st.frozen.is_none())
     }
 
-    /// One persistence event for the crash injector, if any.
-    #[inline]
-    fn crash_point(&self) {
-        if let Some(inj) = &self.injector {
-            inj.on_event();
+    /// The lines of the committed prefix that differ from `shadow`, with
+    /// their volatile contents, found a page at a time.
+    fn dirty(&self, shadow: &[u8]) -> Vec<(usize, [u8; CACHE_LINE])> {
+        // SAFETY: the committed prefix is mapped; bytes a racing thread
+        // stores read as *some* value, as in a flush.
+        let volatile = unsafe { std::slice::from_raw_parts(self.base(), shadow.len()) };
+        let pages = volatile.chunks(sys::PAGE).zip(shadow.chunks(sys::PAGE));
+        let mut dirty = Vec::new();
+        for (page, (v, s)) in pages.enumerate().filter(|(_, (v, s))| v != s) {
+            let lines = v.chunks(CACHE_LINE).zip(s.chunks(CACHE_LINE)).enumerate();
+            for (i, (line, _)) in lines.filter(|(_, (v, s))| v != s) {
+                dirty.push((page * sys::PAGE + i * CACHE_LINE, line.try_into().expect("a whole line")));
+            }
         }
+        dirty
     }
 
     /// The persistence mode.
@@ -616,13 +664,11 @@ impl PmemPool {
         let first = line_down(off);
         let last = line_up(off + len);
         let lines = (last - first) / CACHE_LINE;
-        self.crash_point();
-        match &self.tracked {
+        match self.crash_point() {
             // The data already lives in (cache-coherent) DRAM; only
             // compile-time order the stores.
             None => std::sync::atomic::compiler_fence(Ordering::SeqCst),
-            Some(tracked) => {
-                let mut st = tracked.lock();
+            Some(mut st) => {
                 for line in (first..last).step_by(CACHE_LINE) {
                     let mut buf = [0u8; CACHE_LINE];
                     // SAFETY: line..line+64 is in bounds; racing reads of
@@ -648,14 +694,13 @@ impl PmemPool {
 
     /// `sfence`-equivalent: all previously flushed lines become persistent.
     pub fn fence(&self) {
-        self.crash_point();
-        match &self.tracked {
+        match self.crash_point() {
             None => std::sync::atomic::fence(Ordering::SeqCst),
-            Some(tracked) => {
-                let mut st = tracked.lock();
+            Some(mut st) => {
                 let pending = std::mem::take(&mut st.pending);
                 for (line, buf) in pending {
-                    st.shadow()[line..line + CACHE_LINE].copy_from_slice(&buf);
+                    st.shadow_mut()[line..line + CACHE_LINE].copy_from_slice(&buf);
+                    st.high = st.high.max(line + CACHE_LINE);
                 }
             }
         }
@@ -680,57 +725,64 @@ impl PmemPool {
         self.crash_with(CrashStyle::StrictFlushOnly)
     }
 
-    /// Simulate a crash with a chosen [`CrashStyle`].
+    /// Simulate a crash with a chosen [`CrashStyle`]: the pool, committed
+    /// prefix included, becomes [`PmemPool::crash_image`]`(style)`, and
+    /// thaws.
     pub fn crash_with(&self, style: CrashStyle) {
+        let tracked = self.tracked.as_ref().expect("crash simulation requires Mode::Tracked");
         self.join_release();
-        let tracked = self
-            .tracked
-            .as_ref()
-            .expect("crash simulation requires Mode::Tracked");
+        let image = self.crash_image(style);
+        let len = image.len();
         let mut st = tracked.lock();
-        // Un-fenced flushes are lost.
+        st.frozen = None;
         st.pending.clear();
-        let committed = self.committed_len();
-        if let CrashStyle::RandomEviction { survive_permille, seed } = style {
-            // Some dirty lines persist anyway (spontaneous eviction).
-            let mut rng = seed | 1;
-            let mut xorshift = move || {
-                rng ^= rng << 13;
-                rng ^= rng >> 7;
-                rng ^= rng << 17;
-                rng
-            };
-            for line in (0..committed).step_by(CACHE_LINE) {
-                // SAFETY: in-bounds; quiescent per contract.
-                let volatile =
-                    unsafe { std::slice::from_raw_parts(self.base().add(line), CACHE_LINE) };
-                if volatile != &st.shadow()[line..line + CACHE_LINE]
-                    && (xorshift() % 1000) < survive_permille as u64
-                {
-                    st.shadow()[line..line + CACHE_LINE].copy_from_slice(volatile);
-                }
-            }
+        if style != CrashStyle::StrictFlushOnly {
+            st.shadow_mut()[..len].copy_from_slice(&image);
+            st.high = st.high.max(len);
         }
-        // The committed prefix is everything ever writable, so reverting
-        // it reverts every line that could have diverged from the shadow.
-        // SAFETY: quiescent per contract; copies shadow over volatile.
+        let cur = self.committed.swap(len, Ordering::AcqRel);
+        // SAFETY: quiescent per contract; an anonymous pool keeps every
+        // range it ever committed mapped, so `[0, max(len, cur))` is.
         unsafe {
-            std::ptr::copy_nonoverlapping(st.shadow().as_ptr(), self.base(), committed);
+            std::ptr::copy_nonoverlapping(image.as_ptr(), self.base(), len);
+            std::ptr::write_bytes(self.base().add(len), 0, cur.saturating_sub(len));
         }
     }
 
-    /// A copy of the image that would survive a crash right now — the
-    /// committed prefix only; uncommitted reservation is not part of any
-    /// image (in [`Mode::Direct`] this is the volatile image, i.e. assume
-    /// clean shutdown).
-    pub fn persistent_image(&self) -> Vec<u8> {
-        let committed = self.committed_len();
-        match &self.tracked {
-            Some(t) => t.lock().shadow()[..committed].to_vec(),
-            // SAFETY: reading the committed prefix; caller tolerance for
-            // racing bytes as with flush.
-            None => unsafe { std::slice::from_raw_parts(self.base(), committed).to_vec() },
+    /// The image a power failure would leave under `style`, at the
+    /// injector's fire if it has fired, else now, without causing one: the
+    /// shadow's committed prefix, plus each line that differs from it with
+    /// a [`CrashStyle::RandomEviction`]'s odds. In [`Mode::Direct`], the
+    /// volatile prefix (a clean shutdown).
+    pub fn crash_image(&self, style: CrashStyle) -> Vec<u8> {
+        let Some(tracked) = &self.tracked else {
+            // SAFETY: reading the committed prefix; racing bytes as in a
+            // flush.
+            return unsafe { std::slice::from_raw_parts(self.base(), self.committed_len()).to_vec() };
+        };
+        let st = tracked.lock();
+        let len = st.frozen.as_ref().map_or_else(|| self.committed_len(), |f| f.len);
+        let (mut image, high) = (vec![0; len], st.high.min(len));
+        image[..high].copy_from_slice(&st.shadow()[..high]);
+        if let CrashStyle::RandomEviction { survive_permille, seed } = style {
+            let now = || self.dirty(&st.shadow()[..len]);
+            let mut rng = seed | 1;
+            for (line, bytes) in st.frozen.as_ref().map_or_else(now, |f| f.dirty.clone()) {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                if rng % 1000 < survive_permille as u64 {
+                    image[line..line + CACHE_LINE].copy_from_slice(&bytes);
+                }
+            }
         }
+        image
+    }
+
+    /// [`PmemPool::crash_image`] under [`CrashStyle::StrictFlushOnly`]:
+    /// what survives a crash now, or at the fire.
+    pub fn persistent_image(&self) -> Vec<u8> {
+        self.crash_image(CrashStyle::StrictFlushOnly)
     }
 
     /// Adopt an in-memory image (used to simulate a remap at a new base
@@ -743,11 +795,24 @@ impl PmemPool {
         let pool = Self::with_reserve(reserved.max(len), len, mode, FlushModel::default(), None);
         // SAFETY: the committed prefix of a fresh pool: mapped, at least
         // `len` bytes, and no other users yet.
-        unsafe { std::ptr::copy_nonoverlapping(image.as_ptr(), pool.base(), len) };
+        copy_stored(unsafe { std::slice::from_raw_parts_mut(pool.base(), len) }, image);
         if let Some(t) = &pool.tracked {
-            t.lock().shadow()[..len].copy_from_slice(image);
+            let mut st = t.lock();
+            copy_stored(&mut st.shadow_mut()[..len], image);
+            st.high = len;
         }
         pool
+    }
+}
+
+/// Copy `src` into `dst`, which reads zero, but for the pages of `src`
+/// that are zero: they stay unbacked (most of a crash image is).
+fn copy_stored(dst: &mut [u8], src: &[u8]) {
+    const ZERO: [u8; sys::PAGE] = [0; sys::PAGE];
+    for (dst, src) in dst.chunks_mut(sys::PAGE).zip(src.chunks(sys::PAGE)) {
+        if src != &ZERO[..src.len()] {
+            dst.copy_from_slice(src);
+        }
     }
 }
 
@@ -927,8 +992,7 @@ mod tests {
         inj.arm(1);
         pool.flush(0, 8); // event 1: budget 1 -> 0
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pool.fence()));
-        assert!(r.is_err());
-        assert!(crate::CrashPoint::is(&*r.unwrap_err()));
+        assert!(r.is_err() && inj.fired());
     }
 
     #[test]
@@ -1131,7 +1195,7 @@ mod tests {
         assert_eq!(inj.observed(), before + 1, "a commit is one injector event");
         inj.arm(0);
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pool.commit(16384)));
-        assert!(crate::CrashPoint::is(&*r.unwrap_err()));
+        assert!(r.is_err() && inj.fired());
         assert_eq!(pool.committed_len(), 8192, "a crash at the commit moved the prefix");
         pool.crash();
         assert_eq!(pool.persistent_image().len(), 8192);
@@ -1200,6 +1264,60 @@ mod tests {
                 check("persistent image");
             }
         }
+    }
+
+    /// A tail below `INLINE_RELEASE` is given back before
+    /// `discard_behind` returns, with no thread; a larger one still goes
+    /// to the release thread.
+    #[test]
+    fn a_small_tail_is_released_inline_and_a_large_one_on_a_thread() {
+        let small = chunks(4, Mode::Direct);
+        write_bytes(&small, 0, &vec![0xAA; 4 * HUGE]);
+        small.discard_behind(small.decommit(HUGE));
+        assert!(small.release.lock().is_none(), "a small tail started a thread");
+        let tail = sys::mincore(small.base().wrapping_add(HUGE), 3 * HUGE).unwrap();
+        assert!(tail.iter().all(|&r| !r), "a small tail is resident after its release");
+        let large = chunks(INLINE_RELEASE / HUGE + 2, Mode::Direct);
+        large.discard_behind(large.decommit(HUGE));
+        assert!(large.release.lock().is_some(), "a large tail was released inline");
+    }
+
+    /// Thread A fires the injector; thread B, let go only after the fire,
+    /// stores, flushes and fences a line. No style's image has that line,
+    /// while a line dirty at the fire still survives a full eviction, and
+    /// the crash thaws the pool.
+    #[test]
+    fn a_fence_after_the_fire_reaches_no_crash_image() {
+        let inj = CrashInjector::new();
+        let pool = PmemPool::with_reserve(1 << 16, 1 << 16, Mode::Tracked, FlushModel::free(), Some(inj.clone()));
+        write_bytes(&pool, 0, &[1; 64]);
+        let (fired, after_fire) = std::sync::mpsc::channel();
+        let (a, b) = (&pool, &pool);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                inj.arm(0);
+                let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| a.fence()));
+                assert!(r.is_err() && inj.fired());
+                fired.send(()).unwrap();
+            });
+            s.spawn(move || {
+                after_fire.recv().unwrap();
+                write_bytes(b, 4096, &[7; 64]);
+                b.persist(4096, 64);
+            });
+        });
+        assert!(inj.fired());
+        let evict_all = CrashStyle::RandomEviction { survive_permille: 1000, seed: 1 };
+        let styles = [CrashStyle::StrictFlushOnly, evict_all, CrashStyle::RandomEviction { survive_permille: 500, seed: 2 }];
+        for style in styles {
+            assert_eq!(pool.crash_image(style)[4096], 0, "{style:?}: a fence after the fire reached the image");
+        }
+        assert_eq!(pool.crash_image(evict_all)[0], 1, "a line dirty at the fire did not survive eviction");
+        pool.crash_with(evict_all);
+        assert_eq!((read_byte(&pool, 0), read_byte(&pool, 4096)), (1, 0));
+        write_bytes(&pool, 128, &[3; 8]);
+        pool.persist(128, 8);
+        assert_eq!(pool.persistent_image()[128], 3, "the crash did not thaw the pool");
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! oscillation, and round-trips shrunken images through clean and dirty
 //! reopens.
 
-use nvm::{CrashInjector, CrashPoint, Mode};
+use crashtest::{sweep, STYLES};
+use nvm::Mode;
 use ralloc::{check_heap, Pptr, Ralloc, RallocConfig, Trace, Tracer, SB_SIZE};
 
 #[repr(C)]
@@ -154,54 +155,43 @@ fn crash_sweep_through_grow_protocol_recovers() {
             heap.set_root_raw(i, p);
         }
     };
-    let (rounds, total_events) = {
-        let inj = CrashInjector::new();
-        let heap = Ralloc::create(1 << 20, RallocConfig { injector: Some(inj.clone()), ..cfg() });
-        // Size the workload off the *observed* initial frontier (the CI
-        // grow-smoke reruns this under RALLOC_INIT_CAP overrides): three
-        // times the initial commitment forces at least two doublings.
-        let rounds = (heap.committed_superblocks() * 3 + 8)
-            .min(heap.max_superblocks().saturating_sub(8));
-        let before = inj.observed();
-        workload(&heap, rounds);
-        assert!(
-            heap.slow_stats().heap_grows.get() >= 2,
-            "workload must actually grow the heap"
-        );
-        (rounds, inj.observed() - before)
+    // Size the workload off the *observed* initial frontier (the CI
+    // grow-smoke reruns this under RALLOC_INIT_CAP overrides): three
+    // times the initial commitment forces at least two doublings.
+    let rounds = {
+        let heap = Ralloc::create(1 << 20, cfg());
+        (heap.committed_superblocks() * 3 + 8).min(heap.max_superblocks().saturating_sub(8))
     };
-    assert!(total_events > 100, "expected a rich event stream, got {total_events}");
-
-    for budget in 0..total_events {
-        let inj = CrashInjector::new();
-        let heap = Ralloc::create(1 << 20, RallocConfig { injector: Some(inj.clone()), ..cfg() });
-        inj.arm(budget);
-        let crashed =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| workload(&heap, rounds)))
-                .map_err(|payload| assert!(CrashPoint::is(&*payload), "unexpected panic"))
-                .is_err();
-        inj.disarm();
-        assert!(crashed, "budget {budget} did not crash");
-        heap.crash_simulated();
+    let build = |inj| Ralloc::create(1 << 20, RallocConfig { injector: Some(inj), ..cfg() });
+    let run = |heap: &Ralloc, arm: &dyn Fn()| {
+        arm();
+        workload(heap, rounds)
+    };
+    let (total_events, heap) = sweep(&STYLES[..2], build, run, |_, heap, budget, style| {
         let stats = heap.recover();
         // Exactly the persisted roots survive, one superblock each.
         let rooted = (0..rounds).filter(|&i| !heap.get_root_raw(i).is_null()).count();
         assert_eq!(
             stats.reachable_blocks as usize, rooted,
-            "budget {budget}: recovery must keep all and only rooted blocks"
+            "{style:?} budget {budget}: recovery must keep all and only rooted blocks"
         );
         let report = check_heap(&heap);
         assert!(
             report.is_consistent(),
-            "budget {budget}: invariants violated after grow-crash: {:?}",
+            "{style:?} budget {budget}: invariants violated after grow-crash: {:?}",
             report.violations
         );
         // The heap keeps functioning — including further growth.
         for _ in 0..8 {
             let p = heap.malloc(SB_SIZE / 2 + 1);
-            assert!(!p.is_null(), "budget {budget}: heap broken after recovery");
+            assert!(!p.is_null(), "{style:?} budget {budget}: heap broken after recovery");
         }
         assert!(check_heap(&heap).is_consistent());
+    });
+    assert!(heap.slow_stats().heap_grows.get() >= 2, "workload must actually grow the heap");
+    assert!(total_events > 100, "expected a rich event stream, got {total_events}");
+    if std::env::var_os("RALLOC_INIT_CAP").is_none() {
+        assert_eq!(total_events, 396, "56 grow-crossing allocations' persistence events");
     }
 }
 
@@ -547,65 +537,51 @@ fn crash_sweep_through_shrink_protocol_recovers() {
         }
         heap.close().unwrap();
     };
-    let total_events = {
-        let inj = CrashInjector::new();
-        let heap = Ralloc::create(1 << 20, RallocConfig { injector: Some(inj.clone()), ..cfg() });
+    let build = |inj| {
+        let heap = Ralloc::create(1 << 20, RallocConfig { injector: Some(inj), ..cfg() });
         setup(&heap);
-        let before = inj.observed();
-        teardown(&heap);
-        assert!(
-            heap.slow_stats().heap_shrinks.get() >= 1,
-            "the teardown must actually shrink"
-        );
-        assert_eq!(heap.committed_superblocks(), heap.used_superblocks());
-        inj.observed() - before
+        heap
     };
-    assert!(total_events > 10, "expected a rich event stream, got {total_events}");
-
-    for budget in 0..total_events {
-        let inj = CrashInjector::new();
-        let heap = Ralloc::create(1 << 20, RallocConfig { injector: Some(inj.clone()), ..cfg() });
-        setup(&heap);
-        inj.arm(budget);
-        let crashed =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| teardown(&heap)))
-                .map_err(|payload| assert!(CrashPoint::is(&*payload), "unexpected panic"))
-                .is_err();
-        inj.disarm();
-        assert!(crashed, "budget {budget} did not crash");
-        heap.crash_simulated();
+    let run = |heap: &Ralloc, arm: &dyn Fn()| {
+        arm();
+        teardown(heap)
+    };
+    let (total_events, heap) = sweep(&STYLES[..2], build, run, |_, heap, budget, style| {
         let stats = heap.recover();
         // Exact root-survival accounting: every root that was still set
         // at the crash survives (one superblock each), nothing else.
         let rooted = (0..rounds).filter(|&i| !heap.get_root_raw(i).is_null()).count();
         assert_eq!(
             stats.reachable_blocks as usize, rooted,
-            "budget {budget}: recovery must keep all and only rooted blocks"
+            "{style:?} budget {budget}: recovery must keep all and only rooted blocks"
         );
         assert!(
             rooted >= rounds / 2,
-            "budget {budget}: a kept root was lost (have {rooted})"
+            "{style:?} budget {budget}: a kept root was lost (have {rooted})"
         );
         // Recovery itself re-shrinks (policy Both): frontier == used.
         assert_eq!(
             heap.committed_superblocks(),
             heap.used_superblocks(),
-            "budget {budget}: post-recovery shrink must land frontier on used"
+            "{style:?} budget {budget}: post-recovery shrink must land frontier on used"
         );
         let report = check_heap(&heap);
         assert!(
             report.is_consistent(),
-            "budget {budget}: invariants violated after shrink-crash: {:?}",
+            "{style:?} budget {budget}: invariants violated after shrink-crash: {:?}",
             report.violations
         );
         // The heap keeps functioning — including regrowth over the
         // decommitted (or never-recommitted) tail.
         for _ in 0..8 {
             let p = heap.malloc(SB_SIZE / 2 + 1);
-            assert!(!p.is_null(), "budget {budget}: heap broken after recovery");
+            assert!(!p.is_null(), "{style:?} budget {budget}: heap broken after recovery");
         }
         assert!(check_heap(&heap).is_consistent());
-    }
+    });
+    assert_eq!(total_events, 81, "the teardown's persistence events");
+    assert!(heap.slow_stats().heap_shrinks.get() >= 1, "the teardown must actually shrink");
+    assert_eq!(heap.committed_superblocks(), heap.used_superblocks());
 }
 
 /// A clean close of a heap whose live set collapsed writes a *shrunken*

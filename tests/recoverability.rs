@@ -10,103 +10,79 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use nvm::{CrashInjector, CrashPoint, CrashStyle};
+use crashtest::{crash_at, sweep, Victim};
+use nvm::{CrashInjector, CrashStyle};
 use pds::{NmTree, PStack};
 use ralloc::{Pptr, Ralloc, RallocConfig, Trace, Tracer};
 
-fn tracked_with_injector() -> (Ralloc, Arc<CrashInjector>) {
-    let inj = CrashInjector::new();
-    let cfg = RallocConfig { injector: Some(inj.clone()), ..RallocConfig::tracked() };
-    (Ralloc::create(16 << 20, cfg), inj)
+fn tracked(inj: Arc<CrashInjector>) -> Ralloc {
+    Ralloc::create(16 << 20, RallocConfig { injector: Some(inj), ..RallocConfig::tracked() })
 }
 
-/// Run `work` with a crash armed after `budget` persistence events;
-/// returns true if the crash fired.
-fn run_until_crash(inj: &CrashInjector, budget: u64, work: impl FnOnce()) -> bool {
-    inj.arm(budget);
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(work));
-    inj.disarm();
-    match result {
-        Ok(()) => false,
-        Err(payload) => {
-            assert!(CrashPoint::is(&*payload), "unexpected panic kind");
-            true
-        }
+/// The stack sweeps' run: a stack, then 40 pushes crashed at each event.
+fn stack_pushes(heap: &Ralloc, arm: &dyn Fn()) {
+    let stack = PStack::create(heap, 0);
+    arm();
+    for i in 0..40 {
+        stack.push(i);
     }
 }
 
+/// Attach the stack of a crash image (registering its filter), recover
+/// the heap with `recover`, and check the durable prefix: the recovered
+/// stack is some prefix of the pushes (buffered durable linearizability
+/// allows the final unfenced push to be lost, never reordered or
+/// corrupted), and allocating never touches it.
+fn recover_pushed_prefix(heap: &Ralloc, recover: impl FnOnce(), crash: &str) {
+    let stack = PStack::attach(heap, 0).expect("head cell persisted at create");
+    recover();
+    let vals = stack.snapshot();
+    let n = vals.len() as u64;
+    assert!(n <= 40, "{crash}: more elements than pushed");
+    for (i, v) in vals.iter().enumerate() {
+        assert_eq!(*v, n - 1 - i as u64, "{crash}: stack order corrupted");
+    }
+    for i in 0..200u64 {
+        let p = heap.malloc(16);
+        assert!(!p.is_null(), "{crash}: heap broken after recovery");
+        // SAFETY: fresh 16-byte block.
+        unsafe { std::ptr::write(p as *mut u64, i) };
+    }
+    assert_eq!(stack.snapshot(), vals, "{crash}: allocation after recovery corrupted the stack");
+}
+
+/// A crash at every persistence event of 40 pushes, under the strict
+/// model and under eviction: real hardware may persist *more* than what
+/// was fenced (spontaneous cache eviction), and recovery must tolerate
+/// that too. Each image is recovered twice, by one worker and by three:
+/// the parallel mark + sharded sweep meet the same durable-prefix
+/// contract.
 #[test]
 fn crash_point_sweep_during_stack_pushes() {
-    // Learn the number of persistence events of the full run, then crash
-    // at a sweep of points through it.
-    let total_events = {
-        let (heap, inj) = tracked_with_injector();
-        let stack = PStack::create(&heap, 0);
-        let before = inj.observed();
-        for i in 0..40 {
-            stack.push(i);
-        }
-        inj.observed() - before
-    };
-    assert!(total_events > 80, "expected >2 events per push, got {total_events}");
-
-    for budget in (0..total_events).step_by(7) {
-        let (heap, inj) = tracked_with_injector();
-        let stack = PStack::create(&heap, 0);
-        let crashed = run_until_crash(&inj, budget, || {
-            for i in 0..40 {
-                stack.push(i);
-            }
-        });
-        assert!(crashed, "budget {budget} did not crash");
-        drop(stack);
-        heap.crash_simulated();
-        heap.recover();
-        let stack = PStack::attach(&heap, 0).expect("head cell persisted at create");
-        // Durable prefix: the recovered stack is some prefix of the
-        // pushes (buffered durable linearizability allows the final
-        // unfenced push to be lost, never reordered or corrupted).
-        let vals = stack.snapshot();
-        let n = vals.len() as u64;
-        assert!(n <= 40, "budget {budget}: more elements than pushed");
-        for (i, v) in vals.iter().enumerate() {
-            assert_eq!(*v, n - 1 - i as u64, "budget {budget}: stack order corrupted");
-        }
-        // The heap keeps working and new blocks never corrupt the stack.
-        for i in 0..200u64 {
-            let p = heap.malloc(16);
-            assert!(!p.is_null(), "budget {budget}: heap broken after recovery");
-            // SAFETY: fresh 16-byte block.
-            unsafe { std::ptr::write(p as *mut u64, i) };
-        }
-        assert_eq!(stack.snapshot(), vals, "allocation after recovery corrupted the stack");
-    }
+    let styles = [CrashStyle::StrictFlushOnly, CrashStyle::RandomEviction { survive_permille: 500, seed: 7 }];
+    let (events, _) = sweep(&styles, tracked, stack_pushes, |crashed, heap, budget, style| {
+        let crash = format!("{style:?} budget {budget}");
+        recover_pushed_prefix(&heap, || _ = heap.recover(), &crash);
+        let heap = Ralloc::adopt(&crashed.pool().crash_image(style));
+        recover_pushed_prefix(&heap, || assert_eq!(heap.recover_parallel(3).threads, 3), &crash);
+        let report = ralloc::check_heap(&heap);
+        assert!(report.is_consistent(), "{crash}: {:?}", report.violations);
+    });
+    assert_eq!(events, 164, "40 pushes' persistence events");
 }
 
 #[test]
 fn crash_point_sweep_during_tree_inserts() {
-    let total_events = {
-        let (heap, inj) = tracked_with_injector();
-        let tree = NmTree::create(&heap, 0);
-        let before = inj.observed();
+    let inserts = |heap: &Ralloc, arm: &dyn Fn()| {
+        let tree = NmTree::create(heap, 0);
+        arm();
         for i in 0..20 {
             tree.insert(i * 5, i);
         }
-        inj.observed() - before
     };
-    for budget in (0..total_events).step_by(11) {
-        let (heap, inj) = tracked_with_injector();
-        let tree = NmTree::create(&heap, 0);
-        let crashed = run_until_crash(&inj, budget, || {
-            for i in 0..20 {
-                tree.insert(i * 5, i);
-            }
-        });
-        assert!(crashed);
-        drop(tree);
-        heap.crash_simulated();
-        heap.recover();
+    let (events, _) = sweep(&[CrashStyle::StrictFlushOnly], tracked, inserts, |_, heap, budget, _| {
         let tree = NmTree::attach(&heap, 0).expect("sentinels persisted at create");
+        heap.recover();
         // Durable subset: every surviving key is one we inserted with its
         // correct value; keys are unique and sorted.
         let keys = tree.keys();
@@ -120,13 +96,14 @@ fn crash_point_sweep_during_tree_inserts() {
         // Tree still functional after recovery.
         assert!(tree.insert(1_000_003, 7));
         assert_eq!(tree.get(1_000_003), Some(7));
-    }
+    });
+    assert_eq!(events, 120, "20 inserts' persistence events");
 }
 
 #[test]
 fn repeated_crashes_converge() {
     // Crash, recover, do more work, crash again — five generations.
-    let (heap, _inj) = tracked_with_injector();
+    let heap = tracked(CrashInjector::new());
     let _stack = PStack::create(&heap, 0);
     let mut expected = Vec::new();
     for generation in 0..5u64 {
@@ -147,49 +124,6 @@ fn repeated_crashes_converge() {
     let mut vals = stack.snapshot();
     vals.reverse();
     assert_eq!(vals, expected);
-}
-
-#[test]
-fn injected_crash_sweep_recovers_with_parallel_workers() {
-    // Same adversarial crash points as the sequential sweep above, but
-    // recovery runs with multiple workers: the parallel mark + sharded
-    // sweep must satisfy the identical durable-prefix contract.
-    let total_events = {
-        let (heap, inj) = tracked_with_injector();
-        let stack = PStack::create(&heap, 0);
-        let before = inj.observed();
-        for i in 0..40 {
-            stack.push(i);
-        }
-        inj.observed() - before
-    };
-    for budget in (1..total_events).step_by(13) {
-        let (heap, inj) = tracked_with_injector();
-        let stack = PStack::create(&heap, 0);
-        let crashed = run_until_crash(&inj, budget, || {
-            for i in 0..40 {
-                stack.push(i);
-            }
-        });
-        assert!(crashed, "budget {budget} did not crash");
-        drop(stack);
-        heap.crash_simulated();
-        let stats = heap.recover_parallel(3);
-        assert_eq!(stats.threads, 3);
-        let stack = PStack::attach(&heap, 0).expect("head cell persisted at create");
-        let vals = stack.snapshot();
-        let n = vals.len() as u64;
-        assert!(n <= 40, "budget {budget}: more elements than pushed");
-        for (i, v) in vals.iter().enumerate() {
-            assert_eq!(*v, n - 1 - i as u64, "budget {budget}: stack order corrupted");
-        }
-        for _ in 0..100 {
-            assert!(!heap.malloc(16).is_null(), "budget {budget}: heap broken");
-        }
-        assert_eq!(stack.snapshot(), vals, "budget {budget}: allocation corrupted the stack");
-        let report = ralloc::check_heap(&heap);
-        assert!(report.is_consistent(), "budget {budget}: {:?}", report.violations);
-    }
 }
 
 /// What a recovery leaves durable: `used`, the committed prefix (in
@@ -230,7 +164,7 @@ fn first_difference(a: &[u8], b: &[u8]) -> Option<usize> {
 #[test]
 fn a_second_recovery_changes_nothing() {
     for workers in [1, 2] {
-        let (heap, _inj) = tracked_with_injector();
+        let heap = tracked(CrashInjector::new());
         let stack = PStack::create(&heap, 0);
         // Unrooted and rooted superblocks in turn, so recovery sweeps
         // more than 64 of them (the parallel sweep's threshold), then an
@@ -311,7 +245,7 @@ fn superblock_of(heap: &Ralloc, p: *const u8) -> usize {
 /// it.
 #[test]
 fn one_image_recovers_to_the_same_bytes_for_any_worker_count() {
-    let (heap, _inj) = tracked_with_injector();
+    let heap = tracked(CrashInjector::new());
     populate_and_crash(&heap);
     let image = heap.pool().persistent_image();
     let (one, s1) = recover_image(&image, 1);
@@ -409,7 +343,7 @@ fn a_rejected_phantom_above_every_live_block_is_released() {
 #[test]
 fn flipped_dead_descriptors_change_no_recovery() {
     use ralloc::layout::DESC_SIZE;
-    let (heap, _inj) = tracked_with_injector();
+    let heap = tracked(CrashInjector::new());
     populate_and_crash(&heap);
     let image = heap.pool().persistent_image();
     let (desc_off, used) = (heap.geometry().desc_off, heap.used_superblocks());
@@ -516,39 +450,27 @@ fn a_list_head_flipped_past_used_ends_the_list() {
 /// all three.
 #[test]
 fn a_crash_inside_recovery_recovers_to_the_uncrashed_result() {
-    let victim = || {
-        let (heap, inj) = tracked_with_injector();
+    let build = |inj| {
+        let heap = tracked(inj);
         populate_and_crash(&heap);
         PStack::attach(&heap, 0).expect("the stack head was persisted at create");
-        (heap, inj)
+        heap
     };
-    let (used, committed) = {
-        let (heap, _) = victim();
-        (heap.used_superblocks(), heap.pool().committed_len())
-    };
-    let (reference, events) = {
-        let (heap, inj) = victim();
+    let (used, committed, reference) = {
+        let heap = build(CrashInjector::new());
+        let (used, committed) = (heap.used_superblocks(), heap.pool().committed_len());
         let (clean, stats) = recover_image(&heap.pool().persistent_image(), 2);
-        let before = inj.observed();
-        heap.recover_parallel(2);
-        let seen: HashSet<&str> = heap.flight_timeline().events.iter().map(|e| e.kind_name()).collect();
-        for kind in ["shrink_unpublish", "shrink_decommit", "recovery_splice"] {
-            assert!(seen.contains(kind), "the recovery never reached {kind}");
-        }
-        ((Recovered::of(&clean), stats.reachable_blocks), inj.observed() - before)
+        (used, committed, (Recovered::of(&clean), stats.reachable_blocks))
     };
-    println!("{events} crash points inside recover_parallel(2)");
     let (mut last_records, mut last_durable) = (HashSet::new(), HashSet::new());
-    for budget in 0..events {
-        let (heap, inj) = victim();
-        let crashed = run_until_crash(&inj, budget, || {
-            heap.recover_parallel(2);
-        });
-        assert!(crashed, "budget {budget} did not crash");
-        last_records.extend(heap.flight_timeline().events.last().map(|e| e.kind_name()));
-        heap.pool().crash();
-        let durable = heap.flight_timeline().events.last().map_or("none", |e| e.kind_name());
-        let shows: &[&str] = match (heap.used_superblocks() < used, heap.pool().committed_len() < committed) {
+    let recover = |heap: &Ralloc, arm: &dyn Fn()| {
+        arm();
+        heap.recover_parallel(2);
+    };
+    let (events, uncrashed) = sweep(&[CrashStyle::StrictFlushOnly], build, recover, |crashed, image, budget, style| {
+        last_records.extend(crashed.flight_timeline().events.last().map(|e| e.kind_name()));
+        let durable = image.preopen_flight().events.last().map_or("none", |e| e.kind_name());
+        let shows: &[&str] = match (image.used_superblocks() < used, image.pool().committed_len() < committed) {
             (false, false) => &["root_publish"],
             (true, false) => &["shrink_unpublish", "shrink_decommit"],
             (true, true) => &["shrink_decommit"],
@@ -556,7 +478,7 @@ fn a_crash_inside_recovery_recovers_to_the_uncrashed_result() {
         };
         assert!(shows.contains(&durable), "budget {budget}: the crash image's flight ring ends at {durable}");
         last_durable.insert(durable);
-        let (again, stats) = recover_image(&heap.pool().persistent_image(), 2);
+        let (again, stats) = recover_image(&crashed.pool().crash_image(style), 2);
         let report = ralloc::check_heap(&again);
         assert!(report.is_consistent(), "budget {budget}: {:?}", report.violations);
         let stack = PStack::attach(&again, 0).expect("stack head");
@@ -569,7 +491,13 @@ fn a_crash_inside_recovery_recovers_to_the_uncrashed_result() {
         assert_eq!(first_difference(&got.header, &want.header), None, "budget {budget}: header byte");
         let descriptors = first_difference(&got.descriptors, &want.descriptors);
         assert_eq!(descriptors, None, "budget {budget}: descriptor byte");
+    });
+    println!("{events} crash points inside recover_parallel(2)");
+    let seen: HashSet<&str> = uncrashed.flight_timeline().events.iter().map(|e| e.kind_name()).collect();
+    for kind in ["shrink_unpublish", "shrink_decommit", "recovery_splice"] {
+        assert!(seen.contains(kind), "the recovery never reached {kind}");
     }
+    assert_eq!(events, 11, "a 2-worker recovery's persistence events");
     for step in ["recovery_reconcile", "shrink_unpublish", "shrink_decommit", "recovery_sweep", "recovery_splice"] {
         assert!(last_records.contains(step), "no crash lands after {step}: {last_records:?}");
     }
@@ -670,34 +598,10 @@ fn recovery_keeps_exactly_the_rooted_blocks_for_any_worker_count() {
 }
 
 #[test]
-fn random_eviction_crash_is_also_recoverable() {
-    // Real hardware may persist *more* than what was fenced (spontaneous
-    // cache eviction); recovery must tolerate that too.
-    let (heap, _inj) = tracked_with_injector();
-    let stack = PStack::create(&heap, 0);
-    for i in 0..100 {
-        stack.push(i);
-    }
-    // Garbage that would normally vanish; with eviction it may persist.
-    for _ in 0..500 {
-        let _ = heap.malloc(48);
-    }
-    heap.pool().crash_with(CrashStyle::RandomEviction { survive_permille: 500, seed: 7 });
-    heap.crash_simulated(); // discard thread caches; pool already reverted
-    heap.recover();
-    let stack = PStack::attach(&heap, 0).unwrap();
-    let vals = stack.snapshot();
-    assert_eq!(vals.len(), 100);
-    for (i, v) in vals.iter().enumerate() {
-        assert_eq!(*v, 99 - i as u64);
-    }
-}
-
-#[test]
 fn leaked_blocks_before_crash_are_recovered_after() {
     // Allocate-but-never-attach (the crash window the paper designs
     // for): after recovery those blocks must be reusable.
-    let (heap, _inj) = tracked_with_injector();
+    let heap = tracked(CrashInjector::new());
     let stack = PStack::create(&heap, 0);
     stack.push(1);
     for _ in 0..2000 {
@@ -722,7 +626,7 @@ fn leaked_blocks_before_crash_are_recovered_after() {
 
 #[test]
 fn close_after_recovery_enables_clean_restart() {
-    let (heap, _inj) = tracked_with_injector();
+    let heap = tracked(CrashInjector::new());
     let stack = PStack::create(&heap, 0);
     for i in 0..30 {
         stack.push(i);
@@ -816,9 +720,9 @@ mod random_crash_proptests {
             ops in proptest::collection::vec(proptest::bool::weighted(0.7), 5..60),
             budget in 1u64..400,
         ) {
-            let (heap, inj) = tracked_with_injector();
-            let stack = PStack::create(&heap, 0);
-            let crashed = run_until_crash(&inj, budget, || {
+            let (heap, _) = crash_at(budget, tracked, |heap, arm| {
+                let stack = PStack::create(heap, 0);
+                arm();
                 let mut next = 0u64;
                 for push in ops {
                     if push {
@@ -829,7 +733,6 @@ mod random_crash_proptests {
                     }
                 }
             });
-            drop(stack);
             heap.crash_simulated();
             let s1 = heap.recover();
             let s2 = heap.recover();
@@ -846,7 +749,6 @@ mod random_crash_proptests {
                 prop_assert!(!heap.malloc(16).is_null());
             }
             prop_assert_eq!(stack.snapshot(), snap);
-            let _ = crashed;
             // Full structural invariant check.
             let report = ralloc::check_heap(&heap);
             prop_assert!(report.is_consistent(), "{:?}", report.violations);
@@ -965,15 +867,8 @@ mod flight_ring {
 
     #[test]
     fn cooperative_crash_leaves_the_ring_scannable() {
-        let (heap, inj) = tracked_with_injector();
-        let stack = PStack::create(&heap, 0);
-        let crashed = run_until_crash(&inj, 60, || {
-            for i in 0..40 {
-                stack.push(i);
-            }
-        });
+        let (heap, crashed) = crash_at(60, tracked, stack_pushes);
         assert!(crashed);
-        drop(stack);
         heap.crash_simulated();
         heap.recover();
         let scan = heap.flight_timeline();
@@ -991,7 +886,7 @@ fn crashed_remote_frees_leak_nothing() {
     // the consumer's cache bin. Both die with DRAM, and recovery's
     // reachability sweep must reclaim every block — no leak, no double
     // accounting.
-    let (heap, _inj) = tracked_with_injector();
+    let heap = tracked(CrashInjector::new());
     // A producer thread on another shard drains five whole 64 B
     // superblock populations through its cache and exits with an empty
     // bin, so its thread-exit drain returns nothing: every block is held

@@ -8,12 +8,16 @@
 //! descriptor a shrink left stale past `used`. This sweep arms a
 //! [`ralloc::CrashInjector`] at every event of a window that crosses
 //! several grows, an explicit shrink and a re-grow over the stale
-//! descriptors, simulates the power failure, recovers, and does exact
-//! root-survival accounting against the recovered heap.
+//! descriptors, simulates the power failure under the strict model and
+//! under eviction, recovers, and does exact root-survival accounting
+//! against the recovered heap.
 
+use std::cell::Cell;
+use std::collections::HashSet;
 use std::sync::Arc;
 
-use nvm::{CrashInjector, CrashPoint};
+use crashtest::{sweep, STYLES};
+use nvm::CrashInjector;
 use ralloc::{check_heap, Mode, Ralloc, RallocConfig};
 
 const SENTINEL_WORDS: usize = 8;
@@ -100,12 +104,11 @@ fn window(heap: &Ralloc) -> usize {
     shrunk
 }
 
-/// Recover a crash image and do the exact survival accounting: roots
+/// Recover a crashed heap and do the exact survival accounting: roots
 /// that were durably set must come back with every planted word intact,
 /// the invariant checker must pass, and the heap must still allocate.
-fn recover_and_account(image: &[u8], budget: u64) {
-    let (heap, dirty) = Ralloc::from_image(image, RallocConfig::default());
-    assert!(dirty, "budget {budget}: a crashed image must demand recovery");
+fn recover_and_account(heap: Ralloc, budget: u64) {
+    assert!(heap.is_dirty(), "budget {budget}: a crashed image must demand recovery");
     heap.recover();
 
     let small = heap.get_root_raw(ROOT_SMALL) as *const u64;
@@ -143,48 +146,20 @@ fn recover_and_account(image: &[u8], budget: u64) {
 
 #[test]
 fn crash_sweep_covers_both_region_frontier_protocols() {
-    // Control run: learn the window's event count and prove the window
-    // actually exercises every per-region protocol event kind.
-    let inj = CrashInjector::new();
-    let heap = Ralloc::create(32 << 20, victim_cfg(inj.clone()));
-    let e0 = inj.observed();
-    let shrunk = window(&heap);
-    let events = inj.observed() - e0;
-    assert!(events > 0, "window produced no persistence events");
-    assert!(heap.used_superblocks() > shrunk, "the re-grow never carved past the shrink");
-
-    let seen: std::collections::HashSet<&'static str> =
-        heap.flight_timeline().events.iter().map(|e| e.kind_name()).collect();
+    // One victim per budget, crashed at each event in turn; each style's
+    // image is recovered and accounted.
+    let shrunk = Cell::new(0);
+    let window = |heap: &Ralloc, arm: &dyn Fn()| {
+        arm();
+        shrunk.set(window(heap));
+    };
+    let build = |inj| Ralloc::create(32 << 20, victim_cfg(inj));
+    let (events, heap) = sweep(&STYLES[..2], build, window, |_, heap, budget, _| recover_and_account(heap, budget));
+    assert_eq!(events, 81, "the window's persistence events");
+    // The run that completed exercised every per-region protocol event.
+    assert!(heap.used_superblocks() > shrunk.get(), "the re-grow never carved past the shrink");
+    let seen: HashSet<&str> = heap.flight_timeline().events.iter().map(|e| e.kind_name()).collect();
     for kind in ["grow_commit", "shrink_unpublish", "shrink_decommit"] {
         assert!(seen.contains(kind), "window never crossed {kind}: {seen:?}");
-    }
-    drop(heap);
-
-    // The sweep: one victim per budget, crash at event `b`, recover,
-    // account. Budget == events means the injector never fires (clean
-    // control through the same code path).
-    for b in 0..=events {
-        let inj = CrashInjector::new();
-        let heap = Ralloc::create(32 << 20, victim_cfg(inj.clone()));
-        inj.arm(b);
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            window(&heap);
-        }));
-        inj.disarm();
-        match r {
-            Ok(()) => {
-                // Ran clean (budget past the window's end): nothing to
-                // recover; the heap must simply still be consistent.
-                let report = check_heap(&heap);
-                assert!(report.is_consistent(), "budget {b}: clean run violated invariants: {report:?}");
-            }
-            Err(payload) => {
-                assert!(CrashPoint::is(&*payload), "budget {b}: non-injected panic");
-                heap.pool().crash();
-                let image = heap.pool().persistent_image();
-                drop(heap);
-                recover_and_account(&image, b);
-            }
-        }
     }
 }

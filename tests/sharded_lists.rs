@@ -16,7 +16,7 @@
 
 use std::sync::{mpsc, Arc};
 
-use nvm::{CrashInjector, CrashPoint};
+use crashtest::crash_at;
 use ralloc::layout::Geometry;
 use ralloc::lists::DescList;
 use ralloc::shard::{home_shard, place_superblock, thread_token, SHARDS};
@@ -189,28 +189,30 @@ fn crash_mid_steal_loses_nothing() {
 fn crash_during_parallel_recovery_is_recoverable() {
     const LISTS: usize = 4;
     const PER_LIST: u64 = 50;
-    let inj = CrashInjector::new();
-    let cfg = RallocConfig { injector: Some(inj.clone()), ..RallocConfig::tracked() };
-    let heap = Ralloc::create(32 << 20, cfg);
-    // Recovery runs one worker per root: four rooted lists make
-    // `recover_parallel(4)` trace on four workers.
-    for r in 0..LISTS {
-        rooted_block_list(&heap, r, PER_LIST);
-    }
-    let _held = make_partials(&heap, 4);
-    for _ in 0..500 {
-        let _ = heap.malloc(64); // leaked: sweep work
-    }
-    heap.crash_simulated();
+    let crashed_heap = |inj| {
+        let heap = Ralloc::create(32 << 20, RallocConfig { injector: Some(inj), ..RallocConfig::tracked() });
+        // Recovery runs one worker per root: four rooted lists make
+        // `recover_parallel(4)` trace on four workers.
+        for r in 0..LISTS {
+            rooted_block_list(&heap, r, PER_LIST);
+        }
+        make_partials(&heap, 4);
+        for _ in 0..500 {
+            let _ = heap.malloc(64); // leaked: sweep work
+        }
+        heap.crash_simulated();
+        heap
+    };
 
     // A recovery's first persistence event is its `recovery_reconcile`
     // flight record, before the trace. A 1-event budget crashes it at the
     // next one, after every worker has traced: the record of the lowered
     // `used`, before that `used`, the sweep or the write-back is durable.
-    inj.arm(1);
-    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| heap.recover_parallel(4)));
-    inj.disarm();
-    assert!(CrashPoint::is(&*r.expect_err("injector must fire mid-recovery")));
+    let (heap, fired) = crash_at(1, crashed_heap, |heap, arm| {
+        arm();
+        heap.recover_parallel(4);
+    });
+    assert!(fired, "injector must fire mid-recovery");
     let last = heap.flight_timeline().events.last().map(|e| e.kind_name());
     assert_eq!(last, Some("shrink_unpublish"), "the crash landed elsewhere");
 
