@@ -345,10 +345,118 @@ impl std::fmt::Debug for PmdkSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::{Cell, RefCell};
     use std::collections::HashSet;
+    use std::sync::Arc;
+
+    use crashtest::{sweep, Victim, STYLES};
+    use nvm::{CrashInjector, PmemPool};
 
     fn heap() -> PmdkSim {
         PmdkSim::create(16 << 20, Mode::Direct, FlushModel::free())
+    }
+
+    /// A `PmdkSim` of this test build as a victim of the crash-point
+    /// driver: `crashtest`'s own impl is for the `baselines` it links.
+    struct Sim(PmdkSim);
+
+    impl Victim for Sim {
+        fn pool(&self) -> &PmemPool {
+            self.0.pool()
+        }
+        fn adopt(image: &[u8]) -> Sim {
+            Sim(PmdkSim::from_image(image))
+        }
+    }
+
+    fn tracked(inj: Arc<CrashInjector>) -> Sim {
+        Sim(PmdkSim::create_with(1 << 20, Mode::Tracked, FlushModel::free(), Some(inj)))
+    }
+
+    /// A crash at every persistence event of one `malloc` after 50
+    /// survivors: recovery, which rebuilds the free lists from the
+    /// allocation bytes, keeps every survivor, and the heap hands out no
+    /// block twice.
+    #[test]
+    fn crash_mid_alloc_never_double_allocates() {
+        let survivors = RefCell::new(HashSet::new());
+        let (events, _) = sweep(
+            &STYLES,
+            |inj| {
+                let sim = tracked(inj);
+                let base = sim.0.pool().base() as usize;
+                *survivors.borrow_mut() = (0..50).map(|_| sim.0.malloc(64) as usize - base).collect();
+                sim
+            },
+            |Sim(p), arm| {
+                arm();
+                p.malloc(64);
+            },
+            |_, Sim(p), budget, style| {
+                p.recover();
+                let lost = survivors.borrow().iter().copied().find(|&off| !p.is_allocated(off));
+                assert_eq!(lost, None, "{style:?} crash at event {}: a survivor was freed", budget + 1);
+                let mut seen = HashSet::new();
+                for q in (0..500).map(|_| p.malloc(64)).take_while(|q| !q.is_null()) {
+                    assert!(seen.insert(q), "{style:?} crash at event {}: a block handed out twice", budget + 1);
+                }
+            },
+        );
+        assert_eq!(events, 12, "a logged malloc's persistence events");
+    }
+
+    /// Two threads, each on a size class of its own, bind blocks to
+    /// destination words of their own (`malloc_to`) and unbind them
+    /// (`free_from`), crashed at each persistence event in turn: the fire
+    /// freezes the image while the other thread runs on. After recovery
+    /// every block a destination word holds is allocated.
+    #[test]
+    fn a_crash_between_two_classes_never_frees_a_bound_block() {
+        const DESTS: usize = 4;
+        let dests = Cell::new(0);
+        let (events, _) = sweep(
+            &STYLES,
+            |inj| {
+                let sim = tracked(inj);
+                // A large block class: few blocks per chunk to rebuild.
+                let words = sim.0.malloc(2000);
+                // SAFETY: a fresh block of that many bytes, which still
+                // holds its free-list link.
+                unsafe { std::ptr::write_bytes(words, 0, 2 * DESTS * 8) };
+                sim.0.persist(words, 2 * DESTS * 8);
+                dests.set(words as usize - sim.0.pool().base() as usize);
+                sim
+            },
+            |Sim(p), arm| {
+                let dests = dests.get();
+                arm();
+                std::thread::scope(|s| {
+                    for (t, size) in [(0, 1000), (1, 2000)] {
+                        s.spawn(move || {
+                            for dest in (0..DESTS).map(|i| dests + 8 * (t * DESTS + i)) {
+                                assert!(!p.malloc_to(size, dest).is_null());
+                            }
+                            for dest in (0..DESTS).map(|i| dests + 8 * (t * DESTS + i)) {
+                                p.free_from(dest);
+                            }
+                        });
+                    }
+                });
+            },
+            |_, Sim(p), budget, style| {
+                p.recover();
+                for dest in (0..2 * DESTS).map(|i| dests.get() + 8 * i) {
+                    // SAFETY: a destination word inside the block `build`
+                    // allocated; no other thread runs.
+                    let Some(block) = unsafe { p.pool().read_u64(dest) }.checked_sub(1) else { continue };
+                    let free = !p.is_allocated(block as usize);
+                    let at = budget + 1;
+                    assert!(!free, "{style:?} crash at event {at}: word {dest:#x} binds free block {block:#x}");
+                }
+            },
+        );
+        println!("{events} persistence events");
+        assert!(events > 8 * DESTS as u64, "{events} persistence events");
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub fn crash_at<V: Victim>(
         let report = panic::take_hook();
         panic::set_hook(Box::new(move |info| {
             let fired = DRIVING.with(|d| d.borrow().as_ref().is_some_and(|inj| inj.fired()));
-            if !fired && !info.payload().is::<CrashPoint>() {
+            if !fired && !CrashPoint::is(info.payload()) {
                 report(info)
             }
         }));

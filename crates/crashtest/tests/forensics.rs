@@ -11,6 +11,16 @@ use std::process::Command;
 use crashtest::{verify, KillSpec, RunConfig, Structure, STRUCT_ROOT};
 use ralloc::{Ralloc, RallocConfig};
 
+/// Held by every test here. Each spawns a victim, and a child holds its
+/// parent's open files from its fork to its exec: one forked while another
+/// test has a pool open keeps that pool's lock for a moment, and the other
+/// test's next open reads "pool busy".
+static ONE_AT_A_TIME: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+fn one_at_a_time() -> std::sync::MutexGuard<'static, ()> {
+    ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// Spawn the crashtest binary in `victim` mode: the child runs the
 /// workload against `pool` and (with `Events`) SIGKILLs itself, leaving
 /// the dirty pool on disk. Returns the kill signal, if any.
@@ -43,6 +53,7 @@ fn spawn_victim(structure: Structure, pool: &Path, seed: u64, kill: KillSpec) ->
 /// recover-and-verify pass.
 #[test]
 fn killed_pool_yields_timeline_and_check_agrees_with_harness() {
+    let _turn = one_at_a_time();
     let pool = std::env::temp_dir().join("ct_forensics_killed.pool");
     let seed = 0xF0_0001;
     let sig = spawn_victim(Structure::Queue, &pool, seed, KillSpec::Events(2000));
@@ -91,6 +102,7 @@ fn killed_pool_yields_timeline_and_check_agrees_with_harness() {
 /// victim's flight timeline as parseable JSON.
 #[test]
 fn failure_report_carries_victim_flight_timeline() {
+    let _turn = one_at_a_time();
     let pool = std::env::temp_dir().join("ct_forensics_forced.pool");
     let seed = 0xF0_0002;
     let sig = spawn_victim(Structure::Queue, &pool, seed, KillSpec::None);
@@ -137,6 +149,7 @@ fn failure_report_carries_victim_flight_timeline() {
 /// instead of panicking.
 #[test]
 fn flipped_tree_log_op_is_reported_not_a_panic() {
+    let _turn = one_at_a_time();
     let pool = std::env::temp_dir().join("ct_forensics_bad_op.pool");
     let seed = 0xF0_0003;
     let sig = spawn_victim(Structure::RbTree, &pool, seed, KillSpec::Events(300));

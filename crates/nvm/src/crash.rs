@@ -9,21 +9,25 @@
 //! freezes the crash image under the pool's lock, so no later event on any
 //! thread changes it, [`crate::PmemPool::crash_image`] reads it under each
 //! [`crate::CrashStyle`] without changing it, and
-//! [`crate::PmemPool::crash_with`] reverts the pool to one of them. A
-//! sweep arms budgets 0, 1, 2 … until a run completes: that budget is the
-//! run's event count.
+//! [`crate::PmemPool::crash_with`] reverts the pool to one of them.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
-/// Panic payload of an injected crash. A worker's may reach a harness
-/// re-raised with another payload (`std::thread::scope` does that), so a
-/// harness asks [`CrashInjector::fired`] instead.
+/// Panic payload of an injected crash. `std::thread::scope` re-raises a
+/// worker's with a payload of its own: [`CrashInjector::fired`] says
+/// whether a crash happened.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrashPoint;
 
-/// The budget of a fired injector: far below the disarmed `-1`, so no
-/// racing decrement brings it back to `0`.
+impl CrashPoint {
+    /// True if a panic payload is the one an injected crash raises.
+    pub fn is(payload: &(dyn std::any::Any + Send)) -> bool {
+        payload.is::<CrashPoint>()
+    }
+}
+
+/// A fired budget: far below the disarmed `-1`, out of a racing decrement's reach.
 const FIRED: i64 = i64::MIN / 2;
 
 /// Counts persistence events and injects a crash when armed.
@@ -34,11 +38,9 @@ const FIRED: i64 = i64::MIN / 2;
 /// whichever thread exhausts it, only once per arming, and
 /// [`CrashInjector::fired`] says so until the next `arm` or `disarm`.
 ///
-/// [`CrashInjector::arm_kill`] swaps the panic for a real `SIGKILL` of the
-/// process — the deterministic flavour of the fork-based crash harness
-/// (`crates/crashtest`): persistence event N is an exact, replayable
-/// program point, and the kill at it is a true fail-stop (nothing after
-/// the event executes, not even unwinding).
+/// [`CrashInjector::arm_kill`] swaps the panic for a `SIGKILL` of the
+/// process: the fork-based harness's (`crates/crashtest`) exact,
+/// replayable fail-stop at persistence event N.
 #[derive(Debug, Default)]
 pub struct CrashInjector {
     /// Remaining events before crash; `-1` = disarmed, [`FIRED`] or
@@ -103,9 +105,8 @@ impl CrashInjector {
         if self.budget.load(Ordering::Relaxed) < 0 {
             return false;
         }
-        // Our decrement consumed the final budget: crash here. Mark the
-        // injector fired so concurrent threads do not also fire; one that
-        // lost the race finds the budget negative.
+        // The decrement that ends the budget fires, and marks it FIRED:
+        // a racing thread finds it negative and does not fire too.
         self.budget.fetch_sub(1, Ordering::SeqCst) == 0 && {
             self.budget.store(FIRED, Ordering::SeqCst);
             true
@@ -115,10 +116,8 @@ impl CrashInjector {
     /// Crash the calling thread with [`CrashPoint`], or kill the process.
     pub(crate) fn fire(&self) -> ! {
         if self.action.load(Ordering::SeqCst) == 1 {
-            // Fail-stop for real: SIGKILL cannot be caught, so nothing
-            // past this persistence event runs in any thread. If the kill
-            // somehow fails, fall through to the panic so the event never
-            // passes silently.
+            // SIGKILL cannot be caught: nothing past this event runs in
+            // any thread. Should the kill fail, the panic still fires.
             let _ = crate::sys::kill(crate::sys::getpid(), crate::sys::SIGKILL);
             std::thread::sleep(std::time::Duration::from_secs(10));
         }
@@ -155,7 +154,7 @@ mod tests {
         on_event(&inj);
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| on_event(&inj)));
         let payload = r.expect_err("should have crashed");
-        assert!(payload.is::<CrashPoint>());
+        assert!(CrashPoint::is(&*payload));
     }
 
     #[test]
@@ -181,5 +180,14 @@ mod tests {
         on_event(&inj);
         inj.disarm();
         on_event(&inj); // would have fired
+    }
+
+    #[test]
+    fn crash_point_matches_no_other_payload() {
+        let boxed: Box<dyn std::any::Any + Send> = Box::new(CrashPoint);
+        assert!(CrashPoint::is(&*boxed));
+        for other in [Box::new("injected crash point") as Box<dyn std::any::Any + Send>, Box::new(42u32)] {
+            assert!(!CrashPoint::is(&*other));
+        }
     }
 }

@@ -10,7 +10,7 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use crashtest::{crash_at, sweep, Victim};
+use crashtest::{crash_at, sweep};
 use nvm::{CrashInjector, CrashStyle};
 use pds::{NmTree, PStack};
 use ralloc::{Pptr, Ralloc, RallocConfig, Trace, Tracer};
@@ -51,24 +51,37 @@ fn recover_pushed_prefix(heap: &Ralloc, recover: impl FnOnce(), crash: &str) {
     assert_eq!(stack.snapshot(), vals, "{crash}: allocation after recovery corrupted the stack");
 }
 
-/// A crash at every persistence event of 40 pushes, under the strict
-/// model and under eviction: real hardware may persist *more* than what
-/// was fenced (spontaneous cache eviction), and recovery must tolerate
-/// that too. Each image is recovered twice, by one worker and by three:
-/// the parallel mark + sharded sweep meet the same durable-prefix
-/// contract.
-#[test]
-fn crash_point_sweep_during_stack_pushes() {
-    let styles = [CrashStyle::StrictFlushOnly, CrashStyle::RandomEviction { survive_permille: 500, seed: 7 }];
-    let (events, _) = sweep(&styles, tracked, stack_pushes, |crashed, heap, budget, style| {
+/// A crash at every persistence event of 40 pushes, each image
+/// recovered by `recover` and checked for the durable prefix and a
+/// consistent heap.
+fn stack_push_sweep(style: CrashStyle, recover: impl Fn(&Ralloc)) {
+    let (events, _) = sweep(&[style], tracked, stack_pushes, |_, heap, budget, style| {
         let crash = format!("{style:?} budget {budget}");
-        recover_pushed_prefix(&heap, || _ = heap.recover(), &crash);
-        let heap = Ralloc::adopt(&crashed.pool().crash_image(style));
-        recover_pushed_prefix(&heap, || assert_eq!(heap.recover_parallel(3).threads, 3), &crash);
+        recover_pushed_prefix(&heap, || recover(&heap), &crash);
         let report = ralloc::check_heap(&heap);
         assert!(report.is_consistent(), "{crash}: {:?}", report.violations);
     });
     assert_eq!(events, 164, "40 pushes' persistence events");
+}
+
+#[test]
+fn crash_point_sweep_during_stack_pushes() {
+    stack_push_sweep(CrashStyle::StrictFlushOnly, |heap| _ = heap.recover());
+}
+
+/// The same crash points, recovered by three workers: the parallel mark
+/// + sharded sweep meet the same durable-prefix contract.
+#[test]
+fn injected_crash_sweep_recovers_with_parallel_workers() {
+    stack_push_sweep(CrashStyle::StrictFlushOnly, |heap| assert_eq!(heap.recover_parallel(3).threads, 3));
+}
+
+/// Real hardware may persist *more* than what was fenced (spontaneous
+/// cache eviction); recovery must tolerate that too, at every crash
+/// point.
+#[test]
+fn random_eviction_crash_is_also_recoverable() {
+    stack_push_sweep(CrashStyle::RandomEviction { survive_permille: 500, seed: 7 }, |heap| _ = heap.recover());
 }
 
 #[test]
