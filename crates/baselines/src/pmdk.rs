@@ -349,15 +349,14 @@ mod tests {
     use std::collections::HashSet;
     use std::sync::Arc;
 
-    use crashtest::{sweep, Victim, STYLES};
+    use crashtest::{join, sweep, Victim, STYLES};
     use nvm::{CrashInjector, PmemPool};
 
     fn heap() -> PmdkSim {
         PmdkSim::create(16 << 20, Mode::Direct, FlushModel::free())
     }
 
-    /// A `PmdkSim` of this test build as a victim of the crash-point
-    /// driver: `crashtest`'s own impl is for the `baselines` it links.
+    /// A `PmdkSim` as a victim of the crash-point driver.
     struct Sim(PmdkSim);
 
     impl Victim for Sim {
@@ -431,7 +430,7 @@ mod tests {
                 let dests = dests.get();
                 arm();
                 std::thread::scope(|s| {
-                    for (t, size) in [(0, 1000), (1, 2000)] {
+                    let workers = [(0, 1000), (1, 2000)].map(|(t, size)| {
                         s.spawn(move || {
                             for dest in (0..DESTS).map(|i| dests + 8 * (t * DESTS + i)) {
                                 assert!(!p.malloc_to(size, dest).is_null());
@@ -439,8 +438,9 @@ mod tests {
                             for dest in (0..DESTS).map(|i| dests + 8 * (t * DESTS + i)) {
                                 p.free_from(dest);
                             }
-                        });
-                    }
+                        })
+                    });
+                    join(workers.into());
                 });
             },
             |_, Sim(p), budget, style| {

@@ -7,9 +7,9 @@
 //! whose budget is the event count. The fire freezes the victim's crash
 //! image, so one run serves every [`CrashStyle`].
 
-use std::cell::RefCell;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Once};
+use std::thread::ScopedJoinHandle;
 
 use nvm::{CrashInjector, CrashPoint, CrashStyle, PmemPool};
 
@@ -30,14 +30,10 @@ pub trait Victim: Sized {
     fn adopt(image: &[u8]) -> Self;
 }
 
-thread_local! {
-    /// The injector of the run [`crash_at`] drives on this thread.
-    static DRIVING: RefCell<Option<Arc<CrashInjector>>> = const { RefCell::new(None) };
-}
-
 /// One crash point: `build` a victim, then `run` it; `run`'s second
 /// argument arms the injector. Returns the victim, frozen at the fire, and
-/// whether the injector fired. A panic without a fire is resumed.
+/// whether the injector fired. Any panic but the injected crash is
+/// resumed: a `run` that starts threads joins them with [`join`].
 pub fn crash_at<V: Victim>(
     budget: u64,
     build: impl FnOnce(Arc<CrashInjector>) -> V,
@@ -45,26 +41,35 @@ pub fn crash_at<V: Victim>(
 ) -> (V, bool) {
     static QUIET: Once = Once::new();
     QUIET.call_once(|| {
-        // Print every panic but the injected crash, which `scope` may
-        // re-raise on the driving thread with a payload of its own.
+        // Print every panic but the injected crash.
         let report = panic::take_hook();
         panic::set_hook(Box::new(move |info| {
-            let fired = DRIVING.with(|d| d.borrow().as_ref().is_some_and(|inj| inj.fired()));
-            if !fired && !CrashPoint::is(info.payload()) {
+            if !CrashPoint::is(info.payload()) {
                 report(info)
             }
         }));
     });
     let inj = CrashInjector::new();
     let victim = build(inj.clone());
-    DRIVING.with(|d| *d.borrow_mut() = Some(inj.clone()));
     let ran = panic::catch_unwind(AssertUnwindSafe(|| run(&victim, &|| inj.arm(budget))));
-    DRIVING.with(|d| *d.borrow_mut() = None);
     let fired = inj.fired();
     inj.disarm();
     match ran {
-        Err(payload) if !fired => panic::resume_unwind(payload),
+        Err(payload) if !fired || !CrashPoint::is(&*payload) => panic::resume_unwind(payload),
         _ => (victim, fired),
+    }
+}
+
+/// Join every worker, then resume a panic if one panicked: a real one
+/// before the injected crash, which `scope`'s own re-raise would hide
+/// behind a payload of its own. A thread's cache drains at its exit,
+/// after `scope` has stopped waiting for it, so only a join leaves the
+/// heap quiescent (a simulated crash needs that).
+pub fn join(workers: Vec<ScopedJoinHandle<'_, ()>>) {
+    let mut panics: Vec<_> = workers.into_iter().filter_map(|w| w.join().err()).collect();
+    panics.sort_by_key(|payload| CrashPoint::is(&**payload));
+    if let Some(payload) = panics.into_iter().next() {
+        panic::resume_unwind(payload)
     }
 }
 
@@ -88,4 +93,40 @@ pub fn sweep<V: Victim>(
         }
     }
     unreachable!("a run crashed at every one of 2^64 budgets")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ralloc::{Ralloc, RallocConfig};
+
+    /// Thread A fires; thread B, let go when A unwinds, panics for real.
+    /// [`crash_at`] resumes B's panic; when B does not panic, the run is a
+    /// crash.
+    #[test]
+    fn a_real_panic_after_the_fire_is_resumed() {
+        let run = |fail: bool| {
+            let build = |inj| Ralloc::create(4 << 20, RallocConfig { injector: Some(inj), ..RallocConfig::tracked() });
+            crash_at(0, build, |heap, arm| {
+                let (fired, after_fire) = std::sync::mpsc::channel::<()>();
+                arm();
+                std::thread::scope(|s| {
+                    let a = s.spawn(move || {
+                        let _fired = fired;
+                        heap.pool().fence()
+                    });
+                    let b = s.spawn(move || {
+                        _ = after_fire.recv();
+                        assert!(!fail, "a real failure");
+                    });
+                    join(vec![a, b]);
+                })
+            })
+            .1
+        };
+        assert!(run(false), "the injector did not fire");
+        let r = panic::catch_unwind(AssertUnwindSafe(|| run(true)));
+        let payload = r.expect_err("a real panic after the fire was taken for the crash");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"a real failure"));
+    }
 }

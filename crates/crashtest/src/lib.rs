@@ -39,11 +39,10 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use baselines::PmdkSim;
 use nvm::{sys, CrashInjector, CrashStyle, Mode, PmemPool};
 use ralloc::{Ralloc, RallocConfig};
 
-pub use driver::{crash_at, sweep, Victim, STYLES};
+pub use driver::{crash_at, join, sweep, Victim, STYLES};
 pub use rng::XorShift;
 pub use workload::{Structure, OPLOG_ROOT, STRUCT_ROOT};
 
@@ -274,15 +273,6 @@ impl Victim for Ralloc {
     }
     fn adopt(image: &[u8]) -> Ralloc {
         Ralloc::from_image(image, RallocConfig::default()).0
-    }
-}
-
-impl Victim for PmdkSim {
-    fn pool(&self) -> &PmemPool {
-        PmdkSim::pool(self)
-    }
-    fn adopt(image: &[u8]) -> PmdkSim {
-        PmdkSim::from_image(image)
     }
 }
 

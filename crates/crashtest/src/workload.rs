@@ -5,7 +5,6 @@
 //! in-process tracked sweep (`crate::tracked_sweep`) both read it.
 
 use std::collections::BTreeMap;
-use std::thread::ScopedJoinHandle;
 
 use pds::{NmTree, PKv, PQueue, PRbTree, PStack};
 use ralloc::{Ralloc, Trace};
@@ -274,7 +273,7 @@ impl Run {
                     }
                 })
             });
-            join_all(workers.collect());
+            crate::driver::join(workers.collect());
         })
     }
 
@@ -287,16 +286,6 @@ impl Run {
             rng: XorShift::new(self.seed ^ (0x9E37 + tid as u64 * 0x1_0001)),
             seq: 0,
         }
-    }
-}
-
-/// Join every worker, then re-raise the first one's panic. A thread's
-/// cache drains at its exit, after `scope` has stopped waiting for it, so
-/// only a join leaves the heap quiescent (a simulated crash needs that).
-fn join_all(workers: Vec<ScopedJoinHandle<'_, ()>>) {
-    let panics: Vec<_> = workers.into_iter().filter_map(|w| w.join().err()).collect();
-    if let Some(payload) = panics.into_iter().next() {
-        std::panic::resume_unwind(payload)
     }
 }
 
@@ -436,7 +425,7 @@ fn run_prodcon(heap: &Ralloc, run: Run) {
                 }
             }));
         }
-        join_all(workers);
+        crate::driver::join(workers);
     });
 }
 

@@ -156,6 +156,8 @@ fn crash_sweep_covers_both_region_frontier_protocols() {
     let build = |inj| Ralloc::create(32 << 20, victim_cfg(inj));
     let (events, heap) = sweep(&STYLES[..2], build, window, |_, heap, budget, _| recover_and_account(heap, budget));
     assert_eq!(events, 81, "the window's persistence events");
+    let report = check_heap(&heap);
+    assert!(report.is_consistent(), "the run that completed violated invariants: {report:?}");
     // The run that completed exercised every per-region protocol event.
     assert!(heap.used_superblocks() > shrunk.get(), "the re-grow never carved past the shrink");
     let seen: HashSet<&str> = heap.flight_timeline().events.iter().map(|e| e.kind_name()).collect();

@@ -15,8 +15,8 @@ use std::sync::atomic::{AtomicI64, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
 /// Panic payload of an injected crash. `std::thread::scope` re-raises a
-/// worker's with a payload of its own: [`CrashInjector::fired`] says
-/// whether a crash happened.
+/// worker's with a payload of its own, so a harness that tells a crash
+/// from a real panic joins its workers and reads their payloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrashPoint;
 

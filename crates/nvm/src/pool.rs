@@ -49,12 +49,6 @@ pub enum CrashStyle {
     },
 }
 
-/// The tail below which [`PmemPool::discard_behind`] releases inline: a
-/// thread spawn costs 0.05–0.10 ms here and `madvise` frees a touched
-/// 2 MiB chunk in about 4 µs, so a release of fewer than 50 / 4 chunks
-/// costs less than the cheapest spawn.
-const INLINE_RELEASE: usize = 50 / 4 * sys::HUGE_PAGE;
-
 struct TrackState {
     /// The persistent image: what NVM would contain after power loss. A
     /// second reservation the size of the pool's, mapped whole at
@@ -66,8 +60,6 @@ struct TrackState {
     /// Set at the injector's fire, until a crash: nothing changes the
     /// shadow meanwhile.
     frozen: Option<Frozen>,
-    /// The shadow reads zero past here.
-    high: usize,
 }
 
 /// A power failure at the fire: the committed prefix then, and its lines
@@ -315,7 +307,7 @@ impl PmemPool {
                 let shadow = Reservation::reserve(len)?;
                 // SAFETY: fresh reservation, nothing uses it yet.
                 unsafe { shadow.map(0, len, None)? };
-                Some(Mutex::new(TrackState { shadow, pending: HashMap::new(), frozen: None, high: 0 }))
+                Some(Mutex::new(TrackState { shadow, pending: HashMap::new(), frozen: None }))
             }
         };
         let pool = PmemPool {
@@ -496,11 +488,10 @@ impl PmemPool {
 
     /// [`PmemPool::discard`] without the wait: the sub-page edges are
     /// zeroed here, the whole pages go back on a thread of their own moved
-    /// off the caller's CPU ([`sys::Home::place`]), or here if none starts
-    /// or the tail is below `INLINE_RELEASE` (24 MiB). Every later commit,
-    /// decommit, discard, [`PmemPool::crash_with`] and the drop joins the
-    /// thread before touching the range, so a commit still reads zero; all
-    /// but the drop resume its panic.
+    /// off the caller's CPU ([`sys::Home::place`]), or here if none starts.
+    /// Every later commit, decommit, discard, [`PmemPool::crash_with`] and
+    /// the drop joins it before touching the range, so a commit still
+    /// reads zero; all but the drop resume its panic.
     pub fn discard_behind(&self, range: Range<usize>) {
         if !self.decommitted(&range) {
             return;
@@ -511,9 +502,6 @@ impl PmemPool {
         // SAFETY: whole pages of the decommitted range, which nothing
         // touches before the release is joined.
         let release = move || unsafe { sys::discard_pages(at as *mut u8, len) };
-        if len < INLINE_RELEASE {
-            return release();
-        }
         let home = sys::Home::here();
         let spawned = std::thread::Builder::new().name("pmem-release".into()).spawn(move || {
             if let Some(home) = home {
@@ -700,7 +688,6 @@ impl PmemPool {
                 let pending = std::mem::take(&mut st.pending);
                 for (line, buf) in pending {
                     st.shadow_mut()[line..line + CACHE_LINE].copy_from_slice(&buf);
-                    st.high = st.high.max(line + CACHE_LINE);
                 }
             }
         }
@@ -738,7 +725,6 @@ impl PmemPool {
         st.pending.clear();
         if style != CrashStyle::StrictFlushOnly {
             st.shadow_mut()[..len].copy_from_slice(&image);
-            st.high = st.high.max(len);
         }
         let cur = self.committed.swap(len, Ordering::AcqRel);
         // SAFETY: quiescent per contract; an anonymous pool keeps every
@@ -762,8 +748,7 @@ impl PmemPool {
         };
         let st = tracked.lock();
         let len = st.frozen.as_ref().map_or_else(|| self.committed_len(), |f| f.len);
-        let (mut image, high) = (vec![0; len], st.high.min(len));
-        image[..high].copy_from_slice(&st.shadow()[..high]);
+        let mut image = st.shadow()[..len].to_vec();
         if let CrashStyle::RandomEviction { survive_permille, seed } = style {
             let now = || self.dirty(&st.shadow()[..len]);
             let mut rng = seed | 1;
@@ -797,9 +782,7 @@ impl PmemPool {
         // `len` bytes, and no other users yet.
         copy_stored(unsafe { std::slice::from_raw_parts_mut(pool.base(), len) }, image);
         if let Some(t) = &pool.tracked {
-            let mut st = t.lock();
-            copy_stored(&mut st.shadow_mut()[..len], image);
-            st.high = len;
+            copy_stored(&mut t.lock().shadow_mut()[..len], image);
         }
         pool
     }
@@ -1264,22 +1247,6 @@ mod tests {
                 check("persistent image");
             }
         }
-    }
-
-    /// A tail below `INLINE_RELEASE` is given back before
-    /// `discard_behind` returns, with no thread; a larger one still goes
-    /// to the release thread.
-    #[test]
-    fn a_small_tail_is_released_inline_and_a_large_one_on_a_thread() {
-        let small = chunks(4, Mode::Direct);
-        write_bytes(&small, 0, &vec![0xAA; 4 * HUGE]);
-        small.discard_behind(small.decommit(HUGE));
-        assert!(small.release.lock().is_none(), "a small tail started a thread");
-        let tail = sys::mincore(small.base().wrapping_add(HUGE), 3 * HUGE).unwrap();
-        assert!(tail.iter().all(|&r| !r), "a small tail is resident after its release");
-        let large = chunks(INLINE_RELEASE / HUGE + 2, Mode::Direct);
-        large.discard_behind(large.decommit(HUGE));
-        assert!(large.release.lock().is_some(), "a large tail was released inline");
     }
 
     /// Thread A fires the injector; thread B, let go only after the fire,

@@ -15,8 +15,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BUDGET=6653
-REST_BUDGET=8758
+BUDGET=6635
+REST_BUDGET=8743
 MAX_FIELDS=6
 MAX_VARS=7
 
