@@ -2,7 +2,8 @@
 //!
 //! PMDK exposes a `malloc_to`/`free_from` interface: an allocation is
 //! atomically bound to a destination pointer *inside the pool* through a
-//! persisted redo log, so a crash can never leak the block — at the price
+//! persisted redo log, so a crash can never leak the block (large blocks
+//! excepted here, see below) — at the price
 //! of several fenced flushes and lock acquisition on **every** operation.
 //! This simulation reproduces that cost profile:
 //!
@@ -18,6 +19,12 @@
 //! arena locks do under contention, and each class logs in a record of
 //! its own under that lock; class 0's serializes every large block's,
 //! whose binding goes through the same scratch slot.
+//!
+//! Large blocks (class 0) are not logged: `malloc_to` persists the span's
+//! allocation byte before it binds the destination, and `free_from`
+//! unbinds the destination before it clears the byte. A crash between
+//! the two steps leaks that one span; it never leaves a destination
+//! bound to a span that recovery frees.
 //!
 //! The plain `malloc`/`free` trait methods bind to a per-class scratch
 //! destination inside the pool — exactly the "local dummy variable"
@@ -235,8 +242,10 @@ impl PmdkSim {
             (inner.pool.base() as usize + block_off as usize) as *mut u8,
         );
         if class == 0 {
-            inner.spans.give(&inner.pool, &inner.geo, chunk, bsize);
+            // Unbind first: a crash before the give leaks the span, never
+            // leaves the destination bound to a span recovery frees.
             self.set_word(dest_off, 0);
+            inner.spans.give(&inner.pool, &inner.geo, chunk, bsize);
             return;
         }
         self.write_log(class, OP_FREE, block_off + 1, dest_off as u64, bsize);
@@ -457,6 +466,49 @@ mod tests {
         );
         println!("{events} persistence events");
         assert!(events > 8 * DESTS as u64, "{events} persistence events");
+    }
+
+    /// Large blocks bound to destination words of their own (`malloc_to`)
+    /// and unbound (`free_from`), crashed at each persistence event: after
+    /// recovery no destination word binds a span that recovery freed, as
+    /// one would if a free gave the span back before unbinding.
+    #[test]
+    fn a_crash_in_a_large_block_pair_never_binds_a_free_span() {
+        const DESTS: usize = 3;
+        let dests = Cell::new(0);
+        let (events, _) = sweep(
+            &STYLES,
+            |inj| {
+                let sim = tracked(inj);
+                let words = sim.0.malloc(64);
+                // SAFETY: a fresh block of 64 bytes, which still holds its
+                // free-list link.
+                unsafe { std::ptr::write_bytes(words, 0, DESTS * 8) };
+                sim.0.persist(words, DESTS * 8);
+                dests.set(words as usize - sim.0.pool().base() as usize);
+                sim
+            },
+            |Sim(p), arm| {
+                arm();
+                for dest in (0..DESTS).map(|i| dests.get() + 8 * i) {
+                    assert!(!p.malloc_to(100_000, dest).is_null());
+                }
+                for dest in (0..DESTS).map(|i| dests.get() + 8 * i) {
+                    p.free_from(dest);
+                }
+            },
+            |_, Sim(p), budget, style| {
+                p.recover();
+                for dest in (0..DESTS).map(|i| dests.get() + 8 * i) {
+                    // SAFETY: a destination word inside the block `build`
+                    // allocated; no other thread runs.
+                    let Some(block) = unsafe { p.pool().read_u64(dest) }.checked_sub(1) else { continue };
+                    let at = budget + 1;
+                    assert!(p.is_allocated(block as usize), "{style:?} crash at event {at}: word {dest:#x} binds free span {block:#x}");
+                }
+            },
+        );
+        assert_eq!(events, 36, "the pairs' persistence events");
     }
 
     #[test]

@@ -13,8 +13,11 @@
 //!   transparently runs an unmodified program on persistent memory.
 //!   The pool is its file (`Ralloc::open_file`): a killed
 //!   program leaves it dirty, and the next preloaded run recovers it at
-//!   its first allocation. A program that `fork()`s without `exec`
-//!   shares the mapping with its child; that is not supported.
+//!   its first allocation, with no filter registered: it keeps what
+//!   tagged `Pptr`s reach from the roots, and sweeps data linked by
+//!   region offsets (`Link`) under a root (ROADMAP item 14). A program
+//!   that `fork()`s without `exec` shares the mapping with its child;
+//!   that is not supported.
 //!
 //! ## Self-describing pointers
 //!

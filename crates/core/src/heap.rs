@@ -298,10 +298,14 @@ impl Ralloc {
 
     // ------------------------------------------------------------ roots
 
-    /// Store `ptr` as persistent root `i` (flushed and fenced). The
-    /// stored representation is a superblock-region offset, so it
-    /// survives remapping.
+    /// Store `ptr` as persistent root `i` (flushed and fenced), as a
+    /// superblock-region offset that survives remapping. On a tracked heap
+    /// the root's `size_of::<T>()` bytes must be durable first, or this
+    /// panics naming the caller.
+    #[track_caller]
     pub fn set_root<T: Trace>(&self, i: usize, ptr: *const T) {
+        let durable = ptr.is_null() || crate::PersistentAllocator::is_durable(self, ptr.cast(), size_of::<T>());
+        assert!(durable, "set_root({i}): the root's {} bytes are not durable", size_of::<T>());
         self.register_root_fn(i, trace_thunk::<T>);
         self.set_root_raw(i, ptr as *const u8);
     }
@@ -319,14 +323,8 @@ impl Ralloc {
         assert!(i < NUM_ROOTS, "root index out of range");
         let inner = &*self.inner;
         let off = (!ptr.is_null()).then(|| {
-            let off = (ptr as usize)
-                .checked_sub(inner.addr_of(inner.geo.sb(0)))
-                .expect("set_root: pointer below superblock region");
-            assert!(
-                inner.geo.sb_index_of(inner.geo.sb(0) + off).is_some(),
-                "set_root: pointer outside superblock region"
-            );
-            off as u64
+            assert!(self.contains(ptr), "set_root: pointer outside superblock region");
+            (ptr as usize - self.region_base()) as u64
         });
         let link = Link::new(off, 0);
         inner.root(i).store(link);

@@ -101,6 +101,13 @@ pub trait PersistentAllocator: Send + Sync {
     fn persist(&self, ptr: *const u8, len: usize) {
         let _ = (ptr, len);
     }
+    /// True if a power failure now keeps the `len` bytes at `ptr` as they
+    /// read: what a structure asserts of a block before a link publishes
+    /// it. Only a pool that models power failure can say no.
+    fn is_durable(&self, ptr: *const u8, len: usize) -> bool {
+        let _ = (ptr, len);
+        true
+    }
     /// What a structure subtracts from an address to store a link; 0 = absolute.
     fn region_base(&self) -> usize {
         0
@@ -122,6 +129,10 @@ impl<T: PersistentAllocator + ?Sized> PersistentAllocator for std::sync::Arc<T> 
 
     fn persist(&self, ptr: *const u8, len: usize) {
         (**self).persist(ptr, len)
+    }
+
+    fn is_durable(&self, ptr: *const u8, len: usize) -> bool {
+        (**self).is_durable(ptr, len)
     }
 
     fn region_base(&self) -> usize {
@@ -148,8 +159,11 @@ impl PersistentAllocator for Ralloc {
     }
 
     fn persist(&self, ptr: *const u8, len: usize) {
-        let off = ptr as usize - self.pool().base() as usize;
-        self.pool().persist(off, len);
+        self.pool().persist(ptr as usize - self.pool().base() as usize, len);
+    }
+
+    fn is_durable(&self, ptr: *const u8, len: usize) -> bool {
+        self.pool().is_durable((ptr as usize).wrapping_sub(self.pool().base() as usize), len)
     }
 
     fn region_base(&self) -> usize {

@@ -16,8 +16,11 @@
 //!   registers an `atexit` handler that closes it cleanly. The heap is
 //!   its file from the first store on: a process that is killed leaves
 //!   the image dirty with every store it executed, and the next process
-//!   recovers it here (no roots are registered, so recovery keeps what
-//!   the persistent roots reach and reclaims the rest). Not safe across
+//!   recovers it here, before any code of its own can register a filter,
+//!   so every root is traced conservatively: recovery keeps what tagged
+//!   `Pptr`s reach from the roots and reclaims the rest. Data linked by
+//!   region offsets (`Link`, as every `pds` structure links) under a root
+//!   is swept as free, reachable or not (ROADMAP item 14). Not safe across
 //!   `fork()`: parent and child would write one mapping.
 //! * Otherwise the pool is anonymous and transient (the paper's LRMalloc
 //!   mode: no flushes, nothing to recover) — a plain fast DRAM allocator.

@@ -701,6 +701,19 @@ impl PmemPool {
         self.fence();
     }
 
+    /// True if a power failure now keeps the `len` bytes at `off` as they
+    /// read: in [`Mode::Tracked`] they equal the shadow's, or the injector
+    /// has frozen the image, which no later persist reaches. Not a
+    /// persistence event. Always true in [`Mode::Direct`].
+    pub fn is_durable(&self, off: usize, len: usize) -> bool {
+        let Some(tracked) = &self.tracked else { return true };
+        assert!(self.check_range(off, len), "is_durable out of range");
+        let st = tracked.lock();
+        // SAFETY: the committed prefix is mapped; racing bytes read as in a flush.
+        let volatile = unsafe { std::slice::from_raw_parts(self.base().add(off), len) };
+        st.frozen.is_some() || volatile == &st.shadow()[off..off + len]
+    }
+
     /// Simulate a full-system power failure with the strict model: the
     /// volatile image is replaced by the persistent image; everything not
     /// explicitly flushed-and-fenced is lost.
@@ -1285,6 +1298,33 @@ mod tests {
         write_bytes(&pool, 128, &[3; 8]);
         pool.persist(128, 8);
         assert_eq!(pool.persistent_image()[128], 3, "the crash did not thaw the pool");
+    }
+
+    /// A range is durable once its bytes are flushed and fenced, not
+    /// before, and not after a later store; never-written bytes are, and
+    /// every range is once the fire froze the image. Direct keeps no
+    /// shadow and says yes.
+    #[test]
+    fn is_durable_reads_the_shadow_until_the_fire() {
+        let inj = CrashInjector::new();
+        let pool = PmemPool::with_reserve(1 << 16, 1 << 16, Mode::Tracked, FlushModel::free(), Some(inj.clone()));
+        assert!(pool.is_durable(0, 256), "never-written bytes read zero in both images");
+        write_bytes(&pool, 64, &[5; 16]);
+        assert!(!pool.is_durable(64, 16) && pool.is_durable(80, 48), "only the written bytes differ");
+        pool.flush(64, 16);
+        assert!(!pool.is_durable(64, 16), "a flush without a fence is not durable");
+        let events = inj.observed();
+        pool.fence();
+        assert!(pool.is_durable(64, 16));
+        assert_eq!(inj.observed(), events + 1, "is_durable is no persistence event");
+        write_bytes(&pool, 70, &[6]);
+        assert!(!pool.is_durable(64, 16), "a store after the persist");
+        inj.arm(0);
+        assert!(std::panic::catch_unwind(|| pool.fence()).is_err() && inj.fired());
+        assert!(pool.is_durable(64, 16), "the frozen image takes no persist, so nothing can be asked of it");
+        let direct = PmemPool::new(1 << 16, Mode::Direct);
+        write_bytes(&direct, 0, &[1; 8]);
+        assert!(direct.is_durable(0, 8));
     }
 
     #[test]

@@ -25,6 +25,19 @@
 //! every structure is position-independent by construction. `RbTree`'s
 //! rebalancing rewrites several pointers at once, so [`PRbTree`] makes it
 //! recoverable as a persistent op-log in front of a transient index.
+//!
+//! **Persist before publish.** A block must be durable before the link
+//! that publishes it (paper §4.5). Each structure persists a node or
+//! record where it writes it, and every persisted link store and CAS goes
+//! through one crate-private primitive: `store_link` and `cas_link`
+//! assert that each fresh block the new link publishes is durable
+//! ([`ralloc::PersistentAllocator::is_durable`]; only a `Mode::Tracked`
+//! pool can say no), panicking with the caller's file and line when one
+//! is not, then persist the link word. Their `persist_link` half persists
+//! a link word unchecked: one another thread may have stored (the
+//! queue's `help_tail`, the tree's tag) or the queue's tail hint, which
+//! recovery never follows. `RbTree`'s two persists model Fig. 5e's cost
+//! and publish nothing that recovery follows.
 
 #![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
@@ -42,7 +55,7 @@ pub use prbtree::{PRbTree, TreeLogHead};
 pub use rbtree::RbTree;
 pub use stack::{PStack, StackHead};
 
-use ralloc::Link;
+use ralloc::{AtomicLink, Link, PersistentAllocator};
 
 /// The block `link` names in the region whose first byte is at `base`.
 #[inline]
@@ -57,13 +70,65 @@ fn offset<T>(base: usize, block: *const T) -> Option<u64> {
     Some((block as usize - base) as u64)
 }
 
+/// The bytes of the `T` at `block`: a fresh block a link publishes.
+#[inline]
+fn fresh<T>(block: *const T) -> (*const u8, usize) {
+    (block.cast(), std::mem::size_of::<T>())
+}
+
+/// Store `to` into `link` and persist the word, after asserting that the
+/// `fresh` blocks the new link publishes are durable (the crate docs'
+/// persist-before-publish rule). The blocks are persisted where they are
+/// written, not here: a block is written once but may be linked only
+/// after several CAS retries.
+#[track_caller]
+fn store_link<A: PersistentAllocator>(alloc: &A, link: &AtomicLink<48>, to: Link<48>, fresh: &[(*const u8, usize)]) {
+    assert_durable(alloc, fresh);
+    link.store(to);
+    persist_link(alloc, link);
+}
+
+/// [`store_link`] as a CAS from `current`: the word is persisted only if
+/// it changed.
+#[track_caller]
+fn cas_link<A: PersistentAllocator>(
+    alloc: &A,
+    link: &AtomicLink<48>,
+    current: Link<48>,
+    new: Link<48>,
+    fresh: &[(*const u8, usize)],
+) -> Result<Link<48>, Link<48>> {
+    assert_durable(alloc, fresh);
+    let swapped = link.compare_exchange(current, new);
+    if swapped.is_ok() {
+        persist_link(alloc, link);
+    }
+    swapped
+}
+
+/// Persist a link word, unchecked: the half of the primitive for a link
+/// that another thread may have stored, and for a hint recovery never
+/// follows.
+fn persist_link<A: PersistentAllocator>(alloc: &A, link: &AtomicLink<48>) {
+    alloc.persist((link as *const AtomicLink<48>).cast(), 8);
+}
+
+#[track_caller]
+fn assert_durable<A: PersistentAllocator>(alloc: &A, fresh: &[(*const u8, usize)]) {
+    let site = std::panic::Location::caller();
+    for &(at, len) in fresh {
+        assert!(alloc.is_durable(at, len), "{site}: a link publishes {len} bytes at {at:p} that are not durable");
+    }
+}
+
 #[cfg(test)]
 /// The watchdog of every `mixed_operations_on_every_thread_*` test: the
 /// runs `0..runs` go on a thread of their own, and the test fails unless
 /// all of them pass within 5 s. A livelocked structure loops forever
 /// instead of failing; its thread cannot be joined, and the test process
-/// ends it.
+/// ends it. A run that panics fails the test with its own payload.
 fn runs_within_5s(what: &str, runs: u64, run: impl Fn(u64) -> Result<(), String> + Send + 'static) {
+    use std::sync::mpsc::RecvTimeoutError;
     let (tx, rx) = std::sync::mpsc::channel();
     let runner = std::thread::spawn(move || tx.send((0..runs).try_for_each(run)));
     match rx.recv_timeout(std::time::Duration::from_secs(5)) {
@@ -71,6 +136,14 @@ fn runs_within_5s(what: &str, runs: u64, run: impl Fn(u64) -> Result<(), String>
             runner.join().expect("the runs' thread").expect("the verdict was received");
             verdict.unwrap()
         }
-        Err(_) => panic!("{runs} runs did not finish in 5 s: the {what} livelocked"),
+        Err(RecvTimeoutError::Disconnected) => std::panic::resume_unwind(runner.join().expect_err("no verdict")),
+        Err(RecvTimeoutError::Timeout) => panic!("{runs} runs did not finish in 5 s: the {what} livelocked"),
     }
+}
+
+/// Join scoped workers, resuming the first one's panic with its own
+/// payload (a failed publish check names its site there).
+#[cfg(test)]
+fn join_all<T>(workers: Vec<std::thread::ScopedJoinHandle<'_, T>>) -> Vec<T> {
+    workers.into_iter().map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p))).collect()
 }

@@ -20,15 +20,17 @@
 //!   paper describes (§3, §5.2): a crash simply loses the transient
 //!   retire list and GC reclaims its nodes.
 //!
-//! Durable linearizability: nodes are persisted before publication and
-//! every successful edge CAS is followed by a persist of that edge
-//! (flag/tag CASes included), giving the buffered-durable behaviour the
-//! paper's model permits.
+//! Durable linearizability: nodes are persisted where they are written,
+//! and every edge CAS goes through the crate's persist-before-publish
+//! `cas_link`, which asserts an insert's two fresh nodes durable and
+//! persists the edge it swung (flags included); a tag, which a helper may
+//! have set, is persisted with `persist_link`. That gives the
+//! buffered-durable behaviour the paper's model permits.
 
 use parking_lot::Mutex;
 use ralloc::{AtomicLink, Link, PersistentAllocator, Ralloc, Trace, Tracer};
 
-use crate::{block, offset};
+use crate::{block, cas_link, fresh, offset, persist_link};
 
 /// Edge marks, in a link's tag.
 const FLAG: u64 = 1;
@@ -106,10 +108,6 @@ impl NmTree {
 
     fn persist_node(&self, n: *mut NmNode) {
         self.heap.persist(n as *const u8, std::mem::size_of::<NmNode>());
-    }
-
-    fn persist_edge(&self, e: &AtomicLink<48>) {
-        self.heap.persist(e as *const AtomicLink<48> as *const u8, 8);
     }
 
     /// Create a fresh tree registered at root slot `root`.
@@ -252,11 +250,9 @@ impl NmTree {
             self.persist_node(new_internal);
             let edge = self.child_edge(rec.parent, key);
             let expected = self.edge(rec.leaf);
-            match edge.compare_exchange(expected, self.edge(new_internal)) {
-                Ok(_) => {
-                    self.persist_edge(edge);
-                    return true;
-                }
+            let published = [fresh(new_leaf), fresh(new_internal)];
+            match cas_link(&self.heap, edge, expected, self.edge(new_internal), &published) {
+                Ok(_) => return true,
                 Err(actual) => {
                     // Help an in-flight deletion at this edge, then retry.
                     if actual.target() == expected.target() && actual.tag() != 0 {
@@ -285,9 +281,8 @@ impl NmTree {
                 }
                 let edge = self.child_edge(rec.parent, key);
                 let expected = self.edge(rec.leaf);
-                match edge.compare_exchange(expected, Link::new(expected.target(), FLAG)) {
+                match cas_link(&self.heap, edge, expected, Link::new(expected.target(), FLAG), &[]) {
                     Ok(_) => {
-                        self.persist_edge(edge);
                         injected = true;
                         victim = rec.leaf;
                         if self.cleanup(key, &rec) {
@@ -343,15 +338,15 @@ impl NmTree {
                 Err(w) => sib_word = w,
             }
         }
-        self.persist_edge(sib_edge);
+        // Another thread may have tagged it.
+        persist_link(&self.heap, sib_edge);
         // Swing the ancestor edge from the successor to the surviving
         // sibling, dropping the tag but preserving any flag the sibling
         // itself carries (its own deletion will be completed later).
         let expected = self.edge(rec.successor);
         let new_word = Link::new(sib_word.target(), sib_word.tag() & FLAG);
-        match ancestor_edge.compare_exchange(expected, new_word) {
+        match cas_link(&self.heap, ancestor_edge, expected, new_word, &[]) {
             Ok(_) => {
-                self.persist_edge(ancestor_edge);
                 // Exactly one thread wins this CAS; it retires the dead
                 // parent and the flagged victim leaf.
                 let victim_word = if std::ptr::eq(sib_edge, child_edge) { sibling_edge } else { child_edge }.load();

@@ -22,17 +22,18 @@
 //! [`ralloc::Trace`] filters make recovery tracing precise.
 //!
 //! Crash safety (durable linearizability, paper §2.2): every mutation is
-//! one 8-byte link store, made under the bucket's write lock. The new
-//! entry is persisted before the store, and the store is persisted before
-//! the old entry is freed, so a crash exposes the map before or after the
-//! op, never a torn entry or a freed one.
+//! one 8-byte link store, made under the bucket's write lock through the
+//! crate's persist-before-publish `store_link`. The new entry is persisted
+//! before the store, which asserts it durable, and the store is persisted
+//! before the old entry is freed, so a crash exposes the map before or
+//! after the op, never a torn entry or a freed one.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use parking_lot::RwLock;
 use ralloc::{AtomicLink, Link, PersistentAllocator, Ralloc, Trace, Tracer};
 
-use crate::{block, offset};
+use crate::{block, offset, store_link};
 
 /// Bucket block: the bucket count, the format word, then that many link
 /// slots. It lives in the allocator's memory, registered as a persistent
@@ -213,14 +214,6 @@ impl<A: PersistentAllocator> PKv<A> {
         }
     }
 
-    /// Store `to` into `link` and persist it: the one write of every
-    /// mutation.
-    #[inline]
-    fn publish(&self, link: &AtomicLink<48>, to: Link<48>) {
-        link.store(to);
-        self.alloc.persist(link as *const AtomicLink<48> as *const u8, 8);
-    }
-
     /// Insert or replace; returns true if the key was new. The new entry
     /// is persisted, then linked where the old one was (or at the chain's
     /// head), and the old one is freed after the link is persisted.
@@ -242,12 +235,13 @@ impl<A: PersistentAllocator> PKv<A> {
         }
         self.alloc.persist(e as *const u8, HDR + value.len());
         let to_e = Link::new(offset(self.base, e), 0);
+        let published = [(e as *const u8, HDR + value.len())];
         let Some(old) = old else {
-            self.publish(slot, to_e);
+            store_link(&self.alloc, slot, to_e, &published);
             self.len.fetch_add(1, Ordering::Relaxed);
             return true;
         };
-        self.publish(link, to_e);
+        store_link(&self.alloc, link, to_e, &published);
         self.alloc.free(old as *mut u8);
         false
     }
@@ -284,7 +278,7 @@ impl<A: PersistentAllocator> PKv<A> {
         let e = e?;
         // SAFETY: `e` is chained and we hold the write lock.
         let (value, next) = unsafe { (Self::value_of(e), (*e).next.load()) };
-        self.publish(link, next);
+        store_link(&self.alloc, link, next, &[]);
         self.alloc.free(e as *mut u8);
         self.len.fetch_sub(1, Ordering::Relaxed);
         Some(value)
@@ -382,74 +376,85 @@ mod tests {
         kv.destroy();
     }
 
-    /// Every thread inserts, updates (to a value of another size),
-    /// deletes and reads on one map. Each thread owns a key stripe
-    /// (`tid << 32 | k`), but a bucket is picked by the high bits of the
-    /// key's hash, which the key's low bits move too, so every stripe
-    /// spans all 16 buckets and threads race on the same chains and
-    /// bucket locks; a per-thread model predicts every result
-    /// and the final contents. A lost link drops, resurrects or garbles
-    /// an entry.
-    #[test]
-    fn mixed_operations_on_every_thread_match_per_thread_models() {
+    /// Run `seed`: four threads each make `ops` random sets (to a value of
+    /// another size), deletes and gets on `kv`. Each thread owns a key
+    /// stripe (`tid << 32 | k`), and a per-thread model predicts every
+    /// result and the final contents.
+    fn mixed_run<A: PersistentAllocator>(kv: &PKv<A>, seed: u64, ops: u64) -> Result<(), String> {
         use std::collections::BTreeMap;
         const THREADS: u64 = 4;
-        const OPS: u64 = 20_000;
         const KEYS: u64 = 256;
-        // A run under ThreadSanitizer takes about ten times as long.
-        const RUNS: u64 = if cfg!(tsan) { 2 } else { 8 };
         // A value whose length and bytes name the key and the op.
         let value = |key: u64, i: u64| vec![(key ^ i) as u8; 1 + ((key + i) % 97) as usize];
-        let run = move |seed: u64| -> Result<(), String> {
-            let kv = PKv::new(Ralloc::create(64 << 20, RallocConfig::default()), 16);
-            let models = std::thread::scope(|s| {
-                let workers: Vec<_> = (0..THREADS)
-                    .map(|tid| {
-                        let kv = &kv;
-                        s.spawn(move || {
-                            let mut model = BTreeMap::new();
-                            let mut x = (seed * THREADS + tid + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                            for i in 0..OPS {
-                                x ^= x << 13;
-                                x ^= x >> 7;
-                                x ^= x << 17;
-                                let key = (tid << 32) | ((x >> 8) % KEYS);
-                                match x % 3 {
-                                    0 => {
-                                        let v = value(key, i);
-                                        let fresh = model.insert(key, v.clone()).is_none();
-                                        if kv.set(key, &v) != fresh {
-                                            return Err(format!("run {seed}: set({key:#x}) != {fresh}"));
-                                        }
+        let models = std::thread::scope(|s| {
+            let workers = (0..THREADS)
+                .map(|tid| {
+                    s.spawn(move || {
+                        let mut model = BTreeMap::new();
+                        let mut x = (seed * THREADS + tid + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                        for i in 0..ops {
+                            x ^= x << 13;
+                            x ^= x >> 7;
+                            x ^= x << 17;
+                            let key = (tid << 32) | ((x >> 8) % KEYS);
+                            match x % 3 {
+                                0 => {
+                                    let v = value(key, i);
+                                    let fresh = model.insert(key, v.clone()).is_none();
+                                    if kv.set(key, &v) != fresh {
+                                        return Err(format!("run {seed}: set({key:#x}) != {fresh}"));
                                     }
-                                    1 => {
-                                        let (got, want) = (kv.delete(key), model.remove(&key));
-                                        if got != want {
-                                            return Err(format!("run {seed}: delete({key:#x}) = {got:?}, not {want:?}"));
-                                        }
+                                }
+                                1 => {
+                                    let (got, want) = (kv.delete(key), model.remove(&key));
+                                    if got != want {
+                                        return Err(format!("run {seed}: delete({key:#x}) = {got:?}, not {want:?}"));
                                     }
-                                    _ => {
-                                        if kv.get(key).as_ref() != model.get(&key) {
-                                            return Err(format!("run {seed}: get({key:#x}) differs from the model"));
-                                        }
+                                }
+                                _ => {
+                                    if kv.get(key).as_ref() != model.get(&key) {
+                                        return Err(format!("run {seed}: get({key:#x}) differs from the model"));
                                     }
                                 }
                             }
-                            Ok(model)
-                        })
+                        }
+                        Ok(model)
                     })
-                    .collect();
-                workers.into_iter().map(|w| w.join().unwrap()).collect::<Result<Vec<_>, _>>()
-            })?;
-            let want: BTreeMap<u64, Vec<u8>> = models.into_iter().flatten().collect();
-            let got: BTreeMap<u64, Vec<u8>> = kv.snapshot().into_iter().collect();
-            if got != want || kv.len() != want.len() {
-                return Err(format!("run {seed}: the map holds {} keys, the models {}", got.len(), want.len()));
-            }
+                })
+                .collect();
+            crate::join_all(workers).into_iter().collect::<Result<Vec<_>, _>>()
+        })?;
+        let want: BTreeMap<u64, Vec<u8>> = models.into_iter().flatten().collect();
+        let got: BTreeMap<u64, Vec<u8>> = kv.snapshot().into_iter().collect();
+        if got != want || kv.len() != want.len() {
+            return Err(format!("run {seed}: the map holds {} keys, the models {}", got.len(), want.len()));
+        }
+        Ok(())
+    }
+
+    /// Every thread inserts, updates, deletes and reads on one map. A
+    /// bucket is picked by the high bits of the key's hash, which the
+    /// key's low bits move too, so every thread's stripe spans all 16
+    /// buckets and threads race on the same chains and bucket locks. A
+    /// lost link drops, resurrects or garbles an entry.
+    #[test]
+    fn mixed_operations_on_every_thread_match_per_thread_models() {
+        // A run under ThreadSanitizer takes about ten times as long.
+        const RUNS: u64 = if cfg!(tsan) { 2 } else { 8 };
+        crate::runs_within_5s("map", RUNS, |seed| {
+            let kv = PKv::new(Ralloc::create(64 << 20, RallocConfig::default()), 16);
+            mixed_run(&kv, seed, 20_000)?;
             kv.destroy();
             Ok(())
-        };
-        crate::runs_within_5s("map", RUNS, run);
+        });
+    }
+
+    /// The same runs on a tracked heap, where every `store_link` asserts
+    /// that the entry it links is durable: an entry persist missing from
+    /// any thread's path panics at its site.
+    #[test]
+    fn mixed_operations_on_every_thread_of_a_tracked_heap_link_durable_entries() {
+        crate::runs_within_5s("map", 4, |seed| mixed_run(&PKv::create(&heap(), 0, 16), seed, 10_000));
     }
 
     /// Keys that differ only above their low four bits: a low-bits hash

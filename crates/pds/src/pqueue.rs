@@ -10,11 +10,14 @@
 //! back to the allocator, so reading a dequeued node's `next` is safe on
 //! any allocator; [`PQueue::destroy`] returns every node.
 //!
-//! Durable linearizability is the application's obligation (paper §2.2).
-//! An enqueue persists the node, links it with a CAS on the predecessor's
-//! `next`, persists that link, and only then swings (and persists) the
-//! tail hint; a dequeue persists the head after swinging it.
-//! [`PQueue::attach`] re-derives the tail from the chain.
+//! Durable linearizability is the application's obligation (paper §2.2),
+//! kept by the crate's persist-before-publish primitive (`cas_link`; see
+//! the crate docs). An enqueue persists its node and links it with a
+//! `cas_link` on the predecessor's `next`, which asserts the node durable
+//! and persists the link; only then does it swing the tail hint and
+//! persist it (`persist_link`: recovery never follows the hint, and
+//! [`PQueue::attach`] re-derives the tail from the chain). A dequeue's
+//! `cas_link` on the head persists it.
 //!
 //! **An acked enqueue's value is reachable from the head after a crash.**
 //! The harness acks an op after the call returns.
@@ -27,9 +30,10 @@
 //!   link from the durable head to the node must be durable too. The
 //!   node and its own link are persisted before `enqueue` returns. Every
 //!   other link on that path was behind the tail when this enqueue's CAS
-//!   linked behind it, and online the tail moves only through `help_tail`
-//!   (`attach` sets it from the recovered chain), which persists the link
-//!   it passes before its CAS, whoever moves it: that link's enqueuer, an
+//!   linked behind it, and online the tail moves only over a durable link
+//!   (`attach` sets it from the recovered chain): that link's enqueuer
+//!   moves it after its `cas_link` persisted the link, and `help_tail`
+//!   persists the link it passes before its CAS, whoever helps: an
 //!   enqueuer helping a lagging tail, or a dequeuer helping the tail off
 //!   the dummy it is about to retire. So every link before a tail is
 //!   durable, and the acked value is reachable from the durable head
@@ -57,7 +61,7 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use ralloc::{AtomicLink, Link, PersistentAllocator, Ralloc, Trace, Tracer};
 
-use crate::{block, offset};
+use crate::{block, cas_link, fresh, offset, persist_link, store_link};
 
 /// Queue anchor cell: lives in the allocator's memory, registered as a
 /// persistent root by [`PQueue::create`]. All three words are
@@ -226,12 +230,12 @@ impl<A: PersistentAllocator> PQueue<A> {
                 continue;
             }
             if n.target().is_none() {
-                // Tail is last: link our node.
-                if next_ref.compare_exchange(n, n.advance(to_node)).is_ok() {
-                    // The link is the linearization point; it is durable
-                    // before the tail hint moves over it.
-                    self.help_tail(t, next_ref, to_node);
-                    self.alloc.persist(&self.words().tail as *const AtomicLink<48> as *const u8, 8);
+                // Tail is last: link our node. The link is the
+                // linearization point, durable before the tail hint moves
+                // over it.
+                if cas_link(&self.alloc, next_ref, n, n.advance(to_node), &[fresh(node)]).is_ok() {
+                    let _ = self.words().tail.compare_exchange(t, t.advance(to_node));
+                    persist_link(&self.alloc, &self.words().tail); // a hint
                     return true;
                 }
             } else {
@@ -243,9 +247,9 @@ impl<A: PersistentAllocator> PQueue<A> {
     /// Swing the tail hint from `t` to `next`, the node that `link`, the
     /// tail node's `next`, was read to name, after persisting that link:
     /// it may be another thread's CAS that is not durable yet. Every tail
-    /// move goes through here (see the module docs).
+    /// move but the enqueuer's own goes through here (see the module docs).
     fn help_tail(&self, t: Link<48>, link: &AtomicLink<48>, next: Option<u64>) {
-        self.alloc.persist(link as *const AtomicLink<48> as *const u8, 8);
+        persist_link(&self.alloc, link);
         let _ = self.words().tail.compare_exchange(t, t.advance(next));
     }
 
@@ -271,8 +275,7 @@ impl<A: PersistentAllocator> PQueue<A> {
                 self.help_tail(t, unsafe { &(*dummy).next }, n.target());
                 continue;
             }
-            if self.words().head.compare_exchange(h, h.advance(n.target())).is_ok() {
-                self.alloc.persist(&self.words().head as *const AtomicLink<48> as *const u8, 8);
+            if cas_link(&self.alloc, &self.words().head, h, h.advance(n.target()), &[]).is_ok() {
                 self.retire_node(dummy);
                 return Some(value);
             }
@@ -329,8 +332,7 @@ impl PQueue<Ralloc> {
         }
         let t = q.words().tail.load();
         if t.target() != last {
-            q.words().tail.store(t.advance(last));
-            heap.persist(&q.words().tail as *const AtomicLink<48> as *const u8, 8);
+            store_link(heap, &q.words().tail, t.advance(last), &[]); // a hint
         }
         // The free list is transient (see `QueueHead`): whatever the
         // word says now is a stale snapshot whose chain recovery has
@@ -494,64 +496,76 @@ mod tests {
         q.destroy();
     }
 
+    /// Run `seed`: four threads each make `ops` random enqueues and
+    /// dequeues on `q`, then the queue is drained. Every value enqueued
+    /// must come out once, by a dequeue or by the drain.
+    fn mixed_run<A: PersistentAllocator>(q: &PQueue<A>, seed: u64, ops: u64) -> Result<(), String> {
+        const THREADS: u64 = 4;
+        let logs: Vec<(Vec<u64>, Vec<u64>)> = std::thread::scope(|s| {
+            let workers = (0..THREADS)
+                .map(|t| {
+                    s.spawn(move || {
+                        let (mut put, mut got) = (Vec::new(), Vec::new());
+                        let mut x = (seed * THREADS + t + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                        for i in 0..ops {
+                            x ^= x << 13;
+                            x ^= x >> 7;
+                            x ^= x << 17;
+                            if x & 1 == 0 {
+                                assert!(q.enqueue(t * ops + i));
+                                put.push(t * ops + i);
+                            } else if let Some(v) = q.dequeue() {
+                                got.push(v);
+                            }
+                        }
+                        (put, got)
+                    })
+                })
+                .collect();
+            crate::join_all(workers)
+        });
+        let mut put: Vec<u64> = logs.iter().flat_map(|(p, _)| p.iter().copied()).collect();
+        let mut got: Vec<u64> = logs.iter().flat_map(|(_, g)| g.iter().copied()).collect();
+        while let Some(v) = q.dequeue() {
+            got.push(v);
+            if got.len() > put.len() {
+                return Err(format!("run {seed}: more values out than in"));
+            }
+        }
+        put.sort_unstable();
+        got.sort_unstable();
+        if put != got {
+            return Err(format!("run {seed}: {} values in, {} out", put.len(), got.len()));
+        }
+        Ok(())
+    }
+
     /// Every thread both enqueues and dequeues, so a dequeuer's window
     /// between its head re-check and its CAS overlaps other threads'
     /// retires, pops and enqueues of the same node (which
     /// `mpmc_conserves_elements`, with separate producers and consumers,
-    /// never reaches). Each run checks that every value enqueued comes out
-    /// once, by a dequeue or by the final drain. A tail swung onto a
-    /// recycled dummy loses values or links a node to itself, and then
-    /// the queue spins forever: the runs go on a thread of their own, and
-    /// the test fails if they have not reported in 5 s.
+    /// never reaches). A tail swung onto a recycled dummy loses values or
+    /// links a node to itself, and then the queue spins forever: the runs
+    /// go on a thread of their own, and the test fails if they have not
+    /// reported in 5 s.
     #[test]
     fn mixed_operations_on_every_thread_conserve_values() {
-        const THREADS: u64 = 4;
-        const OPS: u64 = 20_000;
         // A run under ThreadSanitizer takes about ten times as long.
         const RUNS: u64 = if cfg!(tsan) { 2 } else { 8 };
-        let run = |seed: u64| -> Result<(), String> {
+        crate::runs_within_5s("queue", RUNS, |seed| {
             let q = PQueue::new(SystemAlloc::new());
-            let logs: Vec<(Vec<u64>, Vec<u64>)> = std::thread::scope(|s| {
-                let workers: Vec<_> = (0..THREADS)
-                    .map(|t| {
-                        let q = &q;
-                        s.spawn(move || {
-                            let (mut put, mut got) = (Vec::new(), Vec::new());
-                            let mut x = (seed * THREADS + t + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                            for i in 0..OPS {
-                                x ^= x << 13;
-                                x ^= x >> 7;
-                                x ^= x << 17;
-                                if x & 1 == 0 {
-                                    q.enqueue(t * OPS + i);
-                                    put.push(t * OPS + i);
-                                } else if let Some(v) = q.dequeue() {
-                                    got.push(v);
-                                }
-                            }
-                            (put, got)
-                        })
-                    })
-                    .collect();
-                workers.into_iter().map(|w| w.join().unwrap()).collect()
-            });
-            let mut put: Vec<u64> = logs.iter().flat_map(|(p, _)| p.iter().copied()).collect();
-            let mut got: Vec<u64> = logs.iter().flat_map(|(_, g)| g.iter().copied()).collect();
-            while let Some(v) = q.dequeue() {
-                got.push(v);
-                if got.len() > put.len() {
-                    return Err(format!("run {seed}: more values out than in"));
-                }
-            }
-            put.sort_unstable();
-            got.sort_unstable();
-            if put != got {
-                return Err(format!("run {seed}: {} values in, {} out", put.len(), got.len()));
-            }
+            mixed_run(&q, seed, 20_000)?;
             q.destroy();
             Ok(())
-        };
-        crate::runs_within_5s("queue", RUNS, run);
+        });
+    }
+
+    /// The same runs on a tracked heap, where every `cas_link` asserts
+    /// that the node it links is durable: a node persist missing from any
+    /// thread's path, a recycled node's included, panics at its site.
+    #[test]
+    fn mixed_operations_on_every_thread_of_a_tracked_heap_link_durable_nodes() {
+        crate::runs_within_5s("queue", 4, |seed| mixed_run(&PQueue::create(&heap(), 0), seed, 10_000));
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //!
 //! * A persistent **append-only op-log** lives in the Ralloc heap,
 //!   reachable from a registered root. Each record is immutable after
-//!   publication; publication is a single head-word store, and the
-//!   record is persisted *before* the head, so a crash exposes either
-//!   the whole op or nothing.
+//!   publication; publication is a single head-word store through the
+//!   crate's persist-before-publish `store_link`, after the record is
+//!   persisted, so a crash exposes either the whole op or nothing.
 //! * A transient [`RbTree`] over [`SystemAlloc`] serves reads. On
 //!   [`PRbTree::attach`] it is rebuilt by replaying the log oldest-first.
 //!
@@ -24,7 +24,7 @@ use baselines::SystemAlloc;
 use parking_lot::Mutex;
 use ralloc::{AtomicLink, Link, PersistentAllocator, Ralloc, Trace, Tracer};
 
-use crate::{block, offset};
+use crate::{block, fresh, offset, store_link};
 
 const OP_INSERT: u64 = 0;
 const OP_REMOVE: u64 = 1;
@@ -140,8 +140,7 @@ impl PRbTree {
             (*rec).next = head.load();
         }
         self.heap.persist(rec as *const u8, std::mem::size_of::<TreeLogRec>());
-        head.store(Link::new(offset(self.heap.region_base(), rec), 0));
-        self.heap.persist(head as *const AtomicLink<48> as *const u8, 8);
+        store_link(&self.heap, head, Link::new(offset(self.heap.region_base(), rec), 0), &[fresh(rec)]);
     }
 
     /// Insert or update `key → value`; returns the previous value.

@@ -16,8 +16,9 @@ const BLACK: u8 = 1;
 struct Node {
     key: u64,
     value: u64,
-    left: *mut Node,
-    right: *mut Node,
+    /// The left (0) and right (1) children: every rebalancing step has a
+    /// mirror image, and one body serves both sides.
+    child: [*mut Node; 2],
     parent: *mut Node,
     color: u8,
 }
@@ -40,14 +41,7 @@ impl<A: PersistentAllocator> RbTree<A> {
         let nil = alloc.malloc(std::mem::size_of::<Node>()) as *mut Node;
         assert!(!nil.is_null(), "allocator exhausted creating RB sentinel");
         // SAFETY: fresh block.
-        unsafe {
-            (*nil).color = BLACK;
-            (*nil).left = nil;
-            (*nil).right = nil;
-            (*nil).parent = nil;
-            (*nil).key = 0;
-            (*nil).value = 0;
-        }
+        unsafe { nil.write(Node { key: 0, value: 0, child: [nil, nil], parent: nil, color: BLACK }) };
         RbTree { alloc, nil, root: nil, len: 0 }
     }
 
@@ -65,25 +59,18 @@ impl<A: PersistentAllocator> RbTree<A> {
         let mut cur = self.root;
         // SAFETY: tree-internal pointers are valid or nil.
         unsafe {
-            while cur != self.nil {
-                if key == (*cur).key {
-                    return cur;
-                }
-                cur = if key < (*cur).key { (*cur).left } else { (*cur).right };
+            while cur != self.nil && key != (*cur).key {
+                cur = (*cur).child[(key > (*cur).key) as usize];
             }
         }
-        self.nil
+        cur
     }
 
     /// Look up a key.
     pub fn get(&self, key: u64) -> Option<u64> {
         let n = self.find(key);
-        if n == self.nil {
-            None
-        } else {
-            // SAFETY: found node is live.
-            Some(unsafe { (*n).value })
-        }
+        // SAFETY: a found node is live.
+        (n != self.nil).then(|| unsafe { (*n).value })
     }
 
     /// True if `key` is present.
@@ -91,46 +78,28 @@ impl<A: PersistentAllocator> RbTree<A> {
         self.find(key) != self.nil
     }
 
-    unsafe fn rotate_left(&mut self, x: *mut Node) {
-        // SAFETY: the caller passes nodes of this tree or `nil`, all
-        // allocated while the tree lives.
-        unsafe {
-            let y = (*x).right;
-            (*x).right = (*y).left;
-            if (*y).left != self.nil {
-                (*(*y).left).parent = x;
-            }
-            (*y).parent = (*x).parent;
-            if (*x).parent == self.nil {
-                self.root = y;
-            } else if x == (*(*x).parent).left {
-                (*(*x).parent).left = y;
-            } else {
-                (*(*x).parent).right = y;
-            }
-            (*y).left = x;
-            (*x).parent = y;
-        }
+    /// Which child of its parent `n` is: 0 unless it is not the left one.
+    ///
+    /// # Safety
+    /// `n` and its parent are nodes of this tree or `nil`.
+    unsafe fn side(&self, n: *mut Node) -> usize {
+        // SAFETY: the caller's contract.
+        unsafe { ((*(*n).parent).child[0] != n) as usize }
     }
 
-    unsafe fn rotate_right(&mut self, x: *mut Node) {
+    /// Rotate `x` down to side `d` (0 left, 1 right): its child on the
+    /// other side takes its place.
+    unsafe fn rotate(&mut self, x: *mut Node, d: usize) {
         // SAFETY: the caller passes nodes of this tree or `nil`, all
         // allocated while the tree lives.
         unsafe {
-            let y = (*x).left;
-            (*x).left = (*y).right;
-            if (*y).right != self.nil {
-                (*(*y).right).parent = x;
+            let y = (*x).child[1 - d];
+            (*x).child[1 - d] = (*y).child[d];
+            if (*y).child[d] != self.nil {
+                (*(*y).child[d]).parent = x;
             }
-            (*y).parent = (*x).parent;
-            if (*x).parent == self.nil {
-                self.root = y;
-            } else if x == (*(*x).parent).right {
-                (*(*x).parent).right = y;
-            } else {
-                (*(*x).parent).left = y;
-            }
-            (*y).right = x;
+            self.transplant(x, y);
+            (*y).child[d] = x;
             (*x).parent = y;
         }
     }
@@ -150,23 +119,16 @@ impl<A: PersistentAllocator> RbTree<A> {
                     self.alloc.persist(&(*cur).value as *const u64 as *const u8, 8);
                     return Some(old);
                 }
-                cur = if key < (*cur).key { (*cur).left } else { (*cur).right };
+                cur = (*cur).child[(key > (*cur).key) as usize];
             }
             let z = self.alloc.malloc(std::mem::size_of::<Node>()) as *mut Node;
             assert!(!z.is_null(), "allocator exhausted in RbTree::insert");
-            (*z).key = key;
-            (*z).value = value;
-            (*z).left = self.nil;
-            (*z).right = self.nil;
-            (*z).parent = parent;
-            (*z).color = RED;
+            z.write(Node { key, value, child: [self.nil, self.nil], parent, color: RED });
             self.alloc.persist(z as *const u8, std::mem::size_of::<Node>());
             if parent == self.nil {
                 self.root = z;
-            } else if key < (*parent).key {
-                (*parent).left = z;
             } else {
-                (*parent).right = z;
+                (*parent).child[(key > (*parent).key) as usize] = z;
             }
             self.len += 1;
             self.insert_fixup(z);
@@ -180,38 +142,21 @@ impl<A: PersistentAllocator> RbTree<A> {
         unsafe {
             while (*(*z).parent).color == RED {
                 let gp = (*(*z).parent).parent;
-                if (*z).parent == (*gp).left {
-                    let uncle = (*gp).right;
-                    if (*uncle).color == RED {
-                        (*(*z).parent).color = BLACK;
-                        (*uncle).color = BLACK;
-                        (*gp).color = RED;
-                        z = gp;
-                    } else {
-                        if z == (*(*z).parent).right {
-                            z = (*z).parent;
-                            self.rotate_left(z);
-                        }
-                        (*(*z).parent).color = BLACK;
-                        (*(*(*z).parent).parent).color = RED;
-                        self.rotate_right((*(*z).parent).parent);
-                    }
+                let d = self.side((*z).parent);
+                let uncle = (*gp).child[1 - d];
+                if (*uncle).color == RED {
+                    (*(*z).parent).color = BLACK;
+                    (*uncle).color = BLACK;
+                    (*gp).color = RED;
+                    z = gp;
                 } else {
-                    let uncle = (*gp).left;
-                    if (*uncle).color == RED {
-                        (*(*z).parent).color = BLACK;
-                        (*uncle).color = BLACK;
-                        (*gp).color = RED;
-                        z = gp;
-                    } else {
-                        if z == (*(*z).parent).left {
-                            z = (*z).parent;
-                            self.rotate_right(z);
-                        }
-                        (*(*z).parent).color = BLACK;
-                        (*(*(*z).parent).parent).color = RED;
-                        self.rotate_left((*(*z).parent).parent);
+                    if z == (*(*z).parent).child[1 - d] {
+                        z = (*z).parent;
+                        self.rotate(z, d);
                     }
+                    (*(*z).parent).color = BLACK;
+                    (*(*(*z).parent).parent).color = RED;
+                    self.rotate((*(*z).parent).parent, 1 - d);
                 }
             }
             (*self.root).color = BLACK;
@@ -224,10 +169,9 @@ impl<A: PersistentAllocator> RbTree<A> {
         unsafe {
             if (*u).parent == self.nil {
                 self.root = v;
-            } else if u == (*(*u).parent).left {
-                (*(*u).parent).left = v;
             } else {
-                (*(*u).parent).right = v;
+                let d = self.side(u);
+                (*(*u).parent).child[d] = v;
             }
             (*v).parent = (*u).parent;
         }
@@ -242,32 +186,30 @@ impl<A: PersistentAllocator> RbTree<A> {
         // SAFETY: standard CLRS deletion.
         unsafe {
             let value = (*z).value;
+            let [left, right] = (*z).child;
             let mut y = z;
             let mut y_color = (*y).color;
             let x;
-            if (*z).left == self.nil {
-                x = (*z).right;
-                self.transplant(z, (*z).right);
-            } else if (*z).right == self.nil {
-                x = (*z).left;
-                self.transplant(z, (*z).left);
+            if left == self.nil || right == self.nil {
+                x = if left == self.nil { right } else { left };
+                self.transplant(z, x);
             } else {
-                y = (*z).right;
-                while (*y).left != self.nil {
-                    y = (*y).left;
+                y = right;
+                while (*y).child[0] != self.nil {
+                    y = (*y).child[0];
                 }
                 y_color = (*y).color;
-                x = (*y).right;
+                x = (*y).child[1];
                 if (*y).parent == z {
                     (*x).parent = y;
                 } else {
-                    self.transplant(y, (*y).right);
-                    (*y).right = (*z).right;
-                    (*(*y).right).parent = y;
+                    self.transplant(y, x);
+                    (*y).child[1] = right;
+                    (*right).parent = y;
                 }
                 self.transplant(z, y);
-                (*y).left = (*z).left;
-                (*(*y).left).parent = y;
+                (*y).child[0] = left;
+                (*left).parent = y;
                 (*y).color = (*z).color;
             }
             if y_color == BLACK {
@@ -284,54 +226,29 @@ impl<A: PersistentAllocator> RbTree<A> {
         // allocated while the tree lives.
         unsafe {
             while x != self.root && (*x).color == BLACK {
-                if x == (*(*x).parent).left {
-                    let mut w = (*(*x).parent).right;
-                    if (*w).color == RED {
-                        (*w).color = BLACK;
-                        (*(*x).parent).color = RED;
-                        self.rotate_left((*x).parent);
-                        w = (*(*x).parent).right;
-                    }
-                    if (*(*w).left).color == BLACK && (*(*w).right).color == BLACK {
-                        (*w).color = RED;
-                        x = (*x).parent;
-                    } else {
-                        if (*(*w).right).color == BLACK {
-                            (*(*w).left).color = BLACK;
-                            (*w).color = RED;
-                            self.rotate_right(w);
-                            w = (*(*x).parent).right;
-                        }
-                        (*w).color = (*(*x).parent).color;
-                        (*(*x).parent).color = BLACK;
-                        (*(*w).right).color = BLACK;
-                        self.rotate_left((*x).parent);
-                        x = self.root;
-                    }
+                let d = self.side(x);
+                let mut w = (*(*x).parent).child[1 - d];
+                if (*w).color == RED {
+                    (*w).color = BLACK;
+                    (*(*x).parent).color = RED;
+                    self.rotate((*x).parent, d);
+                    w = (*(*x).parent).child[1 - d];
+                }
+                if (*(*w).child[0]).color == BLACK && (*(*w).child[1]).color == BLACK {
+                    (*w).color = RED;
+                    x = (*x).parent;
                 } else {
-                    let mut w = (*(*x).parent).left;
-                    if (*w).color == RED {
-                        (*w).color = BLACK;
-                        (*(*x).parent).color = RED;
-                        self.rotate_right((*x).parent);
-                        w = (*(*x).parent).left;
-                    }
-                    if (*(*w).right).color == BLACK && (*(*w).left).color == BLACK {
+                    if (*(*w).child[1 - d]).color == BLACK {
+                        (*(*w).child[d]).color = BLACK;
                         (*w).color = RED;
-                        x = (*x).parent;
-                    } else {
-                        if (*(*w).left).color == BLACK {
-                            (*(*w).right).color = BLACK;
-                            (*w).color = RED;
-                            self.rotate_left(w);
-                            w = (*(*x).parent).left;
-                        }
-                        (*w).color = (*(*x).parent).color;
-                        (*(*x).parent).color = BLACK;
-                        (*(*w).left).color = BLACK;
-                        self.rotate_right((*x).parent);
-                        x = self.root;
+                        self.rotate(w, 1 - d);
+                        w = (*(*x).parent).child[1 - d];
                     }
+                    (*w).color = (*(*x).parent).color;
+                    (*(*x).parent).color = BLACK;
+                    (*(*w).child[1 - d]).color = BLACK;
+                    self.rotate((*x).parent, d);
+                    x = self.root;
                 }
             }
             (*x).color = BLACK;
@@ -348,11 +265,11 @@ impl<A: PersistentAllocator> RbTree<A> {
             while cur != self.nil || !stack.is_empty() {
                 while cur != self.nil {
                     stack.push(cur);
-                    cur = (*cur).left;
+                    cur = (*cur).child[0];
                 }
                 let n = stack.pop().unwrap();
                 out.push((*n).key);
-                cur = (*n).right;
+                cur = (*n).child[1];
             }
         }
         out
@@ -376,13 +293,14 @@ impl<A: PersistentAllocator> RbTree<A> {
                 return 1;
             }
             let k = (*n).key;
+            let [left, right] = (*n).child;
             assert!(k >= lo && k <= hi, "BST order violated at {k}");
             if (*n).color == RED {
-                assert_eq!((*(*n).left).color, BLACK, "red-red at {k}");
-                assert_eq!((*(*n).right).color, BLACK, "red-red at {k}");
+                assert_eq!((*left).color, BLACK, "red-red at {k}");
+                assert_eq!((*right).color, BLACK, "red-red at {k}");
             }
-            let lh = self.validate_node((*n).left, lo, k.saturating_sub(1));
-            let rh = self.validate_node((*n).right, k.saturating_add(1), hi);
+            let lh = self.validate_node(left, lo, k.saturating_sub(1));
+            let rh = self.validate_node(right, k.saturating_add(1), hi);
             assert_eq!(lh, rh, "black height differs under {k}");
             lh + ((*n).color == BLACK) as usize
         }
@@ -398,10 +316,7 @@ impl<A: PersistentAllocator> Drop for RbTree<A> {
                 continue;
             }
             // SAFETY: exclusive access during drop.
-            unsafe {
-                stack.push((*n).left);
-                stack.push((*n).right);
-            }
+            stack.extend(unsafe { (*n).child });
             self.alloc.free(n as *mut u8);
         }
         self.alloc.free(self.nil as *mut u8);

@@ -9,8 +9,9 @@
 //! (it survives remapping at a different base address).
 //!
 //! Durable linearizability (paper §2.2 responsibility of the app): a push
-//! persists the node before swinging the head, then persists the head;
-//! a pop persists the head after swinging it. (Strictly a pop's
+//! persists the node, then swings the head with the crate's
+//! persist-before-publish `cas_link`, which asserts the node durable and
+//! persists the head; a pop's `cas_link` persists the head. (Strictly a pop's
 //! linearization is the CAS; the trailing persist gives buffered-durable
 //! behaviour, which the paper's model permits.)
 
@@ -18,7 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use ralloc::{AtomicLink, Link, PersistentAllocator, Ralloc, Trace, Tracer};
 
-use crate::{block, offset};
+use crate::{block, cas_link, fresh, offset};
 
 /// Head cell: lives in the heap, registered as a persistent root.
 #[repr(C)]
@@ -104,11 +105,8 @@ impl PStack {
                 (*node).value.store(value, Relaxed);
                 (*node).next.store(Link::new(h.target(), 0));
             }
-            self.heap
-                .persist(node as *const u8, std::mem::size_of::<StackNode>());
-            if self.head_word().compare_exchange(h, h.advance(to_node)).is_ok() {
-                self.heap
-                    .persist(self.head as *const u8, std::mem::size_of::<StackHead>());
+            self.heap.persist(node as *const u8, std::mem::size_of::<StackNode>());
+            if cas_link(&self.heap, self.head_word(), h, h.advance(to_node), &[fresh(node)]).is_ok() {
                 return true;
             }
         }
@@ -122,9 +120,7 @@ impl PStack {
             // SAFETY: node memory stays mapped (pool-backed); the ABA
             // counter invalidates our CAS if the node was recycled.
             let (value, next) = unsafe { ((*node).value.load(Relaxed), (*node).next.load()) };
-            if self.head_word().compare_exchange(h, h.advance(next.target())).is_ok() {
-                self.heap
-                    .persist(self.head as *const u8, std::mem::size_of::<StackHead>());
+            if cas_link(&self.heap, self.head_word(), h, h.advance(next.target()), &[]).is_ok() {
                 self.heap.free(node as *mut u8);
                 return Some(value);
             }

@@ -87,13 +87,12 @@ mod tests {
         assert_eq!(p.reachable_blocks, 1_005);
     }
 
+    /// Each size is timed as the fastest of 5 recoveries: the binary's
+    /// other tests run beside this one, and a preemption only adds time.
     #[test]
     fn recovery_time_grows_with_reachable_set() {
-        let small = run(Structure::Stack, 2_000);
-        let large = run(Structure::Stack, 40_000);
-        assert!(
-            large.recovery_time > small.recovery_time,
-            "GC time must grow with reachable blocks: {small:?} vs {large:?}"
-        );
+        let fastest = |nodes| (0..5).map(|_| run(Structure::Stack, nodes).recovery_time).min().unwrap();
+        let (small, large) = (fastest(2_000), fastest(40_000));
+        assert!(large > small, "GC time must grow with reachable blocks: {small:?} vs {large:?}");
     }
 }

@@ -15,8 +15,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BUDGET=6635
-REST_BUDGET=8743
+BUDGET=6660
+REST_BUDGET=8723
 MAX_FIELDS=6
 MAX_VARS=7
 
