@@ -480,7 +480,7 @@ mod tests {
     fn a_full_head_over_a_retyped_superblock_is_a_phantom() {
         let heap = Ralloc::create(8 << 20, RallocConfig::default());
         // Behind the allocator's back, a fill's identity lands inside.
-        live_span(&heap).set_size(8, 64, class_max_count(8), true);
+        live_span(&heap).set_size(8, 64, class_max_count(8));
         let r = check_heap(&heap);
         assert!(r.violations.iter().any(|v| v.rule == "span-integrity"), "{:?}", r.violations);
     }

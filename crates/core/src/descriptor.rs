@@ -33,7 +33,7 @@ use nvm::PmemPool;
 use pptr::AtomicLink;
 
 use crate::anchor::Anchor;
-use crate::layout::Geometry;
+use crate::layout::{Geometry, DESC_SIZE};
 use crate::shard::SHARDS;
 use crate::size_class::{
     class_block_size, class_max_count, is_small_class, CLASS_CONTINUATION, SB_SIZE,
@@ -63,11 +63,18 @@ impl<'a> Desc<'a> {
         Desc { pool, off: geo.desc(idx as usize), idx }
     }
 
+    /// The word at `field` (one of the offsets above).
+    #[inline]
+    fn word(&self, field: usize) -> &'a AtomicU64 {
+        // SAFETY: the descriptor lies in bounds and every field is an
+        // 8-aligned word, only ever accessed atomically.
+        unsafe { self.pool.atomic_u64(self.off + field) }
+    }
+
     /// The anchor word.
     #[inline]
     pub fn anchor_word(&self) -> &'a AtomicU64 {
-        // SAFETY: in-bounds, 8-aligned by layout.
-        unsafe { self.pool.atomic_u64(self.off + ANCHOR_OFF) }
+        self.word(ANCHOR_OFF)
     }
 
     /// Load the unpacked anchor.
@@ -95,15 +102,13 @@ impl<'a> Desc<'a> {
     /// Superblock free-list link (no target = end).
     #[inline]
     pub fn next_free(&self) -> &'a AtomicLink<30> {
-        // SAFETY: in-bounds, 8-aligned.
-        AtomicLink::from_ref(unsafe { self.pool.atomic_u64(self.off + NEXT_FREE_OFF) })
+        AtomicLink::from_ref(self.word(NEXT_FREE_OFF))
     }
 
     /// Partial-list link (no target = end).
     #[inline]
     pub fn next_partial(&self) -> &'a AtomicLink<30> {
-        // SAFETY: in-bounds, 8-aligned.
-        AtomicLink::from_ref(unsafe { self.pool.atomic_u64(self.off + NEXT_PARTIAL_OFF) })
+        AtomicLink::from_ref(self.word(NEXT_PARTIAL_OFF))
     }
 
     /// This superblock's owning shard: the home shard of the thread whose
@@ -113,16 +118,13 @@ impl<'a> Desc<'a> {
     /// in a crash image, possibly garbage, hence the reduction.
     #[inline]
     pub fn owner(&self) -> u32 {
-        // SAFETY: in-bounds, 8-aligned.
-        let raw = unsafe { self.pool.atomic_u64(self.off + OWNER_OFF) }.load(Ordering::Relaxed) as u32;
-        raw % SHARDS
+        self.word(OWNER_OFF).load(Ordering::Relaxed) as u32 % SHARDS
     }
 
     /// Record `shard` as this superblock's owner.
     #[inline]
     pub fn set_owner(&self, shard: u32) {
-        // SAFETY: in-bounds, 8-aligned.
-        unsafe { self.pool.atomic_u64(self.off + OWNER_OFF) }.store(shard as u64, Ordering::Relaxed)
+        self.word(OWNER_OFF).store(shard as u64, Ordering::Relaxed)
     }
 
     /// Block size currently persisted for this superblock. For class 0
@@ -132,46 +134,34 @@ impl<'a> Desc<'a> {
         // Reads race only with `set_size`, which happens strictly before
         // the superblock is published; an atomic relaxed load keeps the
         // access well-defined.
-        // SAFETY: in-bounds, 8-aligned.
-        unsafe { self.pool.atomic_u64(self.off + BLOCK_SIZE_OFF) }.load(Ordering::Relaxed)
+        self.word(BLOCK_SIZE_OFF).load(Ordering::Relaxed)
     }
 
     /// Size class currently persisted for this superblock.
     #[inline]
     pub fn size_class(&self) -> u32 {
-        let w = // SAFETY: in-bounds, 8-aligned.
-            unsafe { self.pool.atomic_u64(self.off + CLASS_WORD_OFF) }.load(Ordering::Relaxed);
-        w as u32
+        self.word(CLASS_WORD_OFF).load(Ordering::Relaxed) as u32
     }
 
     /// Transient cached blocks-per-superblock.
     #[inline]
     pub fn max_count(&self) -> u32 {
-        let w = // SAFETY: in-bounds, 8-aligned.
-            unsafe { self.pool.atomic_u64(self.off + CLASS_WORD_OFF) }.load(Ordering::Relaxed);
-        (w >> 32) as u32
+        (self.word(CLASS_WORD_OFF).load(Ordering::Relaxed) >> 32) as u32
     }
 
-    /// Set and persist the size identity of this superblock. Must happen
-    /// before any block of the superblock can be observed by another
-    /// thread or by a post-crash trace — this is the one flush+fence on
-    /// the (slow) allocation path (paper §4, innovation 1).
-    ///
-    /// When `transient` (LRMalloc mode) the flush/fence is skipped.
-    pub fn set_size(&self, class: u32, block_size: u64, max_count: u32, transient: bool) {
-        // SAFETY: in-bounds, 8-aligned; exclusive ownership during init.
-        unsafe {
-            self.pool
-                .atomic_u64(self.off + BLOCK_SIZE_OFF)
-                .store(block_size, Ordering::Relaxed);
-            self.pool
-                .atomic_u64(self.off + CLASS_WORD_OFF)
-                .store((class as u64) | ((max_count as u64) << 32), Ordering::Release);
-        }
-        if !transient {
-            self.pool.flush(self.off + BLOCK_SIZE_OFF, 16);
-            self.pool.fence();
-        }
+    /// Store the size identity of this superblock, owned exclusively. It
+    /// persists nothing: the claim that stores it flushes it and fences
+    /// once before any block of the superblock can be observed by another
+    /// thread or by a post-crash trace (`HeapInner::claim`).
+    pub fn set_size(&self, class: u32, block_size: u64, max_count: u32) {
+        self.word(BLOCK_SIZE_OFF).store(block_size, Ordering::Relaxed);
+        self.word(CLASS_WORD_OFF).store((class as u64) | ((max_count as u64) << 32), Ordering::Release);
+    }
+
+    /// Flush the identities of this descriptor and the `span - 1` after
+    /// it: adjacent lines, one flush call, durable at the next fence.
+    pub fn flush_size(&self, span: usize) {
+        self.pool.flush(self.off + BLOCK_SIZE_OFF, (span - 1) * DESC_SIZE + 16);
     }
 }
 
@@ -318,20 +308,29 @@ mod tests {
 
     #[test]
     fn set_size_persists_and_reads_back() {
-        let (pool, geo) = test_pool();
+        let pool = PmemPool::new(Geometry::pool_len_for_capacity(1 << 20), Mode::Tracked);
+        let geo = Geometry::from_pool_len(pool.len());
+        let identity = |i: u32| geo.desc(i as usize) + BLOCK_SIZE_OFF;
+        for i in 5..8 {
+            Desc::new(&pool, &geo, i).set_size(8, 64, 1024);
+        }
         let d = Desc::new(&pool, &geo, 5);
-        d.set_size(8, 64, 1024, false);
-        assert_eq!(d.size_class(), 8);
-        assert_eq!(d.block_size(), 64);
-        assert_eq!(d.max_count(), 1024);
-        assert!(pool.stats().snapshot().fences >= 1);
+        assert_eq!((d.size_class(), d.block_size(), d.max_count()), (8, 64, 1024));
+        let before = pool.stats().snapshot();
+        d.flush_size(3);
+        assert!(!pool.is_durable(identity(5), 16), "durable before the fence");
+        pool.fence();
+        assert!((5..8).all(|i| pool.is_durable(identity(i), 16)), "a span's identities");
+        let after = pool.stats().snapshot();
+        assert_eq!((after.flush_calls - before.flush_calls, after.fences - before.fences), (1, 1));
     }
 
+    /// `set_size` alone flushes nothing (a transient heap's claims rely on it).
     #[test]
     fn transient_mode_skips_flush() {
         let (pool, geo) = test_pool();
         let before = pool.stats().snapshot();
-        Desc::new(&pool, &geo, 1).set_size(2, 16, 4096, true);
+        Desc::new(&pool, &geo, 1).set_size(2, 16, 4096);
         let after = pool.stats().snapshot();
         assert_eq!(after.fences, before.fences);
         assert_eq!(after.flush_calls, before.flush_calls);
@@ -342,16 +341,16 @@ mod tests {
         let (pool, geo) = test_pool();
         let used = 10usize;
         // Valid small.
-        Desc::new(&pool, &geo, 0).set_size(1, 8, 8192, true);
+        Desc::new(&pool, &geo, 0).set_size(1, 8, 8192);
         // Small class with wrong size -> invalid.
-        Desc::new(&pool, &geo, 1).set_size(1, 16, 4096, true);
+        Desc::new(&pool, &geo, 1).set_size(1, 16, 4096);
         // Descriptor 2 stays zeroed -> class 0 with size 0 -> invalid.
         // Large head spanning 2 superblocks.
-        Desc::new(&pool, &geo, 3).set_size(0, (SB_SIZE + 10) as u64, 0, true);
+        Desc::new(&pool, &geo, 3).set_size(0, (SB_SIZE + 10) as u64, 0);
         // Large head overflowing the used region -> invalid.
-        Desc::new(&pool, &geo, 9).set_size(0, (SB_SIZE * 4) as u64, 0, true);
+        Desc::new(&pool, &geo, 9).set_size(0, (SB_SIZE * 4) as u64, 0);
         // Continuation sentinel.
-        Desc::new(&pool, &geo, 4).set_size(CLASS_CONTINUATION, 0, 0, true);
+        Desc::new(&pool, &geo, 4).set_size(CLASS_CONTINUATION, 0, 0);
         let slots = Census::take(&pool, &geo, used).slots;
         assert!(matches!(slots[0], Slot::Small { class: 1, .. }));
         assert_eq!(slots[1], Slot::Empty);
@@ -365,14 +364,14 @@ mod tests {
     fn claim_takes_live_heads_over_continuations_only() {
         let (pool, geo) = test_pool();
         let large = |idx: u32, span: usize| {
-            Desc::new(&pool, &geo, idx).set_size(0, (span * SB_SIZE) as u64, 0, true);
+            Desc::new(&pool, &geo, idx).set_size(0, (span * SB_SIZE) as u64, 0);
             for k in 1..span as u32 {
-                Desc::new(&pool, &geo, idx + k).set_size(CLASS_CONTINUATION, 0, 0, true);
+                Desc::new(&pool, &geo, idx + k).set_size(CLASS_CONTINUATION, 0, 0);
             }
         };
         large(0, 3); // live
         large(3, 3); // live, but a fill re-typed its last superblock
-        Desc::new(&pool, &geo, 5).set_size(8, 64, 1024, true);
+        Desc::new(&pool, &geo, 5).set_size(8, 64, 1024);
         large(6, 2); // not accepted
         let census = Census::take(&pool, &geo, 8);
         assert_eq!(census.heads().collect::<Vec<_>>(), [0, 3, 6]);

@@ -10,7 +10,8 @@
 //! The fill stamps whatever it claims with its home shard
 //! ([`Desc::set_owner`]), the word a flush tells a remote free by.
 //! `carve` is the only place `used` rises, growing the committed prefix
-//! first when it is in the way ([`crate::frontier`]).
+//! first when it is in the way ([`crate::frontier`]), and `claim` makes
+//! the raised `used` durable with the claimed identity, under one fence.
 //!
 //! An EMPTY superblock left on a partial list (a flush took it
 //! PARTIAL→EMPTY) is retired to the free list when a fill of its own class
@@ -29,8 +30,8 @@
 //! which hold none: it counts nothing itself and each caller counts what
 //! it got, its own way.
 //!
-//! `pub(crate)` surface on [`HeapInner`]: `fill_bin`, `carve`; plus
-//! [`prefetch_read`].
+//! `pub(crate)` surface on [`HeapInner`]: `fill_bin`, `carve`, `claim`;
+//! plus [`prefetch_read`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -40,7 +41,7 @@ use crate::heap::HeapInner;
 use crate::layout::USED_SB_OFF;
 use crate::lists::DescList;
 use crate::shard::{current_home_shard, neighbors};
-use crate::size_class::{cache_capacity, class_block_size, class_max_count, is_small_class};
+use crate::size_class::{cache_capacity, class_block_size, class_max_count, is_small_class, CLASS_CONTINUATION};
 use crate::stats::{Slot, ThreadStats};
 use crate::tcache::CacheBin;
 
@@ -58,7 +59,8 @@ pub(crate) fn prefetch_read(addr: usize) {
 
 impl HeapInner {
     /// Expand the used prefix of the superblock region by `n` superblocks
-    /// (paper §4.3): CAS `used` upward, then flush+fence it. The pool's
+    /// (paper §4.3): CAS `used` upward; the caller's [`Self::claim`] of the
+    /// carved run makes it durable. The pool's
     /// committed prefix must cover the superblocks before `used` may;
     /// when it is in the way, grow it first (cold path). `None` only at
     /// the reserved-capacity ceiling. The caller counts `sb_carved`, a
@@ -79,7 +81,6 @@ impl HeapInner {
                 .compare_exchange(u, u + n as u64, Ordering::AcqRel, Ordering::Acquire)
                 .is_ok()
             {
-                self.persist(USED_SB_OFF, 8);
                 return Some(u as u32);
             }
         }
@@ -109,7 +110,7 @@ impl HeapInner {
         let bsize = class_block_size(class) as usize;
         let mc = class_max_count(class);
         let partial = |s| DescList::partial_shard(&self.geo, class, s).pop(&self.pool, &self.geo);
-        let (mut corrupt, mut free_ok) = (false, true);
+        let (mut corrupt, mut free_ok, mut carved) = (false, true, false);
         let n = loop {
             // `from` is the counter of a partial-list pop; a free or
             // fresh superblock has none.
@@ -117,25 +118,18 @@ impl HeapInner {
                 .map(|i| (i, Some(Slot::partial_pops_home)))
                 .or_else(|| self.pop_free(&mut free_ok).map(|i| (i, None)))
                 .or_else(|| neighbors(home).filter(|_| !corrupt).find_map(partial).map(|i| (i, Some(Slot::partial_steals))))
-                .or_else(|| self.carve(1).inspect(|_| stats.add(Slot::sb_carved, 1)).map(|i| (i, None)));
+                .or_else(|| self.carve(1).inspect(|_| carved = true).map(|i| (i, None)));
             let Some((idx, from)) = found else {
                 return false; // out of persistent space
             };
             let d = Desc::new(&self.pool, &self.geo, idx);
             let Some(from) = from else {
-                // A free or fresh superblock. The one flush+fence of the
-                // allocation slow path: persist its size identity before
-                // any of its blocks can be handed out (paper §4,
-                // innovation 1). A recycled superblock that already
-                // carries the identical persisted identity (same class
-                // round-tripping through the free list) skips the
-                // provably redundant flush.
+                // A free or fresh superblock: the slow path's one fence.
                 d.set_owner(home);
-                let unchanged = d.size_class() == class && d.block_size() == bsize as u64;
-                d.set_size(class, bsize as u64, mc, self.transient || unchanged);
-                // We own it outright, so a plain anchor store publishes
-                // it FULL.
-                d.set_anchor(Anchor::full(mc), Ordering::Release);
+                if carved {
+                    stats.add(Slot::sb_carved, 1);
+                }
+                self.claim(idx, 1, (class, bsize as u64, mc), carved);
                 bin.push_run(self.addr_of(self.geo.sb(idx as usize)), bsize, mc as usize);
                 break mc;
             };
@@ -193,6 +187,37 @@ impl HeapInner {
         stats.add(Slot::cache_fills, 1);
         stats.add(Slot::cache_fill_blocks, n as u64);
         true
+    }
+
+    /// Claim superblocks `idx..idx + span`, owned outright (free, or just
+    /// carved): store the head's identity `(class, block size, max count)`
+    /// and the continuation class in the rest, then make them and a carve's
+    /// `used` durable under one fence before any block is handed out (paper
+    /// §4, innovation 1). A crash before it leaves either half durable
+    /// alone, which recovery accepts ([`Self::lower_to`]). A lone
+    /// superblock that already carries its identity skips its flush (and,
+    /// uncarved, the fence). Last, every anchor reads FULL.
+    pub(crate) fn claim(&self, idx: u32, span: usize, (class, bsize, mc): (u32, u64, u32), carved: bool) {
+        let head = Desc::new(&self.pool, &self.geo, idx);
+        let unchanged = span == 1 && head.size_class() == class && head.block_size() == bsize;
+        head.set_size(class, bsize, mc);
+        for k in 1..span as u32 {
+            Desc::new(&self.pool, &self.geo, idx + k).set_size(CLASS_CONTINUATION, 0, 0);
+        }
+        if !self.transient {
+            if carved {
+                self.pool.flush(USED_SB_OFF, 8);
+            }
+            if !unchanged {
+                head.flush_size(span);
+            }
+            if carved || !unchanged {
+                self.pool.fence();
+            }
+        }
+        for k in 0..span as u32 {
+            Desc::new(&self.pool, &self.geo, idx + k).set_anchor(Anchor::full(mc), Ordering::Release);
+        }
     }
 
     /// Pop the free list while `*trusted`. Every path that lists a

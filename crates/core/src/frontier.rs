@@ -10,11 +10,11 @@
 //! module owns is the **order** of a move against the persisted `used`:
 //!
 //! * **Grow** (online, cold path): commit the new prefix, one
-//!   [`nvm::CrashInjector`] event; only then may a carve's `used` CAS +
-//!   persist cover the new space. A crash before the commit leaves the
-//!   old prefix and the old `used`; after it, a larger prefix with `used`
-//!   behind it (committed space nobody uses, which the next shrink gives
-//!   back).
+//!   [`nvm::CrashInjector`] event; only then may a carve's `used` CAS,
+//!   made durable by its claim, cover the new space. A crash before the
+//!   commit leaves the old prefix and the old `used`; after it, a larger
+//!   prefix with `used` behind it (committed space nobody uses, which the
+//!   next shrink gives back).
 //! * **Shrink** (quiescent points only): persist the lowered `used`, then
 //!   decommit the tail. A crash between the two leaves the durable
 //!   `used` already under the still-committed tail. The trailing run it
@@ -131,11 +131,12 @@ impl HeapInner {
     /// checker and `rinspect` read the census of `0..used`); a stale large
     /// head below `used` whose span passes it is refused by
     /// [`Census::take`](crate::descriptor::Census::take); and a carve
-    /// that takes the superblock back persists its `set_size` (a fill's,
-    /// or every descriptor of a large span) before any of its blocks is
-    /// handed out. A crash between that
-    /// carve's `used` persist and its `set_size` leaves a stale identity
-    /// under `used` that no root reaches, which recovery sweeps as free.
+    /// that takes the superblock back makes its `used` and the new identity
+    /// (a fill's, or every descriptor of a large span) durable under one
+    /// fence before any of its blocks is handed out ([`HeapInner::claim`]).
+    /// A crash before that fence may leave either half durable alone: a
+    /// stale identity under `used` that no root reaches, which recovery
+    /// sweeps as free, or the new identity past `used`, which nothing reads.
     pub(crate) fn lower_to(&self, keep: usize) -> (usize, Range<usize>) {
         let target = self.geo.len_for_sb(keep);
         let before = self.pool.committed_len();

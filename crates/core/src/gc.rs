@@ -320,7 +320,7 @@ mod tests {
     /// Prepare superblock `i` as a small-class superblock.
     fn make_small(pool: &PmemPool, geo: &Geometry, i: u32, class: u32) {
         let d = Desc::new(pool, geo, i);
-        d.set_size(class, class_block_size(class) as u64, class_max_count(class), true);
+        d.set_size(class, class_block_size(class) as u64, class_max_count(class));
         d.set_anchor(Anchor { avail: 0, count: 0, state: SbState::Full }, Ordering::Release);
     }
 
@@ -334,9 +334,9 @@ mod tests {
         let (pool, geo) = setup();
         make_small(&pool, &geo, 0, 8); // 64 B blocks
         make_small(&pool, &geo, 1, 6); // 48 B: 1 365 blocks, 16 B of tail waste
-        Desc::new(&pool, &geo, 2).set_size(CLASS_CONTINUATION, 0, 0, true);
+        Desc::new(&pool, &geo, 2).set_size(CLASS_CONTINUATION, 0, 0);
         // A stale large head whose two superblocks would pass `used` = 4.
-        Desc::new(&pool, &geo, 3).set_size(0, 2 * SB_SIZE as u64, 0, true);
+        Desc::new(&pool, &geo, 3).set_size(0, 2 * SB_SIZE as u64, 0);
         make_small(&pool, &geo, 4, 8); // valid, but at `used`
         let census = Census::take(&pool, &geo, 4);
         let t = Tracer::new(&census);

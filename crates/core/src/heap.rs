@@ -633,12 +633,47 @@ mod batch_tests {
         assert_eq!(fills, 1, "one malloc, one fill");
         assert_eq!(fill_blocks, mc, "the fill moved the whole superblock");
         assert_eq!(fill_cas, 0, "a fresh superblock is owned outright: no anchor CAS");
-        // Exactly two fences: the `used` expansion and the size identity,
-        // amortized over all `mc` blocks of the batch.
+        // Exactly one fence: the `used` expansion and the size identity
+        // become durable together, amortized over all `mc` blocks.
         let fences = heap.pool().stats().snapshot().fences - fences0;
-        assert_eq!(fences, 2, "fill of {mc} blocks must flush once (+ once for carve)");
+        assert_eq!(fences, 1, "fill of {mc} blocks from a carve must fence once");
         assert_eq!(heap.slow_stats().avg_fill_batch(), mc as f64);
         heap.free(p);
+    }
+
+    /// The fence budget of every other claim: a free-list refill fences
+    /// once when it re-types the superblock and not at all when it already
+    /// carries the identity; a span-4 large block fences once, after two
+    /// flush calls (`used`, then its four identity lines as one run).
+    #[test]
+    fn each_claim_fences_at_most_once() {
+        let heap = Ralloc::create(8 << 20, RallocConfig::default());
+        let inner = &*heap.inner;
+        // The (fences, flush calls) one malloc of `size` costs.
+        let cost = |size: usize| {
+            let before = heap.pool().stats().snapshot();
+            let p = heap.malloc(size);
+            assert!(!p.is_null());
+            let after = heap.pool().stats().snapshot();
+            (p as usize, (after.fences - before.fences, after.flush_calls - before.flush_calls))
+        };
+        // Drain a fresh superblock of `size` blocks through the bin and
+        // hand it back whole: it is EMPTY, alone on the free list.
+        let recycle = |size: usize| {
+            let class = size_class_of(size).unwrap();
+            let mut blocks: Vec<usize> = (0..class_max_count(class)).map(|_| cost(size).0).collect();
+            inner.flush_blocks(&mut blocks);
+            assert_eq!(DescList::free_list(&inner.geo).collect(&inner.pool, &inner.geo).len(), 1);
+        };
+        recycle(1024);
+        let (_, (fences, _)) = cost(1024);
+        assert_eq!(fences, 0, "a refill that keeps its identity must not fence");
+        recycle(2048);
+        let (_, (fences, _)) = cost(512);
+        assert_eq!(fences, 1, "a refill that re-types the superblock");
+        let (p, (fences, calls)) = cost(4 * SB_SIZE);
+        assert_eq!((fences, calls), (1, 2), "a span-4 large block");
+        heap.free(p as *mut u8);
     }
 
     #[test]

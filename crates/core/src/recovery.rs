@@ -473,7 +473,7 @@ fn sweep(inner: &HeapInner, census: &Census, marks: &MarkSet, claimed: &[bool]) 
         let class = class as u32;
         // Refresh the transient max_count cache without flushing (the
         // persisted class/size bits are rewritten unchanged).
-        d.set_size(class, size as u64, mc, true);
+        d.set_size(class, size as u64, mc);
         let marked = marks.count(bit, mc);
         out.blocks += marked as u64;
         out.bytes += marked as u64 * size as u64;

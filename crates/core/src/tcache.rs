@@ -11,8 +11,8 @@
 //!
 //! * **Fill** (bin empty on `malloc`): every free block of one partial
 //!   superblock for one anchor CAS, or all of a free or fresh one, whose
-//!   one flush+fence of the size identity the batch amortizes
-//!   ([`crate::fill`]).
+//!   one fence (its size identity, and a carve's `used`) the batch
+//!   amortizes ([`crate::fill`]).
 //! * **Flush** (bin full on `free`): the oldest superblock population —
 //!   the whole bin for every class of ≤ 4 096 B, the oldest 4–12 of a
 //!   bigger class's 16 — back with one anchor CAS per superblock touched,

@@ -191,7 +191,9 @@ fn crash_sweep_through_grow_protocol_recovers() {
     assert!(heap.slow_stats().heap_grows.get() >= 2, "workload must actually grow the heap");
     assert!(total_events > 100, "expected a rich event stream, got {total_events}");
     if std::env::var_os("RALLOC_INIT_CAP").is_none() {
-        assert_eq!(total_events, 396, "56 grow-crossing allocations' persistence events");
+        // Each allocation carves one superblock: `used` and the identity
+        // flushed, one fence.
+        assert_eq!(total_events, 340, "56 grow-crossing allocations' persistence events");
     }
 }
 

@@ -10,10 +10,11 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use crashtest::{crash_at, sweep, Victim};
+use crashtest::{crash_at, sweep, Victim, STYLES};
 use nvm::{CrashInjector, CrashStyle};
 use pds::{NmTree, PStack};
-use ralloc::{Pptr, Ralloc, RallocConfig, Trace, Tracer};
+use ralloc::descriptor::Desc;
+use ralloc::{Pptr, Ralloc, RallocConfig, Trace, Tracer, SB_SIZE};
 
 fn tracked(inj: Arc<CrashInjector>) -> Ralloc {
     Ralloc::create(16 << 20, RallocConfig { injector: Some(inj), ..RallocConfig::tracked() })
@@ -63,7 +64,7 @@ fn stack_push_sweep(style: CrashStyle, recover: impl Fn(&Ralloc)) {
         let report = ralloc::check_heap(&heap);
         assert!(report.is_consistent(), "{crash}: {:?}", report.violations);
     });
-    assert_eq!(events, 164, "40 pushes' persistence events");
+    assert_eq!(events, 163, "40 pushes' persistence events (one carve)");
     for _ in 0..500 {
         assert!(!done.malloc(48).is_null());
     }
@@ -619,6 +620,99 @@ fn recovery_keeps_exactly_the_rooted_blocks_for_any_worker_count() {
             assert_eq!(n, PER_LIST, "{workers} workers: list {l}");
         }
     }
+}
+
+/// R6: recovery may drop an uncommitted claim. A fresh superblock's fill
+/// and a span-4 large block each make `used` and the claimed identity
+/// durable under one fence, so a crash before it may leave either half
+/// durable alone, both, or neither. Every image, crashed at each event of
+/// the two claims under each style, must recover consistent with the
+/// rooted list intact, hold no superblock past the claim's, and serve
+/// the claim's size again without handing out a live block. The strict
+/// image with the claim's descriptor lines copied in from the crashed
+/// run is checked too: the identity durable, `used` not.
+#[test]
+fn r6_recovery_may_drop_an_uncommitted_claim() {
+    const NODES: usize = 100;
+    const SIZE: usize = std::mem::size_of::<KiNode>();
+    const SMALL: usize = 256;
+    const LARGE: usize = 4 * SB_SIZE;
+    let build = |inj| {
+        let heap = tracked(inj);
+        let mut head = std::ptr::null_mut::<KiNode>();
+        for i in 0..NODES {
+            let node = heap.malloc(SIZE) as *mut KiNode;
+            assert!(!node.is_null());
+            // SAFETY: a fresh block of SIZE bytes, persisted before the
+            // root that publishes the list.
+            unsafe {
+                (*node).value = i as u64;
+                (*node).next.set(head);
+            }
+            heap.pool().persist(node as usize - heap.pool().base() as usize, SIZE);
+            head = node;
+        }
+        heap.set_root::<KiNode>(0, head);
+        heap
+    };
+    let used0 = std::cell::Cell::new(0);
+    let claims = |heap: &Ralloc, arm: &dyn Fn()| {
+        used0.set(heap.used_superblocks());
+        arm();
+        assert!(!heap.malloc(SMALL).is_null());
+        assert!(!heap.malloc(LARGE).is_null());
+    };
+    // Events 0..3 are the fill's claim (flush `used`, flush the identity,
+    // fence), 3..6 the large block's: its size, first superblock and span.
+    let claim = |budget: u64| match budget {
+        0..3 => (SMALL, used0.get(), 1),
+        _ => (LARGE, used0.get() + 1, 4),
+    };
+    let check = |heap: Ralloc, budget: u64, crash: &str| {
+        let (size, first, span) = claim(budget);
+        let used = heap.used_superblocks();
+        assert!(used <= first + span, "{crash}: `used` {used} past the claim's {}", first + span);
+        let list = heap.get_root::<KiNode>(0);
+        heap.recover();
+        let report = ralloc::check_heap(&heap);
+        assert!(report.is_consistent(), "{crash}: {:?}", report.violations);
+        assert!(heap.used_superblocks() <= first + span, "{crash}: recovery raised `used`");
+        let mut live = Vec::new();
+        let mut cur = list;
+        while !cur.is_null() {
+            // SAFETY: a node of the recovered list.
+            let node = unsafe { &*cur };
+            assert_eq!(node.value as usize, NODES - 1 - live.len(), "{crash}: list corrupted");
+            live.push(cur as usize);
+            cur = node.next.as_ptr();
+        }
+        assert_eq!(live.len(), NODES, "{crash}: list cut short");
+        let p = heap.malloc(size) as usize;
+        assert_ne!(p, 0, "{crash}: the claim's size cannot be allocated again");
+        let aliases = live.iter().any(|&n| n < p + size && p < n + SIZE);
+        assert!(!aliases, "{crash}: {p:#x} aliases a live node");
+    };
+    let (events, done) = sweep(&STYLES, build, claims, |crashed, heap, budget, style| {
+        check(heap, budget, &format!("{style:?} budget {budget}"));
+        if style != CrashStyle::StrictFlushOnly {
+            return;
+        }
+        let (size, first, span) = claim(budget);
+        let (pool, geo) = (crashed.pool(), crashed.geometry());
+        let lines = geo.desc(first)..geo.desc(first + span);
+        let mut image = pool.crash_image(style);
+        // SAFETY: descriptor lines of the crashed run's committed prefix,
+        // which nothing writes any more.
+        let stored = unsafe { std::slice::from_raw_parts(pool.base().add(lines.start), lines.len()) };
+        image[lines].copy_from_slice(stored);
+        let heap = <Ralloc as Victim>::adopt(&image);
+        assert!(heap.used_superblocks() <= first, "budget {budget}: `used` durable under the strict model");
+        let d = Desc::new(heap.pool(), &geo, first as u32);
+        assert_eq!(d.block_size(), size as u64, "budget {budget}: the claim's identity was not stored");
+        check(heap, budget, &format!("identity alone, budget {budget}"));
+    });
+    assert_eq!(events, 6, "two claims, three persistence events each");
+    assert!(ralloc::check_heap(&done).is_consistent());
 }
 
 #[test]
