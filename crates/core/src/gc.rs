@@ -10,6 +10,13 @@
 //! should follow. Like the paper, function pointers are re-established in
 //! each execution (they are registered transiently by `get_root<T>`), so
 //! recompilation and ASLR are harmless.
+//!
+//! A visited pointer costs one multiply and one mark bit: the tracer
+//! keeps the census slot of the last target's superblock and reads the
+//! census only when a target lies in another. The first block a scan
+//! newly marks is the next one scanned, and [`trace_thunk`] scans it in
+//! the same loop while it carries the same filter: a list of one type
+//! costs one filter dispatch, a tree one per left spine.
 
 use pptr::{Link, Pptr};
 
@@ -20,14 +27,25 @@ use crate::size_class::SB_SIZE;
 /// known to hold a `T`, enumerate its outgoing references into `tracer`.
 pub type TraceFn = unsafe fn(addr: usize, tracer: &mut Tracer<'_>);
 
-/// Monomorphic thunk adapting a [`Trace`] impl to [`TraceFn`].
+/// Monomorphic thunk adapting a [`Trace`] impl to [`TraceFn`]. It scans
+/// `addr`, then goes on while the next block to scan carries this same
+/// filter; another filter, a conservative block or the stack go back to
+/// the tracer's `drain`.
 ///
 /// # Safety
 /// `addr` must be the start of a live block containing a valid `T`.
-pub unsafe fn trace_thunk<T: Trace>(addr: usize, tracer: &mut Tracer<'_>) {
-    // SAFETY: the caller guarantees `addr` starts a live block holding a
-    // valid `T`, so the shared borrow reads an initialized value.
-    unsafe { (*(addr as *const T)).trace(tracer) }
+pub unsafe fn trace_thunk<T: Trace>(mut addr: usize, tracer: &mut Tracer<'_>) {
+    loop {
+        // SAFETY: the caller guarantees `addr` starts a live block holding
+        // a valid `T`, and so does whoever queued the next one with this
+        // filter (equal pointers only for identical code).
+        unsafe { (*(addr as *const T)).trace(tracer) }
+        match tracer.next {
+            Some((next, Some(f))) if std::ptr::fn_addr_eq(f, trace_thunk::<T> as TraceFn) => addr = next,
+            _ => return,
+        }
+        tracer.next = None;
+    }
 }
 
 /// A *filter function* (paper §4.5.1): enumerates the references inside a
@@ -122,10 +140,8 @@ impl MarkSet {
         marked
     }
 
-    /// Union another mark set's bits `0..bits` into this one (parallel
-    /// recovery merges the per-thread mark sets of disjoint root subsets
-    /// over the live prefix; overlap, when roots share substructure, is
-    /// handled by the idempotent OR).
+    /// OR another mark set's bits `0..bits` into this one: parallel
+    /// recovery's per-worker sets, over the live prefix.
     pub fn merge_from(&mut self, other: &MarkSet, bits: usize) {
         let words = bits.div_ceil(64);
         for (a, b) in self.words[..words].iter_mut().zip(&other.words) {
@@ -134,19 +150,17 @@ impl MarkSet {
     }
 }
 
-/// A block the tracer may visit: a queued block address and its filter
-/// (`None` scans it conservatively).
-type Visit = (usize, Option<TraceFn>);
-
 /// The tracing context handed to filter functions (the paper's `GC`
 /// class: visited set + pending stacks of blocks and their functions).
 pub struct Tracer<'h> {
     census: &'h Census,
     pub(crate) marks: MarkSet,
-    /// The next block to scan, ahead of `pending`: a list's next node
-    /// never goes through the stack.
-    next: Option<Visit>,
-    pending: Vec<Visit>,
+    /// The next block to scan and its filter (`None`: conservatively),
+    /// ahead of `pending`: a list's next node never goes through the stack.
+    next: Option<(usize, Option<TraceFn>)>,
+    pending: Vec<(usize, Option<TraceFn>)>,
+    /// The superblock of the last target classified, and its census slot.
+    last: (usize, Slot),
     /// The highest marked small block's address (0: none yet).
     top: usize,
     /// The large heads marked, in marking order: the claim judges these.
@@ -164,6 +178,7 @@ impl<'h> Tracer<'h> {
             marks: MarkSet::new(census.bits),
             next: None,
             pending: Vec::new(),
+            last: (usize::MAX, Slot::Empty),
             top: 0,
             heads: Vec::new(),
             cons_words_scanned: 0,
@@ -173,14 +188,18 @@ impl<'h> Tracer<'h> {
 
     /// Classify an absolute address as a block start: its mark bit, its
     /// byte size and whether it is a large head, if a block recovery may
-    /// keep starts there. One census load and one multiply; pointers to
-    /// block interiors, into a small class's tail waste or anywhere but a
-    /// large head's first byte are refused (§4.5).
-    #[inline]
-    fn classify_target(&self, addr: usize) -> Option<(usize, u64, bool)> {
+    /// keep starts there. One multiply, and one census load when the
+    /// superblock is not the last target's; pointers to block interiors,
+    /// into a small class's tail waste or anywhere but a large head's
+    /// first byte are refused (§4.5).
+    #[inline(always)]
+    fn classify_target(&mut self, addr: usize) -> Option<(usize, u64, bool)> {
         let off = addr.wrapping_sub(self.census.sb_base);
+        if off / SB_SIZE != self.last.0 {
+            self.last = (off / SB_SIZE, self.census.slots.get(off / SB_SIZE).copied().unwrap_or(Slot::Empty));
+        }
         let inner = (off % SB_SIZE) as u32;
-        match *self.census.slots.get(off / SB_SIZE)? {
+        match self.last.1 {
             Slot::Small { bit, blocks, size, recip, .. } => {
                 // Exact for every offset below SB_SIZE: offset × size < 2³².
                 let blk = ((inner as u64 * recip as u64) >> 32) as u32;
@@ -194,14 +213,14 @@ impl<'h> Tracer<'h> {
     /// Mark the block starting at `addr`, if one does; true if newly
     /// marked. What the live prefix is taken from is recorded on the way:
     /// a large head joins `heads`, a small block may raise `top`.
-    #[inline]
+    #[inline(always)]
     fn mark(&mut self, addr: usize) -> bool {
         let Some((bit, _, head)) = self.classify_target(addr) else { return false };
         if !self.marks.mark(bit) {
             return false;
         }
         match head {
-            true => self.heads.push((addr - self.census.sb_base) / SB_SIZE),
+            true => self.heads.push(self.last.0),
             false => self.top = self.top.max(addr),
         }
         true
@@ -245,7 +264,7 @@ impl<'h> Tracer<'h> {
     /// one there: a filter whose block holds its own length checks it
     /// against this before it trusts it.
     #[inline]
-    pub fn block_bytes(&self, addr: usize) -> Option<u64> {
+    pub fn block_bytes(&mut self, addr: usize) -> Option<u64> {
         self.classify_target(addr).map(|(_, bytes, _)| bytes)
     }
 
@@ -270,11 +289,8 @@ impl<'h> Tracer<'h> {
     /// default): scan every 64-bit-aligned word of the block; words
     /// carrying the off-holder tag are candidate references.
     fn conservative_scan(&mut self, addr: usize) {
-        let Some((_, bytes, _)) = self.classify_target(addr) else {
-            return;
-        };
-        let words = (bytes / 8) as usize;
-        for i in 0..words {
+        let Some((_, bytes, _)) = self.classify_target(addr) else { return };
+        for i in 0..(bytes / 8) as usize {
             let waddr = addr + i * 8;
             // SAFETY: within a classified block, 8-aligned; offline.
             let v = unsafe { std::ptr::read(waddr as *const u64) };
@@ -325,8 +341,9 @@ mod tests {
     }
 
     /// Is the block at `addr` marked?
-    fn marked(t: &Tracer<'_>, addr: usize) -> bool {
-        t.marks.is_marked(t.classify_target(addr).expect("a block start").0)
+    fn marked(t: &mut Tracer<'_>, addr: usize) -> bool {
+        let bit = t.classify_target(addr).expect("a block start").0;
+        t.marks.is_marked(bit)
     }
 
     #[test]
@@ -339,7 +356,7 @@ mod tests {
         Desc::new(&pool, &geo, 3).set_size(0, 2 * SB_SIZE as u64, 0);
         make_small(&pool, &geo, 4, 8); // valid, but at `used`
         let census = Census::take(&pool, &geo, 4);
-        let t = Tracer::new(&census);
+        let mut t = Tracer::new(&census);
         let base = pool.base() as usize;
         let sb = |i: usize| base + geo.sb(i);
         assert!(t.classify_target(sb(0)).is_some());
@@ -396,8 +413,8 @@ mod tests {
         let mut t = Tracer::new(&census);
         t.visit_conservative(b0);
         t.drain();
-        assert!(marked(&t, b0));
-        assert!(marked(&t, b3));
+        assert!(marked(&mut t, b0));
+        assert!(marked(&mut t, b3));
         assert_eq!(t.marks.count(0, census.bits as u32), 2, "untagged words must not mark");
     }
 
@@ -436,9 +453,9 @@ mod tests {
         let mut t = Tracer::new(&census);
         t.visit_addr(b0, Some(trace_thunk::<Node>));
         t.drain();
-        assert!(marked(&t, b0));
-        assert!(marked(&t, b1));
-        assert!(!marked(&t, b2), "filter fn must ignore decoy field");
+        assert!(marked(&mut t, b0));
+        assert!(marked(&mut t, b1));
+        assert!(!marked(&mut t, b2), "filter fn must ignore decoy field");
     }
 
     #[test]
@@ -457,7 +474,7 @@ mod tests {
         let mut t = Tracer::new(&census);
         t.visit_leaf(b0);
         t.drain();
-        assert!(marked(&t, b0));
-        assert!(!marked(&t, b1));
+        assert!(marked(&mut t, b0));
+        assert!(!marked(&mut t, b1));
     }
 }

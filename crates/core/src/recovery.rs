@@ -30,8 +30,9 @@
 //! ([`Census`], the only decoder of a descriptor's identity): a small
 //! class's block size, blocks per superblock and an exact multiply-shift
 //! reciprocal, a large head's span, or nothing. The tracer, the claim
-//! and the sweep all read it, so a visited pointer costs one table load
-//! and one multiply, and the mark set is one flat bitmap sized from it.
+//! and the sweep all read it, and the mark set is one flat bitmap sized
+//! from it. A visited pointer costs a multiply and a mark bit, with a
+//! table load per change of superblock ([`crate::gc`]).
 //! The calling thread takes it alone ([`Census::take`], the one census
 //! path): a pass over 8 192 descriptors costs about 0.12 ms, less than a
 //! second worker's start-up.
@@ -89,21 +90,10 @@
 //! prefix (step 10: an `sfence` orders only its own core's write-backs,
 //! and all of them are the caller's).
 //!
-//! The steps after the trace buy nothing from a second worker. On a
-//! restart-shaped heap (8 192 superblocks, 32 of them live; a 2-vCPU
-//! guest) a census split over two workers took 0.20–0.36 ms against
-//! 0.14 ms on one, a split write-back 0.11–0.16 ms against 0.09 ms, and
-//! the sweep takes 30–50 µs, while two workers cut the trace from 1.4 to
-//! 0.75 ms. The census is taken after the spawn, not before it, which
-//! keeps the helper's spawn and move off the critical path (census
-//! first: `restart` `vs_reference` 0.435 → 0.389). A tracer returned
-//! through the join handle would cost a join, which waits out the
-//! helper's thread exit: 0.03–0.08 ms per recovery, `vs_reference`
-//! 0.446 → 0.420. The 510 MiB tail's release (1.2 ms of `madvise` on two
-//! workers, 2.4 ms on one) left the critical path for a 0.05–0.10 ms
-//! thread spawn: `recover_parallel(2)` 2.52–2.62 → 1.34–1.39 ms, one
-//! worker 4.06 → 1.90 ms (medians of 30 cycles), the walk after it no
-//! slower.
+//! The steps after the trace buy nothing from a second worker, the
+//! census is taken after the spawn so that the helper's start overlaps
+//! it, and no helper that finished is joined: the README's verdict rows
+//! hold the measurements.
 //!
 //! ## Deterministic publish (steps 8–9)
 //!
@@ -266,17 +256,18 @@ pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
     inner.emit(EventKind::RecoveryReconcile, used as u64, threads as u64);
 
     // Gather the registered roots (step 4 already happened via get_root).
-    let mut roots: Vec<(usize, Option<TraceFn>)> = Vec::new();
-    {
-        let root_fns = inner.root_fns.lock();
-        for i in 0..NUM_ROOTS {
-            if let Some(off) = inner.root(i).load().target() {
-                let addr = pool.base() as usize + geo.sb(0) + off as usize;
-                roots.push((addr, root_fns.get(&i).copied()));
-            }
-        }
-    }
-    let mut clock = Clock(t0);
+    let (root_fns, sb0) = (inner.root_fns.lock(), pool.base() as usize + geo.sb(0));
+    let roots: Vec<(usize, Option<TraceFn>)> = (0..NUM_ROOTS)
+        .filter_map(|i| Some((sb0 + inner.root(i).load().target()? as usize, root_fns.get(&i).copied())))
+        .collect();
+    drop(root_fns);
+    // Each lap is the time since the previous one: the phases tile
+    // `duration` with no gaps.
+    let mut at = t0;
+    let mut lap = || {
+        let now = Instant::now();
+        now - std::mem::replace(&mut at, now)
+    };
     let mut phases = RecoveryPhases::default();
     let mut stats = RecoveryStats { threads, ..Default::default() };
 
@@ -310,9 +301,9 @@ pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
                 (census_tx, (tracer_rx, helper))
             })
             .collect();
-        phases.reconcile = clock.lap();
+        phases.reconcile = lap();
         let census: &Census = census.get_or_init(|| Census::take(pool, geo, used));
-        phases.census = clock.lap();
+        phases.census = lap();
         for census_tx in census_txs {
             let _ = census_tx.send(census);
         }
@@ -336,7 +327,7 @@ pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
         }
         (census, traced)
     });
-    phases.mark = clock.lap();
+    phases.mark = lap();
 
     // The live prefix (see the module docs).
     let mut heads: Vec<usize> = traced.iter().flat_map(|t| t.heads.iter().copied()).collect();
@@ -355,7 +346,7 @@ pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
     stats.reachable_blocks = heads.len() as u64;
     stats.reachable_bytes = claim.bytes;
     stats.rejected_large_phantoms = claim.phantoms.len();
-    phases.claim = clock.lap();
+    phases.claim = lap();
 
     // Step 6: the live prefix becomes durable before anything is swept
     // (see the module docs for why that order is crash-safe), and the
@@ -364,7 +355,7 @@ pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
     pool.discard_behind(pages);
     stats.shrunk_superblocks = shrunk;
     stats.free_superblocks = used - keep;
-    phases.shrink = clock.lap();
+    phases.shrink = lap();
 
     // Steps 7-9, while the tail's pages go back: sweep `0..keep` and
     // publish every list.
@@ -381,7 +372,7 @@ pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
     stats.full_superblocks = swept.full;
     inner.emit(EventKind::RecoverySweep, stats.reachable_blocks, used as u64);
     inner.emit(EventKind::RecoverySplice, stats.partial_superblocks as u64, stats.free_superblocks as u64);
-    phases.sweep = clock.lap();
+    phases.sweep = lap();
 
     // Step 10: write everything back so a crash immediately after
     // recovery restarts from this reconstructed state. Only the committed
@@ -390,7 +381,7 @@ pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
     if !inner.transient {
         pool.persist(0, pool.committed_len());
     }
-    phases.write_back = clock.lap();
+    phases.write_back = lap();
     stats.phases = phases;
     stats.duration = t0.elapsed();
 
@@ -409,19 +400,6 @@ pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
     }
 
     stats
-}
-
-/// A phase clock: each lap is the time since the previous one, so the
-/// phases tile `duration` with no gaps.
-struct Clock(Instant);
-
-impl Clock {
-    fn lap(&mut self) -> Duration {
-        let now = Instant::now();
-        let d = now - self.0;
-        self.0 = now;
-        d
-    }
 }
 
 /// Worker `w`'s part of the trace (step 5): every `workers`-th root from

@@ -40,7 +40,7 @@ pub enum CrashStyle {
     StrictFlushOnly,
     /// In addition, each dirty-but-unflushed line survives with probability
     /// `survive_permille`/1000, modelling spontaneous cache eviction on
-    /// real hardware. Deterministic given `seed`.
+    /// real hardware. Deterministic given `seed` and the crash point.
     RandomEviction {
         /// Per-line survival probability in permille (0..=1000).
         survive_permille: u32,
@@ -62,11 +62,13 @@ struct TrackState {
     frozen: Option<Frozen>,
 }
 
-/// A power failure at the fire: the committed prefix then, and its lines
-/// that differed from the shadow, with their volatile contents.
+/// A power failure at the fire: the committed prefix then, its lines
+/// that differed from the shadow, with their volatile contents, and the
+/// fire's event index.
 struct Frozen {
     len: usize,
     dirty: Vec<(usize, [u8; CACHE_LINE])>,
+    event: u64,
 }
 
 impl TrackState {
@@ -547,7 +549,7 @@ impl PmemPool {
         if let Some(inj) = self.injector.as_ref().filter(|inj| inj.tick()) {
             if let Some(st) = tracked.as_mut().filter(|st| st.frozen.is_none()) {
                 let len = self.committed_len();
-                st.frozen = Some(Frozen { len, dirty: self.dirty(&st.shadow()[..len]) });
+                st.frozen = Some(Frozen { len, dirty: self.dirty(&st.shadow()[..len]), event: inj.observed() });
             }
             drop(tracked);
             inj.fire();
@@ -751,8 +753,10 @@ impl PmemPool {
     /// The image a power failure would leave under `style`, at the
     /// injector's fire if it has fired, else now, without causing one: the
     /// shadow's committed prefix, plus each line that differs from it with
-    /// a [`CrashStyle::RandomEviction`]'s odds. In [`Mode::Direct`], the
-    /// volatile prefix (a clean shutdown).
+    /// a [`CrashStyle::RandomEviction`]'s odds, drawn from its seed and the
+    /// event index (the injector's count then), so two crash points in one
+    /// fence epoch lose different lines. In [`Mode::Direct`], the volatile
+    /// prefix (a clean shutdown).
     pub fn crash_image(&self, style: CrashStyle) -> Vec<u8> {
         let Some(tracked) = &self.tracked else {
             // SAFETY: reading the committed prefix; racing bytes as in a
@@ -763,9 +767,10 @@ impl PmemPool {
         let len = st.frozen.as_ref().map_or_else(|| self.committed_len(), |f| f.len);
         let mut image = st.shadow()[..len].to_vec();
         if let CrashStyle::RandomEviction { survive_permille, seed } = style {
-            let now = || self.dirty(&st.shadow()[..len]);
-            let mut rng = seed | 1;
-            for (line, bytes) in st.frozen.as_ref().map_or_else(now, |f| f.dirty.clone()) {
+            let now = || (self.dirty(&st.shadow()[..len]), self.injector.as_ref().map_or(0, |i| i.observed()));
+            let (dirty, event) = st.frozen.as_ref().map_or_else(now, |f| (f.dirty.clone(), f.event));
+            let mut rng = (seed ^ event.wrapping_mul(0x9E37_79B9_7F4A_7C15)) | 1;
+            for (line, bytes) in dirty {
                 rng ^= rng << 13;
                 rng ^= rng >> 7;
                 rng ^= rng << 17;
@@ -1298,6 +1303,25 @@ mod tests {
         write_bytes(&pool, 128, &[3; 8]);
         pool.persist(128, 8);
         assert_eq!(pool.persistent_image()[128], 3, "the crash did not thaw the pool");
+    }
+
+    /// Two crash points in one fence epoch see the same dirty lines; a
+    /// `RandomEviction` draw keyed by the fire's event index keeps a
+    /// different subset of them at each.
+    #[test]
+    fn random_eviction_draws_apart_at_two_crash_points_of_one_epoch() {
+        let image_at = |budget| {
+            let inj = CrashInjector::new();
+            let pool = PmemPool::with_reserve(1 << 16, 1 << 16, Mode::Tracked, FlushModel::free(), Some(inj.clone()));
+            write_bytes(&pool, 0, &[7; 64 * CACHE_LINE]);
+            inj.arm(budget);
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (0..4).for_each(|i| pool.flush(i * 64, 8))));
+            assert!(r.is_err() && inj.fired());
+            pool.crash_image(CrashStyle::RandomEviction { survive_permille: 500, seed: 3 })
+        };
+        let (a, b) = (image_at(1), image_at(2));
+        assert_eq!(a.len(), b.len());
+        assert!(a[..64 * CACHE_LINE] != b[..64 * CACHE_LINE], "one eviction draw per fence epoch");
     }
 
     /// A range is durable once its bytes are flushed and fenced, not

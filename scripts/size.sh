@@ -15,7 +15,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BUDGET=6659
+BUDGET=6658
 REST_BUDGET=8723
 MAX_FIELDS=6
 MAX_VARS=7
