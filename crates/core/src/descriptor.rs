@@ -39,7 +39,8 @@ use crate::size_class::{
     class_block_size, class_max_count, is_small_class, CLASS_CONTINUATION, SB_SIZE,
 };
 
-const ANCHOR_OFF: usize = 0;
+/// Offset of a descriptor's (transient) anchor word.
+pub const ANCHOR_OFF: usize = 0;
 const NEXT_FREE_OFF: usize = 8;
 const NEXT_PARTIAL_OFF: usize = 16;
 const BLOCK_SIZE_OFF: usize = 24;

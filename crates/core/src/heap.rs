@@ -44,14 +44,18 @@ use crate::tcache;
 
 /// Shared heap state. Public API lives on [`Ralloc`]; the fields are
 /// crate-visible because the slow-path modules implement on this type.
+///
+/// A hit reads `geo`, `generation` and the pool's base (its first word)
+/// alone: they lead a line-aligned layout, so it reads one line of the heap.
+#[repr(C, align(64))]
 pub struct HeapInner {
-    pub(crate) pool: PmemPool,
     pub(crate) geo: Geometry,
-    pub(crate) id: u64,
-    pub(crate) transient: bool,
     /// Replaced by a fresh value ([`tcache::fresh_generation`]) at every
     /// simulated crash and recovery, so stale thread caches are discarded.
     pub(crate) generation: AtomicU64,
+    pub(crate) pool: PmemPool,
+    pub(crate) id: u64,
+    pub(crate) transient: bool,
     /// Thread-exit cache drains in flight. A thread's TLS destructor runs
     /// *after* the thread is observably finished (e.g. after
     /// `thread::scope` returns, which only waits for the closure), so its
@@ -1143,6 +1147,24 @@ mod hit_path_tests {
     fn cached(heap: &Ralloc) -> u32 {
         tcache::with_fast_tls(&heap.inner, |tls| tls.bins.iter().map(|b| b.len()).sum())
             .expect("the fast slot holds this heap's cache set")
+    }
+
+    /// What the hit path reads of the heap lies in its first cache line:
+    /// the geometry, the generation and the pool's base, the pool's first
+    /// word (its reservation's, `#[repr(C)]` both).
+    #[test]
+    fn the_hit_path_fields_share_the_first_line() {
+        use std::mem::{align_of, offset_of, size_of};
+        assert_eq!(align_of::<HeapInner>(), 64);
+        assert_eq!(offset_of!(HeapInner, geo), 0);
+        assert_eq!(offset_of!(HeapInner, generation), size_of::<Geometry>());
+        assert_eq!(offset_of!(HeapInner, pool), size_of::<Geometry>() + 8);
+        assert!(offset_of!(HeapInner, pool) + size_of::<usize>() <= 64);
+        let heap = Ralloc::create(8 << 20, RallocConfig::default());
+        assert_eq!(&*heap.inner as *const HeapInner as usize % 64, 0, "the heap starts a line");
+        // SAFETY: the pool is a live `PmemPool`, at least a word long.
+        let first = unsafe { *(&heap.inner.pool as *const PmemPool as *const *mut u8) };
+        assert_eq!(first, heap.pool().base(), "the pool's first word is not its base");
     }
 
     #[test]

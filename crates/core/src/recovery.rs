@@ -19,10 +19,23 @@
 //!     to the kernel;
 //! 8.  reconstruct the partial lists and
 //! 9.  the superblock free list, one head store each;
-//! 10. flush the committed prefix and fence, and return: the heap is
-//!     durable, and nothing touches the tail's pages again before the
-//!     next commit, decommit, crash or drop, each of which waits for the
-//!     release first.
+//! 10. fence its own flight records and return, leaving the tail's release
+//!     to the next commit, decommit, crash or drop to wait for.
+//!
+//! ## What recovery makes durable (step 10)
+//!
+//! Its inputs are the roots, the used descriptors' identity and
+//! continuation fields, and `used`; it changes only `used`, which
+//! [`HeapInner::lower_to`] persists with its shrink records. All that
+//! the sweep writes (anchors, owner words, list heads and links, the free
+//! chains inside free blocks, the `max_count` cache) is transient: the
+//! next recovery rebuilds it from the same inputs, reading of the old
+//! words only each list head's ABA counter, which `publish` keeps (steps
+//! 8–9). So its only other durable writes are its `recovery_*` records,
+//! and its flushes do not grow with the heap. A clean
+//! [`Ralloc::close`](crate::Ralloc::close) still writes back the whole
+//! committed prefix before it clears the dirty flag, so a clean reopen
+//! never trusts what recovery left only in volatile memory.
 //!
 //! ## The census (step 5)
 //!
@@ -50,20 +63,15 @@
 //! listed, so no list needs surgery.
 //!
 //! Lowering `used` before the sweep is crash-safe because it changes no
-//! recovery outcome. The roots and every persisted size field are what
-//! the trace read, and recovery changes neither; every block the trace
-//! reached, and every claimed span, lies below `keep`. A crash anywhere
-//! after the lowered `used` is durable therefore leaves a dirty image
-//! whose next recovery traces the same blocks, all of them inside its
-//! smaller `used`, and rebuilds the same prefix: a pointer into the
-//! released tail was refused by this trace (no mark there, or a rejected
-//! phantom) and is refused by the next (beyond `used`). The anchors and
-//! lists the sweep writes are transient and become durable only with the
-//! write-back (step 10), so a crash before it loses only what the next
-//! recovery redoes. The decommit follows the durable `used`, so the
-//! committed prefix covers every durably-used superblock throughout. The
-//! descriptors it leaves behind past `keep` stay stale and dead (see
-//! [`HeapInner::lower_to`]).
+//! recovery outcome: recovery changes no other input (see above), and
+//! every block the trace reached, and every claimed span, lies below
+//! `keep`. A crash after the lowered `used` is durable leaves an image
+//! whose next recovery traces the same blocks and rebuilds the same
+//! prefix: a pointer into the released tail was refused by this trace (no
+//! mark there, or a rejected phantom) and is refused by the next (beyond
+//! `used`). The decommit follows the durable `used`, so the committed
+//! prefix covers every durably-used superblock throughout; the
+//! descriptors past `keep` stay stale and dead ([`HeapInner::lower_to`]).
 //!
 //! ## Parallel recovery (paper §6.4 future work, implemented here)
 //!
@@ -86,9 +94,9 @@
 //! afterwards (shared substructure costs duplicated scanning, never
 //! correctness). Everything after the trace runs in order on the calling
 //! thread: merge, claim, lower `used`, hand the tail to the pool's
-//! release thread, sweep, publish, and write back and fence the committed
-//! prefix (step 10: an `sfence` orders only its own core's write-backs,
-//! and all of them are the caller's).
+//! release thread, sweep, publish, and fence the flight records (step 10:
+//! an `sfence` orders only its own core's write-backs, and every flush
+//! recovery makes is the caller's).
 //!
 //! The steps after the trace buy nothing from a second worker, the
 //! census is taken after the spawn so that the helper's start overlaps
@@ -106,24 +114,20 @@
 //! [`DescList::publish`] links each and stores its head once, keeping the
 //! ABA counter. The sweep reads only the image and the merged marks, so
 //! the rebuilt lists are the same bytes for any worker count (R1), and a
-//! second recovery of a recovered heap changes no byte of metadata (R2).
+//! second recovery of a recovered heap changes no rebuilt byte (R2).
 //!
 //! ## Large-block conflict rule (beyond the paper)
 //!
-//! Conservative tracing can mark a *stale* large-block head (a block that
-//! was freed before the crash but whose class-0 descriptor still decodes).
-//! If that phantom's span were honored it could swallow superblocks that
-//! hold live small blocks — a safety violation, not just a leak. Recovery
-//! therefore claims spans with [`Census::claim`], the rule the checker
-//! and `rinspect` apply to FULL heads: a marked head is live only if its
-//! interior superblocks all carry the `CONTINUATION` tag (persisted at
-//! large-allocation time), which also means they hold no mark. Genuine
-//! live large blocks always pass; conflicting phantoms are dropped and
-//! counted in [`RecoveryStats::rejected_large_phantoms`]. Single-superblock
-//! phantoms merely leak one superblock, matching the paper's
-//! "conservative collection may leak, never corrupts" contract. The
-//! sweep stores FULL into every superblock of a claimed span, so after
-//! recovery, as online, a live span reads FULL throughout.
+//! Conservative tracing can mark a *stale* large head (freed before the
+//! crash, its class-0 descriptor still decoding) whose span would swallow
+//! superblocks holding live small blocks. Recovery claims spans with
+//! [`Census::claim`], the rule the checker and `rinspect` apply to FULL
+//! heads: a marked head is live only if every interior superblock carries
+//! the `CONTINUATION` tag (persisted at allocation), and so holds no mark.
+//! Live large blocks always pass; phantoms are dropped and counted in
+//! [`RecoveryStats::rejected_large_phantoms`] (a one-superblock phantom
+//! merely leaks it: conservative collection may leak, never corrupt). The
+//! sweep stores FULL into every superblock of a claimed span, as online.
 
 use std::cell::OnceCell;
 use std::panic::resume_unwind;
@@ -205,17 +209,15 @@ pub struct RecoveryPhases {
     /// the tail decommitted, and its pages handed to the pool's release
     /// thread: this phase holds that thread's spawn, not the release.
     pub shrink: Duration,
-    /// Steps 7–9: the live prefix's descriptors rebuilt and every list
-    /// published, while the release thread gives the tail back.
+    /// Steps 7–10: the live prefix's descriptors rebuilt, every list
+    /// published and the records fenced, while the release thread gives
+    /// the tail back (recovery returns without waiting for it).
     pub sweep: Duration,
-    /// Step 10: the committed prefix flushed and fenced. No part of the
-    /// tail's release: recovery returns without waiting for it.
-    pub write_back: Duration,
 }
 
 impl RecoveryPhases {
     /// `(gauge name, wall time)` per phase, in run order.
-    pub fn named(&self) -> [(&'static str, Duration); 7] {
+    pub fn named(&self) -> [(&'static str, Duration); 6] {
         [
             ("recovery_phase_reconcile_ns", self.reconcile),
             ("recovery_phase_census_ns", self.census),
@@ -223,7 +225,6 @@ impl RecoveryPhases {
             ("recovery_phase_claim_ns", self.claim),
             ("recovery_phase_shrink_ns", self.shrink),
             ("recovery_phase_sweep_ns", self.sweep),
-            ("recovery_phase_write_back_ns", self.write_back),
         ]
     }
 }
@@ -232,9 +233,7 @@ impl RecoveryPhases {
 /// recovery). Caller guarantees quiescence.
 pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
     let t0 = Instant::now();
-    let pool = &inner.pool;
-    let geo = &inner.geo;
-    let used = inner.used_sb();
+    let (pool, geo, used) = (&inner.pool, &inner.geo, inner.used_sb());
     let threads = threads.max(1);
 
     // Invalidate every thread cache populated before this point and wait
@@ -261,8 +260,7 @@ pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
         .filter_map(|i| Some((sb0 + inner.root(i).load().target()? as usize, root_fns.get(&i).copied())))
         .collect();
     drop(root_fns);
-    // Each lap is the time since the previous one: the phases tile
-    // `duration` with no gaps.
+    // Each lap is the time since the previous one: the phases tile `duration`.
     let mut at = t0;
     let mut lap = || {
         let now = Instant::now();
@@ -357,8 +355,7 @@ pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
     stats.free_superblocks = used - keep;
     phases.shrink = lap();
 
-    // Steps 7-9, while the tail's pages go back: sweep `0..keep` and
-    // publish every list.
+    // Steps 7-9, while the tail's pages go back: sweep `0..keep`, publish every list.
     let swept = sweep(inner, census, &marks, &claim.claimed[..keep]);
     DescList::free_list(geo).publish(pool, geo, &swept.free);
     for (at, chain) in swept.partial.iter().enumerate() {
@@ -372,16 +369,11 @@ pub(crate) fn recover_with(inner: &HeapInner, threads: usize) -> RecoveryStats {
     stats.full_superblocks = swept.full;
     inner.emit(EventKind::RecoverySweep, stats.reachable_blocks, used as u64);
     inner.emit(EventKind::RecoverySplice, stats.partial_superblocks as u64, stats.free_superblocks as u64);
-    phases.sweep = lap();
-
-    // Step 10: write everything back so a crash immediately after
-    // recovery restarts from this reconstructed state. Only the committed
-    // prefix exists to flush; the uncommitted reservation has no content
-    // (and the pool would reject the range).
+    // Step 10: the records go durable, nothing the sweep rebuilt does (module docs).
     if !inner.transient {
-        pool.persist(0, pool.committed_len());
+        pool.fence();
     }
-    phases.write_back = lap();
+    phases.sweep = lap();
     stats.phases = phases;
     stats.duration = t0.elapsed();
 
@@ -616,7 +608,8 @@ mod tests {
         heap.crash_simulated();
         heap.recover();
         // Crash again immediately (before any new persistence): recovery
-        // flushed its reconstruction, so this recovers identically.
+        // persisted nothing it rebuilt, but changed none of its inputs, so
+        // this recovers identically from the pre-recovery anchors and lists.
         heap.crash_simulated();
         let s = heap.recover();
         assert_eq!(s.reachable_blocks, 50);

@@ -204,7 +204,9 @@ impl PoolGuard {
 /// Both are built by the same steps — reserve, then map page ranges as
 /// the frontier first reaches them — and differ in what `map` is handed
 /// and in what a released tail becomes.
+#[repr(C)]
 pub struct PmemPool {
+    /// First: a heap's hit path reads the base as the pool's first word.
     span: Reservation,
     /// The committed frontier: the backed prefix (the file length for
     /// mapped pools).

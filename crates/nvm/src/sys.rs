@@ -360,6 +360,7 @@ pub const fn page_down(n: usize) -> usize {
 /// to the kernel, leaving it mapped, and [`Reservation::release`] takes a
 /// range's pages away again. Offsets are relative to
 /// [`Reservation::base`]; dropping the value unmaps the span.
+#[repr(C)]
 pub struct Reservation {
     base: *mut u8,
     len: usize,

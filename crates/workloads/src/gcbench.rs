@@ -8,9 +8,9 @@
 //! locality).
 //!
 //! We run the heap in Direct mode and invoke `recover()` on the quiescent
-//! heap: that executes exactly the dirty-restart code path (trace +
-//! sweep + rebuild + write-back) without paying the Tracked-mode shadow
-//! bookkeeping, which would distort timing.
+//! heap: that executes exactly the dirty-restart code path (trace, sweep,
+//! rebuild; nothing rebuilt is written back) without paying the
+//! Tracked-mode shadow bookkeeping, which would distort timing.
 
 use std::time::Duration;
 

@@ -151,10 +151,12 @@ fn repeated_crashes_converge() {
     assert_eq!(vals, expected);
 }
 
-/// What a recovery leaves durable: `used`, the committed prefix (in
-/// superblocks), the header up to the flight ring (whose records differ
-/// from one recovery to the next by design), and the descriptors of the
-/// used superblocks.
+/// What a recovery rebuilt: the durable `used`, the committed prefix (in
+/// superblocks), and, as the heap reads them now, the header up to the
+/// flight ring (whose records differ from one recovery to the next by
+/// design) and the descriptors of the used superblocks. Recovery writes
+/// back nothing it rebuilds, so only `used` is read from the durable
+/// image, and it must equal the live one.
 struct Recovered {
     used: u64,
     committed: usize,
@@ -166,13 +168,17 @@ impl Recovered {
     fn of(heap: &Ralloc) -> Recovered {
         use ralloc::layout::{FLIGHT_OFF, USED_SB_OFF};
         let image = heap.pool().persistent_image();
-        let word = |off: usize| u64::from_le_bytes(image[off..off + 8].try_into().unwrap());
+        let used = u64::from_le_bytes(image[USED_SB_OFF..USED_SB_OFF + 8].try_into().unwrap());
+        assert_eq!(used, heap.used_superblocks() as u64, "the lowered `used` is not durable");
         let descriptors = heap.geometry().desc(0)..heap.geometry().desc(heap.used_superblocks());
+        // SAFETY: the metadata region and the used descriptors lie inside
+        // the committed prefix, and the heap is quiescent.
+        let live = unsafe { std::slice::from_raw_parts(heap.pool().base(), descriptors.end) };
         Recovered {
-            used: word(USED_SB_OFF),
+            used,
             committed: heap.committed_superblocks(),
-            header: image[..FLIGHT_OFF].to_vec(),
-            descriptors: image[descriptors].to_vec(),
+            header: live[..FLIGHT_OFF].to_vec(),
+            descriptors: live[descriptors].to_vec(),
         }
     }
 }
@@ -461,10 +467,10 @@ fn a_list_head_flipped_past_used_ends_the_list() {
 }
 
 /// A crash at any persistence event of one `recover_parallel(2)` — the
-/// lowered `used`, the decommit, the flight records
-/// around the list publish, the write-back — leaves an image whose own
-/// recovery is consistent, keeps every rooted block and ends exactly
-/// where an uncrashed recovery of the original image does. The sweep
+/// lowered `used`, the decommit, the flight records around the list
+/// publish, the closing fence — leaves an image whose own recovery is
+/// consistent, keeps every rooted block and ends exactly where an
+/// uncrashed recovery of the original image does. The sweep
 /// crashes inside every step: each step's flight record is the last one
 /// the crashed recovery wrote at one crash point or more.
 ///
@@ -522,13 +528,105 @@ fn a_crash_inside_recovery_recovers_to_the_uncrashed_result() {
     for kind in ["shrink_unpublish", "shrink_decommit", "recovery_splice"] {
         assert!(seen.contains(kind), "the recovery never reached {kind}");
     }
-    assert_eq!(events, 11, "a 2-worker recovery's persistence events");
+    // The reconcile record; the shrink record, `used` and their fence;
+    // the decommit's record, its fence and the decommit; the sweep and
+    // splice records and the closing fence.
+    assert_eq!(events, 10, "a 2-worker recovery's persistence events");
     for step in ["recovery_reconcile", "shrink_unpublish", "shrink_decommit", "recovery_sweep", "recovery_splice"] {
         assert!(last_records.contains(step), "no crash lands after {step}: {last_records:?}");
     }
     for step in ["root_publish", "shrink_unpublish", "shrink_decommit"] {
         assert!(last_durable.contains(step), "no crash image ends at {step}: {last_durable:?}");
     }
+}
+
+/// Recovery writes back nothing it rebuilds: across one recovery of a
+/// tracked crash image, the durable header (but `used` and the flight
+/// ring) and every descriptor byte stay as they were, while the heap reads
+/// rebuilt anchors and lists, and the lowered `used` is durable.
+#[test]
+fn recovery_persists_nothing_it_rebuilds() {
+    use ralloc::layout::{FLIGHT_OFF, USED_SB_OFF};
+    let heap = tracked(CrashInjector::new());
+    populate_and_crash(&heap);
+    PStack::attach(&heap, 0).expect("the stack head was persisted at create");
+    let used = heap.used_superblocks();
+    let descriptors = heap.geometry().desc(0)..heap.geometry().desc(used);
+    let before = heap.pool().persistent_image();
+    assert!(heap.recover_parallel(2).shrunk_superblocks > 0, "the recovery shrank nothing");
+    let after = heap.pool().persistent_image();
+    let header = |image: &[u8]| [image[..USED_SB_OFF].to_vec(), image[USED_SB_OFF + 8..FLIGHT_OFF].to_vec()].concat();
+    assert_eq!(first_difference(&header(&before), &header(&after)), None, "a durable header byte changed");
+    let descriptor = first_difference(&before[descriptors.clone()], &after[descriptors.clone()]);
+    assert_eq!(descriptor, None, "a durable descriptor byte changed");
+    let rebuilt = Recovered::of(&heap);
+    assert!(rebuilt.used < used as u64, "`used` was not lowered");
+    let kept = descriptors.start..heap.geometry().desc(rebuilt.used as usize);
+    assert_ne!(rebuilt.descriptors, after[kept], "the recovery rebuilt no descriptor");
+}
+
+/// A crash right after a recovery loses everything the recovery rebuilt
+/// but `used`, and the next recovery rebuilds it to the same bytes: for a
+/// strict image and for two where half the rebuilt lines got evicted
+/// durable, the same header and descriptors, the same counts (less the
+/// free run the first recovery released), the same stack and a
+/// consistent heap.
+#[test]
+fn a_crash_right_after_recovery_recovers_to_the_same_heap() {
+    let heap = tracked(CrashInjector::new());
+    populate_and_crash(&heap);
+    let used = heap.used_superblocks();
+    let (first, s1) = recover_image(&heap.pool().persistent_image(), 2);
+    let want = Recovered::of(&first);
+    let stack = PStack::attach(&first, 0).expect("stack head").snapshot();
+    assert_eq!(stack, (1..=80).rev().collect::<Vec<u64>>());
+    // The crash image holds the lowered `used` and prefix, so the second
+    // recovery has no free run past the live prefix to release.
+    let mut want_counts = counts(&s1);
+    want_counts[2] -= (used - first.used_superblocks()) as u64;
+    want_counts[8] = 0;
+    let strict = first.pool().persistent_image();
+    let styles = [7, 11].map(|seed| CrashStyle::RandomEviction { survive_permille: 500, seed });
+    for style in [CrashStyle::StrictFlushOnly].into_iter().chain(styles) {
+        let image = first.pool().crash_image(style);
+        assert!((style == CrashStyle::StrictFlushOnly) == (image == strict), "{style:?}: no rebuilt line survived");
+        let (again, s) = recover_image(&image, 2);
+        let got = Recovered::of(&again);
+        assert_eq!((got.used, got.committed), (want.used, want.committed), "{style:?}");
+        assert_eq!(first_difference(&got.header, &want.header), None, "{style:?}: header byte");
+        assert_eq!(first_difference(&got.descriptors, &want.descriptors), None, "{style:?}: descriptor byte");
+        assert_eq!(counts(&s), want_counts, "{style:?}");
+        assert_eq!(PStack::attach(&again, 0).expect("stack head").snapshot(), stack, "{style:?}");
+        let report = ralloc::check_heap(&again);
+        assert!(report.is_consistent(), "{style:?}: {:?}", report.violations);
+    }
+}
+
+/// Recovery's flushes do not grow with the heap: a recovery of a heap with
+/// 1 MiB live and one with 64 MiB live, each with an unrooted tail to
+/// release, flush the same few lines (its flight records and the lowered
+/// `used`) and fence as often.
+#[test]
+fn recovery_flushes_a_constant_number_of_lines() {
+    const MIB: usize = 1 << 20;
+    let cost = |live: usize| {
+        let heap = Ralloc::create((live + 8) * MIB, RallocConfig::default());
+        for i in 0..live {
+            let p = heap.malloc(MIB) as *const u64;
+            assert!(!p.is_null());
+            heap.set_root::<u64>(i, p);
+        }
+        assert!(!heap.malloc(MIB).is_null(), "the unrooted tail");
+        let before = heap.pool().stats().snapshot();
+        let stats = heap.recover_parallel(2);
+        let spent = heap.pool().stats().snapshot().since(&before);
+        assert_eq!(stats.reachable_bytes, (live * MIB) as u64, "{live} MiB live");
+        assert!(stats.shrunk_superblocks >= MIB / SB_SIZE, "{live} MiB live: the tail was not released");
+        (spent.flush_lines, spent.fences)
+    };
+    let (small, large) = (cost(1), cost(64));
+    assert_eq!(small, large, "(flush lines, fences) with 1 MiB and 64 MiB live");
+    assert!(small.0 <= 16, "{} lines flushed", small.0);
 }
 
 /// A 1 KiB list node: 64 to a superblock, so a few thousand of them span

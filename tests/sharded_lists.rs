@@ -207,7 +207,8 @@ fn crash_during_parallel_recovery_is_recoverable() {
     // A recovery's first persistence event is its `recovery_reconcile`
     // flight record, before the trace. A 1-event budget crashes it at the
     // next one, after every worker has traced: the record of the lowered
-    // `used`, before that `used`, the sweep or the write-back is durable.
+    // `used`, before that `used`, the sweep or the closing fence is
+    // durable.
     let (heap, fired) = crash_at(1, crashed_heap, |heap, arm| {
         arm();
         heap.recover_parallel(4);

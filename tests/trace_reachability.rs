@@ -2,11 +2,15 @@
 //! §4.5): on seeded random graphs of two node types, traced through
 //! filters and conservatively, with 1, 2 and 3 workers; and it survives
 //! hostile links, a crash image whose root slots and rooted nodes carry
-//! flipped bytes.
+//! flipped bytes, and hostile transient metadata, flipped bytes in its
+//! anchors and list heads, which it rebuilds to what a clean image gives.
 
 use std::collections::{HashMap, HashSet};
 
-use ralloc::layout::{FLIGHT_OFF, ROOTS_OFF, USED_SB_OFF};
+use ralloc::descriptor::ANCHOR_OFF;
+use ralloc::layout::{FLIGHT_OFF, FREE_LIST_OFF, ROOTS_OFF, USED_SB_OFF};
+use ralloc::shard::SHARDS;
+use ralloc::size_class::NUM_CLASSES;
 use ralloc::{check_heap, Pptr, Ralloc, RallocConfig, RecoveryStats, Trace, Tracer, SB_SIZE};
 
 /// SplitMix64: a seeded stream, so a failing seed replays.
@@ -274,13 +278,18 @@ fn found(s: &RecoveryStats) -> [u64; 7] {
     ]
 }
 
-/// The heap's durable header below the flight ring and its descriptors
-/// below the `used` the header holds.
+/// The heap's header below the flight ring and its used descriptors, as
+/// the heap reads them: recovery writes back nothing it rebuilds. Only
+/// `used` must be durable, and equal the live one.
 fn metadata(heap: &Ralloc) -> (Vec<u8>, Vec<u8>) {
     let image = heap.pool().persistent_image();
     let geo = heap.geometry();
     let used = u64::from_le_bytes(image[USED_SB_OFF..USED_SB_OFF + 8].try_into().unwrap()) as usize;
-    (image[..FLIGHT_OFF].to_vec(), image[geo.desc(0)..geo.desc(used)].to_vec())
+    assert_eq!(used, heap.used_superblocks(), "the lowered `used` is not durable");
+    // SAFETY: the metadata region and the used descriptors lie inside the
+    // committed prefix, and the heap is quiescent.
+    let live = unsafe { std::slice::from_raw_parts(heap.pool().base(), geo.desc(used)) };
+    (live[..FLIGHT_OFF].to_vec(), live[geo.desc(0)..].to_vec())
 }
 
 /// The kept set is exactly the reachable set: the count, every reachable
@@ -372,6 +381,51 @@ fn hostile_links(seed: u64, flips: usize) {
     }
 }
 
+/// Flip one byte of a used descriptor's anchor word, or of the free-list
+/// head or a partial-list head, in a valid image, `flips` times from
+/// `seed`. Recovery reads none of them but a head's ABA counter, which it
+/// keeps: every recovery finds what the clean image's does and rebuilds
+/// the same descriptors and header, but for the flipped word when it is a
+/// head, and a second recovery changes nothing.
+fn hostile_metadata(seed: u64, flips: usize) {
+    let mut rng = Rng(seed);
+    let g = build(&mut rng, 2 << 20, 400, 2, 100);
+    let (clean, clean_found) = {
+        let (heap, stats) = recover(&g, &g.image, 1, RallocConfig::tracked());
+        (metadata(&heap), found(&stats))
+    };
+    let (heap, _) = Ralloc::from_image(&g.image, RallocConfig::default());
+    let geo = heap.geometry();
+    let anchors = (0..heap.used_superblocks()).map(|i| geo.desc(i) + ANCHOR_OFF);
+    let partials = (1..NUM_CLASSES as u32).flat_map(|c| (0..SHARDS).map(move |s| geo.partial_head(c, s)));
+    let heads: Vec<usize> = std::iter::once(FREE_LIST_OFF).chain(partials).collect();
+    let words: Vec<usize> = anchors.chain(heads.iter().copied()).collect();
+    drop(heap);
+    for flip in 0..flips {
+        let mut image = g.image.clone();
+        let word = words[rng.below(words.len())];
+        let at = word + rng.below(8);
+        image[at] ^= 1 + rng.below(255) as u8;
+        let workers = 1 + flip % 3;
+        let what = format!("seed {seed}, flip {flip}: byte {at:#x}, {workers} workers");
+        let (heap, first) = recover(&g, &image, workers, RallocConfig::tracked());
+        let report = check_heap(&heap);
+        assert!(report.is_consistent(), "{what}: {:?}", report.violations);
+        assert_eq!(found(&first), clean_found, "{what}: the recovery found other blocks");
+        let once = metadata(&heap);
+        assert!(once.1 == clean.1, "{what}: the rebuilt descriptors differ from the clean image's");
+        let (mut header, mut want) = (once.0.clone(), clean.0.clone());
+        if heads.contains(&word) {
+            header[word..word + 8].fill(0);
+            want[word..word + 8].fill(0);
+        }
+        assert!(header == want, "{what}: the rebuilt header differs from the clean image's");
+        let again = heap.recover_parallel(workers);
+        assert_eq!(found(&first), found(&again), "{what}: the second recovery found other blocks");
+        assert!(once == metadata(&heap), "{what}: the second recovery changed rebuilt metadata");
+    }
+}
+
 #[test]
 fn hostile_links_never_break_recovery_seed_1() {
     hostile_links(1, 200);
@@ -385,4 +439,19 @@ fn hostile_links_never_break_recovery_seed_2() {
 #[test]
 fn hostile_links_never_break_recovery_seed_3() {
     hostile_links(3, 200);
+}
+
+#[test]
+fn hostile_anchors_and_list_heads_change_no_recovery_seed_1() {
+    hostile_metadata(1, 200);
+}
+
+#[test]
+fn hostile_anchors_and_list_heads_change_no_recovery_seed_2() {
+    hostile_metadata(2, 200);
+}
+
+#[test]
+fn hostile_anchors_and_list_heads_change_no_recovery_seed_3() {
+    hostile_metadata(3, 200);
 }
