@@ -8,8 +8,9 @@
 //! their persistence overhead comes from.
 //!
 //! Both also share their large blocks ([`Spans`], first-fit over freed
-//! chunk spans, else a carve) and their recovery walk ([`rebuild`]); they
-//! differ only in where a small block goes when it is free.
+//! chunk spans, else a carve) and differ only in where a small block goes
+//! when it is free. PMDK's recovery walk is [`rebuild`]; the Makalu model
+//! has no recovery.
 
 use nvm::PmemPool;
 use parking_lot::Mutex;

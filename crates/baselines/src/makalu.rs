@@ -11,11 +11,10 @@
 //! * over-full thread buffers return only **half** their blocks (§6.3),
 //!   trading some balance for locality (the memcached edge).
 //!
-//! Recovery rebuilds the central pools from the persisted chunk headers
-//! and allocation bytes; unlike Ralloc there is no GC here (the real
-//! Makalu has an offline collector too, but the paper's experiments
-//! exercise only its allocation paths, so the simulation keeps recovery
-//! minimal: persisted allocation state is authoritative).
+//! The model covers the online cost only: it has no recovery. The paper's
+//! experiments exercise only Makalu's allocation paths, no harness
+//! crash-tests this simulation and no figure times a recovery of it, so
+//! its pool is always `Mode::Direct`.
 
 use std::sync::Arc;
 
@@ -25,7 +24,7 @@ use nvm::{FlushModel, Mode, PmemPool};
 use ralloc::PersistentAllocator;
 
 use crate::chunked::{
-    self, carve, class_block_size, class_max_count, locate, set_alloc_state, set_chunk_class,
+    carve, class_block_size, class_max_count, locate, set_alloc_state, set_chunk_class,
     size_class_of, used_chunks, ChunkGeo, Spans, NUM_CLASSES,
 };
 use crate::tls::{self, CacheOwner};
@@ -61,9 +60,9 @@ pub struct MakaluSim {
 
 impl MakaluSim {
     /// Create a heap with at least `capacity` bytes of chunk area.
-    pub fn create(capacity: usize, mode: Mode, flush_model: FlushModel) -> MakaluSim {
+    pub fn create(capacity: usize, flush_model: FlushModel) -> MakaluSim {
         let len = ChunkGeo::pool_len_for_capacity(capacity);
-        let pool = PmemPool::with_reserve(len, len, mode, flush_model, None);
+        let pool = PmemPool::with_reserve(len, len, Mode::Direct, flush_model);
         let geo = ChunkGeo::new(pool.len());
         MakaluSim {
             inner: Arc::new(MakaluInner {
@@ -76,23 +75,9 @@ impl MakaluSim {
         }
     }
 
-    /// The underlying pool (statistics, crash simulation).
+    /// The underlying pool (statistics).
     pub fn pool(&self) -> &PmemPool {
         &self.inner.pool
-    }
-
-    /// Rebuild the central pools from persisted state (post-crash). The
-    /// persisted allocation bytes are authoritative: allocated blocks stay
-    /// allocated, everything else returns to the pools.
-    pub fn recover(&self) {
-        let inner = &*self.inner;
-        for c in inner.central.iter() {
-            c.lock().clear();
-        }
-        let base = inner.pool.base() as usize;
-        chunked::rebuild(&inner.pool, &inner.geo, &inner.spans, |class, off| {
-            inner.central[class as usize].lock().push(base + off)
-        });
     }
 
     fn alloc_small(&self, class: u32) -> *mut u8 {
@@ -205,7 +190,7 @@ mod tests {
     use std::collections::HashSet;
 
     fn heap() -> MakaluSim {
-        MakaluSim::create(16 << 20, Mode::Direct, FlushModel::free())
+        MakaluSim::create(16 << 20, FlushModel::free())
     }
 
     #[test]
@@ -231,7 +216,7 @@ mod tests {
 
     #[test]
     fn every_op_persists() {
-        let m = MakaluSim::create(4 << 20, Mode::Direct, FlushModel::free());
+        let m = MakaluSim::create(4 << 20, FlushModel::free());
         let p1 = m.malloc(64); // may carve (extra persists)
         let before = m.pool().stats().snapshot();
         let p2 = m.malloc(64);
@@ -250,25 +235,6 @@ mod tests {
         let q = m.malloc(150_000);
         assert!(!q.is_null());
         assert_eq!(p, q, "freed span should be reused first-fit");
-    }
-
-    #[test]
-    fn allocation_state_survives_crash_and_recover() {
-        let m = MakaluSim::create(4 << 20, Mode::Tracked, FlushModel::free());
-        let live: Vec<usize> = (0..100).map(|_| m.malloc(64) as usize).collect();
-        let freed = m.malloc(64);
-        m.free(freed);
-        m.pool().crash();
-        m.recover();
-        // Live blocks stay allocated: nothing handed out may alias them.
-        let live_set: HashSet<usize> = live.into_iter().collect();
-        for _ in 0..10_000 {
-            let p = m.malloc(64);
-            if p.is_null() {
-                break;
-            }
-            assert!(!live_set.contains(&(p as usize)), "live block re-issued after recovery");
-        }
     }
 
     #[test]

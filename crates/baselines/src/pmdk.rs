@@ -35,7 +35,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use nvm::{CrashInjector, FlushModel, Mode, PmemPool};
+use nvm::{FlushModel, Mode, PmemPool};
 use ralloc::PersistentAllocator;
 
 use crate::chunked::{
@@ -72,20 +72,11 @@ pub struct PmdkSim {
 }
 
 impl PmdkSim {
-    /// Create a heap with at least `capacity` bytes of chunk area.
+    /// Create a heap with at least `capacity` bytes of chunk area. Its
+    /// pool's injector ([`PmemPool::injector`]) crashes it in tests.
     pub fn create(capacity: usize, mode: Mode, flush_model: FlushModel) -> PmdkSim {
-        Self::create_with(capacity, mode, flush_model, None)
-    }
-
-    /// [`PmdkSim::create`] with a crash injector for recovery tests.
-    pub fn create_with(
-        capacity: usize,
-        mode: Mode,
-        flush_model: FlushModel,
-        injector: Option<Arc<CrashInjector>>,
-    ) -> PmdkSim {
         let len = ChunkGeo::pool_len_for_capacity(capacity);
-        Self::on(PmemPool::with_reserve(len, len, mode, flush_model, injector))
+        Self::on(PmemPool::with_reserve(len, len, mode, flush_model))
     }
 
     /// The heap a crash image holds, on a `Mode::Direct` pool, before
@@ -356,10 +347,9 @@ mod tests {
     use super::*;
     use std::cell::{Cell, RefCell};
     use std::collections::HashSet;
-    use std::sync::Arc;
 
     use crashtest::{join, sweep, Victim, STYLES};
-    use nvm::{CrashInjector, PmemPool};
+    use nvm::PmemPool;
 
     fn heap() -> PmdkSim {
         PmdkSim::create(16 << 20, Mode::Direct, FlushModel::free())
@@ -377,8 +367,8 @@ mod tests {
         }
     }
 
-    fn tracked(inj: Arc<CrashInjector>) -> Sim {
-        Sim(PmdkSim::create_with(1 << 20, Mode::Tracked, FlushModel::free(), Some(inj)))
+    fn tracked() -> Sim {
+        Sim(PmdkSim::create(1 << 20, Mode::Tracked, FlushModel::free()))
     }
 
     /// A crash at every persistence event of one `malloc` after 50
@@ -390,8 +380,8 @@ mod tests {
         let survivors = RefCell::new(HashSet::new());
         let (events, _) = sweep(
             &STYLES,
-            |inj| {
-                let sim = tracked(inj);
+            || {
+                let sim = tracked();
                 let base = sim.0.pool().base() as usize;
                 *survivors.borrow_mut() = (0..50).map(|_| sim.0.malloc(64) as usize - base).collect();
                 sim
@@ -424,8 +414,8 @@ mod tests {
         let dests = Cell::new(0);
         let (events, _) = sweep(
             &STYLES,
-            |inj| {
-                let sim = tracked(inj);
+            || {
+                let sim = tracked();
                 // A large block class: few blocks per chunk to rebuild.
                 let words = sim.0.malloc(2000);
                 // SAFETY: a fresh block of that many bytes, which still
@@ -478,8 +468,8 @@ mod tests {
         let dests = Cell::new(0);
         let (events, _) = sweep(
             &STYLES,
-            |inj| {
-                let sim = tracked(inj);
+            || {
+                let sim = tracked();
                 let words = sim.0.malloc(64);
                 // SAFETY: a fresh block of 64 bytes, which still holds its
                 // free-list link.

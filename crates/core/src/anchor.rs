@@ -22,12 +22,12 @@ pub enum SbState {
 }
 
 impl SbState {
-    fn from_bits(b: u64) -> SbState {
+    fn from_bits(b: u64) -> Option<SbState> {
         match b {
-            0 => SbState::Empty,
-            1 => SbState::Partial,
-            2 => SbState::Full,
-            _ => unreachable!("invalid anchor state bits"),
+            0 => Some(SbState::Empty),
+            1 => Some(SbState::Partial),
+            2 => Some(SbState::Full),
+            _ => None,
         }
     }
 }
@@ -63,11 +63,18 @@ impl Anchor {
     /// Unpack from the descriptor word.
     #[inline]
     pub fn unpack(raw: u64) -> Anchor {
-        Anchor {
+        Self::decode(raw).expect("invalid anchor state bits")
+    }
+
+    /// Unpack a word no live heap vouches for (a checked or inspected
+    /// image): `None` for the state bits no anchor packs.
+    #[inline]
+    pub fn decode(raw: u64) -> Option<Anchor> {
+        Some(Anchor {
             avail: (raw & AVAIL_MASK) as u32,
             count: ((raw >> AVAIL_BITS) & COUNT_MASK) as u32,
-            state: SbState::from_bits(raw >> (AVAIL_BITS + COUNT_BITS)),
-        }
+            state: SbState::from_bits(raw >> (AVAIL_BITS + COUNT_BITS))?,
+        })
     }
 
     /// An anchor for a fully-allocated superblock (e.g. right after a

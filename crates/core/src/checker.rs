@@ -45,7 +45,7 @@
 use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 
-use crate::anchor::SbState;
+use crate::anchor::{Anchor, SbState};
 use crate::descriptor::{Census, Desc, Slot};
 use crate::heap::Ralloc;
 use crate::lists::DescList;
@@ -180,24 +180,26 @@ pub fn check_heap(heap: &Ralloc) -> CheckReport {
     // Rule 5: the live spans are the census's claim over FULL heads. A
     // FULL head it refuses is a phantom, and every superblock of a live
     // span must read FULL, since a shrink reads anchors alone.
-    let anchor = |i: usize| Desc::new(pool, geo, i as u32).anchor(Ordering::Relaxed);
-    let claim = census.claim(census.heads().filter(|&head| anchor(head).state == SbState::Full));
+    let anchor = |i: usize| Anchor::decode(Desc::new(pool, geo, i as u32).anchor_word().load(Ordering::Relaxed));
+    let full = |i: usize| anchor(i).is_some_and(|a| a.state == SbState::Full);
+    let claim = census.claim(census.heads().filter(|&head| full(head)));
     for head in &claim.phantoms {
         report.violate(
             "span-integrity",
             format!("FULL large head {head} spans a superblock that is not a continuation"),
         );
     }
-    for i in claim.spans.iter().flat_map(|s| s.clone()) {
-        let state = anchor(i).state;
-        if state != SbState::Full {
-            report.violate("span-integrity", format!("desc {i} of a live large span reads {state:?}"));
-        }
+    for i in claim.spans.iter().flat_map(|s| s.clone()).filter(|&i| !full(i)) {
+        let state = anchor(i).map(|a| a.state);
+        report.violate("span-integrity", format!("desc {i} of a live large span reads {state:?}"));
     }
 
     // Rules 2-4 per descriptor.
     for (i, slot) in census.slots.iter().enumerate() {
-        let a = anchor(i);
+        let Some(a) = anchor(i) else {
+            report.violate("anchor", format!("desc {i}: state bits no anchor packs"));
+            continue;
+        };
         if on_free.contains(&(i as u32)) && a.state != SbState::Empty {
             report.violate("list-membership", format!("desc {i} on free list with state {:?}", a.state));
         }

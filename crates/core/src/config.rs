@@ -14,10 +14,9 @@
 
 use std::fmt::Debug;
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
-use nvm::{CrashInjector, FlushModel, Mode};
+use nvm::{FlushModel, Mode};
 
 /// Configuration for creating or opening a heap.
 #[derive(Clone)]
@@ -27,8 +26,6 @@ pub struct RallocConfig {
     /// Latency charged per flush/fence (benchmarks use
     /// [`FlushModel::optane`]).
     pub flush_model: FlushModel,
-    /// Optional crash-point injector shared with the test harness.
-    pub injector: Option<Arc<CrashInjector>>,
     /// LRMalloc mode: skip every flush and fence. This is exactly how the
     /// paper produced its LRMalloc baseline ("Ralloc without flush and
     /// fence", §6.1). A transient heap cannot be recovered.
@@ -51,7 +48,6 @@ impl Default for RallocConfig {
         RallocConfig {
             mode: Mode::Direct,
             flush_model: FlushModel::default(),
-            injector: None,
             transient: false,
             initial_capacity: None,
             max_capacity: None,

@@ -290,14 +290,14 @@ mod tests {
     use nvm::{FlushModel, Mode};
 
     fn pool() -> PmemPool {
-        let p = PmemPool::with_reserve(1 << 20, 1 << 20, Mode::Direct, FlushModel::free(), None);
+        let p = PmemPool::with_reserve(1 << 20, 1 << 20, Mode::Direct, FlushModel::free());
         init_ring(&p);
         p
     }
 
     #[test]
     fn uninitialized_ring_scans_empty() {
-        let p = PmemPool::with_reserve(1 << 20, 1 << 20, Mode::Direct, FlushModel::free(), None);
+        let p = PmemPool::with_reserve(1 << 20, 1 << 20, Mode::Direct, FlushModel::free());
         let scan = scan_pool(&p);
         assert!(scan.events.is_empty());
         assert_eq!(scan.torn, 0);

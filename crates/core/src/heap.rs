@@ -357,9 +357,9 @@ impl Ralloc {
 
     // -------------------------------------------------------- lifecycle
 
-    /// The paper's `close()`: drain this thread's caches, clear the dirty
-    /// indicator, and write the whole heap back (a file heap's pages are
-    /// synced to its file) for a fast clean restart.
+    /// The paper's `close()`: drain this thread's caches, write the whole
+    /// heap back (a file heap's pages are synced to its file), then clear
+    /// the dirty indicator and persist it, for a fast clean restart.
     /// Worker threads must have exited (their caches drain at thread
     /// exit).
     pub fn close(&self) -> io::Result<()> {
@@ -377,15 +377,15 @@ impl Ralloc {
         // full rebuild rather than trusting half-shrunk lists.
         inner.shrink_quiesced();
         inner.closed.store(true, Ordering::Release);
-        // The Close record lands before the dirty-clear so the final
-        // full-pool flush below carries both.
         inner.emit(EventKind::Close, 0, 0);
+        // The whole heap, the Close record with it, is durable before the
+        // dirty word clears: a crash anywhere in here reopens dirty, or
+        // clean on an image that needs no recovery.
+        inner.persist(0, inner.pool.committed_len());
+        inner.pool.sync()?;
         // SAFETY: metadata word.
         unsafe { inner.pool.atomic_u64(DIRTY_OFF) }.store(0, Ordering::Release);
-        if !inner.transient {
-            inner.pool.flush(0, inner.pool.committed_len());
-            inner.pool.fence();
-        }
+        inner.persist(DIRTY_OFF, 8);
         inner.pool.sync()
     }
 

@@ -146,13 +146,7 @@ impl Ralloc {
     /// only returns null once the *reserved* ceiling is exhausted.
     pub fn create(capacity: usize, cfg: RallocConfig) -> Ralloc {
         let (reserved, committed) = Self::capacity_plan(capacity, &cfg);
-        let pool = PmemPool::with_reserve(
-            reserved,
-            committed,
-            cfg.mode,
-            cfg.flush_model,
-            cfg.injector.clone(),
-        );
+        let pool = PmemPool::with_reserve(reserved, committed, cfg.mode, cfg.flush_model);
         Self::fresh(pool, &cfg)
     }
 
@@ -205,9 +199,7 @@ impl Ralloc {
             return Err(io::Error::new(io::ErrorKind::InvalidInput, why));
         }
         let (guard, file_len, reserved) = open_existing(path)?;
-        let map = |reserved, committed| {
-            PmemPool::map_file(guard, reserved, committed, cfg.flush_model, cfg.injector.clone())
-        };
+        let map = |reserved, committed| PmemPool::map_file(guard, reserved, committed, cfg.flush_model);
         if file_len > 0 {
             Ok(Self::adopt(map(reserved, file_len)?, &cfg))
         } else {

@@ -1,17 +1,17 @@
 //! The crash-point driver every power-failure sweep runs on. It names
 //! only `nvm` types: a heap on one pool is a [`Victim`].
 //!
-//! [`crash_at`] builds a victim on a fresh [`CrashInjector`] and runs it,
-//! crashed at the `budget + 1`-th persistence event after the run arms
-//! it; [`sweep`] does so for budgets 0, 1, 2 … until a run completes,
-//! whose budget is the event count. The fire freezes the victim's crash
+//! [`crash_at`] builds a victim and runs it, crashed by its pool's
+//! [`nvm::CrashInjector`] at the `budget + 1`-th persistence event after
+//! the run arms it; [`sweep`] does so for budgets 0, 1, 2 … until a run
+//! completes, whose budget is the event count. The fire freezes the victim's crash
 //! image, so one run serves every [`CrashStyle`].
 
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::{Arc, Once};
+use std::sync::Once;
 use std::thread::ScopedJoinHandle;
 
-use nvm::{CrashInjector, CrashPoint, CrashStyle, PmemPool};
+use nvm::{CrashPoint, CrashStyle, PmemPool};
 
 /// The strict model and two eviction seeds (half and a tenth of the dirty
 /// lines kept): the styles a sweep checks unless it names its own.
@@ -31,12 +31,13 @@ pub trait Victim: Sized {
 }
 
 /// One crash point: `build` a victim, then `run` it; `run`'s second
-/// argument arms the injector. Returns the victim, frozen at the fire, and
-/// whether the injector fired. Any panic but the injected crash is
-/// resumed: a `run` that starts threads joins them with [`join`].
+/// argument arms the injector of the victim's pool. Returns the victim,
+/// frozen at the fire, and whether the injector fired. Any panic but the
+/// injected crash is resumed: a `run` that starts threads joins them with
+/// [`join`].
 pub fn crash_at<V: Victim>(
     budget: u64,
-    build: impl FnOnce(Arc<CrashInjector>) -> V,
+    build: impl FnOnce() -> V,
     run: impl FnOnce(&V, &dyn Fn()),
 ) -> (V, bool) {
     static QUIET: Once = Once::new();
@@ -49,8 +50,8 @@ pub fn crash_at<V: Victim>(
             }
         }));
     });
-    let inj = CrashInjector::new();
-    let victim = build(inj.clone());
+    let victim = build();
+    let inj = victim.pool().injector();
     let ran = panic::catch_unwind(AssertUnwindSafe(|| run(&victim, &|| inj.arm(budget))));
     let fired = inj.fired();
     inj.disarm();
@@ -79,7 +80,7 @@ pub fn join(workers: Vec<ScopedJoinHandle<'_, ()>>) {
 /// run completed.
 pub fn sweep<V: Victim>(
     styles: &[CrashStyle],
-    mut build: impl FnMut(Arc<CrashInjector>) -> V,
+    mut build: impl FnMut() -> V,
     mut run: impl FnMut(&V, &dyn Fn()),
     mut check: impl FnMut(&V, V, u64, CrashStyle),
 ) -> (u64, V) {
@@ -106,7 +107,7 @@ mod tests {
     #[test]
     fn a_real_panic_after_the_fire_is_resumed() {
         let run = |fail: bool| {
-            let build = |inj| Ralloc::create(4 << 20, RallocConfig { injector: Some(inj), ..RallocConfig::tracked() });
+            let build = || Ralloc::create(4 << 20, RallocConfig::tracked());
             crash_at(0, build, |heap, arm| {
                 let (fired, after_fire) = std::sync::mpsc::channel::<()>();
                 arm();

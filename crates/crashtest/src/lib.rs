@@ -39,7 +39,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use nvm::{sys, CrashInjector, CrashStyle, Mode, PmemPool};
+use nvm::{sys, CrashStyle, Mode, PmemPool};
 use ralloc::{Ralloc, RallocConfig};
 
 pub use driver::{crash_at, join, sweep, Victim, STYLES};
@@ -132,23 +132,21 @@ pub fn ready_path(pool: &Path) -> PathBuf {
     PathBuf::from(p)
 }
 
-fn victim_config(injector: Option<std::sync::Arc<CrashInjector>>) -> RallocConfig {
-    RallocConfig { injector, initial_capacity: Some(INIT_COMMIT), ..Default::default() }
+fn victim_config() -> RallocConfig {
+    RallocConfig { initial_capacity: Some(INIT_COMMIT), ..Default::default() }
 }
 
 /// Child-side body: open the pool live-mapped, build the structure and
 /// op-log, then run the workload until the kill lands (or it finishes).
 /// Never returns; exits via `exit_group` so no buffers flush twice.
 pub fn child_exec(cfg: &RunConfig) -> ! {
-    let inj = CrashInjector::new();
-    let (heap, _dirty) =
-        match Ralloc::open_file(&cfg.pool, POOL_CAP, victim_config(Some(inj.clone()))) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("crashtest child: open_file failed: {e}");
-                sys::exit_group(2)
-            }
-        };
+    let (heap, _dirty) = match Ralloc::open_file(&cfg.pool, POOL_CAP, victim_config()) {
+        Ok(v) => v,
+        Err(e) => {
+            eprintln!("crashtest child: open_file failed: {e}");
+            sys::exit_group(2)
+        }
+    };
     cfg.structure.victim(&heap, cfg.threads, cfg.seed, cfg.ops_per_thread, || {
         // Ops can only ack past this marker; the parent treats a missing
         // marker as "died during setup" (vacuous pass — init is not a
@@ -158,10 +156,10 @@ pub fn child_exec(cfg: &RunConfig) -> ! {
             sys::exit_group(2)
         }
         if let KillSpec::Events(n) = cfg.kill {
-            inj.arm_kill(n);
+            heap.pool().injector().arm_kill(n);
         }
     });
-    inj.disarm();
+    heap.pool().injector().disarm();
     sys::exit_group(0)
 }
 
@@ -208,7 +206,7 @@ pub fn verify(cfg: &RunConfig, killed: bool) -> Result<RunReport, String> {
             inflight: 0,
         });
     }
-    let (heap, dirty) = Ralloc::open_file(&cfg.pool, POOL_CAP, victim_config(None))
+    let (heap, dirty) = Ralloc::open_file(&cfg.pool, POOL_CAP, victim_config())
         .map_err(|e| format!("reopen failed: {e}"))?;
     workload::register_filters(&heap, cfg.structure);
     if dirty {
@@ -254,7 +252,7 @@ pub fn judge(heap: &Ralloc, structure: Structure) -> Result<(usize, usize, usize
 pub fn tracked_sweep(structure: Structure, styles: &[CrashStyle], seed: u64, ops: usize) -> u64 {
     sweep(
         styles,
-        |inj| Ralloc::create(POOL_CAP, RallocConfig { mode: Mode::Tracked, ..victim_config(Some(inj)) }),
+        || Ralloc::create(POOL_CAP, RallocConfig { mode: Mode::Tracked, ..victim_config() }),
         |heap, arm| structure.victim(heap, 1, seed, ops, arm),
         |_, heap, budget, style| {
             workload::register_filters(&heap, structure);

@@ -15,10 +15,8 @@
 
 use std::cell::Cell;
 use std::collections::HashSet;
-use std::sync::Arc;
 
 use crashtest::{sweep, STYLES};
-use nvm::CrashInjector;
 use ralloc::{check_heap, Mode, Ralloc, RallocConfig};
 
 const SENTINEL_WORDS: usize = 8;
@@ -26,13 +24,12 @@ const ROOT_SMALL: usize = 0;
 const ROOT_LARGE: usize = 1;
 const ROOT_REGROW: usize = 2;
 
-fn victim_cfg(injector: Arc<CrashInjector>) -> RallocConfig {
+fn victim_cfg() -> RallocConfig {
     RallocConfig {
         mode: Mode::Tracked,
         // One committed superblock out of many reserved: the window
         // below must cross the grow path repeatedly.
         initial_capacity: Some(1),
-        injector: Some(injector),
         ..RallocConfig::default()
     }
 }
@@ -156,7 +153,7 @@ fn crash_sweep_covers_both_region_frontier_protocols() {
         arm();
         shrunk.set(window(heap));
     };
-    let build = |inj| Ralloc::create(32 << 20, victim_cfg(inj));
+    let build = || Ralloc::create(32 << 20, victim_cfg());
     let (events, heap) = sweep(&STYLES[..2], build, window, |_, heap, budget, _| recover_and_account(heap, budget));
     // 12 carves (a fill and 11 one-superblock large blocks), each claim
     // fenced once; the first re-grown block flushes `used` alone.

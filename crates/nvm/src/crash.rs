@@ -11,8 +11,7 @@
 //! [`crate::CrashStyle`] without changing it, and
 //! [`crate::PmemPool::crash_with`] reverts the pool to one of them.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicU8, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 /// Panic payload of an injected crash. `std::thread::scope` re-raises a
 /// worker's with a payload of its own, so a harness that tells a crash
@@ -30,44 +29,44 @@ impl CrashPoint {
 /// A fired budget: far below the disarmed `-1`, out of a racing decrement's reach.
 const FIRED: i64 = i64::MIN / 2;
 
+/// The low bit of an armed budget: the fire kills the process.
+const KILL: i64 = 1;
+
 /// Counts persistence events and injects a crash when armed.
 ///
-/// Disarmed by default; [`CrashInjector::arm`] gives a budget of events
-/// after which the *next* event fires. The injector is shared (`Arc`) so a
-/// pool and many threads can observe the same budget; it fires in
-/// whichever thread exhausts it, only once per arming, and
+/// Every pool owns one ([`crate::PmemPool::injector`]), disarmed from the
+/// pool's creation and counting each of its events from then on;
+/// [`CrashInjector::arm`] gives a budget of events after which the *next*
+/// event fires. Every thread on the pool observes the same budget; it
+/// fires in whichever thread exhausts it, only once per arming, and
 /// [`CrashInjector::fired`] says so until the next `arm` or `disarm`.
 ///
 /// [`CrashInjector::arm_kill`] swaps the panic for a `SIGKILL` of the
 /// process: the fork-based harness's (`crates/crashtest`) exact,
 /// replayable fail-stop at persistence event N.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct CrashInjector {
-    /// Remaining events before crash; `-1` = disarmed, [`FIRED`] or
-    /// below = fired.
+    /// Twice the events left before the fire, plus [`KILL`] for a
+    /// `SIGKILL`, so that one store arms it; `-1` = disarmed, [`FIRED`]
+    /// or below = fired.
     budget: AtomicI64,
     /// Total events observed since construction (never reset by arm).
     observed: AtomicU64,
-    /// 0 = panic (default), 1 = SIGKILL self.
-    action: AtomicU8,
+}
+
+impl Default for CrashInjector {
+    /// A disarmed injector that has observed nothing.
+    fn default() -> Self {
+        CrashInjector { budget: AtomicI64::new(-1), observed: AtomicU64::new(0) }
+    }
 }
 
 impl CrashInjector {
-    /// A new, disarmed injector.
-    pub fn new() -> Arc<Self> {
-        Arc::new(CrashInjector {
-            budget: AtomicI64::new(-1),
-            observed: AtomicU64::new(0),
-            action: AtomicU8::new(0),
-        })
-    }
-
-    /// Arm the injector: after `n` further events, the next event fires,
-    /// panicking with [`CrashPoint`]. `n == 0` means the very next event
-    /// crashes.
+    /// Arm the injector so that after `n` further events, the next event
+    /// fires, panicking with [`CrashPoint`]. `n == 0` means the very next
+    /// event crashes.
     pub fn arm(&self, n: u64) {
-        self.action.store(0, Ordering::SeqCst);
-        self.budget.store(n as i64, Ordering::SeqCst);
+        self.budget.store(2 * n as i64, Ordering::SeqCst);
     }
 
     /// Arm the injector to `SIGKILL` the whole process at the event
@@ -75,8 +74,7 @@ impl CrashInjector {
     /// outside the process (a file-backed pool) survives, for a parent
     /// process to check.
     pub fn arm_kill(&self, n: u64) {
-        self.action.store(1, Ordering::SeqCst);
-        self.budget.store(n as i64, Ordering::SeqCst);
+        self.budget.store(2 * n as i64 + KILL, Ordering::SeqCst);
     }
 
     /// Disarm without crashing.
@@ -95,27 +93,28 @@ impl CrashInjector {
         self.budget.load(Ordering::SeqCst) <= FIRED
     }
 
-    /// Record one persistence event; true if this one is the fire (the
-    /// caller must then call [`CrashInjector::fire`]). Only one caller
-    /// per arming sees true.
+    /// Record one persistence event; `Some(kill)` if this one is the
+    /// fire (the caller must then call [`CrashInjector::fire`] with it).
+    /// Only one caller per arming sees `Some`.
     #[inline]
-    pub(crate) fn tick(&self) -> bool {
+    pub(crate) fn tick(&self) -> Option<bool> {
         self.observed.fetch_add(1, Ordering::Relaxed);
         // Fast path: disarmed, or fired already.
         if self.budget.load(Ordering::Relaxed) < 0 {
-            return false;
+            return None;
         }
         // The decrement that ends the budget fires, and marks it FIRED:
         // a racing thread finds it negative and does not fire too.
-        self.budget.fetch_sub(1, Ordering::SeqCst) == 0 && {
+        let left = self.budget.fetch_sub(2, Ordering::SeqCst);
+        (left == 0 || left == KILL).then(|| {
             self.budget.store(FIRED, Ordering::SeqCst);
-            true
-        }
+            left == KILL
+        })
     }
 
     /// Crash the calling thread with [`CrashPoint`], or kill the process.
-    pub(crate) fn fire(&self) -> ! {
-        if self.action.load(Ordering::SeqCst) == 1 {
+    pub(crate) fn fire(&self, kill: bool) -> ! {
+        if kill {
             // SIGKILL cannot be caught: nothing past this event runs in
             // any thread. Should the kill fail, the panic still fires.
             let _ = crate::sys::kill(crate::sys::getpid(), crate::sys::SIGKILL);
@@ -131,14 +130,14 @@ mod tests {
 
     /// One event as the pool records it.
     fn on_event(inj: &CrashInjector) {
-        if inj.tick() {
-            inj.fire()
+        if let Some(kill) = inj.tick() {
+            inj.fire(kill)
         }
     }
 
     #[test]
     fn disarmed_never_fires() {
-        let inj = CrashInjector::new();
+        let inj = CrashInjector::default();
         for _ in 0..1000 {
             on_event(&inj);
         }
@@ -147,7 +146,7 @@ mod tests {
 
     #[test]
     fn fires_after_budget() {
-        let inj = CrashInjector::new();
+        let inj = CrashInjector::default();
         inj.arm(3);
         on_event(&inj);
         on_event(&inj);
@@ -159,7 +158,7 @@ mod tests {
 
     #[test]
     fn fires_only_once() {
-        let inj = CrashInjector::new();
+        let inj = CrashInjector::default();
         inj.arm(0);
         assert!(!inj.fired());
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| on_event(&inj)));
@@ -173,9 +172,20 @@ mod tests {
         assert!(!inj.fired());
     }
 
+    /// The arming word carries the action: the fire says whether to kill.
+    #[test]
+    fn the_fire_carries_its_action() {
+        let inj = CrashInjector::default();
+        inj.arm_kill(2);
+        assert_eq!([inj.tick(), inj.tick(), inj.tick(), inj.tick()], [None, None, Some(true), None]);
+        inj.arm(1);
+        assert_eq!([inj.tick(), inj.tick(), inj.tick()], [None, Some(false), None]);
+        assert!(inj.fired());
+    }
+
     #[test]
     fn disarm_cancels() {
-        let inj = CrashInjector::new();
+        let inj = CrashInjector::default();
         inj.arm(1);
         on_event(&inj);
         inj.disarm();

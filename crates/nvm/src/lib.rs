@@ -21,10 +21,11 @@
 //!   [`CrashStyle`], without causing the failure. Used for crash-recovery
 //!   testing.
 //! * [`CrashInjector`] — fires (a panic, or a `SIGKILL`) at a chosen
-//!   persistence event (flush, fence, commit or decommit). On a tracked
-//!   pool the fire also freezes the crash image, so a crash point is one
-//!   power failure however many threads keep running; `crashtest`'s
-//!   driver sweeps every event of a run with it.
+//!   persistence event (flush, fence, commit or decommit). Every pool
+//!   owns one, disarmed ([`PmemPool::injector`]); there is none to pass
+//!   in. On a tracked pool the fire also freezes the crash image, so a
+//!   crash point is one power failure however many threads keep running;
+//!   `crashtest`'s driver sweeps every event of a run with it.
 //!
 //! [`PmemPool::map_file`] stands in for a DAX file system segment: the
 //! pool *is* a `MAP_SHARED` file, so every store reaches the page cache

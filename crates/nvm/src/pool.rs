@@ -7,7 +7,6 @@ use std::ops::Range;
 use std::panic::resume_unwind;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use parking_lot::{Mutex, MutexGuard};
@@ -222,11 +221,14 @@ pub struct PmemPool {
     mapped: Mutex<usize>,
     /// The page release [`PmemPool::discard_behind`] started, until joined.
     release: Mutex<Option<JoinHandle<()>>>,
-    mode: Mode,
     flush_model: FlushModel,
     stats: PmemStats,
-    injector: Option<Arc<CrashInjector>>,
+    /// The shadow image and its pending lines: `Some` for
+    /// [`Mode::Tracked`] alone.
     tracked: Option<Mutex<TrackState>>,
+    /// Last, off the line whose first word a heap's hit path reads: every
+    /// persistence event writes its count.
+    inj: CrashInjector,
 }
 
 // SAFETY: the pool hands out raw pointers and the collaborating allocator
@@ -242,7 +244,7 @@ unsafe impl Sync for PmemPool {}
 impl PmemPool {
     /// Create a zeroed pool of `len` bytes (rounded up to a cache line).
     pub fn new(len: usize, mode: Mode) -> Self {
-        Self::with_reserve(len, len, mode, FlushModel::default(), None)
+        Self::with_reserve(len, len, mode, FlushModel::default())
     }
 
     /// Create a pool with a `reserved` virtual span of which only the
@@ -254,14 +256,8 @@ impl PmemPool {
     ///
     /// # Panics
     /// If the address space cannot be reserved.
-    pub fn with_reserve(
-        reserved: usize,
-        committed: usize,
-        mode: Mode,
-        flush_model: FlushModel,
-        injector: Option<Arc<CrashInjector>>,
-    ) -> Self {
-        Self::build(reserved, committed, None, mode, flush_model, injector)
+    pub fn with_reserve(reserved: usize, committed: usize, mode: Mode, flush_model: FlushModel) -> Self {
+        Self::build(reserved, committed, None, mode, flush_model)
             .unwrap_or_else(|e| panic!("pmem pool reservation of {reserved} bytes failed: {e}"))
     }
 
@@ -280,14 +276,8 @@ impl PmemPool {
     ///
     /// The `guard`'s lock is held for the pool's lifetime; its file is the
     /// one mapped.
-    pub fn map_file(
-        guard: PoolGuard,
-        reserved: usize,
-        committed: usize,
-        flush_model: FlushModel,
-        injector: Option<Arc<CrashInjector>>,
-    ) -> io::Result<Self> {
-        Self::build(reserved, committed, Some(guard), Mode::Direct, flush_model, injector)
+    pub fn map_file(guard: PoolGuard, reserved: usize, committed: usize, flush_model: FlushModel) -> io::Result<Self> {
+        Self::build(reserved, committed, Some(guard), Mode::Direct, flush_model)
     }
 
     /// Reserve the span and map its committed prefix — over `file`
@@ -298,7 +288,6 @@ impl PmemPool {
         file: Option<PoolGuard>,
         mode: Mode,
         flush_model: FlushModel,
-        injector: Option<Arc<CrashInjector>>,
     ) -> io::Result<Self> {
         let len = line_up(reserved.max(CACHE_LINE));
         let committed = line_up(committed.max(CACHE_LINE));
@@ -320,11 +309,10 @@ impl PmemPool {
             file,
             mapped: Mutex::new(0),
             release: Mutex::new(None),
-            mode,
             flush_model,
             stats: PmemStats::default(),
-            injector,
             tracked,
+            inj: CrashInjector::default(),
         };
         pool.map_to(&mut pool.mapped.lock(), committed)?;
         Ok(pool)
@@ -540,7 +528,7 @@ impl PmemPool {
         }
     }
 
-    /// One persistence event for the crash injector, if any, under the
+    /// One persistence event for the pool's crash injector, under the
     /// track lock of a [`Mode::Tracked`] pool, so that a fire freezes the
     /// image before any other thread's next event. Returns the tracked
     /// state, locked, unless it is frozen: the caller's only way to change
@@ -548,13 +536,13 @@ impl PmemPool {
     #[inline]
     fn crash_point(&self) -> Option<MutexGuard<'_, TrackState>> {
         let mut tracked = self.tracked.as_ref().map(|t| t.lock());
-        if let Some(inj) = self.injector.as_ref().filter(|inj| inj.tick()) {
+        if let Some(kill) = self.inj.tick() {
             if let Some(st) = tracked.as_mut().filter(|st| st.frozen.is_none()) {
                 let len = self.committed_len();
-                st.frozen = Some(Frozen { len, dirty: self.dirty(&st.shadow()[..len]), event: inj.observed() });
+                st.frozen = Some(Frozen { len, dirty: self.dirty(&st.shadow()[..len]), event: self.inj.observed() });
             }
             drop(tracked);
-            inj.fire();
+            self.inj.fire(kill);
         }
         tracked.filter(|st| st.frozen.is_none())
     }
@@ -576,10 +564,18 @@ impl PmemPool {
         dirty
     }
 
-    /// The persistence mode.
+    /// The persistence mode: [`Mode::Tracked`] if the pool keeps a
+    /// shadow image.
     #[inline]
     pub fn mode(&self) -> Mode {
-        self.mode
+        if self.tracked.is_some() { Mode::Tracked } else { Mode::Direct }
+    }
+
+    /// The pool's crash injector, disarmed until armed; it has counted
+    /// every persistence event since the pool was built.
+    #[inline]
+    pub fn injector(&self) -> &CrashInjector {
+        &self.inj
     }
 
     /// Persistence-operation counters.
@@ -769,7 +765,7 @@ impl PmemPool {
         let len = st.frozen.as_ref().map_or_else(|| self.committed_len(), |f| f.len);
         let mut image = st.shadow()[..len].to_vec();
         if let CrashStyle::RandomEviction { survive_permille, seed } = style {
-            let now = || (self.dirty(&st.shadow()[..len]), self.injector.as_ref().map_or(0, |i| i.observed()));
+            let now = || (self.dirty(&st.shadow()[..len]), self.inj.observed());
             let (dirty, event) = st.frozen.as_ref().map_or_else(now, |f| (f.dirty.clone(), f.event));
             let mut rng = (seed ^ event.wrapping_mul(0x9E37_79B9_7F4A_7C15)) | 1;
             for (line, bytes) in dirty {
@@ -797,7 +793,7 @@ impl PmemPool {
     /// image too.
     pub fn from_image_reserving(image: &[u8], reserved: usize, mode: Mode) -> Self {
         let len = image.len();
-        let pool = Self::with_reserve(reserved.max(len), len, mode, FlushModel::default(), None);
+        let pool = Self::with_reserve(reserved.max(len), len, mode, FlushModel::default());
         // SAFETY: the committed prefix of a fresh pool: mapped, at least
         // `len` bytes, and no other users yet.
         copy_stored(unsafe { std::slice::from_raw_parts_mut(pool.base(), len) }, image);
@@ -832,7 +828,7 @@ impl std::fmt::Debug for PmemPool {
         f.debug_struct("PmemPool")
             .field("len", &self.len())
             .field("committed", &self.committed_len())
-            .field("mode", &self.mode)
+            .field("mode", &self.mode())
             .finish_non_exhaustive()
     }
 }
@@ -951,7 +947,7 @@ mod tests {
     /// first `committed` bytes backed.
     fn map(file: &Path, reserved: usize, committed: usize) -> PmemPool {
         let guard = PoolGuard::acquire(file).unwrap();
-        PmemPool::map_file(guard, reserved, committed, FlushModel::free(), None).unwrap()
+        PmemPool::map_file(guard, reserved, committed, FlushModel::free()).unwrap()
     }
 
     #[test]
@@ -989,13 +985,27 @@ mod tests {
 
     #[test]
     fn injector_fires_through_pool() {
-        let inj = CrashInjector::new();
-        let pool =
-            PmemPool::with_reserve(4096, 4096, Mode::Tracked, FlushModel::free(), Some(inj.clone()));
+        let pool = PmemPool::with_reserve(4096, 4096, Mode::Tracked, FlushModel::free());
+        let inj = pool.injector();
         inj.arm(1);
         pool.flush(0, 8); // event 1: budget 1 -> 0
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pool.fence()));
         assert!(r.is_err() && inj.fired());
+    }
+
+    /// A pool's injector starts disarmed and counts from the pool's
+    /// creation: 1 000 events fire nothing, on either mode.
+    #[test]
+    fn a_pool_injector_starts_disarmed() {
+        for mode in [Mode::Direct, Mode::Tracked] {
+            let pool = PmemPool::new(4096, mode);
+            for i in 0..500 {
+                pool.flush(i % 64 * CACHE_LINE, 8);
+                pool.fence();
+            }
+            assert!(!pool.injector().fired(), "{mode:?}");
+            assert_eq!(pool.injector().observed(), 1000, "{mode:?}");
+        }
     }
 
     #[test]
@@ -1023,7 +1033,7 @@ mod tests {
 
     #[test]
     fn reserve_starts_uncommitted_and_commit_grows_monotonically() {
-        let pool = PmemPool::with_reserve(1 << 20, 4096, Mode::Direct, FlushModel::free(), None);
+        let pool = PmemPool::with_reserve(1 << 20, 4096, Mode::Direct, FlushModel::free());
         assert_eq!(pool.len(), 1 << 20);
         assert_eq!(pool.committed_len(), 4096);
         assert!(pool.check_range(0, 4096));
@@ -1040,20 +1050,20 @@ mod tests {
     #[test]
     #[should_panic(expected = "beyond the reserved span")]
     fn commit_beyond_reserved_panics() {
-        let pool = PmemPool::with_reserve(1 << 16, 4096, Mode::Direct, FlushModel::free(), None);
+        let pool = PmemPool::with_reserve(1 << 16, 4096, Mode::Direct, FlushModel::free());
         pool.commit((1 << 16) + 64);
     }
 
     #[test]
     #[should_panic(expected = "flush out of range")]
     fn flush_beyond_frontier_is_rejected() {
-        let pool = PmemPool::with_reserve(1 << 16, 4096, Mode::Direct, FlushModel::free(), None);
+        let pool = PmemPool::with_reserve(1 << 16, 4096, Mode::Direct, FlushModel::free());
         pool.flush(4096, 64);
     }
 
     #[test]
     fn crash_and_images_are_confined_to_the_committed_prefix() {
-        let pool = PmemPool::with_reserve(1 << 16, 4096, Mode::Tracked, FlushModel::free(), None);
+        let pool = PmemPool::with_reserve(1 << 16, 4096, Mode::Tracked, FlushModel::free());
         write_bytes(&pool, 128, &[7; 8]);
         pool.persist(128, 8);
         assert_eq!(pool.persistent_image().len(), 4096, "image = committed prefix");
@@ -1091,7 +1101,7 @@ mod tests {
 
     #[test]
     fn decommit_releases_tail_and_regrow_reads_zero_pages() {
-        let pool = PmemPool::with_reserve(1 << 20, 4096, Mode::Tracked, FlushModel::free(), None);
+        let pool = PmemPool::with_reserve(1 << 20, 4096, Mode::Tracked, FlushModel::free());
         pool.commit(16384);
         write_bytes(&pool, 8192, &[0xAA; 64]);
         pool.persist(8192, 64);
@@ -1146,7 +1156,7 @@ mod tests {
     }
 
     fn reserve(mode: Mode) -> PmemPool {
-        PmemPool::with_reserve(1 << 20, 4096, mode, FlushModel::free(), None)
+        PmemPool::with_reserve(1 << 20, 4096, mode, FlushModel::free())
     }
 
     #[test]
@@ -1174,7 +1184,7 @@ mod tests {
 
     #[test]
     fn decommit_discards_pending_flushes_beyond_the_new_frontier() {
-        let pool = PmemPool::with_reserve(1 << 16, 8192, Mode::Tracked, FlushModel::free(), None);
+        let pool = PmemPool::with_reserve(1 << 16, 8192, Mode::Tracked, FlushModel::free());
         write_bytes(&pool, 4096, &[7; 8]);
         pool.flush(4096, 8); // flushed but NOT fenced
         decommit(&pool, 4096);
@@ -1190,9 +1200,8 @@ mod tests {
     /// its grow visible).
     #[test]
     fn a_commit_is_one_injector_event() {
-        let inj = CrashInjector::new();
-        let pool =
-            PmemPool::with_reserve(1 << 16, 4096, Mode::Tracked, FlushModel::free(), Some(inj.clone()));
+        let pool = PmemPool::with_reserve(1 << 16, 4096, Mode::Tracked, FlushModel::free());
+        let inj = pool.injector();
         let before = inj.observed();
         assert_eq!(pool.commit(8192), 8192);
         assert_eq!(inj.observed(), before + 1, "a commit is one injector event");
@@ -1208,7 +1217,7 @@ mod tests {
 
     /// A fully committed pool of `chunks` huge-page chunks.
     fn chunks(chunks: usize, mode: Mode) -> PmemPool {
-        PmemPool::with_reserve(chunks * HUGE, chunks * HUGE, mode, FlushModel::free(), None)
+        PmemPool::with_reserve(chunks * HUGE, chunks * HUGE, mode, FlushModel::free())
     }
 
     /// `AnonHugePages` of the mapping that holds `off`.
@@ -1275,8 +1284,8 @@ mod tests {
     /// the crash thaws the pool.
     #[test]
     fn a_fence_after_the_fire_reaches_no_crash_image() {
-        let inj = CrashInjector::new();
-        let pool = PmemPool::with_reserve(1 << 16, 1 << 16, Mode::Tracked, FlushModel::free(), Some(inj.clone()));
+        let pool = PmemPool::with_reserve(1 << 16, 1 << 16, Mode::Tracked, FlushModel::free());
+        let inj = pool.injector();
         write_bytes(&pool, 0, &[1; 64]);
         let (fired, after_fire) = std::sync::mpsc::channel();
         let (a, b) = (&pool, &pool);
@@ -1313,8 +1322,8 @@ mod tests {
     #[test]
     fn random_eviction_draws_apart_at_two_crash_points_of_one_epoch() {
         let image_at = |budget| {
-            let inj = CrashInjector::new();
-            let pool = PmemPool::with_reserve(1 << 16, 1 << 16, Mode::Tracked, FlushModel::free(), Some(inj.clone()));
+            let pool = PmemPool::with_reserve(1 << 16, 1 << 16, Mode::Tracked, FlushModel::free());
+            let inj = pool.injector();
             write_bytes(&pool, 0, &[7; 64 * CACHE_LINE]);
             inj.arm(budget);
             let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (0..4).for_each(|i| pool.flush(i * 64, 8))));
@@ -1332,8 +1341,8 @@ mod tests {
     /// shadow and says yes.
     #[test]
     fn is_durable_reads_the_shadow_until_the_fire() {
-        let inj = CrashInjector::new();
-        let pool = PmemPool::with_reserve(1 << 16, 1 << 16, Mode::Tracked, FlushModel::free(), Some(inj.clone()));
+        let pool = PmemPool::with_reserve(1 << 16, 1 << 16, Mode::Tracked, FlushModel::free());
+        let inj = pool.injector();
         assert!(pool.is_durable(0, 256), "never-written bytes read zero in both images");
         write_bytes(&pool, 64, &[5; 16]);
         assert!(!pool.is_durable(64, 16) && pool.is_durable(80, 48), "only the written bytes differ");
@@ -1412,7 +1421,7 @@ mod tests {
         // ONE full flush plus 3 cheap pipelined followers + one fence —
         // not 4 independent full flushes.
         let m = FlushModel::optane();
-        let pool = PmemPool::with_reserve(4096, 4096, Mode::Direct, m, None);
+        let pool = PmemPool::with_reserve(4096, 4096, Mode::Direct, m);
         let before = pool.stats().snapshot();
         pool.persist(0, 4 * CACHE_LINE);
         let d = pool.stats().snapshot().since(&before);

@@ -26,7 +26,7 @@
 use std::io;
 use std::path::Path;
 
-use ralloc::anchor::SbState;
+use ralloc::anchor::{Anchor, SbState};
 use ralloc::descriptor::{Census, Desc, Slot};
 use ralloc::flight;
 use ralloc::layout::{
@@ -288,16 +288,15 @@ pub fn stats(image: &[u8]) -> Result<HeapStats, String> {
     // Recovery's span rule with the checker's head test: a span is live
     // when its head reads FULL.
     let census = Census::take(pool, &geo, used);
-    let anchor = |i: usize| Desc::new(pool, &geo, i as u32).anchor(Ordering::Acquire);
-    let claim = census.claim(census.heads().filter(|&head| anchor(head).state == SbState::Full));
+    let anchor = |i: usize| Anchor::decode(Desc::new(pool, &geo, i as u32).anchor_word().load(Ordering::Acquire));
+    let claim = census.claim(census.heads().filter(|&head| anchor(head).is_some_and(|a| a.state == SbState::Full)));
     out.large_spans = claim.spans.len();
     out.large_superblocks = claim.spans.iter().map(|s| s.len()).sum();
     for (idx, slot) in census.slots.iter().enumerate() {
-        let a = anchor(idx);
-        match *slot {
+        match (anchor(idx), *slot) {
             _ if claim.claimed[idx] => {}
-            _ if a.state == SbState::Empty => out.free_superblocks += 1,
-            Slot::Small { class, blocks, size, .. } => {
+            (Some(a), _) if a.state == SbState::Empty => out.free_superblocks += 1,
+            (Some(a), Slot::Small { class, blocks, size, .. }) => {
                 let (max, free) = (blocks as u64, (a.count as u64).min(blocks as u64));
                 let c = &mut out.classes[class as usize];
                 c.superblocks += 1;
@@ -308,7 +307,8 @@ pub fn stats(image: &[u8]) -> Result<HeapStats, String> {
                 c.occupancy[bucket as usize] += 1;
             }
             // Neither live nor EMPTY: a phantom head, an orphaned
-            // continuation or garbage; `check` judges them.
+            // continuation, garbage or an anchor no heap packs; `check`
+            // judges them.
             _ => out.invalid_superblocks += 1,
         }
     }

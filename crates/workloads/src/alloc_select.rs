@@ -78,7 +78,7 @@ pub fn make_allocator(kind: AllocKind, capacity: usize, flush: FlushModel) -> Dy
         AllocKind::LrMalloc => {
             Arc::new(Ralloc::create(capacity, RallocConfig::transient()))
         }
-        AllocKind::Makalu => Arc::new(MakaluSim::create(capacity, Mode::Direct, flush)),
+        AllocKind::Makalu => Arc::new(MakaluSim::create(capacity, flush)),
         AllocKind::Pmdk => Arc::new(PmdkSim::create(capacity, Mode::Direct, flush)),
         AllocKind::System => Arc::new(SystemAlloc::new()),
     }

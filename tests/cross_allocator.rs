@@ -85,7 +85,7 @@ fn flush_accounting_separates_the_allocators() {
     }
     let ralloc_fpo = (ralloc.pool().stats().fences() - f0) as f64 / ops as f64;
 
-    let makalu = baselines::MakaluSim::create(64 << 20, nvm::Mode::Direct, FlushModel::free());
+    let makalu = baselines::MakaluSim::create(64 << 20, FlushModel::free());
     let warm: Vec<_> = (0..64).map(|_| makalu.malloc(64)).collect();
     for p in warm {
         makalu.free(p);

@@ -162,7 +162,7 @@ fn crash_sweep_through_grow_protocol_recovers() {
         let heap = Ralloc::create(1 << 20, cfg());
         (heap.committed_superblocks() * 3 + 8).min(heap.max_superblocks().saturating_sub(8))
     };
-    let build = |inj| Ralloc::create(1 << 20, RallocConfig { injector: Some(inj), ..cfg() });
+    let build = || Ralloc::create(1 << 20, cfg());
     let run = |heap: &Ralloc, arm: &dyn Fn()| {
         arm();
         workload(heap, rounds)
@@ -539,8 +539,8 @@ fn crash_sweep_through_shrink_protocol_recovers() {
         }
         heap.close().unwrap();
     };
-    let build = |inj| {
-        let heap = Ralloc::create(1 << 20, RallocConfig { injector: Some(inj), ..cfg() });
+    let build = || {
+        let heap = Ralloc::create(1 << 20, cfg());
         setup(&heap);
         heap
     };
@@ -581,7 +581,7 @@ fn crash_sweep_through_shrink_protocol_recovers() {
         }
         assert!(check_heap(&heap).is_consistent());
     });
-    assert_eq!(total_events, 81, "the teardown's persistence events");
+    assert_eq!(total_events, 83, "the teardown's persistence events");
     assert!(heap.slow_stats().heap_shrinks.get() >= 1, "the teardown must actually shrink");
     assert_eq!(heap.committed_superblocks(), heap.used_superblocks());
 }

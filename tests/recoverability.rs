@@ -2,22 +2,21 @@
 //!
 //! These tests drive the heap in Tracked mode, where only lines that were
 //! explicitly flushed *and* fenced survive a simulated power failure, and
-//! use the `CrashInjector` to abort execution at persistence events
+//! use the pool's `CrashInjector` to abort execution at persistence events
 //! throughout an operation sequence. After each crash, recovery must
 //! leave the heap in a state where all and only the root-reachable blocks
 //! are allocated, and the heap must keep functioning.
 
 use std::collections::HashSet;
-use std::sync::Arc;
 
 use crashtest::{crash_at, sweep, Victim, STYLES};
-use nvm::{CrashInjector, CrashStyle};
+use nvm::CrashStyle;
 use pds::{NmTree, PStack};
 use ralloc::descriptor::Desc;
 use ralloc::{Pptr, Ralloc, RallocConfig, Trace, Tracer, SB_SIZE};
 
-fn tracked(inj: Arc<CrashInjector>) -> Ralloc {
-    Ralloc::create(16 << 20, RallocConfig { injector: Some(inj), ..RallocConfig::tracked() })
+fn tracked() -> Ralloc {
+    Ralloc::create(16 << 20, RallocConfig::tracked())
 }
 
 /// The stack sweeps' run: a stack, then 40 pushes crashed at each event.
@@ -128,7 +127,7 @@ fn crash_point_sweep_during_tree_inserts() {
 #[test]
 fn repeated_crashes_converge() {
     // Crash, recover, do more work, crash again — five generations.
-    let heap = tracked(CrashInjector::new());
+    let heap = tracked();
     let _stack = PStack::create(&heap, 0);
     let mut expected = Vec::new();
     for generation in 0..5u64 {
@@ -195,7 +194,7 @@ fn first_difference(a: &[u8], b: &[u8]) -> Option<usize> {
 #[test]
 fn a_second_recovery_changes_nothing() {
     for workers in [1, 2] {
-        let heap = tracked(CrashInjector::new());
+        let heap = tracked();
         let stack = PStack::create(&heap, 0);
         // Unrooted and rooted superblocks in turn, so recovery sweeps
         // more than 64 of them (the parallel sweep's threshold), then an
@@ -276,7 +275,7 @@ fn superblock_of(heap: &Ralloc, p: *const u8) -> usize {
 /// it.
 #[test]
 fn one_image_recovers_to_the_same_bytes_for_any_worker_count() {
-    let heap = tracked(CrashInjector::new());
+    let heap = tracked();
     populate_and_crash(&heap);
     let image = heap.pool().persistent_image();
     let (one, s1) = recover_image(&image, 1);
@@ -374,7 +373,7 @@ fn a_rejected_phantom_above_every_live_block_is_released() {
 #[test]
 fn flipped_dead_descriptors_change_no_recovery() {
     use ralloc::layout::DESC_SIZE;
-    let heap = tracked(CrashInjector::new());
+    let heap = tracked();
     populate_and_crash(&heap);
     let image = heap.pool().persistent_image();
     let (desc_off, used) = (heap.geometry().desc_off, heap.used_superblocks());
@@ -481,14 +480,14 @@ fn a_list_head_flipped_past_used_ends_the_list() {
 /// all three.
 #[test]
 fn a_crash_inside_recovery_recovers_to_the_uncrashed_result() {
-    let build = |inj| {
-        let heap = tracked(inj);
+    let build = || {
+        let heap = tracked();
         populate_and_crash(&heap);
         PStack::attach(&heap, 0).expect("the stack head was persisted at create");
         heap
     };
     let (used, committed, reference) = {
-        let heap = build(CrashInjector::new());
+        let heap = build();
         let (used, committed) = (heap.used_superblocks(), heap.pool().committed_len());
         let (clean, stats) = recover_image(&heap.pool().persistent_image(), 2);
         (used, committed, (Recovered::of(&clean), stats.reachable_blocks))
@@ -547,7 +546,7 @@ fn a_crash_inside_recovery_recovers_to_the_uncrashed_result() {
 #[test]
 fn recovery_persists_nothing_it_rebuilds() {
     use ralloc::layout::{FLIGHT_OFF, USED_SB_OFF};
-    let heap = tracked(CrashInjector::new());
+    let heap = tracked();
     populate_and_crash(&heap);
     PStack::attach(&heap, 0).expect("the stack head was persisted at create");
     let used = heap.used_superblocks();
@@ -573,7 +572,7 @@ fn recovery_persists_nothing_it_rebuilds() {
 /// consistent heap.
 #[test]
 fn a_crash_right_after_recovery_recovers_to_the_same_heap() {
-    let heap = tracked(CrashInjector::new());
+    let heap = tracked();
     populate_and_crash(&heap);
     let used = heap.used_superblocks();
     let (first, s1) = recover_image(&heap.pool().persistent_image(), 2);
@@ -735,8 +734,8 @@ fn r6_recovery_may_drop_an_uncommitted_claim() {
     const SIZE: usize = std::mem::size_of::<KiNode>();
     const SMALL: usize = 256;
     const LARGE: usize = 4 * SB_SIZE;
-    let build = |inj| {
-        let heap = tracked(inj);
+    let build = || {
+        let heap = tracked();
         let mut head = std::ptr::null_mut::<KiNode>();
         for i in 0..NODES {
             let node = heap.malloc(SIZE) as *mut KiNode;
@@ -817,7 +816,7 @@ fn r6_recovery_may_drop_an_uncommitted_claim() {
 fn leaked_blocks_before_crash_are_recovered_after() {
     // Allocate-but-never-attach (the crash window the paper designs
     // for): after recovery those blocks must be reusable.
-    let heap = tracked(CrashInjector::new());
+    let heap = tracked();
     let stack = PStack::create(&heap, 0);
     stack.push(1);
     for _ in 0..2000 {
@@ -842,7 +841,7 @@ fn leaked_blocks_before_crash_are_recovered_after() {
 
 #[test]
 fn close_after_recovery_enables_clean_restart() {
-    let heap = tracked(CrashInjector::new());
+    let heap = tracked();
     let stack = PStack::create(&heap, 0);
     for i in 0..30 {
         stack.push(i);
@@ -857,6 +856,69 @@ fn close_after_recovery_enables_clean_restart() {
     assert!(!dirty, "close() after recovery must yield a clean image");
     let stack = PStack::attach(&heap2, 0).unwrap();
     assert_eq!(stack.len(), 30);
+}
+
+/// A crash at every persistence event of a close: an image that reopens
+/// clean is trusted without recovery, so it must already be consistent
+/// with every root reading back; one that reopens dirty recovers to the
+/// same. A close writes the whole heap back before it clears the dirty
+/// word; cleared first, an evicted header line reopened clean over
+/// anchors and list heads that never reached the image.
+#[test]
+fn a_crash_inside_close_never_reopens_clean_and_inconsistent() {
+    const ROOTS: usize = 12;
+    let value = |r: usize| 0xC105_E000 + r as u64;
+    let build = || {
+        let heap = tracked();
+        for r in 0..ROOTS {
+            // Small blocks of three classes, and one large block: fills
+            // and a span whose anchors only the close writes back.
+            let size = if r == 0 { 2 * SB_SIZE } else { 64 << (r % 3) };
+            let p = heap.malloc(size);
+            assert!(!p.is_null());
+            // SAFETY: a fresh block of at least 8 bytes.
+            unsafe { std::ptr::write(p as *mut u64, value(r)) };
+            heap.pool().persist(p as usize - heap.pool().base() as usize, 8);
+            heap.set_root_raw(r, p);
+            let garbage = heap.malloc(size);
+            heap.free(garbage);
+        }
+        heap
+    };
+    let close = |heap: &Ralloc, arm: &dyn Fn()| {
+        arm();
+        heap.close().unwrap();
+    };
+    let check_roots = |heap: &Ralloc, crash: &str| {
+        for r in 0..ROOTS {
+            let p = heap.get_root_raw(r);
+            assert!(!p.is_null(), "{crash}: root {r} lost");
+            // SAFETY: a rooted block, at least 8 bytes, persisted before its root.
+            assert_eq!(unsafe { std::ptr::read(p as *const u64) }, value(r), "{crash}: root {r} reads back wrong");
+        }
+    };
+    // STYLES, and every dirty line kept: the images that reopen clean.
+    let keep_all = CrashStyle::RandomEviction { survive_permille: 1000, seed: 1 };
+    let mut clean = 0;
+    let (events, closed) = sweep(&[STYLES[0], STYLES[1], STYLES[2], keep_all], build, close, |crashed, _, budget, style| {
+        let crash = format!("{style:?} crash at event {}", budget + 1);
+        let (heap, dirty) = Ralloc::from_image(&crashed.pool().crash_image(style), RallocConfig::tracked());
+        if dirty {
+            heap.recover();
+        } else {
+            clean += 1;
+        }
+        let report = ralloc::check_heap(&heap);
+        assert!(report.is_consistent(), "{crash}, reopened dirty: {dirty}: {:?}", report.violations);
+        check_roots(&heap, &crash);
+    });
+    // The shrink of the freed tail 6, the Close record 1, the write-back
+    // 2 and the dirty word's persist 2.
+    assert_eq!(events, 11, "a close's persistence events");
+    assert!(clean > 0, "no crash image reopened clean: the sweep checked only recoveries");
+    let (heap, dirty) = Ralloc::from_image(&closed.pool().persistent_image(), RallocConfig::tracked());
+    assert!(!dirty, "a completed close reopens clean");
+    check_roots(&heap, "after the close");
 }
 
 #[test]
@@ -1102,7 +1164,7 @@ fn crashed_remote_frees_leak_nothing() {
     // the consumer's cache bin. Both die with DRAM, and recovery's
     // reachability sweep must reclaim every block — no leak, no double
     // accounting.
-    let heap = tracked(CrashInjector::new());
+    let heap = tracked();
     // A producer thread on another shard drains five whole 64 B
     // superblock populations through its cache and exits with an empty
     // bin, so its thread-exit drain returns nothing: every block is held

@@ -189,8 +189,8 @@ fn crash_mid_steal_loses_nothing() {
 fn crash_during_parallel_recovery_is_recoverable() {
     const LISTS: usize = 4;
     const PER_LIST: u64 = 50;
-    let crashed_heap = |inj| {
-        let heap = Ralloc::create(32 << 20, RallocConfig { injector: Some(inj), ..RallocConfig::tracked() });
+    let crashed_heap = || {
+        let heap = Ralloc::create(32 << 20, RallocConfig::tracked());
         // Recovery runs one worker per root: four rooted lists make
         // `recover_parallel(4)` trace on four workers.
         for r in 0..LISTS {
