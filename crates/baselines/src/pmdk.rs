@@ -362,8 +362,9 @@ mod tests {
         fn pool(&self) -> &PmemPool {
             self.0.pool()
         }
-        fn adopt(image: &[u8]) -> Sim {
-            Sim(PmdkSim::from_image(image))
+        /// A `PmdkSim` image has no clean mark: every one is recovered.
+        fn adopt(image: &[u8]) -> (Sim, bool) {
+            (Sim(PmdkSim::from_image(image)), true)
         }
     }
 
@@ -390,7 +391,7 @@ mod tests {
                 arm();
                 p.malloc(64);
             },
-            |_, Sim(p), budget, style| {
+            |_, (Sim(p), _), budget, style| {
                 p.recover();
                 let lost = survivors.borrow().iter().copied().find(|&off| !p.is_allocated(off));
                 assert_eq!(lost, None, "{style:?} crash at event {}: a survivor was freed", budget + 1);
@@ -442,7 +443,7 @@ mod tests {
                     join(workers.into());
                 });
             },
-            |_, Sim(p), budget, style| {
+            |_, (Sim(p), _), budget, style| {
                 p.recover();
                 for dest in (0..2 * DESTS).map(|i| dests.get() + 8 * i) {
                     // SAFETY: a destination word inside the block `build`
@@ -487,7 +488,7 @@ mod tests {
                     p.free_from(dest);
                 }
             },
-            |_, Sim(p), budget, style| {
+            |_, (Sim(p), _), budget, style| {
                 p.recover();
                 for dest in (0..DESTS).map(|i| dests.get() + 8 * i) {
                     // SAFETY: a destination word inside the block `build`

@@ -82,7 +82,7 @@ pub struct HeapInner {
     /// process wrote anything — the previous run's last recorded steps
     /// (the victim's, after a crash). Empty for fresh heaps.
     pub(crate) preopen_flight: FlightScan,
-    /// Background JSONL sampler, when started (env knob or API).
+    /// Background JSONL sampler, when started ([`Ralloc::start_sampler`]).
     pub(crate) sampler: Mutex<Option<SamplerHandle>>,
 }
 
@@ -310,8 +310,8 @@ impl Ralloc {
     pub fn set_root<T: Trace>(&self, i: usize, ptr: *const T) {
         let durable = ptr.is_null() || crate::PersistentAllocator::is_durable(self, ptr.cast(), size_of::<T>());
         assert!(durable, "set_root({i}): the root's {} bytes are not durable", size_of::<T>());
-        self.register_root_fn(i, trace_thunk::<T>);
         self.set_root_raw(i, ptr as *const u8);
+        self.register_root_fn(i, trace_thunk::<T>);
     }
 
     /// Retrieve root `i` and (re-)register `T`'s filter function for it —
@@ -322,7 +322,9 @@ impl Ralloc {
         self.get_root_raw(i) as *mut T
     }
 
-    /// Untyped root store; recovery will trace it conservatively.
+    /// Untyped root store; recovery will trace it conservatively. Any
+    /// filter root `i` had belongs to the block it held before, so it is
+    /// dropped.
     pub fn set_root_raw(&self, i: usize, ptr: *const u8) {
         assert!(i < NUM_ROOTS, "root index out of range");
         let inner = &*self.inner;
@@ -334,6 +336,7 @@ impl Ralloc {
         inner.root(i).store(link);
         inner.persist(inner.geo.root(i), 8);
         inner.emit(EventKind::RootPublish, i as u64, link.0);
+        inner.root_fns.lock().remove(&i);
     }
 
     /// Untyped root load (traced conservatively unless a typed
@@ -343,12 +346,6 @@ impl Ralloc {
         let inner = &*self.inner;
         let base = inner.addr_of(inner.geo.sb(0));
         inner.root(i).load().target().map_or(std::ptr::null_mut(), |off| (base + off as usize) as *mut u8)
-    }
-
-    /// Drop any registered filter function for root `i`, forcing
-    /// conservative tracing of it (used by tests and ablations).
-    pub fn clear_root_filter(&self, i: usize) {
-        self.inner.root_fns.lock().remove(&i);
     }
 
     fn register_root_fn(&self, i: usize, f: TraceFn) {
@@ -522,8 +519,8 @@ impl Ralloc {
 
     /// Start a background sampler appending one line to `path` every
     /// `interval` (JSONL): each line is a [`Ralloc::telemetry_snapshot`]
-    /// object, so a line and a snapshot share one schema. Also reachable via
-    /// `RALLOC_TELEMETRY=<path>` / `RALLOC_TELEMETRY_MS=<ms>` at open.
+    /// object, so a line and a snapshot share one schema. `galloc` starts
+    /// one on its pool when `RALLOC_TELEMETRY=<path>` is set.
     /// Replaces any sampler already running on this heap. The sampler
     /// holds only a weak reference: it retires when the heap drops, and
     /// [`Ralloc::close`] stops it.
@@ -882,7 +879,7 @@ mod batch_tests {
     #[test]
     fn default_config_commits_everything_upfront() {
         // The historical fixed-pool behavior: no growth machinery on the
-        // hot path unless a config/env asks for a smaller initial commit.
+        // hot path unless a config asks for a smaller initial commit.
         let heap = Ralloc::create(8 << 20, RallocConfig::default());
         assert_eq!(heap.committed_superblocks(), heap.max_superblocks());
         let p = heap.malloc(64);

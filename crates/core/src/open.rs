@@ -21,7 +21,7 @@ use parking_lot::Mutex;
 use nvm::{PmemPool, PoolGuard, CACHE_LINE};
 use telemetry::{EventKind, Registry};
 
-use crate::config::{self, RallocConfig};
+use crate::config::RallocConfig;
 use crate::flight::{self, FlightRecorder, FlightScan};
 use crate::heap::{HeapInner, Ralloc};
 use crate::layout::{
@@ -137,23 +137,22 @@ impl Ralloc {
     /// Create a fresh in-memory heap whose superblock region can hold at
     /// least `capacity` bytes.
     ///
-    /// `capacity` (together with [`RallocConfig::max_capacity`] /
-    /// `RALLOC_MAX_CAP`, whichever is larger) fixes the heap's *reserved*
-    /// virtual span; [`RallocConfig::initial_capacity`] /
-    /// `RALLOC_INIT_CAP` choose how much of it is committed upfront
-    /// (default: all of it, the historical fixed-pool behavior). A heap
-    /// with a small initial commitment grows its frontier on demand and
-    /// only returns null once the *reserved* ceiling is exhausted.
+    /// `capacity` (or [`RallocConfig::max_capacity`], whichever is
+    /// larger) fixes the heap's *reserved* virtual span;
+    /// [`RallocConfig::initial_capacity`] chooses how much of it is
+    /// committed upfront (default: all of it, the historical fixed-pool
+    /// behavior). A heap with a small initial commitment grows its
+    /// frontier on demand and only returns null once the *reserved*
+    /// ceiling is exhausted.
     pub fn create(capacity: usize, cfg: RallocConfig) -> Ralloc {
         let (reserved, committed) = Self::capacity_plan(capacity, &cfg);
         let pool = PmemPool::with_reserve(reserved, committed, cfg.mode, cfg.flush_model);
         Self::fresh(pool, &cfg)
     }
 
-    /// Resolve a `create` capacity request (plus config and env
-    /// overrides) into `(reserved span, initial committed length)`.
+    /// Resolve a `create` capacity request and its config into
+    /// `(reserved span, initial committed length)`.
     fn capacity_plan(capacity: usize, cfg: &RallocConfig) -> (usize, usize) {
-        let cfg = cfg.with_env();
         let max_cap = cfg.max_capacity.unwrap_or(capacity).max(capacity);
         let init_cap = cfg.initial_capacity.unwrap_or(max_cap).min(max_cap);
         let reserved = Geometry::pool_len_for_capacity(max_cap);
@@ -299,7 +298,6 @@ impl Ralloc {
         cfg: &RallocConfig,
         preopen_flight: FlightScan,
     ) -> Ralloc {
-        let cfg = cfg.with_env();
         let telemetry = Registry::new();
         let slow = SlowStats::registered(&telemetry);
         let flight =
@@ -307,7 +305,7 @@ impl Ralloc {
         // The torn count from the adoption scan becomes a counter so
         // harnesses can assert on dropped records.
         telemetry.counter("flight_torn_records").add(preopen_flight.torn);
-        let heap = Ralloc {
+        Ralloc {
             inner: Arc::new(HeapInner {
                 pool,
                 geo,
@@ -323,13 +321,6 @@ impl Ralloc {
                 preopen_flight,
                 sampler: Mutex::new(None),
             }),
-        };
-        // Heap ids keep concurrent heaps' sampler files distinct.
-        if let Some((base, interval)) = config::sampler_from_env() {
-            let id = heap.inner.id;
-            let path = if id > 1 { format!("{base}.{id}") } else { base };
-            let _ = heap.start_sampler(path, interval);
         }
-        heap
     }
 }

@@ -719,11 +719,11 @@ mod tests {
         let heap = tracked_heap();
         build_list(&heap, 0, 30);
         heap.crash_simulated();
-        // Simulate an application that never called get_root::<T>: drop
-        // the registered filter; recovery must fall back to conservative
-        // scanning and still find every node (pptr tags make them
-        // recognizable).
-        heap.clear_root_filter(0);
+        // Simulate an application that never called get_root::<T>: an
+        // untyped store of the same root drops its filter; recovery must
+        // fall back to conservative scanning and still find every node
+        // (pptr tags make them recognizable).
+        heap.set_root_raw(0, heap.get_root_raw(0));
         let stats = heap.recover();
         assert_eq!(stats.reachable_blocks, 30);
         assert!(stats.conservative_words_scanned > 0);

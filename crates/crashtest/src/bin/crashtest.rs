@@ -13,7 +13,7 @@
 //! `sweep` is the workhorse: for each round it derives a kill point from
 //! the seed (even rounds by persistence-event count, odd by wall-clock),
 //! forks a victim, kills it, recovers, and runs the oracles. Any failure
-//! prints the seed (`RALLOC_CRASH_SEED=<seed>` re-runs it exactly) plus
+//! prints the seed (`--seed <seed>` re-runs it exactly) plus
 //! the victim's persistent flight timeline scanned from the pool, and
 //! exits non-zero.
 //!
@@ -33,8 +33,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use crashtest::{
-    cleanup, parse_u64, ready_path, run_once, seed_from_env, KillSpec, RunConfig, Structure, XorShift,
-    SEED_ENV,
+    cleanup, fresh_seed, parse_u64, ready_path, run_once, KillSpec, RunConfig, Structure, XorShift,
 };
 
 /// Minimal `--flag value` parser over the remaining args.
@@ -98,11 +97,11 @@ fn structures_arg(args: &mut Args) -> Vec<Structure> {
     }
 }
 
-/// `--seed S`, else `RALLOC_CRASH_SEED`, else a fresh one.
+/// `--seed S`, else a fresh one.
 fn seed_arg(args: &mut Args) -> u64 {
     args.opt("--seed")
         .map(|v| parse_u64(&v).unwrap_or_else(|| die("bad --seed")))
-        .unwrap_or_else(seed_from_env)
+        .unwrap_or_else(fresh_seed)
 }
 
 /// The one run that `run` or `victim` (`cmd`) names. A victim kills
@@ -187,7 +186,7 @@ fn sweep(args: &mut Args) -> ExitCode {
                 }
                 Err(e) => {
                     println!(
-                        "FAILURE structure={} round={round} {SEED_ENV}={seed:#x} kill={}",
+                        "FAILURE structure={} round={round} --seed {seed:#x} kill={}",
                         s.name(),
                         cfg.kill
                     );
@@ -212,7 +211,7 @@ fn run(args: &mut Args) -> ExitCode {
             ExitCode::SUCCESS
         }
         Err(e) => {
-            println!("FAILURE structure={} {SEED_ENV}={seed:#x}", structure.name());
+            println!("FAILURE structure={} --seed {seed:#x}", structure.name());
             println!("{e}");
             ExitCode::FAILURE
         }

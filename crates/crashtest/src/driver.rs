@@ -26,8 +26,9 @@ pub trait Victim: Sized {
     /// The pool the heap lives on.
     fn pool(&self) -> &PmemPool;
     /// The heap a crash image holds, not yet recovered, on a
-    /// `Mode::Direct` pool of its own.
-    fn adopt(image: &[u8]) -> Self;
+    /// `Mode::Direct` pool of its own, and whether it reopens dirty: a
+    /// clean image is trusted as it is, without recovery.
+    fn adopt(image: &[u8]) -> (Self, bool);
 }
 
 /// One crash point: `build` a victim, then `run` it; `run`'s second
@@ -75,14 +76,14 @@ pub fn join(workers: Vec<ScopedJoinHandle<'_, ()>>) {
 }
 
 /// [`crash_at`] every budget until a run completes; `check` gets each
-/// crashed victim, the heap adopted from each of `styles`' images of it,
-/// the budget and the style. Returns the event count and the victim whose
-/// run completed.
+/// crashed victim, the heap adopted from each of `styles`' images of it
+/// with whether it reopens dirty, the budget and the style. Returns the
+/// event count and the victim whose run completed.
 pub fn sweep<V: Victim>(
     styles: &[CrashStyle],
     mut build: impl FnMut() -> V,
     mut run: impl FnMut(&V, &dyn Fn()),
-    mut check: impl FnMut(&V, V, u64, CrashStyle),
+    mut check: impl FnMut(&V, (V, bool), u64, CrashStyle),
 ) -> (u64, V) {
     for budget in 0.. {
         let (victim, fired) = crash_at(budget, &mut build, &mut run);

@@ -22,7 +22,7 @@
 //!   flushed-and-fenced lines survive (plus what a
 //!   `CrashStyle::RandomEviction` lets through), so a missing persist shows.
 //!
-//! Everything random derives from one seed (`RALLOC_CRASH_SEED`); a
+//! Everything random derives from one seed (the binary's `--seed`); a
 //! failing round prints it, and re-running with it reproduces the same
 //! kill point. Fork safety: [`run_once`] must be called from a
 //! **single-threaded** process (the `crashtest` binary).
@@ -51,9 +51,6 @@ pub use workload::{Structure, OPLOG_ROOT, STRUCT_ROOT};
 pub const POOL_CAP: usize = 256 << 20;
 /// Initial committed capacity: small, so workloads cross the grow path.
 pub const INIT_COMMIT: usize = 8 << 20;
-
-/// Environment variable carrying the sweep seed.
-pub const SEED_ENV: &str = "RALLOC_CRASH_SEED";
 
 /// When the parent kills the child.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -254,7 +251,7 @@ pub fn tracked_sweep(structure: Structure, styles: &[CrashStyle], seed: u64, ops
         styles,
         || Ralloc::create(POOL_CAP, RallocConfig { mode: Mode::Tracked, ..victim_config() }),
         |heap, arm| structure.victim(heap, 1, seed, ops, arm),
-        |_, heap, budget, style| {
+        |_, (heap, _), budget, style| {
             workload::register_filters(&heap, structure);
             heap.recover();
             if let Err(e) = judge(&heap, structure) {
@@ -269,8 +266,8 @@ impl Victim for Ralloc {
     fn pool(&self) -> &PmemPool {
         Ralloc::pool(self)
     }
-    fn adopt(image: &[u8]) -> Ralloc {
-        Ralloc::from_image(image, RallocConfig::default()).0
+    fn adopt(image: &[u8]) -> (Ralloc, bool) {
+        Ralloc::from_image(image, RallocConfig::default())
     }
 }
 
@@ -289,15 +286,9 @@ pub fn parse_u64(s: &str) -> Option<u64> {
     }
 }
 
-/// Read the sweep seed: `RALLOC_CRASH_SEED` if set (decimal or
-/// `0x`-hex), else derived from the process id and time.
-pub fn seed_from_env() -> u64 {
-    if let Ok(s) = std::env::var(SEED_ENV) {
-        if let Some(v) = parse_u64(&s) {
-            return v;
-        }
-        eprintln!("crashtest: ignoring unparsable {SEED_ENV}={s}");
-    }
+/// A fresh seed, derived from the process id and time, for a run given
+/// no `--seed`.
+pub fn fresh_seed() -> u64 {
     let now = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_nanos() as u64)

@@ -1,6 +1,6 @@
 //! Seeded xorshift64* PRNG: every random choice the harness makes (kill
-//! offsets, op mixes, sizes) flows from one `RALLOC_CRASH_SEED`, so a
-//! failing run replays bit-identically from its printed seed.
+//! offsets, op mixes, sizes) flows from one seed, so a failing run
+//! replays bit-identically from its printed `--seed`.
 
 /// xorshift64* — tiny, fast, and plenty for fuzzing choices.
 #[derive(Debug, Clone)]

@@ -154,7 +154,7 @@ fn crash_sweep_covers_both_region_frontier_protocols() {
         shrunk.set(window(heap));
     };
     let build = || Ralloc::create(32 << 20, victim_cfg());
-    let (events, heap) = sweep(&STYLES[..2], build, window, |_, heap, budget, _| recover_and_account(heap, budget));
+    let (events, heap) = sweep(&STYLES[..2], build, window, |_, (heap, _), budget, _| recover_and_account(heap, budget));
     // 12 carves (a fill and 11 one-superblock large blocks), each claim
     // fenced once; the first re-grown block flushes `used` alone.
     assert_eq!(events, 68, "the window's persistence events");

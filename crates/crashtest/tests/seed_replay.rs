@@ -1,13 +1,12 @@
-//! Deterministic replay: a failing sweep prints its `RALLOC_CRASH_SEED`,
-//! and re-running with that seed must reproduce the identical kill point.
+//! Deterministic replay: a failing sweep prints its `--seed`, and
+//! re-running with that seed must reproduce the identical kill point.
 //! With one workload thread and an event-count kill, the whole execution
 //! is deterministic, so the recovered op-log must come out bit-identical
-//! in length — that is what this asserts, across both a CLI `--seed` and
-//! the environment variable.
+//! in length — that is what this asserts.
 
 use std::process::Command;
 
-fn run_line(seed_arg: Option<&str>, seed_env: Option<&str>, pool: &str) -> String {
+fn run_line(seed: &str, pool: &str) -> String {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_crashtest"));
     cmd.args([
         "run",
@@ -19,13 +18,9 @@ fn run_line(seed_arg: Option<&str>, seed_env: Option<&str>, pool: &str) -> Strin
         "1100",
         "--pool",
         pool,
+        "--seed",
+        seed,
     ]);
-    if let Some(s) = seed_arg {
-        cmd.args(["--seed", s]);
-    }
-    if let Some(s) = seed_env {
-        cmd.env("RALLOC_CRASH_SEED", s);
-    }
     let out = cmd.output().expect("failed to spawn crashtest binary");
     let stdout = String::from_utf8_lossy(&out.stdout).to_string();
     assert!(
@@ -49,24 +44,19 @@ fn field<'a>(line: &'a str, key: &str) -> &'a str {
 #[test]
 fn same_seed_reproduces_identical_kill_point() {
     let tmp = std::env::temp_dir();
-    let a = run_line(Some("0x5EED"), None, tmp.join("ct_replay_a.pool").to_str().unwrap());
-    let b = run_line(Some("0x5EED"), None, tmp.join("ct_replay_b.pool").to_str().unwrap());
+    let a = run_line("0x5EED", tmp.join("ct_replay_a.pool").to_str().unwrap());
+    let b = run_line("0x5EED", tmp.join("ct_replay_b.pool").to_str().unwrap());
     // Both killed, and the child made bit-identical progress: the kill
     // landed at the same persistence event of the same op sequence.
     assert_eq!(field(&a, "killed"), "true", "{a}");
     assert_eq!(field(&a, "records"), field(&b, "records"), "\n{a}\n{b}");
     assert_eq!(field(&a, "acked"), field(&b, "acked"), "\n{a}\n{b}");
     assert_eq!(field(&a, "inflight"), field(&b, "inflight"), "\n{a}\n{b}");
-
-    // The seed is honored from the environment too (how a failure's
-    // printed `RALLOC_CRASH_SEED=...` is replayed), and the RESULT line
-    // echoes it for the next report.
-    let c = run_line(None, Some("0x5EED"), tmp.join("ct_replay_c.pool").to_str().unwrap());
-    assert_eq!(field(&c, "seed"), "0x5eed", "{c}");
-    assert_eq!(field(&a, "records"), field(&c, "records"), "\n{a}\n{c}");
+    // The RESULT line echoes the seed for the next report.
+    assert_eq!(field(&a, "seed"), "0x5eed", "{a}");
 
     // A different seed takes a different path (sanity that the assert
     // above is not vacuous).
-    let d = run_line(Some("0xD1FF"), None, tmp.join("ct_replay_d.pool").to_str().unwrap());
+    let d = run_line("0xD1FF", tmp.join("ct_replay_d.pool").to_str().unwrap());
     assert_ne!(field(&a, "records"), field(&d, "records"), "\n{a}\n{d}");
 }

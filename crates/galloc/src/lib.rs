@@ -28,6 +28,9 @@
 //!   capacity; the committed footprint starts at a few superblocks and
 //!   grows on demand (the pool's committed prefix is the heap's one
 //!   frontier: a grow commits more of it before `used` covers it).
+//! * `RALLOC_TELEMETRY=<path>` starts the pool's JSONL sampler
+//!   ([`Ralloc::start_sampler`], one line every 200 ms) when the pool is
+//!   built: an unmodified program has no other way to call it.
 //!
 //! [`init`] builds the pool from an explicit path and capacity instead;
 //! `librp.so`'s `rp_init` is a call to it.
@@ -300,17 +303,22 @@ fn open(path: Option<&Path>, cap: usize) -> io::Result<Ralloc> {
         initial_capacity: Some(INITIAL_COMMIT.min(cap)),
         ..RallocConfig::default()
     };
-    match path {
+    let heap = match path {
         Some(path) => {
             let (heap, dirty) = Ralloc::open_file(path, cap, cfg)?;
             if dirty {
                 heap.recover();
             }
             register_atexit_close();
-            Ok(heap)
+            heap
         }
-        None => Ok(Ralloc::create(cap, RallocConfig { transient: true, ..cfg })),
+        None => Ralloc::create(cap, RallocConfig { transient: true, ..cfg }),
+    };
+    if let Some(out) = std::env::var_os("RALLOC_TELEMETRY").filter(|p| !p.is_empty()) {
+        // Telemetry never fails the build: an unwritable path samples nothing.
+        let _ = heap.start_sampler(out, std::time::Duration::from_millis(200));
     }
+    Ok(heap)
 }
 
 extern "C" fn close_at_exit() {

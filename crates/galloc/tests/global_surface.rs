@@ -221,3 +221,37 @@ fn a_killed_galloc_pool_session_reopens_dirty_and_recovers() {
     drop(heap);
     let _ = std::fs::remove_file(&pool);
 }
+
+/// File name of the sampler output the test below hands its child;
+/// finding `RALLOC_TELEMETRY` naming it is how the child knows its part.
+const SAMPLES: &str = "galloc_telemetry.jsonl";
+
+/// `RALLOC_TELEMETRY` starts the JSONL sampler on the pool that an
+/// unmodified program builds with its first allocation. The test re-runs
+/// itself as that program.
+#[test]
+fn ralloc_telemetry_samples_the_pool_from_its_build() {
+    let out = std::env::temp_dir().join(format!("{}-{SAMPLES}", std::process::id()));
+    if std::env::var_os("RALLOC_TELEMETRY").is_some_and(|p| p.to_string_lossy().ends_with(SAMPLES)) {
+        let boxes: Vec<Box<u64>> = (0..1000).map(Box::new).collect();
+        assert!(galloc::heap().expect("the pool serves").contains(&*boxes[0] as *const u64 as *const u8));
+        return;
+    }
+    let _ = std::fs::remove_file(&out);
+    let child = std::process::Command::new(std::env::current_exe().unwrap())
+        .args(["--exact", "ralloc_telemetry_samples_the_pool_from_its_build", "--nocapture"])
+        .env("RALLOC_TELEMETRY", &out)
+        .env_remove("GALLOC_POOL")
+        .output()
+        .expect("re-running the test binary");
+    assert!(child.status.success(), "the child failed: {}", String::from_utf8_lossy(&child.stdout));
+    // The build takes the first sample before it returns.
+    let body = std::fs::read_to_string(&out).expect("the child's pool wrote no trajectory");
+    assert!(!body.is_empty(), "no sample in the trajectory");
+    for line in body.lines() {
+        let v = telemetry::json::parse(line).expect("JSONL line parses");
+        assert!(v.get("heap_id").is_some(), "not a heap snapshot: {line}");
+        assert!(v.get("committed_len").and_then(|x| x.as_u64()).unwrap() > 0, "{line}");
+    }
+    let _ = std::fs::remove_file(&out);
+}

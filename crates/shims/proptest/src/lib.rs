@@ -119,11 +119,9 @@ pub mod prelude {
     pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, proptest, Strategy};
 }
 
-/// Base seed for case generation; override with `PROPTEST_SEED` to replay
-/// a reported failure.
-pub fn base_seed() -> u64 {
-    std::env::var("PROPTEST_SEED").ok().and_then(|v| v.parse().ok()).unwrap_or(0x5EED_CAFE)
-}
+/// Base seed for case generation: fixed, so a re-run draws every case
+/// again, a failing one included.
+pub const BASE_SEED: u64 = 0x5EED_CAFE;
 
 #[macro_export]
 macro_rules! prop_assert {
@@ -180,17 +178,12 @@ macro_rules! __proptest_impl {
             use $crate::Strategy as _;
             let cfg: $crate::test_runner::ProptestConfig = $cfg;
             for case in 0..cfg.cases as u64 {
-                let seed = $crate::base_seed() ^ (case.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+                let seed = $crate::BASE_SEED ^ (case.wrapping_mul(0x9E37_79B9_7F4A_7C15));
                 let mut rng = <rand::StdRng as rand::SeedableRng>::seed_from_u64(seed);
                 $(let $arg = ($strat).generate(&mut rng);)+
                 let run = || $body;
                 if let Err(panic) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)) {
-                    eprintln!(
-                        "proptest case {}/{} failed (replay with PROPTEST_SEED={})",
-                        case + 1,
-                        cfg.cases,
-                        $crate::base_seed()
-                    );
+                    eprintln!("proptest case {}/{} failed (seed {seed:#x})", case + 1, cfg.cases);
                     std::panic::resume_unwind(panic);
                 }
             }

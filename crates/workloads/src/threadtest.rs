@@ -79,6 +79,17 @@ mod tests {
         }
     }
 
+    /// Fig. 5a's workload on a heap that commits 2 MiB at creation: the
+    /// batches outgrow it, so the frontier grows while threads allocate.
+    #[test]
+    fn runs_on_a_heap_that_grows_from_a_2_mib_commit() {
+        use ralloc::{Ralloc, RallocConfig};
+        let cfg = RallocConfig { flush_model: FlushModel::free(), initial_capacity: Some(2 << 20), ..Default::default() };
+        let heap = std::sync::Arc::new(Ralloc::create(512 << 20, cfg));
+        run(&(heap.clone() as DynAlloc), Params { threads: 2, iterations: 3, objects: 20_000, size: 64 });
+        assert!(heap.slow_stats().heap_grows.get() > 0, "the heap never grew past its 2 MiB commit");
+    }
+
     #[test]
     fn steady_state_memory_bounded() {
         let a = make_allocator(AllocKind::Ralloc, 16 << 20, FlushModel::free());

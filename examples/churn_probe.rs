@@ -14,7 +14,7 @@
 //! The console shows one line per round (footprint and its step); the
 //! full counter trajectory lands in the JSONL file (default
 //! `churn_probe.jsonl`), one `telemetry_snapshot()` object per sampler
-//! tick — what the `RALLOC_TELEMETRY` env knob produces too.
+//! tick — what galloc's `RALLOC_TELEMETRY` produces too.
 
 use std::time::Duration;
 

@@ -10,17 +10,22 @@
 //! visible, every in-flight operation at-most-once.
 //!
 //! ```text
-//! cargo run --example crash_recovery
+//! cargo run --example crash_recovery [-- --seed S]
 //! ```
 //!
 //! Must stay single-threaded up to the `run_once` calls (fork safety).
 
-use crashtest::{run_once, seed_from_env, KillSpec, RunConfig, Structure, XorShift};
+use crashtest::{fresh_seed, parse_u64, run_once, KillSpec, RunConfig, Structure, XorShift};
 
 fn main() {
     let pool = std::env::temp_dir().join("crash_recovery_example.pool");
-    let seed = seed_from_env();
-    println!("seed = {seed:#x}  (replay with RALLOC_CRASH_SEED={seed:#x})");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let seed = match args.as_slice() {
+        [] => fresh_seed(),
+        [flag, s] if flag == "--seed" => parse_u64(s).expect("--seed takes a decimal or 0x-hex number"),
+        _ => panic!("usage: crash_recovery [--seed S]"),
+    };
+    println!("seed = {seed:#x}  (replay with --seed {seed:#x})");
 
     // Round 1: control run. No kill — the child completes its 4-thread
     // queue workload, the parent reopens the pool and checks that every

@@ -9,16 +9,17 @@
 # crates/bench holds) and the offline dependency stand-ins (crates/shims),
 # which are listed but not budgeted.
 # CI runs this and fails past either budget, or when the config has more
-# than MAX_FIELDS fields, or the crates read more than MAX_VARS variables;
-# lower a bound when a PR shrinks what it counts, raise one only on
+# than MAX_FIELDS fields, or the crates read more than MAX_VARS variables
+# (galloc's GALLOC_POOL, GALLOC_CAP and RALLOC_TELEMETRY: the core reads
+# none); lower a bound when a PR shrinks what it counts, raise one only on
 # purpose and say why in CHANGES.md.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BUDGET=6651
-REST_BUDGET=8699
+BUDGET=6590
+REST_BUDGET=8698
 MAX_FIELDS=5
-MAX_VARS=7
+MAX_VARS=3
 
 # Non-test lines of the .rs files under the given paths (find arguments).
 nontest() {

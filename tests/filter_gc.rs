@@ -42,7 +42,7 @@ fn filter_and_conservative_agree_on_pptr_structures() {
 
     let heap_b = Ralloc::create(8 << 20, RallocConfig::default());
     build_pptr_list(&heap_b, 0, 500);
-    heap_b.clear_root_filter(0);
+    heap_b.set_root_raw(0, heap_b.get_root_raw(0));
     let conservative = heap_b.recover();
 
     assert_eq!(with_filter.reachable_blocks, 500);
@@ -96,9 +96,9 @@ fn filters_handle_nonstandard_pointer_representations() {
     let stats = heap.recover();
     assert_eq!(stats.reachable_blocks, 100, "filter must chase scrambled links");
 
-    // Sanity: with the filter dropped, conservative tracing only keeps
-    // the root node (scrambled links are invisible).
-    heap.clear_root_filter(0);
+    // Sanity: once an untyped store drops the filter, conservative
+    // tracing only keeps the root node (scrambled links are invisible).
+    heap.set_root_raw(0, heap.get_root_raw(0));
     let stats = heap.recover();
     assert_eq!(stats.reachable_blocks, 1, "conservative must not see scrambled links");
 }
@@ -139,13 +139,48 @@ fn filters_avoid_conservative_false_positives() {
 
     let heap = Ralloc::create(8 << 20, RallocConfig::default());
     build(&heap);
-    heap.clear_root_filter(0);
+    heap.set_root_raw(0, heap.get_root_raw(0));
     let conservative = heap.recover();
     assert_eq!(
         conservative.reachable_blocks, 2,
         "conservative: the decoy pattern retains the garbage block"
     );
     assert!(conservative.conservative_candidates >= 1);
+}
+
+#[test]
+fn a_raw_root_store_drops_the_slots_filter() {
+    // A holder's filter follows the region-offset link in its first word,
+    // which a conservative scan cannot see.
+    #[repr(C)]
+    struct Holder {
+        link: Link<48>,
+    }
+    unsafe impl Trace for Holder {
+        fn trace(&self, t: &mut Tracer<'_>) {
+            t.visit_link::<u64>(self.link);
+        }
+    }
+    // Blocks kept when root 0 ends at an untyped block whose first word
+    // is a link to another block, after (or without) a typed store.
+    let kept = |typed_first: bool| {
+        let heap = Ralloc::create(8 << 20, RallocConfig::default());
+        let block = |target: Option<*mut u8>| {
+            let p = heap.malloc(64);
+            let off = target.map(|d| (d as usize - heap.region_base()) as u64);
+            // SAFETY: a fresh 64-byte block.
+            unsafe { (p as *mut u64).write(Link::<48>::new(off, 0).0) };
+            p
+        };
+        if typed_first {
+            heap.set_root::<Holder>(0, block(None) as *const Holder);
+        }
+        let linked = block(None);
+        heap.set_root_raw(0, block(Some(linked)));
+        heap.recover().reachable_blocks
+    };
+    assert_eq!(kept(false), 1, "a raw root is traced conservatively");
+    assert_eq!(kept(true), 1, "the holder's filter outlived the holder: it traced a block that is not one");
 }
 
 #[test]

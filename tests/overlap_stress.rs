@@ -7,9 +7,11 @@
 //! replay random single-threaded alloc/free traces against an interval
 //! model.
 
+use std::sync::Arc;
+
 use nvm::FlushModel;
 use proptest::prelude::*;
-use ralloc::PersistentAllocator;
+use ralloc::{PersistentAllocator, Ralloc, RallocConfig};
 // The churn stress generator is shared with examples/churn_probe.rs (so
 // the probe's footprint trajectories stay comparable to this test) and
 // lives in workloads::churn.
@@ -20,6 +22,11 @@ use workloads::{make_allocator, AllocKind, DynAlloc};
 fn ralloc_concurrent_signatures_hold() {
     let a = make_allocator(AllocKind::Ralloc, 128 << 20, FlushModel::free());
     stress(&a, 8, 20_000);
+    // The same stress from a 2 MiB frontier: the heap grows under it.
+    let cfg = RallocConfig { flush_model: FlushModel::free(), initial_capacity: Some(2 << 20), ..Default::default() };
+    let heap = Arc::new(Ralloc::create(128 << 20, cfg));
+    stress(&(heap.clone() as DynAlloc), 8, 20_000);
+    assert!(heap.slow_stats().heap_grows.get() > 0, "a 2 MiB frontier never grew");
 }
 
 #[test]

@@ -57,7 +57,7 @@ fn recover_pushed_prefix(heap: &Ralloc, recover: impl FnOnce(), crash: &str) {
 /// (garbage a `RandomEviction` may persist), crashed under `style`: all
 /// 40 fenced pushes come back in order.
 fn stack_push_sweep(style: CrashStyle, recover: impl Fn(&Ralloc)) {
-    let (events, done) = sweep(&[style], tracked, stack_pushes, |_, heap, budget, style| {
+    let (events, done) = sweep(&[style], tracked, stack_pushes, |_, (heap, _), budget, style| {
         let crash = format!("{style:?} budget {budget}");
         recover_pushed_prefix(&heap, || recover(&heap), &crash);
         let report = ralloc::check_heap(&heap);
@@ -67,7 +67,7 @@ fn stack_push_sweep(style: CrashStyle, recover: impl Fn(&Ralloc)) {
     for _ in 0..500 {
         assert!(!done.malloc(48).is_null());
     }
-    let heap = <Ralloc as Victim>::adopt(&done.pool().crash_image(style));
+    let (heap, _) = <Ralloc as Victim>::adopt(&done.pool().crash_image(style));
     let stack = PStack::attach(&heap, 0).expect("head cell persisted at create");
     recover(&heap);
     assert_eq!(stack.snapshot(), (0..40).rev().collect::<Vec<u64>>(), "{style:?}: a fenced push was lost");
@@ -104,7 +104,7 @@ fn crash_point_sweep_during_tree_inserts() {
             tree.insert(i * 5, i);
         }
     };
-    let (events, _) = sweep(&[CrashStyle::StrictFlushOnly], tracked, inserts, |_, heap, budget, _| {
+    let (events, _) = sweep(&[CrashStyle::StrictFlushOnly], tracked, inserts, |_, (heap, _), budget, _| {
         let tree = NmTree::attach(&heap, 0).expect("sentinels persisted at create");
         heap.recover();
         // Durable subset: every surviving key is one we inserted with its
@@ -497,7 +497,7 @@ fn a_crash_inside_recovery_recovers_to_the_uncrashed_result() {
         arm();
         heap.recover_parallel(2);
     };
-    let (events, uncrashed) = sweep(&[CrashStyle::StrictFlushOnly], build, recover, |crashed, image, budget, style| {
+    let (events, uncrashed) = sweep(&[CrashStyle::StrictFlushOnly], build, recover, |crashed, (image, _), budget, style| {
         last_records.extend(crashed.flight_timeline().events.last().map(|e| e.kind_name()));
         let durable = image.preopen_flight().events.last().map_or("none", |e| e.kind_name());
         let shows: &[&str] = match (image.used_superblocks() < used, image.pool().committed_len() < committed) {
@@ -789,7 +789,7 @@ fn r6_recovery_may_drop_an_uncommitted_claim() {
         let aliases = live.iter().any(|&n| n < p + size && p < n + SIZE);
         assert!(!aliases, "{crash}: {p:#x} aliases a live node");
     };
-    let (events, done) = sweep(&STYLES, build, claims, |crashed, heap, budget, style| {
+    let (events, done) = sweep(&STYLES, build, claims, |crashed, (heap, _), budget, style| {
         check(heap, budget, &format!("{style:?} budget {budget}"));
         if style != CrashStyle::StrictFlushOnly {
             return;
@@ -802,7 +802,7 @@ fn r6_recovery_may_drop_an_uncommitted_claim() {
         // which nothing writes any more.
         let stored = unsafe { std::slice::from_raw_parts(pool.base().add(lines.start), lines.len()) };
         image[lines].copy_from_slice(stored);
-        let heap = <Ralloc as Victim>::adopt(&image);
+        let (heap, _) = <Ralloc as Victim>::adopt(&image);
         assert!(heap.used_superblocks() <= first, "budget {budget}: `used` durable under the strict model");
         let d = Desc::new(heap.pool(), &geo, first as u32);
         assert_eq!(d.block_size(), size as u64, "budget {budget}: the claim's identity was not stored");
@@ -900,9 +900,8 @@ fn a_crash_inside_close_never_reopens_clean_and_inconsistent() {
     // STYLES, and every dirty line kept: the images that reopen clean.
     let keep_all = CrashStyle::RandomEviction { survive_permille: 1000, seed: 1 };
     let mut clean = 0;
-    let (events, closed) = sweep(&[STYLES[0], STYLES[1], STYLES[2], keep_all], build, close, |crashed, _, budget, style| {
+    let (events, closed) = sweep(&[STYLES[0], STYLES[1], STYLES[2], keep_all], build, close, |_, (heap, dirty), budget, style| {
         let crash = format!("{style:?} crash at event {}", budget + 1);
-        let (heap, dirty) = Ralloc::from_image(&crashed.pool().crash_image(style), RallocConfig::tracked());
         if dirty {
             heap.recover();
         } else {
