@@ -9,13 +9,15 @@
 //! at-most-once. Two harnesses run the same sequence ([`Structure::victim`]),
 //! crash it, recover and [`judge`] it, under the two crash models:
 //!
-//! * **SIGKILL** ([`run_once`]): a **forked child** runs a multi-threaded
-//!   workload over a file heap ([`ralloc::Ralloc::open_file`], the path
-//!   `GALLOC_POOL` and `librp.so` run on) and the parent kills it after a
-//!   wall-clock delay ([`KillSpec::TimeMicros`]) or it kills itself at an
-//!   exact persistence event ([`KillSpec::Events`], replayable). The pool
-//!   is its file, so every executed store survives: real fail-stop at any
-//!   instruction, but no persist order is checked.
+//! * **SIGKILL** ([`run_once`]): a **victim process** (this executable
+//!   again, run as `victim` with [`RunConfig::victim_args`]) runs a
+//!   multi-threaded workload over a file heap
+//!   ([`ralloc::Ralloc::open_file`], the path `GALLOC_POOL` and
+//!   `librp.so` run on) and the parent kills it after a wall-clock delay
+//!   ([`KillSpec::TimeMicros`]) or it kills itself at an exact persistence
+//!   event ([`KillSpec::Events`], replayable). The pool is its file, so
+//!   every executed store survives: real fail-stop at any instruction, but
+//!   no persist order is checked.
 //! * **Power failure** ([`tracked_sweep`]): in-process on a `Mode::Tracked`
 //!   heap, crashed at every persistence event in turn by the [`driver`]
 //!   every power-failure sweep in the workspace runs on; only
@@ -24,11 +26,12 @@
 //!
 //! Everything random derives from one seed (the binary's `--seed`); a
 //! failing round prints it, and re-running with it reproduces the same
-//! kill point. Fork safety: [`run_once`] must be called from a
-//! **single-threaded** process (the `crashtest` binary).
+//! kill point. A program that calls [`run_once`] hands its arguments to
+//! [`enter_victim`] first: that is where its victims start.
 
 #![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
+pub mod cli;
 pub mod driver;
 pub mod oplog;
 pub mod oracle;
@@ -36,7 +39,9 @@ pub mod rng;
 pub mod workload;
 
 use std::fmt;
+use std::os::unix::process::ExitStatusExt;
 use std::path::{Path, PathBuf};
+use std::process::Command;
 use std::time::Duration;
 
 use nvm::{sys, CrashStyle, Mode, PmemPool};
@@ -52,7 +57,7 @@ pub const POOL_CAP: usize = 256 << 20;
 /// Initial committed capacity: small, so workloads cross the grow path.
 pub const INIT_COMMIT: usize = 8 << 20;
 
-/// When the parent kills the child.
+/// When the victim dies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KillSpec {
     /// Child SIGKILLs itself at persistence event `n + 1` after the
@@ -76,7 +81,7 @@ impl fmt::Display for KillSpec {
 }
 
 /// One crash round's configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunConfig {
     pub structure: Structure,
     pub pool: PathBuf,
@@ -99,10 +104,26 @@ impl RunConfig {
             kill: KillSpec::None,
         }
     }
+
+    /// The arguments of the `victim` that runs this round, as
+    /// [`cli::run_config`] reads them back. A timed kill maps to
+    /// `--no-kill`: the parent times it.
+    pub fn victim_args(&self) -> Vec<String> {
+        let kill = match self.kill {
+            KillSpec::Events(n) => format!("--events {n}"),
+            KillSpec::TimeMicros(_) | KillSpec::None => "--no-kill".to_string(),
+        };
+        let (name, seed, threads, ops) = (self.structure.name(), self.seed, self.threads, self.ops_per_thread);
+        // No word but the pool's path can hold a space.
+        let words = format!("victim --structure {name} --seed {seed:#x} --threads {threads} --ops {ops} {kill}");
+        let mut args: Vec<String> = words.split(' ').map(String::from).collect();
+        args.extend(["--pool".to_string(), self.pool.to_string_lossy().into_owned()]);
+        args
+    }
 }
 
 /// What one round did and found.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RunReport {
     /// The child died by SIGKILL (false: ran to completion).
     pub killed: bool,
@@ -133,60 +154,58 @@ fn victim_config() -> RallocConfig {
     RallocConfig { initial_capacity: Some(INIT_COMMIT), ..Default::default() }
 }
 
-/// Child-side body: open the pool live-mapped, build the structure and
-/// op-log, then run the workload until the kill lands (or it finishes).
-/// Never returns; exits via `exit_group` so no buffers flush twice.
-pub fn child_exec(cfg: &RunConfig) -> ! {
+/// If `args` (a process's arguments, its name left out) are a `victim`
+/// command line, become that victim and exit; otherwise return. Every
+/// victim [`run_once`] spawns starts here.
+pub fn enter_victim(args: &[String]) {
+    if args.first().is_some_and(|cmd| cmd == "victim") {
+        victim(&cli::run_config(&mut cli::Args(args[1..].to_vec()), "victim"))
+    }
+}
+
+/// The victim: open the pool live-mapped, build the structure and op-log,
+/// then run the workload until the kill lands (or it finishes), and exit
+/// without closing the heap.
+fn victim(cfg: &RunConfig) -> ! {
+    cleanup(cfg);
     let (heap, _dirty) = match Ralloc::open_file(&cfg.pool, POOL_CAP, victim_config()) {
         Ok(v) => v,
-        Err(e) => {
-            eprintln!("crashtest child: open_file failed: {e}");
-            sys::exit_group(2)
-        }
+        Err(e) => cli::die(&format!("victim: open_file failed: {e}")),
     };
     cfg.structure.victim(&heap, cfg.threads, cfg.seed, cfg.ops_per_thread, || {
         // Ops can only ack past this marker; the parent treats a missing
         // marker as "died during setup" (vacuous pass — init is not a
         // recoverable phase, a real deployment re-creates on failed init).
         if let Err(e) = std::fs::write(ready_path(&cfg.pool), b"ready") {
-            eprintln!("crashtest child: marker write failed: {e}");
-            sys::exit_group(2)
+            cli::die(&format!("victim: marker write failed: {e}"))
         }
         if let KillSpec::Events(n) = cfg.kill {
             heap.pool().injector().arm_kill(n);
         }
     });
     heap.pool().injector().disarm();
-    sys::exit_group(0)
+    std::process::exit(0)
 }
 
-/// Fork a victim, kill it per `cfg.kill`, then recover and run the
-/// oracles. Must be called from a single-threaded process.
+/// Spawn a victim (this executable, run with `cfg`'s
+/// [`RunConfig::victim_args`]), kill it per `cfg.kill`, then recover and
+/// run the oracles. The executable must hand its arguments to
+/// [`enter_victim`] first.
 pub fn run_once(cfg: &RunConfig) -> Result<RunReport, String> {
-    let _ = std::fs::remove_file(&cfg.pool);
-    let _ = std::fs::remove_file(ready_path(&cfg.pool));
-    // SAFETY: the crashtest binary is single-threaded at this point (its
-    // documented contract); the child only proceeds into `child_exec`.
-    let pid = unsafe { sys::fork() }.map_err(|e| format!("fork failed: {e}"))?;
-    if pid == 0 {
-        child_exec(cfg); // never returns
-    }
+    cleanup(cfg);
+    let exe = std::env::current_exe().map_err(|e| format!("no executable to spawn: {e}"))?;
+    let mut child = Command::new(exe).args(cfg.victim_args()).spawn().map_err(|e| format!("spawn failed: {e}"))?;
     if let KillSpec::TimeMicros(us) = cfg.kill {
         std::thread::sleep(Duration::from_micros(us));
-        let _ = sys::kill(pid, sys::SIGKILL);
+        let _ = child.kill();
     }
-    let (_, status) = sys::wait4(pid, 0).map_err(|e| format!("wait failed: {e}"))?;
-    let killed = sys::term_signal(status) == Some(sys::SIGKILL);
-    if !killed {
-        match sys::exit_code(status) {
-            Some(0) => {}
-            other => {
-                return Err(format!(
-                    "child neither SIGKILLed nor exited cleanly: status {status:#x} \
-                     (exit code {other:?})"
-                ))
-            }
-        }
+    let status = child.wait().map_err(|e| format!("wait failed: {e}"))?;
+    let killed = status.signal() == Some(sys::SIGKILL);
+    if !killed && (status.code() != Some(0) || !ready_path(&cfg.pool).exists()) {
+        return Err(format!(
+            "victim neither SIGKILLed nor through its workload: {status} (does the executable \
+             hand its arguments to crashtest::enter_victim?)"
+        ));
     }
     verify(cfg, killed)
 }
@@ -195,13 +214,7 @@ pub fn run_once(cfg: &RunConfig) -> Result<RunReport, String> {
 /// [`run_once`] so a recorded pool file can be re-checked on its own.
 pub fn verify(cfg: &RunConfig, killed: bool) -> Result<RunReport, String> {
     if !ready_path(&cfg.pool).exists() {
-        return Ok(RunReport {
-            killed,
-            died_in_setup: true,
-            records: 0,
-            acked: 0,
-            inflight: 0,
-        });
+        return Ok(RunReport { killed, died_in_setup: true, ..RunReport::default() });
     }
     let (heap, dirty) = Ralloc::open_file(&cfg.pool, POOL_CAP, victim_config())
         .map_err(|e| format!("reopen failed: {e}"))?;
@@ -293,5 +306,5 @@ pub fn fresh_seed() -> u64 {
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_nanos() as u64)
         .unwrap_or(0);
-    now ^ ((sys::getpid() as u64) << 32) | 1
+    now ^ ((std::process::id() as u64) << 32) | 1
 }

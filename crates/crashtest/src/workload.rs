@@ -1,7 +1,7 @@
 //! Every structure's crash contract, in one table ([`Contract`]): how the
 //! victim builds the structure and drives it with logged operations, which
 //! filter recovery needs for its root, and the oracle that judges what a
-//! crash left of it. The fork/SIGKILL path (`crate::run_once`) and the
+//! crash left of it. The SIGKILL path (`crate::run_once`) and the
 //! in-process tracked sweep (`crate::tracked_sweep`) both read it.
 
 use std::collections::BTreeMap;

@@ -12,7 +12,7 @@ use crashtest::{verify, KillSpec, RunConfig, Structure, STRUCT_ROOT};
 use ralloc::{Ralloc, RallocConfig};
 
 /// Held by every test here. Each spawns a victim, and a child holds its
-/// parent's open files from its fork to its exec: one forked while another
+/// parent's open files from its fork to its exec: one spawned while another
 /// test has a pool open keeps that pool's lock for a moment, and the other
 /// test's next open reads "pool busy".
 static ONE_AT_A_TIME: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -21,30 +21,16 @@ fn one_at_a_time() -> std::sync::MutexGuard<'static, ()> {
     ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Spawn the crashtest binary in `victim` mode: the child runs the
-/// workload against `pool` and (with `Events`) SIGKILLs itself, leaving
-/// the dirty pool on disk. Returns the kill signal, if any.
+/// Spawn the crashtest binary as the victim `run_once` would spawn
+/// ([`RunConfig::victim_args`]): it runs the workload against `pool` and
+/// (with `Events`) SIGKILLs itself, leaving the dirty pool on disk.
+/// Returns the kill signal, if any.
 fn spawn_victim(structure: Structure, pool: &Path, seed: u64, kill: KillSpec) -> Option<i32> {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_crashtest"));
-    cmd.args([
-        "victim",
-        "--structure",
-        structure.name(),
-        "--pool",
-        pool.to_str().unwrap(),
-        "--seed",
-        &format!("{seed:#x}"),
-    ]);
-    match kill {
-        KillSpec::Events(n) => {
-            cmd.args(["--events", &n.to_string()]);
-        }
-        KillSpec::None => {
-            cmd.arg("--no-kill");
-        }
-        KillSpec::TimeMicros(_) => unreachable!("victim mode has no parent to time the kill"),
-    }
-    let status = cmd.status().expect("failed to spawn crashtest victim");
+    let cfg = RunConfig { kill, ..RunConfig::new(structure, pool.to_path_buf(), seed) };
+    let status = Command::new(env!("CARGO_BIN_EXE_crashtest"))
+        .args(cfg.victim_args())
+        .status()
+        .expect("failed to spawn crashtest victim");
     status.signal()
 }
 

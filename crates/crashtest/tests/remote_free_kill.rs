@@ -5,8 +5,9 @@
 //! frees still cached, and recovery's reachability sweep must reclaim
 //! every block — visibility oracles green, no leak.
 //!
-//! Spawns the `crashtest` binary because `run_once` forks, and forking
-//! is only safe from a single-threaded process.
+//! Runs the `crashtest` binary's `sweep`: `run_once` spawns its victims
+//! as the current executable, which must hand its arguments to
+//! `crashtest::enter_victim`, and a test binary does not.
 
 use std::process::Command;
 

@@ -30,7 +30,8 @@
 //!   frontier: a grow commits more of it before `used` covers it).
 //! * `RALLOC_TELEMETRY=<path>` starts the pool's JSONL sampler
 //!   ([`Ralloc::start_sampler`], one line every 200 ms) when the pool is
-//!   built: an unmodified program has no other way to call it.
+//!   built, and stops it at exit with a last line: an unmodified program
+//!   has no other way to call it.
 //!
 //! [`init`] builds the pool from an explicit path and capacity instead;
 //! `librp.so`'s `rp_init` is a call to it.
@@ -309,7 +310,7 @@ fn open(path: Option<&Path>, cap: usize) -> io::Result<Ralloc> {
             if dirty {
                 heap.recover();
             }
-            register_atexit_close();
+            at_exit(close_at_exit);
             heap
         }
         None => Ralloc::create(cap, RallocConfig { transient: true, ..cfg }),
@@ -317,6 +318,10 @@ fn open(path: Option<&Path>, cap: usize) -> io::Result<Ralloc> {
     if let Some(out) = std::env::var_os("RALLOC_TELEMETRY").filter(|p| !p.is_empty()) {
         // Telemetry never fails the build: an unwritable path samples nothing.
         let _ = heap.start_sampler(out, std::time::Duration::from_millis(200));
+        // A file pool's close stops it; a transient pool is never closed.
+        if path.is_none() {
+            at_exit(stop_sampler_at_exit);
+        }
     }
     Ok(heap)
 }
@@ -325,12 +330,16 @@ extern "C" fn close_at_exit() {
     close_pool();
 }
 
-fn register_atexit_close() {
+extern "C" fn stop_sampler_at_exit() {
+    heap().map_or((), Ralloc::stop_sampler)
+}
+
+fn at_exit(f: extern "C" fn()) {
     extern "C" {
         fn atexit(f: extern "C" fn()) -> i32;
     }
     // SAFETY: libc atexit with a no-unwind extern "C" callback.
-    unsafe { atexit(close_at_exit) };
+    unsafe { atexit(f) };
 }
 
 /// Cleanly close the pool (flush, drain this thread's cache, clear a

@@ -226,9 +226,9 @@ fn a_killed_galloc_pool_session_reopens_dirty_and_recovers() {
 /// finding `RALLOC_TELEMETRY` naming it is how the child knows its part.
 const SAMPLES: &str = "galloc_telemetry.jsonl";
 
-/// `RALLOC_TELEMETRY` starts the JSONL sampler on the pool that an
-/// unmodified program builds with its first allocation. The test re-runs
-/// itself as that program.
+/// `RALLOC_TELEMETRY` starts the JSONL sampler on the transient pool
+/// that an unmodified program builds with its first allocation, and stops
+/// it at exit. The test re-runs itself as that program.
 #[test]
 fn ralloc_telemetry_samples_the_pool_from_its_build() {
     let out = std::env::temp_dir().join(format!("{}-{SAMPLES}", std::process::id()));
@@ -245,9 +245,11 @@ fn ralloc_telemetry_samples_the_pool_from_its_build() {
         .output()
         .expect("re-running the test binary");
     assert!(child.status.success(), "the child failed: {}", String::from_utf8_lossy(&child.stdout));
-    // The build takes the first sample before it returns.
+    // The build takes the first sample before it returns, and the exit of
+    // a child far shorter than the 200 ms interval takes the final one:
+    // a transient pool is never closed, so its sampler stops at exit.
     let body = std::fs::read_to_string(&out).expect("the child's pool wrote no trajectory");
-    assert!(!body.is_empty(), "no sample in the trajectory");
+    assert!(body.lines().count() >= 2, "no final sample at exit:\n{body}");
     for line in body.lines() {
         let v = telemetry::json::parse(line).expect("JSONL line parses");
         assert!(v.get("heap_id").is_some(), "not a heap snapshot: {line}");

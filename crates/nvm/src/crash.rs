@@ -9,7 +9,7 @@
 //! freezes the crash image under the pool's lock, so no later event on any
 //! thread changes it, [`crate::PmemPool::crash_image`] reads it under each
 //! [`crate::CrashStyle`] without changing it, and
-//! [`crate::PmemPool::crash_with`] reverts the pool to one of them.
+//! [`crate::PmemPool::crash`] reverts the pool to the strict one.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
@@ -42,7 +42,7 @@ const KILL: i64 = 1;
 /// [`CrashInjector::fired`] says so until the next `arm` or `disarm`.
 ///
 /// [`CrashInjector::arm_kill`] swaps the panic for a `SIGKILL` of the
-/// process: the fork-based harness's (`crates/crashtest`) exact,
+/// process: the kill-based harness's (`crates/crashtest`) exact,
 /// replayable fail-stop at persistence event N.
 #[derive(Debug)]
 pub struct CrashInjector {
@@ -117,7 +117,7 @@ impl CrashInjector {
         if kill {
             // SIGKILL cannot be caught: nothing past this event runs in
             // any thread. Should the kill fail, the panic still fires.
-            let _ = crate::sys::kill(crate::sys::getpid(), crate::sys::SIGKILL);
+            let _ = crate::sys::kill(std::process::id() as i32, crate::sys::SIGKILL);
             std::thread::sleep(std::time::Duration::from_secs(10));
         }
         std::panic::panic_any(CrashPoint)

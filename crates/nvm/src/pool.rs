@@ -89,12 +89,12 @@ fn raw_fd(f: &fs::File) -> i32 {
     f.as_raw_fd()
 }
 
-/// Advisory exclusive lock on a pool file (`flock(LOCK_EX)`), preventing
-/// two live processes from mapping the same pool — a silent-corruption
-/// hazard the fork-based crash harness would otherwise trip constantly.
-/// The kernel releases the lock automatically when the holder dies
-/// (including by `SIGKILL`), which is exactly what lets the harness's
-/// parent reopen a pool right after killing the child.
+/// Advisory exclusive lock on a pool file ([`fs::File::try_lock`]),
+/// preventing two live processes from mapping the same pool — a
+/// silent-corruption hazard the kill-based crash harness would otherwise
+/// trip constantly. The kernel releases the lock automatically when the
+/// holder dies (including by `SIGKILL`), which is exactly what lets the
+/// harness reopen a pool right after killing its victim.
 #[derive(Debug)]
 pub struct PoolGuard {
     file: fs::File,
@@ -111,37 +111,39 @@ impl PoolGuard {
             .create(true)
             .truncate(false)
             .open(path)?;
-        Self::lock(file, path, sys::LOCK_EX, "pool busy", "locked by another process")
+        Self::lock(file, path, fs::File::try_lock, "pool busy", "locked by another process")
     }
 
     /// Open `path` read-only under a *shared* advisory lock
-    /// (`flock(LOCK_SH)`) — the inspector's open path. Any number of
-    /// readers coexist, but a pool mapped live by a writer (which holds
-    /// `LOCK_EX`) yields [`io::ErrorKind::WouldBlock`]; the caller can
-    /// then degrade to an unlocked racy snapshot read. While the shared
+    /// ([`fs::File::try_lock_shared`]) — the inspector's open path. Any
+    /// number of readers coexist, but a pool mapped live by a writer
+    /// (which holds the exclusive lock) yields
+    /// [`io::ErrorKind::WouldBlock`]; the caller can then degrade to an
+    /// unlocked racy snapshot read. While the shared
     /// lock is held, no writer can acquire the pool — a dead pool under
     /// inspection stays dead.
     pub fn acquire_shared(path: &Path) -> io::Result<PoolGuard> {
         let file = fs::OpenOptions::new().read(true).open(path)?;
-        Self::lock(file, path, sys::LOCK_SH, "pool live", "exclusively locked by a writer")
+        Self::lock(file, path, fs::File::try_lock_shared, "pool live", "exclusively locked by a writer")
     }
 
-    /// Take the non-blocking `flock` `op` on `file`, naming the contended
-    /// case `"{state}: {path} is {held}"`.
+    /// Take the non-blocking lock `try_lock` on `file`, naming the
+    /// contended case `"{state}: {path} is {held}"`.
     fn lock(
         file: fs::File,
         path: &Path,
-        op: usize,
+        try_lock: fn(&fs::File) -> Result<(), fs::TryLockError>,
         state: &str,
         held: &str,
     ) -> io::Result<PoolGuard> {
-        sys::flock(raw_fd(&file), op | sys::LOCK_NB).map_err(|e| match e.kind() {
-            io::ErrorKind::WouldBlock => {
-                io::Error::new(e.kind(), format!("{state}: {} is {held}", path.display()))
-            }
-            _ => e,
-        })?;
-        Ok(PoolGuard { file })
+        match try_lock(&file) {
+            Ok(()) => Ok(PoolGuard { file }),
+            Err(fs::TryLockError::WouldBlock) => Err(io::Error::new(
+                io::ErrorKind::WouldBlock,
+                format!("{state}: {} is {held}", path.display()),
+            )),
+            Err(fs::TryLockError::Error(e)) => Err(e),
+        }
     }
 
     /// The locked file.
@@ -266,7 +268,7 @@ impl PmemPool {
     /// (the file is sized to `committed`; a fresh file grows to it, an
     /// adopted file must already be it). Stores become
     /// durable-across-process-death immediately via page-cache coherence —
-    /// this is the configuration the fork/SIGKILL crash harness runs on,
+    /// this is the configuration the SIGKILL crash harness runs on,
     /// and the closest thing to DAX this host can do.
     ///
     /// Mapped pools are [`Mode::Direct`] only: `Tracked`'s shadow image
@@ -481,7 +483,7 @@ impl PmemPool {
     /// [`PmemPool::discard`] without the wait: the sub-page edges are
     /// zeroed here, the whole pages go back on a thread of their own moved
     /// off the caller's CPU ([`sys::Home::place`]), or here if none starts.
-    /// Every later commit, decommit, discard, [`PmemPool::crash_with`] and
+    /// Every later commit, decommit, discard, [`PmemPool::crash`] and
     /// the drop joins it before touching the range, so a commit still
     /// reads zero; all but the drop resume its panic.
     pub fn discard_behind(&self, range: Range<usize>) {
@@ -715,30 +717,22 @@ impl PmemPool {
     }
 
     /// Simulate a full-system power failure with the strict model: the
-    /// volatile image is replaced by the persistent image; everything not
-    /// explicitly flushed-and-fenced is lost.
+    /// pool, committed prefix included, becomes its
+    /// [`PmemPool::persistent_image`] (everything not explicitly
+    /// flushed-and-fenced is lost), and thaws. Another style's image is
+    /// [`PmemPool::crash_image`]'s, read without reverting the pool.
     ///
     /// The caller must guarantee quiescence (no thread touching the pool),
     /// mirroring the paper's fail-stop model in which a crash halts all
     /// threads. Panics in [`Mode::Direct`].
     pub fn crash(&self) {
-        self.crash_with(CrashStyle::StrictFlushOnly)
-    }
-
-    /// Simulate a crash with a chosen [`CrashStyle`]: the pool, committed
-    /// prefix included, becomes [`PmemPool::crash_image`]`(style)`, and
-    /// thaws.
-    pub fn crash_with(&self, style: CrashStyle) {
         let tracked = self.tracked.as_ref().expect("crash simulation requires Mode::Tracked");
         self.join_release();
-        let image = self.crash_image(style);
+        let image = self.persistent_image();
         let len = image.len();
         let mut st = tracked.lock();
         st.frozen = None;
         st.pending.clear();
-        if style != CrashStyle::StrictFlushOnly {
-            st.shadow_mut()[..len].copy_from_slice(&image);
-        }
         let cur = self.committed.swap(len, Ordering::AcqRel);
         // SAFETY: quiescent per contract; an anonymous pool keeps every
         // range it ever committed mapped, so `[0, max(len, cur))` is.
@@ -935,12 +929,9 @@ mod tests {
     fn random_eviction_can_persist_unflushed() {
         let pool = PmemPool::new(4096, Mode::Tracked);
         write_bytes(&pool, 0, &[9; 64]);
-        pool.crash_with(CrashStyle::RandomEviction { survive_permille: 1000, seed: 42 });
-        assert_eq!(read_byte(&pool, 0), 9, "p=1.0 eviction must persist the line");
-        let pool2 = PmemPool::new(4096, Mode::Tracked);
-        write_bytes(&pool2, 0, &[9; 64]);
-        pool2.crash_with(CrashStyle::RandomEviction { survive_permille: 0, seed: 42 });
-        assert_eq!(read_byte(&pool2, 0), 0, "p=0 behaves like strict");
+        let evicted = |survive_permille| pool.crash_image(CrashStyle::RandomEviction { survive_permille, seed: 42 });
+        assert_eq!(evicted(1000)[0], 9, "p=1.0 eviction must persist the line");
+        assert_eq!(evicted(0)[0], 0, "p=0 behaves like strict");
     }
 
     /// Map `file` (locking it) with `reserved` bytes of span and its
@@ -1309,8 +1300,8 @@ mod tests {
             assert_eq!(pool.crash_image(style)[4096], 0, "{style:?}: a fence after the fire reached the image");
         }
         assert_eq!(pool.crash_image(evict_all)[0], 1, "a line dirty at the fire did not survive eviction");
-        pool.crash_with(evict_all);
-        assert_eq!((read_byte(&pool, 0), read_byte(&pool, 4096)), (1, 0));
+        pool.crash();
+        assert_eq!((read_byte(&pool, 0), read_byte(&pool, 4096)), (0, 0));
         write_bytes(&pool, 128, &[3; 8]);
         pool.persist(128, 8);
         assert_eq!(pool.persistent_image()[128], 3, "the crash did not thaw the pool");

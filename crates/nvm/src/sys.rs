@@ -2,16 +2,17 @@
 //! crash-testing substrate need and `std` does not expose: address-space
 //! reservations and file mappings (`mmap`/`munmap`/`msync`, wrapped as
 //! [`Reservation`]), page backing and residency (`madvise`/`mincore`),
-//! advisory file locks (`flock`), CPU placement for helper threads
-//! (`sched_getaffinity`/`sched_setaffinity`/`getcpu`), and process
-//! control for the fork/SIGKILL harness (`fork`/`kill`/`wait4`).
+//! CPU placement for helper threads
+//! (`sched_getaffinity`/`sched_setaffinity`/`getcpu`), and the `kill`
+//! with which a crash injector's victim SIGKILLs itself at an exact
+//! event. File locks, process ids and child processes are std's.
 //!
 //! The workspace builds offline with no `libc` crate, so these are
 //! direct `syscall` instructions on x86_64 Linux. Every wrapper returns
 //! `io::Result`, translating the kernel's negative-errno convention into
 //! `io::Error::from_raw_os_error`. No other target is supported: no CI
 //! job or installed toolchain ever built the stub that used to stand in
-//! there, and file mappings, locks and fork never worked on it.
+//! there, and file mappings never worked on it.
 
 use std::io;
 
@@ -39,11 +40,6 @@ pub const MADV_DONTNEED: usize = 4;
 /// `madvise` advice: back the range with transparent huge pages.
 pub const MADV_HUGEPAGE: usize = 14;
 
-pub const LOCK_SH: usize = 1;
-pub const LOCK_EX: usize = 2;
-pub const LOCK_NB: usize = 4;
-pub const LOCK_UN: usize = 8;
-
 pub const SIGKILL: i32 = 9;
 
 mod nr {
@@ -52,12 +48,7 @@ mod nr {
     pub const MSYNC: usize = 26;
     pub const MINCORE: usize = 27;
     pub const MADVISE: usize = 28;
-    pub const GETPID: usize = 39;
-    pub const FORK: usize = 57;
-    pub const EXIT_GROUP: usize = 231;
-    pub const WAIT4: usize = 61;
     pub const KILL: usize = 62;
-    pub const FLOCK: usize = 73;
     pub const SCHED_SETAFFINITY: usize = 203;
     pub const SCHED_GETAFFINITY: usize = 204;
     pub const GETCPU: usize = 309;
@@ -68,9 +59,7 @@ mod nr {
 ///
 /// # Safety
 /// The caller is responsible for the semantics of the specific
-/// syscall: pointer arguments must be valid for the kernel's access,
-/// and calls with process-global effects (`fork`, `exit_group`) have
-/// the usual caveats.
+/// syscall: pointer arguments must be valid for the kernel's access.
 unsafe fn syscall6(
     n: usize,
     a1: usize,
@@ -191,14 +180,6 @@ pub fn mincore(addr: *const u8, len: usize) -> io::Result<Vec<bool>> {
     check(r).map(|_| vec.iter().map(|&b| b & 1 != 0).collect())
 }
 
-/// `flock(fd, op)` — advisory whole-file lock. With `LOCK_NB` a held
-/// lock surfaces as `EWOULDBLOCK`.
-pub fn flock(fd: i32, op: usize) -> io::Result<()> {
-    // SAFETY: no memory arguments.
-    let r = unsafe { syscall6(nr::FLOCK, fd as usize, op, 0, 0, 0, 0) };
-    check(r).map(|_| ())
-}
-
 /// A CPU mask as the affinity calls take it: room for 1 024 CPUs, the
 /// size of glibc's `cpu_set_t`.
 type CpuMask = [u64; 16];
@@ -276,59 +257,11 @@ pub fn helper_cpu(allowed: &[usize], cpu0: usize, w: usize) -> usize {
     allowed[(i0 + w) % allowed.len()]
 }
 
-/// `fork()` — returns the child pid in the parent, 0 in the child.
-///
-/// # Safety
-/// Must only be called while the process is single-threaded (a
-/// forked child inherits only the calling thread, so locks held by
-/// other threads stay locked forever in the child).
-pub unsafe fn fork() -> io::Result<i32> {
-    // SAFETY: per fn contract.
-    let r = unsafe { syscall6(nr::FORK, 0, 0, 0, 0, 0, 0) };
-    check(r).map(|pid| pid as i32)
-}
-
 /// `kill(pid, sig)`.
 pub fn kill(pid: i32, sig: i32) -> io::Result<()> {
     // SAFETY: no memory arguments.
     let r = unsafe { syscall6(nr::KILL, pid as usize, sig as usize, 0, 0, 0, 0) };
     check(r).map(|_| ())
-}
-
-/// `getpid()`.
-pub fn getpid() -> i32 {
-    // SAFETY: no arguments, cannot fail.
-    unsafe { syscall6(nr::GETPID, 0, 0, 0, 0, 0, 0) as i32 }
-}
-
-/// `wait4(pid, &status, options, NULL)` — returns `(pid, status)`.
-pub fn wait4(pid: i32, options: usize) -> io::Result<(i32, i32)> {
-    let mut status: i32 = 0;
-    // SAFETY: status points at a live i32.
-    let r = unsafe {
-        syscall6(
-            nr::WAIT4,
-            pid as isize as usize,
-            &mut status as *mut i32 as usize,
-            options,
-            0,
-            0,
-            0,
-        )
-    };
-    check(r).map(|p| (p as i32, status))
-}
-
-/// `exit_group(code)` — terminate the whole process immediately,
-/// without running libc atexit handlers or Rust destructors. The
-/// fork harness's child exits through this so it never flushes
-/// stdio buffers inherited (duplicated) from the parent.
-pub fn exit_group(code: i32) -> ! {
-    // SAFETY: terminates the process; no return.
-    unsafe {
-        syscall6(nr::EXIT_GROUP, code as usize, 0, 0, 0, 0, 0);
-    }
-    unreachable!("exit_group returned");
 }
 
 /// OS page size assumed for mappings (x86_64 Linux).
@@ -522,27 +455,6 @@ impl Drop for Reservation {
     }
 }
 
-/// Decode a `wait4` status word: `Some(sig)` if the child was terminated
-/// by signal `sig`.
-pub fn term_signal(status: i32) -> Option<i32> {
-    let sig = status & 0x7f;
-    if sig != 0 && sig != 0x7f {
-        Some(sig)
-    } else {
-        None
-    }
-}
-
-/// Decode a `wait4` status word: `Some(code)` if the child exited
-/// normally with `code`.
-pub fn exit_code(status: i32) -> Option<i32> {
-    if status & 0x7f == 0 {
-        Some((status >> 8) & 0xff)
-    } else {
-        None
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -594,11 +506,6 @@ pub(crate) mod tests {
     pub(crate) fn vm_flags(entry: &str) -> Vec<&str> {
         let flags = entry.lines().find_map(|l| l.strip_prefix("VmFlags:"));
         flags.expect("VmFlags").split_whitespace().collect()
-    }
-
-    #[test]
-    fn getpid_matches_std() {
-        assert_eq!(getpid() as u32, std::process::id());
     }
 
     #[test]
@@ -699,30 +606,5 @@ pub(crate) mod tests {
             assert_eq!(std::ptr::read(p), 0xAB);
             munmap(p, 8192).expect("munmap");
         }
-    }
-
-    #[test]
-    fn flock_excludes_second_descriptor() {
-        use std::os::fd::AsRawFd;
-        let dir = std::env::temp_dir().join(format!("nvm-sys-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("lock");
-        let f1 = std::fs::File::create(&path).unwrap();
-        let f2 = std::fs::File::open(&path).unwrap();
-        flock(f1.as_raw_fd(), LOCK_EX | LOCK_NB).expect("first lock");
-        let err = flock(f2.as_raw_fd(), LOCK_EX | LOCK_NB).expect_err("second lock must fail");
-        assert_eq!(err.kind(), std::io::ErrorKind::WouldBlock);
-        flock(f1.as_raw_fd(), LOCK_UN).unwrap();
-        flock(f2.as_raw_fd(), LOCK_EX | LOCK_NB).expect("lock after unlock");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn wait_status_decoders() {
-        // 0x0900 = exited with code 9; 0x0009 = killed by SIGKILL.
-        assert_eq!(exit_code(0x0900), Some(9));
-        assert_eq!(term_signal(0x0900), None);
-        assert_eq!(term_signal(0x0009), Some(SIGKILL));
-        assert_eq!(exit_code(0x0009), None);
     }
 }

@@ -3,23 +3,23 @@
 //! Earlier revisions of this example simulated power failure inside one
 //! process (an armed injector panicking at a persistence event). That
 //! model still exists in `tests/recoverability.rs`, but the real harness
-//! now lives in the `crashtest` crate and this example drives it: fork a
-//! child that hammers a recoverable structure in a live file-backed pool
-//! (`MAP_SHARED`), SIGKILL it mid-flight, reopen the file, recover, and
-//! check the visibility oracles — every acked operation exactly-once
-//! visible, every in-flight operation at-most-once.
+//! now lives in the `crashtest` crate and this example drives it: spawn
+//! this example again as a victim that hammers a recoverable structure in
+//! a live file-backed pool (`MAP_SHARED`), SIGKILL it mid-flight, reopen
+//! the file, recover, and check the visibility oracles — every acked
+//! operation exactly-once visible, every in-flight operation at-most-once.
 //!
 //! ```text
 //! cargo run --example crash_recovery [-- --seed S]
 //! ```
-//!
-//! Must stay single-threaded up to the `run_once` calls (fork safety).
 
 use crashtest::{fresh_seed, parse_u64, run_once, KillSpec, RunConfig, Structure, XorShift};
 
 fn main() {
     let pool = std::env::temp_dir().join("crash_recovery_example.pool");
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // Each round's victim is this example, run with `victim` arguments.
+    crashtest::enter_victim(&args);
     let seed = match args.as_slice() {
         [] => fresh_seed(),
         [flag, s] if flag == "--seed" => parse_u64(s).expect("--seed takes a decimal or 0x-hex number"),
@@ -27,7 +27,7 @@ fn main() {
     };
     println!("seed = {seed:#x}  (replay with --seed {seed:#x})");
 
-    // Round 1: control run. No kill — the child completes its 4-thread
+    // Round 1: control run. No kill — the victim completes its 4-thread
     // queue workload, the parent reopens the pool and checks that every
     // acked op is visible and nothing is duplicated or conjured.
     let mut cfg = RunConfig::new(Structure::Queue, pool.clone(), seed);
@@ -38,7 +38,7 @@ fn main() {
     );
     assert!(!report.killed && report.inflight == 0);
 
-    // Round 2: deterministic kill. The child SIGKILLs itself at exactly
+    // Round 2: deterministic kill. The victim SIGKILLs itself at exactly
     // the N-th persistence event after the workload starts — same seed,
     // same N, same kill point, every time. This is how a failing sweep
     // round is replayed under a debugger. Bit-identical replay needs a

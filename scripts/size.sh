@@ -16,7 +16,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BUDGET=6590
+BUDGET=6496
 REST_BUDGET=8698
 MAX_FIELDS=5
 MAX_VARS=3
